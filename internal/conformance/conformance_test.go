@@ -1,0 +1,487 @@
+// Package conformance holds the repository's one cross-package
+// correctness table: every serving path that produces authority-flow
+// scores is checked, on seeded random corpora, against a reference path
+// within a DECLARED tolerance class. It is test-only; the paths
+// themselves are reached through the few functions of paths_test.go, so
+// a refactor of the solve stack edits that file and nothing here.
+package conformance
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"authorityflow/internal/cache"
+	"authorityflow/internal/core"
+	"authorityflow/internal/graph"
+	"authorityflow/internal/ir"
+	"authorityflow/internal/profile"
+	"authorityflow/internal/rank"
+)
+
+// class is the agreement a path owes its reference.
+type class int
+
+const (
+	// bitIdentical: every float64 has the same bit pattern.
+	bitIdentical class = iota
+	// within1e12: max elementwise difference ≤ 1e-12. Paths that reach
+	// the same fixpoint by a different floating-point route (summation
+	// order, start vector, linear combination), at the tight threshold
+	// the worlds are built with.
+	within1e12
+	// within1e9: max elementwise difference ≤ 1e-9 against the dense
+	// oracle, which shares no code with the kernel.
+	within1e9
+)
+
+func (c class) String() string {
+	return [...]string{"Float64bits-identical", "≤1e-12", "≤1e-9"}[c]
+}
+
+// tight is the rank configuration of every world: a threshold far below
+// the classes' tolerances, so a disagreement is a defect and not an
+// early stop.
+var tight = rank.Options{Damping: 0.85, Threshold: 1e-14, MaxIters: 4000}
+
+const topK = 7
+
+// world is one seeded random corpus with everything the table's paths
+// need.
+type world struct {
+	g     *graph.Graph
+	rates *graph.Rates
+	pin   *core.Pinned // serial engine
+	par   *core.Pinned // same corpus, three kernel workers
+	rev   *core.Pinned // authority engine over the explicitly reversed graph
+	eng   *core.Engine
+	// queries mixes single-term and multi-term queries (distinct terms,
+	// so a single-term query has weight exactly 1) and one that matches
+	// nothing; eleven, so panels of 2 and 8 both end ragged.
+	queries []*ir.Query
+	// reweighted are single-term queries at a weight other than 1.
+	reweighted []*ir.Query
+	terms      []string
+}
+
+var words = []string{"olap", "cube", "index", "range", "join", "graph", "rank", "flow", "cache", "query", "tuple", "view"}
+
+func newWorld(t *testing.T, seed int64) *world {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	s := graph.NewSchema()
+	nTypes := 2 + rng.Intn(3)
+	types := make([]graph.TypeID, nTypes)
+	for i := range types {
+		types[i] = s.AddNodeType(fmt.Sprintf("T%d", i))
+	}
+	type etype struct {
+		id       graph.EdgeTypeID
+		from, to graph.TypeID
+	}
+	var etypes []etype
+	for i, n := 0, 3+rng.Intn(4); i < n; i++ {
+		from, to := types[rng.Intn(nTypes)], types[rng.Intn(nTypes)]
+		etypes = append(etypes, etype{s.MustAddEdgeType(fmt.Sprintf("e%d", i), from, to), from, to})
+	}
+	b := graph.NewBuilder(s)
+	byType := make(map[graph.TypeID][]graph.NodeID)
+	for i, n := 0, 40+rng.Intn(80); i < n; i++ {
+		text := ""
+		for j, m := 0, 2+rng.Intn(5); j < m; j++ {
+			text += words[rng.Intn(len(words))] + " "
+		}
+		ty := types[i%nTypes] // every type is populated
+		byType[ty] = append(byType[ty], b.AddNode(ty, graph.Attr{Name: "Text", Value: text}))
+	}
+	for _, et := range etypes {
+		from, to := byType[et.from], byType[et.to]
+		for i, n := 0, 30+rng.Intn(120); i < n; i++ {
+			b.AddEdge(from[rng.Intn(len(from))], to[rng.Intn(len(to))], et.id)
+		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rates := graph.NewRates(s)
+	for tt := 0; tt < s.NumTransferTypes(); tt++ {
+		if rng.Intn(5) > 0 { // leave some rates zero: the kernel skips those arcs
+			if err := rates.SetRate(graph.TransferTypeID(tt), rng.Float64()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	rates.NormalizeOutgoing()
+
+	w := &world{g: g, rates: rates, terms: words}
+	engine := func(g *graph.Graph, workers int) *core.Engine {
+		e, err := core.NewEngine(g, rates, core.Config{Rank: tight, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	w.eng = engine(g, 0)
+	w.pin = w.eng.Pin()
+	w.par = engine(g, 3).Pin()
+	w.rev = engine(g.Reversed(), 0).Pin()
+	for i := 0; i < 10; i++ {
+		q := ir.NewQuery(words[rng.Intn(len(words))])
+		for j := rng.Intn(3); j > 0; j-- {
+			if extra := words[rng.Intn(len(words))]; !q.Has(extra) {
+				q.Add(extra, 0.25+rng.Float64())
+			}
+		}
+		w.queries = append(w.queries, q)
+	}
+	w.queries = append(w.queries, ir.NewQuery("absent"))
+	for i := 0; i < 3; i++ {
+		q := ir.NewQuery(words[rng.Intn(len(words))])
+		q.SetWeight(q.Terms()[0], 0.25+2*rng.Float64())
+		w.reweighted = append(w.reweighted, q)
+	}
+	return w
+}
+
+// jumps returns the queries' normalized base distributions as dense
+// vectors, skipping queries that match nothing.
+func (w *world) jumps() [][]float64 {
+	var out [][]float64
+	for _, q := range w.queries {
+		base := w.pin.BaseSet(q)
+		if len(base) == 0 {
+			continue
+		}
+		jump := make([]float64, w.g.NumNodes())
+		for _, sd := range base {
+			jump[sd.Doc] = sd.Score
+		}
+		out = append(out, jump)
+	}
+	return out
+}
+
+// denseSolve is the independent oracle: the Equation 4 fixpoint
+// r = d·M·r + (1−d)·s on an explicit |V|×|V| transition matrix built
+// from the FORWARD adjacency (the kernel gathers over the reverse CSR),
+// with Kahan-compensated row sums, iterated to an L1 change below
+// 1e-13. transpose solves on Mᵀ, which is hub mode's system.
+func denseSolve(g *graph.Graph, alpha, jump []float64, d float64, transpose bool) []float64 {
+	n := g.NumNodes()
+	m := make([][]float64, n)
+	for i := range m {
+		m[i] = make([]float64, n)
+	}
+	for u := 0; u < n; u++ {
+		for _, a := range g.OutArcs(graph.NodeID(u)) {
+			wt := alpha[a.Type] * float64(a.InvDeg)
+			if transpose {
+				m[u][a.To] += wt
+			} else {
+				m[a.To][u] += wt
+			}
+		}
+	}
+	r := append([]float64(nil), jump...)
+	next := make([]float64, n)
+	for it := 0; it < 100000; it++ {
+		diff := 0.0
+		for v := 0; v < n; v++ {
+			sum, comp := 0.0, 0.0
+			for u, wt := range m[v] {
+				y := wt*r[u] - comp
+				s := sum + y
+				comp = (s - sum) - y
+				sum = s
+			}
+			next[v] = (1-d)*jump[v] + d*sum
+			diff += math.Abs(next[v] - r[v])
+		}
+		r, next = next, r
+		if diff < 1e-13 {
+			break
+		}
+	}
+	return r
+}
+
+// oracle solves every query densely in one direction.
+func (w *world) oracle(transpose bool) [][]float64 {
+	out := make([][]float64, len(w.queries))
+	alpha := w.rates.Vector()
+	for i, q := range w.queries {
+		jump := make([]float64, w.g.NumNodes())
+		for _, sd := range w.pin.BaseSet(q) {
+			jump[sd.Doc] = sd.Score
+		}
+		out[i] = denseSolve(w.g, alpha, jump, tight.Damping, transpose)
+	}
+	return out
+}
+
+// singles solves every query on its own.
+func singles(pin *core.Pinned, m core.Mode, qs []*ir.Query) func(*testing.T) [][]float64 {
+	return func(t *testing.T) [][]float64 {
+		out := make([][]float64, len(qs))
+		for i, q := range qs {
+			out[i] = solveOne(t, pin, m, q, nil)
+		}
+		return out
+	}
+}
+
+// flatten renders a top-k answer as (node, score) pairs so the table can
+// compare it like a vector.
+func flatten(items []cache.ResultItem) []float64 {
+	out := make([]float64, 0, 2*len(items))
+	for _, it := range items {
+		out = append(out, float64(it.Node), it.Score)
+	}
+	return out
+}
+
+func topKOf(scores []float64) []float64 {
+	var out []float64
+	for _, r := range rank.TopK(scores, topK) {
+		out = append(out, float64(r.Node), r.Score)
+	}
+	return out
+}
+
+// twice repeats a path's output: the reference of a path that is run
+// once missing the cache and once hitting it.
+func twice(f func(*testing.T) [][]float64) func(*testing.T) [][]float64 {
+	return func(t *testing.T) [][]float64 {
+		v := f(t)
+		return append(append([][]float64(nil), v...), v...)
+	}
+}
+
+// path is one row of the table: got must agree with want within class.
+type path struct {
+	name      string
+	class     class
+	got, want func(*testing.T) [][]float64
+}
+
+func table(w *world) []path {
+	ctx := context.Background()
+	var rows []path
+
+	// Kernel: a panel column against the same base set solved alone.
+	single := func(t *testing.T) [][]float64 { return kernelColumns(w, 1, 1) }
+	for _, width := range []int{2, 8, 11} {
+		width := width
+		rows = append(rows, path{fmt.Sprintf("kernel panel B=%d column ≡ B=1", width), bitIdentical,
+			func(t *testing.T) [][]float64 { return kernelColumns(w, width, 1) }, single})
+	}
+	rows = append(rows,
+		path{"kernel B=1 workers=3 vs serial", within1e12,
+			func(t *testing.T) [][]float64 { return kernelColumns(w, 1, 3) }, single},
+		path{"kernel panel B=8 workers=3 vs serial", within1e12,
+			func(t *testing.T) [][]float64 { return kernelColumns(w, 8, 3) }, single},
+	)
+
+	// Engine: directions, batches, workers, warm starts.
+	for _, m := range []core.Mode{core.ModeAuthority, core.ModeHub} {
+		m := m
+		rows = append(rows,
+			path{fmt.Sprintf("%s batch item ≡ single query", m), bitIdentical,
+				func(t *testing.T) [][]float64 { return solveMany(t, w.pin, m, w.queries) },
+				singles(w.pin, m, w.queries)},
+			path{fmt.Sprintf("%s workers=3 vs serial", m), within1e12,
+				singles(w.par, m, w.queries), singles(w.pin, m, w.queries)},
+			path{fmt.Sprintf("%s donated warm start vs global start", m), within1e12,
+				func(t *testing.T) [][]float64 {
+					out := make([][]float64, len(w.queries))
+					prev := solveOne(t, w.pin, m, w.queries[0], nil)
+					for i, q := range w.queries {
+						out[i] = solveOne(t, w.pin, m, q, prev)
+						prev = out[i]
+					}
+					return out
+				}, singles(w.pin, m, w.queries)},
+			path{fmt.Sprintf("%s single query vs dense oracle", m), within1e9,
+				singles(w.pin, m, w.queries),
+				func(t *testing.T) [][]float64 { return w.oracle(m == core.ModeHub) }},
+		)
+	}
+	rows = append(rows,
+		path{"hub ≡ authority on the reversed corpus", bitIdentical,
+			singles(w.pin, core.ModeHub, w.queries), singles(w.rev, core.ModeAuthority, w.queries)},
+		path{"authority batch vs dense oracle", within1e9,
+			func(t *testing.T) [][]float64 { return solveMany(t, w.pin, core.ModeAuthority, w.queries) },
+			func(t *testing.T) [][]float64 { return w.oracle(false) }},
+	)
+
+	// Cache: every mode, miss then hit, full vectors and top-k answers,
+	// single queries and batches.
+	for _, m := range []core.Mode{core.ModeAuthority, core.ModeHub, core.ModeCombined} {
+		m := m
+		uncachedTopK := func(t *testing.T) [][]float64 {
+			out := singles(w.pin, m, w.queries)(t)
+			for i := range out {
+				out[i] = topKOf(out[i])
+			}
+			return out
+		}
+		rows = append(rows,
+			path{fmt.Sprintf("%s cached vector (miss, hit) ≡ uncached", m), bitIdentical,
+				func(t *testing.T) [][]float64 {
+					c := cache.New(w.eng, cache.Options{})
+					defer c.Close()
+					var out [][]float64
+					for pass := 0; pass < 2; pass++ {
+						for _, q := range w.queries {
+							res, err := c.RankModePinnedCtx(ctx, w.pin, q, m)
+							if err != nil {
+								t.Fatal(err)
+							}
+							out = append(out, res.Scores)
+						}
+					}
+					return out
+				}, twice(singles(w.pin, m, w.queries))},
+			path{fmt.Sprintf("%s cached top-k (miss, hit) ≡ uncached", m), bitIdentical,
+				func(t *testing.T) [][]float64 {
+					c := cache.New(w.eng, cache.Options{})
+					defer c.Close()
+					var out [][]float64
+					for pass := 0; pass < 2; pass++ {
+						for _, q := range w.queries {
+							ans, err := c.QueryModePinnedCtx(ctx, w.pin, q, topK, m)
+							if err != nil {
+								t.Fatal(err)
+							}
+							out = append(out, flatten(ans.Results))
+						}
+					}
+					return out
+				}, twice(uncachedTopK)},
+			path{fmt.Sprintf("%s cached batch (miss, hit) ≡ uncached", m), bitIdentical,
+				func(t *testing.T) [][]float64 {
+					c := cache.New(w.eng, cache.Options{})
+					defer c.Close()
+					ks := make([]int, len(w.queries))
+					modes := make([]core.Mode, len(w.queries))
+					for i := range ks {
+						ks[i], modes[i] = topK, m
+					}
+					var out [][]float64
+					for pass := 0; pass < 2; pass++ {
+						answers, err := c.QueryBatchModePinnedCtx(ctx, w.pin, w.queries, ks, modes)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for _, a := range answers {
+							out = append(out, flatten(a.Results))
+						}
+					}
+					return out
+				}, twice(uncachedTopK)},
+		)
+	}
+
+	// The term-vector cache solves a single-term query at weight 1
+	// whatever weight it arrived with. Normalizing the base set cancels
+	// the weight only up to rounding, so this path owes the tolerance
+	// class, not bit identity.
+	rows = append(rows, path{"cached single-term query at weight ≠ 1 vs uncached", within1e12,
+		func(t *testing.T) [][]float64 {
+			c := cache.New(w.eng, cache.Options{})
+			defer c.Close()
+			out := make([][]float64, len(w.reweighted))
+			for i, q := range w.reweighted {
+				res, err := c.RankModePinnedCtx(ctx, w.pin, q, core.ModeAuthority)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out[i] = res.Scores
+			}
+			return out
+		}, singles(w.pin, core.ModeAuthority, w.reweighted)})
+
+	// Profile tier: a linear combination of basis fixpoints against the
+	// personalized jump solved directly, and against the dense oracle.
+	mixture := map[string]float64{w.terms[0]: 0.5, w.terms[1]: 0.3, w.terms[2]: 0.2}
+	const beta = 0.35
+	combined := func(t *testing.T) [][]float64 {
+		basis, err := profile.BuildBasis(ctx, w.pin, w.terms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([][]float64, len(w.queries))
+		for i, q := range w.queries {
+			out[i] = basis.Combine(solveOne(t, w.pin, core.ModeAuthority, q, nil), mixture, beta)
+		}
+		return out
+	}
+	mixtureJumps := func(t *testing.T) [][]float64 {
+		basis, err := profile.BuildBasis(ctx, w.pin, w.terms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([][]float64, len(w.queries))
+		for i, q := range w.queries {
+			out[i] = basis.MixtureJump(w.pin, w.pin.BaseSet(q), mixture, beta)
+		}
+		return out
+	}
+	rows = append(rows,
+		path{"profile basis combination vs direct solve of the mixture jump", within1e12, combined,
+			func(t *testing.T) [][]float64 {
+				out := mixtureJumps(t)
+				for i := range out {
+					out[i] = solveJump(t, w.pin, out[i])
+				}
+				return out
+			}},
+		path{"profile basis combination vs dense oracle", within1e9, combined,
+			func(t *testing.T) [][]float64 {
+				out := mixtureJumps(t)
+				for i := range out {
+					out[i] = denseSolve(w.g, w.rates.Vector(), out[i], tight.Damping, false)
+				}
+				return out
+			}},
+	)
+	return rows
+}
+
+// TestConformance runs the table on several seeded worlds.
+func TestConformance(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		w := newWorld(t, seed)
+		for _, p := range table(w) {
+			p := p
+			t.Run(fmt.Sprintf("seed%d/%s", seed, p.name), func(t *testing.T) {
+				got, want := p.got(t), p.want(t)
+				if len(got) != len(want) {
+					t.Fatalf("%d vectors, reference has %d", len(got), len(want))
+				}
+				for i := range got {
+					if len(got[i]) != len(want[i]) {
+						t.Fatalf("vector %d: %d entries, reference has %d", i, len(got[i]), len(want[i]))
+					}
+					for v := range got[i] {
+						g, r := got[i][v], want[i][v]
+						ok := math.Float64bits(g) == math.Float64bits(r)
+						switch p.class {
+						case within1e12:
+							ok = math.Abs(g-r) <= 1e-12
+						case within1e9:
+							ok = math.Abs(g-r) <= 1e-9
+						}
+						if !ok {
+							t.Fatalf("vector %d entry %d: %v (%#x) vs reference %v (%#x), class %s",
+								i, v, g, math.Float64bits(g), r, math.Float64bits(r), p.class)
+						}
+					}
+				}
+			})
+		}
+	}
+}
