@@ -30,12 +30,15 @@
 //
 //	ds, _ := authorityflow.GenerateDBLP(authorityflow.DBLPTopConfig().Scale(0.1))
 //	eng, _ := authorityflow.NewEngine(ds.Graph, ds.Rates, authorityflow.Config{})
-//	res := eng.Rank(authorityflow.NewQuery("olap"))
+//	pin := eng.Pin() // one consistent view of corpus and rates
+//	rs, _ := pin.Solve(ctx, authorityflow.SolveSpec{
+//	    Queries: []*authorityflow.Query{authorityflow.NewQuery("olap")}})
+//	res := rs[0]
 //	top := res.TopK(10)
-//	sg, _ := eng.Explain(res, top[0].Node, authorityflow.DefaultExplain())
-//	ref, _ := eng.Reformulate(res.Query, []*authorityflow.Subgraph{sg},
-//	    authorityflow.StructureOnly())
-//	_ = eng.SetRates(ref.Rates) // apply the learned rates
+//	sg, _ := pin.ExplainCtx(ctx, res, top[0].Node, authorityflow.DefaultExplain())
+//	ref, _ := pin.ReformulateWeightedCtx(ctx, res.Query, []*authorityflow.Subgraph{sg},
+//	    nil, authorityflow.StructureOnly())
+//	_, _ = eng.TrySetRates(ref.Rates, pin.Version()) // apply the learned rates
 package authorityflow
 
 import (
@@ -141,9 +144,15 @@ type (
 	// Corpus is the immutable half of an engine — graph, index, options
 	// and buffer pool — shareable between several engines.
 	Corpus = core.Corpus
-	// Pinned is a consistent engine view at one rates snapshot, for
-	// multi-step flows (rank → explain → reformulate → publish).
+	// Pinned is a consistent engine view at one rates snapshot: every
+	// read — Solve, ExplainCtx, ReformulateWeightedCtx — goes through
+	// one, so multi-step flows (solve → explain → reformulate →
+	// publish) see one corpus and one rate assignment.
 	Pinned = core.Pinned
+	// SolveSpec describes one ranking request for Pinned.Solve: the
+	// queries (or a jump vector), the ranking mode, and the start
+	// vectors.
+	SolveSpec = core.SolveSpec
 	// Config collects engine construction parameters.
 	Config = core.Config
 	// RankOptions control the power iteration (damping, threshold).

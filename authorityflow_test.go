@@ -2,6 +2,7 @@ package authorityflow_test
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -61,6 +62,16 @@ func buildFixture(t testing.TB) (*authorityflow.Graph, *authorityflow.Rates, map
 	return g, rates, ids
 }
 
+// solve runs a one-column spec under a background context.
+func solve(t testing.TB, pin *authorityflow.Pinned, spec authorityflow.SolveSpec) *authorityflow.RankResult {
+	t.Helper()
+	rs, err := pin.Solve(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rs[0]
+}
+
 func TestFacadeEndToEnd(t *testing.T) {
 	g, rates, ids := buildFixture(t)
 	eng, err := authorityflow.NewEngine(g, rates, authorityflow.Config{})
@@ -70,14 +81,15 @@ func TestFacadeEndToEnd(t *testing.T) {
 
 	// Rank.
 	q := authorityflow.NewQuery("olap")
-	res := eng.Rank(q)
+	ctx, pin := context.Background(), eng.Pin()
+	res := solve(t, pin, authorityflow.SolveSpec{Queries: []*authorityflow.Query{q}})
 	top := res.TopK(3)
 	if top[0].Node != ids["dataCube"] {
 		t.Fatalf("top result = %v, want Data Cube", top[0])
 	}
 
 	// Explain.
-	sg, err := eng.Explain(res, ids["dataCube"], authorityflow.DefaultExplain())
+	sg, err := pin.ExplainCtx(ctx, res, ids["dataCube"], authorityflow.DefaultExplain())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,14 +117,14 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 
 	// Reformulate and re-rank.
-	ref, err := eng.Reformulate(q, []*authorityflow.Subgraph{sg}, authorityflow.ContentAndStructure())
+	ref, err := pin.ReformulateWeightedCtx(ctx, q, []*authorityflow.Subgraph{sg}, nil, authorityflow.ContentAndStructure())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.SetRates(ref.Rates); err != nil {
 		t.Fatal(err)
 	}
-	res2 := eng.RankFrom(ref.Query, res.Scores)
+	res2 := solve(t, eng.Pin(), authorityflow.SolveSpec{Queries: []*authorityflow.Query{ref.Query}, Inits: [][]float64{res.Scores}})
 	if res2.TopK(1)[0].Score <= 0 {
 		t.Fatal("re-ranking broken")
 	}
@@ -204,7 +216,7 @@ func TestFacadePrecompute(t *testing.T) {
 	if !complete || len(fromStore) == 0 {
 		t.Fatal("store query failed")
 	}
-	fresh := eng.Rank(q).TopK(10)
+	fresh := solve(t, eng.Pin(), authorityflow.SolveSpec{Queries: []*authorityflow.Query{q}}).TopK(10)
 	for i := range fromStore {
 		if fromStore[i].Node != fresh[i].Node {
 			t.Fatalf("rank %d differs: %v vs %v", i, fromStore[i], fresh[i])

@@ -111,7 +111,7 @@ func BenchmarkObjectRank2Query(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := eng.RankCold(q)
+		res := solve(b, eng.Pin(), authorityflow.SolveSpec{Queries: []*authorityflow.Query{q}, Cold: true})
 		if !res.Converged {
 			b.Fatal("did not converge")
 		}
@@ -123,12 +123,12 @@ func BenchmarkObjectRank2Query(b *testing.B) {
 func BenchmarkObjectRank2WarmStart(b *testing.B) {
 	_, eng := microWorld(b)
 	q := authorityflow.NewQuery("olap")
-	init := eng.RankCold(q).Scores
+	init := solve(b, eng.Pin(), authorityflow.SolveSpec{Queries: []*authorityflow.Query{q}, Cold: true}).Scores
 	q2 := authorityflow.NewQuery("olap", "cube")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng.RankFrom(q2, init)
+		solve(b, eng.Pin(), authorityflow.SolveSpec{Queries: []*authorityflow.Query{q2}, Inits: [][]float64{init}})
 	}
 }
 
@@ -140,7 +140,7 @@ func BenchmarkAblationColdStart(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng.RankCold(q2)
+		solve(b, eng.Pin(), authorityflow.SolveSpec{Queries: []*authorityflow.Query{q2}, Cold: true})
 	}
 }
 
@@ -150,7 +150,7 @@ func BenchmarkAblationColdStart(b *testing.B) {
 func BenchmarkExplainSubgraph(b *testing.B) {
 	ds, eng := microWorld(b)
 	q := authorityflow.NewQuery("olap")
-	res := eng.Rank(q)
+	res := solve(b, eng.Pin(), authorityflow.SolveSpec{Queries: []*authorityflow.Query{q}})
 	paperType, _ := ds.Graph.Schema().TypeByName("Paper")
 	top := res.TopKOfType(ds.Graph, paperType, 1)
 	if len(top) == 0 {
@@ -159,7 +159,7 @@ func BenchmarkExplainSubgraph(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.Explain(res, top[0].Node, authorityflow.DefaultExplain()); err != nil {
+		if _, err := eng.Pin().ExplainCtx(context.Background(), res, top[0].Node, authorityflow.DefaultExplain()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -170,7 +170,7 @@ func BenchmarkExplainSubgraph(b *testing.B) {
 func BenchmarkAblationExplainRadius(b *testing.B) {
 	ds, eng := microWorld(b)
 	q := authorityflow.NewQuery("olap")
-	res := eng.Rank(q)
+	res := solve(b, eng.Pin(), authorityflow.SolveSpec{Queries: []*authorityflow.Query{q}})
 	paperType, _ := ds.Graph.Schema().TypeByName("Paper")
 	top := res.TopKOfType(ds.Graph, paperType, 1)
 	if len(top) == 0 {
@@ -181,7 +181,7 @@ func BenchmarkAblationExplainRadius(b *testing.B) {
 			opts := authorityflow.ExplainOptions{Radius: radius}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.Explain(res, top[0].Node, opts); err != nil {
+				if _, err := eng.Pin().ExplainCtx(context.Background(), res, top[0].Node, opts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -194,20 +194,20 @@ func BenchmarkAblationExplainRadius(b *testing.B) {
 func BenchmarkReformulate(b *testing.B) {
 	ds, eng := microWorld(b)
 	q := authorityflow.NewQuery("olap")
-	res := eng.Rank(q)
+	res := solve(b, eng.Pin(), authorityflow.SolveSpec{Queries: []*authorityflow.Query{q}})
 	paperType, _ := ds.Graph.Schema().TypeByName("Paper")
 	top := res.TopKOfType(ds.Graph, paperType, 1)
 	if len(top) == 0 {
 		b.Skip("no results at this scale")
 	}
-	sg, err := eng.Explain(res, top[0].Node, authorityflow.DefaultExplain())
+	sg, err := eng.Pin().ExplainCtx(context.Background(), res, top[0].Node, authorityflow.DefaultExplain())
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.Reformulate(q, []*authorityflow.Subgraph{sg}, authorityflow.ContentAndStructure()); err != nil {
+		if _, err := eng.Pin().ReformulateWeightedCtx(context.Background(), q, []*authorityflow.Subgraph{sg}, nil, authorityflow.ContentAndStructure()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -293,7 +293,7 @@ func BenchmarkObjectRank2QueryParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng.RankCold(q)
+		solve(b, eng.Pin(), authorityflow.SolveSpec{Queries: []*authorityflow.Query{q}, Cold: true})
 	}
 }
 
@@ -301,8 +301,7 @@ func BenchmarkObjectRank2QueryParallel(b *testing.B) {
 //
 // The three QueryPath benches compare the latency ladder of one
 // repeated query on the DBLP-scale corpus: a cold solve, a Section 6.2
-// warm-started solve, and a serving-cache hit (internal/cache). CI runs
-// them as a smoke step: go test -bench=QueryPath -benchtime=1x
+// warm-started solve, and a serving-cache hit (internal/cache).
 
 var (
 	qpOnce sync.Once
@@ -325,7 +324,7 @@ func BenchmarkQueryPathCold(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := eng.RankCold(q)
+		res := solve(b, eng.Pin(), authorityflow.SolveSpec{Queries: []*authorityflow.Query{q}, Cold: true})
 		if got := res.TopK(10); len(got) == 0 {
 			b.Fatal("empty result")
 		}
@@ -338,11 +337,11 @@ func BenchmarkQueryPathCold(b *testing.B) {
 func BenchmarkQueryPathWarmStart(b *testing.B) {
 	eng, _ := queryPathWorld(b)
 	q := authorityflow.NewQuery("olap")
-	init := eng.RankCold(q).Scores
+	init := solve(b, eng.Pin(), authorityflow.SolveSpec{Queries: []*authorityflow.Query{q}, Cold: true}).Scores
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := eng.RankFrom(q, init)
+		res := solve(b, eng.Pin(), authorityflow.SolveSpec{Queries: []*authorityflow.Query{q}, Inits: [][]float64{init}})
 		if got := res.TopK(10); len(got) == 0 {
 			b.Fatal("empty result")
 		}
@@ -356,14 +355,20 @@ func BenchmarkQueryPathWarmStart(b *testing.B) {
 func BenchmarkQueryPathCacheHit(b *testing.B) {
 	_, ce := queryPathWorld(b)
 	q := authorityflow.NewQuery("olap")
-	if ans := ce.Query(q, 10); len(ans.Results) == 0 {
+	query := func() *authorityflow.CachedAnswer {
+		ans, err := ce.QueryModePinnedCtx(context.Background(), ce.Engine().Pin(), q, 10, "")
+		if err != nil {
+			b.Fatal(err)
+		}
+		return ans
+	}
+	if ans := query(); len(ans.Results) == 0 {
 		b.Fatal("empty primed result")
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ans := ce.Query(q, 10)
-		if len(ans.Results) == 0 {
+		if ans := query(); len(ans.Results) == 0 {
 			b.Fatal("empty result")
 		}
 	}
@@ -395,7 +400,7 @@ func BenchmarkQueryPathInstrumented(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := eng.RankCold(q)
+		res := solve(b, eng.Pin(), authorityflow.SolveSpec{Queries: []*authorityflow.Query{q}, Cold: true})
 		if got := res.TopK(10); len(got) == 0 {
 			b.Fatal("empty result")
 		}
@@ -423,10 +428,11 @@ func BenchmarkQueryPathWithDeadline(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := eng.RankColdCtx(ctx, q)
+		rs, err := eng.Pin().Solve(ctx, authorityflow.SolveSpec{Queries: []*authorityflow.Query{q}, Cold: true})
 		if err != nil {
 			b.Fatal(err)
 		}
+		res := rs[0]
 		if got := res.TopK(10); len(got) == 0 {
 			b.Fatal("empty result")
 		}

@@ -30,6 +30,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -102,6 +103,7 @@ func main() {
 		fail(err)
 	}
 
+	pin := eng.Pin()
 	switch args[0] {
 	case "query":
 		q := authorityflow.ParseQuery(strings.Join(args[1:], " "))
@@ -120,7 +122,7 @@ func main() {
 			}
 			return
 		}
-		res := eng.Rank(q)
+		res := solve(pin, q, nil)
 		fmt.Printf("query %v: base set %d nodes, %d iterations\n", q, len(res.Base), res.Iterations)
 		for i, r := range res.TopK(*k) {
 			fmt.Printf("%2d. %.6f  %s\n", i+1, r.Score, ds.Graph.Display(r.Node))
@@ -161,7 +163,7 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		res := eng.Rank(q)
+		res := solve(pin, q, nil)
 		cmp, err := eng.Compare(res, a, bNode, authorityflow.DefaultExplain())
 		if err != nil {
 			fail(err)
@@ -182,8 +184,8 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		res := eng.Rank(q)
-		sg, err := eng.Explain(res, target, authorityflow.DefaultExplain())
+		res := solve(pin, q, nil)
+		sg, err := pin.ExplainCtx(context.Background(), res, target, authorityflow.DefaultExplain())
 		if err != nil {
 			fail(err)
 		}
@@ -227,14 +229,14 @@ func main() {
 			fail(fmt.Errorf("feedback needs keywords and node ids"))
 		}
 		q := authorityflow.ParseQuery(args[1])
-		res := eng.Rank(q)
+		res := solve(pin, q, nil)
 		var subs []*authorityflow.Subgraph
 		for _, part := range strings.Split(args[2], ",") {
 			target, err := parseNode(part)
 			if err != nil {
 				fail(err)
 			}
-			sg, err := eng.Explain(res, target, authorityflow.DefaultExplain())
+			sg, err := pin.ExplainCtx(context.Background(), res, target, authorityflow.DefaultExplain())
 			if err != nil {
 				fail(err)
 			}
@@ -250,7 +252,7 @@ func main() {
 		default:
 			fail(fmt.Errorf("unknown mode %q", *mode))
 		}
-		ref, err := eng.Reformulate(q, subs, opts)
+		ref, err := pin.ReformulateWeightedCtx(context.Background(), q, subs, nil, opts)
 		if err != nil {
 			fail(err)
 		}
@@ -272,7 +274,7 @@ func main() {
 		if err := eng.SetRates(ref.Rates); err != nil {
 			fail(err)
 		}
-		res2 := eng.RankFrom(ref.Query, res.Scores)
+		res2 := solve(eng.Pin(), ref.Query, res.Scores)
 		fmt.Println("re-ranked results:")
 		for i, r := range res2.TopK(*k) {
 			fmt.Printf("%2d. %.6f  %s\n", i+1, r.Score, ds.Graph.Display(r.Node))
@@ -281,6 +283,19 @@ func main() {
 	default:
 		fail(fmt.Errorf("unknown subcommand %q", args[0]))
 	}
+}
+
+// solve ranks q under pin, warm-started from init when it is given.
+func solve(pin *authorityflow.Pinned, q *authorityflow.Query, init []float64) *authorityflow.RankResult {
+	spec := authorityflow.SolveSpec{Queries: []*authorityflow.Query{q}}
+	if init != nil {
+		spec.Inits = [][]float64{init}
+	}
+	rs, err := pin.Solve(context.Background(), spec)
+	if err != nil {
+		fail(err)
+	}
+	return rs[0]
 }
 
 func loadOrGen(data, gen string, scale float64) (*authorityflow.Dataset, error) {

@@ -86,10 +86,6 @@ func main() {
 		cacheMB = flag.Int("cache-mb", 64, "serving-cache byte budget in MiB (0 disables the cache)")
 		prewarm = flag.Int("prewarm", 8, "hottest terms to refresh after each rates publication (0 disables; needs -cache-mb > 0)")
 
-		tileNodes = flag.Int("tile-nodes", 0, "cache-block the power-iteration kernel into source tiles of this many nodes (0 disables; bit-identical results; size for 4-16 passes per sweep, ~|V|/8)")
-		panelF32  = flag.Bool("panel-f32", false, "run prewarm panels in the float32 kernel: ~half the panel bandwidth, prewarmed vectors agree with full precision to ~1e-6 instead of bitwise")
-		deltaEps  = flag.Float64("delta-eps", 0, "refresh prewarmed terms via incremental delta solves when a republish moves the rate vector by at most this L1 distance (0 disables)")
-
 		maxInflight  = flag.Int("max-inflight", 0, "max concurrently admitted expensive requests (/query, /explain, /reformulate); 0 = unlimited")
 		queueWait    = flag.Duration("queue-wait", 0, "how long a request may wait for an admission slot before shedding with 503 (needs -max-inflight; 0 = shed immediately when saturated)")
 		queryTimeout = flag.Duration("query-timeout", 0, "server-side per-request deadline, answered 504 when exceeded; clients may shorten it via X-Request-Timeout-Ms, never extend it (0 = none)")
@@ -143,9 +139,6 @@ func main() {
 	}
 	if *cacheMB > 0 {
 		opts = append(opts, server.WithCache(int64(*cacheMB)<<20, *prewarm))
-		if *panelF32 || *deltaEps > 0 {
-			opts = append(opts, server.WithCacheTuning(*panelF32, *deltaEps))
-		}
 	}
 	if *swapDir != "" {
 		opts = append(opts, server.WithSwapDir(*swapDir))
@@ -156,7 +149,7 @@ func main() {
 	if *legacyGrace {
 		opts = append(opts, server.WithLegacyGrace())
 	}
-	cfg := core.Config{Workers: *workers, TileNodes: *tileNodes}
+	cfg := core.Config{Workers: *workers}
 	var s *server.Server
 	if ix != nil {
 		s, err = server.NewWithIndex(ds, ix, cfg, opts...)

@@ -196,3 +196,25 @@ func TestCLITSVImport(t *testing.T) {
 		t.Fatalf("imported graph did not rank the cited paper:\n%s", out)
 	}
 }
+
+// TestAfqbenchBuilds compiles and vets the benchmark against this tree.
+// cmd/afqbench is a nested module (replace => ../..), so `go build
+// ./... && go test ./...` at the root never sees it, yet its oracle.go
+// and probe.go bind to core, cache, profile and server entry points by
+// name; without this test a rename there is first noticed by a
+// benchmark run.
+func TestAfqbenchBuilds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the go tool")
+	}
+	for _, args := range [][]string{
+		{"build", "-o", t.TempDir() + string(filepath.Separator), "./..."},
+		{"vet", "./..."},
+	} {
+		cmd := exec.Command("go", args...)
+		cmd.Dir = filepath.Join(mustSelfDir(), "afqbench")
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("go %s in cmd/afqbench: %v\n%s", strings.Join(args, " "), err, out)
+		}
+	}
+}

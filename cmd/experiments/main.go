@@ -9,12 +9,10 @@
 // Experiments: table1, table2, table3, figure10, figure11, figure12,
 // figure13, figure14, figure15, figure16, figure17, and the
 // extensions "active" (active vs passive feedback selection),
-// "baselines" (ObjectRank2 vs ObjectRank vs HITS vs TSPR),
-// "scalability" (times vs graph scale) and "workloads" (link-free
-// authority served end to end: modes, audit, profile, swap, router).
-// Scale 1.0
-// regenerates at the paper's dataset sizes (slow); the default scale
-// depends on the experiment family.
+// "baselines" (ObjectRank2 vs ObjectRank vs HITS vs TSPR) and
+// "scalability" (times vs graph scale). Scale 1.0 regenerates at the
+// paper's dataset sizes (slow); the default scale depends on the
+// experiment family.
 package main
 
 import (
@@ -46,7 +44,6 @@ var runners = []struct {
 	{"baselines", wrap(experiments.ExtensionBaselines)},
 	{"scalability", wrap(experiments.ExtensionScalability)},
 	{"implicit", wrap(experiments.ExtensionImplicitFeedback)},
-	{"workloads", wrap(experiments.WorkloadLinkless)},
 }
 
 func wrap[T any](f func(experiments.Config) (T, error)) func(experiments.Config) error {

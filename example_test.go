@@ -1,6 +1,7 @@
 package authorityflow_test
 
 import (
+	"context"
 	"fmt"
 
 	"authorityflow"
@@ -31,13 +32,15 @@ func Example() {
 	g, _ := b.Build()
 
 	eng, _ := authorityflow.NewEngine(g, rates, authorityflow.Config{})
-	res := eng.Rank(authorityflow.NewQuery("olap"))
+	ctx, pin := context.Background(), eng.Pin()
+	rs, _ := pin.Solve(ctx, authorityflow.SolveSpec{Queries: []*authorityflow.Query{authorityflow.NewQuery("olap")}})
+	res := rs[0]
 	top := res.TopK(1)[0]
 	fmt.Printf("top result: %s (in base set: %v)\n",
 		g.Attr(top.Node, "Title"), res.InBase(top.Node))
 
 	// Why? Explain the authority flow into it.
-	sg, _ := eng.Explain(res, top.Node, authorityflow.DefaultExplain())
+	sg, _ := pin.ExplainCtx(ctx, res, top.Node, authorityflow.DefaultExplain())
 	fmt.Printf("explained by %d authority paths from the base set\n",
 		len(sg.TopPaths(sg.BaseSources(res), 10)))
 
@@ -46,10 +49,10 @@ func Example() {
 	// explained by 2 authority paths from the base set
 }
 
-// ExampleEngine_Reformulate shows structure-based reformulation: after
+// ExamplePinned_ReformulateWeightedCtx shows structure-based reformulation: after
 // feedback on a citation-ranked result, the cites rate grows relative
 // to the others.
-func ExampleEngine_Reformulate() {
+func ExamplePinned_ReformulateWeightedCtx() {
 	s := authorityflow.NewSchema()
 	paper := s.AddNodeType("Paper")
 	author := s.AddNodeType("Author")
@@ -70,11 +73,13 @@ func ExampleEngine_Reformulate() {
 
 	eng, _ := authorityflow.NewEngine(g, rates, authorityflow.Config{})
 	q := authorityflow.NewQuery("olap")
-	res := eng.Rank(q)
+	ctx, pin := context.Background(), eng.Pin()
+	rs, _ := pin.Solve(ctx, authorityflow.SolveSpec{Queries: []*authorityflow.Query{q}})
+	res := rs[0]
 
 	// The user marks the citation-reached paper as relevant.
-	sg, _ := eng.Explain(res, hub, authorityflow.DefaultExplain())
-	ref, _ := eng.Reformulate(q, []*authorityflow.Subgraph{sg}, authorityflow.StructureOnly())
+	sg, _ := pin.ExplainCtx(ctx, res, hub, authorityflow.DefaultExplain())
+	ref, _ := pin.ReformulateWeightedCtx(ctx, q, []*authorityflow.Subgraph{sg}, nil, authorityflow.StructureOnly())
 
 	newRates := ref.Rates
 	citesRate := newRates.Rate(authorityflow.TransferType(cites, authorityflow.Forward))

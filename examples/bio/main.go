@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -33,6 +34,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// Every read goes through one pinned view of the corpus and rates.
+	ctx, pin := context.Background(), eng.Pin()
 
 	// A gene-symbol query, like the paper's "TNF" example: pick a real
 	// symbol from the corpus. Gene symbols occur in gene nodes and in
@@ -40,7 +43,7 @@ func main() {
 	geneType, _ := g.Schema().TypeByName("EntrezGene")
 	symbol := g.Attr(g.NodesOfType(geneType)[0], "Symbol")
 	q := authorityflow.NewQuery(symbol)
-	res := eng.Rank(q)
+	res := solve(pin, q, nil)
 	fmt.Printf("query %v: base set %d nodes, %d iterations\n", q, len(res.Base), res.Iterations)
 	for i, r := range res.TopK(8) {
 		marker := " "
@@ -62,7 +65,7 @@ func main() {
 	fmt.Printf("\n--- why is this protein returned? ---\n%s (in base set: %v)\n",
 		g.Display(target), res.InBase(target))
 
-	sg, err := eng.Explain(res, target, authorityflow.DefaultExplain())
+	sg, err := pin.ExplainCtx(ctx, res, target, authorityflow.DefaultExplain())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -78,7 +81,7 @@ func main() {
 
 	// Feed the protein back: the gene->protein and protein->publication
 	// edge types that carried its authority get boosted.
-	ref, err := eng.Reformulate(q, []*authorityflow.Subgraph{sg}, authorityflow.StructureOnly())
+	ref, err := pin.ReformulateWeightedCtx(ctx, q, []*authorityflow.Subgraph{sg}, nil, authorityflow.StructureOnly())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -87,7 +90,7 @@ func main() {
 	if err := eng.SetRates(ref.Rates); err != nil {
 		log.Fatal(err)
 	}
-	res2 := eng.RankFrom(q, res.Scores)
+	res2 := solve(eng.Pin(), q, res.Scores)
 	fmt.Println("\nre-ranked top results:")
 	for i, r := range res2.TopK(5) {
 		fmt.Printf("%2d. %.5f %s\n", i+1, r.Score, clip(g.Display(r.Node), 80))
@@ -99,4 +102,17 @@ func clip(s string, n int) string {
 		return s[:n] + "…"
 	}
 	return s
+}
+
+// solve ranks q under pin, warm-started from init when it is given.
+func solve(pin *authorityflow.Pinned, q *authorityflow.Query, init []float64) *authorityflow.RankResult {
+	spec := authorityflow.SolveSpec{Queries: []*authorityflow.Query{q}}
+	if init != nil {
+		spec.Inits = [][]float64{init}
+	}
+	rs, err := pin.Solve(context.Background(), spec)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return rs[0]
 }

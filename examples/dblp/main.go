@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -31,6 +32,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// Every read goes through one pinned view of the corpus and rates.
+	ctx, pin := context.Background(), eng.Pin()
 	paperType, _ := g.Schema().TypeByName("Paper")
 
 	// The paper's Table 2 benchmark queries.
@@ -40,7 +43,7 @@ func main() {
 	}
 	for _, raw := range queries {
 		q := authorityflow.ParseQuery(raw)
-		res := eng.Rank(q)
+		res := solve(pin, q, nil)
 		top := res.TopKOfType(g, paperType, 3)
 		fmt.Printf("[%s] base set %d, %d iterations\n", raw, len(res.Base), res.Iterations)
 		for i, r := range top {
@@ -56,13 +59,13 @@ func main() {
 	// paths into it.
 	fmt.Println("\n--- explaining the top [olap] paper ---")
 	q := authorityflow.NewQuery("olap")
-	res := eng.Rank(q)
+	res := solve(pin, q, nil)
 	top := res.TopKOfType(g, paperType, 1)
 	if len(top) == 0 || top[0].Score == 0 {
 		log.Fatal("no olap results at this scale; try -scale 0.1 or larger")
 	}
 	target := top[0].Node
-	sg, err := eng.Explain(res, target, authorityflow.DefaultExplain())
+	sg, err := pin.ExplainCtx(ctx, res, target, authorityflow.DefaultExplain())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -81,13 +84,13 @@ func main() {
 	fmt.Println("\n--- structure-based feedback on the top-2 [olap] papers ---")
 	var subs []*authorityflow.Subgraph
 	for _, r := range res.TopKOfType(g, paperType, 2) {
-		s, err := eng.Explain(res, r.Node, authorityflow.DefaultExplain())
+		s, err := pin.ExplainCtx(ctx, res, r.Node, authorityflow.DefaultExplain())
 		if err != nil {
 			log.Fatal(err)
 		}
 		subs = append(subs, s)
 	}
-	ref, err := eng.Reformulate(q, subs, authorityflow.StructureOnly())
+	ref, err := pin.ReformulateWeightedCtx(ctx, q, subs, nil, authorityflow.StructureOnly())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -96,7 +99,7 @@ func main() {
 	if err := eng.SetRates(ref.Rates); err != nil {
 		log.Fatal(err)
 	}
-	res2 := eng.RankFrom(ref.Query, res.Scores)
+	res2 := solve(eng.Pin(), ref.Query, res.Scores)
 	fmt.Printf("re-ranked (converged in %d iterations thanks to the warm start):\n", res2.Iterations)
 	for i, r := range res2.TopKOfType(g, paperType, 5) {
 		fmt.Printf("  %d. %.5f %s\n", i+1, r.Score, clip(g.Attr(r.Node, "Title"), 60))
@@ -108,4 +111,17 @@ func clip(s string, n int) string {
 		return s[:n] + "…"
 	}
 	return s
+}
+
+// solve ranks q under pin, warm-started from init when it is given.
+func solve(pin *authorityflow.Pinned, q *authorityflow.Query, init []float64) *authorityflow.RankResult {
+	spec := authorityflow.SolveSpec{Queries: []*authorityflow.Query{q}}
+	if init != nil {
+		spec.Inits = [][]float64{init}
+	}
+	rs, err := pin.Solve(context.Background(), spec)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return rs[0]
 }

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -47,7 +48,11 @@ func main() {
 		q := authorityflow.NewQuery(kw...)
 
 		t0 = time.Now()
-		fresh := eng.RankCold(q)
+		rs, err := eng.Pin().Solve(context.Background(), authorityflow.SolveSpec{Queries: []*authorityflow.Query{q}, Cold: true})
+		if err != nil {
+			log.Fatal(err)
+		}
+		fresh := rs[0]
 		freshTime := time.Since(t0)
 
 		t0 = time.Now()

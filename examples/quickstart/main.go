@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -68,8 +69,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// Every read goes through one pinned view of the corpus and rates.
+	ctx, pin := context.Background(), eng.Pin()
 	q := authorityflow.NewQuery("olap")
-	res := eng.Rank(q)
+	res := solve(pin, q, nil)
 	fmt.Printf("ObjectRank2 results for %v (base set: %d nodes):\n", q, len(res.Base))
 	for i, r := range res.TopK(7) {
 		fmt.Printf("%2d. %.4f  %s\n", i+1, r.Score, g.Display(r.Node))
@@ -80,7 +83,7 @@ func main() {
 	fmt.Println()
 
 	// 5. Explain why Data Cube is ranked so high.
-	sg, err := eng.Explain(res, dataCube, authorityflow.DefaultExplain())
+	sg, err := pin.ExplainCtx(ctx, res, dataCube, authorityflow.DefaultExplain())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -97,11 +100,11 @@ func main() {
 
 	// 6. The user marks "Range Queries in OLAP Data Cubes" relevant;
 	// reformulate both content and structure.
-	fb, err := eng.Explain(res, rangeQ, authorityflow.DefaultExplain())
+	fb, err := pin.ExplainCtx(ctx, res, rangeQ, authorityflow.DefaultExplain())
 	if err != nil {
 		log.Fatal(err)
 	}
-	ref, err := eng.Reformulate(q, []*authorityflow.Subgraph{fb}, authorityflow.ContentAndStructure())
+	ref, err := pin.ReformulateWeightedCtx(ctx, q, []*authorityflow.Subgraph{fb}, nil, authorityflow.ContentAndStructure())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -110,7 +113,7 @@ func main() {
 	if err := eng.SetRates(ref.Rates); err != nil {
 		log.Fatal(err)
 	}
-	res2 := eng.RankFrom(ref.Query, res.Scores)
+	res2 := solve(eng.Pin(), ref.Query, res.Scores)
 	fmt.Println("Re-ranked results:")
 	for i, r := range res2.TopK(7) {
 		fmt.Printf("%2d. %.4f  %s\n", i+1, r.Score, g.Display(r.Node))
@@ -122,4 +125,17 @@ func min(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// solve ranks q under pin, warm-started from init when it is given.
+func solve(pin *authorityflow.Pinned, q *authorityflow.Query, init []float64) *authorityflow.RankResult {
+	spec := authorityflow.SolveSpec{Queries: []*authorityflow.Query{q}}
+	if init != nil {
+		spec.Inits = [][]float64{init}
+	}
+	rs, err := pin.Solve(context.Background(), spec)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return rs[0]
 }

@@ -61,11 +61,11 @@ func TestQueryBatchMatchesSingle(t *testing.T) {
 
 	want := make([]*Answer, len(qs))
 	for i, q := range qs {
-		want[i] = single.Query(q, ks[i])
+		want[i] = query(single, q, ks[i])
 	}
 
 	pin := eng.Pin()
-	got, err := batch.QueryBatchPinnedCtx(context.Background(), pin, qs, ks)
+	got, err := batch.QueryBatchModePinnedCtx(context.Background(), pin, qs, ks, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestQueryBatchMatchesSingle(t *testing.T) {
 	}
 
 	// Repeat batch: everything from the result cache, same bits.
-	got2, err := batch.QueryBatchPinnedCtx(context.Background(), pin, qs, ks)
+	got2, err := batch.QueryBatchModePinnedCtx(context.Background(), pin, qs, ks, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestQueryBatchMatchesSingle(t *testing.T) {
 	// Single-term answers must now also be servable from the term-vector
 	// cache: same term, different k misses the result cache but hits the
 	// vector cache.
-	a := batch.QueryPinned(pin, ir.NewQuery("olap"), 7)
+	a, _ := batch.QueryModePinnedCtx(context.Background(), pin, ir.NewQuery("olap"), 7, core.ModeAuthority)
 	if a.Source != SourceTerm {
 		t.Errorf("k=7 olap after batch: source %q, want term", a.Source)
 	}
@@ -130,7 +130,7 @@ func TestQueryBatchSolveCount(t *testing.T) {
 	// Expected panel accounting, derived from the index: unique misses
 	// become columns in batch order, panelled at BlockSize; empty-base
 	// queries short-circuit inside the panel without a kernel column.
-	bs := eng.Corpus().BlockSize()
+	bs := core.DefaultBlockSize
 	wantSolves, wantColumns := 0, 0
 	for lo := 0; lo < len(unique); lo += bs {
 		hi := lo + bs
@@ -148,7 +148,7 @@ func TestQueryBatchSolveCount(t *testing.T) {
 			wantColumns += nz
 		}
 	}
-	if _, err := c.QueryBatchPinnedCtx(context.Background(), eng.Pin(), qs, ks); err != nil {
+	if _, err := c.QueryBatchModePinnedCtx(context.Background(), eng.Pin(), qs, ks, nil); err != nil {
 		t.Fatal(err)
 	}
 	if solves != wantSolves || columns != wantColumns {
@@ -167,7 +167,7 @@ func TestQueryBatchArityPanics(t *testing.T) {
 			t.Fatal("mismatched ks arity should panic")
 		}
 	}()
-	c.QueryBatchPinnedCtx(context.Background(), eng.Pin(), []*ir.Query{ir.NewQuery("olap")}, nil)
+	c.QueryBatchModePinnedCtx(context.Background(), eng.Pin(), []*ir.Query{ir.NewQuery("olap")}, nil, nil)
 }
 
 // TestBlockedPrewarmWarmStarts: after a rates bump the blocked prewarm
@@ -180,6 +180,13 @@ func TestBlockedPrewarmWarmStarts(t *testing.T) {
 	defer c.Close()
 
 	terms := []string{"olap", "xml", "mining"}
+	// The first panel starts from the global PageRank: nothing was
+	// donated, so it must not count as warm-started.
+	eng.SetSolveHook(func(st core.SolveStats) {
+		if st.WarmStarted {
+			t.Errorf("first prewarm panel reported warm-started without a donation")
+		}
+	})
 	c.Prewarm(terms) // fills v1 vectors (one blocked panel)
 	if got := c.Stats().Prewarmed; got != 3 {
 		t.Fatalf("prewarmed = %d, want 3", got)
@@ -213,7 +220,7 @@ func TestBlockedPrewarmWarmStarts(t *testing.T) {
 	}
 
 	// The refreshed vectors serve v2 queries from cache.
-	a := c.Query(ir.NewQuery("olap"), 10)
+	a := query(c, ir.NewQuery("olap"), 10)
 	if a.Source != SourceTerm {
 		t.Errorf("post-refresh query source %q, want term", a.Source)
 	}
@@ -231,7 +238,7 @@ func TestBlockedPrewarmVsPublishRace(t *testing.T) {
 
 	// Seed popularity so prewarm passes have hot terms to refresh.
 	for _, tm := range []string{"olap", "xml", "mining", "query"} {
-		c.Query(ir.NewQuery(tm), 5)
+		query(c, ir.NewQuery(tm), 5)
 	}
 
 	var wg, pubWg sync.WaitGroup
@@ -271,7 +278,7 @@ func TestBlockedPrewarmVsPublishRace(t *testing.T) {
 			ks := []int{5, 5, 5, 5}
 			for j := 0; j < 40; j++ {
 				pin := eng.Pin()
-				answers, err := c.QueryBatchPinnedCtx(context.Background(), pin, qs, ks)
+				answers, err := c.QueryBatchModePinnedCtx(context.Background(), pin, qs, ks, nil)
 				if err != nil {
 					t.Errorf("batch: %v", err)
 					return
@@ -296,7 +303,7 @@ func TestBlockedPrewarmVsPublishRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 60; j++ {
-				a := c.Query(ir.NewQuery("olap"), 5)
+				a := query(c, ir.NewQuery("olap"), 5)
 				if a == nil || len(a.Results) == 0 {
 					t.Error("single query returned empty answer")
 					return

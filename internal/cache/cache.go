@@ -59,31 +59,6 @@ type Options struct {
 	// publication, so the first queries against a new version find warm
 	// vectors. Zero disables prewarming.
 	PrewarmTerms int
-	// PrewarmFloat32 runs prewarm refresh panels through the f32 panel
-	// kernel (core.PanelF32): half the sweep bandwidth per refresh, at
-	// the cost that prewarmed vectors agree with a full-precision solve
-	// to within ~1e-6 instead of bitwise. Answers served from a
-	// prewarmed vector inherit that error class; user-triggered misses
-	// always solve at full precision regardless. Leave off when cached
-	// and uncached answers must stay bit-identical.
-	PrewarmFloat32 bool
-	// PrewarmHub additionally refreshes the hottest terms' HUB-direction
-	// vectors on every publication (and in synchronous Prewarm calls), so
-	// mode=hub queries find warm vectors too. Hub refreshes always run at
-	// full precision through the hub panel; the f32 and delta
-	// accelerations apply only to the authority side. Off by default —
-	// hub vectors double the prewarm work per term.
-	PrewarmHub bool
-	// DeltaEps, when positive, lets the prewarmer refresh a term by an
-	// incremental residual-frontier delta solve (core.Pinned.RankDeltaCtx)
-	// seeded from the previous version's vector, whenever the republished
-	// rate vector is within L1 distance DeltaEps of the previous
-	// version's (same corpus generation). Delta results agree with a
-	// full solve within the convergence tolerance class — not bitwise —
-	// so like PrewarmFloat32 this trades cached-vs-uncached bit-identity
-	// on prewarmed terms for refresh speed. Zero (the default) keeps
-	// every refresh a full-sweep solve.
-	DeltaEps float64
 }
 
 // DefaultMaxBytes is the default total cache budget (64 MiB).
@@ -104,19 +79,14 @@ type CachedEngine struct {
 	// mu guards versionKeys and hot.
 	mu sync.Mutex
 	// versionKeys memoizes snapshot version -> (corpus generation,
-	// rate-vector fingerprint, rate vector), so the fingerprint is
-	// computed once per published version, a version bump can locate the
-	// PREVIOUS version's entries for same-generation warm-start
-	// hand-over, and the prewarmer can measure how far a republish
-	// actually moved the rates (the DeltaEps ε-closeness test).
-	versionKeys map[uint64]versionEntry
+	// rate-vector fingerprint), so the fingerprint is computed once per
+	// published version and a version bump can locate the PREVIOUS
+	// version's entries for same-generation warm-start hand-over.
+	versionKeys map[uint64]stateKey
 	// hot counts term popularity for the prewarmer.
 	hot map[string]int64
 
-	prewarmN   int
-	prewarmF32 bool
-	prewarmHub bool
-	deltaEps   float64
+	prewarmN int
 	// prewarmCh signals the prewarm goroutine; prewarmCtx is cancelled
 	// by Close so a prewarm blocked inside a long solve aborts within
 	// one kernel sweep instead of stalling shutdown.
@@ -155,12 +125,9 @@ func New(eng *core.Engine, opts Options) *CachedEngine {
 	}
 	c := &CachedEngine{
 		eng:         eng,
-		versionKeys: make(map[uint64]versionEntry),
+		versionKeys: make(map[uint64]stateKey),
 		hot:         make(map[string]int64),
 		prewarmN:    opts.PrewarmTerms,
-		prewarmF32:  opts.PrewarmFloat32,
-		prewarmHub:  opts.PrewarmHub,
-		deltaEps:    opts.DeltaEps,
 	}
 	c.vectors = newShardedLRU(vb, shards, &c.stats.vectorEvictions)
 	c.results = newShardedLRU(rb, shards, &c.stats.resultEvictions)
@@ -294,32 +261,6 @@ type stateKey struct {
 	rk  uint64
 }
 
-// versionEntry is the versionKeys memo value: the state identity plus
-// the published rate vector itself, retained so a later version can
-// compute its L1 distance to this one (the DeltaEps closeness test)
-// without re-deriving rates that may no longer be pinnable.
-type versionEntry struct {
-	key   stateKey
-	alpha []float64
-}
-
-// l1RateDist returns Σ|a−b|, or +Inf when the vectors are not
-// comparable (different schemas).
-func l1RateDist(a, b []float64) float64 {
-	if len(a) != len(b) {
-		return math.Inf(1)
-	}
-	s := 0.0
-	for i := range a {
-		d := a[i] - b[i]
-		if d < 0 {
-			d = -d
-		}
-		s += d
-	}
-	return s
-}
-
 // stateKeyFor returns the (generation, rate-vector fingerprint)
 // identity of the pinned state, memoized per rates version — versions
 // advance monotonically across swaps, so one version maps to exactly
@@ -329,24 +270,23 @@ func l1RateDist(a, b []float64) float64 {
 func (c *CachedEngine) stateKeyFor(pin *core.Pinned) stateKey {
 	v := pin.Version()
 	c.mu.Lock()
-	e, ok := c.versionKeys[v]
+	sk, ok := c.versionKeys[v]
 	c.mu.Unlock()
 	if ok {
-		return e.key
+		return sk
 	}
-	alpha := pin.Rates().Vector()
-	e = versionEntry{key: stateKey{gen: pin.Generation(), rk: graph.RateVectorKey(alpha)}, alpha: alpha}
+	sk = stateKey{gen: pin.Generation(), rk: graph.RateVectorKey(pin.Rates().Vector())}
 	c.mu.Lock()
 	if len(c.versionKeys) > 4096 { // bound growth across very long rate-training runs
-		trimmed := make(map[uint64]versionEntry, 2)
+		trimmed := make(map[uint64]stateKey, 2)
 		if prev, ok := c.versionKeys[v-1]; ok {
 			trimmed[v-1] = prev
 		}
 		c.versionKeys = trimmed
 	}
-	c.versionKeys[v] = e
+	c.versionKeys[v] = sk
 	c.mu.Unlock()
-	return e.key
+	return sk
 }
 
 // previousTermKey returns the cache key of the same term (in the same
@@ -359,26 +299,10 @@ func (c *CachedEngine) previousTermKey(v uint64, sk stateKey, m core.Mode, term 
 	c.mu.Lock()
 	prev, ok := c.versionKeys[v-1]
 	c.mu.Unlock()
-	if !ok || prev.key.gen != sk.gen || prev.key.rk == sk.rk {
+	if !ok || prev.gen != sk.gen || prev.rk == sk.rk {
 		return "", false
 	}
-	return termKeyMode(prev.key, m, term), true
-}
-
-// deltaEligible reports whether a refresh under version v may use the
-// incremental delta kernel: DeltaEps opted in, the previous version is
-// known, same corpus generation, and the republished rate vector moved
-// by at most DeltaEps in L1.
-func (c *CachedEngine) deltaEligible(v uint64) bool {
-	if c.deltaEps <= 0 {
-		return false
-	}
-	c.mu.Lock()
-	cur, okc := c.versionKeys[v]
-	prev, okp := c.versionKeys[v-1]
-	c.mu.Unlock()
-	return okc && okp && prev.key.gen == cur.key.gen &&
-		l1RateDist(cur.alpha, prev.alpha) <= c.deltaEps
+	return termKeyMode(prev, m, term), true
 }
 
 func termKey(sk stateKey, term string) string {
@@ -496,247 +420,38 @@ func resultEntrySize(key string, k int) int64 {
 
 // ---- query paths ----
 
-// Query answers q with the top k nodes under the engine's current
-// rates, consulting the result cache, then (for single-keyword
-// queries) the term-vector cache, then running the same solve the
-// uncached engine would. Cache-hit answers are bit-identical to the
+// QueryModePinnedCtx answers q with the top k nodes under pin in the
+// given ranking mode — the entry point the /v1/query surface funnels
+// every read through. It consults the result cache, then (for
+// single-keyword queries) the term-vector cache, then runs the same
+// solve the uncached engine would; combined single-keyword answers are
+// assembled from the two directions' term vectors, so a combined query
+// never solves anything the per-direction paths would not have cached
+// anyway. Cache-hit answers in every mode are bit-identical to the
 // answer computed on the original miss.
-func (c *CachedEngine) Query(q *ir.Query, k int) *Answer {
-	a, _ := c.queryAt(context.Background(), c.eng.Pin(), q, k, nil, core.ModeAuthority)
-	return a
+//
+// The caller stops waiting the moment ctx dies and receives ctx.Err().
+// A cancelled caller never aborts a shared in-flight solve while other
+// callers still want it — the solve runs detached and is cancelled only
+// when EVERY waiter has left (see flightGroup). Cache fills from shared
+// solves therefore land even when the caller that triggered them gave
+// up.
+func (c *CachedEngine) QueryModePinnedCtx(ctx context.Context, pin *core.Pinned, q *ir.Query, k int, m core.Mode) (*Answer, error) {
+	return c.queryAt(ctx, pin, q, k, nil, m)
 }
 
-// QueryCtx is Query under a request context: the caller stops waiting
-// the moment ctx dies and receives ctx.Err(). A cancelled caller never
-// aborts a shared in-flight solve while other callers still want it —
-// the solve runs detached and is cancelled only when EVERY waiter has
-// left (see flightGroup). Cache fills from shared solves therefore
-// land even when the caller that triggered them gave up.
-func (c *CachedEngine) QueryCtx(ctx context.Context, q *ir.Query, k int) (*Answer, error) {
-	return c.queryAt(ctx, c.eng.Pin(), q, k, nil, core.ModeAuthority)
-}
-
-// QueryFrom is Query warm-started from a previous score vector (the
-// reformulated-query path): on a full miss the solve starts from init
-// instead of the global PageRank. init is only read.
-func (c *CachedEngine) QueryFrom(q *ir.Query, k int, init []float64) *Answer {
-	a, _ := c.queryAt(context.Background(), c.eng.Pin(), q, k, init, core.ModeAuthority)
-	return a
-}
-
-// QueryFromCtx is QueryFrom under a request context (see QueryCtx).
-func (c *CachedEngine) QueryFromCtx(ctx context.Context, q *ir.Query, k int, init []float64) (*Answer, error) {
-	return c.queryAt(ctx, c.eng.Pin(), q, k, init, core.ModeAuthority)
-}
-
-// QueryFromPinnedCtx is QueryFromCtx under a caller-held pin: the
-// reformulation flow uses it to seed the reformulated query's answer
-// at the exact engine state it just published.
+// QueryFromPinnedCtx is the authority-mode QueryModePinnedCtx
+// warm-started from a previous score vector: on a full miss the solve
+// starts from init instead of the global PageRank. The reformulation
+// flow uses it to seed the reformulated query's answer at the exact
+// engine state it just published. init is only read.
 func (c *CachedEngine) QueryFromPinnedCtx(ctx context.Context, pin *core.Pinned, q *ir.Query, k int, init []float64) (*Answer, error) {
 	return c.queryAt(ctx, pin, q, k, init, core.ModeAuthority)
 }
 
-// QueryPinned is Query under an explicitly pinned snapshot.
-func (c *CachedEngine) QueryPinned(pin *core.Pinned, q *ir.Query, k int) *Answer {
-	a, _ := c.queryAt(context.Background(), pin, q, k, nil, core.ModeAuthority)
-	return a
-}
-
-// QueryPinnedCtx is QueryPinned under a request context (see QueryCtx).
-func (c *CachedEngine) QueryPinnedCtx(ctx context.Context, pin *core.Pinned, q *ir.Query, k int) (*Answer, error) {
-	return c.queryAt(ctx, pin, q, k, nil, core.ModeAuthority)
-}
-
-// QueryBatchPinnedCtx answers a whole panel of queries under ONE pinned
-// snapshot — the /v1/query/batch serving path. ks carries the per-query
-// top-k (len(ks) must equal len(qs); entries <= 0 default to 10).
-//
-// Per query it consults the result cache, then (single-keyword queries)
-// the term-vector cache; every remaining miss becomes a column of a
-// single blocked kernel call (Pinned.RankManyFromCtx, panelled at the
-// corpus BlockSize), deduplicated within the batch — repeated terms and
-// repeated canonical multi-keyword queries share one column. Single-
-// term columns warm-start from the previous rates version's vector when
-// resident, exactly as the single-query miss path does, and fill the
-// term-vector cache; every miss fills the result cache. Each answer is
-// therefore the same answer the corresponding single QueryPinnedCtx
-// call would produce.
-//
-// Like the blocked prewarm, the batch path bypasses the singleflight
-// group: a concurrent identical user miss may duplicate one solve
-// (benign — same snapshot, last insert wins) but a batch can never be
-// serialized behind per-term flights.
-//
-// On cancellation the returned slice is partial: answers for queries
-// served from cache or from columns that converged before the cutoff
-// are filled, the rest are nil, and the ctx error is returned.
-func (c *CachedEngine) QueryBatchPinnedCtx(ctx context.Context, pin *core.Pinned, qs []*ir.Query, ks []int) ([]*Answer, error) {
-	return c.queryBatchDir(ctx, pin, qs, ks, core.ModeAuthority)
-}
-
-// queryBatchDir is the blocked batch path for one ranking direction
-// (authority or hub — combined items are peeled off before reaching
-// here, see QueryBatchModePinnedCtx).
-func (c *CachedEngine) queryBatchDir(ctx context.Context, pin *core.Pinned, qs []*ir.Query, ks []int, m core.Mode) ([]*Answer, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if len(ks) != len(qs) {
-		panic("cache: QueryBatchPinnedCtx got " + strconv.Itoa(len(ks)) + " k values for " + strconv.Itoa(len(qs)) + " queries")
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	sk := c.stateKeyFor(pin)
-	v := pin.Version()
-	answers := make([]*Answer, len(qs))
-	kk := make([]int, len(qs))
-	for i, k := range ks {
-		if k <= 0 {
-			k = 10
-		}
-		kk[i] = k
-	}
-
-	// column is one pending kernel column; pending maps each missed
-	// query onto its (possibly shared) column.
-	type column struct {
-		solveQ *ir.Query
-		term   string // non-empty for single-term columns
-		tkey   string
-		warm   bool
-	}
-	type pendingQ struct {
-		i   int    // index into qs
-		key string // result-cache key
-		col int    // index into cols
-	}
-	var cols []column
-	var inits [][]float64
-	var pend []pendingQ
-	colByID := make(map[string]int)
-
-	for i, q := range qs {
-		c.recordHot(q)
-		key := resultKeyMode(sk, m, kk[i], q)
-		if e, ok := c.results.Get(key); ok {
-			c.stats.resultHits.Add(1)
-			answers[i] = c.answerFrom(e.(*cachedResult), q, SourceResult)
-			continue
-		}
-		c.stats.resultMisses.Add(1)
-		if term, ok := singleTerm(q); ok {
-			tkey := termKeyMode(sk, m, term)
-			if e, ok := c.vectors.Get(tkey); ok {
-				c.stats.vectorHits.Add(1)
-				answers[i] = c.answerFrom(c.storeTopK(pin, key, q, kk[i], e.(*termVector)), q, SourceTerm)
-				continue
-			}
-			c.stats.vectorMisses.Add(1)
-			id := "t\x00" + term
-			ci, ok := colByID[id]
-			if !ok {
-				var init []float64
-				warm := false
-				if prevKey, ok := c.previousTermKey(v, sk, m, term); ok {
-					if old, ok2 := c.vectors.Remove(prevKey); ok2 {
-						init = old.(*termVector).vec
-						warm = true
-					}
-				}
-				ci = len(cols)
-				colByID[id] = ci
-				cols = append(cols, column{solveQ: ir.NewQuery(term), term: term, tkey: tkey, warm: warm})
-				inits = append(inits, init)
-			} else {
-				c.stats.dedup.Add(1) // in-batch dedup, same accounting as a joined flight
-			}
-			pend = append(pend, pendingQ{i: i, key: key, col: ci})
-			continue
-		}
-		id := "q\x00" + CanonicalQuery(q)
-		ci, ok := colByID[id]
-		if !ok {
-			ci = len(cols)
-			colByID[id] = ci
-			cols = append(cols, column{solveQ: q})
-			inits = append(inits, nil)
-		} else {
-			c.stats.dedup.Add(1)
-		}
-		pend = append(pend, pendingQ{i: i, key: key, col: ci})
-	}
-
-	if len(cols) == 0 {
-		return answers, nil
-	}
-	queries := make([]*ir.Query, len(cols))
-	for ci := range cols {
-		queries[ci] = cols[ci].solveQ
-	}
-	var results []*core.RankResult
-	var err error
-	if m == core.ModeHub {
-		results, err = pin.RankManyHubFromCtx(ctx, queries, inits)
-	} else {
-		results, err = pin.RankManyFromCtx(ctx, queries, inits)
-	}
-
-	// Harvest: single-term columns fill the term-vector cache first so
-	// the pending renders below can share the copied vector.
-	tvs := make([]*termVector, len(cols))
-	for ci, res := range results {
-		if res == nil {
-			continue // cancelled column
-		}
-		c.stats.computes.Add(1)
-		col := &cols[ci]
-		if col.term == "" {
-			continue
-		}
-		if col.warm {
-			c.stats.warmStarts.Add(1)
-		}
-		vec := make([]float64, len(res.Scores))
-		copy(vec, res.Scores)
-		tvs[ci] = &termVector{
-			vec:         vec,
-			iters:       res.Iterations,
-			baseN:       len(res.Base),
-			converged:   res.Converged,
-			warmStarted: col.warm,
-		}
-		c.vectors.Put(col.tkey, tvs[ci], termEntrySize(col.tkey, len(vec)))
-	}
-	for _, p := range pend {
-		res := results[p.col]
-		if res == nil {
-			continue // answers[p.i] stays nil; err reports the cutoff
-		}
-		if tv := tvs[p.col]; tv != nil {
-			answers[p.i] = c.answerFrom(c.storeTopK(pin, p.key, qs[p.i], kk[p.i], tv), qs[p.i], SourceComputed)
-		} else {
-			cr := resultFrom(res, kk[p.i])
-			c.results.Put(p.key, cr, resultEntrySize(p.key, len(cr.items)))
-			answers[p.i] = c.answerFrom(cr, qs[p.i], SourceComputed)
-		}
-	}
-	for _, res := range results {
-		if res != nil {
-			c.eng.Release(res)
-		}
-	}
-	return answers, err
-}
-
-// queryAt is the single-query serving path for one ranking direction
-// (authority or hub; combined answers are assembled from both
-// directions by queryCombinedAt in mode.go). init warm-starts only the
+// queryAt is the single-query serving path. init warm-starts only the
 // multi-keyword miss solve and must come from the same direction.
 func (c *CachedEngine) queryAt(ctx context.Context, pin *core.Pinned, q *ir.Query, k int, init []float64, m core.Mode) (*Answer, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -753,11 +468,10 @@ func (c *CachedEngine) queryAt(ctx context.Context, pin *core.Pinned, q *ir.Quer
 	c.stats.resultMisses.Add(1)
 
 	if term, ok := singleTerm(q); ok {
-		tv, hit, err := c.termVectorFor(ctx, pin, sk, m, term)
+		cr, hit, err := c.termAnswer(ctx, pin, sk, m, key, term, k)
 		if err != nil {
 			return nil, err
 		}
-		cr := c.storeTopK(pin, key, q, k, tv)
 		src := SourceComputed
 		if hit {
 			src = SourceTerm
@@ -771,29 +485,22 @@ func (c *CachedEngine) queryAt(ctx context.Context, pin *core.Pinned, q *ir.Quer
 	// group. The solve runs under the flight's DETACHED context, so
 	// this caller's cancellation cannot abort a fill that other
 	// callers are still waiting on.
+	spec := core.SolveSpec{Queries: []*ir.Query{q}, Mode: m}
+	if init != nil {
+		spec.Inits = [][]float64{init}
+	}
 	for {
 		val, shared, err := c.flights.DoCtx(ctx, key, func(dctx context.Context) (any, error) {
 			if e, ok := c.results.Get(key); ok { // lost a miss/flight race
 				return e.(*cachedResult), nil
 			}
-			var res *core.RankResult
-			var rerr error
-			switch {
-			case m == core.ModeHub && init != nil:
-				res, rerr = pin.RankHubFromCtx(dctx, q, init)
-			case m == core.ModeHub:
-				res, rerr = pin.RankHubCtx(dctx, q)
-			case init != nil:
-				res, rerr = pin.RankFromCtx(dctx, q, init)
-			default:
-				res, rerr = pin.RankCtx(dctx, q)
-			}
+			rs, rerr := pin.Solve(dctx, spec)
 			if rerr != nil {
 				return nil, rerr // all waiters left; solve abandoned
 			}
 			c.stats.computes.Add(1)
-			cr := resultFrom(res, k)
-			c.eng.Release(res)
+			cr := resultFrom(rs[0], k)
+			c.eng.Release(rs[0])
 			c.results.Put(key, cr, resultEntrySize(key, len(cr.items)))
 			return cr, nil
 		})
@@ -813,6 +520,233 @@ func (c *CachedEngine) queryAt(ctx context.Context, pin *core.Pinned, q *ir.Quer
 	}
 }
 
+// termAnswer serves a single-keyword query from term vectors: the
+// direction's own vector, or for combined mode the geometric-mean merge
+// of both directions' — bit-identical to a combined solve, because each
+// cached vector is a bit-copy of its direction's solve and the merge is
+// the same elementwise sqrt. hit reports that no vector had to be
+// solved.
+func (c *CachedEngine) termAnswer(ctx context.Context, pin *core.Pinned, sk stateKey, m core.Mode, key, term string, k int) (*cachedResult, bool, error) {
+	if m != core.ModeCombined {
+		tv, hit, err := c.termVectorFor(ctx, pin, sk, m, term)
+		if err != nil {
+			return nil, false, err
+		}
+		return c.storeTopK(pin, key, term, k, tv.vec, tv.iters, tv.baseN), hit, nil
+	}
+	atv, ahit, err := c.termVectorFor(ctx, pin, sk, core.ModeAuthority, term)
+	if err != nil {
+		return nil, false, err
+	}
+	htv, hhit, err := c.termVectorFor(ctx, pin, sk, core.ModeHub, term)
+	if err != nil {
+		return nil, false, err
+	}
+	comb := make([]float64, len(atv.vec))
+	for i := range comb {
+		comb[i] = math.Sqrt(atv.vec[i] * htv.vec[i])
+	}
+	return c.storeTopK(pin, key, term, k, comb, atv.iters+htv.iters, atv.baseN), ahit && hhit, nil
+}
+
+// QueryBatchModePinnedCtx answers a whole panel of queries under ONE
+// pinned snapshot — the /v1/query/batch serving path. ks carries the
+// per-query top-k (len(ks) must equal len(qs); entries <= 0 default to
+// 10) and modes the per-query ranking mode (nil — all authority — or
+// one per query).
+//
+// Items are partitioned by direction: the authority and hub subsets
+// each run the blocked path below, and combined items — which need both
+// directions — are answered individually. Answers land at their
+// original indices, each the same answer the corresponding single
+// QueryModePinnedCtx call would produce.
+//
+// On cancellation the returned slice is partial: answers for queries
+// served from cache or from columns that converged before the cutoff
+// are filled, the rest are nil, and the first context error is
+// returned.
+func (c *CachedEngine) QueryBatchModePinnedCtx(ctx context.Context, pin *core.Pinned, qs []*ir.Query, ks []int, modes []core.Mode) ([]*Answer, error) {
+	if len(ks) != len(qs) || (modes != nil && len(modes) != len(qs)) {
+		panic("cache: QueryBatchModePinnedCtx got " + strconv.Itoa(len(ks)) + " k values and " + strconv.Itoa(len(modes)) + " modes for " + strconv.Itoa(len(qs)) + " queries")
+	}
+	var authIdx, hubIdx, combIdx []int
+	for i, m := range modes {
+		switch m {
+		case core.ModeHub:
+			hubIdx = append(hubIdx, i)
+		case core.ModeCombined:
+			combIdx = append(combIdx, i)
+		default:
+			authIdx = append(authIdx, i)
+		}
+	}
+	if len(hubIdx) == 0 && len(combIdx) == 0 {
+		return c.queryBatchDir(ctx, pin, qs, ks, core.ModeAuthority)
+	}
+
+	answers := make([]*Answer, len(qs))
+	var firstErr error
+	runDir := func(idx []int, m core.Mode) {
+		if len(idx) == 0 {
+			return
+		}
+		subQ := make([]*ir.Query, len(idx))
+		subK := make([]int, len(idx))
+		for j, i := range idx {
+			subQ[j] = qs[i]
+			subK[j] = ks[i]
+		}
+		sub, err := c.queryBatchDir(ctx, pin, subQ, subK, m)
+		if sub != nil { // nil when ctx was dead on entry
+			for j, i := range idx {
+				answers[i] = sub[j]
+			}
+		}
+		if err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	runDir(authIdx, core.ModeAuthority)
+	runDir(hubIdx, core.ModeHub)
+	for _, i := range combIdx {
+		if firstErr != nil && ctx.Err() != nil {
+			break // deadline already blown; leave the rest nil
+		}
+		a, err := c.queryAt(ctx, pin, qs[i], ks[i], nil, core.ModeCombined)
+		if err != nil {
+			if firstErr == nil {
+				firstErr = err
+			}
+			continue
+		}
+		answers[i] = a
+	}
+	return answers, firstErr
+}
+
+// queryBatchDir is the blocked batch path for one ranking direction
+// (authority or hub). Per query it consults the result cache, then
+// (single-keyword queries) the term-vector cache; every remaining miss
+// becomes a column of a single Pinned.Solve, deduplicated within the
+// batch — repeated terms and repeated canonical multi-keyword queries
+// share one column. Single-term columns warm-start from the previous
+// rates version's vector when resident, exactly as the single-query
+// miss path does, and fill the term-vector cache; every miss fills the
+// result cache.
+//
+// Like the blocked prewarm, the batch path bypasses the singleflight
+// group: a concurrent identical user miss may duplicate one solve
+// (benign — same snapshot, last insert wins) but a batch can never be
+// serialized behind per-term flights.
+func (c *CachedEngine) queryBatchDir(ctx context.Context, pin *core.Pinned, qs []*ir.Query, ks []int, m core.Mode) ([]*Answer, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	sk := c.stateKeyFor(pin)
+	answers := make([]*Answer, len(qs))
+	kk := make([]int, len(qs))
+	for i, k := range ks {
+		if k <= 0 {
+			k = 10
+		}
+		kk[i] = k
+	}
+
+	// column is one pending kernel column; pending maps each missed
+	// query onto its (possibly shared) column.
+	type column struct {
+		term string // non-empty for single-term columns
+		tkey string
+	}
+	type pendingQ struct {
+		i   int    // index into qs
+		key string // result-cache key
+		col int    // index into cols
+	}
+	var cols []column
+	var queries []*ir.Query
+	var inits [][]float64
+	var pend []pendingQ
+	colByID := make(map[string]int)
+
+	for i, q := range qs {
+		c.recordHot(q)
+		key := resultKeyMode(sk, m, kk[i], q)
+		if e, ok := c.results.Get(key); ok {
+			c.stats.resultHits.Add(1)
+			answers[i] = c.answerFrom(e.(*cachedResult), q, SourceResult)
+			continue
+		}
+		c.stats.resultMisses.Add(1)
+		col := column{}
+		solveQ, id := q, "q\x00"+CanonicalQuery(q)
+		if term, ok := singleTerm(q); ok {
+			col = column{term: term, tkey: termKeyMode(sk, m, term)}
+			if e, ok := c.vectors.Get(col.tkey); ok {
+				c.stats.vectorHits.Add(1)
+				tv := e.(*termVector)
+				answers[i] = c.answerFrom(c.storeTopK(pin, key, term, kk[i], tv.vec, tv.iters, tv.baseN), q, SourceTerm)
+				continue
+			}
+			c.stats.vectorMisses.Add(1)
+			solveQ, id = ir.NewQuery(term), "t\x00"+term
+		}
+		ci, ok := colByID[id]
+		if !ok {
+			ci = len(cols)
+			colByID[id] = ci
+			cols = append(cols, col)
+			queries = append(queries, solveQ)
+			var init []float64
+			if col.term != "" {
+				init = c.donation(pin, sk, m, col.term)
+			}
+			inits = append(inits, init)
+		} else {
+			c.stats.dedup.Add(1) // in-batch dedup, same accounting as a joined flight
+		}
+		pend = append(pend, pendingQ{i: i, key: key, col: ci})
+	}
+
+	if len(cols) == 0 {
+		return answers, nil
+	}
+	results, err := pin.Solve(ctx, core.SolveSpec{Queries: queries, Mode: m, Inits: inits})
+
+	// Harvest: single-term columns fill the term-vector cache first so
+	// the pending renders below can share the copied vector.
+	tvs := make([]*termVector, len(cols))
+	for ci, res := range results {
+		if res == nil {
+			continue // cancelled column
+		}
+		c.stats.computes.Add(1)
+		if cols[ci].term != "" {
+			tvs[ci] = c.putTerm(cols[ci].tkey, res, inits[ci] != nil)
+		}
+	}
+	for _, p := range pend {
+		res := results[p.col]
+		if res == nil {
+			continue // answers[p.i] stays nil; err reports the cutoff
+		}
+		var cr *cachedResult
+		if tv := tvs[p.col]; tv != nil {
+			cr = c.storeTopK(pin, p.key, cols[p.col].term, kk[p.i], tv.vec, tv.iters, tv.baseN)
+		} else {
+			cr = resultFrom(res, kk[p.i])
+			c.results.Put(p.key, cr, resultEntrySize(p.key, len(cr.items)))
+		}
+		answers[p.i] = c.answerFrom(cr, qs[p.i], SourceComputed)
+	}
+	for _, res := range results {
+		if res != nil {
+			c.eng.Release(res)
+		}
+	}
+	return answers, err
+}
+
 // resultFrom converts a live RankResult into a cached top-k entry.
 func resultFrom(res *core.RankResult, k int) *cachedResult {
 	ranked := res.TopK(k)
@@ -823,12 +757,11 @@ func resultFrom(res *core.RankResult, k int) *cachedResult {
 	return &cachedResult{items: items, iters: res.Iterations, baseN: len(res.Base), version: res.RatesVersion, gen: res.Generation}
 }
 
-// storeTopK ranks a cached term vector's top k and stores the answer in
-// the result cache so the next identical request skips even the top-k
-// scan.
-func (c *CachedEngine) storeTopK(pin *core.Pinned, key string, q *ir.Query, k int, tv *termVector) *cachedResult {
-	term, _ := singleTerm(q)
-	ranked := rank.TopK(tv.vec, k)
+// storeTopK ranks the top k of a single-term score vector and stores the
+// answer in the result cache so the next identical request skips even
+// the top-k scan.
+func (c *CachedEngine) storeTopK(pin *core.Pinned, key, term string, k int, vec []float64, iters, baseN int) *cachedResult {
+	ranked := rank.TopK(vec, k)
 	items := make([]ResultItem, len(ranked))
 	ix := pin.Corpus().Index() // the generation the vector was solved on
 	for i, r := range ranked {
@@ -838,7 +771,7 @@ func (c *CachedEngine) storeTopK(pin *core.Pinned, key string, q *ir.Query, k in
 			InBase: ix.TF(int32(r.Node), term) > 0,
 		}
 	}
-	cr := &cachedResult{items: items, iters: tv.iters, baseN: tv.baseN, version: pin.Version(), gen: pin.Generation()}
+	cr := &cachedResult{items: items, iters: iters, baseN: baseN, version: pin.Version(), gen: pin.Generation()}
 	c.results.Put(key, cr, resultEntrySize(key, len(items)))
 	return cr
 }
@@ -860,7 +793,7 @@ func (c *CachedEngine) answerFrom(cr *cachedResult, q *ir.Query, source string) 
 // once across concurrent callers) on a miss. hit reports whether the
 // vector came straight from the cache. The solve runs under the flight
 // group's detached context: ctx governs only this caller's wait (see
-// QueryCtx).
+// QueryModePinnedCtx).
 func (c *CachedEngine) termVectorFor(ctx context.Context, pin *core.Pinned, sk stateKey, m core.Mode, term string) (tv *termVector, hit bool, err error) {
 	key := termKeyMode(sk, m, term)
 	if e, ok := c.vectors.Get(key); ok {
@@ -873,7 +806,19 @@ func (c *CachedEngine) termVectorFor(ctx context.Context, pin *core.Pinned, sk s
 			if e, ok := c.vectors.Get(key); ok { // lost a miss/flight race
 				return e.(*termVector), nil
 			}
-			return c.computeTerm(dctx, pin, sk, m, key, term)
+			init := c.donation(pin, sk, m, term)
+			rs, err := pin.Solve(dctx, core.SolveSpec{Queries: []*ir.Query{ir.NewQuery(term)}, Mode: m, Inits: [][]float64{init}})
+			if err != nil {
+				// Solve abandoned (every waiter left): nothing is
+				// cached; the next miss recomputes. The donated
+				// warm-start vector (if any) is lost with it —
+				// acceptable, it was already invalid under the new rates.
+				return nil, err
+			}
+			c.stats.computes.Add(1)
+			tv := c.putTerm(key, rs[0], init != nil)
+			c.eng.Release(rs[0])
+			return tv, nil
 		})
 		if err != nil {
 			if cerr := ctx.Err(); cerr != nil {
@@ -888,92 +833,72 @@ func (c *CachedEngine) termVectorFor(ctx context.Context, pin *core.Pinned, sk s
 	}
 }
 
-// computeTerm runs one single-term ObjectRank2 solve in direction m and
-// inserts the converged vector. On the first solve after a rates bump,
-// the previous version's converged vector for the same term and
-// direction (if still resident) is removed from the cache and donated
-// as the warm start, so the new solve refines an already-close vector
-// instead of starting from the global PageRank.
-func (c *CachedEngine) computeTerm(ctx context.Context, pin *core.Pinned, sk stateKey, m core.Mode, key, term string) (*termVector, error) {
-	var init []float64
-	warm := false
+// donation removes and returns the converged vector term had, in
+// direction m, under the rates version preceding pin's — the warm start
+// of the first solve after a rates bump, which then refines an
+// already-close vector instead of starting from the global PageRank. It
+// returns nil when there is nothing to donate.
+func (c *CachedEngine) donation(pin *core.Pinned, sk stateKey, m core.Mode, term string) []float64 {
 	if prevKey, ok := c.previousTermKey(pin.Version(), sk, m, term); ok {
-		if old, ok2 := c.vectors.Remove(prevKey); ok2 {
-			init = old.(*termVector).vec
-			warm = true
+		if old, ok := c.vectors.Remove(prevKey); ok {
+			return old.(*termVector).vec
 		}
 	}
-	q := ir.NewQuery(term)
-	var res *core.RankResult
-	var err error
-	switch {
-	case m == core.ModeHub && init != nil:
-		res, err = pin.RankHubFromCtx(ctx, q, init)
-	case m == core.ModeHub:
-		res, err = pin.RankHubCtx(ctx, q)
-	case init != nil:
-		res, err = pin.RankFromCtx(ctx, q, init)
-	default:
-		res, err = pin.RankCtx(ctx, q)
-	}
-	if err != nil {
-		// Solve abandoned (every waiter left, or a prewarm shut down):
-		// nothing is cached; the next miss recomputes. The donated
-		// warm-start vector (if any) is lost with it — acceptable, it
-		// was already invalid under the new rates.
-		return nil, err
-	}
-	c.stats.computes.Add(1)
+	return nil
+}
+
+// putTerm copies a solved single-term result into the term-vector cache
+// under key. warm records that the solve started from a donation.
+func (c *CachedEngine) putTerm(key string, res *core.RankResult, warm bool) *termVector {
 	if warm {
 		c.stats.warmStarts.Add(1)
 	}
-	vec := make([]float64, len(res.Scores))
-	copy(vec, res.Scores)
 	tv := &termVector{
-		vec:         vec,
+		vec:         append([]float64(nil), res.Scores...),
 		iters:       res.Iterations,
 		baseN:       len(res.Base),
 		converged:   res.Converged,
 		warmStarted: warm,
 	}
-	c.eng.Release(res)
-	c.vectors.Put(key, tv, termEntrySize(key, len(vec)))
-	return tv, nil
+	c.vectors.Put(key, tv, termEntrySize(key, len(tv.vec)))
+	return tv
 }
 
-// RankPinned produces a full core.RankResult under the pinned snapshot,
-// serving single-keyword queries from the term-vector cache (the scores
-// are copied out, so the caller may Release the result as usual) and
-// everything else by a normal solve. This is the explain path's entry:
-// explanations need whole score vectors, not top-k lists.
-func (c *CachedEngine) RankPinned(pin *core.Pinned, q *ir.Query) *core.RankResult {
-	res, _ := c.RankPinnedCtx(context.Background(), pin, q)
-	return res
-}
-
-// RankPinnedCtx is RankPinned under a request context (see QueryCtx
-// for the shared-solve detachment rules).
-func (c *CachedEngine) RankPinnedCtx(ctx context.Context, pin *core.Pinned, q *ir.Query) (*core.RankResult, error) {
-	if term, ok := singleTerm(q); ok {
-		c.recordHot(q)
-		sk := c.stateKeyFor(pin)
-		tv, _, err := c.termVectorFor(ctx, pin, sk, core.ModeAuthority, term)
+// RankModePinnedCtx produces a full core.RankResult under the pinned
+// snapshot in the given mode, serving single-keyword authority and hub
+// queries from the term-vector cache (the scores are copied out, so the
+// caller may Release the result as usual) and everything else by a
+// normal solve. The explain and audit paths use it — they need whole
+// score vectors, not top-k lists. See QueryModePinnedCtx for the
+// shared-solve detachment rules.
+func (c *CachedEngine) RankModePinnedCtx(ctx context.Context, pin *core.Pinned, q *ir.Query, m core.Mode) (*core.RankResult, error) {
+	term, ok := singleTerm(q)
+	if !ok || m == core.ModeCombined {
+		rs, err := pin.Solve(ctx, core.SolveSpec{Queries: []*ir.Query{q}, Mode: m})
 		if err != nil {
 			return nil, err
 		}
-		scores := make([]float64, len(tv.vec))
-		copy(scores, tv.vec)
-		return &core.RankResult{
-			Query:        q,
-			Scores:       scores,
-			Base:         pin.BaseSet(q),
-			Iterations:   tv.iters,
-			Converged:    tv.converged,
-			RatesVersion: pin.Version(),
-			Generation:   pin.Generation(),
-		}, nil
+		return rs[0], nil
 	}
-	return pin.RankCtx(ctx, q)
+	c.recordHot(q)
+	tv, _, err := c.termVectorFor(ctx, pin, c.stateKeyFor(pin), m, term)
+	if err != nil {
+		return nil, err
+	}
+	return &core.RankResult{
+		Query:        q,
+		Scores:       append([]float64(nil), tv.vec...),
+		Base:         pin.BaseSet(q),
+		Iterations:   tv.iters,
+		Converged:    tv.converged,
+		RatesVersion: pin.Version(),
+		Generation:   pin.Generation(),
+	}, nil
+}
+
+// RankPinnedCtx is RankModePinnedCtx in authority mode.
+func (c *CachedEngine) RankPinnedCtx(ctx context.Context, pin *core.Pinned, q *ir.Query) (*core.RankResult, error) {
+	return c.RankModePinnedCtx(ctx, pin, q, core.ModeAuthority)
 }
 
 // ---- hot-term tracking ----
@@ -1044,62 +969,37 @@ func (c *CachedEngine) prewarmLoop() {
 		case <-c.prewarmCtx.Done():
 			return
 		case <-c.prewarmCh:
-			c.prewarmOnce()
+			// prewarmCtx dies on Close: a blocked prewarm solve in
+			// progress is abandoned within one kernel sweep.
+			c.prewarmTerms(c.prewarmCtx, c.hottest(c.prewarmN))
 		}
 	}
 }
 
-func (c *CachedEngine) prewarmOnce() {
-	terms := c.hottest(c.prewarmN)
-	if len(terms) == 0 {
-		return
-	}
-	// prewarmCtx dies on Close: a blocked prewarm solve in progress is
-	// abandoned within one kernel sweep.
-	c.prewarmTerms(c.prewarmCtx, terms)
-}
-
-// Prewarm synchronously computes (or refreshes) the vectors of the
-// given terms under the current rates — a deployment warm-up hook for
-// process start. Terms are solved together through the blocked kernel.
+// Prewarm synchronously computes (or refreshes) the authority vectors
+// of the given terms under the current rates — a deployment warm-up
+// hook for process start. Terms are solved together through the blocked
+// kernel.
 func (c *CachedEngine) Prewarm(terms []string) {
 	c.prewarmTerms(context.Background(), terms)
 }
 
-// prewarmTerms is the blocked implementation shared by the background
-// prewarmer and the synchronous Prewarm hook: every term still missing
-// under the current rates is solved in ONE blocked kernel call (the
-// engine panels it at BlockSize columns per kernel execution), with the
+// prewarmTerms is shared by the background prewarmer and the
+// synchronous Prewarm hook: every term still missing under the current
+// rates is solved in ONE Pinned.Solve (panelled at
+// core.DefaultBlockSize columns per kernel execution), with the
 // previous rates version's vector — when still resident — donated as
 // that column's warm start, exactly as the single-term miss path does.
-// Two opt-in accelerations apply here and only here: when the
-// republish was ε-close (deltaEligible) a donated term refreshes by an
-// incremental delta solve instead of occupying a panel column, and
-// PrewarmFloat32 runs the remaining panel in the f32 kernel.
 //
-// The blocked path deliberately BYPASSES the singleflight group: a user
-// miss racing the prewarm on the same term may run one duplicate solve,
-// which is benign (both converge under the same snapshot; last insert
-// wins) and rare, while routing a whole panel through per-term flights
-// would serialize the panel away.
+// It deliberately BYPASSES the singleflight group: a user miss racing
+// the prewarm on the same term may run one duplicate solve, which is
+// benign (both converge under the same snapshot; last insert wins) and
+// rare, while routing a whole panel through per-term flights would
+// serialize the panel away.
 func (c *CachedEngine) prewarmTerms(ctx context.Context, terms []string) {
 	pin := c.eng.Pin()
 	sk := c.stateKeyFor(pin)
-	v := pin.Version()
-	c.prewarmAuthority(ctx, pin, sk, v, terms)
-	if c.prewarmHub {
-		c.prewarmHubTerms(ctx, pin, sk, v, terms)
-	}
-}
-
-func (c *CachedEngine) prewarmAuthority(ctx context.Context, pin *core.Pinned, sk stateKey, v uint64, terms []string) {
-	useDelta := c.deltaEligible(v)
-	type missCol struct {
-		term string
-		key  string
-		warm bool
-	}
-	var misses []missCol
+	var keys []string
 	var qs []*ir.Query
 	var inits [][]float64
 	for _, t := range terms {
@@ -1110,73 +1010,23 @@ func (c *CachedEngine) prewarmAuthority(ctx context.Context, pin *core.Pinned, s
 			continue
 		}
 		c.stats.vectorMisses.Add(1)
-		var init []float64
-		warm := false
-		if prevKey, ok := c.previousTermKey(v, sk, core.ModeAuthority, t); ok {
-			if old, ok2 := c.vectors.Remove(prevKey); ok2 {
-				init = old.(*termVector).vec
-				warm = true
-			}
-		}
-		if useDelta && init != nil {
-			// ε-close republish with the previous vector in hand: repair
-			// the residual frontier instead of re-sweeping the graph. A
-			// stale or oversized perturbation degrades inside the kernel.
-			res, err := pin.RankDeltaCtx(ctx, ir.NewQuery(t), init)
-			if err != nil {
-				continue // cancelled; nothing cached, next miss recomputes
-			}
-			c.stats.computes.Add(1)
-			c.stats.warmStarts.Add(1)
-			c.stats.deltaSolves.Add(1)
-			vec := make([]float64, len(res.Scores))
-			copy(vec, res.Scores)
-			tv := &termVector{
-				vec:         vec,
-				iters:       res.Iterations,
-				baseN:       len(res.Base),
-				converged:   res.Converged,
-				warmStarted: true,
-			}
-			c.eng.Release(res)
-			c.vectors.Put(key, tv, termEntrySize(key, len(vec)))
-			c.stats.prewarmed.Add(1)
-			continue
-		}
-		misses = append(misses, missCol{term: t, key: key, warm: warm})
+		keys = append(keys, key)
 		qs = append(qs, ir.NewQuery(t))
-		inits = append(inits, init) // nil → global warm start
+		inits = append(inits, c.donation(pin, sk, core.ModeAuthority, t)) // nil → global warm start
 	}
 	if len(qs) == 0 {
 		return
 	}
-	mode := core.PanelF64
-	if c.prewarmF32 {
-		mode = core.PanelF32
-	}
 	// On cancellation (Close mid-prewarm) results holds nil for the
 	// cancelled columns; completed columns still land in the cache.
-	results, _ := pin.RankManyModeCtx(ctx, qs, inits, mode)
+	results, _ := pin.Solve(ctx, core.SolveSpec{Queries: qs, Inits: inits})
 	for i, res := range results {
 		if res == nil {
 			continue
 		}
-		m := misses[i]
 		c.stats.computes.Add(1)
-		if m.warm {
-			c.stats.warmStarts.Add(1)
-		}
-		vec := make([]float64, len(res.Scores))
-		copy(vec, res.Scores)
-		tv := &termVector{
-			vec:         vec,
-			iters:       res.Iterations,
-			baseN:       len(res.Base),
-			converged:   res.Converged,
-			warmStarted: m.warm,
-		}
+		c.putTerm(keys[i], res, inits[i] != nil)
 		c.eng.Release(res)
-		c.vectors.Put(m.key, tv, termEntrySize(m.key, len(vec)))
 		c.stats.prewarmed.Add(1)
 	}
 }

@@ -116,7 +116,7 @@ func TestInvalidationAndWarmStart(t *testing.T) {
 	defer c.Close()
 
 	q := ir.NewQuery("olap")
-	ans1 := c.Query(q, 10)
+	ans1 := query(c, q, 10)
 	if ans1.Source != "computed" || ans1.Version != 1 {
 		t.Fatalf("first answer = %+v", ans1)
 	}
@@ -130,7 +130,7 @@ func TestInvalidationAndWarmStart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ans2 := c.Query(q, 10)
+	ans2 := query(c, q, 10)
 	if ans2.Version != 2 {
 		t.Fatalf("version = %d, want 2", ans2.Version)
 	}
@@ -165,7 +165,7 @@ func TestInvalidationAndWarmStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold := engCold.RankCold(q)
+	cold := solveOne(engCold.Pin(), core.SolveSpec{Queries: []*ir.Query{q}, Cold: true})
 	if !cold.Converged {
 		t.Fatal("cold reference did not converge")
 	}
@@ -194,12 +194,12 @@ func TestCacheHitBitCompatible(t *testing.T) {
 	defer c.Close()
 
 	for _, q := range []*ir.Query{ir.NewQuery("olap"), ir.NewQuery("olap", "cube")} {
-		miss := c.Query(q, 10)
-		hit := c.Query(q, 10)
+		miss := query(c, q, 10)
+		hit := query(c, q, 10)
 		if hit.Source != "result" {
 			t.Fatalf("%v: second answer source = %q, want result", q, hit.Source)
 		}
-		ref := eng.Rank(q)
+		ref := solveOne(eng.Pin(), core.SolveSpec{Queries: []*ir.Query{q}})
 		top := ref.TopK(10)
 		if len(top) != len(hit.Results) || len(miss.Results) != len(top) {
 			t.Fatalf("%v: result lengths differ: %d vs %d", q, len(top), len(hit.Results))
@@ -231,9 +231,12 @@ func TestRankPinnedMatchesEngine(t *testing.T) {
 	defer c.Close()
 
 	q := ir.NewQuery("olap")
-	ref := eng.Rank(q)
+	ref := solveOne(eng.Pin(), core.SolveSpec{Queries: []*ir.Query{q}})
 	for round := 0; round < 2; round++ { // miss, then hit
-		res := c.RankPinned(eng.Pin(), q)
+		res, err := c.RankPinnedCtx(context.Background(), eng.Pin(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for v := range ref.Scores {
 			if res.Scores[v] != ref.Scores[v] {
 				t.Fatalf("round %d: node %d: %g != %g", round, v, res.Scores[v], ref.Scores[v])
@@ -324,7 +327,7 @@ func TestEvictionUnderPressure(t *testing.T) {
 		t.Skip("vocabulary too small at this scale")
 	}
 	for _, term := range terms {
-		c.Query(ir.NewQuery(term), 5)
+		query(c, ir.NewQuery(term), 5)
 	}
 	s := c.Stats()
 	if s.Vector.Evictions == 0 {
@@ -334,7 +337,7 @@ func TestEvictionUnderPressure(t *testing.T) {
 		t.Errorf("resident bytes %d exceed budget %d", s.Vector.Bytes, s.Vector.BudgetBytes)
 	}
 	// Serving an evicted term still works (recompute path).
-	ans := c.Query(ir.NewQuery(terms[0]), 5)
+	ans := query(c, ir.NewQuery(terms[0]), 5)
 	if ans == nil || ans.Version != 1 {
 		t.Fatalf("bad answer after eviction: %+v", ans)
 	}
@@ -350,7 +353,7 @@ func TestPrewarm(t *testing.T) {
 
 	// Make "olap" hot.
 	for i := 0; i < 3; i++ {
-		c.Query(ir.NewQuery("olap"), 5)
+		query(c, ir.NewQuery("olap"), 5)
 	}
 	if err := eng.SetRates(perturb(t, ds.Rates)); err != nil {
 		t.Fatal(err)
@@ -405,7 +408,7 @@ func TestConcurrentServeAndPublish(t *testing.T) {
 				default:
 				}
 				q := ir.NewQuery(terms[(w+i)%len(terms)])
-				if ans := c.Query(q, 5); ans == nil {
+				if ans := query(c, q, 5); ans == nil {
 					t.Error("nil answer")
 					return
 				}
@@ -422,4 +425,28 @@ func TestConcurrentServeAndPublish(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// The helpers below are the tests' shorthands for authority-mode calls
+// under a fresh pin and a background context.
+
+func query(c *CachedEngine, q *ir.Query, k int) *Answer {
+	a, err := queryCtx(context.Background(), c, q, k)
+	if err != nil {
+		panic(err) // a background context cannot cancel a query
+	}
+	return a
+}
+
+func queryCtx(ctx context.Context, c *CachedEngine, q *ir.Query, k int) (*Answer, error) {
+	return c.QueryModePinnedCtx(ctx, c.eng.Pin(), q, k, core.ModeAuthority)
+}
+
+// solveOne is one uncached solve under a background context.
+func solveOne(pin *core.Pinned, spec core.SolveSpec) *core.RankResult {
+	rs, err := pin.Solve(context.Background(), spec)
+	if err != nil {
+		panic(err)
+	}
+	return rs[0]
 }

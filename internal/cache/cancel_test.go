@@ -203,7 +203,7 @@ func TestQueryCtxFollowerCancelCacheFillLands(t *testing.T) {
 	var leaderErr error
 	go func() {
 		defer close(leaderDone)
-		leaderAns, leaderErr = c.QueryCtx(context.Background(), q, 10)
+		leaderAns, leaderErr = queryCtx(context.Background(), c, q, 10)
 	}()
 	<-started
 
@@ -212,7 +212,7 @@ func TestQueryCtxFollowerCancelCacheFillLands(t *testing.T) {
 	var followerErr error
 	go func() {
 		defer close(followerDone)
-		_, followerErr = c.QueryCtx(fctx, q, 10)
+		_, followerErr = queryCtx(fctx, c, q, 10)
 	}()
 	time.Sleep(2 * time.Millisecond) // let the follower join the flight
 	fcancel()
@@ -239,7 +239,7 @@ func TestQueryCtxFollowerCancelCacheFillLands(t *testing.T) {
 
 	// The fill landed: the same query is now a pure result-cache hit,
 	// bit-identical to the leader's answer.
-	again, err := c.QueryCtx(context.Background(), q, 10)
+	again, err := queryCtx(context.Background(), c, q, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,8 +265,8 @@ func TestQueryCtxPreCancelled(t *testing.T) {
 	defer c.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if a, err := c.QueryCtx(ctx, ir.NewQuery("olap"), 10); err != context.Canceled || a != nil {
-		t.Fatalf("QueryCtx = (%v, %v), want (nil, context.Canceled)", a, err)
+	if a, err := queryCtx(ctx, c, ir.NewQuery("olap"), 10); err != context.Canceled || a != nil {
+		t.Fatalf("QueryModePinnedCtx = (%v, %v), want (nil, context.Canceled)", a, err)
 	}
 	if a, err := c.RankPinnedCtx(ctx, eng.Pin(), ir.NewQuery("olap")); err != context.Canceled || a != nil {
 		t.Fatalf("RankPinnedCtx = (%v, %v), want (nil, context.Canceled)", a, err)
@@ -280,7 +280,7 @@ func TestQueryCtxPreCancelled(t *testing.T) {
 func TestCloseDuringPublish(t *testing.T) {
 	_, eng := testEngine(t, rank.Options{Threshold: 1e-6, MaxIters: 200})
 	c := New(eng, Options{PrewarmTerms: 4})
-	c.Query(ir.NewQuery("olap"), 5) // record a hot term
+	query(c, ir.NewQuery("olap"), 5) // record a hot term
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

@@ -68,10 +68,7 @@ func TestQueryModeCachedBitIdentical(t *testing.T) {
 	}
 
 	// The cached hub answer equals a direct hub solve.
-	ref, err := pin.RankHubCtx(ctx, q())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := solveOne(pin, core.SolveSpec{Queries: []*ir.Query{q()}, Mode: core.ModeHub})
 	defer eng.Release(ref)
 	top := ref.TopK(10)
 	hub, err := c.QueryModePinnedCtx(ctx, pin, q(), 10, core.ModeHub)
@@ -113,14 +110,11 @@ func TestCombinedAssembledFromDirectionVectors(t *testing.T) {
 		t.Errorf("combined-from-vectors source = %q, want %q", comb.Source, SourceTerm)
 	}
 
-	ref, err := pin.RankCombinedCtx(ctx, ir.NewQuery("mining"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := solveOne(pin, core.SolveSpec{Queries: []*ir.Query{ir.NewQuery("mining")}, Mode: core.ModeCombined})
 	top := ref.TopK(10)
 	for i, r := range top {
 		if comb.Results[i].Node != r.Node || math.Float64bits(comb.Results[i].Score) != math.Float64bits(r.Score) {
-			t.Fatalf("assembled combined rank %d differs from RankCombinedCtx", i)
+			t.Fatalf("assembled combined rank %d differs from the combined solve", i)
 		}
 	}
 }
@@ -155,34 +149,5 @@ func TestBatchModesScatter(t *testing.T) {
 				t.Fatalf("item %d (%s): batch answer differs from single-query answer", i, m)
 			}
 		}
-	}
-}
-
-// TestPrewarmHub: with PrewarmHub set, Prewarm fills BOTH directions'
-// vectors so a first mode=hub query is served without a solve.
-func TestPrewarmHub(t *testing.T) {
-	_, eng := testEngine(t, modeTestOpts)
-	c := New(eng, Options{PrewarmHub: true})
-	defer c.Close()
-
-	c.Prewarm([]string{"mining"})
-	pin := eng.Pin()
-	sk := c.stateKeyFor(pin)
-	if _, ok := c.vectors.Get(termKey(sk, "mining")); !ok {
-		t.Fatal("authority vector not prewarmed")
-	}
-	if _, ok := c.vectors.Get(hubTermKey(sk, "mining")); !ok {
-		t.Fatal("hub vector not prewarmed")
-	}
-	before := c.stats.computes.Load()
-	a, err := c.QueryModePinnedCtx(context.Background(), pin, ir.NewQuery("mining"), 5, core.ModeHub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after := c.stats.computes.Load(); after != before {
-		t.Errorf("prewarmed hub query still ran %d solves", after-before)
-	}
-	if a.Source != SourceTerm {
-		t.Errorf("prewarmed hub query source = %q, want %q", a.Source, SourceTerm)
 	}
 }

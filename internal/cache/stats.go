@@ -23,10 +23,6 @@ type stats struct {
 	warmStarts atomic.Int64
 	// prewarmed counts terms refreshed by the background prewarmer.
 	prewarmed atomic.Int64
-	// deltaSolves counts prewarm refreshes served by the incremental
-	// residual-frontier delta kernel instead of full sweeps (only
-	// possible when Options.DeltaEps > 0).
-	deltaSolves atomic.Int64
 }
 
 // SideStats is one cache side's (term vectors or results) counter
@@ -49,7 +45,6 @@ type StatsSnapshot struct {
 	Computes          int64     `json:"computes"`
 	WarmStarts        int64     `json:"warmStarts"`
 	Prewarmed         int64     `json:"prewarmed"`
-	DeltaSolves       int64     `json:"deltaSolves"`
 }
 
 // Stats returns a consistent-enough snapshot of the counters (each
@@ -77,6 +72,5 @@ func (c *CachedEngine) Stats() StatsSnapshot {
 		Computes:          c.stats.computes.Load(),
 		WarmStarts:        c.stats.warmStarts.Load(),
 		Prewarmed:         c.stats.prewarmed.Load(),
-		DeltaSolves:       c.stats.deltaSolves.Load(),
 	}
 }

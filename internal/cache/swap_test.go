@@ -39,14 +39,14 @@ func TestSwapInvalidatesCache(t *testing.T) {
 	defer c.Close()
 	q := ir.NewQuery("mining")
 
-	a1 := c.Query(q, 10)
+	a1 := query(c, q, 10)
 	if a1.Source != SourceComputed {
 		t.Fatalf("first answer source = %q, want computed", a1.Source)
 	}
 	if a1.Generation != eng.Generation() {
 		t.Fatalf("answer generation = %d, engine at %d", a1.Generation, eng.Generation())
 	}
-	a2 := c.Query(q, 10)
+	a2 := query(c, q, 10)
 	if a2.Source != SourceResult {
 		t.Fatalf("repeat answer source = %q, want result-cache hit", a2.Source)
 	}
@@ -57,7 +57,7 @@ func TestSwapInvalidatesCache(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	a3 := c.Query(q, 10)
+	a3 := query(c, q, 10)
 	if a3.Generation != gen1 {
 		t.Fatalf("post-swap answer generation = %d, want %d", a3.Generation, gen1)
 	}
@@ -74,7 +74,7 @@ func TestSwapInvalidatesCache(t *testing.T) {
 	// The old generation's pin still answers from the old corpus (its
 	// entries are unreachable for new pins but valid for old ones).
 	// A fresh query through the engine default path uses the new state.
-	if g := c.Query(q, 10).Generation; g != gen1 {
+	if g := query(c, q, 10).Generation; g != gen1 {
 		t.Fatalf("steady-state generation = %d, want %d", g, gen1)
 	}
 }
@@ -89,7 +89,7 @@ func TestSwapWarmStartStaysWithinGeneration(t *testing.T) {
 	defer c.Close()
 	q := ir.NewQuery("mining")
 
-	c.Query(q, 10) // populate generation 1's term vector
+	query(c, q, 10) // populate generation 1's term vector
 
 	c2, r2 := secondCorpus(t, opts)
 	if _, err := eng.SwapCorpus(c2, r2, eng.Generation()); err != nil {
@@ -101,7 +101,7 @@ func TestSwapWarmStartStaysWithinGeneration(t *testing.T) {
 		t.Fatal("previousTermKey offered a cross-generation donation")
 	}
 	// And the solve itself stays sized for the new graph.
-	a := c.Query(q, 10)
+	a := query(c, q, 10)
 	if a.Generation != pin.Generation() {
 		t.Fatalf("answer generation = %d, want %d", a.Generation, pin.Generation())
 	}
@@ -140,7 +140,7 @@ func TestSwapCacheHammer(t *testing.T) {
 				default:
 				}
 				pin := eng.Pin()
-				a, err := c.QueryPinnedCtx(ctx, pin, queries[(w+i)%len(queries)], 10)
+				a, err := c.QueryModePinnedCtx(ctx, pin, queries[(w+i)%len(queries)], 10, core.ModeAuthority)
 				if err != nil {
 					t.Errorf("query: %v", err)
 					return
@@ -179,9 +179,12 @@ func TestSwapCacheHammer(t *testing.T) {
 			if useB {
 				cc, rr = cB, rB
 			}
-			gen, err := eng.SwapCorpus(cc, rr, eng.Generation())
+			// Recorded BEFORE the swap publishes it, so no reader can
+			// answer under a generation the map does not know yet.
+			cur := eng.Generation()
+			nodesOf.Store(cur+1, cc.Graph().NumNodes())
+			_, err := eng.SwapCorpus(cc, rr, cur)
 			if err == nil {
-				nodesOf.Store(gen, cc.Graph().NumNodes())
 				useB = !useB
 			} else if !errors.Is(err, core.ErrGenerationConflict) {
 				t.Errorf("swap: %v", err)

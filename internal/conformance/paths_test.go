@@ -24,48 +24,16 @@ func kernelColumns(w *world, width, workers int) [][]float64 {
 		if hi > len(jumps) {
 			hi = len(jumps)
 		}
-		if width == 1 {
-			out = append(out, rank.Iterate(w.g, alpha, jumps[lo], tight, workers, nil).Scores)
-			continue
-		}
-		for _, res := range rank.IterateBlock(w.g, alpha, jumps[lo:hi], []rank.Options{tight}, workers, nil) {
+		for _, res := range rank.Iterate(w.g, alpha, jumps[lo:hi], []rank.Options{tight}, workers, nil) {
 			out = append(out, res.Scores)
 		}
 	}
 	return out
 }
 
-// solveOne is one uncached solve of q in mode m, warm-started from init
-// when it is non-nil and from the direction's global PageRank otherwise.
-func solveOne(t *testing.T, pin *core.Pinned, m core.Mode, q *ir.Query, init []float64) []float64 {
+func solve(t *testing.T, pin *core.Pinned, spec core.SolveSpec) [][]float64 {
 	t.Helper()
-	ctx := context.Background()
-	var res *core.RankResult
-	var err error
-	switch {
-	case init == nil:
-		res, err = pin.RankModeCtx(ctx, q, m)
-	case m == core.ModeHub:
-		res, err = pin.RankHubFromCtx(ctx, q, init)
-	default:
-		res, err = pin.RankFromCtx(ctx, q, init)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res.Scores
-}
-
-// solveMany is one uncached batch solve of qs in direction m.
-func solveMany(t *testing.T, pin *core.Pinned, m core.Mode, qs []*ir.Query) [][]float64 {
-	t.Helper()
-	var results []*core.RankResult
-	var err error
-	if m == core.ModeHub {
-		results, err = pin.RankManyHubFromCtx(context.Background(), qs, nil)
-	} else {
-		results, err = pin.RankManyCtx(context.Background(), qs)
-	}
+	results, err := pin.Solve(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,12 +44,25 @@ func solveMany(t *testing.T, pin *core.Pinned, m core.Mode, qs []*ir.Query) [][]
 	return out
 }
 
+// solveOne is one uncached solve of q in mode m, warm-started from init
+// when it is non-nil and from the direction's global PageRank otherwise.
+func solveOne(t *testing.T, pin *core.Pinned, m core.Mode, q *ir.Query, init []float64) []float64 {
+	t.Helper()
+	spec := core.SolveSpec{Queries: []*ir.Query{q}, Mode: m}
+	if init != nil {
+		spec.Inits = [][]float64{init}
+	}
+	return solve(t, pin, spec)[0]
+}
+
+// solveMany is one uncached batch solve of qs in direction m.
+func solveMany(t *testing.T, pin *core.Pinned, m core.Mode, qs []*ir.Query) [][]float64 {
+	t.Helper()
+	return solve(t, pin, core.SolveSpec{Queries: qs, Mode: m})
+}
+
 // solveJump solves the fixpoint of a caller-supplied jump distribution.
 func solveJump(t *testing.T, pin *core.Pinned, jump []float64) []float64 {
 	t.Helper()
-	res, err := pin.RankJumpCtx(context.Background(), jump, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res.Scores
+	return solve(t, pin, core.SolveSpec{Jump: jump, Cold: true})[0]
 }

@@ -15,7 +15,7 @@ func auditFixture(t *testing.T) (*fixture, *Pinned, *RankResult) {
 	t.Helper()
 	f := newFixture(t)
 	pin := f.newEngine(t).Pin()
-	res, err := pin.RankCtx(context.Background(), ir.ParseQuery("olap"))
+	res, err := solveMode(pin, ir.ParseQuery("olap"), ModeAuthority)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestAuditRejectsCombinedAndHonorsDeadline(t *testing.T) {
 func TestAuditHubMode(t *testing.T) {
 	f := newFixture(t)
 	pin := f.newEngine(t).Pin()
-	res, err := pin.RankHubCtx(context.Background(), ir.ParseQuery("olap"))
+	res, err := solveMode(pin, ir.ParseQuery("olap"), ModeHub)
 	if err != nil {
 		t.Fatal(err)
 	}

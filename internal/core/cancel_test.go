@@ -8,35 +8,37 @@ import (
 	"authorityflow/internal/rank"
 )
 
-// TestRankCtxCancelled: a pre-cancelled context stops the query before
-// the solve starts — nil result, context.Canceled — and no score vector
-// escapes the engine's pool.
-func TestRankCtxCancelled(t *testing.T) {
-	e := newFixture(t).newEngine(t)
+// TestSolveCancelled: a pre-cancelled context stops the query before
+// the solve starts — no result, context.Canceled — and no score vector
+// escapes the engine's pool. The afqbench adapters inherit it.
+func TestSolveCancelled(t *testing.T) {
+	pin := newFixture(t).newEngine(t).Pin()
 	q := ir.NewQuery("olap")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	if res, err := e.RankCtx(ctx, q); err != context.Canceled || res != nil {
+	if rs, err := pin.Solve(ctx, SolveSpec{Queries: []*ir.Query{q}}); err != context.Canceled || rs[0] != nil {
+		t.Fatalf("Solve = (%v, %v), want ([nil], context.Canceled)", rs, err)
+	}
+	if res, err := pin.RankCtx(ctx, q); err != context.Canceled || res != nil {
 		t.Fatalf("RankCtx = (%v, %v), want (nil, context.Canceled)", res, err)
 	}
-	if res, err := e.RankColdCtx(ctx, q); err != context.Canceled || res != nil {
+	if res, err := pin.RankColdCtx(ctx, q); err != context.Canceled || res != nil {
 		t.Fatalf("RankColdCtx = (%v, %v), want (nil, context.Canceled)", res, err)
-	}
-	if res, err := e.Pin().RankCtx(ctx, q); err != context.Canceled || res != nil {
-		t.Fatalf("Pinned.RankCtx = (%v, %v), want (nil, context.Canceled)", res, err)
 	}
 }
 
-// TestRankCtxLiveMatchesRank: a live context changes nothing — the
-// RankCtx result is bit-identical to the plain Rank result (same
-// snapshot, same warm start discipline).
-func TestRankCtxLiveMatchesRank(t *testing.T) {
+// TestSolveLiveCtxMatchesBackground: a live cancellable context changes
+// nothing — the result is bit-identical to the one solved under
+// context.Background() (same snapshot, same warm start discipline).
+func TestSolveLiveCtxMatchesBackground(t *testing.T) {
 	e := newFixture(t).newEngine(t)
 	q := ir.NewQuery("olap")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 
-	plain := e.RankCold(q)
-	withCtx, err := e.RankColdCtx(context.Background(), q)
+	plain := rankCold(e, q)
+	withCtx, err := e.Pin().RankColdCtx(ctx, q)
 	if err != nil {
 		t.Fatalf("RankColdCtx under live ctx: %v", err)
 	}
@@ -54,29 +56,28 @@ func TestRankCtxLiveMatchesRank(t *testing.T) {
 }
 
 // TestExplainCtxCancelled: explain under a dead context returns the
-// context error from the first phase boundary; a live context produces
-// the same subgraph as the plain entry point.
+// context error from the first phase boundary; a live cancellable
+// context produces the same subgraph as a background one.
 func TestExplainCtxCancelled(t *testing.T) {
 	f := newFixture(t)
 	e := f.newEngine(t)
-	res := e.Rank(ir.NewQuery("olap"))
+	res := rankQ(e, ir.NewQuery("olap"))
 	defer e.Release(res)
 	target := f.ids["v7"]
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if sg, err := e.ExplainCtx(ctx, res, target, DefaultExplain()); err != context.Canceled || sg != nil {
+	if sg, err := e.Pin().ExplainCtx(ctx, res, target, DefaultExplain()); err != context.Canceled || sg != nil {
 		t.Fatalf("ExplainCtx = (%v, %v), want (nil, context.Canceled)", sg, err)
 	}
-	if sg, err := e.Pin().ExplainCtx(ctx, res, target, DefaultExplain()); err != context.Canceled || sg != nil {
-		t.Fatalf("Pinned.ExplainCtx = (%v, %v), want (nil, context.Canceled)", sg, err)
-	}
 
-	plain, err := e.Explain(res, target, DefaultExplain())
+	plain, err := explain(e, res, target, DefaultExplain())
 	if err != nil {
 		t.Fatal(err)
 	}
-	live, err := e.ExplainCtx(context.Background(), res, target, DefaultExplain())
+	liveCtx, stop := context.WithCancel(context.Background())
+	defer stop()
+	live, err := e.Pin().ExplainCtx(liveCtx, res, target, DefaultExplain())
 	if err != nil {
 		t.Fatalf("ExplainCtx under live ctx: %v", err)
 	}
@@ -92,33 +93,30 @@ func TestReformulateCtxCancelled(t *testing.T) {
 	f := newFixture(t)
 	e := f.newEngine(t)
 	q := ir.NewQuery("olap")
-	res := e.Rank(q)
+	res := rankQ(e, q)
 	defer e.Release(res)
-	sg, err := e.Explain(res, f.ids["v7"], DefaultExplain())
+	sg, err := explain(e, res, f.ids["v7"], DefaultExplain())
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if out, err := e.ReformulateCtx(ctx, q, []*Subgraph{sg}, ContentAndStructure()); err != context.Canceled || out != nil {
-		t.Fatalf("ReformulateCtx = (%v, %v), want (nil, context.Canceled)", out, err)
-	}
-	if out, err := e.ReformulateWeightedCtx(ctx, q, []*Subgraph{sg}, []float64{1}, ContentAndStructure()); err != context.Canceled || out != nil {
+	if out, err := e.Pin().ReformulateWeightedCtx(ctx, q, []*Subgraph{sg}, []float64{1}, ContentAndStructure()); err != context.Canceled || out != nil {
 		t.Fatalf("ReformulateWeightedCtx = (%v, %v), want (nil, context.Canceled)", out, err)
 	}
-	if out, err := e.Pin().ReformulateCtx(ctx, q, []*Subgraph{sg}, ContentAndStructure()); err != context.Canceled || out != nil {
-		t.Fatalf("Pinned.ReformulateCtx = (%v, %v), want (nil, context.Canceled)", out, err)
-	}
 
-	// Live context: identical outcome to the plain entry point.
-	plain, err := e.Reformulate(q, []*Subgraph{sg}, ContentAndStructure())
+	// Live context, and nil confidences for explicit weight 1: the
+	// same outcome.
+	plain, err := reformulate(e, q, []*Subgraph{sg}, nil, ContentAndStructure())
 	if err != nil {
 		t.Fatal(err)
 	}
-	live, err := e.ReformulateCtx(context.Background(), q, []*Subgraph{sg}, ContentAndStructure())
+	liveCtx, stop := context.WithCancel(context.Background())
+	defer stop()
+	live, err := e.Pin().ReformulateWeightedCtx(liveCtx, q, []*Subgraph{sg}, []float64{1}, ContentAndStructure())
 	if err != nil {
-		t.Fatalf("ReformulateCtx under live ctx: %v", err)
+		t.Fatalf("ReformulateWeightedCtx under live ctx: %v", err)
 	}
 	if len(plain.Expansion) != len(live.Expansion) {
 		t.Fatalf("expansion sizes differ: %d vs %d", len(plain.Expansion), len(live.Expansion))
@@ -130,11 +128,10 @@ func TestReformulateCtxCancelled(t *testing.T) {
 	}
 }
 
-// TestRankCtxMidSolveCancel drives a cancellation from the solve hook's
-// observer path: a context cancelled during the fixpoint makes RankCtx
-// return the context error and recycle the partial vector instead of
-// publishing it.
-func TestRankCtxMidSolveCancel(t *testing.T) {
+// TestSolveCancelSkipsHook: a context cancelled before the fixpoint
+// makes Solve return the context error and recycle the partial vector
+// instead of publishing it, and the solve hook does not fire.
+func TestSolveCancelSkipsHook(t *testing.T) {
 	f := newFixture(t)
 	// A fresh engine with ZeroThreshold forces the solve to run the full
 	// MaxIters budget, leaving plenty of sweeps to cancel within.
@@ -151,9 +148,9 @@ func TestRankCtxMidSolveCancel(t *testing.T) {
 	// the caller ctx, so only the query solve observes the cancellation.
 	e.GlobalRank()
 	cancel()
-	res, err := e.RankCtx(ctx, ir.NewQuery("olap"))
-	if err != context.Canceled || res != nil {
-		t.Fatalf("RankCtx = (%v, %v), want (nil, context.Canceled)", res, err)
+	rs, err := e.Pin().Solve(ctx, SolveSpec{Queries: []*ir.Query{ir.NewQuery("olap")}})
+	if err != context.Canceled || rs[0] != nil {
+		t.Fatalf("Solve = (%v, %v), want ([nil], context.Canceled)", rs, err)
 	}
 	if hooked {
 		t.Fatal("solve hook fired for a cancelled solve")

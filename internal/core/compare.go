@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -46,11 +47,12 @@ type Comparison struct {
 // converged result: it builds both explaining subgraphs and decomposes
 // each object's authority intake by edge type.
 func (e *Engine) Compare(res *RankResult, a, b graph.NodeID, opts ExplainOptions) (*Comparison, error) {
-	sgA, err := e.Explain(res, a, opts)
+	pin := e.Pin()
+	sgA, err := pin.ExplainCtx(context.Background(), res, a, opts)
 	if err != nil {
 		return nil, fmt.Errorf("core: compare: %w", err)
 	}
-	sgB, err := e.Explain(res, b, opts)
+	sgB, err := pin.ExplainCtx(context.Background(), res, b, opts)
 	if err != nil {
 		return nil, fmt.Errorf("core: compare: %w", err)
 	}
@@ -63,7 +65,7 @@ func (e *Engine) Compare(res *RankResult, a, b graph.NodeID, opts ExplainOptions
 		SubA:   sgA,
 		SubB:   sgB,
 	}
-	d := e.Corpus().nopts.Damping
+	d := pin.Corpus().nopts.Damping
 	for _, sd := range res.Base {
 		if graph.NodeID(sd.Doc) == a {
 			cmp.BaseA = (1 - d) * sd.Score
@@ -78,7 +80,7 @@ func (e *Engine) Compare(res *RankResult, a, b graph.NodeID, opts ExplainOptions
 		if f, ok := flows[t]; ok {
 			return f
 		}
-		f := &TypeFlow{Type: t, Name: e.Corpus().g.Schema().TransferTypeName(t)}
+		f := &TypeFlow{Type: t, Name: pin.Corpus().g.Schema().TransferTypeName(t)}
 		flows[t] = f
 		return f
 	}
@@ -143,7 +145,8 @@ type TermShare struct {
 // (warm-started) and reports each term's share at the node, largest
 // first. An empty result means no term reaches the node.
 func (e *Engine) DecomposeByTerm(q *ir.Query, v graph.NodeID) ([]TermShare, error) {
-	c := e.Corpus()
+	pin := e.Pin()
+	c := pin.Corpus()
 	if int(v) < 0 || int(v) >= c.g.NumNodes() {
 		return nil, fmt.Errorf("core: decompose target %d out of range", v)
 	}
@@ -155,6 +158,7 @@ func (e *Engine) DecomposeByTerm(q *ir.Query, v graph.NodeID) ([]TermShare, erro
 		score float64
 	}
 	var parts []part
+	var singles []*ir.Query
 	total := 0.0
 	for i, t := range terms {
 		w := weights[i]
@@ -169,10 +173,18 @@ func (e *Engine) DecomposeByTerm(q *ir.Query, v graph.NodeID) ([]TermShare, erro
 		if mass == 0 {
 			continue
 		}
-		res := e.Rank(single)
 		gamma := qtfSaturation(w) * mass
-		parts = append(parts, part{term: t, gamma: gamma, score: res.Scores[v]})
+		parts = append(parts, part{term: t, gamma: gamma})
+		singles = append(singles, single)
 		total += gamma
+	}
+	results, err := pin.Solve(context.Background(), SolveSpec{Queries: singles})
+	if err != nil {
+		return nil, err
+	}
+	for i, res := range results {
+		parts[i].score = res.Scores[v]
+		e.Release(res)
 	}
 	if total == 0 {
 		return nil, nil

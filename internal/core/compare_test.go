@@ -16,7 +16,7 @@ func TestCompareDataCubeVsModeling(t *testing.T) {
 	// advantage.
 	f := newFixture(t)
 	e := f.newEngine(t)
-	res := e.Rank(ir.NewQuery("olap"))
+	res := rankQ(e, ir.NewQuery("olap"))
 	cmp, err := e.Compare(res, f.ids["v7"], f.ids["v5"], ExplainOptions{Threshold: 1e-10})
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +48,7 @@ func TestCompareBaseSetContribution(t *testing.T) {
 	// (1-d)·s(v1) > 0, v7's is 0.
 	f := newFixture(t)
 	e := f.newEngine(t)
-	res := e.Rank(ir.NewQuery("olap"))
+	res := rankQ(e, ir.NewQuery("olap"))
 	cmp, err := e.Compare(res, f.ids["v1"], f.ids["v7"], ExplainOptions{Threshold: 1e-10})
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +77,7 @@ func TestCompareBaseSetContribution(t *testing.T) {
 func TestCompareErrors(t *testing.T) {
 	f := newFixture(t)
 	e := f.newEngine(t)
-	res := e.Rank(ir.NewQuery("olap"))
+	res := rankQ(e, ir.NewQuery("olap"))
 	if _, err := e.Compare(res, graph.NodeID(999), f.ids["v1"], ExplainOptions{}); err == nil {
 		t.Error("bad A should error")
 	}
@@ -89,7 +89,7 @@ func TestCompareErrors(t *testing.T) {
 func TestCompareEmptyFlows(t *testing.T) {
 	// Comparing two isolated base-set nodes: no type flows at all.
 	e, ids := chainFixture(t)
-	res := e.Rank(ir.NewQuery("leak")) // base = {x}, which has no in-subgraph arcs
+	res := rankQ(e, ir.NewQuery("leak")) // base = {x}, which has no in-subgraph arcs
 	cmp, err := e.Compare(res, ids["x"], ids["s"], ExplainOptions{Threshold: 1e-10})
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +103,7 @@ func TestDecomposeByTerm(t *testing.T) {
 	f := newFixture(t)
 	e := f.newEngine(t)
 	q := ir.NewQuery("olap", "multidimensional")
-	res := e.Rank(q)
+	res := rankQ(e, q)
 
 	// The shares must sum to the multi-keyword score (linearity).
 	for _, name := range []string{"v7", "v5", "v1"} {

@@ -37,7 +37,7 @@ func TestConcurrentRankVsSetRates(t *testing.T) {
 					return
 				default:
 				}
-				res := e.Rank(q)
+				res := rankQ(e, q)
 				if len(res.Scores) != f.g.NumNodes() {
 					t.Error("short score vector")
 					return
@@ -46,7 +46,7 @@ func TestConcurrentRankVsSetRates(t *testing.T) {
 					t.Error("missing rates version")
 					return
 				}
-				if _, err := e.Explain(res, f.ids["v7"], DefaultExplain()); err != nil {
+				if _, err := explain(e, res, f.ids["v7"], DefaultExplain()); err != nil {
 					t.Errorf("explain: %v", err)
 					return
 				}
@@ -127,7 +127,7 @@ func TestPinnedConsistency(t *testing.T) {
 	q := ir.NewQuery("olap")
 
 	pin := e.Pin()
-	before := pin.Rank(q)
+	before := rankPinned(pin, q)
 	beforeScores := append([]float64(nil), before.Scores...)
 	e.Release(before)
 
@@ -142,7 +142,7 @@ func TestPinnedConsistency(t *testing.T) {
 	}
 
 	// The pin still computes the original fixpoint, bit for bit.
-	again := pin.Rank(q)
+	again := rankPinned(pin, q)
 	for i, s := range again.Scores {
 		if s != beforeScores[i] {
 			t.Fatalf("pinned rank drifted at node %d: %g != %g", i, s, beforeScores[i])
@@ -151,7 +151,7 @@ func TestPinnedConsistency(t *testing.T) {
 	e.Release(again)
 
 	// The engine itself serves the new rates (different scores).
-	fresh := e.Rank(q)
+	fresh := rankQ(e, q)
 	same := true
 	for i, s := range fresh.Scores {
 		if s != beforeScores[i] {
@@ -178,11 +178,11 @@ func BenchmarkEngineRankPooled(b *testing.B) {
 	e := f.newEngine(b)
 	q := ir.NewQuery("olap")
 	// Warm the pool and the global-PageRank cache.
-	e.Release(e.Rank(q))
+	e.Release(rankQ(e, q))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := e.Rank(q)
+		res := rankQ(e, q)
 		e.Release(res)
 	}
 }

@@ -7,7 +7,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -33,47 +32,28 @@ type Corpus struct {
 	// intact — the kernel normalizes per run); nopts caches the
 	// normalized view for components that need literal values, such as
 	// the explain stage's damping factor.
-	opts      rank.Options
-	nopts     rank.Options
-	workers   int
-	blockSize int
-	pool      *rank.BufferPool
+	opts    rank.Options
+	nopts   rank.Options
+	workers int
+	pool    *rank.BufferPool
 }
 
-// DefaultBlockSize is the panel width of the blocked multi-solve paths
-// (RankManyCtx, precompute panels, cache prewarm) when Config.BlockSize
-// is zero: eight float64 lanes fill one 64-byte cache line, so the
-// blocked sweep's inner loop reads exactly one line per source node.
+// DefaultBlockSize is the panel width of every multi-column solve
+// (batches, precompute, cache prewarm, profile basis): eight float64
+// lanes fill one 64-byte cache line, so the panel sweep's inner loop
+// reads exactly one line per source node.
 const DefaultBlockSize = 8
 
 // ErrWarmStartMismatch reports a warm-started batch whose init slice
 // does not pair up with its query slice. This is the one shape error
 // the engine cannot repair locally: a wrong-LENGTH init VECTOR is a
 // stale donation from another generation and silently degrades to a
-// cold start (see rankAt), but a wrong COUNT of vectors means the
+// cold start (see Solve), but a wrong COUNT of vectors means the
 // caller's bookkeeping desynchronized — e.g. a cache prewarm list
 // mutated between assembling queries and donations across a corpus
 // swap — and no per-query pairing can be inferred. Callers get a typed
 // error instead of the panic earlier builds raised.
 var ErrWarmStartMismatch = errors.New("core: warm-start init count does not match query count")
-
-// PanelMode selects the arithmetic of a blocked multi-solve panel.
-type PanelMode int
-
-const (
-	// PanelF64 is the default full-precision panel: every column is
-	// bit-identical to the corresponding single solve. All user-facing
-	// query paths use it unconditionally.
-	PanelF64 PanelMode = iota
-	// PanelF32 stores panels as float32 (half the sweep bandwidth,
-	// sixteen lanes per cache line) while keeping float64 arithmetic;
-	// per-column scores agree with PanelF64 to within ~1e-6 on
-	// unit-mass distributions (rank.IterateBlock32). Only throwaway
-	// warm-start producers — precompute panels, cache prewarm, profile
-	// basis builds — may opt in; answer-serving paths must stay PanelF64
-	// to preserve the bit-identity contract.
-	PanelF32
-)
 
 // Config collects construction parameters for a Corpus (and hence an
 // Engine).
@@ -89,29 +69,6 @@ type Config struct {
 	// all cores, and any positive value pins the worker count. Parallel
 	// runs match serial ones up to floating-point summation order.
 	Workers int
-	// BlockSize is the panel width of the blocked multi-solve paths
-	// (Engine.RankManyCtx and everything built on it): up to BlockSize
-	// base sets advance through each CSR sweep together. Zero means
-	// DefaultBlockSize. Per-column results are bit-identical to the
-	// corresponding single solves at any width, so this is purely a
-	// throughput/memory knob (working set is 2·BlockSize score vectors).
-	BlockSize int
-	// TileNodes enables cache-blocked tiling of every power-iteration
-	// sweep: the source-node axis is partitioned into tiles of this
-	// many nodes and each sweep makes one pass per tile, keeping the
-	// tile's slice of the score vector hot in cache while destinations
-	// stream. Tiling reproduces the untiled kernel's floating-point
-	// operation order exactly, so every result stays bit-identical at
-	// any width (rank.Tiling). Zero disables tiling — the right choice
-	// when the score vector already fits in cache; graphs that fit in a
-	// single tile ignore the plan automatically.
-	//
-	// Sizing: each sweep re-streams the accumulator vector once per
-	// tile pass, an overhead of |V|²/TileNodes that outgrows the
-	// linear gather win if the tile stays fixed while the graph grows.
-	// Aim for 4–16 passes (TileNodes ≈ |V|/8) and never below
-	// rank.DefaultTileNodes; see DESIGN.md §13.1 for the measured law.
-	TileNodes int
 }
 
 // NewCorpus indexes the text of every node of g and freezes the
@@ -121,30 +78,7 @@ func NewCorpus(g *graph.Graph, cfg Config) *Corpus {
 		cfg.BM25 = ir.DefaultBM25()
 	}
 	ix := ir.BuildIndex(g.NumNodes(), func(i int) string { return g.Text(graph.NodeID(i)) }, cfg.BM25)
-	workers := cfg.Workers
-	if workers < 0 {
-		workers = rank.AutoWorkers()
-	}
-	blockSize := cfg.BlockSize
-	if blockSize <= 0 {
-		blockSize = DefaultBlockSize
-	}
-	opts := cfg.Rank
-	if cfg.TileNodes > 0 {
-		// The tiling plan is built once against the frozen CSR and rides
-		// along in the corpus rank options, so every solve path — single,
-		// blocked, delta seeding, global PageRank — picks it up.
-		opts.Tile = rank.NewTiling(g, cfg.TileNodes)
-	}
-	return &Corpus{
-		g:         g,
-		ix:        ix,
-		opts:      opts,
-		nopts:     opts.Normalized(),
-		workers:   workers,
-		blockSize: blockSize,
-		pool:      rank.NewBufferPool(),
-	}
+	return newCorpus(g, ix, cfg)
 }
 
 // NewCorpusWithIndex is NewCorpus with a prebuilt inverted index —
@@ -156,32 +90,23 @@ func NewCorpusWithIndex(g *graph.Graph, ix *ir.Index, cfg Config) (*Corpus, erro
 	if ix.NumDocs() != g.NumNodes() {
 		return nil, fmt.Errorf("core: index covers %d documents, graph has %d nodes", ix.NumDocs(), g.NumNodes())
 	}
+	return newCorpus(g, ix, cfg), nil
+}
+
+func newCorpus(g *graph.Graph, ix *ir.Index, cfg Config) *Corpus {
 	workers := cfg.Workers
 	if workers < 0 {
 		workers = rank.AutoWorkers()
 	}
-	blockSize := cfg.BlockSize
-	if blockSize <= 0 {
-		blockSize = DefaultBlockSize
-	}
-	opts := cfg.Rank
-	if cfg.TileNodes > 0 {
-		opts.Tile = rank.NewTiling(g, cfg.TileNodes)
-	}
 	return &Corpus{
-		g:         g,
-		ix:        ix,
-		opts:      opts,
-		nopts:     opts.Normalized(),
-		workers:   workers,
-		blockSize: blockSize,
-		pool:      rank.NewBufferPool(),
-	}, nil
+		g:       g,
+		ix:      ix,
+		opts:    cfg.Rank,
+		nopts:   cfg.Rank.Normalized(),
+		workers: workers,
+		pool:    rank.NewBufferPool(),
+	}
 }
-
-// BlockSize returns the panel width of the corpus's blocked multi-solve
-// paths.
-func (c *Corpus) BlockSize() int { return c.blockSize }
 
 // Graph returns the corpus's data graph.
 func (c *Corpus) Graph() *graph.Graph { return c.g }
@@ -260,17 +185,17 @@ func (st *engineState) globalScores() []float64 {
 // Engine ties an atomically swapped (corpus generation, rates
 // snapshot) pair into an ObjectRank2 query processor.
 //
-// Concurrency model: Rank, Explain, Reformulate and every other read
-// path load the current engineState once at entry and never look
-// again, so they are safe under full concurrency with both
+// Concurrency model: every read goes through a Pinned view, which loads
+// the current engineState once (Pin) and never looks again, so reads
+// are safe under full concurrency with both
 // SetRates/TrySetRates (which publish a new rates snapshot under the
 // same generation) and SwapCorpus (which publishes a whole new corpus
 // generation). All publications go through compare-and-swap on one
 // pointer; there are no locks anywhere on the serving path. In-flight
 // operations — including detached cache flights — finish on the
-// generation they pinned. Use Pin to hold one state across a
-// multi-step operation (rank → explain → reformulate) so all steps see
-// the same rates AND the same graph.
+// generation they pinned. Hold one Pinned view across a multi-step
+// operation (solve → explain → reformulate) so all steps see the same
+// rates AND the same graph.
 type Engine struct {
 	state atomic.Pointer[engineState]
 
@@ -292,35 +217,32 @@ type Engine struct {
 	solveHook atomic.Pointer[func(SolveStats)]
 }
 
-// SolveStats describes one completed power-iteration execution on the
-// engine's ObjectRank2 path (Rank/RankFrom/RankCold and their Pinned
-// variants — including solves issued internally by the serving cache,
-// which all funnel through the same path).
+// SolveStats describes one completed kernel execution of Pinned.Solve —
+// every ranking in the system, including the solves the serving cache
+// and the profile tier issue.
 type SolveStats struct {
-	// Iterations and Converged mirror the kernel result.
+	// Iterations is the sweep count of the execution (the slowest
+	// column's); Converged reports that every column converged.
 	Iterations int
 	Converged  bool
-	// WarmStarted reports whether the solve began from a caller-
-	// provided Init vector (§6.2 warm start) rather than cold.
+	// WarmStarted reports that a column began from a caller-donated
+	// Init vector that was actually used (§6.2 warm start). The global
+	// PageRank default start does not count, and neither does a
+	// donation dropped for its length.
 	WarmStarted bool
-	// BaseSet is the size of the weighted base set |S(Q)|.
+	// BaseSet is the size of the weighted base set |S(Q)|, summed over
+	// the execution's columns.
 	BaseSet int
 	// BaseSetDur and SolveDur are the wall-clock durations of the
-	// base-set/IR-scoring stage and the kernel iteration stage.
+	// base-set/IR-scoring stage (summed over columns) and the kernel
+	// iteration stage.
 	BaseSetDur time.Duration
 	SolveDur   time.Duration
 	// Columns is the number of base sets the kernel execution advanced:
-	// 1 for single solves, up to the corpus BlockSize for one blocked
-	// panel of RankManyCtx. afq_kernel_solves_total counts EXECUTIONS
-	// (hook firings), so a 16-query batch at BlockSize 8 contributes 2
-	// solves / 16 columns.
+	// 1 for a single query, up to DefaultBlockSize for one panel of a
+	// batch. afq_kernel_solves_total counts EXECUTIONS (hook firings),
+	// so a 16-query batch contributes 2 solves / 16 columns.
 	Columns int
-	// DeltaPushes is the number of residual-frontier point updates a
-	// delta solve applied (zero for full-sweep solves); DeltaFellBack
-	// reports that a delta solve abandoned the push phase and completed
-	// with warm full sweeps. Both are zero outside RankDeltaCtx.
-	DeltaPushes   int
-	DeltaFellBack bool
 }
 
 // SetSolveHook registers f to be called after every completed kernel
@@ -641,386 +563,6 @@ func (e *Engine) Release(res *RankResult) {
 	res.Scores = nil
 }
 
-// Rank executes ObjectRank2 (Equation 4) for q, warm-started from the
-// cached global PageRank as the paper does for initial queries.
-func (e *Engine) Rank(q *ir.Query) *RankResult {
-	st := e.state.Load()
-	res, _ := e.rankAt(context.Background(), st, q, st.globalScores())
-	return res
-}
-
-// RankCtx is Rank under a request context: the kernel polls ctx once
-// per sweep and the call returns (nil, ctx.Err()) promptly on
-// cancellation or deadline expiry. A cancelled solve publishes NOTHING
-// — the partial score vector goes straight back to the engine's buffer
-// pool, so no caller can observe a half-converged ranking. The solve
-// hook does not fire for cancelled runs (they are not completed kernel
-// executions).
-func (e *Engine) RankCtx(ctx context.Context, q *ir.Query) (*RankResult, error) {
-	st := e.state.Load()
-	return e.rankAt(ctx, st, q, st.globalScores())
-}
-
-// RankFrom executes ObjectRank2 warm-started from a previous score
-// vector — the Section 6.2 optimization for reformulated queries, whose
-// scores are expected to be close to the previous iteration's. The init
-// vector is only read, never retained.
-func (e *Engine) RankFrom(q *ir.Query, init []float64) *RankResult {
-	res, _ := e.rankAt(context.Background(), e.state.Load(), q, init)
-	return res
-}
-
-// RankFromCtx is RankFrom under a request context (see RankCtx for the
-// cancellation contract).
-func (e *Engine) RankFromCtx(ctx context.Context, q *ir.Query, init []float64) (*RankResult, error) {
-	return e.rankAt(ctx, e.state.Load(), q, init)
-}
-
-// RankCold executes ObjectRank2 with no warm start (the ablation
-// baseline).
-func (e *Engine) RankCold(q *ir.Query) *RankResult {
-	res, _ := e.rankAt(context.Background(), e.state.Load(), q, nil)
-	return res
-}
-
-// RankColdCtx is RankCold under a request context (see RankCtx for the
-// cancellation contract).
-func (e *Engine) RankColdCtx(ctx context.Context, q *ir.Query) (*RankResult, error) {
-	return e.rankAt(ctx, e.state.Load(), q, nil)
-}
-
-// rankAt is the single ObjectRank2 execution path: every Rank* entry —
-// Engine, Pinned, cache-internal — funnels here. ctx must be non-nil
-// (use context.Background() for uncancellable runs; those never return
-// an error). On cancellation the partial kernel vector is returned to
-// the buffer pool and (nil, ctx.Err()) comes back: scores are never
-// partially published.
-func (e *Engine) rankAt(ctx context.Context, st *engineState, q *ir.Query, init []float64) (*RankResult, error) {
-	return e.rankCorpusAt(ctx, st, st.gen.corpus, q, init)
-}
-
-// rankCorpusAt is rankAt against an explicit corpus view of the pinned
-// state: the generation's authority corpus on every standard path, its
-// direction-reversed hub view on hub-mode paths (mode.go). The corpus
-// must belong to st.gen — both views share the state's index, pool,
-// and provenance stamps.
-func (e *Engine) rankCorpusAt(ctx context.Context, st *engineState, c *Corpus, q *ir.Query, init []float64) (*RankResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	snap := st.snap
-	if init != nil && len(init) != c.g.NumNodes() {
-		// A warm-start vector sized for another generation's graph
-		// (donated across a concurrent corpus swap) cannot seed this
-		// kernel; fall back to the cold path rather than panicking.
-		init = nil
-	}
-	t0 := time.Now()
-	base := baseSetOf(c, q)
-	jump := c.pool.GetZeroed(c.g.NumNodes())
-	baseDur := time.Since(t0)
-	if len(base) == 0 {
-		// No node contains any query keyword: the fixpoint is
-		// identically zero, so skip the iteration (a warm start would
-		// otherwise only decay toward zero).
-		return &RankResult{Query: q, Scores: jump, Base: base, Converged: true, RatesVersion: snap.version, Generation: st.gen.num, BaseSetDur: baseDur}, nil
-	}
-	for _, sd := range base {
-		jump[sd.Doc] = sd.Score
-	}
-	opts := c.opts
-	opts.Init = init
-	opts.Ctx = ctx
-	t1 := time.Now()
-	res := rank.Iterate(c.g, snap.alpha, jump, opts, c.workers, c.pool)
-	solveDur := time.Since(t1)
-	c.pool.Put(jump)
-	if res.Err != nil {
-		// Cancelled mid-solve: recycle the partial vector, publish
-		// nothing, and do not fire the solve hook (the execution did
-		// not complete).
-		res.ReleaseTo(c.pool)
-		return nil, res.Err
-	}
-	e.notifySolve(SolveStats{
-		Iterations:  res.Iterations,
-		Converged:   res.Converged,
-		WarmStarted: init != nil,
-		BaseSet:     len(base),
-		BaseSetDur:  baseDur,
-		SolveDur:    solveDur,
-		Columns:     1,
-	})
-	return &RankResult{
-		Query:        q,
-		Scores:       res.Scores,
-		Base:         base,
-		Iterations:   res.Iterations,
-		Converged:    res.Converged,
-		RatesVersion: snap.version,
-		Generation:   st.gen.num,
-		BaseSetDur:   baseDur,
-		SolveDur:     solveDur,
-	}, nil
-}
-
-// RankManyCtx executes ObjectRank2 for a batch of queries through the
-// blocked kernel: queries are solved in panels of at most the corpus
-// BlockSize, each panel advancing all its base sets through one shared
-// CSR sweep per iteration (rank.IterateBlock). Every query is
-// warm-started from the cached global PageRank, exactly as Rank is, and
-// each returned result is bit-identical to the corresponding single
-// RankCtx call — blocking changes throughput, never answers.
-//
-// Results come back in query order. On cancellation the slice returned
-// alongside ctx's error is PARTIAL: entries for queries whose panel
-// completed before the cutoff are filled, the rest are nil (a cancelled
-// panel publishes nothing, like a cancelled single solve). The solve
-// hook fires once per completed PANEL with SolveStats.Columns set to
-// the panel width — afq_kernel_solves_total therefore counts ⌈N/B⌉ for
-// an N-query batch, the metric the /v1/query/batch acceptance check
-// reads.
-func (e *Engine) RankManyCtx(ctx context.Context, qs []*ir.Query) ([]*RankResult, error) {
-	return e.rankManyAt(ctx, e.state.Load(), qs, nil, PanelF64)
-}
-
-// RankManyCtx is Engine.RankManyCtx under the pinned state.
-func (p *Pinned) RankManyCtx(ctx context.Context, qs []*ir.Query) ([]*RankResult, error) {
-	return p.e.rankManyAt(ctx, p.st, qs, nil, PanelF64)
-}
-
-// RankManyFromCtx is RankManyCtx with per-query warm starts: inits must
-// be nil (global warm start everywhere) or have one entry per query,
-// where a non-nil entry is handed to the kernel as that column's
-// Options.Init (the §6.2 warm start) and a nil entry falls back to the
-// global PageRank. The cache prewarmer uses this to refresh a panel of
-// hot terms, each starting from its previous rates version's vector.
-// A mis-counted inits slice returns ErrWarmStartMismatch.
-func (p *Pinned) RankManyFromCtx(ctx context.Context, qs []*ir.Query, inits [][]float64) ([]*RankResult, error) {
-	return p.e.rankManyAt(ctx, p.st, qs, inits, PanelF64)
-}
-
-// RankManyModeCtx is RankManyFromCtx with an explicit panel mode.
-// PanelF32 halves the panels' sweep bandwidth at a ~1e-6 agreement
-// cost (see PanelMode); it is reserved for warm-start producers —
-// precompute, cache prewarm, profile basis — whose output seeds later
-// exact solves rather than being served directly.
-func (p *Pinned) RankManyModeCtx(ctx context.Context, qs []*ir.Query, inits [][]float64, mode PanelMode) ([]*RankResult, error) {
-	return p.e.rankManyAt(ctx, p.st, qs, inits, mode)
-}
-
-// rankManyAt is the blocked counterpart of rankAt: the single execution
-// path of every multi-solve batch. Each panel of up to BlockSize
-// non-empty base sets runs through rank.IterateBlock (or
-// rank.IterateBlock32 under PanelF32); per-column options replicate
-// rankAt's exactly (corpus rank options + Init + Ctx), so PanelF64
-// column results are bit-identical to single solves.
-func (e *Engine) rankManyAt(ctx context.Context, st *engineState, qs []*ir.Query, inits [][]float64, mode PanelMode) ([]*RankResult, error) {
-	return e.rankManyCorpusAt(ctx, st, st.gen.corpus, st.globalScores, qs, inits, mode)
-}
-
-// rankManyCorpusAt is rankManyAt against an explicit corpus view of the
-// pinned state (see rankCorpusAt) with its matching warm-start source:
-// st.globalScores on the authority path, the hub view's reversed-
-// direction PageRank on hub-mode paths. The getter is invoked lazily so
-// an all-empty batch never computes a warm-start vector.
-func (e *Engine) rankManyCorpusAt(ctx context.Context, st *engineState, c *Corpus, globalFn func() []float64, qs []*ir.Query, inits [][]float64, mode PanelMode) ([]*RankResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if inits != nil && len(inits) != len(qs) {
-		// A miscounted donation list is unrecoverable desync, not a stale
-		// vector: no per-query pairing exists, so no degrade is possible.
-		// Earlier builds panicked here and took the server down when a
-		// prewarm list raced a corpus swap.
-		return nil, fmt.Errorf("%w: %d init vectors for %d queries", ErrWarmStartMismatch, len(inits), len(qs))
-	}
-	out := make([]*RankResult, len(qs))
-	if len(qs) == 0 {
-		return out, ctx.Err()
-	}
-	snap := st.snap
-	n := c.g.NumNodes()
-	global := globalFn()
-
-	for lo := 0; lo < len(qs); lo += c.blockSize {
-		if err := ctx.Err(); err != nil {
-			return out, err
-		}
-		hi := lo + c.blockSize
-		if hi > len(qs) {
-			hi = len(qs)
-		}
-
-		// Per-query base sets. Empty base sets short-circuit to the
-		// all-zero fixpoint without occupying a panel column, exactly
-		// as rankAt does.
-		type column struct {
-			q       int // index into qs
-			base    []ir.ScoredDoc
-			baseDur time.Duration
-		}
-		var cols []column
-		var jumps [][]float64
-		var opts []rank.Options
-		for i := lo; i < hi; i++ {
-			t0 := time.Now()
-			base := baseSetOf(c, qs[i])
-			jump := c.pool.GetZeroed(n)
-			baseDur := time.Since(t0)
-			if len(base) == 0 {
-				out[i] = &RankResult{Query: qs[i], Scores: jump, Base: base, Converged: true, RatesVersion: snap.version, Generation: st.gen.num, BaseSetDur: baseDur}
-				continue
-			}
-			for _, sd := range base {
-				jump[sd.Doc] = sd.Score
-			}
-			o := c.opts
-			o.Init = global
-			if inits != nil && inits[i] != nil && len(inits[i]) == n {
-				// A donated warm start sized for another generation's
-				// graph is silently dropped (see rankAt).
-				o.Init = inits[i]
-			}
-			o.Ctx = ctx
-			cols = append(cols, column{q: i, base: base, baseDur: baseDur})
-			jumps = append(jumps, jump)
-			opts = append(opts, o)
-		}
-		if len(cols) == 0 {
-			continue
-		}
-
-		t1 := time.Now()
-		var results []rank.Result
-		if mode == PanelF32 {
-			results = rank.IterateBlock32(c.g, snap.alpha, jumps, opts, c.workers, c.pool)
-		} else {
-			results = rank.IterateBlock(c.g, snap.alpha, jumps, opts, c.workers, c.pool)
-		}
-		solveDur := time.Since(t1)
-		for _, j := range jumps {
-			c.pool.Put(j)
-		}
-
-		stats := SolveStats{Converged: true, SolveDur: solveDur, Columns: len(cols)}
-		var panelErr error
-		for ci, res := range results {
-			col := cols[ci]
-			if res.Err != nil {
-				// Cancelled mid-panel: recycle the partial vector and
-				// publish nothing for this query (rankAt's contract).
-				res.ReleaseTo(c.pool)
-				panelErr = res.Err
-				continue
-			}
-			if res.Iterations > stats.Iterations {
-				stats.Iterations = res.Iterations
-			}
-			stats.Converged = stats.Converged && res.Converged
-			stats.WarmStarted = stats.WarmStarted || opts[ci].Init != nil
-			stats.BaseSet += len(col.base)
-			stats.BaseSetDur += col.baseDur
-			out[col.q] = &RankResult{
-				Query:        qs[col.q],
-				Scores:       res.Scores,
-				Base:         col.base,
-				Iterations:   res.Iterations,
-				Converged:    res.Converged,
-				RatesVersion: snap.version,
-				Generation:   st.gen.num,
-				BaseSetDur:   col.baseDur,
-				SolveDur:     solveDur,
-			}
-		}
-		if panelErr != nil {
-			// Columns that converged before the cancellation landed are
-			// kept in out (they are complete, consistent solves); the
-			// cancelled columns published nothing. The panel's solve
-			// hook is skipped — the execution did not complete.
-			return out, panelErr
-		}
-		e.notifySolve(stats)
-	}
-	return out, ctx.Err()
-}
-
-// RankDeltaCtx executes ObjectRank2 incrementally from prev, a score
-// vector previously converged for the SAME query under an earlier
-// rates version of the pinned state's generation (rank.IterateDelta):
-// one seeding sweep localizes the rate perturbation's residual
-// frontier and push-style point updates repair just that region. The
-// result agrees with a full solve within the convergence tolerance
-// class — NOT bitwise — so this path is reserved for warm-start
-// producers such as the cache prewarmer's rates-republish refresh;
-// answer-serving paths must use RankCtx. A nil or stale prev (wrong
-// generation) degrades to the standard globally warm-started solve —
-// bit-identical to RankCtx — and a perturbation that
-// disturbs too much of the graph completes as warm full sweeps; both
-// are reported via SolveStats.DeltaFellBack.
-func (p *Pinned) RankDeltaCtx(ctx context.Context, q *ir.Query, prev []float64) (*RankResult, error) {
-	return p.e.rankDeltaAt(ctx, p.st, q, prev)
-}
-
-// rankDeltaAt mirrors rankAt with rank.IterateDelta as the kernel.
-func (e *Engine) rankDeltaAt(ctx context.Context, st *engineState, q *ir.Query, prev []float64) (*RankResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	c, snap := st.gen.corpus, st.snap
-	t0 := time.Now()
-	base := baseSetOf(c, q)
-	jump := c.pool.GetZeroed(c.g.NumNodes())
-	baseDur := time.Since(t0)
-	if len(base) == 0 {
-		return &RankResult{Query: q, Scores: jump, Base: base, Converged: true, RatesVersion: snap.version, Generation: st.gen.num, BaseSetDur: baseDur}, nil
-	}
-	for _, sd := range base {
-		jump[sd.Doc] = sd.Score
-	}
-	opts := c.opts
-	opts.Ctx = ctx
-	if prev == nil || len(prev) != c.g.NumNodes() {
-		// Stale or missing prev: degrade to the standard solve, global
-		// warm start included, so the result is bit-identical to RankCtx.
-		prev = nil
-		opts.Init = st.globalScores()
-	}
-	t1 := time.Now()
-	res := rank.IterateDelta(c.g, snap.alpha, jump, prev, opts, 0, c.workers, c.pool)
-	solveDur := time.Since(t1)
-	c.pool.Put(jump)
-	if res.Err != nil {
-		res.ReleaseTo(c.pool)
-		return nil, res.Err
-	}
-	e.notifySolve(SolveStats{
-		Iterations:    res.Iterations,
-		Converged:     res.Converged,
-		WarmStarted:   prev != nil,
-		BaseSet:       len(base),
-		BaseSetDur:    baseDur,
-		SolveDur:      solveDur,
-		Columns:       1,
-		DeltaPushes:   res.Pushes,
-		DeltaFellBack: res.FellBack,
-	})
-	return &RankResult{
-		Query:        q,
-		Scores:       res.Scores,
-		Base:         base,
-		Iterations:   res.Iterations,
-		Converged:    res.Converged,
-		RatesVersion: snap.version,
-		Generation:   st.gen.num,
-		BaseSetDur:   baseDur,
-		SolveDur:     solveDur,
-	}, nil
-}
-
 // GlobalRank returns the query-independent PageRank over the current
 // generation's authority transfer data graph, computed once per
 // generation (under the rates in force at first use) and cached. It is
@@ -1132,81 +674,4 @@ func (p *Pinned) Engine() *Engine { return p.e }
 // generation's index; see Engine.BaseSet.
 func (p *Pinned) BaseSet(q *ir.Query) []ir.ScoredDoc {
 	return baseSetOf(p.st.gen.corpus, q)
-}
-
-// GlobalRank returns the pinned generation's global PageRank
-// warm-start vector (shared, read-only — see Engine.GlobalRank for the
-// copying variant).
-func (p *Pinned) globalScores() []float64 { return p.st.globalScores() }
-
-// Rank executes ObjectRank2 under the pinned state, warm-started from
-// the pinned generation's global PageRank.
-func (p *Pinned) Rank(q *ir.Query) *RankResult {
-	res, _ := p.e.rankAt(context.Background(), p.st, q, p.st.globalScores())
-	return res
-}
-
-// RankCtx is Rank under a request context (see Engine.RankCtx for the
-// cancellation contract).
-func (p *Pinned) RankCtx(ctx context.Context, q *ir.Query) (*RankResult, error) {
-	return p.e.rankAt(ctx, p.st, q, p.st.globalScores())
-}
-
-// RankFrom executes ObjectRank2 under the pinned state, warm-started
-// from a previous score vector.
-func (p *Pinned) RankFrom(q *ir.Query, init []float64) *RankResult {
-	res, _ := p.e.rankAt(context.Background(), p.st, q, init)
-	return res
-}
-
-// RankFromCtx is RankFrom under a request context.
-func (p *Pinned) RankFromCtx(ctx context.Context, q *ir.Query, init []float64) (*RankResult, error) {
-	return p.e.rankAt(ctx, p.st, q, init)
-}
-
-// RankCold executes ObjectRank2 under the pinned state with no warm
-// start.
-func (p *Pinned) RankCold(q *ir.Query) *RankResult {
-	res, _ := p.e.rankAt(context.Background(), p.st, q, nil)
-	return res
-}
-
-// RankColdCtx is RankCold under a request context.
-func (p *Pinned) RankColdCtx(ctx context.Context, q *ir.Query) (*RankResult, error) {
-	return p.e.rankAt(ctx, p.st, q, nil)
-}
-
-// Explain builds the explaining subgraph for target under the pinned
-// state.
-func (p *Pinned) Explain(res *RankResult, target graph.NodeID, opts ExplainOptions) (*Subgraph, error) {
-	return p.e.explainAt(context.Background(), p.st, res, target, opts)
-}
-
-// ExplainCtx is Explain under a request context: the traversal stages
-// and the Equation 10 flow-adjustment fixpoint poll ctx (the fixpoint
-// once per iteration) and return ctx.Err() promptly on cancellation.
-func (p *Pinned) ExplainCtx(ctx context.Context, res *RankResult, target graph.NodeID, opts ExplainOptions) (*Subgraph, error) {
-	return p.e.explainAt(ctx, p.st, res, target, opts)
-}
-
-// Reformulate produces a reformulated query under the pinned state.
-func (p *Pinned) Reformulate(q *ir.Query, feedback []*Subgraph, opts ReformulateOptions) (*Reformulation, error) {
-	return p.e.reformulateAt(context.Background(), p.st, q, feedback, nil, opts)
-}
-
-// ReformulateCtx is Reformulate under a request context.
-func (p *Pinned) ReformulateCtx(ctx context.Context, q *ir.Query, feedback []*Subgraph, opts ReformulateOptions) (*Reformulation, error) {
-	return p.e.reformulateAt(ctx, p.st, q, feedback, nil, opts)
-}
-
-// ReformulateWeighted is Reformulate with per-feedback-object
-// confidence weights, under the pinned state.
-func (p *Pinned) ReformulateWeighted(q *ir.Query, feedback []*Subgraph, confidences []float64, opts ReformulateOptions) (*Reformulation, error) {
-	return p.e.reformulateAt(context.Background(), p.st, q, feedback, confidences, opts)
-}
-
-// ReformulateWeightedCtx is ReformulateWeighted under a request
-// context.
-func (p *Pinned) ReformulateWeightedCtx(ctx context.Context, q *ir.Query, feedback []*Subgraph, confidences []float64, opts ReformulateOptions) (*Reformulation, error) {
-	return p.e.reformulateAt(ctx, p.st, q, feedback, confidences, opts)
 }

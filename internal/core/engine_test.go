@@ -75,7 +75,7 @@ func TestBaseSetWeightedAndNormalized(t *testing.T) {
 func TestFigure6Scores(t *testing.T) {
 	f := newFixture(t)
 	e := f.newEngine(t)
-	res := e.Rank(ir.NewQuery("olap"))
+	res := rankQ(e, ir.NewQuery("olap"))
 	if !res.Converged {
 		t.Fatal("did not converge")
 	}
@@ -105,9 +105,9 @@ func TestRankWarmMatchesColdFixpoint(t *testing.T) {
 	f := newFixture(t)
 	e := f.newEngine(t)
 	q := ir.NewQuery("olap")
-	cold := e.RankCold(q)
-	warmInit := e.Rank(ir.NewQuery("cubes"))
-	warm := e.RankFrom(q, warmInit.Scores)
+	cold := rankCold(e, q)
+	warmInit := rankQ(e, ir.NewQuery("cubes"))
+	warm := rankFrom(e, q, warmInit.Scores)
 	for i := range cold.Scores {
 		if math.Abs(cold.Scores[i]-warm.Scores[i]) > 1e-6 {
 			t.Fatalf("warm/cold mismatch at %d: %v vs %v", i, cold.Scores[i], warm.Scores[i])
@@ -118,7 +118,7 @@ func TestRankWarmMatchesColdFixpoint(t *testing.T) {
 func TestEmptyBaseSet(t *testing.T) {
 	f := newFixture(t)
 	e := f.newEngine(t)
-	res := e.Rank(ir.NewQuery("zebra"))
+	res := rankQ(e, ir.NewQuery("zebra"))
 	for i, s := range res.Scores {
 		if s != 0 {
 			t.Errorf("score[%d] = %v with empty base set", i, s)
@@ -132,7 +132,7 @@ func TestEmptyBaseSet(t *testing.T) {
 func TestTopKOfTypeFiltersPapers(t *testing.T) {
 	f := newFixture(t)
 	e := f.newEngine(t)
-	res := e.Rank(ir.NewQuery("olap"))
+	res := rankQ(e, ir.NewQuery("olap"))
 	top := res.TopKOfType(f.g, f.types["Paper"], 10)
 	if len(top) != 4 {
 		t.Fatalf("paper results = %v", top)
@@ -178,7 +178,7 @@ func TestObjectRankBaselineMultiKeyword(t *testing.T) {
 	}
 	// The weighted single-keyword run differs from the baseline: the
 	// baseline treats base-set entries uniformly.
-	or2 := e.Rank(ir.NewQuery("olap"))
+	or2 := rankQ(e, ir.NewQuery("olap"))
 	or1 := e.ObjectRankBaseline(ir.NewQuery("olap"))
 	if or1.Scores[f.ids["v7"]] <= 0 || or2.Scores[f.ids["v7"]] <= 0 {
 		t.Error("both semantics should rank v7 positively")
@@ -189,14 +189,14 @@ func TestSetRatesChangesRanking(t *testing.T) {
 	f := newFixture(t)
 	e := f.newEngine(t)
 	q := ir.NewQuery("olap")
-	before := e.Rank(q).Scores[f.ids["v7"]]
+	before := rankQ(e, q).Scores[f.ids["v7"]]
 	// Kill citation authority; v7 should collapse.
 	r := e.Rates()
 	r.Set(f.edges["cites"], graph.Forward, 0.0)
 	if err := e.SetRates(r); err != nil {
 		t.Fatal(err)
 	}
-	after := e.Rank(q).Scores[f.ids["v7"]]
+	after := rankQ(e, q).Scores[f.ids["v7"]]
 	if after >= before {
 		t.Errorf("v7 score did not drop after zeroing cites: %v -> %v", before, after)
 	}
@@ -233,14 +233,14 @@ func TestParallelEngineMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := ir.NewQuery("olap")
-	rs, rp := serial.Rank(q), par.Rank(q)
+	rs, rp := rankQ(serial, q), rankQ(par, q)
 	for i := range rs.Scores {
 		if math.Abs(rs.Scores[i]-rp.Scores[i]) > 1e-9 {
 			t.Fatalf("parallel engine diverges at node %d: %v vs %v", i, rs.Scores[i], rp.Scores[i])
 		}
 	}
 	// Explain and reformulate work identically on the parallel engine.
-	sg, err := par.Explain(rp, f.ids["v7"], ExplainOptions{Threshold: 1e-9})
+	sg, err := explain(par, rp, f.ids["v7"], ExplainOptions{Threshold: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}

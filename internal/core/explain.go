@@ -124,46 +124,33 @@ func (sg *Subgraph) NodeAuthority(v graph.NodeID) float64 {
 	return sg.outFlow[v]
 }
 
-// Explain builds the explaining subgraph for target under the converged
-// ObjectRank2 result res, following the two-stage algorithm of
-// Figure 8: (i) construction — a backward traversal from the target
-// intersected with a forward traversal from the base set keeps exactly
-// the arcs that can carry authority to the target; (ii) flow adjustment
-// — the Equation 10 fixpoint computes, per node, the reduction factor h
-// by which its incoming flows are scaled to discount authority that
-// leaks out of the subgraph.
-func (e *Engine) Explain(res *RankResult, target graph.NodeID, opts ExplainOptions) (*Subgraph, error) {
-	return e.explainAt(context.Background(), e.state.Load(), res, target, opts)
-}
-
-// ExplainCtx is Explain under a cancellable context: the construction
-// stage checks ctx at its phase boundaries (after each BFS and after
-// arc collection) and the Equation 10 fixpoint polls once per
+// ExplainCtx builds the explaining subgraph for target under the
+// converged authority-mode ObjectRank2 result res, following the
+// two-stage algorithm of Figure 8: (i) construction — a backward
+// traversal from the target intersected with a forward traversal from
+// the base set keeps exactly the arcs that can carry authority to the
+// target; (ii) flow adjustment — the Equation 10 fixpoint computes, per
+// node, the reduction factor h by which its incoming flows are scaled
+// to discount authority that leaks out of the subgraph.
+//
+// It runs against the pinned state, so it cannot observe rates
+// published — or a corpus swapped in — after the view was taken. The
+// construction stage checks ctx at its phase boundaries (after each BFS
+// and after arc collection) and the Equation 10 fixpoint polls once per
 // iteration, so a cancelled or expired request abandons the build
 // within one phase/iteration and returns ctx.Err() instead of a
-// subgraph. A nil or background context behaves exactly like Explain.
-func (e *Engine) ExplainCtx(ctx context.Context, res *RankResult, target graph.NodeID, opts ExplainOptions) (*Subgraph, error) {
-	return e.explainAt(ctx, e.state.Load(), res, target, opts)
+// subgraph.
+func (p *Pinned) ExplainCtx(ctx context.Context, res *RankResult, target graph.NodeID, opts ExplainOptions) (*Subgraph, error) {
+	return explainOn(ctx, p.st, p.st.gen.corpus, res, target, opts)
 }
 
-// explainAt is Explain against one pinned engine state, so a Pinned
-// view's explain stage cannot observe rates published — or a corpus
-// swapped in — after the view was taken. The engine's own Explain
-// simply pins the current state at entry.
-func (e *Engine) explainAt(ctx context.Context, st *engineState, res *RankResult, target graph.NodeID, opts ExplainOptions) (*Subgraph, error) {
-	return e.explainCorpusAt(ctx, st, st.gen.corpus, res, target, opts)
-}
-
-// explainCorpusAt is explainAt against an explicit corpus view of the
-// pinned state: the generation's authority corpus on the standard path,
-// its direction-reversed hub view when explaining a hub-mode ranking
+// explainOn explains against an explicit corpus view of the pinned
+// state: the generation's authority corpus on the standard path, its
+// direction-reversed hub view when explaining a hub-mode ranking
 // (mode.go). res must have been solved on the SAME view — the flows of
 // Equation 5 read res.Scores through this corpus's arcs.
-func (e *Engine) explainCorpusAt(ctx context.Context, st *engineState, c *Corpus, res *RankResult, target graph.NodeID, opts ExplainOptions) (*Subgraph, error) {
+func explainOn(ctx context.Context, st *engineState, c *Corpus, res *RankResult, target graph.NodeID, opts ExplainOptions) (*Subgraph, error) {
 	snap := st.snap
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

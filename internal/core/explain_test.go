@@ -48,8 +48,8 @@ func chainFixture(t *testing.T) (*Engine, map[string]graph.NodeID) {
 
 func TestExplainChainClosedForm(t *testing.T) {
 	e, ids := chainFixture(t)
-	res := e.Rank(ir.NewQuery("start"))
-	sg, err := e.Explain(res, ids["t"], ExplainOptions{Threshold: 1e-12, MaxIters: 1000})
+	res := rankQ(e, ir.NewQuery("start"))
+	sg, err := explain(e, res, ids["t"], ExplainOptions{Threshold: 1e-12, MaxIters: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,8 +128,8 @@ func TestExplainChainClosedForm(t *testing.T) {
 func TestExample1DataCubeExcluded(t *testing.T) {
 	f := newFixture(t)
 	e := f.newEngine(t)
-	res := e.Rank(ir.NewQuery("olap"))
-	sg, err := e.Explain(res, f.ids["v4"], ExplainOptions{Threshold: 1e-9})
+	res := rankQ(e, ir.NewQuery("olap"))
+	sg, err := explain(e, res, f.ids["v4"], ExplainOptions{Threshold: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,9 +172,9 @@ func TestExample1DataCubeExcluded(t *testing.T) {
 func TestObservation1(t *testing.T) {
 	f := newFixture(t)
 	e := f.newEngine(t)
-	res := e.Rank(ir.NewQuery("olap"))
+	res := rankQ(e, ir.NewQuery("olap"))
 	for _, target := range []graph.NodeID{f.ids["v4"], f.ids["v7"], f.ids["v6"]} {
-		sg, err := e.Explain(res, target, ExplainOptions{Threshold: 1e-9})
+		sg, err := explain(e, res, target, ExplainOptions{Threshold: 1e-9})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,11 +198,11 @@ func TestObservation1(t *testing.T) {
 func TestExplainRadiusLimits(t *testing.T) {
 	f := newFixture(t)
 	e := f.newEngine(t)
-	res := e.Rank(ir.NewQuery("olap"))
+	res := rankQ(e, ir.NewQuery("olap"))
 	// Radius 1 around v4: only v6 has a positive-rate arc into v4
 	// (cited rate is 0), and v6 is forward-reachable from v4 itself (a
 	// base-set member) via the by edge.
-	sg, err := e.Explain(res, f.ids["v4"], ExplainOptions{Radius: 1, Threshold: 1e-9})
+	sg, err := explain(e, res, f.ids["v4"], ExplainOptions{Radius: 1, Threshold: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestExplainRadiusLimits(t *testing.T) {
 		}
 	}
 	// Larger radius yields a superset.
-	sg3, err := e.Explain(res, f.ids["v4"], ExplainOptions{Radius: 3, Threshold: 1e-9})
+	sg3, err := explain(e, res, f.ids["v4"], ExplainOptions{Radius: 3, Threshold: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,8 +236,8 @@ func TestExplainTargetWithNoInflow(t *testing.T) {
 	// Explaining an unreachable target yields a singleton subgraph with
 	// zero explained score rather than an error.
 	e, ids := chainFixture(t)
-	res := e.Rank(ir.NewQuery("target")) // base = {t}; nothing flows to s
-	sg, err := e.Explain(res, ids["s"], ExplainOptions{Threshold: 1e-9})
+	res := rankQ(e, ir.NewQuery("target")) // base = {t}; nothing flows to s
+	sg, err := explain(e, res, ids["s"], ExplainOptions{Threshold: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,19 +251,19 @@ func TestExplainTargetWithNoInflow(t *testing.T) {
 
 func TestExplainBadTarget(t *testing.T) {
 	e, _ := chainFixture(t)
-	res := e.Rank(ir.NewQuery("start"))
-	if _, err := e.Explain(res, graph.NodeID(99), ExplainOptions{}); err == nil {
+	res := rankQ(e, ir.NewQuery("start"))
+	if _, err := explain(e, res, graph.NodeID(99), ExplainOptions{}); err == nil {
 		t.Error("out-of-range target should error")
 	}
-	if _, err := e.Explain(res, graph.NodeID(-1), ExplainOptions{}); err == nil {
+	if _, err := explain(e, res, graph.NodeID(-1), ExplainOptions{}); err == nil {
 		t.Error("negative target should error")
 	}
 }
 
 func TestTopPathsChain(t *testing.T) {
 	e, ids := chainFixture(t)
-	res := e.Rank(ir.NewQuery("start"))
-	sg, err := e.Explain(res, ids["t"], ExplainOptions{Threshold: 1e-12})
+	res := rankQ(e, ir.NewQuery("start"))
+	sg, err := explain(e, res, ids["t"], ExplainOptions{Threshold: 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,8 +291,8 @@ func TestTopPathsChain(t *testing.T) {
 func TestTopPathsOrdering(t *testing.T) {
 	f := newFixture(t)
 	e := f.newEngine(t)
-	res := e.Rank(ir.NewQuery("olap"))
-	sg, err := e.Explain(res, f.ids["v7"], ExplainOptions{Threshold: 1e-9})
+	res := rankQ(e, ir.NewQuery("olap"))
+	sg, err := explain(e, res, f.ids["v7"], ExplainOptions{Threshold: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,8 +318,8 @@ func TestTopPathsOrdering(t *testing.T) {
 func TestPrune(t *testing.T) {
 	f := newFixture(t)
 	e := f.newEngine(t)
-	res := e.Rank(ir.NewQuery("olap"))
-	sg, err := e.Explain(res, f.ids["v4"], ExplainOptions{Threshold: 1e-9})
+	res := rankQ(e, ir.NewQuery("olap"))
+	sg, err := explain(e, res, f.ids["v4"], ExplainOptions{Threshold: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,9 +391,9 @@ func TestExplainInvariantsRandom(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := e.Rank(ir.NewQuery("olap"))
+		res := rankQ(e, ir.NewQuery("olap"))
 		target := ids[rng.Intn(n)]
-		sg, err := e.Explain(res, target, ExplainOptions{Threshold: 1e-10, MaxIters: 2000})
+		sg, err := explain(e, res, target, ExplainOptions{Threshold: 1e-10, MaxIters: 2000})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"authorityflow/internal/graph"
+	"authorityflow/internal/ir"
 	"authorityflow/internal/rank"
 )
 
@@ -125,4 +127,45 @@ func (f *fixture) newEngine(t testing.TB) *Engine {
 		t.Fatal(err)
 	}
 	return e
+}
+
+// The helpers below are the tests' shorthands over Pinned.Solve and the
+// pinned explain/reformulate entries, under a background context.
+
+// rankPinned solves q in authority mode from the global PageRank.
+func rankPinned(p *Pinned, q *ir.Query) *RankResult {
+	return solveOne(p, SolveSpec{Queries: []*ir.Query{q}})
+}
+
+func solveOne(p *Pinned, spec SolveSpec) *RankResult {
+	rs, err := p.Solve(context.Background(), spec)
+	if err != nil {
+		panic(err) // a background context cannot cancel a solve
+	}
+	return rs[0]
+}
+
+func rankQ(e *Engine, q *ir.Query) *RankResult { return rankPinned(e.Pin(), q) }
+
+// rankFrom solves q warm-started from init.
+func rankFrom(e *Engine, q *ir.Query, init []float64) *RankResult {
+	return solveOne(e.Pin(), SolveSpec{Queries: []*ir.Query{q}, Inits: [][]float64{init}, Cold: true})
+}
+
+// rankCold solves q with no warm start.
+func rankCold(e *Engine, q *ir.Query) *RankResult {
+	return solveOne(e.Pin(), SolveSpec{Queries: []*ir.Query{q}, Cold: true})
+}
+
+func explain(e *Engine, res *RankResult, target graph.NodeID, opts ExplainOptions) (*Subgraph, error) {
+	return e.Pin().ExplainCtx(context.Background(), res, target, opts)
+}
+
+func reformulate(e *Engine, q *ir.Query, feedback []*Subgraph, confidences []float64, opts ReformulateOptions) (*Reformulation, error) {
+	return e.Pin().ReformulateWeightedCtx(context.Background(), q, feedback, confidences, opts)
+}
+
+// solveMode solves q in mode m from the direction's global PageRank.
+func solveMode(p *Pinned, q *ir.Query, m Mode) (*RankResult, error) {
+	return one(p.Solve(context.Background(), SolveSpec{Queries: []*ir.Query{q}, Mode: m}))
 }

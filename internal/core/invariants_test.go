@@ -22,10 +22,10 @@ import (
 func TestFlowConservationIdentity(t *testing.T) {
 	f := newFixture(t)
 	e := f.newEngine(t)
-	res := e.Rank(ir.NewQuery("olap"))
+	res := rankQ(e, ir.NewQuery("olap"))
 	for _, targetName := range []string{"v4", "v7", "v6", "v3"} {
 		target := f.ids[targetName]
-		sg, err := e.Explain(res, target, ExplainOptions{Threshold: 1e-12, MaxIters: 2000})
+		sg, err := explain(e, res, target, ExplainOptions{Threshold: 1e-12, MaxIters: 2000})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,8 +53,8 @@ func TestFlowConservationIdentity(t *testing.T) {
 func TestExplainOnCyclicSubgraph(t *testing.T) {
 	f := newFixture(t)
 	e := f.newEngine(t)
-	res := e.Rank(ir.NewQuery("olap"))
-	sg, err := e.Explain(res, f.ids["v4"], ExplainOptions{Radius: 2, Threshold: 1e-10, MaxIters: 2000})
+	res := rankQ(e, ir.NewQuery("olap"))
+	sg, err := explain(e, res, f.ids["v4"], ExplainOptions{Radius: 2, Threshold: 1e-10, MaxIters: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,12 +79,12 @@ func TestExplainOnCyclicSubgraph(t *testing.T) {
 func TestExplainThresholdControlsIterations(t *testing.T) {
 	f := newFixture(t)
 	e := f.newEngine(t)
-	res := e.Rank(ir.NewQuery("olap"))
-	loose, err := e.Explain(res, f.ids["v4"], ExplainOptions{Threshold: 0.01})
+	res := rankQ(e, ir.NewQuery("olap"))
+	loose, err := explain(e, res, f.ids["v4"], ExplainOptions{Threshold: 0.01})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tight, err := e.Explain(res, f.ids["v4"], ExplainOptions{Threshold: 1e-12, MaxIters: 2000})
+	tight, err := explain(e, res, f.ids["v4"], ExplainOptions{Threshold: 1e-12, MaxIters: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,8 +105,8 @@ func TestExplainThresholdControlsIterations(t *testing.T) {
 // out-flow (Equation 11's footnote).
 func TestSubgraphNodeAuthority(t *testing.T) {
 	e, ids := chainFixture(t)
-	res := e.Rank(ir.NewQuery("start"))
-	sg, err := e.Explain(res, ids["t"], ExplainOptions{Threshold: 1e-12})
+	res := rankQ(e, ir.NewQuery("start"))
+	sg, err := explain(e, res, ids["t"], ExplainOptions{Threshold: 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestSelfLoopAndDuplicateEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := e.Rank(ir.NewQuery("olap"))
+	res := rankQ(e, ir.NewQuery("olap"))
 	if !res.Converged {
 		t.Fatal("did not converge with self loop")
 	}
@@ -150,7 +150,7 @@ func TestSelfLoopAndDuplicateEdges(t *testing.T) {
 	if res.Scores[c] <= 0 {
 		t.Error("duplicate-edge target got no authority")
 	}
-	sg, err := e.Explain(res, c, ExplainOptions{Threshold: 1e-10})
+	sg, err := explain(e, res, c, ExplainOptions{Threshold: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,9 +208,9 @@ func TestExplainInvariantsWithBackwardRates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := e.Rank(ir.NewQuery("olap"))
+		res := rankQ(e, ir.NewQuery("olap"))
 		target := papers[rng.Intn(nP)]
-		sg, err := e.Explain(res, target, ExplainOptions{Threshold: 1e-10, MaxIters: 3000})
+		sg, err := explain(e, res, target, ExplainOptions{Threshold: 1e-10, MaxIters: 3000})
 		if err != nil {
 			t.Fatal(err)
 		}

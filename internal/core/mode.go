@@ -3,10 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"authorityflow/internal/graph"
-	"authorityflow/internal/ir"
 	"authorityflow/internal/rank"
 )
 
@@ -50,33 +48,14 @@ func (m Mode) Explainable() bool { return m != ModeCombined }
 
 // hubCorpus returns the generation's direction-reversed corpus view,
 // built on first use and kept for the generation's lifetime. The view
-// shares the authority corpus's index, buffer pool, worker policy, and
-// panel width; only the graph (an O(1) CSR-role swap, graph.Reversed)
-// and — when tiling is configured — the tiling plan differ.
+// shares the authority corpus's index, buffer pool, rank options and
+// worker policy; only the graph (an O(1) CSR-role swap,
+// graph.Reversed) differs.
 func (gn *generation) hubCorpus() *Corpus {
 	gn.hubOnce.Do(func() {
-		c := gn.corpus
-		rg := c.g.Reversed()
-		opts := c.opts
-		if opts.Tile != nil {
-			// A tiling plan indexes one specific reverse CSR. On the
-			// reversed view that CSR is the authority graph's FORWARD
-			// half, so reusing the authority plan would address the wrong
-			// arc runs (Tiling.usable only checks the node count and
-			// cannot catch this). Build a fresh plan against the reversed
-			// view; tiled and untiled sweeps are bit-identical, so this
-			// is purely a throughput decision.
-			opts.Tile = rank.NewTiling(rg, opts.Tile.TileNodes())
-		}
-		gn.hub = &Corpus{
-			g:         rg,
-			ix:        c.ix,
-			opts:      opts,
-			nopts:     opts.Normalized(),
-			workers:   c.workers,
-			blockSize: c.blockSize,
-			pool:      c.pool,
-		}
+		hub := *gn.corpus
+		hub.g = gn.corpus.g.Reversed()
+		gn.hub = &hub
 	})
 	return gn.hub
 }
@@ -84,113 +63,15 @@ func (gn *generation) hubCorpus() *Corpus {
 // hubGlobalScores returns the generation's reversed-direction PageRank
 // warm-start vector, computed on first use under snap's rates —
 // exactly the vector globalScores would hold if the corpus had been
-// built pre-reversed, which is what keeps hub-mode solves bit-identical
-// to authority solves on a pre-reversed corpus.
+// built pre-reversed, which is what keeps hub-mode solves — the same
+// kernel over the reversed view — bit-identical to authority solves on
+// a pre-reversed corpus.
 func (gn *generation) hubGlobalScores(snap *ratesSnapshot) []float64 {
 	gn.hubGlobalOnce.Do(func() {
 		hc := gn.hubCorpus()
 		gn.hubGlobal = rank.PageRank(hc.g, snap.rates, hc.opts).Scores
 	})
 	return gn.hubGlobal
-}
-
-// RankHubCtx executes the hub-mode (CheiRank) solve for q under the
-// pinned state: the standard ObjectRank2 kernel over the pinned
-// generation's direction-reversed corpus view, warm-started from the
-// reversed-direction global PageRank. The result is bit-identical to
-// what RankCtx would return on a corpus built from the pre-reversed
-// graph — same arrays, same operation order — which is the contract
-// the mode=hub golden tests pin.
-func (p *Pinned) RankHubCtx(ctx context.Context, q *ir.Query) (*RankResult, error) {
-	st := p.st
-	return p.e.rankCorpusAt(ctx, st, st.gen.hubCorpus(), q, st.gen.hubGlobalScores(st.snap))
-}
-
-// RankHubFromCtx is RankHubCtx warm-started from a previous hub score
-// vector (the serving cache's cross-version donation path). Donated
-// vectors must come from hub-mode solves; a wrong-length vector
-// degrades to a cold start exactly as on the authority path.
-func (p *Pinned) RankHubFromCtx(ctx context.Context, q *ir.Query, init []float64) (*RankResult, error) {
-	return p.e.rankCorpusAt(ctx, p.st, p.st.gen.hubCorpus(), q, init)
-}
-
-// RankManyHubFromCtx is the blocked multi-solve of the hub direction:
-// RankManyFromCtx's exact contract (panels of BlockSize, per-query
-// warm-start donations, partial results on cancel) over the reversed
-// corpus view, with nil donations falling back to the reversed-
-// direction global PageRank.
-func (p *Pinned) RankManyHubFromCtx(ctx context.Context, qs []*ir.Query, inits [][]float64) ([]*RankResult, error) {
-	st := p.st
-	return p.e.rankManyCorpusAt(ctx, st, st.gen.hubCorpus(),
-		func() []float64 { return st.gen.hubGlobalScores(st.snap) }, qs, inits, PanelF64)
-}
-
-// RankCombinedCtx executes both directions for q and merges them with
-// Combine. Two kernel executions run (both deadline-aware); the solve
-// hook fires once per direction.
-func (p *Pinned) RankCombinedCtx(ctx context.Context, q *ir.Query) (*RankResult, error) {
-	auth, err := p.RankCtx(ctx, q)
-	if err != nil {
-		return nil, err
-	}
-	hub, err := p.RankHubCtx(ctx, q)
-	if err != nil {
-		p.e.Release(auth)
-		return nil, err
-	}
-	out := p.Combine(auth, hub)
-	pool := p.st.gen.corpus.pool
-	pool.Put(auth.Scores)
-	pool.Put(hub.Scores)
-	return out, nil
-}
-
-// Combine merges an authority and a hub result for the same query into
-// one combined ranking: Scores[v] = sqrt(auth[v] · hub[v]), the
-// geometric mean, so a node must carry weight on BOTH axes to rank (an
-// arithmetic mean would let a pure authority dominate a balanced
-// node). The merge is elementwise over two deterministic inputs, so
-// combined rankings inherit the per-mode bit-identity contract. The
-// input results are not consumed — the caller decides whether to
-// recycle their vectors.
-func (p *Pinned) Combine(auth, hub *RankResult) *RankResult {
-	c := p.st.gen.corpus
-	out := c.pool.GetZeroed(c.g.NumNodes())
-	n := len(out)
-	if len(auth.Scores) < n {
-		n = len(auth.Scores)
-	}
-	if len(hub.Scores) < n {
-		n = len(hub.Scores)
-	}
-	for i := 0; i < n; i++ {
-		out[i] = math.Sqrt(auth.Scores[i] * hub.Scores[i])
-	}
-	return &RankResult{
-		Query:        auth.Query,
-		Scores:       out,
-		Base:         auth.Base,
-		Iterations:   auth.Iterations + hub.Iterations,
-		Converged:    auth.Converged && hub.Converged,
-		RatesVersion: p.st.snap.version,
-		Generation:   p.st.gen.num,
-		BaseSetDur:   auth.BaseSetDur + hub.BaseSetDur,
-		SolveDur:     auth.SolveDur + hub.SolveDur,
-	}
-}
-
-// RankModeCtx dispatches one solve by Mode — the single entry point the
-// uncached serving path uses for every read query.
-func (p *Pinned) RankModeCtx(ctx context.Context, q *ir.Query, m Mode) (*RankResult, error) {
-	switch m {
-	case ModeAuthority, "":
-		return p.RankCtx(ctx, q)
-	case ModeHub:
-		return p.RankHubCtx(ctx, q)
-	case ModeCombined:
-		return p.RankCombinedCtx(ctx, q)
-	}
-	return nil, fmt.Errorf("core: unknown ranking mode %q", m)
 }
 
 // ExplainModeCtx builds the explaining subgraph for a mode's ranking:
@@ -203,9 +84,9 @@ func (p *Pinned) RankModeCtx(ctx context.Context, q *ir.Query, m Mode) (*RankRes
 func (p *Pinned) ExplainModeCtx(ctx context.Context, m Mode, res *RankResult, target graph.NodeID, opts ExplainOptions) (*Subgraph, error) {
 	switch m {
 	case ModeAuthority, "":
-		return p.e.explainAt(ctx, p.st, res, target, opts)
+		return p.ExplainCtx(ctx, res, target, opts)
 	case ModeHub:
-		return p.e.explainCorpusAt(ctx, p.st, p.st.gen.hubCorpus(), res, target, opts)
+		return explainOn(ctx, p.st, p.st.gen.hubCorpus(), res, target, opts)
 	}
 	return nil, fmt.Errorf("core: %s rankings cannot be explained (combined scores mix two flow systems)", m)
 }

@@ -54,11 +54,11 @@ func TestHubBitIdenticalToPreReversedAuthority(t *testing.T) {
 
 	for _, raw := range []string{"olap", "cube agrawal", "multidimensional", "icde"} {
 		q := ir.ParseQuery(raw)
-		hub, err := eng.Pin().RankHubCtx(context.Background(), q)
+		hub, err := solveMode(eng.Pin(), q, ModeHub)
 		if err != nil {
 			t.Fatal(err)
 		}
-		auth, err := pre.Pin().RankCtx(context.Background(), ir.ParseQuery(raw))
+		auth, err := solveMode(pre.Pin(), ir.ParseQuery(raw), ModeAuthority)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,12 +89,12 @@ func TestHubBlockedMatchesSingle(t *testing.T) {
 	for i, r := range raws {
 		qs[i] = ir.ParseQuery(r)
 	}
-	many, err := pin.RankManyHubFromCtx(context.Background(), qs, nil)
+	many, err := pin.Solve(context.Background(), SolveSpec{Queries: qs, Mode: ModeHub})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, raw := range raws {
-		single, err := pin.RankHubCtx(context.Background(), ir.ParseQuery(raw))
+		single, err := solveMode(pin, ir.ParseQuery(raw), ModeHub)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,15 +114,15 @@ func TestCombinedIsGeometricMean(t *testing.T) {
 	pin := eng.Pin()
 	q := ir.ParseQuery("olap")
 
-	auth, err := pin.RankCtx(context.Background(), q)
+	auth, err := solveMode(pin, q, ModeAuthority)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hub, err := pin.RankHubCtx(context.Background(), q)
+	hub, err := solveMode(pin, q, ModeHub)
 	if err != nil {
 		t.Fatal(err)
 	}
-	comb, err := pin.RankCombinedCtx(context.Background(), ir.ParseQuery("olap"))
+	comb, err := solveMode(pin, ir.ParseQuery("olap"), ModeCombined)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,11 +147,11 @@ func TestRankModeDispatch(t *testing.T) {
 	pin := f.newEngine(t).Pin()
 	q := ir.ParseQuery("olap")
 
-	authority, err := pin.RankModeCtx(context.Background(), q, ModeAuthority)
+	authority, err := solveMode(pin, q, ModeAuthority)
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := pin.RankCtx(context.Background(), ir.ParseQuery("olap"))
+	direct, err := solveMode(pin, ir.ParseQuery("olap"), ModeAuthority)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,13 +160,13 @@ func TestRankModeDispatch(t *testing.T) {
 			t.Fatal("ModeAuthority dispatch does not match RankCtx")
 		}
 	}
-	if _, err := pin.RankModeCtx(context.Background(), q, Mode("bogus")); err == nil {
+	if _, err := solveMode(pin, q, Mode("bogus")); err == nil {
 		t.Error("unknown mode must be rejected")
 	}
 
 	// Hub rankings order differently from authority on the fixture: v4
 	// (cites three nodes, in no base set's shadow) is a strong hub.
-	hub, err := pin.RankModeCtx(context.Background(), ir.ParseQuery("olap"), ModeHub)
+	hub, err := solveMode(pin, ir.ParseQuery("olap"), ModeHub)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestHubExplainFollowsReversedArcs(t *testing.T) {
 	pin := f.newEngine(t).Pin()
 	q := ir.ParseQuery("olap")
 
-	hub, err := pin.RankHubCtx(context.Background(), q)
+	hub, err := solveMode(pin, q, ModeHub)
 	if err != nil {
 		t.Fatal(err)
 	}

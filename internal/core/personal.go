@@ -1,19 +1,12 @@
 package core
 
-// personal.go holds the two engine primitives of the personalization
-// tier (internal/profile): derived custom-rates views and solves from a
-// caller-supplied jump distribution. Both operate strictly within one
-// pinned (generation, ratesVersion) state, so a personalized execution
-// can never mix corpus generations any more than a plain pinned one.
+// personal.go holds the engine primitive of the personalization tier
+// (internal/profile) that is not a SolveSpec field: derived custom-rates
+// views. They operate strictly within one pinned (generation,
+// ratesVersion) state, so a personalized execution can never mix corpus
+// generations any more than a plain pinned one.
 
-import (
-	"context"
-	"fmt"
-	"time"
-
-	"authorityflow/internal/graph"
-	"authorityflow/internal/rank"
-)
+import "authorityflow/internal/graph"
 
 // WithRates returns a derived pinned view that ranks, explains and
 // reformulates under the given rates (cloned) instead of the snapshot's
@@ -40,81 +33,5 @@ func (p *Pinned) WithRates(r *graph.Rates) (*Pinned, error) {
 			gen:  p.st.gen,
 			snap: &ratesSnapshot{rates: clone, alpha: clone.Vector(), version: p.st.snap.version},
 		},
-	}, nil
-}
-
-// RankJumpCtx executes the authority-flow fixpoint r = d·A·r + (1−d)·s
-// under the pinned state for a caller-supplied jump distribution s,
-// bypassing the IR base-set stage entirely. This is the reference
-// evaluation path of the personalization tier: a profile's personalized
-// answer is a linear combination of basis fixpoints, and this method
-// solves the SAME personalized jump directly so the combination can be
-// checked against a from-scratch power iteration (fixpoint linearity
-// makes the two agree up to convergence tolerance).
-//
-// jump must have one entry per node of the pinned graph and should be a
-// probability vector (non-negative, summing to 1); it is copied, never
-// retained. init, if non-nil, seeds the iteration (§6.2 warm start); a
-// wrong-length init is dropped, as in every other rank path. An
-// all-zero jump short-circuits to the all-zero fixpoint. Cancellation
-// follows the RankCtx contract: partial vectors are recycled and never
-// published.
-func (p *Pinned) RankJumpCtx(ctx context.Context, jump []float64, init []float64) (*RankResult, error) {
-	return p.e.rankJumpAt(ctx, p.st, jump, init)
-}
-
-// rankJumpAt mirrors rankAt with the base-set stage replaced by a
-// caller-supplied jump vector. The kernel invocation is identical, so
-// solve-hook accounting and pooling behave exactly like a single query
-// solve.
-func (e *Engine) rankJumpAt(ctx context.Context, st *engineState, jump []float64, init []float64) (*RankResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	c, snap := st.gen.corpus, st.snap
-	n := c.g.NumNodes()
-	if len(jump) != n {
-		return nil, fmt.Errorf("core: jump vector has %d entries, graph has %d nodes", len(jump), n)
-	}
-	if init != nil && len(init) != n {
-		init = nil
-	}
-	j := c.pool.GetZeroed(n)
-	nonzero := 0
-	for i, v := range jump {
-		if v != 0 {
-			j[i] = v
-			nonzero++
-		}
-	}
-	if nonzero == 0 {
-		return &RankResult{Scores: j, Converged: true, RatesVersion: snap.version, Generation: st.gen.num}, nil
-	}
-	opts := c.opts
-	opts.Init = init
-	opts.Ctx = ctx
-	t0 := time.Now()
-	res := rank.Iterate(c.g, snap.alpha, j, opts, c.workers, c.pool)
-	solveDur := time.Since(t0)
-	c.pool.Put(j)
-	if res.Err != nil {
-		res.ReleaseTo(c.pool)
-		return nil, res.Err
-	}
-	e.notifySolve(SolveStats{
-		Iterations:  res.Iterations,
-		Converged:   res.Converged,
-		WarmStarted: init != nil,
-		BaseSet:     nonzero,
-		SolveDur:    solveDur,
-		Columns:     1,
-	})
-	return &RankResult{
-		Scores:       res.Scores,
-		Iterations:   res.Iterations,
-		Converged:    res.Converged,
-		RatesVersion: snap.version,
-		Generation:   st.gen.num,
-		SolveDur:     solveDur,
 	}, nil
 }

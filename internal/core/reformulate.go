@@ -74,59 +74,37 @@ type Reformulation struct {
 	FlowByType []float64
 }
 
-// Reformulate produces a reformulated query from the explaining
-// subgraphs of the user-selected feedback objects (Section 5). The
-// content-based component (5.1) expands the query vector with terms
-// from nodes that transfer high authority to the feedback objects; the
-// structure-based component (5.2) boosts the transfer rates of edge
-// types that carry large authority in the explaining subgraphs.
-// Multiple feedback objects combine by summation (5.3, Equations
-// 14–15).
-func (e *Engine) Reformulate(q *ir.Query, feedback []*Subgraph, opts ReformulateOptions) (*Reformulation, error) {
-	return e.reformulateAt(context.Background(), e.state.Load(), q, feedback, nil, opts)
-}
-
-// ReformulateCtx is Reformulate under a cancellable context. The
-// reformulation itself is cheap (its cost is linear in the feedback
+// ReformulateWeightedCtx produces a reformulated query from the
+// explaining subgraphs of the user-selected feedback objects
+// (Section 5). The content-based component (5.1) expands the query
+// vector with terms from nodes that transfer high authority to the
+// feedback objects; the structure-based component (5.2) boosts the
+// transfer rates of edge types that carry large authority in the
+// explaining subgraphs. Multiple feedback objects combine by summation
+// (5.3, Equations 14–15), each scaled by its confidence weight — the
+// paper's click-through remark made concrete ("the user's click-through
+// could be used to implicitly derive such markings"): implicit signals
+// are weaker than explicit marks. nil confidences mean 1 everywhere
+// (explicit marks, the plain summation of Section 5.3); the weight
+// count must otherwise match the feedback count and weights must be
+// non-negative.
+//
+// The cloned-and-adjusted Rates in the result derive from the PINNED
+// snapshot's rates, not from whatever SetRates may have published since
+// the caller started its feedback round. Combined with
+// TrySetRates(result.Rates, pin.Version()) this gives callers an
+// optimistic-concurrency loop: the adjustment is computed off a stable
+// basis and publication fails (rather than silently clobbering) when
+// another writer got there first.
+//
+// The reformulation itself is cheap (its cost is linear in the feedback
 // subgraphs, not the corpus), so ctx is checked at entry and between
 // the content and structure components — enough to make an already-dead
 // request return immediately without starting the clone-and-adjust
 // work.
-func (e *Engine) ReformulateCtx(ctx context.Context, q *ir.Query, feedback []*Subgraph, opts ReformulateOptions) (*Reformulation, error) {
-	return e.reformulateAt(ctx, e.state.Load(), q, feedback, nil, opts)
-}
-
-// ReformulateWeighted is Reformulate with a per-feedback-object
-// confidence weight — the paper's click-through remark made concrete
-// ("the user's click-through could be used to implicitly derive such
-// markings"): implicit signals are weaker than explicit marks, so each
-// object's Equation 14/15 contribution is scaled by its weight. nil
-// weights mean 1 everywhere (explicit marks, the plain summation of
-// Section 5.3); the weight count must otherwise match the feedback
-// count and weights must be non-negative.
-func (e *Engine) ReformulateWeighted(q *ir.Query, feedback []*Subgraph, confidences []float64, opts ReformulateOptions) (*Reformulation, error) {
-	return e.reformulateAt(context.Background(), e.state.Load(), q, feedback, confidences, opts)
-}
-
-// ReformulateWeightedCtx is ReformulateWeighted under a cancellable
-// context (see ReformulateCtx for the checking granularity).
-func (e *Engine) ReformulateWeightedCtx(ctx context.Context, q *ir.Query, feedback []*Subgraph, confidences []float64, opts ReformulateOptions) (*Reformulation, error) {
-	return e.reformulateAt(ctx, e.state.Load(), q, feedback, confidences, opts)
-}
-
-// reformulateAt is ReformulateWeighted against one pinned rates
-// snapshot: the cloned-and-adjusted Rates in the result derive from the
-// snapshot's rates, not from whatever SetRates may have published since
-// the caller started its feedback round. Combined with
-// TrySetRates(result.Rates, snapshotVersion) this gives callers an
-// optimistic-concurrency loop: the adjustment is computed off a stable
-// basis and publication fails (rather than silently clobbering) when
-// another writer got there first.
-func (e *Engine) reformulateAt(ctx context.Context, st *engineState, q *ir.Query, feedback []*Subgraph, confidences []float64, opts ReformulateOptions) (*Reformulation, error) {
+func (p *Pinned) ReformulateWeightedCtx(ctx context.Context, q *ir.Query, feedback []*Subgraph, confidences []float64, opts ReformulateOptions) (*Reformulation, error) {
+	st := p.st
 	snap := st.snap
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

@@ -95,7 +95,7 @@ func TestAdjustRatesNoFlowsIsNoOpUpToValidation(t *testing.T) {
 func TestReformulateRequiresFeedback(t *testing.T) {
 	f := newFixture(t)
 	e := f.newEngine(t)
-	if _, err := e.Reformulate(ir.NewQuery("olap"), nil, StructureOnly()); err == nil {
+	if _, err := reformulate(e, ir.NewQuery("olap"), nil, nil, StructureOnly()); err == nil {
 		t.Error("Reformulate should require feedback objects")
 	}
 }
@@ -104,8 +104,8 @@ func TestReformulateRequiresFeedback(t *testing.T) {
 // explain.
 func explainFeedback(t *testing.T, e *Engine, q *ir.Query, target graph.NodeID) (*RankResult, *Subgraph) {
 	t.Helper()
-	res := e.Rank(q)
-	sg, err := e.Explain(res, target, ExplainOptions{Radius: 3, Threshold: 1e-9})
+	res := rankQ(e, q)
+	sg, err := explain(e, res, target, ExplainOptions{Radius: 3, Threshold: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestExample2ContentExpansion(t *testing.T) {
 	e := f.newEngine(t)
 	q := ir.NewQuery("olap")
 	_, sg := explainFeedback(t, e, q, f.ids["v4"])
-	ref, err := e.Reformulate(q, []*Subgraph{sg}, ReformulateOptions{Ce: 0.5, Cd: 0.5, TopTerms: 20})
+	ref, err := reformulate(e, q, []*Subgraph{sg}, nil, ReformulateOptions{Ce: 0.5, Cd: 0.5, TopTerms: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestContentOnlyLeavesRatesUnchanged(t *testing.T) {
 	e := f.newEngine(t)
 	q := ir.NewQuery("olap")
 	_, sg := explainFeedback(t, e, q, f.ids["v4"])
-	ref, err := e.Reformulate(q, []*Subgraph{sg}, ContentOnly())
+	ref, err := reformulate(e, q, []*Subgraph{sg}, nil, ContentOnly())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestStructureOnlyLeavesQueryUnchanged(t *testing.T) {
 	e := f.newEngine(t)
 	q := ir.NewQuery("olap")
 	_, sg := explainFeedback(t, e, q, f.ids["v4"])
-	ref, err := e.Reformulate(q, []*Subgraph{sg}, StructureOnly())
+	ref, err := reformulate(e, q, []*Subgraph{sg}, nil, StructureOnly())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,25 +241,25 @@ func TestMultipleFeedbackObjectsSum(t *testing.T) {
 	f := newFixture(t)
 	e := f.newEngine(t)
 	q := ir.NewQuery("olap")
-	res := e.Rank(q)
-	sg4, err := e.Explain(res, f.ids["v4"], ExplainOptions{Radius: 3, Threshold: 1e-9})
+	res := rankQ(e, q)
+	sg4, err := explain(e, res, f.ids["v4"], ExplainOptions{Radius: 3, Threshold: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sg1, err := e.Explain(res, f.ids["v1"], ExplainOptions{Radius: 3, Threshold: 1e-9})
+	sg1, err := explain(e, res, f.ids["v1"], ExplainOptions{Radius: 3, Threshold: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	refBoth, err := e.Reformulate(q, []*Subgraph{sg4, sg1}, ContentAndStructure())
+	refBoth, err := reformulate(e, q, []*Subgraph{sg4, sg1}, nil, ContentAndStructure())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref4, err := e.Reformulate(q, []*Subgraph{sg4}, ContentAndStructure())
+	ref4, err := reformulate(e, q, []*Subgraph{sg4}, nil, ContentAndStructure())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Equation 15: the combined F factors are the per-object sums.
-	ref1, err := e.Reformulate(q, []*Subgraph{sg1}, ContentAndStructure())
+	ref1, err := reformulate(e, q, []*Subgraph{sg1}, nil, ContentAndStructure())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,19 +285,19 @@ func TestReformulationIterationImprovesFeedbackObject(t *testing.T) {
 	f := newFixture(t)
 	e := f.newEngine(t)
 	q := ir.NewQuery("olap")
-	res := e.Rank(q)
-	sg, err := e.Explain(res, f.ids["v7"], ExplainOptions{Radius: 3, Threshold: 1e-9})
+	res := rankQ(e, q)
+	sg, err := explain(e, res, f.ids["v7"], ExplainOptions{Radius: 3, Threshold: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := e.Reformulate(q, []*Subgraph{sg}, StructureOnly())
+	ref, err := reformulate(e, q, []*Subgraph{sg}, nil, StructureOnly())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := e.SetRates(ref.Rates); err != nil {
 		t.Fatal(err)
 	}
-	res2 := e.RankFrom(ref.Query, res.Scores)
+	res2 := rankFrom(e, ref.Query, res.Scores)
 	if top := res2.TopK(1); top[0].Node != f.ids["v7"] {
 		t.Errorf("v7 lost the top rank after feedback on v7: %v", top)
 	}
@@ -366,23 +366,23 @@ func TestReformulateWeighted(t *testing.T) {
 	f := newFixture(t)
 	e := f.newEngine(t)
 	q := ir.NewQuery("olap")
-	res := e.Rank(q)
-	sg4, err := e.Explain(res, f.ids["v4"], ExplainOptions{Radius: 3, Threshold: 1e-9})
+	res := rankQ(e, q)
+	sg4, err := explain(e, res, f.ids["v4"], ExplainOptions{Radius: 3, Threshold: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sg1, err := e.Explain(res, f.ids["v1"], ExplainOptions{Radius: 3, Threshold: 1e-9})
+	sg1, err := explain(e, res, f.ids["v1"], ExplainOptions{Radius: 3, Threshold: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
 	subs := []*Subgraph{sg4, sg1}
 
 	// Uniform weights of 1 match plain Reformulate exactly.
-	plain, err := e.Reformulate(q, subs, ContentAndStructure())
+	plain, err := reformulate(e, q, subs, nil, ContentAndStructure())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ones, err := e.ReformulateWeighted(q, subs, []float64{1, 1}, ContentAndStructure())
+	ones, err := reformulate(e, q, subs, []float64{1, 1}, ContentAndStructure())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,11 +393,11 @@ func TestReformulateWeighted(t *testing.T) {
 		}
 	}
 	// Zeroing one object's weight equals dropping it.
-	zeroed, err := e.ReformulateWeighted(q, subs, []float64{1, 0}, ContentAndStructure())
+	zeroed, err := reformulate(e, q, subs, []float64{1, 0}, ContentAndStructure())
 	if err != nil {
 		t.Fatal(err)
 	}
-	solo, err := e.Reformulate(q, subs[:1], ContentAndStructure())
+	solo, err := reformulate(e, q, subs[:1], nil, ContentAndStructure())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +409,7 @@ func TestReformulateWeighted(t *testing.T) {
 	}
 	// Scaling all weights by a common factor leaves rates unchanged
 	// (the Equation 13 normalization divides it out).
-	doubled, err := e.ReformulateWeighted(q, subs, []float64{2, 2}, ContentAndStructure())
+	doubled, err := reformulate(e, q, subs, []float64{2, 2}, ContentAndStructure())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,13 +420,13 @@ func TestReformulateWeighted(t *testing.T) {
 		}
 	}
 	// Errors.
-	if _, err := e.ReformulateWeighted(q, subs, []float64{1}, StructureOnly()); err == nil {
+	if _, err := reformulate(e, q, subs, []float64{1}, StructureOnly()); err == nil {
 		t.Error("mismatched weight count should error")
 	}
-	if _, err := e.ReformulateWeighted(q, subs, []float64{1, -1}, StructureOnly()); err == nil {
+	if _, err := reformulate(e, q, subs, []float64{1, -1}, StructureOnly()); err == nil {
 		t.Error("negative weight should error")
 	}
-	if _, err := e.ReformulateWeighted(q, subs, []float64{1, math.NaN()}, StructureOnly()); err == nil {
+	if _, err := reformulate(e, q, subs, []float64{1, math.NaN()}, StructureOnly()); err == nil {
 		t.Error("NaN weight should error")
 	}
 }

@@ -97,13 +97,13 @@ func TestSwapCorpusCASAndPinnedIsolation(t *testing.T) {
 	if n := pin.Corpus().Graph().NumNodes(); n != 7 {
 		t.Fatalf("pinned graph has %d nodes, want 7", n)
 	}
-	res := pin.Rank(q)
+	res := rankPinned(pin, q)
 	if res.Generation != gen0 || len(res.Scores) != 7 {
 		t.Fatalf("pinned rank: generation=%d len=%d, want generation=%d len=7", res.Generation, len(res.Scores), gen0)
 	}
 
 	// A fresh pin sees the new generation end to end.
-	res2 := e.Pin().Rank(q)
+	res2 := rankPinned(e.Pin(), q)
 	if res2.Generation != gen1 || len(res2.Scores) != 8 {
 		t.Fatalf("post-swap rank: generation=%d len=%d, want generation=%d len=8", res2.Generation, len(res2.Scores), gen1)
 	}
@@ -125,13 +125,13 @@ func TestSwapCorpusWarmStartLengthGuard(t *testing.T) {
 	f := newFixture(t)
 	e := f.newEngine(t)
 	q := ir.NewQuery("olap")
-	stale := e.Rank(q) // 7-wide vector from generation 1
+	stale := rankQ(e, q) // 7-wide vector from generation 1
 
 	c2, r2 := newEightNodeCorpus(t)
 	if _, err := e.SwapCorpus(c2, r2, e.Generation()); err != nil {
 		t.Fatal(err)
 	}
-	res := e.RankFrom(q, stale.Scores) // would panic without the guard
+	res := rankFrom(e, q, stale.Scores) // would panic without the guard
 	if len(res.Scores) != 8 {
 		t.Fatalf("len(scores) = %d, want 8", len(res.Scores))
 	}
@@ -152,7 +152,7 @@ func TestSwapCorpusBatchWarmStartGuards(t *testing.T) {
 	qs := []*ir.Query{ir.NewQuery("olap"), ir.NewQuery("cube")}
 
 	// Converged vectors from generation 1 (7 nodes each).
-	pre, err := e.RankManyCtx(ctx, qs)
+	pre, err := e.Pin().Solve(ctx, SolveSpec{Queries: qs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,11 +166,11 @@ func TestSwapCorpusBatchWarmStartGuards(t *testing.T) {
 
 	// Stale donations: every column degrades, none may panic or index
 	// out of range, and results match the undonated batch bit for bit.
-	donated, err := pin.RankManyFromCtx(ctx, qs, stale)
+	donated, err := pin.Solve(ctx, SolveSpec{Queries: qs, Inits: stale})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := pin.RankManyCtx(ctx, qs)
+	plain, err := pin.Solve(ctx, SolveSpec{Queries: qs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestSwapCorpusBatchWarmStartGuards(t *testing.T) {
 	}
 
 	// Mis-counted donations: typed error, not a panic.
-	if _, err := pin.RankManyFromCtx(ctx, qs, stale[:1]); !errors.Is(err, ErrWarmStartMismatch) {
+	if _, err := pin.Solve(ctx, SolveSpec{Queries: qs, Inits: stale[:1]}); !errors.Is(err, ErrWarmStartMismatch) {
 		t.Fatalf("mis-counted inits: err=%v, want ErrWarmStartMismatch", err)
 	}
 	for _, r := range pre {
@@ -227,7 +227,6 @@ func TestSwapCorpusHammer(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ctx := context.Background()
 			for {
 				select {
 				case <-stop:
@@ -235,7 +234,7 @@ func TestSwapCorpusHammer(t *testing.T) {
 				default:
 				}
 				pin := e.Pin()
-				res, err := pin.RankCtx(ctx, q)
+				res, err := solveMode(pin, q, ModeAuthority)
 				if err != nil {
 					t.Errorf("rank: %v", err)
 					return
@@ -275,9 +274,12 @@ func TestSwapCorpusHammer(t *testing.T) {
 			if useB {
 				c, r = cB, rB
 			}
-			gen, err := e.SwapCorpus(c, r, e.Generation())
+			// Recorded BEFORE the swap publishes it, so no reader can
+			// answer under a generation the map does not know yet.
+			cur := e.Generation()
+			nodesOf.Store(cur+1, c.Graph().NumNodes())
+			_, err := e.SwapCorpus(c, r, cur)
 			if err == nil {
-				nodesOf.Store(gen, c.Graph().NumNodes())
 				useB = !useB
 			} else if !errors.Is(err, ErrGenerationConflict) {
 				t.Errorf("swap: %v", err)
@@ -312,7 +314,7 @@ func TestSwapCorpusHammer(t *testing.T) {
 	wg.Wait()
 
 	// Whatever generation won, the engine still serves.
-	res := e.Pin().Rank(q)
+	res := rankPinned(e.Pin(), q)
 	if len(res.Scores) != e.Graph().NumNodes() {
 		t.Fatalf("post-hammer rank sized %d for a %d-node graph", len(res.Scores), e.Graph().NumNodes())
 	}

@@ -1,6 +1,7 @@
 package datagen
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -362,7 +363,7 @@ func TestSubsetDBLPTopic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := e.Rank(ir.NewQuery("olap"))
+	res := rankQ(t, e, ir.NewQuery("olap"))
 	if len(res.Base) == 0 {
 		t.Error("subset lost the anchor keyword nodes")
 	}
@@ -455,4 +456,14 @@ func TestSubsetIdempotent(t *testing.T) {
 		t.Errorf("subset not idempotent: %d/%d -> %d/%d",
 			s1.Graph.NumNodes(), s1.Graph.NumEdges(), s2.Graph.NumNodes(), s2.Graph.NumEdges())
 	}
+}
+
+// rankQ is one uncached authority solve of q on eng's current state.
+func rankQ(t testing.TB, eng *core.Engine, q *ir.Query) *core.RankResult {
+	t.Helper()
+	rs, err := eng.Pin().Solve(context.Background(), core.SolveSpec{Queries: []*ir.Query{q}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rs[0]
 }

@@ -95,7 +95,7 @@ func TestLinklessAuthorityFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := ir.NewQuery("olap")
-	res := e.Rank(q)
+	res := rankQ(t, e, q)
 	if len(res.Base) == 0 {
 		t.Fatal("no base set for a topic keyword on the linkless corpus")
 	}
@@ -105,11 +105,11 @@ func TestLinklessAuthorityFlow(t *testing.T) {
 	}
 	e.Release(res)
 
-	pin := e.Pin()
-	hub, err := pin.RankModeCtx(context.Background(), q, core.ModeHub)
+	hubs, err := e.Pin().Solve(context.Background(), core.SolveSpec{Queries: []*ir.Query{q}, Mode: core.ModeHub})
 	if err != nil {
 		t.Fatal(err)
 	}
+	hub := hubs[0]
 	if len(hub.Base) == 0 {
 		t.Fatal("hub mode produced no base set on the linkless corpus")
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"authorityflow/internal/core"
 	"authorityflow/internal/datagen"
 	"authorityflow/internal/eval"
 	"authorityflow/internal/graph"
@@ -84,7 +85,10 @@ func ExtensionBaselines(cfg Config) (*BaselinesResult, error) {
 		q := ir.ParseQuery(raw)
 		relevant := topicalRelevance(g, w.resultType, q)
 
-		r2 := w.sys.Rank(q)
+		r2, err := solveOne(w.sys, core.SolveSpec{Queries: []*ir.Query{q}})
+		if err != nil {
+			return nil, err
+		}
 		p2 := float64(countRelevant(r2.TopKOfType(g, w.resultType, k), relevant))
 		r1 := w.sys.ObjectRankBaseline(q)
 		p1 := float64(countRelevant(r1.TopKOfType(g, w.resultType, k), relevant))

@@ -13,6 +13,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -152,6 +153,16 @@ func newWorld(cfg Config, ds *datagen.Dataset, resultTypeName string, topR int) 
 // reset restores the system to the untrained uniform rates between
 // sessions.
 func (w *world) reset() error { return w.sys.SetRates(w.uniform) }
+
+// solveOne runs a one-column spec on eng's current state. Experiments
+// run to completion, so there is no context to cancel it with.
+func solveOne(eng *core.Engine, spec core.SolveSpec) (*core.RankResult, error) {
+	rs, err := eng.Pin().Solve(context.Background(), spec)
+	if err != nil {
+		return nil, err
+	}
+	return rs[0], nil
+}
 
 // expertWorld builds a world whose SYSTEM also uses the expert rates —
 // for experiments that measure performance rather than training.

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+
 	"authorityflow/internal/core"
 	"authorityflow/internal/eval"
 	"authorityflow/internal/graph"
@@ -114,18 +116,22 @@ func runImplicitSession(w *world, q *ir.Query, protocol string, seed int64) ([][
 	var prev []float64
 	cur := q.Clone()
 	for it := 0; it <= iterations; it++ {
-		rateHistory = append(rateHistory, w.sys.Rates().Vector())
-		var res *core.RankResult
+		pin := w.sys.Pin()
+		rateHistory = append(rateHistory, pin.Rates().Vector())
+		spec := core.SolveSpec{Queries: []*ir.Query{cur}}
 		if prev != nil {
-			res = w.sys.RankFrom(cur, prev)
-		} else {
-			res = w.sys.Rank(cur)
+			spec.Inits = [][]float64{prev}
 		}
+		rs, err := pin.Solve(context.Background(), spec)
+		if err != nil {
+			return nil, err
+		}
+		res := rs[0]
 		prev = res.Scores
 		if it == iterations {
 			break
 		}
-		screen := res.TopKOfType(w.sys.Graph(), w.resultType, 10)
+		screen := res.TopKOfType(pin.Corpus().Graph(), w.resultType, 10)
 
 		var nodes []graph.NodeID
 		var confidences []float64
@@ -141,13 +147,13 @@ func runImplicitSession(w *world, q *ir.Query, protocol string, seed int64) ([][
 		}
 		var subs []*core.Subgraph
 		for _, n := range nodes {
-			sg, err := w.sys.Explain(res, n, core.DefaultExplain())
+			sg, err := pin.ExplainCtx(context.Background(), res, n, core.DefaultExplain())
 			if err != nil {
 				return nil, err
 			}
 			subs = append(subs, sg)
 		}
-		ref, err := w.sys.ReformulateWeighted(cur, subs, confidences, core.StructureOnly())
+		ref, err := pin.ReformulateWeightedCtx(context.Background(), cur, subs, confidences, core.StructureOnly())
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"time"
 
 	"authorityflow/internal/core"
@@ -57,13 +58,16 @@ func ExtensionScalability(cfg Config) (*ScalabilityResult, error) {
 
 		q := ir.NewQuery("olap")
 		t1 := time.Now()
-		res := eng.RankCold(q)
+		res, err := solveOne(eng, core.SolveSpec{Queries: []*ir.Query{q}, Cold: true})
+		if err != nil {
+			return nil, err
+		}
 		queryTime := time.Since(t1)
 
 		var explainTime time.Duration
 		top := res.TopK(1)
 		if len(top) > 0 && top[0].Score > 0 {
-			sg, err := eng.Explain(res, top[0].Node, core.DefaultExplain())
+			sg, err := eng.Pin().ExplainCtx(context.Background(), res, top[0].Node, core.DefaultExplain())
 			if err != nil {
 				return nil, err
 			}

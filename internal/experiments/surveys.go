@@ -233,7 +233,10 @@ func Table2(cfg Config) (*Table2Result, error) {
 		q := ir.ParseQuery(raw)
 		relevant := topicalRelevance(g, w.resultType, q)
 
-		r2 := w.sys.Rank(q)
+		r2, err := solveOne(w.sys, core.SolveSpec{Queries: []*ir.Query{q}})
+		if err != nil {
+			return nil, err
+		}
 		top2 := r2.TopKOfType(g, w.resultType, k)
 		p2 := float64(countRelevant(top2, relevant))
 

@@ -67,24 +67,16 @@ type BuildOptions struct {
 	// Each worker owns whole panels, so up to Workers×BlockSize per-term
 	// fixpoints are in flight at once.
 	Workers int
-	// BlockSize is the panel width handed to the blocked kernel: up to
-	// BlockSize per-term fixpoints advance through one shared CSR sweep
-	// per iteration (core.Engine.RankManyCtx → rank.IterateBlock), so B
-	// terms cost ~1 memory sweep per iteration instead of B. 0 uses the
-	// engine corpus's configured BlockSize; 1 recovers the one-term-per-
-	// solve build. Per-term vectors are bit-identical at ANY width (the
-	// kernel's per-column equivalence contract), so BlockSize is purely
-	// a throughput knob — TestBuildBlockedByteEqual enforces this.
+	// BlockSize is the number of terms handed to one Pinned.Solve: up
+	// to BlockSize per-term fixpoints advance through one shared CSR
+	// sweep per iteration (rank.Iterate's panel body), so B terms cost
+	// ~1 memory sweep per iteration instead of B. 0 uses
+	// core.DefaultBlockSize, which also caps the kernel's panel width; 1
+	// recovers the one-term-per-solve build. Per-term vectors are
+	// bit-identical at ANY width (the kernel's per-column equivalence
+	// contract), so BlockSize is purely a throughput knob —
+	// TestBuildBlockedByteEqual enforces this.
 	BlockSize int
-	// Float32 solves panels in the f32 panel mode (core.PanelF32):
-	// float32 panel storage halves the sweep bandwidth while the
-	// arithmetic stays float64, so per-term vectors agree with the
-	// default build to within ~1e-6 instead of bit-identically. That
-	// error class is inside the fixpoint tolerance the store already
-	// quotes for Query, so combination answers keep their contract;
-	// leave this off when stored vectors must be byte-stable across
-	// builds (e.g. snapshot diffing).
-	Float32 bool
 }
 
 // Build runs one single-term ObjectRank2 fixpoint per given term —
@@ -110,9 +102,6 @@ func Build(eng *core.Engine, terms []string, opts BuildOptions) *Store {
 // terms; callers that require completeness must discard it when
 // err != nil.
 func BuildCtx(ctx context.Context, eng *core.Engine, terms []string, opts BuildOptions) (*Store, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	pin := eng.Pin()
 	c := pin.Corpus()
 	st := &Store{
@@ -130,7 +119,7 @@ func BuildCtx(ctx context.Context, eng *core.Engine, terms []string, opts BuildO
 
 	bs := opts.BlockSize
 	if bs <= 0 {
-		bs = eng.Corpus().BlockSize()
+		bs = core.DefaultBlockSize
 	}
 	var panels [][]string
 	for lo := 0; lo < len(terms); lo += bs {
@@ -147,7 +136,7 @@ func BuildCtx(ctx context.Context, eng *core.Engine, terms []string, opts BuildO
 			if err := ctx.Err(); err != nil {
 				return st, err
 			}
-			if err := buildPanel(ctx, pin, panel, opts, st, nil); err != nil {
+			if err := buildPanel(ctx, pin, panel, opts.TopK, st, nil); err != nil {
 				return st, err
 			}
 		}
@@ -164,7 +153,7 @@ func BuildCtx(ctx context.Context, eng *core.Engine, terms []string, opts BuildO
 			for panel := range ch {
 				// Error = ctx died mid-panel; completed columns were
 				// already stored, keep draining remaining panels.
-				_ = buildPanel(ctx, pin, panel, opts, st, &mu)
+				_ = buildPanel(ctx, pin, panel, opts.TopK, st, &mu)
 			}
 		}()
 	}
@@ -181,13 +170,12 @@ feed:
 	return st, ctx.Err()
 }
 
-// buildPanel solves one panel of terms through the blocked kernel and
+// buildPanel solves one panel of terms through one Pinned.Solve and
 // stores every column that completed. Terms with zero base mass are
 // skipped without occupying a panel column. mu, when non-nil, guards
 // the store map (concurrent-panel builds).
-func buildPanel(ctx context.Context, pin *core.Pinned, terms []string, opts BuildOptions, st *Store, mu *sync.Mutex) error {
+func buildPanel(ctx context.Context, pin *core.Pinned, terms []string, topK int, st *Store, mu *sync.Mutex) error {
 	eng := pin.Engine()
-	topK := opts.TopK
 	names := make([]string, 0, len(terms))
 	zs := make([]float64, 0, len(terms))
 	qs := make([]*ir.Query, 0, len(terms))
@@ -209,11 +197,7 @@ func buildPanel(ctx context.Context, pin *core.Pinned, terms []string, opts Buil
 	if len(qs) == 0 {
 		return ctx.Err()
 	}
-	mode := core.PanelF64
-	if opts.Float32 {
-		mode = core.PanelF32
-	}
-	results, err := pin.RankManyModeCtx(ctx, qs, nil, mode)
+	results, err := pin.Solve(ctx, core.SolveSpec{Queries: qs})
 	for i, res := range results {
 		if res == nil {
 			continue // column cancelled before convergence

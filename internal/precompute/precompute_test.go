@@ -2,6 +2,7 @@ package precompute
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"path/filepath"
 	"strings"
@@ -33,6 +34,16 @@ func testEngine(t testing.TB) (*core.Engine, *datagen.Dataset) {
 	return eng, ds
 }
 
+// rankQ is one uncached authority solve of q.
+func rankQ(t testing.TB, eng *core.Engine, q *ir.Query) *core.RankResult {
+	t.Helper()
+	rs, err := eng.Pin().Solve(context.Background(), core.SolveSpec{Queries: []*ir.Query{q}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rs[0]
+}
+
 func TestBuildAndSingleTermExact(t *testing.T) {
 	eng, _ := testEngine(t)
 	st := Build(eng, []string{"olap", "xml", "nonexistentzzz"}, BuildOptions{})
@@ -44,7 +55,7 @@ func TestBuildAndSingleTermExact(t *testing.T) {
 	}
 	// Single-term query answered from the store matches a fresh run.
 	q := ir.NewQuery("olap")
-	fresh := eng.Rank(q)
+	fresh := rankQ(t, eng, q)
 	got, complete := st.Query(q, 10)
 	if !complete {
 		t.Error("complete should be true")
@@ -82,7 +93,7 @@ func TestLinearity(t *testing.T) {
 	queries = append(queries, wq)
 
 	for _, q := range queries {
-		fresh := eng.Rank(q)
+		fresh := rankQ(t, eng, q)
 		got, complete := st.Query(q, 20)
 		if !complete {
 			t.Fatalf("%v: store incomplete", q)
@@ -229,32 +240,5 @@ func TestValidFor(t *testing.T) {
 	v[0] = 42
 	if st.Rates()[0] == 42 {
 		t.Error("Rates leaked internal storage")
-	}
-}
-
-// TestFloat32BuildAgreement: a store built with the f32 panel mode
-// answers queries within the mode's published 1e-6 score bound of the
-// full-precision build, with identical term coverage.
-func TestFloat32BuildAgreement(t *testing.T) {
-	eng, _ := testEngine(t)
-	terms := []string{"olap", "xml", "mining", "query", "index", "search"}
-	f64 := Build(eng, terms, BuildOptions{})
-	f32 := Build(eng, terms, BuildOptions{Float32: true, Workers: 4})
-	if f64.Terms() != f32.Terms() {
-		t.Fatalf("term counts differ: %d vs %d", f64.Terms(), f32.Terms())
-	}
-	for _, q := range []*ir.Query{
-		ir.NewQuery("olap"), ir.NewQuery("olap", "mining"), ir.NewQuery("xml", "query", "index"),
-	} {
-		a, okA := f64.Query(q, 20)
-		b, okB := f32.Query(q, 20)
-		if okA != okB || len(a) != len(b) {
-			t.Fatalf("query %v: coverage diverges (%v/%d vs %v/%d)", q, okA, len(a), okB, len(b))
-		}
-		for i := range a {
-			if math.Abs(a[i].Score-b[i].Score) > 1e-6 {
-				t.Fatalf("query %v rank %d: f32 score %.9g vs f64 %.9g", q, i, b[i].Score, a[i].Score)
-			}
-		}
 	}
 }

@@ -20,8 +20,8 @@
 // per-term basis fixpoints, costing O(|mixture|·|V|) per query instead
 // of a per-user power iteration. The combination is EXACT with respect
 // to the personalized jump up to convergence tolerance (each combined
-// vector is itself a converged solve); Pinned.RankJumpCtx solves the
-// same jump directly so tests pin the agreement to ≤1e-9.
+// vector is itself a converged solve); Pinned.Solve with a Jump spec
+// solves the same jump directly so tests pin the agreement to ≤1e-9.
 package profile
 
 import (
@@ -118,27 +118,13 @@ func BasisTerms(pin *core.Pinned, size int) []string {
 }
 
 // BuildBasis precomputes one converged fixpoint per topic term against
-// the pinned (generation, rates) state, solved in panels through the
-// blocked kernel (Pinned.RankManyCtx → rank.IterateBlock), exactly the
-// precompute.BuildCtx discipline: every vector reflects one consistent
-// corpus and rate assignment even if publishes land mid-build. Terms
-// with empty base sets are skipped. On cancellation the partial build
-// is discarded and ctx's error returned — a basis is only ever complete.
+// the pinned (generation, rates) state, solved in panels through one
+// Pinned.Solve, exactly the precompute.BuildCtx discipline: every
+// vector reflects one consistent corpus and rate assignment even if
+// publishes land mid-build. Terms with empty base sets are skipped. On
+// cancellation the partial build is discarded and ctx's error returned
+// — a basis is only ever complete.
 func BuildBasis(ctx context.Context, pin *core.Pinned, terms []string) (*Basis, error) {
-	return BuildBasisMode(ctx, pin, terms, core.PanelF64)
-}
-
-// BuildBasisMode is BuildBasis with an explicit panel mode.
-// core.PanelF32 halves the panel's working-set bandwidth during the
-// rebuild at the cost of basis vectors that agree with full precision
-// only to ~1e-6 — acceptable for personalization mixtures (combined
-// scores are blends; ordering perturbations at that scale sit far
-// below DefaultBeta's influence), but leave it off when bitwise
-// reproducibility of combined answers across builds matters.
-func BuildBasisMode(ctx context.Context, pin *core.Pinned, terms []string, mode core.PanelMode) (*Basis, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	c := pin.Corpus()
 	ratesVec := pin.Rates().Vector()
 	b := &Basis{
@@ -148,61 +134,41 @@ func BuildBasisMode(ctx context.Context, pin *core.Pinned, terms []string, mode 
 		n:            c.Graph().NumNodes(),
 		index:        make(map[string]int, len(terms)),
 	}
-	// Force the generation's shared warm-start vector before fanning out.
-	pin.Engine().GlobalRank()
-
-	bs := c.BlockSize()
-	for lo := 0; lo < len(terms); lo += bs {
-		hi := lo + bs
-		if hi > len(terms) {
-			hi = len(terms)
+	var qs []*ir.Query
+	for _, t := range terms {
+		q := ir.NewQuery(t)
+		// Base mass BEFORE normalization, recomputed from the index
+		// so combination coefficients stay exact (precompute's rule).
+		z := 0.0
+		for _, sd := range c.Index().BaseSet(q) {
+			z += sd.Score
 		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		names := make([]string, 0, hi-lo)
-		zs := make([]float64, 0, hi-lo)
-		qs := make([]*ir.Query, 0, hi-lo)
-		for _, t := range terms[lo:hi] {
-			q := ir.NewQuery(t)
-			// Base mass BEFORE normalization, recomputed from the index
-			// so combination coefficients stay exact (precompute's rule).
-			z := 0.0
-			for _, sd := range c.Index().BaseSet(q) {
-				z += sd.Score
-			}
-			if z == 0 {
-				continue
-			}
-			names = append(names, t)
-			zs = append(zs, z)
-			qs = append(qs, q)
-		}
-		if len(qs) == 0 {
+		if z == 0 {
 			continue
 		}
-		results, err := pin.RankManyModeCtx(ctx, qs, nil, mode)
-		if err != nil {
-			for _, res := range results {
-				if res != nil {
-					pin.Engine().Release(res)
-				}
-			}
-			return nil, err
-		}
-		for i, res := range results {
-			// The basis RETAINS the solve's vector (never released to
-			// the pool): basis vectors live for the generation's
-			// lifetime and are read lock-free by every combine.
-			b.index[names[i]] = len(b.terms)
-			b.terms = append(b.terms, names[i])
-			b.vecs = append(b.vecs, res.Scores)
-			b.mass = append(b.mass, zs[i])
-			b.bytes += int64(len(res.Scores)) * 8
-		}
+		b.index[t] = len(b.terms)
+		b.terms = append(b.terms, t)
+		b.mass = append(b.mass, z)
+		qs = append(qs, q)
 	}
-	if len(b.terms) == 0 {
+	if len(qs) == 0 {
 		return nil, fmt.Errorf("profile: no basis term has a non-empty base set")
+	}
+	results, err := pin.Solve(ctx, core.SolveSpec{Queries: qs})
+	if err != nil {
+		for _, res := range results {
+			if res != nil {
+				pin.Engine().Release(res)
+			}
+		}
+		return nil, err
+	}
+	for _, res := range results {
+		// The basis RETAINS the solve's vector (never released to the
+		// pool): basis vectors live for the generation's lifetime and
+		// are read lock-free by every combine.
+		b.vecs = append(b.vecs, res.Scores)
+		b.bytes += int64(len(res.Scores)) * 8
 	}
 	return b, nil
 }
@@ -210,8 +176,8 @@ func BuildBasisMode(ctx context.Context, pin *core.Pinned, terms []string, mode 
 // MixtureJump materializes the personalized jump distribution
 // s_p = (1−β)·base + β·Σ_t m̂_t·ŝ_t for a normalized mixture over basis
 // terms, where ŝ_t is term t's normalized single-term base
-// distribution. This is the reference-path input handed to
-// Pinned.RankJumpCtx by the agreement tests; the serving path never
+// distribution. This is the reference-path input the agreement tests
+// hand to Pinned.Solve as a Jump; the serving path never
 // materializes it (it combines converged vectors instead).
 func (b *Basis) MixtureJump(pin *core.Pinned, base []ir.ScoredDoc, mixture map[string]float64, beta float64) []float64 {
 	jump := make([]float64, b.n)

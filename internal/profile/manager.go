@@ -51,16 +51,10 @@ type Options struct {
 	// caller passes nil options; the zero value means the paper's
 	// combined content+structure setting.
 	Train core.ReformulateOptions
-	// BasisFloat32 rebuilds the topic basis through the f32 panel
-	// kernel (core.PanelF32): basis vectors then agree with a
-	// full-precision build only to ~1e-6 instead of bitwise, in
-	// exchange for a faster rebuild after every publish. See
-	// BuildBasisMode for the tradeoff.
-	BasisFloat32 bool
 	// BaseRank, if non-nil, overrides how the query's own fixpoint is
 	// solved on the combine path — the server points this at its
 	// serving cache so personalized queries share the global tier's
-	// cached full vectors. The result must follow the Pinned.RankCtx
+	// cached full vectors. The result must follow the Pinned.Solve
 	// contract (caller releases).
 	BaseRank func(ctx context.Context, pin *core.Pinned, q *ir.Query) (*core.RankResult, error)
 }
@@ -213,11 +207,7 @@ func (m *Manager) BasisFor(ctx context.Context, pin *core.Pinned) (*Basis, error
 	if b := m.basis.Load(); b != nil && b.generation == pin.Generation() && b.ratesKey == rk {
 		return b, nil
 	}
-	mode := core.PanelF64
-	if m.opts.BasisFloat32 {
-		mode = core.PanelF32
-	}
-	b, err := BuildBasisMode(ctx, pin, BasisTerms(pin, m.opts.BasisSize), mode)
+	b, err := BuildBasis(ctx, pin, BasisTerms(pin, m.opts.BasisSize))
 	if err != nil {
 		return nil, err
 	}
@@ -429,12 +419,16 @@ func (m *Manager) baseRank(ctx context.Context, pin *core.Pinned, q *ir.Query) (
 	if m.opts.BaseRank != nil {
 		return m.opts.BaseRank(ctx, pin, q)
 	}
-	return pin.RankCtx(ctx, q)
+	rs, err := pin.Solve(ctx, core.SolveSpec{Queries: []*ir.Query{q}})
+	if err != nil {
+		return nil, err
+	}
+	return rs[0], nil
 }
 
 // TrainCtx runs one relevance-feedback round against the caller's
 // profile instead of the global engine vector: the Eq. 10/11–15
-// content/structure split of ReformulateCtx is evaluated under the
+// content/structure split of ReformulateWeightedCtx is evaluated under the
 // profile's EFFECTIVE rates (global + delta), the resulting expansion
 // terms update the profile's mixture (EWMA over basis members), and the
 // adjusted rates minus the published global vector become the new

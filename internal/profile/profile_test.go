@@ -13,6 +13,16 @@ import (
 	"authorityflow/internal/rank"
 )
 
+// solveOne is one uncached solve under a background context.
+func solveOne(t testing.TB, pin *core.Pinned, spec core.SolveSpec) *core.RankResult {
+	t.Helper()
+	rs, err := pin.Solve(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rs[0]
+}
+
 func testEngine(t testing.TB, opts rank.Options) (*datagen.Dataset, *core.Engine) {
 	t.Helper()
 	cfg := datagen.DBLPTopConfig().Scale(0.02)
@@ -165,17 +175,11 @@ func TestCombineAgreesWithDirectSolve(t *testing.T) {
 	const beta = 0.35
 
 	q := ir.NewQuery(terms[0], terms[1])
-	qres, err := pin.RankCtx(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	qres := solveOne(t, pin, core.SolveSpec{Queries: []*ir.Query{q}})
 	combined := basis.Combine(qres.Scores, mixture, beta)
 
 	jump := basis.MixtureJump(pin, qres.Base, mixture, beta)
-	direct, err := pin.RankJumpCtx(context.Background(), jump, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	direct := solveOne(t, pin, core.SolveSpec{Jump: jump, Cold: true})
 	if !direct.Converged {
 		t.Fatal("direct solve did not converge")
 	}
@@ -230,10 +234,7 @@ func TestManagerLifecycle(t *testing.T) {
 	baseline := append([]rank.Ranked(nil), a.Results...)
 
 	// Train on explain subgraphs of the top answers.
-	res, err := pin.RankCtx(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := solveOne(t, pin, core.SolveSpec{Queries: []*ir.Query{q}})
 	var feedback []*core.Subgraph
 	for _, r := range res.TopK(2) {
 		sg, err := pin.ExplainCtx(context.Background(), res, r.Node, core.DefaultExplain())
@@ -358,39 +359,5 @@ func TestBasisInvalidationOnPublish(t *testing.T) {
 	}
 	if m.Stats().BasisBuilds != 2 {
 		t.Fatalf("basis builds = %d, want 2", m.Stats().BasisBuilds)
-	}
-}
-
-// TestBasisFloat32Agreement: a basis rebuilt through the f32 panel
-// mode (Options.BasisFloat32 / BuildBasisMode) carries the same terms
-// as the full-precision build with every vector element within the
-// mode's published 1e-6 bound — well below DefaultBeta's influence on
-// combined rankings.
-func TestBasisFloat32Agreement(t *testing.T) {
-	opts := rank.Options{Threshold: 1e-9, MaxIters: 500}
-	_, eng := testEngine(t, opts)
-	pin := eng.Pin()
-	terms := BasisTerms(pin, 24)
-	f64, err := BuildBasis(context.Background(), pin, terms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f32, err := BuildBasisMode(context.Background(), pin, terms, core.PanelF32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := f64.Terms(), f32.Terms()
-	if len(a) != len(b) {
-		t.Fatalf("term coverage diverges: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("term %d: %q vs %q", i, a[i], b[i])
-		}
-		for v := range f64.vecs[i] {
-			if d := math.Abs(f64.vecs[i][v] - f32.vecs[i][v]); d > 1e-6 {
-				t.Fatalf("term %q node %d: f32 basis deviates by %.3g > 1e-6", a[i], v, d)
-			}
-		}
 	}
 }

@@ -116,9 +116,12 @@ func TestSwapProfileHammer(t *testing.T) {
 			if useB {
 				cc, rr = cB, rB
 			}
-			gen, err := eng.SwapCorpus(cc, rr, eng.Generation())
+			// Recorded BEFORE the swap publishes it, so no reader can
+			// answer under a generation the map does not know yet.
+			cur := eng.Generation()
+			nodesOf.Store(cur+1, cc.Graph().NumNodes())
+			_, err := eng.SwapCorpus(cc, rr, cur)
 			if err == nil {
-				nodesOf.Store(gen, cc.Graph().NumNodes())
 				useB = !useB
 			} else if !errors.Is(err, core.ErrGenerationConflict) {
 				t.Errorf("swap: %v", err)

@@ -48,7 +48,7 @@ func BenchmarkPowerIteration(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Run(g, r, base, opts)
+		run(g, r, base, opts)
 	}
 }
 
@@ -134,7 +134,7 @@ func BenchmarkWarmVsColdIterations(b *testing.B) {
 	}
 	NormalizeDist(base)
 	opts := Options{Threshold: 1e-6, MaxIters: 500}
-	cold := Run(g, r, base, opts)
+	cold := run(g, r, base, opts)
 
 	base2 := append([]float64(nil), base...)
 	base2[rng.Intn(len(base2))] += 0.1
@@ -145,8 +145,8 @@ func BenchmarkWarmVsColdIterations(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		w := opts
 		w.Init = cold.Scores
-		warmIters = Run(g, r, base2, w).Iterations
-		coldIters = Run(g, r, base2, opts).Iterations
+		warmIters = run(g, r, base2, w).Iterations
+		coldIters = run(g, r, base2, opts).Iterations
 	}
 	b.ReportMetric(float64(warmIters), "warm-iters")
 	b.ReportMetric(float64(coldIters), "cold-iters")

@@ -17,7 +17,7 @@ func TestIterateCancelBeforeStart(t *testing.T) {
 	cancel()
 
 	for _, workers := range []int{1, 3} {
-		res := Iterate(g, r.Vector(), base, Options{Ctx: ctx}, workers, nil)
+		res := iterate1(g, r.Vector(), base, Options{Ctx: ctx}, workers, nil)
 		if res.Err != context.Canceled {
 			t.Fatalf("workers=%d: Err=%v, want context.Canceled", workers, res.Err)
 		}
@@ -47,7 +47,7 @@ func TestIterateCancelMidSolve(t *testing.T) {
 
 	// Reference: what a run truncated exactly at stopAt iterations
 	// produces (ZeroThreshold disables early convergence).
-	ref := Iterate(g, r.Vector(), base, Options{Threshold: ZeroThreshold, MaxIters: stopAt}, 1, nil)
+	ref := iterate1(g, r.Vector(), base, Options{Threshold: ZeroThreshold, MaxIters: stopAt}, 1, nil)
 	if ref.Iterations != stopAt {
 		t.Fatalf("reference run executed %d iterations, want %d", ref.Iterations, stopAt)
 	}
@@ -64,7 +64,7 @@ func TestIterateCancelMidSolve(t *testing.T) {
 				}
 			},
 		}
-		res := Iterate(g, r.Vector(), base, opts, workers, nil)
+		res := iterate1(g, r.Vector(), base, opts, workers, nil)
 		if res.Err != context.Canceled {
 			t.Fatalf("workers=%d: Err=%v, want context.Canceled", workers, res.Err)
 		}
@@ -104,7 +104,7 @@ func TestIterateDeadlineExceeded(t *testing.T) {
 	base := fig1Base(g)
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Hour))
 	defer cancel()
-	res := Iterate(g, r.Vector(), base, Options{Ctx: ctx}, 1, nil)
+	res := iterate1(g, r.Vector(), base, Options{Ctx: ctx}, 1, nil)
 	if res.Err != context.DeadlineExceeded {
 		t.Fatalf("Err=%v, want context.DeadlineExceeded", res.Err)
 	}
@@ -116,10 +116,10 @@ func TestIterateDeadlineExceeded(t *testing.T) {
 func TestIterateBackgroundCtxMatchesNil(t *testing.T) {
 	g, r := fig1Fixture(t)
 	base := fig1Base(g)
-	plain := Iterate(g, r.Vector(), base, Options{Threshold: 1e-10, MaxIters: 500}, 1, nil)
+	plain := iterate1(g, r.Vector(), base, Options{Threshold: 1e-10, MaxIters: 500}, 1, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	withCtx := Iterate(g, r.Vector(), base, Options{Threshold: 1e-10, MaxIters: 500, Ctx: ctx}, 1, nil)
+	withCtx := iterate1(g, r.Vector(), base, Options{Threshold: 1e-10, MaxIters: 500, Ctx: ctx}, 1, nil)
 	if withCtx.Err != nil {
 		t.Fatalf("live-ctx run reported Err=%v", withCtx.Err)
 	}
@@ -134,11 +134,11 @@ func TestIterateBackgroundCtxMatchesNil(t *testing.T) {
 	}
 }
 
-// TestIterateContextZeroAlloc is the PR-4 overhead contract: the
-// per-sweep cancellation poll adds 0 allocs/op over the PR-3 kernel on
-// the pooled serial path, BOTH with Ctx nil (serving without deadlines)
-// and with a live cancellable context attached (serving with deadlines
-// that do not fire). seedKernelAllocsPerRun is the PR-3 baseline.
+// TestIterateContextZeroAlloc is the cancellation overhead contract:
+// the per-sweep poll adds 0 allocs/op on the pooled serial path, BOTH
+// with Ctx nil (serving without deadlines) and with a live cancellable
+// context attached (serving with deadlines that do not fire).
+// kernelAllocsPerRun is the driver's per-run constant.
 func TestIterateContextZeroAlloc(t *testing.T) {
 	g, r := fig1Fixture(t)
 	base := fig1Base(g)
@@ -158,15 +158,15 @@ func TestIterateContextZeroAlloc(t *testing.T) {
 	for _, tc := range cases {
 		opts := Options{Threshold: 1e-10, MaxIters: 500, Ctx: tc.ctx}
 		// Warm the pool so steady state is measured.
-		res := Iterate(g, alpha, base, opts, 1, pool)
+		res := iterate1(g, alpha, base, opts, 1, pool)
 		res.ReleaseTo(pool)
 		allocs := testing.AllocsPerRun(100, func() {
-			r := Iterate(g, alpha, base, opts, 1, pool)
+			r := iterate1(g, alpha, base, opts, 1, pool)
 			r.ReleaseTo(pool)
 		})
-		if allocs > seedKernelAllocsPerRun {
-			t.Fatalf("%s: pooled kernel path allocates %v allocs/op, PR-3 baseline is %d — the ctx poll added overhead",
-				tc.name, allocs, seedKernelAllocsPerRun)
+		if allocs > kernelAllocsPerRun {
+			t.Fatalf("%s: pooled kernel path allocates %v allocs/op, the per-run constant is %d — the ctx poll added overhead",
+				tc.name, allocs, kernelAllocsPerRun)
 		}
 	}
 }

@@ -57,6 +57,22 @@ func fig1Fixture(t testing.TB) (*graph.Graph, *graph.Rates) {
 	return g, r
 }
 
+// iterate1 runs one base set through the driver — the single-column
+// call, which takes the sweep body.
+func iterate1(g *graph.Graph, alpha, base []float64, opts Options, workers int, pool *BufferPool) Result {
+	return Iterate(g, alpha, [][]float64{base}, []Options{opts}, workers, pool)[0]
+}
+
+// run is iterate1 serial and unpooled.
+func run(g *graph.Graph, rates *graph.Rates, base []float64, opts Options) Result {
+	return iterate1(g, rates.Vector(), base, opts, 1, nil)
+}
+
+// runWorkers is iterate1 unpooled on the given number of workers.
+func runWorkers(g *graph.Graph, rates *graph.Rates, base []float64, opts Options, workers int) Result {
+	return iterate1(g, rates.Vector(), base, opts, workers, nil)
+}
+
 // fig1Base is the Q=[olap] jump distribution of the golden fixture:
 // v1 and v4 weighted 0.4/0.6.
 func fig1Base(g *graph.Graph) []float64 {
@@ -84,7 +100,7 @@ const fig1GoldenIters = 20
 
 func TestKernelSerialBitIdenticalToSeedFig1(t *testing.T) {
 	g, r := fig1Fixture(t)
-	res := Run(g, r, fig1Base(g), Options{Damping: 0.85, Threshold: 1e-10, MaxIters: 500})
+	res := run(g, r, fig1Base(g), Options{Damping: 0.85, Threshold: 1e-10, MaxIters: 500})
 	if !res.Converged {
 		t.Fatal("did not converge")
 	}
@@ -104,7 +120,7 @@ func TestKernelPooledBitIdenticalAndReusable(t *testing.T) {
 	pool := NewBufferPool()
 	opts := Options{Damping: 0.85, Threshold: 1e-10, MaxIters: 500}
 	for round := 0; round < 3; round++ {
-		res := Iterate(g, r.Vector(), fig1Base(g), opts, 1, pool)
+		res := iterate1(g, r.Vector(), fig1Base(g), opts, 1, pool)
 		for i, want := range fig1GoldenBits {
 			if got := math.Float64bits(res.Scores[i]); got != want {
 				t.Fatalf("round %d: pooled score[v%d] bits = %#016x, want %#016x", round, i+1, got, want)
@@ -120,9 +136,9 @@ func TestKernelPooledBitIdenticalAndReusable(t *testing.T) {
 func TestKernelParallelMatchesSerialFig1(t *testing.T) {
 	g, r := fig1Fixture(t)
 	opts := Options{Damping: 0.85, Threshold: 1e-10, MaxIters: 500}
-	serial := Run(g, r, fig1Base(g), opts)
+	serial := run(g, r, fig1Base(g), opts)
 	for _, workers := range []int{2, 3, 7, 16} {
-		par := RunParallel(g, r, fig1Base(g), opts, workers)
+		par := runWorkers(g, r, fig1Base(g), opts, workers)
 		if !par.Converged {
 			t.Fatalf("workers=%d did not converge", workers)
 		}
@@ -160,7 +176,7 @@ func TestKernelSerialBitIdenticalToSeedDBLP(t *testing.T) {
 	if n := g.NumNodes(); n != 1128 {
 		t.Fatalf("fixture drifted: %d nodes, want 1128 (golden bits are void)", n)
 	}
-	res := Run(g, r, base, Options{Damping: 0.85, Threshold: 1e-9, MaxIters: 1000})
+	res := run(g, r, base, Options{Damping: 0.85, Threshold: 1e-9, MaxIters: 1000})
 	if !res.Converged || res.Iterations != 35 {
 		t.Fatalf("converged=%v iterations=%d, want converged in 35 (seed)", res.Converged, res.Iterations)
 	}
@@ -196,8 +212,8 @@ func TestKernelSerialBitIdenticalToSeedDBLP(t *testing.T) {
 func TestKernelParallelMatchesSerialDBLP(t *testing.T) {
 	g, r, base := dblpFixture(t)
 	opts := Options{Damping: 0.85, Threshold: 1e-9, MaxIters: 1000}
-	serial := Run(g, r, base, opts)
-	par := RunParallel(g, r, base, opts, 4)
+	serial := run(g, r, base, opts)
+	par := runWorkers(g, r, base, opts, 4)
 	if !par.Converged {
 		t.Fatal("parallel did not converge")
 	}
@@ -217,7 +233,7 @@ func TestKernelDegradesStaleInit(t *testing.T) {
 	// Result.InitDropped reports the drop. The degraded run must be
 	// bit-identical to an explicitly cold one.
 	g, r := fig1Fixture(t)
-	first := Run(g, r, fig1Base(g), Options{})
+	first := run(g, r, fig1Base(g), Options{})
 
 	// "Rebuild" a larger graph (one extra paper) and warm-start from
 	// the old, now-stale score vector.
@@ -236,11 +252,11 @@ func TestKernelDegradesStaleInit(t *testing.T) {
 
 	base2 := make([]float64, g2.NumNodes())
 	base2[0] = 1
-	stale := Run(g2, r2, base2, Options{Init: first.Scores})
+	stale := run(g2, r2, base2, Options{Init: first.Scores})
 	if !stale.InitDropped {
 		t.Fatal("stale Init was not reported as dropped")
 	}
-	cold := Run(g2, r2, base2, Options{})
+	cold := run(g2, r2, base2, Options{})
 	if cold.InitDropped {
 		t.Fatal("cold run reported a dropped Init")
 	}
@@ -254,7 +270,7 @@ func TestKernelDegradesStaleInit(t *testing.T) {
 		}
 	}
 	// A RIGHT-length Init must still be honored, not dropped.
-	warm := Run(g, r, fig1Base(g), Options{Init: first.Scores})
+	warm := run(g, r, fig1Base(g), Options{Init: first.Scores})
 	if warm.InitDropped {
 		t.Fatal("matching Init reported as dropped")
 	}
@@ -267,7 +283,7 @@ func TestKernelPanicsOnBadBase(t *testing.T) {
 			t.Fatal("Run accepted a base vector of the wrong length")
 		}
 	}()
-	Run(g, r, make([]float64, g.NumNodes()+3), Options{})
+	run(g, r, make([]float64, g.NumNodes()+3), Options{})
 }
 
 func TestOptionsNormalizedSentinels(t *testing.T) {
@@ -290,7 +306,7 @@ func TestOptionsNormalizedSentinels(t *testing.T) {
 func TestZeroDampingYieldsBaseDistribution(t *testing.T) {
 	g, r := fig1Fixture(t)
 	base := fig1Base(g)
-	res := Run(g, r, base, Options{Damping: ZeroDamping, Threshold: 1e-12})
+	res := run(g, r, base, Options{Damping: ZeroDamping, Threshold: 1e-12})
 	if !res.Converged {
 		t.Fatal("did not converge")
 	}
@@ -304,7 +320,7 @@ func TestZeroDampingYieldsBaseDistribution(t *testing.T) {
 func TestZeroItersReturnsStartVector(t *testing.T) {
 	g, r := fig1Fixture(t)
 	base := fig1Base(g)
-	res := Run(g, r, base, Options{MaxIters: ZeroIters})
+	res := run(g, r, base, Options{MaxIters: ZeroIters})
 	if res.Iterations != 0 || res.Converged {
 		t.Errorf("iterations=%d converged=%v, want 0/false", res.Iterations, res.Converged)
 	}
@@ -317,7 +333,7 @@ func TestZeroItersReturnsStartVector(t *testing.T) {
 
 func TestZeroThresholdRunsAllIterations(t *testing.T) {
 	g, r := fig1Fixture(t)
-	res := Run(g, r, fig1Base(g), Options{Threshold: ZeroThreshold, MaxIters: 17})
+	res := run(g, r, fig1Base(g), Options{Threshold: ZeroThreshold, MaxIters: 17})
 	if res.Converged || res.Iterations != 17 {
 		t.Errorf("iterations=%d converged=%v, want exactly 17/false", res.Iterations, res.Converged)
 	}
@@ -332,14 +348,14 @@ func TestKernelAllocsBounded(t *testing.T) {
 	pool := NewBufferPool()
 	opts := Options{Damping: 0.85, Threshold: 1e-10, MaxIters: 500}
 	// Warm the pool.
-	res := Iterate(g, alpha, base, opts, 1, pool)
+	res := iterate1(g, alpha, base, opts, 1, pool)
 	res.ReleaseTo(pool)
 	allocs := testing.AllocsPerRun(20, func() {
-		r := Iterate(g, alpha, base, opts, 1, pool)
+		r := iterate1(g, alpha, base, opts, 1, pool)
 		r.ReleaseTo(pool)
 	})
-	if allocs > 4 {
-		t.Errorf("pooled serial kernel allocates %.0f objects/run, want <= 4", allocs)
+	if allocs > kernelAllocsPerRun {
+		t.Errorf("pooled serial kernel allocates %.0f objects/run, want <= %d", allocs, kernelAllocsPerRun)
 	}
 }
 
@@ -351,7 +367,7 @@ func BenchmarkKernelPooledSteadyState(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := Iterate(g, alpha, base, opts, 1, pool)
+		res := iterate1(g, alpha, base, opts, 1, pool)
 		res.ReleaseTo(pool)
 	}
 }
@@ -363,6 +379,6 @@ func BenchmarkKernelUnpooled(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = Iterate(g, alpha, base, opts, 1, nil)
+		_ = iterate1(g, alpha, base, opts, 1, nil)
 	}
 }

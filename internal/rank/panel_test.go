@@ -52,12 +52,12 @@ func assertColumnBitIdentical(t *testing.T, label string, got, want Result) {
 	}
 }
 
-// TestIterateBlockGoldenEquivalence is the tentpole contract: for every
+// TestIteratePanelGoldenEquivalence is the tentpole contract: for every
 // block width (including 1 and a ragged 7), every damping/threshold/
 // max-iters combination, serial and parallel execution, with and
-// without warm starts, each IterateBlock column is bit-identical to the
+// without warm starts, each panel column is bit-identical to the
 // standalone Iterate run of the same base set.
-func TestIterateBlockGoldenEquivalence(t *testing.T) {
+func TestIteratePanelGoldenEquivalence(t *testing.T) {
 	g, r, _ := dblpFixture(t)
 	alpha := r.Vector()
 	n := g.NumNodes()
@@ -82,12 +82,12 @@ func TestIterateBlockGoldenEquivalence(t *testing.T) {
 		for oi, o := range optsMatrix {
 			for _, workers := range []int{1, 4} {
 				label := fmt.Sprintf("B=%d opts=%d workers=%d", B, oi, workers)
-				block := IterateBlock(g, alpha, bases, []Options{o}, workers, nil)
+				block := Iterate(g, alpha, bases, []Options{o}, workers, nil)
 				if len(block) != B {
 					t.Fatalf("%s: %d results for %d bases", label, len(block), B)
 				}
 				for j := 0; j < B; j++ {
-					single := Iterate(g, alpha, bases[j], o, workers, nil)
+					single := iterate1(g, alpha, bases[j], o, workers, nil)
 					assertColumnBitIdentical(t, fmt.Sprintf("%s col=%d", label, j), block[j], single)
 				}
 			}
@@ -95,15 +95,15 @@ func TestIterateBlockGoldenEquivalence(t *testing.T) {
 	}
 }
 
-// TestIterateBlockPerColumnOptions drives one panel whose columns carry
+// TestIteratePanelPerColumnOptions drives one panel whose columns carry
 // DIFFERENT options — mixed damping, thresholds, iteration budgets and
 // warm starts — and checks each column still matches its standalone
 // solve bit for bit (the freeze rule isolates columns completely).
-func TestIterateBlockPerColumnOptions(t *testing.T) {
+func TestIteratePanelPerColumnOptions(t *testing.T) {
 	g, r := fig1Fixture(t)
 	alpha := r.Vector()
 	base := fig1Base(g)
-	warm := Run(g, r, base, Options{Damping: 0.85, Threshold: 1e-6, MaxIters: 500})
+	warm := run(g, r, base, Options{Damping: 0.85, Threshold: 1e-6, MaxIters: 500})
 
 	bases := blockBases(g, 5)
 	perCol := []Options{
@@ -114,19 +114,19 @@ func TestIterateBlockPerColumnOptions(t *testing.T) {
 		{Damping: 0.85, Threshold: 1e-10, MaxIters: 500, Init: warm.Scores},
 	}
 	pool := NewBufferPool()
-	block := IterateBlock(g, alpha, bases, perCol, 1, pool)
+	block := Iterate(g, alpha, bases, perCol, 1, pool)
 	for j := range bases {
-		single := Iterate(g, alpha, bases[j], perCol[j], 1, nil)
+		single := iterate1(g, alpha, bases[j], perCol[j], 1, nil)
 		assertColumnBitIdentical(t, fmt.Sprintf("col=%d", j), block[j], single)
 		block[j].ReleaseTo(pool)
 	}
 }
 
-// TestIterateBlockObservePerColumn checks the per-column Observe
+// TestIteratePanelObservePerColumn checks the per-column Observe
 // contract: every live column gets one callback per completed sweep
 // with its OWN residual, the residual sequence matches the standalone
 // solve's exactly, and frozen columns stop observing.
-func TestIterateBlockObservePerColumn(t *testing.T) {
+func TestIteratePanelObservePerColumn(t *testing.T) {
 	g, r := fig1Fixture(t)
 	alpha := r.Vector()
 	bases := blockBases(g, 3)
@@ -143,12 +143,12 @@ func TestIterateBlockObservePerColumn(t *testing.T) {
 				got[j] = append(got[j], res)
 			}}
 	}
-	block := IterateBlock(g, alpha, bases, perCol, 1, nil)
+	block := Iterate(g, alpha, bases, perCol, 1, nil)
 	for j := range bases {
 		var want []float64
 		o := perCol[j]
 		o.Observe = func(iter int, res float64) { want = append(want, res) }
-		single := Iterate(g, alpha, bases[j], o, 1, nil)
+		single := iterate1(g, alpha, bases[j], o, 1, nil)
 		if len(got[j]) != single.Iterations || len(got[j]) != len(want) {
 			t.Fatalf("col %d: %d observations for %d iterations", j, len(got[j]), single.Iterations)
 		}
@@ -163,11 +163,11 @@ func TestIterateBlockObservePerColumn(t *testing.T) {
 	}
 }
 
-// TestIterateBlockPerColumnCancel cancels ONE column's context
+// TestIteratePanelPerColumnCancel cancels ONE column's context
 // mid-solve and checks: that column freezes with the context error and
 // a complete (unconverged) iteration state, while its panel-mates run
 // to convergence bit-identical to standalone solves.
-func TestIterateBlockPerColumnCancel(t *testing.T) {
+func TestIteratePanelPerColumnCancel(t *testing.T) {
 	g, r, _ := dblpFixture(t)
 	alpha := r.Vector()
 	bases := blockBases(g, 4)
@@ -184,7 +184,7 @@ func TestIterateBlockPerColumnCancel(t *testing.T) {
 			cancel()
 		}
 	}
-	block := IterateBlock(g, alpha, bases, perCol, 1, nil)
+	block := Iterate(g, alpha, bases, perCol, 1, nil)
 
 	// The cancelled column stopped within one sweep with a complete
 	// iteration state: its scores equal a ZeroThreshold run of exactly
@@ -198,7 +198,7 @@ func TestIterateBlockPerColumnCancel(t *testing.T) {
 	if block[2].Iterations != cancelAfter {
 		t.Errorf("cancelled column ran %d iterations, want %d", block[2].Iterations, cancelAfter)
 	}
-	truncated := Iterate(g, alpha, bases[2], Options{Damping: 0.85, Threshold: ZeroThreshold, MaxIters: cancelAfter}, 1, nil)
+	truncated := iterate1(g, alpha, bases[2], Options{Damping: 0.85, Threshold: ZeroThreshold, MaxIters: cancelAfter}, 1, nil)
 	for v := range truncated.Scores {
 		if math.Float64bits(block[2].Scores[v]) != math.Float64bits(truncated.Scores[v]) {
 			t.Fatalf("cancelled column score[%d] differs from %d-sweep state", v, cancelAfter)
@@ -206,21 +206,21 @@ func TestIterateBlockPerColumnCancel(t *testing.T) {
 	}
 	// The other columns are untouched by their neighbor's cancellation.
 	for _, j := range []int{0, 1, 3} {
-		single := Iterate(g, alpha, bases[j], perCol[j], 1, nil)
+		single := iterate1(g, alpha, bases[j], perCol[j], 1, nil)
 		assertColumnBitIdentical(t, fmt.Sprintf("survivor col=%d", j), block[j], single)
 	}
 }
 
-// TestIterateBlockCancelledBeforeStart: a ctx dead at entry freezes
+// TestIteratePanelCancelledBeforeStart: a ctx dead at entry freezes
 // every ctx-carrying column at its start vector with zero iterations,
 // matching Iterate.
-func TestIterateBlockCancelledBeforeStart(t *testing.T) {
+func TestIteratePanelCancelledBeforeStart(t *testing.T) {
 	g, r := fig1Fixture(t)
 	alpha := r.Vector()
 	bases := blockBases(g, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	block := IterateBlock(g, alpha, bases, []Options{{Ctx: ctx}}, 1, nil)
+	block := Iterate(g, alpha, bases, []Options{{Ctx: ctx}}, 1, nil)
 	for j := range bases {
 		if block[j].Err != context.Canceled || block[j].Iterations != 0 {
 			t.Fatalf("col %d: err=%v iters=%d, want Canceled/0", j, block[j].Err, block[j].Iterations)
@@ -233,16 +233,16 @@ func TestIterateBlockCancelledBeforeStart(t *testing.T) {
 	}
 }
 
-// TestIterateBlockGoldenFig1 pins the blocked kernel directly against
+// TestIteratePanelGoldenFig1 pins the blocked kernel directly against
 // the seed implementation's golden bits: a panel containing the Figure 1
 // base set must reproduce fig1GoldenBits in its lane regardless of what
 // shares the panel.
-func TestIterateBlockGoldenFig1(t *testing.T) {
+func TestIteratePanelGoldenFig1(t *testing.T) {
 	g, r := fig1Fixture(t)
 	alpha := r.Vector()
 	bases := append([][]float64{fig1Base(g)}, blockBases(g, 3)...)
 	o := Options{Damping: 0.85, Threshold: 1e-10, MaxIters: 500}
-	block := IterateBlock(g, alpha, bases, []Options{o}, 1, nil)
+	block := Iterate(g, alpha, bases, []Options{o}, 1, nil)
 	if !block[0].Converged || block[0].Iterations != fig1GoldenIters {
 		t.Fatalf("converged=%v iterations=%d, want true/%d", block[0].Converged, block[0].Iterations, fig1GoldenIters)
 	}
@@ -253,8 +253,8 @@ func TestIterateBlockGoldenFig1(t *testing.T) {
 	}
 }
 
-// TestIterateBlockPanics checks the malformed-input contract.
-func TestIterateBlockPanics(t *testing.T) {
+// TestIteratePanelPanics checks the malformed-input contract.
+func TestIteratePanelPanics(t *testing.T) {
 	g, r := fig1Fixture(t)
 	alpha := r.Vector()
 	ok := blockBases(g, 2)
@@ -273,18 +273,18 @@ func TestIterateBlockPanics(t *testing.T) {
 					t.Fatalf("%s: no panic", c.name)
 				}
 			}()
-			IterateBlock(g, alpha, c.bases, c.opts, 1, nil)
+			Iterate(g, alpha, c.bases, c.opts, 1, nil)
 		})
 	}
 }
 
-// TestIterateBlockDegradesStaleInit pins the blocked kernel's half of
+// TestIteratePanelDegradesStaleInit pins the blocked kernel's half of
 // the stale-warm-start fix (ISSUE 9 satellite): a column whose Init
 // length does not match the graph — the signature of a vector donated
 // across a concurrent corpus swap — must degrade to a cold start with
 // InitDropped set, bit-identical to the explicitly cold column, while
 // well-sized columns in the same panel keep their warm starts.
-func TestIterateBlockDegradesStaleInit(t *testing.T) {
+func TestIteratePanelDegradesStaleInit(t *testing.T) {
 	g, r := fig1Fixture(t)
 	alpha := r.Vector()
 	bases := blockBases(g, 2)
@@ -298,7 +298,7 @@ func TestIterateBlockDegradesStaleInit(t *testing.T) {
 	oStale, oWarm := o, o
 	oStale.Init = staleInit
 	oWarm.Init = warmInit
-	block := IterateBlock(g, alpha, bases, []Options{oStale, oWarm}, 1, nil)
+	block := Iterate(g, alpha, bases, []Options{oStale, oWarm}, 1, nil)
 	if !block[0].InitDropped {
 		t.Fatal("stale-init column not reported as dropped")
 	}
@@ -306,7 +306,7 @@ func TestIterateBlockDegradesStaleInit(t *testing.T) {
 		t.Fatal("well-sized init column reported as dropped")
 	}
 
-	cold := Iterate(g, alpha, bases[0], o, 1, nil)
+	cold := iterate1(g, alpha, bases[0], o, 1, nil)
 	if block[0].Iterations != cold.Iterations || block[0].Converged != cold.Converged {
 		t.Fatalf("degraded column (iters=%d conv=%v) differs from cold solve (iters=%d conv=%v)",
 			block[0].Iterations, block[0].Converged, cold.Iterations, cold.Converged)
@@ -316,7 +316,7 @@ func TestIterateBlockDegradesStaleInit(t *testing.T) {
 			t.Fatalf("score[%d]: degraded column %v != cold solve %v", v, block[0].Scores[v], cold.Scores[v])
 		}
 	}
-	warm := Iterate(g, alpha, bases[1], oWarm, 1, nil)
+	warm := iterate1(g, alpha, bases[1], oWarm, 1, nil)
 	for v := range warm.Scores {
 		if math.Float64bits(block[1].Scores[v]) != math.Float64bits(warm.Scores[v]) {
 			t.Fatalf("score[%d]: warm column %v != warm solve %v", v, block[1].Scores[v], warm.Scores[v])
@@ -324,17 +324,17 @@ func TestIterateBlockDegradesStaleInit(t *testing.T) {
 	}
 }
 
-// TestIterateBlockEmpty: zero base sets is a no-op, not a panic.
-func TestIterateBlockEmpty(t *testing.T) {
+// TestIteratePanelEmpty: zero base sets is a no-op, not a panic.
+func TestIteratePanelEmpty(t *testing.T) {
 	g, r := fig1Fixture(t)
-	if res := IterateBlock(g, r.Vector(), nil, []Options{{}}, 1, nil); res != nil {
-		t.Fatalf("IterateBlock(nil bases) = %v, want nil", res)
+	if res := Iterate(g, r.Vector(), nil, []Options{{}}, 1, nil); res != nil {
+		t.Fatalf("Iterate(nil bases) = %v, want nil", res)
 	}
 }
 
-// BenchmarkIterateBlock measures the amortization: solving 8 base sets
+// BenchmarkIteratePanel measures the amortization: solving 8 base sets
 // through one blocked panel vs 8 standalone solves.
-func BenchmarkIterateBlock(b *testing.B) {
+func BenchmarkIteratePanel(b *testing.B) {
 	g, r, _ := dblpFixture(b)
 	alpha := r.Vector()
 	bases := blockBases(g, 8)
@@ -343,7 +343,7 @@ func BenchmarkIterateBlock(b *testing.B) {
 	b.Run("blocked8", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			res := IterateBlock(g, alpha, bases, []Options{o}, 1, pool)
+			res := Iterate(g, alpha, bases, []Options{o}, 1, pool)
 			for j := range res {
 				res[j].ReleaseTo(pool)
 			}
@@ -353,7 +353,7 @@ func BenchmarkIterateBlock(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for j := range bases {
-				res := Iterate(g, alpha, bases[j], o, 1, pool)
+				res := iterate1(g, alpha, bases[j], o, 1, pool)
 				res.ReleaseTo(pool)
 			}
 		}

@@ -25,12 +25,12 @@ func randomWorld(t testing.TB, seed int64, n, m int) (*graph.Graph, *graph.Rates
 	return g, r, base
 }
 
-func TestRunParallelMatchesSerial(t *testing.T) {
+func TestParallelMatchesSerial(t *testing.T) {
 	for _, workers := range []int{2, 3, 4, 8} {
 		g, r, base := randomWorld(t, int64(workers), 500, 3000)
 		opts := Options{Threshold: 1e-10, MaxIters: 1000}
-		serial := Run(g, r, base, opts)
-		parallel := RunParallel(g, r, base, opts, workers)
+		serial := run(g, r, base, opts)
+		parallel := runWorkers(g, r, base, opts, workers)
 		if !parallel.Converged || !serial.Converged {
 			t.Fatalf("workers=%d: convergence serial=%v parallel=%v", workers, serial.Converged, parallel.Converged)
 		}
@@ -43,12 +43,12 @@ func TestRunParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestRunParallelDegenerateWorkerCounts(t *testing.T) {
+func TestParallelDegenerateWorkerCounts(t *testing.T) {
 	g, r, base := randomWorld(t, 5, 100, 500)
 	opts := Options{Threshold: 1e-10, MaxIters: 1000}
-	serial := Run(g, r, base, opts)
+	serial := run(g, r, base, opts)
 	for _, workers := range []int{0, 1, 100, 1000} {
-		got := RunParallel(g, r, base, opts, workers)
+		got := runWorkers(g, r, base, opts, workers)
 		for i := range serial.Scores {
 			if math.Abs(serial.Scores[i]-got.Scores[i]) > 1e-9 {
 				t.Fatalf("workers=%d diverges at node %d", workers, i)
@@ -57,9 +57,9 @@ func TestRunParallelDegenerateWorkerCounts(t *testing.T) {
 	}
 }
 
-func TestRunParallelEmptyGraph(t *testing.T) {
+func TestParallelEmptyGraph(t *testing.T) {
 	g, r := paperGraph(t, 1, nil, 0.5, 0)
-	res := RunParallel(g, r, []float64{1}, Options{Threshold: 1e-9, MaxIters: 10}, 4)
+	res := runWorkers(g, r, []float64{1}, Options{Threshold: 1e-9, MaxIters: 10}, 4)
 	if len(res.Scores) != 1 {
 		t.Fatalf("scores = %v", res.Scores)
 	}
@@ -68,13 +68,13 @@ func TestRunParallelEmptyGraph(t *testing.T) {
 	}
 }
 
-func TestRunParallelWarmStart(t *testing.T) {
+func TestParallelWarmStart(t *testing.T) {
 	g, r, base := randomWorld(t, 9, 300, 1500)
 	opts := Options{Threshold: 1e-10, MaxIters: 1000}
-	cold := RunParallel(g, r, base, opts, 4)
+	cold := runWorkers(g, r, base, opts, 4)
 	optsWarm := opts
 	optsWarm.Init = cold.Scores
-	warm := RunParallel(g, r, base, optsWarm, 4)
+	warm := runWorkers(g, r, base, optsWarm, 4)
 	if warm.Iterations >= cold.Iterations {
 		t.Errorf("warm start did not converge faster: %d vs %d", warm.Iterations, cold.Iterations)
 	}
@@ -91,7 +91,7 @@ func BenchmarkPowerIterationParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		RunParallel(g, r, base, opts, 0)
+		runWorkers(g, r, base, opts, 0)
 	}
 }
 
@@ -101,8 +101,8 @@ func TestPropertyParallelEqualsSerial(t *testing.T) {
 	prop := func(seed int64, workers uint8) bool {
 		g, r, base := randomWorld(&testing.T{}, seed, 60, 300)
 		opts := Options{Threshold: 1e-9, MaxIters: 500}
-		a := Run(g, r, base, opts)
-		b := RunParallel(g, r, base, opts, 1+int(workers%7))
+		a := run(g, r, base, opts)
+		b := runWorkers(g, r, base, opts, 1+int(workers%7))
 		for i := range a.Scores {
 			if math.Abs(a.Scores[i]-b.Scores[i]) > 1e-8 {
 				return false

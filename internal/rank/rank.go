@@ -51,14 +51,6 @@ type Options struct {
 	// crash; a stale warm start is recoverable by construction — the
 	// fixpoint does not depend on the start vector.)
 	Init []float64
-	// Tile, if non-nil, selects the cache-blocked sweep built by
-	// NewTiling for this graph. Tiling is an execution plan, not an
-	// input: results are bit-identical to the untiled sweep (the tiles
-	// partition each CSR row's arcs without reordering a single
-	// floating-point operation), so this is purely a locality knob. A
-	// tiling sized for a different graph, or one whose plan has fewer
-	// than two tiles, is ignored and the untiled sweep runs.
-	Tile *Tiling
 	// Observe, if non-nil, is invoked by the kernel after EVERY
 	// completed power iteration with the 1-based iteration index and
 	// that iteration's L1 residual (the convergence quantity compared
@@ -87,9 +79,9 @@ type Options struct {
 	// iteration (the serving default before PR 4).
 	//
 	// Contract: whether Ctx is nil, context.Background(), or a live
-	// cancellable context, the happy path (no cancellation) adds 0
-	// allocations per run over the PR-3 kernel — ctx.Err() on the
-	// stdlib context types does not allocate. Enforced by
+	// cancellable context, the happy path (no cancellation) allocates
+	// the same small per-run constant — ctx.Err() on the stdlib
+	// context types does not allocate. Enforced by
 	// TestIterateContextZeroAlloc. A context is deliberately carried in
 	// Options next to Init and Observe: all three are per-run state of
 	// one kernel execution, and threading a parameter through every
@@ -180,24 +172,6 @@ type Result struct {
 	InitDropped bool
 }
 
-// Run executes the damped authority-flow fixpoint
-//
-//	r = d·A·r + (1−d)·base
-//
-// over the authority transfer data graph derived from g and rates,
-// where A's entries are the Equation 1 arc weights
-// alpha(type)/OutDeg(u, type). base is the random-jump distribution; it
-// should sum to 1 (use NormalizeDist). Nodes never listed in base still
-// receive authority through incoming arcs.
-//
-// Run is the serial, bitwise-deterministic entry of the unified kernel
-// (Iterate with one worker and no buffer pool); its results are
-// bit-identical to the historical scatter implementation. Panics if
-// opts.Init is non-nil with a length other than g.NumNodes().
-func Run(g *graph.Graph, rates *graph.Rates, base []float64, opts Options) Result {
-	return Iterate(g, rates.Vector(), base, opts, 1, nil)
-}
-
 // NormalizeDist scales a non-negative vector in place so it sums to 1.
 // A zero vector is left unchanged. Returns the same slice.
 func NormalizeDist(v []float64) []float64 {
@@ -218,6 +192,8 @@ func NormalizeDist(v []float64) []float64 {
 // a uniform random-jump distribution over all nodes. The paper uses
 // global ObjectRank values (equivalently, PageRank over the authority
 // transfer data graph) to warm-start the first query (Section 6.2).
+// Like ObjectRank and ObjectRankMulti it runs the kernel serially and
+// unpooled, so its scores are bitwise deterministic.
 func PageRank(g *graph.Graph, rates *graph.Rates, opts Options) Result {
 	n := g.NumNodes()
 	base := make([]float64, n)
@@ -228,7 +204,7 @@ func PageRank(g *graph.Graph, rates *graph.Rates, opts Options) Result {
 	for i := range base {
 		base[i] = u
 	}
-	return Run(g, rates, base, opts)
+	return Iterate(g, rates.Vector(), [][]float64{base}, []Options{opts}, 1, nil)[0]
 }
 
 // ObjectRank computes the original [BHP04] ObjectRank for a base set
@@ -243,7 +219,7 @@ func ObjectRank(g *graph.Graph, rates *graph.Rates, baseSet []graph.NodeID, opts
 			base[v] = u
 		}
 	}
-	return Run(g, rates, base, opts)
+	return Iterate(g, rates.Vector(), [][]float64{base}, []Options{opts}, 1, nil)[0]
 }
 
 // ObjectRankMulti computes the modified multi-keyword ObjectRank of

@@ -41,7 +41,7 @@ func TestRunClosedFormTwoNodes(t *testing.T) {
 	// r(B) = 0.075 + 0.85*0.7*r(A) = 0.119625.
 	g, r := paperGraph(t, 2, [][2]int{{0, 1}}, 0.7, 0)
 	base := []float64{0.5, 0.5}
-	res := Run(g, r, base, Options{Damping: 0.85, Threshold: 1e-12, MaxIters: 500})
+	res := run(g, r, base, Options{Damping: 0.85, Threshold: 1e-12, MaxIters: 500})
 	if !res.Converged {
 		t.Fatal("did not converge")
 	}
@@ -57,7 +57,7 @@ func TestRunEquation1Split(t *testing.T) {
 	// A cites B and C: each forward arc carries 0.7/2 (Equation 1).
 	g, r := paperGraph(t, 3, [][2]int{{0, 1}, {0, 2}}, 0.7, 0)
 	base := []float64{1, 0, 0}
-	res := Run(g, r, base, Options{Damping: 0.85, Threshold: 1e-12, MaxIters: 500})
+	res := run(g, r, base, Options{Damping: 0.85, Threshold: 1e-12, MaxIters: 500})
 	if math.Abs(res.Scores[1]-res.Scores[2]) > 1e-12 {
 		t.Errorf("B and C should tie: %v vs %v", res.Scores[1], res.Scores[2])
 	}
@@ -148,7 +148,7 @@ func TestWarmStartFewerIterations(t *testing.T) {
 	}
 	NormalizeDist(base)
 	opts := Options{Threshold: 1e-9, MaxIters: 2000}
-	cold := Run(g, r, base, opts)
+	cold := run(g, r, base, opts)
 	if !cold.Converged {
 		t.Fatal("cold run did not converge")
 	}
@@ -159,8 +159,8 @@ func TestWarmStartFewerIterations(t *testing.T) {
 	NormalizeDist(base2)
 	optsWarm := opts
 	optsWarm.Init = cold.Scores
-	warm := Run(g, r, base2, optsWarm)
-	coldRerun := Run(g, r, base2, opts)
+	warm := run(g, r, base2, optsWarm)
+	coldRerun := run(g, r, base2, opts)
 	if !warm.Converged || !coldRerun.Converged {
 		t.Fatal("reruns did not converge")
 	}
@@ -177,7 +177,7 @@ func TestWarmStartFewerIterations(t *testing.T) {
 
 func TestMaxItersStopsWithoutConvergence(t *testing.T) {
 	g, r := paperGraph(t, 2, [][2]int{{0, 1}}, 0.7, 0.1)
-	res := Run(g, r, []float64{0.5, 0.5}, Options{Threshold: 1e-15, MaxIters: 2})
+	res := run(g, r, []float64{0.5, 0.5}, Options{Threshold: 1e-15, MaxIters: 2})
 	if res.Converged {
 		t.Error("2 iterations should not reach 1e-15")
 	}
@@ -293,7 +293,7 @@ func TestPropertyScoresNonNegativeBounded(t *testing.T) {
 			base[i] = rng.Float64()
 		}
 		NormalizeDist(base)
-		res := Run(g, r, base, Options{Threshold: 1e-10, MaxIters: 500})
+		res := run(g, r, base, Options{Threshold: 1e-10, MaxIters: 500})
 		sum := 0.0
 		for _, s := range res.Scores {
 			if s < 0 {

@@ -41,12 +41,8 @@ type fleet struct {
 // happen at deterministic points. Replicas run UNCACHED: byte-identity
 // assertions need answers free of the cache-provenance field, which
 // legitimately differs between a first ask ("computed") and a repeat
-// ("result"). The scaling benchmark builds its own cached fleet.
+// ("result").
 func newFleet(t testing.TB, n int) *fleet {
-	return newFleetCached(t, n, false)
-}
-
-func newFleetCached(t testing.TB, n int, cached bool) *fleet {
 	t.Helper()
 	dir := t.TempDir()
 	writeSnapshot(t, dir, "next.snap", 0.015, 9)
@@ -59,11 +55,7 @@ func newFleetCached(t testing.TB, n int, cached bool) *fleet {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := []server.Option{server.WithSwapDir(dir)}
-		if cached {
-			opts = append(opts, server.WithCache(8<<20, 0))
-		}
-		s, err := server.New(ds, core.Config{Rank: rank.Options{Threshold: 1e-6, MaxIters: 300}}, opts...)
+		s, err := server.New(ds, core.Config{Rank: rank.Options{Threshold: 1e-6, MaxIters: 300}}, server.WithSwapDir(dir))
 		if err != nil {
 			t.Fatal(err)
 		}

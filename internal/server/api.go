@@ -571,12 +571,13 @@ func writeConflict(w http.ResponseWriter, r *http.Request, msg string, version u
 // above any legitimate 64-item batch).
 const maxBatchBody = 1 << 20
 
-// handleQueryBatch answers N queries with at most ⌈unique/BlockSize⌉
-// kernel executions: the whole batch pins ONE rates snapshot, cached
-// servers route through cache.QueryBatchPinnedCtx (result cache →
-// term-vector cache → one blocked solve of the remaining misses),
-// uncached servers through Pinned.RankManyCtx directly. Each answer is
-// identical to what the corresponding single /v1/query would return.
+// handleQueryBatch answers N queries with at most
+// ⌈unique/core.DefaultBlockSize⌉ kernel executions: the whole batch pins
+// ONE rates snapshot, cached servers route through
+// cache.QueryBatchModePinnedCtx (result cache → term-vector cache → one
+// panelled solve of the remaining misses), uncached servers through
+// Pinned.Solve directly. Each answer is identical to what the
+// corresponding single /v1/query would return.
 func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -658,10 +659,10 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		var err error
 		if allAuthority {
-			results, err = pin.RankManyCtx(ctx, qs)
+			results, err = pin.Solve(ctx, core.SolveSpec{Queries: qs})
 		} else {
 			for i := range qs {
-				results[i], err = pin.RankModeCtx(ctx, qs[i], modes[i])
+				results[i], err = solveOne(ctx, pin, core.SolveSpec{Queries: qs[i : i+1], Mode: modes[i]})
 				if err != nil {
 					break
 				}

@@ -413,7 +413,7 @@ func TestQueryBatchV1(t *testing.T) {
 
 	after, _ := scrapeMetrics(t, ts.URL)
 	delta := after["afq_kernel_solves_total"] - before["afq_kernel_solves_total"]
-	bs := s.Engine().Corpus().BlockSize()
+	bs := core.DefaultBlockSize
 	maxSolves := float64((len(req.Queries) + bs - 1) / bs)
 	if delta <= 0 || delta > maxSolves {
 		t.Errorf("kernel solves for the batch = %g, want in (0, %g] (BlockSize %d)",

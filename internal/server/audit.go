@@ -5,6 +5,7 @@ import (
 
 	"authorityflow/internal/core"
 	"authorityflow/internal/graph"
+	"authorityflow/internal/ir"
 	"authorityflow/internal/obs"
 )
 
@@ -48,7 +49,7 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 	if s.cache != nil {
 		res, err = s.cache.RankModePinnedCtx(ctx, pin, q, rp.Mode)
 	} else {
-		res, err = pin.RankModeCtx(ctx, q, rp.Mode)
+		res, err = solveOne(ctx, pin, core.SolveSpec{Queries: []*ir.Query{q}, Mode: rp.Mode})
 	}
 	if err != nil {
 		s.writeCtxError(w, r, err)

@@ -402,3 +402,34 @@ func statusOf(t *testing.T, url string) int {
 	resp.Body.Close()
 	return resp.StatusCode
 }
+
+// TestWarmSolvesCountDonatedStartsOnly: afq_kernel_warm_solves_total
+// counts §6.2 warm starts — solves that began from a donated score
+// vector — not the global-PageRank start every first query takes. N
+// distinct queries with no publish in between leave it at 0; a
+// reformulation (which publishes rates and re-solves from the previous
+// scores) and the requery after it raise it.
+func TestWarmSolvesCountDonatedStartsOnly(t *testing.T) {
+	_, ts := obsTestServer(t, WithCache(8<<20, 0))
+	for _, q := range []string{"olap", "xml", "mining", "query+optimization", "web+search", "xml+index"} {
+		mustGet(t, ts.URL+"/v1/query?k=5&q="+q, 200)
+	}
+	samples, _ := scrapeMetrics(t, ts.URL)
+	if solves := samples["afq_kernel_solves_total"]; solves < 6 {
+		t.Fatalf("kernel solves = %g after six distinct queries, want at least 6", solves)
+	}
+	if warm := samples["afq_kernel_warm_solves_total"]; warm != 0 {
+		t.Fatalf("warm solves = %g after distinct queries and no publish, want 0", warm)
+	}
+
+	var qa QueryResponse
+	if code := getJSON(t, ts.URL+"/v1/query?q=olap&k=5", &qa); code != 200 || len(qa.Results) == 0 {
+		t.Fatalf("/v1/query olap: status %d, %d results", code, len(qa.Results))
+	}
+	mustGet(t, ts.URL+"/v1/reformulate?q=olap&version=1&feedback="+strconv.FormatInt(qa.Results[0].Node, 10), 200)
+	mustGet(t, ts.URL+"/v1/query?q=olap&k=7", 200)
+	samples, _ = scrapeMetrics(t, ts.URL)
+	if warm := samples["afq_kernel_warm_solves_total"]; warm == 0 {
+		t.Fatal("warm solves = 0 after a reformulate and a requery, want > 0")
+	}
+}

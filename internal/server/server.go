@@ -17,9 +17,8 @@
 //	GET  /v1/stats
 //
 // Concurrency: the server holds no locks. Every handler loads the
-// engine's current rates snapshot once (explicitly via core.Pin for the
-// multi-step reformulation flow, implicitly inside Engine.Rank for
-// single-step queries) and serves from it; concurrent reformulations
+// engine's current rates snapshot once (Engine.Pin) and serves every
+// step of the request from that pinned view; concurrent reformulations
 // publish through the engine's compare-and-swap. /reformulate is
 // optimistic: the response carries the rates version it ran under, an
 // optional version=N parameter asserts the client's expected version,
@@ -95,18 +94,6 @@ func WithCache(maxBytes int64, prewarmTerms int) Option {
 		o.cacheEnabled = true
 		o.cacheOpts.MaxBytes = maxBytes
 		o.cacheOpts.PrewarmTerms = prewarmTerms
-	}
-}
-
-// WithCacheTuning sets the serving cache's opt-in prewarm kernel
-// accelerations (see cache.Options.PrewarmFloat32 and DeltaEps). It
-// only adjusts fields — combine with WithCache, which enables the
-// cache itself. Both default off: the stock server keeps prewarmed
-// vectors bit-identical to miss-path solves.
-func WithCacheTuning(prewarmF32 bool, deltaEps float64) Option {
-	return func(o *serverOptions) {
-		o.cacheOpts.PrewarmFloat32 = prewarmF32
-		o.cacheOpts.DeltaEps = deltaEps
 	}
 }
 
@@ -390,7 +377,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, resp)
 		return
 	}
-	res, err := pin.RankModeCtx(ctx, q, rp.Mode)
+	res, err := solveOne(ctx, pin, core.SolveSpec{Queries: []*ir.Query{q}, Mode: rp.Mode})
 	if err != nil {
 		s.writeCtxError(w, r, err)
 		return
@@ -454,7 +441,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	if s.cache != nil {
 		res, err = s.cache.RankModePinnedCtx(ctx, pin, q, rp.Mode)
 	} else {
-		res, err = pin.RankModeCtx(ctx, q, rp.Mode)
+		res, err = solveOne(ctx, pin, core.SolveSpec{Queries: []*ir.Query{q}, Mode: rp.Mode})
 	}
 	if err != nil {
 		s.writeCtxError(w, r, err)
@@ -567,7 +554,7 @@ func (s *Server) handleReformulate(w http.ResponseWriter, r *http.Request) {
 	if s.cache != nil {
 		res, err = s.cache.RankPinnedCtx(ctx, pin, q)
 	} else {
-		res, err = pin.RankCtx(ctx, q)
+		res, err = solveOne(ctx, pin, core.SolveSpec{Queries: []*ir.Query{q}})
 	}
 	if err != nil {
 		s.writeCtxError(w, r, err)
@@ -637,7 +624,7 @@ func (s *Server) handleReformulate(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Results = s.renderItems(g2, ref.Query, ans.Results)
 	} else {
-		res2, err := pin2.RankFromCtx(ctx, ref.Query, res.Scores)
+		res2, err := solveOne(ctx, pin2, core.SolveSpec{Queries: []*ir.Query{ref.Query}, Inits: [][]float64{res.Scores}})
 		if err != nil {
 			s.writeCtxError(w, r, err)
 			return
@@ -649,6 +636,15 @@ func (s *Server) handleReformulate(w http.ResponseWriter, r *http.Request) {
 		resp.Expansion = append(resp.Expansion, ExpansionTerm{Term: wt.Term, Weight: wt.Weight})
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// solveOne is the uncached single-query solve: one Pinned.Solve column.
+func solveOne(ctx context.Context, pin *core.Pinned, spec core.SolveSpec) (*core.RankResult, error) {
+	rs, err := pin.Solve(ctx, spec)
+	if err != nil {
+		return nil, err
+	}
+	return rs[0], nil
 }
 
 // results renders a RankResult against g, which must be the graph of
@@ -778,11 +774,3 @@ func (s *Server) Cache() *cache.CachedEngine { return s.cache }
 // Dataset exposes the currently served dataset (republished by corpus
 // swaps).
 func (s *Server) Dataset() *datagen.Dataset { return s.ds.Load() }
-
-// RankWith runs a query outside HTTP (used by embedding callers). Like
-// the handlers it is lock-free; the result's scores belong to the
-// engine's buffer pool and may be handed back with Engine().Release
-// once read.
-func (s *Server) RankWith(q *ir.Query) *core.RankResult {
-	return s.eng.Rank(q)
-}

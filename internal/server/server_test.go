@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -15,6 +16,16 @@ import (
 	"authorityflow/internal/rank"
 	"authorityflow/internal/storage"
 )
+
+// rankWith solves q on the server's engine outside HTTP.
+func rankWith(t *testing.T, s *Server, q *ir.Query) *core.RankResult {
+	t.Helper()
+	res, err := solveOne(context.Background(), s.Engine().Pin(), core.SolveSpec{Queries: []*ir.Query{q}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
 
 func testServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
@@ -100,7 +111,7 @@ func TestQueryEndpointErrors(t *testing.T) {
 func TestExplainEndpoint(t *testing.T) {
 	s, ts := testServer(t)
 	// Find a real target first.
-	res := s.RankWith(ir.NewQuery("olap"))
+	res := rankWith(t, s, ir.NewQuery("olap"))
 	top := res.TopK(1)
 	if len(top) == 0 || top[0].Score == 0 {
 		t.Skip("no olap results at this scale")
@@ -127,7 +138,7 @@ func TestExplainEndpoint(t *testing.T) {
 
 func TestReformulateEndpoint(t *testing.T) {
 	s, ts := testServer(t)
-	res := s.RankWith(ir.NewQuery("olap"))
+	res := rankWith(t, s, ir.NewQuery("olap"))
 	top := res.TopK(2)
 	if len(top) < 2 || top[1].Score == 0 {
 		t.Skip("not enough olap results at this scale")
@@ -228,7 +239,7 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 	// (200) or loses the optimistic publication race (409) — never
 	// anything else.
 	s, ts := testServer(t)
-	res := s.RankWith(ir.NewQuery("olap"))
+	res := rankWith(t, s, ir.NewQuery("olap"))
 	top := res.TopK(1)
 	if len(top) == 0 || top[0].Score == 0 {
 		t.Skip("no feedback target at this scale")
@@ -267,7 +278,7 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 
 func TestReformulateVersionToken(t *testing.T) {
 	s, ts := testServer(t)
-	res := s.RankWith(ir.NewQuery("olap"))
+	res := rankWith(t, s, ir.NewQuery("olap"))
 	top := res.TopK(1)
 	if len(top) == 0 || top[0].Score == 0 {
 		t.Skip("no feedback target at this scale")
@@ -325,7 +336,7 @@ func TestConcurrentReformulationStress(t *testing.T) {
 	// /reformulate and /rates. Exactly version(final) - version(initial)
 	// reformulations may succeed; every other one must 409.
 	s, ts := testServer(t)
-	res := s.RankWith(ir.NewQuery("olap"))
+	res := rankWith(t, s, ir.NewQuery("olap"))
 	top := res.TopK(1)
 	if len(top) == 0 || top[0].Score == 0 {
 		t.Skip("no feedback target at this scale")
@@ -390,7 +401,7 @@ func TestConcurrentReformulationStress(t *testing.T) {
 
 func TestExplainFormats(t *testing.T) {
 	s, ts := testServer(t)
-	res := s.RankWith(ir.NewQuery("olap"))
+	res := rankWith(t, s, ir.NewQuery("olap"))
 	top := res.TopK(1)
 	if len(top) == 0 || top[0].Score == 0 {
 		t.Skip("no results at this scale")

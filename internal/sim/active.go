@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"sort"
 
 	"authorityflow/internal/core"
@@ -32,7 +33,7 @@ const (
 // per-type flow vector against the sum of the already-selected vectors.
 // The explaining subgraphs are computed here and returned so the
 // session does not explain the winners twice.
-func selectActive(sys *core.Engine, res *core.RankResult, candidates []graph.NodeID, opts core.ExplainOptions, max int) ([]graph.NodeID, []*core.Subgraph, error) {
+func selectActive(pin *core.Pinned, res *core.RankResult, candidates []graph.NodeID, opts core.ExplainOptions, max int) ([]graph.NodeID, []*core.Subgraph, error) {
 	if max <= 0 || max > len(candidates) {
 		max = len(candidates)
 	}
@@ -42,10 +43,10 @@ func selectActive(sys *core.Engine, res *core.RankResult, candidates []graph.Nod
 		flows []float64
 		total float64
 	}
-	nTypes := sys.Graph().Schema().NumTransferTypes()
+	nTypes := pin.Corpus().Graph().Schema().NumTransferTypes()
 	var cs []cand
 	for _, v := range candidates {
-		sg, err := sys.Explain(res, v, opts)
+		sg, err := pin.ExplainCtx(context.TODO(), res, v, opts)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -11,7 +11,11 @@ import (
 func TestSelectActiveMechanics(t *testing.T) {
 	sys, user, paperType := testWorld(t)
 	q := ir.NewQuery("olap")
-	res := sys.Rank(q)
+	pin := sys.Pin()
+	res, err := solveOne(pin, core.SolveSpec{Queries: []*ir.Query{q}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	relevant := user.Relevant(q)
 	screen := res.TopKOfType(sys.Graph(), paperType, 15)
 	candidates := user.Judge(screen, relevant, 0)
@@ -19,7 +23,7 @@ func TestSelectActiveMechanics(t *testing.T) {
 		t.Skip("not enough relevant candidates at this scale")
 	}
 
-	nodes, subs, err := selectActive(sys, res, candidates, core.DefaultExplain(), 3)
+	nodes, subs, err := selectActive(pin, res, candidates, core.DefaultExplain(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +51,7 @@ func TestSelectActiveMechanics(t *testing.T) {
 	}
 
 	// Deterministic.
-	nodes2, _, err := selectActive(sys, res, candidates, core.DefaultExplain(), 3)
+	nodes2, _, err := selectActive(pin, res, candidates, core.DefaultExplain(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +62,7 @@ func TestSelectActiveMechanics(t *testing.T) {
 	}
 
 	// max larger than the candidate pool selects everything.
-	all, _, err := selectActive(sys, res, candidates, core.DefaultExplain(), 100)
+	all, _, err := selectActive(pin, res, candidates, core.DefaultExplain(), 100)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 // markings": instead of explicitly marking every relevant result, the
 // user clicks relevant results with a position-biased probability, and
 // each click carries a confidence weight rather than a hard mark. Used
-// with Engine.ReformulateWeighted.
+// with Pinned.ReformulateWeightedCtx.
 type ClickModel struct {
 	rng *rand.Rand
 	// PositionBias is the per-rank decay of examination probability:

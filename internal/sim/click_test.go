@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"authorityflow/internal/core"
@@ -80,7 +81,11 @@ func TestImplicitFeedbackTrains(t *testing.T) {
 	relevant := user.Relevant(q)
 	clicker := NewClickModel(11, 0.9, 0.95)
 
-	res := sys.Rank(q)
+	pin := sys.Pin()
+	res, err := solveOne(pin, core.SolveSpec{Queries: []*ir.Query{q}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	screen := res.TopKOfType(sys.Graph(), paperType, 15)
 	clicks := clicker.Simulate(screen, relevant)
 	if len(clicks) == 0 {
@@ -88,14 +93,14 @@ func TestImplicitFeedbackTrains(t *testing.T) {
 	}
 	var subs []*core.Subgraph
 	for _, c := range clicks {
-		sg, err := sys.Explain(res, c.Node, core.DefaultExplain())
+		sg, err := pin.ExplainCtx(context.Background(), res, c.Node, core.DefaultExplain())
 		if err != nil {
 			t.Fatal(err)
 		}
 		subs = append(subs, sg)
 	}
 	before := sys.Rates().Vector()
-	ref, err := sys.ReformulateWeighted(q, subs, Confidences(clicks), core.StructureOnly())
+	ref, err := pin.ReformulateWeightedCtx(context.Background(), q, subs, Confidences(clicks), core.StructureOnly())
 	if err != nil {
 		t.Fatal(err)
 	}

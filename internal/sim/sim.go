@@ -10,6 +10,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -67,7 +68,10 @@ func (u *User) Relevant(q *ir.Query) map[graph.NodeID]bool {
 	if rel, ok := u.relevantCache[key]; ok {
 		return rel
 	}
-	res := u.truth.Rank(q)
+	res, err := solveOne(u.truth.Pin(), core.SolveSpec{Queries: []*ir.Query{q}})
+	if err != nil {
+		panic(err) // a solve only fails when its context does
+	}
 	var top []rank.Ranked
 	if u.ResultType >= 0 {
 		top = res.TopKOfType(u.truth.Graph(), u.ResultType, u.TopR)
@@ -216,16 +220,21 @@ func RunSession(sys *core.Engine, user *User, q *ir.Query, cfg SessionConfig) (*
 
 	for it := 0; it <= cfg.Iterations; it++ {
 		var stats IterationStats
-		stats.Rates = sys.Rates().Vector()
+		// One pinned view per iteration: the solve, the explanations
+		// and the reformulation all read the same rates.
+		pin := sys.Pin()
+		stats.Rates = pin.Rates().Vector()
 
-		t0 := time.Now()
-		var res *core.RankResult
+		// The first query starts from the global PageRank; later ones
+		// from the previous scores (§6.2), or cold for the ablation.
+		spec := core.SolveSpec{Queries: []*ir.Query{cur}, Cold: it > 0 && !cfg.WarmStart}
 		if cfg.WarmStart && prevScores != nil {
-			res = sys.RankFrom(cur, prevScores)
-		} else if it == 0 || cfg.WarmStart {
-			res = sys.Rank(cur)
-		} else {
-			res = sys.RankCold(cur)
+			spec.Inits = [][]float64{prevScores}
+		}
+		t0 := time.Now()
+		res, err := solveOne(pin, spec)
+		if err != nil {
+			return nil, err
 		}
 		stats.RankTime = time.Since(t0)
 		stats.RankIterations = res.Iterations
@@ -234,7 +243,7 @@ func RunSession(sys *core.Engine, user *User, q *ir.Query, cfg SessionConfig) (*
 		// Present the top-k screen over the residual collection.
 		var ranked []rank.Ranked
 		if user.ResultType >= 0 {
-			ranked = res.TopKOfType(sys.Graph(), user.ResultType, cfg.K+residualSlack)
+			ranked = res.TopKOfType(pin.Corpus().Graph(), user.ResultType, cfg.K+residualSlack)
 		} else {
 			ranked = res.TopK(cfg.K + residualSlack)
 		}
@@ -253,8 +262,7 @@ func RunSession(sys *core.Engine, user *User, q *ir.Query, cfg SessionConfig) (*
 		if cfg.Policy == ActiveFeedback {
 			candidates := user.Judge(screen, residualRelevant, 0)
 			if len(candidates) > 0 {
-				var err error
-				feedback, subs, err = selectActive(sys, res, candidates, cfg.Explain, cfg.MaxFeedback)
+				feedback, subs, err = selectActive(pin, res, candidates, cfg.Explain, cfg.MaxFeedback)
 				if err != nil {
 					return nil, err
 				}
@@ -276,7 +284,7 @@ func RunSession(sys *core.Engine, user *User, q *ir.Query, cfg SessionConfig) (*
 		// selection already explained its winners.
 		if subs == nil {
 			for _, f := range feedback {
-				sg, err := sys.Explain(res, f, cfg.Explain)
+				sg, err := pin.ExplainCtx(context.TODO(), res, f, cfg.Explain)
 				if err != nil {
 					return nil, err
 				}
@@ -292,7 +300,7 @@ func RunSession(sys *core.Engine, user *User, q *ir.Query, cfg SessionConfig) (*
 
 		// Reformulate (stage d) and apply.
 		t3 := time.Now()
-		ref, err := sys.Reformulate(cur, subs, cfg.Reformulate)
+		ref, err := pin.ReformulateWeightedCtx(context.TODO(), cur, subs, nil, cfg.Reformulate)
 		if err != nil {
 			return nil, err
 		}
@@ -305,6 +313,16 @@ func RunSession(sys *core.Engine, user *User, q *ir.Query, cfg SessionConfig) (*
 	}
 	out.FinalQuery = cur
 	return out, nil
+}
+
+// solveOne runs a one-column spec. RunSession's signature carries no
+// context, so the solve cannot be cancelled.
+func solveOne(pin *core.Pinned, spec core.SolveSpec) (*core.RankResult, error) {
+	rs, err := pin.Solve(context.TODO(), spec)
+	if err != nil {
+		return nil, err
+	}
+	return rs[0], nil
 }
 
 // residualSlack over-fetches ranked results so that removing

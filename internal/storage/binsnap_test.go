@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -154,8 +155,8 @@ func TestBinSnapshotBitIdenticalResults(t *testing.T) {
 		eng2 := engineFrom(t, got, ix)
 		for _, raw := range []string{"mining", "xml data", "query optimization"} {
 			q := ir.ParseQuery(raw)
-			res1 := eng.Rank(q)
-			res2 := eng2.Rank(q)
+			res1 := rankQ(t, eng, q)
+			res2 := rankQ(t, eng2, q)
 			if res1.Iterations != res2.Iterations || res1.Converged != res2.Converged {
 				t.Fatalf("q=%q solver behaviour diverged: (%d,%v) vs (%d,%v)",
 					raw, res1.Iterations, res1.Converged, res2.Iterations, res2.Converged)
@@ -174,8 +175,8 @@ func TestBinSnapshotBitIdenticalResults(t *testing.T) {
 				}
 			}
 			// Explain the top result on both engines.
-			sg1, err1 := eng.Explain(res1, top, core.DefaultExplain())
-			sg2, err2 := eng2.Explain(res2, top, core.DefaultExplain())
+			sg1, err1 := eng.Pin().ExplainCtx(context.Background(), res1, top, core.DefaultExplain())
+			sg2, err2 := eng2.Pin().ExplainCtx(context.Background(), res2, top, core.DefaultExplain())
 			if (err1 == nil) != (err2 == nil) {
 				t.Fatalf("q=%q explain errors diverged: %v vs %v", raw, err1, err2)
 			}
@@ -185,8 +186,8 @@ func TestBinSnapshotBitIdenticalResults(t *testing.T) {
 						raw, sg1.ExplainedScore(), sg2.ExplainedScore())
 				}
 				// Reformulate from the explaining subgraph on both.
-				rf1, err1 := eng.Reformulate(q, []*core.Subgraph{sg1}, core.ContentAndStructure())
-				rf2, err2 := eng2.Reformulate(q, []*core.Subgraph{sg2}, core.ContentAndStructure())
+				rf1, err1 := eng.Pin().ReformulateWeightedCtx(context.Background(), q, []*core.Subgraph{sg1}, nil, core.ContentAndStructure())
+				rf2, err2 := eng2.Pin().ReformulateWeightedCtx(context.Background(), q, []*core.Subgraph{sg2}, nil, core.ContentAndStructure())
 				if (err1 == nil) != (err2 == nil) {
 					t.Fatalf("q=%q reformulate errors diverged: %v vs %v", raw, err1, err2)
 				}
@@ -407,4 +408,14 @@ func TestBinSnapshotTruncationSweep(t *testing.T) {
 			}
 		}
 	})
+}
+
+// rankQ is one uncached authority solve of q on eng's current state.
+func rankQ(t testing.TB, eng *core.Engine, q *ir.Query) *core.RankResult {
+	t.Helper()
+	rs, err := eng.Pin().Solve(context.Background(), core.SolveSpec{Queries: []*ir.Query{q}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rs[0]
 }

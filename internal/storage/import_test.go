@@ -78,7 +78,7 @@ func TestImportTSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := eng.Rank(ir.NewQuery("olap"))
+	res := rankQ(t, eng, ir.NewQuery("olap"))
 	cube := ds.Graph.FindNodes("Data Cube", 1)[0]
 	if res.Scores[cube] <= 0 {
 		t.Error("citation authority did not flow in imported graph")
@@ -137,7 +137,7 @@ func TestExportImportRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := ir.NewQuery("olap")
-	r1, r2 := e1.Rank(q), e2.Rank(q)
+	r1, r2 := rankQ(t, e1, q), rankQ(t, e2, q)
 	for i := range r1.Scores {
 		if r1.Scores[i] != r2.Scores[i] {
 			t.Fatalf("score mismatch at %d", i)

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"path/filepath"
 	"strings"
@@ -74,7 +75,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := ir.NewQuery("olap")
-	r1, r2 := e1.Rank(q), e2.Rank(q)
+	r1, r2 := rankQ(t, e1, q), rankQ(t, e2, q)
 	for i := range r1.Scores {
 		if r1.Scores[i] != r2.Scores[i] {
 			t.Fatalf("score mismatch at %d", i)
@@ -113,12 +114,12 @@ func explainSomething(t testing.TB) (*graph.Graph, *core.Subgraph) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := e.Rank(ir.NewQuery("olap"))
+	res := rankQ(t, e, ir.NewQuery("olap"))
 	top := res.TopK(1)
 	if len(top) == 0 || top[0].Score == 0 {
 		t.Fatal("no results to explain")
 	}
-	sg, err := e.Explain(res, top[0].Node, core.DefaultExplain())
+	sg, err := e.Pin().ExplainCtx(context.Background(), res, top[0].Node, core.DefaultExplain())
 	if err != nil {
 		t.Fatal(err)
 	}
