@@ -298,23 +298,41 @@ func PrecisionAtK(results []Ranked, relevant map[NodeID]bool, k int) float64 {
 
 // Persistence and export (internal/storage).
 
-// SaveDataset writes a dataset snapshot to w.
-func SaveDataset(w io.Writer, ds *Dataset) error { return storage.Save(w, ds) }
+// A corpus has one on-disk form, the versioned binary snapshot
+// (AFQSNAP1; DESIGN.md §10): the frozen graph, the rates and the built
+// inverted index as offset-indexed, CRC-checksummed flat sections. The
+// Dataset functions are the index-free convenience pair over it: saving
+// builds the default index first, loading drops the stored one.
 
-// LoadDataset reads a dataset snapshot from r.
-func LoadDataset(r io.Reader) (*Dataset, error) { return storage.Load(r) }
+// SaveDataset writes ds to w as a binary corpus snapshot, indexed under
+// the default configuration (what NewEngine would build).
+func SaveDataset(w io.Writer, ds *Dataset) error {
+	return storage.WriteSnapshot(w, ds, core.NewCorpus(ds.Graph, Config{}).Index())
+}
 
-// SaveDatasetFile writes a dataset snapshot to path.
-func SaveDatasetFile(path string, ds *Dataset) error { return storage.SaveFile(path, ds) }
+// LoadDataset reads a binary corpus snapshot from r.
+func LoadDataset(r io.Reader) (*Dataset, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	ds, _, err := storage.ReadSnapshot(data)
+	return ds, err
+}
 
-// LoadDatasetFile reads a dataset snapshot from path.
-func LoadDatasetFile(path string) (*Dataset, error) { return storage.LoadFile(path) }
+// SaveDatasetFile is SaveDataset to path, written atomically.
+func SaveDatasetFile(path string, ds *Dataset) error {
+	return SaveCorpusSnapshotFile(path, ds, core.NewCorpus(ds.Graph, Config{}).Index())
+}
 
-// SaveCorpusSnapshotFile writes the versioned BINARY corpus snapshot:
-// the dataset's frozen graph, rates, and already-built inverted index
-// as offset-indexed, CRC-checksummed flat sections (see DESIGN.md §10).
-// Unlike the gob dataset snapshot it persists the final CSR arrays and
-// postings verbatim, so a reloaded corpus answers queries bit-for-bit
+// LoadDatasetFile is LoadDataset from path.
+func LoadDatasetFile(path string) (*Dataset, error) {
+	ds, _, err := LoadCorpusSnapshotFile(path)
+	return ds, err
+}
+
+// SaveCorpusSnapshotFile writes the binary corpus snapshot with an
+// already-built index. A reloaded corpus answers queries bit-for-bit
 // identically without rebuilding anything. The write is atomic
 // (temp file + rename).
 func SaveCorpusSnapshotFile(path string, ds *Dataset, ix *Index) error {
@@ -369,8 +387,8 @@ func BuildStoreCtx(ctx context.Context, eng *Engine, terms []string, opts StoreO
 func LoadStoreFile(path string) (*Store, error) { return precompute.LoadFile(path) }
 
 // NewServer builds the HTTP JSON API server of the deployed demo over a
-// dataset. Mount Handler() into any http server. Options such as
-// WithServerCache enable the serving cache.
+// dataset. Mount Handler() into any http server. Every read is served
+// through the serving cache; WithServerCache sizes it.
 func NewServer(ds *Dataset, cfg Config, opts ...ServerOption) (*server.Server, error) {
 	return server.New(ds, cfg, opts...)
 }
@@ -381,18 +399,16 @@ type Server = server.Server
 // ServerOption configures optional server behaviour.
 type ServerOption = server.Option
 
-// WithServerCache enables the server's serving cache with the given
-// total byte budget (0 = 64 MiB) and post-publication prewarm term
-// count (0 = off).
+// WithServerCache sizes the server's serving cache: total byte budget
+// (0 = 64 MiB) and post-publication prewarm term count (0 = off).
 func WithServerCache(maxBytes int64, prewarmTerms int) ServerOption {
 	return server.WithCache(maxBytes, prewarmTerms)
 }
 
 // v1 HTTP API surface (internal/server/api.go; full contract in
-// API.md). The canonical routes live under /v1; the historical
-// unversioned routes stay mounted as deprecated aliases with
-// byte-identical success bodies. These are the wire DTOs on BOTH ends:
-// the server renders them and APIClient decodes them.
+// API.md). Every route lives under /v1 (plus /metrics). These are the
+// wire DTOs on BOTH ends: the server renders them and APIClient decodes
+// them.
 type (
 	// APIResult is one JSON-rendered ranked node.
 	APIResult = server.Result

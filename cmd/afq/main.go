@@ -4,14 +4,13 @@
 //
 // Usage:
 //
-//	afq [-data snapshot.gob | -gen dblptop -scale 0.1] query olap
+//	afq [-snap corpus.snap | -gen dblptop -scale 0.1] query olap
 //	afq ... [-dot out.dot] [-json out.json] explain "olap" 1234
 //	afq ... [-mode structure|content|both] feedback "olap" 1234,5678
 //	afq ... compare "olap" 1234 5678
 //	afq ... [-mindf 2] [-topk 1000] precompute out.store
 //	afq ... -store out.store query olap
 //	afq ... snapshot out.snap
-//	afq -snap out.snap query olap
 //
 // (Flags precede the subcommand, per Go flag-package convention.)
 //
@@ -21,12 +20,11 @@
 // relevant feedback and prints the reformulated query vector and
 // authority transfer rates.
 //
-// The snapshot subcommand writes the versioned BINARY corpus snapshot
-// (frozen CSR graph + inverted index, checksummed sections) that
-// afqserver -snapshot cold-starts from without rebuilding anything;
-// combined with -data it converts a legacy gob dataset snapshot.
-// -snap loads such a snapshot for any subcommand, skipping the index
-// build.
+// The snapshot subcommand writes the versioned binary corpus snapshot
+// (frozen CSR graph + inverted index, checksummed sections) — the one
+// corpus file format, also what datagen writes and afqserver -snapshot
+// cold-starts from without rebuilding anything. -snap loads such a
+// snapshot for any subcommand, skipping the index build.
 package main
 
 import (
@@ -42,12 +40,11 @@ import (
 
 func main() {
 	var (
-		data      = flag.String("data", "", "dataset snapshot to load")
 		snapF     = flag.String("snap", "", "binary corpus snapshot to load (skips graph building and indexing)")
 		schema    = flag.String("schema", "", "schema JSON for TSV import (with -nodes and -edges)")
 		nodesF    = flag.String("nodes", "", "nodes TSV for import")
 		edgesF    = flag.String("edges", "", "edges TSV for import")
-		gen       = flag.String("gen", "", "generate a dataset preset instead: dblptop, dblpcomplete, ds7, ds7cancer")
+		gen       = flag.String("gen", "dblptop", "dataset preset to generate when neither -snap nor -schema is given: dblptop, dblpcomplete, ds7, ds7cancer")
 		scale     = flag.Float64("scale", 0.1, "scale factor when generating")
 		k         = flag.Int("k", 10, "number of results")
 		dot       = flag.String("dot", "", "write explaining subgraph as Graphviz DOT to this path")
@@ -77,7 +74,7 @@ func main() {
 	case *schema != "":
 		ds, err = authorityflow.ImportTSVFiles(*schema, *nodesF, *edgesF, "")
 	default:
-		ds, err = loadOrGen(*data, *gen, *scale)
+		ds, err = authorityflow.GeneratePreset(*gen, *scale, 1)
 	}
 	if err != nil {
 		fail(err)
@@ -296,16 +293,6 @@ func solve(pin *authorityflow.Pinned, q *authorityflow.Query, init []float64) *a
 		fail(err)
 	}
 	return rs[0]
-}
-
-func loadOrGen(data, gen string, scale float64) (*authorityflow.Dataset, error) {
-	if data != "" {
-		return authorityflow.LoadDatasetFile(data)
-	}
-	if gen == "" {
-		gen = "dblptop"
-	}
-	return authorityflow.GeneratePreset(gen, scale, 1)
 }
 
 func parseNode(s string) (authorityflow.NodeID, error) {

@@ -7,36 +7,40 @@
 //	GET  /v1/query?q=olap&k=10
 //	POST /v1/query/batch           {"queries":[{"q":"olap","k":10}, ...]}
 //	GET  /v1/explain?q=olap&target=123
+//	GET  /v1/audit?q=olap&target=123
 //	GET  /v1/reformulate?q=olap&feedback=123,456&mode=structure|content|both
-//	GET  /v1/rates
+//	GET|PUT|POST|DELETE /v1/profile/{id}   (only with -profile-dir)
+//	GET|POST /v1/rates
+//	POST /v1/corpus/swap           (only with -swap-dir)
 //	GET  /v1/healthz
 //	GET  /v1/stats
 //	GET  /metrics        (Prometheus text exposition; unversioned)
 //	GET  /debug/pprof/   (only with -pprof)
 //
-// The historical unversioned routes (/query, /explain, /reformulate,
-// /rates, /healthz, /stats) remain mounted as deprecated aliases with
-// byte-identical success bodies plus Deprecation/Sunset headers; v1
-// routes answer errors with the uniform {"error":{code,message,
-// requestId}} envelope. /v1/query/batch answers up to 64 queries under
-// one rates snapshot with at most ⌈unique/BlockSize⌉ blocked kernel
-// executions.
+// Errors are the uniform {"error":{code,message,requestId}} envelope.
+// /v1/query/batch answers up to 64 queries under one rates snapshot
+// with at most ⌈unique/BlockSize⌉ blocked kernel executions.
+//
+// The corpus comes from -snapshot (a binary corpus snapshot written by
+// datagen or afq snapshot: zero-build cold start) or, without one, is
+// generated in-process from -gen/-scale.
 //
 // Reformulation state (the trained rates) is per-process: subsequent
 // queries use the latest rates, as in the deployed system.
 //
-// The serving cache (-cache-mb, default 64 MiB; 0 disables) makes
-// repeated and concurrent queries cheap: converged per-term score
-// vectors and full top-k answers are cached under the current rates
-// version, concurrent identical misses collapse onto one power
-// iteration, and -prewarm N refreshes the N hottest terms in the
-// background after every reformulation publishes new rates. /stats
+// Every read is served through the serving cache (-cache-mb, default
+// 64 MiB), which makes repeated and concurrent queries cheap: converged
+// per-term score vectors and full top-k answers are cached under the
+// current rates version, concurrent identical misses collapse onto one
+// power iteration, and -prewarm N refreshes the N hottest terms in the
+// background after every reformulation publishes new rates. /v1/stats
 // reports hit/miss/eviction/singleflight/bytes counters; /metrics
 // exposes the same counters (plus per-handler latency histograms and
 // kernel instrumentation) in Prometheus format.
 //
 // Admission control (off by default): -max-inflight caps concurrently
-// admitted expensive requests (/query, /explain, /reformulate; operator
+// admitted expensive requests (/v1/query, /v1/query/batch, /v1/explain,
+// /v1/audit, /v1/reformulate; operator
 // endpoints are never throttled) — excess requests wait up to
 // -queue-wait for a slot and are then shed with 503 + Retry-After;
 // -query-timeout sets a per-request deadline answered with 504 when it
@@ -77,28 +81,30 @@ import (
 func main() {
 	var (
 		addr    = flag.String("addr", "localhost:8080", "listen address")
-		data    = flag.String("data", "", "dataset snapshot to load")
-		snap    = flag.String("snapshot", "", "binary corpus snapshot for a zero-build cold start (overrides -data/-gen)")
+		snap    = flag.String("snapshot", "", "binary corpus snapshot for a zero-build cold start (overrides -gen)")
 		swapDir = flag.String("swap-dir", "", "directory whose binary snapshots POST /v1/corpus/swap may load (empty disables swapping)")
-		gen     = flag.String("gen", "dblptop", "dataset preset to generate when -data is empty")
+		gen     = flag.String("gen", "dblptop", "dataset preset to generate when -snapshot is empty")
 		scale   = flag.Float64("scale", 0.1, "scale factor when generating")
 		workers = flag.Int("workers", 0, "power-iteration workers (0 serial, -1 all cores)")
-		cacheMB = flag.Int("cache-mb", 64, "serving-cache byte budget in MiB (0 disables the cache)")
-		prewarm = flag.Int("prewarm", 8, "hottest terms to refresh after each rates publication (0 disables; needs -cache-mb > 0)")
+		cacheMB = flag.Int("cache-mb", 64, "serving-cache byte budget in MiB (must be positive)")
+		prewarm = flag.Int("prewarm", 8, "hottest terms to refresh after each rates publication (0 disables)")
 
-		maxInflight  = flag.Int("max-inflight", 0, "max concurrently admitted expensive requests (/query, /explain, /reformulate); 0 = unlimited")
+		maxInflight  = flag.Int("max-inflight", 0, "max concurrently admitted expensive requests (query, batch, explain, audit, reformulate); 0 = unlimited")
 		queueWait    = flag.Duration("queue-wait", 0, "how long a request may wait for an admission slot before shedding with 503 (needs -max-inflight; 0 = shed immediately when saturated)")
 		queryTimeout = flag.Duration("query-timeout", 0, "server-side per-request deadline, answered 504 when exceeded; clients may shorten it via X-Request-Timeout-Ms, never extend it (0 = none)")
 
-		profileDir  = flag.String("profile-dir", "", "directory for per-user personalization profiles (empty disables the /v1/profile tier)")
-		basisSize   = flag.Int("basis-size", 0, "topic terms in the personalization basis (0 = default; needs -profile-dir)")
-		legacyGrace = flag.Bool("legacy-grace", false, "keep serving the retired unversioned routes (sunset 2026-08-06) instead of answering 410 Gone")
+		profileDir = flag.String("profile-dir", "", "directory for per-user personalization profiles (empty disables the /v1/profile tier)")
+		basisSize  = flag.Int("basis-size", 0, "topic terms in the personalization basis (0 = default; needs -profile-dir)")
 
 		accessLog = flag.String("access-log", "", `access log destination: "" off, "-" stderr, else a file path`)
 		slowMS    = flag.Int("slow-query-ms", 0, "log requests slower than this many milliseconds with their span events (0 disables)")
 		pprofOn   = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	)
 	flag.Parse()
+	if *cacheMB <= 0 {
+		fmt.Fprintln(os.Stderr, "afqserver: -cache-mb must be positive: every read is served through the serving cache")
+		os.Exit(2)
+	}
 
 	var ds *datagen.Dataset
 	var ix *ir.Index
@@ -113,7 +119,7 @@ func main() {
 			log.Printf("afqserver: loaded snapshot %s in %s", *snap, time.Since(t0))
 		}
 	} else {
-		ds, err = load(*data, *gen, *scale)
+		ds, err = datagen.Preset(*gen, *scale, 1)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "afqserver: %v\n", err)
@@ -130,6 +136,7 @@ func main() {
 	}
 
 	opts := []server.Option{
+		server.WithCache(int64(*cacheMB)<<20, *prewarm),
 		server.WithObservability(obsOpts),
 		server.WithAdmission(server.AdmissionOptions{
 			MaxInflight:  *maxInflight,
@@ -137,17 +144,11 @@ func main() {
 			QueryTimeout: *queryTimeout,
 		}),
 	}
-	if *cacheMB > 0 {
-		opts = append(opts, server.WithCache(int64(*cacheMB)<<20, *prewarm))
-	}
 	if *swapDir != "" {
 		opts = append(opts, server.WithSwapDir(*swapDir))
 	}
 	if *profileDir != "" {
 		opts = append(opts, server.WithProfiles(*profileDir, *basisSize))
-	}
-	if *legacyGrace {
-		opts = append(opts, server.WithLegacyGrace())
 	}
 	cfg := core.Config{Workers: *workers}
 	var s *server.Server
@@ -256,11 +257,4 @@ func obsOptions(accessLog string, slowMS int, pprofOn bool) (server.ObsOptions, 
 		o.SlowLog = os.Stderr
 	}
 	return o, closer, nil
-}
-
-func load(data, gen string, scale float64) (*datagen.Dataset, error) {
-	if data != "" {
-		return storage.LoadFile(data)
-	}
-	return datagen.Preset(gen, scale, 1)
 }

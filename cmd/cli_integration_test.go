@@ -67,7 +67,7 @@ func TestCLIWorkflow(t *testing.T) {
 		t.Skip("builds and runs binaries")
 	}
 	tmp := t.TempDir()
-	snapshot := filepath.Join(tmp, "ds.gob")
+	snapshot := filepath.Join(tmp, "ds.snap")
 
 	// 1. Generate a snapshot.
 	out := run(t, "datagen", "-dataset", "dblptop", "-scale", "0.03", "-out", snapshot)
@@ -79,7 +79,7 @@ func TestCLIWorkflow(t *testing.T) {
 	}
 
 	// 2. Query the snapshot.
-	out = run(t, "afq", "-data", snapshot, "-k", "3", "query", "olap")
+	out = run(t, "afq", "-snap", snapshot, "-k", "3", "query", "olap")
 	if !strings.Contains(out, "base set") || !strings.Contains(out, "1.") {
 		t.Fatalf("query output: %s", out)
 	}
@@ -101,7 +101,7 @@ func TestCLIWorkflow(t *testing.T) {
 	// 3. Explain it, exporting DOT and JSON.
 	dot := filepath.Join(tmp, "explain.dot")
 	js := filepath.Join(tmp, "explain.json")
-	out = run(t, "afq", "-data", snapshot, "-dot", dot, "-json", js, "explain", "olap", nodeID)
+	out = run(t, "afq", "-snap", snapshot, "-dot", dot, "-json", js, "explain", "olap", nodeID)
 	if !strings.Contains(out, "subgraph:") {
 		t.Fatalf("explain output: %s", out)
 	}
@@ -117,7 +117,7 @@ func TestCLIWorkflow(t *testing.T) {
 
 	// 4. Feedback with rate persistence.
 	rates := filepath.Join(tmp, "rates.json")
-	out = run(t, "afq", "-data", snapshot, "-saverates", rates, "feedback", "olap", nodeID)
+	out = run(t, "afq", "-snap", snapshot, "-saverates", rates, "feedback", "olap", nodeID)
 	if !strings.Contains(out, "reformulated rates") {
 		t.Fatalf("feedback output: %s", out)
 	}
@@ -125,15 +125,15 @@ func TestCLIWorkflow(t *testing.T) {
 		t.Fatal("rates file not written")
 	}
 	// Reload the trained rates for a fresh query.
-	out = run(t, "afq", "-data", snapshot, "-loadrates", rates, "-k", "2", "query", "olap")
+	out = run(t, "afq", "-snap", snapshot, "-loadrates", rates, "-k", "2", "query", "olap")
 	if !strings.Contains(out, "base set") {
 		t.Fatalf("query with loaded rates: %s", out)
 	}
 
 	// 5. Precompute a store and query through it.
 	store := filepath.Join(tmp, "scores.store")
-	run(t, "afq", "-data", snapshot, "-mindf", "3", "-topk", "100", "precompute", store)
-	out = run(t, "afq", "-data", snapshot, "-store", store, "-k", "3", "query", "olap")
+	run(t, "afq", "-snap", snapshot, "-mindf", "3", "-topk", "100", "precompute", store)
+	out = run(t, "afq", "-snap", snapshot, "-store", store, "-k", "3", "query", "olap")
 	if !strings.Contains(out, "precomputed store") {
 		t.Fatalf("store query output: %s", out)
 	}
@@ -150,7 +150,7 @@ func TestCLIErrors(t *testing.T) {
 		t.Skip("builds and runs binaries")
 	}
 	// Unknown dataset.
-	out := runExpectError(t, "datagen", "-dataset", "bogus", "-out", filepath.Join(t.TempDir(), "x.gob"))
+	out := runExpectError(t, "datagen", "-dataset", "bogus", "-out", filepath.Join(t.TempDir(), "x.snap"))
 	if !strings.Contains(out, "unknown dataset") {
 		t.Errorf("datagen error output: %s", out)
 	}

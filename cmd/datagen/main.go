@@ -1,9 +1,11 @@
 // Command datagen generates the synthetic datasets standing in for the
-// paper's evaluation corpora and writes them as reloadable snapshots.
+// paper's evaluation corpora and writes them as binary corpus snapshots
+// (graph, rates and built index) — what afq -snap and afqserver
+// -snapshot load.
 //
 // Usage:
 //
-//	datagen -dataset dblptop -scale 0.1 -out dblptop.gob
+//	datagen -dataset dblptop -scale 0.1 -out dblptop.snap
 //
 // Datasets: dblptop, dblpcomplete, ds7, ds7cancer (Table 1 of the
 // paper). -scale shrinks all entity counts proportionally; -seed

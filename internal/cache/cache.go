@@ -37,6 +37,7 @@ import (
 	"authorityflow/internal/core"
 	"authorityflow/internal/graph"
 	"authorityflow/internal/ir"
+	"authorityflow/internal/lru"
 	"authorityflow/internal/rank"
 )
 
@@ -71,8 +72,8 @@ const DefaultMaxBytes int64 = 64 << 20
 // after a SetRates or a SwapCorpus).
 type CachedEngine struct {
 	eng     *core.Engine
-	vectors *shardedLRU
-	results *shardedLRU
+	vectors *lru.Sharded
+	results *lru.Sharded
 	flights flightGroup
 	stats   stats
 
@@ -129,8 +130,8 @@ func New(eng *core.Engine, opts Options) *CachedEngine {
 		hot:         make(map[string]int64),
 		prewarmN:    opts.PrewarmTerms,
 	}
-	c.vectors = newShardedLRU(vb, shards, &c.stats.vectorEvictions)
-	c.results = newShardedLRU(rb, shards, &c.stats.resultEvictions)
+	c.vectors = lru.New(vb, shards, &c.stats.vectorEvictions)
+	c.results = lru.New(rb, shards, &c.stats.resultEvictions)
 	if c.prewarmN > 0 {
 		c.prewarmCh = make(chan struct{}, 1)
 		c.prewarmCtx, c.prewarmCancel = context.WithCancel(context.Background())
@@ -336,7 +337,7 @@ func resultKey(sk stateKey, k int, q *ir.Query) string {
 	b.WriteString("\x00")
 	b.WriteString(strconv.Itoa(k))
 	b.WriteString("\x00")
-	b.WriteString(CanonicalQuery(q))
+	b.WriteString(q.Canonical())
 	return b.String()
 }
 
@@ -351,39 +352,6 @@ func resultKeyMode(sk stateKey, m core.Mode, k int, q *ir.Query) string {
 		return resultKey(sk, k, q)
 	}
 	return "r\x00" + string(m) + "\x00" + resultKey(sk, k, q)[2:]
-}
-
-// CanonicalQuery renders a query as a normalized cache-key fragment:
-// terms sorted lexicographically, weights in exact hexadecimal float
-// form, zero/negative-weight terms dropped (they contribute nothing to
-// the base set). Two queries with equal canonical forms produce the
-// same base distribution up to floating-point summation order.
-func CanonicalQuery(q *ir.Query) string {
-	terms := q.Terms()
-	weights := q.Weights()
-	type tw struct {
-		t string
-		w float64
-	}
-	kept := make([]tw, 0, len(terms))
-	for i, t := range terms {
-		if weights[i] > 0 {
-			kept = append(kept, tw{t, weights[i]})
-		}
-	}
-	for i := 1; i < len(kept); i++ { // insertion sort; queries are tiny
-		for j := i; j > 0 && kept[j].t < kept[j-1].t; j-- {
-			kept[j], kept[j-1] = kept[j-1], kept[j]
-		}
-	}
-	var b strings.Builder
-	for _, e := range kept {
-		b.WriteString(e.t)
-		b.WriteByte('=')
-		b.WriteString(strconv.FormatFloat(e.w, 'x', -1, 64))
-		b.WriteByte(';')
-	}
-	return b.String()
 }
 
 // singleTerm reports whether q is effectively a single-keyword query
@@ -679,7 +647,7 @@ func (c *CachedEngine) queryBatchDir(ctx context.Context, pin *core.Pinned, qs [
 		}
 		c.stats.resultMisses.Add(1)
 		col := column{}
-		solveQ, id := q, "q\x00"+CanonicalQuery(q)
+		solveQ, id := q, "q\x00"+q.Canonical()
 		if term, ok := singleTerm(q); ok {
 			col = column{term: term, tkey: termKeyMode(sk, m, term)}
 			if e, ok := c.vectors.Get(col.tkey); ok {

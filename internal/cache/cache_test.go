@@ -3,7 +3,6 @@ package cache
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -250,62 +249,14 @@ func TestRankPinnedMatchesEngine(t *testing.T) {
 	eng.Release(ref)
 }
 
-func TestCanonicalQuery(t *testing.T) {
-	a := CanonicalQuery(ir.NewQuery("olap", "cube"))
-	b := CanonicalQuery(ir.NewQuery("cube", "olap"))
-	if a != b {
-		t.Errorf("order-sensitive canonical form: %q vs %q", a, b)
-	}
-	w := ir.NewQuery("olap", "cube")
-	w.SetWeight("cube", 0.5)
-	if CanonicalQuery(w) == a {
-		t.Error("weight change did not change canonical form")
-	}
+func TestSingleTerm(t *testing.T) {
 	neg := ir.NewQuery("olap")
 	neg.SetWeight("dropped", -1)
-	if CanonicalQuery(neg) != CanonicalQuery(ir.NewQuery("olap")) {
-		t.Error("non-positive-weight term should not affect the canonical form")
-	}
 	if term, ok := singleTerm(neg); !ok || term != "olap" {
 		t.Errorf("singleTerm = %q, %v", term, ok)
 	}
 	if _, ok := singleTerm(ir.NewQuery("olap", "cube")); ok {
 		t.Error("two-term query classified as single-term")
-	}
-}
-
-func TestLRUByteBudget(t *testing.T) {
-	var ev atomic.Int64
-	l := newShardedLRU(1024, 1, &ev)
-	for i := 0; i < 16; i++ {
-		l.Put(string(rune('a'+i)), i, 128)
-	}
-	if l.Bytes() > 1024 {
-		t.Errorf("bytes = %d exceeds budget", l.Bytes())
-	}
-	if ev.Load() == 0 {
-		t.Error("no evictions recorded under pressure")
-	}
-	if _, ok := l.Get("a"); ok {
-		t.Error("least-recently-used entry survived eviction")
-	}
-	// Most recent entry must be resident.
-	if _, ok := l.Get(string(rune('a' + 15))); !ok {
-		t.Error("most recent entry evicted")
-	}
-	// Oversized entries are rejected, not admitted.
-	before := l.Bytes()
-	l.Put("huge", 1, 4096)
-	if _, ok := l.Get("huge"); ok || l.Bytes() != before {
-		t.Error("oversized entry admitted")
-	}
-	// Remove hands the value over.
-	v, ok := l.Remove(string(rune('a' + 15)))
-	if !ok || v.(int) != 15 {
-		t.Errorf("Remove = %v, %v", v, ok)
-	}
-	if _, ok := l.Get(string(rune('a' + 15))); ok {
-		t.Error("removed entry still resident")
 	}
 }
 

@@ -81,18 +81,6 @@ func (c *flightCall) dropWaiter() {
 	}
 }
 
-// Do runs fn under key with the legacy uncancellable semantics:
-// concurrent calls with the same key execute fn exactly once among
-// them and every caller blocks until the flight finishes. shared is
-// true for followers. Callers that arrive AFTER the flight finished
-// start a fresh one, so fn must itself consult the backing cache first
-// (double-checked miss) for "at most one computation ever" semantics.
-func (g *flightGroup) Do(key string, fn func() any) (val any, shared bool) {
-	val, shared, _ = g.DoCtx(context.Background(), key,
-		func(context.Context) (any, error) { return fn(), nil })
-	return val, shared
-}
-
 // DoCtx runs fn under key, deduplicating concurrent callers, with
 // per-caller cancellation: ctx governs only THIS caller's wait, never
 // the shared computation (see the type doc for the detachment and

@@ -430,7 +430,36 @@ func table(w *world) []path {
 		}
 		return out
 	}
+	// An audited score must be reproducible: the same basis, query and
+	// mixture give the same bits on every call. Eight mixture terms, so a
+	// summation order that followed Go's map iteration would show.
+	repeated := func(t *testing.T) [][]float64 {
+		basis, err := profile.BuildBasis(ctx, w.pin, w.terms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wide := make(map[string]float64)
+		for i, term := range w.terms[:8] {
+			wide[term] = 1 / float64(i+3)
+		}
+		q := w.queries[0]
+		scores := solveOne(t, w.pin, core.ModeAuthority, q, nil)
+		var out [][]float64
+		for i := 0; i < 50; i++ {
+			out = append(out, basis.Combine(scores, wide, beta), basis.MixtureJump(w.pin, w.pin.BaseSet(q), wide, beta))
+		}
+		return out
+	}
 	rows = append(rows,
+		path{"profile combination, repeated ×50 ≡ itself", bitIdentical, repeated,
+			func(t *testing.T) [][]float64 {
+				first := repeated(t)[:2]
+				var out [][]float64
+				for i := 0; i < 50; i++ {
+					out = append(out, first...)
+				}
+				return out
+			}},
 		path{"profile basis combination vs direct solve of the mixture jump", within1e12, combined,
 			func(t *testing.T) [][]float64 {
 				out := mixtureJumps(t)

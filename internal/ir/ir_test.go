@@ -350,3 +350,23 @@ func TestTermsWithDF(t *testing.T) {
 		t.Error("modeling present at minDF=3")
 	}
 }
+
+func TestCanonicalQuery(t *testing.T) {
+	a := NewQuery("olap", "cube").Canonical()
+	b := NewQuery("cube", "olap").Canonical()
+	if a != b {
+		t.Errorf("order-sensitive canonical form: %q vs %q", a, b)
+	}
+	w := NewQuery("olap", "cube")
+	w.SetWeight("cube", 0.5)
+	if w.Canonical() == a {
+		t.Error("weight change did not change canonical form")
+	}
+	for _, dropped := range []float64{-1, 0} {
+		q := NewQuery("olap")
+		q.SetWeight("dropped", dropped)
+		if q.Canonical() != NewQuery("olap").Canonical() {
+			t.Errorf("weight-%g term should not affect the canonical form", dropped)
+		}
+	}
+}

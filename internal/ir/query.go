@@ -3,6 +3,7 @@ package ir
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -101,6 +102,29 @@ func (q *Query) AverageWeight() float64 {
 		sum += w
 	}
 	return sum / float64(len(q.weights))
+}
+
+// Canonical renders the query as a normalized cache-key fragment: terms
+// sorted lexicographically, weights in exact hexadecimal float form,
+// zero/negative-weight terms dropped (they contribute nothing to the
+// base set). Two queries with equal canonical forms produce the same
+// base distribution up to floating-point summation order.
+func (q *Query) Canonical() string {
+	kept := make([]int, 0, len(q.terms))
+	for i, w := range q.weights {
+		if w > 0 {
+			kept = append(kept, i)
+		}
+	}
+	sort.Slice(kept, func(a, b int) bool { return q.terms[kept[a]] < q.terms[kept[b]] })
+	var b strings.Builder
+	for _, i := range kept {
+		b.WriteString(q.terms[i])
+		b.WriteByte('=')
+		b.WriteString(strconv.FormatFloat(q.weights[i], 'x', -1, 64))
+		b.WriteByte(';')
+	}
+	return b.String()
 }
 
 // Clone returns a deep copy of the query.

@@ -1,11 +1,13 @@
-package profile
+// Package lru is the byte-budgeted, sharded LRU the serving cache and
+// the personalization tier keep their entries in.
+package lru
 
 import (
 	"sync"
 	"sync/atomic"
 )
 
-// lruEntry is one resident entry on a shard's intrusive LRU list.
+// lruEntry is one resident cache entry on a shard's intrusive LRU list.
 type lruEntry struct {
 	key        string
 	value      any
@@ -13,11 +15,10 @@ type lruEntry struct {
 	prev, next *lruEntry
 }
 
-// lruShard is one lock-striped slice of a sharded LRU: a map for O(1)
-// lookup plus an intrusive doubly linked list in recency order —
-// the same discipline as internal/cache's serving LRU, reused here for
-// decoded profile records and combined answers. head.next is the most
-// recently used entry, tail.prev the eviction candidate.
+// lruShard is one lock striped slice of a sharded LRU: a map for O(1)
+// lookup plus an intrusive doubly linked list in recency order.
+// head.next is the most recently used entry, tail.prev the eviction
+// candidate. The zero value is not usable; shards are built by New.
 type lruShard struct {
 	mu       sync.Mutex
 	maxBytes int64
@@ -47,13 +48,14 @@ func (s *lruShard) pushFront(e *lruEntry) {
 	s.head.next = e
 }
 
-// shardedLRU is a byte-budgeted, sharded LRU. Values are immutable once
-// inserted (the cache hands out the stored value itself, never a copy),
-// which is what makes lock-free readers outside the shard mutex safe:
-// eviction merely drops the cache's reference, it never mutates or
-// recycles the value. Profile mutation therefore goes through
-// clone-replace, never in-place edits.
-type shardedLRU struct {
+// Sharded is a byte-budgeted, sharded LRU cache. The total budget is
+// split evenly across shards; keys are distributed by FNV-1a hash, so
+// concurrent operations on different keys contend only 1/shards of the
+// time. Values are immutable once inserted (the cache hands out the
+// stored value itself, never a copy), which is what makes lock-free
+// readers outside the shard mutex safe: eviction merely drops the
+// cache's reference, it never mutates or recycles the value.
+type Sharded struct {
 	shards    []lruShard
 	mask      uint64
 	entries   atomic.Int64
@@ -61,7 +63,11 @@ type shardedLRU struct {
 	evictions *atomic.Int64 // stats sink, shared with the owner
 }
 
-func newShardedLRU(totalBytes int64, shards int, evictions *atomic.Int64) *shardedLRU {
+// New builds an LRU with the given total byte budget split
+// over `shards` shards (rounded up to a power of two, min 1).
+// evictions, when non-nil, is incremented once per evicted or rejected
+// entry.
+func New(totalBytes int64, shards int, evictions *atomic.Int64) *Sharded {
 	if shards < 1 {
 		shards = 1
 	}
@@ -73,7 +79,7 @@ func newShardedLRU(totalBytes int64, shards int, evictions *atomic.Int64) *shard
 	if per < 1 {
 		per = 1
 	}
-	l := &shardedLRU{shards: make([]lruShard, n), mask: uint64(n - 1), evictions: evictions}
+	l := &Sharded{shards: make([]lruShard, n), mask: uint64(n - 1), evictions: evictions}
 	for i := range l.shards {
 		l.shards[i].init(per)
 	}
@@ -93,13 +99,13 @@ func fnv1a(key string) uint64 {
 	return h
 }
 
-func (l *shardedLRU) shard(key string) *lruShard {
+func (l *Sharded) shard(key string) *lruShard {
 	return &l.shards[fnv1a(key)&l.mask]
 }
 
 // Get returns the value stored under key and marks it most recently
 // used.
-func (l *shardedLRU) Get(key string) (any, bool) {
+func (l *Sharded) Get(key string) (any, bool) {
 	s := l.shard(key)
 	s.mu.Lock()
 	e, ok := s.items[key]
@@ -118,7 +124,7 @@ func (l *shardedLRU) Get(key string) (any, bool) {
 // size, evicting least-recently-used entries until the shard fits its
 // budget. An entry larger than a whole shard's budget is rejected
 // (counted as an eviction) rather than wiping the shard.
-func (l *shardedLRU) Put(key string, value any, size int64) {
+func (l *Sharded) Put(key string, value any, size int64) {
 	s := l.shard(key)
 	if size > s.maxBytes {
 		if l.evictions != nil {
@@ -157,22 +163,34 @@ func (l *shardedLRU) Put(key string, value any, size int64) {
 	s.mu.Unlock()
 }
 
-// Remove deletes key, if present.
-func (l *shardedLRU) Remove(key string) {
+// Remove deletes key and returns the value it held, if any, handing
+// the value over to the caller (the serving cache donates a previous
+// rates version's vector as a warm start this way).
+func (l *Sharded) Remove(key string) (any, bool) {
 	s := l.shard(key)
 	s.mu.Lock()
-	if e, ok := s.items[key]; ok {
-		s.unlink(e)
-		delete(s.items, key)
-		s.bytes -= e.size
-		l.bytesUsed.Add(-e.size)
-		l.entries.Add(-1)
+	e, ok := s.items[key]
+	if !ok {
+		s.mu.Unlock()
+		return nil, false
 	}
+	s.unlink(e)
+	delete(s.items, key)
+	s.bytes -= e.size
+	l.bytesUsed.Add(-e.size)
+	l.entries.Add(-1)
+	v := e.value
 	s.mu.Unlock()
+	return v, true
 }
 
 // Bytes returns the total accounted bytes currently resident.
-func (l *shardedLRU) Bytes() int64 { return l.bytesUsed.Load() }
+func (l *Sharded) Bytes() int64 { return l.bytesUsed.Load() }
 
 // Len returns the number of resident entries.
-func (l *shardedLRU) Len() int { return int(l.entries.Load()) }
+func (l *Sharded) Len() int { return int(l.entries.Load()) }
+
+// Budget returns the total byte budget (sum over shards).
+func (l *Sharded) Budget() int64 {
+	return int64(len(l.shards)) * l.shards[0].maxBytes
+}

@@ -184,10 +184,11 @@ func (b *Basis) MixtureJump(pin *core.Pinned, base []ir.ScoredDoc, mixture map[s
 	for _, sd := range base {
 		jump[sd.Doc] = (1 - beta) * sd.Score
 	}
-	norm := normalizedMixture(b, mixture)
 	ix := pin.Corpus().Index()
-	for t, m := range norm {
-		ti := b.index[t]
+	for ti, m := range normalizedMixture(b, mixture) {
+		if m == 0 {
+			continue
+		}
 		single := ix.BaseSet(ir.NewQuery(b.terms[ti]))
 		z := 0.0
 		for _, sd := range single {
@@ -220,10 +221,12 @@ func (b *Basis) Combine(qscores []float64, mixture map[string]float64, beta floa
 	for i, s := range qscores {
 		out[i] = omb * s
 	}
-	for t, m := range norm {
-		vec := b.vecs[b.index[t]]
+	for ti, m := range norm {
+		if m == 0 {
+			continue
+		}
 		bm := beta * m
-		for i, s := range vec {
+		for i, s := range b.vecs[ti] {
 			out[i] += bm * s
 		}
 	}
@@ -231,22 +234,25 @@ func (b *Basis) Combine(qscores []float64, mixture map[string]float64, beta floa
 }
 
 // normalizedMixture drops mixture terms without a basis vector and
-// normalizes the survivors to sum to 1.
-func normalizedMixture(b *Basis, mixture map[string]float64) map[string]float64 {
+// normalizes the survivors to sum to 1, returning one weight per basis
+// index (nil when no term survives). Sums run in basis-index order, not
+// map order, so equal inputs give bit-equal weights on every call.
+func normalizedMixture(b *Basis, mixture map[string]float64) []float64 {
+	var norm []float64
+	for t, w := range mixture {
+		if ti, ok := b.index[t]; ok && w > 0 {
+			if norm == nil {
+				norm = make([]float64, len(b.terms))
+			}
+			norm[ti] = w
+		}
+	}
 	sum := 0.0
-	for t, w := range mixture {
-		if w > 0 && b.Has(t) {
-			sum += w
-		}
+	for _, w := range norm {
+		sum += w
 	}
-	if sum == 0 {
-		return nil
+	for i := range norm {
+		norm[i] /= sum
 	}
-	out := make(map[string]float64, len(mixture))
-	for t, w := range mixture {
-		if w > 0 && b.Has(t) {
-			out[t] = w / sum
-		}
-	}
-	return out
+	return norm
 }

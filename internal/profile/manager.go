@@ -3,16 +3,17 @@ package profile
 import (
 	"context"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
+	"authorityflow/internal/cache"
 	"authorityflow/internal/core"
 	"authorityflow/internal/graph"
 	"authorityflow/internal/ir"
+	"authorityflow/internal/lru"
 	"authorityflow/internal/rank"
 )
 
@@ -85,10 +86,9 @@ type Answer struct {
 	// (1−β)·r(Q) component); combining adds no iterations.
 	BaseSet    int
 	Iterations int
-	Results    []rank.Ranked
-	// InBase marks which of Results' nodes belong to the query's base
-	// set (membership is recorded for the returned nodes only).
-	InBase map[graph.NodeID]bool
+	// Results is the top-k list in the serving cache's item shape, so
+	// global and personalized answers render through one path.
+	Results []cache.ResultItem
 }
 
 // Stats is a point-in-time snapshot of the manager's counters, the
@@ -127,8 +127,8 @@ type Manager struct {
 	basisMu sync.Mutex
 	basis   atomic.Pointer[Basis]
 
-	profiles *shardedLRU
-	answers  *shardedLRU
+	profiles *lru.Sharded
+	answers  *lru.Sharded
 
 	// trainMu stripes per-profile training so two concurrent feedback
 	// rounds for one id do not lose updates to each other.
@@ -175,8 +175,8 @@ func NewManager(eng *core.Engine, opts Options) (*Manager, error) {
 		m.disk = disk
 	}
 	half := opts.CacheBytes / 2
-	m.profiles = newShardedLRU(half, 16, &m.evictions)
-	m.answers = newShardedLRU(opts.CacheBytes-half, 16, &m.evictions)
+	m.profiles = lru.New(half, 16, &m.evictions)
+	m.answers = lru.New(opts.CacheBytes-half, 16, &m.evictions)
 	return m, nil
 }
 
@@ -322,28 +322,12 @@ func (m *Manager) EffectiveRates(pin *core.Pinned, p *Profile) (*graph.Rates, er
 	return eff, nil
 }
 
-// canonicalQuery renders a query as a deterministic cache-key
-// component: sorted term:weight-bits pairs.
-func canonicalQuery(q *ir.Query) string {
-	terms := q.Terms()
-	weights := q.Weights()
-	type tw struct {
-		t string
-		w float64
-	}
-	pairs := make([]tw, len(terms))
-	for i := range terms {
-		pairs[i] = tw{terms[i], weights[i]}
-	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].t < pairs[j].t })
-	var b strings.Builder
-	for _, p := range pairs {
-		b.WriteString(p.t)
-		b.WriteByte(':')
-		b.WriteString(strconv.FormatUint(math.Float64bits(p.w), 16))
-		b.WriteByte('|')
-	}
-	return b.String()
+// fnv1a is the 64-bit FNV-1a hash; the durable store's directory fan
+// depends on its exact values.
+func fnv1a(s string) uint64 {
+	h := fnv.New64a()
+	h.Write([]byte(s))
+	return h.Sum64()
 }
 
 func answerKey(id string, rev, gen, rk uint64, k int, cq string) string {
@@ -361,7 +345,7 @@ func (m *Manager) QueryCtx(ctx context.Context, pin *core.Pinned, id string, q *
 		return nil, "", err
 	}
 	rk := graph.RateVectorKey(pin.Rates().Vector())
-	key := answerKey(id, prof.Rev, pin.Generation(), rk, k, canonicalQuery(q))
+	key := answerKey(id, prof.Rev, pin.Generation(), rk, k, q.Canonical())
 	if v, ok := m.answers.Get(key); ok {
 		a := v.(*Answer)
 		// The key embeds (generation, ratesKey), so a hit is valid for
@@ -382,16 +366,10 @@ func (m *Manager) QueryCtx(ctx context.Context, pin *core.Pinned, id string, q *
 	beta := m.beta(prof)
 	personalized := beta > 0 && len(normalizedMixture(basis, prof.Mixture)) > 0
 	combined := basis.Combine(qres.Scores, prof.Mixture, beta)
-	results := rank.TopK(combined, k)
-	inBase := make(map[graph.NodeID]bool, len(results))
-	baseNodes := make(map[graph.NodeID]struct{}, len(qres.Base))
-	for _, d := range qres.Base {
-		baseNodes[graph.NodeID(d.Doc)] = struct{}{}
-	}
-	for _, it := range results {
-		if _, ok := baseNodes[it.Node]; ok {
-			inBase[it.Node] = true
-		}
+	ranked := rank.TopK(combined, k)
+	results := make([]cache.ResultItem, len(ranked))
+	for i, r := range ranked {
+		results[i] = cache.ResultItem{Node: r.Node, Score: r.Score, InBase: qres.InBase(r.Node)}
 	}
 	a := &Answer{
 		ID:           id,
@@ -403,7 +381,6 @@ func (m *Manager) QueryCtx(ctx context.Context, pin *core.Pinned, id string, q *
 		BaseSet:      len(qres.Base),
 		Iterations:   qres.Iterations,
 		Results:      results,
-		InBase:       inBase,
 	}
 	m.eng.Release(qres)
 	m.combines.Add(1)

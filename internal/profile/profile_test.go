@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"authorityflow/internal/cache"
 	"authorityflow/internal/core"
 	"authorityflow/internal/datagen"
 	"authorityflow/internal/ir"
@@ -231,7 +232,7 @@ func TestManagerLifecycle(t *testing.T) {
 	if a.Generation != pin.Generation() {
 		t.Fatalf("answer generation %d, want %d", a.Generation, pin.Generation())
 	}
-	baseline := append([]rank.Ranked(nil), a.Results...)
+	baseline := append([]cache.ResultItem(nil), a.Results...)
 
 	// Train on explain subgraphs of the top answers.
 	res := solveOne(t, pin, core.SolveSpec{Queries: []*ir.Query{q}})

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"regexp"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -38,10 +39,10 @@ type fleet struct {
 // newFleet boots n replicas (scale 0.02, seed 4, swap-enabled with a
 // shared "next.snap") and a router over them with the background
 // health loop disabled — tests drive CheckNow explicitly so sweeps
-// happen at deterministic points. Replicas run UNCACHED: byte-identity
-// assertions need answers free of the cache-provenance field, which
-// legitimately differs between a first ask ("computed") and a repeat
-// ("result").
+// happen at deterministic points. Byte-identity assertions compare
+// bodies as the get/postJSON helpers return them: free of the
+// cache-provenance field, which legitimately differs between a first
+// ask ("computed") and a repeat ("result").
 func newFleet(t testing.TB, n int) *fleet {
 	t.Helper()
 	dir := t.TempDir()
@@ -97,6 +98,20 @@ func writeSnapshot(t testing.TB, dir, name string, scale float64, seed int64) {
 	}
 }
 
+// provenance matches the "cache" line of a rendered query answer.
+var provenance = regexp.MustCompile(`(?m)^ *"cache": "[a-z]+",\n`)
+
+// readBody returns resp's status and its body minus provenance lines.
+func readBody(t testing.TB, resp *http.Response) (int, []byte) {
+	t.Helper()
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, provenance.ReplaceAll(body, nil)
+}
+
 // get fetches a URL and returns status + body.
 func get(t testing.TB, url string) (int, []byte) {
 	t.Helper()
@@ -104,12 +119,7 @@ func get(t testing.TB, url string) (int, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp.StatusCode, body
+	return readBody(t, resp)
 }
 
 func postJSON(t testing.TB, url string, v any) (int, []byte) {
@@ -122,12 +132,7 @@ func postJSON(t testing.TB, url string, v any) (int, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp.StatusCode, body
+	return readBody(t, resp)
 }
 
 // TestRendezvousProperties pins the routing function: deterministic,
@@ -392,8 +397,7 @@ func TestReformulatePropagation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaRouter, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
+	_, viaRouter := readBody(t, resp)
 	servedBy := resp.Header.Get(HeaderServedBy)
 	if servedBy == "" {
 		t.Fatal("routed answer missing the " + HeaderServedBy + " header")

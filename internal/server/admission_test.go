@@ -26,18 +26,19 @@ func admissionServer(t *testing.T, adm AdmissionOptions, ropts rank.Options) (*S
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(ds, core.Config{Rank: ropts}, WithAdmission(adm), WithLegacyGrace())
+	s, err := New(ds, core.Config{Rank: ropts}, WithAdmission(adm))
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(s.Close)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, ts
 }
 
 // doGet issues a GET with optional headers and returns the status code
-// plus the decoded JSON error body (nil when the body is not JSON).
-func doGet(t *testing.T, url string, headers map[string]string) (int, map[string]any) {
+// plus the decoded error envelope (zero when the body is not one).
+func doGet(t *testing.T, url string, headers map[string]string) (int, ErrorInfo) {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodGet, url, nil)
 	if err != nil {
@@ -51,9 +52,9 @@ func doGet(t *testing.T, url string, headers map[string]string) (int, map[string
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var body map[string]any
-	_ = json.NewDecoder(resp.Body).Decode(&body)
-	return resp.StatusCode, body
+	var env ErrorEnvelope
+	_ = json.NewDecoder(resp.Body).Decode(&env)
+	return resp.StatusCode, env.Error
 }
 
 // TestRequestValidation is the PR-4 validation bugfix sweep: every
@@ -69,37 +70,37 @@ func TestRequestValidation(t *testing.T) {
 		wantMsg string // substring the error message must contain
 	}{
 		// /query parameter validation.
-		{name: "missing q", path: "/query", wantMsg: "q parameter required"},
-		{name: "whitespace q", path: "/query?q=%20%20", wantMsg: "q parameter required"},
-		{name: "unindexable q", path: "/query?q=%21%21%2C%2E", wantMsg: "no indexable terms"},
-		{name: "k zero", path: "/query?q=olap&k=0", wantMsg: "k must be"},
-		{name: "k negative", path: "/query?q=olap&k=-3", wantMsg: "k must be"},
-		{name: "k non-numeric", path: "/query?q=olap&k=ten", wantMsg: "k must be"},
-		{name: "k too large", path: "/query?q=olap&k=1001", wantMsg: "k must be"},
+		{name: "missing q", path: "/v1/query", wantMsg: "q parameter required"},
+		{name: "whitespace q", path: "/v1/query?q=%20%20", wantMsg: "q parameter required"},
+		{name: "unindexable q", path: "/v1/query?q=%21%21%2C%2E", wantMsg: "no indexable terms"},
+		{name: "k zero", path: "/v1/query?q=olap&k=0", wantMsg: "k must be"},
+		{name: "k negative", path: "/v1/query?q=olap&k=-3", wantMsg: "k must be"},
+		{name: "k non-numeric", path: "/v1/query?q=olap&k=ten", wantMsg: "k must be"},
+		{name: "k too large", path: "/v1/query?q=olap&k=1001", wantMsg: "k must be"},
 		// /explain target validation.
-		{name: "missing target", path: "/explain?q=olap", wantMsg: "target"},
-		{name: "non-numeric target", path: "/explain?q=olap&target=abc", wantMsg: "target"},
-		{name: "negative target", path: "/explain?q=olap&target=-1", wantMsg: "out of range"},
-		{name: "out-of-range target", path: "/explain?q=olap&target=999999999", wantMsg: "out of range"},
-		{name: "overflow target", path: "/explain?q=olap&target=9223372036854775808", wantMsg: "target"},
+		{name: "missing target", path: "/v1/explain?q=olap", wantMsg: "target"},
+		{name: "non-numeric target", path: "/v1/explain?q=olap&target=abc", wantMsg: "target"},
+		{name: "negative target", path: "/v1/explain?q=olap&target=-1", wantMsg: "out of range"},
+		{name: "out-of-range target", path: "/v1/explain?q=olap&target=999999999", wantMsg: "out of range"},
+		{name: "overflow target", path: "/v1/explain?q=olap&target=9223372036854775808", wantMsg: "target"},
 		// /reformulate feedback / mode / confidence / version validation.
-		{name: "missing feedback", path: "/reformulate?q=olap", wantMsg: "feedback ids required"},
-		{name: "non-numeric feedback", path: "/reformulate?q=olap&feedback=abc", wantMsg: "feedback id"},
-		{name: "negative feedback", path: "/reformulate?q=olap&feedback=-2", wantMsg: "out of range"},
-		{name: "out-of-range feedback", path: "/reformulate?q=olap&feedback=0,999999999", wantMsg: "out of range"},
-		{name: "bad mode", path: "/reformulate?q=olap&feedback=0&mode=bogus", wantMsg: "unknown mode"},
-		{name: "NaN confidence", path: "/reformulate?q=olap&feedback=0&confidence=NaN", wantMsg: "finite non-negative"},
-		{name: "Inf confidence", path: "/reformulate?q=olap&feedback=0&confidence=%2BInf", wantMsg: "finite non-negative"},
-		{name: "negative confidence", path: "/reformulate?q=olap&feedback=0&confidence=-0.5", wantMsg: "finite non-negative"},
-		{name: "non-numeric confidence", path: "/reformulate?q=olap&feedback=0&confidence=high", wantMsg: "finite non-negative"},
-		{name: "confidence count mismatch", path: "/reformulate?q=olap&feedback=0,1&confidence=0.5", wantMsg: "feedback objects"},
-		{name: "bad version token", path: "/reformulate?q=olap&feedback=0&version=abc", wantMsg: "version token"},
+		{name: "missing feedback", path: "/v1/reformulate?q=olap", wantMsg: "feedback ids required"},
+		{name: "non-numeric feedback", path: "/v1/reformulate?q=olap&feedback=abc", wantMsg: "feedback id"},
+		{name: "negative feedback", path: "/v1/reformulate?q=olap&feedback=-2", wantMsg: "out of range"},
+		{name: "out-of-range feedback", path: "/v1/reformulate?q=olap&feedback=0,999999999", wantMsg: "out of range"},
+		{name: "bad mode", path: "/v1/reformulate?q=olap&feedback=0&mode=bogus", wantMsg: "unknown mode"},
+		{name: "NaN confidence", path: "/v1/reformulate?q=olap&feedback=0&confidence=NaN", wantMsg: "finite non-negative"},
+		{name: "Inf confidence", path: "/v1/reformulate?q=olap&feedback=0&confidence=%2BInf", wantMsg: "finite non-negative"},
+		{name: "negative confidence", path: "/v1/reformulate?q=olap&feedback=0&confidence=-0.5", wantMsg: "finite non-negative"},
+		{name: "non-numeric confidence", path: "/v1/reformulate?q=olap&feedback=0&confidence=high", wantMsg: "finite non-negative"},
+		{name: "confidence count mismatch", path: "/v1/reformulate?q=olap&feedback=0,1&confidence=0.5", wantMsg: "feedback objects"},
+		{name: "bad version token", path: "/v1/reformulate?q=olap&feedback=0&version=abc", wantMsg: "version token"},
 		// X-Request-Timeout-Ms header validation (all guarded endpoints).
-		{name: "non-numeric timeout header", path: "/query?q=olap",
+		{name: "non-numeric timeout header", path: "/v1/query?q=olap",
 			headers: map[string]string{timeoutHeader: "soon"}, wantMsg: timeoutHeader},
-		{name: "zero timeout header", path: "/query?q=olap",
+		{name: "zero timeout header", path: "/v1/query?q=olap",
 			headers: map[string]string{timeoutHeader: "0"}, wantMsg: timeoutHeader},
-		{name: "negative timeout header", path: "/explain?q=olap&target=0",
+		{name: "negative timeout header", path: "/v1/explain?q=olap&target=0",
 			headers: map[string]string{timeoutHeader: "-5"}, wantMsg: timeoutHeader},
 	}
 	for _, tc := range cases {
@@ -108,11 +109,10 @@ func TestRequestValidation(t *testing.T) {
 			if code != http.StatusBadRequest {
 				t.Fatalf("status = %d, want 400 (body %v)", code, body)
 			}
-			msg, _ := body["error"].(string)
-			if !strings.Contains(msg, tc.wantMsg) {
-				t.Errorf("error %q does not mention %q", msg, tc.wantMsg)
+			if !strings.Contains(body.Message, tc.wantMsg) {
+				t.Errorf("error %q does not mention %q", body.Message, tc.wantMsg)
 			}
-			if id, _ := body["requestId"].(string); id == "" {
+			if body.RequestID == "" {
 				t.Errorf("400 body lacks requestId: %v", body)
 			}
 		})
@@ -123,7 +123,7 @@ func TestRequestValidation(t *testing.T) {
 // client may only shorten the server's deadline, never extend it.
 func TestEffectiveTimeout(t *testing.T) {
 	mk := func(h string) *http.Request {
-		r := httptest.NewRequest(http.MethodGet, "/query?q=x", nil)
+		r := httptest.NewRequest(http.MethodGet, "/v1/query?q=x", nil)
 		if h != "" {
 			r.Header.Set(timeoutHeader, h)
 		}
@@ -208,7 +208,7 @@ func TestAdmissionShed503(t *testing.T) {
 	var blockerCode int
 	go func() {
 		defer close(blockerDone)
-		blockerCode, _ = doGet(t, ts.URL+"/query?q=olap", nil)
+		blockerCode, _ = doGet(t, ts.URL+"/v1/query?q=olap", nil)
 	}()
 	select {
 	case <-started:
@@ -217,13 +217,13 @@ func TestAdmissionShed503(t *testing.T) {
 	}
 
 	// Flood: every expensive endpoint sheds immediately with 503.
-	for _, path := range []string{"/query?q=olap", "/explain?q=olap&target=0", "/reformulate?q=olap&feedback=0"} {
+	for _, path := range []string{"/v1/query?q=olap", "/v1/explain?q=olap&target=0", "/v1/reformulate?q=olap&feedback=0"} {
 		req, _ := http.NewRequest(http.MethodGet, ts.URL+path, nil)
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var body map[string]any
+		var body ErrorEnvelope
 		_ = json.NewDecoder(resp.Body).Decode(&body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusServiceUnavailable {
@@ -232,7 +232,7 @@ func TestAdmissionShed503(t *testing.T) {
 		if ra := resp.Header.Get("Retry-After"); ra == "" {
 			t.Errorf("%s: 503 without Retry-After", path)
 		}
-		if id, _ := body["requestId"].(string); id == "" {
+		if body.Error.RequestID == "" {
 			t.Errorf("%s: shed body lacks requestId: %v", path, body)
 		}
 	}
@@ -243,8 +243,8 @@ func TestAdmissionShed503(t *testing.T) {
 	// Operator endpoints are never throttled: /healthz and /metrics
 	// answer while the replica is saturated, and the exposition carries
 	// the shed counter.
-	if code, _ := doGet(t, ts.URL+"/healthz", nil); code != http.StatusOK {
-		t.Errorf("/healthz under saturation: status = %d", code)
+	if code, _ := doGet(t, ts.URL+"/v1/healthz", nil); code != http.StatusOK {
+		t.Errorf("/v1/healthz under saturation: status = %d", code)
 	}
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -286,7 +286,7 @@ func TestAdmissionQueueWaitAdmits(t *testing.T) {
 	blockerDone := make(chan struct{})
 	go func() {
 		defer close(blockerDone)
-		doGet(t, ts.URL+"/query?q=olap", nil)
+		doGet(t, ts.URL+"/v1/query?q=olap", nil)
 	}()
 	select {
 	case <-started:
@@ -298,7 +298,7 @@ func TestAdmissionQueueWaitAdmits(t *testing.T) {
 	var queuedCode int
 	go func() {
 		defer close(queuedDone)
-		queuedCode, _ = doGet(t, ts.URL+"/query?q=olap", nil)
+		queuedCode, _ = doGet(t, ts.URL+"/v1/query?q=olap", nil)
 	}()
 	// Give the queued request time to reach the semaphore, then free
 	// the slot: both requests must now complete 200.
@@ -337,14 +337,14 @@ func TestDeadline504(t *testing.T) {
 	slow.Store(true)
 
 	begin := time.Now()
-	code, body := doGet(t, ts.URL+"/query?q=olap", nil)
+	code, body := doGet(t, ts.URL+"/v1/query?q=olap", nil)
 	if code != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d, want 504 (body %v)", code, body)
 	}
 	if elapsed := time.Since(begin); elapsed > 5*time.Second {
 		t.Fatalf("504 took %v — cancellation did not reach the kernel within a sweep", elapsed)
 	}
-	if id, _ := body["requestId"].(string); id == "" {
+	if body.RequestID == "" {
 		t.Errorf("504 body lacks requestId: %v", body)
 	}
 	if n := s.obs.timeoutTotal.Count(); n != 1 {
@@ -354,7 +354,7 @@ func TestDeadline504(t *testing.T) {
 	// The header can only SHORTEN the server cap: asking for 60s still
 	// dies at the 50ms server deadline.
 	begin = time.Now()
-	code, _ = doGet(t, ts.URL+"/query?q=olap", map[string]string{timeoutHeader: "60000"})
+	code, _ = doGet(t, ts.URL+"/v1/query?q=olap", map[string]string{timeoutHeader: "60000"})
 	if code != http.StatusGatewayTimeout {
 		t.Fatalf("status with huge header = %d, want 504", code)
 	}
@@ -377,7 +377,7 @@ func TestClientDeadlineHeader504(t *testing.T) {
 	s.Engine().GlobalRank()
 	slow.Store(true)
 
-	code, body := doGet(t, ts.URL+"/query?q=olap", map[string]string{timeoutHeader: "50"})
+	code, body := doGet(t, ts.URL+"/v1/query?q=olap", map[string]string{timeoutHeader: "50"})
 	if code != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d, want 504 (body %v)", code, body)
 	}
@@ -386,7 +386,7 @@ func TestClientDeadlineHeader504(t *testing.T) {
 	}
 	// Without the header the same query completes.
 	slow.Store(false)
-	if code, _ := doGet(t, ts.URL+"/query?q=olap", nil); code != http.StatusOK {
+	if code, _ := doGet(t, ts.URL+"/v1/query?q=olap", nil); code != http.StatusOK {
 		t.Fatalf("status without header = %d, want 200", code)
 	}
 }

@@ -1,10 +1,11 @@
 // api.go is the single definition point of the server's public HTTP
 // surface: every request/response DTO, the stable machine-readable
-// error codes, the v1 error envelope, and the /v1 route wrappers.
+// error codes and the error envelope.
 //
 // # Versioning
 //
-// The canonical surface is versioned under /v1:
+// The whole surface is versioned under /v1 (/metrics alone stays
+// unversioned, by Prometheus convention); any other path is a 404:
 //
 //	GET  /v1/query?q=olap&k=10[&mode=authority|hub|combined][&profile=alice]
 //	POST /v1/query/batch          {"queries":[{"q":"olap","k":10,"mode":"hub"}, ...]}
@@ -19,32 +20,19 @@
 // contract.go. (/v1/reformulate's mode is the unrelated, pre-existing
 // reformulation-strategy switch.)
 //
-// The pre-v1 unversioned routes passed their RFC 8594 sunset on
-// 2026-08-06 and now answer 410 Gone with the v1 envelope naming the
-// successor route. The -legacy-grace flag (WithLegacyGrace) restores
-// the pre-sunset alias behaviour — same handlers, byte-identical
-// success bodies — for deployments still migrating; both modes carry
-// Deprecation, Sunset and Link (rel="successor-version") headers.
-// /metrics stays unversioned by Prometheus convention.
-//
 // # Errors
 //
-// v1 routes answer every error with one envelope:
+// Every error is answered with one envelope:
 //
 //	{"error": {"code": "invalid_argument", "message": "...", "requestId": "..."}}
 //
 // where code is one of the Code* constants below — stable,
 // machine-readable strings clients may switch on (messages may change;
 // codes may not). The 409 of /v1/reformulate adds the winning rates
-// version next to the envelope. Legacy routes keep their historical
-// flat error shape ({"error": "...", "requestId": "..."} and the
-// ConflictResponse 409) so pre-v1 clients never break; which shape a
-// request gets is decided by the route that admitted it, so shared
-// handlers and middleware need no per-endpoint error logic.
+// version next to the envelope.
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -83,10 +71,6 @@ const (
 	CodeCancelled = "cancelled"
 	// CodeInternal: anything else. HTTP 500.
 	CodeInternal = "internal"
-	// CodeGone: the request hit a legacy unversioned route after its
-	// sunset date. The message and the Link header name the /v1
-	// successor. HTTP 410.
-	CodeGone = "gone"
 	// CodeProfileNotFound: no profile exists under the requested id.
 	// HTTP 404 (distinct from CodeInvalidArgument's 404 so clients can
 	// tell "create it first" from "bad request").
@@ -113,7 +97,7 @@ type ConflictEnvelope struct {
 	Version uint64    `json:"version"`
 }
 
-// ---- request/response DTOs (shared by v1 and the legacy aliases) ----
+// ---- request/response DTOs ----
 
 // Result is one JSON-rendered ranked node.
 type Result struct {
@@ -124,7 +108,7 @@ type Result struct {
 	InBase  bool    `json:"inBase"`
 }
 
-// QueryResponse is the /v1/query (and legacy /query) payload. Version
+// QueryResponse is the /v1/query payload. Version
 // is the rates-snapshot version the ranking ran under; clients that
 // later reformulate based on these results should pass it as the
 // version parameter to detect concurrent rate changes.
@@ -140,10 +124,9 @@ type QueryResponse struct {
 	// Generation is the corpus generation the ranking ran on; node IDs
 	// in Results are only meaningful against that generation.
 	Generation uint64 `json:"generation"`
-	// Cache reports how a cache-enabled server produced the answer
-	// ("result", "term", or "computed"); omitted when serving uncached.
-	// Profile-scoped answers report the personalization tier's path
-	// instead ("hit", "combined", "global").
+	// Cache reports how the serving cache produced the answer ("result",
+	// "term", or "computed"). Profile-scoped answers report the
+	// personalization tier's path instead ("hit", "combined", "global").
 	Cache string `json:"cache,omitempty"`
 	// Profile names the profile a personalized answer was combined for
 	// (the request's profile parameter); absent on global answers.
@@ -209,15 +192,6 @@ type ReformulateResponse struct {
 	ProfileRev uint64          `json:"profileRev,omitempty"`
 	Expansion  []ExpansionTerm `json:"expansion,omitempty"`
 	Results    []Result        `json:"results"`
-}
-
-// ConflictResponse is the LEGACY 409 payload of /reformulate: another
-// reformulation published first. Version is the currently published
-// rates version; re-query and retry against it. v1 routes answer the
-// same condition with ConflictEnvelope.
-type ConflictResponse struct {
-	Error   string `json:"error"`
-	Version uint64 `json:"version"`
 }
 
 // CorpusSwapRequest is the POST /v1/corpus/swap body. Snapshot names
@@ -354,8 +328,8 @@ type ProfileResponse struct {
 
 // HealthResponse is the /v1/healthz payload: enough for an operator to
 // see WHAT a replica is serving — dataset identity and size, the
-// currently published rates version, and whether the serving cache is
-// on.
+// currently published rates version. CacheEnabled is always true (kept
+// for wire compatibility).
 type HealthResponse struct {
 	Status        string  `json:"status"`
 	Name          string  `json:"name"`
@@ -392,9 +366,8 @@ type RatesPublishRequest struct {
 	IfGeneration uint64    `json:"ifGeneration,omitempty"`
 }
 
-// StatsResponse is the /v1/stats payload. The pre-v1 shape
-// (cacheEnabled, ratesVersion, cache) is preserved; the counters are
-// re-backed by the observability subsystem — the cache block reads the
+// StatsResponse is the /v1/stats payload. The counters are backed by
+// the observability subsystem — the cache block reads the
 // SAME atomic counters the /metrics afq_cache_* families read, and the
 // http / kernel blocks read the registry's own metric objects — so
 // /stats and /metrics can never drift.
@@ -416,7 +389,7 @@ type StatsResponse struct {
 }
 
 // HTTPStats summarizes the middleware's request counters, keyed
-// "handler code" (e.g. "/query 200") exactly as /metrics labels them.
+// "handler code" (e.g. "/v1/query 200") exactly as /metrics labels them.
 type HTTPStats struct {
 	RequestsTotal int64            `json:"requestsTotal"`
 	ByHandler     map[string]int64 `json:"byHandler,omitempty"`
@@ -428,65 +401,6 @@ type KernelStats struct {
 	Solves          int64 `json:"solves"`
 	WarmSolves      int64 `json:"warmSolves"`
 	IterationsTotal int64 `json:"iterationsTotal"`
-}
-
-// ---- API-version plumbing ----
-
-// apiVersionKey marks a request as admitted through a /v1 route; error
-// writers consult it to pick the envelope shape, so handlers shared
-// between v1 and the legacy aliases carry no per-endpoint error logic.
-type apiVersionKey struct{}
-
-// v1Routed wraps a handler mounted under /v1, marking its requests.
-func v1Routed(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		h(w, r.WithContext(context.WithValue(r.Context(), apiVersionKey{}, 1)))
-	}
-}
-
-// isV1 reports whether the request came through a /v1 route.
-func isV1(r *http.Request) bool {
-	return r.Context().Value(apiVersionKey{}) != nil
-}
-
-// Deprecation metadata of the legacy unversioned routes. The values are
-// fixed strings (not computed per request) so responses are cheap and
-// byte-stable: Deprecation is the RFC 9745 structured date the routes
-// were deprecated (the v1 release), Sunset the date they stopped
-// serving per RFC 8594. The sunset has PASSED: legacy routes now answer
-// 410 Gone by default, and only the -legacy-grace escape hatch
-// (WithLegacyGrace) restores the pre-sunset alias behaviour for
-// clients still mid-migration.
-const (
-	deprecationDate = "@1785974400"                   // 2026-08-06, the v1 release
-	sunsetDate      = "Thu, 06 Aug 2026 00:00:00 GMT" // retirement date (passed)
-)
-
-// deprecatedAlias wraps a legacy unversioned route. After the sunset
-// (the default), every request answers 410 Gone with the v1 error
-// envelope naming the successor route — the envelope, not the legacy
-// flat shape, because the 410 contract is new surface addressed at
-// clients being pushed to /v1. Under the grace flag the handler runs
-// unchanged (success bodies stay byte-identical with the /v1 twin).
-// Both modes advertise the deprecation metadata and the successor.
-func deprecatedAlias(successor string, grace bool, h http.HandlerFunc) http.HandlerFunc {
-	link := "<" + successor + ">; rel=\"successor-version\""
-	return func(w http.ResponseWriter, r *http.Request) {
-		hdr := w.Header()
-		hdr.Set("Deprecation", deprecationDate)
-		hdr.Set("Sunset", sunsetDate)
-		hdr.Set("Link", link)
-		if grace {
-			h(w, r)
-			return
-		}
-		writeJSON(w, http.StatusGone, ErrorEnvelope{Error: ErrorInfo{
-			Code: CodeGone,
-			Message: "this route was retired on 2026-08-06; use " + successor +
-				" (operators can restart with -legacy-grace during migration)",
-			RequestID: obs.RequestIDFrom(r.Context()),
-		}})
-	}
 }
 
 // ---- shared JSON writers ----
@@ -512,8 +426,6 @@ func codeForStatus(status int) string {
 		return CodeInvalidArgument
 	case http.StatusConflict:
 		return CodeVersionConflict
-	case http.StatusGone:
-		return CodeGone
 	case http.StatusServiceUnavailable:
 		return CodeShed
 	case http.StatusGatewayTimeout:
@@ -525,44 +437,28 @@ func codeForStatus(status int) string {
 	}
 }
 
-// writeError renders an error in the shape the request's route
-// dictates: the v1 envelope (code + message + requestId) for /v1
-// routes, the historical flat object for legacy aliases. The code is
-// derived from the status; use writeAPIError to pin it explicitly.
+// writeError renders the error envelope with the code derived from the
+// status; use writeAPIError to pin it explicitly.
 func writeError(w http.ResponseWriter, r *http.Request, status int, msg string) {
 	writeAPIError(w, r, status, codeForStatus(status), msg)
 }
 
 // writeAPIError is writeError with an explicit error code.
 func writeAPIError(w http.ResponseWriter, r *http.Request, status int, code, msg string) {
-	id := obs.RequestIDFrom(r.Context())
-	if isV1(r) {
-		writeJSON(w, status, ErrorEnvelope{Error: ErrorInfo{Code: code, Message: msg, RequestID: id}})
-		return
-	}
-	body := map[string]string{"error": msg}
-	if id != "" {
-		body["requestId"] = id
-	}
-	writeJSON(w, status, body)
+	writeJSON(w, status, ErrorEnvelope{Error: ErrorInfo{Code: code, Message: msg, RequestID: obs.RequestIDFrom(r.Context())}})
 }
 
-// writeConflict renders the optimistic-concurrency 409 in the route's
-// shape: ConflictEnvelope for v1, the legacy ConflictResponse for
-// aliases (whose Error-as-string shape pre-v1 clients decode).
+// writeConflict renders the optimistic-concurrency 409: the envelope
+// plus the winning rates version.
 func writeConflict(w http.ResponseWriter, r *http.Request, msg string, version uint64) {
-	if isV1(r) {
-		writeJSON(w, http.StatusConflict, ConflictEnvelope{
-			Error: ErrorInfo{
-				Code:      CodeVersionConflict,
-				Message:   msg,
-				RequestID: obs.RequestIDFrom(r.Context()),
-			},
-			Version: version,
-		})
-		return
-	}
-	writeJSON(w, http.StatusConflict, ConflictResponse{Error: msg, Version: version})
+	writeJSON(w, http.StatusConflict, ConflictEnvelope{
+		Error: ErrorInfo{
+			Code:      CodeVersionConflict,
+			Message:   msg,
+			RequestID: obs.RequestIDFrom(r.Context()),
+		},
+		Version: version,
+	})
 }
 
 // ---- /v1/query/batch ----
@@ -573,11 +469,10 @@ const maxBatchBody = 1 << 20
 
 // handleQueryBatch answers N queries with at most
 // ⌈unique/core.DefaultBlockSize⌉ kernel executions: the whole batch pins
-// ONE rates snapshot, cached servers route through
-// cache.QueryBatchModePinnedCtx (result cache → term-vector cache → one
-// panelled solve of the remaining misses), uncached servers through
-// Pinned.Solve directly. Each answer is identical to what the
-// corresponding single /v1/query would return.
+// ONE rates snapshot and routes through cache.QueryBatchModePinnedCtx
+// (result cache → term-vector cache → one panelled solve of the
+// remaining misses). Each answer is identical to what the corresponding
+// single /v1/query would return.
 func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -626,70 +521,13 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		Generation: pin.Generation(),
 		Answers:    make([]QueryResponse, len(qs)),
 	}
-	if s.cache != nil {
-		answers, err := s.cache.QueryBatchModePinnedCtx(ctx, pin, qs, ks, modes)
-		if err != nil {
-			s.writeCtxError(w, r, err)
-			return
-		}
-		for i, ans := range answers {
-			s.obs.cacheOutcome.With(ans.Source).Inc()
-			resp.Answers[i] = QueryResponse{
-				Query:      qs[i].String(),
-				Mode:       modeField(modes[i]),
-				BaseSet:    ans.BaseSet,
-				Iterations: ans.Iterations,
-				Version:    ans.Version,
-				Generation: ans.Generation,
-				Cache:      ans.Source,
-				Results:    s.renderItems(g, qs[i], ans.Results),
-			}
-		}
-	} else {
-		// Uncached: the all-authority fast path keeps the one blocked
-		// panel; a mixed-mode batch dispatches per item (the uncached tier
-		// is the no-throughput-promises path).
-		results := make([]*core.RankResult, len(qs))
-		allAuthority := true
-		for _, m := range modes {
-			if m != core.ModeAuthority {
-				allAuthority = false
-				break
-			}
-		}
-		var err error
-		if allAuthority {
-			results, err = pin.Solve(ctx, core.SolveSpec{Queries: qs})
-		} else {
-			for i := range qs {
-				results[i], err = solveOne(ctx, pin, core.SolveSpec{Queries: qs[i : i+1], Mode: modes[i]})
-				if err != nil {
-					break
-				}
-			}
-		}
-		if err != nil {
-			for _, res := range results {
-				if res != nil {
-					s.eng.Release(res)
-				}
-			}
-			s.writeCtxError(w, r, err)
-			return
-		}
-		for i, res := range results {
-			s.obs.cacheOutcome.With(uncachedOutcome).Inc()
-			resp.Answers[i] = QueryResponse{
-				Query:      qs[i].String(),
-				Mode:       modeField(modes[i]),
-				BaseSet:    len(res.Base),
-				Iterations: res.Iterations,
-				Version:    res.RatesVersion,
-				Generation: res.Generation,
-				Results:    s.results(g, res, ks[i]),
-			}
-			s.eng.Release(res)
-		}
+	answers, err := s.cache.QueryBatchModePinnedCtx(ctx, pin, qs, ks, modes)
+	if err != nil {
+		s.writeCtxError(w, r, err)
+		return
+	}
+	for i, ans := range answers {
+		resp.Answers[i] = s.queryResponse(g, qs[i], modes[i], ans)
 	}
 	tr.Eventf("render", "answers=%d", len(resp.Answers))
 	writeJSON(w, http.StatusOK, resp)

@@ -15,6 +15,7 @@ import (
 
 	"authorityflow/internal/core"
 	"authorityflow/internal/datagen"
+	"authorityflow/internal/ir"
 	"authorityflow/internal/rank"
 )
 
@@ -40,81 +41,47 @@ func fetch(t *testing.T, method, url string, body io.Reader) (int, http.Header, 
 	return resp.StatusCode, resp.Header, raw
 }
 
-// TestAliasV1BodiesByteIdentical is the satellite-1 acceptance table:
-// for every deterministic endpoint the legacy alias and its /v1 twin
-// return BYTE-identical success bodies — the aliases are the same
-// handlers, not reimplementations. (/healthz and /stats carry live
-// uptime/counter fields and are covered by the decoded-field tests
-// below.)
-func TestAliasV1BodiesByteIdentical(t *testing.T) {
-	_, ts := testServer(t)
-	cases := []struct {
-		name   string
-		legacy string
-		v1     string
-	}{
-		{"query single-term", "/query?q=olap&k=5", "/v1/query?q=olap&k=5"},
-		{"query multi-term", "/query?q=xml+mining&k=3", "/v1/query?q=xml+mining&k=3"},
-		{"query default k", "/query?q=database", "/v1/query?q=database"},
-		{"rates", "/rates", "/v1/rates"},
-		{"explain json", "/explain?q=olap&target=0", "/v1/explain?q=olap&target=0"},
+// TestRouteTable: the mounted surface is the routes table plus
+// /metrics (and /debug/pprof/ on request) — every pattern is versioned,
+// the retired unversioned paths are the mux's plain 404, and a server
+// built with no options at all serves through the cache.
+func TestRouteTable(t *testing.T) {
+	s, ts := testServer(t) // server.New(ds, cfg), no options
+	for _, rt := range s.routes() {
+		if !strings.HasPrefix(rt.pattern, "/v1/") {
+			t.Errorf("mounted pattern %q is not under /v1/", rt.pattern)
+		}
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			lCode, _, lBody := fetch(t, http.MethodGet, ts.URL+tc.legacy, nil)
-			vCode, _, vBody := fetch(t, http.MethodGet, ts.URL+tc.v1, nil)
-			if lCode != 200 || vCode != 200 {
-				t.Fatalf("status legacy=%d v1=%d, want 200/200", lCode, vCode)
-			}
-			if !bytes.Equal(lBody, vBody) {
-				t.Errorf("bodies differ:\nlegacy: %s\nv1:     %s", lBody, vBody)
-			}
-		})
+	probes := []string{"/query?q=olap", "/explain?q=olap&target=0", "/reformulate?q=olap&feedback=0",
+		"/rates", "/healthz", "/stats", "/", "/v1", "/v1/", "/v2/query?q=olap", "/debug/pprof/"}
+	for _, path := range probes {
+		code, hdr, raw := fetch(t, http.MethodGet, ts.URL+path, nil)
+		if code != http.StatusNotFound {
+			t.Errorf("GET %s = %d, want 404: %s", path, code, raw)
+		}
+		if hdr.Get("Deprecation") != "" || hdr.Get("Sunset") != "" {
+			t.Errorf("GET %s still advertises the retired alias headers", path)
+		}
 	}
-}
+	for _, rt := range s.routes() {
+		if code, _, _ := fetch(t, http.MethodGet, ts.URL+rt.pattern, nil); code == http.StatusNotFound {
+			t.Errorf("GET %s = 404, want the route mounted", rt.pattern)
+		}
+	}
+	if code, _, _ := fetch(t, http.MethodGet, ts.URL+"/metrics", nil); code != 200 {
+		t.Errorf("/metrics = %d", code)
+	}
 
-// TestDeprecationHeadersOnAliases: every legacy response — success or
-// error — advertises the RFC 9745 Deprecation date, the RFC 8594
-// Sunset date and the successor /v1 route; /v1 responses carry none of
-// the three. /metrics is deliberately unversioned and undeprecated.
-func TestDeprecationHeadersOnAliases(t *testing.T) {
-	_, ts := testServer(t)
-	aliases := []struct {
-		path      string
-		successor string
-	}{
-		{"/query?q=olap&k=3", "/v1/query"},
-		{"/query", "/v1/query"}, // 400 path: headers still present
-		{"/explain?q=olap&target=0", "/v1/explain"},
-		{"/rates", "/v1/rates"},
-		{"/healthz", "/v1/healthz"},
-		{"/stats", "/v1/stats"},
-	}
-	for _, a := range aliases {
-		_, hdr, _ := fetch(t, http.MethodGet, ts.URL+a.path, nil)
-		if got := hdr.Get("Deprecation"); got != deprecationDate {
-			t.Errorf("%s: Deprecation = %q, want %q", a.path, got, deprecationDate)
-		}
-		if got := hdr.Get("Sunset"); got != sunsetDate {
-			t.Errorf("%s: Sunset = %q, want %q", a.path, got, sunsetDate)
-		}
-		want := "<" + a.successor + ">; rel=\"successor-version\""
-		if got := hdr.Get("Link"); got != want {
-			t.Errorf("%s: Link = %q, want %q", a.path, got, want)
-		}
-	}
-	for _, path := range []string{"/v1/query?q=olap&k=3", "/v1/rates", "/v1/healthz", "/metrics"} {
-		_, hdr, _ := fetch(t, http.MethodGet, ts.URL+path, nil)
-		for _, h := range []string{"Deprecation", "Sunset"} {
-			if got := hdr.Get(h); got != "" {
-				t.Errorf("%s: unexpected %s header %q", path, h, got)
-			}
-		}
+	var first, second QueryResponse
+	getJSON(t, ts.URL+"/v1/query?q=olap", &first)
+	getJSON(t, ts.URL+"/v1/query?q=olap", &second)
+	if first.Cache != "computed" || second.Cache != "result" {
+		t.Errorf("option-less server answered cache=%q then %q, want computed then result", first.Cache, second.Cache)
 	}
 }
 
 // TestContentTypeAudit is the satellite-3 sweep: every JSON-producing
-// response — success and error, v1 and legacy — carries
+// response — success and error — carries
 // application/json (set BEFORE the status line via the shared
 // writeJSON), the explain export formats carry their own types, and
 // /metrics serves the Prometheus text exposition.
@@ -128,19 +95,14 @@ func TestContentTypeAudit(t *testing.T) {
 		wantCT   string
 	}{
 		{"GET", "/v1/query?q=olap&k=3", "", 200, "application/json"},
-		{"GET", "/query?q=olap&k=3", "", 200, "application/json"},
 		{"GET", "/v1/query", "", 400, "application/json"},
-		{"GET", "/query", "", 400, "application/json"},
 		{"POST", "/v1/query/batch", `{"queries":[{"q":"olap"}]}`, 200, "application/json"},
 		{"GET", "/v1/query/batch", "", 405, "application/json"},
 		{"POST", "/v1/query/batch", `{`, 400, "application/json"},
 		{"GET", "/v1/reformulate?q=olap&feedback=0&version=999999", "", 409, "application/json"},
 		{"GET", "/v1/rates", "", 200, "application/json"},
-		{"GET", "/rates", "", 200, "application/json"},
 		{"GET", "/v1/healthz", "", 200, "application/json"},
-		{"GET", "/healthz", "", 200, "application/json"},
 		{"GET", "/v1/stats", "", 200, "application/json"},
-		{"GET", "/stats", "", 200, "application/json"},
 		{"GET", "/v1/explain?q=olap&target=0", "", 200, "application/json"},
 		{"GET", "/v1/explain?q=olap&target=0&format=html", "", 200, "text/html"},
 		{"GET", "/v1/explain?q=olap&target=0&format=dot", "", 200, "text/vnd.graphviz"},
@@ -176,8 +138,7 @@ func decodeEnvelope(t *testing.T, raw []byte) ErrorEnvelope {
 }
 
 // TestV1ErrorEnvelope: every v1 error is the uniform envelope with a
-// stable code and the request ID; the SAME condition on the legacy
-// alias keeps the historical flat shape.
+// stable code and the request ID.
 func TestV1ErrorEnvelope(t *testing.T) {
 	_, ts := testServer(t)
 	cases := []struct {
@@ -236,25 +197,10 @@ func TestV1ErrorEnvelope(t *testing.T) {
 	if got := hdr.Get("Allow"); got != http.MethodPost {
 		t.Errorf("405 Allow = %q, want POST", got)
 	}
-	// Same condition, legacy route: flat historical shape, no nesting.
-	_, _, raw := fetch(t, http.MethodGet, ts.URL+"/query", nil)
-	var flat struct {
-		Error     string `json:"error"`
-		RequestID string `json:"requestId"`
-	}
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&flat); err != nil {
-		t.Fatalf("legacy error body %s is not the flat shape: %v", raw, err)
-	}
-	if flat.Error == "" || flat.RequestID == "" {
-		t.Errorf("legacy flat body incomplete: %s", raw)
-	}
 }
 
 // TestV1ReformulateConflictEnvelope: the optimistic-concurrency 409
-// answers with the envelope PLUS the winning rates version on /v1,
-// while the legacy route keeps ConflictResponse (Error as a string).
+// answers with the envelope PLUS the winning rates version.
 func TestV1ReformulateConflictEnvelope(t *testing.T) {
 	s, ts := testServer(t)
 	cur := s.Engine().RatesVersion()
@@ -278,25 +224,10 @@ func TestV1ReformulateConflictEnvelope(t *testing.T) {
 	if env.Error.RequestID == "" {
 		t.Error("conflict envelope lacks requestId")
 	}
-
-	// Legacy twin: ConflictResponse with Error as a plain string.
-	code, _, raw = fetch(t, http.MethodGet,
-		ts.URL+"/reformulate?q=olap&feedback=0&version=999999", nil)
-	if code != http.StatusConflict {
-		t.Fatalf("legacy status = %d, want 409", code)
-	}
-	var legacy ConflictResponse
-	if err := json.Unmarshal(raw, &legacy); err != nil {
-		t.Fatalf("legacy body %s is not ConflictResponse: %v", raw, err)
-	}
-	if legacy.Error == "" || legacy.Version != cur {
-		t.Errorf("legacy conflict = %+v, want Error set and version %d", legacy, cur)
-	}
 }
 
 // TestV1ShedCode: a saturated /v1 route sheds with the envelope code
-// "shed" (the guard runs INSIDE the v1 marker, so its errors get the
-// envelope too).
+// "shed".
 func TestV1ShedCode(t *testing.T) {
 	var slow atomic.Bool
 	started := make(chan struct{})
@@ -470,10 +401,11 @@ func TestQueryBatchV1(t *testing.T) {
 	}
 }
 
-// TestQueryBatchUncached: batch answers on a cache-disabled server
-// match the uncached single /v1/query path.
+// TestQueryBatchUncached: batch answers — the first computed, the
+// in-batch repeat deduplicated — match a direct core.Pinned.Solve +
+// TopK, the uncached reference.
 func TestQueryBatchUncached(t *testing.T) {
-	_, ts := testServer(t)
+	s, ts := testServer(t)
 	req := BatchQueryRequest{Queries: []BatchQueryItem{
 		{Q: "olap", K: 5}, {Q: "xml mining", K: 3}, {Q: "olap", K: 5},
 	}}
@@ -486,19 +418,19 @@ func TestQueryBatchUncached(t *testing.T) {
 	if err := json.Unmarshal(raw, &resp); err != nil {
 		t.Fatal(err)
 	}
-	for i, q := range []string{"/v1/query?q=olap&k=5", "/v1/query?q=xml+mining&k=3", "/v1/query?q=olap&k=5"} {
-		var want QueryResponse
-		if code := getJSON(t, ts.URL+q, &want); code != 200 {
-			t.Fatalf("single %s status = %d", q, code)
-		}
+	for i, item := range req.Queries {
+		q := ir.ParseQuery(item.Q)
+		ref := rankWith(t, s, q)
+		want := ref.TopK(item.K)
 		got := resp.Answers[i]
-		if got.Query != want.Query || got.BaseSet != want.BaseSet || len(got.Results) != len(want.Results) {
-			t.Errorf("answer %d differs: got %+v, want %+v", i, got, want)
+		if got.Query != q.String() || got.BaseSet != len(ref.Base) || len(got.Results) != len(want) {
+			t.Errorf("answer %d differs: got %+v, want query %s base %d results %d", i, got, q, len(ref.Base), len(want))
 			continue
 		}
-		for j := range want.Results {
-			if math.Float64bits(want.Results[j].Score) != math.Float64bits(got.Results[j].Score) {
-				t.Errorf("answer %d result %d score differs", i, j)
+		for j := range want {
+			if got.Results[j].Node != int64(want[j].Node) ||
+				math.Float64bits(want[j].Score) != math.Float64bits(got.Results[j].Score) {
+				t.Errorf("answer %d result %d differs: got %+v, want %+v", i, j, got.Results[j], want[j])
 			}
 		}
 	}

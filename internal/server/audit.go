@@ -5,7 +5,6 @@ import (
 
 	"authorityflow/internal/core"
 	"authorityflow/internal/graph"
-	"authorityflow/internal/ir"
 	"authorityflow/internal/obs"
 )
 
@@ -44,13 +43,7 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 	tr := obs.TraceFrom(ctx)
 	tr.Eventf("parse", "q=%s target=%d mode=%s budget=%d", q.String(), target, rp.Mode, rp.Budget)
 
-	var res *core.RankResult
-	var err error
-	if s.cache != nil {
-		res, err = s.cache.RankModePinnedCtx(ctx, pin, q, rp.Mode)
-	} else {
-		res, err = solveOne(ctx, pin, core.SolveSpec{Queries: []*ir.Query{q}, Mode: rp.Mode})
-	}
+	res, err := s.cache.RankModePinnedCtx(ctx, pin, q, rp.Mode)
 	if err != nil {
 		s.writeCtxError(w, r, err)
 		return

@@ -4,18 +4,20 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"authorityflow/internal/core"
 	"authorityflow/internal/datagen"
+	"authorityflow/internal/ir"
 	"authorityflow/internal/rank"
 )
 
-// testCachedServer builds a cache-enabled server next to an uncached
-// twin over the SAME dataset, so responses can be compared.
-func testCachedServer(t *testing.T) (*Server, *httptest.Server, *Server) {
+// testCachedServer builds a server with a small explicit cache budget
+// and a prewarmer.
+func testCachedServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
 	cfg := datagen.DBLPTopConfig().Scale(0.02)
 	cfg.Seed = 4
@@ -24,31 +26,27 @@ func testCachedServer(t *testing.T) (*Server, *httptest.Server, *Server) {
 		t.Fatal(err)
 	}
 	core1 := core.Config{Rank: rank.Options{Threshold: 1e-6, MaxIters: 300}}
-	s, err := New(ds, core1, WithCache(8<<20, 2), WithLegacyGrace())
+	s, err := New(ds, core1, WithCache(8<<20, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(s.Close)
-	plain, err := New(ds, core1, WithLegacyGrace())
-	if err != nil {
-		t.Fatal(err)
-	}
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
-	return s, ts, plain
+	return s, ts
 }
 
 func TestCachedQueryHitAndStats(t *testing.T) {
-	_, ts, _ := testCachedServer(t)
+	_, ts := testCachedServer(t)
 
 	var first, second QueryResponse
-	if code := getJSON(t, ts.URL+"/query?q=olap&k=5", &first); code != 200 {
+	if code := getJSON(t, ts.URL+"/v1/query?q=olap&k=5", &first); code != 200 {
 		t.Fatalf("status = %d", code)
 	}
 	if first.Cache == "" || first.Cache == "result" {
 		t.Errorf("first query cache source = %q, want a non-hit source", first.Cache)
 	}
-	if code := getJSON(t, ts.URL+"/query?q=olap&k=5", &second); code != 200 {
+	if code := getJSON(t, ts.URL+"/v1/query?q=olap&k=5", &second); code != 200 {
 		t.Fatalf("status = %d", code)
 	}
 	if second.Cache != "result" {
@@ -65,8 +63,8 @@ func TestCachedQueryHitAndStats(t *testing.T) {
 	}
 
 	var st StatsResponse
-	if code := getJSON(t, ts.URL+"/stats", &st); code != 200 {
-		t.Fatalf("/stats status = %d", code)
+	if code := getJSON(t, ts.URL+"/v1/stats", &st); code != 200 {
+		t.Fatalf("/v1/stats status = %d", code)
 	}
 	if !st.CacheEnabled || st.Cache == nil {
 		t.Fatalf("stats = %+v, want cache enabled", st)
@@ -82,48 +80,44 @@ func TestCachedQueryHitAndStats(t *testing.T) {
 	}
 }
 
-// TestCachedMatchesUncached: a cache-enabled server must return the
-// same /query payload (scores, order, base flags) as an uncached
-// server over the same dataset and options.
+// TestCachedMatchesUncached: the server's /v1/query payload (scores,
+// order, base flags) — on the miss AND on the hit — must equal a direct
+// core.Pinned.Solve + TopK over the same dataset and options, the
+// uncached reference.
 func TestCachedMatchesUncached(t *testing.T) {
-	_, ts, plain := testCachedServer(t)
-	plainTS := httptest.NewServer(plain.Handler())
-	defer plainTS.Close()
+	s, ts := testCachedServer(t)
+	g := s.Dataset().Graph
 
 	for _, q := range []string{"olap", "olap+cube", "data+mining"} {
-		url := "/query?q=" + q + "&k=10"
-		var cached, uncached QueryResponse
-		if code := getJSON(t, ts.URL+url, &cached); code != 200 {
-			t.Fatalf("%s: status %d", q, code)
-		}
-		// Hit the cached server twice so the comparison also covers the
-		// hit path.
-		if code := getJSON(t, ts.URL+url, &cached); code != 200 {
-			t.Fatalf("%s: status %d", q, code)
-		}
-		if code := getJSON(t, plainTS.URL+url, &uncached); code != 200 {
-			t.Fatalf("%s: status %d", q, code)
-		}
-		if len(cached.Results) != len(uncached.Results) {
-			t.Fatalf("%s: lengths %d vs %d", q, len(cached.Results), len(uncached.Results))
-		}
-		if cached.BaseSet != uncached.BaseSet || cached.Iterations != uncached.Iterations {
-			t.Errorf("%s: meta differs: cached {base %d, iters %d} vs uncached {base %d, iters %d}",
-				q, cached.BaseSet, cached.Iterations, uncached.BaseSet, uncached.Iterations)
-		}
-		for i := range cached.Results {
-			c, u := cached.Results[i], uncached.Results[i]
-			if c.Node != u.Node || c.Score != u.Score || c.InBase != u.InBase || c.Display != u.Display {
-				t.Errorf("%s: result %d differs: %+v vs %+v", q, i, c, u)
+		url := "/v1/query?q=" + q + "&k=10"
+		ref := rankWith(t, s, ir.ParseQuery(strings.ReplaceAll(q, "+", " ")))
+		top := ref.TopK(10)
+		for _, pass := range []string{"miss", "hit"} {
+			var cached QueryResponse
+			if code := getJSON(t, ts.URL+url, &cached); code != 200 {
+				t.Fatalf("%s: status %d", q, code)
+			}
+			if len(cached.Results) != len(top) {
+				t.Fatalf("%s %s: lengths %d vs %d", q, pass, len(cached.Results), len(top))
+			}
+			if cached.BaseSet != len(ref.Base) || cached.Iterations != ref.Iterations {
+				t.Errorf("%s %s: meta differs: cached {base %d, iters %d} vs uncached {base %d, iters %d}",
+					q, pass, cached.BaseSet, cached.Iterations, len(ref.Base), ref.Iterations)
+			}
+			for i, c := range cached.Results {
+				u := top[i]
+				if c.Node != int64(u.Node) || c.Score != u.Score || c.InBase != ref.InBase(u.Node) || c.Display != g.Display(u.Node) {
+					t.Errorf("%s %s: result %d differs: %+v vs %+v", q, pass, i, c, u)
+				}
 			}
 		}
 	}
 }
 
 func TestHealthzReportsVersionAndCache(t *testing.T) {
-	s, ts, _ := testCachedServer(t)
+	s, ts := testCachedServer(t)
 	var h HealthResponse
-	if code := getJSON(t, ts.URL+"/healthz", &h); code != 200 {
+	if code := getJSON(t, ts.URL+"/v1/healthz", &h); code != 200 {
 		t.Fatalf("status = %d", code)
 	}
 	if h.RatesVersion != 1 || !h.CacheEnabled {
@@ -132,45 +126,23 @@ func TestHealthzReportsVersionAndCache(t *testing.T) {
 	if h.Nodes != s.Dataset().Graph.NumNodes() || h.Edges != s.Dataset().Graph.NumEdges() {
 		t.Errorf("healthz counts = %+v", h)
 	}
-
-	// An uncached server reports the cache off and /stats still works.
-	plainTS := httptest.NewServer(testCachedServerPlain(t).Handler())
-	defer plainTS.Close()
-	var h2 HealthResponse
-	getJSON(t, plainTS.URL+"/healthz", &h2)
-	if h2.CacheEnabled {
-		t.Error("uncached server claims cacheEnabled")
-	}
-	var st StatsResponse
-	if code := getJSON(t, plainTS.URL+"/stats", &st); code != 200 {
-		t.Fatalf("/stats status = %d", code)
-	}
-	if st.CacheEnabled || st.Cache != nil {
-		t.Errorf("uncached /stats = %+v", st)
-	}
-}
-
-func testCachedServerPlain(t *testing.T) *Server {
-	t.Helper()
-	s, _ := testServer(t)
-	return s
 }
 
 // TestCachedReformulateBumpsVersion: a reformulation through a cached
 // server publishes new rates; /query afterwards serves the new version
 // (never a stale cached answer) and /healthz reflects the bump.
 func TestCachedReformulateBumpsVersion(t *testing.T) {
-	_, ts, _ := testCachedServer(t)
+	_, ts := testCachedServer(t)
 
 	var q1 QueryResponse
-	getJSON(t, ts.URL+"/query?q=olap&k=3", &q1)
+	getJSON(t, ts.URL+"/v1/query?q=olap&k=3", &q1)
 	if len(q1.Results) == 0 {
 		t.Skip("no results at this scale")
 	}
 	target := q1.Results[0].Node
 
 	var ref ReformulateResponse
-	code := getJSON(t, fmt.Sprintf("%s/reformulate?q=olap&feedback=%d&mode=structure", ts.URL, target), &ref)
+	code := getJSON(t, fmt.Sprintf("%s/v1/reformulate?q=olap&feedback=%d&mode=structure", ts.URL, target), &ref)
 	if code != 200 {
 		t.Fatalf("reformulate status = %d", code)
 	}
@@ -178,12 +150,12 @@ func TestCachedReformulateBumpsVersion(t *testing.T) {
 		t.Fatalf("post-reformulation version = %d, want 2", ref.Version)
 	}
 	var q2 QueryResponse
-	getJSON(t, ts.URL+"/query?q=olap&k=3", &q2)
+	getJSON(t, ts.URL+"/v1/query?q=olap&k=3", &q2)
 	if q2.Version != 2 {
 		t.Errorf("query after reformulation served version %d, want 2", q2.Version)
 	}
 	var h HealthResponse
-	getJSON(t, ts.URL+"/healthz", &h)
+	getJSON(t, ts.URL+"/v1/healthz", &h)
 	if h.RatesVersion != 2 {
 		t.Errorf("healthz ratesVersion = %d, want 2", h.RatesVersion)
 	}
@@ -193,10 +165,10 @@ func TestCachedReformulateBumpsVersion(t *testing.T) {
 // path: concurrent queries (hitting, missing, deduplicating) racing
 // reformulations that publish new rates.
 func TestCachedServerConcurrency(t *testing.T) {
-	_, ts, _ := testCachedServer(t)
+	_, ts := testCachedServer(t)
 
 	var q1 QueryResponse
-	getJSON(t, ts.URL+"/query?q=olap&k=3", &q1)
+	getJSON(t, ts.URL+"/v1/query?q=olap&k=3", &q1)
 	if len(q1.Results) == 0 {
 		t.Skip("no results at this scale")
 	}
@@ -209,7 +181,7 @@ func TestCachedServerConcurrency(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 15; i++ {
-				resp, err := http.Get(ts.URL + "/query?q=" + queries[(w+i)%len(queries)] + "&k=5")
+				resp, err := http.Get(ts.URL + "/v1/query?q=" + queries[(w+i)%len(queries)] + "&k=5")
 				if err != nil {
 					t.Error(err)
 					return
@@ -226,7 +198,7 @@ func TestCachedServerConcurrency(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 5; i++ {
-			resp, err := http.Get(fmt.Sprintf("%s/reformulate?q=olap&feedback=%d&mode=structure", ts.URL, target))
+			resp, err := http.Get(fmt.Sprintf("%s/v1/reformulate?q=olap&feedback=%d&mode=structure", ts.URL, target))
 			if err != nil {
 				t.Error(err)
 				return
@@ -241,7 +213,7 @@ func TestCachedServerConcurrency(t *testing.T) {
 	wg.Wait()
 
 	var st StatsResponse
-	getJSON(t, ts.URL+"/stats", &st)
+	getJSON(t, ts.URL+"/v1/stats", &st)
 	if st.Cache == nil || st.Cache.Result.Hits+st.Cache.Vector.Hits == 0 {
 		t.Errorf("no cache hits under concurrent load: %+v", st.Cache)
 	}
@@ -256,9 +228,9 @@ func TestCachedServerConcurrency(t *testing.T) {
 // (one of which may have just published via TrySetRates). Run under
 // -race.
 func TestServerCloseWhilePublishing(t *testing.T) {
-	s, ts, _ := testCachedServer(t)
+	s, ts := testCachedServer(t)
 	// Record a hot term so the prewarmer has work on each publication.
-	getJSON(t, ts.URL+"/query?q=olap&k=3", nil)
+	getJSON(t, ts.URL+"/v1/query?q=olap&k=3", nil)
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

@@ -34,7 +34,9 @@ func TestQueryModeSurface(t *testing.T) {
 	_, ts := testServer(t)
 
 	// mode=authority is the default: spelling it out changes nothing —
-	// the bodies are byte-identical (Mode is omitted for authority).
+	// the bodies are byte-identical (Mode is omitted for authority). One
+	// priming request first, so both carry cache:"result".
+	getBody(t, ts.URL+"/v1/query?q=olap&k=5")
 	c1, b1 := getBody(t, ts.URL+"/v1/query?q=olap&k=5")
 	c2, b2 := getBody(t, ts.URL+"/v1/query?q=olap&k=5&mode=authority")
 	if c1 != 200 || c2 != 200 {
@@ -62,7 +64,9 @@ func TestQueryModeSurface(t *testing.T) {
 		}
 	}
 
-	// Repeated hub queries at a pinned generation are byte-identical.
+	// Repeated hub queries at a pinned generation are byte-identical
+	// (after the priming miss).
+	getBody(t, ts.URL+"/v1/query?q=cube&k=8&mode=hub")
 	_, h1 := getBody(t, ts.URL+"/v1/query?q=cube&k=8&mode=hub")
 	_, h2 := getBody(t, ts.URL+"/v1/query?q=cube&k=8&mode=hub")
 	if !bytes.Equal(h1, h2) {

@@ -55,8 +55,8 @@ type serverObs struct {
 	start time.Time
 	pprof bool
 
-	// cacheOutcome counts /query answers by provenance: the cache
-	// Source values plus "uncached".
+	// cacheOutcome counts /v1/query answers by provenance (the cache
+	// Source values).
 	cacheOutcome *obs.CounterVec
 	// profileOutcome counts personalized answers by the tier's path
 	// (hit / combined / global); profileUpdates counts /v1/profile
@@ -91,10 +91,6 @@ type serverObs struct {
 	auditContributions *obs.Histogram
 }
 
-// uncachedOutcome is the cacheOutcome label of answers served without
-// a serving cache.
-const uncachedOutcome = "uncached"
-
 // newServerObs registers every metric family. Family names are
 // namespaced afq_*; see DESIGN.md §7 for the full table.
 func newServerObs(o ObsOptions) *serverObs {
@@ -113,9 +109,9 @@ func newServerObs(o ObsOptions) *serverObs {
 	so.mw.SlowThreshold = o.SlowThreshold
 
 	so.cacheOutcome = reg.NewCounterVec("afq_query_cache_outcome_total",
-		"Served /query answers by provenance: result (result-cache hit), term (term-vector hit), computed (kernel solve ran), uncached (no serving cache).",
+		"Served /query answers by provenance: result (result-cache hit), term (term-vector hit), computed (kernel solve ran).",
 		"source")
-	for _, s := range append(cache.Sources(), uncachedOutcome) {
+	for _, s := range cache.Sources() {
 		so.cacheOutcome.With(s) // pre-create so every outcome is visible at 0
 	}
 	so.profileOutcome = reg.NewCounterVec("afq_profile_query_outcome_total",
@@ -177,10 +173,10 @@ func (so *serverObs) observeIteration(iter int, residual float64) {
 }
 
 // attach wires the metrics that depend on the constructed engine and
-// cache: the solve hook, the rates-version gauge refresh, and —
-// when the serving cache is on — counter/gauge views over the cache's
-// own atomic counters. Both /metrics and /stats read those SAME
-// atomics, so the two endpoints cannot drift.
+// cache: the solve hook, the rates-version gauge refresh, and
+// counter/gauge views over the cache's own atomic counters. Both
+// /metrics and /v1/stats read those SAME atomics, so the two endpoints
+// cannot drift.
 func (so *serverObs) attach(s *Server) {
 	s.eng.SetSolveHook(func(st core.SolveStats) {
 		so.solves.Inc()
@@ -199,9 +195,6 @@ func (so *serverObs) attach(s *Server) {
 	})
 	if s.profiles != nil {
 		so.attachProfile(s.profiles)
-	}
-	if s.cache == nil {
-		return
 	}
 	snap := func() cache.StatsSnapshot { return s.cache.Stats() }
 	type cf struct {

@@ -28,7 +28,7 @@ func obsTestServer(t *testing.T, extra ...Option) (*Server, *httptest.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(ds, core.Config{Rank: rank.Options{Threshold: 1e-6, MaxIters: 300}}, append([]Option{WithLegacyGrace()}, extra...)...)
+	s, err := New(ds, core.Config{Rank: rank.Options{Threshold: 1e-6, MaxIters: 300}}, extra...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,29 +107,29 @@ func scrapeMetrics(t *testing.T, base string) (map[string]float64, string) {
 	return samples, string(raw)
 }
 
-// TestMetricsEndpoint drives queries through an uncached server and
-// asserts the stated metric families show up in valid exposition with
-// values consistent with the traffic.
+// TestMetricsEndpoint drives three distinct queries (three misses)
+// through a server and asserts the stated metric families show up in
+// valid exposition with values consistent with the traffic.
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts := obsTestServer(t)
-	for i := 0; i < 3; i++ {
-		mustGet(t, ts.URL+"/query?q=olap&k=5", 200)
+	for _, q := range []string{"olap", "xml", "mining"} {
+		mustGet(t, ts.URL+"/v1/query?q="+q+"&k=5", 200)
 	}
-	mustGet(t, ts.URL+"/query", 400) // parse error
-	mustGet(t, ts.URL+"/healthz", 200)
+	mustGet(t, ts.URL+"/v1/query", 400) // parse error
+	mustGet(t, ts.URL+"/v1/healthz", 200)
 
 	samples, raw := scrapeMetrics(t, ts.URL)
-	if got := samples[`afq_http_requests_total{handler="/query",code="200"}`]; got != 3 {
+	if got := samples[`afq_http_requests_total{handler="/v1/query",code="200"}`]; got != 3 {
 		t.Errorf("query 200 count = %g, want 3", got)
 	}
-	if got := samples[`afq_http_requests_total{handler="/query",code="400"}`]; got != 1 {
+	if got := samples[`afq_http_requests_total{handler="/v1/query",code="400"}`]; got != 1 {
 		t.Errorf("query 400 count = %g, want 1", got)
 	}
-	if got := samples[`afq_http_request_seconds_count{handler="/query"}`]; got != 4 {
+	if got := samples[`afq_http_request_seconds_count{handler="/v1/query"}`]; got != 4 {
 		t.Errorf("query latency observations = %g, want 4", got)
 	}
-	// Kernel families: 3 successful /query calls on an uncached server →
-	// 3 solves, and the iteration histogram/counter grew.
+	// Kernel families: 3 cache misses → 3 solves, and the iteration
+	// histogram/counter grew.
 	if got := samples["afq_kernel_solves_total"]; got != 3 {
 		t.Errorf("kernel solves = %g, want 3", got)
 	}
@@ -142,9 +142,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	if samples["afq_kernel_solve_seconds_count"] != 3 {
 		t.Errorf("solve_seconds count = %g, want 3", samples["afq_kernel_solve_seconds_count"])
 	}
-	// Uncached outcome counter.
-	if got := samples[`afq_query_cache_outcome_total{source="uncached"}`]; got != 3 {
-		t.Errorf("uncached outcomes = %g, want 3", got)
+	if got := samples[`afq_query_cache_outcome_total{source="computed"}`]; got != 3 {
+		t.Errorf("computed outcomes = %g, want 3", got)
 	}
 	// Rates version gauge present; uptime positive.
 	if _, ok := samples["afq_rates_version"]; !ok {
@@ -154,7 +153,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Error("afq_uptime_seconds not positive")
 	}
 	// Histogram buckets must be cumulative: +Inf equals _count.
-	if inf := samples[`afq_http_request_seconds_bucket{handler="/query",le="+Inf"}`]; inf != samples[`afq_http_request_seconds_count{handler="/query"}`] {
+	if inf := samples[`afq_http_request_seconds_bucket{handler="/v1/query",le="+Inf"}`]; inf != samples[`afq_http_request_seconds_count{handler="/v1/query"}`] {
 		t.Errorf("+Inf bucket %g != count", inf)
 	}
 	for _, fam := range []string{
@@ -178,13 +177,13 @@ func TestMetricsEndpoint(t *testing.T) {
 func TestMetricsStatsAgree(t *testing.T) {
 	_, ts := obsTestServer(t, WithCache(8<<20, 0))
 	for i := 0; i < 4; i++ {
-		mustGet(t, ts.URL+"/query?q=olap&k=5", 200) // 1 miss + 3 result hits
+		mustGet(t, ts.URL+"/v1/query?q=olap&k=5", 200) // 1 miss + 3 result hits
 	}
-	mustGet(t, ts.URL+"/query?q=xml&k=5", 200)
+	mustGet(t, ts.URL+"/v1/query?q=xml&k=5", 200)
 
 	var st StatsResponse
-	if code := getJSON(t, ts.URL+"/stats", &st); code != 200 {
-		t.Fatalf("/stats status = %d", code)
+	if code := getJSON(t, ts.URL+"/v1/stats", &st); code != 200 {
+		t.Fatalf("/v1/stats status = %d", code)
 	}
 	samples, _ := scrapeMetrics(t, ts.URL)
 
@@ -213,10 +212,10 @@ func TestMetricsStatsAgree(t *testing.T) {
 		}
 	}
 	// HTTP byHandler keys mirror the /metrics labels.
-	if st.HTTP.ByHandler["/query 200"] != 5 {
-		t.Errorf("byHandler[/query 200] = %d, want 5", st.HTTP.ByHandler["/query 200"])
+	if st.HTTP.ByHandler["/v1/query 200"] != 5 {
+		t.Errorf("byHandler[/query 200] = %d, want 5", st.HTTP.ByHandler["/v1/query 200"])
 	}
-	if got := samples[`afq_http_requests_total{handler="/query",code="200"}`]; got != 5 {
+	if got := samples[`afq_http_requests_total{handler="/v1/query",code="200"}`]; got != 5 {
 		t.Errorf("metrics /query 200 = %g, want 5", got)
 	}
 	// Cache outcome counter: 2 misses computed, 3 result hits.
@@ -236,7 +235,7 @@ func TestMetricsStatsAgree(t *testing.T) {
 // X-Request-ID, and error payloads embed the same ID.
 func TestRequestIDOnResponses(t *testing.T) {
 	_, ts := obsTestServer(t)
-	resp, err := http.Get(ts.URL + "/query?q=olap&k=5")
+	resp, err := http.Get(ts.URL + "/v1/query?q=olap&k=5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +245,7 @@ func TestRequestIDOnResponses(t *testing.T) {
 		t.Error("success response missing X-Request-ID")
 	}
 
-	resp, err = http.Get(ts.URL + "/query") // 400: q required
+	resp, err = http.Get(ts.URL + "/v1/query") // 400: q required
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,36 +254,31 @@ func TestRequestIDOnResponses(t *testing.T) {
 	if id == "" {
 		t.Fatal("error response missing X-Request-ID")
 	}
-	var payload struct {
-		Error     string `json:"error"`
-		RequestID string `json:"requestId"`
-	}
+	var payload ErrorEnvelope
 	if err := json.NewDecoder(resp.Body).Decode(&payload); err != nil {
 		t.Fatalf("error payload not JSON: %v", err)
 	}
-	if payload.Error == "" {
+	if payload.Error.Message == "" {
 		t.Error("error payload missing error message")
 	}
-	if payload.RequestID != id {
-		t.Errorf("error payload requestId %q != header %q", payload.RequestID, id)
+	if payload.Error.RequestID != id {
+		t.Errorf("error payload requestId %q != header %q", payload.Error.RequestID, id)
 	}
 
 	// Caller-supplied ID round-trips into the error payload.
-	req, _ := http.NewRequest("GET", ts.URL+"/query", nil)
+	req, _ := http.NewRequest("GET", ts.URL+"/v1/query", nil)
 	req.Header.Set(obs.RequestIDHeader, "my-trace-42")
 	resp2, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp2.Body.Close()
-	var payload2 struct {
-		RequestID string `json:"requestId"`
-	}
+	var payload2 ErrorEnvelope
 	if err := json.NewDecoder(resp2.Body).Decode(&payload2); err != nil {
 		t.Fatalf("error payload not JSON: %v", err)
 	}
-	if payload2.RequestID != "my-trace-42" {
-		t.Errorf("caller ID not in error payload: %q", payload2.RequestID)
+	if payload2.Error.RequestID != "my-trace-42" {
+		t.Errorf("caller ID not in error payload: %q", payload2.Error.RequestID)
 	}
 }
 
@@ -292,9 +286,9 @@ func TestRequestIDOnResponses(t *testing.T) {
 func TestHealthzUptime(t *testing.T) {
 	_, ts := obsTestServer(t)
 	var h1, h2 HealthResponse
-	getJSON(t, ts.URL+"/healthz", &h1)
+	getJSON(t, ts.URL+"/v1/healthz", &h1)
 	time.Sleep(5 * time.Millisecond)
-	getJSON(t, ts.URL+"/healthz", &h2)
+	getJSON(t, ts.URL+"/v1/healthz", &h2)
 	if h1.UptimeSeconds <= 0 {
 		t.Fatalf("uptime = %g, want > 0", h1.UptimeSeconds)
 	}
@@ -312,7 +306,7 @@ func TestSlowQueryLogServer(t *testing.T) {
 		SlowLog:       &buf,
 		SlowThreshold: time.Nanosecond,
 	}))
-	mustGet(t, ts.URL+"/query?q=olap&k=5", 200)
+	mustGet(t, ts.URL+"/v1/query?q=olap&k=5", 200)
 
 	if !waitFor(t, 2*time.Second, func() bool { return strings.TrimSpace(buf.String()) != "" }) {
 		t.Fatal("no slow-query line with nanosecond threshold")
@@ -329,7 +323,7 @@ func TestSlowQueryLogServer(t *testing.T) {
 	if err := json.Unmarshal([]byte(first), &logged); err != nil {
 		t.Fatalf("slow log not JSON: %v\n%s", err, first)
 	}
-	if logged.Handler != "/query" || logged.ID == "" {
+	if logged.Handler != "/v1/query" || logged.ID == "" {
 		t.Fatalf("slow log fields wrong: %s", first)
 	}
 	names := make([]string, len(logged.Spans))

@@ -27,11 +27,9 @@ import (
 	"strings"
 
 	"authorityflow/internal/core"
-	"authorityflow/internal/graph"
 	"authorityflow/internal/ir"
 	"authorityflow/internal/obs"
 	"authorityflow/internal/profile"
-	"authorityflow/internal/rank"
 )
 
 // WithProfiles enables the personalization tier: profiles persist under
@@ -43,22 +41,14 @@ func WithProfiles(dir string, basisSize int) Option {
 }
 
 // WithProfileOptions enables the personalization tier with full
-// profile.Options. Options.BaseRank is overridden on cache-enabled
-// servers so personalized queries share the serving cache's term
-// vectors and solve singleflight.
+// profile.Options. A nil Options.BaseRank is pointed at the serving
+// cache, so personalized queries share its term vectors and solve
+// singleflight.
 func WithProfileOptions(po profile.Options) Option {
 	return func(o *serverOptions) {
 		o.profileEnabled = true
 		o.profileOpts = po
 	}
-}
-
-// WithLegacyGrace restores the pre-sunset behaviour of the legacy
-// unversioned routes (alias serving with deprecation headers) instead
-// of the post-sunset 410. An escape hatch for deployments still
-// migrating clients to /v1; new deployments should not set it.
-func WithLegacyGrace() Option {
-	return func(o *serverOptions) { o.legacyGrace = true }
 }
 
 // maxProfileBody bounds a profile update body (a mixture is at most a
@@ -209,7 +199,7 @@ func (s *Server) handleProfileQuery(w http.ResponseWriter, r *http.Request, pin 
 		Cache:        string(src),
 		Profile:      id,
 		Personalized: ans.Personalized,
-		Results:      s.renderRanked(g, q, ans.Results, ans.InBase),
+		Results:      renderResults(g, q, ans.Results),
 	})
 }
 
@@ -261,25 +251,9 @@ func (s *Server) handleProfileReformulate(w http.ResponseWriter, r *http.Request
 		return
 	}
 	s.obs.profileOutcome.With(string(src)).Inc()
-	resp.Results = s.renderRanked(pin.Corpus().Graph(), ref.Query, ans.Results, ans.InBase)
+	resp.Results = renderResults(pin.Corpus().Graph(), ref.Query, ans.Results)
 	for _, wt := range ref.Expansion {
 		resp.Expansion = append(resp.Expansion, ExpansionTerm{Term: wt.Term, Weight: wt.Weight})
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// renderRanked converts a personalized answer's ranked nodes to the
-// JSON result shape against the pinned generation's graph.
-func (s *Server) renderRanked(g *graph.Graph, q *ir.Query, items []rank.Ranked, inBase map[graph.NodeID]bool) []Result {
-	out := make([]Result, 0, len(items))
-	for _, it := range items {
-		out = append(out, Result{
-			Node:    int64(it.Node),
-			Score:   it.Score,
-			Display: g.Display(it.Node),
-			Snippet: ir.Snippet(g.Text(it.Node), q, 160),
-			InBase:  inBase[it.Node],
-		})
-	}
-	return out
 }

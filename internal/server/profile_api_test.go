@@ -326,69 +326,3 @@ func TestClientProfileMethods(t *testing.T) {
 		t.Fatalf("second delete: %v", err)
 	}
 }
-
-// TestLegacySunset410 is the satellite-1 contract: the alias grace
-// period ended 2026-08-06, so on a default server every legacy
-// unversioned route answers 410 Gone with the v1 envelope, the
-// successor link, and the historical deprecation headers — while the
-// /v1 twin keeps serving. A WithLegacyGrace server restores the old
-// behaviour (covered byte-for-byte by TestAliasV1BodiesByteIdentical,
-// which runs its grace-mode twin via testServer).
-func TestLegacySunset410(t *testing.T) {
-	cfg := datagen.DBLPTopConfig().Scale(0.02)
-	cfg.Seed = 4
-	ds, err := datagen.GenerateDBLP(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(ds, core.Config{Rank: rank.Options{Threshold: 1e-6, MaxIters: 300}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	routes := []struct{ legacy, successor string }{
-		{"/query?q=olap&k=5", "/v1/query"},
-		{"/explain?q=olap&target=0", "/v1/explain"},
-		{"/reformulate?q=olap&feedback=0", "/v1/reformulate"},
-		{"/rates", "/v1/rates"},
-		{"/healthz", "/v1/healthz"},
-		{"/stats", "/v1/stats"},
-	}
-	for _, rt := range routes {
-		code, hdr, raw := fetch(t, http.MethodGet, ts.URL+rt.legacy, nil)
-		if code != http.StatusGone {
-			t.Fatalf("%s = %d, want 410: %s", rt.legacy, code, raw)
-		}
-		env := decodeEnvelope(t, raw)
-		if env.Error.Code != CodeGone {
-			t.Fatalf("%s error code = %q, want %q", rt.legacy, env.Error.Code, CodeGone)
-		}
-		if !strings.Contains(env.Error.Message, rt.successor) {
-			t.Fatalf("%s message does not name successor %s: %q", rt.legacy, rt.successor, env.Error.Message)
-		}
-		if hdr.Get("Deprecation") != deprecationDate {
-			t.Errorf("%s Deprecation = %q", rt.legacy, hdr.Get("Deprecation"))
-		}
-		if hdr.Get("Sunset") != sunsetDate {
-			t.Errorf("%s Sunset = %q", rt.legacy, hdr.Get("Sunset"))
-		}
-		if link := hdr.Get("Link"); !strings.Contains(link, rt.successor) {
-			t.Errorf("%s Link = %q", rt.legacy, link)
-		}
-	}
-
-	// The v1 surface is untouched by the sunset.
-	code, _, _ := fetch(t, http.MethodGet, ts.URL+"/v1/query?q=olap&k=5", nil)
-	if code != 200 {
-		t.Fatalf("/v1/query on default server = %d", code)
-	}
-	// 410 fires before the admission guard and before parameter
-	// parsing: even an unparsable legacy request gets the tombstone,
-	// not a 400.
-	code, _, raw := fetch(t, http.MethodGet, ts.URL+"/query", nil)
-	if code != http.StatusGone {
-		t.Fatalf("bare /query = %d: %s", code, raw)
-	}
-}

@@ -98,8 +98,7 @@ func (s *Server) handleRatesPublish(w http.ResponseWriter, r *http.Request) {
 
 // handleRatesDispatch routes /v1/rates by method: GET reads the
 // published rates, POST publishes a vector (the fleet-propagation
-// write). The legacy /rates alias keeps its historical read-any-method
-// behaviour.
+// write).
 func (s *Server) handleRatesDispatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method == http.MethodPost {
 		s.handleRatesPublish(w, r)

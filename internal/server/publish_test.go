@@ -199,17 +199,4 @@ func TestRatesPublishClient(t *testing.T) {
 	if apiErr.Version != pub.Version {
 		t.Errorf("winning version = %d, want %d", apiErr.Version, pub.Version)
 	}
-
-	// The legacy /rates alias keeps its historical read-any-method
-	// behaviour: POST there reads, it does not publish.
-	resp, err := http.Post(ts.URL+"/rates", "application/json", strings.NewReader(`{"vector":[]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	var legacy RatesResponse
-	if resp.StatusCode != 200 || json.Unmarshal(raw, &legacy) != nil || legacy.Version != pub.Version {
-		t.Errorf("legacy POST /rates = %d %s, want the plain read", resp.StatusCode, raw)
-	}
 }

@@ -4,13 +4,13 @@
 // explanation, and feedback-driven reformulation with per-process
 // trained rates.
 //
-// Endpoints (canonical, versioned — see api.go for the full surface,
-// DTOs, error envelope and the deprecation policy of the unversioned
-// aliases):
+// Endpoints (see api.go for the full surface, DTOs and the error
+// envelope); every route is under /v1, plus /metrics:
 //
 //	GET  /v1/query?q=olap&k=10
 //	POST /v1/query/batch
 //	GET  /v1/explain?q=olap&target=123
+//	GET  /v1/audit?q=olap&target=123
 //	GET  /v1/reformulate?q=olap&feedback=123,456&mode=structure|content|both[&version=N]
 //	GET  /v1/rates
 //	GET  /v1/healthz
@@ -19,17 +19,17 @@
 // Concurrency: the server holds no locks. Every handler loads the
 // engine's current rates snapshot once (Engine.Pin) and serves every
 // step of the request from that pinned view; concurrent reformulations
-// publish through the engine's compare-and-swap. /reformulate is
+// publish through the engine's compare-and-swap. /v1/reformulate is
 // optimistic: the response carries the rates version it ran under, an
 // optional version=N parameter asserts the client's expected version,
 // and a lost race returns 409 Conflict with the winning version so the
 // client can re-read and retry.
 //
-// With WithCache, the query paths run through the internal/cache
-// serving cache: repeated queries hit a version-keyed result cache,
-// single-keyword queries share converged term vectors, concurrent
-// identical misses collapse onto one solve, and /stats exposes the
-// hit/miss/eviction/singleflight/bytes counters.
+// Every read runs through the internal/cache serving cache: repeated
+// queries hit a version-keyed result cache, single-keyword queries
+// share converged term vectors, concurrent identical misses collapse
+// onto one solve, and /v1/stats exposes the
+// hit/miss/eviction/singleflight/bytes counters. WithCache sizes it.
 package server
 
 import (
@@ -61,53 +61,45 @@ type Server struct {
 	// republished atomically by /v1/corpus/swap. Handlers that render
 	// nodes never read it — they use the graph of the engine state they
 	// pinned — so a swap mid-request cannot mismatch IDs and text.
-	ds          atomic.Pointer[datagen.Dataset]
-	eng         *core.Engine
-	cfg         core.Config         // post-chaining config, reused to build swapped-in corpora
-	swapDir     string              // "" = /v1/corpus/swap disabled
-	cache       *cache.CachedEngine // nil when serving uncached
-	profiles    *profile.Manager    // nil when personalization is disabled
-	legacyGrace bool                // true = legacy aliases still serve (pre-sunset behaviour)
-	obs         *serverObs          // always non-nil; see ObsOptions
-	adm         *admission          // always non-nil; zero options = no limits
+	ds       atomic.Pointer[datagen.Dataset]
+	eng      *core.Engine
+	cfg      core.Config         // post-chaining config, reused to build swapped-in corpora
+	swapDir  string              // "" = /v1/corpus/swap disabled
+	cache    *cache.CachedEngine // every read goes through it
+	profiles *profile.Manager    // nil when personalization is disabled
+	obs      *serverObs          // always non-nil; see ObsOptions
+	adm      *admission          // always non-nil; zero options = no limits
 }
 
 // Option configures optional Server behaviour.
 type Option func(*serverOptions)
 
 type serverOptions struct {
-	cacheOpts      cache.Options
-	cacheEnabled   bool
+	cacheOpts      cache.Options // zero value = cache.New's defaults
 	profileOpts    profile.Options
 	profileEnabled bool
-	legacyGrace    bool
 	obs            ObsOptions
 	admission      AdmissionOptions
 	swapDir        string
 }
 
-// WithCache enables the serving cache with the given total byte budget
-// (0 = cache.DefaultMaxBytes) and number of hot terms to prewarm after
-// each rates publication (0 = no prewarming).
+// WithCache sizes the serving cache: total byte budget (0 =
+// cache.DefaultMaxBytes) and number of hot terms to prewarm after each
+// rates publication (0 = no prewarming).
 func WithCache(maxBytes int64, prewarmTerms int) Option {
 	return func(o *serverOptions) {
-		o.cacheEnabled = true
 		o.cacheOpts.MaxBytes = maxBytes
 		o.cacheOpts.PrewarmTerms = prewarmTerms
 	}
 }
 
-// WithCacheOptions enables the serving cache with full cache.Options.
+// WithCacheOptions configures the serving cache with full cache.Options.
 func WithCacheOptions(co cache.Options) Option {
-	return func(o *serverOptions) {
-		o.cacheEnabled = true
-		o.cacheOpts = co
-	}
+	return func(o *serverOptions) { o.cacheOpts = co }
 }
 
-// New builds a Server over a dataset. Without options the server runs
-// uncached, exactly as before; pass WithCache to enable the serving
-// cache.
+// New builds a Server over a dataset. Without options the serving cache
+// runs at cache.Options' defaults.
 func New(ds *datagen.Dataset, cfg core.Config, opts ...Option) (*Server, error) {
 	return newServer(ds, nil, cfg, opts)
 }
@@ -149,15 +141,12 @@ func newServer(ds *datagen.Dataset, ix *ir.Index, cfg core.Config, opts []Option
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{eng: eng, cfg: cfg, swapDir: so.swapDir, legacyGrace: so.legacyGrace,
+	s := &Server{eng: eng, cfg: cfg, swapDir: so.swapDir, cache: cache.New(eng, so.cacheOpts),
 		obs: sobs, adm: newAdmission(so.admission)}
 	s.ds.Store(ds)
-	if so.cacheEnabled {
-		s.cache = cache.New(eng, so.cacheOpts)
-	}
 	if so.profileEnabled {
 		po := so.profileOpts
-		if po.BaseRank == nil && s.cache != nil {
+		if po.BaseRank == nil {
 			// Personalized queries share the global tier's serving cache:
 			// the (1−β)·r(Q) component comes from the same term vectors,
 			// result collapse and solve singleflight as /v1/query.
@@ -191,11 +180,7 @@ func chainIterObserver(a, b rank.IterObserver) rank.IterObserver {
 }
 
 // Close releases background resources (the cache's prewarmer, if any).
-func (s *Server) Close() {
-	if s.cache != nil {
-		s.cache.Close()
-	}
-}
+func (s *Server) Close() { s.cache.Close() }
 
 // Handler returns the routed HTTP handler. Every route runs inside
 // the observability middleware (request ID + X-Request-ID header,
@@ -203,60 +188,52 @@ func (s *Server) Close() {
 // /metrics serves the Prometheus exposition, and /debug/pprof/ is
 // mounted when ObsOptions.Pprof is set.
 //
-// Routing is two-surfaced (see api.go): the canonical /v1 routes run
-// with the v1 error envelope, and the historical unversioned paths are
-// mounted as deprecated aliases of the SAME handlers — byte-identical
-// success bodies, legacy error shape, plus Deprecation/Sunset/Link
-// headers. Expensive endpoints (each may run a kernel solve) go
-// through the admission guard on both surfaces: bounded in-flight
-// slots, queue-wait shedding, and the per-request deadline. Operator
-// endpoints never do — an overloaded replica must stay inspectable.
+// Only the routes table is mounted; any other path is the mux's plain
+// 404.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	v1 := func(path string, h http.HandlerFunc) {
-		mux.Handle(path, s.obs.mw.Wrap(path, v1Routed(h)))
+	for _, rt := range s.routes() {
+		h := rt.handle
+		if rt.guarded {
+			h = s.guard(h)
+		}
+		mux.Handle(rt.pattern, s.obs.mw.Wrap(rt.pattern, h))
 	}
-	// The v1 marker wraps OUTSIDE the guard, so shed/deadline/
-	// bad-header errors raised by the guard itself carry the envelope.
-	v1Guarded := func(path string, h http.HandlerFunc) {
-		mux.Handle(path, s.obs.mw.Wrap(path, v1Routed(s.guard(h))))
-	}
-	v1Guarded("/v1/query", s.handleQuery)
-	v1Guarded("/v1/query/batch", s.handleQueryBatch)
-	v1Guarded("/v1/explain", s.handleExplain)
-	v1Guarded("/v1/audit", s.handleAudit)
-	v1Guarded("/v1/reformulate", s.handleReformulate)
-	v1("/v1/rates", s.handleRatesDispatch)
-	v1("/v1/healthz", s.handleHealth)
-	v1("/v1/stats", s.handleStats)
-	// Profile CRUD is v1-only and unguarded (byte-sized record I/O, no
-	// kernel work — like /v1/rates); the personalized query and
-	// training paths run through the guarded /v1/query and
-	// /v1/reformulate routes above.
-	v1("/v1/profile/", s.handleProfile)
-	// Operator endpoint, v1-only (no legacy alias) and outside the
-	// admission guard: swapping must work on an overloaded replica.
-	v1("/v1/corpus/swap", s.handleCorpusSwap)
-
-	alias := func(path, successor string, h http.HandlerFunc) {
-		mux.Handle(path, s.obs.mw.Wrap(path, deprecatedAlias(successor, s.legacyGrace, h)))
-	}
-	aliasGuarded := func(path, successor string, h http.HandlerFunc) {
-		mux.Handle(path, s.obs.mw.Wrap(path, deprecatedAlias(successor, s.legacyGrace, s.guard(h))))
-	}
-	aliasGuarded("/query", "/v1/query", s.handleQuery)
-	aliasGuarded("/explain", "/v1/explain", s.handleExplain)
-	aliasGuarded("/reformulate", "/v1/reformulate", s.handleReformulate)
-	alias("/rates", "/v1/rates", s.handleRates)
-	alias("/healthz", "/v1/healthz", s.handleHealth)
-	alias("/stats", "/v1/stats", s.handleStats)
-
 	// /metrics stays unversioned by Prometheus convention.
 	mux.Handle("/metrics", s.obs.mw.Wrap("/metrics", s.obs.reg.Handler()))
 	if s.obs.pprof {
 		mountPprof(mux)
 	}
 	return mux
+}
+
+// route is one mounted API endpoint.
+type route struct {
+	pattern string
+	guarded bool
+	handle  http.HandlerFunc
+}
+
+// routes is the whole API surface. Guarded endpoints (each may run a
+// kernel solve) go through the admission guard: bounded in-flight
+// slots, queue-wait shedding, and the per-request deadline. Operator
+// endpoints never do — an overloaded replica must stay inspectable and
+// swappable — and neither does profile CRUD (byte-sized record I/O, no
+// kernel work; the personalized query and training paths run through
+// the guarded /v1/query and /v1/reformulate).
+func (s *Server) routes() []route {
+	return []route{
+		{"/v1/query", true, s.handleQuery},
+		{"/v1/query/batch", true, s.handleQueryBatch},
+		{"/v1/explain", true, s.handleExplain},
+		{"/v1/audit", true, s.handleAudit},
+		{"/v1/reformulate", true, s.handleReformulate},
+		{"/v1/rates", false, s.handleRatesDispatch},
+		{"/v1/healthz", false, s.handleHealth},
+		{"/v1/stats", false, s.handleStats},
+		{"/v1/profile/", false, s.handleProfile},
+		{"/v1/corpus/swap", false, s.handleCorpusSwap},
+	}
 }
 
 // Metrics exposes the server's metric registry (for embedding callers
@@ -275,7 +252,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		Edges:         ds.Graph.NumEdges(),
 		RatesVersion:  s.eng.RatesVersion(),
 		Generation:    s.eng.Generation(),
-		CacheEnabled:  s.cache != nil,
+		CacheEnabled:  true,
 		UptimeSeconds: s.obs.uptimeSeconds(),
 	})
 }
@@ -285,8 +262,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	s.obs.mw.Requests().Each(func(labels []string, n uint64) {
 		byHandler[labels[0]+" "+labels[1]] = int64(n)
 	})
+	cacheStats := s.cache.Stats()
 	resp := StatsResponse{
-		CacheEnabled:  s.cache != nil,
+		CacheEnabled:  true,
 		RatesVersion:  s.eng.RatesVersion(),
 		Generation:    s.eng.Generation(),
 		CorpusSwaps:   int64(s.obs.swapsTotal.Count()),
@@ -301,10 +279,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			WarmSolves:      int64(s.obs.warmSolves.Count()),
 			IterationsTotal: int64(s.obs.iterTotal.Count()),
 		},
-	}
-	if s.cache != nil {
-		snap := s.cache.Stats()
-		resp.Cache = &snap
+		Cache: &cacheStats,
 	}
 	if s.profiles != nil {
 		snap := s.profiles.Stats()
@@ -316,9 +291,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleRates(w http.ResponseWriter, r *http.Request) {
 	pin := s.eng.Pin()
 	rates := pin.Rates()
-	// RatesResponse's field order matches the alphabetical key order the
-	// pre-v1 map[string]any rendering produced, so the alias body stayed
-	// byte-identical across the DTO consolidation.
 	writeJSON(w, http.StatusOK, RatesResponse{
 		Rates:   rates.String(),
 		Vector:  rates.Vector(),
@@ -354,49 +326,33 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.handleProfileQuery(w, r, pin, pid, q, k)
 		return
 	}
-	if s.cache != nil {
-		ans, err := s.cache.QueryModePinnedCtx(ctx, pin, q, k, rp.Mode)
-		if err != nil {
-			s.writeCtxError(w, r, err)
-			return
-		}
-		tr.Eventf("solve", "source=%s iters=%d base=%d version=%d generation=%d",
-			ans.Source, ans.Iterations, ans.BaseSet, ans.Version, ans.Generation)
-		s.obs.cacheOutcome.With(ans.Source).Inc()
-		resp := QueryResponse{
-			Query:      q.String(),
-			Mode:       modeField(rp.Mode),
-			BaseSet:    ans.BaseSet,
-			Iterations: ans.Iterations,
-			Version:    ans.Version,
-			Generation: ans.Generation,
-			Cache:      ans.Source,
-			Results:    s.renderItems(g, q, ans.Results),
-		}
-		tr.Eventf("render", "results=%d", len(resp.Results))
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	res, err := solveOne(ctx, pin, core.SolveSpec{Queries: []*ir.Query{q}, Mode: rp.Mode})
+	ans, err := s.cache.QueryModePinnedCtx(ctx, pin, q, k, rp.Mode)
 	if err != nil {
 		s.writeCtxError(w, r, err)
 		return
 	}
-	tr.Eventf("baseSet", "size=%d dur=%s", len(res.Base), res.BaseSetDur)
-	tr.Eventf("solve", "iters=%d converged=%t dur=%s", res.Iterations, res.Converged, res.SolveDur)
-	s.obs.cacheOutcome.With(uncachedOutcome).Inc()
-	resp := QueryResponse{
-		Query:      q.String(),
-		Mode:       modeField(rp.Mode),
-		BaseSet:    len(res.Base),
-		Iterations: res.Iterations,
-		Version:    res.RatesVersion,
-		Generation: res.Generation,
-		Results:    s.results(g, res, k),
-	}
-	s.eng.Release(res)
+	tr.Eventf("solve", "source=%s iters=%d base=%d version=%d generation=%d",
+		ans.Source, ans.Iterations, ans.BaseSet, ans.Version, ans.Generation)
+	resp := s.queryResponse(g, q, rp.Mode, ans)
 	tr.Eventf("render", "results=%d", len(resp.Results))
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// queryResponse renders one serving-cache answer as the /v1/query
+// payload — also the shape of every /v1/query/batch item — and counts
+// its provenance.
+func (s *Server) queryResponse(g *graph.Graph, q *ir.Query, m core.Mode, ans *cache.Answer) QueryResponse {
+	s.obs.cacheOutcome.With(ans.Source).Inc()
+	return QueryResponse{
+		Query:      q.String(),
+		Mode:       modeField(m),
+		BaseSet:    ans.BaseSet,
+		Iterations: ans.Iterations,
+		Version:    ans.Version,
+		Generation: ans.Generation,
+		Cache:      ans.Source,
+		Results:    renderResults(g, q, ans.Results),
+	}
 }
 
 // modeField renders a Mode for a response DTO: authority — the pre-mode
@@ -424,9 +380,9 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	// Pin one snapshot so the ranking and its explanation cannot see
 	// different rates even if a reformulation lands in between, and so
 	// the target ID is validated against the SAME generation's graph
-	// the solve will run on. With the cache on, single-keyword rankings
-	// come straight from the shared term vectors (copied out, since
-	// Release returns scores to the pool).
+	// the solve will run on. Single-keyword rankings come straight from
+	// the shared term vectors (copied out, since Release returns scores
+	// to the pool).
 	ctx := r.Context()
 	pin := s.eng.Pin()
 	g := pin.Corpus().Graph()
@@ -436,13 +392,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	}
 	tr := obs.TraceFrom(ctx)
 	tr.Eventf("parse", "q=%s target=%d mode=%s", q.String(), target, rp.Mode)
-	var res *core.RankResult
-	var err error
-	if s.cache != nil {
-		res, err = s.cache.RankModePinnedCtx(ctx, pin, q, rp.Mode)
-	} else {
-		res, err = solveOne(ctx, pin, core.SolveSpec{Queries: []*ir.Query{q}, Mode: rp.Mode})
-	}
+	res, err := s.cache.RankModePinnedCtx(ctx, pin, q, rp.Mode)
 	if err != nil {
 		s.writeCtxError(w, r, err)
 		return
@@ -549,13 +499,7 @@ func (s *Server) handleReformulate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	var res *core.RankResult
-	var err error
-	if s.cache != nil {
-		res, err = s.cache.RankPinnedCtx(ctx, pin, q)
-	} else {
-		res, err = solveOne(ctx, pin, core.SolveSpec{Queries: []*ir.Query{q}})
-	}
+	res, err := s.cache.RankPinnedCtx(ctx, pin, q)
 	if err != nil {
 		s.writeCtxError(w, r, err)
 		return
@@ -612,62 +556,28 @@ func (s *Server) handleReformulate(w http.ResponseWriter, r *http.Request) {
 	// rendering always uses the graph the solve actually ran on).
 	pin2 := s.eng.Pin()
 	g2 := pin2.Corpus().Graph()
-	if s.cache != nil {
-		// Warm-start the reformulated solve from the feedback ranking's
-		// scores AND seed the result cache at the just-published
-		// version, so follow-up /query calls for the reformulated query
-		// hit immediately.
-		ans, err := s.cache.QueryFromPinnedCtx(ctx, pin2, ref.Query, k, res.Scores)
-		if err != nil {
-			s.writeCtxError(w, r, err)
-			return
-		}
-		resp.Results = s.renderItems(g2, ref.Query, ans.Results)
-	} else {
-		res2, err := solveOne(ctx, pin2, core.SolveSpec{Queries: []*ir.Query{ref.Query}, Inits: [][]float64{res.Scores}})
-		if err != nil {
-			s.writeCtxError(w, r, err)
-			return
-		}
-		resp.Results = s.results(g2, res2, k)
-		s.eng.Release(res2)
+	// Warm-start the reformulated solve from the feedback ranking's
+	// scores AND seed the result cache at the just-published version, so
+	// follow-up /v1/query calls for the reformulated query hit
+	// immediately.
+	ans, err := s.cache.QueryFromPinnedCtx(ctx, pin2, ref.Query, k, res.Scores)
+	if err != nil {
+		s.writeCtxError(w, r, err)
+		return
 	}
+	resp.Results = renderResults(g2, ref.Query, ans.Results)
 	for _, wt := range ref.Expansion {
 		resp.Expansion = append(resp.Expansion, ExpansionTerm{Term: wt.Term, Weight: wt.Weight})
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// solveOne is the uncached single-query solve: one Pinned.Solve column.
-func solveOne(ctx context.Context, pin *core.Pinned, spec core.SolveSpec) (*core.RankResult, error) {
-	rs, err := pin.Solve(ctx, spec)
-	if err != nil {
-		return nil, err
-	}
-	return rs[0], nil
-}
-
-// results renders a RankResult against g, which must be the graph of
-// the generation the result was computed on (the handlers pass the
-// pinned corpus's graph, never the engine's current one).
-func (s *Server) results(g *graph.Graph, res *core.RankResult, k int) []Result {
-	out := make([]Result, 0, k)
-	for _, r := range res.TopK(k) {
-		out = append(out, Result{
-			Node:    int64(r.Node),
-			Score:   r.Score,
-			Display: g.Display(r.Node),
-			Snippet: ir.Snippet(g.Text(r.Node), res.Query, 160),
-			InBase:  res.InBase(r.Node),
-		})
-	}
-	return out
-}
-
-// renderItems converts cached result items to the JSON form, attaching
-// display text and snippets read from g — the pinned generation's
-// graph, so a concurrent swap cannot mismatch IDs and text.
-func (s *Server) renderItems(g *graph.Graph, q *ir.Query, items []cache.ResultItem) []Result {
+// renderResults is the one renderer of ranked answers — query, batch
+// item, reformulate and profile alike: it attaches display text and
+// snippets read from g, which must be the pinned generation's graph
+// (never the engine's current one), so a concurrent swap cannot
+// mismatch IDs and text.
+func renderResults(g *graph.Graph, q *ir.Query, items []cache.ResultItem) []Result {
 	out := make([]Result, 0, len(items))
 	for _, it := range items {
 		out = append(out, Result{
@@ -768,7 +678,7 @@ func parseConfidences(w http.ResponseWriter, r *http.Request, feedbackCount int)
 // Engine exposes the underlying engine for tests and embedding.
 func (s *Server) Engine() *core.Engine { return s.eng }
 
-// Cache exposes the serving cache (nil when disabled).
+// Cache exposes the serving cache.
 func (s *Server) Cache() *cache.CachedEngine { return s.cache }
 
 // Dataset exposes the currently served dataset (republished by corpus

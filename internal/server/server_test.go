@@ -20,11 +20,11 @@ import (
 // rankWith solves q on the server's engine outside HTTP.
 func rankWith(t *testing.T, s *Server, q *ir.Query) *core.RankResult {
 	t.Helper()
-	res, err := solveOne(context.Background(), s.Engine().Pin(), core.SolveSpec{Queries: []*ir.Query{q}})
+	rs, err := s.Engine().Pin().Solve(context.Background(), core.SolveSpec{Queries: []*ir.Query{q}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
+	return rs[0]
 }
 
 func testServer(t *testing.T) (*Server, *httptest.Server) {
@@ -35,10 +35,11 @@ func testServer(t *testing.T) (*Server, *httptest.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(ds, core.Config{Rank: rank.Options{Threshold: 1e-6, MaxIters: 300}}, WithLegacyGrace())
+	s, err := New(ds, core.Config{Rank: rank.Options{Threshold: 1e-6, MaxIters: 300}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(s.Close)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, ts
@@ -65,7 +66,7 @@ func getJSON(t *testing.T, url string, out any) int {
 func TestHealthz(t *testing.T) {
 	s, ts := testServer(t)
 	var h HealthResponse
-	if code := getJSON(t, ts.URL+"/healthz", &h); code != 200 {
+	if code := getJSON(t, ts.URL+"/v1/healthz", &h); code != 200 {
 		t.Fatalf("status = %d", code)
 	}
 	if h.Status != "ok" || h.Nodes != s.Dataset().Graph.NumNodes() {
@@ -76,7 +77,7 @@ func TestHealthz(t *testing.T) {
 func TestQueryEndpoint(t *testing.T) {
 	_, ts := testServer(t)
 	var q QueryResponse
-	if code := getJSON(t, ts.URL+"/query?q=olap&k=5", &q); code != 200 {
+	if code := getJSON(t, ts.URL+"/v1/query?q=olap&k=5", &q); code != 200 {
 		t.Fatalf("status = %d", code)
 	}
 	if q.BaseSet == 0 {
@@ -97,13 +98,13 @@ func TestQueryEndpoint(t *testing.T) {
 
 func TestQueryEndpointErrors(t *testing.T) {
 	_, ts := testServer(t)
-	if code := getJSON(t, ts.URL+"/query", nil); code != 400 {
+	if code := getJSON(t, ts.URL+"/v1/query", nil); code != 400 {
 		t.Errorf("missing q: status = %d", code)
 	}
-	if code := getJSON(t, ts.URL+"/query?q=olap&k=0", nil); code != 400 {
+	if code := getJSON(t, ts.URL+"/v1/query?q=olap&k=0", nil); code != 400 {
 		t.Errorf("bad k: status = %d", code)
 	}
-	if code := getJSON(t, ts.URL+"/query?q=olap&k=9999", nil); code != 400 {
+	if code := getJSON(t, ts.URL+"/v1/query?q=olap&k=9999", nil); code != 400 {
 		t.Errorf("huge k: status = %d", code)
 	}
 }
@@ -117,7 +118,7 @@ func TestExplainEndpoint(t *testing.T) {
 		t.Skip("no olap results at this scale")
 	}
 	var sg storage.SubgraphJSON
-	url := fmt.Sprintf("%s/explain?q=olap&target=%d", ts.URL, top[0].Node)
+	url := fmt.Sprintf("%s/v1/explain?q=olap&target=%d", ts.URL, top[0].Node)
 	if code := getJSON(t, url, &sg); code != 200 {
 		t.Fatalf("status = %d", code)
 	}
@@ -128,10 +129,10 @@ func TestExplainEndpoint(t *testing.T) {
 		t.Error("empty explaining subgraph")
 	}
 	// Errors.
-	if code := getJSON(t, ts.URL+"/explain?q=olap", nil); code != 400 {
+	if code := getJSON(t, ts.URL+"/v1/explain?q=olap", nil); code != 400 {
 		t.Errorf("missing target: status = %d", code)
 	}
-	if code := getJSON(t, ts.URL+"/explain?q=olap&target=99999999", nil); code != 400 {
+	if code := getJSON(t, ts.URL+"/v1/explain?q=olap&target=99999999", nil); code != 400 {
 		t.Errorf("bad target: status = %d", code)
 	}
 }
@@ -146,7 +147,7 @@ func TestReformulateEndpoint(t *testing.T) {
 	before := s.Engine().Rates().Vector()
 
 	var out ReformulateResponse
-	url := fmt.Sprintf("%s/reformulate?q=olap&feedback=%d,%d&mode=structure", ts.URL, top[0].Node, top[1].Node)
+	url := fmt.Sprintf("%s/v1/reformulate?q=olap&feedback=%d,%d&mode=structure", ts.URL, top[0].Node, top[1].Node)
 	if code := getJSON(t, url, &out); code != 200 {
 		t.Fatalf("status = %d", code)
 	}
@@ -171,17 +172,17 @@ func TestReformulateEndpoint(t *testing.T) {
 	var rates struct {
 		Vector []float64 `json:"vector"`
 	}
-	if code := getJSON(t, ts.URL+"/rates", &rates); code != 200 {
+	if code := getJSON(t, ts.URL+"/v1/rates", &rates); code != 200 {
 		t.Fatal("rates endpoint failed")
 	}
 	for i := range rates.Vector {
 		if rates.Vector[i] != after[i] {
-			t.Fatal("/rates disagrees with engine state")
+			t.Fatal("/v1/rates disagrees with engine state")
 		}
 	}
 
 	// Content mode returns expansion terms.
-	url = fmt.Sprintf("%s/reformulate?q=olap&feedback=%d&mode=both", ts.URL, top[0].Node)
+	url = fmt.Sprintf("%s/v1/reformulate?q=olap&feedback=%d&mode=both", ts.URL, top[0].Node)
 	if code := getJSON(t, url, &out); code != 200 {
 		t.Fatalf("both mode status = %d", code)
 	}
@@ -196,11 +197,11 @@ func TestReformulateEndpointErrors(t *testing.T) {
 		url  string
 		want int
 	}{
-		{"/reformulate?q=olap", 400},                       // no feedback
-		{"/reformulate?q=olap&feedback=abc", 400},          // bad id
-		{"/reformulate?q=olap&feedback=1&mode=bogus", 400}, // bad mode
-		{"/reformulate?feedback=1", 400},                   // no query
-		{"/reformulate?q=olap&feedback=99999999", 400},     // out of range
+		{"/v1/reformulate?q=olap", 400},                       // no feedback
+		{"/v1/reformulate?q=olap&feedback=abc", 400},          // bad id
+		{"/v1/reformulate?q=olap&feedback=1&mode=bogus", 400}, // bad mode
+		{"/v1/reformulate?feedback=1", 400},                   // no query
+		{"/v1/reformulate?q=olap&feedback=99999999", 400},     // out of range
 	}
 	for _, c := range cases {
 		if code := getJSON(t, ts.URL+c.url, nil); code != c.want {
@@ -215,7 +216,7 @@ func TestConcurrentQueries(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		go func(i int) {
 			q := []string{"olap", "xml", "mining", "search"}[i%4]
-			resp, err := http.Get(ts.URL + "/query?q=" + q)
+			resp, err := http.Get(ts.URL + "/v1/query?q=" + q)
 			if err == nil {
 				resp.Body.Close()
 				if resp.StatusCode != 200 {
@@ -251,9 +252,9 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 			var url string
 			reform := i%3 == 0
 			if reform {
-				url = fmt.Sprintf("%s/reformulate?q=olap&feedback=%d", ts.URL, target)
+				url = fmt.Sprintf("%s/v1/reformulate?q=olap&feedback=%d", ts.URL, target)
 			} else {
-				url = ts.URL + "/query?q=olap"
+				url = ts.URL + "/v1/query?q=olap"
 			}
 			resp, err := http.Get(url)
 			if err == nil {
@@ -287,7 +288,7 @@ func TestReformulateVersionToken(t *testing.T) {
 
 	// /query and /rates report the current version.
 	var q QueryResponse
-	if code := getJSON(t, ts.URL+"/query?q=olap", &q); code != 200 {
+	if code := getJSON(t, ts.URL+"/v1/query?q=olap", &q); code != 200 {
 		t.Fatalf("query status = %d", code)
 	}
 	if q.Version == 0 {
@@ -296,17 +297,17 @@ func TestReformulateVersionToken(t *testing.T) {
 	var rates struct {
 		Version uint64 `json:"version"`
 	}
-	if code := getJSON(t, ts.URL+"/rates", &rates); code != 200 {
+	if code := getJSON(t, ts.URL+"/v1/rates", &rates); code != 200 {
 		t.Fatal("rates endpoint failed")
 	}
 	if rates.Version != q.Version {
-		t.Fatalf("/rates version %d != /query version %d", rates.Version, q.Version)
+		t.Fatalf("/v1/rates version %d != /query version %d", rates.Version, q.Version)
 	}
 
 	// Reformulating with the current token succeeds and bumps the
 	// version.
 	var out ReformulateResponse
-	url := fmt.Sprintf("%s/reformulate?q=olap&feedback=%d&version=%d", ts.URL, target, q.Version)
+	url := fmt.Sprintf("%s/v1/reformulate?q=olap&feedback=%d&version=%d", ts.URL, target, q.Version)
 	if code := getJSON(t, url, &out); code != 200 {
 		t.Fatalf("reformulate status = %d", code)
 	}
@@ -316,7 +317,7 @@ func TestReformulateVersionToken(t *testing.T) {
 
 	// Re-presenting the now-stale token yields 409 with the winning
 	// version.
-	var conflict ConflictResponse
+	var conflict ConflictEnvelope
 	if code := getJSON(t, url, &conflict); code != 409 {
 		t.Fatalf("stale version status = %d, want 409", code)
 	}
@@ -325,7 +326,7 @@ func TestReformulateVersionToken(t *testing.T) {
 	}
 
 	// A malformed token is a 400, not a conflict.
-	bad := fmt.Sprintf("%s/reformulate?q=olap&feedback=%d&version=banana", ts.URL, target)
+	bad := fmt.Sprintf("%s/v1/reformulate?q=olap&feedback=%d&version=banana", ts.URL, target)
 	if code := getJSON(t, bad, nil); code != 400 {
 		t.Errorf("bad token status = %d, want 400", code)
 	}
@@ -352,11 +353,11 @@ func TestConcurrentReformulationStress(t *testing.T) {
 			var url string
 			switch i % 4 {
 			case 0:
-				url = fmt.Sprintf("%s/reformulate?q=olap&feedback=%d", ts.URL, target)
+				url = fmt.Sprintf("%s/v1/reformulate?q=olap&feedback=%d", ts.URL, target)
 			case 1:
-				url = ts.URL + "/rates"
+				url = ts.URL + "/v1/rates"
 			default:
-				url = ts.URL + "/query?q=olap"
+				url = ts.URL + "/v1/query?q=olap"
 			}
 			resp, err := http.Get(url)
 			if err != nil {
@@ -406,7 +407,7 @@ func TestExplainFormats(t *testing.T) {
 	if len(top) == 0 || top[0].Score == 0 {
 		t.Skip("no results at this scale")
 	}
-	base := fmt.Sprintf("%s/explain?q=olap&target=%d", ts.URL, top[0].Node)
+	base := fmt.Sprintf("%s/v1/explain?q=olap&target=%d", ts.URL, top[0].Node)
 
 	resp, err := http.Get(base + "&format=html")
 	if err != nil {

@@ -1,15 +1,20 @@
-// binsnap.go is the versioned binary snapshot format — the cold-start
-// and corpus-swap substrate of the generational corpus store. Where the
-// gob snapshot (storage.go) stores raw node/edge lists and REBUILDS the
-// CSR graph and re-tokenizes the index on load, the binary format
-// persists the final frozen forms — both CSR halves, the node/type
-// tables, and the inverted index — as flat little-endian sections, each
-// offset-indexed and CRC-checksummed in the header. Loading is a
-// validate-then-slice pass: after checksums and structural invariants
-// are verified, the big arrays are reinterpreted in place (zero-copy on
-// little-endian hosts, with a portable copying fallback), so cold start
-// skips graph building and tokenization entirely and runs at close to
-// disk bandwidth.
+// Package storage persists corpora and exports explaining subgraphs.
+// A corpus (graph + rates + inverted index) has ONE on-disk form, the
+// versioned binary snapshot below; trained rates save as JSON, TSV
+// import/export moves external data in and out, and explaining
+// subgraphs export to JSON (for programmatic consumers, mirroring the
+// paper's deployed web demo), Graphviz DOT and HTML (for display to the
+// user, the Section 4 motivation).
+//
+// The binary snapshot is the cold-start and corpus-swap substrate of
+// the generational corpus store. It persists the final frozen forms —
+// both CSR halves, the node/type tables, and the inverted index — as
+// flat little-endian sections, each offset-indexed and CRC-checksummed
+// in the header. Loading is a validate-then-slice pass: after checksums
+// and structural invariants are verified, the big arrays are
+// reinterpreted in place (zero-copy on little-endian hosts, with a
+// portable copying fallback), so cold start skips graph building and
+// tokenization entirely and runs at close to disk bandwidth.
 package storage
 
 import (
@@ -32,7 +37,8 @@ import (
 // errors.Is.
 var (
 	// ErrSnapshotMagic means the file does not start with the binary
-	// snapshot magic (e.g. it is a gob snapshot or not a snapshot at all).
+	// snapshot magic (e.g. it is a pre-AFQSNAP1 gob dataset file or not
+	// a snapshot at all).
 	ErrSnapshotMagic = errors.New("storage: not an afq binary snapshot (bad magic)")
 	// ErrSnapshotVersion means the format version is not supported by
 	// this release.

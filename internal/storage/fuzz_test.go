@@ -1,40 +1,28 @@
 package storage
 
-import (
-	"bytes"
-	"testing"
-)
+import "testing"
 
-// FuzzLoad: arbitrary bytes never panic the snapshot decoder — they
-// either round-trip (if they happen to be a valid snapshot) or return
-// an error.
+// FuzzLoad: arbitrary bytes never panic the snapshot reader — they
+// either load (if they happen to be a valid snapshot) or return an
+// error.
 func FuzzLoad(f *testing.F) {
 	// Seed with a real snapshot so the fuzzer mutates from valid input.
-	ds := testDataset(f)
-	var buf bytes.Buffer
-	if err := Save(&buf, ds); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
+	_, _, snap := snapshotFixture(f)
+	f.Add(snap)
 	f.Add([]byte{})
 	f.Add([]byte("not a snapshot"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := Load(bytes.NewReader(data))
+		ds, ix, err := ReadSnapshot(data)
 		if err != nil {
 			return // rejected, fine
 		}
 		// Anything accepted must be internally consistent.
-		if got.Graph == nil || got.Rates == nil {
+		if ds.Graph == nil || ds.Rates == nil || ix == nil {
 			t.Fatal("accepted snapshot with nil parts")
 		}
-		if got.Graph.NumNodes() < 0 || got.Graph.NumEdges() < 0 {
-			t.Fatal("negative sizes")
-		}
-		if err := got.Rates.Validate(); err != nil {
-			// Rates from hostile input may be over-unity; Validate
-			// rejecting them is acceptable, panicking is not.
-			return
+		if ix.NumDocs() != ds.Graph.NumNodes() {
+			t.Fatalf("index covers %d documents, graph has %d nodes", ix.NumDocs(), ds.Graph.NumNodes())
 		}
 	})
 }

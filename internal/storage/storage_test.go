@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -25,52 +24,37 @@ func testDataset(t testing.TB) *datagen.Dataset {
 	return ds
 }
 
+// TestSaveLoadRoundTrip: a dataset that goes through the snapshot and
+// comes back WITHOUT its stored index (the facade's LoadDataset path:
+// the index is rebuilt from the reloaded graph's text) keeps its
+// content, its rates and, bit for bit, its rankings.
 func TestSaveLoadRoundTrip(t *testing.T) {
-	ds := testDataset(t)
-	var buf bytes.Buffer
-	if err := Save(&buf, ds); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(&buf)
+	ds, e1, snap := snapshotFixture(t)
+	got, _, err := ReadSnapshot(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Name != ds.Name {
 		t.Errorf("name = %q", got.Name)
 	}
-	if got.Graph.NumNodes() != ds.Graph.NumNodes() {
-		t.Fatalf("nodes = %d, want %d", got.Graph.NumNodes(), ds.Graph.NumNodes())
+	if got.Graph.NumNodes() != ds.Graph.NumNodes() || got.Graph.NumEdges() != ds.Graph.NumEdges() {
+		t.Fatalf("size = %d nodes / %d edges, want %d / %d",
+			got.Graph.NumNodes(), got.Graph.NumEdges(), ds.Graph.NumNodes(), ds.Graph.NumEdges())
 	}
-	if got.Graph.NumEdges() != ds.Graph.NumEdges() {
-		t.Fatalf("edges = %d, want %d", got.Graph.NumEdges(), ds.Graph.NumEdges())
-	}
-	// Node content and arc structure survive.
 	for v := 0; v < ds.Graph.NumNodes(); v += 53 {
 		id := graph.NodeID(v)
-		if got.Graph.Text(id) != ds.Graph.Text(id) {
-			t.Fatalf("text mismatch at %d", v)
-		}
-		if got.Graph.LabelName(id) != ds.Graph.LabelName(id) {
-			t.Fatalf("label mismatch at %d", v)
-		}
-		if len(got.Graph.OutArcs(id)) != len(ds.Graph.OutArcs(id)) {
-			t.Fatalf("arc count mismatch at %d", v)
+		if got.Graph.Text(id) != ds.Graph.Text(id) || got.Graph.LabelName(id) != ds.Graph.LabelName(id) ||
+			len(got.Graph.OutArcs(id)) != len(ds.Graph.OutArcs(id)) {
+			t.Fatalf("node %d differs after the round trip", v)
 		}
 	}
-	// Rates survive.
 	gv, wv := got.Rates.Vector(), ds.Rates.Vector()
 	for i := range wv {
 		if gv[i] != wv[i] {
 			t.Fatalf("rate %d = %v, want %v", i, gv[i], wv[i])
 		}
 	}
-	// Rankings over the reloaded graph are identical.
-	opts := core.Config{Rank: rank.Options{Threshold: 1e-9, MaxIters: 300}}
-	e1, err := core.NewEngine(ds.Graph, ds.Rates, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2, err := core.NewEngine(got.Graph, got.Rates, opts)
+	e2, err := core.NewEngine(got.Graph, got.Rates, core.Config{Rank: rank.Options{Threshold: 1e-8, MaxIters: 500}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,26 +67,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSaveLoadFile(t *testing.T) {
-	ds := testDataset(t)
-	path := filepath.Join(t.TempDir(), "ds.gob")
-	if err := SaveFile(path, ds); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Graph.NumNodes() != ds.Graph.NumNodes() {
-		t.Error("file round trip lost nodes")
-	}
-	if _, err := LoadFile(filepath.Join(t.TempDir(), "missing.gob")); err == nil {
-		t.Error("missing file should error")
-	}
-}
-
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(strings.NewReader("not a snapshot")); err == nil {
+	if _, _, err := ReadSnapshot([]byte("not a snapshot")); err == nil {
 		t.Error("garbage input should error")
 	}
 }
