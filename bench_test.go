@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"authorityflow"
+	"authorityflow/internal/core"
 	"authorityflow/internal/experiments"
 )
 
@@ -163,6 +164,62 @@ func BenchmarkExplainSubgraph(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// dblptopExplain is the explain the repository's benchmark issues on
+// session_feedback: dblptop at scale 1.0 (whatever AF_BENCH_SCALE
+// says), the top result of "olap" as the target, the paper's L=3 — a
+// subgraph of ~10^5 arcs.
+func dblptopExplain(b *testing.B) (*authorityflow.Pinned, *authorityflow.RankResult, authorityflow.NodeID) {
+	b.Helper()
+	ds, err := authorityflow.GenerateDBLP(authorityflow.DBLPTopConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng, err := authorityflow.NewEngine(ds.Graph, ds.Rates, authorityflow.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	pin := eng.Pin()
+	res := solve(b, pin, authorityflow.SolveSpec{Queries: []*authorityflow.Query{authorityflow.NewQuery("olap")}})
+	return pin, res, res.TopK(1)[0].Node
+}
+
+// BenchmarkExplainDblptop measures core.explain at the benchmark's
+// corpus. Its allocations are O(|subgraph|) — Nodes, Arcs and the
+// per-node and per-arc arrays — and independent of |V|: the |V|-sized
+// scratch is pooled per corpus generation.
+func BenchmarkExplainDblptop(b *testing.B) {
+	pin, res, target := dblptopExplain(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	arcs := 0
+	for i := 0; i < b.N; i++ {
+		sg, err := pin.ExplainCtx(context.Background(), res, target, authorityflow.DefaultExplain())
+		if err != nil {
+			b.Fatal(err)
+		}
+		arcs = len(sg.Arcs)
+	}
+	b.ReportMetric(float64(arcs), "arcs/op")
+}
+
+// BenchmarkAuditDblptop measures core.audit — the same explain plus the
+// bounded top-budget selection — at the default budget.
+func BenchmarkAuditDblptop(b *testing.B) {
+	pin, res, target := dblptopExplain(b)
+	opts := core.AuditOptions{Explain: core.DefaultExplain()}
+	b.ReportAllocs()
+	b.ResetTimer()
+	arcs := 0
+	for i := 0; i < b.N; i++ {
+		a, err := pin.AuditCtx(context.Background(), core.ModeAuthority, res, target, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		arcs = a.TotalArcs
+	}
+	b.ReportMetric(float64(arcs), "arcs/op")
 }
 
 // BenchmarkAblationExplainRadius sweeps the radius L (the paper fixes

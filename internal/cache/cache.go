@@ -840,6 +840,11 @@ func (c *CachedEngine) putTerm(key string, res *core.RankResult, warm bool) *ter
 // score vectors, not top-k lists. See QueryModePinnedCtx for the
 // shared-solve detachment rules.
 func (c *CachedEngine) RankModePinnedCtx(ctx context.Context, pin *core.Pinned, q *ir.Query, m core.Mode) (*core.RankResult, error) {
+	// Like queryAt: a dead context stops here, rather than racing a
+	// shared solve it would start and then have to abandon.
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	term, ok := singleTerm(q)
 	if !ok || m == core.ModeCombined {
 		rs, err := pin.Solve(ctx, core.SolveSpec{Queries: []*ir.Query{q}, Mode: m})

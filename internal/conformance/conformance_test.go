@@ -477,7 +477,7 @@ func table(w *world) []path {
 				return out
 			}},
 	)
-	return rows
+	return append(rows, explainRows(w)...)
 }
 
 // TestConformance runs the table on several seeded worlds.

@@ -66,3 +66,24 @@ func solveJump(t *testing.T, pin *core.Pinned, jump []float64) []float64 {
 	t.Helper()
 	return solve(t, pin, core.SolveSpec{Jump: jump, Cold: true})[0]
 }
+
+// rankOne is one uncached ranking of q in direction m, base set and all:
+// what an explain reads.
+func rankOne(t *testing.T, pin *core.Pinned, m core.Mode, q *ir.Query) *core.RankResult {
+	t.Helper()
+	res, err := pin.RankModeCtx(context.Background(), q, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// explainOne builds one explaining subgraph in direction m.
+func explainOne(t *testing.T, ctx context.Context, pin *core.Pinned, m core.Mode, c explainCase) *core.Subgraph {
+	t.Helper()
+	sg, err := pin.ExplainModeCtx(ctx, m, c.res, c.target, c.opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sg
+}

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"slices"
 
 	"authorityflow/internal/graph"
 	"authorityflow/internal/ir"
@@ -21,13 +22,6 @@ type AuditOptions struct {
 	Budget int
 	// Explain configures the subgraph build (radius, Eq. 10 threshold).
 	Explain ExplainOptions
-}
-
-func (o AuditOptions) withDefaults() AuditOptions {
-	if o.Budget <= 0 {
-		o.Budget = DefaultAuditBudget
-	}
-	return o
 }
 
 // AuditArc is one explaining-subgraph arc ranked by how strongly the
@@ -103,31 +97,28 @@ type Audit struct {
 // is linear in the subgraph. Combined mode is rejected via
 // ExplainModeCtx.
 func (p *Pinned) AuditCtx(ctx context.Context, m Mode, res *RankResult, target graph.NodeID, opts AuditOptions) (*Audit, error) {
-	opts = opts.withDefaults()
 	sg, err := p.ExplainModeCtx(ctx, m, res, target, opts.Explain)
 	if err != nil {
 		return nil, err
 	}
-	a := auditOf(sg, opts.Budget)
+	a := AuditOf(sg, opts.Budget)
 	a.RatesVersion = p.st.snap.version
 	a.Generation = p.st.gen.num
 	return a, nil
 }
 
 // AuditOf derives the sensitivity ranking from an already-built
-// subgraph, without the pinned-state stamps AuditCtx adds. The
-// /v1/explain envelope uses it to attach a contributions[] block to a
-// subgraph it has already paid for, instead of re-running the BFS and
-// Eq. 10 fixpoint through AuditCtx.
+// subgraph (budget <= 0 means DefaultAuditBudget), without the
+// pinned-state stamps AuditCtx adds. The /v1/explain envelope uses it
+// to attach a contributions[] block to a subgraph it has already paid
+// for. It is one walk of the arcs: sg.Arcs is grouped by ascending
+// source (CSR arc order within a source), so the per-source sums
+// accumulate in a deterministic order and complete when the source
+// changes.
 func AuditOf(sg *Subgraph, budget int) *Audit {
 	if budget <= 0 {
 		budget = DefaultAuditBudget
 	}
-	return auditOf(sg, budget)
-}
-
-// auditOf derives the sensitivity ranking from a built subgraph.
-func auditOf(sg *Subgraph, budget int) *Audit {
 	a := &Audit{
 		Target:     sg.Target,
 		Query:      sg.Query,
@@ -137,66 +128,67 @@ func auditOf(sg *Subgraph, budget int) *Audit {
 		Iterations: sg.Iterations,
 		Converged:  sg.Converged,
 	}
-
-	arcs := make([]AuditArc, len(sg.Arcs))
-	perNode := make(map[graph.NodeID]*AuditNode, len(sg.Nodes))
-	for i, fa := range sg.Arcs {
+	arcs := topBudget[AuditArc]{budget: budget, cmp: func(x, y AuditArc) int {
+		return cmp.Or(cmp.Compare(y.Sensitivity, x.Sensitivity), cmp.Compare(x.From, y.From),
+			cmp.Compare(x.To, y.To), cmp.Compare(x.Type, y.Type))
+	}}
+	nodes := topBudget[AuditNode]{budget: budget, cmp: func(x, y AuditNode) int {
+		return cmp.Or(cmp.Compare(y.Sensitivity, x.Sensitivity), cmp.Compare(x.Node, y.Node))
+	}}
+	var cur AuditNode
+	for _, fa := range sg.Arcs {
 		// Rate > 0 by construction (zero-rate arcs never enter the
 		// subgraph), so the derivative Flow/Rate is always defined.
-		arcs[i] = AuditArc{
-			From:        fa.From,
-			To:          fa.To,
-			Type:        fa.Type,
-			Rate:        fa.Rate,
-			Flow:        fa.Flow,
-			Sensitivity: fa.Flow / fa.Rate,
+		s := fa.Flow / fa.Rate
+		arcs.offer(AuditArc{From: fa.From, To: fa.To, Type: fa.Type, Rate: fa.Rate, Flow: fa.Flow, Sensitivity: s})
+		if a.TotalNodes == 0 || fa.From != cur.Node {
+			if a.TotalNodes > 0 {
+				nodes.offer(cur)
+			}
+			cur = AuditNode{Node: fa.From}
+			a.TotalNodes++
 		}
-		n := perNode[fa.From]
-		if n == nil {
-			n = &AuditNode{Node: fa.From}
-			perNode[fa.From] = n
-		}
-		// sg.Arcs is ordered (ascending source, CSR arc order), so these
-		// per-node sums accumulate in a deterministic order.
-		n.Sensitivity += arcs[i].Sensitivity
-		n.Flow += fa.Flow
+		cur.Sensitivity += s
+		cur.Flow += fa.Flow
 	}
-	a.TotalNodes = len(perNode)
-
-	sort.Slice(arcs, func(i, j int) bool {
-		if arcs[i].Sensitivity != arcs[j].Sensitivity {
-			return arcs[i].Sensitivity > arcs[j].Sensitivity
-		}
-		if arcs[i].From != arcs[j].From {
-			return arcs[i].From < arcs[j].From
-		}
-		if arcs[i].To != arcs[j].To {
-			return arcs[i].To < arcs[j].To
-		}
-		return arcs[i].Type < arcs[j].Type
-	})
-	if len(arcs) > budget {
-		arcs = arcs[:budget]
+	if a.TotalNodes > 0 {
+		nodes.offer(cur)
 	}
-	a.Arcs = arcs
-
-	nodes := make([]AuditNode, 0, len(perNode))
-	// Iterate sg.Nodes (ascending) rather than the map for a
-	// deterministic pre-sort order — sort.Slice is not stable.
-	for _, v := range sg.Nodes {
-		if n := perNode[v]; n != nil {
-			nodes = append(nodes, *n)
-		}
-	}
-	sort.Slice(nodes, func(i, j int) bool {
-		if nodes[i].Sensitivity != nodes[j].Sensitivity {
-			return nodes[i].Sensitivity > nodes[j].Sensitivity
-		}
-		return nodes[i].Node < nodes[j].Node
-	})
-	if len(nodes) > budget {
-		nodes = nodes[:budget]
-	}
-	a.Nodes = nodes
+	a.Arcs, a.Nodes = arcs.sorted(), nodes.sorted()
 	return a
+}
+
+// topBudget keeps the budget first items, under the strict total order
+// cmp, of everything offered to it, in O(budget) space: an offer that
+// does not come before the current budget-th item (the bar) is dropped,
+// the rest are buffered, and a buffer of 2·budget is sorted and cut
+// back to budget. That is O(log budget) amortized per kept offer, one
+// comparison per dropped one, and the result equals the budget-long
+// prefix of a full sort.
+type topBudget[T any] struct {
+	budget int
+	cmp    func(a, b T) int
+	items  []T
+	barred bool
+	bar    T
+}
+
+func (t *topBudget[T]) offer(x T) {
+	if t.barred && t.cmp(x, t.bar) >= 0 {
+		return
+	}
+	t.items = append(t.items, x)
+	if len(t.items) >= 2*t.budget {
+		t.sorted()
+	}
+}
+
+// sorted returns the kept items in cmp order.
+func (t *topBudget[T]) sorted() []T {
+	slices.SortFunc(t.items, t.cmp)
+	if t.budget > 0 && len(t.items) >= t.budget {
+		t.items = t.items[:t.budget]
+		t.barred, t.bar = true, t.items[t.budget-1]
+	}
+	return t.items
 }

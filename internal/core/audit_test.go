@@ -74,7 +74,7 @@ func TestAuditSensitivityIsFlowOverRate(t *testing.T) {
 		byNode[int(arc.From)] += arc.Sensitivity
 	}
 	for i, n := range a.Nodes {
-		// Sums accumulate in the same deterministic arc order as auditOf,
+		// Sums accumulate in the same deterministic arc order as AuditOf,
 		// so they must match bit-for-bit.
 		if math.Float64bits(byNode[int(n.Node)]) != math.Float64bits(n.Sensitivity) {
 			t.Errorf("node %d sensitivity %v != sum of its arcs %v", n.Node, n.Sensitivity, byNode[int(n.Node)])

@@ -154,6 +154,10 @@ type generation struct {
 
 	hubGlobalOnce sync.Once
 	hubGlobal     []float64
+
+	// explainScratch pools the |V|-sized scratch of the explain kernel
+	// (explain.go).
+	explainScratch sync.Pool
 }
 
 // globalScores returns the generation's warm-start vector, computing

@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"authorityflow/internal/graph"
@@ -67,16 +67,14 @@ type Subgraph struct {
 	// Query is the query whose ranking is being explained.
 	Query *ir.Query
 	// Nodes lists the subgraph's nodes in ascending ID order; the
-	// target is always present.
+	// target is always present. A node's position in Nodes is its local
+	// index: the per-node quantities are dense slices parallel to Nodes,
+	// read by ID through H/Dist/InFlow/OutFlow (a binary search) or by
+	// position through At.
 	Nodes []graph.NodeID
-	// Arcs lists the subgraph's arcs with original and adjusted flows.
+	// Arcs lists the subgraph's arcs with original and adjusted flows,
+	// in ascending-source order (each source's arcs in CSR order).
 	Arcs []FlowArc
-	// H maps each node to its converged flow-reduction factor h
-	// (Equation 10); h(Target) = 1 by construction.
-	H map[graph.NodeID]float64
-	// Dist maps each node to its distance (in arcs) from the target,
-	// the D(v_k) of the content-based reformulation decay (Equation 11).
-	Dist map[graph.NodeID]int
 	// Iterations and Converged report the Equation 10 fixpoint run;
 	// Table 3 of the paper tracks these counts.
 	Iterations int
@@ -89,28 +87,72 @@ type Subgraph struct {
 	AdjustDuration time.Duration
 
 	damping float64
-	inFlow  map[graph.NodeID]float64
-	outFlow map[graph.NodeID]float64
+	h       []float64
+	dist    []int32
+	inFlow  []float64
+	outFlow []float64
+}
+
+// NodeFlow is the per-node state of an explaining subgraph: the
+// converged flow-reduction factor h (Equation 10; h(Target) = 1 by
+// construction), the distance in arcs from the target (the D(v_k) of
+// Equation 11), and the summed adjusted flows entering and leaving the
+// node inside the subgraph (Equation 6).
+type NodeFlow struct {
+	Node    graph.NodeID
+	H       float64
+	Dist    int
+	InFlow  float64
+	OutFlow float64
+}
+
+// Index returns v's position in Nodes and whether v is part of the
+// subgraph.
+func (sg *Subgraph) Index(v graph.NodeID) (int, bool) {
+	return slices.BinarySearch(sg.Nodes, v)
+}
+
+// At returns the per-node state of Nodes[i] — the positional accessor
+// for loops over the whole subgraph.
+func (sg *Subgraph) At(i int) NodeFlow {
+	return NodeFlow{Node: sg.Nodes[i], H: sg.h[i], Dist: int(sg.dist[i]), InFlow: sg.inFlow[i], OutFlow: sg.outFlow[i]}
+}
+
+// node returns v's per-node state, or the zero NodeFlow when v is not
+// part of the subgraph.
+func (sg *Subgraph) node(v graph.NodeID) NodeFlow {
+	if i, ok := sg.Index(v); ok {
+		return sg.At(i)
+	}
+	return NodeFlow{}
 }
 
 // Has reports whether v is part of the subgraph.
 func (sg *Subgraph) Has(v graph.NodeID) bool {
-	_, ok := sg.H[v]
+	_, ok := sg.Index(v)
 	return ok
 }
 
+// H returns v's converged flow-reduction factor h (Equation 10);
+// h(Target) = 1 by construction, and 0 for a node outside the subgraph.
+func (sg *Subgraph) H(v graph.NodeID) float64 { return sg.node(v).H }
+
+// Dist returns v's distance (in arcs) from the target, the D(v_k) of
+// the content-based reformulation decay (Equation 11).
+func (sg *Subgraph) Dist(v graph.NodeID) int { return sg.node(v).Dist }
+
 // InFlow returns I(v): the summed adjusted flow entering v inside the
 // subgraph (Equation 6a).
-func (sg *Subgraph) InFlow(v graph.NodeID) float64 { return sg.inFlow[v] }
+func (sg *Subgraph) InFlow(v graph.NodeID) float64 { return sg.node(v).InFlow }
 
 // OutFlow returns O(v): the summed adjusted flow leaving v inside the
 // subgraph (Equation 6b).
-func (sg *Subgraph) OutFlow(v graph.NodeID) float64 { return sg.outFlow[v] }
+func (sg *Subgraph) OutFlow(v graph.NodeID) float64 { return sg.node(v).OutFlow }
 
 // ExplainedScore returns the total adjusted authority arriving at the
 // target — what the subgraph shows the user as "why this object is
 // ranked where it is".
-func (sg *Subgraph) ExplainedScore() float64 { return sg.inFlow[sg.Target] }
+func (sg *Subgraph) ExplainedScore() float64 { return sg.InFlow(sg.Target) }
 
 // NodeAuthority returns the authority a node transfers toward the
 // target, the per-node factor of the content-based reformulation
@@ -118,10 +160,11 @@ func (sg *Subgraph) ExplainedScore() float64 { return sg.inFlow[sg.Target] }
 // target itself which uses d times its in-flow because the target's
 // out-flow is not part of the subgraph.
 func (sg *Subgraph) NodeAuthority(v graph.NodeID) float64 {
+	n := sg.node(v)
 	if v == sg.Target {
-		return sg.damping * sg.inFlow[v]
+		return sg.damping * n.InFlow
 	}
-	return sg.outFlow[v]
+	return n.OutFlow
 }
 
 // ExplainCtx builds the explaining subgraph for target under the
@@ -135,13 +178,46 @@ func (sg *Subgraph) NodeAuthority(v graph.NodeID) float64 {
 //
 // It runs against the pinned state, so it cannot observe rates
 // published — or a corpus swapped in — after the view was taken. The
-// construction stage checks ctx at its phase boundaries (after each BFS
-// and after arc collection) and the Equation 10 fixpoint polls once per
-// iteration, so a cancelled or expired request abandons the build
-// within one phase/iteration and returns ctx.Err() instead of a
-// subgraph.
+// construction stage checks ctx at its phase boundaries (after each
+// BFS) and the Equation 10 fixpoint polls once per iteration, so a
+// cancelled or expired request abandons the build within one
+// phase/iteration and returns ctx.Err() instead of a subgraph.
 func (p *Pinned) ExplainCtx(ctx context.Context, res *RankResult, target graph.NodeID, opts ExplainOptions) (*Subgraph, error) {
 	return explainOn(ctx, p.st, p.st.gen.corpus, res, target, opts)
+}
+
+// explainScratch is the |V|-sized part of an explain: per graph node,
+// its backward-BFS distance to the target and its local index in the
+// subgraph, -1 where unset. It is pooled per corpus generation (both
+// directions share |V|) and handed back with every touched entry reset
+// to -1, so one explain allocates O(|subgraph|), not O(|V|). back and
+// kept are the two BFS queues, which double as the visited lists the
+// reset walks.
+type explainScratch struct {
+	dist, local []int32
+	back, kept  []graph.NodeID
+}
+
+func (gn *generation) getExplainScratch(n int) *explainScratch {
+	if sc, _ := gn.explainScratch.Get().(*explainScratch); sc != nil {
+		return sc
+	}
+	sc := &explainScratch{dist: make([]int32, n), local: make([]int32, n)}
+	for i := range sc.dist {
+		sc.dist[i], sc.local[i] = -1, -1
+	}
+	return sc
+}
+
+func (gn *generation) putExplainScratch(sc *explainScratch) {
+	for _, v := range sc.back {
+		sc.dist[v] = -1
+	}
+	for _, v := range sc.kept {
+		sc.local[v] = -1
+	}
+	sc.back, sc.kept = sc.back[:0], sc.kept[:0]
+	gn.explainScratch.Put(sc)
 }
 
 // explainOn explains against an explicit corpus view of the pinned
@@ -150,7 +226,6 @@ func (p *Pinned) ExplainCtx(ctx context.Context, res *RankResult, target graph.N
 // (mode.go). res must have been solved on the SAME view — the flows of
 // Equation 5 read res.Scores through this corpus's arcs.
 func explainOn(ctx context.Context, st *engineState, c *Corpus, res *RankResult, target graph.NodeID, opts ExplainOptions) (*Subgraph, error) {
-	snap := st.snap
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -159,28 +234,27 @@ func explainOn(ctx context.Context, st *engineState, c *Corpus, res *RankResult,
 		return nil, fmt.Errorf("core: explain target %d out of range", target)
 	}
 	opts = opts.withDefaults()
-	alpha := snap.alpha
+	alpha := st.snap.alpha
 	buildStart := time.Now()
+	sc := st.gen.getExplainScratch(g.NumNodes())
+	defer st.gen.putExplainScratch(sc)
+	dist, local := sc.dist, sc.local
 
 	// Stage (i)a: backward breadth-first search from the target over
 	// arcs with non-zero transfer rates, bounded by the radius. dist
-	// holds each node's arc distance to the target (D(v_k)).
-	dist := map[graph.NodeID]int{target: 0}
-	queue := []graph.NodeID{target}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
+	// holds each reached node's arc distance to the target (D(v_k)).
+	dist[target] = 0
+	sc.back = append(sc.back, target)
+	for head := 0; head < len(sc.back); head++ {
+		v := sc.back[head]
 		dv := dist[v]
-		if opts.Radius > 0 && dv >= opts.Radius {
+		if opts.Radius > 0 && int(dv) >= opts.Radius {
 			continue
 		}
 		for _, a := range g.InArcs(v) {
-			if alpha[a.Type] == 0 {
-				continue
-			}
-			if _, seen := dist[a.To]; !seen {
+			if alpha[a.Type] != 0 && dist[a.To] < 0 {
 				dist[a.To] = dv + 1
-				queue = append(queue, a.To)
+				sc.back = append(sc.back, a.To)
 			}
 		}
 	}
@@ -196,148 +270,132 @@ func explainOn(ctx context.Context, st *engineState, c *Corpus, res *RankResult,
 	// that survived the backward stage, restricted to backward-reached
 	// nodes. A node is kept iff it lies on a directed path from S(Q) to
 	// the target (within the radius). The target itself is always kept
-	// so an explanation exists even when no authority reaches it.
-	inG := make(map[graph.NodeID]bool, len(dist))
-	var frontier []graph.NodeID
+	// so an explanation exists even when no authority reaches it. Every
+	// arc the search follows — positive rate, backward-reached head — is
+	// an arc of the subgraph, so it counts them on the way.
 	for _, sd := range res.Base {
-		v := graph.NodeID(sd.Doc)
-		if _, ok := dist[v]; ok && !inG[v] {
-			inG[v] = true
-			frontier = append(frontier, v)
+		if v := graph.NodeID(sd.Doc); dist[v] >= 0 && local[v] < 0 {
+			local[v] = 0
+			sc.kept = append(sc.kept, v)
 		}
 	}
-	for len(frontier) > 0 {
-		v := frontier[0]
-		frontier = frontier[1:]
-		for _, a := range g.OutArcs(v) {
-			if alpha[a.Type] == 0 {
+	numArcs := 0
+	for head := 0; head < len(sc.kept); head++ {
+		for _, a := range g.OutArcs(sc.kept[head]) {
+			if alpha[a.Type] == 0 || dist[a.To] < 0 {
 				continue
 			}
-			if _, back := dist[a.To]; !back {
-				continue
-			}
-			if !inG[a.To] {
-				inG[a.To] = true
-				frontier = append(frontier, a.To)
+			numArcs++
+			if local[a.To] < 0 {
+				local[a.To] = 0
+				sc.kept = append(sc.kept, a.To)
 			}
 		}
 	}
-	inG[target] = true
+	if local[target] < 0 {
+		local[target] = 0
+		sc.kept = append(sc.kept, target)
+	}
 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 
+	n := len(sc.kept)
 	sg := &Subgraph{
 		Target:  target,
 		Query:   res.Query,
-		H:       make(map[graph.NodeID]float64, len(inG)),
-		Dist:    make(map[graph.NodeID]int, len(inG)),
+		Nodes:   slices.Clone(sc.kept),
 		damping: c.nopts.Damping,
-		inFlow:  make(map[graph.NodeID]float64, len(inG)),
-		outFlow: make(map[graph.NodeID]float64, len(inG)),
+		h:       make([]float64, n),
+		dist:    make([]int32, n),
+		inFlow:  make([]float64, n),
+		outFlow: make([]float64, n),
 	}
-	for v := range inG {
-		sg.Nodes = append(sg.Nodes, v)
-		sg.Dist[v] = dist[v]
+	slices.Sort(sg.Nodes)
+	for i, v := range sg.Nodes {
+		local[v] = int32(i)
+		sg.dist[i] = dist[v]
 	}
-	sort.Slice(sg.Nodes, func(i, j int) bool { return sg.Nodes[i] < sg.Nodes[j] })
 
-	// Collect subgraph arcs with their original flows (Equation 5).
+	// Collect subgraph arcs with their original flows (Equation 5) into
+	// a CSR over local indices: row i is Nodes[i]'s arcs, toLocal the
+	// local index of each arc's head. numArcs is exact (short only by
+	// the self-loops of a target nothing reaches), so neither slice
+	// regrows.
+	rowStart := make([]int32, n+1)
+	arcs := make([]FlowArc, 0, numArcs)
+	toLocal := make([]int32, 0, numArcs)
 	d := sg.damping
-	for _, u := range sg.Nodes {
+	for i, u := range sg.Nodes {
 		for _, a := range g.OutArcs(u) {
 			w := alpha[a.Type]
-			if w == 0 || !inG[a.To] {
+			if w == 0 || local[a.To] < 0 {
 				continue
 			}
 			rate := w * float64(a.InvDeg)
-			sg.Arcs = append(sg.Arcs, FlowArc{
-				From:  u,
-				To:    a.To,
-				Type:  a.Type,
-				Rate:  rate,
-				Flow0: d * rate * res.Scores[u],
-			})
+			arcs = append(arcs, FlowArc{From: u, To: a.To, Type: a.Type, Rate: rate, Flow0: d * rate * res.Scores[u]})
+			toLocal = append(toLocal, local[a.To])
 		}
+		rowStart[i+1] = int32(len(arcs))
 	}
-
+	sg.Arcs = arcs
 	sg.BuildDuration = time.Since(buildStart)
 
-	// Stage (ii): the Equation 10 fixpoint. h(target) is pinned to 1;
-	// every other node's factor is the rate-weighted sum of its
-	// successors' factors inside the subgraph, discounting authority
-	// that leaks outside. Like the ranking kernel, the fixpoint polls
-	// ctx once per iteration, so a dead request abandons the adjustment
-	// within one sweep.
+	// Stage (ii): the Equation 10 fixpoint
+	//
+	//	h(v_k) = sum over (v_k -> v_j) in G of h(v_j) · a(v_k -> v_j)
+	//
+	// with h(target) = 1 fixed; every other node's factor is the
+	// rate-weighted sum of its successors' factors inside the subgraph,
+	// discounting authority that leaks outside. Per Observation 2 only
+	// arc rates are needed, not the original ObjectRank2 scores. The
+	// iteration converges by Theorem 1 (it mirrors PageRank with in/out
+	// edges swapped and no damping factor, on a graph where every node
+	// reaches the target). Like the ranking kernel, it polls ctx once
+	// per iteration, so a dead request abandons the adjustment within
+	// one sweep.
 	adjustStart := time.Now()
-	if err := sg.runAdjustment(ctx, opts); err != nil {
-		return nil, err
+	h := sg.h
+	for i := range h {
+		h[i] = 1
 	}
-
-	// Final flows (Equation 7) and per-node flow sums (Equation 6).
-	for i := range sg.Arcs {
-		a := &sg.Arcs[i]
-		a.Flow = sg.H[a.To] * a.Flow0
-		sg.outFlow[a.From] += a.Flow
-		sg.inFlow[a.To] += a.Flow
-	}
-	sg.AdjustDuration = time.Since(adjustStart)
-	sg.inFlow[target] += 0 // ensure the target has an entry even with no arcs
-	return sg, nil
-}
-
-// runAdjustment iterates Equation 10 to convergence:
-//
-//	h(v_k) = sum over (v_k -> v_j) in G of h(v_j) · a(v_k -> v_j)
-//
-// with h(target) = 1 fixed. Per Observation 2 the original ObjectRank2
-// scores are not needed. The iteration converges by Theorem 1 (the
-// computation mirrors PageRank with in/out edges swapped and no damping
-// factor, on a graph where every node reaches the target). ctx is
-// polled once per iteration, mirroring the ranking kernel's per-sweep
-// cancellation contract; on cancellation the context error is returned
-// and the subgraph must be discarded.
-func (sg *Subgraph) runAdjustment(ctx context.Context, opts ExplainOptions) error {
-	// Group arcs by source for the per-node sums. Only arc rates are
-	// needed — per Observation 2, the original ObjectRank2 scores play
-	// no role in the reduction factors.
-	type succ struct {
-		to   graph.NodeID
-		rate float64
-	}
-	succs := make(map[graph.NodeID][]succ, len(sg.Nodes))
-	for _, a := range sg.Arcs {
-		succs[a.From] = append(succs[a.From], succ{to: a.To, rate: a.Rate})
-	}
-
-	h := sg.H
-	for _, v := range sg.Nodes {
-		h[v] = 1
-	}
+	tgt := int(local[target])
 	for it := 0; it < opts.MaxIters; it++ {
 		if err := ctx.Err(); err != nil {
-			return err
+			return nil, err
 		}
 		sg.Iterations = it + 1
 		maxDiff := 0.0
-		for _, v := range sg.Nodes {
-			if v == sg.Target {
+		for i := range h {
+			if i == tgt {
 				continue
 			}
 			sum := 0.0
-			for _, s := range succs[v] {
-				sum += h[s.to] * s.rate
+			for k := rowStart[i]; k < rowStart[i+1]; k++ {
+				sum += h[toLocal[k]] * sg.Arcs[k].Rate
 			}
-			if diff := math.Abs(sum - h[v]); diff > maxDiff {
+			if diff := math.Abs(sum - h[i]); diff > maxDiff {
 				maxDiff = diff
 			}
-			h[v] = sum
+			h[i] = sum
 		}
 		if maxDiff < opts.Threshold {
 			sg.Converged = true
 			break
 		}
 	}
-	return nil
+
+	// Final flows (Equation 7) and per-node flow sums (Equation 6), in
+	// arc order.
+	for i := range sg.Nodes {
+		for k := rowStart[i]; k < rowStart[i+1]; k++ {
+			a := &sg.Arcs[k]
+			a.Flow = h[toLocal[k]] * a.Flow0
+			sg.outFlow[i] += a.Flow
+			sg.inFlow[toLocal[k]] += a.Flow
+		}
+	}
+	sg.AdjustDuration = time.Since(adjustStart)
+	return sg, nil
 }

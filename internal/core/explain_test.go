@@ -70,13 +70,13 @@ func TestExplainChainClosedForm(t *testing.T) {
 	}
 
 	// Reduction factors (Equation 10).
-	if h := sg.H[ids["t"]]; h != 1 {
+	if h := sg.H(ids["t"]); h != 1 {
 		t.Errorf("h(target) = %v, want 1", h)
 	}
-	if h := sg.H[ids["a"]]; math.Abs(h-0.35) > 1e-9 {
+	if h := sg.H(ids["a"]); math.Abs(h-0.35) > 1e-9 {
 		t.Errorf("h(a) = %v, want 0.35", h)
 	}
-	if h := sg.H[ids["s"]]; math.Abs(h-0.245) > 1e-9 {
+	if h := sg.H(ids["s"]); math.Abs(h-0.245) > 1e-9 {
 		t.Errorf("h(s) = %v, want 0.245", h)
 	}
 
@@ -109,8 +109,8 @@ func TestExplainChainClosedForm(t *testing.T) {
 		t.Errorf("ExplainedScore = %v, want %v", got, wantFlowAT)
 	}
 	// Distances from the target.
-	if sg.Dist[ids["t"]] != 0 || sg.Dist[ids["a"]] != 1 || sg.Dist[ids["s"]] != 2 {
-		t.Errorf("distances = %v", sg.Dist)
+	if sg.Dist(ids["t"]) != 0 || sg.Dist(ids["a"]) != 1 || sg.Dist(ids["s"]) != 2 {
+		t.Errorf("distances = %v", sg.dist)
 	}
 	// In/out flow bookkeeping.
 	if got := sg.OutFlow(ids["a"]); math.Abs(got-wantFlowAT) > 1e-9 {
@@ -141,14 +141,15 @@ func TestExample1DataCubeExcluded(t *testing.T) {
 			t.Errorf("%s missing from explaining subgraph", n)
 		}
 	}
-	if h := sg.H[f.ids["v4"]]; h != 1 {
+	if h := sg.H(f.ids["v4"]); h != 1 {
 		t.Errorf("h(v4) = %v, want 1 (target flows are not adjusted)", h)
 	}
 	if !sg.Converged {
 		t.Error("Equation 10 fixpoint did not converge (Theorem 1)")
 	}
 	// All reduction factors lie in [0, 1].
-	for v, h := range sg.H {
+	for _, v := range sg.Nodes {
+		h := sg.H(v)
 		if h < 0 || h > 1+1e-9 {
 			t.Errorf("h(%d) = %v outside [0,1]", v, h)
 		}
@@ -216,8 +217,8 @@ func TestExplainRadiusLimits(t *testing.T) {
 		}
 	}
 	for _, v := range sg.Nodes {
-		if sg.Dist[v] > 1 {
-			t.Errorf("node %d at distance %d despite radius 1", v, sg.Dist[v])
+		if sg.Dist(v) > 1 {
+			t.Errorf("node %d at distance %d despite radius 1", v, sg.Dist(v))
 		}
 	}
 	// Larger radius yields a superset.
@@ -400,10 +401,11 @@ func TestExplainInvariantsRandom(t *testing.T) {
 		if !sg.Converged {
 			t.Fatalf("trial %d: no convergence", trial)
 		}
-		if sg.H[target] != 1 {
-			t.Fatalf("trial %d: h(target) = %v", trial, sg.H[target])
+		if sg.H(target) != 1 {
+			t.Fatalf("trial %d: h(target) = %v", trial, sg.H(target))
 		}
-		for v, h := range sg.H {
+		for _, v := range sg.Nodes {
+			h := sg.H(v)
 			if h < -1e-12 || h > 1+1e-9 {
 				t.Fatalf("trial %d: h(%d) = %v", trial, v, h)
 			}

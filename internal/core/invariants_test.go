@@ -37,7 +37,7 @@ func TestFlowConservationIdentity(t *testing.T) {
 			if v == target {
 				continue
 			}
-			want := d * res.Scores[v] * sg.H[v]
+			want := d * res.Scores[v] * sg.H(v)
 			got := sg.OutFlow(v)
 			if math.Abs(got-want) > 1e-9 {
 				t.Errorf("target %s: O(%d) = %v, want d·r·h = %v", targetName, v, got, want)
@@ -91,7 +91,7 @@ func TestExplainThresholdControlsIterations(t *testing.T) {
 	if loose.Iterations > tight.Iterations {
 		t.Errorf("loose threshold took more iterations: %d vs %d", loose.Iterations, tight.Iterations)
 	}
-	if loose.H[f.ids["v4"]] != 1 || tight.H[f.ids["v4"]] != 1 {
+	if loose.H(f.ids["v4"]) != 1 || tight.H(f.ids["v4"]) != 1 {
 		t.Error("h(target) drifted")
 	}
 	// Timings are recorded.
@@ -222,7 +222,7 @@ func TestExplainInvariantsWithBackwardRates(t *testing.T) {
 			if v == target {
 				continue
 			}
-			want := d * res.Scores[v] * sg.H[v]
+			want := d * res.Scores[v] * sg.H(v)
 			if math.Abs(sg.OutFlow(v)-want) > 1e-8 {
 				t.Fatalf("trial %d: conservation violated at %d: %v vs %v",
 					trial, v, sg.OutFlow(v), want)

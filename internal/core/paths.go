@@ -1,10 +1,35 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"authorityflow/internal/graph"
 )
+
+// CompareFlow is the one order wherever arcs are ranked by adjusted
+// flow — the top-budget selection of TopArcs, the full JSON export and
+// TopPaths' adjacency: flow descending, then (From, To, Type), a strict
+// total order so equal-flow arcs never sit in the sort's own order.
+func CompareFlow(a, b FlowArc) int {
+	return cmp.Or(cmp.Compare(b.Flow, a.Flow), cmp.Compare(a.From, b.From),
+		cmp.Compare(a.To, b.To), cmp.Compare(a.Type, b.Type))
+}
+
+// TopArcs returns the budget arcs carrying the most adjusted flow, in
+// CompareFlow order — the paper displays the top flow paths, not the
+// whole radius-L subgraph. A budget <= 0 returns every arc.
+func (sg *Subgraph) TopArcs(budget int) []FlowArc {
+	if budget <= 0 {
+		budget = len(sg.Arcs)
+	}
+	top := topBudget[FlowArc]{budget: budget, cmp: CompareFlow}
+	for _, a := range sg.Arcs {
+		top.offer(a)
+	}
+	return top.sorted()
+}
 
 // Path is one authority-flow path from a base-set node to the target
 // of an explaining subgraph, used when displaying an explanation: the
@@ -43,19 +68,13 @@ func (sg *Subgraph) TopPaths(sources []graph.NodeID, k int) []Path {
 		}
 	}
 	for _, arcs := range adj {
-		sort.Slice(arcs, func(i, j int) bool { return arcs[i].Flow > arcs[j].Flow })
+		slices.SortFunc(arcs, CompareFlow)
 	}
 	// Paths much longer than the subgraph radius are unintuitive (the
 	// paper's display rationale for limiting L) and explode the search
 	// space, so bound the node count by the deepest distance plus a
 	// small detour allowance.
-	maxDist := 0
-	for _, d := range sg.Dist {
-		if d > maxDist {
-			maxDist = d
-		}
-	}
-	maxLen := maxDist + 3
+	maxLen := int(slices.Max(sg.dist)) + 3
 	if maxLen > len(sg.Nodes) {
 		maxLen = len(sg.Nodes)
 	}
@@ -161,29 +180,31 @@ func (sg *Subgraph) Prune(minFlow float64) *Subgraph {
 	cp := &Subgraph{
 		Target:     sg.Target,
 		Query:      sg.Query,
-		H:          make(map[graph.NodeID]float64),
-		Dist:       make(map[graph.NodeID]int),
+		Nodes:      []graph.NodeID{sg.Target},
 		Iterations: sg.Iterations,
 		Converged:  sg.Converged,
 		damping:    sg.damping,
-		inFlow:     make(map[graph.NodeID]float64),
-		outFlow:    make(map[graph.NodeID]float64),
 	}
-	keep := map[graph.NodeID]bool{sg.Target: true}
 	for _, a := range sg.Arcs {
 		if a.Flow >= minFlow {
 			cp.Arcs = append(cp.Arcs, a)
-			keep[a.From] = true
-			keep[a.To] = true
-			cp.inFlow[a.To] += a.Flow
-			cp.outFlow[a.From] += a.Flow
+			cp.Nodes = append(cp.Nodes, a.From, a.To)
 		}
 	}
-	for v := range keep {
-		cp.Nodes = append(cp.Nodes, v)
-		cp.H[v] = sg.H[v]
-		cp.Dist[v] = sg.Dist[v]
+	slices.Sort(cp.Nodes)
+	cp.Nodes = slices.Compact(cp.Nodes)
+	cp.inFlow = make([]float64, len(cp.Nodes))
+	cp.outFlow = make([]float64, len(cp.Nodes))
+	for _, v := range cp.Nodes {
+		n := sg.node(v)
+		cp.h = append(cp.h, n.H)
+		cp.dist = append(cp.dist, int32(n.Dist))
 	}
-	sort.Slice(cp.Nodes, func(i, j int) bool { return cp.Nodes[i] < cp.Nodes[j] })
+	for _, a := range cp.Arcs {
+		from, _ := cp.Index(a.From)
+		to, _ := cp.Index(a.To)
+		cp.outFlow[from] += a.Flow
+		cp.inFlow[to] += a.Flow
+	}
 	return cp
 }

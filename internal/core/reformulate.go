@@ -172,7 +172,7 @@ func contentWeights(g *graph.Graph, sg *Subgraph, cd float64, acc map[string]flo
 		if authority <= 0 {
 			continue
 		}
-		decay := math.Pow(cd, float64(sg.Dist[v]))
+		decay := math.Pow(cd, float64(sg.Dist(v)))
 		contribution := decay * authority
 		// Each distinct term of the node contributes once.
 		seen := make(map[string]bool)

@@ -52,6 +52,9 @@ func TestRouterModeRouting(t *testing.T) {
 	}
 }
 
+// TestRouterAuditDeterminism: audits and explains proxied through the
+// router stay byte-identical at a pinned state, and the explain body
+// that crosses the hop is the budgeted one.
 func TestRouterAuditDeterminism(t *testing.T) {
 	f := newFleet(t, 2)
 
@@ -81,6 +84,23 @@ func TestRouterAuditDeterminism(t *testing.T) {
 		t.Errorf("audit through router = %d contributions, gen %d", len(a.Contributions), a.Generation)
 	}
 
+	explainURL := fmt.Sprintf("%s/v1/explain?q=olap&target=%d&budget=8", f.front.URL, q.Results[0].Node)
+	c1, e1 := get(t, explainURL)
+	c2, e2 := get(t, explainURL)
+	if c1 != 200 || c2 != 200 {
+		t.Fatalf("explain statuses = %d, %d: %s", c1, c2, e1)
+	}
+	if !bytes.Equal(e1, e2) {
+		t.Error("router-served explains are not byte-identical at a pinned generation")
+	}
+	var e server.ExplainResponse
+	if err := json.Unmarshal(e1, &e); err != nil {
+		t.Fatal(err)
+	}
+	if e.Budget != 8 || len(e.Arcs) != 8 || e.TotalArcs <= 8 {
+		t.Errorf("explain through router = budget %d, %d arcs of %d", e.Budget, len(e.Arcs), e.TotalArcs)
+	}
+
 	// Hub audits route too; combined is rejected as not explainable
 	// (replica-side contract error, proxied through).
 	hubURL := fmt.Sprintf("%s/v1/audit?q=olap&target=%d&mode=hub", f.front.URL, q.Results[0].Node)
@@ -102,6 +122,7 @@ func TestRouterContractMirrorsServer(t *testing.T) {
 
 	const wantMode = "mode must be one of authority, hub, combined"
 	const wantBudget = "budget must be an integer in 0..1000"
+	const wantFormat = "format must be json, html or dot"
 	type env struct {
 		Error server.ErrorInfo `json:"error"`
 	}
@@ -109,6 +130,7 @@ func TestRouterContractMirrorsServer(t *testing.T) {
 		{"/v1/query?q=olap&mode=sideways", wantMode},
 		{"/v1/audit?q=olap&target=0&mode=sideways", wantMode},
 		{"/v1/explain?q=olap&target=0&budget=9999", wantBudget},
+		{"/v1/explain?q=olap&target=0&format=xml", wantFormat},
 	} {
 		code, body := get(t, f.front.URL+tc.path)
 		if code != 400 {

@@ -233,10 +233,10 @@ type ExpansionTerm struct {
 //
 // /v1/explain (format=json) and /v1/audit answer with ONE envelope
 // shape: node, score, mode, generation, ratesVersion, and a ranked
-// contributions[] block. /v1/explain additionally embeds every legacy
-// SubgraphJSON field unchanged (target, query, explainedScore,
-// converged, iterations, nodes, arcs) — the envelope fields are pure
-// additions, so pre-contract explain clients keep decoding.
+// contributions[] block. /v1/explain additionally embeds every
+// SubgraphJSON field (target, query, explainedScore, converged,
+// iterations, nodes, arcs) — the envelope fields are pure additions, so
+// pre-contract explain clients keep decoding.
 
 // Contribution is one ranked entry of the envelope: an explaining-
 // subgraph arc ordered by the sensitivity of the target's score to
@@ -260,14 +260,21 @@ type NodeContribution struct {
 	Flow        float64 `json:"flow"`
 }
 
-// ExplainResponse is the /v1/explain JSON payload: the legacy subgraph
-// export embedded verbatim, plus the shared envelope additions. Budget
-// truncates ONLY Contributions; the embedded nodes/arcs stay complete.
+// ExplainResponse is the /v1/explain JSON payload: the subgraph export
+// shape plus the shared envelope additions. The whole body obeys
+// Budget: the embedded arcs are the top-Budget arcs by adjusted flow,
+// the embedded nodes the target plus those arcs' endpoints, and
+// Contributions the top-Budget arcs by sensitivity. Everything else —
+// TotalArcs and TotalNodes, which make clipping detectable, the scores,
+// converged, iterations — describes the whole explaining subgraph.
 type ExplainResponse struct {
 	storage.SubgraphJSON
 	Node          int64          `json:"node"`
 	Score         float64        `json:"score"`
 	Mode          string         `json:"mode"`
+	Budget        int            `json:"budget"`
+	TotalArcs     int            `json:"totalArcs"`
+	TotalNodes    int            `json:"totalNodes"`
 	Generation    uint64         `json:"generation"`
 	RatesVersion  uint64         `json:"ratesVersion"`
 	Contributions []Contribution `json:"contributions"`
@@ -381,6 +388,7 @@ type StatsResponse struct {
 	UptimeSeconds float64              `json:"uptimeSeconds"`
 	HTTP          HTTPStats            `json:"http"`
 	Kernel        KernelStats          `json:"kernel"`
+	Explain       ExplainStats         `json:"explain"`
 	Cache         *cache.StatsSnapshot `json:"cache,omitempty"`
 	// Profile is the personalization tier's counters (present only when
 	// the server was built WithProfiles); it reads the SAME atomics the
@@ -401,6 +409,15 @@ type KernelStats struct {
 	Solves          int64 `json:"solves"`
 	WarmSolves      int64 `json:"warmSolves"`
 	IterationsTotal int64 `json:"iterationsTotal"`
+}
+
+// ExplainStats mirrors the afq_explain_* families: completed explains,
+// JSON bodies the budget clipped, and the summed arc count of the
+// explained subgraphs (SubgraphArcs/Total is the mean subgraph size).
+type ExplainStats struct {
+	Total        int64 `json:"total"`
+	Truncated    int64 `json:"truncated"`
+	SubgraphArcs int64 `json:"subgraphArcs"`
 }
 
 // ---- shared JSON writers ----

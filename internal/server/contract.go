@@ -17,6 +17,9 @@
 //     contribution lists (/v1/query, /v1/query/batch) validate it all
 //     the same and ignore it, so a client can set it fleet-wide without
 //     caring which endpoint a request lands on.
+//   - format selects /v1/explain's rendering: json (the default), html
+//     or dot. Anything else is rejected rather than answered as JSON;
+//     the other surfaces validate it and ignore it, like budget.
 //
 // (/v1/reformulate's mode parameter is a different, pre-existing axis —
 // the reformulation strategy structure|content|both — and is NOT part
@@ -27,6 +30,7 @@ import (
 	"errors"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 
 	"authorityflow/internal/core"
@@ -42,6 +46,9 @@ type ReadParams struct {
 	Mode core.Mode
 	// Budget is the contribution budget; 0 means the endpoint default.
 	Budget int
+	// Format is /v1/explain's rendering: "json" (the default), "html"
+	// or "dot".
+	Format string
 }
 
 // readParamTable is THE validation table of the uniform contract: one
@@ -76,7 +83,20 @@ var readParamTable = []struct {
 		rp.Budget = v
 		return nil
 	}},
+	{"format", func(raw string, rp *ReadParams) error {
+		if raw == "" {
+			raw = explainFormats[0]
+		}
+		if !slices.Contains(explainFormats, raw) {
+			return errors.New("format must be json, html or dot")
+		}
+		rp.Format = raw
+		return nil
+	}},
 }
+
+// explainFormats are /v1/explain's renderings, the default first.
+var explainFormats = []string{"json", "html", "dot"}
 
 var errBudget = errors.New("budget must be an integer in 0.." + strconv.Itoa(MaxBudget))
 

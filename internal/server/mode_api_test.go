@@ -193,13 +193,14 @@ func TestAuditEndpoint(t *testing.T) {
 }
 
 // TestReadContractUniform checks the ONE validation table: every read
-// surface rejects a bad mode/budget with the same invalid_argument
-// message, naming the offending field.
+// surface rejects a bad mode/budget/format with the same
+// invalid_argument message, naming the offending field.
 func TestReadContractUniform(t *testing.T) {
 	_, ts := testServer(t)
 
 	const wantMode = "mode must be one of authority, hub, combined"
 	const wantBudget = "budget must be an integer in 0..1000"
+	const wantFormat = "format must be json, html or dot"
 
 	type env struct {
 		Error ErrorInfo `json:"error"`
@@ -215,6 +216,7 @@ func TestReadContractUniform(t *testing.T) {
 			{"budget=-1", wantBudget},
 			{"budget=1001", wantBudget},
 			{"budget=abc", wantBudget},
+			{"format=xml", wantFormat}, // used to answer JSON
 		} {
 			var e env
 			if code := getJSON(t, ts.URL+s+"&"+tc.param, &e); code != 400 {
@@ -246,8 +248,10 @@ func TestReadContractUniform(t *testing.T) {
 }
 
 // TestExplainEnvelope checks the shared explain/audit envelope: the
-// legacy subgraph fields survive unchanged, and the envelope additions
-// (node, score, contributions, stamps) ride alongside.
+// subgraph fields and the envelope additions (node, score,
+// contributions, stamps) ride together, and the whole body obeys
+// budget — arcs, nodes and contributions — while everything that
+// describes the whole subgraph does not move with it.
 func TestExplainEnvelope(t *testing.T) {
 	_, ts := testServer(t)
 
@@ -255,19 +259,14 @@ func TestExplainEnvelope(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/v1/query?q=olap&k=1", &q); code != 200 || len(q.Results) == 0 {
 		t.Fatal("seed query failed")
 	}
-	target := strconv.FormatInt(q.Results[0].Node, 10)
+	url := ts.URL + "/v1/explain?q=olap&target=" + strconv.FormatInt(q.Results[0].Node, 10)
 
 	var e ExplainResponse
-	if code := getJSON(t, ts.URL+"/v1/explain?q=olap&target="+target, &e); code != 200 {
+	if code := getJSON(t, url, &e); code != 200 {
 		t.Fatalf("explain status = %d", code)
 	}
-	// Legacy fields (the embedded SubgraphJSON).
-	if len(e.SubgraphJSON.Nodes) == 0 || len(e.SubgraphJSON.Arcs) == 0 {
-		t.Fatal("legacy subgraph fields are empty")
-	}
-	// Envelope additions.
-	if e.Node != q.Results[0].Node || e.Score <= 0 {
-		t.Errorf("envelope node/score = %d/%v", e.Node, e.Score)
+	if e.Node != q.Results[0].Node || e.Target != e.Node || e.Score <= 0 || e.Score != e.SubgraphJSON.Score {
+		t.Errorf("envelope node/target/score = %d/%d/%v/%v", e.Node, e.Target, e.Score, e.SubgraphJSON.Score)
 	}
 	if e.Mode != "authority" {
 		t.Errorf("explain mode = %q", e.Mode)
@@ -275,19 +274,114 @@ func TestExplainEnvelope(t *testing.T) {
 	if e.Generation != 1 || e.RatesVersion == 0 {
 		t.Errorf("explain stamps = gen %d rv %d", e.Generation, e.RatesVersion)
 	}
-	if len(e.Contributions) == 0 {
-		t.Fatal("explain envelope has no contributions")
+	if e.Budget != core.DefaultAuditBudget {
+		t.Errorf("default budget = %d, want %d", e.Budget, core.DefaultAuditBudget)
+	}
+	if e.TotalArcs <= e.Budget {
+		t.Fatalf("fixture subgraph has %d arcs: too small to clip at budget %d", e.TotalArcs, e.Budget)
 	}
 
-	// budget truncates ONLY the contributions, never the subgraph.
-	var small ExplainResponse
-	if code := getJSON(t, ts.URL+"/v1/explain?q=olap&target="+target+"&budget=2", &small); code != 200 {
-		t.Fatalf("budgeted explain status = %d", code)
+	bodies := map[int]ExplainResponse{e.Budget: e}
+	for _, budget := range []int{1, 2, 1000} {
+		var b ExplainResponse
+		if code := getJSON(t, url+"&budget="+strconv.Itoa(budget), &b); code != 200 {
+			t.Fatalf("budget=%d explain status = %d", budget, code)
+		}
+		bodies[budget] = b
 	}
-	if len(small.Contributions) > 2 {
-		t.Errorf("budget=2 kept %d contributions", len(small.Contributions))
+	for budget, b := range bodies {
+		if b.Budget != budget {
+			t.Errorf("budget=%d body reports budget %d", budget, b.Budget)
+		}
+		// What describes the whole subgraph is the same in every body.
+		if b.SubgraphJSON.Score != e.SubgraphJSON.Score || b.Score != e.Score || b.TotalArcs != e.TotalArcs ||
+			b.TotalNodes != e.TotalNodes || b.Iterations != e.Iterations || b.Converged != e.Converged {
+			t.Errorf("budget=%d moved a whole-subgraph field: %+v vs %+v", budget, b, e)
+		}
+		want := min(budget, b.TotalArcs)
+		if len(b.Arcs) != want || len(b.Contributions) != want {
+			t.Errorf("budget=%d: %d arcs, %d contributions, want %d of %d", budget, len(b.Arcs), len(b.Contributions), want, b.TotalArcs)
+		}
+		// nodes is exactly the target plus the endpoints of arcs.
+		shown := map[int64]bool{}
+		for _, n := range b.Nodes {
+			shown[n.ID] = true
+		}
+		used := map[int64]bool{b.Target: true}
+		for i, a := range b.Arcs {
+			used[a.From], used[a.To] = true, true
+			if i > 0 && a.Flow > b.Arcs[i-1].Flow {
+				t.Fatalf("budget=%d: arcs not ranked by flow at %d", budget, i)
+			}
+		}
+		if len(shown) != len(b.Nodes) || len(shown) != len(used) {
+			t.Errorf("budget=%d: %d nodes (%d distinct) for %d arc endpoints + target", budget, len(b.Nodes), len(shown), len(used))
+		}
+		for v := range used {
+			if !shown[v] {
+				t.Errorf("budget=%d: node %d missing from nodes", budget, v)
+			}
+		}
 	}
-	if len(small.SubgraphJSON.Arcs) != len(e.SubgraphJSON.Arcs) {
-		t.Errorf("budget truncated the subgraph: %d vs %d arcs", len(small.SubgraphJSON.Arcs), len(e.SubgraphJSON.Arcs))
+	// An unclipped body is the whole subgraph.
+	if full := bodies[1000]; full.TotalArcs <= 1000 && len(full.Nodes) != full.TotalNodes {
+		t.Errorf("unclipped body has %d of %d nodes", len(full.Nodes), full.TotalNodes)
+	}
+	// The arcs a smaller budget shows are a prefix of a larger one's.
+	for i, a := range bodies[2].Arcs {
+		if a != e.Arcs[i] {
+			t.Errorf("budget=2 arc %d = %+v, default budget has %+v", i, a, e.Arcs[i])
+		}
+	}
+
+	// The determinism contract: at a pinned (generation, ratesVersion),
+	// repeated explains are byte-identical.
+	_, b1 := getBody(t, url+"&budget=5")
+	_, b2 := getBody(t, url+"&budget=5")
+	if !bytes.Equal(b1, b2) {
+		t.Error("repeated explains are not byte-identical")
+	}
+
+	// html and dot stay complete exports, whatever the budget.
+	code, dot := getBody(t, url+"&format=dot&budget=1")
+	if code != 200 || !bytes.HasPrefix(dot, []byte("digraph")) || bytes.Count(dot, []byte(" -> ")) != e.TotalArcs {
+		t.Errorf("format=dot: code %d, %d arcs of %d", code, bytes.Count(dot, []byte(" -> ")), e.TotalArcs)
+	}
+}
+
+// TestExplainBodyBounded is the size contract behind explain_p50_ms: at
+// the benchmark's corpus (dblptop scale 1.0, where one radius-3
+// subgraph holds ~10^5 arcs) a default-budget explain body stays under
+// 64 kB.
+func TestExplainBodyBounded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates dblptop at scale 1.0")
+	}
+	ds, err := datagen.GenerateDBLP(datagen.DBLPTopConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(ds, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+
+	var q QueryResponse
+	if code := getJSON(t, ts.URL+"/v1/query?q=olap&k=1", &q); code != 200 || len(q.Results) == 0 {
+		t.Fatal("seed query failed")
+	}
+	code, body := getBody(t, ts.URL+"/v1/explain?q=olap&target="+strconv.FormatInt(q.Results[0].Node, 10))
+	var e ExplainResponse
+	if err := json.Unmarshal(body, &e); code != 200 || err != nil {
+		t.Fatalf("explain: code %d, %v", code, err)
+	}
+	if e.TotalArcs < 10000 {
+		t.Fatalf("subgraph has %d arcs: not the case this test is about", e.TotalArcs)
+	}
+	if len(body) >= 64<<10 {
+		t.Errorf("explain body is %d bytes for %d arcs / %d nodes, want < 64 kB", len(body), e.TotalArcs, e.TotalNodes)
 	}
 }

@@ -89,6 +89,13 @@ type serverObs struct {
 	auditTotal         *obs.CounterVec
 	auditTruncated     *obs.Counter
 	auditContributions *obs.Histogram
+
+	// Explain-workload families (/v1/explain), the audit families'
+	// twins: request count by mode and format, the size of the whole
+	// explaining subgraph, and JSON bodies the budget clipped.
+	explainTotal     *obs.CounterVec
+	explainArcs      *obs.Histogram
+	explainTruncated *obs.Counter
 }
 
 // newServerObs registers every metric family. Family names are
@@ -150,13 +157,22 @@ func newServerObs(o ObsOptions) *serverObs {
 		"Expensive requests currently holding an admission slot.")
 	so.auditTotal = reg.NewCounterVec("afq_audit_requests_total",
 		"Completed /v1/audit sensitivity rankings by ranking mode.", "mode")
+	so.explainTotal = reg.NewCounterVec("afq_explain_total",
+		"Completed /v1/explain explaining subgraphs by ranking mode and response format.", "mode", "format")
 	for _, m := range []core.Mode{core.ModeAuthority, core.ModeHub} {
 		so.auditTotal.With(string(m)) // combined is rejected before ranking
+		for _, format := range explainFormats {
+			so.explainTotal.With(string(m), format)
+		}
 	}
 	so.auditTruncated = reg.NewCounter("afq_audit_truncated_total",
 		"Audits whose explaining subgraph held more arcs than the budget (the contribution list was clipped).")
 	so.auditContributions = reg.NewHistogram("afq_audit_contributions",
 		"Arc contributions returned per audit (post-budget).", obs.IterationBuckets())
+	so.explainArcs = reg.NewHistogram("afq_explain_subgraph_arcs",
+		"Arcs in the whole explaining subgraph per explain (pre-budget).", obs.ExponentialBuckets(1, 4, 10))
+	so.explainTruncated = reg.NewCounter("afq_explain_truncated_total",
+		"JSON explains whose subgraph held more arcs than the budget (arcs, nodes and contributions were clipped).")
 	reg.NewGaugeFunc("afq_uptime_seconds",
 		"Seconds since the server was constructed.",
 		func() float64 { return time.Since(so.start).Seconds() })

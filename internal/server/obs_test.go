@@ -427,3 +427,58 @@ func TestWarmSolvesCountDonatedStartsOnly(t *testing.T) {
 		t.Fatal("warm solves = 0 after a reformulate and a requery, want > 0")
 	}
 }
+
+// TestExplainObservability: /v1/explain feeds the afq_explain_*
+// families (by mode and format, whole-subgraph size, clipped JSON
+// bodies), /v1/stats mirrors them from the same metric objects, and
+// the trace's explain event says what the kernel built and how long
+// each stage took.
+func TestExplainObservability(t *testing.T) {
+	var slow syncBuffer
+	_, ts := obsTestServer(t, WithObservability(ObsOptions{SlowLog: &slow, SlowThreshold: time.Nanosecond}))
+	var q QueryResponse
+	if code := getJSON(t, ts.URL+"/v1/query?q=olap&k=1", &q); code != 200 || len(q.Results) == 0 {
+		t.Fatal("seed query failed")
+	}
+	url := ts.URL + "/v1/explain?q=olap&target=" + strconv.FormatInt(q.Results[0].Node, 10)
+	var e ExplainResponse
+	if code := getJSON(t, url, &e); code != 200 || e.TotalArcs <= e.Budget {
+		t.Fatalf("explain: status %d, %d arcs at budget %d", code, e.TotalArcs, e.Budget)
+	}
+	mustGet(t, url+"&budget=1000&format=json", 200)
+	mustGet(t, url+"&format=dot", 200)
+	mustGet(t, url+"&mode=hub&format=html", 200)
+	mustGet(t, url+"&format=xml", 400) // rejected before anything is counted
+
+	samples, _ := scrapeMetrics(t, ts.URL)
+	for name, want := range map[string]float64{
+		`afq_explain_total{mode="authority",format="json"}`: 2,
+		`afq_explain_total{mode="authority",format="dot"}`:  1,
+		`afq_explain_total{mode="hub",format="html"}`:       1,
+		`afq_explain_subgraph_arcs_count`:                   4,
+		`afq_explain_truncated_total`:                       2, // the JSON bodies; dot and html are complete
+	} {
+		if got, ok := samples[name]; !ok || got != want {
+			t.Errorf("%s = %g (present=%t), want %g", name, got, ok, want)
+		}
+	}
+	if e.TotalArcs <= 1000 {
+		t.Fatalf("fixture subgraph has %d arcs: budget=1000 does not clip it", e.TotalArcs)
+	}
+	var st StatsResponse
+	if code := getJSON(t, ts.URL+"/v1/stats", &st); code != 200 {
+		t.Fatalf("/v1/stats status = %d", code)
+	}
+	if st.Explain.Total != 4 || st.Explain.Truncated != 2 || float64(st.Explain.SubgraphArcs) != samples["afq_explain_subgraph_arcs_sum"] ||
+		st.Explain.SubgraphArcs < 3*int64(e.TotalArcs) {
+		t.Errorf("/v1/stats explain block = %+v, /metrics arcs sum %g", st.Explain, samples["afq_explain_subgraph_arcs_sum"])
+	}
+
+	if !waitFor(t, 2*time.Second, func() bool { return strings.Contains(slow.String(), `"name":"explain"`) }) {
+		t.Fatal("no explain span in the slow log")
+	}
+	want := "nodes=" + strconv.Itoa(e.TotalNodes) + " arcs=" + strconv.Itoa(e.TotalArcs) + " iters=" + strconv.Itoa(e.Iterations) + " build_ms="
+	if log := slow.String(); !strings.Contains(log, want) || !strings.Contains(log, " adjust_ms=") {
+		t.Errorf("explain span detail missing %q / adjust_ms= in:\n%s", want, log)
+	}
+}

@@ -279,6 +279,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			WarmSolves:      int64(s.obs.warmSolves.Count()),
 			IterationsTotal: int64(s.obs.iterTotal.Count()),
 		},
+		Explain: ExplainStats{
+			Total:        int64(s.obs.explainTotal.Total()),
+			Truncated:    int64(s.obs.explainTruncated.Count()),
+			SubgraphArcs: int64(s.obs.explainArcs.Sum()),
+		},
 		Cache: &cacheStats,
 	}
 	if s.profiles != nil {
@@ -399,7 +404,6 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	}
 	tr.Eventf("solve", "iters=%d base=%d", res.Iterations, len(res.Base))
 	sg, err := pin.ExplainModeCtx(ctx, rp.Mode, res, target, core.DefaultExplain())
-	tr.Event("explain", "")
 	s.eng.Release(res)
 	if err != nil {
 		if ctx.Err() != nil {
@@ -409,7 +413,11 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusBadRequest, err.Error())
 		return
 	}
-	switch r.URL.Query().Get("format") {
+	tr.Eventf("explain", "nodes=%d arcs=%d iters=%d build_ms=%.3f adjust_ms=%.3f", len(sg.Nodes), len(sg.Arcs),
+		sg.Iterations, sg.BuildDuration.Seconds()*1e3, sg.AdjustDuration.Seconds()*1e3)
+	s.obs.explainTotal.With(string(rp.Mode), rp.Format).Inc()
+	s.obs.explainArcs.Observe(float64(len(sg.Arcs)))
+	switch rp.Format {
 	case "html":
 		w.Header().Set("Content-Type", "text/html; charset=utf-8")
 		_ = storage.ExportHTML(w, g, sg)
@@ -417,23 +425,25 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/vnd.graphviz")
 		_ = storage.ExportDOT(w, g, sg)
 	default:
-		// The JSON format carries the shared explain/audit envelope: every
-		// legacy SubgraphJSON field, embedded unchanged, plus the envelope
-		// additions (node, score, mode, generation, ratesVersion,
-		// contributions[]) — see api.go's ExplainResponse. The budget
-		// parameter truncates ONLY the contributions block; the legacy
-		// nodes/arcs arrays stay complete.
+		// The JSON format carries the shared explain/audit envelope, and
+		// the whole body obeys the budget (api.go's ExplainResponse);
+		// html and dot stay complete exports of the subgraph.
 		a := core.AuditOf(sg, rp.Budget)
-		resp := ExplainResponse{
-			SubgraphJSON:  storage.BuildSubgraphJSON(g, sg),
+		if a.TotalArcs > a.Budget {
+			s.obs.explainTruncated.Inc()
+		}
+		writeJSON(w, http.StatusOK, ExplainResponse{
+			SubgraphJSON:  storage.BuildSubgraphJSON(g, sg, a.Budget),
 			Node:          int64(sg.Target),
 			Score:         sg.ExplainedScore(),
 			Mode:          string(rp.Mode),
+			Budget:        a.Budget,
+			TotalArcs:     a.TotalArcs,
+			TotalNodes:    len(sg.Nodes),
 			Generation:    pin.Generation(),
 			RatesVersion:  pin.Version(),
 			Contributions: contributions(g, a),
-		}
-		writeJSON(w, http.StatusOK, resp)
+		})
 	}
 }
 

@@ -4,7 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 
 	"authorityflow/internal/core"
@@ -43,20 +43,24 @@ type SubgraphArcJSON struct {
 	Flow  float64 `json:"flow"`
 }
 
-// ExportJSON renders an explaining subgraph as JSON, the format the
-// deployed demo serves to its UI.
+// ExportJSON renders a whole explaining subgraph as JSON, every node
+// and every arc — the complete export (GET /v1/explain answers with
+// the budgeted BuildSubgraphJSON instead).
 func ExportJSON(w io.Writer, g *graph.Graph, sg *core.Subgraph) error {
-	out := BuildSubgraphJSON(g, sg)
+	out := BuildSubgraphJSON(g, sg, 0)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(&out)
 }
 
 // BuildSubgraphJSON assembles the exported JSON struct without encoding
-// it, for callers (the /v1/explain envelope) that embed the legacy
-// subgraph shape inside a larger response. Arc ordering (flow
-// descending) matches ExportJSON exactly.
-func BuildSubgraphJSON(g *graph.Graph, sg *core.Subgraph) SubgraphJSON {
+// it, for callers (the /v1/explain envelope) that embed the subgraph
+// shape inside a larger response. Arcs are the top-budget arcs by
+// adjusted flow in core.CompareFlow order — all of them when budget is
+// 0 — and Nodes the target plus those arcs' endpoints, ascending (every
+// other node of a subgraph has an out-arc, so the complete export
+// lists every node).
+func BuildSubgraphJSON(g *graph.Graph, sg *core.Subgraph, budget int) SubgraphJSON {
 	out := SubgraphJSON{
 		Target:     int64(sg.Target),
 		Score:      sg.ExplainedScore(),
@@ -66,26 +70,30 @@ func BuildSubgraphJSON(g *graph.Graph, sg *core.Subgraph) SubgraphJSON {
 	if sg.Query != nil {
 		out.Query = sg.Query.String()
 	}
-	for _, v := range sg.Nodes {
-		out.Nodes = append(out.Nodes, SubgraphNode{
-			ID:      int64(v),
-			Label:   g.LabelName(v),
-			Display: g.Display(v),
-			H:       sg.H[v],
-			Dist:    sg.Dist[v],
-			InFlow:  sg.InFlow(v),
-			OutFlow: sg.OutFlow(v),
-		})
-	}
-	arcs := append([]core.FlowArc(nil), sg.Arcs...)
-	sort.Slice(arcs, func(i, j int) bool { return arcs[i].Flow > arcs[j].Flow })
+	arcs := sg.TopArcs(budget)
+	shown := []graph.NodeID{sg.Target}
 	for _, a := range arcs {
+		shown = append(shown, a.From, a.To)
 		out.Arcs = append(out.Arcs, SubgraphArcJSON{
 			From:  int64(a.From),
 			To:    int64(a.To),
 			Type:  g.Schema().TransferTypeName(a.Type),
 			Flow0: a.Flow0,
 			Flow:  a.Flow,
+		})
+	}
+	slices.Sort(shown)
+	for _, v := range slices.Compact(shown) {
+		i, _ := sg.Index(v)
+		n := sg.At(i)
+		out.Nodes = append(out.Nodes, SubgraphNode{
+			ID:      int64(v),
+			Label:   g.LabelName(v),
+			Display: g.Display(v),
+			H:       n.H,
+			Dist:    n.Dist,
+			InFlow:  n.InFlow,
+			OutFlow: n.OutFlow,
 		})
 	}
 	return out

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"html"
 	"io"
-	"sort"
 	"strings"
 
 	"authorityflow/internal/core"
@@ -29,20 +28,17 @@ func ExportHTML(w io.Writer, g *graph.Graph, sg *core.Subgraph) error {
 
 	// Columns by distance from the target; the target (dist 0) goes to
 	// the rightmost column.
-	maxDist := 0
-	for _, v := range sg.Nodes {
-		if d := sg.Dist[v]; d > maxDist {
-			maxDist = d
+	var byDist [][]graph.NodeID
+	for i, v := range sg.Nodes { // ascending, so every column is too
+		d := sg.At(i).Dist
+		for len(byDist) <= d {
+			byDist = append(byDist, nil)
 		}
-	}
-	byDist := make([][]graph.NodeID, maxDist+1)
-	for _, v := range sg.Nodes {
-		d := sg.Dist[v]
 		byDist[d] = append(byDist[d], v)
 	}
+	maxDist := len(byDist) - 1
 	maxRows := 0
 	for _, col := range byDist {
-		sort.Slice(col, func(i, j int) bool { return col[i] < col[j] })
 		if len(col) > maxRows {
 			maxRows = len(col)
 		}
@@ -121,8 +117,8 @@ body { font-family: sans-serif; margin: 16px; }
 			html.EscapeString(g.Schema().TransferTypeName(a.Type)), a.Flow, a.Flow0)
 	}
 
-	for _, v := range sg.Nodes {
-		p := pos[v]
+	for i, v := range sg.Nodes {
+		p, n := pos[v], sg.At(i)
 		cls := "node"
 		if v == sg.Target {
 			cls = "node target"
@@ -143,7 +139,7 @@ body { font-family: sans-serif; margin: 16px; }
 			cls, p[0], p[1], boxW, boxH,
 			p[0]+8, p[1]+17, html.EscapeString(label), v,
 			p[0]+8, p[1]+34, html.EscapeString(text),
-			sg.H[v], sg.Dist[v], sg.InFlow(v), sg.OutFlow(v))
+			n.H, n.Dist, n.InFlow, n.OutFlow)
 	}
 
 	b.WriteString("</svg></body></html>\n")

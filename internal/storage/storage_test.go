@@ -171,3 +171,82 @@ func TestExportHTML(t *testing.T) {
 		t.Error("unescaped transfer-type name in HTML")
 	}
 }
+
+// TestTiedFlowOrder pins the order of equal-flow arcs on a symmetric
+// fixture: twenty identical chains s_i -> a_i -> t, so the subgraph's
+// forty arcs fall into two groups of twenty exactly tied flows,
+// interleaved in CSR order. Everywhere arcs are ranked by flow — the
+// top-budget selection, the full JSON export, the paths — ties come in
+// (From, To, Type) order, not in the sort algorithm's.
+func TestTiedFlowOrder(t *testing.T) {
+	const chains = 20
+	s := graph.NewSchema()
+	paper := s.AddNodeType("Paper")
+	cites := s.MustAddEdgeType("cites", paper, paper)
+	b := graph.NewBuilder(s)
+	target := b.AddNode(paper, graph.Attr{Name: "Title", Value: "target paper"})
+	for i := 0; i < chains; i++ {
+		src := b.AddNode(paper, graph.Attr{Name: "Title", Value: "start paper"})
+		mid := b.AddNode(paper, graph.Attr{Name: "Title", Value: "middle paper"})
+		b.AddEdge(src, mid, cites)
+		b.AddEdge(mid, target, cites)
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := graph.NewRates(s)
+	r.Set(cites, graph.Forward, 0.7)
+	e, err := core.NewEngine(g, r, core.Config{Rank: rank.Options{Threshold: 1e-12, MaxIters: 1000}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := rankQ(t, e, ir.NewQuery("start"))
+	sg, err := e.Pin().ExplainCtx(context.Background(), res, target, core.DefaultExplain())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sg.Arcs) != 2*chains {
+		t.Fatalf("fixture has %d arcs, want %d", len(sg.Arcs), 2*chains)
+	}
+
+	full := BuildSubgraphJSON(g, sg, 0).Arcs
+	groups := 1
+	for i := 1; i < len(full); i++ {
+		switch a, b := full[i-1], full[i]; {
+		case a.Flow < b.Flow:
+			t.Fatalf("arc %d ranks above a larger flow", i-1)
+		case a.Flow > b.Flow:
+			groups++
+		case a.From > b.From || (a.From == b.From && a.To >= b.To):
+			t.Errorf("tied arcs %d, %d out of (From, To) order: %d->%d before %d->%d", i-1, i, a.From, a.To, b.From, b.To)
+		}
+	}
+	if groups != 2 {
+		t.Fatalf("fixture has %d flow groups, want 2 groups of tied flows", groups)
+	}
+	// Every budget's arcs are a prefix of the full ranking, cutting
+	// through a tie group included.
+	for _, budget := range []int{1, 7, chains + 3} {
+		top := sg.TopArcs(budget)
+		clipped := BuildSubgraphJSON(g, sg, budget).Arcs
+		if len(top) != budget || len(clipped) != budget {
+			t.Fatalf("budget %d kept %d / %d arcs", budget, len(top), len(clipped))
+		}
+		for i := range top {
+			if clipped[i] != full[i] || int64(top[i].From) != full[i].From || int64(top[i].To) != full[i].To {
+				t.Errorf("budget %d arc %d = %d->%d, full ranking has %d->%d", budget, i, top[i].From, top[i].To, full[i].From, full[i].To)
+			}
+		}
+	}
+	// The tied paths come out in node order too.
+	paths := sg.TopPaths(sg.BaseSources(res), chains)
+	if len(paths) != chains {
+		t.Fatalf("%d paths, want %d", len(paths), chains)
+	}
+	for i := 1; i < len(paths); i++ {
+		if paths[i-1].Flow != paths[i].Flow || paths[i-1].Nodes[0] >= paths[i].Nodes[0] {
+			t.Errorf("tied paths %d, %d out of node order", i-1, i)
+		}
+	}
+}
