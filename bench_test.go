@@ -222,6 +222,53 @@ func BenchmarkAuditDblptop(b *testing.B) {
 	b.ReportMetric(float64(arcs), "arcs/op")
 }
 
+// BenchmarkSolveColumns measures one uncached Pinned.Solve of B queries
+// at the benchmark's corpus (dblptop scale 1.0, authority, the serial
+// kernel afqserver defaults to): ms per column and sweeps per solve. It
+// regenerates the table in DESIGN.md §8 — B = 1 is the arc-struct body,
+// B ≥ 2 the coefficient plan, built by the first solve and reused by the
+// timed ones.
+func BenchmarkSolveColumns(b *testing.B) {
+	ds, err := authorityflow.GenerateDBLP(authorityflow.DBLPTopConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng, err := authorityflow.NewEngine(ds.Graph, ds.Rates, authorityflow.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	pin := eng.Pin()
+	terms := []string{"olap", "xml", "mining", "search", "index", "query", "optimization", "cube"}
+	for _, B := range []int{1, 2, 8} {
+		qs := make([]*authorityflow.Query, B)
+		for j := range qs {
+			qs[j] = authorityflow.NewQuery(terms[j])
+		}
+		b.Run("B="+strconv.Itoa(B), func(b *testing.B) {
+			sweeps := 0
+			for i := -1; i < b.N; i++ { // pass -1 warms the pool, the global start and the plan
+				if i == 0 {
+					b.ResetTimer()
+				}
+				rs, err := pin.Solve(context.Background(), authorityflow.SolveSpec{Queries: qs})
+				if err != nil {
+					b.Fatal(err)
+				}
+				sweeps = 0
+				for _, r := range rs {
+					if len(r.Base) == 0 {
+						b.Fatalf("%q matches nothing", r.Query)
+					}
+					sweeps += r.Iterations
+					eng.Release(r)
+				}
+			}
+			b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N*B), "ms/column")
+			b.ReportMetric(float64(sweeps), "sweeps")
+		})
+	}
+}
+
 // BenchmarkAblationExplainRadius sweeps the radius L (the paper fixes
 // L=3; the subgraph and its cost grow quickly with L).
 func BenchmarkAblationExplainRadius(b *testing.B) {

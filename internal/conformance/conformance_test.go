@@ -477,7 +477,7 @@ func table(w *world) []path {
 				return out
 			}},
 	)
-	return append(rows, explainRows(w)...)
+	return append(append(rows, explainRows(w)...), columnRows(w)...)
 }
 
 // TestConformance runs the table on several seeded worlds.

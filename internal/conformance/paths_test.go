@@ -24,7 +24,7 @@ func kernelColumns(w *world, width, workers int) [][]float64 {
 		if hi > len(jumps) {
 			hi = len(jumps)
 		}
-		for _, res := range rank.Iterate(w.g, alpha, jumps[lo:hi], []rank.Options{tight}, workers, nil) {
+		for _, res := range rank.Iterate(w.g, alpha, jumps[lo:hi], []rank.Options{tight}, workers, nil, nil) {
 			out = append(out, res.Scores)
 		}
 	}

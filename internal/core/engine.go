@@ -7,6 +7,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -38,10 +39,10 @@ type Corpus struct {
 	pool    *rank.BufferPool
 }
 
-// DefaultBlockSize is the panel width of every multi-column solve
-// (batches, precompute, cache prewarm, profile basis): eight float64
-// lanes fill one 64-byte cache line, so the panel sweep's inner loop
-// reads exactly one line per source node.
+// DefaultBlockSize is how many columns of a multi-column solve
+// (batches, precompute, cache prewarm, profile basis) go to one kernel
+// execution: the unit of SolveStats accounting and the bound on the jump
+// vectors a Solve holds at once.
 const DefaultBlockSize = 8
 
 // ErrWarmStartMismatch reports a warm-started batch whose init slice
@@ -128,6 +129,32 @@ type ratesSnapshot struct {
 	rates   *graph.Rates
 	alpha   []float64
 	version uint64
+
+	// plans are the snapshot's coefficient plans (rank.Plan), authority
+	// then hub: what multi-column solves sweep over. Each is built by the
+	// first multi-column Solve that pins the snapshot in that direction —
+	// never at publish and never by a one-column solve, so a process that
+	// only answers single queries holds none — and is collected with the
+	// snapshot.
+	plans [2]struct {
+		once sync.Once
+		plan *rank.Plan
+	}
+}
+
+// plan returns the snapshot's coefficient plan for direction dir of gn
+// (0 authority, 1 hub; c is that direction's corpus view), building it
+// if this is the first call; built reports that this call did, in took.
+func (s *ratesSnapshot) plan(gn *generation, c *Corpus, dir int) (plan *rank.Plan, built bool, took time.Duration) {
+	p := &s.plans[dir]
+	p.once.Do(func() {
+		t0 := time.Now()
+		src := &gn.planSources[dir]
+		src.once.Do(func() { src.to = rank.PlanSources(c.g) })
+		p.plan = rank.NewPlan(c.g, s.alpha, c.nopts.Damping, src.to)
+		built, took = true, time.Since(t0)
+	})
+	return p.plan, built, took
 }
 
 // generation is one immutable corpus identity inside an Engine: the
@@ -158,6 +185,14 @@ type generation struct {
 	// explainScratch pools the |V|-sized scratch of the explain kernel
 	// (explain.go).
 	explainScratch sync.Pool
+
+	// planSources is the rate-independent column of the generation's
+	// coefficient plans per direction (authority, hub), shared by every
+	// rates snapshot's plan; see ratesSnapshot.plan.
+	planSources [2]struct {
+		once sync.Once
+		to   []int32
+	}
 }
 
 // globalScores returns the generation's warm-start vector, computing
@@ -243,10 +278,21 @@ type SolveStats struct {
 	BaseSetDur time.Duration
 	SolveDur   time.Duration
 	// Columns is the number of base sets the kernel execution advanced:
-	// 1 for a single query, up to DefaultBlockSize for one panel of a
+	// 1 for a single query, up to DefaultBlockSize for one group of a
 	// batch. afq_kernel_solves_total counts EXECUTIONS (hook firings),
 	// so a 16-query batch contributes 2 solves / 16 columns.
 	Columns int
+	// Mode is the direction solved (ModeAuthority or ModeHub).
+	Mode Mode
+	// PlanBuilt reports that this execution built its snapshot's
+	// coefficient plan, in PlanBuildDur (inside SolveDur); a multi-column
+	// execution that found the plan built, and every one-column
+	// execution, leaves both zero.
+	PlanBuilt    bool
+	PlanBuildDur time.Duration
+	// Ctx is the context the solve ran under, so a hook can attribute the
+	// execution to the request that asked for it.
+	Ctx context.Context
 }
 
 // SetSolveHook registers f to be called after every completed kernel
@@ -527,9 +573,10 @@ type RankResult struct {
 	Generation uint64
 	// BaseSetDur and SolveDur are the wall-clock stage timings of the
 	// execution (IR scoring vs kernel iteration) — the per-request
-	// trace's span durations. Zero for results that did not run the
-	// kernel (empty base set, cache hits reconstructed from stored
-	// vectors).
+	// trace's span durations. SolveDur is this column's own run, also
+	// when it was solved with others (their group's wall time is
+	// SolveStats.SolveDur). Zero for results that did not run the kernel
+	// (empty base set, cache hits reconstructed from stored vectors).
 	BaseSetDur time.Duration
 	SolveDur   time.Duration
 }

@@ -320,12 +320,14 @@ func explainOn(ctx context.Context, st *engineState, c *Corpus, res *RankResult,
 
 	// Collect subgraph arcs with their original flows (Equation 5) into
 	// a CSR over local indices: row i is Nodes[i]'s arcs, toLocal the
-	// local index of each arc's head. numArcs is exact (short only by
-	// the self-loops of a target nothing reaches), so neither slice
-	// regrows.
+	// local index of each arc's head and rates its Rate again, dense, for
+	// the Equation 10 loop to stream instead of striding the 48-byte
+	// FlowArcs. numArcs is exact (short only by the self-loops of a
+	// target nothing reaches), so no slice regrows.
 	rowStart := make([]int32, n+1)
 	arcs := make([]FlowArc, 0, numArcs)
 	toLocal := make([]int32, 0, numArcs)
+	rates := make([]float64, 0, numArcs)
 	d := sg.damping
 	for i, u := range sg.Nodes {
 		for _, a := range g.OutArcs(u) {
@@ -336,6 +338,7 @@ func explainOn(ctx context.Context, st *engineState, c *Corpus, res *RankResult,
 			rate := w * float64(a.InvDeg)
 			arcs = append(arcs, FlowArc{From: u, To: a.To, Type: a.Type, Rate: rate, Flow0: d * rate * res.Scores[u]})
 			toLocal = append(toLocal, local[a.To])
+			rates = append(rates, rate)
 		}
 		rowStart[i+1] = int32(len(arcs))
 	}
@@ -372,8 +375,9 @@ func explainOn(ctx context.Context, st *engineState, c *Corpus, res *RankResult,
 				continue
 			}
 			sum := 0.0
-			for k := rowStart[i]; k < rowStart[i+1]; k++ {
-				sum += h[toLocal[k]] * sg.Arcs[k].Rate
+			row := rates[rowStart[i]:rowStart[i+1]]
+			for k, t := range toLocal[rowStart[i]:rowStart[i+1]] {
+				sum += h[t] * row[k]
 			}
 			if diff := math.Abs(sum - h[i]); diff > maxDiff {
 				maxDiff = diff

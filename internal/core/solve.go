@@ -43,29 +43,34 @@ type SolveSpec struct {
 }
 
 // Solve executes spec under the pinned state — the one way to ask for a
-// ranking. Columns run through the kernel in panels of DefaultBlockSize
-// (rank.Iterate), each column bit-identical to the same request solved
-// alone; a query whose base set is empty short-circuits to the all-zero
-// fixpoint without occupying a column.
+// ranking. Columns run through the kernel in groups of DefaultBlockSize
+// (rank.Iterate), each column its own fixpoint and bit-identical to the
+// same request solved alone; a group of two or more sweeps over the
+// snapshot's coefficient plan, which the first such group builds (a
+// one-column solve neither builds nor reads it). A query whose base set
+// is empty short-circuits to the all-zero fixpoint without occupying a
+// column.
 //
-// The solve hook fires once per completed kernel execution (panel) with
+// The solve hook fires once per completed kernel execution (group) with
 // SolveStats.Columns set to its width, so a batch of N distinct queries
 // counts ⌈N/DefaultBlockSize⌉ solves.
 //
-// Cancellation: the kernel polls ctx once per sweep. A cancelled panel
-// publishes NOTHING — its partial vectors go back to the buffer pool
-// and its solve hook does not fire — and Solve returns ctx's error with
-// a PARTIAL slice: entries of panels completed before the cutoff (and
-// of columns that converged before it landed) are filled, the rest are
-// nil.
+// Cancellation: the kernel polls ctx once per sweep per column. A
+// cancelled column publishes NOTHING — its partial vector goes back to
+// the buffer pool — and its group's solve hook does not fire; Solve
+// returns ctx's error with a PARTIAL slice: entries of groups completed
+// before the cutoff (and of columns that converged before it landed)
+// are filled, the rest are nil.
 func (p *Pinned) Solve(ctx context.Context, spec SolveSpec) ([]*RankResult, error) {
 	var c *Corpus
 	var global func() []float64
 	st := p.st
+	mode, dir := ModeAuthority, 0 // dir indexes the snapshot's plans
 	switch spec.Mode {
 	case ModeAuthority, "":
 		c, global = st.gen.corpus, st.globalScores
 	case ModeHub:
+		mode, dir = ModeHub, 1
 		c, global = st.gen.hubCorpus(), func() []float64 { return st.gen.hubGlobalScores(st.snap) }
 	case ModeCombined:
 		return p.solveCombined(ctx, spec)
@@ -98,8 +103,8 @@ func (p *Pinned) Solve(ctx context.Context, spec SolveSpec) ([]*RankResult, erro
 		if hi > count {
 			hi = count
 		}
-		stats := SolveStats{Converged: true}
-		var cols []*RankResult // the panel's columns, published to out[at[j]] once solved
+		stats := SolveStats{Converged: true, Mode: mode, Ctx: ctx}
+		var cols []*RankResult // the group's columns, published to out[at[j]] once solved
 		var at []int
 		var jumps [][]float64
 		var opts []rank.Options
@@ -152,7 +157,11 @@ func (p *Pinned) Solve(ctx context.Context, spec SolveSpec) ([]*RankResult, erro
 		}
 
 		t1 := time.Now()
-		results := rank.Iterate(c.g, st.snap.alpha, jumps, opts, c.workers, c.pool)
+		var plan *rank.Plan
+		if len(cols) > 1 {
+			plan, stats.PlanBuilt, stats.PlanBuildDur = st.snap.plan(st.gen, c, dir)
+		}
+		results := rank.Iterate(c.g, st.snap.alpha, jumps, opts, c.workers, c.pool, plan)
 		stats.SolveDur = time.Since(t1)
 		stats.Columns = len(cols)
 
@@ -160,14 +169,14 @@ func (p *Pinned) Solve(ctx context.Context, spec SolveSpec) ([]*RankResult, erro
 		for j, kr := range results {
 			c.pool.Put(jumps[j])
 			if kr.Err != nil {
-				// Cancelled mid-panel: recycle the partial vector and
-				// publish nothing for this column.
+				// Cancelled: recycle the partial vector and publish
+				// nothing for this column.
 				kr.ReleaseTo(c.pool)
 				panelErr = kr.Err
 				continue
 			}
 			res := cols[j]
-			res.Scores, res.Iterations, res.Converged, res.SolveDur = kr.Scores, kr.Iterations, kr.Converged, stats.SolveDur
+			res.Scores, res.Iterations, res.Converged, res.SolveDur = kr.Scores, kr.Iterations, kr.Converged, kr.Dur
 			out[at[j]] = res
 			if kr.Iterations > stats.Iterations {
 				stats.Iterations = kr.Iterations

@@ -63,24 +63,21 @@ type BuildOptions struct {
 	// nodes (0 = keep everything). [BHP04] stores truncated lists; the
 	// combination then ranks within the union of the per-term lists.
 	TopK int
-	// Workers parallelizes PANEL solves (0/1 = one panel at a time).
-	// Each worker owns whole panels, so up to Workers×BlockSize per-term
-	// fixpoints are in flight at once.
+	// Workers parallelizes whole Solve calls (0/1 = one at a time). Each
+	// worker owns whole groups of BlockSize terms.
 	Workers int
-	// BlockSize is the number of terms handed to one Pinned.Solve: up
-	// to BlockSize per-term fixpoints advance through one shared CSR
-	// sweep per iteration (rank.Iterate's panel body), so B terms cost
-	// ~1 memory sweep per iteration instead of B. 0 uses
-	// core.DefaultBlockSize, which also caps the kernel's panel width; 1
-	// recovers the one-term-per-solve build. Per-term vectors are
-	// bit-identical at ANY width (the kernel's per-column equivalence
-	// contract), so BlockSize is purely a throughput knob —
-	// TestBuildBlockedByteEqual enforces this.
+	// BlockSize is the number of terms handed to one Pinned.Solve, whose
+	// columns are independent fixpoints over the snapshot's coefficient
+	// plan (rank.Iterate). 0 uses core.DefaultBlockSize; 1 recovers the
+	// one-term-per-solve build, which sweeps the arc-struct body instead.
+	// Per-term vectors are bit-identical at ANY width (the kernel's
+	// per-column equivalence contract), so BlockSize is purely a
+	// throughput knob — TestBuildBlockedByteEqual enforces this.
 	BlockSize int
 }
 
 // Build runs one single-term ObjectRank2 fixpoint per given term —
-// solved in blocked panels of BlockSize terms each — and stores the
+// solved in groups of BlockSize terms each — and stores the
 // results. The whole build is pinned to ONE rates snapshot taken at
 // entry, so every per-term vector — and the recorded rate vector the
 // store validates against — reflects a single consistent rate

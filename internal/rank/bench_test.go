@@ -33,10 +33,10 @@ func benchGraph(b testing.TB, n, m int) (*graph.Graph, *graph.Rates) {
 	return g, r
 }
 
-// BenchmarkPowerIteration measures the core fixpoint loop with the
-// design choice shipped in this library: per-arc weights computed on
-// the fly as rate[type] * invdeg, so structure-based reformulation can
-// swap rate vectors without touching the graph.
+// BenchmarkPowerIteration measures the core fixpoint loop of a single
+// column: per-arc weights computed on the fly as rate[type] * invdeg.
+// (Multi-column solves sweep a coefficient plan instead; the root
+// package's BenchmarkSolveColumns measures both.)
 func BenchmarkPowerIteration(b *testing.B) {
 	g, r := benchGraph(b, 20000, 160000)
 	base := make([]float64, g.NumNodes())
@@ -50,77 +50,6 @@ func BenchmarkPowerIteration(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		run(g, r, base, opts)
 	}
-}
-
-// BenchmarkAblationMaterializedWeights is the ablation: per-arc weights
-// precomputed into a flat array before iterating. It buys a little
-// speed per run but must be rebuilt on EVERY rate reformulation, which
-// the shipped design avoids; the bench quantifies the trade.
-func BenchmarkAblationMaterializedWeights(b *testing.B) {
-	g, r := benchGraph(b, 20000, 160000)
-	base := make([]float64, g.NumNodes())
-	for i := range base {
-		base[i] = 1
-	}
-	NormalizeDist(base)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		runMaterialized(g, r, base, 0.85, 1e-6, 100)
-	}
-}
-
-// runMaterialized mirrors Run but flattens arcs and weights first —
-// including the rebuild cost a reformulating system would pay.
-func runMaterialized(g *graph.Graph, rates *graph.Rates, base []float64, d, threshold float64, maxIters int) []float64 {
-	n := g.NumNodes()
-	alpha := rates.Vector()
-	starts := make([]int32, n+1)
-	var total int
-	for u := 0; u < n; u++ {
-		starts[u] = int32(total)
-		total += len(g.OutArcs(graph.NodeID(u)))
-	}
-	starts[n] = int32(total)
-	tos := make([]int32, total)
-	ws := make([]float64, total)
-	pos := 0
-	for u := 0; u < n; u++ {
-		for _, a := range g.OutArcs(graph.NodeID(u)) {
-			tos[pos] = int32(a.To)
-			ws[pos] = d * alpha[a.Type] * float64(a.InvDeg)
-			pos++
-		}
-	}
-	cur := append([]float64(nil), base...)
-	next := make([]float64, n)
-	for it := 0; it < maxIters; it++ {
-		for v := range next {
-			next[v] = (1 - d) * base[v]
-		}
-		for u := 0; u < n; u++ {
-			ru := cur[u]
-			if ru == 0 {
-				continue
-			}
-			for i := starts[u]; i < starts[u+1]; i++ {
-				next[tos[i]] += ws[i] * ru
-			}
-		}
-		diff := 0.0
-		for v := range next {
-			delta := next[v] - cur[v]
-			if delta < 0 {
-				delta = -delta
-			}
-			diff += delta
-		}
-		cur, next = next, cur
-		if diff < threshold {
-			break
-		}
-	}
-	return cur
 }
 
 // BenchmarkWarmVsColdIterations reports how many iterations the warm

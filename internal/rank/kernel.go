@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"time"
 
 	"authorityflow/internal/graph"
 )
@@ -88,75 +89,62 @@ func AutoWorkers() int { return runtime.GOMAXPROCS(0) }
 //
 // — so parallel workers own disjoint slices of next and never contend.
 //
-// Two sweep bodies sit under the one loop, selected by the input the
-// driver observes: a single column runs sweep, the plain vector gather;
-// two or more run sweepBlock over a flat [node*B + column] panel, so
-// one pass over the arc arrays feeds B fixpoints and the inner loop
-// reads B consecutive floats per source node. The panel body pays a
-// per-arc loop over the live columns that a lone column should not
-// (1.7× slower at B = 1 on the benchmark corpus), and eight columns
-// through one panel beat eight single sweeps (1.3×); DESIGN.md §8 has
-// the numbers and the workloads on each side.
+// Every column is its OWN fixpoint: one iteration loop, its own cur/next
+// vectors from pool, its own exit, so what one column does — converge,
+// run out of MaxIters, get cancelled — cannot touch another. The columns
+// run one after another on the calling goroutine, so one pair of working
+// vectors is live at a time. Two or more columns sweep over a
+// coefficient Plan: d·alpha[type]·InvDeg folded into one float64 per
+// arc, once instead of once per arc per sweep. plan is the caller's
+// cached Plan for (g, alpha), or nil; columns whose damping is not
+// plan's get one built for the call. A single column runs sweep, the
+// arc-struct gather, and neither reads nor builds a plan (DESIGN.md §8
+// says why it has not moved to the plan body yet).
 //
-// Per-column semantics:
-//
-//   - opts carries either one Options applied to every column or one
-//     Options per column (len(opts) must be 1 or len(bases)); Damping,
-//     Threshold, MaxIters, Init, Observe and Ctx are all honored per
-//     column.
-//   - Convergence is decided per column on that column's own L1
-//     residual. A converged column is FROZEN: its lane is copied out
-//     into its Result and no further sweep touches it, so its scores
-//     are the iteration-k vector it would have reached alone. Live
-//     columns keep sweeping until each converges, exhausts its
-//     MaxIters, or its Ctx dies.
-//   - Observe fires once per completed sweep per live column with that
-//     column's residual, in column order, on the coordinating
-//     goroutine.
-//   - Ctx is polled once per sweep per live column on the coordinating
-//     goroutine, before the sweep starts; a cancelled column freezes
-//     with Result.Err set and its scores at the last fully completed
-//     iteration (the start vector when cancellation was seen before the
-//     first sweep). A sweep is never published half-written. The poll
-//     is one branch plus one atomic read and allocates nothing.
+// opts carries one Options for every column or one per column; Damping,
+// Threshold, MaxIters, Init, Observe and Ctx are honored per column.
+// Observe fires on the calling goroutine, once per completed sweep with
+// the column's residual, in iteration order within a column and column
+// after column. Ctx is polled once per sweep, before it starts (one
+// branch, one atomic read, no allocation); a cancelled column stops with
+// Result.Err set and its scores at the last fully completed iteration,
+// never a half-written sweep.
 //
 // Bit-identity contract: column j's Result — scores, Iterations,
-// Converged, the convergence decision itself — is the same at ANY B.
-// Both bodies perform, per column, the same floating-point operations
-// in the same order ((1−d)·base[v] first, then d·alpha[t]·InvDeg·cur[u]
-// terms in (source, type) order, L1 accumulation in ascending node
-// order), lanes never interact, and freezing removes a converged column
-// from later sweeps exactly as a lone column's loop exit does. Because
-// the reverse CSR is ordered by (source, type), the serial gather also
-// accumulates each node's sum in the order the seed's scatter loop did,
-// so workers <= 1 results are bit-identical to it. Enforced across
-// damping/threshold/warm-start/cancel matrices by
-// TestIteratePanelGoldenEquivalence.
+// Converged — is the same at ANY B and equal workers. Both bodies
+// perform the same float64 operations in the same order: (1−d)·base[v]
+// first, then one term per in-arc in (source, type) order, where the
+// plan's coef[k] is exactly the (d·alpha[t])·InvDeg sweep forms left to
+// right before multiplying by cur[u] (a zero rate adds an exact +0
+// instead of being skipped), and the L1 residual is folded over the same
+// `workers` static node ranges in worker order. Because the reverse CSR
+// is ordered by (source, type), the serial gather also accumulates each
+// node's sum in the order the seed's scatter loop did, so workers <= 1
+// results are bit-identical to it. Enforced by
+// TestIteratePanelGoldenEquivalence and internal/conformance.
 //
-// workers <= 1 sweeps inline on the calling goroutine and is bitwise
-// deterministic; larger values fan static disjoint node ranges out over
-// that many goroutines with one barrier per iteration (results then
-// match serial up to floating-point summation order, and match each
-// other bit for bit at equal worker counts, since per-worker partial
-// residuals are combined in worker order).
+// workers <= 1 runs everything inline on the calling goroutine; larger
+// values split every sweep of every column over that many goroutines
+// with one barrier per iteration. Results then match serial up to the
+// residual's summation order, and each other bit for bit at equal
+// worker counts.
 //
 // The returned slice has one Result per base set, in order; each
 // Result.Scores comes from pool (when non-nil) and can be recycled with
-// Result.ReleaseTo. The iteration loop itself allocates nothing: the
-// per-run allocations are a small constant independent of the sweep
+// Result.ReleaseTo. The iteration loops allocate nothing: a run's
+// allocations are a small constant per column, independent of the sweep
 // count, with or without Observe and Ctx.
 //
 // Iterate panics on malformed inputs — a base vector whose length
 // differs from g.NumNodes(), an alpha vector that does not cover the
 // schema's transfer types, a len(opts) that is neither 1 nor
-// len(bases) — because silently truncating them turns caller bugs into
-// quietly wrong rankings. A mismatched Init vector is the one
-// deliberate exception: it is the signature of a warm start donated
-// across a concurrent corpus swap (a timing race, not a logic bug), it
-// is recoverable by construction (the fixpoint does not depend on the
-// start vector), and so that column degrades to a cold start with
-// Result.InitDropped set instead of panicking a serving goroutine.
-func Iterate(g *graph.Graph, alpha []float64, bases [][]float64, opts []Options, workers int, pool *BufferPool) []Result {
+// len(bases), a plan of another graph — before any column starts. A
+// mismatched Init vector is the one deliberate exception: it is the
+// signature of a warm start donated across a concurrent corpus swap (a
+// timing race, not a logic bug) and the fixpoint does not depend on the
+// start vector, so that column degrades to a cold start with
+// Result.InitDropped set.
+func Iterate(g *graph.Graph, alpha []float64, bases [][]float64, opts []Options, workers int, pool *BufferPool, plan *Plan) []Result {
 	B := len(bases)
 	if B == 0 {
 		return nil
@@ -168,11 +156,14 @@ func Iterate(g *graph.Graph, alpha []float64, bases [][]float64, opts []Options,
 	if len(opts) != 1 && len(opts) != B {
 		panic(fmt.Sprintf("rank: Iterate got %d option sets for %d base sets (want 1 or %d)", len(opts), B, B))
 	}
-	results := make([]Result, B)
-	col := make([]Options, B) // normalized per-column options
-	k := &kernel{B: B, alpha: alpha, bases: bases, d: make([]float64, B), omd: make([]float64, B)}
+	k := &kernel{alpha: alpha, pool: pool}
 	k.start, k.arcs = g.ReverseCSR()
-	for j := 0; j < B; j++ {
+	if plan != nil && len(plan.to) != len(k.arcs) {
+		panic(fmt.Sprintf("rank: plan covers %d arcs, graph has %d", len(plan.to), len(k.arcs)))
+	}
+	results := make([]Result, B)
+	cols := make([]column, B)
+	for j := range cols {
 		o := opts[0]
 		if len(opts) == B {
 			o = opts[j]
@@ -184,32 +175,26 @@ func Iterate(g *graph.Graph, alpha []float64, bases [][]float64, opts []Options,
 			o.Init = nil
 			results[j].InitDropped = true
 		}
-		col[j] = o.Normalized()
-		k.d[j] = col[j].Damping
-		k.omd[j] = 1 - col[j].Damping
+		cols[j] = column{kernel: k, base: bases[j], opts: o.Normalized(), res: &results[j]}
 	}
-
-	// Working panels, [node*B + column]; at B = 1 a panel IS a vector.
-	cur := pool.Get(n * B)
-	next := pool.Get(n * B)
-	for v := 0; v < n; v++ {
-		row := v * B
-		for j := 0; j < B; j++ {
-			if col[j].Init != nil {
-				cur[row+j] = col[j].Init[v]
-			} else {
-				cur[row+j] = bases[j][v]
+	if B > 1 {
+		// One plan per distinct damping: the caller's where it matches,
+		// the rest built here over one shared source column.
+		var to []int32
+		byDamping := make(map[float64]*Plan, 1)
+		if plan != nil {
+			to, byDamping[plan.d] = plan.to, plan
+		}
+		for j := range cols {
+			d := cols[j].opts.Damping
+			if byDamping[d] == nil {
+				byDamping[d] = NewPlan(g, alpha, d, to)
+				to = byDamping[d].to
 			}
+			cols[j].plan = byDamping[d]
 		}
 	}
 
-	// active holds the indices of columns still iterating, in ascending
-	// order (preserved by the in-place removal in freeze, so Observe
-	// callbacks per sweep fire in column order).
-	active := make([]int, B)
-	for j := range active {
-		active[j] = j
-	}
 	if workers > n {
 		workers = n
 	}
@@ -217,124 +202,143 @@ func Iterate(g *graph.Graph, alpha []float64, bases [][]float64, opts []Options,
 		workers = 1
 	}
 	// Static disjoint node ranges per worker. Workers write only their
-	// own slice of next and their own row of partial residuals, and read
-	// cur/bases/CSR, all frozen within an iteration — no locks needed.
+	// own slice of next and their own partial residual, and read
+	// cur/base/CSR, all frozen within an iteration — no locks needed.
 	k.bounds = make([]int, workers+1)
 	for w := range k.bounds {
 		k.bounds[w] = w * n / workers
 	}
-	k.partial = make([]float64, workers*B)
-
-	// freeze hands column j its scores — the lane of *panel, or at B = 1
-	// the panel itself, which is then not recycled — and removes j from
-	// the active set.
-	freeze := func(j int, panel *[]float64) {
-		if B == 1 {
-			results[0].Scores, *panel = *panel, nil
-		} else {
-			out := pool.Get(n)
-			for v := 0; v < n; v++ {
-				out[v] = (*panel)[v*B+j]
-			}
-			results[j].Scores = out
-		}
-		for i, a := range active {
-			if a == j {
-				active = append(active[:i], active[i+1:]...)
-				break
-			}
-		}
+	for j := range cols {
+		cols[j].run()
 	}
-
-	for it := 0; len(active) > 0; it++ {
-		// Gate: a column out of iteration budget freezes as unconverged;
-		// one whose ctx died freezes with the error and the last
-		// completed iteration's scores. Descending, because freeze
-		// removes from active.
-		for i := len(active) - 1; i >= 0; i-- {
-			j := active[i]
-			if it >= col[j].MaxIters {
-				freeze(j, &cur)
-			} else if ctx := col[j].Ctx; ctx != nil {
-				if err := ctx.Err(); err != nil {
-					results[j].Err = err
-					freeze(j, &cur)
-				}
-			}
-		}
-		if len(active) == 0 {
-			break
-		}
-
-		// One sweep over every live column.
-		if workers == 1 {
-			k.sweepRange(0, cur, next, active)
-		} else {
-			k.wg.Add(workers)
-			for w := 0; w < workers; w++ {
-				go k.sweepWorker(w, cur, next, active)
-			}
-			k.wg.Wait()
-		}
-
-		// Fold the per-worker partial residuals in worker order, then
-		// report and decide per column, ascending; a frozen column
-		// leaves active, so i advances only past columns that stay.
-		for i := 0; i < len(active); {
-			j := active[i]
-			diff := 0.0
-			for w := 0; w < workers; w++ {
-				diff += k.partial[w*B+j]
-			}
-			results[j].Iterations = it + 1
-			if col[j].Observe != nil {
-				col[j].Observe(it+1, diff)
-			}
-			if diff < col[j].Threshold {
-				results[j].Converged = true
-				freeze(j, &next) // the just-completed iteration's values
-			} else {
-				i++
-			}
-		}
-		cur, next = next, cur
-	}
-
-	pool.Put(cur)
-	pool.Put(next)
 	return results
 }
 
-// kernel is what a run's sweeps share across iterations.
+// Plan is the coefficient form of one (graph, rates, damping) triple:
+// the reverse CSR's arc array with everything a sweep multiplies per arc
+// — d·alpha[type]·InvDeg — folded into one float64, beside the arc's
+// source node. It replaces a 12-byte struct load, a rate-table gather, a
+// zero-rate branch, an int-to-float convert and three multiplies per arc
+// per sweep by one multiply. A Plan is immutable once built and safe for
+// concurrent use; it is valid only for the graph and the alpha it was
+// built from.
+type Plan struct {
+	d    float64
+	to   []int32   // source node per arc; depends on the graph alone
+	coef []float64 // (d·alpha[type])·InvDeg per arc, the product sweep forms
+}
+
+// PlanSources returns the rate-independent column of g's plans — the
+// source node of every reverse-CSR arc — so plans of one graph under
+// different rates can share it.
+func PlanSources(g *graph.Graph) []int32 {
+	_, arcs := g.ReverseCSR()
+	to := make([]int32, len(arcs))
+	for i, a := range arcs {
+		to[i] = int32(a.To)
+	}
+	return to
+}
+
+// NewPlan builds the plan of (g, alpha, damping d). sources is
+// PlanSources(g), or nil to have it computed.
+func NewPlan(g *graph.Graph, alpha []float64, d float64, sources []int32) *Plan {
+	if sources == nil {
+		sources = PlanSources(g)
+	}
+	_, arcs := g.ReverseCSR()
+	coef := make([]float64, len(arcs))
+	for i, a := range arcs {
+		coef[i] = d * alpha[a.Type] * float64(a.InvDeg)
+	}
+	return &Plan{d: d, to: sources, coef: coef}
+}
+
+// kernel is what a run's columns share.
 type kernel struct {
-	B       int
-	start   []int32
-	arcs    []graph.Arc
-	alpha   []float64
-	d, omd  []float64 // per-column damping and 1−damping
-	bases   [][]float64
-	bounds  []int     // worker w owns nodes [bounds[w], bounds[w+1])
-	partial []float64 // partial L1 residuals, [worker*B + column]
+	start  []int32
+	arcs   []graph.Arc
+	alpha  []float64
+	bounds []int // worker w owns nodes [bounds[w], bounds[w+1])
+	pool   *BufferPool
+}
+
+// column is one fixpoint of a run.
+type column struct {
+	*kernel
+	base    []float64
+	opts    Options // normalized
+	plan    *Plan   // nil: the arc-struct body (a lone column)
+	res     *Result
+	partial []float64 // partial L1 residuals, one per worker
 	wg      sync.WaitGroup
 }
 
-// sweepWorker is sweepRange as one goroutine of a parallel sweep.
-func (k *kernel) sweepWorker(w int, cur, next []float64, active []int) {
-	defer k.wg.Done()
-	k.sweepRange(w, cur, next, active)
+// run iterates the column to its exit — converged, out of MaxIters, or
+// cancelled — and fills in its Result.
+func (c *column) run() {
+	t0 := time.Now()
+	o, n := c.opts, len(c.base)
+	cur, next := c.pool.Get(n), c.pool.Get(n)
+	if o.Init != nil {
+		copy(cur, o.Init)
+	} else {
+		copy(cur, c.base)
+	}
+	workers := len(c.bounds) - 1
+	c.partial = make([]float64, workers)
+	for it := 1; it <= o.MaxIters; it++ {
+		if o.Ctx != nil {
+			if err := o.Ctx.Err(); err != nil {
+				c.res.Err = err
+				break
+			}
+		}
+		if workers == 1 {
+			c.sweepRange(0, cur, next)
+		} else {
+			c.wg.Add(workers)
+			for w := 0; w < workers; w++ {
+				go c.sweepWorker(w, cur, next)
+			}
+			c.wg.Wait()
+		}
+		// Fold the per-worker partial residuals in worker order.
+		diff := 0.0
+		for _, p := range c.partial {
+			diff += p
+		}
+		cur, next = next, cur // cur is the just-completed iteration
+		c.res.Iterations = it
+		if o.Observe != nil {
+			o.Observe(it, diff)
+		}
+		if diff < o.Threshold {
+			c.res.Converged = true
+			break
+		}
+	}
+	c.pool.Put(next)
+	c.res.Scores = cur
+	c.res.Dur = time.Since(t0)
 }
 
-// sweepRange advances the live columns over worker w's node range with
-// the body the panel width selects, leaving each live column's partial
-// L1 residual in w's row of k.partial.
-func (k *kernel) sweepRange(w int, cur, next []float64, active []int) {
-	lo, hi := k.bounds[w], k.bounds[w+1]
-	diffs := k.partial[w*k.B : (w+1)*k.B]
-	if k.B == 1 {
-		diffs[0] = sweep(k.start, k.arcs, k.alpha, k.d[0], k.bases[0], cur, next, lo, hi)
-		return
+// sweepWorker is sweepRange as one goroutine of a parallel sweep.
+func (c *column) sweepWorker(w int, cur, next []float64) {
+	defer c.wg.Done()
+	c.sweepRange(w, cur, next)
+}
+
+// sweepRange advances the column over worker w's node range with the
+// body its plan selects, leaving the range's partial L1 residual in
+// c.partial[w].
+func (c *column) sweepRange(w int, cur, next []float64) {
+	lo, hi := c.bounds[w], c.bounds[w+1]
+	if c.plan == nil {
+		c.partial[w] = sweep(c.start, c.arcs, c.alpha, c.opts.Damping, c.base, cur, next, lo, hi)
+	} else {
+		c.partial[w] = sweepPlan(c.start, c.plan.to, c.plan.coef, 1-c.opts.Damping, c.base, cur, next, lo, hi)
 	}
-	sweepBlock(k.start, k.arcs, k.alpha, k.d, k.omd, k.bases, cur, next, k.B, active, diffs, lo, hi)
 }
 
 // sweep is the single-column inner loop. It performs one damped gather
@@ -375,46 +379,26 @@ func sweep(start []int32, arcs []graph.Arc, alpha []float64, d float64, base, cu
 	return diff
 }
 
-// sweepBlock is the panel inner loop: one damped gather pass over the
-// node range [lo, hi) advancing every ACTIVE column of the
-// [node*B+column] panel, accumulating each live column's partial L1
-// residual into diffs (indexed by column; entries of frozen columns are
-// left untouched — callers only read active entries, which sweepBlock
-// fully overwrites via the reset below).
-//
-// Per-column bitwise determinism: for column j the accumulation per
-// node is omd[j]*base_j[v] first, then d[j]*alpha[t]*InvDeg*cur[u·B+j]
-// terms in (source, type) order (zero-rate terms skipped), then the
-// ascending-v L1 fold — operation for operation sweep's schedule, so
-// next[v·B+j] and diffs[j] carry the exact bits sweep(..., bases[j],
-// ...) would produce.
-func sweepBlock(start []int32, arcs []graph.Arc, alpha []float64, d, omd []float64, bases [][]float64, cur, next []float64, B int, active []int, diffs []float64, lo, hi int) {
-	for _, j := range active {
-		diffs[j] = 0
-	}
+// sweepPlan is sweep over a coefficient plan, the body of every column
+// that is solved with others: coef[k] is the (d·alpha[t])·InvDeg sweep
+// forms per arc, so sum gains the same float64 per in-arc in the same
+// order — a zero-rate arc adds an exact +0 where sweep skips it — and
+// next and the returned partial carry sweep's bits.
+func sweepPlan(start, to []int32, coef []float64, oneMinusD float64, base, cur, next []float64, lo, hi int) float64 {
+	diff := 0.0
 	for v := lo; v < hi; v++ {
-		row := v * B
-		for _, j := range active {
-			next[row+j] = omd[j] * bases[j][v]
+		sum := oneMinusD * base[v]
+		cs := coef[start[v]:start[v+1]]
+		ts := to[start[v]:start[v+1]]
+		for i, c := range cs {
+			sum += c * cur[ts[i]]
 		}
-		for k := start[v]; k < start[v+1]; k++ {
-			a := arcs[k]
-			w := alpha[a.Type]
-			if w == 0 {
-				continue
-			}
-			inv := float64(a.InvDeg)
-			urow := int(a.To) * B
-			for _, j := range active {
-				next[row+j] += d[j] * w * inv * cur[urow+j]
-			}
+		next[v] = sum
+		delta := sum - cur[v]
+		if delta < 0 {
+			delta = -delta
 		}
-		for _, j := range active {
-			delta := next[row+j] - cur[row+j]
-			if delta < 0 {
-				delta = -delta
-			}
-			diffs[j] += delta
-		}
+		diff += delta
 	}
+	return diff
 }

@@ -60,7 +60,7 @@ func fig1Fixture(t testing.TB) (*graph.Graph, *graph.Rates) {
 // iterate1 runs one base set through the driver — the single-column
 // call, which takes the sweep body.
 func iterate1(g *graph.Graph, alpha, base []float64, opts Options, workers int, pool *BufferPool) Result {
-	return Iterate(g, alpha, [][]float64{base}, []Options{opts}, workers, pool)[0]
+	return Iterate(g, alpha, [][]float64{base}, []Options{opts}, workers, pool, nil)[0]
 }
 
 // run is iterate1 serial and unpooled.

@@ -92,13 +92,13 @@ func TestObserverDoesNotChangeScores(t *testing.T) {
 }
 
 // kernelAllocsPerRun is the pooled serial driver's steady-state
-// allocation count for one column: the results slice, the per-column
-// option, damping and residual arrays, the worker bounds, the active
-// set and the kernel struct, plus two sync.Pool slice-header boxings in
-// BufferPool.Put and the two one-element slices iterate1 passes — all
-// per RUN, none from the iteration loop, so the count is the same for
-// one sweep as for five hundred.
-const kernelAllocsPerRun = 11
+// allocation count for one column: the results and columns slices, the
+// kernel struct, the worker bounds and the column's partial residuals,
+// plus two sync.Pool slice-header boxings in BufferPool.Put and what
+// iterate1's one-element argument slices cost — all per RUN, none from
+// the iteration loop, so the count is the same for one sweep as for
+// five hundred.
+const kernelAllocsPerRun = 8
 
 // TestIterateDisabledObserverZeroAlloc is the overhead contract of the
 // observability layer: with Observe == nil the pooled serial kernel

@@ -82,7 +82,7 @@ func TestIteratePanelGoldenEquivalence(t *testing.T) {
 		for oi, o := range optsMatrix {
 			for _, workers := range []int{1, 4} {
 				label := fmt.Sprintf("B=%d opts=%d workers=%d", B, oi, workers)
-				block := Iterate(g, alpha, bases, []Options{o}, workers, nil)
+				block := Iterate(g, alpha, bases, []Options{o}, workers, nil, nil)
 				if len(block) != B {
 					t.Fatalf("%s: %d results for %d bases", label, len(block), B)
 				}
@@ -114,7 +114,7 @@ func TestIteratePanelPerColumnOptions(t *testing.T) {
 		{Damping: 0.85, Threshold: 1e-10, MaxIters: 500, Init: warm.Scores},
 	}
 	pool := NewBufferPool()
-	block := Iterate(g, alpha, bases, perCol, 1, pool)
+	block := Iterate(g, alpha, bases, perCol, 1, pool, nil)
 	for j := range bases {
 		single := iterate1(g, alpha, bases[j], perCol[j], 1, nil)
 		assertColumnBitIdentical(t, fmt.Sprintf("col=%d", j), block[j], single)
@@ -143,7 +143,7 @@ func TestIteratePanelObservePerColumn(t *testing.T) {
 				got[j] = append(got[j], res)
 			}}
 	}
-	block := Iterate(g, alpha, bases, perCol, 1, nil)
+	block := Iterate(g, alpha, bases, perCol, 1, nil, nil)
 	for j := range bases {
 		var want []float64
 		o := perCol[j]
@@ -184,7 +184,7 @@ func TestIteratePanelPerColumnCancel(t *testing.T) {
 			cancel()
 		}
 	}
-	block := Iterate(g, alpha, bases, perCol, 1, nil)
+	block := Iterate(g, alpha, bases, perCol, 1, nil, nil)
 
 	// The cancelled column stopped within one sweep with a complete
 	// iteration state: its scores equal a ZeroThreshold run of exactly
@@ -220,7 +220,7 @@ func TestIteratePanelCancelledBeforeStart(t *testing.T) {
 	bases := blockBases(g, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	block := Iterate(g, alpha, bases, []Options{{Ctx: ctx}}, 1, nil)
+	block := Iterate(g, alpha, bases, []Options{{Ctx: ctx}}, 1, nil, nil)
 	for j := range bases {
 		if block[j].Err != context.Canceled || block[j].Iterations != 0 {
 			t.Fatalf("col %d: err=%v iters=%d, want Canceled/0", j, block[j].Err, block[j].Iterations)
@@ -242,7 +242,7 @@ func TestIteratePanelGoldenFig1(t *testing.T) {
 	alpha := r.Vector()
 	bases := append([][]float64{fig1Base(g)}, blockBases(g, 3)...)
 	o := Options{Damping: 0.85, Threshold: 1e-10, MaxIters: 500}
-	block := Iterate(g, alpha, bases, []Options{o}, 1, nil)
+	block := Iterate(g, alpha, bases, []Options{o}, 1, nil, nil)
 	if !block[0].Converged || block[0].Iterations != fig1GoldenIters {
 		t.Fatalf("converged=%v iterations=%d, want true/%d", block[0].Converged, block[0].Iterations, fig1GoldenIters)
 	}
@@ -258,13 +258,16 @@ func TestIteratePanelPanics(t *testing.T) {
 	g, r := fig1Fixture(t)
 	alpha := r.Vector()
 	ok := blockBases(g, 2)
+	other, otherRates, _ := dblpFixture(t)
 	cases := []struct {
 		name  string
 		bases [][]float64
 		opts  []Options
+		plan  *Plan
 	}{
-		{"short base", [][]float64{ok[0], make([]float64, g.NumNodes()-1)}, []Options{{}}},
-		{"opts arity", ok, []Options{{}, {}, {}}},
+		{"short base", [][]float64{ok[0], make([]float64, g.NumNodes()-1)}, []Options{{}}, nil},
+		{"opts arity", ok, []Options{{}, {}, {}}, nil},
+		{"plan of another graph", ok, []Options{{}}, NewPlan(other, otherRates.Vector(), 0.85, nil)},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -273,7 +276,7 @@ func TestIteratePanelPanics(t *testing.T) {
 					t.Fatalf("%s: no panic", c.name)
 				}
 			}()
-			Iterate(g, alpha, c.bases, c.opts, 1, nil)
+			Iterate(g, alpha, c.bases, c.opts, 4, nil, c.plan)
 		})
 	}
 }
@@ -298,7 +301,7 @@ func TestIteratePanelDegradesStaleInit(t *testing.T) {
 	oStale, oWarm := o, o
 	oStale.Init = staleInit
 	oWarm.Init = warmInit
-	block := Iterate(g, alpha, bases, []Options{oStale, oWarm}, 1, nil)
+	block := Iterate(g, alpha, bases, []Options{oStale, oWarm}, 1, nil, nil)
 	if !block[0].InitDropped {
 		t.Fatal("stale-init column not reported as dropped")
 	}
@@ -327,35 +330,7 @@ func TestIteratePanelDegradesStaleInit(t *testing.T) {
 // TestIteratePanelEmpty: zero base sets is a no-op, not a panic.
 func TestIteratePanelEmpty(t *testing.T) {
 	g, r := fig1Fixture(t)
-	if res := Iterate(g, r.Vector(), nil, []Options{{}}, 1, nil); res != nil {
+	if res := Iterate(g, r.Vector(), nil, []Options{{}}, 1, nil, nil); res != nil {
 		t.Fatalf("Iterate(nil bases) = %v, want nil", res)
 	}
-}
-
-// BenchmarkIteratePanel measures the amortization: solving 8 base sets
-// through one blocked panel vs 8 standalone solves.
-func BenchmarkIteratePanel(b *testing.B) {
-	g, r, _ := dblpFixture(b)
-	alpha := r.Vector()
-	bases := blockBases(g, 8)
-	o := Options{Damping: 0.85, Threshold: 1e-9, MaxIters: 1000}
-	pool := NewBufferPool()
-	b.Run("blocked8", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			res := Iterate(g, alpha, bases, []Options{o}, 1, pool)
-			for j := range res {
-				res[j].ReleaseTo(pool)
-			}
-		}
-	})
-	b.Run("serial8", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for j := range bases {
-				res := iterate1(g, alpha, bases[j], o, 1, pool)
-				res.ReleaseTo(pool)
-			}
-		}
-	})
 }

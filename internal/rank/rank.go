@@ -10,6 +10,7 @@ import (
 	"context"
 	"math"
 	"sort"
+	"time"
 
 	"authorityflow/internal/graph"
 )
@@ -170,6 +171,10 @@ type Result struct {
 	// a complete, correct solve; the flag exists so callers can count
 	// how often donated warm starts go stale.
 	InitDropped bool
+	// Dur is the wall-clock time of this column's own run, start vector
+	// to exit — not of the Iterate call, which for a column solved with
+	// others also covers theirs.
+	Dur time.Duration
 }
 
 // NormalizeDist scales a non-negative vector in place so it sums to 1.
@@ -204,7 +209,7 @@ func PageRank(g *graph.Graph, rates *graph.Rates, opts Options) Result {
 	for i := range base {
 		base[i] = u
 	}
-	return Iterate(g, rates.Vector(), [][]float64{base}, []Options{opts}, 1, nil)[0]
+	return Iterate(g, rates.Vector(), [][]float64{base}, []Options{opts}, 1, nil, nil)[0]
 }
 
 // ObjectRank computes the original [BHP04] ObjectRank for a base set
@@ -219,7 +224,7 @@ func ObjectRank(g *graph.Graph, rates *graph.Rates, baseSet []graph.NodeID, opts
 			base[v] = u
 		}
 	}
-	return Iterate(g, rates.Vector(), [][]float64{base}, []Options{opts}, 1, nil)[0]
+	return Iterate(g, rates.Vector(), [][]float64{base}, []Options{opts}, 1, nil, nil)[0]
 }
 
 // ObjectRankMulti computes the modified multi-keyword ObjectRank of

@@ -409,6 +409,11 @@ type KernelStats struct {
 	Solves          int64 `json:"solves"`
 	WarmSolves      int64 `json:"warmSolves"`
 	IterationsTotal int64 `json:"iterationsTotal"`
+	// PlanBuilds counts coefficient plans built, by direction, and
+	// PlanBuildSeconds sums their build time: the twins of
+	// afq_kernel_plan_builds_total and afq_kernel_plan_build_seconds.
+	PlanBuilds       map[string]int64 `json:"planBuilds"`
+	PlanBuildSeconds float64          `json:"planBuildSeconds"`
 }
 
 // ExplainStats mirrors the afq_explain_* families: completed explains,

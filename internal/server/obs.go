@@ -69,6 +69,8 @@ type serverObs struct {
 	warmSolves       *obs.Counter
 	kernelIterations *obs.Histogram
 	solveSeconds     *obs.Histogram
+	planBuilds       *obs.CounterVec
+	planBuildSeconds *obs.Histogram
 	iterTotal        *obs.Counter
 	ratesVersion     *obs.Gauge
 	generation       *obs.Gauge
@@ -137,6 +139,14 @@ func newServerObs(o ObsOptions) *serverObs {
 		"Iterations to convergence per kernel execution.", obs.IterationBuckets())
 	so.solveSeconds = reg.NewHistogram("afq_kernel_solve_seconds",
 		"Wall-clock duration of the kernel iteration stage per execution.", obs.DefaultLatencyBuckets())
+	so.planBuilds = reg.NewCounterVec("afq_kernel_plan_builds_total",
+		"Coefficient plans built by multi-column solves: at most one per rates snapshot and direction, none by one-column solves.",
+		"direction")
+	for _, m := range []core.Mode{core.ModeAuthority, core.ModeHub} {
+		so.planBuilds.With(string(m))
+	}
+	so.planBuildSeconds = reg.NewHistogram("afq_kernel_plan_build_seconds",
+		"Wall-clock duration of building one coefficient plan (part of that execution's afq_kernel_solve_seconds).", obs.DefaultLatencyBuckets())
 	so.iterTotal = reg.NewCounter("afq_kernel_iterations_total",
 		"Total power iterations executed across all kernel runs (fed by the per-iteration observer).")
 	so.ratesVersion = reg.NewGauge("afq_rates_version",
@@ -188,20 +198,39 @@ func (so *serverObs) observeIteration(iter int, residual float64) {
 	so.iterTotal.Inc()
 }
 
+// solveHook is the engine's solve hook: the kernel-side families, and
+// for a multi-column solve inside a traced request its solve event.
+func (so *serverObs) solveHook(st core.SolveStats) {
+	so.solves.Inc()
+	if st.WarmStarted {
+		so.warmSolves.Inc()
+	}
+	so.kernelIterations.Observe(float64(st.Iterations))
+	so.solveSeconds.Observe(st.SolveDur.Seconds())
+	// What follows belongs to multi-column solves; one that finds its
+	// plan built, outside a traced request, pays two branches and no
+	// allocation.
+	plan := "reused"
+	if st.PlanBuilt {
+		plan = "built"
+		so.planBuilds.With(string(st.Mode)).Inc()
+		so.planBuildSeconds.Observe(st.PlanBuildDur.Seconds())
+	}
+	if st.Columns > 1 {
+		if tr := obs.TraceFrom(st.Ctx); tr != nil {
+			tr.Eventf("solve", "columns=%d plan=%s mode=%s iters=%d solve_ms=%.3f",
+				st.Columns, plan, st.Mode, st.Iterations, st.SolveDur.Seconds()*1e3)
+		}
+	}
+}
+
 // attach wires the metrics that depend on the constructed engine and
 // cache: the solve hook, the rates-version gauge refresh, and
 // counter/gauge views over the cache's own atomic counters. Both
 // /metrics and /v1/stats read those SAME atomics, so the two endpoints
 // cannot drift.
 func (so *serverObs) attach(s *Server) {
-	s.eng.SetSolveHook(func(st core.SolveStats) {
-		so.solves.Inc()
-		if st.WarmStarted {
-			so.warmSolves.Inc()
-		}
-		so.kernelIterations.Observe(float64(st.Iterations))
-		so.solveSeconds.Observe(st.SolveDur.Seconds())
-	})
+	s.eng.SetSolveHook(so.solveHook)
 	so.reg.OnGather(func() {
 		so.ratesVersion.Set(float64(s.eng.RatesVersion()))
 		so.generation.Set(float64(s.eng.Generation()))

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -162,6 +163,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"afq_query_cache_outcome_total", "afq_kernel_solves_total",
 		"afq_kernel_warm_solves_total", "afq_kernel_iterations",
 		"afq_kernel_solve_seconds", "afq_kernel_iterations_total",
+		"afq_kernel_plan_builds_total", "afq_kernel_plan_build_seconds",
 		"afq_rates_version", "afq_uptime_seconds",
 	} {
 		if !strings.Contains(raw, "# TYPE "+fam+" ") {
@@ -480,5 +482,68 @@ func TestExplainObservability(t *testing.T) {
 	want := "nodes=" + strconv.Itoa(e.TotalNodes) + " arcs=" + strconv.Itoa(e.TotalArcs) + " iters=" + strconv.Itoa(e.Iterations) + " build_ms="
 	if log := slow.String(); !strings.Contains(log, want) || !strings.Contains(log, " adjust_ms=") {
 		t.Errorf("explain span detail missing %q / adjust_ms= in:\n%s", want, log)
+	}
+}
+
+// TestPlanObservability: coefficient plans are built by multi-column
+// solves only, once per snapshot and direction, and say so in
+// afq_kernel_plan_builds_total / _plan_build_seconds, in /v1/stats'
+// kernel block (the same metric objects), and in the batch's solve
+// trace event; a solve that builds nothing adds no allocation to the
+// hook.
+func TestPlanObservability(t *testing.T) {
+	var slow syncBuffer
+	s, ts := obsTestServer(t, WithCache(8<<20, 0), WithObservability(ObsOptions{SlowLog: &slow, SlowThreshold: time.Nanosecond}))
+	builds := func() (authority, hub, count float64) {
+		m, _ := scrapeMetrics(t, ts.URL)
+		return m[`afq_kernel_plan_builds_total{direction="authority"}`], m[`afq_kernel_plan_builds_total{direction="hub"}`], m["afq_kernel_plan_build_seconds_count"]
+	}
+	batch := func(body string) {
+		t.Helper()
+		if code, _, raw := fetch(t, http.MethodPost, ts.URL+"/v1/query/batch", strings.NewReader(body)); code != 200 {
+			t.Fatalf("batch status = %d (body %s)", code, raw)
+		}
+	}
+
+	for _, q := range []string{"olap", "xml+index", "mining&mode=hub"} {
+		mustGet(t, ts.URL+"/v1/query?k=5&q="+q, 200)
+	}
+	if a, h, n := builds(); a != 0 || h != 0 || n != 0 {
+		t.Fatalf("plan builds after one-column solves only = %g/%g (%g timed), want none", a, h, n)
+	}
+
+	batch(`{"queries":[{"q":"query optimization"},{"q":"web search"},{"q":"join"}]}`)
+	if a, h, n := builds(); a != 1 || h != 0 || n != 1 {
+		t.Fatalf("plan builds after an authority batch = %g/%g (%g timed), want 1/0 (1)", a, h, n)
+	}
+	batch(`{"queries":[{"q":"xml query"},{"q":"index search"},{"q":"olap","mode":"hub"},{"q":"web","mode":"hub"}]}`)
+	if a, h, n := builds(); a != 1 || h != 1 || n != 2 {
+		t.Fatalf("plan builds after a mixed batch = %g/%g (%g timed), want 1/1 (2)", a, h, n)
+	}
+
+	var st StatsResponse
+	if code := getJSON(t, ts.URL+"/v1/stats", &st); code != 200 {
+		t.Fatalf("/v1/stats status = %d", code)
+	}
+	samples, _ := scrapeMetrics(t, ts.URL)
+	if st.Kernel.PlanBuilds["authority"] != 1 || st.Kernel.PlanBuilds["hub"] != 1 ||
+		st.Kernel.PlanBuildSeconds <= 0 || st.Kernel.PlanBuildSeconds != samples["afq_kernel_plan_build_seconds_sum"] {
+		t.Errorf("/v1/stats kernel block = %+v, /metrics build seconds %g", st.Kernel, samples["afq_kernel_plan_build_seconds_sum"])
+	}
+
+	if !waitFor(t, 2*time.Second, func() bool { return strings.Count(slow.String(), " plan=") >= 3 }) {
+		t.Fatalf("want three multi-column solve events in the slow log:\n%s", slow.String())
+	}
+	log := slow.String()
+	for _, want := range []string{"columns=3 plan=built mode=authority", "columns=2 plan=reused mode=authority", "columns=2 plan=built mode=hub"} {
+		if !strings.Contains(log, want) {
+			t.Errorf("slow log missing solve event %q:\n%s", want, log)
+		}
+	}
+
+	hook := s.obs.solveHook
+	stats := core.SolveStats{Columns: 8, Iterations: 9, Converged: true, Mode: core.ModeAuthority, Ctx: context.Background()}
+	if allocs := testing.AllocsPerRun(100, func() { hook(stats) }); allocs != 0 {
+		t.Errorf("solve hook allocates %v per multi-column solve that found its plan built", allocs)
 	}
 }

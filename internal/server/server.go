@@ -262,6 +262,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	s.obs.mw.Requests().Each(func(labels []string, n uint64) {
 		byHandler[labels[0]+" "+labels[1]] = int64(n)
 	})
+	planBuilds := make(map[string]int64)
+	s.obs.planBuilds.Each(func(labels []string, n uint64) {
+		planBuilds[labels[0]] = int64(n)
+	})
 	cacheStats := s.cache.Stats()
 	resp := StatsResponse{
 		CacheEnabled:  true,
@@ -278,6 +282,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Solves:          int64(s.obs.solves.Count()),
 			WarmSolves:      int64(s.obs.warmSolves.Count()),
 			IterationsTotal: int64(s.obs.iterTotal.Count()),
+
+			PlanBuilds:       planBuilds,
+			PlanBuildSeconds: s.obs.planBuildSeconds.Sum(),
 		},
 		Explain: ExplainStats{
 			Total:        int64(s.obs.explainTotal.Total()),
