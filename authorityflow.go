@@ -400,9 +400,9 @@ type Server = server.Server
 type ServerOption = server.Option
 
 // WithServerCache sizes the server's serving cache: total byte budget
-// (0 = 64 MiB) and post-publication prewarm term count (0 = off).
-func WithServerCache(maxBytes int64, prewarmTerms int) ServerOption {
-	return server.WithCache(maxBytes, prewarmTerms)
+// (0 = 64 MiB).
+func WithServerCache(maxBytes int64) ServerOption {
+	return server.WithCache(maxBytes, 0)
 }
 
 // v1 HTTP API surface (internal/server/api.go; full contract in
@@ -509,11 +509,6 @@ func NewRouter(replicaURLs []string, o RouterOptions) (*Router, error) {
 	return router.New(replicaURLs, o)
 }
 
-// DefaultBlockSize is the default panel width of the blocked
-// multi-vector kernel: how many base sets one CSR sweep advances
-// (Config.BlockSize overrides it per corpus).
-const DefaultBlockSize = core.DefaultBlockSize
-
 // ServerObsOptions configure the server's observability subsystem:
 // access/slow-query logs, the slow-query threshold, pprof, and an
 // optional shared metric registry. The zero value keeps /metrics and
@@ -551,13 +546,12 @@ type MetricsRegistry = obs.Registry
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 
 // Serving cache (internal/cache): version-keyed term-vector and result
-// caches with singleflight miss collapsing, LRU byte budgets,
-// warm-start reuse across rate updates, and background prewarming.
+// caches with singleflight miss collapsing, LRU byte budgets and
+// on-demand warm-start reuse across rate updates.
 type (
 	// CachedEngine wraps an Engine with the serving cache.
 	CachedEngine = cache.CachedEngine
-	// CacheOptions configure a CachedEngine (byte budgets, shards,
-	// prewarm).
+	// CacheOptions configure a CachedEngine (its byte budget).
 	CacheOptions = cache.Options
 	// CacheStats is a point-in-time snapshot of cache counters.
 	CacheStats = cache.StatsSnapshot
@@ -566,8 +560,7 @@ type (
 	CachedAnswer = cache.Answer
 )
 
-// NewCachedEngine wraps eng with the serving cache. Call Close on the
-// result when prewarming is enabled.
+// NewCachedEngine wraps eng with the serving cache.
 func NewCachedEngine(eng *Engine, opts CacheOptions) *CachedEngine { return cache.New(eng, opts) }
 
 // GeneratePreset builds one of the named corpora — the four Table 1

@@ -31,9 +31,9 @@
 // Every read is served through the serving cache (-cache-mb, default
 // 64 MiB), which makes repeated and concurrent queries cheap: converged
 // per-term score vectors and full top-k answers are cached under the
-// current rates version, concurrent identical misses collapse onto one
-// power iteration, and -prewarm N refreshes the N hottest terms in the
-// background after every reformulation publishes new rates. /v1/stats
+// current rates, concurrent identical misses collapse onto one power
+// iteration, and the first solve of a term after a reformulation
+// publishes new rates starts from the vector it had before. /v1/stats
 // reports hit/miss/eviction/singleflight/bytes counters; /metrics
 // exposes the same counters (plus per-handler latency histograms and
 // kernel instrumentation) in Prometheus format.
@@ -54,7 +54,7 @@
 // -pprof mounts net/http/pprof under /debug/pprof/.
 //
 // The process shuts down gracefully on SIGINT/SIGTERM: the listener
-// closes, in-flight requests finish, then the prewarmer is stopped.
+// closes and in-flight requests finish.
 package main
 
 import (
@@ -87,7 +87,6 @@ func main() {
 		scale   = flag.Float64("scale", 0.1, "scale factor when generating")
 		workers = flag.Int("workers", 0, "power-iteration workers (0 serial, -1 all cores)")
 		cacheMB = flag.Int("cache-mb", 64, "serving-cache byte budget in MiB (must be positive)")
-		prewarm = flag.Int("prewarm", 8, "hottest terms to refresh after each rates publication (0 disables)")
 
 		maxInflight  = flag.Int("max-inflight", 0, "max concurrently admitted expensive requests (query, batch, explain, audit, reformulate); 0 = unlimited")
 		queueWait    = flag.Duration("queue-wait", 0, "how long a request may wait for an admission slot before shedding with 503 (needs -max-inflight; 0 = shed immediately when saturated)")
@@ -136,7 +135,7 @@ func main() {
 	}
 
 	opts := []server.Option{
-		server.WithCache(int64(*cacheMB)<<20, *prewarm),
+		server.WithCache(int64(*cacheMB)<<20, 0),
 		server.WithObservability(obsOpts),
 		server.WithAdmission(server.AdmissionOptions{
 			MaxInflight:  *maxInflight,
@@ -168,13 +167,13 @@ func main() {
 		os.Exit(1)
 	}
 	log.Println(listenBanner(ln.Addr()))
-	log.Printf("afqserver: %s (%d nodes, %d edges) on %s (cache %d MiB, prewarm %d)",
-		ds.Name, ds.Graph.NumNodes(), ds.Graph.NumEdges(), ln.Addr(), *cacheMB, *prewarm)
+	log.Printf("afqserver: %s (%d nodes, %d edges) on %s (cache %d MiB)",
+		ds.Name, ds.Graph.NumNodes(), ds.Graph.NumEdges(), ln.Addr(), *cacheMB)
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 	srv := newHTTPServer(s.Handler())
-	if err := serve(ctx, srv, ln, s.Close); err != nil {
+	if err := serve(ctx, srv, ln); err != nil {
 		log.Fatalf("afqserver: %v", err)
 	}
 	log.Printf("afqserver: shut down cleanly")
@@ -202,19 +201,15 @@ func newHTTPServer(h http.Handler) *http.Server {
 }
 
 // serve runs srv on ln until ctx is cancelled, then shuts down
-// gracefully: the listener closes immediately, in-flight requests get
-// up to 10 s to finish, and cleanup (closing the engine/prewarmer) runs
-// after the last request completes. Returns nil on a clean shutdown.
-func serve(ctx context.Context, srv *http.Server, ln net.Listener, cleanup func()) error {
+// gracefully: the listener closes immediately and in-flight requests
+// get up to 10 s to finish. Returns nil on a clean shutdown.
+func serve(ctx context.Context, srv *http.Server, ln net.Listener) error {
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 
 	select {
 	case err := <-errc:
 		// Listener failed before any shutdown was requested.
-		if cleanup != nil {
-			cleanup()
-		}
 		return err
 	case <-ctx.Done():
 	}
@@ -224,9 +219,6 @@ func serve(ctx context.Context, srv *http.Server, ln net.Listener, cleanup func(
 	err := srv.Shutdown(shutdownCtx)
 	if serveErr := <-errc; serveErr != nil && !errors.Is(serveErr, http.ErrServerClosed) && err == nil {
 		err = serveErr
-	}
-	if cleanup != nil {
-		cleanup()
 	}
 	return err
 }

@@ -11,8 +11,8 @@ import (
 
 // TestServeGracefulShutdown is the shutdown contract of the command:
 // when the context is cancelled, an in-flight request still completes
-// with its full response, serve returns nil (clean shutdown), the
-// cleanup hook runs, and the listener is closed to new connections.
+// with its full response, serve returns nil (clean shutdown), and the
+// listener is closed to new connections.
 func TestServeGracefulShutdown(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
@@ -31,10 +31,9 @@ func TestServeGracefulShutdown(t *testing.T) {
 	addr := ln.Addr().String()
 
 	ctx, cancel := context.WithCancel(context.Background())
-	cleaned := make(chan struct{})
 	serveErr := make(chan error, 1)
 	go func() {
-		serveErr <- serve(ctx, newHTTPServer(mux), ln, func() { close(cleaned) })
+		serveErr <- serve(ctx, newHTTPServer(mux), ln)
 	}()
 
 	// Issue a request that blocks inside the handler.
@@ -87,12 +86,6 @@ func TestServeGracefulShutdown(t *testing.T) {
 		t.Fatal("serve did not return after shutdown")
 	}
 
-	select {
-	case <-cleaned:
-	case <-time.After(time.Second):
-		t.Fatal("cleanup hook did not run")
-	}
-
 	// Listener must be closed: a fresh dial gets refused.
 	if c, err := net.DialTimeout("tcp", addr, time.Second); err == nil {
 		c.Close()
@@ -101,7 +94,7 @@ func TestServeGracefulShutdown(t *testing.T) {
 }
 
 // TestServeListenerError checks serve surfaces a listener failure (the
-// pre-shutdown error path) and still runs cleanup.
+// pre-shutdown error path).
 func TestServeListenerError(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -109,13 +102,9 @@ func TestServeListenerError(t *testing.T) {
 	}
 	ln.Close() // Serve on a closed listener fails immediately.
 
-	cleaned := false
-	err = serve(context.Background(), newHTTPServer(http.NewServeMux()), ln, func() { cleaned = true })
+	err = serve(context.Background(), newHTTPServer(http.NewServeMux()), ln)
 	if err == nil {
 		t.Fatal("serve on closed listener returned nil error")
-	}
-	if !cleaned {
-		t.Fatal("cleanup did not run on listener failure")
 	}
 }
 

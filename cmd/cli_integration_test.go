@@ -1,5 +1,5 @@
-// Package cmd_test builds the four CLI binaries once and drives them
-// end to end: dataset generation, snapshot reloading, querying,
+// Package cmd_test builds the CLI and server binaries once and drives
+// them end to end: dataset generation, snapshot reloading, querying,
 // explanation with DOT/JSON export, feedback reformulation with rate
 // persistence, precomputation, and experiment regeneration.
 package cmd_test
@@ -9,6 +9,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -21,7 +22,7 @@ func TestMain(m *testing.M) {
 		panic(err)
 	}
 	binDir = dir
-	for _, tool := range []string{"afq", "datagen", "experiments"} {
+	for _, tool := range []string{"afq", "datagen", "experiments", "afqserver", "afqrouter"} {
 		cmd := exec.Command("go", "build", "-o", filepath.Join(dir, tool), "./"+tool)
 		cmd.Dir = mustSelfDir()
 		if out, err := cmd.CombinedOutput(); err != nil {
@@ -194,6 +195,34 @@ func TestCLITSVImport(t *testing.T) {
 	out := run(t, "afq", "-schema", schema, "-nodes", nodes, "-edges", edges, "-k", "2", "query", "olap")
 	if !strings.Contains(out, "foundations") {
 		t.Fatalf("imported graph did not rank the cited paper:\n%s", out)
+	}
+}
+
+// TestFlagSurface pins the flags of the two serving binaries: every
+// flag is a configuration operators, tests and benchmarks must cover, so
+// adding one has to edit this list (and say which workload needs it).
+func TestFlagSurface(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs binaries")
+	}
+	flagLine := regexp.MustCompile(`(?m)^  -([a-z0-9-]+)`)
+	for tool, want := range map[string]string{
+		"afqserver": "access-log addr basis-size cache-mb gen max-inflight pprof profile-dir query-timeout queue-wait scale slow-query-ms snapshot swap-dir workers",
+		"afqrouter": "access-log addr health-interval replicas retries slow-request-ms timeout",
+	} {
+		// -h prints the defaults in lexical order and exits 0.
+		out, err := exec.Command(filepath.Join(binDir, tool), "-h").CombinedOutput()
+		if err != nil {
+			t.Fatalf("%s -h: %v\n%s", tool, err, out)
+		}
+		var got []string
+		for _, m := range flagLine.FindAllStringSubmatch(string(out), -1) {
+			got = append(got, m[1])
+		}
+		if strings.Join(got, " ") != want {
+			t.Errorf("%s has %d flags:\n  %s\nwant %d:\n  %s", tool,
+				len(got), strings.Join(got, " "), len(strings.Fields(want)), want)
+		}
 	}
 }
 

@@ -45,9 +45,7 @@ func TestQueryBatchMatchesSingle(t *testing.T) {
 	// Two independent caches over one engine: 'single' establishes the
 	// reference answers, 'batch' answers the same queries in one call.
 	single := New(eng, Options{})
-	defer single.Close()
 	batch := New(eng, Options{})
-	defer batch.Close()
 
 	qs := []*ir.Query{
 		ir.NewQuery("olap"),
@@ -109,7 +107,6 @@ func TestQueryBatchMatchesSingle(t *testing.T) {
 func TestQueryBatchSolveCount(t *testing.T) {
 	_, eng := testEngine(t, rank.Options{})
 	c := New(eng, Options{})
-	defer c.Close()
 	eng.GlobalRank() // take the warm-start solve out of the picture
 
 	var solves, columns int
@@ -161,7 +158,6 @@ func TestQueryBatchSolveCount(t *testing.T) {
 func TestQueryBatchArityPanics(t *testing.T) {
 	_, eng := testEngine(t, rank.Options{})
 	c := New(eng, Options{})
-	defer c.Close()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("mismatched ks arity should panic")
@@ -170,27 +166,30 @@ func TestQueryBatchArityPanics(t *testing.T) {
 	c.QueryBatchModePinnedCtx(context.Background(), eng.Pin(), []*ir.Query{ir.NewQuery("olap")}, nil, nil)
 }
 
-// TestBlockedPrewarmWarmStarts: after a rates bump the blocked prewarm
-// refreshes the hot terms in ⌈N/B⌉ kernel executions, donating each
-// term's previous-version vector as its column's warm start.
-func TestBlockedPrewarmWarmStarts(t *testing.T) {
+// TestBatchColumnsWarmStart: after a rates bump a batch's single-term
+// columns are solved in one kernel execution, each from the vector its
+// term had under the replaced rates.
+func TestBatchColumnsWarmStart(t *testing.T) {
 	tight := rank.Options{Threshold: 5e-14, MaxIters: 5000}
 	ds, eng := testEngine(t, tight)
 	c := New(eng, Options{})
-	defer c.Close()
 
-	terms := []string{"olap", "xml", "mining"}
-	// The first panel starts from the global PageRank: nothing was
-	// donated, so it must not count as warm-started.
+	qs := []*ir.Query{ir.NewQuery("olap"), ir.NewQuery("xml"), ir.NewQuery("mining")}
+	ks := []int{10, 10, 10}
+	batch := func() {
+		t.Helper()
+		if _, err := c.QueryBatchModePinnedCtx(context.Background(), eng.Pin(), qs, ks, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Version 1 starts from the global PageRank: nothing was donated, so
+	// it must not count as warm-started.
 	eng.SetSolveHook(func(st core.SolveStats) {
 		if st.WarmStarted {
-			t.Errorf("first prewarm panel reported warm-started without a donation")
+			t.Errorf("first batch reported warm-started without a donation")
 		}
 	})
-	c.Prewarm(terms) // fills v1 vectors (one blocked panel)
-	if got := c.Stats().Prewarmed; got != 3 {
-		t.Fatalf("prewarmed = %d, want 3", got)
-	}
+	batch()
 
 	if err := eng.SetRates(perturb(t, ds.Rates)); err != nil {
 		t.Fatal(err)
@@ -200,46 +199,35 @@ func TestBlockedPrewarmWarmStarts(t *testing.T) {
 	eng.SetSolveHook(func(st core.SolveStats) {
 		solves++
 		if !st.WarmStarted {
-			t.Errorf("prewarm panel not warm-started")
+			t.Errorf("batch after the publish not warm-started")
 		}
-		if st.Columns != len(terms) {
-			t.Errorf("Columns = %d, want %d", st.Columns, len(terms))
+		if st.Columns != len(qs) {
+			t.Errorf("Columns = %d, want %d", st.Columns, len(qs))
 		}
 	})
-	c.Prewarm(terms) // refresh under v2: one panel, warm-started columns
+	batch()
 	eng.SetSolveHook(nil)
 	if solves != 1 {
-		t.Fatalf("refresh ran %d kernel executions, want 1 blocked panel", solves)
+		t.Fatalf("batch after the publish ran %d kernel executions, want 1", solves)
 	}
-	s := c.Stats()
-	if s.WarmStarts != 3 {
+	if s := c.Stats(); s.WarmStarts != 3 {
 		t.Errorf("warm starts = %d, want 3", s.WarmStarts)
 	}
-	if s.Prewarmed != 6 {
-		t.Errorf("prewarmed = %d, want 6", s.Prewarmed)
-	}
 
-	// The refreshed vectors serve v2 queries from cache.
-	a := query(c, ir.NewQuery("olap"), 10)
-	if a.Source != SourceTerm {
-		t.Errorf("post-refresh query source %q, want term", a.Source)
+	// The refreshed vectors serve version-2 queries from cache.
+	if a := query(c, ir.NewQuery("olap"), 5); a.Source != SourceTerm {
+		t.Errorf("post-batch query source %q, want term", a.Source)
 	}
 }
 
-// TestBlockedPrewarmVsPublishRace is the satellite -race hammer:
-// concurrent rate publications, blocked prewarms (via the publish
-// hook), batch queries and single queries against one cache, verifying
-// nothing tears and every answer carries a version that was actually
-// published.
-func TestBlockedPrewarmVsPublishRace(t *testing.T) {
+// TestBatchVsPublishRace is the satellite -race hammer: concurrent rate
+// publications, batch queries (whose columns take and give donations
+// outside the flight group) and single queries against one cache,
+// verifying nothing tears and every answer carries a version that was
+// actually published.
+func TestBatchVsPublishRace(t *testing.T) {
 	ds, eng := testEngine(t, rank.Options{Threshold: 1e-4, MaxIters: 60})
-	c := New(eng, Options{PrewarmTerms: 4})
-	defer c.Close()
-
-	// Seed popularity so prewarm passes have hot terms to refresh.
-	for _, tm := range []string{"olap", "xml", "mining", "query"} {
-		query(c, ir.NewQuery(tm), 5)
-	}
+	c := New(eng, Options{})
 
 	var wg, pubWg sync.WaitGroup
 	stop := make(chan struct{})

@@ -4,16 +4,16 @@
 //
 // It holds two sharded, byte-budgeted LRU caches keyed by the full
 // identity of the engine state a computation ran under: the corpus
-// generation AND the rates identity (the graph.RateVectorKey
-// fingerprint PR 1's versioned snapshots made safely derivable):
+// generation AND the rates identity (core.Pinned.RatesKey, the
+// fingerprint every rates snapshot carries), plus the ranking mode:
 //
 //   - a term-vector cache: converged per-term ObjectRank2 score vectors
-//     under (generation, ratesKey, term), populated on demand through a
-//     singleflight group so N concurrent misses on one term run exactly
-//     one power iteration;
+//     under (generation, ratesKey, mode, term), populated on demand
+//     through a singleflight group so N concurrent misses on one term
+//     run exactly one power iteration;
 //   - a result cache: full top-k answers under
-//     (generation, ratesKey, k, canonical query), so a repeated query
-//     is a hash lookup instead of a solve.
+//     (generation, ratesKey, mode, k, canonical query), so a repeated
+//     query is a hash lookup instead of a solve.
 //
 // Invalidation is implicit: publishing new rates changes the rates key,
 // and swapping in a new corpus generation changes the generation
@@ -22,8 +22,9 @@
 // wasted, though — the first solve of a term under the new rates pulls
 // the previous version's converged vector OUT of the cache and hands it
 // to rank.Options.Init (warm-start reuse, the paper's Section 6.2
-// optimization applied across rate updates), and a background prewarmer
-// refreshes the hottest terms as soon as a new version is published.
+// optimization applied across rate updates). That happens on demand, on
+// the miss path: the cache runs no background work and remembers no
+// versions.
 package cache
 
 import (
@@ -31,8 +32,6 @@ import (
 	"math"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"authorityflow/internal/core"
 	"authorityflow/internal/graph"
@@ -43,27 +42,19 @@ import (
 
 // Options configure a CachedEngine.
 type Options struct {
-	// MaxBytes is the total byte budget across both caches. When
-	// VectorBytes/ResultBytes are zero it is split 7/8 term vectors,
-	// 1/8 results (term vectors are the expensive thing to recompute).
-	// Zero means DefaultMaxBytes.
+	// MaxBytes is the total byte budget across both caches, split 7/8
+	// term vectors, 1/8 results (term vectors are the expensive thing to
+	// recompute). Zero means DefaultMaxBytes.
 	MaxBytes int64
-	// VectorBytes / ResultBytes pin the per-side budgets explicitly,
-	// overriding the MaxBytes split.
-	VectorBytes int64
-	ResultBytes int64
-	// Shards is the lock-striping factor of each LRU (rounded up to a
-	// power of two). Zero means 8.
-	Shards int
-	// PrewarmTerms, when positive, starts a background goroutine that
-	// refreshes the N hottest query terms after every rates
-	// publication, so the first queries against a new version find warm
-	// vectors. Zero disables prewarming.
-	PrewarmTerms int
+
+	PrewarmTerms int // inert: see Close
 }
 
 // DefaultMaxBytes is the default total cache budget (64 MiB).
 const DefaultMaxBytes int64 = 64 << 20
+
+// lruShards is the lock-striping factor of each LRU.
+const lruShards = 8
 
 // CachedEngine wraps a core.Engine with the serving cache. All methods
 // are safe for unbounded concurrent use; the underlying engine may be
@@ -76,99 +67,33 @@ type CachedEngine struct {
 	results *lru.Sharded
 	flights flightGroup
 	stats   stats
-
-	// mu guards versionKeys and hot.
-	mu sync.Mutex
-	// versionKeys memoizes snapshot version -> (corpus generation,
-	// rate-vector fingerprint), so the fingerprint is computed once per
-	// published version and a version bump can locate the PREVIOUS
-	// version's entries for same-generation warm-start hand-over.
-	versionKeys map[uint64]stateKey
-	// hot counts term popularity for the prewarmer.
-	hot map[string]int64
-
-	prewarmN int
-	// prewarmCh signals the prewarm goroutine; prewarmCtx is cancelled
-	// by Close so a prewarm blocked inside a long solve aborts within
-	// one kernel sweep instead of stalling shutdown.
-	prewarmCh     chan struct{}
-	prewarmCtx    context.Context
-	prewarmCancel context.CancelFunc
-	wg            sync.WaitGroup
-	closeOnce     sync.Once
-	// closed flips once in Close; the publish hook consults it so a
-	// publication racing shutdown is a no-op instead of signalling a
-	// prewarmer that is going (or has gone) away.
-	closed atomic.Bool
 }
 
-// New builds a CachedEngine over eng. When opts.PrewarmTerms > 0 it
-// registers the engine's publish hook and starts the prewarm goroutine;
-// call Close to stop it.
+// New builds a CachedEngine over eng. It starts nothing and registers
+// nothing: the value is two LRUs, a flight group and counters.
 func New(eng *core.Engine, opts Options) *CachedEngine {
 	total := opts.MaxBytes
 	if total <= 0 {
 		total = DefaultMaxBytes
 	}
-	vb, rb := opts.VectorBytes, opts.ResultBytes
-	if vb <= 0 {
-		vb = total - total/8
-	}
-	if rb <= 0 {
-		rb = total / 8
-		if rb < 1 {
-			rb = 1
-		}
-	}
-	shards := opts.Shards
-	if shards <= 0 {
-		shards = 8
-	}
-	c := &CachedEngine{
-		eng:         eng,
-		versionKeys: make(map[uint64]stateKey),
-		hot:         make(map[string]int64),
-		prewarmN:    opts.PrewarmTerms,
-	}
-	c.vectors = lru.New(vb, shards, &c.stats.vectorEvictions)
-	c.results = lru.New(rb, shards, &c.stats.resultEvictions)
-	if c.prewarmN > 0 {
-		c.prewarmCh = make(chan struct{}, 1)
-		c.prewarmCtx, c.prewarmCancel = context.WithCancel(context.Background())
-		c.wg.Add(1)
-		go c.prewarmLoop()
-		eng.SetPublishHook(func(oldVersion, newVersion uint64) {
-			if c.closed.Load() {
-				// A publication racing (or following) Close: the
-				// prewarmer is shutting down; dropping the signal is
-				// the whole point — see TestCloseDuringPublish.
-				return
-			}
-			select {
-			case c.prewarmCh <- struct{}{}:
-			default: // a prewarm is already pending; it will see the newest snapshot
-			}
-		})
-	}
+	c := &CachedEngine{eng: eng}
+	c.vectors = lru.New(total-total/8, lruShards, &c.stats.vectorEvictions)
+	c.results = lru.New(total/8, lruShards, &c.stats.resultEvictions)
 	return c
 }
 
-// Close detaches the publish hook and stops the prewarm goroutine (if
-// any), cancelling a prewarm solve in progress. Idempotent; the cache
-// itself remains usable afterwards. Safe to call concurrently with
-// SetRates publications: the hook becomes a no-op the moment closed
-// flips, so a racing publisher can neither block nor revive the
-// prewarmer.
-func (c *CachedEngine) Close() {
-	c.closeOnce.Do(func() {
-		c.closed.Store(true)
-		if c.prewarmCancel != nil {
-			c.eng.SetPublishHook(nil)
-			c.prewarmCancel()
-			c.wg.Wait()
-		}
-	})
-}
+// Options.PrewarmTerms, StatsSnapshot.Prewarmed, CachedEngine.Close,
+// the second parameter of server.WithCache and server.Server.Close are
+// what is left of the prewarmer (a goroutine that re-solved the hottest
+// terms after every rates publication; the miss path's on-demand warm
+// start replaced it). cmd/afqbench binds these five names and its
+// sources are frozen, so they stay as inert compile-compatibility
+// members — the option is ignored, the counter reads 0, the two Close
+// methods do nothing — until the benchmark can drop them; nothing else
+// in the module may set, read or call them.
+
+// Close does nothing.
+func (c *CachedEngine) Close() {}
 
 // Engine returns the wrapped engine.
 func (c *CachedEngine) Engine() *core.Engine { return c.eng }
@@ -254,104 +179,56 @@ func (tv *termVector) Iterations() int { return tv.iters }
 // stateKey is the cache-key identity of one pinned engine state: the
 // corpus generation plus the rate-vector fingerprint. Keying by value
 // fingerprint rather than by version means value-identical republished
-// rates keep cache entries valid WITHIN a generation; the generation
-// component guarantees no entry survives a corpus swap (even one that
-// republishes an identical rate vector over a new graph).
+// rates keep cache entries valid WITHIN a generation, and a derived
+// WithRates view (its parent's version, other rates) can never be
+// served its parent's entries; the generation component guarantees no
+// entry survives a corpus swap (even one that republishes an identical
+// rate vector over a new graph).
 type stateKey struct {
 	gen uint64
 	rk  uint64
 }
 
-// stateKeyFor returns the (generation, rate-vector fingerprint)
-// identity of the pinned state, memoized per rates version — versions
-// advance monotonically across swaps, so one version maps to exactly
-// one (generation, fingerprint) pair. The fingerprint and the
-// precompute store's validity check share one definition of "same
-// rates" (graph.RateVectorKey / graph.SameRateVector).
-func (c *CachedEngine) stateKeyFor(pin *core.Pinned) stateKey {
-	v := pin.Version()
-	c.mu.Lock()
-	sk, ok := c.versionKeys[v]
-	c.mu.Unlock()
-	if ok {
-		return sk
+// keyOf reads the pinned state's identity off the snapshot, which
+// carries it.
+func keyOf(pin *core.Pinned) stateKey {
+	return stateKey{gen: pin.Generation(), rk: pin.RatesKey()}
+}
+
+// modeTag spells a ranking mode inside a key; the empty mode is
+// authority.
+func modeTag(m core.Mode) string {
+	if m == "" {
+		return string(core.ModeAuthority)
 	}
-	sk = stateKey{gen: pin.Generation(), rk: graph.RateVectorKey(pin.Rates().Vector())}
-	c.mu.Lock()
-	if len(c.versionKeys) > 4096 { // bound growth across very long rate-training runs
-		trimmed := make(map[uint64]stateKey, 2)
-		if prev, ok := c.versionKeys[v-1]; ok {
-			trimmed[v-1] = prev
-		}
-		c.versionKeys = trimmed
-	}
-	c.versionKeys[v] = sk
-	c.mu.Unlock()
-	return sk
+	return string(m)
 }
 
-// previousTermKey returns the cache key of the same term (in the same
-// ranking direction) under the snapshot version preceding v, if that
-// version's identity is known, belongs to the SAME corpus generation,
-// and actually differs in rates. The generation guard is what keeps
-// warm-start hand-over from donating a vector sized for a different
-// graph after a swap.
-func (c *CachedEngine) previousTermKey(v uint64, sk stateKey, m core.Mode, term string) (string, bool) {
-	c.mu.Lock()
-	prev, ok := c.versionKeys[v-1]
-	c.mu.Unlock()
-	if !ok || prev.gen != sk.gen || prev.rk == sk.rk {
-		return "", false
-	}
-	return termKeyMode(prev, m, term), true
+// termKey is the term-vector cache key. All directions share ONE LRU —
+// hot authority terms can evict cold hub vectors and vice versa — and
+// the mode component keeps a key from aliasing across directions.
+// Combined queries have no single-direction vector and never reach here.
+func termKey(sk stateKey, m core.Mode, term string) string {
+	return "t\x00" + modeTag(m) + "\x00" + strconv.FormatUint(sk.gen, 16) + "\x00" + strconv.FormatUint(sk.rk, 16) + "\x00" + term
 }
 
-func termKey(sk stateKey, term string) string {
-	return "t\x00" + strconv.FormatUint(sk.gen, 16) + "\x00" + strconv.FormatUint(sk.rk, 16) + "\x00" + term
-}
-
-// hubTermKey is the hub-direction twin of termKey. The distinct "h"
-// prefix keeps the two vector populations apart inside ONE shared LRU:
-// both directions compete for the same byte budget (hot authority terms
-// can evict cold hub vectors and vice versa), but a key can never alias
-// across directions.
-func hubTermKey(sk stateKey, term string) string {
-	return "h\x00" + strconv.FormatUint(sk.gen, 16) + "\x00" + strconv.FormatUint(sk.rk, 16) + "\x00" + term
-}
-
-// termKeyMode selects the direction's term key. Combined queries have
-// no single-direction vector and never reach here.
-func termKeyMode(sk stateKey, m core.Mode, term string) string {
-	if m == core.ModeHub {
-		return hubTermKey(sk, term)
-	}
-	return termKey(sk, term)
-}
-
-func resultKey(sk stateKey, k int, q *ir.Query) string {
+// resultKey is the result cache key; the mode component keeps the three
+// directions' answers for one query apart.
+func resultKey(sk stateKey, m core.Mode, k int, q *ir.Query) string {
+	cq := q.Canonical()
 	var b strings.Builder
+	b.Grow(len(cq) + 64) // tag, mode, two hex uint64s, k and separators fit in 64
 	b.WriteString("r\x00")
+	b.WriteString(modeTag(m))
+	b.WriteString("\x00")
 	b.WriteString(strconv.FormatUint(sk.gen, 16))
 	b.WriteString("\x00")
 	b.WriteString(strconv.FormatUint(sk.rk, 16))
 	b.WriteString("\x00")
 	b.WriteString(strconv.Itoa(k))
 	b.WriteString("\x00")
-	b.WriteString(q.Canonical())
+	b.WriteString(cq)
 	return b.String()
-}
-
-// resultKeyMode tags non-authority result keys with the mode so the
-// three directions' answers for one query never collide. Authority keys
-// keep their pre-mode spelling — every entry cached before modes
-// existed remains addressable. (No aliasing: the byte after "r\x00" is
-// a hex digit for authority keys and the mode's leading letter — 'h' or
-// 'c', neither a hex digit — for the others.)
-func resultKeyMode(sk stateKey, m core.Mode, k int, q *ir.Query) string {
-	if m == core.ModeAuthority || m == "" {
-		return resultKey(sk, k, q)
-	}
-	return "r\x00" + string(m) + "\x00" + resultKey(sk, k, q)[2:]
 }
 
 // singleTerm reports whether q is effectively a single-keyword query
@@ -426,9 +303,8 @@ func (c *CachedEngine) queryAt(ctx context.Context, pin *core.Pinned, q *ir.Quer
 	if k <= 0 {
 		k = 10
 	}
-	c.recordHot(q)
-	sk := c.stateKeyFor(pin)
-	key := resultKeyMode(sk, m, k, q)
+	sk := keyOf(pin)
+	key := resultKey(sk, m, k, q)
 	if e, ok := c.results.Get(key); ok {
 		c.stats.resultHits.Add(1)
 		return c.answerFrom(e.(*cachedResult), q, SourceResult), nil
@@ -602,15 +478,15 @@ func (c *CachedEngine) QueryBatchModePinnedCtx(ctx context.Context, pin *core.Pi
 // miss path does, and fill the term-vector cache; every miss fills the
 // result cache.
 //
-// Like the blocked prewarm, the batch path bypasses the singleflight
-// group: a concurrent identical user miss may duplicate one solve
-// (benign — same snapshot, last insert wins) but a batch can never be
-// serialized behind per-term flights.
+// The batch path bypasses the singleflight group: a concurrent
+// identical user miss may duplicate one solve (benign — same snapshot,
+// last insert wins) but a batch can never be serialized behind per-term
+// flights.
 func (c *CachedEngine) queryBatchDir(ctx context.Context, pin *core.Pinned, qs []*ir.Query, ks []int, m core.Mode) ([]*Answer, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	sk := c.stateKeyFor(pin)
+	sk := keyOf(pin)
 	answers := make([]*Answer, len(qs))
 	kk := make([]int, len(qs))
 	for i, k := range ks {
@@ -638,8 +514,7 @@ func (c *CachedEngine) queryBatchDir(ctx context.Context, pin *core.Pinned, qs [
 	colByID := make(map[string]int)
 
 	for i, q := range qs {
-		c.recordHot(q)
-		key := resultKeyMode(sk, m, kk[i], q)
+		key := resultKey(sk, m, kk[i], q)
 		if e, ok := c.results.Get(key); ok {
 			c.stats.resultHits.Add(1)
 			answers[i] = c.answerFrom(e.(*cachedResult), q, SourceResult)
@@ -649,7 +524,7 @@ func (c *CachedEngine) queryBatchDir(ctx context.Context, pin *core.Pinned, qs [
 		col := column{}
 		solveQ, id := q, "q\x00"+q.Canonical()
 		if term, ok := singleTerm(q); ok {
-			col = column{term: term, tkey: termKeyMode(sk, m, term)}
+			col = column{term: term, tkey: termKey(sk, m, term)}
 			if e, ok := c.vectors.Get(col.tkey); ok {
 				c.stats.vectorHits.Add(1)
 				tv := e.(*termVector)
@@ -763,7 +638,7 @@ func (c *CachedEngine) answerFrom(cr *cachedResult, q *ir.Query, source string) 
 // group's detached context: ctx governs only this caller's wait (see
 // QueryModePinnedCtx).
 func (c *CachedEngine) termVectorFor(ctx context.Context, pin *core.Pinned, sk stateKey, m core.Mode, term string) (tv *termVector, hit bool, err error) {
-	key := termKeyMode(sk, m, term)
+	key := termKey(sk, m, term)
 	if e, ok := c.vectors.Get(key); ok {
 		c.stats.vectorHits.Add(1)
 		return e.(*termVector), true, nil
@@ -802,15 +677,20 @@ func (c *CachedEngine) termVectorFor(ctx context.Context, pin *core.Pinned, sk s
 }
 
 // donation removes and returns the converged vector term had, in
-// direction m, under the rates version preceding pin's — the warm start
-// of the first solve after a rates bump, which then refines an
+// direction m, under the rates the pinned snapshot replaced — the warm
+// start of the first solve after a rates bump, which then refines an
 // already-close vector instead of starting from the global PageRank. It
-// returns nil when there is nothing to donate.
+// returns nil when there is nothing to donate: no snapshot was replaced
+// in this generation (so a vector sized for another graph is never
+// donated), the publication left the rates value-identical (the previous
+// key IS the current one), or the vector is not resident.
 func (c *CachedEngine) donation(pin *core.Pinned, sk stateKey, m core.Mode, term string) []float64 {
-	if prevKey, ok := c.previousTermKey(pin.Version(), sk, m, term); ok {
-		if old, ok := c.vectors.Remove(prevKey); ok {
-			return old.(*termVector).vec
-		}
+	prev, ok := pin.PreviousRatesKey()
+	if !ok || prev == sk.rk {
+		return nil
+	}
+	if old, ok := c.vectors.Remove(termKey(stateKey{gen: sk.gen, rk: prev}, m, term)); ok {
+		return old.(*termVector).vec
 	}
 	return nil
 }
@@ -853,8 +733,7 @@ func (c *CachedEngine) RankModePinnedCtx(ctx context.Context, pin *core.Pinned, 
 		}
 		return rs[0], nil
 	}
-	c.recordHot(q)
-	tv, _, err := c.termVectorFor(ctx, pin, c.stateKeyFor(pin), m, term)
+	tv, _, err := c.termVectorFor(ctx, pin, keyOf(pin), m, term)
 	if err != nil {
 		return nil, err
 	}
@@ -872,134 +751,4 @@ func (c *CachedEngine) RankModePinnedCtx(ctx context.Context, pin *core.Pinned, 
 // RankPinnedCtx is RankModePinnedCtx in authority mode.
 func (c *CachedEngine) RankPinnedCtx(ctx context.Context, pin *core.Pinned, q *ir.Query) (*core.RankResult, error) {
 	return c.RankModePinnedCtx(ctx, pin, q, core.ModeAuthority)
-}
-
-// ---- hot-term tracking ----
-
-func (c *CachedEngine) recordHot(q *ir.Query) {
-	if c.prewarmN <= 0 {
-		return
-	}
-	terms := q.Terms()
-	weights := q.Weights()
-	c.mu.Lock()
-	for i, t := range terms {
-		if weights[i] <= 0 {
-			continue
-		}
-		c.hot[t]++
-	}
-	if len(c.hot) > 8192 { // decay: halve everything, drop the cold tail
-		for t, n := range c.hot {
-			n /= 2
-			if n == 0 {
-				delete(c.hot, t)
-			} else {
-				c.hot[t] = n
-			}
-		}
-	}
-	c.mu.Unlock()
-}
-
-// hottest returns up to n terms by descending popularity.
-func (c *CachedEngine) hottest(n int) []string {
-	c.mu.Lock()
-	type tc struct {
-		t string
-		n int64
-	}
-	all := make([]tc, 0, len(c.hot))
-	for t, cnt := range c.hot {
-		all = append(all, tc{t, cnt})
-	}
-	c.mu.Unlock()
-	for i := 1; i < len(all); i++ { // insertion sort by count desc, term asc
-		for j := i; j > 0 && (all[j].n > all[j-1].n || (all[j].n == all[j-1].n && all[j].t < all[j-1].t)); j-- {
-			all[j], all[j-1] = all[j-1], all[j]
-		}
-	}
-	if n > len(all) {
-		n = len(all)
-	}
-	out := make([]string, n)
-	for i := 0; i < n; i++ {
-		out[i] = all[i].t
-	}
-	return out
-}
-
-// ---- prewarmer ----
-
-// prewarmLoop waits for rates publications (signalled by the engine's
-// publish hook) and refreshes the hottest terms under the then-current
-// snapshot. Signals are coalesced: a publication arriving mid-prewarm
-// queues exactly one more pass, which will pin the newest snapshot.
-func (c *CachedEngine) prewarmLoop() {
-	defer c.wg.Done()
-	for {
-		select {
-		case <-c.prewarmCtx.Done():
-			return
-		case <-c.prewarmCh:
-			// prewarmCtx dies on Close: a blocked prewarm solve in
-			// progress is abandoned within one kernel sweep.
-			c.prewarmTerms(c.prewarmCtx, c.hottest(c.prewarmN))
-		}
-	}
-}
-
-// Prewarm synchronously computes (or refreshes) the authority vectors
-// of the given terms under the current rates — a deployment warm-up
-// hook for process start. Terms are solved together through the blocked
-// kernel.
-func (c *CachedEngine) Prewarm(terms []string) {
-	c.prewarmTerms(context.Background(), terms)
-}
-
-// prewarmTerms is shared by the background prewarmer and the
-// synchronous Prewarm hook: every term still missing under the current
-// rates is solved in ONE Pinned.Solve (panelled at
-// core.DefaultBlockSize columns per kernel execution), with the
-// previous rates version's vector — when still resident — donated as
-// that column's warm start, exactly as the single-term miss path does.
-//
-// It deliberately BYPASSES the singleflight group: a user miss racing
-// the prewarm on the same term may run one duplicate solve, which is
-// benign (both converge under the same snapshot; last insert wins) and
-// rare, while routing a whole panel through per-term flights would
-// serialize the panel away.
-func (c *CachedEngine) prewarmTerms(ctx context.Context, terms []string) {
-	pin := c.eng.Pin()
-	sk := c.stateKeyFor(pin)
-	var keys []string
-	var qs []*ir.Query
-	var inits [][]float64
-	for _, t := range terms {
-		key := termKey(sk, t)
-		if _, ok := c.vectors.Get(key); ok {
-			c.stats.vectorHits.Add(1)
-			c.stats.prewarmed.Add(1)
-			continue
-		}
-		c.stats.vectorMisses.Add(1)
-		keys = append(keys, key)
-		qs = append(qs, ir.NewQuery(t))
-		inits = append(inits, c.donation(pin, sk, core.ModeAuthority, t)) // nil → global warm start
-	}
-	if len(qs) == 0 {
-		return
-	}
-	// On cancellation (Close mid-prewarm) results holds nil for the
-	// cancelled columns; completed columns still land in the cache.
-	results, _ := pin.Solve(ctx, core.SolveSpec{Queries: qs, Inits: inits})
-	for i, res := range results {
-		if res == nil {
-			continue
-		}
-		c.stats.computes.Add(1)
-		c.putTerm(keys[i], res, inits[i] != nil)
-		c.eng.Release(res)
-		c.stats.prewarmed.Add(1)
-	}
 }

@@ -57,11 +57,10 @@ func TestSingleflightDedup(t *testing.T) {
 	// do pile up on the in-flight computation.
 	_, eng := testEngine(t, rank.Options{Threshold: rank.ZeroThreshold, MaxIters: 300})
 	c := New(eng, Options{})
-	defer c.Close()
 
 	const n = 64
 	pin := eng.Pin()
-	rk := c.stateKeyFor(pin)
+	rk := keyOf(pin)
 	var (
 		start sync.WaitGroup
 		done  sync.WaitGroup
@@ -112,15 +111,14 @@ func TestInvalidationAndWarmStart(t *testing.T) {
 	tight := rank.Options{Threshold: 5e-14, MaxIters: 5000}
 	ds, eng := testEngine(t, tight)
 	c := New(eng, Options{})
-	defer c.Close()
 
 	q := ir.NewQuery("olap")
 	ans1 := query(c, q, 10)
 	if ans1.Source != "computed" || ans1.Version != 1 {
 		t.Fatalf("first answer = %+v", ans1)
 	}
-	oldRK := c.stateKeyFor(eng.Pin())
-	if _, ok := c.vectors.Get(termKey(oldRK, "olap")); !ok {
+	oldRK := keyOf(eng.Pin())
+	if _, ok := c.vectors.Get(termKey(oldRK, core.ModeAuthority, "olap")); !ok {
 		t.Fatal("term vector not cached after first query")
 	}
 
@@ -141,15 +139,15 @@ func TestInvalidationAndWarmStart(t *testing.T) {
 	}
 	// The donated previous-version vector must be gone: handed over,
 	// not still resident under the old key.
-	if _, ok := c.vectors.Get(termKey(oldRK, "olap")); ok {
+	if _, ok := c.vectors.Get(termKey(oldRK, core.ModeAuthority, "olap")); ok {
 		t.Error("previous-version vector still resident after warm-start hand-over")
 	}
 
-	newRK := c.stateKeyFor(eng.Pin())
+	newRK := keyOf(eng.Pin())
 	if newRK == oldRK {
 		t.Fatal("rates key did not change after rates bump")
 	}
-	e, ok := c.vectors.Get(termKey(newRK, "olap"))
+	e, ok := c.vectors.Get(termKey(newRK, core.ModeAuthority, "olap"))
 	if !ok {
 		t.Fatal("no term vector at the new rates key")
 	}
@@ -184,13 +182,57 @@ func TestInvalidationAndWarmStart(t *testing.T) {
 	}
 }
 
+// TestDerivedPinDoesNotAliasParent: a WithRates view shares its parent's
+// version token and ranks under other rates, so the cache must key it
+// apart — neither served the parent's answers nor poisoning them.
+func TestDerivedPinDoesNotAliasParent(t *testing.T) {
+	ds, eng := testEngine(t, rank.Options{})
+	c := New(eng, Options{})
+	ctx := context.Background()
+	q := ir.NewQuery("olap")
+
+	pin := eng.Pin()
+	parent, err := c.QueryModePinnedCtx(ctx, pin, q, 10, core.ModeAuthority)
+	if err != nil {
+		t.Fatal(err)
+	}
+	derived, err := pin.WithRates(perturb(t, ds.Rates))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if derived.Version() != pin.Version() {
+		t.Fatalf("derived version %d, parent %d: the premise of the test is gone", derived.Version(), pin.Version())
+	}
+	got, err := c.QueryModePinnedCtx(ctx, derived, q, 10, core.ModeAuthority)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Source != SourceComputed {
+		t.Fatalf("derived pin answered from %q: it was served the parent's entry", got.Source)
+	}
+	same := len(got.Results) == len(parent.Results)
+	for i := 0; same && i < len(got.Results); i++ {
+		same = got.Results[i] == parent.Results[i]
+	}
+	if same {
+		t.Fatal("derived pin's answer equals the parent's under different rates")
+	}
+	// The parent's entry is still the parent's.
+	again, err := c.QueryModePinnedCtx(ctx, pin, q, 10, core.ModeAuthority)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Source != SourceResult || again.Results[0] != parent.Results[0] {
+		t.Fatalf("parent's repeat = %q %+v, want its own cached answer %+v", again.Source, again.Results[0], parent.Results[0])
+	}
+}
+
 // TestCacheHitBitCompatible: cached answers (result cache and term
 // cache) must be bitwise identical to what the uncached engine
 // computes at the same rates version.
 func TestCacheHitBitCompatible(t *testing.T) {
 	_, eng := testEngine(t, rank.Options{})
 	c := New(eng, Options{})
-	defer c.Close()
 
 	for _, q := range []*ir.Query{ir.NewQuery("olap"), ir.NewQuery("olap", "cube")} {
 		miss := query(c, q, 10)
@@ -227,7 +269,6 @@ func TestCacheHitBitCompatible(t *testing.T) {
 func TestRankPinnedMatchesEngine(t *testing.T) {
 	_, eng := testEngine(t, rank.Options{})
 	c := New(eng, Options{})
-	defer c.Close()
 
 	q := ir.NewQuery("olap")
 	ref := solveOne(eng.Pin(), core.SolveSpec{Queries: []*ir.Query{q}})
@@ -260,21 +301,21 @@ func TestSingleTerm(t *testing.T) {
 	}
 }
 
-// TestEvictionUnderPressure: a tiny vector budget forces term-vector
+// TestEvictionUnderPressure: a tiny byte budget forces term-vector
 // evictions while serving stays correct.
 func TestEvictionUnderPressure(t *testing.T) {
 	_, eng := testEngine(t, rank.Options{})
 	n := eng.Graph().NumNodes()
-	// Budget fits roughly one vector per shard with a single shard:
-	// inserting several distinct terms must evict.
-	c := New(eng, Options{VectorBytes: int64(8*n + 512), ResultBytes: 16 << 10, Shards: 1})
-	defer c.Close()
+	// The vector side gets 7/8 of MaxBytes over lruShards shards: size it
+	// so each shard fits one vector. More distinct terms than shards must
+	// then evict, wherever their keys hash.
+	c := New(eng, Options{MaxBytes: int64(8*n+512) * lruShards * 8 / 7})
 
 	terms := eng.Index().TermsWithDF(3)
-	if len(terms) > 6 {
-		terms = terms[:6]
+	if len(terms) > 2*lruShards {
+		terms = terms[:2*lruShards]
 	}
-	if len(terms) < 3 {
+	if len(terms) <= lruShards {
 		t.Skip("vocabulary too small at this scale")
 	}
 	for _, term := range terms {
@@ -282,7 +323,7 @@ func TestEvictionUnderPressure(t *testing.T) {
 	}
 	s := c.Stats()
 	if s.Vector.Evictions == 0 {
-		t.Errorf("no vector evictions under a one-vector budget: %+v", s.Vector)
+		t.Errorf("no vector evictions under a one-vector-per-shard budget: %+v", s.Vector)
 	}
 	if s.Vector.Bytes > s.Vector.BudgetBytes {
 		t.Errorf("resident bytes %d exceed budget %d", s.Vector.Bytes, s.Vector.BudgetBytes)
@@ -294,49 +335,12 @@ func TestEvictionUnderPressure(t *testing.T) {
 	}
 }
 
-// TestPrewarm: after a rates publication, the background prewarmer
-// refreshes the hottest terms at the new version without any query
-// arriving.
-func TestPrewarm(t *testing.T) {
-	ds, eng := testEngine(t, rank.Options{})
-	c := New(eng, Options{PrewarmTerms: 2})
-	defer c.Close()
-
-	// Make "olap" hot.
-	for i := 0; i < 3; i++ {
-		query(c, ir.NewQuery("olap"), 5)
-	}
-	if err := eng.SetRates(perturb(t, ds.Rates)); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	newRK := c.stateKeyFor(eng.Pin())
-	for {
-		if _, ok := c.vectors.Get(termKey(newRK, "olap")); ok {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("prewarmer did not refresh hot term; stats = %+v", c.Stats())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if c.Stats().Prewarmed == 0 {
-		t.Error("prewarmed counter not incremented")
-	}
-	// The prewarm itself should have warm-started from the donated v1
-	// vector (it was resident).
-	if c.Stats().WarmStarts == 0 {
-		t.Error("prewarm did not warm-start from the previous version's vector")
-	}
-}
-
 // TestConcurrentServeAndPublish hammers the cached serving path while
-// rates are republished — the -race workout for the cache, prewarmer,
-// and publish hook together.
+// rates are republished — the -race workout for keys, donations and
+// flights together.
 func TestConcurrentServeAndPublish(t *testing.T) {
 	ds, eng := testEngine(t, rank.Options{})
-	c := New(eng, Options{PrewarmTerms: 2})
-	defer c.Close()
+	c := New(eng, Options{})
 
 	terms := eng.Index().TermsWithDF(3)
 	if len(terms) > 4 {

@@ -195,7 +195,6 @@ func TestQueryCtxFollowerCancelCacheFillLands(t *testing.T) {
 	}
 	_, eng := testEngine(t, opts)
 	c := New(eng, Options{})
-	defer c.Close()
 	q := ir.NewQuery("olap")
 
 	leaderDone := make(chan struct{})
@@ -262,7 +261,6 @@ func TestQueryCtxFollowerCancelCacheFillLands(t *testing.T) {
 func TestQueryCtxPreCancelled(t *testing.T) {
 	_, eng := testEngine(t, rank.Options{Threshold: 1e-8, MaxIters: 500})
 	c := New(eng, Options{})
-	defer c.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if a, err := queryCtx(ctx, c, ir.NewQuery("olap"), 10); err != context.Canceled || a != nil {
@@ -270,85 +268,5 @@ func TestQueryCtxPreCancelled(t *testing.T) {
 	}
 	if a, err := c.RankPinnedCtx(ctx, eng.Pin(), ir.NewQuery("olap")); err != context.Canceled || a != nil {
 		t.Fatalf("RankPinnedCtx = (%v, %v), want (nil, context.Canceled)", a, err)
-	}
-}
-
-// TestCloseDuringPublish is the shutdown-ordering regression: closing
-// the cache while rate publications keep landing must neither block
-// Close, nor panic, nor revive the prewarmer — the publish hook
-// becomes a no-op the moment Close starts. Run under -race.
-func TestCloseDuringPublish(t *testing.T) {
-	_, eng := testEngine(t, rank.Options{Threshold: 1e-6, MaxIters: 200})
-	c := New(eng, Options{PrewarmTerms: 4})
-	query(c, ir.NewQuery("olap"), 5) // record a hot term
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { // publisher hammering SetRates during shutdown
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				if err := eng.SetRates(eng.Rates()); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}
-	}()
-	time.Sleep(2 * time.Millisecond)
-	done := make(chan struct{})
-	go func() { c.Close(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("Close blocked while publications were racing shutdown")
-	}
-	close(stop)
-	wg.Wait()
-	c.Close() // idempotent
-}
-
-// TestClosePromptWithSolveInFlight: Close must not wait out a long
-// prewarm solve — cancelling prewarmCtx aborts the kernel within one
-// sweep. The engine runs with ZeroThreshold and a huge iteration
-// budget, so an uncancelled prewarm would take far longer than the
-// test allows.
-func TestClosePromptWithSolveInFlight(t *testing.T) {
-	solveStarted := make(chan struct{})
-	var once sync.Once
-	var slow atomic.Bool // armed only for the prewarm solve, not the global warm-start
-	opts := rank.Options{
-		Threshold: rank.ZeroThreshold,
-		MaxIters:  20_000,
-		Observe: func(int, float64) {
-			if !slow.Load() {
-				return
-			}
-			once.Do(func() { close(solveStarted) })
-			time.Sleep(500 * time.Microsecond) // uncancelled: ≥10s of sweeps
-		},
-	}
-	_, eng := testEngine(t, opts)
-	eng.GlobalRank() // force the once-only global solve while still fast
-	c := New(eng, Options{PrewarmTerms: 1})
-	c.recordHot(ir.NewQuery("olap"))
-	slow.Store(true)
-	// Trigger the prewarmer via a publication.
-	if err := eng.SetRates(eng.Rates()); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-solveStarted:
-	case <-time.After(30 * time.Second):
-		t.Fatal("prewarm solve never started")
-	}
-	start := time.Now()
-	c.Close()
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("Close took %v with a prewarm solve in flight — cancellation did not reach the kernel", elapsed)
 	}
 }

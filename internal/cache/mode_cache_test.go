@@ -19,16 +19,16 @@ func TestModeKeysDisjoint(t *testing.T) {
 	q := ir.NewQuery("olap")
 	keys := map[string]core.Mode{}
 	for _, m := range []core.Mode{core.ModeAuthority, core.ModeHub, core.ModeCombined} {
-		k := resultKeyMode(sk, m, 10, q)
+		k := resultKey(sk, m, 10, q)
 		if prev, dup := keys[k]; dup {
 			t.Fatalf("modes %s and %s share result key %q", prev, m, k)
 		}
 		keys[k] = m
 	}
-	if resultKeyMode(sk, core.ModeAuthority, 10, q) != resultKey(sk, 10, q) {
-		t.Error("authority result keys must keep their pre-mode spelling")
+	if resultKey(sk, "", 10, q) != resultKey(sk, core.ModeAuthority, 10, q) {
+		t.Error("the empty mode must spell authority")
 	}
-	if termKeyMode(sk, core.ModeAuthority, "olap") == termKeyMode(sk, core.ModeHub, "olap") {
+	if termKey(sk, core.ModeAuthority, "olap") == termKey(sk, core.ModeHub, "olap") {
 		t.Error("authority and hub term vectors share a key")
 	}
 }
@@ -39,7 +39,6 @@ func TestModeKeysDisjoint(t *testing.T) {
 func TestQueryModeCachedBitIdentical(t *testing.T) {
 	_, eng := testEngine(t, modeTestOpts)
 	c := New(eng, Options{})
-	defer c.Close()
 	pin := eng.Pin()
 	ctx := context.Background()
 	q := func() *ir.Query { return ir.NewQuery("mining") }
@@ -88,7 +87,6 @@ func TestQueryModeCachedBitIdentical(t *testing.T) {
 func TestCombinedAssembledFromDirectionVectors(t *testing.T) {
 	_, eng := testEngine(t, modeTestOpts)
 	c := New(eng, Options{})
-	defer c.Close()
 	pin := eng.Pin()
 	ctx := context.Background()
 
@@ -124,7 +122,6 @@ func TestCombinedAssembledFromDirectionVectors(t *testing.T) {
 func TestBatchModesScatter(t *testing.T) {
 	_, eng := testEngine(t, modeTestOpts)
 	c := New(eng, Options{})
-	defer c.Close()
 	pin := eng.Pin()
 	ctx := context.Background()
 

@@ -16,13 +16,11 @@ type stats struct {
 	// in-flight computation instead of running their own.
 	dedup atomic.Int64
 	// computes counts actual power-iteration kernel invocations issued
-	// by the cache (term solves, full query solves, prewarms).
+	// by the cache (term solves, full query solves).
 	computes atomic.Int64
 	// warmStarts counts term solves that were warm-started from the
 	// previous rates version's converged vector for the same term.
 	warmStarts atomic.Int64
-	// prewarmed counts terms refreshed by the background prewarmer.
-	prewarmed atomic.Int64
 }
 
 // SideStats is one cache side's (term vectors or results) counter
@@ -44,7 +42,7 @@ type StatsSnapshot struct {
 	SingleflightDedup int64     `json:"singleflightDedup"`
 	Computes          int64     `json:"computes"`
 	WarmStarts        int64     `json:"warmStarts"`
-	Prewarmed         int64     `json:"prewarmed"`
+	Prewarmed         int64     `json:"prewarmed"` // inert, always 0: see CachedEngine.Close
 }
 
 // Stats returns a consistent-enough snapshot of the counters (each
@@ -71,6 +69,5 @@ func (c *CachedEngine) Stats() StatsSnapshot {
 		SingleflightDedup: c.stats.dedup.Load(),
 		Computes:          c.stats.computes.Load(),
 		WarmStarts:        c.stats.warmStarts.Load(),
-		Prewarmed:         c.stats.prewarmed.Load(),
 	}
 }

@@ -36,7 +36,6 @@ func TestSwapInvalidatesCache(t *testing.T) {
 	opts := rank.Options{Threshold: 1e-8, MaxIters: 300}
 	_, eng := testEngine(t, opts)
 	c := New(eng, Options{})
-	defer c.Close()
 	q := ir.NewQuery("mining")
 
 	a1 := query(c, q, 10)
@@ -86,7 +85,6 @@ func TestSwapWarmStartStaysWithinGeneration(t *testing.T) {
 	opts := rank.Options{Threshold: 1e-8, MaxIters: 300}
 	_, eng := testEngine(t, opts)
 	c := New(eng, Options{})
-	defer c.Close()
 	q := ir.NewQuery("mining")
 
 	query(c, q, 10) // populate generation 1's term vector
@@ -96,9 +94,8 @@ func TestSwapWarmStartStaysWithinGeneration(t *testing.T) {
 		t.Fatal(err)
 	}
 	pin := eng.Pin()
-	sk := c.stateKeyFor(pin)
-	if _, ok := c.previousTermKey(pin.Version(), sk, core.ModeAuthority, "mining"); ok {
-		t.Fatal("previousTermKey offered a cross-generation donation")
+	if init := c.donation(pin, keyOf(pin), core.ModeAuthority, "mining"); init != nil {
+		t.Fatal("donation offered a cross-generation vector")
 	}
 	// And the solve itself stays sized for the new graph.
 	a := query(c, q, 10)
@@ -115,7 +112,6 @@ func TestSwapCacheHammer(t *testing.T) {
 	opts := rank.Options{Threshold: 1e-6, MaxIters: 200}
 	_, eng := testEngine(t, opts)
 	c := New(eng, Options{})
-	defer c.Close()
 	cA, rA := eng.Corpus(), eng.Rates()
 	cB, rB := secondCorpus(t, opts)
 

@@ -332,7 +332,6 @@ func table(w *world) []path {
 			path{fmt.Sprintf("%s cached vector (miss, hit) ≡ uncached", m), bitIdentical,
 				func(t *testing.T) [][]float64 {
 					c := cache.New(w.eng, cache.Options{})
-					defer c.Close()
 					var out [][]float64
 					for pass := 0; pass < 2; pass++ {
 						for _, q := range w.queries {
@@ -348,7 +347,6 @@ func table(w *world) []path {
 			path{fmt.Sprintf("%s cached top-k (miss, hit) ≡ uncached", m), bitIdentical,
 				func(t *testing.T) [][]float64 {
 					c := cache.New(w.eng, cache.Options{})
-					defer c.Close()
 					var out [][]float64
 					for pass := 0; pass < 2; pass++ {
 						for _, q := range w.queries {
@@ -364,7 +362,6 @@ func table(w *world) []path {
 			path{fmt.Sprintf("%s cached batch (miss, hit) ≡ uncached", m), bitIdentical,
 				func(t *testing.T) [][]float64 {
 					c := cache.New(w.eng, cache.Options{})
-					defer c.Close()
 					ks := make([]int, len(w.queries))
 					modes := make([]core.Mode, len(w.queries))
 					for i := range ks {
@@ -392,7 +389,6 @@ func table(w *world) []path {
 	rows = append(rows, path{"cached single-term query at weight ≠ 1 vs uncached", within1e12,
 		func(t *testing.T) [][]float64 {
 			c := cache.New(w.eng, cache.Options{})
-			defer c.Close()
 			out := make([][]float64, len(w.reweighted))
 			for i, q := range w.reweighted {
 				res, err := c.RankModePinnedCtx(ctx, w.pin, q, core.ModeAuthority)

@@ -40,7 +40,7 @@ type Corpus struct {
 }
 
 // DefaultBlockSize is how many columns of a multi-column solve
-// (batches, precompute, cache prewarm, profile basis) go to one kernel
+// (batches, precompute, profile basis) go to one kernel
 // execution: the unit of SolveStats accounting and the bound on the jump
 // vectors a Solve holds at once.
 const DefaultBlockSize = 8
@@ -50,9 +50,9 @@ const DefaultBlockSize = 8
 // the engine cannot repair locally: a wrong-LENGTH init VECTOR is a
 // stale donation from another generation and silently degrades to a
 // cold start (see Solve), but a wrong COUNT of vectors means the
-// caller's bookkeeping desynchronized — e.g. a cache prewarm list
-// mutated between assembling queries and donations across a corpus
-// swap — and no per-query pairing can be inferred. Callers get a typed
+// caller's bookkeeping desynchronized — e.g. a batch's column list
+// mutated between assembling queries and donations — and no per-query
+// pairing can be inferred. Callers get a typed
 // error instead of the panic earlier builds raised.
 var ErrWarmStartMismatch = errors.New("core: warm-start init count does not match query count")
 
@@ -121,14 +121,26 @@ func (c *Corpus) Options() rank.Options { return c.opts }
 
 // ratesSnapshot is one immutable published state of the mutable half of
 // an Engine: a rate assignment, its flat vector (what the kernel
-// reads), and a monotonically increasing version. Snapshots are never
-// mutated after publication — reformulation builds a fresh snapshot and
-// publishes it with a compare-and-swap — so readers that loaded a
-// snapshot can keep using it lock-free for as long as they like.
+// reads), a monotonically increasing version, and the identity caches
+// key on. Snapshots are never mutated after publication — reformulation
+// builds a fresh snapshot and publishes it with a compare-and-swap — so
+// readers that loaded a snapshot can keep using it lock-free for as
+// long as they like.
 type ratesSnapshot struct {
 	rates   *graph.Rates
 	alpha   []float64
 	version uint64
+
+	// key is alpha's graph.RateVectorKey: the snapshot carries its own
+	// cache identity, so value-identical republished rates keep one key
+	// and no consumer hashes a rate vector again. prevKey is the key of
+	// the snapshot this one replaced in the SAME generation (hasPrev
+	// false for an engine's first snapshot, a corpus swap's, and a
+	// derived view's) — where the previous version's converged vectors
+	// live, for §6.2 warm starts across a publish.
+	key     uint64
+	prevKey uint64
+	hasPrev bool
 
 	// plans are the snapshot's coefficient plans (rank.Plan), authority
 	// then hub: what multi-column solves sweep over. Each is built by the
@@ -140,6 +152,18 @@ type ratesSnapshot struct {
 		once sync.Once
 		plan *rank.Plan
 	}
+}
+
+// newRatesSnapshot is the one constructor of a rates snapshot. It takes
+// ownership of rates (callers pass a clone); replaced is the snapshot a
+// same-generation publication supersedes, nil otherwise.
+func newRatesSnapshot(rates *graph.Rates, version uint64, replaced *ratesSnapshot) *ratesSnapshot {
+	alpha := rates.Vector()
+	s := &ratesSnapshot{rates: rates, alpha: alpha, version: version, key: graph.RateVectorKey(alpha)}
+	if replaced != nil {
+		s.prevKey, s.hasPrev = replaced.key, true
+	}
+	return s
 }
 
 // plan returns the snapshot's coefficient plan for direction dir of gn
@@ -238,12 +262,6 @@ func (st *engineState) globalScores() []float64 {
 type Engine struct {
 	state atomic.Pointer[engineState]
 
-	// publishHook, when set, is invoked after every successful rates
-	// publication with the replaced and new snapshot versions. The
-	// serving cache subscribes here to trigger prewarming; see
-	// SetPublishHook.
-	publishHook atomic.Pointer[func(oldVersion, newVersion uint64)]
-
 	// swapHook, when set, is invoked after every successful corpus swap
 	// with the replaced and new generation numbers; see SetSwapHook.
 	swapHook atomic.Pointer[func(oldGeneration, newGeneration uint64)]
@@ -316,36 +334,11 @@ func (e *Engine) notifySolve(st SolveStats) {
 	}
 }
 
-// SetPublishHook registers f to be called after every successful rates
-// publication (SetRates or TrySetRates) with the versions of the
-// replaced and the newly published snapshot. At most one hook is held;
-// a nil f removes it. The hook runs synchronously on the publishing
-// goroutine AFTER the compare-and-swap, so it observes the new snapshot
-// via the engine's normal read paths; it must not itself publish rates
-// (that would recurse). This is the engine-level integration point for
-// version-keyed caches: invalidation is implicit (cache keys embed the
-// rates identity), the hook exists to kick off background refresh work
-// such as prewarming hot terms.
-func (e *Engine) SetPublishHook(f func(oldVersion, newVersion uint64)) {
-	if f == nil {
-		e.publishHook.Store(nil)
-		return
-	}
-	e.publishHook.Store(&f)
-}
-
-func (e *Engine) notifyPublish(oldVersion, newVersion uint64) {
-	if h := e.publishHook.Load(); h != nil {
-		(*h)(oldVersion, newVersion)
-	}
-}
-
 // SetSwapHook registers f to be called after every successful
 // SwapCorpus with the replaced and new generation numbers. At most one
 // hook is held; a nil f removes it. The hook runs synchronously on the
 // swapping goroutine AFTER the compare-and-swap (so it observes the
-// new generation through the engine's normal read paths) and BEFORE
-// the publish hook fires for the swap's rates publication.
+// new generation through the engine's normal read paths).
 func (e *Engine) SetSwapHook(f func(oldGeneration, newGeneration uint64)) {
 	if f == nil {
 		e.swapHook.Store(nil)
@@ -386,10 +379,9 @@ func NewEngineWith(c *Corpus, rates *graph.Rates) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{}
-	clone := rates.Clone()
 	e.state.Store(&engineState{
 		gen:  &generation{corpus: c, num: 1},
-		snap: &ratesSnapshot{rates: clone, alpha: clone.Vector(), version: 1},
+		snap: newRatesSnapshot(rates.Clone(), 1, nil),
 	})
 	return e, nil
 }
@@ -440,18 +432,13 @@ func (e *Engine) Generation() uint64 { return e.state.Load().gen.num }
 // schema rather than publishing rates the new graph cannot interpret.
 func (e *Engine) SetRates(r *graph.Rates) error {
 	clone := r.Clone()
-	alpha := clone.Vector()
 	for {
 		old := e.state.Load()
 		if err := validateRates(old.gen.corpus.g, clone); err != nil {
 			return err
 		}
-		next := &engineState{
-			gen:  old.gen,
-			snap: &ratesSnapshot{rates: clone, alpha: alpha, version: old.snap.version + 1},
-		}
+		next := &engineState{gen: old.gen, snap: newRatesSnapshot(clone, old.snap.version+1, old.snap)}
 		if e.state.CompareAndSwap(old, next) {
-			e.notifyPublish(old.snap.version, next.snap.version)
 			return nil
 		}
 	}
@@ -474,15 +461,10 @@ func (e *Engine) TrySetRates(r *graph.Rates, ifVersion uint64) (uint64, error) {
 	if old.snap.version != ifVersion {
 		return old.snap.version, ErrRatesConflict
 	}
-	clone := r.Clone()
-	next := &engineState{
-		gen:  old.gen,
-		snap: &ratesSnapshot{rates: clone, alpha: clone.Vector(), version: old.snap.version + 1},
-	}
+	next := &engineState{gen: old.gen, snap: newRatesSnapshot(r.Clone(), old.snap.version+1, old.snap)}
 	if !e.state.CompareAndSwap(old, next) {
 		return e.state.Load().snap.version, ErrRatesConflict
 	}
-	e.notifyPublish(old.snap.version, next.snap.version)
 	return next.snap.version, nil
 }
 
@@ -495,27 +477,25 @@ func (e *Engine) TrySetRates(r *graph.Rates, ifVersion uint64) (uint64, error) {
 // (monotonically — version tokens never repeat across generations), so
 // version-keyed caches and in-flight reformulation tokens invalidate
 // implicitly. In-flight queries and detached cache flights finish on
-// the generation they pinned; nothing blocks. After the CAS the swap
-// hook fires, then the publish hook (the existing prewarm path), so a
-// serving cache refreshes its hot set against the new generation.
+// the generation they pinned; nothing blocks. The new snapshot records
+// no previous rates key, so no cache donates a vector sized for the old
+// graph. After the CAS the swap hook fires.
 func (e *Engine) SwapCorpus(c *Corpus, r *graph.Rates, ifGeneration uint64) (uint64, error) {
 	if err := validateRates(c.g, r); err != nil {
 		return e.Generation(), err
 	}
-	clone := r.Clone()
 	old := e.state.Load()
 	if old.gen.num != ifGeneration {
 		return old.gen.num, ErrGenerationConflict
 	}
 	next := &engineState{
 		gen:  &generation{corpus: c, num: old.gen.num + 1},
-		snap: &ratesSnapshot{rates: clone, alpha: clone.Vector(), version: old.snap.version + 1},
+		snap: newRatesSnapshot(r.Clone(), old.snap.version+1, nil),
 	}
 	if !e.state.CompareAndSwap(old, next) {
 		return e.state.Load().gen.num, ErrGenerationConflict
 	}
 	e.notifySwap(old.gen.num, next.gen.num)
-	e.notifyPublish(old.snap.version, next.snap.version)
 	return next.gen.num, nil
 }
 
@@ -717,6 +697,23 @@ func (p *Pinned) Corpus() *Corpus { return p.st.gen.corpus }
 
 // Rates returns a copy of the pinned rates.
 func (p *Pinned) Rates() *graph.Rates { return p.st.snap.rates.Clone() }
+
+// RatesKey returns the graph.RateVectorKey fingerprint of the pinned
+// rate vector, computed once when the snapshot was built. With
+// Generation it is the identity every cache keys on: two pins with
+// equal (Generation, RatesKey) rank identically, whatever their version
+// tokens say — a derived WithRates view shares its parent's version and
+// differs here.
+func (p *Pinned) RatesKey() uint64 { return p.st.snap.key }
+
+// PreviousRatesKey returns the RatesKey of the snapshot the pinned one
+// replaced by a SetRates/TrySetRates publication within the pinned
+// generation; ok is false when there is none (the engine's first
+// snapshot, the first after a corpus swap, a derived view). It may
+// equal RatesKey: republishing a value-identical vector changes no key.
+func (p *Pinned) PreviousRatesKey() (key uint64, ok bool) {
+	return p.st.snap.prevKey, p.st.snap.hasPrev
+}
 
 // Engine returns the engine the view was pinned from.
 func (p *Pinned) Engine() *Engine { return p.e }

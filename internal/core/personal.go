@@ -20,18 +20,17 @@ import "authorityflow/internal/graph"
 // a reformulation computed on the derived view can still be published
 // globally with TrySetRates(rates, pin.Version()) under the usual
 // optimistic-concurrency contract, or kept private as a profile delta.
+// Its RatesKey is its own rates' — caches keyed on (Generation,
+// RatesKey) never confuse it with the parent — and it has no
+// PreviousRatesKey.
 // The generation's global PageRank warm-start cache is shared with the
 // parent (warm starts do not affect the fixpoint a solve converges to).
 func (p *Pinned) WithRates(r *graph.Rates) (*Pinned, error) {
 	if err := validateRates(p.st.gen.corpus.g, r); err != nil {
 		return nil, err
 	}
-	clone := r.Clone()
 	return &Pinned{
-		e: p.e,
-		st: &engineState{
-			gen:  p.st.gen,
-			snap: &ratesSnapshot{rates: clone, alpha: clone.Vector(), version: p.st.snap.version},
-		},
+		e:  p.e,
+		st: &engineState{gen: p.st.gen, snap: newRatesSnapshot(r.Clone(), p.st.snap.version, nil)},
 	}, nil
 }

@@ -1,6 +1,7 @@
 package precompute
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -10,8 +11,8 @@ import (
 	"authorityflow/internal/rank"
 )
 
-// buildTestTerms is a vocabulary slice wide enough to exercise full
-// panels AND a ragged final panel at every BlockSize under test.
+// buildTestTerms is a vocabulary slice wide enough to exercise a full
+// group of core.DefaultBlockSize terms AND a ragged final one.
 var buildTestTerms = []string{
 	"olap", "xml", "mining", "query", "optimization", "index",
 	"search", "database", "web", "stream", "join",
@@ -54,48 +55,50 @@ func assertStoresByteEqual(t *testing.T, label string, want, got *Store) {
 	}
 }
 
-// TestBuildBlockedByteEqual is the acceptance check for the blocked
-// precompute path: the store built through blocked panels is byte-equal
-// — per term, bit-for-bit — to the serial one-term-per-solve build, for
-// full panels, ragged final panels, and the concurrent-panel build.
+// oneTermPerSolve builds the store the way a build without grouping
+// would: every term through its own Build, so its own one-column solve.
+func oneTermPerSolve(eng *core.Engine, topK int) *Store {
+	st := &Store{terms: make(map[string]termData)}
+	for _, tm := range buildTestTerms {
+		for name, td := range Build(eng, []string{tm}, BuildOptions{TopK: topK}).terms {
+			st.terms[name] = td
+		}
+	}
+	return st
+}
+
+// TestBuildBlockedByteEqual is the acceptance check for the grouped
+// precompute path: the store built through multi-column solves is
+// byte-equal — per term, bit-for-bit — to one built a term at a time,
+// for the full group, the ragged final group, and the concurrent build.
 func TestBuildBlockedByteEqual(t *testing.T) {
 	eng, _ := testEngine(t)
-	serial := Build(eng, buildTestTerms, BuildOptions{BlockSize: 1})
-
-	for _, tc := range []struct {
-		label string
-		opts  BuildOptions
-	}{
-		{"block2", BuildOptions{BlockSize: 2}},
-		{"block4-ragged", BuildOptions{BlockSize: 4}}, // 11 terms → 4+4+3
-		{"block8-default", BuildOptions{}},            // corpus default (8) → 8+3
-		{"block64-oversized", BuildOptions{BlockSize: 64}},
-		{"block4-workers3", BuildOptions{BlockSize: 4, Workers: 3}},
-	} {
-		assertStoresByteEqual(t, tc.label, serial, Build(eng, buildTestTerms, tc.opts))
+	serial := oneTermPerSolve(eng, 0)
+	for _, workers := range []int{1, 3} {
+		assertStoresByteEqual(t, fmt.Sprintf("workers=%d", workers), serial,
+			Build(eng, buildTestTerms, BuildOptions{Workers: workers}))
 	}
 }
 
-// TestBuildBlockedTruncated: TopK truncation composes with blocking —
-// truncated blocked and truncated serial stores agree bit-for-bit.
+// TestBuildBlockedTruncated: TopK truncation composes with grouping —
+// truncated grouped and truncated term-at-a-time stores agree
+// bit-for-bit.
 func TestBuildBlockedTruncated(t *testing.T) {
 	eng, _ := testEngine(t)
-	serial := Build(eng, buildTestTerms, BuildOptions{BlockSize: 1, TopK: 25})
-	blocked := Build(eng, buildTestTerms, BuildOptions{BlockSize: 4, TopK: 25})
-	assertStoresByteEqual(t, "topk25", serial, blocked)
+	assertStoresByteEqual(t, "topk25", oneTermPerSolve(eng, 25), Build(eng, buildTestTerms, BuildOptions{TopK: 25}))
 }
 
-// TestBuildBlockedSolveCount: an N-term build at BlockSize B fires the
-// solve hook once per panel holding at least one indexable term, each
-// firing carrying Columns = that panel's count of nonzero-base-mass
-// terms — the amortization the blocked kernel exists for. Expectations
-// are derived from the index itself because zero-mass terms (the
-// vocabulary deliberately contains some) never occupy a column.
+// TestBuildBlockedSolveCount: an N-term build fires the solve hook once
+// per group of core.DefaultBlockSize terms holding at least one
+// indexable term, each firing carrying Columns = that group's count of
+// nonzero-base-mass terms. Expectations are derived from the index
+// itself because zero-mass terms (the vocabulary deliberately contains
+// some) never occupy a column.
 func TestBuildBlockedSolveCount(t *testing.T) {
 	eng, _ := testEngine(t)
-	const bs = 4
+	const bs = core.DefaultBlockSize
 	// The forced GlobalRank warm start does not route through the solve
-	// hook, so only panels count.
+	// hook, so only groups count.
 	wantSolves, wantColumns := 0, 0
 	for lo := 0; lo < len(buildTestTerms); lo += bs {
 		hi := lo + bs
@@ -118,17 +121,15 @@ func TestBuildBlockedSolveCount(t *testing.T) {
 		solves++
 		columns += st.Columns
 	})
-	Build(eng, buildTestTerms, BuildOptions{BlockSize: bs})
+	Build(eng, buildTestTerms, BuildOptions{})
 	if solves != wantSolves || columns != wantColumns {
 		t.Fatalf("solves = %d (want %d), columns = %d (want %d)",
 			solves, wantSolves, columns, wantColumns)
 	}
 }
 
-// BenchmarkPrecomputeBlocked measures the blocked build against the
-// serial one-term-per-solve build on the same vocabulary, reporting
-// ns/term and kernel solves (sweep amortization: the blocked build
-// performs ⌈N/B⌉ kernel executions where serial performs N).
+// BenchmarkPrecomputeBlocked measures the build, reporting ns/term and
+// kernel solves (⌈N/core.DefaultBlockSize⌉ executions for N terms).
 func BenchmarkPrecomputeBlocked(b *testing.B) {
 	cfg := datagen.DBLPTopConfig().Scale(0.02)
 	cfg.Seed = 11
@@ -144,31 +145,20 @@ func BenchmarkPrecomputeBlocked(b *testing.B) {
 	}
 	eng.GlobalRank() // exclude the one-time warm-start solve
 	wantTerms := Build(eng, buildTestTerms, BuildOptions{}).Terms()
-	for _, bm := range []struct {
-		name string
-		opts BuildOptions
-	}{
-		{"serial", BuildOptions{BlockSize: 1}},
-		{"blocked8", BuildOptions{BlockSize: 8}},
-	} {
-		b.Run(bm.name, func(b *testing.B) {
-			var solves, iters int
-			eng.SetSolveHook(func(st core.SolveStats) {
-				solves++
-				iters += st.Iterations
-			})
-			defer eng.SetSolveHook(nil)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				st := Build(eng, buildTestTerms, bm.opts)
-				if st.Terms() != wantTerms {
-					b.Fatalf("built %d terms, want %d", st.Terms(), wantTerms)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(buildTestTerms)), "ns/term")
-			b.ReportMetric(float64(solves)/float64(b.N), "solves/build")
-			b.ReportMetric(float64(iters)/float64(solves), "sweeps/solve")
-		})
+	var solves, iters int
+	eng.SetSolveHook(func(st core.SolveStats) {
+		solves++
+		iters += st.Iterations
+	})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st := Build(eng, buildTestTerms, BuildOptions{})
+		if st.Terms() != wantTerms {
+			b.Fatalf("built %d terms, want %d", st.Terms(), wantTerms)
+		}
 	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(buildTestTerms)), "ns/term")
+	b.ReportMetric(float64(solves)/float64(b.N), "solves/build")
+	b.ReportMetric(float64(iters)/float64(solves), "sweeps/solve")
 }

@@ -2,9 +2,11 @@ package precompute
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"authorityflow/internal/core"
+	"authorityflow/internal/ir"
 )
 
 // TestBuildCtxCancelled: a pre-cancelled context aborts the build
@@ -45,58 +47,74 @@ func TestBuildCtxLiveMatchesBuild(t *testing.T) {
 	}
 }
 
-// TestBuildCtxMidBuildCancel cancels after the first completed
-// solve (the forced GlobalRank warm-start does not route through the
-// solve hook) and asserts the serial build stops early with a partial —
-// but internally consistent — store: exactly the terms completed before
-// the cutoff are stored, fully converged, and the error is the context
-// error. BlockSize 1 pins the cancellation granularity to one term per
-// solve (the blocked build's granularity is otherwise the PANEL — see
-// TestBuildCtxMidBuildCancelPanelGranularity).
+// firstGroup returns the terms of buildTestTerms' first
+// core.DefaultBlockSize-wide group that have a base set: the columns of
+// the build's first kernel execution.
+func firstGroup(eng *core.Engine) []string {
+	var out []string
+	for _, tm := range buildTestTerms[:core.DefaultBlockSize] {
+		if len(eng.Index().BaseSet(ir.NewQuery(tm))) > 0 {
+			out = append(out, tm)
+		}
+	}
+	return out
+}
+
+// TestBuildCtxMidBuildCancel cancels at the first completed kernel
+// execution (the forced GlobalRank warm-start does not route through
+// the solve hook) and asserts that the build, one group at a time or
+// three at once, returns the context error with a partial but
+// internally consistent store: every term it holds is bit-equal to the
+// uncancelled build's.
 func TestBuildCtxMidBuildCancel(t *testing.T) {
 	eng, _ := testEngine(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	solves := 0
-	eng.SetSolveHook(func(core.SolveStats) {
-		solves++
-		if solves == 1 { // first per-term solve
-			cancel()
+	full := Build(eng, buildTestTerms, BuildOptions{})
+	for _, workers := range []int{0, 3} {
+		ctx, cancel := context.WithCancel(context.Background())
+		eng.SetSolveHook(func(core.SolveStats) { cancel() })
+		st, err := BuildCtx(ctx, eng, buildTestTerms, BuildOptions{Workers: workers})
+		eng.SetSolveHook(nil)
+		if err != context.Canceled {
+			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
 		}
-	})
-	st, err := BuildCtx(ctx, eng, []string{"olap", "xml", "query", "database"}, BuildOptions{BlockSize: 1})
-	if err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if st.Terms() != 1 || !st.Has("olap") {
-		t.Fatalf("partial store holds %d terms (olap=%t), want exactly the pre-cutoff term",
-			st.Terms(), st.Has("olap"))
+		if st.Terms() == 0 {
+			t.Fatalf("workers=%d: the group that completed before the cutoff was not stored", workers)
+		}
+		want := &Store{terms: make(map[string]termData)}
+		for term := range st.terms {
+			want.terms[term] = full.terms[term]
+		}
+		assertStoresByteEqual(t, fmt.Sprintf("workers=%d", workers), want, st)
 	}
 }
 
-// TestBuildCtxMidBuildCancelPanelGranularity: under the default
-// BlockSize the unit of completion is the PANEL — cancelling after the
-// first solve-hook firing (one blocked panel) leaves every term of that
-// panel stored, because they all converged in the same kernel
-// execution.
+// TestBuildCtxMidBuildCancelPanelGranularity: the unit of completion is
+// the group of core.DefaultBlockSize terms — cancelling at the first
+// solve-hook firing of a serial build leaves exactly that group's terms
+// stored, because they converged in the same kernel execution, and none
+// of the next group's.
 func TestBuildCtxMidBuildCancelPanelGranularity(t *testing.T) {
 	eng, _ := testEngine(t)
+	want := firstGroup(eng)
 	ctx, cancel := context.WithCancel(context.Background())
 	solves := 0
 	eng.SetSolveHook(func(st core.SolveStats) {
 		solves++
-		if st.Columns != 2 {
-			t.Errorf("solve %d: Columns = %d, want 2", solves, st.Columns)
+		if st.Columns != len(want) {
+			t.Errorf("solve %d: Columns = %d, want %d", solves, st.Columns, len(want))
 		}
-		if solves == 1 { // first panel
-			cancel()
-		}
+		cancel()
 	})
-	terms := []string{"olap", "xml", "query", "database"}
-	st, err := BuildCtx(ctx, eng, terms, BuildOptions{BlockSize: 2})
+	st, err := BuildCtx(ctx, eng, buildTestTerms, BuildOptions{})
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if st.Terms() != 2 || !st.Has("olap") || !st.Has("xml") {
-		t.Fatalf("partial store holds %d terms, want exactly the first panel {olap, xml}", st.Terms())
+	if solves != 1 || st.Terms() != len(want) {
+		t.Fatalf("%d kernel executions stored %d terms, want 1 storing the first group's %d", solves, st.Terms(), len(want))
+	}
+	for _, tm := range want {
+		if !st.Has(tm) {
+			t.Fatalf("first group's term %q missing from the partial store", tm)
+		}
 	}
 }

@@ -32,6 +32,7 @@ import (
 	"authorityflow/internal/graph"
 	"authorityflow/internal/ir"
 	"authorityflow/internal/rank"
+	"authorityflow/internal/storage"
 )
 
 // Entry is one node's precomputed score for a term.
@@ -64,25 +65,17 @@ type BuildOptions struct {
 	// combination then ranks within the union of the per-term lists.
 	TopK int
 	// Workers parallelizes whole Solve calls (0/1 = one at a time). Each
-	// worker owns whole groups of BlockSize terms.
+	// worker owns whole groups of core.DefaultBlockSize terms.
 	Workers int
-	// BlockSize is the number of terms handed to one Pinned.Solve, whose
-	// columns are independent fixpoints over the snapshot's coefficient
-	// plan (rank.Iterate). 0 uses core.DefaultBlockSize; 1 recovers the
-	// one-term-per-solve build, which sweeps the arc-struct body instead.
-	// Per-term vectors are bit-identical at ANY width (the kernel's
-	// per-column equivalence contract), so BlockSize is purely a
-	// throughput knob — TestBuildBlockedByteEqual enforces this.
-	BlockSize int
 }
 
 // Build runs one single-term ObjectRank2 fixpoint per given term —
-// solved in groups of BlockSize terms each — and stores the
-// results. The whole build is pinned to ONE rates snapshot taken at
-// entry, so every per-term vector — and the recorded rate vector the
-// store validates against — reflects a single consistent rate
-// assignment even if SetRates lands mid-build. Terms with empty base
-// sets are skipped. Build is BuildCtx under a background context; use
+// handed to Pinned.Solve core.DefaultBlockSize terms at a time, which
+// bounds the score vectors live at once — and stores the results. The
+// whole build is pinned to ONE rates snapshot taken at entry, so every
+// per-term vector — and the recorded rate vector the store validates
+// against — reflects a single consistent rate assignment even if
+// SetRates lands mid-build. Terms with empty base sets are skipped. Build is BuildCtx under a background context; use
 // BuildCtx to make a long build abortable.
 func Build(eng *core.Engine, terms []string, opts BuildOptions) *Store {
 	st, _ := BuildCtx(context.Background(), eng, terms, opts)
@@ -114,13 +107,9 @@ func BuildCtx(ctx context.Context, eng *core.Engine, terms []string, opts BuildO
 	// Force the shared warm-start cache before fanning out.
 	eng.GlobalRank()
 
-	bs := opts.BlockSize
-	if bs <= 0 {
-		bs = core.DefaultBlockSize
-	}
 	var panels [][]string
-	for lo := 0; lo < len(terms); lo += bs {
-		hi := lo + bs
+	for lo := 0; lo < len(terms); lo += core.DefaultBlockSize {
+		hi := lo + core.DefaultBlockSize
 		if hi > len(terms) {
 			hi = len(terms)
 		}
@@ -365,22 +354,17 @@ func Load(r io.Reader) (*Store, error) {
 	return &Store{topK: snap.TopK, n: snap.N, graphFP: snap.GraphFP, rates: snap.Rates, terms: snap.Terms}, nil
 }
 
-// SaveFile writes the store to path.
+// SaveFile writes the store to path through storage.AtomicWriteFile
+// (temp file, fsync, rename): a save that fails or is cut short leaves
+// the file previously at path in place and complete.
 func (s *Store) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	w := bufio.NewWriter(f)
-	if err := s.Save(w); err != nil {
-		f.Close()
-		return err
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return storage.AtomicWriteFile(path, func(w io.Writer) error {
+		bw := bufio.NewWriter(w)
+		if err := s.Save(bw); err != nil {
+			return err
+		}
+		return bw.Flush()
+	})
 }
 
 // LoadFile reads a store from path.
@@ -399,8 +383,8 @@ func LoadFile(path string) (*Store, error) {
 // swap to a different graph invalidates the store even when node counts
 // coincide; stores saved before fingerprints existed (GraphFP 0 on
 // load) fall back to the original size-only check. The rates comparison
-// is graph.SameRateVector — the same predicate the serving cache's key
-// derivation (graph.RateVectorKey) hashes — so "store rates match live
+// is graph.SameRateVector — the predicate the serving cache's rates key
+// (core.Pinned.RatesKey) is the hash of — so "store rates match live
 // rates" and "cache entry matches live rates" cannot drift apart.
 //
 // Callers revalidating around swaps should pin first and compare
@@ -416,12 +400,3 @@ func (s *Store) ValidFor(eng *core.Engine) bool {
 	}
 	return graph.SameRateVector(eng.Rates().Vector(), s.rates)
 }
-
-// GraphFingerprint returns the content digest of the graph the store
-// was built over (0 for stores saved before fingerprints existed).
-func (s *Store) GraphFingerprint() uint64 { return s.graphFP }
-
-// RatesKey returns the graph.RateVectorKey fingerprint of the rates the
-// store was built under — directly comparable with the serving cache's
-// key component for the same rate assignment.
-func (s *Store) RatesKey() uint64 { return graph.RateVectorKey(s.rates) }

@@ -3,7 +3,10 @@ package precompute
 import (
 	"bytes"
 	"context"
+	"errors"
+	"io"
 	"math"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -13,6 +16,7 @@ import (
 	"authorityflow/internal/graph"
 	"authorityflow/internal/ir"
 	"authorityflow/internal/rank"
+	"authorityflow/internal/storage"
 )
 
 func testEngine(t testing.TB) (*core.Engine, *datagen.Dataset) {
@@ -217,6 +221,72 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if _, err := Load(strings.NewReader("garbage")); err == nil {
 		t.Error("garbage should error")
 	}
+}
+
+// failAfter passes n bytes through to w and then fails every write.
+type failAfter struct {
+	w io.Writer
+	n int
+}
+
+var errDiskGone = errors.New("disk gone mid-save")
+
+func (f *failAfter) Write(p []byte) (int, error) {
+	if len(p) > f.n {
+		n, _ := f.w.Write(p[:f.n])
+		f.n = 0
+		return n, errDiskGone
+	}
+	f.n -= len(p)
+	return f.w.Write(p)
+}
+
+// TestSaveFileFailureKeepsPreviousStore: a save that fails — its writer
+// dying mid-stream, or the temp file not creatable at all — returns the
+// error and leaves the store previously at the path loadable and
+// unchanged, with no temp file behind it.
+func TestSaveFileFailureKeepsPreviousStore(t *testing.T) {
+	eng, _ := testEngine(t)
+	first := Build(eng, []string{"olap"}, BuildOptions{TopK: 50})
+	second := Build(eng, []string{"olap", "xml", "mining"}, BuildOptions{})
+	path := filepath.Join(t.TempDir(), "store.gob")
+	if err := first.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	stillFirst := func(after string) {
+		t.Helper()
+		got, err := LoadFile(path)
+		if err != nil {
+			t.Fatalf("%s: previous store no longer loads: %v", after, err)
+		}
+		if got.Terms() != first.Terms() || got.TopK() != first.TopK() || got.Has("xml") {
+			t.Fatalf("%s: file holds %d terms (topK %d), want the previous store's %d (topK %d)",
+				after, got.Terms(), got.TopK(), first.Terms(), first.TopK())
+		}
+	}
+
+	// The call SaveFile makes, with the file wrapped in a writer that
+	// dies a few hundred bytes into the gob stream.
+	err := storage.AtomicWriteFile(path, func(w io.Writer) error {
+		return second.Save(&failAfter{w: w, n: 256})
+	})
+	if !errors.Is(err, errDiskGone) {
+		t.Fatalf("mid-stream failure: err = %v, want the writer's", err)
+	}
+	stillFirst("mid-stream failure")
+	if _, err := os.Stat(path + ".tmp"); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("temp file left behind: stat err = %v", err)
+	}
+
+	// SaveFile itself, unable to create its temp file: it must not have
+	// touched path on the way (a create-and-truncate of path would).
+	if err := os.Mkdir(path+".tmp", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := second.SaveFile(path); err == nil {
+		t.Fatal("SaveFile succeeded with its temp path occupied: it does not write through a temp file")
+	}
+	stillFirst("failed SaveFile")
 }
 
 func TestValidFor(t *testing.T) {

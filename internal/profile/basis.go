@@ -30,7 +30,6 @@ import (
 	"sort"
 
 	"authorityflow/internal/core"
-	"authorityflow/internal/graph"
 	"authorityflow/internal/ir"
 )
 
@@ -47,13 +46,12 @@ const DefaultBasisSize = 64
 type Basis struct {
 	generation   uint64
 	ratesVersion uint64
-	ratesKey     uint64 // graph.RateVectorKey of the build rates
+	ratesKey     uint64 // pin.RatesKey() of the build rates
 	n            int    // graph size every vector is sized for
 
 	terms []string
 	index map[string]int
 	vecs  [][]float64 // converged r_t per term, dense
-	mass  []float64   // unnormalized base mass Z_t per term
 	bytes int64
 }
 
@@ -63,8 +61,8 @@ func (b *Basis) Generation() uint64 { return b.generation }
 // RatesVersion returns the rates version the basis was built against.
 func (b *Basis) RatesVersion() uint64 { return b.ratesVersion }
 
-// RatesKey returns the graph.RateVectorKey fingerprint of the build
-// rates — directly comparable with the serving cache's key component.
+// RatesKey returns the rates fingerprint (core.Pinned.RatesKey) of the
+// build rates — the serving cache's key component.
 func (b *Basis) RatesKey() uint64 { return b.ratesKey }
 
 // Terms returns the basis topic terms (sorted).
@@ -84,12 +82,11 @@ func (b *Basis) Has(term string) bool {
 
 // ValidFor reports whether the basis matches a pin's (generation,
 // rates) identity — the per-request staleness check of the combine
-// path. The rates comparison is by RateVectorKey, the same fingerprint
-// the serving cache keys on, so "basis matches pin" and "cache entry
-// matches pin" cannot drift apart.
+// path. The rates comparison is by the pin's RatesKey, the same
+// fingerprint the serving cache keys on, so "basis matches pin" and
+// "cache entry matches pin" cannot drift apart.
 func (b *Basis) ValidFor(pin *core.Pinned) bool {
-	return b.generation == pin.Generation() &&
-		b.ratesKey == graph.RateVectorKey(pin.Rates().Vector())
+	return b.generation == pin.Generation() && b.ratesKey == pin.RatesKey()
 }
 
 // BasisTerms selects the topic-term panel for a basis over the pinned
@@ -126,29 +123,21 @@ func BasisTerms(pin *core.Pinned, size int) []string {
 // — a basis is only ever complete.
 func BuildBasis(ctx context.Context, pin *core.Pinned, terms []string) (*Basis, error) {
 	c := pin.Corpus()
-	ratesVec := pin.Rates().Vector()
 	b := &Basis{
 		generation:   pin.Generation(),
 		ratesVersion: pin.Version(),
-		ratesKey:     graph.RateVectorKey(ratesVec),
+		ratesKey:     pin.RatesKey(),
 		n:            c.Graph().NumNodes(),
 		index:        make(map[string]int, len(terms)),
 	}
 	var qs []*ir.Query
 	for _, t := range terms {
 		q := ir.NewQuery(t)
-		// Base mass BEFORE normalization, recomputed from the index
-		// so combination coefficients stay exact (precompute's rule).
-		z := 0.0
-		for _, sd := range c.Index().BaseSet(q) {
-			z += sd.Score
-		}
-		if z == 0 {
+		if len(c.Index().BaseSet(q)) == 0 {
 			continue
 		}
 		b.index[t] = len(b.terms)
 		b.terms = append(b.terms, t)
-		b.mass = append(b.mass, z)
 		qs = append(qs, q)
 	}
 	if len(qs) == 0 {

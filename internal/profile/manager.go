@@ -17,15 +17,22 @@ import (
 	"authorityflow/internal/rank"
 )
 
-// DefaultBeta is the personalized-jump blend factor when neither the
-// profile nor the manager options choose one: enough mixture weight to
-// reorder ties and near-ties, not enough to drown the query.
+// DefaultBeta is the personalized-jump blend factor of a profile that
+// does not carry its own: enough mixture weight to reorder ties and
+// near-ties, not enough to drown the query.
 const DefaultBeta = 0.3
 
-// DefaultLearningRate is the EWMA factor of mixture training: after a
-// feedback round, mixture = (1−η)·old + η·new, so recent feedback
-// dominates without wiping history.
-const DefaultLearningRate = 0.5
+const (
+	// learningRate is the EWMA factor of mixture training: after a
+	// feedback round, mixture = (1−η)·old + η·new, so recent feedback
+	// dominates without wiping history.
+	learningRate = 0.5
+	// maxMixture caps the topic terms a profile's mixture retains.
+	maxMixture = 16
+	// cacheBytes is the byte budget of the in-memory tier, split evenly
+	// between decoded profiles and combined answers.
+	cacheBytes = 32 << 20
+)
 
 // Options configure a Manager.
 type Options struct {
@@ -35,23 +42,6 @@ type Options struct {
 	// BasisSize is the number of topic terms in the basis (0 =
 	// DefaultBasisSize).
 	BasisSize int
-	// Beta is the default blend factor for profiles that do not carry
-	// their own (0 = DefaultBeta).
-	Beta float64
-	// CacheBytes is the total byte budget of the in-memory tier,
-	// split evenly between decoded profiles and combined answers
-	// (0 = 32 MiB).
-	CacheBytes int64
-	// MaxMixture caps the number of topic terms a profile's mixture
-	// retains after training (0 = 16).
-	MaxMixture int
-	// LearningRate is the EWMA factor of mixture training
-	// (0 = DefaultLearningRate).
-	LearningRate float64
-	// Train is the reformulation setting used by TrainCtx when the
-	// caller passes nil options; the zero value means the paper's
-	// combined content+structure setting.
-	Train core.ReformulateOptions
 	// BaseRank, if non-nil, overrides how the query's own fixpoint is
 	// solved on the combine path — the server points this at its
 	// serving cache so personalized queries share the global tier's
@@ -151,21 +141,6 @@ func NewManager(eng *core.Engine, opts Options) (*Manager, error) {
 	if opts.BasisSize <= 0 {
 		opts.BasisSize = DefaultBasisSize
 	}
-	if opts.Beta <= 0 || opts.Beta >= 1 || math.IsNaN(opts.Beta) {
-		opts.Beta = DefaultBeta
-	}
-	if opts.CacheBytes <= 0 {
-		opts.CacheBytes = 32 << 20
-	}
-	if opts.MaxMixture <= 0 {
-		opts.MaxMixture = 16
-	}
-	if opts.LearningRate <= 0 || opts.LearningRate > 1 {
-		opts.LearningRate = DefaultLearningRate
-	}
-	if opts.Train == (core.ReformulateOptions{}) {
-		opts.Train = core.ContentAndStructure()
-	}
 	m := &Manager{eng: eng, opts: opts}
 	if opts.Dir != "" {
 		disk, err := NewDiskStore(opts.Dir)
@@ -174,21 +149,13 @@ func NewManager(eng *core.Engine, opts Options) (*Manager, error) {
 		}
 		m.disk = disk
 	}
-	half := opts.CacheBytes / 2
-	m.profiles = lru.New(half, 16, &m.evictions)
-	m.answers = lru.New(opts.CacheBytes-half, 16, &m.evictions)
+	m.profiles = lru.New(cacheBytes/2, 16, &m.evictions)
+	m.answers = lru.New(cacheBytes/2, 16, &m.evictions)
 	return m, nil
 }
 
 // Engine returns the engine the manager serves.
 func (m *Manager) Engine() *core.Engine { return m.eng }
-
-// BasisSize returns the configured basis panel size.
-func (m *Manager) BasisSize() int { return m.opts.BasisSize }
-
-// DefaultTrainOptions returns the reformulation setting TrainCtx uses
-// when the caller passes nil.
-func (m *Manager) DefaultTrainOptions() core.ReformulateOptions { return m.opts.Train }
 
 // BasisFor returns a basis valid for the pin's (generation, ratesKey)
 // identity, rebuilding under a mutex (with double-check) on mismatch.
@@ -198,13 +165,12 @@ func (m *Manager) DefaultTrainOptions() core.ReformulateOptions { return m.opts.
 // query pays one rebuild — a combine can never mix a basis from one
 // generation into an answer for another.
 func (m *Manager) BasisFor(ctx context.Context, pin *core.Pinned) (*Basis, error) {
-	rk := graph.RateVectorKey(pin.Rates().Vector())
-	if b := m.basis.Load(); b != nil && b.generation == pin.Generation() && b.ratesKey == rk {
+	if b := m.basis.Load(); b != nil && b.ValidFor(pin) {
 		return b, nil
 	}
 	m.basisMu.Lock()
 	defer m.basisMu.Unlock()
-	if b := m.basis.Load(); b != nil && b.generation == pin.Generation() && b.ratesKey == rk {
+	if b := m.basis.Load(); b != nil && b.ValidFor(pin) {
 		return b, nil
 	}
 	b, err := BuildBasis(ctx, pin, BasisTerms(pin, m.opts.BasisSize))
@@ -214,15 +180,6 @@ func (m *Manager) BasisFor(ctx context.Context, pin *core.Pinned) (*Basis, error
 	m.basis.Store(b)
 	m.basisBuilds.Add(1)
 	return b, nil
-}
-
-// Prewarm builds the basis against the engine's current state so the
-// first personalized query does not pay the build; servers call it at
-// startup (and again after swaps, if they wish — BasisFor self-heals
-// either way).
-func (m *Manager) Prewarm(ctx context.Context) error {
-	_, err := m.BasisFor(ctx, m.eng.Pin())
-	return err
 }
 
 // Get returns the profile under id, consulting the LRU then the durable
@@ -261,7 +218,7 @@ func (m *Manager) Put(p *Profile) (*Profile, error) {
 			delete(cp.Mixture, t)
 		}
 	}
-	capMixture(cp.Mixture, m.opts.MaxMixture)
+	capMixture(cp.Mixture, maxMixture)
 	normalizeMixture(cp.Mixture)
 	if cp.Beta < 0 || cp.Beta >= 1 || math.IsNaN(cp.Beta) {
 		cp.Beta = 0 // 0 = use the manager default
@@ -290,7 +247,7 @@ func (m *Manager) beta(p *Profile) float64 {
 	if p.Beta > 0 && p.Beta < 1 {
 		return p.Beta
 	}
-	return m.opts.Beta
+	return DefaultBeta
 }
 
 // EffectiveRates materializes a profile's private rate assignment:
@@ -344,7 +301,7 @@ func (m *Manager) QueryCtx(ctx context.Context, pin *core.Pinned, id string, q *
 	if err != nil {
 		return nil, "", err
 	}
-	rk := graph.RateVectorKey(pin.Rates().Vector())
+	rk := pin.RatesKey()
 	key := answerKey(id, prof.Rev, pin.Generation(), rk, k, q.Canonical())
 	if v, ok := m.answers.Get(key); ok {
 		a := v.(*Answer)
@@ -433,7 +390,7 @@ func (m *Manager) TrainCtx(ctx context.Context, pin *core.Pinned, id string, q *
 	if err != nil {
 		return nil, nil, err
 	}
-	topts := m.opts.Train
+	topts := core.ContentAndStructure()
 	if opts != nil {
 		topts = *opts
 	}
@@ -476,15 +433,14 @@ func (m *Manager) TrainCtx(ctx context.Context, pin *core.Pinned, id string, q *
 	}
 	if len(contrib) > 0 {
 		normalizeMixture(contrib)
-		eta := m.opts.LearningRate
 		normalizeMixture(next.Mixture)
 		for t := range next.Mixture {
-			next.Mixture[t] *= 1 - eta
+			next.Mixture[t] *= 1 - learningRate
 		}
 		for t, w := range contrib {
-			next.Mixture[t] += eta * w
+			next.Mixture[t] += learningRate * w
 		}
-		capMixture(next.Mixture, m.opts.MaxMixture)
+		capMixture(next.Mixture, maxMixture)
 		normalizeMixture(next.Mixture)
 	}
 	next.Rev++

@@ -69,7 +69,6 @@ func TestProfileSimulatedUsers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	client := server.NewClient(ts.URL, &http.Client{

@@ -34,7 +34,6 @@ func newProfileFleet(t testing.TB, n int) *fleet {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(s.Close)
 		ts := httptest.NewServer(s.Handler())
 		t.Cleanup(ts.Close)
 		f.servers = append(f.servers, s)
@@ -185,10 +184,9 @@ func TestProfileOwnerDownNoFailover(t *testing.T) {
 		t.Fatalf("PUT = %d: %s", code, body)
 	}
 
-	for i, ts := range f.backends {
+	for _, ts := range f.backends {
 		if ts.URL == createdBy {
 			ts.Close()
-			f.servers[i].Close()
 		}
 	}
 	f.rt.CheckNow(t.Context())

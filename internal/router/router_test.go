@@ -60,7 +60,6 @@ func newFleet(t testing.TB, n int) *fleet {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(s.Close)
 		ts := httptest.NewServer(s.Handler())
 		t.Cleanup(ts.Close)
 		f.servers = append(f.servers, s)

@@ -30,7 +30,6 @@ func admissionServer(t *testing.T, adm AdmissionOptions, ropts rank.Options) (*S
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(s.Close)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, ts

@@ -132,7 +132,7 @@ func newServerObs(o ObsOptions) *serverObs {
 	so.profileUpdates = reg.NewCounter("afq_profile_updates_total",
 		"Profile records written through PUT/POST /v1/profile/{id}.")
 	so.solves = reg.NewCounter("afq_kernel_solves_total",
-		"Completed power-iteration kernel executions (all entry points, including cache-internal solves and prewarms).")
+		"Completed power-iteration kernel executions (all entry points, including cache-internal solves).")
 	so.warmSolves = reg.NewCounter("afq_kernel_warm_solves_total",
 		"Kernel executions that were §6.2 warm-started from a previous score vector.")
 	so.kernelIterations = reg.NewHistogram("afq_kernel_iterations",
@@ -256,7 +256,6 @@ func (so *serverObs) attach(s *Server) {
 		{"afq_cache_singleflight_dedup_total", "Calls answered by joining another caller's in-flight solve.", func(st cache.StatsSnapshot) float64 { return float64(st.SingleflightDedup) }},
 		{"afq_cache_computes_total", "Kernel solves issued by the serving cache.", func(st cache.StatsSnapshot) float64 { return float64(st.Computes) }},
 		{"afq_cache_warm_starts_total", "Cache solves warm-started from the previous rates version's vector.", func(st cache.StatsSnapshot) float64 { return float64(st.WarmStarts) }},
-		{"afq_cache_prewarmed_total", "Terms refreshed by the background prewarmer.", func(st cache.StatsSnapshot) float64 { return float64(st.Prewarmed) }},
 	}
 	for _, c := range counters {
 		fn := c.fn

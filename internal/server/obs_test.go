@@ -34,7 +34,7 @@ func obsTestServer(t *testing.T, extra ...Option) (*Server, *httptest.Server) {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(func() { ts.Close(); s.Close() })
+	t.Cleanup(ts.Close)
 	return s, ts
 }
 

@@ -36,18 +36,12 @@ import (
 // dir (one checksummed record per profile, atomic replace), and the
 // topic basis holds basisSize precomputed fixpoint vectors (0 =
 // profile.DefaultBasisSize). An empty dir serves profiles memory-only.
+// Personalized queries rank their base query through the serving cache,
+// sharing its term vectors and solve singleflight.
 func WithProfiles(dir string, basisSize int) Option {
-	return WithProfileOptions(profile.Options{Dir: dir, BasisSize: basisSize})
-}
-
-// WithProfileOptions enables the personalization tier with full
-// profile.Options. A nil Options.BaseRank is pointed at the serving
-// cache, so personalized queries share its term vectors and solve
-// singleflight.
-func WithProfileOptions(po profile.Options) Option {
 	return func(o *serverOptions) {
 		o.profileEnabled = true
-		o.profileOpts = po
+		o.profileOpts = profile.Options{Dir: dir, BasisSize: basisSize}
 	}
 }
 

@@ -26,7 +26,7 @@ func profileTestServer(t *testing.T) (*Server, *httptest.Server) {
 		t.Fatal(err)
 	}
 	s, err := New(ds, core.Config{Rank: rank.Options{Threshold: 1e-6, MaxIters: 300}},
-		WithCache(8<<20, 2), WithProfiles(t.TempDir(), 0))
+		WithCache(8<<20, 0), WithProfiles(t.TempDir(), 0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,8 +75,8 @@ type Server struct {
 type Option func(*serverOptions)
 
 type serverOptions struct {
-	cacheOpts      cache.Options // zero value = cache.New's defaults
-	profileOpts    profile.Options
+	cacheBytes     int64           // 0 = cache.DefaultMaxBytes
+	profileOpts    profile.Options // Dir and BasisSize; see WithProfiles
 	profileEnabled bool
 	obs            ObsOptions
 	admission      AdmissionOptions
@@ -84,18 +84,10 @@ type serverOptions struct {
 }
 
 // WithCache sizes the serving cache: total byte budget (0 =
-// cache.DefaultMaxBytes) and number of hot terms to prewarm after each
-// rates publication (0 = no prewarming).
+// cache.DefaultMaxBytes). The second parameter is inert (see
+// cache.CachedEngine.Close).
 func WithCache(maxBytes int64, prewarmTerms int) Option {
-	return func(o *serverOptions) {
-		o.cacheOpts.MaxBytes = maxBytes
-		o.cacheOpts.PrewarmTerms = prewarmTerms
-	}
-}
-
-// WithCacheOptions configures the serving cache with full cache.Options.
-func WithCacheOptions(co cache.Options) Option {
-	return func(o *serverOptions) { o.cacheOpts = co }
+	return func(o *serverOptions) { o.cacheBytes = maxBytes }
 }
 
 // New builds a Server over a dataset. Without options the serving cache
@@ -141,18 +133,16 @@ func newServer(ds *datagen.Dataset, ix *ir.Index, cfg core.Config, opts []Option
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{eng: eng, cfg: cfg, swapDir: so.swapDir, cache: cache.New(eng, so.cacheOpts),
+	s := &Server{eng: eng, cfg: cfg, swapDir: so.swapDir, cache: cache.New(eng, cache.Options{MaxBytes: so.cacheBytes}),
 		obs: sobs, adm: newAdmission(so.admission)}
 	s.ds.Store(ds)
 	if so.profileEnabled {
 		po := so.profileOpts
-		if po.BaseRank == nil {
-			// Personalized queries share the global tier's serving cache:
-			// the (1−β)·r(Q) component comes from the same term vectors,
-			// result collapse and solve singleflight as /v1/query.
-			po.BaseRank = func(ctx context.Context, pin *core.Pinned, q *ir.Query) (*core.RankResult, error) {
-				return s.cache.RankPinnedCtx(ctx, pin, q)
-			}
+		// Personalized queries share the global tier's serving cache:
+		// the (1−β)·r(Q) component comes from the same term vectors,
+		// result collapse and solve singleflight as /v1/query.
+		po.BaseRank = func(ctx context.Context, pin *core.Pinned, q *ir.Query) (*core.RankResult, error) {
+			return s.cache.RankPinnedCtx(ctx, pin, q)
 		}
 		pm, err := profile.NewManager(eng, po)
 		if err != nil {
@@ -179,8 +169,8 @@ func chainIterObserver(a, b rank.IterObserver) rank.IterObserver {
 	}
 }
 
-// Close releases background resources (the cache's prewarmer, if any).
-func (s *Server) Close() { s.cache.Close() }
+// Close does nothing (see cache.CachedEngine.Close).
+func (s *Server) Close() {}
 
 // Handler returns the routed HTTP handler. Every route runs inside
 // the observability middleware (request ID + X-Request-ID header,

@@ -13,8 +13,8 @@
 //     cached answer ever crosses the swap;
 //   - the swap bumps the rates version, so reformulations holding a
 //     pre-swap version token lose their optimistic race with a 409;
-//   - the prewarmer refreshes its hot terms against the new generation
-//     through the engine's publish hook, exactly as after SetRates.
+//   - the first solve of each term on the new generation starts from its
+//     global PageRank: no vector sized for the old graph is donated.
 package server
 
 import (
