@@ -42,7 +42,6 @@
 package authorityflow
 
 import (
-	"context"
 	"io"
 	"net/http"
 	"time"
@@ -54,7 +53,6 @@ import (
 	"authorityflow/internal/graph"
 	"authorityflow/internal/ir"
 	"authorityflow/internal/obs"
-	"authorityflow/internal/precompute"
 	"authorityflow/internal/rank"
 	"authorityflow/internal/router"
 	"authorityflow/internal/server"
@@ -359,33 +357,6 @@ func ExportSubgraphDOT(w io.Writer, g *Graph, sg *Subgraph) error {
 	return storage.ExportDOT(w, g, sg)
 }
 
-// Precomputation ([BHP04]-style per-keyword score stores, the paper's
-// Section 6.2 remedy for slow exploratory search).
-type (
-	// Store holds precomputed per-term ObjectRank2 vectors and answers
-	// weighted multi-keyword queries by exact linear combination.
-	Store = precompute.Store
-	// StoreOptions control store construction (top-K truncation,
-	// build parallelism).
-	StoreOptions = precompute.BuildOptions
-)
-
-// BuildStore precomputes per-term ObjectRank2 vectors for the given
-// terms under the engine's current rates.
-func BuildStore(eng *Engine, terms []string, opts StoreOptions) *Store {
-	return precompute.Build(eng, terms, opts)
-}
-
-// BuildStoreCtx is BuildStore under a context: cancellation stops the
-// per-term solves within one power-iteration sweep and returns the
-// partial store built so far together with ctx's error.
-func BuildStoreCtx(ctx context.Context, eng *Engine, terms []string, opts StoreOptions) (*Store, error) {
-	return precompute.BuildCtx(ctx, eng, terms, opts)
-}
-
-// LoadStoreFile reads a precomputed store from path.
-func LoadStoreFile(path string) (*Store, error) { return precompute.LoadFile(path) }
-
 // NewServer builds the HTTP JSON API server of the deployed demo over a
 // dataset. Mount Handler() into any http server. Every read is served
 // through the serving cache; WithServerCache sizes it.
@@ -604,25 +575,6 @@ func LoadRatesFile(path string, s *Schema) (*Rates, error) { return storage.Load
 // Snippet extracts a query-focused excerpt from text for result
 // display.
 func Snippet(text string, q *Query, width int) string { return ir.Snippet(text, q, width) }
-
-// HITS runs Kleinberg's hubs-and-authorities over the data edges
-// restricted to a node subset (nil = whole graph) — a related-work
-// baseline.
-func HITS(g *Graph, subset []NodeID, threshold float64, maxIters int) rank.HITSResult {
-	return rank.HITS(g, subset, threshold, maxIters)
-}
-
-// HITSResult holds converged hub and authority scores.
-type HITSResult = rank.HITSResult
-
-// TopicSensitive is Haveliwala's topic-sensitive PageRank baseline:
-// per-topic biased vectors mixed at query time.
-type TopicSensitive = rank.TopicSensitive
-
-// BuildTopicSensitive precomputes one biased PageRank per topic.
-func BuildTopicSensitive(g *Graph, rates *Rates, topics []string, topicNodes [][]NodeID, opts RankOptions) *TopicSensitive {
-	return rank.BuildTopicSensitive(g, rates, topics, topicNodes, opts)
-}
 
 // Comparison answers "why is A ranked above B": the score gap
 // decomposed into base-set contributions and per-edge-type authority

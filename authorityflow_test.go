@@ -3,7 +3,6 @@ package authorityflow_test
 import (
 	"bytes"
 	"context"
-	"math"
 	"strings"
 	"testing"
 
@@ -195,35 +194,6 @@ func TestFacadeSimulationAndEval(t *testing.T) {
 	}
 	if p := authorityflow.PrecisionAtK(nil, nil, 5); p != 0 {
 		t.Errorf("PrecisionAtK on empty = %v", p)
-	}
-}
-
-func TestFacadePrecompute(t *testing.T) {
-	ds, err := authorityflow.GenerateDBLP(authorityflow.DBLPTopConfig().Scale(0.02))
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := authorityflow.NewEngine(ds.Graph, ds.Rates, authorityflow.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := authorityflow.BuildStore(eng, []string{"olap", "xml"}, authorityflow.StoreOptions{Workers: 2})
-	if st.Terms() == 0 {
-		t.Fatal("empty store")
-	}
-	q := authorityflow.NewQuery("olap", "xml")
-	fromStore, complete := st.Query(q, 10)
-	if !complete || len(fromStore) == 0 {
-		t.Fatal("store query failed")
-	}
-	fresh := solve(t, eng.Pin(), authorityflow.SolveSpec{Queries: []*authorityflow.Query{q}}).TopK(10)
-	for i := range fromStore {
-		if fromStore[i].Node != fresh[i].Node {
-			t.Fatalf("rank %d differs: %v vs %v", i, fromStore[i], fresh[i])
-		}
-		if math.Abs(fromStore[i].Score-fresh[i].Score) > 1e-4 {
-			t.Fatalf("rank %d score differs: %v vs %v", i, fromStore[i].Score, fresh[i].Score)
-		}
 	}
 }
 

@@ -351,40 +351,6 @@ func BenchmarkExtensionActiveFeedback(b *testing.B) {
 	runExperiment(b, experiments.ExtensionActiveFeedback)
 }
 
-// BenchmarkPrecomputedQuery measures answering a multi-keyword query
-// from a [BHP04]-style precomputed store (no power iteration at query
-// time), against BenchmarkObjectRank2Query's fresh execution.
-func BenchmarkPrecomputedQuery(b *testing.B) {
-	_, eng := microWorld(b)
-	st := authorityflow.BuildStore(eng, []string{"olap", "cube", "aggregation"},
-		authorityflow.StoreOptions{Workers: -1})
-	q := authorityflow.NewQuery("olap", "cube", "aggregation")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got, _ := st.Query(q, 10); len(got) == 0 {
-			b.Fatal("empty result")
-		}
-	}
-}
-
-// BenchmarkPrecomputeBuild measures store construction throughput.
-func BenchmarkPrecomputeBuild(b *testing.B) {
-	_, eng := microWorld(b)
-	terms := eng.Index().TermsWithDF(5)
-	if len(terms) > 50 {
-		terms = terms[:50]
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st := authorityflow.BuildStore(eng, terms, authorityflow.StoreOptions{TopK: 1000, Workers: -1})
-		if st.Terms() == 0 {
-			b.Fatal("empty store")
-		}
-	}
-}
-
 // BenchmarkObjectRank2QueryParallel measures the parallel kernel on the
 // same workload as BenchmarkObjectRank2Query.
 func BenchmarkObjectRank2QueryParallel(b *testing.B) {

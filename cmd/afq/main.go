@@ -8,17 +8,15 @@
 //	afq ... [-dot out.dot] [-json out.json] explain "olap" 1234
 //	afq ... [-mode structure|content|both] feedback "olap" 1234,5678
 //	afq ... compare "olap" 1234 5678
-//	afq ... [-mindf 2] [-topk 1000] precompute out.store
-//	afq ... -store out.store query olap
 //	afq ... snapshot out.snap
 //
 // (Flags precede the subcommand, per Go flag-package convention.)
 //
-// The first form prints the top-k ObjectRank2 results. The second
-// builds and prints the explaining subgraph of node 1234 with its
-// top authority-flow paths. The third treats the listed nodes as
-// relevant feedback and prints the reformulated query vector and
-// authority transfer rates.
+// query prints the top-k ObjectRank2 results. explain builds and prints
+// the explaining subgraph of node 1234 with its top authority-flow
+// paths. feedback treats the listed nodes as relevant feedback and
+// prints the reformulated query vector and authority transfer rates.
+// compare answers "why is node 1234 ranked above (or below) node 5678".
 //
 // The snapshot subcommand writes the versioned binary corpus snapshot
 // (frozen CSR graph + inverted index, checksummed sections) — the one
@@ -38,6 +36,14 @@ import (
 	"authorityflow"
 )
 
+const usage = `usage: afq [flags] <subcommand> <args>
+  query <keywords>
+  explain <keywords> <node>
+  feedback <keywords> <node,node,...>
+  compare <keywords> <nodeA> <nodeB>
+  snapshot <out.snap>
+flags (before the subcommand):`
+
 func main() {
 	var (
 		snapF     = flag.String("snap", "", "binary corpus snapshot to load (skips graph building and indexing)")
@@ -52,16 +58,18 @@ func main() {
 		htmlP     = flag.String("html", "", "write explaining subgraph as a self-contained HTML visualization")
 		mode      = flag.String("mode", "structure", "reformulation mode: structure, content, both")
 		paths     = flag.Int("paths", 5, "number of top authority-flow paths to print")
-		store     = flag.String("store", "", "precomputed score store to answer queries from")
 		saveRates = flag.String("saverates", "", "after feedback, write the trained rates as JSON to this path")
 		loadRates = flag.String("loadrates", "", "load trained rates (JSON) before querying")
-		minDF     = flag.Int("mindf", 2, "precompute: minimum document frequency of stored terms")
-		topK      = flag.Int("topk", 1000, "precompute: per-term score-list truncation (0 = full)")
 	)
+	flag.Usage = func() {
+		fmt.Fprintln(os.Stderr, usage)
+		flag.PrintDefaults()
+	}
 	flag.Parse()
 	args := flag.Args()
 	if len(args) < 2 {
-		fmt.Fprintln(os.Stderr, "afq: expected a subcommand: query <keywords> | explain <keywords> <node> | feedback <keywords> <node,node,...>")
+		fmt.Fprintln(os.Stderr, "afq: expected a subcommand and its arguments")
+		flag.Usage()
 		os.Exit(2)
 	}
 
@@ -104,21 +112,6 @@ func main() {
 	switch args[0] {
 	case "query":
 		q := authorityflow.ParseQuery(strings.Join(args[1:], " "))
-		if *store != "" {
-			st, err := authorityflow.LoadStoreFile(*store)
-			if err != nil {
-				fail(err)
-			}
-			if !st.ValidFor(eng) {
-				fail(fmt.Errorf("store %s was built for different data or rates", *store))
-			}
-			ranked, complete := st.Query(q, *k)
-			fmt.Printf("query %v (precomputed store, complete=%v):\n", q, complete)
-			for i, r := range ranked {
-				fmt.Printf("%2d. %.6f  %s\n", i+1, r.Score, ds.Graph.Display(r.Node))
-			}
-			return
-		}
 		res := solve(pin, q, nil)
 		fmt.Printf("query %v: base set %d nodes, %d iterations\n", q, len(res.Base), res.Iterations)
 		for i, r := range res.TopK(*k) {
@@ -136,16 +129,6 @@ func main() {
 		}
 		fmt.Printf("wrote binary corpus snapshot %s (%d nodes, %d edges, %.1f MiB)\n",
 			out, ds.Graph.NumNodes(), ds.Graph.NumEdges(), float64(fi.Size())/(1<<20))
-
-	case "precompute":
-		out := args[1]
-		terms := eng.Index().TermsWithDF(*minDF)
-		fmt.Printf("precomputing %d terms (minDF=%d, topK=%d)...\n", len(terms), *minDF, *topK)
-		st := authorityflow.BuildStore(eng, terms, authorityflow.StoreOptions{TopK: *topK, Workers: -1})
-		if err := st.SaveFile(out); err != nil {
-			fail(err)
-		}
-		fmt.Printf("wrote %d term vectors to %s\n", st.Terms(), out)
 
 	case "compare":
 		if len(args) < 4 {
@@ -278,7 +261,9 @@ func main() {
 		}
 
 	default:
-		fail(fmt.Errorf("unknown subcommand %q", args[0]))
+		fmt.Fprintf(os.Stderr, "afq: unknown subcommand %q\n", args[0])
+		flag.Usage()
+		os.Exit(2)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package cmd_test builds the CLI and server binaries once and drives
 // them end to end: dataset generation, snapshot reloading, querying,
 // explanation with DOT/JSON export, feedback reformulation with rate
-// persistence, precomputation, and experiment regeneration.
+// persistence, and experiment regeneration.
 package cmd_test
 
 import (
@@ -131,15 +131,7 @@ func TestCLIWorkflow(t *testing.T) {
 		t.Fatalf("query with loaded rates: %s", out)
 	}
 
-	// 5. Precompute a store and query through it.
-	store := filepath.Join(tmp, "scores.store")
-	run(t, "afq", "-snap", snapshot, "-mindf", "3", "-topk", "100", "precompute", store)
-	out = run(t, "afq", "-snap", snapshot, "-store", store, "-k", "3", "query", "olap")
-	if !strings.Contains(out, "precomputed store") {
-		t.Fatalf("store query output: %s", out)
-	}
-
-	// 6. Regenerate a paper table.
+	// 5. Regenerate a paper table.
 	out = run(t, "experiments", "-run", "table1", "-scale", "0.02")
 	if !strings.Contains(out, "Table 1") || !strings.Contains(out, "DBLPtop") {
 		t.Fatalf("experiments output: %s", out)
@@ -157,10 +149,20 @@ func TestCLIErrors(t *testing.T) {
 	}
 	// Missing -out.
 	runExpectError(t, "datagen", "-dataset", "dblptop")
-	// Missing subcommand.
-	runExpectError(t, "afq")
-	// Unknown subcommand.
-	runExpectError(t, "afq", "-gen", "dblptop", "-scale", "0.01", "frobnicate", "x")
+	// A missing or unknown subcommand and a removed flag all print the
+	// usage, which lists every subcommand that exists.
+	for _, args := range [][]string{
+		{},
+		{"-gen", "dblptop", "-scale", "0.01", "frobnicate", "x"},
+		{"-store", "x.store", "query", "olap"},
+	} {
+		out := runExpectError(t, "afq", args...)
+		for _, sub := range []string{"query", "explain", "feedback", "compare", "snapshot"} {
+			if !strings.Contains(out, "\n  "+sub+" <") {
+				t.Errorf("afq %v: usage omits %q:\n%s", args, sub, out)
+			}
+		}
+	}
 	// Unknown experiment.
 	runExpectError(t, "experiments", "-run", "figure99")
 }
@@ -198,15 +200,17 @@ func TestCLITSVImport(t *testing.T) {
 	}
 }
 
-// TestFlagSurface pins the flags of the two serving binaries: every
-// flag is a configuration operators, tests and benchmarks must cover, so
-// adding one has to edit this list (and say which workload needs it).
+// TestFlagSurface pins the flags of the CLI and the two serving
+// binaries: every flag is a configuration operators, tests and
+// benchmarks must cover, so adding one has to edit this list (and say
+// which workload needs it).
 func TestFlagSurface(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs binaries")
 	}
 	flagLine := regexp.MustCompile(`(?m)^  -([a-z0-9-]+)`)
 	for tool, want := range map[string]string{
+		"afq":       "dot edges gen html json k loadrates mode nodes paths saverates scale schema snap",
 		"afqserver": "access-log addr basis-size cache-mb gen max-inflight pprof profile-dir query-timeout queue-wait scale slow-query-ms snapshot swap-dir workers",
 		"afqrouter": "access-log addr health-interval replicas retries slow-request-ms timeout",
 	} {

@@ -1,6 +1,8 @@
 // Package cache is the serving-path cache of the ObjectRank2 system:
-// the layer that makes repeated and concurrent querying cheap, the
-// online counterpart of the offline [BHP04]-style precompute.Store.
+// the layer that makes repeated and concurrent querying cheap. Its
+// term vectors, kept where queries find them and refined on demand, are
+// this system's form of the [BHP04] precomputation the paper names in
+// Section 6.2; nothing is solved ahead of a request or kept on disk.
 //
 // It holds two sharded, byte-budgeted LRU caches keyed by the full
 // identity of the engine state a computation ran under: the corpus

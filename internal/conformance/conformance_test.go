@@ -41,6 +41,17 @@ func (c class) String() string {
 	return [...]string{"Float64bits-identical", "≤1e-12", "≤1e-9"}[c]
 }
 
+// agrees reports whether g meets the class against its reference r.
+func (c class) agrees(g, r float64) bool {
+	switch c {
+	case within1e12:
+		return math.Abs(g-r) <= 1e-12
+	case within1e9:
+		return math.Abs(g-r) <= 1e-9
+	}
+	return math.Float64bits(g) == math.Float64bits(r)
+}
+
 // tight is the rank configuration of every world: a threshold far below
 // the classes' tolerances, so a disagreement is a defect and not an
 // early stop.
@@ -208,11 +219,11 @@ func denseSolve(g *graph.Graph, alpha, jump []float64, d float64, transpose bool
 	return r
 }
 
-// oracle solves every query densely in one direction.
-func (w *world) oracle(transpose bool) [][]float64 {
-	out := make([][]float64, len(w.queries))
+// oracle solves the queries densely in one direction.
+func (w *world) oracle(qs []*ir.Query, transpose bool) [][]float64 {
+	out := make([][]float64, len(qs))
 	alpha := w.rates.Vector()
-	for i, q := range w.queries {
+	for i, q := range qs {
 		jump := make([]float64, w.g.NumNodes())
 		for _, sd := range w.pin.BaseSet(q) {
 			jump[sd.Doc] = sd.Score
@@ -306,7 +317,7 @@ func table(w *world) []path {
 				}, singles(w.pin, m, w.queries)},
 			path{fmt.Sprintf("%s single query vs dense oracle", m), within1e9,
 				singles(w.pin, m, w.queries),
-				func(t *testing.T) [][]float64 { return w.oracle(m == core.ModeHub) }},
+				func(t *testing.T) [][]float64 { return w.oracle(w.queries, m == core.ModeHub) }},
 		)
 	}
 	rows = append(rows,
@@ -314,7 +325,7 @@ func table(w *world) []path {
 			singles(w.pin, core.ModeHub, w.queries), singles(w.rev, core.ModeAuthority, w.queries)},
 		path{"authority batch vs dense oracle", within1e9,
 			func(t *testing.T) [][]float64 { return solveMany(t, w.pin, core.ModeAuthority, w.queries) },
-			func(t *testing.T) [][]float64 { return w.oracle(false) }},
+			func(t *testing.T) [][]float64 { return w.oracle(w.queries, false) }},
 	)
 
 	// Cache: every mode, miss then hit, full vectors and top-k answers,
@@ -473,6 +484,7 @@ func table(w *world) []path {
 				return out
 			}},
 	)
+	rows = append(rows, linearityRows(w)...)
 	return append(append(rows, explainRows(w)...), columnRows(w)...)
 }
 
@@ -493,14 +505,7 @@ func TestConformance(t *testing.T) {
 					}
 					for v := range got[i] {
 						g, r := got[i][v], want[i][v]
-						ok := math.Float64bits(g) == math.Float64bits(r)
-						switch p.class {
-						case within1e12:
-							ok = math.Abs(g-r) <= 1e-12
-						case within1e9:
-							ok = math.Abs(g-r) <= 1e-9
-						}
-						if !ok {
+						if !p.class.agrees(g, r) {
 							t.Fatalf("vector %d entry %d: %v (%#x) vs reference %v (%#x), class %s",
 								i, v, g, math.Float64bits(g), r, math.Float64bits(r), p.class)
 						}

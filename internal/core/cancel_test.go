@@ -156,3 +156,53 @@ func TestSolveCancelSkipsHook(t *testing.T) {
 		t.Fatal("solve hook fired for a cancelled solve")
 	}
 }
+
+// TestSolveMidBatchCancelGroupGranularity: the unit of completion of a
+// Solve wider than DefaultBlockSize is the group. Cancelling at the
+// first solve-hook firing returns the context error with exactly the
+// first group's results filled — they converged in the same kernel
+// execution, bit-equal to the uncancelled solve's — and none of the next
+// group's; a term with no base set occupies no kernel column.
+func TestSolveMidBatchCancelGroupGranularity(t *testing.T) {
+	e := newFixture(t).newEngine(t)
+	terms := []string{"olap", "index", "zebra", "range", "data", "cube", "modeling", "agrawal",
+		"multidimensional", "databases", "icde"}
+	spec := SolveSpec{}
+	for _, tm := range terms {
+		spec.Queries = append(spec.Queries, ir.NewQuery(tm))
+	}
+	full, err := e.Pin().Solve(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	solves := 0
+	e.SetSolveHook(func(st SolveStats) {
+		solves++
+		if st.Columns != DefaultBlockSize-1 { // the group minus "zebra"
+			t.Errorf("solve %d: Columns = %d, want %d", solves, st.Columns, DefaultBlockSize-1)
+		}
+		cancel()
+	})
+	part, err := e.Pin().Solve(ctx, spec)
+	if err != context.Canceled || solves != 1 {
+		t.Fatalf("err = %v after %d kernel executions, want context.Canceled after 1", err, solves)
+	}
+	for i, res := range part {
+		if i >= DefaultBlockSize {
+			if res != nil {
+				t.Errorf("%q: a result from a group after the cutoff", terms[i])
+			}
+			continue
+		}
+		if res == nil {
+			t.Fatalf("%q: the group that completed before the cutoff lost a result", terms[i])
+		}
+		for v, x := range res.Scores {
+			if x != full[i].Scores[v] {
+				t.Fatalf("%q: score %d differs from the uncancelled solve: %v vs %v", terms[i], v, x, full[i].Scores[v])
+			}
+		}
+	}
+}

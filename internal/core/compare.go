@@ -130,81 +130,3 @@ func (c *Comparison) String() string {
 	}
 	return s
 }
-
-// TermShare is one query term's contribution to a node's ObjectRank2
-// score.
-type TermShare struct {
-	Term  string
-	Score float64
-}
-
-// DecomposeByTerm splits a node's ObjectRank2 score into per-query-term
-// contributions. Because the fixpoint is linear in the jump
-// distribution, the multi-keyword score is exactly the γ-weighted sum
-// of single-term scores; this diagnostic runs one fixpoint per term
-// (warm-started) and reports each term's share at the node, largest
-// first. An empty result means no term reaches the node.
-func (e *Engine) DecomposeByTerm(q *ir.Query, v graph.NodeID) ([]TermShare, error) {
-	pin := e.Pin()
-	c := pin.Corpus()
-	if int(v) < 0 || int(v) >= c.g.NumNodes() {
-		return nil, fmt.Errorf("core: decompose target %d out of range", v)
-	}
-	terms := q.Terms()
-	weights := q.Weights()
-	type part struct {
-		term  string
-		gamma float64
-		score float64
-	}
-	var parts []part
-	var singles []*ir.Query
-	total := 0.0
-	for i, t := range terms {
-		w := weights[i]
-		if w <= 0 {
-			continue
-		}
-		single := ir.NewQuery(t)
-		mass := 0.0
-		for _, sd := range c.ix.BaseSet(single) {
-			mass += sd.Score
-		}
-		if mass == 0 {
-			continue
-		}
-		gamma := qtfSaturation(w) * mass
-		parts = append(parts, part{term: t, gamma: gamma})
-		singles = append(singles, single)
-		total += gamma
-	}
-	results, err := pin.Solve(context.Background(), SolveSpec{Queries: singles})
-	if err != nil {
-		return nil, err
-	}
-	for i, res := range results {
-		parts[i].score = res.Scores[v]
-		e.Release(res)
-	}
-	if total == 0 {
-		return nil, nil
-	}
-	out := make([]TermShare, 0, len(parts))
-	for _, p := range parts {
-		out = append(out, TermShare{Term: p.term, Score: p.gamma / total * p.score})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].Term < out[j].Term
-	})
-	return out, nil
-}
-
-// qtfSaturation mirrors the index's query-side BM25 factor with the
-// default k3.
-func qtfSaturation(w float64) float64 {
-	const k3 = 1000
-	return (k3 + 1) * w / (k3 + w)
-}

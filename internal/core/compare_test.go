@@ -98,45 +98,3 @@ func TestCompareEmptyFlows(t *testing.T) {
 		t.Errorf("unexpected dominant type on empty flows: %+v", dom)
 	}
 }
-
-func TestDecomposeByTerm(t *testing.T) {
-	f := newFixture(t)
-	e := f.newEngine(t)
-	q := ir.NewQuery("olap", "multidimensional")
-	res := rankQ(e, q)
-
-	// The shares must sum to the multi-keyword score (linearity).
-	for _, name := range []string{"v7", "v5", "v1"} {
-		v := f.ids[name]
-		shares, err := e.DecomposeByTerm(q, v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum := 0.0
-		for _, s := range shares {
-			if s.Score < 0 {
-				t.Errorf("%s: negative share %+v", name, s)
-			}
-			sum += s.Score
-		}
-		if math.Abs(sum-res.Scores[v]) > 1e-6 {
-			t.Errorf("%s: shares sum to %v, score is %v", name, sum, res.Scores[v])
-		}
-	}
-
-	// v5 contains "multidimensional" itself: that term dominates its
-	// score; v1 contains only "olap".
-	shares5, _ := e.DecomposeByTerm(q, f.ids["v5"])
-	if shares5[0].Term != "multidimensional" {
-		t.Errorf("v5 dominant term = %q", shares5[0].Term)
-	}
-
-	// Errors and degenerate cases.
-	if _, err := e.DecomposeByTerm(q, graph.NodeID(99)); err == nil {
-		t.Error("out-of-range node should error")
-	}
-	none, err := e.DecomposeByTerm(ir.NewQuery("zebra"), f.ids["v1"])
-	if err != nil || none != nil {
-		t.Errorf("no-term decomposition = %v, %v", none, err)
-	}
-}

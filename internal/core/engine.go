@@ -40,7 +40,7 @@ type Corpus struct {
 }
 
 // DefaultBlockSize is how many columns of a multi-column solve
-// (batches, precompute, profile basis) go to one kernel
+// (batches, the profile basis) go to one kernel
 // execution: the unit of SolveStats accounting and the bound on the jump
 // vectors a Solve holds at once.
 const DefaultBlockSize = 8
@@ -633,37 +633,6 @@ func (e *Engine) ObjectRankBaseline(q *ir.Query) *RankResult {
 		Converged:    res.Converged,
 		RatesVersion: snap.version,
 		Generation:   st.gen.num,
-	}
-}
-
-// HITSBaseline ranks by Kleinberg's hubs-and-authorities over the
-// [Kle99]-style focused subgraph of the query's base set (base nodes
-// plus radius hops), the second related-work baseline next to the
-// original ObjectRank. Scores are HITS authority values; nodes outside
-// the focused subgraph score zero. Iterations reports the HITS
-// iteration count.
-func (e *Engine) HITSBaseline(q *ir.Query, radius int) *RankResult {
-	st := e.state.Load()
-	c := st.gen.corpus
-	base := baseSetOf(c, q)
-	if len(base) == 0 {
-		// An empty base set focuses on nothing; HITS's nil-subset
-		// convention (whole graph) must not kick in.
-		return &RankResult{Query: q, Scores: make([]float64, c.g.NumNodes()), Base: base, Converged: true, Generation: st.gen.num}
-	}
-	nodes := make([]graph.NodeID, len(base))
-	for i, sd := range base {
-		nodes[i] = graph.NodeID(sd.Doc)
-	}
-	focused := rank.FocusedSubgraph(c.g, nodes, radius)
-	res := rank.HITS(c.g, focused, c.nopts.Threshold, c.nopts.MaxIters)
-	return &RankResult{
-		Query:      q,
-		Scores:     res.Authorities,
-		Base:       base,
-		Iterations: res.Iterations,
-		Converged:  res.Converged,
-		Generation: st.gen.num,
 	}
 }
 

@@ -248,26 +248,3 @@ func TestParallelEngineMatchesSerial(t *testing.T) {
 		t.Error("explain on parallel engine broken")
 	}
 }
-
-func TestHITSBaseline(t *testing.T) {
-	f := newFixture(t)
-	e := f.newEngine(t)
-	res := e.HITSBaseline(ir.NewQuery("olap"), 2)
-	if !res.Converged {
-		t.Fatal("HITS did not converge")
-	}
-	// The Data Cube paper is the citation sink of the focused subgraph
-	// and must be its top authority, matching the ObjectRank2 outcome
-	// on this example.
-	top := res.TopK(1)
-	if top[0].Node != f.ids["v7"] {
-		t.Errorf("HITS top authority = %v, want v7", top[0])
-	}
-	// An empty base set yields all-zero scores.
-	empty := e.HITSBaseline(ir.NewQuery("zebra"), 2)
-	for i, s := range empty.Scores {
-		if s != 0 {
-			t.Errorf("score[%d] = %v for empty base", i, s)
-		}
-	}
-}

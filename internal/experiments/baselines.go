@@ -77,7 +77,7 @@ func ExtensionBaselines(cfg Config) (*BaselinesResult, error) {
 		}
 		topicNodes = append(topicNodes, nodes)
 	}
-	tspr := rank.BuildTopicSensitive(g, ds.Rates, topicNames, topicNodes, cfg.engineConfig().Rank)
+	tspr := BuildTopicSensitive(g, ds.Rates, topicNames, topicNodes, cfg.engineConfig().Rank)
 
 	cfg.printf("Extension: baselines, relevant results in top-%d\n", k)
 	cfg.printf("%-22s %12s %12s %12s %12s\n", "query", "ObjectRank2", "ObjectRank", "HITS", "TSPR")
@@ -92,14 +92,14 @@ func ExtensionBaselines(cfg Config) (*BaselinesResult, error) {
 		p2 := float64(countRelevant(r2.TopKOfType(g, w.resultType, k), relevant))
 		r1 := w.sys.ObjectRankBaseline(q)
 		p1 := float64(countRelevant(r1.TopKOfType(g, w.resultType, k), relevant))
-		rh := w.sys.HITSBaseline(q, 2)
+		rh := HITSBaseline(w.sys, q, 2)
 		ph := float64(countRelevant(rh.TopKOfType(g, w.resultType, k), relevant))
 
 		var baseNodes []graph.NodeID
 		for _, sd := range w.sys.BaseSet(q) {
 			baseNodes = append(baseNodes, graph.NodeID(sd.Doc))
 		}
-		weights := rank.TopicWeightsByOverlap(baseNodes, topicNodes)
+		weights := TopicWeightsByOverlap(baseNodes, topicNodes)
 		tScores := tspr.Scores(weights)
 		pt := float64(countRelevant(rank.TopKOfType(g, tScores, w.resultType, k), relevant))
 

@@ -1,9 +1,11 @@
-package rank
+package experiments
 
 import (
 	"math"
 
+	"authorityflow/internal/core"
 	"authorityflow/internal/graph"
+	"authorityflow/internal/ir"
 )
 
 // HITSResult holds the converged hub and authority scores of
@@ -145,4 +147,35 @@ func FocusedSubgraph(g *graph.Graph, base []graph.NodeID, radius int) []graph.No
 		frontier = next
 	}
 	return out
+}
+
+// HITSBaseline ranks by Kleinberg's hubs-and-authorities over the
+// [Kle99]-style focused subgraph of the query's base set (base nodes
+// plus radius hops), the second related-work baseline next to the
+// original ObjectRank. Scores are HITS authority values; nodes outside
+// the focused subgraph score zero. Iterations reports the HITS
+// iteration count.
+func HITSBaseline(e *core.Engine, q *ir.Query, radius int) *core.RankResult {
+	pin := e.Pin()
+	g := pin.Corpus().Graph()
+	base := pin.BaseSet(q)
+	if len(base) == 0 {
+		// An empty base set focuses on nothing; HITS's nil-subset
+		// convention (whole graph) must not kick in.
+		return &core.RankResult{Query: q, Scores: make([]float64, g.NumNodes()), Base: base, Converged: true, Generation: pin.Generation()}
+	}
+	nodes := make([]graph.NodeID, len(base))
+	for i, sd := range base {
+		nodes[i] = graph.NodeID(sd.Doc)
+	}
+	opts := pin.Corpus().Options().Normalized()
+	res := HITS(g, FocusedSubgraph(g, nodes, radius), opts.Threshold, opts.MaxIters)
+	return &core.RankResult{
+		Query:      q,
+		Scores:     res.Authorities,
+		Base:       base,
+		Iterations: res.Iterations,
+		Converged:  res.Converged,
+		Generation: pin.Generation(),
+	}
 }

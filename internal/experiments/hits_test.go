@@ -1,11 +1,44 @@
-package rank
+package experiments
 
 import (
 	"math"
 	"testing"
 
+	"authorityflow/internal/core"
 	"authorityflow/internal/graph"
+	"authorityflow/internal/ir"
+	"authorityflow/internal/rank"
 )
+
+// paperGraph builds n Paper nodes joined by the given cites edges, with
+// the given forward/backward cites rates; titles, when given, become
+// the papers' Title attributes in order.
+func paperGraph(t testing.TB, n int, edges [][2]int, fw, bw float64, titles ...string) (*graph.Graph, *graph.Rates) {
+	t.Helper()
+	s := graph.NewSchema()
+	paper := s.AddNodeType("Paper")
+	cites := s.MustAddEdgeType("cites", paper, paper)
+	b := graph.NewBuilder(s)
+	ids := make([]graph.NodeID, n)
+	for i := range ids {
+		if i < len(titles) {
+			ids[i] = b.AddNode(paper, graph.Attr{Name: "Title", Value: titles[i]})
+		} else {
+			ids[i] = b.AddNode(paper)
+		}
+	}
+	for _, e := range edges {
+		b.AddEdge(ids[e[0]], ids[e[1]], cites)
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := graph.NewRates(s)
+	r.Set(cites, graph.Forward, fw)
+	r.Set(cites, graph.Backward, bw)
+	return g, r
+}
 
 func TestHITSStarGraph(t *testing.T) {
 	// Three papers all cite one: the cited paper is the top authority,
@@ -87,5 +120,35 @@ func TestFocusedSubgraph(t *testing.T) {
 	got = FocusedSubgraph(g, []graph.NodeID{0, 0, 0}, 0)
 	if len(got) != 1 {
 		t.Errorf("dedup failed: %v", got)
+	}
+}
+
+func TestHITSBaseline(t *testing.T) {
+	// Two olap papers and a modeling paper all cite the data cube paper,
+	// as in the paper's Figure 1 example.
+	g, r := paperGraph(t, 4, [][2]int{{0, 3}, {1, 3}, {1, 2}, {2, 3}}, 0.7, 0,
+		"Index Selection for OLAP", "Range Queries in OLAP Data Cubes",
+		"Modeling Multidimensional Databases", "Data Cube")
+	e, err := core.NewEngine(g, r, core.Config{
+		Rank: rank.Options{Damping: 0.85, Threshold: 1e-10, MaxIters: 500},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := HITSBaseline(e, ir.NewQuery("olap"), 2)
+	if !res.Converged {
+		t.Fatal("HITS did not converge")
+	}
+	// The Data Cube paper is the citation sink of the focused subgraph
+	// and must be its top authority.
+	if top := res.TopK(1); top[0].Node != 3 {
+		t.Errorf("HITS top authority = %v, want node 3", top[0])
+	}
+	// An empty base set yields all-zero scores.
+	empty := HITSBaseline(e, ir.NewQuery("zebra"), 2)
+	for i, s := range empty.Scores {
+		if s != 0 {
+			t.Errorf("score[%d] = %v for empty base", i, s)
+		}
 	}
 }

@@ -1,7 +1,8 @@
-package rank
+package experiments
 
 import (
 	"authorityflow/internal/graph"
+	"authorityflow/internal/rank"
 )
 
 // TopicSensitive implements Haveliwala's topic-sensitive PageRank
@@ -18,10 +19,10 @@ type TopicSensitive struct {
 
 // BuildTopicSensitive precomputes one biased PageRank per topic.
 // topicNodes[i] lists the nodes of topic i (the biased jump set).
-func BuildTopicSensitive(g *graph.Graph, rates *graph.Rates, topics []string, topicNodes [][]graph.NodeID, opts Options) *TopicSensitive {
+func BuildTopicSensitive(g *graph.Graph, rates *graph.Rates, topics []string, topicNodes [][]graph.NodeID, opts rank.Options) *TopicSensitive {
 	ts := &TopicSensitive{topics: append([]string(nil), topics...)}
 	for _, nodes := range topicNodes {
-		res := ObjectRank(g, rates, nodes, opts)
+		res := rank.ObjectRank(g, rates, nodes, opts)
 		ts.vectors = append(ts.vectors, res.Scores)
 	}
 	return ts

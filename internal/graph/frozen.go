@@ -115,8 +115,8 @@ func checkCSR(side string, n int, start []int32, arcs []Arc, s *Schema) error {
 // Fingerprint returns a 64-bit FNV-1a digest of the frozen graph —
 // schema type names, labels, attribute text, and both CSR halves —
 // computed once and cached. Two graphs with the same fingerprint are,
-// for ranking purposes, the same corpus; precomputed score stores use
-// it to refuse revalidation against a different generation's graph.
+// for ranking purposes, the same corpus: the snapshot round-trip tests
+// compare a reloaded graph to the one written by it.
 func (g *Graph) Fingerprint() uint64 {
 	g.fpOnce.Do(func() {
 		h := fnv.New64a()

@@ -133,34 +133,15 @@ func (r *Rates) Validate() error {
 	return nil
 }
 
-// SameRateVector reports whether two rate vectors are exactly equal —
-// same length, bitwise-identical float64 entries (so +0 and -0 differ,
-// matching cache-key semantics). This is THE store-vs-live-rates
-// mismatch predicate: precompute.Store.ValidFor and the serving cache's
-// key derivation both reduce to it, so the definition of "same rates"
-// lives in exactly one place.
-func SameRateVector(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // RateVectorKey returns a 64-bit FNV-1a fingerprint of a rate vector's
-// exact float64 bit patterns — the hashed form of the SameRateVector
-// equivalence. Two vectors with equal fingerprints are, for
-// cache-keying purposes, the same rate assignment (collisions over the
-// handful of schema transfer types are astronomically unlikely;
-// consumers that need certainty confirm with SameRateVector). The
-// serving cache keys term vectors and results by this fingerprint
-// rather than by the engine's snapshot version, so republishing
-// value-identical rates — a reformulation round-trip that lands back on
-// the same assignment — keeps previously cached entries valid.
+// exact float64 bit patterns (so +0 and -0 differ). Two vectors with
+// equal fingerprints are, for cache-keying purposes, the same rate
+// assignment (collisions over the handful of schema transfer types are
+// astronomically unlikely). The serving cache keys term vectors and
+// results by this fingerprint rather than by the engine's snapshot
+// version, so republishing value-identical rates — a reformulation
+// round-trip that lands back on the same assignment — keeps previously
+// cached entries valid.
 func RateVectorKey(v []float64) uint64 {
 	const (
 		offset64 uint64 = 14695981039346656037

@@ -4,10 +4,12 @@
 // rates-delta, and the serving/learning paths that combine and train
 // them.
 //
-// The mathematical substrate is fixpoint linearity, the same property
-// internal/precompute exploits for multi-keyword combination: the
-// ObjectRank2 fixpoint r = d·A·r + (1−d)·s is linear in the jump
-// distribution s, so a personalized jump
+// The mathematical substrate is fixpoint linearity — what makes
+// [BHP04]-style per-keyword vectors exact rather than heuristic, and of
+// which Basis.Combine is the one product implementation
+// (internal/conformance referees the property itself): the ObjectRank2
+// fixpoint r = d·A·r + (1−d)·s is linear in the jump distribution s, so
+// a personalized jump
 //
 //	s_p = (1−β)·ŝ(Q) + β·Σ_t m̂_t·ŝ_t
 //
@@ -116,11 +118,10 @@ func BasisTerms(pin *core.Pinned, size int) []string {
 
 // BuildBasis precomputes one converged fixpoint per topic term against
 // the pinned (generation, rates) state, solved in panels through one
-// Pinned.Solve, exactly the precompute.BuildCtx discipline: every
-// vector reflects one consistent corpus and rate assignment even if
-// publishes land mid-build. Terms with empty base sets are skipped. On
-// cancellation the partial build is discarded and ctx's error returned
-// — a basis is only ever complete.
+// Pinned.Solve: every vector reflects one consistent corpus and rate
+// assignment even if publishes land mid-build. Terms with empty base
+// sets are skipped. On cancellation the partial build is discarded and
+// ctx's error returned — a basis is only ever complete.
 func BuildBasis(ctx context.Context, pin *core.Pinned, terms []string) (*Basis, error) {
 	c := pin.Corpus()
 	b := &Basis{

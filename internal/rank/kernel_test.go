@@ -227,8 +227,8 @@ func TestKernelParallelMatchesSerialDBLP(t *testing.T) {
 func TestKernelDegradesStaleInit(t *testing.T) {
 	// Warm-start-after-graph-rebuild contract: the seed silently
 	// ignored a wrong-length Init vector, then a later version panicked
-	// on it — which let a SwapCorpus racing a background precompute or
-	// basis rebuild crash a serving goroutine. The kernel now DEGRADES:
+	// on it — which let a SwapCorpus racing a basis rebuild crash a
+	// serving goroutine. The kernel now DEGRADES:
 	// the stale vector is dropped, the run starts cold, and
 	// Result.InitDropped reports the drop. The degraded run must be
 	// bit-identical to an explicitly cold one.

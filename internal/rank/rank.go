@@ -47,10 +47,10 @@ type Options struct {
 	// warm start donated across a concurrent corpus swap — is DROPPED
 	// and the run degrades to a cold start with Result.InitDropped set,
 	// exactly the fallback core.Engine applies at its own boundary.
-	// (Earlier kernels panicked here, which let a swap race turn a
-	// background precompute or basis rebuild into a serving-goroutine
-	// crash; a stale warm start is recoverable by construction — the
-	// fixpoint does not depend on the start vector.)
+	// (Earlier kernels panicked here, which let a swap race turn a basis
+	// rebuild into a serving-goroutine crash; a stale warm start is
+	// recoverable by construction — the fixpoint does not depend on the
+	// start vector.)
 	Init []float64
 	// Observe, if non-nil, is invoked by the kernel after EVERY
 	// completed power iteration with the 1-based iteration index and

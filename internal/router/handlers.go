@@ -23,7 +23,6 @@ import (
 	"sync"
 	"time"
 
-	"authorityflow/internal/ir"
 	"authorityflow/internal/obs"
 	"authorityflow/internal/server"
 )
@@ -376,33 +375,17 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 			strconv.Itoa(len(req.Queries))+" queries exceeds the batch limit of "+strconv.Itoa(server.MaxBatchQueries))
 		return
 	}
-	// Validate every item BEFORE splitting, under the replicas' exact
-	// rules and messages — a replica-side 400 would name sub-batch
-	// indices, not the client's.
-	keys := make([]string, len(req.Queries))
-	for i, it := range req.Queries {
-		at := "queries[" + strconv.Itoa(i) + "]: "
-		if strings.TrimSpace(it.Q) == "" {
-			rt.writeError(w, r, http.StatusBadRequest, server.CodeInvalidArgument, at+"q required")
-			return
-		}
-		if it.K < 0 || it.K > 1000 {
-			rt.writeError(w, r, http.StatusBadRequest, server.CodeInvalidArgument, at+"k must be in 1..1000")
-			return
-		}
-		// mode/budget run the replicas' own shared validation table, so
-		// the rejection bytes match parseBatch's exactly.
-		irp, err := server.ValidateItemParams(it.Mode, it.Budget)
-		if err != nil {
-			rt.writeError(w, r, http.StatusBadRequest, server.CodeInvalidArgument, at+err.Error())
-			return
-		}
-		q := ir.ParseQuery(it.Q)
-		if len(q.Terms()) == 0 {
-			rt.writeError(w, r, http.StatusBadRequest, server.CodeInvalidArgument, at+"q contains no indexable terms")
-			return
-		}
-		keys[i] = routeKeyMode(it.Q, irp.Mode)
+	// Validate every item BEFORE splitting, through the replicas' own
+	// validator — a replica-side 400 would name sub-batch indices, not
+	// the client's.
+	qs, _, modes, err := server.ParseBatchItems(req.Queries)
+	if err != nil {
+		rt.writeError(w, r, http.StatusBadRequest, server.CodeInvalidArgument, err.Error())
+		return
+	}
+	keys := make([]string, len(qs))
+	for i, q := range qs {
+		keys[i] = termsKeyMode(q.Terms(), modes[i])
 	}
 	floorGen, floorRV, ok := rt.effectiveFloor(w, r)
 	if !ok {

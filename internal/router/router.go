@@ -55,6 +55,7 @@ import (
 	"hash/fnv"
 	"net/http"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -419,18 +420,7 @@ func (rt *Router) catchUpLocked(ctx context.Context, rp *replica, vector []float
 // the distinct lowercased terms, sorted — the same keyword set always
 // owns the same replica, regardless of order or duplication, which is
 // what keeps per-term vector caches partitioned across the fleet.
-func routeKey(rawQ string) string {
-	terms := ir.ParseQuery(rawQ).Terms() // tokenized, lowercased, deduped
-	sort.Strings(terms)
-	key := ""
-	for i, t := range terms {
-		if i > 0 {
-			key += " "
-		}
-		key += t
-	}
-	return key
-}
+func routeKey(rawQ string) string { return routeKeyMode(rawQ, core.ModeAuthority) }
 
 // routeKeyMode extends the rendezvous key with the ranking mode: hub
 // and combined answers cache under their own keys replica-side, so
@@ -441,7 +431,14 @@ func routeKey(rawQ string) string {
 // (The NUL separator cannot appear in tokenized terms, so a mode
 // suffix can never collide with a longer term set.)
 func routeKeyMode(rawQ string, m core.Mode) string {
-	key := routeKey(rawQ)
+	return termsKeyMode(ir.ParseQuery(rawQ).Terms(), m)
+}
+
+// termsKeyMode is routeKeyMode over an already-parsed query's terms
+// (tokenized, lowercased, deduped); it sorts terms in place.
+func termsKeyMode(terms []string, m core.Mode) string {
+	sort.Strings(terms)
+	key := strings.Join(terms, " ")
 	if m != core.ModeAuthority {
 		key += "\x00" + string(m)
 	}

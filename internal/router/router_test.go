@@ -17,6 +17,7 @@ import (
 
 	"authorityflow/internal/core"
 	"authorityflow/internal/datagen"
+	"authorityflow/internal/obs"
 	"authorityflow/internal/rank"
 	"authorityflow/internal/server"
 	"authorityflow/internal/storage"
@@ -244,10 +245,29 @@ func TestBatchSplitMerge(t *testing.T) {
 }
 
 // TestBatchValidation: the router rejects malformed panels itself,
-// with the replicas' exact messages and indices referring to the
-// CLIENT's item positions.
+// with indices referring to the CLIENT's item positions and a body
+// byte-equal to what a replica answers when asked directly (item rules
+// live once, in server.ParseBatchItems).
 func TestBatchValidation(t *testing.T) {
 	f := newFleet(t, 2)
+	post := func(url string, req server.BatchQueryRequest) (int, []byte) {
+		t.Helper()
+		b, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hr, err := http.NewRequest(http.MethodPost, url+"/v1/query/batch", bytes.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// One request ID on both sides: the envelope echoes it.
+		hr.Header.Set(obs.RequestIDHeader, "batch-validation")
+		resp, err := http.DefaultClient.Do(hr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return readBody(t, resp)
+	}
 	cases := []struct {
 		req  server.BatchQueryRequest
 		want string
@@ -256,9 +276,13 @@ func TestBatchValidation(t *testing.T) {
 		{server.BatchQueryRequest{Queries: []server.BatchQueryItem{{Q: "olap"}, {Q: " "}}}, "queries[1]: q required"},
 		{server.BatchQueryRequest{Queries: []server.BatchQueryItem{{Q: "olap", K: 2000}}}, "queries[0]: k must be in 1..1000"},
 		{server.BatchQueryRequest{Queries: []server.BatchQueryItem{{Q: "!!"}}}, "queries[0]: q contains no indexable terms"},
+		{server.BatchQueryRequest{Queries: []server.BatchQueryItem{{Q: "olap"}, {Q: "xml"}, {Q: "olap", Mode: "sideways"}}},
+			"queries[2]: mode must be one of authority, hub, combined"},
+		{server.BatchQueryRequest{Queries: []server.BatchQueryItem{{Q: "olap"}, {Q: "olap", Mode: "hub", Budget: 9999}}},
+			"queries[1]: budget must be an integer in 0..1000"},
 	}
 	for _, tc := range cases {
-		code, body := postJSON(t, f.front.URL+"/v1/query/batch", tc.req)
+		code, body := post(f.front.URL, tc.req)
 		if code != 400 {
 			t.Fatalf("batch %v = %d, want 400", tc.req, code)
 		}
@@ -271,6 +295,10 @@ func TestBatchValidation(t *testing.T) {
 		}
 		if env.Error.Code != server.CodeInvalidArgument {
 			t.Errorf("code = %q, want %q", env.Error.Code, server.CodeInvalidArgument)
+		}
+		if codeD, direct := post(f.urls[0], tc.req); codeD != code || !bytes.Equal(body, direct) {
+			t.Errorf("%q: routed rejection differs from a replica's\nrouted: %d %s\ndirect: %d %s",
+				tc.want, code, body, codeD, direct)
 		}
 	}
 }

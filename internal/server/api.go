@@ -34,6 +34,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"strconv"
@@ -527,8 +528,9 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 
 	// Validate EVERY item before any kernel work: a batch either runs
 	// whole or is rejected whole, and the 400 names the offending index.
-	qs, ks, modes, ok := parseBatch(w, r, req.Queries)
-	if !ok {
+	qs, ks, modes, err := ParseBatchItems(req.Queries)
+	if err != nil {
+		writeError(w, r, http.StatusBadRequest, err.Error())
 		return
 	}
 
@@ -555,42 +557,44 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// parseBatch validates every batch item under EXACTLY /v1/query's
+// ParseBatchItems validates every batch item under EXACTLY /v1/query's
 // parameter rules (non-blank q, indexable terms, k in 1..1000 with 0
-// defaulting to 10, mode/budget via the uniform read contract); a
-// violation rejects the whole batch with a 400 naming the offending
-// index.
-func parseBatch(w http.ResponseWriter, r *http.Request, items []BatchQueryItem) ([]*ir.Query, []int, []core.Mode, bool) {
+// defaulting to 10, mode/budget via the uniform read contract) and
+// returns the parsed queries, effective ks and modes. The first
+// violation is returned as an error whose message names the offending
+// index. It is the one item validator: the router calls it before
+// fan-out, so a routed rejection carries the client's indices and the
+// replicas' exact bytes.
+func ParseBatchItems(items []BatchQueryItem) ([]*ir.Query, []int, []core.Mode, error) {
 	qs := make([]*ir.Query, len(items))
 	ks := make([]int, len(items))
 	modes := make([]core.Mode, len(items))
+	fail := func(i int, msg string) ([]*ir.Query, []int, []core.Mode, error) {
+		return nil, nil, nil, errors.New("queries[" + strconv.Itoa(i) + "]: " + msg)
+	}
 	for i, it := range items {
-		at := "queries[" + strconv.Itoa(i) + "]: "
 		if strings.TrimSpace(it.Q) == "" {
-			writeError(w, r, http.StatusBadRequest, at+"q required")
-			return nil, nil, nil, false
+			return fail(i, "q required")
 		}
 		k := it.K
 		if k == 0 {
 			k = 10
 		}
 		if k < 0 || k > 1000 {
-			writeError(w, r, http.StatusBadRequest, at+"k must be in 1..1000")
-			return nil, nil, nil, false
+			return fail(i, "k must be in 1..1000")
 		}
-		rp, err := ValidateItemParams(it.Mode, it.Budget)
+		m, err := core.ParseMode(it.Mode)
+		if err == nil {
+			err = CheckBudget(it.Budget)
+		}
 		if err != nil {
-			writeError(w, r, http.StatusBadRequest, at+err.Error())
-			return nil, nil, nil, false
+			return fail(i, err.Error())
 		}
 		q := ir.ParseQuery(it.Q)
 		if len(q.Terms()) == 0 {
-			writeError(w, r, http.StatusBadRequest, at+"q contains no indexable terms")
-			return nil, nil, nil, false
+			return fail(i, "q contains no indexable terms")
 		}
-		qs[i] = q
-		ks[i] = k
-		modes[i] = rp.Mode
+		qs[i], ks[i], modes[i] = q, k, m
 	}
-	return qs, ks, modes, true
+	return qs, ks, modes, nil
 }

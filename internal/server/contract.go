@@ -124,22 +124,6 @@ func ValidateReadParams(v url.Values) (ReadParams, error) {
 	return rp, nil
 }
 
-// ValidateItemParams validates a batch item's mode/budget pair through
-// the same table semantics (mode via the table's string validator,
-// budget via CheckBudget since JSON already made it an int).
-func ValidateItemParams(mode string, budget int) (ReadParams, error) {
-	rp := ReadParams{Mode: core.ModeAuthority}
-	m, err := core.ParseMode(mode)
-	if err != nil {
-		return rp, err
-	}
-	if err := CheckBudget(budget); err != nil {
-		return rp, err
-	}
-	rp.Mode, rp.Budget = m, budget
-	return rp, nil
-}
-
 // parseReadParams is the handler-side wrapper: table violations become
 // the uniform invalid_argument rejection.
 func parseReadParams(w http.ResponseWriter, r *http.Request) (ReadParams, bool) {

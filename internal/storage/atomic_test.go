@@ -82,4 +82,19 @@ func TestAtomicWriteFileFailure(t *testing.T) {
 	if _, err := os.Stat(path + ".tmp"); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("temp file left behind after failure: stat err = %v", err)
 	}
+
+	// The temp file not creatable at all: the write must fail without
+	// having touched path on the way (a create-and-truncate of path would).
+	if err := os.Mkdir(path+".tmp", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := AtomicWriteFile(path, func(w io.Writer) error {
+		_, err := w.Write([]byte("replacement"))
+		return err
+	}); err == nil {
+		t.Fatal("write succeeded with its temp path occupied: it does not go through a temp file")
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != "original" {
+		t.Fatalf("uncreatable temp file clobbered previous content: %q, %v", got, err)
+	}
 }
