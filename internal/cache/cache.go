@@ -335,35 +335,24 @@ func (c *CachedEngine) queryAt(ctx context.Context, pin *core.Pinned, q *ir.Quer
 	if init != nil {
 		spec.Inits = [][]float64{init}
 	}
-	for {
-		val, shared, err := c.flights.DoCtx(ctx, key, func(dctx context.Context) (any, error) {
-			if e, ok := c.results.Get(key); ok { // lost a miss/flight race
-				return e.(*cachedResult), nil
-			}
-			rs, rerr := pin.Solve(dctx, spec)
-			if rerr != nil {
-				return nil, rerr // all waiters left; solve abandoned
-			}
-			c.stats.computes.Add(1)
-			cr := resultFrom(rs[0], k)
-			c.eng.Release(rs[0])
-			c.results.Put(key, cr, resultEntrySize(key, len(cr.items)))
-			return cr, nil
-		})
-		if err != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				return nil, cerr // our own context died
-			}
-			// We joined (late) a flight that was already draining — its
-			// detached solve was cancelled because every earlier waiter
-			// left. Our context is live, so retry with a fresh flight.
-			continue
+	val, _, err := c.flights.DoCtx(ctx, key, func(dctx context.Context) (any, error) {
+		if e, ok := c.results.Get(key); ok { // lost a miss/flight race
+			return e.(*cachedResult), nil
 		}
-		if shared {
-			c.stats.dedup.Add(1)
+		rs, rerr := pin.Solve(dctx, spec)
+		if rerr != nil {
+			return nil, rerr // all waiters left; solve abandoned
 		}
-		return c.answerFrom(val.(*cachedResult), q, SourceComputed), nil
+		c.stats.computes.Add(1)
+		cr := resultFrom(rs[0], k)
+		c.eng.Release(rs[0])
+		c.results.Put(key, cr, resultEntrySize(key, len(cr.items)))
+		return cr, nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	return c.answerFrom(val.(*cachedResult), q, SourceComputed), nil
 }
 
 // termAnswer serves a single-keyword query from term vectors: the
@@ -548,7 +537,7 @@ func (c *CachedEngine) queryBatchDir(ctx context.Context, pin *core.Pinned, qs [
 			}
 			inits = append(inits, init)
 		} else {
-			c.stats.dedup.Add(1) // in-batch dedup, same accounting as a joined flight
+			c.flights.dedup.Add(1) // in-batch dedup, same accounting as a joined flight
 		}
 		pend = append(pend, pendingQ{i: i, key: key, col: ci})
 	}
@@ -646,36 +635,28 @@ func (c *CachedEngine) termVectorFor(ctx context.Context, pin *core.Pinned, sk s
 		return e.(*termVector), true, nil
 	}
 	c.stats.vectorMisses.Add(1)
-	for {
-		val, shared, err := c.flights.DoCtx(ctx, key, func(dctx context.Context) (any, error) {
-			if e, ok := c.vectors.Get(key); ok { // lost a miss/flight race
-				return e.(*termVector), nil
-			}
-			init := c.donation(pin, sk, m, term)
-			rs, err := pin.Solve(dctx, core.SolveSpec{Queries: []*ir.Query{ir.NewQuery(term)}, Mode: m, Inits: [][]float64{init}})
-			if err != nil {
-				// Solve abandoned (every waiter left): nothing is
-				// cached; the next miss recomputes. The donated
-				// warm-start vector (if any) is lost with it —
-				// acceptable, it was already invalid under the new rates.
-				return nil, err
-			}
-			c.stats.computes.Add(1)
-			tv := c.putTerm(key, rs[0], init != nil)
-			c.eng.Release(rs[0])
-			return tv, nil
-		})
+	val, _, err := c.flights.DoCtx(ctx, key, func(dctx context.Context) (any, error) {
+		if e, ok := c.vectors.Get(key); ok { // lost a miss/flight race
+			return e.(*termVector), nil
+		}
+		init := c.donation(pin, sk, m, term)
+		rs, err := pin.Solve(dctx, core.SolveSpec{Queries: []*ir.Query{ir.NewQuery(term)}, Mode: m, Inits: [][]float64{init}})
 		if err != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				return nil, false, cerr
-			}
-			continue // joined a draining flight; retry fresh (see queryAt)
+			// Solve abandoned (every waiter left): nothing is
+			// cached; the next miss recomputes. The donated
+			// warm-start vector (if any) is lost with it —
+			// acceptable, it was already invalid under the new rates.
+			return nil, err
 		}
-		if shared {
-			c.stats.dedup.Add(1)
-		}
-		return val.(*termVector), false, nil
+		c.stats.computes.Add(1)
+		tv := c.putTerm(key, rs[0], init != nil)
+		c.eng.Release(rs[0])
+		return tv, nil
+	})
+	if err != nil {
+		return nil, false, err
 	}
+	return val.(*termVector), false, nil
 }
 
 // donation removes and returns the converged vector term had, in

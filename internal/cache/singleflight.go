@@ -3,6 +3,7 @@ package cache
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 )
 
 // flightGroup collapses concurrent duplicate work: N goroutines asking
@@ -31,6 +32,10 @@ import (
 type flightGroup struct {
 	mu sync.Mutex
 	m  map[string]*flightCall
+
+	// dedup counts calls answered by another caller's computation
+	// instead of their own.
+	dedup atomic.Int64
 }
 
 // flightCall is one in-flight computation.
@@ -87,13 +92,15 @@ func (c *flightCall) dropWaiter() {
 // refcount rules). fn receives the detached context and should honor
 // it. Returns:
 //
-//   - (val, shared, nil): the flight finished; val is fn's value.
+//   - (val, shared, nil): a flight finished; val is fn's value, shared
+//     whether another caller's flight produced it (counted in dedup).
 //   - (nil, shared, ctx.Err()): the caller's own context died while
 //     waiting. The flight may still complete for the other waiters.
-//   - (nil, true, err): the caller joined a flight whose detached solve
-//     failed (err is fn's error — in practice the context error of a
-//     solve whose waiters all left). The caller's own ctx is live, so
-//     it should retry; the key is already clear.
+//   - (nil, false, err): the caller's OWN flight failed with fn's error.
+//
+// A caller with a live ctx never sees another flight's failure (in
+// practice the context error of a solve whose waiters all left): it
+// waits for that flight's slot to clear and flies afresh.
 //
 // A panicking fn re-panics in every waiter with the original value.
 func (g *flightGroup) DoCtx(ctx context.Context, key string, fn func(context.Context) (any, error)) (val any, shared bool, err error) {
@@ -105,28 +112,40 @@ func (g *flightGroup) DoCtx(ctx context.Context, key string, fn func(context.Con
 		if g.m == nil {
 			g.m = make(map[string]*flightCall)
 		}
-		if c, ok := g.m[key]; ok {
-			joined := c.addWaiter()
-			g.mu.Unlock()
-			if !joined {
-				// The flight is draining (refcount hit zero, detached
-				// solve cancelled). Wait for the slot to clear, then
-				// start fresh — unless our own context dies first.
-				select {
-				case <-c.done:
-					continue
-				case <-ctx.Done():
-					return nil, true, ctx.Err()
-				}
-			}
-			return c.wait(ctx, true)
+		var c *flightCall
+		if c, shared = g.m[key]; !shared {
+			dctx, cancel := context.WithCancel(context.Background())
+			c = &flightCall{done: make(chan struct{}), waiters: 1, cancel: cancel}
+			g.m[key] = c
+			go g.run(c, key, dctx, fn)
 		}
-		dctx, cancel := context.WithCancel(context.Background())
-		c := &flightCall{done: make(chan struct{}), waiters: 1, cancel: cancel}
-		g.m[key] = c
+		joined := !shared || c.addWaiter()
 		g.mu.Unlock()
-		go g.run(c, key, dctx, fn)
-		return c.wait(ctx, false)
+		if !joined {
+			// The flight is draining (refcount hit zero, detached solve
+			// cancelled). Wait for the slot to clear, then start fresh —
+			// unless our own context dies first.
+			select {
+			case <-c.done:
+				continue
+			case <-ctx.Done():
+				return nil, true, ctx.Err()
+			}
+		}
+		val, err = c.wait(ctx)
+		switch {
+		case err == nil:
+			if shared {
+				g.dedup.Add(1)
+			}
+			return val, shared, nil
+		case ctx.Err() != nil:
+			return nil, shared, ctx.Err()
+		case !shared:
+			return nil, false, err
+		}
+		// Joined, late, a flight whose solve was then abandoned; its key
+		// is already clear.
 	}
 }
 
@@ -150,15 +169,15 @@ func (g *flightGroup) run(c *flightCall, key string, dctx context.Context, fn fu
 }
 
 // wait blocks until the flight finishes or the caller's context dies.
-func (c *flightCall) wait(ctx context.Context, shared bool) (any, bool, error) {
+func (c *flightCall) wait(ctx context.Context) (any, error) {
 	select {
 	case <-c.done:
 		if c.panicked {
 			panic(c.panicVal)
 		}
-		return c.val, shared, c.err
+		return c.val, c.err
 	case <-ctx.Done():
 		c.dropWaiter()
-		return nil, shared, ctx.Err()
+		return nil, ctx.Err()
 	}
 }

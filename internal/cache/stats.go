@@ -12,9 +12,6 @@ type stats struct {
 	resultHits      atomic.Int64
 	resultMisses    atomic.Int64
 	resultEvictions atomic.Int64
-	// dedup counts calls that were answered by joining another caller's
-	// in-flight computation instead of running their own.
-	dedup atomic.Int64
 	// computes counts actual power-iteration kernel invocations issued
 	// by the cache (term solves, full query solves).
 	computes atomic.Int64
@@ -66,7 +63,7 @@ func (c *CachedEngine) Stats() StatsSnapshot {
 			Bytes:       c.results.Bytes(),
 			BudgetBytes: c.results.Budget(),
 		},
-		SingleflightDedup: c.stats.dedup.Load(),
+		SingleflightDedup: c.flights.dedup.Load(),
 		Computes:          c.stats.computes.Load(),
 		WarmStarts:        c.stats.warmStarts.Load(),
 	}

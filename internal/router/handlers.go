@@ -147,16 +147,6 @@ func forwardHeaders(h http.Header) http.Header {
 	return out
 }
 
-// copyResponse forwards a replica's raw answer verbatim.
-func copyResponse(w http.ResponseWriter, resp *server.RawResponse) {
-	hdr := w.Header()
-	for k, vs := range forwardHeaders(resp.Header) {
-		hdr[k] = vs
-	}
-	w.WriteHeader(resp.Status)
-	_, _ = w.Write(resp.Body)
-}
-
 // readBody buffers a request body up to maxProxyBody so it can be
 // replayed across failover attempts. ok=false means the 400 was
 // already written.
@@ -232,6 +222,61 @@ func (rt *Router) propagationContext() (context.Context, context.CancelFunc) {
 	return context.WithTimeout(context.Background(), budget)
 }
 
+// ---- the one way to a replica: walk, forward, reply ----
+
+// walk returns the first replica of order that is live and at or above
+// the floor, with the replicas after it (where a failover resumes); nil
+// when order holds none. behind reports that a live replica was passed
+// over for being below the floor, and every such skip is counted. order
+// is a key's rendezvous rank, or fleet order for unkeyed requests.
+func (rt *Router) walk(order []*replica, floorGen, floorRV uint64) (hit *replica, rest []*replica, behind bool) {
+	for i, rp := range order {
+		if !rp.up.Load() {
+			continue
+		}
+		if eligible(rp, floorGen, floorRV) {
+			return rp, order[i+1:], behind
+		}
+		rt.robs.staleSkips.Inc()
+		behind = true
+	}
+	return nil, nil, behind
+}
+
+// forward sends the inbound request, with its buffered body, to rp. An
+// idempotent request rides the replica client's retry budget; any other
+// is sent exactly once — a transport failure leaves the replica's state
+// unknown, and re-sending could apply a write twice. On a transport
+// failure rp is marked down unless the client itself is gone; the error
+// comes back for the caller to phrase (or, client gone, to drop).
+func (rt *Router) forward(r *http.Request, rp *replica, key string, body []byte, idempotent bool) (resp *server.RawResponse, err error) {
+	obs.TraceFrom(r.Context()).Eventf("route", "replica=%s key=%q", rp.url, key)
+	hdr := forwardHeaders(r.Header)
+	if idempotent {
+		resp, err = rp.client.DoRaw(r.Context(), r.Method, r.URL.RequestURI(), hdr, body)
+	} else {
+		resp, err = rp.client.DoRawOnce(r.Context(), r.Method, r.URL.RequestURI(), hdr, body)
+	}
+	if err != nil && r.Context().Err() == nil {
+		rp.setDown(err)
+	}
+	return resp, err
+}
+
+// reply hands rp's raw answer to the client untouched, naming rp in
+// HeaderServedBy, after harvesting what the answer proves about rp.
+func (rt *Router) reply(w http.ResponseWriter, r *http.Request, rp *replica, resp *server.RawResponse) {
+	rt.observeAnswer(rp, r.URL.Path, resp)
+	rt.robs.routed.With(rp.url).Inc()
+	hdr := w.Header()
+	hdr.Set(HeaderServedBy, rp.url)
+	for k, vs := range forwardHeaders(resp.Header) {
+		hdr[k] = vs
+	}
+	w.WriteHeader(resp.Status)
+	_, _ = w.Write(resp.Body)
+}
+
 // ---- /v1/query, /v1/explain and /v1/audit ----
 
 // handleSingle proxies one request to the rendezvous owner of its
@@ -247,7 +292,7 @@ func (rt *Router) handleSingle(w http.ResponseWriter, r *http.Request) {
 	if pid := r.URL.Query().Get("profile"); pid != "" {
 		// Personalized traffic routes by PROFILE ID to the one replica
 		// holding the record — owner-only, no failover (profile.go).
-		rt.handleProfileRead(w, r, pid)
+		rt.dispatchOwner(w, r, pid, true, true)
 		return
 	}
 	rp0, err := server.ValidateReadParams(r.URL.Query())
@@ -265,52 +310,39 @@ func (rt *Router) handleSingle(w http.ResponseWriter, r *http.Request) {
 	}
 	tr := obs.TraceFrom(r.Context())
 	key := routeKeyMode(r.URL.Query().Get("q"), rp0.Mode)
-	hdr := forwardHeaders(r.Header)
+	order := rt.rendezvousRank(key)
 
 	var last *server.RawResponse
 	var lastFrom *replica
-	sawStale, attempts := false, 0
-	for _, rp := range rt.rendezvousRank(key) {
-		if !rp.up.Load() {
-			continue
-		}
-		if !eligible(rp, floorGen, floorRV) {
-			rt.robs.staleSkips.Inc()
-			sawStale = true
-			continue
+	sawStale := false
+	for attempts := 0; ; attempts++ {
+		rp, rest, behind := rt.walk(order, floorGen, floorRV)
+		order, sawStale = rest, sawStale || behind
+		if rp == nil {
+			break
 		}
 		if attempts > 0 {
 			rt.robs.failovers.Inc()
 		}
-		attempts++
-		tr.Eventf("route", "replica=%s key=%q", rp.url, key)
-		resp, err := rp.client.DoRaw(r.Context(), r.Method, r.URL.RequestURI(), hdr, body)
-		if err != nil {
-			if r.Context().Err() != nil {
-				return // client gone; nothing to answer
-			}
-			rp.setDown(err)
-			tr.Eventf("failover", "replica=%s err=%v", rp.url, err)
-			continue
-		}
-		if resp.Status >= 500 {
+		resp, err := rt.forward(r, rp, key, body, true)
+		switch {
+		case err == nil && resp.Status < 500:
+			rt.reply(w, r, rp, resp)
+			return
+		case err == nil:
 			// A straggling or overloaded replica (shed, deadline, crash
 			// handler) — another replica may well answer; keep this
 			// response to forward only if every alternative also fails.
 			last, lastFrom = resp, rp
 			tr.Eventf("failover", "replica=%s status=%d", rp.url, resp.Status)
-			continue
+		case r.Context().Err() != nil:
+			return // client gone; nothing to answer
+		default:
+			tr.Eventf("failover", "replica=%s err=%v", rp.url, err)
 		}
-		rt.observeAnswer(rp, r.URL.Path, resp)
-		rt.robs.routed.With(rp.url).Inc()
-		w.Header().Set(HeaderServedBy, rp.url)
-		copyResponse(w, resp)
-		return
 	}
 	if last != nil {
-		rt.robs.routed.With(lastFrom.url).Inc()
-		w.Header().Set(HeaderServedBy, lastFrom.url)
-		copyResponse(w, last)
+		rt.reply(w, r, lastFrom, last)
 		return
 	}
 	rt.writeNoReplica(w, r, sawStale)
@@ -361,24 +393,10 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var req server.BatchQueryRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		rt.writeError(w, r, http.StatusBadRequest, server.CodeInvalidArgument, "bad JSON body: "+err.Error())
-		return
-	}
-	if len(req.Queries) == 0 {
-		rt.writeError(w, r, http.StatusBadRequest, server.CodeInvalidArgument, "queries required")
-		return
-	}
-	if len(req.Queries) > server.MaxBatchQueries {
-		rt.writeError(w, r, http.StatusBadRequest, server.CodeInvalidArgument,
-			strconv.Itoa(len(req.Queries))+" queries exceeds the batch limit of "+strconv.Itoa(server.MaxBatchQueries))
-		return
-	}
-	// Validate every item BEFORE splitting, through the replicas' own
-	// validator — a replica-side 400 would name sub-batch indices, not
-	// the client's.
-	qs, _, modes, err := server.ParseBatchItems(req.Queries)
+	// Validate the panel BEFORE splitting, through the replicas' own
+	// reader — a replica-side 400 would name sub-batch indices, not the
+	// client's.
+	items, qs, _, modes, err := server.DecodeBatch(body)
 	if err != nil {
 		rt.writeError(w, r, http.StatusBadRequest, server.CodeInvalidArgument, err.Error())
 		return
@@ -395,7 +413,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	tr := obs.TraceFrom(r.Context())
 	sawStale, exhausted := false, true
 	for attempt := 0; attempt < 3; attempt++ {
-		groups, stale, planned := rt.planBatch(req.Queries, keys, floorGen, floorRV)
+		groups, stale, planned := rt.planBatch(keys, floorGen, floorRV)
 		sawStale = sawStale || stale
 		if !planned {
 			exhausted = false
@@ -410,7 +428,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 				defer wg.Done()
 				sub := server.BatchQueryRequest{Queries: make([]server.BatchQueryItem, len(g.idxs))}
 				for j, idx := range g.idxs {
-					sub.Queries[j] = req.Queries[idx]
+					sub.Queries[j] = items[idx]
 				}
 				g.resp, g.err = g.rp.client.QueryBatch(r.Context(), sub)
 			}(g)
@@ -480,7 +498,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		resp := server.BatchQueryResponse{
 			Version:    maxRV,
 			Generation: maxGen,
-			Answers:    make([]server.QueryResponse, len(req.Queries)),
+			Answers:    make([]server.QueryResponse, len(items)),
 		}
 		for _, g := range groups {
 			for j, idx := range g.idxs {
@@ -540,21 +558,11 @@ func remapBatchIndices(msg string, idxs []int) string {
 // key's rendezvous order. planned=false means at least one item has no
 // eligible replica (stale reports whether a live-but-behind replica
 // was the reason).
-func (rt *Router) planBatch(items []server.BatchQueryItem, keys []string, floorGen, floorRV uint64) (groups []*batchGroup, stale, planned bool) {
+func (rt *Router) planBatch(keys []string, floorGen, floorRV uint64) (groups []*batchGroup, stale, planned bool) {
 	byReplica := make(map[*replica]*batchGroup)
-	for i := range items {
-		var owner *replica
-		for _, rp := range rt.rendezvousRank(keys[i]) {
-			if !rp.up.Load() {
-				continue
-			}
-			if !eligible(rp, floorGen, floorRV) {
-				stale = true
-				continue
-			}
-			owner = rp
-			break
-		}
+	for i, key := range keys {
+		owner, _, behind := rt.walk(rt.rendezvousRank(key), floorGen, floorRV)
+		stale = stale || behind
 		if owner == nil {
 			return nil, stale, false
 		}
@@ -576,14 +584,14 @@ func (rt *Router) planBatch(items []server.BatchQueryItem, keys []string, floorG
 // onto every other live replica with CAS tokens, so the fleet advances
 // through the same version sequence in lockstep. The owner's response
 // is forwarded byte-identically. There is NO failover after dispatch
-// AND no transport-level retry (DoRawOnce, not the retrying DoRaw):
-// reformulation is not idempotent, and a transport failure leaves the
-// owner's state unknown — re-sending could apply the feedback twice.
+// AND no transport-level retry (forward, not idempotent): a transport
+// failure leaves the owner's state unknown, and re-sending could apply
+// the feedback twice.
 func (rt *Router) handleReformulate(w http.ResponseWriter, r *http.Request) {
 	if pid := r.URL.Query().Get("profile"); pid != "" {
 		// Profile-scoped training mutates only the owner's local record —
 		// no global version advance, so no writeMu and no propagation.
-		rt.handleProfileTrain(w, r, pid)
+		rt.dispatchOwner(w, r, pid, true, false)
 		return
 	}
 	rt.writeMu.Lock()
@@ -597,36 +605,18 @@ func (rt *Router) handleReformulate(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	tr := obs.TraceFrom(r.Context())
 	key := routeKey(r.URL.Query().Get("q"))
-
-	var owner *replica
-	sawStale := false
-	for _, rp := range rt.rendezvousRank(key) {
-		if !rp.up.Load() {
-			continue
-		}
-		if !eligible(rp, floorGen, floorRV) {
-			rt.robs.staleSkips.Inc()
-			sawStale = true
-			continue
-		}
-		owner = rp
-		break
-	}
+	owner, _, behind := rt.walk(rt.rendezvousRank(key), floorGen, floorRV)
 	if owner == nil {
-		rt.writeNoReplica(w, r, sawStale)
+		rt.writeNoReplica(w, r, behind)
 		return
 	}
-	tr.Eventf("route", "replica=%s key=%q", owner.url, key)
-	resp, err := owner.client.DoRawOnce(r.Context(), r.Method, r.URL.RequestURI(), forwardHeaders(r.Header), body)
+	resp, err := rt.forward(r, owner, key, body, false)
 	if err != nil {
-		if r.Context().Err() != nil {
-			return
+		if r.Context().Err() == nil {
+			rt.writeError(w, r, http.StatusBadGateway, server.CodeInternal,
+				"replica failed mid-reformulation; its state is unknown — check /v1/router/healthz and retry")
 		}
-		owner.setDown(err)
-		rt.writeError(w, r, http.StatusBadGateway, server.CodeInternal,
-			"replica failed mid-reformulation; its state is unknown — check /v1/router/healthz and retry")
 		return
 	}
 
@@ -635,7 +625,7 @@ func (rt *Router) handleReformulate(w http.ResponseWriter, r *http.Request) {
 		var rr server.ReformulateResponse
 		if json.Unmarshal(resp.Body, &rr) == nil && rr.Version > 0 {
 			owner.observe(owner.gen.Load(), rr.Version)
-			rt.propagateRates(owner, tr)
+			rt.propagateRates(owner, obs.TraceFrom(r.Context()))
 		}
 	case http.StatusConflict:
 		// Someone published past the owner (a direct write behind the
@@ -647,9 +637,7 @@ func (rt *Router) handleReformulate(w http.ResponseWriter, r *http.Request) {
 			rt.raiseFloor(owner.gen.Load(), env.Version)
 		}
 	}
-	rt.robs.routed.With(owner.url).Inc()
-	w.Header().Set(HeaderServedBy, owner.url)
-	copyResponse(w, resp)
+	rt.reply(w, r, owner, resp)
 }
 
 // propagateRates reads the owner's just-published rates and replays
@@ -813,21 +801,9 @@ func (rt *Router) handleRatesPublish(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var owner *replica
-	sawStale := false
-	for _, rp := range rt.replicas {
-		if !rp.up.Load() {
-			continue
-		}
-		if !eligible(rp, floorGen, floorRV) {
-			sawStale = true
-			continue
-		}
-		owner = rp
-		break
-	}
+	owner, _, behind := rt.walk(rt.replicas, floorGen, floorRV)
 	if owner == nil {
-		rt.writeNoReplica(w, r, sawStale)
+		rt.writeNoReplica(w, r, behind)
 		return
 	}
 	resp, err := owner.client.RatesPublish(r.Context(), req)
@@ -868,40 +844,22 @@ func (rt *Router) handleReadProxy(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var target, anyLive *replica
-	sawStale := false
-	for _, rp := range rt.replicas {
-		if !rp.up.Load() {
-			continue
-		}
-		if anyLive == nil {
-			anyLive = rp
-		}
-		if eligible(rp, floorGen, floorRV) {
-			target = rp
-			break
-		}
-		sawStale = true
-	}
+	target, _, behind := rt.walk(rt.replicas, floorGen, floorRV)
 	if target == nil && r.URL.Path != "/v1/rates" {
-		target = anyLive
+		target, _, _ = rt.walk(rt.replicas, 0, 0)
 	}
 	if target == nil {
-		rt.writeNoReplica(w, r, sawStale)
+		rt.writeNoReplica(w, r, behind)
 		return
 	}
-	resp, err := target.client.DoRaw(r.Context(), r.Method, r.URL.RequestURI(), forwardHeaders(r.Header), nil)
+	resp, err := rt.forward(r, target, "", nil, true)
 	if err != nil {
-		if r.Context().Err() != nil {
-			return
+		if r.Context().Err() == nil {
+			rt.writeError(w, r, http.StatusBadGateway, server.CodeInternal, "replica unreachable: "+err.Error())
 		}
-		target.setDown(err)
-		rt.writeError(w, r, http.StatusBadGateway, server.CodeInternal, "replica unreachable: "+err.Error())
 		return
 	}
-	rt.robs.routed.With(target.url).Inc()
-	w.Header().Set(HeaderServedBy, target.url)
-	copyResponse(w, resp)
+	rt.reply(w, r, target, resp)
 }
 
 // ---- /v1/router/healthz ----

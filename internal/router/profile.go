@@ -12,7 +12,6 @@ package router
 import (
 	"net/http"
 
-	"authorityflow/internal/obs"
 	"authorityflow/internal/server"
 )
 
@@ -22,14 +21,6 @@ import (
 // that keyword's query traffic.
 func profileKey(id string) string { return "p\x00" + id }
 
-// profileOwner returns the profile's rendezvous owner — dead or alive.
-// Ownership does not move on failure (the record wouldn't move with
-// it), which is exactly why the caller must refuse to dispatch when the
-// owner is down.
-func (rt *Router) profileOwner(id string) *replica {
-	return rt.rendezvousRank(profileKey(id))[0]
-}
-
 // writeOwnerDown renders the owner-unavailable shed: unlike the generic
 // no-replica shed it names the one replica that can serve this profile.
 func (rt *Router) writeOwnerDown(w http.ResponseWriter, r *http.Request, owner *replica) {
@@ -38,9 +29,9 @@ func (rt *Router) writeOwnerDown(w http.ResponseWriter, r *http.Request, owner *
 		"profile owner "+owner.url+" is down; profile state is replica-local, so there is no failover — retry when it recovers")
 }
 
-// handleProfile proxies /v1/profile/{id} CRUD to the id's owner. GET
-// rides the retrying DoRaw (idempotent); PUT/POST/DELETE go through
-// DoRawOnce — an update bumps the profile revision, so a lost reply
+// handleProfile proxies /v1/profile/{id} CRUD to the id's owner,
+// whatever the floor: the record is the owner's alone. Only GET is
+// idempotent — an update bumps the profile revision, so a lost reply
 // must surface rather than silently re-send.
 func (rt *Router) handleProfile(w http.ResponseWriter, r *http.Request) {
 	id := r.URL.Path[len("/v1/profile/"):]
@@ -48,118 +39,56 @@ func (rt *Router) handleProfile(w http.ResponseWriter, r *http.Request) {
 		rt.writeError(w, r, http.StatusBadRequest, server.CodeInvalidArgument, "profile id required")
 		return
 	}
-	body, ok := rt.readBody(w, r)
-	if !ok {
-		return
-	}
-	owner := rt.profileOwner(id)
-	if !owner.up.Load() {
-		rt.writeOwnerDown(w, r, owner)
-		return
-	}
-	tr := obs.TraceFrom(r.Context())
-	tr.Eventf("route", "replica=%s profile=%s", owner.url, id)
-	hdr := forwardHeaders(r.Header)
-	var resp *server.RawResponse
-	var err error
-	if r.Method == http.MethodGet {
-		resp, err = owner.client.DoRaw(r.Context(), r.Method, r.URL.RequestURI(), hdr, body)
-	} else {
-		resp, err = owner.client.DoRawOnce(r.Context(), r.Method, r.URL.RequestURI(), hdr, body)
-	}
-	if err != nil {
-		if r.Context().Err() != nil {
-			return
-		}
-		owner.setDown(err)
-		rt.writeOwnerDown(w, r, owner)
-		return
-	}
-	rt.robs.routed.With(owner.url).Inc()
-	w.Header().Set(HeaderServedBy, owner.url)
-	copyResponse(w, resp)
+	rt.dispatchOwner(w, r, id, false, r.Method == http.MethodGet)
 }
 
-// handleProfileRead owner-dispatches a personalized read
-// (/v1/query?profile= and, via handleProfileTrain's answer leg,
-// anything carrying a profile id). The floor still gates dispatch: a
+// dispatchOwner sends anything carrying a profile id to the id's
+// rendezvous owner and to nobody else: the walk's order is the owner
+// alone, dead or alive — ownership does not move on failure, because
+// the record would not move with it. gated is set for personalized
+// reads and training (/v1/query?profile=, /v1/reformulate?profile=): a
 // personalized answer must reflect coordinated fleet state like any
 // other, so an owner below the floor gets the same 409 a stale replica
 // would — retryable once resync catches it up — never a silent
-// downgrade onto a replica without the profile.
-func (rt *Router) handleProfileRead(w http.ResponseWriter, r *http.Request, id string) {
-	floorGen, floorRV, ok := rt.effectiveFloor(w, r)
-	if !ok {
-		return
+// downgrade onto a replica without the profile. Training publishes
+// NOTHING globally (no writeMu, no propagation, no version advance) but
+// mutates the record, so it is not idempotent and a lost reply leaves
+// the owner's state unknown, exactly like the global reformulation's
+// owner leg.
+func (rt *Router) dispatchOwner(w http.ResponseWriter, r *http.Request, id string, gated, idempotent bool) {
+	var floorGen, floorRV uint64
+	if gated {
+		var ok bool
+		if floorGen, floorRV, ok = rt.effectiveFloor(w, r); !ok {
+			return
+		}
 	}
 	body, ok := rt.readBody(w, r)
 	if !ok {
 		return
 	}
-	owner := rt.profileOwner(id)
-	if !owner.up.Load() {
-		rt.writeOwnerDown(w, r, owner)
-		return
-	}
-	if !eligible(owner, floorGen, floorRV) {
-		rt.robs.staleSkips.Inc()
+	key := profileKey(id)
+	order := rt.rendezvousRank(key)[:1]
+	owner, _, behind := rt.walk(order, floorGen, floorRV)
+	switch {
+	case behind:
 		rt.writeNoReplica(w, r, true)
 		return
-	}
-	tr := obs.TraceFrom(r.Context())
-	tr.Eventf("route", "replica=%s profile=%s", owner.url, id)
-	resp, err := owner.client.DoRaw(r.Context(), r.Method, r.URL.RequestURI(), forwardHeaders(r.Header), body)
-	if err != nil {
-		if r.Context().Err() != nil {
-			return
-		}
-		owner.setDown(err)
-		rt.writeOwnerDown(w, r, owner)
+	case owner == nil:
+		rt.writeOwnerDown(w, r, order[0])
 		return
 	}
-	rt.observeAnswer(owner, r.URL.Path, resp)
-	rt.robs.routed.With(owner.url).Inc()
-	w.Header().Set(HeaderServedBy, owner.url)
-	copyResponse(w, resp)
-}
-
-// handleProfileTrain owner-dispatches /v1/reformulate?profile={id}.
-// Profile training publishes NOTHING globally — no rates propagation,
-// no writeMu, no version advance — but it mutates the profile record,
-// so the dispatch is DoRawOnce with no failover, exactly like the
-// global reformulation's owner leg.
-func (rt *Router) handleProfileTrain(w http.ResponseWriter, r *http.Request, id string) {
-	floorGen, floorRV, ok := rt.effectiveFloor(w, r)
-	if !ok {
-		return
-	}
-	body, ok := rt.readBody(w, r)
-	if !ok {
-		return
-	}
-	owner := rt.profileOwner(id)
-	if !owner.up.Load() {
-		rt.writeOwnerDown(w, r, owner)
-		return
-	}
-	if !eligible(owner, floorGen, floorRV) {
-		rt.robs.staleSkips.Inc()
-		rt.writeNoReplica(w, r, true)
-		return
-	}
-	tr := obs.TraceFrom(r.Context())
-	tr.Eventf("route", "replica=%s profile=%s", owner.url, id)
-	resp, err := owner.client.DoRawOnce(r.Context(), r.Method, r.URL.RequestURI(), forwardHeaders(r.Header), body)
-	if err != nil {
-		if r.Context().Err() != nil {
-			return
-		}
-		owner.setDown(err)
+	resp, err := rt.forward(r, owner, key, body, idempotent)
+	switch {
+	case err == nil:
+		rt.reply(w, r, owner, resp)
+	case r.Context().Err() != nil: // client gone; nothing to answer
+	case r.URL.Path == "/v1/reformulate":
+		// Only training phrases a lost reply as unknown state; CRUD and
+		// reads answer the owner-down shed.
 		rt.writeError(w, r, http.StatusBadGateway, server.CodeInternal,
 			"profile owner failed mid-training; its state is unknown — check /v1/router/healthz and retry")
-		return
+	default:
+		rt.writeOwnerDown(w, r, owner)
 	}
-	rt.robs.routed.With(owner.url).Inc()
-	w.Header().Set(HeaderServedBy, owner.url)
-	copyResponse(w, resp)
 }

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -247,15 +248,11 @@ func TestBatchSplitMerge(t *testing.T) {
 // TestBatchValidation: the router rejects malformed panels itself,
 // with indices referring to the CLIENT's item positions and a body
 // byte-equal to what a replica answers when asked directly (item rules
-// live once, in server.ParseBatchItems).
+// live once, in server.DecodeBatch).
 func TestBatchValidation(t *testing.T) {
 	f := newFleet(t, 2)
-	post := func(url string, req server.BatchQueryRequest) (int, []byte) {
+	postRaw := func(url string, b []byte) (int, []byte) {
 		t.Helper()
-		b, err := json.Marshal(req)
-		if err != nil {
-			t.Fatal(err)
-		}
 		hr, err := http.NewRequest(http.MethodPost, url+"/v1/query/batch", bytes.NewReader(b))
 		if err != nil {
 			t.Fatal(err)
@@ -267,6 +264,14 @@ func TestBatchValidation(t *testing.T) {
 			t.Fatal(err)
 		}
 		return readBody(t, resp)
+	}
+	post := func(url string, req server.BatchQueryRequest) (int, []byte) {
+		t.Helper()
+		b, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return postRaw(url, b)
 	}
 	cases := []struct {
 		req  server.BatchQueryRequest
@@ -299,6 +304,38 @@ func TestBatchValidation(t *testing.T) {
 		if codeD, direct := post(f.urls[0], tc.req); codeD != code || !bytes.Equal(body, direct) {
 			t.Errorf("%q: routed rejection differs from a replica's\nrouted: %d %s\ndirect: %d %s",
 				tc.want, code, body, codeD, direct)
+		}
+	}
+
+	// The envelope's own rules (server.DecodeBatch) are the replicas'
+	// too: same status, same bytes.
+	tooMany := server.BatchQueryRequest{Queries: make([]server.BatchQueryItem, server.MaxBatchQueries+1)}
+	for i := range tooMany.Queries {
+		tooMany.Queries[i].Q = "olap"
+	}
+	tooManyBody, err := json.Marshal(tooMany)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		body       []byte
+		wantPrefix string
+	}{
+		{[]byte(`{"queries":[{"q":"olap"}`), "bad JSON body: "},
+		{[]byte(`{"queries":[]}`), "queries required"},
+		{tooManyBody, "65 queries exceeds the batch limit of 64"},
+	} {
+		code, body := postRaw(f.front.URL, tc.body)
+		var env server.ErrorEnvelope
+		if err := json.Unmarshal(body, &env); err != nil {
+			t.Fatal(err)
+		}
+		if code != 400 || env.Error.Code != server.CodeInvalidArgument || !strings.HasPrefix(env.Error.Message, tc.wantPrefix) {
+			t.Errorf("envelope %.30q = %d %s, want 400 %s %q…", tc.body, code, body, server.CodeInvalidArgument, tc.wantPrefix)
+		}
+		if codeD, direct := postRaw(f.urls[0], tc.body); codeD != code || !bytes.Equal(body, direct) {
+			t.Errorf("%q: routed rejection differs from a replica's\nrouted: %d %s\ndirect: %d %s",
+				tc.wantPrefix, code, body, codeD, direct)
 		}
 	}
 }
@@ -696,6 +733,73 @@ func TestRatesReadRespectsVersionAssertion(t *testing.T) {
 	}
 	if code, body = do("/v1/healthz"); code != 200 {
 		t.Errorf("GET /v1/healthz with unsatisfiable assertion = %d, want 200 via fallback: %s", code, body)
+	}
+}
+
+// TestStaleSkipsCountOnEveryWalk: a live replica passed over for being
+// below the floor moves afq_router_stale_skips_total on every route
+// that walks the fleet — the batch planner and both /v1/rates methods
+// included, which used to skip silently.
+func TestStaleSkipsCountOnEveryWalk(t *testing.T) {
+	f := newFleet(t, 2)
+	behind, ahead := f.rt.replicas[0], f.rt.replicas[1]
+
+	// A publish lands on one replica behind the router's back, and the
+	// router learns of it (as a health probe would report) before any
+	// resync has caught the other replica up.
+	var rates server.RatesResponse
+	_, raw := get(t, ahead.url+"/v1/rates")
+	if err := json.Unmarshal(raw, &rates); err != nil {
+		t.Fatal(err)
+	}
+	code, raw := postJSON(t, ahead.url+"/v1/rates", server.RatesPublishRequest{Vector: rates.Vector, IfVersion: rates.Version})
+	if code != 200 {
+		t.Fatalf("direct publish = %d: %s", code, raw)
+	}
+	if err := json.Unmarshal(raw, &rates); err != nil {
+		t.Fatal(err)
+	}
+	gen, _ := f.rt.Floor()
+	ahead.observe(gen, rates.Version)
+	f.rt.raiseFloor(gen, rates.Version)
+
+	// A batch item whose rendezvous order starts at the behind replica.
+	var item string
+	for topic := 0; topic < datagen.NumTopics() && item == ""; topic++ {
+		for _, w := range datagen.TopicWords(topic) {
+			if f.rt.rendezvousRank(routeKey(w))[0] == behind {
+				item = w
+				break
+			}
+		}
+	}
+	if item == "" {
+		t.Fatal("no vocabulary word is owned by replica 0")
+	}
+
+	steps := []struct {
+		name string
+		do   func() (int, []byte)
+	}{
+		{"GET /v1/rates", func() (int, []byte) { return get(t, f.front.URL+"/v1/rates") }},
+		{"POST /v1/query/batch", func() (int, []byte) {
+			return postJSON(t, f.front.URL+"/v1/query/batch",
+				server.BatchQueryRequest{Queries: []server.BatchQueryItem{{Q: item, K: 3}}})
+		}},
+		// Last: its propagation catches the behind replica up.
+		{"POST /v1/rates", func() (int, []byte) {
+			return postJSON(t, f.front.URL+"/v1/rates",
+				server.RatesPublishRequest{Vector: rates.Vector, IfVersion: rates.Version})
+		}},
+	}
+	for _, st := range steps {
+		before := metricValue(t, f.rt, "afq_router_stale_skips_total")
+		if code, body := st.do(); code != 200 {
+			t.Fatalf("%s with one replica behind = %d, want 200 from the other: %s", st.name, code, body)
+		}
+		if after := metricValue(t, f.rt, "afq_router_stale_skips_total"); after != before+1 {
+			t.Errorf("%s: afq_router_stale_skips_total %g → %g, want one counted skip", st.name, before, after)
+		}
 	}
 }
 

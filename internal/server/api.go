@@ -502,7 +502,6 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	var req BatchQueryRequest
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxBatchBody+1))
 	if err != nil {
 		writeError(w, r, http.StatusBadRequest, "reading body: "+err.Error())
@@ -512,23 +511,9 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusBadRequest, "body exceeds "+strconv.Itoa(maxBatchBody)+" bytes")
 		return
 	}
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeError(w, r, http.StatusBadRequest, "bad JSON body: "+err.Error())
-		return
-	}
-	if len(req.Queries) == 0 {
-		writeError(w, r, http.StatusBadRequest, "queries required")
-		return
-	}
-	if len(req.Queries) > MaxBatchQueries {
-		writeError(w, r, http.StatusBadRequest,
-			strconv.Itoa(len(req.Queries))+" queries exceeds the batch limit of "+strconv.Itoa(MaxBatchQueries))
-		return
-	}
-
 	// Validate EVERY item before any kernel work: a batch either runs
 	// whole or is rejected whole, and the 400 names the offending index.
-	qs, ks, modes, err := ParseBatchItems(req.Queries)
+	_, qs, ks, modes, err := DecodeBatch(body)
 	if err != nil {
 		writeError(w, r, http.StatusBadRequest, err.Error())
 		return
@@ -557,15 +542,38 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// ParseBatchItems validates every batch item under EXACTLY /v1/query's
+// DecodeBatch is the one reader of a /v1/query/batch body: the JSON
+// envelope (1..MaxBatchQueries items), then every item through
+// parseBatchItems. It returns the items as sent beside their parsed
+// queries, effective ks and modes; the error's message is the 400's.
+// The router calls it before fan-out, so a routed rejection carries the
+// client's indices and the replicas' exact bytes.
+func DecodeBatch(body []byte) (items []BatchQueryItem, qs []*ir.Query, ks []int, modes []core.Mode, err error) {
+	var req BatchQueryRequest
+	if err := json.Unmarshal(body, &req); err != nil {
+		return nil, nil, nil, nil, errors.New("bad JSON body: " + err.Error())
+	}
+	if len(req.Queries) == 0 {
+		return nil, nil, nil, nil, errors.New("queries required")
+	}
+	if len(req.Queries) > MaxBatchQueries {
+		return nil, nil, nil, nil, errors.New(
+			strconv.Itoa(len(req.Queries)) + " queries exceeds the batch limit of " + strconv.Itoa(MaxBatchQueries))
+	}
+	qs, ks, modes, err = parseBatchItems(req.Queries)
+	if err != nil {
+		return nil, nil, nil, nil, err
+	}
+	return req.Queries, qs, ks, modes, nil
+}
+
+// parseBatchItems validates every batch item under EXACTLY /v1/query's
 // parameter rules (non-blank q, indexable terms, k in 1..1000 with 0
 // defaulting to 10, mode/budget via the uniform read contract) and
 // returns the parsed queries, effective ks and modes. The first
 // violation is returned as an error whose message names the offending
-// index. It is the one item validator: the router calls it before
-// fan-out, so a routed rejection carries the client's indices and the
-// replicas' exact bytes.
-func ParseBatchItems(items []BatchQueryItem) ([]*ir.Query, []int, []core.Mode, error) {
+// index.
+func parseBatchItems(items []BatchQueryItem) ([]*ir.Query, []int, []core.Mode, error) {
 	qs := make([]*ir.Query, len(items))
 	ks := make([]int, len(items))
 	modes := make([]core.Mode, len(items))

@@ -1,9 +1,7 @@
 // client.go is the typed Go client of the v1 HTTP surface defined in
 // api.go: one method per endpoint, the shared DTOs on both ends, and
 // every non-2xx response decoded into an *APIError carrying the stable
-// machine-readable code from the v1 error envelope. The client speaks
-// ONLY the /v1 routes — the legacy aliases exist for pre-v1 clients,
-// not for this one.
+// machine-readable code from the v1 error envelope.
 package server
 
 import (
