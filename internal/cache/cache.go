@@ -15,7 +15,9 @@
 //     run exactly one power iteration;
 //   - a result cache: full top-k answers under
 //     (generation, ratesKey, mode, k, canonical query), so a repeated
-//     query is a hash lookup instead of a solve.
+//     query is a hash lookup instead of a solve — and, once its first
+//     repeat has attached the encoded response to the entry
+//     (AttachBody, Answer.Body), a lookup instead of a rendering too.
 //
 // Invalidation is implicit: publishing new rates changes the rates key,
 // and swapping in a new corpus generation changes the generation
@@ -148,6 +150,24 @@ type Answer struct {
 	// Source reports how the answer was produced: SourceResult,
 	// SourceTerm, or SourceComputed (see the Source constants).
 	Source string
+
+	// entry is the result-cache entry a single-query result hit was
+	// served from and key the key it sits under, for Body and AttachBody;
+	// entry is nil on every other answer.
+	key   string
+	entry *cachedResult
+}
+
+// Body returns the encoded response stored with the result-cache entry
+// this answer was served from, provided it was rendered for a query
+// spelled exactly as query; nil otherwise (not a result hit, no body
+// attached yet, or a body rendered for another spelling of the same
+// canonical query). The bytes are shared with the cache and read-only.
+func (a *Answer) Body(query string) []byte {
+	if a.entry == nil || a.entry.body == nil || a.entry.bodyFor != query {
+		return nil
+	}
+	return a.entry.body
 }
 
 // cachedResult is the result cache's stored value.
@@ -157,6 +177,10 @@ type cachedResult struct {
 	baseN   int
 	version uint64
 	gen     uint64
+	// body is the entry's encoded hit-form response as rendered for the
+	// query spelled bodyFor; nil until the first hit attaches it.
+	body    []byte
+	bodyFor string
 }
 
 // termVector is the term-vector cache's stored value: one converged
@@ -309,7 +333,10 @@ func (c *CachedEngine) queryAt(ctx context.Context, pin *core.Pinned, q *ir.Quer
 	key := resultKey(sk, m, k, q)
 	if e, ok := c.results.Get(key); ok {
 		c.stats.resultHits.Add(1)
-		return c.answerFrom(e.(*cachedResult), q, SourceResult), nil
+		cr := e.(*cachedResult)
+		a := c.answerFrom(cr, q, SourceResult)
+		a.key, a.entry = key, cr
+		return a, nil
 	}
 	c.stats.resultMisses.Add(1)
 
@@ -620,6 +647,30 @@ func (c *CachedEngine) answerFrom(cr *cachedResult, q *ir.Query, source string) 
 		Generation: cr.gen,
 		Source:     source,
 	}
+}
+
+// AttachBody stores body — the encoded response a result hit was just
+// answered with, rendered for the query spelled query — with the
+// result-cache entry a was served from, so the next hit spelled the same
+// way is answered by Answer.Body. The entry is re-Put as a copy with its
+// accounted size raised by the body: bodies live inside the result
+// budget and leave with their entry on eviction, and an entry whose rates
+// or generation were replaced is simply never asked for again. The first
+// body wins: an answer that is not a result hit, or whose entry already
+// carries one, is left alone, and so is one too large for an LRU shard
+// (Put would refuse it on every hit and count an eviction each time).
+// The cache keeps body; the caller must not write to it afterwards.
+func (c *CachedEngine) AttachBody(a *Answer, query string, body []byte) {
+	if a.entry == nil || a.entry.body != nil {
+		return
+	}
+	size := resultEntrySize(a.key, len(a.entry.items)) + int64(len(body)+len(query))
+	if size > c.results.Budget()/lruShards {
+		return
+	}
+	cr := *a.entry
+	cr.body, cr.bodyFor = body, query
+	c.results.Put(a.key, &cr, size)
 }
 
 // termVectorFor returns the converged single-term vector for term in

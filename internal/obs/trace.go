@@ -240,16 +240,18 @@ func (m *Middleware) Wrap(route string, next http.Handler) http.Handler {
 		m.requests.With(route, strconv.Itoa(sw.code)).Inc()
 		m.latency.With(route).Observe(dur.Seconds())
 		durMS := float64(dur) / float64(time.Millisecond)
-		m.AccessLog.Log(
-			"ts", time.Now().UTC().Format(time.RFC3339Nano),
-			"id", id,
-			"handler", route,
-			"method", r.Method,
-			"url", r.URL.RequestURI(),
-			"status", sw.code,
-			"bytes", sw.bytes,
-			"durMs", durMS,
-		)
+		if m.AccessLog != nil { // a nil logger would drop the line, but only after its arguments were built
+			m.AccessLog.Log(
+				"ts", time.Now().UTC().Format(time.RFC3339Nano),
+				"id", id,
+				"handler", route,
+				"method", r.Method,
+				"url", r.URL.RequestURI(),
+				"status", sw.code,
+				"bytes", sw.bytes,
+				"durMs", durMS,
+			)
+		}
 		if m.SlowThreshold > 0 && dur >= m.SlowThreshold {
 			m.slow.Inc()
 			m.SlowLog.Log(

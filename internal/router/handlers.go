@@ -14,6 +14,7 @@
 package router
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -96,14 +97,34 @@ func (rt *Router) Handler() http.Handler {
 
 // ---- rendering (always the v1 envelope shape) ----
 
-// writeJSON matches the replicas' encoder configuration exactly —
-// byte-identity of reassembled bodies depends on it.
+// jsonBufs pools the buffers writeJSON encodes into.
+var jsonBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// writeJSON is the replicas' writer (server/api.go's writeJSON), kept
+// identical to it — byte-identity of reassembled bodies and of routed
+// rejections depends on it: compact with one trailing newline, encoded
+// BEFORE the status is committed so a value encoding/json rejects is a
+// 500 internal envelope carrying this response's request ID, and always
+// with Content-Length.
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	buf := jsonBufs.Get().(*bytes.Buffer)
+	defer jsonBufs.Put(buf)
+	buf.Reset()
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		code = http.StatusInternalServerError
+		buf.Reset()
+		// Three strings: this one cannot fail to encode.
+		_ = json.NewEncoder(buf).Encode(server.ErrorEnvelope{Error: server.ErrorInfo{
+			Code:      server.CodeInternal,
+			Message:   "encoding response: " + err.Error(),
+			RequestID: w.Header().Get(obs.RequestIDHeader),
+		}})
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(buf.Bytes())
 }
 
 // writeError renders a router-originated error in the v1 envelope.
@@ -273,6 +294,9 @@ func (rt *Router) reply(w http.ResponseWriter, r *http.Request, rp *replica, res
 	for k, vs := range forwardHeaders(resp.Header) {
 		hdr[k] = vs
 	}
+	if len(resp.Body) > 0 { // the whole body is in hand: no chunking (and no length on a 204)
+		hdr.Set("Content-Length", strconv.Itoa(len(resp.Body)))
+	}
 	w.WriteHeader(resp.Status)
 	_, _ = w.Write(resp.Body)
 }
@@ -289,13 +313,14 @@ func (rt *Router) reply(w http.ResponseWriter, r *http.Request, rp *replica, res
 // byte-faithfully; the replica's response is forwarded byte-identically
 // and the router adds nothing on success.
 func (rt *Router) handleSingle(w http.ResponseWriter, r *http.Request) {
-	if pid := r.URL.Query().Get("profile"); pid != "" {
+	v := r.URL.Query() // parsed once
+	if pid := v.Get("profile"); pid != "" {
 		// Personalized traffic routes by PROFILE ID to the one replica
 		// holding the record — owner-only, no failover (profile.go).
 		rt.dispatchOwner(w, r, pid, true, true)
 		return
 	}
-	rp0, err := server.ValidateReadParams(r.URL.Query())
+	rp0, err := server.ValidateReadParams(v)
 	if err != nil {
 		rt.writeError(w, r, http.StatusBadRequest, server.CodeInvalidArgument, err.Error())
 		return
@@ -309,7 +334,7 @@ func (rt *Router) handleSingle(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	tr := obs.TraceFrom(r.Context())
-	key := routeKeyMode(r.URL.Query().Get("q"), rp0.Mode)
+	key := routeKeyMode(v.Get("q"), rp0.Mode)
 	order := rt.rendezvousRank(key)
 
 	var last *server.RawResponse
@@ -349,19 +374,20 @@ func (rt *Router) handleSingle(w http.ResponseWriter, r *http.Request) {
 }
 
 // observeAnswer harvests fleet knowledge from a successful /v1/query
-// answer: the replica proved it serves (generation, version), which
-// also raises the router's floor if a write happened behind its back.
+// answer: the replica says which (generation, version) it served in
+// server.HeaderGeneration and server.HeaderRatesVersion, which also
+// raises the router's floor if a write happened behind its back. The
+// body is never parsed: an answer without both headers teaches nothing,
+// and the health poll still observes that replica.
 func (rt *Router) observeAnswer(rp *replica, path string, resp *server.RawResponse) {
 	if resp.Status != http.StatusOK || path != "/v1/query" {
 		return
 	}
-	var probe struct {
-		Version    uint64 `json:"version"`
-		Generation uint64 `json:"generation"`
-	}
-	if json.Unmarshal(resp.Body, &probe) == nil && probe.Generation > 0 {
-		rp.observe(probe.Generation, probe.Version)
-		rt.raiseFloor(probe.Generation, probe.Version)
+	gen, gerr := strconv.ParseUint(resp.Header.Get(server.HeaderGeneration), 10, 64)
+	rv, verr := strconv.ParseUint(resp.Header.Get(server.HeaderRatesVersion), 10, 64)
+	if gerr == nil && verr == nil && gen > 0 {
+		rp.observe(gen, rv)
+		rt.raiseFloor(gen, rv)
 	}
 }
 

@@ -33,12 +33,14 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 
 	"authorityflow/internal/cache"
 	"authorityflow/internal/core"
@@ -76,6 +78,15 @@ const (
 	// HTTP 404 (distinct from CodeInvalidArgument's 404 so clients can
 	// tell "create it first" from "bad request").
 	CodeProfileNotFound = "profile_not_found"
+)
+
+// Response headers of every /v1/query answer: the corpus generation and
+// the rates version it was served under — the same two numbers as the
+// body's generation and version fields — so a proxy (the router) learns
+// what a replica serves without parsing the body.
+const (
+	HeaderGeneration   = "X-Afq-Generation"
+	HeaderRatesVersion = "X-Afq-Rates-Version"
 )
 
 // ErrorInfo is the body of the v1 error envelope.
@@ -428,16 +439,43 @@ type ExplainStats struct {
 
 // ---- shared JSON writers ----
 
+// jsonBufs pools the buffers writeJSON encodes into.
+var jsonBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
 // writeJSON is the single JSON response writer: every JSON-producing
-// handler goes through it, so Content-Type is always set BEFORE the
-// status line is written (headers after WriteHeader are silently
-// dropped — the bug class the PR-5 Content-Type audit closed out).
+// handler goes through it. The wire form is compact with one trailing
+// newline (`| jq .` is the pretty-printer). It encodes first and commits
+// the status only once there are bytes to send, so a value encoding/json
+// rejects (a NaN or ±Inf score) is a 500 internal envelope, not a 200
+// with a torn body. The envelope's request ID is read back off the
+// response header the middleware already set — the ID this very response
+// carries.
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	buf := jsonBufs.Get().(*bytes.Buffer)
+	defer jsonBufs.Put(buf)
+	buf.Reset()
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		code = http.StatusInternalServerError
+		buf.Reset()
+		// Three strings: this one cannot fail to encode.
+		_ = json.NewEncoder(buf).Encode(ErrorEnvelope{Error: ErrorInfo{
+			Code:      CodeInternal,
+			Message:   "encoding response: " + err.Error(),
+			RequestID: w.Header().Get(obs.RequestIDHeader),
+		}})
+	}
+	writeBody(w, code, buf.Bytes())
+}
+
+// writeBody sends an already-encoded JSON body: Content-Type and
+// Content-Length BEFORE the status line (headers set after WriteHeader
+// are silently dropped), then one Write.
+func writeBody(w http.ResponseWriter, code int, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(body)
 }
 
 // codeForStatus maps an HTTP status onto the default machine-readable

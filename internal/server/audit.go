@@ -22,11 +22,12 @@ import (
 // name exactly the state everything ran under — and at a pinned state
 // repeated audits are byte-identical (the determinism contract).
 func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
-	q, _, ok := parseQuery(w, r)
+	v := r.URL.Query()
+	q, _, ok := parseQuery(w, r, v)
 	if !ok {
 		return
 	}
-	rp, ok := parseReadParams(w, r)
+	rp, ok := parseReadParams(w, r, v)
 	if !ok {
 		return
 	}
@@ -36,7 +37,7 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	pin := s.eng.Pin()
 	g := pin.Corpus().Graph()
-	target, ok := s.parseNodeID(w, r, g, r.URL.Query().Get("target"), "target")
+	target, ok := s.parseNodeID(w, r, g, v.Get("target"), "target")
 	if !ok {
 		return
 	}

@@ -126,8 +126,8 @@ func ValidateReadParams(v url.Values) (ReadParams, error) {
 
 // parseReadParams is the handler-side wrapper: table violations become
 // the uniform invalid_argument rejection.
-func parseReadParams(w http.ResponseWriter, r *http.Request) (ReadParams, bool) {
-	rp, err := ValidateReadParams(r.URL.Query())
+func parseReadParams(w http.ResponseWriter, r *http.Request, v url.Values) (ReadParams, bool) {
+	rp, err := ValidateReadParams(v)
 	if err != nil {
 		writeError(w, r, http.StatusBadRequest, err.Error())
 		return rp, false

@@ -184,6 +184,7 @@ func (s *Server) handleProfileQuery(w http.ResponseWriter, r *http.Request, pin 
 	tr.Eventf("combine", "profile=%s source=%s personalized=%t", id, src, ans.Personalized)
 	s.obs.profileOutcome.With(string(src)).Inc()
 	g := pin.Corpus().Graph()
+	setStateHeaders(w, ans.Generation, ans.RatesVersion)
 	writeJSON(w, http.StatusOK, QueryResponse{
 		Query:        q.String(),
 		BaseSet:      ans.BaseSet,

@@ -33,10 +33,13 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"math"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -301,11 +304,12 @@ func (s *Server) handleRates(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	q, k, ok := parseQuery(w, r)
+	v := r.URL.Query() // parsed once; every parameter below reads it
+	q, k, ok := parseQuery(w, r, v)
 	if !ok {
 		return
 	}
-	rp, ok := parseReadParams(w, r)
+	rp, ok := parseReadParams(w, r, v)
 	if !ok {
 		return
 	}
@@ -314,10 +318,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// generation even if a swap lands mid-request.
 	ctx := r.Context()
 	pin := s.eng.Pin()
-	g := pin.Corpus().Graph()
 	tr := obs.TraceFrom(ctx)
-	tr.Eventf("parse", "q=%s k=%d mode=%s", q.String(), k, rp.Mode)
-	if pid := r.URL.Query().Get("profile"); pid != "" {
+	spelled := q.String()
+	tr.Eventf("parse", "q=%s k=%d mode=%s", spelled, k, rp.Mode)
+	if pid := v.Get("profile"); pid != "" {
 		// Profiles personalize the authority flow system; the hub and
 		// combined axes have no basis-projected store behind them.
 		if rp.Mode != core.ModeAuthority {
@@ -335,9 +339,40 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	tr.Eventf("solve", "source=%s iters=%d base=%d version=%d generation=%d",
 		ans.Source, ans.Iterations, ans.BaseSet, ans.Version, ans.Generation)
-	resp := s.queryResponse(g, q, rp.Mode, ans)
+	setStateHeaders(w, ans.Generation, ans.Version)
+	if body := ans.Body(spelled); body != nil {
+		// The commonest request: the entry already carries these very
+		// bytes, so nothing is rendered and nothing is encoded.
+		s.obs.cacheOutcome.With(ans.Source).Inc()
+		tr.Eventf("render", "results=%d", len(ans.Results))
+		writeBody(w, http.StatusOK, body)
+		return
+	}
+	resp := s.queryResponse(pin.Corpus().Graph(), q, rp.Mode, ans)
 	tr.Eventf("render", "results=%d", len(resp.Results))
+	if ans.Source == cache.SourceResult {
+		// A repeat that found no body for its spelling: this rendering is
+		// the hit form, so it is kept with the entry (the first one is;
+		// see cache.AttachBody). A miss attaches nothing — most queries
+		// are never repeated, and theirs would be bodies nobody reads.
+		// The encoder is writeJSON's, so kept and fresh bytes are the same;
+		// the buffer is not pooled, because the cache keeps its bytes.
+		var buf bytes.Buffer
+		if err := json.NewEncoder(&buf).Encode(resp); err == nil {
+			s.cache.AttachBody(ans, spelled, buf.Bytes())
+			writeBody(w, http.StatusOK, buf.Bytes())
+			return
+		}
+	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// setStateHeaders names the engine state a /v1/query answer was served
+// under — the same two numbers as the body's generation and version.
+func setStateHeaders(w http.ResponseWriter, generation, version uint64) {
+	h := w.Header()
+	h.Set(HeaderGeneration, strconv.FormatUint(generation, 10))
+	h.Set(HeaderRatesVersion, strconv.FormatUint(version, 10))
 }
 
 // queryResponse renders one serving-cache answer as the /v1/query
@@ -368,11 +403,12 @@ func modeField(m core.Mode) string {
 }
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	q, _, ok := parseQuery(w, r)
+	v := r.URL.Query()
+	q, _, ok := parseQuery(w, r, v)
 	if !ok {
 		return
 	}
-	rp, ok := parseReadParams(w, r)
+	rp, ok := parseReadParams(w, r, v)
 	if !ok {
 		return
 	}
@@ -388,7 +424,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	pin := s.eng.Pin()
 	g := pin.Corpus().Graph()
-	target, ok := s.parseNodeID(w, r, g, r.URL.Query().Get("target"), "target")
+	target, ok := s.parseNodeID(w, r, g, v.Get("target"), "target")
 	if !ok {
 		return
 	}
@@ -445,12 +481,13 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleReformulate(w http.ResponseWriter, r *http.Request) {
-	q, k, ok := parseQuery(w, r)
+	v := r.URL.Query()
+	q, k, ok := parseQuery(w, r, v)
 	if !ok {
 		return
 	}
 	var opts core.ReformulateOptions
-	switch mode := r.URL.Query().Get("mode"); mode {
+	switch mode := v.Get("mode"); mode {
 	case "", "structure":
 		opts = core.StructureOnly()
 	case "content":
@@ -473,7 +510,7 @@ func (s *Server) handleReformulate(w http.ResponseWriter, r *http.Request) {
 	pin := s.eng.Pin()
 	g := pin.Corpus().Graph()
 	var ids []graph.NodeID
-	for _, part := range strings.Split(r.URL.Query().Get("feedback"), ",") {
+	for _, part := range strings.Split(v.Get("feedback"), ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
 			continue
@@ -488,20 +525,20 @@ func (s *Server) handleReformulate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusBadRequest, "feedback ids required")
 		return
 	}
-	confidences, ok := parseConfidences(w, r, len(ids))
+	confidences, ok := parseConfidences(w, r, v.Get("confidence"), len(ids))
 	if !ok {
 		return
 	}
 
 	tr := obs.TraceFrom(ctx)
 	tr.Eventf("parse", "q=%s feedback=%d", q.String(), len(ids))
-	if vs := r.URL.Query().Get("version"); vs != "" {
-		v, err := strconv.ParseUint(vs, 10, 64)
+	if vs := v.Get("version"); vs != "" {
+		want, err := strconv.ParseUint(vs, 10, 64)
 		if err != nil {
 			writeError(w, r, http.StatusBadRequest, "bad version token "+vs)
 			return
 		}
-		if v != pin.Version() {
+		if want != pin.Version() {
 			writeConflict(w, r, "rates were changed since version "+vs, pin.Version())
 			return
 		}
@@ -527,7 +564,7 @@ func (s *Server) handleReformulate(w http.ResponseWriter, r *http.Request) {
 		subs = append(subs, sg)
 	}
 	tr.Eventf("explain", "subgraphs=%d", len(subs))
-	if pid := r.URL.Query().Get("profile"); pid != "" {
+	if pid := v.Get("profile"); pid != "" {
 		// Profile-scoped: the feedback trains the caller's private
 		// mixture and rates-delta; nothing is published to the engine.
 		s.handleProfileReformulate(w, r, pin, pid, q, k, subs, confidences, opts)
@@ -598,20 +635,21 @@ func renderResults(g *graph.Graph, q *ir.Query, items []cache.ResultItem) []Resu
 	return out
 }
 
-func parseQuery(w http.ResponseWriter, r *http.Request) (*ir.Query, int, bool) {
-	raw := r.URL.Query().Get("q")
+// parseQuery reads q and k out of the request's already-parsed URL query.
+func parseQuery(w http.ResponseWriter, r *http.Request, v url.Values) (*ir.Query, int, bool) {
+	raw := v.Get("q")
 	if strings.TrimSpace(raw) == "" {
 		writeError(w, r, http.StatusBadRequest, "q parameter required")
 		return nil, 0, false
 	}
 	k := 10
-	if ks := r.URL.Query().Get("k"); ks != "" {
-		v, err := strconv.Atoi(ks)
-		if err != nil || v <= 0 || v > 1000 {
+	if ks := v.Get("k"); ks != "" {
+		n, err := strconv.Atoi(ks)
+		if err != nil || n <= 0 || n > 1000 {
 			writeError(w, r, http.StatusBadRequest, "k must be in 1..1000")
 			return nil, 0, false
 		}
-		k = v
+		k = n
 	}
 	q := ir.ParseQuery(raw)
 	if len(q.Terms()) == 0 {
@@ -655,8 +693,7 @@ func (s *Server) parseNodeID(w http.ResponseWriter, r *http.Request, g *graph.Gr
 // feedback count; NaN/Inf/negative values used to be representable in
 // float syntax and would previously have reached the rate-adjustment
 // arithmetic.
-func parseConfidences(w http.ResponseWriter, r *http.Request, feedbackCount int) ([]float64, bool) {
-	raw := r.URL.Query().Get("confidence")
+func parseConfidences(w http.ResponseWriter, r *http.Request, raw string, feedbackCount int) ([]float64, bool) {
 	if raw == "" {
 		return nil, true
 	}
