@@ -23,8 +23,13 @@ import (
 	"time"
 
 	"authorityflow"
+	"authorityflow/internal/cache"
 	"authorityflow/internal/core"
+	"authorityflow/internal/datagen"
 	"authorityflow/internal/experiments"
+	"authorityflow/internal/rank"
+	"authorityflow/internal/router"
+	"authorityflow/internal/server"
 )
 
 // benchScale returns the dataset scale override from AF_BENCH_SCALE
@@ -94,8 +99,8 @@ func microWorld(b *testing.B) (*authorityflow.Dataset, *authorityflow.Engine) {
 		if scale == 0 {
 			scale = 0.5
 		}
-		cfg := authorityflow.DBLPTopConfig().Scale(scale)
-		microDS, microErr = authorityflow.GenerateDBLP(cfg)
+		cfg := datagen.DBLPTopConfig().Scale(scale)
+		microDS, microErr = datagen.GenerateDBLP(cfg)
 		if microErr != nil {
 			return
 		}
@@ -175,7 +180,7 @@ func BenchmarkExplainSubgraph(b *testing.B) {
 // subgraph of ~10^5 arcs.
 func dblptopExplain(b *testing.B) (*authorityflow.Pinned, *authorityflow.RankResult, authorityflow.NodeID) {
 	b.Helper()
-	ds, err := authorityflow.GenerateDBLP(authorityflow.DBLPTopConfig())
+	ds, err := datagen.GenerateDBLP(datagen.DBLPTopConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -232,7 +237,7 @@ func BenchmarkAuditDblptop(b *testing.B) {
 // B ≥ 2 the coefficient plan, built by the first solve and reused by the
 // timed ones.
 func BenchmarkSolveColumns(b *testing.B) {
-	ds, err := authorityflow.GenerateDBLP(authorityflow.DBLPTopConfig())
+	ds, err := datagen.GenerateDBLP(datagen.DBLPTopConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -285,7 +290,7 @@ func BenchmarkAblationExplainRadius(b *testing.B) {
 	}
 	for _, radius := range []int{1, 2, 3, 4, 5} {
 		b.Run("L="+strconv.Itoa(radius), func(b *testing.B) {
-			opts := authorityflow.ExplainOptions{Radius: radius}
+			opts := core.ExplainOptions{Radius: radius}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := eng.Pin().ExplainCtx(context.Background(), res, top[0].Node, opts); err != nil {
@@ -339,10 +344,10 @@ func BenchmarkGraphBuild(b *testing.B) {
 	if scale == 0 {
 		scale = 0.25
 	}
-	cfg := authorityflow.DBLPTopConfig().Scale(scale)
+	cfg := datagen.DBLPTopConfig().Scale(scale)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := authorityflow.GenerateDBLP(cfg); err != nil {
+		if _, err := datagen.GenerateDBLP(cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -378,13 +383,13 @@ func BenchmarkObjectRank2QueryParallel(b *testing.B) {
 
 var (
 	qpOnce sync.Once
-	qpCE   *authorityflow.CachedEngine
+	qpCE   *cache.CachedEngine
 )
 
-func queryPathWorld(b *testing.B) (*authorityflow.Engine, *authorityflow.CachedEngine) {
+func queryPathWorld(b *testing.B) (*authorityflow.Engine, *cache.CachedEngine) {
 	_, eng := microWorld(b)
 	qpOnce.Do(func() {
-		qpCE = authorityflow.NewCachedEngine(eng, authorityflow.CacheOptions{})
+		qpCE = cache.New(eng, cache.Options{})
 	})
 	return eng, qpCE
 }
@@ -428,7 +433,7 @@ func BenchmarkQueryPathWarmStart(b *testing.B) {
 func BenchmarkQueryPathCacheHit(b *testing.B) {
 	_, ce := queryPathWorld(b)
 	q := authorityflow.NewQuery("olap")
-	query := func() *authorityflow.CachedAnswer {
+	query := func() *cache.Answer {
 		ans, err := ce.QueryModePinnedCtx(context.Background(), ce.Engine().Pin(), q, 10, "")
 		if err != nil {
 			b.Fatal(err)
@@ -481,7 +486,7 @@ func benchQueryHit(b *testing.B, h http.Handler) {
 // BenchmarkQueryHit is a warmed result hit on one replica's handler.
 func BenchmarkQueryHit(b *testing.B) {
 	ds, _ := microWorld(b)
-	srv, err := authorityflow.NewServer(ds, authorityflow.Config{})
+	srv, err := server.New(ds, authorityflow.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -493,13 +498,13 @@ func BenchmarkQueryHit(b *testing.B) {
 // router learns from the answer ride on top of BenchmarkQueryHit.
 func BenchmarkQueryHitRouted(b *testing.B) {
 	ds, _ := microWorld(b)
-	srv, err := authorityflow.NewServer(ds, authorityflow.Config{})
+	srv, err := server.New(ds, authorityflow.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	replica := httptest.NewServer(srv.Handler())
 	defer replica.Close()
-	rt, err := authorityflow.NewRouter([]string{replica.URL}, authorityflow.RouterOptions{HealthInterval: -1})
+	rt, err := router.New([]string{replica.URL}, router.Options{HealthInterval: -1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -519,7 +524,7 @@ func BenchmarkQueryPathInstrumented(b *testing.B) {
 	ds, _ := microWorld(b)
 	var iterations atomic.Uint64
 	eng, err := authorityflow.NewEngine(ds.Graph, ds.Rates, authorityflow.Config{
-		Rank: authorityflow.RankOptions{
+		Rank: rank.Options{
 			Observe: func(iter int, residual float64) { iterations.Add(1) },
 		},
 	})

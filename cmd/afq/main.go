@@ -7,7 +7,6 @@
 //	afq [-snap corpus.snap | -gen dblptop -scale 0.1] query olap
 //	afq ... [-dot out.dot] [-json out.json] explain "olap" 1234
 //	afq ... [-mode structure|content|both] feedback "olap" 1234,5678
-//	afq ... compare "olap" 1234 5678
 //	afq ... snapshot out.snap
 //
 // (Flags precede the subcommand, per Go flag-package convention.)
@@ -16,7 +15,6 @@
 // the explaining subgraph of node 1234 with its top authority-flow
 // paths. feedback treats the listed nodes as relevant feedback and
 // prints the reformulated query vector and authority transfer rates.
-// compare answers "why is node 1234 ranked above (or below) node 5678".
 //
 // The snapshot subcommand writes the versioned binary corpus snapshot
 // (frozen CSR graph + inverted index, checksummed sections) — the one
@@ -40,7 +38,6 @@ const usage = `usage: afq [flags] <subcommand> <args>
   query <keywords>
   explain <keywords> <node>
   feedback <keywords> <node,node,...>
-  compare <keywords> <nodeA> <nodeB>
   snapshot <out.snap>
 flags (before the subcommand):`
 
@@ -50,7 +47,7 @@ func main() {
 		schema    = flag.String("schema", "", "schema JSON for TSV import (with -nodes and -edges)")
 		nodesF    = flag.String("nodes", "", "nodes TSV for import")
 		edgesF    = flag.String("edges", "", "edges TSV for import")
-		gen       = flag.String("gen", "dblptop", "dataset preset to generate when neither -snap nor -schema is given: dblptop, dblpcomplete, ds7, ds7cancer")
+		gen       = flag.String("gen", "dblptop", "dataset preset to generate when neither -snap nor -schema is given: "+strings.Join(authorityflow.PresetNames(), ", "))
 		scale     = flag.Float64("scale", 0.1, "scale factor when generating")
 		k         = flag.Int("k", 10, "number of results")
 		dot       = flag.String("dot", "", "write explaining subgraph as Graphviz DOT to this path")
@@ -129,31 +126,6 @@ func main() {
 		}
 		fmt.Printf("wrote binary corpus snapshot %s (%d nodes, %d edges, %.1f MiB)\n",
 			out, ds.Graph.NumNodes(), ds.Graph.NumEdges(), float64(fi.Size())/(1<<20))
-
-	case "compare":
-		if len(args) < 4 {
-			fail(fmt.Errorf("compare needs keywords and two node ids"))
-		}
-		q := authorityflow.ParseQuery(args[1])
-		a, err := parseNode(args[2])
-		if err != nil {
-			fail(err)
-		}
-		bNode, err := parseNode(args[3])
-		if err != nil {
-			fail(err)
-		}
-		res := solve(pin, q, nil)
-		cmp, err := eng.Compare(res, a, bNode, authorityflow.DefaultExplain())
-		if err != nil {
-			fail(err)
-		}
-		fmt.Printf("why is %s ranked %s %s?\n",
-			ds.Graph.Display(a), rankWord(cmp.Gap()), ds.Graph.Display(bNode))
-		fmt.Println(cmp)
-		for _, tf := range cmp.ByType {
-			fmt.Printf("  %-40s %.4g vs %.4g\n", tf.Name, tf.A, tf.B)
-		}
 
 	case "explain":
 		if len(args) < 3 {
@@ -298,13 +270,6 @@ func writeFile(path string, write func(*os.File) error) error {
 		return err
 	}
 	return f.Close()
-}
-
-func rankWord(gap float64) string {
-	if gap >= 0 {
-		return "above"
-	}
-	return "below"
 }
 
 func fail(err error) {

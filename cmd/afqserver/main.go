@@ -68,6 +68,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -83,7 +84,7 @@ func main() {
 		addr    = flag.String("addr", "localhost:8080", "listen address")
 		snap    = flag.String("snapshot", "", "binary corpus snapshot for a zero-build cold start (overrides -gen)")
 		swapDir = flag.String("swap-dir", "", "directory whose binary snapshots POST /v1/corpus/swap may load (empty disables swapping)")
-		gen     = flag.String("gen", "dblptop", "dataset preset to generate when -snapshot is empty")
+		gen     = flag.String("gen", "dblptop", "dataset preset to generate when -snapshot is empty: "+strings.Join(datagen.PresetNames(), ", "))
 		scale   = flag.Float64("scale", 0.1, "scale factor when generating")
 		workers = flag.Int("workers", 0, "power-iteration workers (0 serial, -1 all cores)")
 		cacheMB = flag.Int("cache-mb", 64, "serving-cache byte budget in MiB (must be positive)")

@@ -6,12 +6,15 @@ package cmd_test
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
+
+	"authorityflow/internal/datagen"
 )
 
 var binDir string
@@ -149,18 +152,27 @@ func TestCLIErrors(t *testing.T) {
 	}
 	// Missing -out.
 	runExpectError(t, "datagen", "-dataset", "dblptop")
-	// A missing or unknown subcommand and a removed flag all print the
-	// usage, which lists every subcommand that exists.
+	// A missing or unknown subcommand and a removed flag or subcommand
+	// all exit 2 with the usage, which lists every subcommand that
+	// exists and none that does not.
 	for _, args := range [][]string{
 		{},
 		{"-gen", "dblptop", "-scale", "0.01", "frobnicate", "x"},
+		{"-gen", "dblptop", "-scale", "0.01", "compare", "olap", "1", "2"},
 		{"-store", "x.store", "query", "olap"},
 	} {
-		out := runExpectError(t, "afq", args...)
-		for _, sub := range []string{"query", "explain", "feedback", "compare", "snapshot"} {
-			if !strings.Contains(out, "\n  "+sub+" <") {
+		out, err := exec.Command(filepath.Join(binDir, "afq"), args...).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("afq %v: %v, want exit status 2:\n%s", args, err, out)
+		}
+		for _, sub := range []string{"query", "explain", "feedback", "snapshot"} {
+			if !strings.Contains(string(out), "\n  "+sub+" <") {
 				t.Errorf("afq %v: usage omits %q:\n%s", args, sub, out)
 			}
+		}
+		if strings.Contains(string(out), "\n  compare <") {
+			t.Errorf("afq %v: usage still lists compare:\n%s", args, out)
 		}
 	}
 	// Unknown experiment.
@@ -226,6 +238,24 @@ func TestFlagSurface(t *testing.T) {
 		if strings.Join(got, " ") != want {
 			t.Errorf("%s has %d flags:\n  %s\nwant %d:\n  %s", tool,
 				len(got), strings.Join(got, " "), len(strings.Fields(want)), want)
+		}
+	}
+}
+
+// TestHelpNamesEveryPreset: the three binaries that generate a corpus
+// in-process list, in -h, every preset datagen.Preset resolves — the
+// list is built from datagen.PresetNames, not copied.
+func TestHelpNamesEveryPreset(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs binaries")
+	}
+	for _, tool := range []string{"afq", "datagen", "afqserver"} {
+		out, err := exec.Command(filepath.Join(binDir, tool), "-h").CombinedOutput()
+		if err != nil {
+			t.Fatalf("%s -h: %v\n%s", tool, err, out)
+		}
+		if want := strings.Join(datagen.PresetNames(), ", "); !strings.Contains(string(out), want) {
+			t.Errorf("%s -h does not list the presets %q:\n%s", tool, want, out)
 		}
 	}
 }

@@ -7,22 +7,23 @@
 //
 //	datagen -dataset dblptop -scale 0.1 -out dblptop.snap
 //
-// Datasets: dblptop, dblpcomplete, ds7, ds7cancer (Table 1 of the
-// paper). -scale shrinks all entity counts proportionally; -seed
-// controls determinism.
+// Datasets: the four corpora of the paper's Table 1 and the link-free
+// linkless family (-h lists them). -scale shrinks all entity counts
+// proportionally; -seed controls determinism.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"authorityflow"
 )
 
 func main() {
 	var (
-		dataset = flag.String("dataset", "dblptop", "dataset preset: dblptop, dblpcomplete, ds7, ds7cancer, linkless")
+		dataset = flag.String("dataset", "dblptop", "dataset preset: "+strings.Join(authorityflow.PresetNames(), ", "))
 		scale   = flag.Float64("scale", 1.0, "scale factor for all entity counts")
 		seed    = flag.Int64("seed", 1, "generator seed")
 		out     = flag.String("out", "", "output snapshot path (required)")

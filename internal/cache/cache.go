@@ -33,7 +33,6 @@ package cache
 
 import (
 	"context"
-	"math"
 	"strconv"
 	"strings"
 
@@ -233,12 +232,11 @@ func modeTag(m core.Mode) string {
 // termKey is the term-vector cache key. All directions share ONE LRU —
 // hot authority terms can evict cold hub vectors and vice versa — and
 // the mode component keeps a key from aliasing across directions.
-// Combined queries have no single-direction vector and never reach here.
 func termKey(sk stateKey, m core.Mode, term string) string {
 	return "t\x00" + modeTag(m) + "\x00" + strconv.FormatUint(sk.gen, 16) + "\x00" + strconv.FormatUint(sk.rk, 16) + "\x00" + term
 }
 
-// resultKey is the result cache key; the mode component keeps the three
+// resultKey is the result cache key; the mode component keeps the two
 // directions' answers for one query apart.
 func resultKey(sk stateKey, m core.Mode, k int, q *ir.Query) string {
 	cq := q.Canonical()
@@ -295,11 +293,8 @@ func resultEntrySize(key string, k int) int64 {
 // given ranking mode — the entry point the /v1/query surface funnels
 // every read through. It consults the result cache, then (for
 // single-keyword queries) the term-vector cache, then runs the same
-// solve the uncached engine would; combined single-keyword answers are
-// assembled from the two directions' term vectors, so a combined query
-// never solves anything the per-direction paths would not have cached
-// anyway. Cache-hit answers in every mode are bit-identical to the
-// answer computed on the original miss.
+// solve the uncached engine would. Cache-hit answers in every mode are
+// bit-identical to the answer computed on the original miss.
 //
 // The caller stops waiting the moment ctx dies and receives ctx.Err().
 // A cancelled caller never aborts a shared in-flight solve while other
@@ -341,7 +336,7 @@ func (c *CachedEngine) queryAt(ctx context.Context, pin *core.Pinned, q *ir.Quer
 	c.stats.resultMisses.Add(1)
 
 	if term, ok := singleTerm(q); ok {
-		cr, hit, err := c.termAnswer(ctx, pin, sk, m, key, term, k)
+		tv, hit, err := c.termVectorFor(ctx, pin, sk, m, term)
 		if err != nil {
 			return nil, err
 		}
@@ -349,7 +344,7 @@ func (c *CachedEngine) queryAt(ctx context.Context, pin *core.Pinned, q *ir.Quer
 		if hit {
 			src = SourceTerm
 		}
-		return c.answerFrom(cr, q, src), nil
+		return c.answerFrom(c.storeTopK(pin, key, term, k, tv.vec, tv.iters, tv.baseN), q, src), nil
 	}
 
 	// Multi-keyword: run the full solve (identical to the uncached
@@ -382,35 +377,6 @@ func (c *CachedEngine) queryAt(ctx context.Context, pin *core.Pinned, q *ir.Quer
 	return c.answerFrom(val.(*cachedResult), q, SourceComputed), nil
 }
 
-// termAnswer serves a single-keyword query from term vectors: the
-// direction's own vector, or for combined mode the geometric-mean merge
-// of both directions' — bit-identical to a combined solve, because each
-// cached vector is a bit-copy of its direction's solve and the merge is
-// the same elementwise sqrt. hit reports that no vector had to be
-// solved.
-func (c *CachedEngine) termAnswer(ctx context.Context, pin *core.Pinned, sk stateKey, m core.Mode, key, term string, k int) (*cachedResult, bool, error) {
-	if m != core.ModeCombined {
-		tv, hit, err := c.termVectorFor(ctx, pin, sk, m, term)
-		if err != nil {
-			return nil, false, err
-		}
-		return c.storeTopK(pin, key, term, k, tv.vec, tv.iters, tv.baseN), hit, nil
-	}
-	atv, ahit, err := c.termVectorFor(ctx, pin, sk, core.ModeAuthority, term)
-	if err != nil {
-		return nil, false, err
-	}
-	htv, hhit, err := c.termVectorFor(ctx, pin, sk, core.ModeHub, term)
-	if err != nil {
-		return nil, false, err
-	}
-	comb := make([]float64, len(atv.vec))
-	for i := range comb {
-		comb[i] = math.Sqrt(atv.vec[i] * htv.vec[i])
-	}
-	return c.storeTopK(pin, key, term, k, comb, atv.iters+htv.iters, atv.baseN), ahit && hhit, nil
-}
-
 // QueryBatchModePinnedCtx answers a whole panel of queries under ONE
 // pinned snapshot — the /v1/query/batch serving path. ks carries the
 // per-query top-k (len(ks) must equal len(qs); entries <= 0 default to
@@ -418,9 +384,8 @@ func (c *CachedEngine) termAnswer(ctx context.Context, pin *core.Pinned, sk stat
 // one per query).
 //
 // Items are partitioned by direction: the authority and hub subsets
-// each run the blocked path below, and combined items — which need both
-// directions — are answered individually. Answers land at their
-// original indices, each the same answer the corresponding single
+// each run the blocked path below. Answers land at their original
+// indices, each the same answer the corresponding single
 // QueryModePinnedCtx call would produce.
 //
 // On cancellation the returned slice is partial: answers for queries
@@ -431,18 +396,15 @@ func (c *CachedEngine) QueryBatchModePinnedCtx(ctx context.Context, pin *core.Pi
 	if len(ks) != len(qs) || (modes != nil && len(modes) != len(qs)) {
 		panic("cache: QueryBatchModePinnedCtx got " + strconv.Itoa(len(ks)) + " k values and " + strconv.Itoa(len(modes)) + " modes for " + strconv.Itoa(len(qs)) + " queries")
 	}
-	var authIdx, hubIdx, combIdx []int
+	var authIdx, hubIdx []int
 	for i, m := range modes {
-		switch m {
-		case core.ModeHub:
+		if m == core.ModeHub {
 			hubIdx = append(hubIdx, i)
-		case core.ModeCombined:
-			combIdx = append(combIdx, i)
-		default:
+		} else {
 			authIdx = append(authIdx, i)
 		}
 	}
-	if len(hubIdx) == 0 && len(combIdx) == 0 {
+	if len(hubIdx) == 0 {
 		return c.queryBatchDir(ctx, pin, qs, ks, core.ModeAuthority)
 	}
 
@@ -470,19 +432,6 @@ func (c *CachedEngine) QueryBatchModePinnedCtx(ctx context.Context, pin *core.Pi
 	}
 	runDir(authIdx, core.ModeAuthority)
 	runDir(hubIdx, core.ModeHub)
-	for _, i := range combIdx {
-		if firstErr != nil && ctx.Err() != nil {
-			break // deadline already blown; leave the rest nil
-		}
-		a, err := c.queryAt(ctx, pin, qs[i], ks[i], nil, core.ModeCombined)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		answers[i] = a
-	}
 	return answers, firstErr
 }
 
@@ -747,8 +696,8 @@ func (c *CachedEngine) putTerm(key string, res *core.RankResult, warm bool) *ter
 }
 
 // RankModePinnedCtx produces a full core.RankResult under the pinned
-// snapshot in the given mode, serving single-keyword authority and hub
-// queries from the term-vector cache (the scores are copied out, so the
+// snapshot in the given mode, serving single-keyword queries from the
+// term-vector cache (the scores are copied out, so the
 // caller may Release the result as usual) and everything else by a
 // normal solve. The explain and audit paths use it — they need whole
 // score vectors, not top-k lists. See QueryModePinnedCtx for the
@@ -760,7 +709,7 @@ func (c *CachedEngine) RankModePinnedCtx(ctx context.Context, pin *core.Pinned, 
 		return nil, err
 	}
 	term, ok := singleTerm(q)
-	if !ok || m == core.ModeCombined {
+	if !ok {
 		rs, err := pin.Solve(ctx, core.SolveSpec{Queries: []*ir.Query{q}, Mode: m})
 		if err != nil {
 			return nil, err

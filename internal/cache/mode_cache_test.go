@@ -12,13 +12,13 @@ import (
 
 var modeTestOpts = rank.Options{Damping: 0.85, Threshold: 1e-10, MaxIters: 500}
 
-// TestModeKeysDisjoint: the three modes' answers for one query live
+// TestModeKeysDisjoint: the two modes' answers for one query live
 // under distinct keys and never alias each other's cache entries.
 func TestModeKeysDisjoint(t *testing.T) {
 	sk := stateKey{gen: 1, rk: 0xabc}
 	q := ir.NewQuery("olap")
 	keys := map[string]core.Mode{}
-	for _, m := range []core.Mode{core.ModeAuthority, core.ModeHub, core.ModeCombined} {
+	for _, m := range []core.Mode{core.ModeAuthority, core.ModeHub} {
 		k := resultKey(sk, m, 10, q)
 		if prev, dup := keys[k]; dup {
 			t.Fatalf("modes %s and %s share result key %q", prev, m, k)
@@ -43,7 +43,7 @@ func TestQueryModeCachedBitIdentical(t *testing.T) {
 	ctx := context.Background()
 	q := func() *ir.Query { return ir.NewQuery("mining") }
 
-	for _, m := range []core.Mode{core.ModeAuthority, core.ModeHub, core.ModeCombined} {
+	for _, m := range []core.Mode{core.ModeAuthority, core.ModeHub} {
 		miss, err := c.QueryModePinnedCtx(ctx, pin, q(), 10, m)
 		if err != nil {
 			t.Fatal(err)
@@ -79,41 +79,14 @@ func TestQueryModeCachedBitIdentical(t *testing.T) {
 			t.Fatalf("cached hub rank %d differs from direct hub solve", i)
 		}
 	}
-}
 
-// TestCombinedAssembledFromDirectionVectors: a combined single-term
-// query whose two direction vectors are already resident must not run
-// any new kernel work, and must equal core's dual-solve combine.
-func TestCombinedAssembledFromDirectionVectors(t *testing.T) {
-	_, eng := testEngine(t, modeTestOpts)
-	c := New(eng, Options{})
-	pin := eng.Pin()
-	ctx := context.Background()
-
-	if _, err := c.QueryModePinnedCtx(ctx, pin, ir.NewQuery("mining"), 10, core.ModeAuthority); err != nil {
-		t.Fatal(err)
+	// A mode that is no direction is an error, not a third cache line.
+	before := c.Stats()
+	if a, err := c.QueryModePinnedCtx(ctx, pin, q(), 10, "combined"); err == nil {
+		t.Fatalf("mode combined answered from %q, want an error", a.Source)
 	}
-	if _, err := c.QueryModePinnedCtx(ctx, pin, ir.NewQuery("mining"), 10, core.ModeHub); err != nil {
-		t.Fatal(err)
-	}
-	before := c.stats.computes.Load()
-	comb, err := c.QueryModePinnedCtx(ctx, pin, ir.NewQuery("mining"), 10, core.ModeCombined)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after := c.stats.computes.Load(); after != before {
-		t.Errorf("combined assembly ran %d kernel solves, want 0", after-before)
-	}
-	if comb.Source != SourceTerm {
-		t.Errorf("combined-from-vectors source = %q, want %q", comb.Source, SourceTerm)
-	}
-
-	ref := solveOne(pin, core.SolveSpec{Queries: []*ir.Query{ir.NewQuery("mining")}, Mode: core.ModeCombined})
-	top := ref.TopK(10)
-	for i, r := range top {
-		if comb.Results[i].Node != r.Node || math.Float64bits(comb.Results[i].Score) != math.Float64bits(r.Score) {
-			t.Fatalf("assembled combined rank %d differs from the combined solve", i)
-		}
+	if after := c.Stats(); after.Computes != before.Computes || after.Result.Entries != before.Result.Entries || after.Vector.Entries != before.Vector.Entries {
+		t.Errorf("a rejected mode touched the cache: %+v -> %+v", before, after)
 	}
 }
 
@@ -125,9 +98,9 @@ func TestBatchModesScatter(t *testing.T) {
 	pin := eng.Pin()
 	ctx := context.Background()
 
-	qs := []*ir.Query{ir.NewQuery("mining"), ir.NewQuery("mining"), ir.NewQuery("olap"), ir.NewQuery("mining")}
+	qs := []*ir.Query{ir.NewQuery("mining"), ir.NewQuery("mining"), ir.NewQuery("olap"), ir.NewQuery("olap")}
 	ks := []int{5, 5, 5, 5}
-	modes := []core.Mode{core.ModeAuthority, core.ModeHub, core.ModeHub, core.ModeCombined}
+	modes := []core.Mode{core.ModeAuthority, core.ModeHub, core.ModeHub, core.ModeAuthority}
 	answers, err := c.QueryBatchModePinnedCtx(ctx, pin, qs, ks, modes)
 	if err != nil {
 		t.Fatal(err)

@@ -64,10 +64,15 @@ const topK = 7
 type world struct {
 	g     *graph.Graph
 	rates *graph.Rates
-	pin   *core.Pinned // serial engine
-	par   *core.Pinned // same corpus, three kernel workers
-	rev   *core.Pinned // authority engine over the explicitly reversed graph
-	eng   *core.Engine
+	// labels, texts and edges are what g was built from, kept so the
+	// world can be rebuilt without one edge (audit_test.go).
+	labels []graph.TypeID
+	texts  []string
+	edges  []graph.Edge
+	pin    *core.Pinned // serial engine
+	par    *core.Pinned // same corpus, three kernel workers
+	rev    *core.Pinned // authority engine over the explicitly reversed graph
+	eng    *core.Engine
 	// queries mixes single-term and multi-term queries (distinct terms,
 	// so a single-term query has weight exactly 1) and one that matches
 	// nothing; eleven, so panels of 2 and 8 both end ragged.
@@ -97,7 +102,7 @@ func newWorld(t *testing.T, seed int64) *world {
 		from, to := types[rng.Intn(nTypes)], types[rng.Intn(nTypes)]
 		etypes = append(etypes, etype{s.MustAddEdgeType(fmt.Sprintf("e%d", i), from, to), from, to})
 	}
-	b := graph.NewBuilder(s)
+	w := &world{terms: words}
 	byType := make(map[graph.TypeID][]graph.NodeID)
 	for i, n := 0, 40+rng.Intn(80); i < n; i++ {
 		text := ""
@@ -105,18 +110,16 @@ func newWorld(t *testing.T, seed int64) *world {
 			text += words[rng.Intn(len(words))] + " "
 		}
 		ty := types[i%nTypes] // every type is populated
-		byType[ty] = append(byType[ty], b.AddNode(ty, graph.Attr{Name: "Text", Value: text}))
+		byType[ty] = append(byType[ty], graph.NodeID(len(w.labels)))
+		w.labels, w.texts = append(w.labels, ty), append(w.texts, text)
 	}
 	for _, et := range etypes {
 		from, to := byType[et.from], byType[et.to]
 		for i, n := 0, 30+rng.Intn(120); i < n; i++ {
-			b.AddEdge(from[rng.Intn(len(from))], to[rng.Intn(len(to))], et.id)
+			w.edges = append(w.edges, graph.Edge{From: from[rng.Intn(len(from))], To: to[rng.Intn(len(to))], Type: et.id})
 		}
 	}
-	g, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := w.build(t, s, -1)
 	rates := graph.NewRates(s)
 	for tt := 0; tt < s.NumTransferTypes(); tt++ {
 		if rng.Intn(5) > 0 { // leave some rates zero: the kernel skips those arcs
@@ -127,7 +130,7 @@ func newWorld(t *testing.T, seed int64) *world {
 	}
 	rates.NormalizeOutgoing()
 
-	w := &world{g: g, rates: rates, terms: words}
+	w.g, w.rates = g, rates
 	engine := func(g *graph.Graph, workers int) *core.Engine {
 		e, err := core.NewEngine(g, rates, core.Config{Rank: tight, Workers: workers})
 		if err != nil {
@@ -155,6 +158,26 @@ func newWorld(t *testing.T, seed int64) *world {
 		w.reweighted = append(w.reweighted, q)
 	}
 	return w
+}
+
+// build freezes the world's nodes and edges, all but edge skip (-1
+// keeps every edge), into a graph over schema s.
+func (w *world) build(t *testing.T, s *graph.Schema, skip int) *graph.Graph {
+	t.Helper()
+	b := graph.NewBuilder(s)
+	for i, ty := range w.labels {
+		b.AddNode(ty, graph.Attr{Name: "Text", Value: w.texts[i]})
+	}
+	for i, e := range w.edges {
+		if i != skip {
+			b.AddEdge(e.From, e.To, e.Type)
+		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
 }
 
 // jumps returns the queries' normalized base distributions as dense
@@ -330,7 +353,7 @@ func table(w *world) []path {
 
 	// Cache: every mode, miss then hit, full vectors and top-k answers,
 	// single queries and batches.
-	for _, m := range []core.Mode{core.ModeAuthority, core.ModeHub, core.ModeCombined} {
+	for _, m := range []core.Mode{core.ModeAuthority, core.ModeHub} {
 		m := m
 		uncachedTopK := func(t *testing.T) [][]float64 {
 			out := singles(w.pin, m, w.queries)(t)

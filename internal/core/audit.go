@@ -27,20 +27,26 @@ type AuditOptions struct {
 // AuditArc is one explaining-subgraph arc ranked by how strongly the
 // target's explained score responds to perturbing the arc's authority
 // transfer rate — the AURORA-style "which edges move this ranking"
-// question answered inside the paper's own flow machinery.
+// question answered inside the paper's own flow machinery. Its two
+// numbers answer two questions (EXPERIMENTS.md "Evidence" holds the
+// removal experiment that tells them apart): Flow, what deleting the
+// arc costs the target; Sensitivity, what nudging its rate buys.
 type AuditArc struct {
 	From graph.NodeID
 	To   graph.NodeID
 	Type graph.TransferTypeID
 	// Rate and Flow mirror the FlowArc fields (Equation 1 rate, adjusted
-	// Equation 7 flow).
+	// Equation 7 flow). Flow is the authority the arc delivers to the
+	// target, and so the predictor of how far the target's re-solved
+	// score falls when the arc's edge is removed.
 	Rate float64
 	Flow float64
 	// Sensitivity is ∂(explained score)/∂(arc rate) with the rest of the
 	// subgraph frozen: the arc delivers h(To)·d·rate·r(From) to the
 	// target, so the derivative is h(To)·d·r(From) = Flow/Rate. A
 	// high-sensitivity arc is one whose rate perturbation moves the
-	// target's score the most per unit of rate.
+	// target's score the most per unit of rate — the arc to re-weight,
+	// not necessarily the arc whose loss hurts most.
 	Sensitivity float64
 }
 
@@ -94,8 +100,7 @@ type Audit struct {
 // mode (the serving layer obtains it through the cache or RankModeCtx).
 // Deadline-awareness is inherited from the explain stages: the BFS
 // phases and the Eq. 10 fixpoint poll ctx, and the final ranking pass
-// is linear in the subgraph. Combined mode is rejected via
-// ExplainModeCtx.
+// is linear in the subgraph.
 func (p *Pinned) AuditCtx(ctx context.Context, m Mode, res *RankResult, target graph.NodeID, opts AuditOptions) (*Audit, error) {
 	sg, err := p.ExplainModeCtx(ctx, m, res, target, opts.Explain)
 	if err != nil {

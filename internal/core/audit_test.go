@@ -125,11 +125,12 @@ func TestAuditBudgetTruncates(t *testing.T) {
 	}
 }
 
-// TestAuditRejectsCombinedAndHonorsDeadline.
+// TestAuditRejectsCombinedAndHonorsDeadline: "combined" is no ranking
+// direction, so there is no flow system to audit it in.
 func TestAuditRejectsCombinedAndHonorsDeadline(t *testing.T) {
 	f, pin, res := auditFixture(t)
-	if _, err := pin.AuditCtx(context.Background(), ModeCombined, res, f.ids["v7"], AuditOptions{}); err == nil {
-		t.Error("combined-mode audit must fail")
+	if _, err := pin.AuditCtx(context.Background(), Mode("combined"), res, f.ids["v7"], AuditOptions{}); err == nil {
+		t.Error("an audit in an unknown mode must fail")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

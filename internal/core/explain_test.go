@@ -316,45 +316,6 @@ func TestTopPathsOrdering(t *testing.T) {
 	}
 }
 
-func TestPrune(t *testing.T) {
-	f := newFixture(t)
-	e := f.newEngine(t)
-	res := rankQ(e, ir.NewQuery("olap"))
-	sg, err := explain(e, res, f.ids["v4"], ExplainOptions{Threshold: 1e-9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Pruning at 0 keeps all arcs.
-	same := sg.Prune(0)
-	if len(same.Arcs) != len(sg.Arcs) {
-		t.Errorf("Prune(0) dropped arcs: %d -> %d", len(sg.Arcs), len(same.Arcs))
-	}
-	// Pruning at a high threshold keeps only the target.
-	maxFlow := 0.0
-	for _, a := range sg.Arcs {
-		if a.Flow > maxFlow {
-			maxFlow = a.Flow
-		}
-	}
-	tiny := sg.Prune(maxFlow * 2)
-	if len(tiny.Arcs) != 0 {
-		t.Errorf("Prune above max flow kept arcs: %v", tiny.Arcs)
-	}
-	if !tiny.Has(f.ids["v4"]) {
-		t.Error("pruned subgraph must keep the target")
-	}
-	// Intermediate pruning keeps a subset and consistent flow sums.
-	mid := sg.Prune(maxFlow / 2)
-	if len(mid.Arcs) == 0 || len(mid.Arcs) >= len(sg.Arcs) {
-		t.Errorf("Prune(mid) kept %d of %d arcs", len(mid.Arcs), len(sg.Arcs))
-	}
-	for _, a := range mid.Arcs {
-		if a.Flow < maxFlow/2 {
-			t.Errorf("kept arc below threshold: %+v", a)
-		}
-	}
-}
-
 // TestExplainInvariantsRandom checks the Section 4 invariants on random
 // graphs: h in [0,1] with h(target)=1, Flow <= Flow0, unadjusted target
 // inflows, and out-flow never exceeding d·r(v) (a node cannot forward

@@ -12,14 +12,12 @@ import (
 // paper's ObjectRank2 semantics — a node is important when important
 // nodes point at it. Hub is the CheiRank dual solved on the
 // direction-reversed graph — a node is important when it points at
-// important nodes (the internal-linking / curation workload). Combined
-// merges both per node, surfacing objects that score on both axes.
+// important nodes (the internal-linking / curation workload).
 type Mode string
 
 const (
 	ModeAuthority Mode = "authority"
 	ModeHub       Mode = "hub"
-	ModeCombined  Mode = "combined"
 )
 
 // ParseMode maps the wire-level mode parameter onto a Mode. The empty
@@ -34,17 +32,9 @@ func ParseMode(s string) (Mode, error) {
 		return ModeAuthority, nil
 	case ModeHub:
 		return ModeHub, nil
-	case ModeCombined:
-		return ModeCombined, nil
 	}
-	return "", fmt.Errorf("mode must be one of authority, hub, combined")
+	return "", fmt.Errorf("mode must be one of authority, hub")
 }
-
-// Explainable reports whether rankings under the mode decompose into a
-// single authority-flow system that the Section 4 explaining subgraph
-// (and hence /v1/audit) can operate on. Combined rankings mix two
-// separate fixpoints and are not explainable.
-func (m Mode) Explainable() bool { return m != ModeCombined }
 
 // hubCorpus returns the generation's direction-reversed corpus view,
 // built on first use and kept for the generation's lifetime. The view
@@ -78,9 +68,7 @@ func (gn *generation) hubGlobalScores(snap *ratesSnapshot) []float64 {
 // the authority corpus for authority results, the reversed view for hub
 // results (hub flows travel over reversed arcs, so the subgraph's
 // From/To follow the hub direction). res must have been solved under
-// the same pinned state AND the same mode. Combined rankings are not
-// explainable; callers should gate on Mode.Explainable and surface an
-// invalid-argument error instead of calling this.
+// the same pinned state AND the same mode.
 func (p *Pinned) ExplainModeCtx(ctx context.Context, m Mode, res *RankResult, target graph.NodeID, opts ExplainOptions) (*Subgraph, error) {
 	switch m {
 	case ModeAuthority, "":
@@ -88,5 +76,5 @@ func (p *Pinned) ExplainModeCtx(ctx context.Context, m Mode, res *RankResult, ta
 	case ModeHub:
 		return explainOn(ctx, p.st, p.st.gen.hubCorpus(), res, target, opts)
 	}
-	return nil, fmt.Errorf("core: %s rankings cannot be explained (combined scores mix two flow systems)", m)
+	return nil, fmt.Errorf("core: unknown ranking mode %q", m)
 }

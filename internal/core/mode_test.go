@@ -18,7 +18,7 @@ func TestParseMode(t *testing.T) {
 		{"", ModeAuthority, true},
 		{"authority", ModeAuthority, true},
 		{"hub", ModeHub, true},
-		{"combined", ModeCombined, true},
+		{"combined", "", false},
 		{"Hub", "", false},
 		{"cheirank", "", false},
 		{"both", "", false},
@@ -27,12 +27,6 @@ func TestParseMode(t *testing.T) {
 		if tc.ok != (err == nil) || got != tc.want {
 			t.Errorf("ParseMode(%q) = (%q, %v), want (%q, ok=%v)", tc.in, got, err, tc.want, tc.ok)
 		}
-	}
-	if ModeCombined.Explainable() {
-		t.Error("combined must not be explainable")
-	}
-	if !ModeHub.Explainable() || !ModeAuthority.Explainable() {
-		t.Error("authority and hub must be explainable")
 	}
 }
 
@@ -106,40 +100,6 @@ func TestHubBlockedMatchesSingle(t *testing.T) {
 	}
 }
 
-// TestCombinedIsGeometricMean checks the combined ranking against a
-// from-scratch elementwise merge of the two directions.
-func TestCombinedIsGeometricMean(t *testing.T) {
-	f := newFixture(t)
-	eng := f.newEngine(t)
-	pin := eng.Pin()
-	q := ir.ParseQuery("olap")
-
-	auth, err := solveMode(pin, q, ModeAuthority)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hub, err := solveMode(pin, q, ModeHub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	comb, err := solveMode(pin, ir.ParseQuery("olap"), ModeCombined)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range comb.Scores {
-		want := math.Sqrt(auth.Scores[v] * hub.Scores[v])
-		if math.Float64bits(comb.Scores[v]) != math.Float64bits(want) {
-			t.Fatalf("node %d: combined %v, want sqrt(%v*%v)=%v", v, comb.Scores[v], auth.Scores[v], hub.Scores[v], want)
-		}
-	}
-	if comb.Generation != pin.Generation() || comb.RatesVersion != pin.Version() {
-		t.Error("combined result not stamped with the pinned state")
-	}
-	if comb.Iterations != auth.Iterations+hub.Iterations {
-		t.Errorf("combined iterations = %d, want %d", comb.Iterations, auth.Iterations+hub.Iterations)
-	}
-}
-
 // TestRankModeDispatch checks the mode dispatcher reaches each path and
 // rejects unknown modes.
 func TestRankModeDispatch(t *testing.T) {
@@ -209,8 +169,8 @@ func TestHubExplainFollowsReversedArcs(t *testing.T) {
 		}
 	}
 
-	// Combined is not explainable.
-	if _, err := pin.ExplainModeCtx(context.Background(), ModeCombined, hub, f.ids["v4"], DefaultExplain()); err == nil {
-		t.Error("combined mode must not be explainable")
+	// A mode the contract does not know is not explained as either.
+	if _, err := pin.ExplainModeCtx(context.Background(), Mode("combined"), hub, f.ids["v4"], DefaultExplain()); err == nil {
+		t.Error("an unknown mode must not be explained")
 	}
 }

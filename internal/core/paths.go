@@ -171,40 +171,3 @@ func (sg *Subgraph) BaseSources(res *RankResult) []graph.NodeID {
 	}
 	return out
 }
-
-// Prune returns a copy of the subgraph containing only arcs with
-// adjusted flow at least minFlow, plus every node still touching an arc
-// (and the target). The paper prunes explaining subgraphs this way
-// before display, keeping only high-authority paths.
-func (sg *Subgraph) Prune(minFlow float64) *Subgraph {
-	cp := &Subgraph{
-		Target:     sg.Target,
-		Query:      sg.Query,
-		Nodes:      []graph.NodeID{sg.Target},
-		Iterations: sg.Iterations,
-		Converged:  sg.Converged,
-		damping:    sg.damping,
-	}
-	for _, a := range sg.Arcs {
-		if a.Flow >= minFlow {
-			cp.Arcs = append(cp.Arcs, a)
-			cp.Nodes = append(cp.Nodes, a.From, a.To)
-		}
-	}
-	slices.Sort(cp.Nodes)
-	cp.Nodes = slices.Compact(cp.Nodes)
-	cp.inFlow = make([]float64, len(cp.Nodes))
-	cp.outFlow = make([]float64, len(cp.Nodes))
-	for _, v := range cp.Nodes {
-		n := sg.node(v)
-		cp.h = append(cp.h, n.H)
-		cp.dist = append(cp.dist, int32(n.Dist))
-	}
-	for _, a := range cp.Arcs {
-		from, _ := cp.Index(a.From)
-		to, _ := cp.Index(a.To)
-		cp.outFlow[from] += a.Flow
-		cp.inFlow[to] += a.Flow
-	}
-	return cp
-}

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"time"
 
 	"authorityflow/internal/ir"
@@ -27,14 +26,13 @@ type SolveSpec struct {
 	// Query or Base. It is only read.
 	Jump []float64
 	// Mode is the ranking direction; empty means ModeAuthority.
-	// ModeCombined solves both directions and merges them with Combine.
 	Mode Mode
 	// Inits, if non-nil, donates start vectors (§6.2 warm start): one
 	// entry per query (one in all for Jump). A nil entry, or one whose
 	// length does not match the graph — a donation from another corpus
 	// generation — takes the default start instead. A wrong COUNT returns
-	// ErrWarmStartMismatch. Donations belong to one direction, so
-	// ModeCombined accepts none. Vectors are only read.
+	// ErrWarmStartMismatch. A donation belongs to the direction it was
+	// solved in. Vectors are only read.
 	Inits [][]float64
 	// Cold makes the default start of a column without a donation the
 	// jump distribution itself rather than the direction's global
@@ -72,8 +70,6 @@ func (p *Pinned) Solve(ctx context.Context, spec SolveSpec) ([]*RankResult, erro
 	case ModeHub:
 		mode, dir = ModeHub, 1
 		c, global = st.gen.hubCorpus(), func() []float64 { return st.gen.hubGlobalScores(st.snap) }
-	case ModeCombined:
-		return p.solveCombined(ctx, spec)
 	default:
 		return nil, fmt.Errorf("core: unknown ranking mode %q", spec.Mode)
 	}
@@ -189,75 +185,6 @@ func (p *Pinned) Solve(ctx context.Context, spec SolveSpec) ([]*RankResult, erro
 		p.e.notifySolve(stats)
 	}
 	return out, nil
-}
-
-// solveCombined solves both directions and merges each pair.
-func (p *Pinned) solveCombined(ctx context.Context, spec SolveSpec) ([]*RankResult, error) {
-	if spec.Inits != nil {
-		return nil, fmt.Errorf("core: a combined solve takes no warm starts (a donation belongs to one direction)")
-	}
-	pool := p.st.gen.corpus.pool
-	release := func(rs []*RankResult) {
-		for _, r := range rs {
-			if r != nil {
-				pool.Put(r.Scores)
-			}
-		}
-	}
-	spec.Mode = ModeAuthority
-	auth, err := p.Solve(ctx, spec)
-	if err != nil {
-		release(auth)
-		return nil, err
-	}
-	spec.Mode = ModeHub
-	hub, err := p.Solve(ctx, spec)
-	if err != nil {
-		release(auth)
-		release(hub)
-		return nil, err
-	}
-	out := make([]*RankResult, len(auth))
-	for i := range auth {
-		out[i] = p.Combine(auth[i], hub[i])
-	}
-	release(auth)
-	release(hub)
-	return out, nil
-}
-
-// Combine merges an authority and a hub result for the same query into
-// one combined ranking: Scores[v] = sqrt(auth[v] · hub[v]), the
-// geometric mean, so a node must carry weight on BOTH axes to rank (an
-// arithmetic mean would let a pure authority dominate a balanced
-// node). The merge is elementwise over two deterministic inputs, so
-// combined rankings inherit the per-mode bit-identity contract. The
-// input results are not consumed — the caller decides whether to
-// recycle their vectors.
-func (p *Pinned) Combine(auth, hub *RankResult) *RankResult {
-	c := p.st.gen.corpus
-	out := c.pool.GetZeroed(c.g.NumNodes())
-	n := len(out)
-	if len(auth.Scores) < n {
-		n = len(auth.Scores)
-	}
-	if len(hub.Scores) < n {
-		n = len(hub.Scores)
-	}
-	for i := 0; i < n; i++ {
-		out[i] = math.Sqrt(auth.Scores[i] * hub.Scores[i])
-	}
-	return &RankResult{
-		Query:        auth.Query,
-		Scores:       out,
-		Base:         auth.Base,
-		Iterations:   auth.Iterations + hub.Iterations,
-		Converged:    auth.Converged && hub.Converged,
-		RatesVersion: p.st.snap.version,
-		Generation:   p.st.gen.num,
-		BaseSetDur:   auth.BaseSetDur + hub.BaseSetDur,
-		SolveDur:     auth.SolveDur + hub.SolveDur,
-	}
 }
 
 // The five methods below are Solve under the names cmd/afqbench binds

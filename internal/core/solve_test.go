@@ -51,10 +51,13 @@ func TestPlanBelongsToMultiColumnSolves(t *testing.T) {
 	})
 
 	pin := e.Pin()
-	for _, m := range []Mode{ModeAuthority, ModeHub, ModeCombined} {
+	for _, m := range []Mode{ModeAuthority, ModeHub} {
 		if _, err := pin.Solve(ctx, SolveSpec{Queries: one, Mode: m}); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if _, err := pin.Solve(ctx, SolveSpec{Queries: one, Mode: "combined"}); err == nil {
+		t.Fatal("a solve in a mode that is no direction must fail")
 	}
 	if a, h := plans(pin); a || h || built != 0 {
 		t.Fatalf("one-column solves built plans: authority=%v hub=%v (%d reported)", a, h, built)
@@ -75,11 +78,13 @@ func TestPlanBelongsToMultiColumnSolves(t *testing.T) {
 	if a, h := plans(next); a || h {
 		t.Fatalf("a publish built plans: authority=%v hub=%v", a, h)
 	}
-	if _, err := next.Solve(ctx, SolveSpec{Queries: two, Mode: ModeCombined}); err != nil {
-		t.Fatal(err)
+	for _, m := range []Mode{ModeAuthority, ModeHub} {
+		if _, err := next.Solve(ctx, SolveSpec{Queries: two, Mode: m}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if a, h := plans(next); !a || !h || built != 3 {
-		t.Fatalf("after a combined batch on the next snapshot: authority=%v hub=%v, %d builds, want true/true/3", a, h, built)
+		t.Fatalf("after a batch in each direction on the next snapshot: authority=%v hub=%v, %d builds, want true/true/3", a, h, built)
 	}
 	if gn := next.st.gen; gn != pin.st.gen || gn.planSources[0].to == nil || gn.planSources[1].to == nil {
 		t.Fatal("the generation's source columns were not kept across the publish")

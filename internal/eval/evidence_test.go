@@ -133,67 +133,13 @@ func TestEvidenceLinkFreeAuthority(t *testing.T) {
 	}
 }
 
-// agreement accumulates how alike two rankings of the same queries are:
-// the share of one top-10 found in the other, Kendall τ between the two
-// top-50 lists (over the nodes both hold), and how often they agree on
-// the first result.
-type agreement struct{ overlap, tau, top1 []float64 }
-
-func (a *agreement) add(x, y []rank.Ranked) {
-	ids := func(rs []rank.Ranked, k int) []graph.NodeID {
-		if len(rs) > k {
-			rs = rs[:k]
-		}
-		out := make([]graph.NodeID, len(rs))
-		for i, r := range rs {
-			out[i] = r.Node
-		}
-		return out
-	}
-	x10, y10 := ids(x, 10), ids(y, 10)
-	if len(x10) == 0 || len(y10) == 0 {
-		return
-	}
-	in := make(map[graph.NodeID]bool, len(y10))
-	for _, v := range y10 {
-		in[v] = true
-	}
-	shared := 0
-	for _, v := range x10 {
-		if in[v] {
-			shared++
-		}
-	}
-	a.overlap = append(a.overlap, float64(shared)/float64(len(x10)))
-	a.tau = append(a.tau, eval.KendallTau(ids(x, 50), ids(y, 50)))
-	same := 0.0
-	if x10[0] == y10[0] {
-		same = 1
-	}
-	a.top1 = append(a.top1, same)
-}
-
-// bioEvidenceQueries are the ds7cancer queries of the hub↔combined
-// column: the corpus holds only the cancer topic, so its first one and
-// two pool words, plus four words other topics' pools lend to abstracts.
-func bioEvidenceQueries() []*ir.Query {
-	qs := []*ir.Query{ir.NewQuery(datagen.BioTopicQuery(0, 1)...), ir.NewQuery(datagen.BioTopicQuery(0, 2)...)}
-	for _, w := range []string{"kinase", "receptor", "immune", "mutation"} {
-		qs = append(qs, ir.NewQuery(w))
-	}
-	return qs
-}
-
-// TestEvidenceCombinedMode records the claim that kept mode=combined
-// in the tree: among the Paper nodes of the bibliographic corpus,
-// √(authority·hub) ranks at least as precisely as authority alone. Hub
-// is reported beside them, and so is how far hub and combined are the
-// same ranking — on the bibliographic and the biological corpus — since
-// equal precision alone does not say whether they are two answers.
-func TestEvidenceCombinedMode(t *testing.T) {
-	modes := []core.Mode{core.ModeAuthority, core.ModeHub, core.ModeCombined}
+// TestEvidenceHubMode records the claim that keeps mode=hub, its cache
+// keys and its route keys in the tree: among the Paper nodes of the
+// bibliographic corpus, the reverse flow (CheiRank) ranks at least as
+// precisely as authority alone.
+func TestEvidenceHubMode(t *testing.T) {
+	modes := []core.Mode{core.ModeAuthority, core.ModeHub}
 	p10 := make(map[core.Mode][]float64)
-	var dblp, bio agreement
 	for seed := int64(1); seed <= evidenceSeeds; seed++ {
 		e := evidenceEngine(t, "dblptop", 0.05, seed)
 		g := e.Graph()
@@ -203,37 +149,17 @@ func TestEvidenceCombinedMode(t *testing.T) {
 			rel := relevantTo(topics, topic)
 			for terms := 1; terms <= 2; terms++ {
 				q := ir.NewQuery(datagen.TopicQuery(topic, terms)...)
-				top := make(map[core.Mode][]rank.Ranked)
 				for _, m := range modes {
 					res := solveMode(t, e, q, m)
-					top[m] = res.TopKOfType(g, paper, 50)
-					p10[m] = append(p10[m], eval.PrecisionAtK(top[m], rel, 10))
+					p10[m] = append(p10[m], eval.PrecisionAtK(res.TopKOfType(g, paper, 10), rel, 10))
 					e.Release(res)
 				}
-				dblp.add(top[core.ModeHub], top[core.ModeCombined])
 			}
 		}
-
-		e = evidenceEngine(t, "ds7cancer", 0.2, seed)
-		g = e.Graph()
-		pubmed, _ := g.Schema().TypeByName("PubMed")
-		for _, q := range bioEvidenceQueries() {
-			hub, comb := solveMode(t, e, q, core.ModeHub), solveMode(t, e, q, core.ModeCombined)
-			bio.add(hub.TopKOfType(g, pubmed, 50), comb.TopKOfType(g, pubmed, 50))
-			e.Release(hub)
-			e.Release(comb)
-		}
 	}
-	auth, hub, comb := eval.Mean(p10[core.ModeAuthority]), eval.Mean(p10[core.ModeHub]), eval.Mean(p10[core.ModeCombined])
-	t.Logf("dblptop papers: P@10 authority %.3f, hub %.3f, combined %.3f (n=%d)", auth, hub, comb, len(p10[core.ModeAuthority]))
-	for _, row := range []struct {
-		name string
-		a    agreement
-	}{{"dblptop papers", dblp}, {"ds7cancer pubmed", bio}} {
-		t.Logf("%s, hub vs combined: top-10 overlap %.3f, Kendall tau@50 %.3f, same top-1 %.0f%% (n=%d)",
-			row.name, eval.Mean(row.a.overlap), eval.Mean(row.a.tau), 100*eval.Mean(row.a.top1), len(row.a.overlap))
-	}
-	if comb < auth {
-		t.Errorf("P@10 combined %.3f < authority %.3f — combined mode no longer earns its cache keys, route keys and contract rows", comb, auth)
+	auth, hub := eval.Mean(p10[core.ModeAuthority]), eval.Mean(p10[core.ModeHub])
+	t.Logf("dblptop papers: P@10 authority %.3f, hub %.3f (n=%d)", auth, hub, len(p10[core.ModeAuthority]))
+	if hub < auth {
+		t.Errorf("P@10 hub %.3f < authority %.3f — hub mode no longer earns its cache keys, route keys and contract rows", hub, auth)
 	}
 }

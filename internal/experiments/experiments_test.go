@@ -102,6 +102,14 @@ func TestFigure10Mechanics(t *testing.T) {
 			t.Errorf("initial precision differs: %v vs %v", res.Curves[l][0], first)
 		}
 	}
+	// The shape EXPERIMENTS.md reads off this figure: expansion terms
+	// alone end below both settings that adjust the rates.
+	last := func(l string) float64 { return res.Curves[l][len(res.Curves[l])-1] }
+	for _, l := range []string{"content+structure", "structure-only"} {
+		if last("content-only") >= last(l) {
+			t.Errorf("content-only ends at %v, not below %s's %v", last("content-only"), l, last(l))
+		}
+	}
 }
 
 func TestFigure11Mechanics(t *testing.T) {
@@ -141,6 +149,22 @@ func TestFigure11Mechanics(t *testing.T) {
 		}
 		if !moved {
 			t.Errorf("%s curve never moved: %v", l, c)
+		}
+	}
+	// The shape EXPERIMENTS.md reads off this figure: a larger C_f
+	// (labels ascend in it) peaks no later — it overfits sooner.
+	peak := func(l string) int {
+		c, at := res.Curves[l], 0
+		for i, x := range c {
+			if x > c[at] {
+				at = i
+			}
+		}
+		return at
+	}
+	for i, l := range res.Labels[1:] {
+		if prev := res.Labels[i]; peak(l) > peak(prev) {
+			t.Errorf("%s peaks at iteration %d, later than %s at %d", l, peak(l), prev, peak(prev))
 		}
 	}
 }

@@ -4,33 +4,32 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"strings"
 	"testing"
 
 	"authorityflow/internal/core"
+	"authorityflow/internal/obs"
 	"authorityflow/internal/server"
 )
 
 // TestRouterModeRouting drives the redesigned read contract through
-// the coordinator: mode rides the rendezvous key, hub/combined answers
-// proxy byte-faithfully, and audits stay deterministic across the
-// router hop.
+// the coordinator: mode rides the rendezvous key, hub answers proxy
+// byte-faithfully, and audits stay deterministic across the router hop.
 func TestRouterModeRouting(t *testing.T) {
 	f := newFleet(t, 2)
 
-	// mode=hub and mode=combined serve through the router.
-	for _, mode := range []string{"hub", "combined"} {
-		code, body := get(t, f.front.URL+"/v1/query?q=olap&k=5&mode="+mode)
-		if code != 200 {
-			t.Fatalf("mode=%s status = %d: %s", mode, code, body)
-		}
-		var q server.QueryResponse
-		if err := json.Unmarshal(body, &q); err != nil {
-			t.Fatal(err)
-		}
-		if q.Mode != mode || len(q.Results) == 0 {
-			t.Errorf("mode=%s answer = mode %q, %d results", mode, q.Mode, len(q.Results))
-		}
+	// mode=hub serves through the router.
+	code, body := get(t, f.front.URL+"/v1/query?q=olap&k=5&mode=hub")
+	if code != 200 {
+		t.Fatalf("mode=hub status = %d: %s", code, body)
+	}
+	var q server.QueryResponse
+	if err := json.Unmarshal(body, &q); err != nil {
+		t.Fatal(err)
+	}
+	if q.Mode != "hub" || len(q.Results) == 0 {
+		t.Errorf("mode=hub answer = mode %q, %d results", q.Mode, len(q.Results))
 	}
 
 	// Authority spelling stays byte-identical through the router (the
@@ -101,15 +100,10 @@ func TestRouterAuditDeterminism(t *testing.T) {
 		t.Errorf("explain through router = budget %d, %d arcs of %d", e.Budget, len(e.Arcs), e.TotalArcs)
 	}
 
-	// Hub audits route too; combined is rejected as not explainable
-	// (replica-side contract error, proxied through).
+	// Hub audits route too.
 	hubURL := fmt.Sprintf("%s/v1/audit?q=olap&target=%d&mode=hub", f.front.URL, q.Results[0].Node)
 	if code, body := get(t, hubURL); code != 200 {
 		t.Fatalf("hub audit through router = %d: %s", code, body)
-	}
-	badURL := fmt.Sprintf("%s/v1/audit?q=olap&target=%d&mode=combined", f.front.URL, q.Results[0].Node)
-	if code, body := get(t, badURL); code != 400 || !strings.Contains(string(body), "not explainable") {
-		t.Errorf("combined audit through router = %d: %s", code, body)
 	}
 }
 
@@ -120,7 +114,7 @@ func TestRouterAuditDeterminism(t *testing.T) {
 func TestRouterContractMirrorsServer(t *testing.T) {
 	f := newFleet(t, 2)
 
-	const wantMode = "mode must be one of authority, hub, combined"
+	const wantMode = "mode must be one of authority, hub"
 	const wantBudget = "budget must be an integer in 0..1000"
 	const wantFormat = "format must be json, html or dot"
 	type env struct {
@@ -152,7 +146,7 @@ func TestRouterContractMirrorsServer(t *testing.T) {
 		Queries: []server.BatchQueryItem{
 			{Q: "olap", K: 3},
 			{Q: "olap", K: 3, Mode: "hub", Budget: 5},
-			{Q: "mining", K: 3, Mode: "combined"},
+			{Q: "mining", K: 3, Mode: "hub"},
 		},
 	})
 	if code != 200 {
@@ -165,7 +159,7 @@ func TestRouterContractMirrorsServer(t *testing.T) {
 	if len(br.Answers) != 3 {
 		t.Fatalf("batch answers = %d", len(br.Answers))
 	}
-	if br.Answers[0].Mode != "" || br.Answers[1].Mode != "hub" || br.Answers[2].Mode != "combined" {
+	if br.Answers[0].Mode != "" || br.Answers[1].Mode != "hub" || br.Answers[2].Mode != "hub" {
 		t.Errorf("batch modes = %q, %q, %q", br.Answers[0].Mode, br.Answers[1].Mode, br.Answers[2].Mode)
 	}
 	code, body = postJSON(t, f.front.URL+"/v1/query/batch", server.BatchQueryRequest{
@@ -173,5 +167,45 @@ func TestRouterContractMirrorsServer(t *testing.T) {
 	})
 	if code != 400 || !strings.Contains(string(body), wantMode) {
 		t.Errorf("bad batch item = %d: %s", code, body)
+	}
+}
+
+// TestRouterRejectsCombined: mode=combined — a third mode until hub
+// matched its precision — is one 400 on every read surface, single or
+// batch item (its index named), and the routed rejection is the bytes a
+// replica answers when asked directly.
+func TestRouterRejectsCombined(t *testing.T) {
+	f := newFleet(t, 2)
+	do := func(method, url, body string) (int, []byte) {
+		t.Helper()
+		hr, err := http.NewRequest(method, url, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hr.Header.Set(obs.RequestIDHeader, "rejects-combined") // the envelope echoes it
+		resp, err := http.DefaultClient.Do(hr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return readBody(t, resp)
+	}
+	for _, tc := range []struct{ method, path, body, want string }{
+		{http.MethodGet, "/v1/query?q=olap&mode=combined", "", "mode must be one of authority, hub"},
+		{http.MethodGet, "/v1/explain?q=olap&target=0&mode=combined", "", "mode must be one of authority, hub"},
+		{http.MethodGet, "/v1/audit?q=olap&target=0&mode=combined", "", "mode must be one of authority, hub"},
+		{http.MethodPost, "/v1/query/batch", `{"queries":[{"q":"olap"},{"q":"cube","mode":"hub"},{"q":"olap","mode":"combined"}]}`,
+			"queries[2]: mode must be one of authority, hub"},
+	} {
+		code, routed := do(tc.method, f.front.URL+tc.path, tc.body)
+		var env server.ErrorEnvelope
+		if err := json.Unmarshal(routed, &env); err != nil {
+			t.Fatal(err)
+		}
+		if code != 400 || env.Error.Code != server.CodeInvalidArgument || env.Error.Message != tc.want {
+			t.Errorf("%s: %d %q %q, want 400 invalid_argument %q", tc.path, code, env.Error.Code, env.Error.Message, tc.want)
+		}
+		if codeD, direct := do(tc.method, f.urls[0]+tc.path, tc.body); codeD != code || !bytes.Equal(routed, direct) {
+			t.Errorf("%s: routed rejection differs from a replica's\nrouted: %d %s\ndirect: %d %s", tc.path, code, routed, codeD, direct)
+		}
 	}
 }

@@ -423,8 +423,8 @@ func (rt *Router) catchUpLocked(ctx context.Context, rp *replica, vector []float
 func routeKey(rawQ string) string { return routeKeyMode(rawQ, core.ModeAuthority) }
 
 // routeKeyMode extends the rendezvous key with the ranking mode: hub
-// and combined answers cache under their own keys replica-side, so
-// giving each direction its own owner spreads those caches across the
+// answers cache under their own keys replica-side, so giving each
+// direction its own owner spreads those caches across the
 // fleet instead of piling every direction of a hot term set onto one
 // replica. Authority keeps the bare term-set key — byte-identical to
 // the pre-mode routing, so existing term→replica ownership never moves.

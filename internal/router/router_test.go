@@ -284,7 +284,7 @@ func TestBatchValidation(t *testing.T) {
 		{server.BatchQueryRequest{Queries: []server.BatchQueryItem{{Q: "olap", K: 2000}}}, "queries[0]: k must be in 1..1000"},
 		{server.BatchQueryRequest{Queries: []server.BatchQueryItem{{Q: "!!"}}}, "queries[0]: q contains no indexable terms"},
 		{server.BatchQueryRequest{Queries: []server.BatchQueryItem{{Q: "olap"}, {Q: "xml"}, {Q: "olap", Mode: "sideways"}}},
-			"queries[2]: mode must be one of authority, hub, combined"},
+			"queries[2]: mode must be one of authority, hub"},
 		{server.BatchQueryRequest{Queries: []server.BatchQueryItem{{Q: "olap"}, {Q: "olap", Mode: "hub", Budget: 9999}}},
 			"queries[1]: budget must be an integer in 0..1000"},
 	}

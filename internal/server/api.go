@@ -7,7 +7,7 @@
 // The whole surface is versioned under /v1 (/metrics alone stays
 // unversioned, by Prometheus convention); any other path is a 404:
 //
-//	GET  /v1/query?q=olap&k=10[&mode=authority|hub|combined][&profile=alice]
+//	GET  /v1/query?q=olap&k=10[&mode=authority|hub][&profile=alice]
 //	POST /v1/query/batch          {"queries":[{"q":"olap","k":10,"mode":"hub"}, ...]}
 //	GET  /v1/explain?q=olap&target=123[&mode=...][&budget=N]
 //	GET  /v1/audit?q=olap&target=123[&mode=...][&budget=N]
@@ -126,9 +126,9 @@ type Result struct {
 // version parameter to detect concurrent rate changes.
 type QueryResponse struct {
 	Query string `json:"query"`
-	// Mode is the ranking direction the answer was computed under ("hub"
-	// or "combined"); omitted for authority — the pre-contract meaning —
-	// so authority bodies stay byte-identical to their pre-mode form.
+	// Mode is the ranking direction the answer was computed under
+	// ("hub"); omitted for authority — the pre-contract meaning — so
+	// authority bodies stay byte-identical to their pre-mode form.
 	Mode       string `json:"mode,omitempty"`
 	BaseSet    int    `json:"baseSet"`
 	Iterations int    `json:"iterations"`

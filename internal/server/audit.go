@@ -31,9 +31,6 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if !requireExplainable(w, r, rp.Mode) {
-		return
-	}
 	ctx := r.Context()
 	pin := s.eng.Pin()
 	g := pin.Corpus().Graph()

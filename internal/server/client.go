@@ -123,9 +123,9 @@ func (c *Client) Query(ctx context.Context, q string, k int) (*QueryResponse, er
 }
 
 // QueryMode runs GET /v1/query with an explicit ranking mode
-// ("authority", "hub" or "combined"; "" means authority and omits the
-// parameter, keeping the request byte-identical to Query's). k <= 0
-// uses the server default of 10.
+// ("authority" or "hub"; "" means authority and omits the parameter,
+// keeping the request byte-identical to Query's). k <= 0 uses the
+// server default of 10.
 func (c *Client) QueryMode(ctx context.Context, q string, k int, mode string) (*QueryResponse, error) {
 	v := url.Values{"q": {q}}
 	if k > 0 {
@@ -144,8 +144,7 @@ func (c *Client) QueryMode(ctx context.Context, q string, k int, mode string) (*
 // Audit runs GET /v1/audit: the sensitivity ranking of one result node
 // under q — the top-budget explaining arcs/nodes ordered by the score's
 // response to rate perturbation. mode "" means authority; budget <= 0
-// uses the server default (core.DefaultAuditBudget). Combined mode is
-// rejected server-side with invalid_argument.
+// uses the server default (core.DefaultAuditBudget).
 func (c *Client) Audit(ctx context.Context, q string, target int64, mode string, budget int) (*AuditResponse, error) {
 	v := url.Values{"q": {q}, "target": {strconv.FormatInt(target, 10)}}
 	if mode != "" {

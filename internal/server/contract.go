@@ -6,11 +6,11 @@
 // either tier produces the same bytes).
 //
 //   - mode selects the ranking direction: authority (the default, the
-//     paper's ObjectRank2 semantics), hub (the CheiRank dual on the
-//     direction-reversed graph), or combined (the per-node geometric
-//     mean of both). Spelled exactly as core.ParseMode accepts it; the
-//     empty string means authority, so every pre-mode request keeps its
-//     meaning and its bytes.
+//     paper's ObjectRank2 semantics) or hub (the CheiRank dual on the
+//     direction-reversed graph). Spelled exactly as core.ParseMode
+//     accepts it; the empty string means authority, so every pre-mode
+//     request keeps its meaning and its bytes. Every accepted mode is
+//     one flow system, so all four surfaces take every mode.
 //   - budget caps ranked contribution lists (the explaining arcs of
 //     /v1/audit and the contributions[] block of /v1/explain). 0 means
 //     the endpoint default (core.DefaultAuditBudget); surfaces without
@@ -133,15 +133,4 @@ func parseReadParams(w http.ResponseWriter, r *http.Request, v url.Values) (Read
 		return rp, false
 	}
 	return rp, true
-}
-
-// requireExplainable gates the explain/audit surfaces on explainable
-// modes with one shared message.
-func requireExplainable(w http.ResponseWriter, r *http.Request, m core.Mode) bool {
-	if m.Explainable() {
-		return true
-	}
-	writeError(w, r, http.StatusBadRequest,
-		"mode "+string(m)+" is not explainable (combined scores mix two flow systems)")
-	return false
 }

@@ -186,7 +186,7 @@ func TestStoredBodyBytes(t *testing.T) {
 	s, _ := testCachedServer(t)
 	h := s.Handler()
 	const first, second = "olap cube", "cube olap"
-	for _, mode := range []core.Mode{core.ModeAuthority, core.ModeHub, core.ModeCombined} {
+	for _, mode := range []core.Mode{core.ModeAuthority, core.ModeHub} {
 		for _, k := range []int{1, 10} {
 			miss := queryRaw(t, h, first, mode, k)
 			if storedBody(t, s, first, mode, k) != nil {
@@ -226,6 +226,20 @@ func TestStoredBodyBytes(t *testing.T) {
 				t.Errorf("mode=%s k=%d: the other spelling displaced the first body", mode, k)
 			}
 		}
+	}
+
+	// A rejected mode is answered before the cache is asked: however
+	// often it repeats, it is the same 400 and no entry ever holds it.
+	entries := s.cache.Stats().Result.Entries
+	for i := 0; i < 3; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/query?q=olap+cube&k=10&mode=combined", nil))
+		if rec.Code != http.StatusBadRequest || !bytes.Contains(rec.Body.Bytes(), []byte(`"mode must be one of authority, hub"`)) {
+			t.Fatalf("mode=combined: status %d: %s", rec.Code, rec.Body.Bytes())
+		}
+	}
+	if now := s.cache.Stats().Result.Entries; now != entries {
+		t.Errorf("rejected requests grew the result cache from %d to %d entries", entries, now)
 	}
 }
 

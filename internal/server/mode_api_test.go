@@ -6,6 +6,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -30,6 +32,75 @@ func getBody(t *testing.T, url string) (int, []byte) {
 	return resp.StatusCode, b
 }
 
+// modeSpellings are candidate values of the mode parameter: what the
+// contract takes today, what it took before, and nonsense.
+var modeSpellings = []string{"authority", "hub", "combined", "sideways"}
+
+// contractModes asks the read contract which of modeSpellings it
+// accepts, so a test of "every mode" cannot name fewer modes than
+// /v1/query serves.
+func contractModes(t *testing.T) []string {
+	t.Helper()
+	var out []string
+	for _, m := range modeSpellings {
+		if _, err := ValidateReadParams(url.Values{"mode": {m}}); err == nil {
+			out = append(out, m)
+		}
+	}
+	if len(out) == 0 {
+		t.Fatal("the read contract accepts no mode")
+	}
+	return out
+}
+
+// TestExplainTakesEveryMode: /v1/explain and /v1/audit take exactly the
+// modes /v1/query takes — a ranking the contract serves is one the
+// paper's Section 4 can explain — and refuse the rest with /v1/query's
+// own bytes.
+func TestExplainTakesEveryMode(t *testing.T) {
+	_, ts := testServer(t)
+	accepted := contractModes(t)
+	for _, mode := range modeSpellings {
+		qc, qbody := getBody(t, ts.URL+"/v1/query?q=olap&k=1&mode="+mode)
+		if want := slices.Contains(accepted, mode); (qc == 200) != want {
+			t.Fatalf("mode=%s: /v1/query answered %d, contract accepts = %v", mode, qc, want)
+		}
+		target := "0"
+		if qc == 200 {
+			var q QueryResponse
+			if err := json.Unmarshal(qbody, &q); err != nil || len(q.Results) == 0 {
+				t.Fatalf("mode=%s: no result to explain (%v)", mode, err)
+			}
+			target = strconv.FormatInt(q.Results[0].Node, 10)
+		}
+		for _, surface := range []string{"/v1/explain", "/v1/audit"} {
+			code, body := getBody(t, ts.URL+surface+"?q=olap&target="+target+"&mode="+mode)
+			if code != qc {
+				t.Errorf("mode=%s: %s answered %d where /v1/query answered %d: %s", mode, surface, code, qc, body)
+				continue
+			}
+			if qc == 200 {
+				var e ExplainResponse // the audit body shares mode and score
+				if err := json.Unmarshal(body, &e); err != nil || e.Mode != mode || e.Score <= 0 {
+					t.Errorf("mode=%s: %s body mode=%q score=%v err=%v", mode, surface, e.Mode, e.Score, err)
+				}
+			} else if msg, want := errorMessage(t, body), errorMessage(t, qbody); msg != want {
+				t.Errorf("mode=%s: %s rejected with %q, /v1/query with %q", mode, surface, msg, want)
+			}
+		}
+	}
+}
+
+// errorMessage extracts the envelope's message (request ids differ).
+func errorMessage(t *testing.T, body []byte) string {
+	t.Helper()
+	var e ErrorEnvelope
+	if err := json.Unmarshal(body, &e); err != nil || e.Error.Code != CodeInvalidArgument {
+		t.Fatalf("not an invalid_argument envelope: %s", body)
+	}
+	return e.Error.Message
+}
+
 func TestQueryModeSurface(t *testing.T) {
 	_, ts := testServer(t)
 
@@ -46,14 +117,14 @@ func TestQueryModeSurface(t *testing.T) {
 		t.Error("mode=authority body differs from the default body")
 	}
 
-	// hub and combined are first-class: results come back with the mode
-	// echoed, on the same generation.
-	for _, mode := range []string{"hub", "combined"} {
+	// Every mode is first-class: results come back with the mode echoed
+	// (authority as the omitted default), on the same generation.
+	for _, mode := range contractModes(t) {
 		var q QueryResponse
 		if code := getJSON(t, ts.URL+"/v1/query?q=olap&k=5&mode="+mode, &q); code != 200 {
 			t.Fatalf("mode=%s status = %d", mode, code)
 		}
-		if q.Mode != mode {
+		if q.Mode != modeField(core.Mode(mode)) {
 			t.Errorf("mode=%s echoed %q", mode, q.Mode)
 		}
 		if len(q.Results) == 0 {
@@ -178,17 +249,13 @@ func TestAuditEndpoint(t *testing.T) {
 		t.Error("repeated audits are not byte-identical")
 	}
 
-	// Hub audits work; combined is not explainable.
+	// Hub audits work.
 	var hub AuditResponse
 	if code := getJSON(t, url+"&mode=hub", &hub); code != 200 {
 		t.Fatalf("hub audit status = %d", code)
 	}
 	if hub.Mode != "hub" {
 		t.Errorf("hub audit mode = %q", hub.Mode)
-	}
-	code, body := getBody(t, url+"&mode=combined")
-	if code != 400 || !strings.Contains(string(body), "not explainable") {
-		t.Errorf("combined audit: code=%d body=%s", code, body)
 	}
 }
 
@@ -198,7 +265,7 @@ func TestAuditEndpoint(t *testing.T) {
 func TestReadContractUniform(t *testing.T) {
 	_, ts := testServer(t)
 
-	const wantMode = "mode must be one of authority, hub, combined"
+	const wantMode = "mode must be one of authority, hub"
 	const wantBudget = "budget must be an integer in 0..1000"
 	const wantFormat = "format must be json, html or dot"
 
@@ -213,6 +280,7 @@ func TestReadContractUniform(t *testing.T) {
 	for _, s := range surfaces {
 		for _, tc := range []struct{ param, want string }{
 			{"mode=sideways", wantMode},
+			{"mode=combined", wantMode}, // a third mode until hub matched its precision
 			{"budget=-1", wantBudget},
 			{"budget=1001", wantBudget},
 			{"budget=abc", wantBudget},
@@ -232,7 +300,7 @@ func TestReadContractUniform(t *testing.T) {
 	}
 
 	// Batch items share the same table, with the item position prefixed.
-	body := `{"queries":[{"q":"olap","k":3,"mode":"sideways"}]}`
+	body := `{"queries":[{"q":"olap","mode":"hub"},{"q":"olap","k":3,"mode":"combined"}]}`
 	resp, err := http.Post(ts.URL+"/v1/query/batch", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -242,8 +310,8 @@ func TestReadContractUniform(t *testing.T) {
 	if resp.StatusCode != 400 {
 		t.Fatalf("batch status = %d: %s", resp.StatusCode, raw)
 	}
-	if !strings.Contains(string(raw), wantMode) {
-		t.Errorf("batch error does not carry the shared message: %s", raw)
+	if !strings.Contains(string(raw), `"queries[1]: `+wantMode+`"`) {
+		t.Errorf("batch error does not carry the shared message for item 1: %s", raw)
 	}
 }
 

@@ -170,7 +170,7 @@ func newServerObs(o ObsOptions) *serverObs {
 	so.explainTotal = reg.NewCounterVec("afq_explain_total",
 		"Completed /v1/explain explaining subgraphs by ranking mode and response format.", "mode", "format")
 	for _, m := range []core.Mode{core.ModeAuthority, core.ModeHub} {
-		so.auditTotal.With(string(m)) // combined is rejected before ranking
+		so.auditTotal.With(string(m))
 		for _, format := range explainFormats {
 			so.explainTotal.With(string(m), format)
 		}

@@ -322,8 +322,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	spelled := q.String()
 	tr.Eventf("parse", "q=%s k=%d mode=%s", spelled, k, rp.Mode)
 	if pid := v.Get("profile"); pid != "" {
-		// Profiles personalize the authority flow system; the hub and
-		// combined axes have no basis-projected store behind them.
+		// Profiles personalize the authority flow system; the hub axis
+		// has no basis-projected store behind it.
 		if rp.Mode != core.ModeAuthority {
 			writeError(w, r, http.StatusBadRequest,
 				"profile-scoped queries support only mode=authority")
@@ -410,9 +410,6 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	}
 	rp, ok := parseReadParams(w, r, v)
 	if !ok {
-		return
-	}
-	if !requireExplainable(w, r, rp.Mode) {
 		return
 	}
 	// Pin one snapshot so the ranking and its explanation cannot see

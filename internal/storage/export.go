@@ -56,7 +56,7 @@ func ExportJSON(w io.Writer, g *graph.Graph, sg *core.Subgraph) error {
 // BuildSubgraphJSON assembles the exported JSON struct without encoding
 // it, for callers (the /v1/explain envelope) that embed the subgraph
 // shape inside a larger response. Arcs are the top-budget arcs by
-// adjusted flow in core.CompareFlow order — all of them when budget is
+// adjusted flow, Subgraph.TopArcs order — all of them when budget is
 // 0 — and Nodes the target plus those arcs' endpoints, ascending (every
 // other node of a subgraph has an out-arc, so the complete export
 // lists every node).
