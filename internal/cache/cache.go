@@ -29,6 +29,15 @@
 // optimization applied across rate updates). That happens on demand, on
 // the miss path: the cache runs no background work and remembers no
 // versions.
+//
+// There is one miss path. probe reads both LRUs and, finding nothing,
+// names the column the kernel must solve; solve runs pending columns of
+// one direction through Pinned.Solve — the only call to it here — taking
+// donations and filling the term-vector LRU; harvest turns solved
+// columns into result entries and releases the rest. A single query is
+// probe, then one flight around a one-column solve; a batch is probe
+// per item, then one solve per direction; a full-vector Rank is the
+// probe restricted to the vector LRU. DESIGN.md §6 has the table.
 package cache
 
 import (
@@ -195,10 +204,6 @@ type termVector struct {
 	warmStarted bool
 }
 
-// Iterations returns the iteration count of the solve that produced
-// the vector.
-func (tv *termVector) Iterations() int { return tv.iters }
-
 // ---- key derivation ----
 
 // stateKey is the cache-key identity of one pinned engine state: the
@@ -287,14 +292,14 @@ func resultEntrySize(key string, k int) int64 {
 	return int64(24*k + len(key) + entryOverhead)
 }
 
-// ---- query paths ----
+// ---- entry points: each a choice of arguments to probe, solve, harvest ----
 
 // QueryModePinnedCtx answers q with the top k nodes under pin in the
 // given ranking mode — the entry point the /v1/query surface funnels
-// every read through. It consults the result cache, then (for
-// single-keyword queries) the term-vector cache, then runs the same
-// solve the uncached engine would. Cache-hit answers in every mode are
-// bit-identical to the answer computed on the original miss.
+// every read through: probe, and on a miss one flight around a
+// one-column solve, the same solve the uncached engine would run.
+// Cache-hit answers in every mode are bit-identical to the answer
+// computed on the original miss.
 //
 // The caller stops waiting the moment ctx dies and receives ctx.Err().
 // A cancelled caller never aborts a shared in-flight solve while other
@@ -325,56 +330,22 @@ func (c *CachedEngine) queryAt(ctx context.Context, pin *core.Pinned, q *ir.Quer
 		k = 10
 	}
 	sk := keyOf(pin)
-	key := resultKey(sk, m, k, q)
-	if e, ok := c.results.Get(key); ok {
-		c.stats.resultHits.Add(1)
-		cr := e.(*cachedResult)
-		a := c.answerFrom(cr, q, SourceResult)
-		a.key, a.entry = key, cr
+	it := c.probe(pin, sk, q, k, m, true)
+	if it.src == SourceResult {
+		a := answerFrom(it.cr, q, SourceResult)
+		a.key, a.entry = it.key, it.cr
 		return a, nil
 	}
-	c.stats.resultMisses.Add(1)
-
-	if term, ok := singleTerm(q); ok {
-		tv, hit, err := c.termVectorFor(ctx, pin, sk, m, term)
-		if err != nil {
+	if it.col != nil {
+		if it.col.term == "" {
+			it.col.init = init
+		}
+		var err error
+		if it, err = c.fly(ctx, pin, sk, m, it); err != nil {
 			return nil, err
 		}
-		src := SourceComputed
-		if hit {
-			src = SourceTerm
-		}
-		return c.answerFrom(c.storeTopK(pin, key, term, k, tv.vec, tv.iters, tv.baseN), q, src), nil
 	}
-
-	// Multi-keyword: run the full solve (identical to the uncached
-	// engine's path, so cached answers are bit-compatible with it),
-	// deduplicating concurrent identical queries through the flight
-	// group. The solve runs under the flight's DETACHED context, so
-	// this caller's cancellation cannot abort a fill that other
-	// callers are still waiting on.
-	spec := core.SolveSpec{Queries: []*ir.Query{q}, Mode: m}
-	if init != nil {
-		spec.Inits = [][]float64{init}
-	}
-	val, _, err := c.flights.DoCtx(ctx, key, func(dctx context.Context) (any, error) {
-		if e, ok := c.results.Get(key); ok { // lost a miss/flight race
-			return e.(*cachedResult), nil
-		}
-		rs, rerr := pin.Solve(dctx, spec)
-		if rerr != nil {
-			return nil, rerr // all waiters left; solve abandoned
-		}
-		c.stats.computes.Add(1)
-		cr := resultFrom(rs[0], k)
-		c.eng.Release(rs[0])
-		c.results.Put(key, cr, resultEntrySize(key, len(cr.items)))
-		return cr, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return c.answerFrom(val.(*cachedResult), q, SourceComputed), nil
+	return answerFrom(it.cr, q, it.src), nil
 }
 
 // QueryBatchModePinnedCtx answers a whole panel of queries under ONE
@@ -383,10 +354,16 @@ func (c *CachedEngine) queryAt(ctx context.Context, pin *core.Pinned, q *ir.Quer
 // 10) and modes the per-query ranking mode (nil — all authority — or
 // one per query).
 //
-// Items are partitioned by direction: the authority and hub subsets
-// each run the blocked path below. Answers land at their original
-// indices, each the same answer the corresponding single
-// QueryModePinnedCtx call would produce.
+// Every item is probed; the misses become columns, deduplicated within
+// the batch — repeated terms and repeated canonical multi-keyword
+// queries share one — and each direction's columns run as ONE solve.
+// Answers land at their original indices, each the same answer the
+// corresponding single QueryModePinnedCtx call would produce.
+//
+// The batch path bypasses the singleflight group: a concurrent
+// identical user miss may duplicate one solve (benign — same snapshot,
+// last insert wins) but a batch can never be serialized behind per-term
+// flights.
 //
 // On cancellation the returned slice is partial: answers for queries
 // served from cache or from columns that converged before the cutoff
@@ -396,197 +373,293 @@ func (c *CachedEngine) QueryBatchModePinnedCtx(ctx context.Context, pin *core.Pi
 	if len(ks) != len(qs) || (modes != nil && len(modes) != len(qs)) {
 		panic("cache: QueryBatchModePinnedCtx got " + strconv.Itoa(len(ks)) + " k values and " + strconv.Itoa(len(modes)) + " modes for " + strconv.Itoa(len(qs)) + " queries")
 	}
-	var authIdx, hubIdx []int
-	for i, m := range modes {
-		if m == core.ModeHub {
-			hubIdx = append(hubIdx, i)
-		} else {
-			authIdx = append(authIdx, i)
-		}
-	}
-	if len(hubIdx) == 0 {
-		return c.queryBatchDir(ctx, pin, qs, ks, core.ModeAuthority)
-	}
-
-	answers := make([]*Answer, len(qs))
-	var firstErr error
-	runDir := func(idx []int, m core.Mode) {
-		if len(idx) == 0 {
-			return
-		}
-		subQ := make([]*ir.Query, len(idx))
-		subK := make([]int, len(idx))
-		for j, i := range idx {
-			subQ[j] = qs[i]
-			subK[j] = ks[i]
-		}
-		sub, err := c.queryBatchDir(ctx, pin, subQ, subK, m)
-		if sub != nil { // nil when ctx was dead on entry
-			for j, i := range idx {
-				answers[i] = sub[j]
-			}
-		}
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	runDir(authIdx, core.ModeAuthority)
-	runDir(hubIdx, core.ModeHub)
-	return answers, firstErr
-}
-
-// queryBatchDir is the blocked batch path for one ranking direction
-// (authority or hub). Per query it consults the result cache, then
-// (single-keyword queries) the term-vector cache; every remaining miss
-// becomes a column of a single Pinned.Solve, deduplicated within the
-// batch — repeated terms and repeated canonical multi-keyword queries
-// share one column. Single-term columns warm-start from the previous
-// rates version's vector when resident, exactly as the single-query
-// miss path does, and fill the term-vector cache; every miss fills the
-// result cache.
-//
-// The batch path bypasses the singleflight group: a concurrent
-// identical user miss may duplicate one solve (benign — same snapshot,
-// last insert wins) but a batch can never be serialized behind per-term
-// flights.
-func (c *CachedEngine) queryBatchDir(ctx context.Context, pin *core.Pinned, qs []*ir.Query, ks []int, m core.Mode) ([]*Answer, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	sk := keyOf(pin)
-	answers := make([]*Answer, len(qs))
-	kk := make([]int, len(qs))
-	for i, k := range ks {
+	items := make([]item, len(qs))
+	dirs := [2]struct {
+		m    core.Mode
+		cols []*column
+		pend []*item
+	}{{m: core.ModeAuthority}, {m: core.ModeHub}}
+	colByID := make(map[string]*column)
+	for i, q := range qs {
+		d := &dirs[0]
+		if modes != nil && modes[i] == core.ModeHub {
+			d = &dirs[1]
+		}
+		k := ks[i]
 		if k <= 0 {
 			k = 10
 		}
-		kk[i] = k
-	}
-
-	// column is one pending kernel column; pending maps each missed
-	// query onto its (possibly shared) column.
-	type column struct {
-		term string // non-empty for single-term columns
-		tkey string
-	}
-	type pendingQ struct {
-		i   int    // index into qs
-		key string // result-cache key
-		col int    // index into cols
-	}
-	var cols []column
-	var queries []*ir.Query
-	var inits [][]float64
-	var pend []pendingQ
-	colByID := make(map[string]int)
-
-	for i, q := range qs {
-		key := resultKey(sk, m, kk[i], q)
-		if e, ok := c.results.Get(key); ok {
-			c.stats.resultHits.Add(1)
-			answers[i] = c.answerFrom(e.(*cachedResult), q, SourceResult)
+		it := &items[i]
+		*it = c.probe(pin, sk, q, k, d.m, true)
+		if it.col == nil {
 			continue
 		}
-		c.stats.resultMisses.Add(1)
-		col := column{}
-		solveQ, id := q, "q\x00"+q.Canonical()
-		if term, ok := singleTerm(q); ok {
-			col = column{term: term, tkey: termKey(sk, m, term)}
-			if e, ok := c.vectors.Get(col.tkey); ok {
-				c.stats.vectorHits.Add(1)
-				tv := e.(*termVector)
-				answers[i] = c.answerFrom(c.storeTopK(pin, key, term, kk[i], tv.vec, tv.iters, tv.baseN), q, SourceTerm)
-				continue
-			}
-			c.stats.vectorMisses.Add(1)
-			solveQ, id = ir.NewQuery(term), "t\x00"+term
+		// A column's identity in the batch: its term key, or for a
+		// multi-keyword query the result key at k = 0, where no answer sits.
+		id := it.col.tkey
+		if id == "" {
+			id = resultKey(sk, d.m, 0, q)
 		}
-		ci, ok := colByID[id]
-		if !ok {
-			ci = len(cols)
-			colByID[id] = ci
-			cols = append(cols, col)
-			queries = append(queries, solveQ)
-			var init []float64
-			if col.term != "" {
-				init = c.donation(pin, sk, m, col.term)
-			}
-			inits = append(inits, init)
-		} else {
+		if col, ok := colByID[id]; ok {
 			c.flights.dedup.Add(1) // in-batch dedup, same accounting as a joined flight
+			it.col = col
+		} else {
+			colByID[id] = it.col
+			d.cols = append(d.cols, it.col)
 		}
-		pend = append(pend, pendingQ{i: i, key: key, col: ci})
+		d.pend = append(d.pend, it)
 	}
-
-	if len(cols) == 0 {
-		return answers, nil
+	var firstErr error
+	for _, d := range dirs {
+		if len(d.cols) == 0 {
+			continue
+		}
+		if err := c.solve(ctx, pin, sk, d.m, d.cols); err != nil && firstErr == nil {
+			firstErr = err
+		}
+		c.harvest(pin, d.cols, d.pend)
 	}
-	results, err := pin.Solve(ctx, core.SolveSpec{Queries: queries, Mode: m, Inits: inits})
+	answers := make([]*Answer, len(qs))
+	for i, it := range items {
+		if it.cr != nil {
+			answers[i] = answerFrom(it.cr, it.q, it.src)
+		}
+	}
+	return answers, firstErr
+}
 
-	// Harvest: single-term columns fill the term-vector cache first so
-	// the pending renders below can share the copied vector.
-	tvs := make([]*termVector, len(cols))
-	for ci, res := range results {
+// RankModePinnedCtx produces a full core.RankResult under the pinned
+// snapshot in the given mode — the explain and audit paths use it; they
+// need whole score vectors, not top-k lists. It is the probe restricted
+// to the vector LRU. A single-keyword query is served from its term
+// vector, solved on a miss through the same flight as a /v1/query miss
+// on that term (the LRU keeps the vector; the scores are copied out, so
+// the caller may Release the result as usual). A multi-keyword query is
+// one unflighted column whose live result goes to the caller instead of
+// the harvest. See QueryModePinnedCtx for the shared-solve detachment
+// rules.
+func (c *CachedEngine) RankModePinnedCtx(ctx context.Context, pin *core.Pinned, q *ir.Query, m core.Mode) (*core.RankResult, error) {
+	// Like queryAt: a dead context stops here, rather than racing a
+	// shared solve it would start and then have to abandon.
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	sk := keyOf(pin)
+	it := c.probe(pin, sk, q, 0, m, true)
+	switch col := it.col; {
+	case col == nil: // the term's vector is resident
+	case col.term == "":
+		if err := c.solve(ctx, pin, sk, m, []*column{col}); err != nil {
+			return nil, err
+		}
+		return col.res, nil
+	default:
+		var err error
+		if it, err = c.fly(ctx, pin, sk, m, it); err != nil {
+			return nil, err
+		}
+	}
+	return &core.RankResult{
+		Query:        q,
+		Scores:       append([]float64(nil), it.tv.vec...),
+		Base:         pin.BaseSet(q),
+		Iterations:   it.tv.iters,
+		Converged:    it.tv.converged,
+		RatesVersion: pin.Version(),
+		Generation:   pin.Generation(),
+	}, nil
+}
+
+// RankPinnedCtx is RankModePinnedCtx in authority mode.
+func (c *CachedEngine) RankPinnedCtx(ctx context.Context, pin *core.Pinned, q *ir.Query) (*core.RankResult, error) {
+	return c.RankModePinnedCtx(ctx, pin, q, core.ModeAuthority)
+}
+
+// ---- the miss path: probe, solve, harvest ----
+
+// column is one fixpoint the kernel has to run: what probe hands back
+// when neither LRU could answer, and what solve fills in.
+type column struct {
+	q    *ir.Query // what the kernel solves: the bare term for a single-keyword column
+	term string    // that keyword; "" for a multi-keyword column
+	tkey string    // its term-vector key
+	init []float64 // start vector: the caller's, else the donation solve asks for
+
+	// Set by solve once the column has converged.
+	res *core.RankResult // live until harvest releases it or a Rank caller takes it
+	tv  *termVector      // single-keyword: the copy now resident in the vector LRU
+}
+
+// item is one (query, k) a caller wants in one direction, as probe
+// leaves it: answered (cr, src), holding its resident vector (tv), or
+// waiting on a column (col).
+type item struct {
+	q   *ir.Query
+	k   int    // 0: the caller wants the whole vector (Rank…), not a top-k
+	key string // result key; "" when k == 0
+	cr  *cachedResult
+	src string
+	tv  *termVector
+	col *column
+}
+
+// probe is the one read of both LRUs: the result entry for (q, k, m),
+// else — q being a single-keyword query — its resident term vector,
+// re-ranked into the result LRU, else the column the kernel must solve.
+// k == 0 skips the result LRU: a Rank caller wants the vector. Every
+// hit and miss counter moves here and nowhere else; count is false only
+// for the re-probe a flight leader makes, which has been counted once.
+func (c *CachedEngine) probe(pin *core.Pinned, sk stateKey, q *ir.Query, k int, m core.Mode, count bool) item {
+	it := item{q: q, k: k}
+	var n int64
+	if count {
+		n = 1
+	}
+	if k > 0 {
+		it.key = resultKey(sk, m, k, q)
+		if e, ok := c.results.Get(it.key); ok {
+			c.stats.resultHits.Add(n)
+			it.cr, it.src = e.(*cachedResult), SourceResult
+			return it
+		}
+		c.stats.resultMisses.Add(n)
+	}
+	term, ok := singleTerm(q)
+	if !ok {
+		it.col = &column{q: q}
+		return it
+	}
+	tkey := termKey(sk, m, term)
+	if e, ok := c.vectors.Get(tkey); ok {
+		c.stats.vectorHits.Add(n)
+		it.tv = e.(*termVector)
+		if k > 0 {
+			it.cr, it.src = c.rerank(pin, it.key, k, term, it.tv), SourceTerm
+		}
+		return it
+	}
+	c.stats.vectorMisses.Add(n)
+	it.col = &column{q: ir.NewQuery(term), term: term, tkey: tkey}
+	return it
+}
+
+// solve runs cols — pending columns of ONE direction — through the
+// kernel: the package's one call to Pinned.Solve, so whatever a future
+// miss may do instead of a fixpoint (assemble Σ γ_t·r_t from resident
+// term vectors, ROADMAP 3(A)) is decided here. A single-keyword column
+// that brought no start vector takes the donation of the rates this
+// snapshot replaced, and lands in the term-vector LRU. A cancelled
+// column is left unsolved (res nil) and the context's error returned.
+func (c *CachedEngine) solve(ctx context.Context, pin *core.Pinned, sk stateKey, m core.Mode, cols []*column) error {
+	spec := core.SolveSpec{Mode: m, Queries: make([]*ir.Query, len(cols)), Inits: make([][]float64, len(cols))}
+	for i, col := range cols {
+		if col.term != "" && col.init == nil {
+			col.init = c.donation(pin, sk, m, col.term)
+		}
+		spec.Queries[i], spec.Inits[i] = col.q, col.init
+	}
+	results, err := pin.Solve(ctx, spec)
+	for i, res := range results {
 		if res == nil {
-			continue // cancelled column
+			continue
 		}
 		c.stats.computes.Add(1)
-		if cols[ci].term != "" {
-			tvs[ci] = c.putTerm(cols[ci].tkey, res, inits[ci] != nil)
+		cols[i].res = res
+		if cols[i].term != "" {
+			cols[i].tv = c.putTerm(cols[i].tkey, res, cols[i].init != nil)
 		}
 	}
-	for _, p := range pend {
-		res := results[p.col]
-		if res == nil {
-			continue // answers[p.i] stays nil; err reports the cutoff
+	return err
+}
+
+// harvest turns solved columns into the result-LRU entries the items in
+// pend wait for, and returns every column's live result to the engine's
+// pool. An item whose column was cancelled stays unanswered; one that
+// wants the vector (k == 0) needs no entry.
+func (c *CachedEngine) harvest(pin *core.Pinned, cols []*column, pend []*item) {
+	for _, it := range pend {
+		col := it.col
+		if col.res == nil || it.k == 0 {
+			continue
 		}
-		var cr *cachedResult
-		if tv := tvs[p.col]; tv != nil {
-			cr = c.storeTopK(pin, p.key, cols[p.col].term, kk[p.i], tv.vec, tv.iters, tv.baseN)
+		if col.tv != nil {
+			it.cr = c.rerank(pin, it.key, it.k, col.term, col.tv)
 		} else {
-			cr = resultFrom(res, kk[p.i])
-			c.results.Put(p.key, cr, resultEntrySize(p.key, len(cr.items)))
+			it.cr = c.storeTopK(pin, it.key, it.k, col.res.Scores, col.res.Iterations, len(col.res.Base), col.res.InBase)
 		}
-		answers[p.i] = c.answerFrom(cr, qs[p.i], SourceComputed)
+		it.src = SourceComputed
 	}
-	for _, res := range results {
-		if res != nil {
-			c.eng.Release(res)
-		}
+	for _, col := range cols {
+		c.eng.Release(col.res)
+		col.res = nil
 	}
-	return answers, err
 }
 
-// resultFrom converts a live RankResult into a cached top-k entry.
-func resultFrom(res *core.RankResult, k int) *cachedResult {
-	ranked := res.TopK(k)
-	items := make([]ResultItem, len(ranked))
-	for i, r := range ranked {
-		items[i] = ResultItem{Node: r.Node, Score: r.Score, InBase: res.InBase(r.Node)}
+// fly resolves a probed miss through the flight group: N concurrent
+// misses on one key run one detached one-column solve (see flightGroup),
+// and a caller that lost a miss/flight race finds the entry by probing
+// again. A single-keyword flight is keyed by the term and resolves to
+// the vector — its waiters may want different ks, or the vector itself —
+// so each re-ranks for itself; a multi-keyword one is keyed by the
+// result key and resolves to the answer.
+func (c *CachedEngine) fly(ctx context.Context, pin *core.Pinned, sk stateKey, m core.Mode, it item) (item, error) {
+	fkey, fk := it.col.tkey, 0
+	if fkey == "" {
+		fkey, fk = it.key, it.k
 	}
-	return &cachedResult{items: items, iters: res.Iterations, baseN: len(res.Base), version: res.RatesVersion, gen: res.Generation}
+	val, _, err := c.flights.DoCtx(ctx, fkey, func(dctx context.Context) (any, error) {
+		won := c.probe(pin, sk, it.q, fk, m, false)
+		if won.col != nil {
+			won.col.init = it.col.init
+			cols := []*column{won.col}
+			if err := c.solve(dctx, pin, sk, m, cols); err != nil {
+				// Every waiter left and the solve was abandoned: nothing is
+				// cached, the next miss recomputes. A donated start vector is
+				// lost with it — it was already invalid under these rates.
+				return nil, err
+			}
+			c.harvest(pin, cols, []*item{&won})
+			won.tv = won.col.tv
+		}
+		return &won, nil
+	})
+	if err != nil {
+		return it, err
+	}
+	won := val.(*item)
+	it.tv, it.cr, it.src = won.tv, won.cr, SourceComputed
+	if it.cr == nil && it.k > 0 {
+		it.cr = c.rerank(pin, it.key, it.k, it.col.term, it.tv)
+	}
+	return it, nil
 }
 
-// storeTopK ranks the top k of a single-term score vector and stores the
-// answer in the result cache so the next identical request skips even
-// the top-k scan.
-func (c *CachedEngine) storeTopK(pin *core.Pinned, key, term string, k int, vec []float64, iters, baseN int) *cachedResult {
+// storeTopK is the one vector→top-k function: it ranks the top k of a
+// converged score vector and stores the answer in the result cache, so
+// the next identical request skips even the top-k scan.
+func (c *CachedEngine) storeTopK(pin *core.Pinned, key string, k int, vec []float64, iters, baseN int, inBase func(graph.NodeID) bool) *cachedResult {
 	ranked := rank.TopK(vec, k)
 	items := make([]ResultItem, len(ranked))
-	ix := pin.Corpus().Index() // the generation the vector was solved on
 	for i, r := range ranked {
-		items[i] = ResultItem{
-			Node:   r.Node,
-			Score:  r.Score,
-			InBase: ix.TF(int32(r.Node), term) > 0,
-		}
+		items[i] = ResultItem{Node: r.Node, Score: r.Score, InBase: inBase(r.Node)}
 	}
 	cr := &cachedResult{items: items, iters: iters, baseN: baseN, version: pin.Version(), gen: pin.Generation()}
 	c.results.Put(key, cr, resultEntrySize(key, len(items)))
 	return cr
 }
 
-func (c *CachedEngine) answerFrom(cr *cachedResult, q *ir.Query, source string) *Answer {
+// rerank is storeTopK over a term vector: a node is in the base set of a
+// single-keyword query exactly when it contains the keyword.
+func (c *CachedEngine) rerank(pin *core.Pinned, key string, k int, term string, tv *termVector) *cachedResult {
+	ix := pin.Corpus().Index() // the generation the vector was solved on
+	return c.storeTopK(pin, key, k, tv.vec, tv.iters, tv.baseN, func(v graph.NodeID) bool { return ix.TF(int32(v), term) > 0 })
+}
+
+func answerFrom(cr *cachedResult, q *ir.Query, source string) *Answer {
 	return &Answer{
 		Query:      q,
 		Results:    cr.items,
@@ -596,67 +669,6 @@ func (c *CachedEngine) answerFrom(cr *cachedResult, q *ir.Query, source string) 
 		Generation: cr.gen,
 		Source:     source,
 	}
-}
-
-// AttachBody stores body — the encoded response a result hit was just
-// answered with, rendered for the query spelled query — with the
-// result-cache entry a was served from, so the next hit spelled the same
-// way is answered by Answer.Body. The entry is re-Put as a copy with its
-// accounted size raised by the body: bodies live inside the result
-// budget and leave with their entry on eviction, and an entry whose rates
-// or generation were replaced is simply never asked for again. The first
-// body wins: an answer that is not a result hit, or whose entry already
-// carries one, is left alone, and so is one too large for an LRU shard
-// (Put would refuse it on every hit and count an eviction each time).
-// The cache keeps body; the caller must not write to it afterwards.
-func (c *CachedEngine) AttachBody(a *Answer, query string, body []byte) {
-	if a.entry == nil || a.entry.body != nil {
-		return
-	}
-	size := resultEntrySize(a.key, len(a.entry.items)) + int64(len(body)+len(query))
-	if size > c.results.Budget()/lruShards {
-		return
-	}
-	cr := *a.entry
-	cr.body, cr.bodyFor = body, query
-	c.results.Put(a.key, &cr, size)
-}
-
-// termVectorFor returns the converged single-term vector for term in
-// ranking direction m under the pinned snapshot, computing (at most
-// once across concurrent callers) on a miss. hit reports whether the
-// vector came straight from the cache. The solve runs under the flight
-// group's detached context: ctx governs only this caller's wait (see
-// QueryModePinnedCtx).
-func (c *CachedEngine) termVectorFor(ctx context.Context, pin *core.Pinned, sk stateKey, m core.Mode, term string) (tv *termVector, hit bool, err error) {
-	key := termKey(sk, m, term)
-	if e, ok := c.vectors.Get(key); ok {
-		c.stats.vectorHits.Add(1)
-		return e.(*termVector), true, nil
-	}
-	c.stats.vectorMisses.Add(1)
-	val, _, err := c.flights.DoCtx(ctx, key, func(dctx context.Context) (any, error) {
-		if e, ok := c.vectors.Get(key); ok { // lost a miss/flight race
-			return e.(*termVector), nil
-		}
-		init := c.donation(pin, sk, m, term)
-		rs, err := pin.Solve(dctx, core.SolveSpec{Queries: []*ir.Query{ir.NewQuery(term)}, Mode: m, Inits: [][]float64{init}})
-		if err != nil {
-			// Solve abandoned (every waiter left): nothing is
-			// cached; the next miss recomputes. The donated
-			// warm-start vector (if any) is lost with it —
-			// acceptable, it was already invalid under the new rates.
-			return nil, err
-		}
-		c.stats.computes.Add(1)
-		tv := c.putTerm(key, rs[0], init != nil)
-		c.eng.Release(rs[0])
-		return tv, nil
-	})
-	if err != nil {
-		return nil, false, err
-	}
-	return val.(*termVector), false, nil
 }
 
 // donation removes and returns the converged vector term had, in
@@ -695,43 +707,26 @@ func (c *CachedEngine) putTerm(key string, res *core.RankResult, warm bool) *ter
 	return tv
 }
 
-// RankModePinnedCtx produces a full core.RankResult under the pinned
-// snapshot in the given mode, serving single-keyword queries from the
-// term-vector cache (the scores are copied out, so the
-// caller may Release the result as usual) and everything else by a
-// normal solve. The explain and audit paths use it — they need whole
-// score vectors, not top-k lists. See QueryModePinnedCtx for the
-// shared-solve detachment rules.
-func (c *CachedEngine) RankModePinnedCtx(ctx context.Context, pin *core.Pinned, q *ir.Query, m core.Mode) (*core.RankResult, error) {
-	// Like queryAt: a dead context stops here, rather than racing a
-	// shared solve it would start and then have to abandon.
-	if err := ctx.Err(); err != nil {
-		return nil, err
+// AttachBody stores body — the encoded response a result hit was just
+// answered with, rendered for the query spelled query — with the
+// result-cache entry a was served from, so the next hit spelled the same
+// way is answered by Answer.Body. The entry is re-Put as a copy with its
+// accounted size raised by the body: bodies live inside the result
+// budget and leave with their entry on eviction, and an entry whose rates
+// or generation were replaced is simply never asked for again. The first
+// body wins: an answer that is not a result hit, or whose entry already
+// carries one, is left alone, and so is one too large for an LRU shard
+// (Put would refuse it on every hit and count an eviction each time).
+// The cache keeps body; the caller must not write to it afterwards.
+func (c *CachedEngine) AttachBody(a *Answer, query string, body []byte) {
+	if a.entry == nil || a.entry.body != nil {
+		return
 	}
-	term, ok := singleTerm(q)
-	if !ok {
-		rs, err := pin.Solve(ctx, core.SolveSpec{Queries: []*ir.Query{q}, Mode: m})
-		if err != nil {
-			return nil, err
-		}
-		return rs[0], nil
+	size := resultEntrySize(a.key, len(a.entry.items)) + int64(len(body)+len(query))
+	if size > c.results.Budget()/lruShards {
+		return
 	}
-	tv, _, err := c.termVectorFor(ctx, pin, keyOf(pin), m, term)
-	if err != nil {
-		return nil, err
-	}
-	return &core.RankResult{
-		Query:        q,
-		Scores:       append([]float64(nil), tv.vec...),
-		Base:         pin.BaseSet(q),
-		Iterations:   tv.iters,
-		Converged:    tv.converged,
-		RatesVersion: pin.Version(),
-		Generation:   pin.Generation(),
-	}, nil
-}
-
-// RankPinnedCtx is RankModePinnedCtx in authority mode.
-func (c *CachedEngine) RankPinnedCtx(ctx context.Context, pin *core.Pinned, q *ir.Query) (*core.RankResult, error) {
-	return c.RankModePinnedCtx(ctx, pin, q, core.ModeAuthority)
+	cr := *a.entry
+	cr.body, cr.bodyFor = body, query
+	c.results.Put(a.key, &cr, size)
 }

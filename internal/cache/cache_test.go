@@ -3,6 +3,7 @@ package cache
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -337,7 +338,10 @@ func TestEvictionUnderPressure(t *testing.T) {
 
 // TestConcurrentServeAndPublish hammers the cached serving path while
 // rates are republished — the -race workout for keys, donations and
-// flights together.
+// flights together. Singles, batches and full-vector ranks ask for the
+// same cold terms side by side; every answer must carry the identity of
+// the pin it was asked under, and between two publishes the flighted
+// callers (singles and ranks share their flights) solve no term twice.
 func TestConcurrentServeAndPublish(t *testing.T) {
 	ds, eng := testEngine(t, rank.Options{})
 	c := New(eng, Options{})
@@ -349,37 +353,142 @@ func TestConcurrentServeAndPublish(t *testing.T) {
 	if len(terms) == 0 {
 		t.Skip("vocabulary too small")
 	}
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			i := 0
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				q := ir.NewQuery(terms[(w+i)%len(terms)])
-				if ans := query(c, q, 5); ans == nil {
-					t.Error("nil answer")
-					return
-				}
-				i++
-			}
-		}(w)
+	// A batch solves under its caller's context, a flight under a detached
+	// one: marking the batch callers' context tells the two apart.
+	type batchMark struct{}
+	ctx := context.Background()
+	bctx := context.WithValue(ctx, batchMark{}, true)
+	var flighted atomic.Int64
+	eng.SetSolveHook(func(st core.SolveStats) {
+		if st.Ctx.Value(batchMark{}) == nil {
+			flighted.Add(int64(st.Columns))
+		}
+	})
+	defer eng.SetSolveHook(nil)
+
+	stamped := func(what string, pin *core.Pinned, gen, version uint64) {
+		if gen != pin.Generation() || version != pin.Version() {
+			t.Errorf("%s under (generation %d, version %d) for a pin at (%d, %d)", what, gen, version, pin.Generation(), pin.Version())
+		}
 	}
-	rates := []*graph.Rates{ds.Rates.Clone(), perturb(t, ds.Rates)}
-	for i := 0; i < 6; i++ {
-		if err := eng.SetRates(rates[i%2]); err != nil {
+	ask := func(w, i int) { // workers 0-7 ask singles, 8-9 batches, 10-11 ranks
+		pin := eng.Pin()
+		q := ir.NewQuery(terms[(w+i)%len(terms)])
+		switch {
+		case w < 8:
+			a, err := c.QueryModePinnedCtx(ctx, pin, q, 5, core.ModeAuthority)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			stamped("single", pin, a.Generation, a.Version)
+		case w < 10:
+			qs, ks := make([]*ir.Query, len(terms)), make([]int, len(terms))
+			for j, term := range terms {
+				qs[j], ks[j] = ir.NewQuery(term), 5
+			}
+			answers, err := c.QueryBatchModePinnedCtx(bctx, pin, qs, ks, nil)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for _, a := range answers {
+				stamped("batch item", pin, a.Generation, a.Version)
+			}
+		default:
+			res, err := c.RankModePinnedCtx(ctx, pin, q, core.ModeAuthority)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			stamped("rank", pin, res.Generation, res.RatesVersion)
+			eng.Release(res)
+		}
+	}
+	// serve runs the twelve workers for iters asks each, or until stop
+	// closes when iters is negative.
+	serve := func(iters int, stop <-chan struct{}) {
+		var wg sync.WaitGroup
+		for w := 0; w < 12; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; iters < 0 || i < iters; i++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					ask(w, i)
+				}
+			}(w)
+		}
+		wg.Wait()
+	}
+
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		serve(-1, stop)
+	}()
+	// Every publish carries rates no version had before: the cache keys by
+	// rates value, so a republished value would rightly be answered from
+	// the entries (and under the version) of its first publication.
+	rates := ds.Rates
+	publish := func() {
+		rates = perturb(t, rates)
+		if err := eng.SetRates(rates); err != nil {
 			t.Error(err)
 		}
+	}
+	for i := 0; i < 6; i++ {
+		publish()
 		time.Sleep(2 * time.Millisecond)
 	}
 	close(stop)
-	wg.Wait()
+	<-done
+
+	// Between two publishes: every term is cold again, every worker asks
+	// for every term, and nothing is published until they are done.
+	publish()
+	flighted.Store(0)
+	serve(len(terms), nil)
+	if n := flighted.Load(); n > int64(len(terms)) {
+		t.Errorf("singles and ranks solved %d columns for %d cold terms between two publishes", n, len(terms))
+	}
+}
+
+// TestRankCountsItsSolve: every power iteration the cache issues is a
+// compute — the multi-keyword solve behind /v1/explain, /v1/audit and
+// /v1/reformulate included, which used to go uncounted.
+func TestRankCountsItsSolve(t *testing.T) {
+	_, eng := testEngine(t, rank.Options{})
+	c := New(eng, Options{})
+	ctx := context.Background()
+	pin := eng.Pin()
+	for _, m := range []core.Mode{core.ModeAuthority, core.ModeHub} {
+		steps := []struct {
+			name string
+			q    *ir.Query
+			want int64
+		}{
+			{"two-term", ir.NewQuery("olap", "cube"), 1},
+			{"two-term repeat (nothing is kept)", ir.NewQuery("olap", "cube"), 1},
+			{"single-term miss", ir.NewQuery("olap"), 1},
+			{"single-term repeat", ir.NewQuery("olap"), 0},
+		}
+		for _, st := range steps {
+			before := c.Stats().Computes
+			res, err := c.RankModePinnedCtx(ctx, pin, st.q, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng.Release(res)
+			if got := c.Stats().Computes - before; got != st.want {
+				t.Errorf("%s %s: computes rose by %d, want %d", m, st.name, got, st.want)
+			}
+		}
+	}
 }
 
 // The helpers below are the tests' shorthands for authority-mode calls
@@ -404,4 +513,18 @@ func solveOne(pin *core.Pinned, spec core.SolveSpec) *core.RankResult {
 		panic(err)
 	}
 	return rs[0]
+}
+
+// termVectorFor is the flighted one-column solve every single-keyword
+// miss takes — probe at k = 0, then fly — without RankModePinnedCtx's
+// copy-out, so TestSingleflightDedup can compare vector identities. hit
+// reports whether the vector was resident.
+func (c *CachedEngine) termVectorFor(ctx context.Context, pin *core.Pinned, sk stateKey, m core.Mode, term string) (tv *termVector, hit bool, err error) {
+	it := c.probe(pin, sk, ir.NewQuery(term), 0, m, true)
+	if hit = it.col == nil; !hit {
+		if it, err = c.fly(ctx, pin, sk, m, it); err != nil {
+			return nil, false, err
+		}
+	}
+	return it.tv, hit, nil
 }

@@ -507,7 +507,7 @@ func table(w *world) []path {
 				return out
 			}},
 	)
-	rows = append(rows, linearityRows(w)...)
+	rows = append(append(rows, linearityRows(w)...), routedRows(w)...)
 	return append(append(rows, explainRows(w)...), columnRows(w)...)
 }
 

@@ -190,28 +190,6 @@ func (s *Schema) TransferTypeName(t TransferTypeID) string {
 	return fmt.Sprintf("%s<-%s-%s", from, et.Role, to)
 }
 
-// TransferEndpoints returns the source and target node types of a
-// transfer type (swapped relative to the schema edge for Backward).
-func (s *Schema) TransferEndpoints(t TransferTypeID) (from, to TypeID) {
-	et := s.edgeTypes[t.EdgeType()]
-	if t.Dir() == Forward {
-		return et.From, et.To
-	}
-	return et.To, et.From
-}
-
-// EdgeTypesFrom returns the schema edge types whose source is the given
-// node type, in ascending ID order.
-func (s *Schema) EdgeTypesFrom(t TypeID) []EdgeTypeID {
-	var out []EdgeTypeID
-	for i, et := range s.edgeTypes {
-		if et.From == t {
-			out = append(out, EdgeTypeID(i))
-		}
-	}
-	return out
-}
-
 // TransferTypesFrom returns all transfer types whose source node type is
 // t — forward types of edges leaving t and backward types of edges
 // entering t — in ascending transfer-type order.

@@ -22,40 +22,17 @@ import (
 // name exactly the state everything ran under — and at a pinned state
 // repeated audits are byte-identical (the determinism contract).
 func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
-	v := r.URL.Query()
-	q, _, ok := parseQuery(w, r, v)
+	t, ok := s.rankTarget(w, r)
 	if !ok {
 		return
 	}
-	rp, ok := parseReadParams(w, r, v)
-	if !ok {
-		return
-	}
-	ctx := r.Context()
-	pin := s.eng.Pin()
-	g := pin.Corpus().Graph()
-	target, ok := s.parseNodeID(w, r, g, v.Get("target"), "target")
-	if !ok {
-		return
-	}
-	tr := obs.TraceFrom(ctx)
-	tr.Eventf("parse", "q=%s target=%d mode=%s budget=%d", q.String(), target, rp.Mode, rp.Budget)
-
-	res, err := s.cache.RankModePinnedCtx(ctx, pin, q, rp.Mode)
-	if err != nil {
-		s.writeCtxError(w, r, err)
-		return
-	}
-	tr.Eventf("solve", "iters=%d base=%d", res.Iterations, len(res.Base))
-	a, err := pin.AuditCtx(ctx, rp.Mode, res, target, core.AuditOptions{Budget: rp.Budget})
+	q, rp, g := t.q, t.rp, t.pin.Corpus().Graph()
+	tr := obs.TraceFrom(r.Context())
+	a, err := t.pin.AuditCtx(r.Context(), rp.Mode, t.res, t.target, core.AuditOptions{Budget: rp.Budget})
 	tr.Event("audit", "")
-	s.eng.Release(res)
+	s.eng.Release(t.res)
 	if err != nil {
-		if ctx.Err() != nil {
-			s.writeCtxError(w, r, err)
-			return
-		}
-		writeError(w, r, http.StatusBadRequest, err.Error())
+		s.writeRunError(w, r, err)
 		return
 	}
 

@@ -122,25 +122,6 @@ func (c *Client) Query(ctx context.Context, q string, k int) (*QueryResponse, er
 	return &out, nil
 }
 
-// QueryMode runs GET /v1/query with an explicit ranking mode
-// ("authority" or "hub"; "" means authority and omits the parameter,
-// keeping the request byte-identical to Query's). k <= 0 uses the
-// server default of 10.
-func (c *Client) QueryMode(ctx context.Context, q string, k int, mode string) (*QueryResponse, error) {
-	v := url.Values{"q": {q}}
-	if k > 0 {
-		v.Set("k", strconv.Itoa(k))
-	}
-	if mode != "" {
-		v.Set("mode", mode)
-	}
-	var out QueryResponse
-	if err := c.get(ctx, "/v1/query", v, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
 // Audit runs GET /v1/audit: the sensitivity ranking of one result node
 // under q — the top-budget explaining arcs/nodes ordered by the score's
 // response to rate perturbation. mode "" means authority; budget <= 0

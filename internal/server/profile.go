@@ -222,11 +222,7 @@ func (s *Server) handleProfileReformulate(w http.ResponseWriter, r *http.Request
 			s.writeProfileError(w, r, id, err)
 			return
 		}
-		if ctx.Err() != nil {
-			s.writeCtxError(w, r, err)
-			return
-		}
-		writeError(w, r, http.StatusBadRequest, err.Error())
+		s.writeRunError(w, r, err)
 		return
 	}
 	tr.Eventf("train", "profile=%s rev=%d rates=%s expansion=%d",

@@ -402,47 +402,72 @@ func modeField(m core.Mode) string {
 	return string(m)
 }
 
-func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
+// rankedTarget is what /v1/explain and /v1/audit share before they
+// diverge: one pinned snapshot, the query and read parameters parsed
+// against it, the target node and the query's whole score vector.
+type rankedTarget struct {
+	pin    *core.Pinned
+	q      *ir.Query
+	rp     ReadParams
+	target graph.NodeID
+	res    *core.RankResult // the caller releases it
+}
+
+// rankTarget runs that shared first half; when ok is false the error
+// response has been written. One snapshot is pinned so the ranking and
+// what is derived from it cannot see different rates even if a
+// reformulation lands in between, and so the target ID is validated
+// against the SAME generation's graph the solve runs on. Single-keyword
+// rankings come straight from the shared term vectors (copied out, since
+// Release returns scores to the pool).
+func (s *Server) rankTarget(w http.ResponseWriter, r *http.Request) (t rankedTarget, ok bool) {
 	v := r.URL.Query()
-	q, _, ok := parseQuery(w, r, v)
-	if !ok {
-		return
+	if t.q, _, ok = parseQuery(w, r, v); !ok {
+		return t, false
 	}
-	rp, ok := parseReadParams(w, r, v)
-	if !ok {
-		return
+	if t.rp, ok = parseReadParams(w, r, v); !ok {
+		return t, false
 	}
-	// Pin one snapshot so the ranking and its explanation cannot see
-	// different rates even if a reformulation lands in between, and so
-	// the target ID is validated against the SAME generation's graph
-	// the solve will run on. Single-keyword rankings come straight from
-	// the shared term vectors (copied out, since Release returns scores
-	// to the pool).
 	ctx := r.Context()
-	pin := s.eng.Pin()
-	g := pin.Corpus().Graph()
-	target, ok := s.parseNodeID(w, r, g, v.Get("target"), "target")
-	if !ok {
-		return
+	t.pin = s.eng.Pin()
+	if t.target, ok = s.parseNodeID(w, r, t.pin.Corpus().Graph(), v.Get("target"), "target"); !ok {
+		return t, false
 	}
 	tr := obs.TraceFrom(ctx)
-	tr.Eventf("parse", "q=%s target=%d mode=%s", q.String(), target, rp.Mode)
-	res, err := s.cache.RankModePinnedCtx(ctx, pin, q, rp.Mode)
-	if err != nil {
+	tr.Eventf("parse", "q=%s target=%d mode=%s budget=%d", t.q.String(), t.target, t.rp.Mode, t.rp.Budget)
+	var err error
+	if t.res, err = s.cache.RankModePinnedCtx(ctx, t.pin, t.q, t.rp.Mode); err != nil {
+		s.writeCtxError(w, r, err)
+		return t, false
+	}
+	tr.Eventf("solve", "iters=%d base=%d", t.res.Iterations, len(t.res.Base))
+	return t, true
+}
+
+// writeRunError answers for a core call that failed under the request's
+// context: the request's own death goes through writeCtxError, anything
+// else is the client's input and a 400.
+func (s *Server) writeRunError(w http.ResponseWriter, r *http.Request, err error) {
+	if r.Context().Err() != nil {
 		s.writeCtxError(w, r, err)
 		return
 	}
-	tr.Eventf("solve", "iters=%d base=%d", res.Iterations, len(res.Base))
-	sg, err := pin.ExplainModeCtx(ctx, rp.Mode, res, target, core.DefaultExplain())
-	s.eng.Release(res)
-	if err != nil {
-		if ctx.Err() != nil {
-			s.writeCtxError(w, r, err)
-			return
-		}
-		writeError(w, r, http.StatusBadRequest, err.Error())
+	writeError(w, r, http.StatusBadRequest, err.Error())
+}
+
+func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
+	t, ok := s.rankTarget(w, r)
+	if !ok {
 		return
 	}
+	pin, rp, g := t.pin, t.rp, t.pin.Corpus().Graph()
+	sg, err := pin.ExplainModeCtx(r.Context(), rp.Mode, t.res, t.target, core.DefaultExplain())
+	s.eng.Release(t.res)
+	if err != nil {
+		s.writeRunError(w, r, err)
+		return
+	}
+	tr := obs.TraceFrom(r.Context())
 	tr.Eventf("explain", "nodes=%d arcs=%d iters=%d build_ms=%.3f adjust_ms=%.3f", len(sg.Nodes), len(sg.Arcs),
 		sg.Iterations, sg.BuildDuration.Seconds()*1e3, sg.AdjustDuration.Seconds()*1e3)
 	s.obs.explainTotal.With(string(rp.Mode), rp.Format).Inc()
@@ -551,11 +576,7 @@ func (s *Server) handleReformulate(w http.ResponseWriter, r *http.Request) {
 	for _, id := range ids {
 		sg, err := pin.ExplainCtx(ctx, res, id, core.DefaultExplain())
 		if err != nil {
-			if ctx.Err() != nil {
-				s.writeCtxError(w, r, err)
-				return
-			}
-			writeError(w, r, http.StatusBadRequest, err.Error())
+			s.writeRunError(w, r, err)
 			return
 		}
 		subs = append(subs, sg)
@@ -569,11 +590,7 @@ func (s *Server) handleReformulate(w http.ResponseWriter, r *http.Request) {
 	}
 	ref, err := pin.ReformulateWeightedCtx(ctx, q, subs, confidences, opts)
 	if err != nil {
-		if ctx.Err() != nil {
-			s.writeCtxError(w, r, err)
-			return
-		}
-		writeError(w, r, http.StatusBadRequest, err.Error())
+		s.writeRunError(w, r, err)
 		return
 	}
 	tr.Eventf("reformulate", "rates=%s expansion=%d", ref.Rates.String(), len(ref.Expansion))
