@@ -359,22 +359,6 @@ func BenchmarkExtensionActiveFeedback(b *testing.B) {
 	runExperiment(b, experiments.ExtensionActiveFeedback)
 }
 
-// BenchmarkObjectRank2QueryParallel measures the parallel kernel on the
-// same workload as BenchmarkObjectRank2Query.
-func BenchmarkObjectRank2QueryParallel(b *testing.B) {
-	ds, _ := microWorld(b)
-	eng, err := authorityflow.NewEngine(ds.Graph, ds.Rates, authorityflow.Config{Workers: -1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	q := authorityflow.NewQuery("olap")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		solve(b, eng.Pin(), authorityflow.SolveSpec{Queries: []*authorityflow.Query{q}, Cold: true})
-	}
-}
-
 // ---- Serving-cache query-path benches. ----
 //
 // The three QueryPath benches compare the latency ladder of one

@@ -86,7 +86,6 @@ func main() {
 		swapDir = flag.String("swap-dir", "", "directory whose binary snapshots POST /v1/corpus/swap may load (empty disables swapping)")
 		gen     = flag.String("gen", "dblptop", "dataset preset to generate when -snapshot is empty: "+strings.Join(datagen.PresetNames(), ", "))
 		scale   = flag.Float64("scale", 0.1, "scale factor when generating")
-		workers = flag.Int("workers", 0, "power-iteration workers (0 serial, -1 all cores)")
 		cacheMB = flag.Int("cache-mb", 64, "serving-cache byte budget in MiB (must be positive)")
 
 		maxInflight  = flag.Int("max-inflight", 0, "max concurrently admitted expensive requests (query, batch, explain, audit, reformulate); 0 = unlimited")
@@ -150,12 +149,11 @@ func main() {
 	if *profileDir != "" {
 		opts = append(opts, server.WithProfiles(*profileDir, *basisSize))
 	}
-	cfg := core.Config{Workers: *workers}
 	var s *server.Server
 	if ix != nil {
-		s, err = server.NewWithIndex(ds, ix, cfg, opts...)
+		s, err = server.NewWithIndex(ds, ix, core.Config{}, opts...)
 	} else {
-		s, err = server.New(ds, cfg, opts...)
+		s, err = server.New(ds, core.Config{}, opts...)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "afqserver: %v\n", err)

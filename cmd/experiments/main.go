@@ -55,11 +55,10 @@ func wrap[T any](f func(experiments.Config) (T, error)) func(experiments.Config)
 
 func main() {
 	var (
-		run     = flag.String("run", "all", "comma-separated experiment names, or 'all'")
-		scale   = flag.Float64("scale", 0, "dataset scale; 0 uses each experiment's default")
-		seed    = flag.Int64("seed", 0, "seed offset for variance studies")
-		csvDir  = flag.String("csv", "", "also write each experiment's data as CSV into this directory")
-		workers = flag.Int("workers", 0, "power-iteration workers: 0 serial (deterministic), -1 all cores, >0 fixed")
+		run    = flag.String("run", "all", "comma-separated experiment names, or 'all'")
+		scale  = flag.Float64("scale", 0, "dataset scale; 0 uses each experiment's default")
+		seed   = flag.Int64("seed", 0, "seed offset for variance studies")
+		csvDir = flag.String("csv", "", "also write each experiment's data as CSV into this directory")
 	)
 	flag.Parse()
 
@@ -69,7 +68,7 @@ func main() {
 		want[strings.TrimSpace(strings.ToLower(name))] = true
 	}
 
-	cfg := experiments.Config{Scale: *scale, Seed: *seed, Out: os.Stdout, Workers: *workers}
+	cfg := experiments.Config{Scale: *scale, Seed: *seed, Out: os.Stdout}
 	if *csvDir != "" {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)

@@ -13,8 +13,9 @@ import (
 )
 
 // Multi-column rows: every column of a B-column rank.Iterate against
-// the same column solved alone at equal workers, over the ways columns
-// can differ from each other.
+// the same column solved alone, over the ways columns can differ from
+// each other, with one, two or three callers running the B-column solve
+// at once over the caller's plan and one buffer pool.
 
 // columnCase configures column j of a solve over n-node graphs. cancel,
 // when non-nil, names the column whose context dies, and the row is run
@@ -104,14 +105,12 @@ func columnRows(w *world) []path {
 		// another damping must get their own.
 		plan := rank.NewPlan(g, alpha, tight.Damping, nil)
 		for _, B := range []int{2, 3, 8, 9} {
-			for _, workers := range []int{1, 2, 3} {
+			for _, callers := range []int{1, 2, 3} {
 				for _, c := range columnCases {
-					B, workers, c := B, workers, c
+					B, callers, c := B, callers, c
 					jumps := w.nJumps(B)
 					cancelled := B / 2
-					// run solves the columns together or each alone, the
-					// cancelled column's context dying at its poll-th poll.
-					run := func(together bool, poll int) [][]float64 {
+					opts := func(poll int) []rank.Options {
 						opts := make([]rank.Options, B)
 						for j := range opts {
 							opts[j] = c.opts(j, n)
@@ -119,15 +118,36 @@ func columnRows(w *world) []path {
 						if c.polls > 0 {
 							opts[cancelled].Ctx = &countdown{Context: context.Background(), left: poll}
 						}
-						var out [][]float64
-						if together {
-							for _, res := range rank.Iterate(g, alpha, jumps, opts, workers, nil, plan) {
-								out = append(out, encode(res))
+						return opts
+					}
+					// run solves the columns together, once per caller, or
+					// each alone, once per caller, the cancelled column's
+					// context dying at its poll-th poll.
+					run := func(together bool, poll int) [][]float64 {
+						if !together {
+							var alone [][]float64
+							o := opts(poll)
+							for j := range jumps {
+								alone = append(alone, encode(rank.Iterate(g, alpha, jumps[j:j+1], o[j:j+1], nil, nil)[0]))
+							}
+							var out [][]float64
+							for i := 0; i < callers; i++ {
+								out = append(out, alone...)
 							}
 							return out
 						}
-						for j := range jumps {
-							out = append(out, encode(rank.Iterate(g, alpha, jumps[j:j+1], opts[j:j+1], workers, nil, nil)[0]))
+						pool := rank.NewBufferPool()
+						each := make([][][]float64, callers)
+						concurrently(callers, callers, func(i int) error {
+							for _, res := range rank.Iterate(g, alpha, jumps, opts(poll), pool, plan) {
+								each[i] = append(each[i], encode(res))
+								res.ReleaseTo(pool)
+							}
+							return nil
+						})
+						var out [][]float64
+						for _, e := range each {
+							out = append(out, e...)
 						}
 						return out
 					}
@@ -141,7 +161,7 @@ func columnRows(w *world) []path {
 						}
 					}
 					rows = append(rows, path{
-						fmt.Sprintf("%s kernel B=%d workers=%d, %s: column ≡ alone", dir.name, B, workers, c.name),
+						fmt.Sprintf("%s kernel B=%d workers=%d, %s: column ≡ alone", dir.name, B, callers, c.name),
 						bitIdentical, all(true), all(false)})
 				}
 			}
@@ -158,7 +178,7 @@ func TestColumnCasesBite(t *testing.T) {
 	alone := func(c columnCase, j int, ctx context.Context) rank.Result {
 		o := c.opts(j, n)
 		o.Ctx = ctx
-		return rank.Iterate(w.g, alpha, w.nJumps(j + 1)[j:], []rank.Options{o}, 1, nil, nil)[0]
+		return rank.Iterate(w.g, alpha, w.nJumps(j + 1)[j:], []rank.Options{o}, nil, nil)[0]
 	}
 	if res := alone(columnCases[2], 1, nil); !res.InitDropped || !res.Converged {
 		t.Errorf("stale Init: dropped=%v converged=%v", res.InitDropped, res.Converged)
@@ -182,7 +202,7 @@ func TestColumnCasesBite(t *testing.T) {
 // — of the state it pinned.
 func TestPlanLifecycleUnderPublishes(t *testing.T) {
 	w := newWorld(t, 3)
-	eng, err := core.NewEngine(w.g, w.rates, core.Config{Rank: tight, Workers: 2})
+	eng, err := core.NewEngine(w.g, w.rates, core.Config{Rank: tight})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,9 +8,11 @@ package conformance
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"authorityflow/internal/cache"
@@ -69,8 +71,7 @@ type world struct {
 	labels []graph.TypeID
 	texts  []string
 	edges  []graph.Edge
-	pin    *core.Pinned // serial engine
-	par    *core.Pinned // same corpus, three kernel workers
+	pin    *core.Pinned
 	rev    *core.Pinned // authority engine over the explicitly reversed graph
 	eng    *core.Engine
 	// queries mixes single-term and multi-term queries (distinct terms,
@@ -131,17 +132,16 @@ func newWorld(t *testing.T, seed int64) *world {
 	rates.NormalizeOutgoing()
 
 	w.g, w.rates = g, rates
-	engine := func(g *graph.Graph, workers int) *core.Engine {
-		e, err := core.NewEngine(g, rates, core.Config{Rank: tight, Workers: workers})
+	engine := func(g *graph.Graph) *core.Engine {
+		e, err := core.NewEngine(g, rates, core.Config{Rank: tight})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return e
 	}
-	w.eng = engine(g, 0)
+	w.eng = engine(g)
 	w.pin = w.eng.Pin()
-	w.par = engine(g, 3).Pin()
-	w.rev = engine(g.Reversed(), 0).Pin()
+	w.rev = engine(g.Reversed()).Pin()
 	for i := 0; i < 10; i++ {
 		q := ir.NewQuery(words[rng.Intn(len(words))])
 		for j := rng.Intn(3); j > 0; j-- {
@@ -294,6 +294,27 @@ func twice(f func(*testing.T) [][]float64) func(*testing.T) [][]float64 {
 	}
 }
 
+// concurrently runs f(i) for every i < n from callers goroutines at
+// once, caller c taking every i ≡ c (mod callers), and returns the first
+// error. The kernel runs each solve on its caller's goroutine, so what
+// runs in parallel is several solves sharing an engine, a plan and a
+// buffer pool; the rows named "workers=N" are N such callers.
+func concurrently(callers, n int, f func(i int) error) error {
+	errs := make([]error, callers)
+	var wg sync.WaitGroup
+	wg.Add(callers)
+	for c := 0; c < callers; c++ {
+		go func(c int) {
+			defer wg.Done()
+			for i := c; i < n && errs[c] == nil; i += callers {
+				errs[c] = f(i)
+			}
+		}(c)
+	}
+	wg.Wait()
+	return errors.Join(errs...)
+}
+
 // path is one row of the table: got must agree with want within class.
 type path struct {
 	name      string
@@ -305,7 +326,8 @@ func table(w *world) []path {
 	ctx := context.Background()
 	var rows []path
 
-	// Kernel: a panel column against the same base set solved alone.
+	// Kernel: a panel column against the same base set solved alone, and
+	// panels solved by three callers at once against one caller.
 	single := func(t *testing.T) [][]float64 { return kernelColumns(w, 1, 1) }
 	for _, width := range []int{2, 8, 11} {
 		width := width
@@ -319,7 +341,7 @@ func table(w *world) []path {
 			func(t *testing.T) [][]float64 { return kernelColumns(w, 8, 3) }, single},
 	)
 
-	// Engine: directions, batches, workers, warm starts.
+	// Engine: directions, batches, concurrent callers, warm starts.
 	for _, m := range []core.Mode{core.ModeAuthority, core.ModeHub} {
 		m := m
 		rows = append(rows,
@@ -327,7 +349,8 @@ func table(w *world) []path {
 				func(t *testing.T) [][]float64 { return solveMany(t, w.pin, m, w.queries) },
 				singles(w.pin, m, w.queries)},
 			path{fmt.Sprintf("%s workers=3 vs serial", m), within1e12,
-				singles(w.par, m, w.queries), singles(w.pin, m, w.queries)},
+				func(t *testing.T) [][]float64 { return solveConcurrently(t, w.pin, m, w.queries, 3) },
+				singles(w.pin, m, w.queries)},
 			path{fmt.Sprintf("%s donated warm start vs global start", m), within1e12,
 				func(t *testing.T) [][]float64 {
 					out := make([][]float64, len(w.queries))

@@ -13,20 +13,28 @@ import (
 // stack's entry points.
 
 // kernelColumns runs the worlds' base distributions through the kernel
-// in panels of the given width and returns one score vector per base
+// in panels of the given width, the panels solved by that many callers
+// at once over one buffer pool, and returns one score vector per base
 // distribution.
-func kernelColumns(w *world, width, workers int) [][]float64 {
+func kernelColumns(w *world, width, callers int) [][]float64 {
 	alpha := w.rates.Vector()
 	jumps := w.jumps()
-	var out [][]float64
-	for lo := 0; lo < len(jumps); lo += width {
-		hi := lo + width
+	pool := rank.NewBufferPool()
+	panels := make([][][]float64, (len(jumps)+width-1)/width)
+	concurrently(callers, len(panels), func(p int) error {
+		lo, hi := p*width, (p+1)*width
 		if hi > len(jumps) {
 			hi = len(jumps)
 		}
-		for _, res := range rank.Iterate(w.g, alpha, jumps[lo:hi], []rank.Options{tight}, workers, nil, nil) {
-			out = append(out, res.Scores)
+		for _, res := range rank.Iterate(w.g, alpha, jumps[lo:hi], []rank.Options{tight}, pool, nil) {
+			panels[p] = append(panels[p], append([]float64(nil), res.Scores...))
+			res.ReleaseTo(pool)
 		}
+		return nil
+	})
+	var out [][]float64
+	for _, p := range panels {
+		out = append(out, p...)
 	}
 	return out
 }
@@ -53,6 +61,24 @@ func solveOne(t *testing.T, pin *core.Pinned, m core.Mode, q *ir.Query, init []f
 		spec.Inits = [][]float64{init}
 	}
 	return solve(t, pin, spec)[0]
+}
+
+// solveConcurrently solves every query of qs on its own, from that many
+// callers at once over one pin.
+func solveConcurrently(t *testing.T, pin *core.Pinned, m core.Mode, qs []*ir.Query, callers int) [][]float64 {
+	t.Helper()
+	out := make([][]float64, len(qs))
+	err := concurrently(callers, len(qs), func(i int) error {
+		results, err := pin.Solve(context.Background(), core.SolveSpec{Queries: qs[i : i+1], Mode: m})
+		if err == nil {
+			out[i] = results[0].Scores
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // solveMany is one uncached batch solve of qs in direction m.

@@ -21,7 +21,7 @@ import (
 
 // Corpus is the immutable half of a query processor: the frozen data
 // graph with its CSR adjacency, the inverted index over node text, the
-// rank options, the worker policy, and the shared score-buffer pool.
+// rank options, and the shared score-buffer pool.
 // Everything in a Corpus is read-only after construction and therefore
 // safe for unbounded concurrent use; several Engines (e.g. per-tenant
 // rate assignments over one dataset) can share a single Corpus without
@@ -33,10 +33,9 @@ type Corpus struct {
 	// intact — the kernel normalizes per run); nopts caches the
 	// normalized view for components that need literal values, such as
 	// the explain stage's damping factor.
-	opts    rank.Options
-	nopts   rank.Options
-	workers int
-	pool    *rank.BufferPool
+	opts  rank.Options
+	nopts rank.Options
+	pool  *rank.BufferPool
 }
 
 // DefaultBlockSize is how many columns of a multi-column solve
@@ -59,34 +58,24 @@ var ErrWarmStartMismatch = errors.New("core: warm-start init count does not matc
 // Config collects construction parameters for a Corpus (and hence an
 // Engine).
 type Config struct {
-	// BM25 parameters for the node index; zero value means DefaultBM25.
-	BM25 ir.BM25Params
 	// Rank options (damping, threshold, max iterations); zero fields
 	// take the paper defaults (0.85, 0.002, 200) and the rank package's
 	// explicit-zero sentinels are honored.
 	Rank rank.Options
-	// Workers selects the power-iteration execution: 0 runs the serial
-	// kernel (bitwise-deterministic, right for small graphs), -1 uses
-	// all cores, and any positive value pins the worker count. Parallel
-	// runs match serial ones up to floating-point summation order.
-	Workers int
 }
 
-// NewCorpus indexes the text of every node of g and freezes the
-// immutable substrate of a query processor.
+// NewCorpus indexes the text of every node of g under the default BM25
+// parameters and freezes the immutable substrate of a query processor.
 func NewCorpus(g *graph.Graph, cfg Config) *Corpus {
-	if cfg.BM25 == (ir.BM25Params{}) {
-		cfg.BM25 = ir.DefaultBM25()
-	}
-	ix := ir.BuildIndex(g.NumNodes(), func(i int) string { return g.Text(graph.NodeID(i)) }, cfg.BM25)
+	ix := ir.BuildIndex(g.NumNodes(), func(i int) string { return g.Text(graph.NodeID(i)) }, ir.DefaultBM25())
 	return newCorpus(g, ix, cfg)
 }
 
 // NewCorpusWithIndex is NewCorpus with a prebuilt inverted index —
 // e.g. one loaded from a binary snapshot — so the tokenization pass,
 // the dominant cost of corpus construction, is skipped entirely. The
-// index must cover exactly g's nodes. cfg.BM25 is ignored: the index
-// carries its own parameters.
+// index must cover exactly g's nodes and carries its own BM25
+// parameters.
 func NewCorpusWithIndex(g *graph.Graph, ix *ir.Index, cfg Config) (*Corpus, error) {
 	if ix.NumDocs() != g.NumNodes() {
 		return nil, fmt.Errorf("core: index covers %d documents, graph has %d nodes", ix.NumDocs(), g.NumNodes())
@@ -95,17 +84,12 @@ func NewCorpusWithIndex(g *graph.Graph, ix *ir.Index, cfg Config) (*Corpus, erro
 }
 
 func newCorpus(g *graph.Graph, ix *ir.Index, cfg Config) *Corpus {
-	workers := cfg.Workers
-	if workers < 0 {
-		workers = rank.AutoWorkers()
-	}
 	return &Corpus{
-		g:       g,
-		ix:      ix,
-		opts:    cfg.Rank,
-		nopts:   cfg.Rank.Normalized(),
-		workers: workers,
-		pool:    rank.NewBufferPool(),
+		g:     g,
+		ix:    ix,
+		opts:  cfg.Rank,
+		nopts: cfg.Rank.Normalized(),
+		pool:  rank.NewBufferPool(),
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"authorityflow/internal/graph"
@@ -222,29 +223,46 @@ func TestEngineAccessors(t *testing.T) {
 	}
 }
 
+// TestParallelEngineMatchesSerial: one engine ranked and explained from
+// several goroutines at once, sharing its buffer pool and rates
+// snapshot, gives every caller the bits a lone caller gets.
 func TestParallelEngineMatchesSerial(t *testing.T) {
 	f := newFixture(t)
-	serial := f.newEngine(t)
-	par, err := NewEngine(f.g, f.rates, Config{
-		Rank:    serial.Options(),
-		Workers: -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := f.newEngine(t)
 	q := ir.NewQuery("olap")
-	rs, rp := rankQ(serial, q), rankQ(par, q)
-	for i := range rs.Scores {
-		if math.Abs(rs.Scores[i]-rp.Scores[i]) > 1e-9 {
-			t.Fatalf("parallel engine diverges at node %d: %v vs %v", i, rs.Scores[i], rp.Scores[i])
-		}
-	}
-	// Explain and reformulate work identically on the parallel engine.
-	sg, err := explain(par, rp, f.ids["v7"], ExplainOptions{Threshold: 1e-9})
+	explainOpts := ExplainOptions{Threshold: 1e-9}
+	want := rankQ(e, q)
+	wantSG, err := explain(e, want, f.ids["v7"], explainOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sg.Converged || sg.ExplainedScore() <= 0 {
-		t.Error("explain on parallel engine broken")
+	if !wantSG.Converged || wantSG.ExplainedScore() <= 0 {
+		t.Fatal("explain broken")
 	}
+	var wg sync.WaitGroup
+	for c := 0; c < 3; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for round := 0; round < 4; round++ {
+				got := rankQ(e, q)
+				for i := range want.Scores {
+					if math.Float64bits(got.Scores[i]) != math.Float64bits(want.Scores[i]) {
+						t.Errorf("caller %d diverges at node %d: %v vs %v", c, i, got.Scores[i], want.Scores[i])
+						return
+					}
+				}
+				sg, err := explain(e, got, f.ids["v7"], explainOpts)
+				if err != nil {
+					t.Errorf("caller %d: %v", c, err)
+					return
+				}
+				if sg.ExplainedScore() != wantSG.ExplainedScore() {
+					t.Errorf("caller %d: explained score %v vs %v", c, sg.ExplainedScore(), wantSG.ExplainedScore())
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
 }

@@ -157,7 +157,7 @@ func (p *Pinned) Solve(ctx context.Context, spec SolveSpec) ([]*RankResult, erro
 		if len(cols) > 1 {
 			plan, stats.PlanBuilt, stats.PlanBuildDur = st.snap.plan(st.gen, c, dir)
 		}
-		results := rank.Iterate(c.g, st.snap.alpha, jumps, opts, c.workers, c.pool, plan)
+		results := rank.Iterate(c.g, st.snap.alpha, jumps, opts, c.pool, plan)
 		stats.SolveDur = time.Since(t1)
 		stats.Columns = len(cols)
 

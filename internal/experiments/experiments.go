@@ -42,12 +42,6 @@ type Config struct {
 	// CSVDir, when non-empty, makes each experiment also write its data
 	// as <experiment>.csv into the directory (for plotting).
 	CSVDir string
-	// Workers selects the power-iteration execution for every engine the
-	// experiments build: 0 = serial (bitwise-deterministic, the default
-	// so published numbers reproduce exactly), -1 = all cores, >0 pins
-	// the worker count. Parallel runs match serial results up to
-	// floating-point summation order.
-	Workers int
 }
 
 // withDefaults fills zero fields; defaultScale differs per experiment
@@ -74,10 +68,7 @@ const (
 )
 
 func (c Config) engineConfig() core.Config {
-	return core.Config{
-		Rank:    rank.Options{Damping: 0.85, Threshold: c.Threshold, MaxIters: 500},
-		Workers: c.Workers,
-	}
+	return core.Config{Rank: rank.Options{Damping: 0.85, Threshold: c.Threshold, MaxIters: 500}}
 }
 
 func (c Config) printf(format string, args ...any) {

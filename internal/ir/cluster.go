@@ -35,9 +35,6 @@ type ClusterOptions struct {
 	// MaxDFRatio * NumDocs (DefaultClusterMaxDFRatio when <= 0).
 	// Stopwords and single-character tokens are always excluded.
 	MaxDFRatio float64
-	// MinSim drops neighbor candidates whose cosine similarity is
-	// below the floor; 0 keeps every positive similarity.
-	MinSim float64
 }
 
 // ClusterEdge is one directed knn arc of the cluster graph: From's
@@ -151,7 +148,7 @@ func (ix *Index) ClusterGraph(o ClusterOptions) []ClusterEdge {
 				continue
 			}
 			sim := acc[j] / (nd * math.Sqrt(norm2[j]))
-			if sim <= 0 || sim < o.MinSim {
+			if sim <= 0 {
 				continue
 			}
 			cands = append(cands, ClusterEdge{From: int32(d), To: j, Sim: sim})

@@ -101,20 +101,6 @@ func TestClusterGraphMaxDFExcludesUbiquitousTerms(t *testing.T) {
 	}
 }
 
-func TestClusterGraphMinSimFloor(t *testing.T) {
-	ix := buildClusterIndex(t, clusterCorpus())
-	all := ix.ClusterGraph(ClusterOptions{K: 5})
-	floored := ix.ClusterGraph(ClusterOptions{K: 5, MinSim: 0.999})
-	if len(floored) >= len(all) {
-		t.Fatalf("MinSim floor did not drop weak edges: %d vs %d", len(floored), len(all))
-	}
-	for _, e := range floored {
-		if e.Sim < 0.999 {
-			t.Fatalf("edge below floor survived: %+v", e)
-		}
-	}
-}
-
 func TestClusterGraphEmptyAndSingleton(t *testing.T) {
 	if got := buildClusterIndex(t, nil).ClusterGraph(ClusterOptions{}); len(got) != 0 {
 		t.Fatalf("empty corpus produced edges: %+v", got)

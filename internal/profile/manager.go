@@ -2,6 +2,7 @@ package profile
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -36,8 +37,9 @@ const (
 
 // Options configure a Manager.
 type Options struct {
-	// Dir is the durable store directory; empty means memory-only (no
-	// persistence — profiles die with the process).
+	// Dir is the durable store directory, created if needed. Required:
+	// the in-memory tier is a bounded cache in front of it, and a
+	// profile it evicts is read back from here.
 	Dir string
 	// BasisSize is the number of topic terms in the basis (0 =
 	// DefaultBasisSize).
@@ -112,7 +114,7 @@ type Stats struct {
 type Manager struct {
 	eng  *core.Engine
 	opts Options
-	disk *DiskStore // nil when memory-only
+	disk *DiskStore
 
 	basisMu sync.Mutex
 	basis   atomic.Pointer[Basis]
@@ -135,20 +137,20 @@ type Manager struct {
 	evictions    atomic.Int64
 }
 
-// NewManager builds a personalization manager over an engine. A
-// non-empty Dir opens (creating if needed) the durable store.
+// NewManager builds a personalization manager over an engine and opens
+// the durable store under opts.Dir.
 func NewManager(eng *core.Engine, opts Options) (*Manager, error) {
+	if opts.Dir == "" {
+		return nil, errors.New("profile: Options.Dir is required: the durable store is where evicted profiles are read back from")
+	}
 	if opts.BasisSize <= 0 {
 		opts.BasisSize = DefaultBasisSize
 	}
-	m := &Manager{eng: eng, opts: opts}
-	if opts.Dir != "" {
-		disk, err := NewDiskStore(opts.Dir)
-		if err != nil {
-			return nil, err
-		}
-		m.disk = disk
+	disk, err := NewDiskStore(opts.Dir)
+	if err != nil {
+		return nil, err
 	}
+	m := &Manager{eng: eng, opts: opts, disk: disk}
 	m.profiles = lru.New(cacheBytes/2, 16, &m.evictions)
 	m.answers = lru.New(cacheBytes/2, 16, &m.evictions)
 	return m, nil
@@ -193,9 +195,6 @@ func (m *Manager) Get(id string) (*Profile, error) {
 		return v.(*Profile), nil
 	}
 	m.storeMisses.Add(1)
-	if m.disk == nil {
-		return nil, ErrNotFound
-	}
 	p, err := m.disk.Load(id)
 	if err != nil {
 		return nil, err
@@ -224,10 +223,8 @@ func (m *Manager) Put(p *Profile) (*Profile, error) {
 		cp.Beta = 0 // 0 = use the manager default
 	}
 	cp.Rev++
-	if m.disk != nil {
-		if err := m.disk.Save(cp); err != nil {
-			return nil, err
-		}
+	if err := m.disk.Save(cp); err != nil {
+		return nil, err
 	}
 	m.profiles.Put(cp.ID, cp, cp.footprint())
 	return cp, nil
@@ -236,10 +233,7 @@ func (m *Manager) Put(p *Profile) (*Profile, error) {
 // Delete removes a profile from the cache and the durable store.
 func (m *Manager) Delete(id string) error {
 	m.profiles.Remove(id)
-	if m.disk != nil {
-		return m.disk.Delete(id)
-	}
-	return nil
+	return m.disk.Delete(id)
 }
 
 // beta resolves a profile's effective blend factor.
@@ -446,10 +440,8 @@ func (m *Manager) TrainCtx(ctx context.Context, pin *core.Pinned, id string, q *
 	next.Rev++
 	next.TrainedGeneration = pin.Generation()
 	next.TrainedRatesVersion = pin.Version()
-	if m.disk != nil {
-		if err := m.disk.Save(next); err != nil {
-			return nil, nil, err
-		}
+	if err := m.disk.Save(next); err != nil {
+		return nil, nil, err
 	}
 	m.profiles.Put(next.ID, next, next.footprint())
 	m.trains.Add(1)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"math"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"authorityflow/internal/cache"
@@ -316,13 +317,24 @@ func TestManagerLifecycle(t *testing.T) {
 	}
 }
 
+// TestManagerRequiresDir: a manager without a durable store would keep
+// profiles only in its bounded LRU and answer 404 for any it evicted,
+// so an empty Dir is refused by name.
+func TestManagerRequiresDir(t *testing.T) {
+	_, eng := testEngine(t, rank.Options{Threshold: 1e-6, MaxIters: 300})
+	m, err := NewManager(eng, Options{BasisSize: 16})
+	if err == nil || !strings.Contains(err.Error(), "Dir") {
+		t.Fatalf("NewManager without Dir = (%v, %v), want an error naming Dir", m, err)
+	}
+}
+
 // TestBasisInvalidationOnPublish: a rates publish changes the pin's
 // RateVectorKey, so the next personalized query must rebuild the basis
 // rather than combine against vectors solved under the old rates.
 func TestBasisInvalidationOnPublish(t *testing.T) {
 	opts := rank.Options{Threshold: 1e-8, MaxIters: 300}
 	_, eng := testEngine(t, opts)
-	m, err := NewManager(eng, Options{BasisSize: 16})
+	m, err := NewManager(eng, Options{Dir: t.TempDir(), BasisSize: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,7 @@ func secondCorpus(t testing.TB, opts rank.Options) (*core.Corpus, *graph.Rates) 
 func TestSwapProfileHammer(t *testing.T) {
 	opts := rank.Options{Threshold: 1e-6, MaxIters: 200}
 	_, eng := testEngine(t, opts)
-	m, err := NewManager(eng, Options{BasisSize: 8})
+	m, err := NewManager(eng, Options{Dir: t.TempDir(), BasisSize: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,8 +7,7 @@ import (
 	"authorityflow/internal/graph"
 )
 
-// benchGraph builds a random citation graph for iteration benches and
-// the randomized kernel-equivalence tests.
+// benchGraph builds a random citation graph for the iteration benches.
 func benchGraph(b testing.TB, n, m int) (*graph.Graph, *graph.Rates) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(9))

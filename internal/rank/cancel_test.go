@@ -2,7 +2,6 @@ package rank
 
 import (
 	"context"
-	"math"
 	"testing"
 	"time"
 )
@@ -16,19 +15,16 @@ func TestIterateCancelBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	for _, workers := range []int{1, 3} {
-		res := iterate1(g, r.Vector(), base, Options{Ctx: ctx}, workers, nil)
-		if res.Err != context.Canceled {
-			t.Fatalf("workers=%d: Err=%v, want context.Canceled", workers, res.Err)
-		}
-		if res.Iterations != 0 || res.Converged {
-			t.Fatalf("workers=%d: Iterations=%d Converged=%t after pre-cancelled ctx, want 0/false",
-				workers, res.Iterations, res.Converged)
-		}
-		for v := range base {
-			if res.Scores[v] != base[v] {
-				t.Fatalf("workers=%d: score %d = %v, want start-vector value %v", workers, v, res.Scores[v], base[v])
-			}
+	res := iterate1(g, r.Vector(), base, Options{Ctx: ctx}, nil)
+	if res.Err != context.Canceled {
+		t.Fatalf("Err=%v, want context.Canceled", res.Err)
+	}
+	if res.Iterations != 0 || res.Converged {
+		t.Fatalf("Iterations=%d Converged=%t after pre-cancelled ctx, want 0/false", res.Iterations, res.Converged)
+	}
+	for v := range base {
+		if res.Scores[v] != base[v] {
+			t.Fatalf("score %d = %v, want start-vector value %v", v, res.Scores[v], base[v])
 		}
 	}
 }
@@ -47,52 +43,40 @@ func TestIterateCancelMidSolve(t *testing.T) {
 
 	// Reference: what a run truncated exactly at stopAt iterations
 	// produces (ZeroThreshold disables early convergence).
-	ref := iterate1(g, r.Vector(), base, Options{Threshold: ZeroThreshold, MaxIters: stopAt}, 1, nil)
+	ref := iterate1(g, r.Vector(), base, Options{Threshold: ZeroThreshold, MaxIters: stopAt}, nil)
 	if ref.Iterations != stopAt {
 		t.Fatalf("reference run executed %d iterations, want %d", ref.Iterations, stopAt)
 	}
 
-	for _, workers := range []int{1, 3} {
-		ctx, cancel := context.WithCancel(context.Background())
-		opts := Options{
-			Threshold: ZeroThreshold,
-			MaxIters:  500,
-			Ctx:       ctx,
-			Observe: func(iter int, residual float64) {
-				if iter == stopAt {
-					cancel()
-				}
-			},
-		}
-		res := iterate1(g, r.Vector(), base, opts, workers, nil)
-		if res.Err != context.Canceled {
-			t.Fatalf("workers=%d: Err=%v, want context.Canceled", workers, res.Err)
-		}
-		if res.Iterations != stopAt {
-			t.Fatalf("workers=%d: run executed %d iterations after cancel at %d — did not stop within one sweep",
-				workers, res.Iterations, stopAt)
-		}
-		if res.Converged {
-			t.Fatalf("workers=%d: cancelled run reported Converged", workers)
-		}
-		if workers == 1 {
-			// Serial path is bitwise deterministic: the cancelled run's
-			// scores must be bit-identical to the truncated reference.
-			for v := range ref.Scores {
-				if res.Scores[v] != ref.Scores[v] {
-					t.Fatalf("score %d = %b, want the complete iteration-%d state %b",
-						v, res.Scores[v], stopAt, ref.Scores[v])
-				}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	opts := Options{
+		Threshold: ZeroThreshold,
+		MaxIters:  500,
+		Ctx:       ctx,
+		Observe: func(iter int, residual float64) {
+			if iter == stopAt {
+				cancel()
 			}
-		} else {
-			// Parallel matches up to summation order.
-			for v := range ref.Scores {
-				if math.Abs(res.Scores[v]-ref.Scores[v]) > 1e-12 {
-					t.Fatalf("workers=%d: score %d = %v, want ~%v", workers, v, res.Scores[v], ref.Scores[v])
-				}
-			}
+		},
+	}
+	res := iterate1(g, r.Vector(), base, opts, nil)
+	if res.Err != context.Canceled {
+		t.Fatalf("Err=%v, want context.Canceled", res.Err)
+	}
+	if res.Iterations != stopAt {
+		t.Fatalf("run executed %d iterations after cancel at %d — did not stop within one sweep", res.Iterations, stopAt)
+	}
+	if res.Converged {
+		t.Fatal("cancelled run reported Converged")
+	}
+	// The cancelled run's scores must be bit-identical to the truncated
+	// reference.
+	for v := range ref.Scores {
+		if res.Scores[v] != ref.Scores[v] {
+			t.Fatalf("score %d = %b, want the complete iteration-%d state %b",
+				v, res.Scores[v], stopAt, ref.Scores[v])
 		}
-		cancel()
 	}
 }
 
@@ -104,7 +88,7 @@ func TestIterateDeadlineExceeded(t *testing.T) {
 	base := fig1Base(g)
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Hour))
 	defer cancel()
-	res := iterate1(g, r.Vector(), base, Options{Ctx: ctx}, 1, nil)
+	res := iterate1(g, r.Vector(), base, Options{Ctx: ctx}, nil)
 	if res.Err != context.DeadlineExceeded {
 		t.Fatalf("Err=%v, want context.DeadlineExceeded", res.Err)
 	}
@@ -116,10 +100,10 @@ func TestIterateDeadlineExceeded(t *testing.T) {
 func TestIterateBackgroundCtxMatchesNil(t *testing.T) {
 	g, r := fig1Fixture(t)
 	base := fig1Base(g)
-	plain := iterate1(g, r.Vector(), base, Options{Threshold: 1e-10, MaxIters: 500}, 1, nil)
+	plain := iterate1(g, r.Vector(), base, Options{Threshold: 1e-10, MaxIters: 500}, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	withCtx := iterate1(g, r.Vector(), base, Options{Threshold: 1e-10, MaxIters: 500, Ctx: ctx}, 1, nil)
+	withCtx := iterate1(g, r.Vector(), base, Options{Threshold: 1e-10, MaxIters: 500, Ctx: ctx}, nil)
 	if withCtx.Err != nil {
 		t.Fatalf("live-ctx run reported Err=%v", withCtx.Err)
 	}
@@ -158,10 +142,10 @@ func TestIterateContextZeroAlloc(t *testing.T) {
 	for _, tc := range cases {
 		opts := Options{Threshold: 1e-10, MaxIters: 500, Ctx: tc.ctx}
 		// Warm the pool so steady state is measured.
-		res := iterate1(g, alpha, base, opts, 1, pool)
+		res := iterate1(g, alpha, base, opts, pool)
 		res.ReleaseTo(pool)
 		allocs := testing.AllocsPerRun(100, func() {
-			r := iterate1(g, alpha, base, opts, 1, pool)
+			r := iterate1(g, alpha, base, opts, pool)
 			r.ReleaseTo(pool)
 		})
 		if allocs > kernelAllocsPerRun {

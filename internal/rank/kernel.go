@@ -2,7 +2,6 @@ package rank
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -70,10 +69,6 @@ func (r *Result) ReleaseTo(p *BufferPool) {
 	r.Scores = nil
 }
 
-// AutoWorkers returns the worker count used by "use all cores"
-// requests: GOMAXPROCS at call time.
-func AutoWorkers() int { return runtime.GOMAXPROCS(0) }
-
 // Iterate is the one power-iteration driver every ranking mode in this
 // package — and every solve in the system — reduces to. It advances B =
 // len(bases) damped fixpoints ("columns")
@@ -86,8 +81,6 @@ func AutoWorkers() int { return runtime.GOMAXPROCS(0) }
 // gather formulation over the graph's reverse CSR —
 //
 //	next[v] = (1−d)·base[v] + d · Σ over in-arcs (u→v) of alpha[t]·InvDeg(u,t)·cur[u]
-//
-// — so parallel workers own disjoint slices of next and never contend.
 //
 // Every column is its OWN fixpoint: one iteration loop, its own cur/next
 // vectors from pool, its own exit, so what one column does — converge,
@@ -111,23 +104,17 @@ func AutoWorkers() int { return runtime.GOMAXPROCS(0) }
 // never a half-written sweep.
 //
 // Bit-identity contract: column j's Result — scores, Iterations,
-// Converged — is the same at ANY B and equal workers. Both bodies
-// perform the same float64 operations in the same order: (1−d)·base[v]
-// first, then one term per in-arc in (source, type) order, where the
-// plan's coef[k] is exactly the (d·alpha[t])·InvDeg sweep forms left to
-// right before multiplying by cur[u] (a zero rate adds an exact +0
-// instead of being skipped), and the L1 residual is folded over the same
-// `workers` static node ranges in worker order. Because the reverse CSR
-// is ordered by (source, type), the serial gather also accumulates each
-// node's sum in the order the seed's scatter loop did, so workers <= 1
-// results are bit-identical to it. Enforced by
-// TestIteratePanelGoldenEquivalence and internal/conformance.
-//
-// workers <= 1 runs everything inline on the calling goroutine; larger
-// values split every sweep of every column over that many goroutines
-// with one barrier per iteration. Results then match serial up to the
-// residual's summation order, and each other bit for bit at equal
-// worker counts.
+// Converged — depends on (graph, rates, base, options) alone, never on
+// B or on what shares the call. Both bodies perform the same float64
+// operations in the same order: (1−d)·base[v] first, then one term per
+// in-arc in (source, type) order, where the plan's coef[k] is exactly
+// the (d·alpha[t])·InvDeg sweep forms left to right before multiplying
+// by cur[u] (a zero rate adds an exact +0 instead of being skipped), and
+// the L1 residual is folded in ascending node order. Because the reverse
+// CSR is ordered by (source, type), the gather also accumulates each
+// node's sum in the order the seed's scatter loop did, so results are
+// bit-identical to it. Enforced by TestIteratePanelGoldenEquivalence and
+// internal/conformance.
 //
 // The returned slice has one Result per base set, in order; each
 // Result.Scores comes from pool (when non-nil) and can be recycled with
@@ -144,7 +131,7 @@ func AutoWorkers() int { return runtime.GOMAXPROCS(0) }
 // timing race, not a logic bug) and the fixpoint does not depend on the
 // start vector, so that column degrades to a cold start with
 // Result.InitDropped set.
-func Iterate(g *graph.Graph, alpha []float64, bases [][]float64, opts []Options, workers int, pool *BufferPool, plan *Plan) []Result {
+func Iterate(g *graph.Graph, alpha []float64, bases [][]float64, opts []Options, pool *BufferPool, plan *Plan) []Result {
 	B := len(bases)
 	if B == 0 {
 		return nil
@@ -194,20 +181,6 @@ func Iterate(g *graph.Graph, alpha []float64, bases [][]float64, opts []Options,
 			cols[j].plan = byDamping[d]
 		}
 	}
-
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	// Static disjoint node ranges per worker. Workers write only their
-	// own slice of next and their own partial residual, and read
-	// cur/base/CSR, all frozen within an iteration — no locks needed.
-	k.bounds = make([]int, workers+1)
-	for w := range k.bounds {
-		k.bounds[w] = w * n / workers
-	}
 	for j := range cols {
 		cols[j].run()
 	}
@@ -256,22 +229,19 @@ func NewPlan(g *graph.Graph, alpha []float64, d float64, sources []int32) *Plan 
 
 // kernel is what a run's columns share.
 type kernel struct {
-	start  []int32
-	arcs   []graph.Arc
-	alpha  []float64
-	bounds []int // worker w owns nodes [bounds[w], bounds[w+1])
-	pool   *BufferPool
+	start []int32
+	arcs  []graph.Arc
+	alpha []float64
+	pool  *BufferPool
 }
 
 // column is one fixpoint of a run.
 type column struct {
 	*kernel
-	base    []float64
-	opts    Options // normalized
-	plan    *Plan   // nil: the arc-struct body (a lone column)
-	res     *Result
-	partial []float64 // partial L1 residuals, one per worker
-	wg      sync.WaitGroup
+	base []float64
+	opts Options // normalized
+	plan *Plan   // nil: the arc-struct body (a lone column)
+	res  *Result
 }
 
 // run iterates the column to its exit — converged, out of MaxIters, or
@@ -285,8 +255,6 @@ func (c *column) run() {
 	} else {
 		copy(cur, c.base)
 	}
-	workers := len(c.bounds) - 1
-	c.partial = make([]float64, workers)
 	for it := 1; it <= o.MaxIters; it++ {
 		if o.Ctx != nil {
 			if err := o.Ctx.Err(); err != nil {
@@ -294,20 +262,7 @@ func (c *column) run() {
 				break
 			}
 		}
-		if workers == 1 {
-			c.sweepRange(0, cur, next)
-		} else {
-			c.wg.Add(workers)
-			for w := 0; w < workers; w++ {
-				go c.sweepWorker(w, cur, next)
-			}
-			c.wg.Wait()
-		}
-		// Fold the per-worker partial residuals in worker order.
-		diff := 0.0
-		for _, p := range c.partial {
-			diff += p
-		}
+		diff := c.step(cur, next)
 		cur, next = next, cur // cur is the just-completed iteration
 		c.res.Iterations = it
 		if o.Observe != nil {
@@ -323,43 +278,33 @@ func (c *column) run() {
 	c.res.Dur = time.Since(t0)
 }
 
-// sweepWorker is sweepRange as one goroutine of a parallel sweep.
-func (c *column) sweepWorker(w int, cur, next []float64) {
-	defer c.wg.Done()
-	c.sweepRange(w, cur, next)
-}
-
-// sweepRange advances the column over worker w's node range with the
-// body its plan selects, leaving the range's partial L1 residual in
-// c.partial[w].
-func (c *column) sweepRange(w int, cur, next []float64) {
-	lo, hi := c.bounds[w], c.bounds[w+1]
+// step advances the column one iteration with the sweep body its plan
+// selects and returns the iteration's L1 residual.
+func (c *column) step(cur, next []float64) float64 {
 	if c.plan == nil {
-		c.partial[w] = sweep(c.start, c.arcs, c.alpha, c.opts.Damping, c.base, cur, next, lo, hi)
-	} else {
-		c.partial[w] = sweepPlan(c.start, c.plan.to, c.plan.coef, 1-c.opts.Damping, c.base, cur, next, lo, hi)
+		return sweep(c.start, c.arcs, c.alpha, c.opts.Damping, c.base, cur, next)
 	}
+	return sweepPlan(c.start, c.plan.to, c.plan.coef, 1-c.opts.Damping, c.base, cur, next)
 }
 
 // sweep is the single-column inner loop. It performs one damped gather
-// pass over the node range [lo, hi): for each node it accumulates
-// (1−d)·base[v] plus the damped in-flow read off the reverse CSR,
-// writes next[v], and folds the L1 delta against cur[v] into the
-// returned partial. Index arithmetic over the two flat CSR arrays is
-// the whole body; there are no slice-header loads or map lookups on the
-// hot path.
+// pass over every node: for each node it accumulates (1−d)·base[v] plus
+// the damped in-flow read off the reverse CSR, writes next[v], and
+// folds the L1 delta against cur[v] into the returned residual. Index
+// arithmetic over the two flat CSR arrays is the whole body; there are
+// no slice-header loads or map lookups on the hot path.
 //
-// Bitwise determinism contract: for a full-range call the sequence of
-// floating-point additions per node — (1−d)·base[v] first, then
+// Bitwise determinism contract: the sequence of floating-point
+// additions per node — (1−d)·base[v] first, then
 // d·alpha[t]·InvDeg·cur[u] terms in (source, type) order — and the
 // ascending-v L1 accumulation reproduce the legacy scatter loop's
 // operation order exactly, so scores AND the convergence decision are
 // bit-identical to it. Terms whose rate is zero are skipped; they would
 // contribute an exact +0.0, which cannot change any partial sum.
-func sweep(start []int32, arcs []graph.Arc, alpha []float64, d float64, base, cur, next []float64, lo, hi int) float64 {
+func sweep(start []int32, arcs []graph.Arc, alpha []float64, d float64, base, cur, next []float64) float64 {
 	diff := 0.0
 	oneMinusD := 1 - d
-	for v := lo; v < hi; v++ {
+	for v := range next {
 		sum := oneMinusD * base[v]
 		for k := start[v]; k < start[v+1]; k++ {
 			a := arcs[k]
@@ -383,10 +328,10 @@ func sweep(start []int32, arcs []graph.Arc, alpha []float64, d float64, base, cu
 // that is solved with others: coef[k] is the (d·alpha[t])·InvDeg sweep
 // forms per arc, so sum gains the same float64 per in-arc in the same
 // order — a zero-rate arc adds an exact +0 where sweep skips it — and
-// next and the returned partial carry sweep's bits.
-func sweepPlan(start, to []int32, coef []float64, oneMinusD float64, base, cur, next []float64, lo, hi int) float64 {
+// next and the returned residual carry sweep's bits.
+func sweepPlan(start, to []int32, coef []float64, oneMinusD float64, base, cur, next []float64) float64 {
 	diff := 0.0
-	for v := lo; v < hi; v++ {
+	for v := range next {
 		sum := oneMinusD * base[v]
 		cs := coef[start[v]:start[v+1]]
 		ts := to[start[v]:start[v+1]]

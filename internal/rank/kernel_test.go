@@ -59,18 +59,13 @@ func fig1Fixture(t testing.TB) (*graph.Graph, *graph.Rates) {
 
 // iterate1 runs one base set through the driver — the single-column
 // call, which takes the sweep body.
-func iterate1(g *graph.Graph, alpha, base []float64, opts Options, workers int, pool *BufferPool) Result {
-	return Iterate(g, alpha, [][]float64{base}, []Options{opts}, workers, pool, nil)[0]
+func iterate1(g *graph.Graph, alpha, base []float64, opts Options, pool *BufferPool) Result {
+	return Iterate(g, alpha, [][]float64{base}, []Options{opts}, pool, nil)[0]
 }
 
-// run is iterate1 serial and unpooled.
+// run is iterate1 unpooled.
 func run(g *graph.Graph, rates *graph.Rates, base []float64, opts Options) Result {
-	return iterate1(g, rates.Vector(), base, opts, 1, nil)
-}
-
-// runWorkers is iterate1 unpooled on the given number of workers.
-func runWorkers(g *graph.Graph, rates *graph.Rates, base []float64, opts Options, workers int) Result {
-	return iterate1(g, rates.Vector(), base, opts, workers, nil)
+	return iterate1(g, rates.Vector(), base, opts, nil)
 }
 
 // fig1Base is the Q=[olap] jump distribution of the golden fixture:
@@ -120,7 +115,7 @@ func TestKernelPooledBitIdenticalAndReusable(t *testing.T) {
 	pool := NewBufferPool()
 	opts := Options{Damping: 0.85, Threshold: 1e-10, MaxIters: 500}
 	for round := 0; round < 3; round++ {
-		res := iterate1(g, r.Vector(), fig1Base(g), opts, 1, pool)
+		res := iterate1(g, r.Vector(), fig1Base(g), opts, pool)
 		for i, want := range fig1GoldenBits {
 			if got := math.Float64bits(res.Scores[i]); got != want {
 				t.Fatalf("round %d: pooled score[v%d] bits = %#016x, want %#016x", round, i+1, got, want)
@@ -133,20 +128,30 @@ func TestKernelPooledBitIdenticalAndReusable(t *testing.T) {
 	}
 }
 
+// TestKernelParallelMatchesSerialFig1: solves running at the same time
+// over one shared buffer pool each reproduce the seed's golden bits.
+// Recycled buffers carry another solve's stale contents, which the
+// kernel must overwrite before reading.
 func TestKernelParallelMatchesSerialFig1(t *testing.T) {
 	g, r := fig1Fixture(t)
+	alpha := r.Vector()
 	opts := Options{Damping: 0.85, Threshold: 1e-10, MaxIters: 500}
-	serial := run(g, r, fig1Base(g), opts)
-	for _, workers := range []int{2, 3, 7, 16} {
-		par := runWorkers(g, r, fig1Base(g), opts, workers)
-		if !par.Converged {
-			t.Fatalf("workers=%d did not converge", workers)
-		}
-		for i := range serial.Scores {
-			if math.Abs(serial.Scores[i]-par.Scores[i]) > 1e-12 {
-				t.Errorf("workers=%d node %d: serial %v vs parallel %v", workers, i, serial.Scores[i], par.Scores[i])
+	pool := NewBufferPool()
+	for _, callers := range []int{2, 3, 7, 16} {
+		concurrently(callers, func(int) {
+			for round := 0; round < 4; round++ {
+				res := iterate1(g, alpha, fig1Base(g), opts, pool)
+				if res.Iterations != fig1GoldenIters {
+					t.Errorf("callers=%d: Iterations = %d, want %d", callers, res.Iterations, fig1GoldenIters)
+				}
+				for i, want := range fig1GoldenBits {
+					if got := math.Float64bits(res.Scores[i]); got != want {
+						t.Errorf("callers=%d: score[v%d] bits = %#016x, want %#016x", callers, i+1, got, want)
+					}
+				}
+				res.ReleaseTo(pool)
 			}
-		}
+		})
 	}
 }
 
@@ -209,19 +214,23 @@ func TestKernelSerialBitIdenticalToSeedDBLP(t *testing.T) {
 	}
 }
 
+// TestKernelParallelMatchesSerialDBLP is the Fig. 1 check above on the
+// seeded DBLP corpus: four concurrent pooled solves, each bit-identical
+// to the unpooled one.
 func TestKernelParallelMatchesSerialDBLP(t *testing.T) {
 	g, r, base := dblpFixture(t)
 	opts := Options{Damping: 0.85, Threshold: 1e-9, MaxIters: 1000}
 	serial := run(g, r, base, opts)
-	par := runWorkers(g, r, base, opts, 4)
-	if !par.Converged {
-		t.Fatal("parallel did not converge")
-	}
-	for i := range serial.Scores {
-		if math.Abs(serial.Scores[i]-par.Scores[i]) > 1e-12 {
-			t.Fatalf("node %d: serial %v vs parallel %v", i, serial.Scores[i], par.Scores[i])
+	pool := NewBufferPool()
+	concurrently(4, func(c int) {
+		for round := 0; round < 2; round++ {
+			res := iterate1(g, r.Vector(), base, opts, pool)
+			if v := firstDiff(res.Scores, serial.Scores); v >= 0 || res.Iterations != serial.Iterations {
+				t.Errorf("caller %d: iterations %d vs %d, first differing node %d", c, res.Iterations, serial.Iterations, v)
+			}
+			res.ReleaseTo(pool)
 		}
-	}
+	})
 }
 
 func TestKernelDegradesStaleInit(t *testing.T) {
@@ -340,7 +349,7 @@ func TestZeroThresholdRunsAllIterations(t *testing.T) {
 }
 
 // TestKernelAllocsBounded asserts the pooled steady state allocates at
-// most a small constant per run (goroutine-free serial path).
+// most a small constant per run.
 func TestKernelAllocsBounded(t *testing.T) {
 	g, r := fig1Fixture(t)
 	alpha := r.Vector()
@@ -348,10 +357,10 @@ func TestKernelAllocsBounded(t *testing.T) {
 	pool := NewBufferPool()
 	opts := Options{Damping: 0.85, Threshold: 1e-10, MaxIters: 500}
 	// Warm the pool.
-	res := iterate1(g, alpha, base, opts, 1, pool)
+	res := iterate1(g, alpha, base, opts, pool)
 	res.ReleaseTo(pool)
 	allocs := testing.AllocsPerRun(20, func() {
-		r := iterate1(g, alpha, base, opts, 1, pool)
+		r := iterate1(g, alpha, base, opts, pool)
 		r.ReleaseTo(pool)
 	})
 	if allocs > kernelAllocsPerRun {
@@ -367,7 +376,7 @@ func BenchmarkKernelPooledSteadyState(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := iterate1(g, alpha, base, opts, 1, pool)
+		res := iterate1(g, alpha, base, opts, pool)
 		res.ReleaseTo(pool)
 	}
 }
@@ -379,6 +388,6 @@ func BenchmarkKernelUnpooled(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = iterate1(g, alpha, base, opts, 1, nil)
+		_ = iterate1(g, alpha, base, opts, nil)
 	}
 }

@@ -21,37 +21,34 @@ func TestObserverMatchesIterations(t *testing.T) {
 		residuals = append(residuals, residual)
 	}
 
-	for _, workers := range []int{1, 3} {
-		iters, residuals = nil, nil
-		res := iterate1(g, r.Vector(), base, opts, workers, nil)
-		if !res.Converged {
-			t.Fatalf("workers=%d: fixture run did not converge", workers)
+	res := iterate1(g, r.Vector(), base, opts, nil)
+	if !res.Converged {
+		t.Fatal("fixture run did not converge")
+	}
+	if len(iters) != res.Iterations {
+		t.Fatalf("observer saw %d iterations, kernel reports %d", len(iters), res.Iterations)
+	}
+	for i, it := range iters {
+		if it != i+1 {
+			t.Fatalf("call %d reported iteration %d, want %d", i, it, i+1)
 		}
-		if len(iters) != res.Iterations {
-			t.Fatalf("workers=%d: observer saw %d iterations, kernel reports %d", workers, len(iters), res.Iterations)
+	}
+	// Every residual before the last must be at or above threshold
+	// (the run continued); the last must be below (it stopped).
+	th := opts.Normalized().Threshold
+	for i, rd := range residuals[:len(residuals)-1] {
+		if rd < th {
+			t.Fatalf("iteration %d residual %g below threshold %g but run continued", i+1, rd, th)
 		}
-		for i, it := range iters {
-			if it != i+1 {
-				t.Fatalf("workers=%d: call %d reported iteration %d, want %d", workers, i, it, i+1)
-			}
-		}
-		// Every residual before the last must be at or above threshold
-		// (the run continued); the last must be below (it stopped).
-		th := opts.Normalized().Threshold
-		for i, rd := range residuals[:len(residuals)-1] {
-			if rd < th {
-				t.Fatalf("workers=%d: iteration %d residual %g below threshold %g but run continued", workers, i+1, rd, th)
-			}
-		}
-		if last := residuals[len(residuals)-1]; last >= th {
-			t.Fatalf("workers=%d: final residual %g not below threshold %g despite convergence", workers, last, th)
-		}
-		// Residuals of a converging damped iteration must reach the
-		// threshold monotonically enough that the last is the minimum.
-		for _, rd := range residuals[:len(residuals)-1] {
-			if rd < residuals[len(residuals)-1] {
-				t.Fatalf("workers=%d: interior residual %g below final residual", workers, rd)
-			}
+	}
+	if last := residuals[len(residuals)-1]; last >= th {
+		t.Fatalf("final residual %g not below threshold %g despite convergence", last, th)
+	}
+	// Residuals of a converging damped iteration must reach the
+	// threshold monotonically enough that the last is the minimum.
+	for _, rd := range residuals[:len(residuals)-1] {
+		if rd < residuals[len(residuals)-1] {
+			t.Fatalf("interior residual %g below final residual", rd)
 		}
 	}
 }
@@ -63,7 +60,7 @@ func TestObserverZeroIters(t *testing.T) {
 	base := fig1Base(g)
 	calls := 0
 	opts := Options{MaxIters: ZeroIters, Observe: func(int, float64) { calls++ }}
-	res := iterate1(g, r.Vector(), base, opts, 1, nil)
+	res := iterate1(g, r.Vector(), base, opts, nil)
 	if res.Iterations != 0 || calls != 0 {
 		t.Fatalf("zero-iteration run: Iterations=%d observer calls=%d, want 0/0", res.Iterations, calls)
 	}
@@ -76,11 +73,11 @@ func TestObserverZeroIters(t *testing.T) {
 func TestObserverDoesNotChangeScores(t *testing.T) {
 	g, r := fig1Fixture(t)
 	base := fig1Base(g)
-	plain := iterate1(g, r.Vector(), base, Options{Threshold: 1e-10, MaxIters: 500}, 1, nil)
+	plain := iterate1(g, r.Vector(), base, Options{Threshold: 1e-10, MaxIters: 500}, nil)
 	observed := iterate1(g, r.Vector(), base, Options{
 		Threshold: 1e-10, MaxIters: 500,
 		Observe: func(int, float64) {},
-	}, 1, nil)
+	}, nil)
 	if plain.Iterations != observed.Iterations {
 		t.Fatalf("iterations differ: %d vs %d", plain.Iterations, observed.Iterations)
 	}
@@ -91,14 +88,12 @@ func TestObserverDoesNotChangeScores(t *testing.T) {
 	}
 }
 
-// kernelAllocsPerRun is the pooled serial driver's steady-state
-// allocation count for one column: the results and columns slices, the
-// kernel struct, the worker bounds and the column's partial residuals,
-// plus two sync.Pool slice-header boxings in BufferPool.Put and what
-// iterate1's one-element argument slices cost — all per RUN, none from
-// the iteration loop, so the count is the same for one sweep as for
-// five hundred.
-const kernelAllocsPerRun = 8
+// kernelAllocsPerRun is the pooled driver's steady-state allocation
+// count for one column: the results and columns slices and the kernel
+// struct, plus two sync.Pool slice-header boxings in BufferPool.Put —
+// all per RUN, none from the iteration loop, so the count is the same
+// for one sweep as for five hundred.
+const kernelAllocsPerRun = 5
 
 // TestIterateDisabledObserverZeroAlloc is the overhead contract of the
 // observability layer: with Observe == nil the pooled serial kernel
@@ -112,11 +107,11 @@ func TestIterateDisabledObserverZeroAlloc(t *testing.T) {
 	for _, maxIters := range []int{1, 500} {
 		opts := Options{Threshold: 1e-10, MaxIters: maxIters}
 		// Warm the pool so steady state is measured, not first-use growth.
-		res := iterate1(g, alpha, base, opts, 1, pool)
+		res := iterate1(g, alpha, base, opts, pool)
 		res.ReleaseTo(pool)
 
 		allocs := testing.AllocsPerRun(100, func() {
-			r := iterate1(g, alpha, base, opts, 1, pool)
+			r := iterate1(g, alpha, base, opts, pool)
 			r.ReleaseTo(pool)
 		})
 		if allocs > kernelAllocsPerRun {

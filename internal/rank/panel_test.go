@@ -54,9 +54,9 @@ func assertColumnBitIdentical(t *testing.T, label string, got, want Result) {
 
 // TestIteratePanelGoldenEquivalence is the tentpole contract: for every
 // block width (including 1 and a ragged 7), every damping/threshold/
-// max-iters combination, serial and parallel execution, with and
-// without warm starts, each panel column is bit-identical to the
-// standalone Iterate run of the same base set.
+// max-iters combination, with and without warm starts, each panel
+// column is bit-identical to the standalone Iterate run of the same
+// base set.
 func TestIteratePanelGoldenEquivalence(t *testing.T) {
 	g, r, _ := dblpFixture(t)
 	alpha := r.Vector()
@@ -80,16 +80,14 @@ func TestIteratePanelGoldenEquivalence(t *testing.T) {
 	for _, B := range []int{1, 2, 7, 64} {
 		bases := blockBases(g, B)
 		for oi, o := range optsMatrix {
-			for _, workers := range []int{1, 4} {
-				label := fmt.Sprintf("B=%d opts=%d workers=%d", B, oi, workers)
-				block := Iterate(g, alpha, bases, []Options{o}, workers, nil, nil)
-				if len(block) != B {
-					t.Fatalf("%s: %d results for %d bases", label, len(block), B)
-				}
-				for j := 0; j < B; j++ {
-					single := iterate1(g, alpha, bases[j], o, workers, nil)
-					assertColumnBitIdentical(t, fmt.Sprintf("%s col=%d", label, j), block[j], single)
-				}
+			label := fmt.Sprintf("B=%d opts=%d", B, oi)
+			block := Iterate(g, alpha, bases, []Options{o}, nil, nil)
+			if len(block) != B {
+				t.Fatalf("%s: %d results for %d bases", label, len(block), B)
+			}
+			for j := 0; j < B; j++ {
+				single := iterate1(g, alpha, bases[j], o, nil)
+				assertColumnBitIdentical(t, fmt.Sprintf("%s col=%d", label, j), block[j], single)
 			}
 		}
 	}
@@ -114,9 +112,9 @@ func TestIteratePanelPerColumnOptions(t *testing.T) {
 		{Damping: 0.85, Threshold: 1e-10, MaxIters: 500, Init: warm.Scores},
 	}
 	pool := NewBufferPool()
-	block := Iterate(g, alpha, bases, perCol, 1, pool, nil)
+	block := Iterate(g, alpha, bases, perCol, pool, nil)
 	for j := range bases {
-		single := iterate1(g, alpha, bases[j], perCol[j], 1, nil)
+		single := iterate1(g, alpha, bases[j], perCol[j], nil)
 		assertColumnBitIdentical(t, fmt.Sprintf("col=%d", j), block[j], single)
 		block[j].ReleaseTo(pool)
 	}
@@ -143,12 +141,12 @@ func TestIteratePanelObservePerColumn(t *testing.T) {
 				got[j] = append(got[j], res)
 			}}
 	}
-	block := Iterate(g, alpha, bases, perCol, 1, nil, nil)
+	block := Iterate(g, alpha, bases, perCol, nil, nil)
 	for j := range bases {
 		var want []float64
 		o := perCol[j]
 		o.Observe = func(iter int, res float64) { want = append(want, res) }
-		single := iterate1(g, alpha, bases[j], o, 1, nil)
+		single := iterate1(g, alpha, bases[j], o, nil)
 		if len(got[j]) != single.Iterations || len(got[j]) != len(want) {
 			t.Fatalf("col %d: %d observations for %d iterations", j, len(got[j]), single.Iterations)
 		}
@@ -184,7 +182,7 @@ func TestIteratePanelPerColumnCancel(t *testing.T) {
 			cancel()
 		}
 	}
-	block := Iterate(g, alpha, bases, perCol, 1, nil, nil)
+	block := Iterate(g, alpha, bases, perCol, nil, nil)
 
 	// The cancelled column stopped within one sweep with a complete
 	// iteration state: its scores equal a ZeroThreshold run of exactly
@@ -198,7 +196,7 @@ func TestIteratePanelPerColumnCancel(t *testing.T) {
 	if block[2].Iterations != cancelAfter {
 		t.Errorf("cancelled column ran %d iterations, want %d", block[2].Iterations, cancelAfter)
 	}
-	truncated := iterate1(g, alpha, bases[2], Options{Damping: 0.85, Threshold: ZeroThreshold, MaxIters: cancelAfter}, 1, nil)
+	truncated := iterate1(g, alpha, bases[2], Options{Damping: 0.85, Threshold: ZeroThreshold, MaxIters: cancelAfter}, nil)
 	for v := range truncated.Scores {
 		if math.Float64bits(block[2].Scores[v]) != math.Float64bits(truncated.Scores[v]) {
 			t.Fatalf("cancelled column score[%d] differs from %d-sweep state", v, cancelAfter)
@@ -206,7 +204,7 @@ func TestIteratePanelPerColumnCancel(t *testing.T) {
 	}
 	// The other columns are untouched by their neighbor's cancellation.
 	for _, j := range []int{0, 1, 3} {
-		single := iterate1(g, alpha, bases[j], perCol[j], 1, nil)
+		single := iterate1(g, alpha, bases[j], perCol[j], nil)
 		assertColumnBitIdentical(t, fmt.Sprintf("survivor col=%d", j), block[j], single)
 	}
 }
@@ -220,7 +218,7 @@ func TestIteratePanelCancelledBeforeStart(t *testing.T) {
 	bases := blockBases(g, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	block := Iterate(g, alpha, bases, []Options{{Ctx: ctx}}, 1, nil, nil)
+	block := Iterate(g, alpha, bases, []Options{{Ctx: ctx}}, nil, nil)
 	for j := range bases {
 		if block[j].Err != context.Canceled || block[j].Iterations != 0 {
 			t.Fatalf("col %d: err=%v iters=%d, want Canceled/0", j, block[j].Err, block[j].Iterations)
@@ -242,7 +240,7 @@ func TestIteratePanelGoldenFig1(t *testing.T) {
 	alpha := r.Vector()
 	bases := append([][]float64{fig1Base(g)}, blockBases(g, 3)...)
 	o := Options{Damping: 0.85, Threshold: 1e-10, MaxIters: 500}
-	block := Iterate(g, alpha, bases, []Options{o}, 1, nil, nil)
+	block := Iterate(g, alpha, bases, []Options{o}, nil, nil)
 	if !block[0].Converged || block[0].Iterations != fig1GoldenIters {
 		t.Fatalf("converged=%v iterations=%d, want true/%d", block[0].Converged, block[0].Iterations, fig1GoldenIters)
 	}
@@ -276,7 +274,7 @@ func TestIteratePanelPanics(t *testing.T) {
 					t.Fatalf("%s: no panic", c.name)
 				}
 			}()
-			Iterate(g, alpha, c.bases, c.opts, 4, nil, c.plan)
+			Iterate(g, alpha, c.bases, c.opts, nil, c.plan)
 		})
 	}
 }
@@ -301,7 +299,7 @@ func TestIteratePanelDegradesStaleInit(t *testing.T) {
 	oStale, oWarm := o, o
 	oStale.Init = staleInit
 	oWarm.Init = warmInit
-	block := Iterate(g, alpha, bases, []Options{oStale, oWarm}, 1, nil, nil)
+	block := Iterate(g, alpha, bases, []Options{oStale, oWarm}, nil, nil)
 	if !block[0].InitDropped {
 		t.Fatal("stale-init column not reported as dropped")
 	}
@@ -309,7 +307,7 @@ func TestIteratePanelDegradesStaleInit(t *testing.T) {
 		t.Fatal("well-sized init column reported as dropped")
 	}
 
-	cold := iterate1(g, alpha, bases[0], o, 1, nil)
+	cold := iterate1(g, alpha, bases[0], o, nil)
 	if block[0].Iterations != cold.Iterations || block[0].Converged != cold.Converged {
 		t.Fatalf("degraded column (iters=%d conv=%v) differs from cold solve (iters=%d conv=%v)",
 			block[0].Iterations, block[0].Converged, cold.Iterations, cold.Converged)
@@ -319,7 +317,7 @@ func TestIteratePanelDegradesStaleInit(t *testing.T) {
 			t.Fatalf("score[%d]: degraded column %v != cold solve %v", v, block[0].Scores[v], cold.Scores[v])
 		}
 	}
-	warm := iterate1(g, alpha, bases[1], oWarm, 1, nil)
+	warm := iterate1(g, alpha, bases[1], oWarm, nil)
 	for v := range warm.Scores {
 		if math.Float64bits(block[1].Scores[v]) != math.Float64bits(warm.Scores[v]) {
 			t.Fatalf("score[%d]: warm column %v != warm solve %v", v, block[1].Scores[v], warm.Scores[v])
@@ -330,7 +328,7 @@ func TestIteratePanelDegradesStaleInit(t *testing.T) {
 // TestIteratePanelEmpty: zero base sets is a no-op, not a panic.
 func TestIteratePanelEmpty(t *testing.T) {
 	g, r := fig1Fixture(t)
-	if res := Iterate(g, r.Vector(), nil, []Options{{}}, 1, nil, nil); res != nil {
+	if res := Iterate(g, r.Vector(), nil, []Options{{}}, nil, nil); res != nil {
 		t.Fatalf("Iterate(nil bases) = %v, want nil", res)
 	}
 }

@@ -3,11 +3,42 @@ package rank
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
 	"authorityflow/internal/graph"
 )
+
+// The kernel runs every solve on its caller's goroutine; what runs in
+// parallel is several solves at once, sharing a buffer pool, a plan and
+// their inputs. The tests here check that sharing changes no bit.
+
+// concurrently runs f(0) … f(n−1) on n goroutines and waits for all.
+func concurrently(n int, f func(caller int)) {
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for c := 0; c < n; c++ {
+		go func(c int) {
+			defer wg.Done()
+			f(c)
+		}(c)
+	}
+	wg.Wait()
+}
+
+// firstDiff returns the first index where a and b differ in bits, or −1.
+func firstDiff(a, b []float64) int {
+	if len(a) != len(b) {
+		return 0
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return i
+		}
+	}
+	return -1
+}
 
 func randomWorld(t testing.TB, seed int64, n, m int) (*graph.Graph, *graph.Rates, []float64) {
 	t.Helper()
@@ -25,90 +56,95 @@ func randomWorld(t testing.TB, seed int64, n, m int) (*graph.Graph, *graph.Rates
 	return g, r, base
 }
 
+// solveShared is one caller's solve: base together with two more
+// columns, over the shared plan and pool. It returns base's column with
+// the scores copied out, and recycles every buffer.
+func solveShared(g *graph.Graph, alpha, base []float64, opts Options, plan *Plan, pool *BufferPool) Result {
+	bases := append([][]float64{base}, blockBases(g, 2)...)
+	res := Iterate(g, alpha, bases, []Options{opts}, pool, plan)
+	out := res[0]
+	out.Scores = append([]float64(nil), out.Scores...)
+	for j := range res {
+		res[j].ReleaseTo(pool)
+	}
+	return out
+}
+
+// TestParallelMatchesSerial: concurrent multi-column solves sharing one
+// plan and one pool each return the bits of the column solved alone.
 func TestParallelMatchesSerial(t *testing.T) {
-	for _, workers := range []int{2, 3, 4, 8} {
-		g, r, base := randomWorld(t, int64(workers), 500, 3000)
+	for _, callers := range []int{2, 3, 4, 8} {
+		g, r, base := randomWorld(t, int64(callers), 500, 3000)
+		alpha := r.Vector()
 		opts := Options{Threshold: 1e-10, MaxIters: 1000}
 		serial := run(g, r, base, opts)
-		parallel := runWorkers(g, r, base, opts, workers)
-		if !parallel.Converged || !serial.Converged {
-			t.Fatalf("workers=%d: convergence serial=%v parallel=%v", workers, serial.Converged, parallel.Converged)
+		if !serial.Converged {
+			t.Fatalf("callers=%d: serial solve did not converge", callers)
 		}
-		for i := range serial.Scores {
-			if math.Abs(serial.Scores[i]-parallel.Scores[i]) > 1e-9 {
-				t.Fatalf("workers=%d: node %d: serial %v vs parallel %v",
-					workers, i, serial.Scores[i], parallel.Scores[i])
+		plan, pool := NewPlan(g, alpha, opts.Normalized().Damping, nil), NewBufferPool()
+		concurrently(callers, func(c int) {
+			for round := 0; round < 3; round++ {
+				got := solveShared(g, alpha, base, opts, plan, pool)
+				if v := firstDiff(got.Scores, serial.Scores); v >= 0 || got.Iterations != serial.Iterations {
+					t.Errorf("callers=%d caller %d: iterations %d vs %d, first differing node %d",
+						callers, c, got.Iterations, serial.Iterations, v)
+					return
+				}
 			}
-		}
+		})
 	}
 }
 
-func TestParallelDegenerateWorkerCounts(t *testing.T) {
-	g, r, base := randomWorld(t, 5, 100, 500)
-	opts := Options{Threshold: 1e-10, MaxIters: 1000}
-	serial := run(g, r, base, opts)
-	for _, workers := range []int{0, 1, 100, 1000} {
-		got := runWorkers(g, r, base, opts, workers)
-		for i := range serial.Scores {
-			if math.Abs(serial.Scores[i]-got.Scores[i]) > 1e-9 {
-				t.Fatalf("workers=%d diverges at node %d", workers, i)
-			}
-		}
-	}
-}
-
-func TestParallelEmptyGraph(t *testing.T) {
-	g, r := paperGraph(t, 1, nil, 0.5, 0)
-	res := runWorkers(g, r, []float64{1}, Options{Threshold: 1e-9, MaxIters: 10}, 4)
-	if len(res.Scores) != 1 {
-		t.Fatalf("scores = %v", res.Scores)
-	}
-	if math.Abs(res.Scores[0]-0.15) > 1e-9 {
-		t.Errorf("isolated node score = %v, want 0.15", res.Scores[0])
-	}
-}
-
+// TestParallelWarmStart: concurrent solves warm-started from one shared
+// Init vector — a donation handed to several readers — each converge
+// faster than cold, to the bits of the same warm solve run alone, and
+// leave the shared vector untouched.
 func TestParallelWarmStart(t *testing.T) {
 	g, r, base := randomWorld(t, 9, 300, 1500)
 	opts := Options{Threshold: 1e-10, MaxIters: 1000}
-	cold := runWorkers(g, r, base, opts, 4)
+	cold := run(g, r, base, opts)
+	base2 := append([]float64(nil), base...)
+	base2[0] += 0.05
+	NormalizeDist(base2)
 	optsWarm := opts
-	optsWarm.Init = cold.Scores
-	warm := runWorkers(g, r, base, optsWarm, 4)
-	if warm.Iterations >= cold.Iterations {
-		t.Errorf("warm start did not converge faster: %d vs %d", warm.Iterations, cold.Iterations)
+	optsWarm.Init = append([]float64(nil), cold.Scores...)
+	want := run(g, r, base2, optsWarm)
+	if coldIters := run(g, r, base2, opts).Iterations; want.Iterations >= coldIters {
+		t.Fatalf("warm start did not converge faster: %d vs %d", want.Iterations, coldIters)
 	}
-}
-
-func BenchmarkPowerIterationParallel(b *testing.B) {
-	g, r := benchGraph(b, 20000, 160000)
-	base := make([]float64, g.NumNodes())
-	for i := range base {
-		base[i] = 1
-	}
-	NormalizeDist(base)
-	opts := Options{Threshold: 1e-6, MaxIters: 100}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		runWorkers(g, r, base, opts, 0)
-	}
-}
-
-// TestPropertyParallelEqualsSerial: quick-checked equivalence on random
-// graph/base combinations.
-func TestPropertyParallelEqualsSerial(t *testing.T) {
-	prop := func(seed int64, workers uint8) bool {
-		g, r, base := randomWorld(&testing.T{}, seed, 60, 300)
-		opts := Options{Threshold: 1e-9, MaxIters: 500}
-		a := run(g, r, base, opts)
-		b := runWorkers(g, r, base, opts, 1+int(workers%7))
-		for i := range a.Scores {
-			if math.Abs(a.Scores[i]-b.Scores[i]) > 1e-8 {
-				return false
-			}
+	pool := NewBufferPool()
+	concurrently(4, func(c int) {
+		got := iterate1(g, r.Vector(), base2, optsWarm, pool)
+		if v := firstDiff(got.Scores, want.Scores); v >= 0 || got.Iterations != want.Iterations {
+			t.Errorf("caller %d: iterations %d vs %d, first differing node %d", c, got.Iterations, want.Iterations, v)
 		}
-		return true
+		got.ReleaseTo(pool)
+	})
+	if v := firstDiff(optsWarm.Init, cold.Scores); v >= 0 {
+		t.Errorf("shared Init written at node %d", v)
+	}
+}
+
+// TestPropertyParallelEqualsSerial: quick-checked over random worlds
+// and one to seven concurrent callers.
+func TestPropertyParallelEqualsSerial(t *testing.T) {
+	prop := func(seed int64, callers uint8) bool {
+		g, r, base := randomWorld(&testing.T{}, seed, 60, 300)
+		alpha := r.Vector()
+		opts := Options{Threshold: 1e-9, MaxIters: 500}
+		want := run(g, r, base, opts)
+		plan, pool := NewPlan(g, alpha, opts.Normalized().Damping, nil), NewBufferPool()
+		var mu sync.Mutex
+		ok := true
+		concurrently(1+int(callers%7), func(int) {
+			got := solveShared(g, alpha, base, opts, plan, pool)
+			if firstDiff(got.Scores, want.Scores) >= 0 || got.Iterations != want.Iterations {
+				mu.Lock()
+				ok = false
+				mu.Unlock()
+			}
+		})
+		return ok
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)

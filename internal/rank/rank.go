@@ -64,20 +64,19 @@ type Options struct {
 	// one branch per iteration, so serving with observation disabled is
 	// indistinguishable from a kernel without the hook (enforced by
 	// TestIterateDisabledObserverZeroAlloc). A non-nil observer runs on
-	// the coordinating goroutine of its own solve, never inside the
-	// parallel sweep workers; concurrent solves call their observers
-	// concurrently, so a shared observer must be safe for concurrent
-	// use. Observers must not retain or mutate kernel state.
+	// the goroutine of its own solve; concurrent solves call their
+	// observers concurrently, so a shared observer must be safe for
+	// concurrent use. Observers must not retain or mutate kernel state.
 	Observe IterObserver
 	// Ctx, if non-nil, makes the run cancellable: the kernel checks
-	// ctx.Err() exactly once per sweep, on the coordinating goroutine,
-	// BEFORE starting the next iteration. On cancellation the run stops
-	// with Result.Err set to the context's error and Result.Scores
-	// holding the last fully completed iteration's vector — a sweep is
-	// never published half-written, so a cancelled run's scores are
-	// always a consistent (just unconverged) fixpoint state. A nil Ctx
-	// means the run cannot be cancelled and costs one branch per
-	// iteration (the serving default before PR 4).
+	// ctx.Err() exactly once per sweep, BEFORE starting the next
+	// iteration. On cancellation the run stops with Result.Err set to
+	// the context's error and Result.Scores holding the last fully
+	// completed iteration's vector — a sweep is never published
+	// half-written, so a cancelled run's scores are always a consistent
+	// (just unconverged) fixpoint state. A nil Ctx means the run cannot
+	// be cancelled and costs one branch per iteration (the serving
+	// default before PR 4).
 	//
 	// Contract: whether Ctx is nil, context.Background(), or a live
 	// cancellable context, the happy path (no cancellation) allocates
@@ -209,7 +208,7 @@ func PageRank(g *graph.Graph, rates *graph.Rates, opts Options) Result {
 	for i := range base {
 		base[i] = u
 	}
-	return Iterate(g, rates.Vector(), [][]float64{base}, []Options{opts}, 1, nil, nil)[0]
+	return Iterate(g, rates.Vector(), [][]float64{base}, []Options{opts}, nil, nil)[0]
 }
 
 // ObjectRank computes the original [BHP04] ObjectRank for a base set
@@ -224,7 +223,7 @@ func ObjectRank(g *graph.Graph, rates *graph.Rates, baseSet []graph.NodeID, opts
 			base[v] = u
 		}
 	}
-	return Iterate(g, rates.Vector(), [][]float64{base}, []Options{opts}, 1, nil, nil)[0]
+	return Iterate(g, rates.Vector(), [][]float64{base}, []Options{opts}, nil, nil)[0]
 }
 
 // ObjectRankMulti computes the modified multi-keyword ObjectRank of

@@ -35,7 +35,7 @@ import (
 // WithProfiles enables the personalization tier: profiles persist under
 // dir (one checksummed record per profile, atomic replace), and the
 // topic basis holds basisSize precomputed fixpoint vectors (0 =
-// profile.DefaultBasisSize). An empty dir serves profiles memory-only.
+// profile.DefaultBasisSize). dir is required: New fails without it.
 // Personalized queries rank their base query through the serving cache,
 // sharing its term vectors and solve singleflight.
 func WithProfiles(dir string, basisSize int) Option {

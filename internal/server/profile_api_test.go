@@ -137,6 +137,14 @@ func TestProfileDisabled(t *testing.T) {
 			t.Fatalf("message should point at the flag: %q", env.Error.Message)
 		}
 	}
+	// An empty profile dir is refused, not served from memory alone.
+	ds, err := datagen.GenerateDBLP(datagen.DBLPTopConfig().Scale(0.01))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(ds, core.Config{}, WithProfiles("", 0)); err == nil || !strings.Contains(err.Error(), "Dir") {
+		t.Fatalf("WithProfiles(\"\") = %v, want an error naming Dir", err)
+	}
 }
 
 // TestProfilePersonalizedQuery is the serving-path acceptance check:

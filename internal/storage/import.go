@@ -76,7 +76,9 @@ func LoadSchema(r io.Reader) (*graph.Schema, *graph.Rates, error) {
 //	edges:  <from-id> <TAB> <to-id> <TAB> <role>
 //
 // IDs are arbitrary non-empty strings, mapped to dense node IDs in
-// file order. Blank lines and lines starting with '#' are skipped.
+// file order. Blank lines and lines starting with '#' are skipped. A
+// line may end in CRLF, but a carriage return anywhere else is an error:
+// ExportTSV would write it at a line end, where the next import drops it.
 // Every referenced type, role and ID must exist; duplicate node IDs and
 // malformed lines are errors with line numbers.
 func ImportTSV(schema io.Reader, nodes io.Reader, edges io.Reader, name string) (*datagen.Dataset, error) {
@@ -95,6 +97,9 @@ func ImportTSV(schema io.Reader, nodes io.Reader, edges io.Reader, name string) 
 		line := scan.Text()
 		if skippable(line) {
 			continue
+		}
+		if strings.ContainsRune(line, '\r') {
+			return nil, fmt.Errorf("storage: nodes line %d: carriage return inside the line", lineNo)
 		}
 		fields := strings.Split(line, "\t")
 		if len(fields) < 2 {
@@ -133,6 +138,9 @@ func ImportTSV(schema io.Reader, nodes io.Reader, edges io.Reader, name string) 
 		line := scan.Text()
 		if skippable(line) {
 			continue
+		}
+		if strings.ContainsRune(line, '\r') {
+			return nil, fmt.Errorf("storage: edges line %d: carriage return inside the line", lineNo)
 		}
 		fields := strings.Split(line, "\t")
 		if len(fields) != 3 {

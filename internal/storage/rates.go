@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"authorityflow/internal/graph"
@@ -53,6 +54,10 @@ func LoadRates(r io.Reader, s *graph.Schema) (*graph.Rates, error) {
 		tt, ok := byName[name]
 		if !ok {
 			return nil, fmt.Errorf("storage: rates: unknown transfer type %q for this schema", name)
+		}
+		// A -0 would load, then be saved as an absent (+0) rate.
+		if math.Signbit(v) {
+			return nil, fmt.Errorf("storage: rates: negative rate %v for %q", v, name)
 		}
 		if err := rates.SetRate(tt, v); err != nil {
 			return nil, fmt.Errorf("storage: rates: %w", err)
