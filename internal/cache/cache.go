@@ -31,13 +31,18 @@
 // versions.
 //
 // There is one miss path. probe reads both LRUs and, finding nothing,
-// names the column the kernel must solve; solve runs pending columns of
-// one direction through Pinned.Solve — the only call to it here — taking
-// donations and filling the term-vector LRU; harvest turns solved
-// columns into result entries and releases the rest. A single query is
-// probe, then one flight around a one-column solve; a batch is probe
-// per item, then one solve per direction; a full-vector Rank is the
-// probe restricted to the vector LRU. DESIGN.md §6 has the table.
+// names the column that must be answered; solve answers pending columns
+// of one direction — a multi-keyword column whose terms' vectors are all
+// resident is assembled from them (Σ γ_t·r_t, fixpoint linearity, no
+// kernel work), everything else runs through Pinned.Solve, the only call
+// to it here, taking donations and filling the term-vector LRU; harvest
+// turns answered columns into result entries and releases the rest. A
+// single query is probe, then one flight around a one-column solve; a
+// batch is probe per item, then one solve per direction that first
+// gathers the terms its multi-keyword items lack; a full-vector Rank is
+// the probe restricted to the vector LRU, and a panel of term vectors
+// (the profile basis) is that probe per term, then one solve of the
+// missing ones. DESIGN.md §6 has the table.
 package cache
 
 import (
@@ -125,8 +130,9 @@ type ResultItem struct {
 const (
 	// SourceResult: the full top-k answer came from the result cache.
 	SourceResult = "result"
-	// SourceTerm: a cached converged term vector was re-ranked (top-k
-	// scan only, no kernel work).
+	// SourceTerm: the answer was read off cached converged term vectors
+	// with no kernel work — one re-ranked, or several combined into a
+	// multi-keyword ranking (Σ γ_t·r_t) and ranked.
 	SourceTerm = "term"
 	// SourceComputed: a power-iteration solve ran — possibly another
 	// concurrent caller's (see StatsSnapshot.SingleflightDedup).
@@ -145,7 +151,8 @@ type Answer struct {
 	// with the cache and must be treated as read-only.
 	Results []ResultItem
 	// Iterations is the power-iteration count of the solve that
-	// produced the answer (0 only for a degenerate empty query).
+	// produced the answer (0 only for a degenerate empty query); for an
+	// answer assembled from term vectors, the largest of theirs.
 	Iterations int
 	// BaseSet is the base-set size |S(Q)|.
 	BaseSet int
@@ -195,9 +202,13 @@ type cachedResult struct {
 // single-term ObjectRank2 execution. The vector is immutable after
 // insertion and is never returned to the engine's buffer pool.
 type termVector struct {
-	vec       []float64
-	iters     int
-	baseN     int
+	vec   []float64
+	iters int
+	baseN int
+	// mass is the term's base mass at query weight 1
+	// (core.RankResult.BaseMass): what weighs the vector in a
+	// multi-keyword ranking assembled from it.
+	mass      float64
 	converged bool
 	// warmStarted records whether this solve was initialized from the
 	// previous rates version's vector (telemetry only).
@@ -297,9 +308,10 @@ func resultEntrySize(key string, k int) int64 {
 // QueryModePinnedCtx answers q with the top k nodes under pin in the
 // given ranking mode — the entry point the /v1/query surface funnels
 // every read through: probe, and on a miss one flight around a
-// one-column solve, the same solve the uncached engine would run.
-// Cache-hit answers in every mode are bit-identical to the answer
-// computed on the original miss.
+// one-column solve, the same solve the uncached engine would run — or,
+// for a multi-keyword query whose every term's vector is resident, the
+// ranking assembled from them (Source term). Cache-hit answers in every
+// mode are bit-identical to the answer produced on the original miss.
 //
 // The caller stops waiting the moment ctx dies and receives ctx.Err().
 // A cancelled caller never aborts a shared in-flight solve while other
@@ -315,7 +327,8 @@ func (c *CachedEngine) QueryModePinnedCtx(ctx context.Context, pin *core.Pinned,
 // warm-started from a previous score vector: on a full miss the solve
 // starts from init instead of the global PageRank. The reformulation
 // flow uses it to seed the reformulated query's answer at the exact
-// engine state it just published. init is only read.
+// engine state it just published; a multi-keyword query that brings init
+// is always solved, never assembled. init is only read.
 func (c *CachedEngine) QueryFromPinnedCtx(ctx context.Context, pin *core.Pinned, q *ir.Query, k int, init []float64) (*Answer, error) {
 	return c.queryAt(ctx, pin, q, k, init, core.ModeAuthority)
 }
@@ -356,9 +369,13 @@ func (c *CachedEngine) queryAt(ctx context.Context, pin *core.Pinned, q *ir.Quer
 //
 // Every item is probed; the misses become columns, deduplicated within
 // the batch — repeated terms and repeated canonical multi-keyword
-// queries share one — and each direction's columns run as ONE solve.
-// Answers land at their original indices, each the same answer the
-// corresponding single QueryModePinnedCtx call would produce.
+// queries share one — and each direction's columns are answered by ONE
+// solve. A multi-keyword item is assembled from its terms' vectors: the
+// terms not resident are solved as term columns in that same solve (and
+// kept), beside the batch's other columns. Answers land at their
+// original indices; a single-keyword item is the answer the single
+// QueryModePinnedCtx call would produce, a multi-keyword one the answer
+// that call produces once its terms are resident.
 //
 // The batch path bypasses the singleflight group: a concurrent
 // identical user miss may duplicate one solve (benign — same snapshot,
@@ -418,7 +435,7 @@ func (c *CachedEngine) QueryBatchModePinnedCtx(ctx context.Context, pin *core.Pi
 		if len(d.cols) == 0 {
 			continue
 		}
-		if err := c.solve(ctx, pin, sk, d.m, d.cols); err != nil && firstErr == nil {
+		if err := c.solve(ctx, pin, sk, d.m, d.cols, true); err != nil && firstErr == nil {
 			firstErr = err
 		}
 		c.harvest(pin, d.cols, d.pend)
@@ -437,11 +454,13 @@ func (c *CachedEngine) QueryBatchModePinnedCtx(ctx context.Context, pin *core.Pi
 // need whole score vectors, not top-k lists. It is the probe restricted
 // to the vector LRU. A single-keyword query is served from its term
 // vector, solved on a miss through the same flight as a /v1/query miss
-// on that term (the LRU keeps the vector; the scores are copied out, so
-// the caller may Release the result as usual). A multi-keyword query is
-// one unflighted column whose live result goes to the caller instead of
-// the harvest. See QueryModePinnedCtx for the shared-solve detachment
-// rules.
+// on that term; the result's Scores IS that resident vector, read-only
+// and marked Shared, so the caller may Release the result as usual and
+// the vector stays with the cache. A multi-keyword query is one
+// unflighted column whose live result goes to the caller instead of the
+// harvest: assembled when its terms are resident (with the query's base
+// set attached, which explain reads), solved otherwise. See
+// QueryModePinnedCtx for the shared-solve detachment rules.
 func (c *CachedEngine) RankModePinnedCtx(ctx context.Context, pin *core.Pinned, q *ir.Query, m core.Mode) (*core.RankResult, error) {
 	// Like queryAt: a dead context stops here, rather than racing a
 	// shared solve it would start and then have to abandon.
@@ -453,8 +472,11 @@ func (c *CachedEngine) RankModePinnedCtx(ctx context.Context, pin *core.Pinned, 
 	switch col := it.col; {
 	case col == nil: // the term's vector is resident
 	case col.term == "":
-		if err := c.solve(ctx, pin, sk, m, []*column{col}); err != nil {
+		if err := c.solve(ctx, pin, sk, m, []*column{col}, false); err != nil {
 			return nil, err
+		}
+		if col.parts != nil {
+			col.res.Base = pin.BaseSet(q)
 		}
 		return col.res, nil
 	default:
@@ -465,7 +487,8 @@ func (c *CachedEngine) RankModePinnedCtx(ctx context.Context, pin *core.Pinned, 
 	}
 	return &core.RankResult{
 		Query:        q,
-		Scores:       append([]float64(nil), it.tv.vec...),
+		Scores:       it.tv.vec,
+		Shared:       true,
 		Base:         pin.BaseSet(q),
 		Iterations:   it.tv.iters,
 		Converged:    it.tv.converged,
@@ -479,19 +502,67 @@ func (c *CachedEngine) RankPinnedCtx(ctx context.Context, pin *core.Pinned, q *i
 	return c.RankModePinnedCtx(ctx, pin, q, core.ModeAuthority)
 }
 
+// TermVectorsPinnedCtx returns the converged authority vectors of the
+// distinct keywords terms under pin, in order — the profile basis's
+// panel. A resident vector is returned as it is; the missing ones are
+// solved as term columns in ONE solve, taking donations, and kept. Every
+// vector returned is the cache's own and read-only: the caller never
+// writes or releases it. On cancellation only ctx's error is returned;
+// the columns that converged stay resident.
+func (c *CachedEngine) TermVectorsPinnedCtx(ctx context.Context, pin *core.Pinned, terms []string) ([][]float64, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	sk := keyOf(pin)
+	items := make([]item, len(terms))
+	var cols []*column
+	for i, t := range terms {
+		if items[i] = c.probe(pin, sk, ir.NewQuery(t), 0, core.ModeAuthority, true); items[i].col != nil {
+			cols = append(cols, items[i].col)
+		}
+	}
+	if len(cols) > 0 {
+		err := c.solve(ctx, pin, sk, core.ModeAuthority, cols, false)
+		c.harvest(pin, cols, nil)
+		if err != nil {
+			return nil, err
+		}
+	}
+	out := make([][]float64, len(terms))
+	for i, it := range items {
+		if it.tv == nil {
+			it.tv = it.col.tv
+		}
+		out[i] = it.tv.vec
+	}
+	return out, nil
+}
+
 // ---- the miss path: probe, solve, harvest ----
 
-// column is one fixpoint the kernel has to run: what probe hands back
-// when neither LRU could answer, and what solve fills in.
+// column is one fixpoint to answer: what probe hands back when neither
+// LRU could, and what solve fills in.
 type column struct {
-	q    *ir.Query // what the kernel solves: the bare term for a single-keyword column
+	q    *ir.Query // what is ranked: the bare term for a single-keyword column
 	term string    // that keyword; "" for a multi-keyword column
 	tkey string    // its term-vector key
 	init []float64 // start vector: the caller's, else the donation solve asks for
 
-	// Set by solve once the column has converged.
+	// Set by solve once the column is answered.
 	res *core.RankResult // live until harvest releases it or a Rank caller takes it
 	tv  *termVector      // single-keyword: the copy now resident in the vector LRU
+	// parts are the terms of a multi-keyword column that solve assembled
+	// rather than ran through the kernel; nil for a kernel column.
+	parts []part
+}
+
+// part is one term of an assembled column: a positive-weight query term
+// that occurs in some document.
+type part struct {
+	term string
+	w    float64     // its weight in the query
+	tv   *termVector // its converged vector, once resident
+	col  *column     // the term column solve runs for it when it was not
 }
 
 // item is one (query, k) a caller wants in one direction, as probe
@@ -547,51 +618,172 @@ func (c *CachedEngine) probe(pin *core.Pinned, sk stateKey, q *ir.Query, k int, 
 	return it
 }
 
-// solve runs cols — pending columns of ONE direction — through the
-// kernel: the package's one call to Pinned.Solve, so whatever a future
-// miss may do instead of a fixpoint (assemble Σ γ_t·r_t from resident
-// term vectors, ROADMAP 3(A)) is decided here. A single-keyword column
-// that brought no start vector takes the donation of the rates this
-// snapshot replaced, and lands in the term-vector LRU. A cancelled
-// column is left unsolved (res nil) and the context's error returned.
-func (c *CachedEngine) solve(ctx context.Context, pin *core.Pinned, sk stateKey, m core.Mode, cols []*column) error {
-	spec := core.SolveSpec{Mode: m, Queries: make([]*ir.Query, len(cols)), Inits: make([][]float64, len(cols))}
-	for i, col := range cols {
-		if col.term != "" && col.init == nil {
-			col.init = c.donation(pin, sk, m, col.term)
-		}
-		spec.Queries[i], spec.Inits[i] = col.q, col.init
-	}
-	results, err := pin.Solve(ctx, spec)
-	for i, res := range results {
-		if res == nil {
+// solve answers cols — pending columns of ONE direction — and is where
+// a miss is decided. A multi-keyword column that brought no start vector
+// and whose terms' vectors are all resident is assembled from them
+// (assemble); with gather set (a batch) one that lacks some is assembled
+// too, after its missing terms — each once, shared with the batch's own
+// term columns — are solved beside the rest. Every other column runs
+// through the kernel in the package's one call to Pinned.Solve. A
+// single-keyword column that brought no start vector takes the donation
+// of the rates this snapshot replaced, and lands in the term-vector LRU.
+// A cancelled column — or an assembled one whose term column was — is
+// left unanswered (res nil) and the context's error returned.
+func (c *CachedEngine) solve(ctx context.Context, pin *core.Pinned, sk stateKey, m core.Mode, cols []*column, gather bool) error {
+	run := make([]*column, 0, len(cols))
+	var asm, gathered []*column
+	var terms map[string]*column // gather: the term columns this solve runs, by key
+	for _, col := range cols {
+		if col.term != "" || col.init != nil {
+			run = append(run, col)
 			continue
 		}
-		c.stats.computes.Add(1)
-		cols[i].res = res
-		if cols[i].term != "" {
-			cols[i].tv = c.putTerm(cols[i].tkey, res, cols[i].init != nil)
+		col.parts = c.parts(pin, sk, m, col.q)
+		ok := len(col.parts) > 0
+		for i := range col.parts {
+			p := &col.parts[i]
+			if p.tv != nil {
+				continue
+			}
+			if !gather {
+				ok = false
+				break
+			}
+			if terms == nil {
+				terms = make(map[string]*column)
+				for _, tc := range cols {
+					if tc.term != "" {
+						terms[tc.tkey] = tc
+					}
+				}
+			}
+			key := termKey(sk, m, p.term)
+			if p.col = terms[key]; p.col == nil {
+				p.col = &column{q: ir.NewQuery(p.term), term: p.term, tkey: key}
+				terms[key] = p.col
+				run, gathered = append(run, p.col), append(gathered, p.col)
+			}
 		}
+		if !ok {
+			col.parts = nil
+			run = append(run, col)
+			continue
+		}
+		asm = append(asm, col)
+	}
+	var err error
+	if len(run) > 0 {
+		spec := core.SolveSpec{Mode: m, Queries: make([]*ir.Query, len(run)), Inits: make([][]float64, len(run))}
+		for i, col := range run {
+			if col.term != "" && col.init == nil {
+				col.init = c.donation(pin, sk, m, col.term)
+			}
+			spec.Queries[i], spec.Inits[i] = col.q, col.init
+		}
+		var results []*core.RankResult
+		results, err = pin.Solve(ctx, spec)
+		for i, res := range results {
+			if res == nil {
+				continue
+			}
+			c.stats.computes.Add(1)
+			run[i].res = res
+			if run[i].term != "" {
+				run[i].tv = c.putTerm(run[i].tkey, res, run[i].init != nil)
+			}
+		}
+	}
+	for _, tc := range gathered {
+		c.eng.Release(tc.res) // its vector lives on in the LRU
+		tc.res = nil
+	}
+	for _, col := range asm {
+		c.assemble(pin, col)
 	}
 	return err
 }
 
-// harvest turns solved columns into the result-LRU entries the items in
-// pend wait for, and returns every column's live result to the engine's
-// pool. An item whose column was cancelled stays unanswered; one that
-// wants the vector (k == 0) needs no entry.
+// parts lists the terms of q that carry base mass — positive weight, at
+// least one document — in query order, each with its vector if that is
+// resident. These reads move no hit or miss counter: the counters count
+// what probe was asked.
+func (c *CachedEngine) parts(pin *core.Pinned, sk stateKey, m core.Mode, q *ir.Query) []part {
+	ix := pin.Corpus().Index()
+	terms, weights := q.Terms(), q.Weights()
+	out := make([]part, 0, len(terms))
+	for i, t := range terms {
+		if weights[i] <= 0 || ix.DF(t) == 0 {
+			continue
+		}
+		p := part{term: t, w: weights[i]}
+		if e, ok := c.vectors.Get(termKey(sk, m, t)); ok {
+			p.tv = e.(*termVector)
+		}
+		out = append(out, p)
+	}
+	return out
+}
+
+// assemble answers a multi-keyword column from its terms' converged
+// vectors by fixpoint linearity (paper §6.2, [BHP04]): the query's jump
+// distribution is Σ_t γ_t·ŝ_t over its terms' normalized base sets, so
+// its ranking is r = Σ_t γ_t·r_t, with γ_t = Z_t/ΣZ and Z_t the term's
+// base mass at its query weight, QTFSat(w)/QTFSat(1) times the mass kept
+// with its vector. r is drawn from the engine's buffer pool like a
+// solved column's scores and released the same way. Its Iterations is
+// the largest of its terms', and it is Converged only if all of them
+// are. A term column this solve ran and lost to cancellation leaves the
+// column unanswered.
+func (c *CachedEngine) assemble(pin *core.Pinned, col *column) {
+	ix := pin.Corpus().Index()
+	w, vs := make([]float64, len(col.parts)), make([][]float64, len(col.parts))
+	res := &core.RankResult{Query: col.q, Converged: true, RatesVersion: pin.Version(), Generation: pin.Generation()}
+	total := 0.0
+	for i := range col.parts {
+		p := &col.parts[i]
+		if p.tv == nil {
+			if p.tv = p.col.tv; p.tv == nil {
+				return
+			}
+		}
+		w[i] = ix.QTFSat(p.w) / ix.QTFSat(1) * p.tv.mass
+		total += w[i]
+		vs[i] = p.tv.vec
+		res.Iterations = max(res.Iterations, p.tv.iters)
+		res.Converged = res.Converged && p.tv.converged
+	}
+	for i := range w {
+		w[i] /= total
+	}
+	res.Scores = pin.Combine(w, vs)
+	col.res = res
+}
+
+// harvest turns answered columns into the result-LRU entries the items
+// in pend wait for, and returns every column's live result to the
+// engine's pool. An item whose column was cancelled stays unanswered;
+// one that wants the vector (k == 0) needs no entry.
 func (c *CachedEngine) harvest(pin *core.Pinned, cols []*column, pend []*item) {
 	for _, it := range pend {
 		col := it.col
 		if col.res == nil || it.k == 0 {
 			continue
 		}
-		if col.tv != nil {
+		it.src = SourceComputed
+		switch {
+		case col.tv != nil:
 			it.cr = c.rerank(pin, it.key, it.k, col.term, col.tv)
-		} else {
+		case col.parts != nil:
+			terms := make([]string, len(col.parts))
+			for i, p := range col.parts {
+				terms[i] = p.term
+			}
+			ix := pin.Corpus().Index()
+			it.cr = c.storeTopK(pin, it.key, it.k, col.res.Scores, col.res.Iterations, ix.DocsWithAny(terms), containsAny(ix, terms))
+			it.src = SourceTerm
+		default:
 			it.cr = c.storeTopK(pin, it.key, it.k, col.res.Scores, col.res.Iterations, len(col.res.Base), col.res.InBase)
 		}
-		it.src = SourceComputed
 	}
 	for _, col := range cols {
 		c.eng.Release(col.res)
@@ -605,7 +797,8 @@ func (c *CachedEngine) harvest(pin *core.Pinned, cols []*column, pend []*item) {
 // again. A single-keyword flight is keyed by the term and resolves to
 // the vector — its waiters may want different ks, or the vector itself —
 // so each re-ranks for itself; a multi-keyword one is keyed by the
-// result key and resolves to the answer.
+// result key and resolves to the answer, computed or (all its terms
+// resident) assembled.
 func (c *CachedEngine) fly(ctx context.Context, pin *core.Pinned, sk stateKey, m core.Mode, it item) (item, error) {
 	fkey, fk := it.col.tkey, 0
 	if fkey == "" {
@@ -616,7 +809,7 @@ func (c *CachedEngine) fly(ctx context.Context, pin *core.Pinned, sk stateKey, m
 		if won.col != nil {
 			won.col.init = it.col.init
 			cols := []*column{won.col}
-			if err := c.solve(dctx, pin, sk, m, cols); err != nil {
+			if err := c.solve(dctx, pin, sk, m, cols, false); err != nil {
 				// Every waiter left and the solve was abandoned: nothing is
 				// cached, the next miss recomputes. A donated start vector is
 				// lost with it — it was already invalid under these rates.
@@ -632,6 +825,9 @@ func (c *CachedEngine) fly(ctx context.Context, pin *core.Pinned, sk stateKey, m
 	}
 	won := val.(*item)
 	it.tv, it.cr, it.src = won.tv, won.cr, SourceComputed
+	if won.src == SourceTerm {
+		it.src = SourceTerm // assembled by the flight
+	}
 	if it.cr == nil && it.k > 0 {
 		it.cr = c.rerank(pin, it.key, it.k, it.col.term, it.tv)
 	}
@@ -656,7 +852,20 @@ func (c *CachedEngine) storeTopK(pin *core.Pinned, key string, k int, vec []floa
 // single-keyword query exactly when it contains the keyword.
 func (c *CachedEngine) rerank(pin *core.Pinned, key string, k int, term string, tv *termVector) *cachedResult {
 	ix := pin.Corpus().Index() // the generation the vector was solved on
-	return c.storeTopK(pin, key, k, tv.vec, tv.iters, tv.baseN, func(v graph.NodeID) bool { return ix.TF(int32(v), term) > 0 })
+	return c.storeTopK(pin, key, k, tv.vec, tv.iters, tv.baseN, containsAny(ix, []string{term}))
+}
+
+// containsAny is the base-set membership test of a query over terms: a
+// node is in the base set exactly when it contains one of them.
+func containsAny(ix *ir.Index, terms []string) func(graph.NodeID) bool {
+	return func(v graph.NodeID) bool {
+		for _, t := range terms {
+			if ix.TF(int32(v), t) > 0 {
+				return true
+			}
+		}
+		return false
+	}
 }
 
 func answerFrom(cr *cachedResult, q *ir.Query, source string) *Answer {
@@ -700,6 +909,7 @@ func (c *CachedEngine) putTerm(key string, res *core.RankResult, warm bool) *ter
 		vec:         append([]float64(nil), res.Scores...),
 		iters:       res.Iterations,
 		baseN:       len(res.Base),
+		mass:        res.BaseMass,
 		converged:   res.Converged,
 		warmStarted: warm,
 	}

@@ -16,7 +16,13 @@ import (
 
 func testEngine(t testing.TB, opts rank.Options) (*datagen.Dataset, *core.Engine) {
 	t.Helper()
-	cfg := datagen.DBLPTopConfig().Scale(0.02)
+	return testEngineAt(t, opts, 0.02)
+}
+
+// testEngineAt is testEngine over the corpus at another scale.
+func testEngineAt(t testing.TB, opts rank.Options, scale float64) (*datagen.Dataset, *core.Engine) {
+	t.Helper()
+	cfg := datagen.DBLPTopConfig().Scale(scale)
 	cfg.Seed = 4
 	ds, err := datagen.GenerateDBLP(cfg)
 	if err != nil {
@@ -265,8 +271,8 @@ func TestCacheHitBitCompatible(t *testing.T) {
 
 // TestRankPinnedMatchesEngine: the explain path's full-vector entry
 // must reproduce the uncached ranking exactly, including after a cache
-// hit, and its scores must be a private copy (releasable without
-// corrupting the cache).
+// hit, and releasing its result — the cache's own resident vector,
+// marked Shared — must not hand that vector to the pool.
 func TestRankPinnedMatchesEngine(t *testing.T) {
 	_, eng := testEngine(t, rank.Options{})
 	c := New(eng, Options{})
@@ -283,10 +289,12 @@ func TestRankPinnedMatchesEngine(t *testing.T) {
 				t.Fatalf("round %d: node %d: %g != %g", round, v, res.Scores[v], ref.Scores[v])
 			}
 		}
-		if len(res.Base) != len(ref.Base) {
-			t.Fatalf("round %d: base sizes %d != %d", round, len(res.Base), len(ref.Base))
+		if len(res.Base) != len(ref.Base) || !res.Shared {
+			t.Fatalf("round %d: base sizes %d != %d, shared %v", round, len(res.Base), len(ref.Base), res.Shared)
 		}
 		eng.Release(res) // must not corrupt the cached vector
+		// A pooled vector would be drawn and overwritten here.
+		eng.Release(solveOne(eng.Pin(), core.SolveSpec{Queries: []*ir.Query{ir.NewQuery("xml", "mining")}}))
 	}
 	eng.Release(ref)
 }
@@ -516,8 +524,8 @@ func solveOne(pin *core.Pinned, spec core.SolveSpec) *core.RankResult {
 }
 
 // termVectorFor is the flighted one-column solve every single-keyword
-// miss takes — probe at k = 0, then fly — without RankModePinnedCtx's
-// copy-out, so TestSingleflightDedup can compare vector identities. hit
+// miss takes — probe at k = 0, then fly — returning the termVector
+// itself, so TestSingleflightDedup can compare vector identities. hit
 // reports whether the vector was resident.
 func (c *CachedEngine) termVectorFor(ctx context.Context, pin *core.Pinned, sk stateKey, m core.Mode, term string) (tv *termVector, hit bool, err error) {
 	it := c.probe(pin, sk, ir.NewQuery(term), 0, m, true)

@@ -375,15 +375,27 @@ func table(w *world) []path {
 	)
 
 	// Cache: every mode, miss then hit, full vectors and top-k answers,
-	// single queries and batches.
+	// single queries and batches — every answer the cache solves. A
+	// multi-keyword query asked alone is solved here, none of its terms
+	// having been asked alone before it; a batch assembles its
+	// multi-keyword items from term vectors, so its row takes the
+	// single-keyword queries and assembledRows the rest.
+	var oneTerm []*ir.Query
+	for _, q := range w.queries {
+		if q.Len() == 1 {
+			oneTerm = append(oneTerm, q)
+		}
+	}
 	for _, m := range []core.Mode{core.ModeAuthority, core.ModeHub} {
 		m := m
-		uncachedTopK := func(t *testing.T) [][]float64 {
-			out := singles(w.pin, m, w.queries)(t)
-			for i := range out {
-				out[i] = topKOf(out[i])
+		uncachedTopK := func(qs []*ir.Query) func(t *testing.T) [][]float64 {
+			return func(t *testing.T) [][]float64 {
+				out := singles(w.pin, m, qs)(t)
+				for i := range out {
+					out[i] = topKOf(out[i])
+				}
+				return out
 			}
-			return out
 		}
 		rows = append(rows,
 			path{fmt.Sprintf("%s cached vector (miss, hit) ≡ uncached", m), bitIdentical,
@@ -415,27 +427,18 @@ func table(w *world) []path {
 						}
 					}
 					return out
-				}, twice(uncachedTopK)},
+				}, twice(uncachedTopK(w.queries))},
 			path{fmt.Sprintf("%s cached batch (miss, hit) ≡ uncached", m), bitIdentical,
 				func(t *testing.T) [][]float64 {
 					c := cache.New(w.eng, cache.Options{})
-					ks := make([]int, len(w.queries))
-					modes := make([]core.Mode, len(w.queries))
-					for i := range ks {
-						ks[i], modes[i] = topK, m
-					}
 					var out [][]float64
 					for pass := 0; pass < 2; pass++ {
-						answers, err := c.QueryBatchModePinnedCtx(ctx, w.pin, w.queries, ks, modes)
-						if err != nil {
-							t.Fatal(err)
-						}
-						for _, a := range answers {
+						for _, a := range batch(t, c, w.pin, m, oneTerm) {
 							out = append(out, flatten(a.Results))
 						}
 					}
 					return out
-				}, twice(uncachedTopK)},
+				}, twice(uncachedTopK(oneTerm))},
 		)
 	}
 
@@ -503,6 +506,65 @@ func table(w *world) []path {
 		}
 		return out
 	}
+	// A server's basis is read through its serving cache, so after a
+	// publish its vectors are warm-started from the ones the previous
+	// rates left resident (the donations), and owe a cold build the solve
+	// tolerance.
+	published := w.rates.Clone()
+	vec := published.Vector()
+	for i := range vec {
+		vec[i] *= 1 + 0.5*float64(i%3)
+	}
+	if err := published.SetVector(vec); err != nil {
+		panic(err)
+	}
+	published.NormalizeOutgoing()
+	combinedUnder := func(t *testing.T, pin *core.Pinned, basis *profile.Basis) [][]float64 {
+		out := make([][]float64, len(w.queries))
+		for i, q := range w.queries {
+			out[i] = basis.Combine(solveOne(t, pin, core.ModeAuthority, q, nil), mixture, beta)
+		}
+		return out
+	}
+	rows = append(rows, path{"profile basis after a publish, warm-started through the serving cache, vs cold build", within1e12,
+		func(t *testing.T) [][]float64 {
+			eng, err := core.NewEngine(w.g, w.rates, core.Config{Rank: tight})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := cache.New(eng, cache.Options{})
+			m, err := profile.NewManager(eng, profile.Options{Dir: t.TempDir(), Cache: c})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.BasisFor(ctx, eng.Pin()); err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.SetRates(published); err != nil {
+				t.Fatal(err)
+			}
+			pin := eng.Pin()
+			basis, err := m.BasisFor(ctx, pin)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := c.Stats().WarmStarts; n != int64(basis.Size()) {
+				t.Fatalf("%d of %d basis vectors warm-started", n, basis.Size())
+			}
+			return combinedUnder(t, pin, basis)
+		},
+		func(t *testing.T) [][]float64 {
+			eng, err := core.NewEngine(w.g, published, core.Config{Rank: tight})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pin := eng.Pin()
+			basis, err := profile.BuildBasis(ctx, pin, profile.BasisTerms(pin, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return combinedUnder(t, pin, basis)
+		}})
 	rows = append(rows,
 		path{"profile combination, repeated ×50 ≡ itself", bitIdentical, repeated,
 			func(t *testing.T) [][]float64 {
@@ -530,7 +592,7 @@ func table(w *world) []path {
 				return out
 			}},
 	)
-	rows = append(append(rows, linearityRows(w)...), routedRows(w)...)
+	rows = append(append(append(rows, linearityRows(w)...), assembledRows(w)...), routedRows(w)...)
 	return append(append(rows, explainRows(w)...), columnRows(w)...)
 }
 

@@ -19,8 +19,12 @@ import (
 // /v1/query/batch through a real router.Router over two replicas of the
 // world — split by rendezvous key, answered by each replica's batch
 // path, merged back in order — against the same queries asked singly of
-// one in-process cache. The read contract spells a query as free text,
-// every keyword at weight 1, so that is how both sides ask.
+// one in-process cache. A replica's batch assembles a multi-keyword item
+// from term vectors, solving the terms it lacks, so the cache is first
+// asked every keyword alone: its multi-keyword answers are then
+// assembled from bit-identical vectors too. The read contract spells a
+// query as free text, every keyword at weight 1, so that is how both
+// sides ask.
 func routedRows(w *world) []path {
 	texts := make([]string, len(w.queries))
 	qs := make([]*ir.Query, len(w.queries))
@@ -35,6 +39,7 @@ func routedRows(w *world) []path {
 			func(t *testing.T) [][]float64 { return routedBatch(t, w, texts, m) },
 			func(t *testing.T) [][]float64 {
 				c := cache.New(w.eng, cache.Options{})
+				makeResident(t, c, w.pin, m, qs)
 				out := make([][]float64, len(qs))
 				for i, q := range qs {
 					ans, err := c.QueryModePinnedCtx(context.Background(), w.pin, q, topK, m)

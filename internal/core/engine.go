@@ -490,25 +490,26 @@ func (e *Engine) Options() rank.Options { return e.Corpus().opts }
 // every node containing at least one query keyword, scored by
 // IRScore(v, Q) (Equation 2) and normalized to sum to 1 so the scores
 // act as random-jump probabilities. This is the defining difference
-// between ObjectRank2 and the original 0/1 ObjectRank.
-func baseSetOf(c *Corpus, q *ir.Query) []ir.ScoredDoc {
-	base := c.ix.BaseSet(q)
-	sum := 0.0
+// between ObjectRank2 and the original 0/1 ObjectRank. mass is the sum
+// the scores were divided by.
+func baseSetOf(c *Corpus, q *ir.Query) (base []ir.ScoredDoc, mass float64) {
+	base = c.ix.BaseSet(q)
 	for _, sd := range base {
-		sum += sd.Score
+		mass += sd.Score
 	}
-	if sum > 0 {
+	if mass > 0 {
 		for i := range base {
-			base[i].Score /= sum
+			base[i].Score /= mass
 		}
 	}
-	return base
+	return base, mass
 }
 
 // BaseSet computes the weighted query base set S(Q) over the current
 // corpus; see baseSetOf.
 func (e *Engine) BaseSet(q *ir.Query) []ir.ScoredDoc {
-	return baseSetOf(e.Corpus(), q)
+	base, _ := baseSetOf(e.Corpus(), q)
+	return base
 }
 
 // RankResult is the outcome of one ObjectRank2 execution.
@@ -520,8 +521,17 @@ type RankResult struct {
 	// vector to the engine's buffer pool; after that the result must
 	// not be read again.
 	Scores []float64
+	// Shared reports that Scores is a vector a cache keeps and hands to
+	// every reader instead of a copy: it is read-only, and Release
+	// leaves it out of the pool.
+	Shared bool
 	// Base is the normalized weighted base set used for random jumps.
 	Base []ir.ScoredDoc
+	// BaseMass is Σ IRScore(v, Q) over Base before it was normalized
+	// (Equation 2's total), as Solve computed it: by fixpoint linearity a
+	// multi-keyword ranking is Σ_t γ_t·r_t over its terms' rankings with
+	// γ_t proportional to the term's BaseMass at its query weight.
+	BaseMass float64
 	// Iterations and Converged report the power-iteration behaviour;
 	// iteration counts are the warm-start metric of Figures 14b–17b.
 	Iterations int
@@ -564,17 +574,20 @@ func (r *RankResult) InBase(v graph.NodeID) bool {
 }
 
 // Release returns a result's score vector to the engine's buffer pool,
-// closing the zero-allocation serving loop. The result's Scores must
-// not be touched afterwards (TopK included). Optional: results that are
-// never released are simply collected by the GC.
+// closing the zero-allocation serving loop — unless the vector is
+// Shared, which stays with the cache that keeps it. The result's Scores
+// must not be touched afterwards (TopK included). Optional: results that
+// are never released are simply collected by the GC.
 func (e *Engine) Release(res *RankResult) {
 	if res == nil || res.Scores == nil {
 		return
 	}
-	// Releasing into the CURRENT corpus's pool is safe even when the
-	// result came from an earlier generation: BufferPool.Get re-checks
-	// capacity and allocates fresh on a size mismatch.
-	e.Corpus().pool.Put(res.Scores)
+	if !res.Shared {
+		// Releasing into the CURRENT corpus's pool is safe even when the
+		// result came from an earlier generation: BufferPool.Get re-checks
+		// capacity and allocates fresh on a size mismatch.
+		e.Corpus().pool.Put(res.Scores)
+	}
 	res.Scores = nil
 }
 
@@ -674,5 +687,15 @@ func (p *Pinned) Engine() *Engine { return p.e }
 // BaseSet computes the weighted query base set S(Q) over the pinned
 // generation's index; see Engine.BaseSet.
 func (p *Pinned) BaseSet(q *ir.Query) []ir.ScoredDoc {
-	return baseSetOf(p.st.gen.corpus, q)
+	base, _ := baseSetOf(p.st.gen.corpus, q)
+	return base
+}
+
+// Combine returns rank.Combine(w, vs) — Σ w_i·vs_i over vectors sized
+// for the pinned graph — in a vector drawn from the engine's buffer
+// pool, the pool every solved result's Scores comes from: hand it back
+// with Release (as a RankResult's Scores) when it has been read.
+func (p *Pinned) Combine(w []float64, vs [][]float64) []float64 {
+	c := p.st.gen.corpus
+	return rank.Combine(c.pool.Get(c.g.NumNodes()), w, vs)
 }

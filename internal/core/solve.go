@@ -118,7 +118,7 @@ func (p *Pinned) Solve(ctx context.Context, spec SolveSpec) ([]*RankResult, erro
 				}
 			} else {
 				res.Query = spec.Queries[i]
-				res.Base = baseSetOf(c, res.Query)
+				res.Base, res.BaseMass = baseSetOf(c, res.Query)
 				for _, sd := range res.Base {
 					jump[sd.Doc] = sd.Score
 				}

@@ -165,10 +165,12 @@ func (ix *Index) Weight(doc int32, term string) float64 {
 	return ix.IDF(term) * ix.weightTF(doc, float64(tf))
 }
 
-// qtfSat returns the query-side BM25 factor (k3+1)·qtf / (k3 + qtf).
+// QTFSat returns the query-side BM25 factor (k3+1)·qtf / (k3 + qtf).
 // With the default large k3 this is nearly linear in the query-term
-// weight, so reformulated weights keep their intended proportions.
-func (ix *Index) qtfSat(qtf float64) float64 {
+// weight, so reformulated weights keep their intended proportions. It is
+// the only place a term's weight enters its base-set scores, so a term's
+// base mass at weight w is QTFSat(w)/QTFSat(1) times its mass at 1.
+func (ix *Index) QTFSat(qtf float64) float64 {
 	k3 := ix.params.K3
 	return (k3 + 1) * qtf / (k3 + qtf)
 }
@@ -188,7 +190,7 @@ func (ix *Index) Score(doc int32, q *Query) float64 {
 		if dw == 0 {
 			continue
 		}
-		s += ix.qtfSat(w) * dw
+		s += ix.QTFSat(w) * dw
 	}
 	return s
 }
@@ -215,7 +217,7 @@ func (ix *Index) BaseSet(q *Query) []ScoredDoc {
 			continue
 		}
 		idf := ix.IDF(t)
-		qs := ix.qtfSat(w)
+		qs := ix.QTFSat(w)
 		for _, p := range ps {
 			seen[p.Doc] += qs * idf * ix.weightTF(p.Doc, float64(p.TF))
 		}
@@ -226,6 +228,43 @@ func (ix *Index) BaseSet(q *Query) []ScoredDoc {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Doc < out[j].Doc })
 	return out
+}
+
+// DocsWithAny returns the number of documents containing at least one
+// of terms — the size of the base set of a query over exactly those
+// (positive-weight) terms, counted by merging their sorted posting lists
+// instead of scoring them.
+func (ix *Index) DocsWithAny(terms []string) int {
+	heads := make([][]Posting, 0, len(terms))
+	for _, t := range terms {
+		if ps := ix.postings[t]; len(ps) > 0 {
+			heads = append(heads, ps)
+		}
+	}
+	n := 0
+	for len(heads) > 1 {
+		lo := heads[0][0].Doc
+		for _, ps := range heads[1:] {
+			if ps[0].Doc < lo {
+				lo = ps[0].Doc
+			}
+		}
+		n++
+		live := heads[:0]
+		for _, ps := range heads {
+			if ps[0].Doc == lo {
+				ps = ps[1:]
+			}
+			if len(ps) > 0 {
+				live = append(live, ps)
+			}
+		}
+		heads = live
+	}
+	if len(heads) == 1 {
+		n += len(heads[0])
+	}
+	return n
 }
 
 // Vocabulary returns the number of distinct indexed terms.

@@ -5,9 +5,10 @@
 // them.
 //
 // The mathematical substrate is fixpoint linearity — what makes
-// [BHP04]-style per-keyword vectors exact rather than heuristic, and of
-// which Basis.Combine is the one product implementation
-// (internal/conformance referees the property itself): the ObjectRank2
+// [BHP04]-style per-keyword vectors exact rather than heuristic; the
+// serving cache's assembled multi-keyword answers rest on it too, and
+// both blend through the one rank.Combine (internal/conformance
+// referees the property itself): the ObjectRank2
 // fixpoint r = d·A·r + (1−d)·s is linear in the jump distribution s, so
 // a personalized jump
 //
@@ -31,8 +32,10 @@ import (
 	"fmt"
 	"sort"
 
+	"authorityflow/internal/cache"
 	"authorityflow/internal/core"
 	"authorityflow/internal/ir"
+	"authorityflow/internal/rank"
 )
 
 // DefaultBasisSize is the number of topic terms a basis covers when the
@@ -117,12 +120,23 @@ func BasisTerms(pin *core.Pinned, size int) []string {
 }
 
 // BuildBasis precomputes one converged fixpoint per topic term against
-// the pinned (generation, rates) state, solved in panels through one
-// Pinned.Solve: every vector reflects one consistent corpus and rate
+// the pinned (generation, rates) state, solved in one Pinned.Solve
+// panel: every vector reflects one consistent corpus and rate
 // assignment even if publishes land mid-build. Terms with empty base
 // sets are skipped. On cancellation the partial build is discarded and
 // ctx's error returned — a basis is only ever complete.
 func BuildBasis(ctx context.Context, pin *core.Pinned, terms []string) (*Basis, error) {
+	return buildBasis(ctx, cache.New(pin.Engine(), cache.Options{}), pin, terms)
+}
+
+// buildBasis is BuildBasis read through the serving cache vc
+// (cache.CachedEngine.TermVectorsPinnedCtx): a term whose vector is
+// resident there takes it as it is, and the rest are solved in the one
+// panel and stay resident. The basis holds vc's own arrays, not copies.
+// A resident vector may have been warm-started from a previous rates
+// version's; it reaches the same fixpoint as a cold solve, within the
+// solve tolerance.
+func buildBasis(ctx context.Context, vc *cache.CachedEngine, pin *core.Pinned, terms []string) (*Basis, error) {
 	c := pin.Corpus()
 	b := &Basis{
 		generation:   pin.Generation(),
@@ -131,34 +145,25 @@ func BuildBasis(ctx context.Context, pin *core.Pinned, terms []string) (*Basis, 
 		n:            c.Graph().NumNodes(),
 		index:        make(map[string]int, len(terms)),
 	}
-	var qs []*ir.Query
 	for _, t := range terms {
-		q := ir.NewQuery(t)
-		if len(c.Index().BaseSet(q)) == 0 {
+		if len(c.Index().BaseSet(ir.NewQuery(t))) == 0 {
 			continue
 		}
 		b.index[t] = len(b.terms)
 		b.terms = append(b.terms, t)
-		qs = append(qs, q)
 	}
-	if len(qs) == 0 {
+	if len(b.terms) == 0 {
 		return nil, fmt.Errorf("profile: no basis term has a non-empty base set")
 	}
-	results, err := pin.Solve(ctx, core.SolveSpec{Queries: qs})
+	vecs, err := vc.TermVectorsPinnedCtx(ctx, pin, b.terms)
 	if err != nil {
-		for _, res := range results {
-			if res != nil {
-				pin.Engine().Release(res)
-			}
-		}
 		return nil, err
 	}
-	for _, res := range results {
-		// The basis RETAINS the solve's vector (never released to the
-		// pool): basis vectors live for the generation's lifetime and
-		// are read lock-free by every combine.
-		b.vecs = append(b.vecs, res.Scores)
-		b.bytes += int64(len(res.Scores)) * 8
+	// The vectors stay the cache's; the basis only reads them, lock-free,
+	// for the generation's lifetime.
+	b.vecs = vecs
+	for _, v := range vecs {
+		b.bytes += int64(len(v)) * 8
 	}
 	return b, nil
 }
@@ -207,20 +212,13 @@ func (b *Basis) Combine(qscores []float64, mixture map[string]float64, beta floa
 		copy(out, qscores)
 		return out
 	}
-	omb := 1 - beta
-	for i, s := range qscores {
-		out[i] = omb * s
-	}
+	w, vs := []float64{1 - beta}, [][]float64{qscores}
 	for ti, m := range norm {
-		if m == 0 {
-			continue
-		}
-		bm := beta * m
-		for i, s := range b.vecs[ti] {
-			out[i] += bm * s
+		if m != 0 {
+			w, vs = append(w, beta*m), append(vs, b.vecs[ti])
 		}
 	}
-	return out
+	return rank.Combine(out, w, vs)
 }
 
 // normalizedMixture drops mixture terms without a basis vector and

@@ -45,11 +45,16 @@ type Options struct {
 	// DefaultBasisSize).
 	BasisSize int
 	// BaseRank, if non-nil, overrides how the query's own fixpoint is
-	// solved on the combine path — the server points this at its
-	// serving cache so personalized queries share the global tier's
-	// cached full vectors. The result must follow the Pinned.Solve
-	// contract (caller releases).
+	// solved on the combine path. The result must follow the
+	// Pinned.Solve contract (caller releases; a Shared vector is only
+	// read).
 	BaseRank func(ctx context.Context, pin *core.Pinned, q *ir.Query) (*core.RankResult, error)
+	// Cache, if non-nil, is the serving cache the manager shares: the
+	// basis is built through it, so it holds the global tier's term
+	// vectors instead of copies, and without a BaseRank the query's own
+	// fixpoint is its RankPinnedCtx. The server sets it. Nil: each basis
+	// build is a BuildBasis, through a cache of its own.
+	Cache *cache.CachedEngine
 }
 
 // Source labels which path produced a personalized answer.
@@ -146,6 +151,9 @@ func NewManager(eng *core.Engine, opts Options) (*Manager, error) {
 	if opts.BasisSize <= 0 {
 		opts.BasisSize = DefaultBasisSize
 	}
+	if opts.BaseRank == nil && opts.Cache != nil {
+		opts.BaseRank = opts.Cache.RankPinnedCtx
+	}
 	disk, err := NewDiskStore(opts.Dir)
 	if err != nil {
 		return nil, err
@@ -175,7 +183,11 @@ func (m *Manager) BasisFor(ctx context.Context, pin *core.Pinned) (*Basis, error
 	if b := m.basis.Load(); b != nil && b.ValidFor(pin) {
 		return b, nil
 	}
-	b, err := BuildBasis(ctx, pin, BasisTerms(pin, m.opts.BasisSize))
+	vc := m.opts.Cache
+	if vc == nil {
+		vc = cache.New(m.eng, cache.Options{})
+	}
+	b, err := buildBasis(ctx, vc, pin, BasisTerms(pin, m.opts.BasisSize))
 	if err != nil {
 		return nil, err
 	}

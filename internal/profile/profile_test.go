@@ -199,6 +199,63 @@ func TestCombineAgreesWithDirectSolve(t *testing.T) {
 	eng.Release(direct)
 }
 
+// TestBasisSharesCacheVectors: a manager over the serving cache builds
+// its basis from the cache's term vectors — the resident ones as they
+// are, the rest solved in ONE panel and kept — so it holds the cache's
+// arrays, not copies, and they equal BuildBasis's bit for bit.
+func TestBasisSharesCacheVectors(t *testing.T) {
+	_, eng := testEngine(t, rank.Options{})
+	c := cache.New(eng, cache.Options{})
+	m, err := NewManager(eng, Options{Dir: t.TempDir(), BasisSize: 16, Cache: c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, pin := context.Background(), eng.Pin()
+	eng.GlobalRank() // take the warm-start solve out of the picture
+	const resident = 4
+	for _, term := range BasisTerms(pin, 16)[:resident] {
+		res, err := c.RankPinnedCtx(ctx, pin, ir.NewQuery(term))
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.Release(res)
+	}
+	var solves, columns int
+	eng.SetSolveHook(func(st core.SolveStats) { solves, columns = solves+1, columns+st.Columns })
+	b, err := m.BasisFor(ctx, pin)
+	eng.SetSolveHook(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One Pinned.Solve of the missing terms: ⌈N/DefaultBlockSize⌉ kernel
+	// executions, where a term at a time would be N.
+	missing := b.Size() - resident
+	if want := (missing + core.DefaultBlockSize - 1) / core.DefaultBlockSize; solves != want || columns != missing {
+		t.Errorf("basis of %d terms, %d resident: %d kernel executions of %d columns, want %d of %d", b.Size(), resident, solves, columns, want, missing)
+	}
+	panel, err := BuildBasis(ctx, pin, BasisTerms(pin, 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Size() != panel.Size() {
+		t.Fatalf("basis of %d terms, panel-solved basis of %d", b.Size(), panel.Size())
+	}
+	for i, term := range b.Terms() {
+		res, err := c.RankPinnedCtx(ctx, pin, ir.NewQuery(term))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Shared || &res.Scores[0] != &b.vecs[i][0] {
+			t.Errorf("%s: the basis holds its own copy of the cache's vector", term)
+		}
+		for v, x := range panel.vecs[i] {
+			if math.Float64bits(x) != math.Float64bits(b.vecs[i][v]) {
+				t.Fatalf("%s: node %d: %v through the cache, %v panel-solved", term, v, b.vecs[i][v], x)
+			}
+		}
+	}
+}
+
 func TestManagerLifecycle(t *testing.T) {
 	opts := rank.Options{Threshold: 1e-8, MaxIters: 300}
 	_, eng := testEngine(t, opts)

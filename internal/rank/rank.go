@@ -299,6 +299,27 @@ func TopK(scores []float64, k int) []Ranked {
 	return sel.sorted()
 }
 
+// Combine sets dst to the linear combination Σ_i w[i]·vs[i] of score
+// vectors and returns it: the one place the system blends converged
+// fixpoints (a multi-keyword query from its terms' vectors, a
+// personalized ranking from the query's vector and a profile basis).
+// The sum runs in argument order, dst[v] = w[0]·vs[0][v] first and then
+// + w[i]·vs[i][v] for i = 1, 2, …, so equal arguments give equal bits.
+// vs holds at least one vector, each at least len(dst) long.
+func Combine(dst, w []float64, vs [][]float64) []float64 {
+	w0, v0 := w[0], vs[0][:len(dst)]
+	for i, s := range v0 {
+		dst[i] = w0 * s
+	}
+	for j := 1; j < len(vs); j++ {
+		wj, vj := w[j], vs[j][:len(dst)]
+		for i, s := range vj {
+			dst[i] += wj * s
+		}
+	}
+	return dst
+}
+
 // TopKOfType returns the k highest-scoring nodes of one node type,
 // which the paper's survey screens use to present only Paper results.
 func TopKOfType(g *graph.Graph, scores []float64, t graph.TypeID, k int) []Ranked {

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"authorityflow/internal/cache"
 	"authorityflow/internal/core"
 	"authorityflow/internal/datagen"
 	"authorityflow/internal/ir"
@@ -402,9 +403,23 @@ func TestQueryBatchV1(t *testing.T) {
 
 // TestQueryBatchUncached: batch answers — the first computed, the
 // in-batch repeat deduplicated — match a direct core.Pinned.Solve +
-// TopK, the uncached reference.
+// TopK, the uncached reference: bit for bit, except the multi-keyword
+// item, which is assembled from its keywords' vectors and owes the
+// solve ≤1e-12 (DESIGN.md §6) — the server runs at a threshold tight
+// enough for that class.
 func TestQueryBatchUncached(t *testing.T) {
-	s, ts := testServer(t)
+	cfg := datagen.DBLPTopConfig().Scale(0.02)
+	cfg.Seed = 4
+	ds, err := datagen.GenerateDBLP(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(ds, core.Config{Rank: rank.Options{Threshold: 1e-14, MaxIters: 4000}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
 	req := BatchQueryRequest{Queries: []BatchQueryItem{
 		{Q: "olap", K: 5}, {Q: "xml mining", K: 3}, {Q: "olap", K: 5},
 	}}
@@ -427,9 +442,14 @@ func TestQueryBatchUncached(t *testing.T) {
 			continue
 		}
 		for j := range want {
-			if got.Results[j].Node != int64(want[j].Node) ||
-				math.Float64bits(want[j].Score) != math.Float64bits(got.Results[j].Score) {
-				t.Errorf("answer %d result %d differs: got %+v, want %+v", i, j, got.Results[j], want[j])
+			g := got.Results[j]
+			same := g.Node == int64(want[j].Node) && math.Float64bits(want[j].Score) == math.Float64bits(g.Score)
+			if q.Len() > 1 {
+				// Nodes whose scores tie to 1e-12 may rank either way round.
+				same = got.Cache == cache.SourceTerm && math.Abs(g.Score-want[j].Score) <= 1e-12 && math.Abs(g.Score-ref.Scores[g.Node]) <= 1e-12
+			}
+			if !same {
+				t.Errorf("answer %d (cache %q) result %d differs: got %+v, want %+v", i, got.Cache, j, g, want[j])
 			}
 		}
 	}

@@ -512,6 +512,10 @@ func TestPlanObservability(t *testing.T) {
 		t.Fatalf("plan builds after one-column solves only = %g/%g (%g timed), want none", a, h, n)
 	}
 
+	// The two-keyword items are assembled from their keywords' vectors:
+	// the batch's one solve runs query, optimization, web, search and join.
+	// The next batch's items find query and search resident and solve xml
+	// and index.
 	batch(`{"queries":[{"q":"query optimization"},{"q":"web search"},{"q":"join"}]}`)
 	if a, h, n := builds(); a != 1 || h != 0 || n != 1 {
 		t.Fatalf("plan builds after an authority batch = %g/%g (%g timed), want 1/0 (1)", a, h, n)
@@ -535,7 +539,7 @@ func TestPlanObservability(t *testing.T) {
 		t.Fatalf("want three multi-column solve events in the slow log:\n%s", slow.String())
 	}
 	log := slow.String()
-	for _, want := range []string{"columns=3 plan=built mode=authority", "columns=2 plan=reused mode=authority", "columns=2 plan=built mode=hub"} {
+	for _, want := range []string{"columns=5 plan=built mode=authority", "columns=2 plan=reused mode=authority", "columns=2 plan=built mode=hub"} {
 		if !strings.Contains(log, want) {
 			t.Errorf("slow log missing solve event %q:\n%s", want, log)
 		}

@@ -34,7 +34,6 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"math"
@@ -143,10 +142,9 @@ func newServer(ds *datagen.Dataset, ix *ir.Index, cfg core.Config, opts []Option
 		po := so.profileOpts
 		// Personalized queries share the global tier's serving cache:
 		// the (1−β)·r(Q) component comes from the same term vectors,
-		// result collapse and solve singleflight as /v1/query.
-		po.BaseRank = func(ctx context.Context, pin *core.Pinned, q *ir.Query) (*core.RankResult, error) {
-			return s.cache.RankPinnedCtx(ctx, pin, q)
-		}
+		// result collapse and solve singleflight as /v1/query, and the
+		// basis holds that cache's vectors.
+		po.Cache = s.cache
 		pm, err := profile.NewManager(eng, po)
 		if err != nil {
 			return nil, err
@@ -418,8 +416,8 @@ type rankedTarget struct {
 // what is derived from it cannot see different rates even if a
 // reformulation lands in between, and so the target ID is validated
 // against the SAME generation's graph the solve runs on. Single-keyword
-// rankings come straight from the shared term vectors (copied out, since
-// Release returns scores to the pool).
+// rankings are the shared term vectors themselves (core.RankResult.Shared:
+// read-only, and Release leaves them out of the pool).
 func (s *Server) rankTarget(w http.ResponseWriter, r *http.Request) (t rankedTarget, ok bool) {
 	v := r.URL.Query()
 	if t.q, _, ok = parseQuery(w, r, v); !ok {
