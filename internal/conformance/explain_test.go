@@ -201,6 +201,25 @@ func refAudit(sg *refSubgraph, budget int) (arcs []core.AuditArc, nodes []core.A
 	return arcs, nodes, len(perNode)
 }
 
+// refTopArcs is the reference flow ranking: every arc fully sorted by
+// flow descending, then (From, To, Type), and cut to the budget.
+func refTopArcs(sg *refSubgraph, budget int) []core.FlowArc {
+	arcs := slices.Clone(sg.arcs)
+	sort.Slice(arcs, func(i, j int) bool {
+		if arcs[i].Flow != arcs[j].Flow {
+			return arcs[i].Flow > arcs[j].Flow
+		}
+		if arcs[i].From != arcs[j].From {
+			return arcs[i].From < arcs[j].From
+		}
+		if arcs[i].To != arcs[j].To {
+			return arcs[i].To < arcs[j].To
+		}
+		return arcs[i].Type < arcs[j].Type
+	})
+	return arcs[:min(budget, len(arcs))]
+}
+
 func flattenArcs(arcs []core.FlowArc) []float64 {
 	out := make([]float64, 0, 6*len(arcs))
 	for _, a := range arcs {
@@ -260,7 +279,11 @@ type explainCase struct {
 
 // explainCases explains, for the first queries with a base set, the
 // best-ranked node, a mid-ranked one and a node the query may not reach
-// at all, at the paper's setting and at a tight unbounded one.
+// at all, at the paper's setting and at a tight unbounded one. Then,
+// for the query that matches nothing, up to two targets with a
+// positive-rate self-loop: nothing reaches them, so each is kept alone
+// and its self-loops, the arcs the forward search never follows, are
+// its whole subgraph.
 func explainCases(t *testing.T, w *world, m core.Mode) []explainCase {
 	var out []explainCase
 	for _, q := range w.queries[:4] {
@@ -275,16 +298,41 @@ func explainCases(t *testing.T, w *world, m core.Mode) []explainCase {
 				explainCase{res, target, core.ExplainOptions{Threshold: 1e-12, MaxIters: 1000}})
 		}
 	}
+	absent := rankOne(t, w.pin, m, w.queries[len(w.queries)-1])
+	if len(absent.Base) != 0 {
+		t.Fatalf("%v matches %d nodes, want none", absent.Query, len(absent.Base))
+	}
+	looped := w.selfLooped(m)
+	for _, target := range looped[:min(2, len(looped))] {
+		out = append(out, explainCase{absent, target, core.DefaultExplain()})
+	}
+	return out
+}
+
+// graphOf is the graph direction m explains over.
+func (w *world) graphOf(m core.Mode) *graph.Graph {
+	if m == core.ModeHub {
+		return w.g.Reversed()
+	}
+	return w.g
+}
+
+// selfLooped lists the nodes with a positive-rate self-loop in direction
+// m, ascending.
+func (w *world) selfLooped(m core.Mode) []graph.NodeID {
+	g, alpha := w.graphOf(m), w.rates.Vector()
+	var out []graph.NodeID
+	for u := graph.NodeID(0); int(u) < g.NumNodes(); u++ {
+		if slices.ContainsFunc(g.OutArcs(u), func(a graph.Arc) bool { return a.To == u && alpha[a.Type] != 0 }) {
+			out = append(out, u)
+		}
+	}
 	return out
 }
 
 // reference runs a case through refExplain on the direction's graph.
 func (w *world) reference(m core.Mode, c explainCase) *refSubgraph {
-	g := w.g
-	if m == core.ModeHub {
-		g = g.Reversed()
-	}
-	return refExplain(g, w.rates.Vector(), tight.Damping, c.res, c.target, c.opts)
+	return refExplain(w.graphOf(m), w.rates.Vector(), tight.Damping, c.res, c.target, c.opts)
 }
 
 // countdown is a context that reports cancellation from its n-th Err
@@ -383,6 +431,21 @@ func explainRows(w *world) []path {
 		)
 		for _, budget := range []int{1, 16, 1000} {
 			budget := budget
+			rows = append(rows, path{fmt.Sprintf("%s TopArcs top-%d ≡ prefix of the full sort", m, budget), bitIdentical,
+				func(t *testing.T) [][]float64 {
+					var out [][]float64
+					for _, c := range explainCases(t, w, m) {
+						out = append(out, flattenArcs(explainOne(t, context.Background(), w.pin, m, c).TopArcs(budget)))
+					}
+					return out
+				},
+				func(t *testing.T) [][]float64 {
+					var out [][]float64
+					for _, c := range explainCases(t, w, m) {
+						out = append(out, flattenArcs(refTopArcs(w.reference(m, c), budget)))
+					}
+					return out
+				}})
 			rows = append(rows, path{fmt.Sprintf("%s audit top-%d ≡ prefix of the full sort", m, budget), bitIdentical,
 				func(t *testing.T) [][]float64 {
 					var out [][]float64
@@ -445,4 +508,20 @@ func explainRows(w *world) []path {
 			return out
 		}})
 	return rows
+}
+
+// TestExplainCasesHaveSelfLoops: the worlds TestConformance runs (seeds
+// 1–5) give explainCases positive-rate self-loop targets in both
+// directions, so the explain rows cover the arcs the forward search
+// never follows.
+func TestExplainCasesHaveSelfLoops(t *testing.T) {
+	for _, m := range []core.Mode{core.ModeAuthority, core.ModeHub} {
+		n := 0
+		for seed := int64(1); seed <= 5; seed++ {
+			n += len(newWorld(t, seed).selfLooped(m))
+		}
+		if n == 0 {
+			t.Errorf("%s: no world has a self-looped target", m)
+		}
+	}
 }

@@ -21,6 +21,8 @@ type AuditOptions struct {
 	// DefaultAuditBudget.
 	Budget int
 	// Explain configures the subgraph build (radius, Eq. 10 threshold).
+	// The zero value means DefaultExplain(): the paper's radius-3
+	// subgraph, the one /v1/explain shows for the same target.
 	Explain ExplainOptions
 }
 
@@ -98,10 +100,15 @@ type Audit struct {
 // to rate perturbation, under the pinned state and the given ranking
 // mode. res must be a converged result for the same query, state, and
 // mode (the serving layer obtains it through the cache or RankModeCtx).
+// A zero opts.Explain audits the DefaultExplain() subgraph; an unbounded
+// audit sets Radius 0 with another field, such as Threshold, non-zero.
 // Deadline-awareness is inherited from the explain stages: the BFS
 // phases and the Eq. 10 fixpoint poll ctx, and the final ranking pass
 // is linear in the subgraph.
 func (p *Pinned) AuditCtx(ctx context.Context, m Mode, res *RankResult, target graph.NodeID, opts AuditOptions) (*Audit, error) {
+	if opts.Explain == (ExplainOptions{}) {
+		opts.Explain = DefaultExplain()
+	}
 	sg, err := p.ExplainModeCtx(ctx, m, res, target, opts.Explain)
 	if err != nil {
 		return nil, err
@@ -133,21 +140,18 @@ func AuditOf(sg *Subgraph, budget int) *Audit {
 		Iterations: sg.Iterations,
 		Converged:  sg.Converged,
 	}
-	arcs := topBudget[AuditArc]{budget: budget, cmp: func(x, y AuditArc) int {
-		return cmp.Or(cmp.Compare(y.Sensitivity, x.Sensitivity), cmp.Compare(x.From, y.From),
-			cmp.Compare(x.To, y.To), cmp.Compare(x.Type, y.Type))
-	}}
-	nodes := topBudget[AuditNode]{budget: budget, cmp: func(x, y AuditNode) int {
-		return cmp.Or(cmp.Compare(y.Sensitivity, x.Sensitivity), cmp.Compare(x.Node, y.Node))
-	}}
+	arcs := topBudget[AuditArc]{budget: budget, key: func(x AuditArc) float64 { return x.Sensitivity }, cmp: compareAuditArcs}
+	nodes := topBudget[AuditNode]{budget: budget, key: func(x AuditNode) float64 { return x.Sensitivity }, cmp: compareAuditNodes}
 	var cur AuditNode
 	for _, fa := range sg.Arcs {
 		// Rate > 0 by construction (zero-rate arcs never enter the
 		// subgraph), so the derivative Flow/Rate is always defined.
 		s := fa.Flow / fa.Rate
-		arcs.offer(AuditArc{From: fa.From, To: fa.To, Type: fa.Type, Rate: fa.Rate, Flow: fa.Flow, Sensitivity: s})
+		if arcs.admits(s) {
+			arcs.offer(AuditArc{From: fa.From, To: fa.To, Type: fa.Type, Rate: fa.Rate, Flow: fa.Flow, Sensitivity: s})
+		}
 		if a.TotalNodes == 0 || fa.From != cur.Node {
-			if a.TotalNodes > 0 {
+			if a.TotalNodes > 0 && nodes.admits(cur.Sensitivity) {
 				nodes.offer(cur)
 			}
 			cur = AuditNode{Node: fa.From}
@@ -156,26 +160,52 @@ func AuditOf(sg *Subgraph, budget int) *Audit {
 		cur.Sensitivity += s
 		cur.Flow += fa.Flow
 	}
-	if a.TotalNodes > 0 {
+	if a.TotalNodes > 0 && nodes.admits(cur.Sensitivity) {
 		nodes.offer(cur)
 	}
 	a.Arcs, a.Nodes = arcs.sorted(), nodes.sorted()
 	return a
 }
 
+// compareAuditArcs is the audit's arc order: sensitivity descending,
+// then (From, To, Type), a strict total order.
+func compareAuditArcs(x, y AuditArc) int {
+	return cmp.Or(cmp.Compare(y.Sensitivity, x.Sensitivity), cmp.Compare(x.From, y.From),
+		cmp.Compare(x.To, y.To), cmp.Compare(x.Type, y.Type))
+}
+
+// compareAuditNodes is the audit's node order: sensitivity descending,
+// then Node.
+func compareAuditNodes(x, y AuditNode) int {
+	return cmp.Or(cmp.Compare(y.Sensitivity, x.Sensitivity), cmp.Compare(x.Node, y.Node))
+}
+
 // topBudget keeps the budget first items, under the strict total order
-// cmp, of everything offered to it, in O(budget) space: an offer that
-// does not come before the current budget-th item (the bar) is dropped,
-// the rest are buffered, and a buffer of 2·budget is sorted and cut
-// back to budget. That is O(log budget) amortized per kept offer, one
-// comparison per dropped one, and the result equals the budget-long
-// prefix of a full sort.
+// cmp, of everything offered to it, in O(budget) space. cmp's primary
+// criterion is key, descending (in cmp.Compare's order, NaN last). An
+// offer that does not come before the current budget-th item (the bar)
+// is dropped, the rest are buffered, and a buffer of 2·budget is sorted
+// and cut back to budget. The result equals the budget-long prefix of a
+// full sort.
+//
+// Callers ask admits(key) before they build an item: once the bar is
+// set, almost every offer is dropped there, on one float comparison,
+// with neither the item built nor cmp called. A key equal to the bar's
+// is admitted, and offer settles it with the full cmp.
 type topBudget[T any] struct {
 	budget int
+	key    func(T) float64
 	cmp    func(a, b T) int
 	items  []T
 	barred bool
 	bar    T
+	barKey float64
+}
+
+// admits reports whether an item whose primary key is k can still come
+// before the bar. false is final: offer would drop the item too.
+func (t *topBudget[T]) admits(k float64) bool {
+	return !t.barred || !cmp.Less(k, t.barKey)
 }
 
 func (t *topBudget[T]) offer(x T) {
@@ -194,6 +224,7 @@ func (t *topBudget[T]) sorted() []T {
 	if t.budget > 0 && len(t.items) >= t.budget {
 		t.items = t.items[:t.budget]
 		t.barred, t.bar = true, t.items[t.budget-1]
+		t.barKey = t.key(t.bar)
 	}
 	return t.items
 }

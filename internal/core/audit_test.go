@@ -3,9 +3,12 @@ package core
 import (
 	"context"
 	"math"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
+	"authorityflow/internal/graph"
 	"authorityflow/internal/ir"
 )
 
@@ -162,4 +165,111 @@ func TestAuditHubMode(t *testing.T) {
 	if a1.Score <= 0 {
 		t.Errorf("hub audit of v4 explained no flow (score %v)", a1.Score)
 	}
+}
+
+// tiedSubgraph builds a synthetic subgraph of n arcs, grouped by
+// ascending source as the explain kernel emits them, whose flows and
+// sensitivities are each drawn from three values: nearly every
+// comparison a selection makes is a tie on its primary key. Powers of
+// two keep Flow/Rate exact.
+func tiedSubgraph(rng *rand.Rand, n int) *Subgraph {
+	flows, sens := []float64{1, 2, 4}, []float64{0.5, 1, 2}
+	sg := &Subgraph{}
+	from := graph.NodeID(0)
+	for i, to := range rng.Perm(n) {
+		if i > 0 && rng.Intn(3) == 0 {
+			from++
+		}
+		f, s := flows[rng.Intn(3)], sens[rng.Intn(3)]
+		sg.Arcs = append(sg.Arcs, FlowArc{From: from, To: graph.NodeID(to), Type: graph.TransferTypeID(rng.Intn(2)), Rate: f / s, Flow: f})
+	}
+	return sg
+}
+
+// fullOrders sorts everything the two selections choose from: the arcs
+// under CompareFlow, and the audit's arcs and per-source nodes under
+// the audit order.
+func fullOrders(sg *Subgraph) (flow []FlowArc, arcs []AuditArc, nodes []AuditNode) {
+	flow = slices.Clone(sg.Arcs)
+	slices.SortFunc(flow, CompareFlow)
+	arcs = auditArcs(sg)
+	for _, a := range arcs {
+		if len(nodes) == 0 || nodes[len(nodes)-1].Node != a.From {
+			nodes = append(nodes, AuditNode{Node: a.From})
+		}
+		nodes[len(nodes)-1].Sensitivity += a.Sensitivity
+		nodes[len(nodes)-1].Flow += a.Flow
+	}
+	slices.SortFunc(arcs, compareAuditArcs)
+	slices.SortFunc(nodes, compareAuditNodes)
+	return flow, arcs, nodes
+}
+
+// auditArcs materializes every arc's audit entry, in arc order.
+func auditArcs(sg *Subgraph) []AuditArc {
+	out := make([]AuditArc, len(sg.Arcs))
+	for i, fa := range sg.Arcs {
+		out[i] = AuditArc{From: fa.From, To: fa.To, Type: fa.Type, Rate: fa.Rate, Flow: fa.Flow, Sensitivity: fa.Flow / fa.Rate}
+	}
+	return out
+}
+
+func prefix[T any](s []T, budget int) []T { return s[:min(budget, len(s))] }
+
+// TestTopBudgetTies: under ties on the primary key, TopArcs and AuditOf
+// still return the budget-long prefix of the full sort, for every
+// budget from 1 to one past the subgraph.
+func TestTopBudgetTies(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 20; trial++ {
+		sg := tiedSubgraph(rng, 1+rng.Intn(80))
+		flow, arcs, nodes := fullOrders(sg)
+		for budget := 1; budget <= len(sg.Arcs)+1; budget++ {
+			if got := sg.TopArcs(budget); !slices.Equal(got, prefix(flow, budget)) {
+				t.Fatalf("trial %d budget %d: TopArcs is not the prefix of the full sort:\n%v\n%v", trial, budget, got, prefix(flow, budget))
+			}
+			a := AuditOf(sg, budget)
+			if !slices.Equal(a.Arcs, prefix(arcs, budget)) {
+				t.Fatalf("trial %d budget %d: AuditOf arcs are not the prefix of the full sort", trial, budget)
+			}
+			if !slices.Equal(a.Nodes, prefix(nodes, budget)) || a.TotalNodes != len(nodes) {
+				t.Fatalf("trial %d budget %d: AuditOf nodes are not the prefix of the full sort", trial, budget)
+			}
+		}
+	}
+}
+
+// TestTopBudgetTiesBite: the same selection rejecting an equal key on
+// the one float (> in place of >=) drops items that tie with the bar
+// and beat it on the rest of the order, and the property test's
+// subgraphs catch it in both orders.
+func TestTopBudgetTiesBite(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	flowBit, auditBit := false, false
+	for trial := 0; trial < 20; trial++ {
+		sg := tiedSubgraph(rng, 1+rng.Intn(80))
+		flow, arcs, _ := fullOrders(sg)
+		for budget := 1; budget <= len(sg.Arcs)+1; budget++ {
+			got := selectStrict(sg.Arcs, budget, func(a FlowArc) float64 { return a.Flow }, CompareFlow)
+			flowBit = flowBit || !slices.Equal(got, prefix(flow, budget))
+			gotAudit := selectStrict(auditArcs(sg), budget, func(a AuditArc) float64 { return a.Sensitivity }, compareAuditArcs)
+			auditBit = auditBit || !slices.Equal(gotAudit, prefix(arcs, budget))
+		}
+	}
+	if !flowBit || !auditBit {
+		t.Errorf("a selection that rejects equal keys passed: flow order caught %t, audit order caught %t", flowBit, auditBit)
+	}
+}
+
+// selectStrict is topBudget's selection with the tie rule broken: once
+// the bar is set, an offer whose key does not exceed the bar's is
+// dropped without reaching cmp.
+func selectStrict[T any](items []T, budget int, key func(T) float64, cmp func(a, b T) int) []T {
+	top := topBudget[T]{budget: budget, key: key, cmp: cmp}
+	for _, x := range items {
+		if !top.barred || key(x) > top.barKey {
+			top.offer(x)
+		}
+	}
+	return top.sorted()
 }

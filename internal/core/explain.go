@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -186,23 +187,30 @@ func (p *Pinned) ExplainCtx(ctx context.Context, res *RankResult, target graph.N
 	return explainOn(ctx, p.st, p.st.gen.corpus, res, target, opts)
 }
 
-// explainScratch is the |V|-sized part of an explain: per graph node,
-// its backward-BFS distance to the target and its local index in the
-// subgraph, -1 where unset. It is pooled per corpus generation (both
-// directions share |V|) and handed back with every touched entry reset
-// to -1, so one explain allocates O(|subgraph|), not O(|V|). back and
+// explainScratch is the pooled part of an explain. dist and local are
+// |V|-sized: per graph node, its backward-BFS distance to the target and
+// its position (in the forward BFS queue, then in Nodes), -1 where
+// unset; mark holds one bit per node, set for the kept ones. back and
 // kept are the two BFS queues, which double as the visited lists the
-// reset walks.
+// reset walks. sel holds the forward-CSR indices of the subgraph's arcs,
+// grouped in rows by source in BFS order: row p, kept[p]'s arcs, is
+// sel[rows[p]:rows[p+1]]. order maps a position in Nodes back to its BFS
+// row. The scratch is pooled per corpus generation (both directions
+// share |V|) and handed back with every touched dist and local entry
+// reset to -1 and every mark word to 0, so one explain allocates
+// O(|subgraph|), not O(|V|).
 type explainScratch struct {
-	dist, local []int32
-	back, kept  []graph.NodeID
+	dist, local      []int32
+	mark             []uint64
+	back, kept       []graph.NodeID
+	sel, rows, order []int32
 }
 
 func (gn *generation) getExplainScratch(n int) *explainScratch {
 	if sc, _ := gn.explainScratch.Get().(*explainScratch); sc != nil {
 		return sc
 	}
-	sc := &explainScratch{dist: make([]int32, n), local: make([]int32, n)}
+	sc := &explainScratch{dist: make([]int32, n), local: make([]int32, n), mark: make([]uint64, (n+63)/64)}
 	for i := range sc.dist {
 		sc.dist[i], sc.local[i] = -1, -1
 	}
@@ -215,9 +223,19 @@ func (gn *generation) putExplainScratch(sc *explainScratch) {
 	}
 	for _, v := range sc.kept {
 		sc.local[v] = -1
+		sc.mark[v>>6] = 0
 	}
 	sc.back, sc.kept = sc.back[:0], sc.kept[:0]
+	sc.sel, sc.rows, sc.order = sc.sel[:0], sc.rows[:0], sc.order[:0]
 	gn.explainScratch.Put(sc)
+}
+
+// keep adds v to the forward BFS queue: local[v] becomes its queue
+// position and its mark bit is set.
+func (sc *explainScratch) keep(v graph.NodeID) {
+	sc.local[v] = int32(len(sc.kept))
+	sc.mark[v>>6] |= 1 << (v & 63)
+	sc.kept = append(sc.kept, v)
 }
 
 // explainOn explains against an explicit corpus view of the pinned
@@ -269,73 +287,89 @@ func explainOn(ctx context.Context, st *engineState, c *Corpus, res *RankResult,
 	// Stage (i)b: forward breadth-first search from the base-set nodes
 	// that survived the backward stage, restricted to backward-reached
 	// nodes. A node is kept iff it lies on a directed path from S(Q) to
-	// the target (within the radius). The target itself is always kept
-	// so an explanation exists even when no authority reaches it. Every
-	// arc the search follows — positive rate, backward-reached head — is
-	// an arc of the subgraph, so it counts them on the way.
+	// the target (within the radius). Every arc the search follows —
+	// positive rate, backward-reached head — is an arc of the subgraph,
+	// and together they are all of them, so the search records each one's
+	// forward-CSR index in its source's row of sel: the only walk over
+	// the kept nodes' out-arcs.
+	start, out := g.ForwardCSR()
 	for _, sd := range res.Base {
 		if v := graph.NodeID(sd.Doc); dist[v] >= 0 && local[v] < 0 {
-			local[v] = 0
-			sc.kept = append(sc.kept, v)
+			sc.keep(v)
 		}
 	}
-	numArcs := 0
+	sc.rows = append(sc.rows, 0)
 	for head := 0; head < len(sc.kept); head++ {
-		for _, a := range g.OutArcs(sc.kept[head]) {
+		u := sc.kept[head]
+		for k := start[u]; k < start[u+1]; k++ {
+			a := &out[k]
 			if alpha[a.Type] == 0 || dist[a.To] < 0 {
 				continue
 			}
-			numArcs++
+			sc.sel = append(sc.sel, k)
 			if local[a.To] < 0 {
-				local[a.To] = 0
-				sc.kept = append(sc.kept, a.To)
+				sc.keep(a.To)
 			}
 		}
+		sc.rows = append(sc.rows, int32(len(sc.sel)))
 	}
+	// The target is always kept so an explanation exists even when no
+	// authority reaches it. Then it is kept alone, and its subgraph arcs
+	// are its self-loops: the arcs the search never followed.
 	if local[target] < 0 {
-		local[target] = 0
-		sc.kept = append(sc.kept, target)
+		sc.keep(target)
+		for k := start[target]; k < start[target+1]; k++ {
+			if a := &out[k]; a.To == target && alpha[a.Type] != 0 {
+				sc.sel = append(sc.sel, k)
+			}
+		}
+		sc.rows = append(sc.rows, int32(len(sc.sel)))
 	}
 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 
+	// Nodes in ascending ID order are the set mark bits, enumerated word
+	// by word; local[v] turns from v's BFS row into its index in Nodes.
 	n := len(sc.kept)
 	sg := &Subgraph{
 		Target:  target,
 		Query:   res.Query,
-		Nodes:   slices.Clone(sc.kept),
+		Nodes:   make([]graph.NodeID, 0, n),
 		damping: c.nopts.Damping,
 		h:       make([]float64, n),
 		dist:    make([]int32, n),
 		inFlow:  make([]float64, n),
 		outFlow: make([]float64, n),
 	}
-	slices.Sort(sg.Nodes)
-	for i, v := range sg.Nodes {
-		local[v] = int32(i)
-		sg.dist[i] = dist[v]
+	for w, word := range sc.mark {
+		for ; word != 0; word &= word - 1 {
+			v := graph.NodeID(w<<6 | bits.TrailingZeros64(word))
+			sg.dist[len(sg.Nodes)] = dist[v]
+			sc.order = append(sc.order, local[v])
+			local[v] = int32(len(sg.Nodes))
+			sg.Nodes = append(sg.Nodes, v)
+		}
 	}
 
-	// Collect subgraph arcs with their original flows (Equation 5) into
-	// a CSR over local indices: row i is Nodes[i]'s arcs, toLocal the
-	// local index of each arc's head and rates its Rate again, dense, for
-	// the Equation 10 loop to stream instead of striding the 48-byte
-	// FlowArcs. numArcs is exact (short only by the self-loops of a
-	// target nothing reaches), so no slice regrows.
+	// Emit the subgraph arcs with their original flows (Equation 5) into
+	// a CSR over local indices: row i is Nodes[i]'s BFS row of sel,
+	// toLocal the local index of each arc's head and rates its Rate
+	// again, dense, for the Equation 10 loop to stream instead of
+	// striding the 48-byte FlowArcs. sel holds exactly the arcs, so no
+	// slice regrows.
+	numArcs := len(sc.sel)
 	rowStart := make([]int32, n+1)
 	arcs := make([]FlowArc, 0, numArcs)
 	toLocal := make([]int32, 0, numArcs)
 	rates := make([]float64, 0, numArcs)
 	d := sg.damping
 	for i, u := range sg.Nodes {
-		for _, a := range g.OutArcs(u) {
-			w := alpha[a.Type]
-			if w == 0 || local[a.To] < 0 {
-				continue
-			}
-			rate := w * float64(a.InvDeg)
+		p := sc.order[i]
+		for _, k := range sc.sel[sc.rows[p]:sc.rows[p+1]] {
+			a := &out[k]
+			rate := alpha[a.Type] * float64(a.InvDeg)
 			arcs = append(arcs, FlowArc{From: u, To: a.To, Type: a.Type, Rate: rate, Flow0: d * rate * res.Scores[u]})
 			toLocal = append(toLocal, local[a.To])
 			rates = append(rates, rate)

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime/debug"
 	"testing"
 
 	"authorityflow/internal/graph"
@@ -385,5 +388,101 @@ func TestExplainInvariantsRandom(t *testing.T) {
 				t.Fatalf("trial %d: OutFlow(%d) = %v exceeds d·r = %v", trial, v, out, d*res.Scores[v])
 			}
 		}
+	}
+}
+
+// raceEnabled is set by race_test.go under -race.
+var raceEnabled bool
+
+// countdown is a context that reports cancellation from its n-th Err
+// poll on: it lands a cancellation on each poll of an explain in turn.
+type countdown struct {
+	context.Context
+	left int
+}
+
+func (c *countdown) Err() error {
+	if c.left <= 0 {
+		return context.Canceled
+	}
+	c.left--
+	return nil
+}
+
+// TestExplainPooledScratch: one explain allocates at most 10 objects
+// (the Subgraph, Nodes, the four per-node slices and the four CSR
+// slices), and the pooled scratch neither grows across 100 explains of
+// one target nor comes back dirty, also after a cancellation at each of
+// the explain's polls.
+func TestExplainPooledScratch(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a GC empties the pool
+	f := newFixture(t)
+	pin := f.newEngine(t).Pin()
+	res := rankPinned(pin, ir.NewQuery("olap"))
+	run := func(ctx context.Context) (*Subgraph, error) {
+		return pin.ExplainCtx(ctx, res, f.ids["v7"], DefaultExplain())
+	}
+	sg, err := run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sg.Arcs) < 3 {
+		t.Fatalf("subgraph of %d arcs exercises nothing", len(sg.Arcs))
+	}
+	if !raceEnabled {
+		if n := testing.AllocsPerRun(100, func() { _, _ = run(context.Background()) }); n > 10 {
+			t.Errorf("one explain allocates %v objects, want <= 10", n)
+		}
+	}
+
+	gen, size := pin.st.gen, f.g.NumNodes()
+	// take borrows the scratch the last explain handed back and checks
+	// every entry is reset.
+	take := func(when string) (*explainScratch, [5]int) {
+		sc := gen.getExplainScratch(size)
+		defer gen.putExplainScratch(sc)
+		for v := 0; v < size; v++ {
+			if sc.dist[v] != -1 || sc.local[v] != -1 {
+				t.Fatalf("%s: node %d handed back with dist %d, local %d", when, v, sc.dist[v], sc.local[v])
+			}
+		}
+		for w, word := range sc.mark {
+			if word != 0 {
+				t.Fatalf("%s: mark word %d handed back as %#x", when, w, word)
+			}
+		}
+		if len(sc.back)+len(sc.kept)+len(sc.sel)+len(sc.rows)+len(sc.order) != 0 {
+			t.Fatalf("%s: queues handed back non-empty", when)
+		}
+		return sc, [5]int{cap(sc.back), cap(sc.kept), cap(sc.sel), cap(sc.rows), cap(sc.order)}
+	}
+	prev, caps := take("after the first explain")
+	same := 0
+	for i := 0; i < 100; i++ {
+		if _, err := run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		// The pool may hand out a fresh scratch (under -race it drops
+		// puts), which its first explain grows; one that had served an
+		// explain already must not have grown.
+		sc, now := take(fmt.Sprintf("explain %d", i))
+		if sc == prev && caps != ([5]int{}) {
+			same++
+			if now != caps {
+				t.Fatalf("explain %d grew the pooled scratch: capacities %v -> %v", i, caps, now)
+			}
+		}
+		prev, caps = sc, now
+	}
+	if same < 25 {
+		t.Errorf("the pool returned the same scratch %d times in 100", same)
+	}
+
+	polls := 3 + sg.Iterations // entry, after each BFS, each Eq. 10 iteration
+	for n := 0; n < polls; n++ {
+		if sg, err := run(&countdown{Context: context.Background(), left: n}); err != context.Canceled || sg != nil {
+			t.Fatalf("cancelled at poll %d of %d: (%v, %v), want (nil, context.Canceled)", n, polls, sg, err)
+		}
+		take(fmt.Sprintf("a cancellation at poll %d", n))
 	}
 }

@@ -24,9 +24,11 @@ func (sg *Subgraph) TopArcs(budget int) []FlowArc {
 	if budget <= 0 {
 		budget = len(sg.Arcs)
 	}
-	top := topBudget[FlowArc]{budget: budget, cmp: CompareFlow}
-	for _, a := range sg.Arcs {
-		top.offer(a)
+	top := topBudget[FlowArc]{budget: budget, key: func(a FlowArc) float64 { return a.Flow }, cmp: CompareFlow}
+	for i := range sg.Arcs {
+		if top.admits(sg.Arcs[i].Flow) {
+			top.offer(sg.Arcs[i])
+		}
 	}
 	return top.sorted()
 }

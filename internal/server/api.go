@@ -293,8 +293,10 @@ type ExplainResponse struct {
 }
 
 // AuditResponse is the /v1/audit payload: the same envelope, with the
-// per-node aggregation and the pre-truncation totals (TotalArcs/
-// TotalNodes let a client tell a complete audit from a clipped one).
+// per-node aggregation and the pre-truncation totals. TotalArcs and
+// TotalNodes count the whole explaining subgraph, as ExplainResponse's
+// do for the same request, so a clipped ranking is detectable
+// (len(Contributions) < TotalArcs).
 // At a pinned (generation, ratesVersion) the body is byte-identical
 // across repeated requests — the determinism contract the audit tests
 // pin at both the server and the router layer.

@@ -11,8 +11,11 @@ import (
 // handleAudit serves GET /v1/audit?q=...&target=...[&mode=...][&budget=N]:
 // the sensitivity ranking of one result node — the top-budget explaining
 // arcs and nodes ordered by how strongly the target's score responds to
-// perturbing each arc's authority transfer rate (core.AuditCtx over the
-// Section 4 explaining subgraph and the Eq. 10 adjustment).
+// perturbing each arc's authority transfer rate (core.AuditOf over the
+// Section 4 explaining subgraph and the Eq. 10 adjustment). The subgraph
+// is the one /v1/explain builds for the same request, at the paper's
+// radius, so the two answers agree on totalArcs, totalNodes, score and
+// contributions.
 //
 // The handler is mounted behind the admission guard, so it inherits the
 // deadline-aware lifecycle: the solve, the BFS phases and the Eq. 10
@@ -27,14 +30,11 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q, rp, g := t.q, t.rp, t.pin.Corpus().Graph()
-	tr := obs.TraceFrom(r.Context())
-	a, err := t.pin.AuditCtx(r.Context(), rp.Mode, t.res, t.target, core.AuditOptions{Budget: rp.Budget})
-	tr.Event("audit", "")
-	s.eng.Release(t.res)
-	if err != nil {
-		s.writeRunError(w, r, err)
+	sg, ok := s.explainTarget(w, r, t, "audit")
+	if !ok {
 		return
 	}
+	a := core.AuditOf(sg, rp.Budget)
 
 	s.obs.auditTotal.With(string(rp.Mode)).Inc()
 	s.obs.auditContributions.Observe(float64(len(a.Arcs)))
@@ -48,15 +48,15 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 		Mode:          string(rp.Mode),
 		Budget:        a.Budget,
 		TotalArcs:     a.TotalArcs,
-		TotalNodes:    a.TotalNodes,
+		TotalNodes:    len(sg.Nodes),
 		Converged:     a.Converged,
 		Iterations:    a.Iterations,
-		Generation:    a.Generation,
-		RatesVersion:  a.RatesVersion,
+		Generation:    t.pin.Generation(),
+		RatesVersion:  t.pin.Version(),
 		Contributions: contributions(g, a),
 		Nodes:         nodeContributions(g, a),
 	}
-	tr.Eventf("render", "contributions=%d", len(resp.Contributions))
+	obs.TraceFrom(r.Context()).Eventf("render", "contributions=%d", len(resp.Contributions))
 	writeJSON(w, http.StatusOK, resp)
 }
 

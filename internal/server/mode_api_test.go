@@ -2,7 +2,9 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +16,8 @@ import (
 
 	"authorityflow/internal/core"
 	"authorityflow/internal/datagen"
+	"authorityflow/internal/graph"
+	"authorityflow/internal/ir"
 	"authorityflow/internal/rank"
 )
 
@@ -450,5 +454,69 @@ func TestExplainBodyBounded(t *testing.T) {
 	}
 	if len(body) >= 64<<10 {
 		t.Errorf("explain body is %d bytes for %d arcs / %d nodes, want < 64 kB", len(body), e.TotalArcs, e.TotalNodes)
+	}
+}
+
+// TestAuditAgreesWithExplain: /v1/audit and /v1/explain for the same
+// (q, target, mode, budget) explain the same subgraph, the paper's
+// radius-3 one, so at one pinned state they report equal totalArcs,
+// totalNodes and score, and byte-equal contributions. The radius binds
+// on this fixture: the unbounded subgraph is larger.
+func TestAuditAgreesWithExplain(t *testing.T) {
+	s, ts := testServer(t)
+	var q QueryResponse
+	if code := getJSON(t, ts.URL+"/v1/query?q=olap&k=1", &q); code != 200 || len(q.Results) == 0 {
+		t.Fatal("seed query failed")
+	}
+	target := q.Results[0].Node
+	type shared struct {
+		TotalArcs     int             `json:"totalArcs"`
+		TotalNodes    int             `json:"totalNodes"`
+		Score         float64         `json:"score"`
+		Generation    uint64          `json:"generation"`
+		RatesVersion  uint64          `json:"ratesVersion"`
+		Contributions json.RawMessage `json:"contributions"`
+	}
+	for _, mode := range contractModes(t) {
+		pin := s.eng.Pin()
+		res, err := pin.RankModeCtx(context.Background(), ir.ParseQuery("olap"), core.Mode(mode))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bounded, err := pin.ExplainModeCtx(context.Background(), core.Mode(mode), res, graph.NodeID(target), core.DefaultExplain())
+		if err != nil {
+			t.Fatal(err)
+		}
+		unbounded, err := pin.ExplainModeCtx(context.Background(), core.Mode(mode), res, graph.NodeID(target), core.ExplainOptions{MaxIters: 200})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(unbounded.Arcs) <= len(bounded.Arcs) {
+			t.Fatalf("mode=%s: the radius does not bind (%d arcs at L=3, %d unbounded)", mode, len(bounded.Arcs), len(unbounded.Arcs))
+		}
+		for _, budget := range []int{1, 16, 1000} {
+			query := fmt.Sprintf("?q=olap&target=%d&mode=%s&budget=%d", target, mode, budget)
+			var e, a shared
+			if code := getJSON(t, ts.URL+"/v1/explain"+query, &e); code != 200 {
+				t.Fatalf("explain%s: status %d", query, code)
+			}
+			if code := getJSON(t, ts.URL+"/v1/audit"+query, &a); code != 200 {
+				t.Fatalf("audit%s: status %d", query, code)
+			}
+			if e.Generation != a.Generation || e.RatesVersion != a.RatesVersion {
+				t.Fatalf("%s: the two answers ran under different states", query)
+			}
+			if a.TotalArcs != e.TotalArcs || a.TotalNodes != e.TotalNodes || a.Score != e.Score {
+				t.Errorf("%s: audit totals (%d arcs, %d nodes, score %v), explain (%d, %d, %v)",
+					query, a.TotalArcs, a.TotalNodes, a.Score, e.TotalArcs, e.TotalNodes, e.Score)
+			}
+			if a.TotalArcs != len(bounded.Arcs) || a.TotalNodes != len(bounded.Nodes) {
+				t.Errorf("%s: audit reports %d arcs, %d nodes; the radius-3 subgraph has %d, %d",
+					query, a.TotalArcs, a.TotalNodes, len(bounded.Arcs), len(bounded.Nodes))
+			}
+			if !bytes.Equal(a.Contributions, e.Contributions) {
+				t.Errorf("%s: contributions differ:\naudit   %s\nexplain %s", query, a.Contributions, e.Contributions)
+			}
+		}
 	}
 }

@@ -433,8 +433,8 @@ func TestWarmSolvesCountDonatedStartsOnly(t *testing.T) {
 // TestExplainObservability: /v1/explain feeds the afq_explain_*
 // families (by mode and format, whole-subgraph size, clipped JSON
 // bodies), /v1/stats mirrors them from the same metric objects, and
-// the trace's explain event says what the kernel built and how long
-// each stage took.
+// the trace's explain event, like the audit's, says what the kernel
+// built and how long each stage took.
 func TestExplainObservability(t *testing.T) {
 	var slow syncBuffer
 	_, ts := obsTestServer(t, WithObservability(ObsOptions{SlowLog: &slow, SlowThreshold: time.Nanosecond}))
@@ -482,6 +482,18 @@ func TestExplainObservability(t *testing.T) {
 	want := "nodes=" + strconv.Itoa(e.TotalNodes) + " arcs=" + strconv.Itoa(e.TotalArcs) + " iters=" + strconv.Itoa(e.Iterations) + " build_ms="
 	if log := slow.String(); !strings.Contains(log, want) || !strings.Contains(log, " adjust_ms=") {
 		t.Errorf("explain span detail missing %q / adjust_ms= in:\n%s", want, log)
+	}
+
+	// The audit of the same target builds the same subgraph and says so
+	// in its own event.
+	mustGet(t, strings.Replace(url, "/v1/explain", "/v1/audit", 1), 200)
+	if !waitFor(t, 2*time.Second, func() bool { return strings.Contains(slow.String(), `"name":"audit"`) }) {
+		t.Fatal("no audit event in the slow log")
+	}
+	log := slow.String()
+	event := log[strings.Index(log, `"name":"audit"`):]
+	if event = event[:strings.Index(event, "}")]; !strings.Contains(event, want) || !strings.Contains(event, " adjust_ms=") {
+		t.Errorf("audit event missing %q / adjust_ms=: %s", want, event)
 	}
 }
 

@@ -453,21 +453,34 @@ func (s *Server) writeRunError(w http.ResponseWriter, r *http.Request, err error
 	writeError(w, r, http.StatusBadRequest, err.Error())
 }
 
+// explainTarget is the second half /v1/explain and /v1/audit share:
+// the target's Section 4 explaining subgraph at the paper's radius
+// (core.DefaultExplain), built once, and a trace event named event
+// saying what the kernel built and how long each stage took. When ok is
+// false the error response has been written. Either way t.res is
+// released.
+func (s *Server) explainTarget(w http.ResponseWriter, r *http.Request, t rankedTarget, event string) (sg *core.Subgraph, ok bool) {
+	sg, err := t.pin.ExplainModeCtx(r.Context(), t.rp.Mode, t.res, t.target, core.DefaultExplain())
+	s.eng.Release(t.res)
+	if err != nil {
+		s.writeRunError(w, r, err)
+		return nil, false
+	}
+	obs.TraceFrom(r.Context()).Eventf(event, "nodes=%d arcs=%d iters=%d build_ms=%.3f adjust_ms=%.3f", len(sg.Nodes), len(sg.Arcs),
+		sg.Iterations, sg.BuildDuration.Seconds()*1e3, sg.AdjustDuration.Seconds()*1e3)
+	return sg, true
+}
+
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	t, ok := s.rankTarget(w, r)
 	if !ok {
 		return
 	}
 	pin, rp, g := t.pin, t.rp, t.pin.Corpus().Graph()
-	sg, err := pin.ExplainModeCtx(r.Context(), rp.Mode, t.res, t.target, core.DefaultExplain())
-	s.eng.Release(t.res)
-	if err != nil {
-		s.writeRunError(w, r, err)
+	sg, ok := s.explainTarget(w, r, t, "explain")
+	if !ok {
 		return
 	}
-	tr := obs.TraceFrom(r.Context())
-	tr.Eventf("explain", "nodes=%d arcs=%d iters=%d build_ms=%.3f adjust_ms=%.3f", len(sg.Nodes), len(sg.Arcs),
-		sg.Iterations, sg.BuildDuration.Seconds()*1e3, sg.AdjustDuration.Seconds()*1e3)
 	s.obs.explainTotal.With(string(rp.Mode), rp.Format).Inc()
 	s.obs.explainArcs.Observe(float64(len(sg.Arcs)))
 	switch rp.Format {
