@@ -220,11 +220,9 @@ type termVector struct {
 // stateKey is the cache-key identity of one pinned engine state: the
 // corpus generation plus the rate-vector fingerprint. Keying by value
 // fingerprint rather than by version means value-identical republished
-// rates keep cache entries valid WITHIN a generation, and a derived
-// WithRates view (its parent's version, other rates) can never be
-// served its parent's entries; the generation component guarantees no
-// entry survives a corpus swap (even one that republishes an identical
-// rate vector over a new graph).
+// rates keep cache entries valid WITHIN a generation; the generation
+// component guarantees no entry survives a corpus swap (even one that
+// republishes an identical rate vector over a new graph).
 type stateKey struct {
 	gen uint64
 	rk  uint64

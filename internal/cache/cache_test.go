@@ -189,51 +189,6 @@ func TestInvalidationAndWarmStart(t *testing.T) {
 	}
 }
 
-// TestDerivedPinDoesNotAliasParent: a WithRates view shares its parent's
-// version token and ranks under other rates, so the cache must key it
-// apart — neither served the parent's answers nor poisoning them.
-func TestDerivedPinDoesNotAliasParent(t *testing.T) {
-	ds, eng := testEngine(t, rank.Options{})
-	c := New(eng, Options{})
-	ctx := context.Background()
-	q := ir.NewQuery("olap")
-
-	pin := eng.Pin()
-	parent, err := c.QueryModePinnedCtx(ctx, pin, q, 10, core.ModeAuthority)
-	if err != nil {
-		t.Fatal(err)
-	}
-	derived, err := pin.WithRates(perturb(t, ds.Rates))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if derived.Version() != pin.Version() {
-		t.Fatalf("derived version %d, parent %d: the premise of the test is gone", derived.Version(), pin.Version())
-	}
-	got, err := c.QueryModePinnedCtx(ctx, derived, q, 10, core.ModeAuthority)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Source != SourceComputed {
-		t.Fatalf("derived pin answered from %q: it was served the parent's entry", got.Source)
-	}
-	same := len(got.Results) == len(parent.Results)
-	for i := 0; same && i < len(got.Results); i++ {
-		same = got.Results[i] == parent.Results[i]
-	}
-	if same {
-		t.Fatal("derived pin's answer equals the parent's under different rates")
-	}
-	// The parent's entry is still the parent's.
-	again, err := c.QueryModePinnedCtx(ctx, pin, q, 10, core.ModeAuthority)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.Source != SourceResult || again.Results[0] != parent.Results[0] {
-		t.Fatalf("parent's repeat = %q %+v, want its own cached answer %+v", again.Source, again.Results[0], parent.Results[0])
-	}
-}
-
 // TestCacheHitBitCompatible: cached answers (result cache and term
 // cache) must be bitwise identical to what the uncached engine
 // computes at the same rates version.

@@ -119,8 +119,8 @@ type ratesSnapshot struct {
 	// cache identity, so value-identical republished rates keep one key
 	// and no consumer hashes a rate vector again. prevKey is the key of
 	// the snapshot this one replaced in the SAME generation (hasPrev
-	// false for an engine's first snapshot, a corpus swap's, and a
-	// derived view's) — where the previous version's converged vectors
+	// false for an engine's first snapshot and a corpus swap's) — where
+	// the previous version's converged vectors
 	// live, for §6.2 warm starts across a publish.
 	key     uint64
 	prevKey uint64
@@ -668,15 +668,14 @@ func (p *Pinned) Rates() *graph.Rates { return p.st.snap.rates.Clone() }
 // rate vector, computed once when the snapshot was built. With
 // Generation it is the identity every cache keys on: two pins with
 // equal (Generation, RatesKey) rank identically, whatever their version
-// tokens say — a derived WithRates view shares its parent's version and
-// differs here.
+// tokens say.
 func (p *Pinned) RatesKey() uint64 { return p.st.snap.key }
 
 // PreviousRatesKey returns the RatesKey of the snapshot the pinned one
 // replaced by a SetRates/TrySetRates publication within the pinned
 // generation; ok is false when there is none (the engine's first
-// snapshot, the first after a corpus swap, a derived view). It may
-// equal RatesKey: republishing a value-identical vector changes no key.
+// snapshot, the first after a corpus swap). It may equal RatesKey:
+// republishing a value-identical vector changes no key.
 func (p *Pinned) PreviousRatesKey() (key uint64, ok bool) {
 	return p.st.snap.prevKey, p.st.snap.hasPrev
 }

@@ -12,7 +12,6 @@ import (
 
 	"authorityflow/internal/cache"
 	"authorityflow/internal/core"
-	"authorityflow/internal/graph"
 	"authorityflow/internal/ir"
 	"authorityflow/internal/lru"
 	"authorityflow/internal/rank"
@@ -114,8 +113,10 @@ type Stats struct {
 
 // Manager ties the basis, the durable store and the in-memory LRU tier
 // into the personalization serving surface. All methods are safe for
-// concurrent use; the serving path is lock-free except for LRU shard
-// mutexes, and basis rebuilds serialize on one mutex with double-check.
+// concurrent use. A resident profile is read under its LRU shard mutex
+// alone; writes, and reads that go to the durable store, serialize per
+// id on a write stripe; basis rebuilds serialize on one mutex with
+// double-check.
 type Manager struct {
 	eng  *core.Engine
 	opts Options
@@ -127,9 +128,10 @@ type Manager struct {
 	profiles *lru.Sharded
 	answers  *lru.Sharded
 
-	// trainMu stripes per-profile training so two concurrent feedback
-	// rounds for one id do not lose updates to each other.
-	trainMu [16]sync.Mutex
+	// writeMu stripes every read-modify-write of a profile record — Put,
+	// a training round, Delete — so two writers of one id can neither
+	// lose each other's update nor hand out the same Rev.
+	writeMu [16]sync.Mutex
 
 	storeHits    atomic.Uint64
 	storeMisses  atomic.Uint64
@@ -199,6 +201,20 @@ func (m *Manager) BasisFor(ctx context.Context, pin *core.Pinned) (*Basis, error
 // Get returns the profile under id, consulting the LRU then the durable
 // store. The returned profile is shared and must not be mutated.
 func (m *Manager) Get(id string) (*Profile, error) {
+	if v, ok := m.profiles.Get(id); ok {
+		m.storeHits.Add(1)
+		return v.(*Profile), nil
+	}
+	// A miss reads the store under the id's write stripe, so the record
+	// it caches can never displace a newer one a writer cached meanwhile.
+	mu := m.writeLock(id)
+	mu.Lock()
+	defer mu.Unlock()
+	return m.load(id)
+}
+
+// load is Get for a caller that holds id's write stripe.
+func (m *Manager) load(id string) (*Profile, error) {
 	if !ValidID(id) {
 		return nil, ErrNotFound
 	}
@@ -216,14 +232,26 @@ func (m *Manager) Get(id string) (*Profile, error) {
 	return p, nil
 }
 
-// Put validates, persists and caches a profile, bumping its revision.
-// The stored value is a sanitized clone; the caller's copy is not
-// retained.
+// writeLock returns the stripe that serializes writers of id.
+func (m *Manager) writeLock(id string) *sync.Mutex { return &m.writeMu[fnv1a(id)&15] }
+
+// Put replaces the declared interests — mixture and beta — of the
+// profile under p.ID, creating it if needed, and persists and caches the
+// result. The revision is the stored one plus one and the trained stamps
+// are the stored ones: both are the manager's, so p's are ignored. The
+// stored value is a sanitized clone; the caller's copy is not retained.
 func (m *Manager) Put(p *Profile) (*Profile, error) {
 	if !ValidID(p.ID) {
 		return nil, fmt.Errorf("profile: invalid id %q", p.ID)
 	}
+	mu := m.writeLock(p.ID)
+	mu.Lock()
+	defer mu.Unlock()
 	cp := p.Clone()
+	cp.Rev, cp.TrainedGeneration, cp.TrainedRatesVersion = 1, 0, 0
+	if prev, err := m.load(p.ID); err == nil {
+		cp.Rev, cp.TrainedGeneration, cp.TrainedRatesVersion = prev.Rev+1, prev.TrainedGeneration, prev.TrainedRatesVersion
+	}
 	for t, w := range cp.Mixture {
 		if w <= 0 || math.IsNaN(w) || math.IsInf(w, 0) {
 			delete(cp.Mixture, t)
@@ -234,7 +262,6 @@ func (m *Manager) Put(p *Profile) (*Profile, error) {
 	if cp.Beta < 0 || cp.Beta >= 1 || math.IsNaN(cp.Beta) {
 		cp.Beta = 0 // 0 = use the manager default
 	}
-	cp.Rev++
 	if err := m.disk.Save(cp); err != nil {
 		return nil, err
 	}
@@ -244,6 +271,9 @@ func (m *Manager) Put(p *Profile) (*Profile, error) {
 
 // Delete removes a profile from the cache and the durable store.
 func (m *Manager) Delete(id string) error {
+	mu := m.writeLock(id)
+	mu.Lock()
+	defer mu.Unlock()
 	m.profiles.Remove(id)
 	return m.disk.Delete(id)
 }
@@ -254,35 +284,6 @@ func (m *Manager) beta(p *Profile) float64 {
 		return p.Beta
 	}
 	return DefaultBeta
-}
-
-// EffectiveRates materializes a profile's private rate assignment:
-// published global rates plus the profile's delta, clamped non-negative
-// and renormalized to a valid assignment. Used by the direct solve path
-// and as the base rates of the next training round.
-func (m *Manager) EffectiveRates(pin *core.Pinned, p *Profile) (*graph.Rates, error) {
-	base := pin.Rates()
-	if len(p.Delta) == 0 {
-		return base, nil
-	}
-	vec := base.Vector()
-	if len(p.Delta) != len(vec) {
-		// A delta trained against another schema (corpus family swap)
-		// is unusable; serve the global rates rather than failing.
-		return base, nil
-	}
-	for i := range vec {
-		vec[i] += p.Delta[i]
-		if vec[i] < 0 || math.IsNaN(vec[i]) {
-			vec[i] = 0
-		}
-	}
-	eff := graph.NewRates(base.Schema())
-	if err := eff.SetVector(vec); err != nil {
-		return nil, err
-	}
-	eff.NormalizeOutgoing()
-	return eff, nil
 }
 
 // fnv1a is the 64-bit FNV-1a hash; the durable store's directory fan
@@ -367,20 +368,22 @@ func (m *Manager) baseRank(ctx context.Context, pin *core.Pinned, q *ir.Query) (
 }
 
 // TrainCtx runs one relevance-feedback round against the caller's
-// profile instead of the global engine vector: the Eq. 10/11–15
-// content/structure split of ReformulateWeightedCtx is evaluated under the
-// profile's EFFECTIVE rates (global + delta), the resulting expansion
-// terms update the profile's mixture (EWMA over basis members), and the
-// adjusted rates minus the published global vector become the new
-// delta. Nothing is published to the engine — training a profile can
-// never race a global reformulation. The returned profile is the
-// persisted post-training record.
+// profile instead of the global engine vector: the content half of
+// ReformulateWeightedCtx (Eq. 11–12, under the pinned rates) expands the
+// query, and the expansion terms plus the query's own terms that have
+// basis vectors move the profile's mixture (EWMA over basis members).
+// The structure half (Eq. 13) is not run: every personalized answer is
+// solved under the published rates, so a profile has no rates to train,
+// and the returned reformulation carries the pinned rates unchanged.
+// Nothing is published to the engine — training a profile can never
+// race a global reformulation. The returned profile is the persisted
+// post-training record.
 func (m *Manager) TrainCtx(ctx context.Context, pin *core.Pinned, id string, q *ir.Query, feedback []*core.Subgraph, confidences []float64, opts *core.ReformulateOptions) (*core.Reformulation, *Profile, error) {
-	mu := &m.trainMu[fnv1a(id)&15]
+	mu := m.writeLock(id)
 	mu.Lock()
 	defer mu.Unlock()
 
-	prof, err := m.Get(id)
+	prof, err := m.load(id)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -388,43 +391,20 @@ func (m *Manager) TrainCtx(ctx context.Context, pin *core.Pinned, id string, q *
 	if err != nil {
 		return nil, nil, err
 	}
-	eff, err := m.EffectiveRates(pin, prof)
-	if err != nil {
-		return nil, nil, err
-	}
-	dp, err := pin.WithRates(eff)
-	if err != nil {
-		return nil, nil, err
-	}
 	topts := core.ContentAndStructure()
 	if opts != nil {
 		topts = *opts
 	}
-	ref, err := dp.ReformulateWeightedCtx(ctx, q, feedback, confidences, topts)
+	topts.Cf = 0
+	ref, err := pin.ReformulateWeightedCtx(ctx, q, feedback, confidences, topts)
 	if err != nil {
 		return nil, nil, err
 	}
 
+	// Feedback expansion terms (and the confirmed query terms) that have
+	// basis vectors move the mixture, EWMA-blended so recent feedback
+	// dominates without erasing history.
 	next := prof.Clone()
-	// Structure: the adjusted effective rates, re-expressed as a delta
-	// against the published global vector.
-	global := pin.Rates().Vector()
-	adjusted := ref.Rates.Vector()
-	delta := make([]float64, len(global))
-	nonzero := false
-	for i := range delta {
-		delta[i] = adjusted[i] - global[i]
-		if delta[i] != 0 {
-			nonzero = true
-		}
-	}
-	if nonzero {
-		next.Delta = delta
-	}
-
-	// Content: feedback expansion terms (and the confirmed query terms)
-	// that have basis vectors move the mixture, EWMA-blended so recent
-	// feedback dominates without erasing history.
 	contrib := make(map[string]float64)
 	for _, wt := range ref.Expansion {
 		if wt.Weight > 0 && basis.Has(wt.Term) {

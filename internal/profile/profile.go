@@ -10,9 +10,10 @@ import (
 )
 
 // Profile is one user's durable personalization state: a sparse topic
-// mixture over the basis terms plus a compact rates-delta against the
-// published global rate vector. Profiles are treated as immutable
-// values on the serving path — training clones, mutates the clone, and
+// mixture over the basis terms and its blend factor. Every personalized
+// answer is solved under the published global rates, so a profile
+// carries no rates of its own. Profiles are treated as immutable values
+// on the serving path — training clones, mutates the clone, and
 // replaces — so a profile handed out by the manager is safe to read
 // without locks.
 type Profile struct {
@@ -26,15 +27,6 @@ type Profile struct {
 	// s_p = (1−β)·ŝ(Q) + β·mixture. 0 disables personalization; the
 	// manager default applies when NaN or out of [0,1).
 	Beta float64
-	// Delta is the profile's learned rates-delta, indexed by
-	// TransferTypeID: effective rates = published global rates + Delta,
-	// clamped and renormalized to a valid assignment. nil means no
-	// structure learning yet. The delta personalizes the DIRECT solve
-	// path and future trainings; the basis-combine fast path serves the
-	// mixture under the published rates (rate changes are not linear in
-	// the fixpoint, so a delta cannot ride the combination — see
-	// DESIGN.md §12 for the exactness classification).
-	Delta []float64
 	// Rev is the profile's revision counter, incremented on every
 	// mutation (API update or feedback training); it participates in
 	// answer-cache keys so any mutation invalidates the profile's
@@ -54,7 +46,6 @@ func (p *Profile) Clone() *Profile {
 	for t, w := range p.Mixture {
 		cp.Mixture[t] = w
 	}
-	cp.Delta = append([]float64(nil), p.Delta...)
 	return &cp
 }
 
@@ -65,7 +56,6 @@ func (p *Profile) footprint() int64 {
 	for t := range p.Mixture {
 		n += int64(len(t)) + 24
 	}
-	n += int64(len(p.Delta)) * 8
 	return n
 }
 
@@ -102,10 +92,12 @@ func ValidID(id string) bool {
 //	  crc    uint32  CRC32-C of the payload
 //	  payload
 //
-// Sections: meta (id string, beta, trains, trained stamps), mixture
-// (sorted term/weight pairs), delta (raw float64 vector; absent when
-// nil). Every section is checksum-verified before decode; a damaged or
-// truncated record fails with ErrCorrupt, never a panic.
+// Sections: meta (id string, beta, rev, trained stamps) and mixture
+// (sorted term/weight pairs). Records written before profiles stopped
+// learning rates may carry a third section, a rates-delta; like any
+// unknown section it is checksum-verified and skipped. Every section is
+// checksum-verified before decode; a damaged or truncated record fails
+// with ErrCorrupt, never a panic.
 const profVersion = 1
 
 var profMagic = [8]byte{'A', 'F', 'Q', 'P', 'R', 'O', 'F', '1'}
@@ -113,7 +105,6 @@ var profMagic = [8]byte{'A', 'F', 'Q', 'P', 'R', 'O', 'F', '1'}
 const (
 	profSecMeta    = 1
 	profSecMixture = 2
-	profSecDelta   = 3
 )
 
 // ErrCorrupt means a profile record failed magic, checksum or
@@ -155,16 +146,6 @@ func (p *Profile) Encode() []byte {
 		id      uint32
 		payload []byte
 	}{{profSecMeta, meta}, {profSecMixture, mix}}
-	if p.Delta != nil {
-		delta := appendU32(nil, uint32(len(p.Delta)))
-		for _, v := range p.Delta {
-			delta = appendF64(delta, v)
-		}
-		secs = append(secs, struct {
-			id      uint32
-			payload []byte
-		}{profSecDelta, delta})
-	}
 
 	out := append([]byte(nil), profMagic[:]...)
 	out = appendU32(out, profVersion)
@@ -286,22 +267,9 @@ func Decode(data []byte) (*Profile, error) {
 				}
 				p.Mixture[t] = w
 			}
-		case profSecDelta:
-			n, err := r.u32()
-			if err != nil {
-				return nil, err
-			}
-			if int(n)*8 > len(payload) {
-				return nil, fmt.Errorf("%w: delta section too short", ErrCorrupt)
-			}
-			p.Delta = make([]float64, n)
-			for i := range p.Delta {
-				if p.Delta[i], err = r.f64(); err != nil {
-					return nil, err
-				}
-			}
 		default:
-			// Unknown sections are skipped for forward compatibility.
+			// Unknown sections — a newer writer's, or an older writer's
+			// rates-delta (section 3) — are skipped.
 		}
 	}
 	if !ValidID(p.ID) {

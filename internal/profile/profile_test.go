@@ -3,8 +3,12 @@ package profile
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"math"
+	"os"
 	"path/filepath"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -45,7 +49,6 @@ func TestCodecRoundtrip(t *testing.T) {
 		ID:                  "user-42.test_A",
 		Mixture:             map[string]float64{"mining": 0.6, "database": 0.3, "xml": 0.1},
 		Beta:                0.25,
-		Delta:               []float64{0.01, -0.02, 0, 0.003},
 		Rev:                 7,
 		TrainedGeneration:   3,
 		TrainedRatesVersion: 11,
@@ -67,23 +70,45 @@ func TestCodecRoundtrip(t *testing.T) {
 			t.Fatalf("mixture[%s] = %v, want %v", term, got.Mixture[term], w)
 		}
 	}
-	if len(got.Delta) != len(p.Delta) {
-		t.Fatalf("delta length %d, want %d", len(got.Delta), len(p.Delta))
-	}
-	for i := range p.Delta {
-		if got.Delta[i] != p.Delta[i] {
-			t.Fatalf("delta[%d] = %v, want %v", i, got.Delta[i], p.Delta[i])
-		}
-	}
+}
 
-	// A profile without a delta omits the delta section entirely.
-	p2 := &Profile{ID: "plain", Mixture: map[string]float64{}}
-	got2, err := Decode(p2.Encode())
+// TestLegacyDeltaRecordDecodes: a record written while profiles still
+// learned a rates-delta (checked in as a FuzzProfileDecode seed, encoded
+// by that writer) carries a third section. It still decodes to the same
+// id, mixture, beta, rev and trained stamps, and re-encodes with the two
+// sections the codec writes now.
+func TestLegacyDeltaRecordDecodes(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzProfileDecode", "legacy-delta"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got2.Delta != nil {
-		t.Fatalf("expected nil delta, got %v", got2.Delta)
+	lit, ok := strings.CutPrefix(strings.TrimSpace(string(raw)), "go test fuzz v1\n[]byte(")
+	if !ok {
+		t.Fatalf("not a fuzz corpus file: %q", raw)
+	}
+	data, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sections := binary.LittleEndian.Uint32([]byte(data)[12:]); sections != 3 {
+		t.Fatalf("seed has %d sections, want the legacy 3", sections)
+	}
+	got, err := Decode([]byte(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := &Profile{ID: "user-42", Beta: 0.4, Rev: 5, TrainedGeneration: 1, TrainedRatesVersion: 6,
+		Mixture: map[string]float64{"icde": 0.6854726028636684, "measures": 0.18952739713633168, "streaming": 0.125}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("decoded %+v, want %+v", got, want)
+	}
+	enc := got.Encode()
+	if sections := binary.LittleEndian.Uint32(enc[12:]); sections != 2 {
+		t.Fatalf("re-encoded with %d sections, want 2", sections)
+	}
+	again, err := Decode(enc)
+	if err != nil || !reflect.DeepEqual(again, want) {
+		t.Fatalf("re-encoded record decodes to %+v (%v), want %+v", again, err, want)
 	}
 }
 

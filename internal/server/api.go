@@ -36,7 +36,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"io"
+	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
@@ -186,20 +186,19 @@ type BatchQueryResponse struct {
 	Answers    []QueryResponse `json:"answers"`
 }
 
-// ReformulateResponse is the /v1/reformulate payload. Version is the
-// rates-snapshot version AFTER the structure-based update was
-// published (equal to the pre-reformulation version when the mode
-// carries no rate change or publication was skipped).
+// ReformulateResponse is the /v1/reformulate payload. Rates are the
+// rates in force after the reformulation and Version their
+// rates-snapshot version: on the global path, those the structure-based
+// update published.
 type ReformulateResponse struct {
 	Query   string `json:"query"`
 	Rates   string `json:"rates"`
 	Version uint64 `json:"version"`
 	// Profile and ProfileRev are set on profile-scoped reformulations
-	// (?profile=): the feedback trained the named profile's private
-	// mixture and rates-delta instead of publishing globally, Rates
-	// reports the profile's EFFECTIVE (not published) rates, Version is
-	// the unchanged published version the training ran under, and
-	// ProfileRev is the profile's post-training revision.
+	// (?profile=): the feedback trained the named profile's mixture
+	// instead of publishing globally, so Rates and Version are the
+	// published ones the training ran under, and ProfileRev is the
+	// profile's post-training revision.
 	Profile    string          `json:"profile,omitempty"`
 	ProfileRev uint64          `json:"profileRev,omitempty"`
 	Expansion  []ExpansionTerm `json:"expansion,omitempty"`
@@ -320,9 +319,9 @@ type AuditResponse struct {
 // the profile's declared interests. Mixture weights are non-negative
 // topic weights over basis terms (unknown terms are kept in the record
 // and simply carry no weight until a basis contains them); Beta is the
-// personalization blend factor in [0,1) (0 = the server default). A
-// trained rates-delta, if any, survives updates — it is learned through
-// profile-scoped reformulation, not declared.
+// personalization blend factor in [0,1) (0 = the server default). The
+// revision and the trained stamps are the server's: an update bumps the
+// one and keeps the others.
 type ProfileUpdateRequest struct {
 	Mixture map[string]float64 `json:"mixture"`
 	Beta    float64            `json:"beta,omitempty"`
@@ -337,10 +336,6 @@ type ProfileResponse struct {
 	Mixture map[string]float64 `json:"mixture"`
 	Beta    float64            `json:"beta"`
 	Rev     uint64             `json:"rev"`
-	// HasDelta reports whether the profile carries a trained rates-delta
-	// (the delta itself is internal — it personalizes training and the
-	// direct solve path, not the combine fast path; see DESIGN.md §12).
-	HasDelta bool `json:"hasDelta"`
 	// TrainedGeneration/TrainedRatesVersion record the engine state the
 	// last training round ran against (diagnostics).
 	TrainedGeneration   uint64 `json:"trainedGeneration,omitempty"`
@@ -530,56 +525,45 @@ func writeConflict(w http.ResponseWriter, r *http.Request, msg string, version u
 // above any legitimate 64-item batch).
 const maxBatchBody = 1 << 20
 
-// handleQueryBatch answers N queries with at most
-// ⌈unique/core.DefaultBlockSize⌉ kernel executions: the whole batch pins
-// ONE rates snapshot and routes through cache.QueryBatchModePinnedCtx
-// (result cache → term-vector cache → one panelled solve of the
-// remaining misses). Each answer is identical to what the corresponding
-// single /v1/query would return.
-func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
+// batchEndpoint is /v1/query/batch: N queries answered with at most
+// ⌈unique/core.DefaultBlockSize⌉ kernel executions, all under the one
+// pin (cache.QueryBatchModePinnedCtx: result cache → term-vector cache →
+// one panelled solve of the remaining misses). Each answer is identical
+// to what the corresponding single /v1/query would return.
+var batchEndpoint = endpoint{parse: parseBatch, run: (*Server).runBatch}
+
+// parseBatch validates EVERY item before any kernel work: a batch either
+// runs whole or is rejected whole, and the 400 names the offending index.
+func parseBatch(rq *request, r *http.Request) (string, error) {
 	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, r, http.StatusMethodNotAllowed, "POST required")
-		return
+		return "", &statusError{status: http.StatusMethodNotAllowed, code: CodeInvalidArgument,
+			msg: "POST required", allow: http.MethodPost}
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBatchBody+1))
+	body, err := readLimited(r, maxBatchBody, "body exceeds "+strconv.Itoa(maxBatchBody)+" bytes")
 	if err != nil {
-		writeError(w, r, http.StatusBadRequest, "reading body: "+err.Error())
-		return
+		return "", err
 	}
-	if len(body) > maxBatchBody {
-		writeError(w, r, http.StatusBadRequest, "body exceeds "+strconv.Itoa(maxBatchBody)+" bytes")
-		return
+	if _, rq.qs, rq.ks, rq.modes, err = DecodeBatch(body); err != nil {
+		return "", badRequest(err.Error())
 	}
-	// Validate EVERY item before any kernel work: a batch either runs
-	// whole or is rejected whole, and the 400 names the offending index.
-	_, qs, ks, modes, err := DecodeBatch(body)
+	return fmt.Sprintf("batch=%d version=%d", len(rq.qs), rq.pin.Version()), nil
+}
+
+func (s *Server) runBatch(rq *request) (reply, error) {
+	answers, err := s.cache.QueryBatchModePinnedCtx(rq.ctx, rq.pin, rq.qs, rq.ks, rq.modes)
 	if err != nil {
-		writeError(w, r, http.StatusBadRequest, err.Error())
-		return
+		return reply{}, err
 	}
-
-	ctx := r.Context()
-	tr := obs.TraceFrom(ctx)
-	pin := s.eng.Pin()
-	tr.Eventf("parse", "batch=%d version=%d", len(qs), pin.Version())
-
-	g := pin.Corpus().Graph()
 	resp := BatchQueryResponse{
-		Version:    pin.Version(),
-		Generation: pin.Generation(),
-		Answers:    make([]QueryResponse, len(qs)),
-	}
-	answers, err := s.cache.QueryBatchModePinnedCtx(ctx, pin, qs, ks, modes)
-	if err != nil {
-		s.writeCtxError(w, r, err)
-		return
+		Version:    rq.pin.Version(),
+		Generation: rq.pin.Generation(),
+		Answers:    make([]QueryResponse, len(answers)),
 	}
 	for i, ans := range answers {
-		resp.Answers[i] = s.queryResponse(g, qs[i], modes[i], ans)
+		s.obs.cacheOutcome.With(ans.Source).Inc()
+		resp.Answers[i] = queryResponse(rq.g, rq.qs[i], rq.modes[i], ans)
 	}
-	tr.Eventf("render", "answers=%d", len(resp.Answers))
-	writeJSON(w, http.StatusOK, resp)
+	return reply{what: "answers", n: len(answers), json: resp}, nil
 }
 
 // DecodeBatch is the one reader of a /v1/query/batch body: the JSON

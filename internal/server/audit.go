@@ -1,14 +1,11 @@
 package server
 
 import (
-	"net/http"
-
 	"authorityflow/internal/core"
 	"authorityflow/internal/graph"
-	"authorityflow/internal/obs"
 )
 
-// handleAudit serves GET /v1/audit?q=...&target=...[&mode=...][&budget=N]:
+// auditEndpoint is GET /v1/audit?q=...&target=...[&mode=...][&budget=N]:
 // the sensitivity ranking of one result node — the top-budget explaining
 // arcs and nodes ordered by how strongly the target's score responds to
 // perturbing each arc's authority transfer rate (core.AuditOf over the
@@ -17,33 +14,29 @@ import (
 // radius, so the two answers agree on totalArcs, totalNodes, score and
 // contributions.
 //
-// The handler is mounted behind the admission guard, so it inherits the
-// deadline-aware lifecycle: the solve, the BFS phases and the Eq. 10
-// fixpoint all poll the request context, and an expired deadline
-// answers 504 through writeCtxError. One pin covers parse → rank →
-// audit → render, so the response's (generation, ratesVersion) stamps
-// name exactly the state everything ran under — and at a pinned state
-// repeated audits are byte-identical (the determinism contract).
-func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
-	t, ok := s.rankTarget(w, r)
-	if !ok {
-		return
-	}
-	q, rp, g := t.q, t.rp, t.pin.Corpus().Graph()
-	sg, ok := s.explainTarget(w, r, t, "audit")
-	if !ok {
-		return
-	}
-	a := core.AuditOf(sg, rp.Budget)
+// The solve, the BFS phases and the Eq. 10 fixpoint all poll the
+// request context, so an expired deadline answers 504. One pin covers
+// parse → rank → audit → render, so the response's (generation,
+// ratesVersion) stamps name exactly the state everything ran under — and
+// at a pinned state repeated audits are byte-identical (the determinism
+// contract).
+var auditEndpoint = endpoint{query: true, contract: true, parse: parseTarget, run: (*Server).runAudit}
 
+func (s *Server) runAudit(rq *request) (reply, error) {
+	sg, err := s.explainTarget(rq, "audit")
+	if err != nil {
+		return reply{}, err
+	}
+	rp, g := rq.rp, rq.g
+	a := core.AuditOf(sg, rp.Budget)
 	s.obs.auditTotal.With(string(rp.Mode)).Inc()
 	s.obs.auditContributions.Observe(float64(len(a.Arcs)))
 	if a.TotalArcs > len(a.Arcs) {
 		s.obs.auditTruncated.Inc()
 	}
-	resp := AuditResponse{
+	return reply{what: "contributions", n: len(a.Arcs), json: AuditResponse{
 		Node:          int64(a.Target),
-		Query:         q.String(),
+		Query:         rq.spelled,
 		Score:         a.Score,
 		Mode:          string(rp.Mode),
 		Budget:        a.Budget,
@@ -51,13 +44,11 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 		TotalNodes:    len(sg.Nodes),
 		Converged:     a.Converged,
 		Iterations:    a.Iterations,
-		Generation:    t.pin.Generation(),
-		RatesVersion:  t.pin.Version(),
+		Generation:    rq.pin.Generation(),
+		RatesVersion:  rq.pin.Version(),
 		Contributions: contributions(g, a),
 		Nodes:         nodeContributions(g, a),
-	}
-	obs.TraceFrom(r.Context()).Eventf("render", "contributions=%d", len(resp.Contributions))
-	writeJSON(w, http.StatusOK, resp)
+	}}, nil
 }
 
 // contributions renders an audit's ranked arcs for the shared

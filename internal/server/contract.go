@@ -28,7 +28,6 @@ package server
 
 import (
 	"errors"
-	"net/http"
 	"net/url"
 	"slices"
 	"strconv"
@@ -122,15 +121,4 @@ func ValidateReadParams(v url.Values) (ReadParams, error) {
 		}
 	}
 	return rp, nil
-}
-
-// parseReadParams is the handler-side wrapper: table violations become
-// the uniform invalid_argument rejection.
-func parseReadParams(w http.ResponseWriter, r *http.Request, v url.Values) (ReadParams, bool) {
-	rp, err := ValidateReadParams(v)
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, err.Error())
-		return rp, false
-	}
-	return rp, true
 }

@@ -47,11 +47,12 @@ func (w *sinkWriter) reset() {
 // handler together. The parent of the stored-body change measured 148 for
 // this request (ten snippets, the response DTO, the indented two-pass
 // encoder, four URL-query parses, an access-log line built for a nil
-// logger); a stored-body hit measures 51: the request ID, trace and
+// logger); a stored-body hit measures 50: the request ID, trace and
 // context, the status and latency labels, one URL-query parse, the parsed
-// query with its canonical key, three trace events and four headers. The
-// ceiling leaves room for a Go release to move a few, not for a renderer
-// or an encoder to come back.
+// query with its canonical key, the request the handler skeleton
+// carries, three trace events and four headers. The ceiling leaves room
+// for a Go release to move a few, not for a renderer or an encoder to
+// come back.
 const queryHitAllocCeiling = 64
 
 // TestQueryHitAllocs pins the cost of the commonest request: a warmed

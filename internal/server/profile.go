@@ -9,26 +9,24 @@
 // profile's topic mixture combines precomputed basis fixpoints with the
 // query's own (cached) fixpoint, so a personalized answer costs one
 // O(|mixture|·|V|) vector blend on top of whatever the global tier
-// already paid. Profile-scoped reformulation trains the CALLER's
-// mixture and rates-delta and publishes nothing globally — a user's
-// feedback can never race (or pollute) the fleet's shared rates.
+// already paid. Every vector in the blend is solved under the published
+// rates. Profile-scoped reformulation trains the CALLER's mixture and
+// publishes nothing globally — a user's feedback can never race (or
+// pollute) the fleet's shared rates.
 //
 // CRUD runs outside the admission guard (like /v1/rates — byte-sized
 // record writes, no kernel work); the personalized query/reformulate
-// paths go through the guard with the rest of the expensive endpoints.
+// paths are the guarded /v1/query and /v1/reformulate, which read
+// ?profile= through resolveProfile.
 package server
 
 import (
-	"encoding/json"
-	"errors"
-	"io"
 	"net/http"
-	"strconv"
 	"strings"
 
+	"authorityflow/internal/cache"
 	"authorityflow/internal/core"
 	"authorityflow/internal/ir"
-	"authorityflow/internal/obs"
 	"authorityflow/internal/profile"
 )
 
@@ -52,89 +50,96 @@ const maxProfileBody = 256 << 10
 // Profiles exposes the personalization manager (nil when disabled).
 func (s *Server) Profiles() *profile.Manager { return s.profiles }
 
-// profileID extracts and validates the {id} segment of /v1/profile/{id}.
-func profileID(w http.ResponseWriter, r *http.Request) (string, bool) {
-	id := strings.TrimPrefix(r.URL.Path, "/v1/profile/")
-	if !profile.ValidID(id) {
-		writeError(w, r, http.StatusBadRequest,
-			"profile id must be 1..128 bytes of [A-Za-z0-9._-]")
-		return "", false
+var (
+	errProfilesDisabled = &statusError{status: http.StatusForbidden, code: CodeInvalidArgument,
+		msg: "personalization is disabled: the server was started without a profile store (-profile-dir)"}
+	errProfileID = badRequest("profile id must be 1..128 bytes of [A-Za-z0-9._-]")
+)
+
+// checkProfile says whether a request may address the profile id.
+func (s *Server) checkProfile(id string) error {
+	if s.profiles == nil {
+		return errProfilesDisabled
 	}
-	return id, true
+	if !profile.ValidID(id) {
+		return errProfileID
+	}
+	return nil
 }
 
-// writeProfileError maps personalization-tier errors onto the v1
-// surface: ErrNotFound → 404 profile_not_found, everything else 500.
-func (s *Server) writeProfileError(w http.ResponseWriter, r *http.Request, id string, err error) {
-	if errors.Is(err, profile.ErrNotFound) {
-		writeAPIError(w, r, http.StatusNotFound, CodeProfileNotFound,
-			"no profile exists under id "+strconv.Quote(id)+"; create it with PUT /v1/profile/"+id)
-		return
+// resolveProfile reads ?profile=: absent is the global path. Profiles
+// personalize the authority flow system — the hub axis has no basis
+// behind it — so a profile-scoped read must be mode=authority.
+func (s *Server) resolveProfile(rq *request) error {
+	id := rq.v.Get("profile")
+	if id == "" {
+		return nil
 	}
-	writeError(w, r, http.StatusInternalServerError, err.Error())
+	if rq.rp.Mode != core.ModeAuthority {
+		return badRequest("profile-scoped queries support only mode=authority")
+	}
+	if err := s.checkProfile(id); err != nil {
+		return err
+	}
+	rq.profile = id
+	return nil
+}
+
+// personal answers q from the request's profile: the basis blend under
+// the pin, in the serving cache's answer shape so it renders like a
+// global answer; the bool is whether the mixture moved the ranking. It
+// counts the provenance and emits the combine event.
+func (s *Server) personal(rq *request, q *ir.Query) (*cache.Answer, bool, error) {
+	a, src, err := s.profiles.QueryCtx(rq.ctx, rq.pin, rq.profile, q, rq.k)
+	if err != nil {
+		return nil, false, err
+	}
+	rq.tr.Eventf("combine", "profile=%s source=%s personalized=%t", rq.profile, src, a.Personalized)
+	s.obs.profileOutcome.With(string(src)).Inc()
+	return &cache.Answer{Query: q, Results: a.Results, Iterations: a.Iterations, BaseSet: a.BaseSet,
+		Version: a.RatesVersion, Generation: a.Generation, Source: string(src)}, a.Personalized, nil
 }
 
 // handleProfile is the /v1/profile/{id} CRUD surface.
 func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
-	if s.profiles == nil {
-		writeAPIError(w, r, http.StatusForbidden, CodeInvalidArgument,
-			"personalization is disabled: the server was started without a profile store (-profile-dir)")
-		return
+	id := strings.TrimPrefix(r.URL.Path, "/v1/profile/")
+	p, err := s.profileCRUD(r, id)
+	switch {
+	case err != nil:
+		s.fail(w, r, id, err)
+	case p == nil:
+		w.WriteHeader(http.StatusNoContent)
+	default:
+		writeJSON(w, http.StatusOK, profileDTO(p))
 	}
-	id, ok := profileID(w, r)
-	if !ok {
-		return
+}
+
+// profileCRUD applies one CRUD request: the profile it leaves (nil after
+// a delete) or the error to answer.
+func (s *Server) profileCRUD(r *http.Request, id string) (*profile.Profile, error) {
+	if err := s.checkProfile(id); err != nil {
+		return nil, err
 	}
 	switch r.Method {
 	case http.MethodGet:
-		p, err := s.profiles.Get(id)
-		if err != nil {
-			s.writeProfileError(w, r, id, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, profileDTO(p))
+		return s.profiles.Get(id)
 	case http.MethodPut, http.MethodPost:
-		body, err := io.ReadAll(io.LimitReader(r.Body, maxProfileBody+1))
-		if err != nil {
-			writeError(w, r, http.StatusBadRequest, "reading body: "+err.Error())
-			return
-		}
-		if len(body) > maxProfileBody {
-			writeError(w, r, http.StatusBadRequest, "profile body too large")
-			return
-		}
 		var req ProfileUpdateRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			writeError(w, r, http.StatusBadRequest, "bad JSON body: "+err.Error())
-			return
+		if err := readJSON(r, maxProfileBody, "profile body too large", &req); err != nil {
+			return nil, err
 		}
-		// Updates replace the declared interests but preserve learned
-		// state: an existing profile keeps its trained rates-delta and
-		// its revision history.
-		next := &profile.Profile{ID: id, Mixture: req.Mixture, Beta: req.Beta}
-		if prev, err := s.profiles.Get(id); err == nil {
-			next.Delta = append([]float64(nil), prev.Delta...)
-			next.Rev = prev.Rev
-			next.TrainedGeneration = prev.TrainedGeneration
-			next.TrainedRatesVersion = prev.TrainedRatesVersion
-		}
-		stored, err := s.profiles.Put(next)
+		// The manager keeps the revision and trained stamps.
+		p, err := s.profiles.Put(&profile.Profile{ID: id, Mixture: req.Mixture, Beta: req.Beta})
 		if err != nil {
-			writeError(w, r, http.StatusBadRequest, err.Error())
-			return
+			return nil, badRequest(err.Error())
 		}
 		s.obs.profileUpdates.Inc()
-		writeJSON(w, http.StatusOK, profileDTO(stored))
+		return p, nil
 	case http.MethodDelete:
-		if err := s.profiles.Delete(id); err != nil {
-			writeError(w, r, http.StatusInternalServerError, err.Error())
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
-	default:
-		w.Header().Set("Allow", "GET, PUT, POST, DELETE")
-		writeError(w, r, http.StatusMethodNotAllowed, "GET, PUT, POST or DELETE required")
+		return nil, s.profiles.Delete(id)
 	}
+	return nil, &statusError{status: http.StatusMethodNotAllowed, code: CodeInvalidArgument,
+		msg: "GET, PUT, POST or DELETE required", allow: "GET, PUT, POST, DELETE"}
 }
 
 // profileDTO renders a stored profile as the API shape.
@@ -148,103 +153,7 @@ func profileDTO(p *profile.Profile) ProfileResponse {
 		Mixture:             mix,
 		Beta:                p.Beta,
 		Rev:                 p.Rev,
-		HasDelta:            len(p.Delta) > 0,
 		TrainedGeneration:   p.TrainedGeneration,
 		TrainedRatesVersion: p.TrainedRatesVersion,
 	}
-}
-
-// handleProfileQuery serves GET /v1/query?profile={id}: the
-// personalized twin of the global query path, answered by the
-// basis-combination fast path. Called from handleQuery once the
-// profile parameter is seen; the pin is the request's single engine
-// state, exactly as on the global path.
-func (s *Server) handleProfileQuery(w http.ResponseWriter, r *http.Request, pin *core.Pinned, id string, q *ir.Query, k int) {
-	if s.profiles == nil {
-		writeAPIError(w, r, http.StatusForbidden, CodeInvalidArgument,
-			"personalization is disabled: the server was started without a profile store (-profile-dir)")
-		return
-	}
-	if !profile.ValidID(id) {
-		writeError(w, r, http.StatusBadRequest,
-			"profile id must be 1..128 bytes of [A-Za-z0-9._-]")
-		return
-	}
-	ctx := r.Context()
-	tr := obs.TraceFrom(ctx)
-	ans, src, err := s.profiles.QueryCtx(ctx, pin, id, q, k)
-	if err != nil {
-		if errors.Is(err, profile.ErrNotFound) {
-			s.writeProfileError(w, r, id, err)
-			return
-		}
-		s.writeCtxError(w, r, err)
-		return
-	}
-	tr.Eventf("combine", "profile=%s source=%s personalized=%t", id, src, ans.Personalized)
-	s.obs.profileOutcome.With(string(src)).Inc()
-	g := pin.Corpus().Graph()
-	setStateHeaders(w, ans.Generation, ans.RatesVersion)
-	writeJSON(w, http.StatusOK, QueryResponse{
-		Query:        q.String(),
-		BaseSet:      ans.BaseSet,
-		Iterations:   ans.Iterations,
-		Version:      ans.RatesVersion,
-		Generation:   ans.Generation,
-		Cache:        string(src),
-		Profile:      id,
-		Personalized: ans.Personalized,
-		Results:      renderResults(g, q, ans.Results),
-	})
-}
-
-// handleProfileReformulate finishes GET /v1/reformulate?profile={id}:
-// the feedback subgraphs train the named profile (mixture EWMA +
-// rates-delta under the profile's effective rates) instead of
-// publishing globally. Called from handleReformulate with the parsed
-// query, feedback subgraphs and mode already in hand.
-func (s *Server) handleProfileReformulate(w http.ResponseWriter, r *http.Request, pin *core.Pinned, id string, q *ir.Query, k int, subs []*core.Subgraph, confidences []float64, opts core.ReformulateOptions) {
-	if s.profiles == nil {
-		writeAPIError(w, r, http.StatusForbidden, CodeInvalidArgument,
-			"personalization is disabled: the server was started without a profile store (-profile-dir)")
-		return
-	}
-	if !profile.ValidID(id) {
-		writeError(w, r, http.StatusBadRequest,
-			"profile id must be 1..128 bytes of [A-Za-z0-9._-]")
-		return
-	}
-	ctx := r.Context()
-	tr := obs.TraceFrom(ctx)
-	ref, trained, err := s.profiles.TrainCtx(ctx, pin, id, q, subs, confidences, &opts)
-	if err != nil {
-		if errors.Is(err, profile.ErrNotFound) {
-			s.writeProfileError(w, r, id, err)
-			return
-		}
-		s.writeRunError(w, r, err)
-		return
-	}
-	tr.Eventf("train", "profile=%s rev=%d rates=%s expansion=%d",
-		id, trained.Rev, ref.Rates.String(), len(ref.Expansion))
-	resp := ReformulateResponse{
-		Query:      ref.Query.String(),
-		Rates:      ref.Rates.String(),
-		Version:    pin.Version(), // training publishes nothing
-		Profile:    id,
-		ProfileRev: trained.Rev,
-	}
-	// Answer the reformulated query PERSONALIZED — the round-trip a user
-	// actually experiences: feedback in, re-ranked personalized list out.
-	ans, src, err := s.profiles.QueryCtx(ctx, pin, id, ref.Query, k)
-	if err != nil {
-		s.writeCtxError(w, r, err)
-		return
-	}
-	s.obs.profileOutcome.With(string(src)).Inc()
-	resp.Results = renderResults(pin.Corpus().Graph(), ref.Query, ans.Results)
-	for _, wt := range ref.Expansion {
-		resp.Expansion = append(resp.Expansion, ExpansionTerm{Term: wt.Term, Weight: wt.Weight})
-	}
-	writeJSON(w, http.StatusOK, resp)
 }

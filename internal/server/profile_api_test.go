@@ -1,16 +1,20 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"authorityflow/internal/core"
 	"authorityflow/internal/datagen"
+	"authorityflow/internal/ir"
+	"authorityflow/internal/profile"
 	"authorityflow/internal/rank"
 )
 
@@ -56,7 +60,7 @@ func TestProfileCRUD(t *testing.T) {
 	created := putProfile(t, ts.URL, "alice", ProfileUpdateRequest{
 		Mixture: map[string]float64{"xml": 0.7, "mining": 0.3},
 	})
-	if created.ID != "alice" || len(created.Mixture) != 2 || created.HasDelta {
+	if created.ID != "alice" || len(created.Mixture) != 2 || created.Rev != 1 {
 		t.Fatalf("created = %+v", created)
 	}
 
@@ -230,7 +234,8 @@ func TestProfilePersonalizedQuery(t *testing.T) {
 }
 
 // TestProfileReformulate: feedback with profile= trains the caller's
-// private state and publishes NOTHING globally.
+// mixture and publishes NOTHING globally: the response's rates are the
+// published ones it ran under.
 func TestProfileReformulate(t *testing.T) {
 	_, ts := profileTestServer(t)
 	putProfile(t, ts.URL, "bob", ProfileUpdateRequest{
@@ -256,8 +261,9 @@ func TestProfileReformulate(t *testing.T) {
 	if ref.Profile != "bob" || ref.ProfileRev == 0 {
 		t.Fatalf("response not profile-stamped: %+v", ref)
 	}
-	if ref.Version != before.Version {
-		t.Fatalf("training bumped the published rates version: %d → %d", before.Version, ref.Version)
+	if ref.Version != before.Version || ref.Rates != before.Rates {
+		t.Fatalf("profile reformulate answered rates %q version %d, published %q version %d",
+			ref.Rates, ref.Version, before.Rates, before.Version)
 	}
 	if len(ref.Results) == 0 {
 		t.Fatal("profile reformulate returned no personalized results")
@@ -275,7 +281,7 @@ func TestProfileReformulate(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/v1/profile/bob", &p); code != 200 {
 		t.Fatalf("profile get = %d", code)
 	}
-	if p.Rev == 0 || !p.HasDelta {
+	if p.Rev != ref.ProfileRev || p.Rev != 2 || p.TrainedRatesVersion != before.Version {
 		t.Fatalf("profile did not record training: %+v", p)
 	}
 }
@@ -332,5 +338,121 @@ func TestClientProfileMethods(t *testing.T) {
 	// Idempotent delete.
 	if err := c.ProfileDelete(ctx, "carol"); err != nil {
 		t.Fatalf("second delete: %v", err)
+	}
+}
+
+// TestProfileWritesHammer races profile updates and profile-scoped
+// trainings on one id, each followed by a personalized query that fills
+// the answer cache under the revision it saw (run under -race in CI).
+// Every write must get its own revision — the answer cache keys on it,
+// so two mixtures stored under one rev would let the second be served
+// the first's answers — the final rev counts every write, and the
+// personalized answer afterwards is a fresh blend of the stored mixture.
+func TestProfileWritesHammer(t *testing.T) {
+	s, ts := profileTestServer(t)
+	putProfile(t, ts.URL, "hammer", ProfileUpdateRequest{Mixture: map[string]float64{"streaming": 1}})
+	var q QueryResponse
+	if code := getJSON(t, ts.URL+"/v1/query?q=olap&k=5", &q); code != 200 || len(q.Results) == 0 {
+		t.Fatalf("seed query = %d", code)
+	}
+	fb := strconv.FormatInt(q.Results[0].Node, 10)
+
+	const puts, trains = 24, 8
+	revs := make(chan uint64, puts+trains)
+	var wg sync.WaitGroup
+	for i := 0; i < puts+trains; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if i < puts {
+				body, _ := json.Marshal(ProfileUpdateRequest{Mixture: map[string]float64{"streaming": float64(i + 1), "icde": 1}})
+				code, _, raw := fetch(t, http.MethodPut, ts.URL+"/v1/profile/hammer", strings.NewReader(string(body)))
+				var p ProfileResponse
+				if err := json.Unmarshal(raw, &p); code != 200 || err != nil {
+					t.Errorf("PUT = %d (%v): %s", code, err, raw)
+					return
+				}
+				revs <- p.Rev
+			} else {
+				var ref ReformulateResponse
+				if code := getJSON(t, ts.URL+"/v1/reformulate?q=icde&k=5&mode=content&feedback="+fb+"&profile=hammer", &ref); code != 200 {
+					t.Errorf("profile reformulate = %d", code)
+					return
+				}
+				revs <- ref.ProfileRev
+			}
+			if code := getJSON(t, ts.URL+"/v1/query?q=olap&k=5&profile=hammer", nil); code != 200 {
+				t.Errorf("personalized query = %d", code)
+			}
+		}(i)
+	}
+	wg.Wait()
+	close(revs)
+	seen := make(map[uint64]bool)
+	for rev := range revs {
+		if seen[rev] {
+			t.Errorf("rev %d handed out twice", rev)
+		}
+		seen[rev] = true
+	}
+
+	var stored ProfileResponse
+	if code := getJSON(t, ts.URL+"/v1/profile/hammer", &stored); code != 200 {
+		t.Fatalf("GET = %d", code)
+	}
+	if want := uint64(1 + puts + trains); stored.Rev != want {
+		t.Errorf("final rev %d after %d writes, want %d", stored.Rev, puts+trains, want)
+	}
+	var got QueryResponse
+	if code := getJSON(t, ts.URL+"/v1/query?q=olap&k=5&profile=hammer", &got); code != 200 {
+		t.Fatalf("personalized query = %d", code)
+	}
+	ctx, pin := context.Background(), s.eng.Pin()
+	basis, err := s.Profiles().BasisFor(ctx, pin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.cache.RankPinnedCtx(ctx, pin, ir.NewQuery("olap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := rank.TopK(basis.Combine(res.Scores, stored.Mixture, profile.DefaultBeta), 5)
+	s.eng.Release(res)
+	if len(got.Results) != len(want) {
+		t.Fatalf("%d results, want %d", len(got.Results), len(want))
+	}
+	for i, r := range want {
+		if got.Results[i].Node != int64(r.Node) || got.Results[i].Score != r.Score {
+			t.Fatalf("result %d = %d/%v, a fresh blend of the stored mixture gives %d/%v",
+				i, got.Results[i].Node, got.Results[i].Score, r.Node, r.Score)
+		}
+	}
+}
+
+// TestProfileRejectedBeforeWork: a profile-scoped reformulate that names
+// no usable profile — personalization disabled, or an invalid id — is
+// answered before the feedback ranking and explains run: no kernel solve
+// and no cache compute.
+func TestProfileRejectedBeforeWork(t *testing.T) {
+	_, off := testServer(t)
+	_, on := profileTestServer(t)
+	for _, tc := range []struct {
+		base, profile string
+		code          int
+	}{
+		{off.URL, "alice", 403},
+		{on.URL, "a+b", 400},
+	} {
+		before, _ := scrapeMetrics(t, tc.base)
+		code, _, raw := fetch(t, http.MethodGet, tc.base+"/v1/reformulate?q=xml+index&feedback=0,1&profile="+tc.profile, nil)
+		if code != tc.code {
+			t.Fatalf("profile=%s: status %d, want %d: %s", tc.profile, code, tc.code, raw)
+		}
+		after, _ := scrapeMetrics(t, tc.base)
+		for _, family := range []string{"afq_kernel_solves_total", "afq_cache_computes_total"} {
+			if after[family] != before[family] {
+				t.Errorf("profile=%s: %s moved %v → %v on a rejected request", tc.profile, family, before[family], after[family])
+			}
+		}
 	}
 }

@@ -19,9 +19,7 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
-	"io"
 	"net/http"
 
 	"authorityflow/internal/core"
@@ -34,17 +32,8 @@ const maxRatesBody = 1 << 20
 
 func (s *Server) handleRatesPublish(w http.ResponseWriter, r *http.Request) {
 	var req RatesPublishRequest
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxRatesBody+1))
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, "reading body: "+err.Error())
-		return
-	}
-	if len(body) > maxRatesBody {
-		writeError(w, r, http.StatusBadRequest, "body too large")
-		return
-	}
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeError(w, r, http.StatusBadRequest, "bad JSON body: "+err.Error())
+	if err := readJSON(r, maxRatesBody, "body too large", &req); err != nil {
+		s.fail(w, r, "", err)
 		return
 	}
 	if len(req.Vector) == 0 {

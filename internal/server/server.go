@@ -16,9 +16,10 @@
 //	GET  /v1/healthz
 //	GET  /v1/stats
 //
-// Concurrency: the server holds no locks. Every handler loads the
-// engine's current rates snapshot once (Engine.Pin) and serves every
-// step of the request from that pinned view; concurrent reformulations
+// Concurrency: the server holds no locks. Every guarded request goes
+// through one skeleton (request.go) that loads the engine's current
+// state once (Engine.Pin) and serves every step of the request from that
+// pinned view; concurrent reformulations
 // publish through the engine's compare-and-swap. /v1/reformulate is
 // optimistic: the response carries the rates version it ran under, an
 // optional version=N parameter asserts the client's expected version,
@@ -36,9 +37,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"math"
+	"fmt"
+	"io"
 	"net/http"
-	"net/url"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -214,11 +215,11 @@ type route struct {
 // the guarded /v1/query and /v1/reformulate).
 func (s *Server) routes() []route {
 	return []route{
-		{"/v1/query", true, s.handleQuery},
-		{"/v1/query/batch", true, s.handleQueryBatch},
-		{"/v1/explain", true, s.handleExplain},
-		{"/v1/audit", true, s.handleAudit},
-		{"/v1/reformulate", true, s.handleReformulate},
+		{"/v1/query", true, s.serve(queryEndpoint)},
+		{"/v1/query/batch", true, s.serve(batchEndpoint)},
+		{"/v1/explain", true, s.serve(explainEndpoint)},
+		{"/v1/audit", true, s.serve(auditEndpoint)},
+		{"/v1/reformulate", true, s.serve(reformulateEndpoint)},
 		{"/v1/rates", false, s.handleRatesDispatch},
 		{"/v1/healthz", false, s.handleHealth},
 		{"/v1/stats", false, s.handleStats},
@@ -301,53 +302,37 @@ func (s *Server) handleRates(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	v := r.URL.Query() // parsed once; every parameter below reads it
-	q, k, ok := parseQuery(w, r, v)
-	if !ok {
-		return
+// queryEndpoint is /v1/query: the top k of q, from the serving cache or,
+// with ?profile=, from the profile's basis blend.
+var queryEndpoint = endpoint{query: true, contract: true, profile: true,
+	parse: func(rq *request, r *http.Request) (string, error) {
+		return "q=" + rq.spelled + " k=" + strconv.Itoa(rq.k) + " mode=" + string(rq.rp.Mode), nil
+	},
+	run: (*Server).runQuery,
+}
+
+func (s *Server) runQuery(rq *request) (reply, error) {
+	var ans *cache.Answer
+	var personalized bool
+	var err error
+	if rq.profile != "" {
+		ans, personalized, err = s.personal(rq, rq.q)
+	} else if ans, err = s.cache.QueryModePinnedCtx(rq.ctx, rq.pin, rq.q, rq.k, rq.rp.Mode); err == nil {
+		rq.tr.Eventf("solve", "source=%s iters=%d base=%d version=%d generation=%d",
+			ans.Source, ans.Iterations, ans.BaseSet, ans.Version, ans.Generation)
+		s.obs.cacheOutcome.With(ans.Source).Inc()
 	}
-	rp, ok := parseReadParams(w, r, v)
-	if !ok {
-		return
-	}
-	// Pin ONE engine state for the whole request: the solve, the cache
-	// lookups and the node rendering below all see the same corpus
-	// generation even if a swap lands mid-request.
-	ctx := r.Context()
-	pin := s.eng.Pin()
-	tr := obs.TraceFrom(ctx)
-	spelled := q.String()
-	tr.Eventf("parse", "q=%s k=%d mode=%s", spelled, k, rp.Mode)
-	if pid := v.Get("profile"); pid != "" {
-		// Profiles personalize the authority flow system; the hub axis
-		// has no basis-projected store behind it.
-		if rp.Mode != core.ModeAuthority {
-			writeError(w, r, http.StatusBadRequest,
-				"profile-scoped queries support only mode=authority")
-			return
-		}
-		s.handleProfileQuery(w, r, pin, pid, q, k)
-		return
-	}
-	ans, err := s.cache.QueryModePinnedCtx(ctx, pin, q, k, rp.Mode)
 	if err != nil {
-		s.writeCtxError(w, r, err)
-		return
+		return reply{}, err
 	}
-	tr.Eventf("solve", "source=%s iters=%d base=%d version=%d generation=%d",
-		ans.Source, ans.Iterations, ans.BaseSet, ans.Version, ans.Generation)
-	setStateHeaders(w, ans.Generation, ans.Version)
-	if body := ans.Body(spelled); body != nil {
+	rep := reply{what: "results", n: len(ans.Results), gen: ans.Generation, version: ans.Version}
+	if rep.body = ans.Body(rq.spelled); rep.body != nil {
 		// The commonest request: the entry already carries these very
 		// bytes, so nothing is rendered and nothing is encoded.
-		s.obs.cacheOutcome.With(ans.Source).Inc()
-		tr.Eventf("render", "results=%d", len(ans.Results))
-		writeBody(w, http.StatusOK, body)
-		return
+		return rep, nil
 	}
-	resp := s.queryResponse(pin.Corpus().Graph(), q, rp.Mode, ans)
-	tr.Eventf("render", "results=%d", len(resp.Results))
+	resp := queryResponse(rq.g, rq.q, rq.rp.Mode, ans)
+	resp.Profile, resp.Personalized = rq.profile, personalized
 	if ans.Source == cache.SourceResult {
 		// A repeat that found no body for its spelling: this rendering is
 		// the hit form, so it is kept with the entry (the first one is;
@@ -357,12 +342,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// the buffer is not pooled, because the cache keeps its bytes.
 		var buf bytes.Buffer
 		if err := json.NewEncoder(&buf).Encode(resp); err == nil {
-			s.cache.AttachBody(ans, spelled, buf.Bytes())
-			writeBody(w, http.StatusOK, buf.Bytes())
-			return
+			s.cache.AttachBody(ans, rq.spelled, buf.Bytes())
+			rep.body = buf.Bytes()
+			return rep, nil
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	rep.json = resp
+	return rep, nil
 }
 
 // setStateHeaders names the engine state a /v1/query answer was served
@@ -373,11 +359,10 @@ func setStateHeaders(w http.ResponseWriter, generation, version uint64) {
 	h.Set(HeaderRatesVersion, strconv.FormatUint(version, 10))
 }
 
-// queryResponse renders one serving-cache answer as the /v1/query
-// payload — also the shape of every /v1/query/batch item — and counts
-// its provenance.
-func (s *Server) queryResponse(g *graph.Graph, q *ir.Query, m core.Mode, ans *cache.Answer) QueryResponse {
-	s.obs.cacheOutcome.With(ans.Source).Inc()
+// queryResponse is the one /v1/query payload — global, personalized and
+// every /v1/query/batch item alike — rendered against g, the graph the
+// answer was computed on.
+func queryResponse(g *graph.Graph, q *ir.Query, m core.Mode, ans *cache.Answer) QueryResponse {
 	return QueryResponse{
 		Query:      q.String(),
 		Mode:       modeField(m),
@@ -400,245 +385,195 @@ func modeField(m core.Mode) string {
 	return string(m)
 }
 
-// rankedTarget is what /v1/explain and /v1/audit share before they
-// diverge: one pinned snapshot, the query and read parameters parsed
-// against it, the target node and the query's whole score vector.
-type rankedTarget struct {
-	pin    *core.Pinned
-	q      *ir.Query
-	rp     ReadParams
-	target graph.NodeID
-	res    *core.RankResult // the caller releases it
-}
+// explainEndpoint is /v1/explain: the target's explaining subgraph,
+// rendered as json, html or dot.
+var explainEndpoint = endpoint{query: true, contract: true, parse: parseTarget, run: (*Server).runExplain}
 
-// rankTarget runs that shared first half; when ok is false the error
-// response has been written. One snapshot is pinned so the ranking and
-// what is derived from it cannot see different rates even if a
-// reformulation lands in between, and so the target ID is validated
-// against the SAME generation's graph the solve runs on. Single-keyword
-// rankings are the shared term vectors themselves (core.RankResult.Shared:
-// read-only, and Release leaves them out of the pool).
-func (s *Server) rankTarget(w http.ResponseWriter, r *http.Request) (t rankedTarget, ok bool) {
-	v := r.URL.Query()
-	if t.q, _, ok = parseQuery(w, r, v); !ok {
-		return t, false
-	}
-	if t.rp, ok = parseReadParams(w, r, v); !ok {
-		return t, false
-	}
-	ctx := r.Context()
-	t.pin = s.eng.Pin()
-	if t.target, ok = s.parseNodeID(w, r, t.pin.Corpus().Graph(), v.Get("target"), "target"); !ok {
-		return t, false
-	}
-	tr := obs.TraceFrom(ctx)
-	tr.Eventf("parse", "q=%s target=%d mode=%s budget=%d", t.q.String(), t.target, t.rp.Mode, t.rp.Budget)
+// parseTarget reads the target of /v1/explain and /v1/audit.
+func parseTarget(rq *request, r *http.Request) (string, error) {
 	var err error
-	if t.res, err = s.cache.RankModePinnedCtx(ctx, t.pin, t.q, t.rp.Mode); err != nil {
-		s.writeCtxError(w, r, err)
-		return t, false
+	if rq.target, err = parseNodeID(rq.g, rq.v.Get("target"), "target"); err != nil {
+		return "", err
 	}
-	tr.Eventf("solve", "iters=%d base=%d", t.res.Iterations, len(t.res.Base))
-	return t, true
+	return fmt.Sprintf("q=%s target=%d mode=%s budget=%d", rq.spelled, rq.target, rq.rp.Mode, rq.rp.Budget), nil
 }
 
-// writeRunError answers for a core call that failed under the request's
-// context: the request's own death goes through writeCtxError, anything
-// else is the client's input and a 400.
-func (s *Server) writeRunError(w http.ResponseWriter, r *http.Request, err error) {
-	if r.Context().Err() != nil {
-		s.writeCtxError(w, r, err)
-		return
-	}
-	writeError(w, r, http.StatusBadRequest, err.Error())
-}
-
-// explainTarget is the second half /v1/explain and /v1/audit share:
-// the target's Section 4 explaining subgraph at the paper's radius
-// (core.DefaultExplain), built once, and a trace event named event
-// saying what the kernel built and how long each stage took. When ok is
-// false the error response has been written. Either way t.res is
-// released.
-func (s *Server) explainTarget(w http.ResponseWriter, r *http.Request, t rankedTarget, event string) (sg *core.Subgraph, ok bool) {
-	sg, err := t.pin.ExplainModeCtx(r.Context(), t.rp.Mode, t.res, t.target, core.DefaultExplain())
-	s.eng.Release(t.res)
+// explainTarget is what /v1/explain and /v1/audit share: the query's
+// score vector in the requested mode (single-keyword rankings are the
+// cache's shared term vectors), then the target's Section 4 explaining
+// subgraph at the paper's radius (core.DefaultExplain), with an event
+// named event saying what the kernel built and how long each stage took.
+func (s *Server) explainTarget(rq *request, event string) (*core.Subgraph, error) {
+	res, err := s.cache.RankModePinnedCtx(rq.ctx, rq.pin, rq.q, rq.rp.Mode)
 	if err != nil {
-		s.writeRunError(w, r, err)
-		return nil, false
+		return nil, err
 	}
-	obs.TraceFrom(r.Context()).Eventf(event, "nodes=%d arcs=%d iters=%d build_ms=%.3f adjust_ms=%.3f", len(sg.Nodes), len(sg.Arcs),
+	rq.tr.Eventf("solve", "iters=%d base=%d", res.Iterations, len(res.Base))
+	sg, err := rq.pin.ExplainModeCtx(rq.ctx, rq.rp.Mode, res, rq.target, core.DefaultExplain())
+	s.eng.Release(res)
+	if err != nil {
+		return nil, inputError{err}
+	}
+	rq.tr.Eventf(event, "nodes=%d arcs=%d iters=%d build_ms=%.3f adjust_ms=%.3f", len(sg.Nodes), len(sg.Arcs),
 		sg.Iterations, sg.BuildDuration.Seconds()*1e3, sg.AdjustDuration.Seconds()*1e3)
-	return sg, true
+	return sg, nil
 }
 
-func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	t, ok := s.rankTarget(w, r)
-	if !ok {
-		return
+func (s *Server) runExplain(rq *request) (reply, error) {
+	sg, err := s.explainTarget(rq, "explain")
+	if err != nil {
+		return reply{}, err
 	}
-	pin, rp, g := t.pin, t.rp, t.pin.Corpus().Graph()
-	sg, ok := s.explainTarget(w, r, t, "explain")
-	if !ok {
-		return
-	}
+	rp, g := rq.rp, rq.g
 	s.obs.explainTotal.With(string(rp.Mode), rp.Format).Inc()
 	s.obs.explainArcs.Observe(float64(len(sg.Arcs)))
 	switch rp.Format {
 	case "html":
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		_ = storage.ExportHTML(w, g, sg)
+		return reply{contentType: "text/html; charset=utf-8", what: "arcs", n: len(sg.Arcs),
+			export: func(w io.Writer) error { return storage.ExportHTML(w, g, sg) }}, nil
 	case "dot":
-		w.Header().Set("Content-Type", "text/vnd.graphviz")
-		_ = storage.ExportDOT(w, g, sg)
-	default:
-		// The JSON format carries the shared explain/audit envelope, and
-		// the whole body obeys the budget (api.go's ExplainResponse);
-		// html and dot stay complete exports of the subgraph.
-		a := core.AuditOf(sg, rp.Budget)
-		if a.TotalArcs > a.Budget {
-			s.obs.explainTruncated.Inc()
-		}
-		writeJSON(w, http.StatusOK, ExplainResponse{
-			SubgraphJSON:  storage.BuildSubgraphJSON(g, sg, a.Budget),
-			Node:          int64(sg.Target),
-			Score:         sg.ExplainedScore(),
-			Mode:          string(rp.Mode),
-			Budget:        a.Budget,
-			TotalArcs:     a.TotalArcs,
-			TotalNodes:    len(sg.Nodes),
-			Generation:    pin.Generation(),
-			RatesVersion:  pin.Version(),
-			Contributions: contributions(g, a),
-		})
+		return reply{contentType: "text/vnd.graphviz", what: "arcs", n: len(sg.Arcs),
+			export: func(w io.Writer) error { return storage.ExportDOT(w, g, sg) }}, nil
 	}
+	// The JSON format carries the shared explain/audit envelope, and the
+	// whole body obeys the budget (api.go's ExplainResponse); html and
+	// dot stay complete exports of the subgraph.
+	a := core.AuditOf(sg, rp.Budget)
+	if a.TotalArcs > a.Budget {
+		s.obs.explainTruncated.Inc()
+	}
+	return reply{what: "contributions", n: len(a.Arcs), json: ExplainResponse{
+		SubgraphJSON:  storage.BuildSubgraphJSON(g, sg, a.Budget),
+		Node:          int64(sg.Target),
+		Score:         sg.ExplainedScore(),
+		Mode:          string(rp.Mode),
+		Budget:        a.Budget,
+		TotalArcs:     a.TotalArcs,
+		TotalNodes:    len(sg.Nodes),
+		Generation:    rq.pin.Generation(),
+		RatesVersion:  rq.pin.Version(),
+		Contributions: contributions(g, a),
+	}}, nil
 }
 
-func (s *Server) handleReformulate(w http.ResponseWriter, r *http.Request) {
-	v := r.URL.Query()
-	q, k, ok := parseQuery(w, r, v)
-	if !ok {
-		return
-	}
-	var opts core.ReformulateOptions
-	switch mode := v.Get("mode"); mode {
+// reformulateEndpoint is /v1/reformulate: feedback publishes new global
+// rates or, with ?profile=, trains the profile's mixture.
+var reformulateEndpoint = endpoint{query: true, profile: true, parse: parseFeedback, run: (*Server).runReformulate}
+
+// parseFeedback reads /v1/reformulate's strategy, feedback ids,
+// confidences and version token. The token is checked here, against the
+// pin: a stale one is the 409 before any work.
+func parseFeedback(rq *request, r *http.Request) (string, error) {
+	switch mode := rq.v.Get("mode"); mode {
 	case "", "structure":
-		opts = core.StructureOnly()
+		rq.strategy = core.StructureOnly()
 	case "content":
-		opts = core.ContentOnly()
+		rq.strategy = core.ContentOnly()
 	case "both":
-		opts = core.ContentAndStructure()
+		rq.strategy = core.ContentAndStructure()
 	default:
-		writeError(w, r, http.StatusBadRequest, "unknown mode "+mode)
-		return
+		return "", badRequest("unknown mode " + mode)
 	}
-	// The whole flow — rank, explain each feedback object, reformulate,
-	// publish — runs against ONE pinned snapshot; no lock is held, so
-	// concurrent queries proceed at full speed. Feedback IDs are
-	// validated against the pinned generation's graph. Publication is
-	// optimistic: TrySetRates succeeds only if the pinned version is
-	// still current, otherwise the client gets 409 plus the winning
-	// version and retries (a corpus swap also bumps the rates version,
-	// so feedback gathered on a swapped-out generation conflicts too).
-	ctx := r.Context()
-	pin := s.eng.Pin()
-	g := pin.Corpus().Graph()
-	var ids []graph.NodeID
-	for _, part := range strings.Split(v.Get("feedback"), ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
+	for _, part := range strings.Split(rq.v.Get("feedback"), ",") {
+		if part = strings.TrimSpace(part); part == "" {
 			continue
 		}
-		id, ok := s.parseNodeID(w, r, g, part, "feedback id")
-		if !ok {
-			return
+		id, err := parseNodeID(rq.g, part, "feedback id")
+		if err != nil {
+			return "", err
 		}
-		ids = append(ids, id)
+		rq.feedback = append(rq.feedback, id)
 	}
-	if len(ids) == 0 {
-		writeError(w, r, http.StatusBadRequest, "feedback ids required")
-		return
+	if len(rq.feedback) == 0 {
+		return "", badRequest("feedback ids required")
 	}
-	confidences, ok := parseConfidences(w, r, v.Get("confidence"), len(ids))
-	if !ok {
-		return
+	var err error
+	if rq.confidences, err = parseConfidences(rq.v.Get("confidence"), len(rq.feedback)); err != nil {
+		return "", err
 	}
-
-	tr := obs.TraceFrom(ctx)
-	tr.Eventf("parse", "q=%s feedback=%d", q.String(), len(ids))
-	if vs := v.Get("version"); vs != "" {
+	if vs := rq.v.Get("version"); vs != "" {
 		want, err := strconv.ParseUint(vs, 10, 64)
 		if err != nil {
-			writeError(w, r, http.StatusBadRequest, "bad version token "+vs)
-			return
+			return "", badRequest("bad version token " + vs)
 		}
-		if want != pin.Version() {
-			writeConflict(w, r, "rates were changed since version "+vs, pin.Version())
-			return
+		if want != rq.pin.Version() {
+			return "", conflict("rates were changed since version "+vs, rq.pin.Version())
 		}
 	}
-	res, err := s.cache.RankPinnedCtx(ctx, pin, q)
+	return fmt.Sprintf("q=%s feedback=%d", rq.spelled, len(rq.feedback)), nil
+}
+
+// runReformulate ranks q, explains every feedback object, and then —
+// the one choice — either trains the request's profile and answers from
+// its blend under the same pin, or publishes the reformulated rates
+// through the engine's compare-and-swap (409 with the winning version on
+// a lost race; a corpus swap bumps the version too) and answers from the
+// serving cache under a re-pin, warm-started from the feedback ranking,
+// which also seeds the result cache at the published version.
+func (s *Server) runReformulate(rq *request) (reply, error) {
+	ctx, pin := rq.ctx, rq.pin
+	res, err := s.cache.RankPinnedCtx(ctx, pin, rq.q)
 	if err != nil {
-		s.writeCtxError(w, r, err)
-		return
+		return reply{}, err
 	}
 	defer s.eng.Release(res)
-	tr.Eventf("solve", "iters=%d base=%d version=%d", res.Iterations, len(res.Base), pin.Version())
-	var subs []*core.Subgraph
-	for _, id := range ids {
-		sg, err := pin.ExplainCtx(ctx, res, id, core.DefaultExplain())
-		if err != nil {
-			s.writeRunError(w, r, err)
-			return
+	rq.tr.Eventf("solve", "iters=%d base=%d version=%d", res.Iterations, len(res.Base), pin.Version())
+	subs := make([]*core.Subgraph, len(rq.feedback))
+	for i, id := range rq.feedback {
+		if subs[i], err = pin.ExplainCtx(ctx, res, id, core.DefaultExplain()); err != nil {
+			return reply{}, inputError{err}
 		}
-		subs = append(subs, sg)
 	}
-	tr.Eventf("explain", "subgraphs=%d", len(subs))
-	if pid := v.Get("profile"); pid != "" {
-		// Profile-scoped: the feedback trains the caller's private
-		// mixture and rates-delta; nothing is published to the engine.
-		s.handleProfileReformulate(w, r, pin, pid, q, k, subs, confidences, opts)
-		return
+	rq.tr.Eventf("explain", "subgraphs=%d", len(subs))
+
+	var resp ReformulateResponse
+	if rq.profile != "" {
+		ref, trained, err := s.profiles.TrainCtx(ctx, pin, rq.profile, rq.q, subs, rq.confidences, &rq.strategy)
+		if err != nil {
+			return reply{}, inputError{err}
+		}
+		rq.tr.Eventf("train", "profile=%s rev=%d rates=%s expansion=%d",
+			rq.profile, trained.Rev, ref.Rates.String(), len(ref.Expansion))
+		ans, _, err := s.personal(rq, ref.Query)
+		if err != nil {
+			return reply{}, err
+		}
+		resp = reformulateResponse(rq.g, ref, pin.Version(), ans.Results)
+		resp.Profile, resp.ProfileRev = rq.profile, trained.Rev
+	} else {
+		ref, err := pin.ReformulateWeightedCtx(ctx, rq.q, subs, rq.confidences, rq.strategy)
+		if err != nil {
+			return reply{}, inputError{err}
+		}
+		rq.tr.Eventf("reformulate", "rates=%s expansion=%d", ref.Rates.String(), len(ref.Expansion))
+		version, err := s.eng.TrySetRates(ref.Rates, pin.Version())
+		if errors.Is(err, core.ErrRatesConflict) {
+			return reply{}, conflict("rates were changed concurrently; re-query and retry", version)
+		}
+		if err != nil {
+			return reply{}, err
+		}
+		rq.tr.Eventf("publish", "version=%d", version)
+		next := s.eng.Pin()
+		ans, err := s.cache.QueryFromPinnedCtx(ctx, next, ref.Query, rq.k, res.Scores)
+		if err != nil {
+			return reply{}, err
+		}
+		resp = reformulateResponse(next.Corpus().Graph(), ref, version, ans.Results)
 	}
-	ref, err := pin.ReformulateWeightedCtx(ctx, q, subs, confidences, opts)
-	if err != nil {
-		s.writeRunError(w, r, err)
-		return
-	}
-	tr.Eventf("reformulate", "rates=%s expansion=%d", ref.Rates.String(), len(ref.Expansion))
-	newVersion, err := s.eng.TrySetRates(ref.Rates, pin.Version())
-	if errors.Is(err, core.ErrRatesConflict) {
-		writeConflict(w, r, "rates were changed concurrently; re-query and retry", newVersion)
-		return
-	}
-	if err != nil {
-		writeError(w, r, http.StatusInternalServerError, err.Error())
-		return
-	}
-	tr.Eventf("publish", "version=%d", newVersion)
-	resp := ReformulateResponse{
-		Query:   ref.Query.String(),
-		Rates:   ref.Rates.String(),
-		Version: newVersion,
-	}
-	// Re-pin for the post-publish solve so its answer and rendering
-	// agree on one engine state (normally the state just published;
-	// rendering always uses the graph the solve actually ran on).
-	pin2 := s.eng.Pin()
-	g2 := pin2.Corpus().Graph()
-	// Warm-start the reformulated solve from the feedback ranking's
-	// scores AND seed the result cache at the just-published version, so
-	// follow-up /v1/query calls for the reformulated query hit
-	// immediately.
-	ans, err := s.cache.QueryFromPinnedCtx(ctx, pin2, ref.Query, k, res.Scores)
-	if err != nil {
-		s.writeCtxError(w, r, err)
-		return
-	}
-	resp.Results = renderResults(g2, ref.Query, ans.Results)
+	return reply{what: "results", n: len(resp.Results), json: resp}, nil
+}
+
+// reformulateResponse is the one /v1/reformulate payload: the
+// reformulated query, the rates it leaves in force, the rates version,
+// the expansion terms and its answer rendered against g.
+func reformulateResponse(g *graph.Graph, ref *core.Reformulation, version uint64, items []cache.ResultItem) ReformulateResponse {
+	resp := ReformulateResponse{Query: ref.Query.String(), Rates: ref.Rates.String(), Version: version,
+		Results: renderResults(g, ref.Query, items)}
 	for _, wt := range ref.Expansion {
 		resp.Expansion = append(resp.Expansion, ExpansionTerm{Term: wt.Term, Weight: wt.Weight})
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp
 }
 
 // renderResults is the one renderer of ranked answers — query, batch
@@ -658,90 +593,6 @@ func renderResults(g *graph.Graph, q *ir.Query, items []cache.ResultItem) []Resu
 		})
 	}
 	return out
-}
-
-// parseQuery reads q and k out of the request's already-parsed URL query.
-func parseQuery(w http.ResponseWriter, r *http.Request, v url.Values) (*ir.Query, int, bool) {
-	raw := v.Get("q")
-	if strings.TrimSpace(raw) == "" {
-		writeError(w, r, http.StatusBadRequest, "q parameter required")
-		return nil, 0, false
-	}
-	k := 10
-	if ks := v.Get("k"); ks != "" {
-		n, err := strconv.Atoi(ks)
-		if err != nil || n <= 0 || n > 1000 {
-			writeError(w, r, http.StatusBadRequest, "k must be in 1..1000")
-			return nil, 0, false
-		}
-		k = n
-	}
-	q := ir.ParseQuery(raw)
-	if len(q.Terms()) == 0 {
-		// Punctuation-/stopword-only input tokenizes to nothing; an
-		// empty query used to fall through to a meaningless all-zero
-		// base distribution. Reject it at the door.
-		writeError(w, r, http.StatusBadRequest, "q contains no indexable terms")
-		return nil, 0, false
-	}
-	return q, k, true
-}
-
-// parseNodeID validates one node-ID request parameter against the
-// served graph: it must be a decimal integer in [0, NumNodes). The
-// PRE-PR-4 handlers accepted any integer here and let negative or
-// out-of-range IDs travel all the way into the explain stage (or, for
-// feedback lists, into NodeID conversions that silently truncated on
-// 32-bit overflow); now every ID is bounds-checked at the door and the
-// 400 carries the request ID.
-// The graph is passed explicitly (the caller's PINNED generation), so
-// validation and use can never disagree across a concurrent swap.
-func (s *Server) parseNodeID(w http.ResponseWriter, r *http.Request, g *graph.Graph, raw, what string) (graph.NodeID, bool) {
-	id, err := strconv.ParseInt(raw, 10, 64)
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, "bad or missing "+what+": "+strconv.Quote(raw))
-		return 0, false
-	}
-	if id < 0 || id >= int64(g.NumNodes()) {
-		writeError(w, r, http.StatusBadRequest,
-			what+" "+raw+" out of range [0, "+strconv.Itoa(g.NumNodes())+")")
-		return 0, false
-	}
-	return graph.NodeID(id), true
-}
-
-// parseConfidences parses the optional confidence parameter of
-// /reformulate: a comma-separated list of per-feedback-object weights
-// for the ReformulateWeighted click-through path. nil (the parameter
-// absent) means explicit marks — weight 1 everywhere. Each value must
-// be a finite, non-negative float and the count must match the
-// feedback count; NaN/Inf/negative values used to be representable in
-// float syntax and would previously have reached the rate-adjustment
-// arithmetic.
-func parseConfidences(w http.ResponseWriter, r *http.Request, raw string, feedbackCount int) ([]float64, bool) {
-	if raw == "" {
-		return nil, true
-	}
-	var out []float64
-	for _, part := range strings.Split(raw, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		v, err := strconv.ParseFloat(part, 64)
-		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-			writeError(w, r, http.StatusBadRequest,
-				"bad confidence "+strconv.Quote(part)+": must be a finite non-negative number")
-			return nil, false
-		}
-		out = append(out, v)
-	}
-	if len(out) != feedbackCount {
-		writeError(w, r, http.StatusBadRequest,
-			strconv.Itoa(len(out))+" confidence values for "+strconv.Itoa(feedbackCount)+" feedback objects")
-		return nil, false
-	}
-	return out, true
 }
 
 // Engine exposes the underlying engine for tests and embedding.

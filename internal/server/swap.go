@@ -18,9 +18,7 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
-	"io"
 	"net/http"
 	"path/filepath"
 	"time"
@@ -54,17 +52,8 @@ func (s *Server) handleCorpusSwap(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req CorpusSwapRequest
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxSwapBody+1))
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, "reading body: "+err.Error())
-		return
-	}
-	if len(body) > maxSwapBody {
-		writeError(w, r, http.StatusBadRequest, "body too large")
-		return
-	}
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeError(w, r, http.StatusBadRequest, "bad JSON body: "+err.Error())
+	if err := readJSON(r, maxSwapBody, "body too large", &req); err != nil {
+		s.fail(w, r, "", err)
 		return
 	}
 	if req.Snapshot == "" {
