@@ -40,9 +40,9 @@
 // single query is probe, then one flight around a one-column solve; a
 // batch is probe per item, then one solve per direction that first
 // gathers the terms its multi-keyword items lack; a full-vector Rank is
-// the probe restricted to the vector LRU, and a panel of term vectors
-// (the profile basis) is that probe per term, then one solve of the
-// missing ones. DESIGN.md §6 has the table.
+// the probe restricted to the vector LRU, and a list of term vectors
+// (a profile blend's mixture terms) is that probe per term, then one
+// solve of the missing ones. DESIGN.md §6 has the table.
 package cache
 
 import (
@@ -501,8 +501,8 @@ func (c *CachedEngine) RankPinnedCtx(ctx context.Context, pin *core.Pinned, q *i
 }
 
 // TermVectorsPinnedCtx returns the converged authority vectors of the
-// distinct keywords terms under pin, in order — the profile basis's
-// panel. A resident vector is returned as it is; the missing ones are
+// distinct keywords terms under pin, in order — the vectors a profile
+// blend reads. A resident vector is returned as it is; the missing ones are
 // solved as term columns in ONE solve, taking donations, and kept. Every
 // vector returned is the cache's own and read-only: the caller never
 // writes or releases it. On cancellation only ctx's error is returned;

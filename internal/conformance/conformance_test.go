@@ -460,40 +460,33 @@ func table(w *world) []path {
 			return out
 		}, singles(w.pin, core.ModeAuthority, w.reweighted)})
 
-	// Profile tier: a linear combination of basis fixpoints against the
-	// personalized jump solved directly, and against the dense oracle.
+	// Profile tier: a blend of term fixpoints read through a serving
+	// cache, against the personalized jump solved directly, and against
+	// the dense oracle.
 	mixture := map[string]float64{w.terms[0]: 0.5, w.terms[1]: 0.3, w.terms[2]: 0.2}
 	const beta = 0.35
 	combined := func(t *testing.T) [][]float64 {
-		basis, err := profile.BuildBasis(ctx, w.pin, w.terms)
-		if err != nil {
-			t.Fatal(err)
-		}
+		m := blender(t, cache.New(w.eng, cache.Options{}))
 		out := make([][]float64, len(w.queries))
 		for i, q := range w.queries {
-			out[i] = basis.Combine(solveOne(t, w.pin, core.ModeAuthority, q, nil), mixture, beta)
+			out[i] = blend(t, m, w.pin, solveOne(t, w.pin, core.ModeAuthority, q, nil), mixture, beta)
 		}
 		return out
 	}
 	mixtureJumps := func(t *testing.T) [][]float64 {
-		basis, err := profile.BuildBasis(ctx, w.pin, w.terms)
-		if err != nil {
-			t.Fatal(err)
-		}
+		basis := panel(t, blender(t, cache.New(w.eng, cache.Options{})), w.pin)
 		out := make([][]float64, len(w.queries))
 		for i, q := range w.queries {
 			out[i] = basis.MixtureJump(w.pin, w.pin.BaseSet(q), mixture, beta)
 		}
 		return out
 	}
-	// An audited score must be reproducible: the same basis, query and
+	// An audited score must be reproducible: the same panel, query and
 	// mixture give the same bits on every call. Eight mixture terms, so a
 	// summation order that followed Go's map iteration would show.
 	repeated := func(t *testing.T) [][]float64 {
-		basis, err := profile.BuildBasis(ctx, w.pin, w.terms)
-		if err != nil {
-			t.Fatal(err)
-		}
+		m := blender(t, cache.New(w.eng, cache.Options{}))
+		basis := panel(t, m, w.pin)
 		wide := make(map[string]float64)
 		for i, term := range w.terms[:8] {
 			wide[term] = 1 / float64(i+3)
@@ -502,14 +495,14 @@ func table(w *world) []path {
 		scores := solveOne(t, w.pin, core.ModeAuthority, q, nil)
 		var out [][]float64
 		for i := 0; i < 50; i++ {
-			out = append(out, basis.Combine(scores, wide, beta), basis.MixtureJump(w.pin, w.pin.BaseSet(q), wide, beta))
+			out = append(out, blend(t, m, w.pin, scores, wide, beta), basis.MixtureJump(w.pin, w.pin.BaseSet(q), wide, beta))
 		}
 		return out
 	}
-	// A server's basis is read through its serving cache, so after a
-	// publish its vectors are warm-started from the ones the previous
-	// rates left resident (the donations), and owe a cold build the solve
-	// tolerance.
+	// A server's blend reads its term vectors through its serving cache,
+	// so after a publish they are warm-started from the ones the previous
+	// rates left resident (the donations), and owe vectors solved cold
+	// under the new rates the solve tolerance.
 	published := w.rates.Clone()
 	vec := published.Vector()
 	for i := range vec {
@@ -519,10 +512,10 @@ func table(w *world) []path {
 		panic(err)
 	}
 	published.NormalizeOutgoing()
-	combinedUnder := func(t *testing.T, pin *core.Pinned, basis *profile.Basis) [][]float64 {
+	combinedUnder := func(t *testing.T, m *profile.Manager, pin *core.Pinned) [][]float64 {
 		out := make([][]float64, len(w.queries))
 		for i, q := range w.queries {
-			out[i] = basis.Combine(solveOne(t, pin, core.ModeAuthority, q, nil), mixture, beta)
+			out[i] = blend(t, m, pin, solveOne(t, pin, core.ModeAuthority, q, nil), mixture, beta)
 		}
 		return out
 	}
@@ -533,37 +526,30 @@ func table(w *world) []path {
 				t.Fatal(err)
 			}
 			c := cache.New(eng, cache.Options{})
-			m, err := profile.NewManager(eng, profile.Options{Dir: t.TempDir(), Cache: c})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := m.BasisFor(ctx, eng.Pin()); err != nil {
-				t.Fatal(err)
-			}
+			m := blender(t, c)
+			combinedUnder(t, m, eng.Pin())
 			if err := eng.SetRates(published); err != nil {
 				t.Fatal(err)
 			}
 			pin := eng.Pin()
-			basis, err := m.BasisFor(ctx, pin)
-			if err != nil {
-				t.Fatal(err)
+			out := combinedUnder(t, m, pin)
+			var terms int64
+			for term := range mixture {
+				if panel(t, m, pin).Has(term) {
+					terms++
+				}
 			}
-			if n := c.Stats().WarmStarts; n != int64(basis.Size()) {
-				t.Fatalf("%d of %d basis vectors warm-started", n, basis.Size())
+			if n := c.Stats().WarmStarts; n != terms {
+				t.Fatalf("%d of %d mixture vectors warm-started", n, terms)
 			}
-			return combinedUnder(t, pin, basis)
+			return out
 		},
 		func(t *testing.T) [][]float64 {
 			eng, err := core.NewEngine(w.g, published, core.Config{Rank: tight})
 			if err != nil {
 				t.Fatal(err)
 			}
-			pin := eng.Pin()
-			basis, err := profile.BuildBasis(ctx, pin, profile.BasisTerms(pin, 0))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return combinedUnder(t, pin, basis)
+			return combinedUnder(t, blender(t, cache.New(eng, cache.Options{})), eng.Pin())
 		}})
 	rows = append(rows,
 		path{"profile combination, repeated ×50 ≡ itself", bitIdentical, repeated,

@@ -4,8 +4,10 @@ import (
 	"context"
 	"testing"
 
+	"authorityflow/internal/cache"
 	"authorityflow/internal/core"
 	"authorityflow/internal/ir"
+	"authorityflow/internal/profile"
 	"authorityflow/internal/rank"
 )
 
@@ -112,4 +114,36 @@ func explainOne(t *testing.T, ctx context.Context, pin *core.Pinned, m core.Mode
 		t.Fatal(err)
 	}
 	return sg
+}
+
+// blender is a profile manager whose blends read their term vectors
+// through the serving cache c.
+func blender(t *testing.T, c *cache.CachedEngine) *profile.Manager {
+	t.Helper()
+	m, err := profile.NewManager(c.Engine(), profile.Options{Dir: t.TempDir(), Cache: c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// panel is the manager's topic-term panel for pin's generation.
+func panel(t *testing.T, m *profile.Manager, pin *core.Pinned) *profile.Basis {
+	t.Helper()
+	b, err := m.BasisFor(context.Background(), pin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// blend is the profile tier's personalized vector
+// (1−β)·qscores + β·Σ_t m̂_t·r_t under pin.
+func blend(t *testing.T, m *profile.Manager, pin *core.Pinned, qscores []float64, mixture map[string]float64, beta float64) []float64 {
+	t.Helper()
+	out, err := m.Blend(context.Background(), pin, qscores, mixture, beta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }

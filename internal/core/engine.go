@@ -39,7 +39,7 @@ type Corpus struct {
 }
 
 // DefaultBlockSize is how many columns of a multi-column solve
-// (batches, the profile basis) go to one kernel
+// (batches, a profile blend's mixture terms) go to one kernel
 // execution: the unit of SolveStats accounting and the bound on the jump
 // vectors a Solve holds at once.
 const DefaultBlockSize = 8

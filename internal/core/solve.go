@@ -13,8 +13,8 @@ import (
 // Equation 4 for each of a list of jump distributions, in one ranking
 // direction, from chosen start vectors. Every ranking the system
 // computes — an initial query, a reformulated query warm-started from
-// the previous scores (§6.2), a batch, the profile basis's per-term
-// columns, a personalized jump — is a SolveSpec.
+// the previous scores (§6.2), a batch, a profile blend's mixture terms,
+// a personalized jump — is a SolveSpec.
 type SolveSpec struct {
 	// Queries are solved from their IR-weighted base sets (Equation 2),
 	// one result per query, in order. Exactly one of Queries and Jump is

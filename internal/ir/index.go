@@ -273,7 +273,7 @@ func (ix *Index) Vocabulary() int { return len(ix.postings) }
 // TermsWithDF returns every indexed term whose document frequency is at
 // least minDF, sorted lexicographically. Stopwords and single-character
 // tokens are excluded: this is the vocabulary enumeration the profile
-// basis and the knn cluster graph pick their terms from, where such
+// term panel and the knn cluster graph pick their terms from, where such
 // terms never make useful query keywords.
 func (ix *Index) TermsWithDF(minDF int) []string {
 	var out []string

@@ -40,19 +40,19 @@ type Options struct {
 	// the in-memory tier is a bounded cache in front of it, and a
 	// profile it evicts is read back from here.
 	Dir string
-	// BasisSize is the number of topic terms in the basis (0 =
+	// BasisSize is the number of topic terms in the panel (0 =
 	// DefaultBasisSize).
 	BasisSize int
 	// BaseRank, if non-nil, overrides how the query's own fixpoint is
-	// solved on the combine path. The result must follow the
+	// solved on the blend path. The result must follow the
 	// Pinned.Solve contract (caller releases; a Shared vector is only
 	// read).
 	BaseRank func(ctx context.Context, pin *core.Pinned, q *ir.Query) (*core.RankResult, error)
-	// Cache, if non-nil, is the serving cache the manager shares: the
-	// basis is built through it, so it holds the global tier's term
-	// vectors instead of copies, and without a BaseRank the query's own
-	// fixpoint is its RankPinnedCtx. The server sets it. Nil: each basis
-	// build is a BuildBasis, through a cache of its own.
+	// Cache is the serving cache every blend reads its term vectors
+	// through, and without a BaseRank the query's own fixpoint is its
+	// RankPinnedCtx. The server sets it to the global tier's cache, so a
+	// personalized answer shares its vectors. Nil: NewManager builds one
+	// for the manager alone.
 	Cache *cache.CachedEngine
 }
 
@@ -62,7 +62,7 @@ type Source string
 const (
 	// SourceHit: served from the combined-answer LRU.
 	SourceHit Source = "hit"
-	// SourceCombined: basis combination ran (the personalized fast path).
+	// SourceCombined: the blend ran (the personalized fast path).
 	SourceCombined Source = "combined"
 	// SourceGlobal: the profile has no usable mixture, the answer IS the
 	// global ranking.
@@ -100,30 +100,24 @@ type Stats struct {
 	AnswerMisses uint64 `json:"answerMisses"`
 	AnswerBytes  int64  `json:"answerBytes"`
 
-	BasisBuilds       uint64 `json:"basisBuilds"`
-	BasisTerms        int    `json:"basisTerms"`
-	BasisBytes        int64  `json:"basisBytes"`
-	BasisGeneration   uint64 `json:"basisGeneration"`
-	BasisRatesVersion uint64 `json:"basisRatesVersion"`
+	BasisTerms      int    `json:"basisTerms"`
+	BasisGeneration uint64 `json:"basisGeneration"`
 
 	Trains    uint64 `json:"trains"`
 	Combines  uint64 `json:"combines"`
 	Evictions uint64 `json:"evictions"`
 }
 
-// Manager ties the basis, the durable store and the in-memory LRU tier
-// into the personalization serving surface. All methods are safe for
-// concurrent use. A resident profile is read under its LRU shard mutex
-// alone; writes, and reads that go to the durable store, serialize per
-// id on a write stripe; basis rebuilds serialize on one mutex with
-// double-check.
+// Manager ties the term panel, the serving cache, the durable store and
+// the in-memory LRU tier into the personalization serving surface. All
+// methods are safe for concurrent use. A resident profile is read under
+// its LRU shard mutex alone; writes, and reads that go to the durable
+// store, serialize per id on a write stripe.
 type Manager struct {
-	eng  *core.Engine
 	opts Options
 	disk *DiskStore
 
-	basisMu sync.Mutex
-	basis   atomic.Pointer[Basis]
+	basis atomic.Pointer[Basis] // the panel of the last generation asked for
 
 	profiles *lru.Sharded
 	answers  *lru.Sharded
@@ -138,7 +132,6 @@ type Manager struct {
 	diskLoads    atomic.Uint64
 	answerHits   atomic.Uint64
 	answerMisses atomic.Uint64
-	basisBuilds  atomic.Uint64
 	trains       atomic.Uint64
 	combines     atomic.Uint64
 	evictions    atomic.Int64
@@ -153,48 +146,34 @@ func NewManager(eng *core.Engine, opts Options) (*Manager, error) {
 	if opts.BasisSize <= 0 {
 		opts.BasisSize = DefaultBasisSize
 	}
-	if opts.BaseRank == nil && opts.Cache != nil {
+	if opts.Cache == nil {
+		opts.Cache = cache.New(eng, cache.Options{})
+	}
+	if opts.BaseRank == nil {
 		opts.BaseRank = opts.Cache.RankPinnedCtx
 	}
 	disk, err := NewDiskStore(opts.Dir)
 	if err != nil {
 		return nil, err
 	}
-	m := &Manager{eng: eng, opts: opts, disk: disk}
+	m := &Manager{opts: opts, disk: disk}
 	m.profiles = lru.New(cacheBytes/2, 16, &m.evictions)
 	m.answers = lru.New(cacheBytes/2, 16, &m.evictions)
 	return m, nil
 }
 
-// Engine returns the engine the manager serves.
-func (m *Manager) Engine() *core.Engine { return m.eng }
-
-// BasisFor returns a basis valid for the pin's (generation, ratesKey)
-// identity, rebuilding under a mutex (with double-check) on mismatch.
-// This lazy per-request revalidation is the invalidation lifecycle of
-// the tier: a corpus swap or rates publish changes the pin's identity,
-// the stale basis fails the stamp comparison, and the next personalized
-// query pays one rebuild — a combine can never mix a basis from one
-// generation into an answer for another.
-func (m *Manager) BasisFor(ctx context.Context, pin *core.Pinned) (*Basis, error) {
-	if b := m.basis.Load(); b != nil && b.ValidFor(pin) {
+// BasisFor returns the term panel of the pin's generation, selected on
+// the first ask in that generation. It solves nothing — the vectors a
+// blend needs are the serving cache's, keyed by the pin's (generation,
+// rates) — so a rates publish leaves the panel as it is, and a panel can
+// never be read against another generation's pin. The error is always
+// nil.
+func (m *Manager) BasisFor(_ context.Context, pin *core.Pinned) (*Basis, error) {
+	if b := m.basis.Load(); b != nil && b.generation == pin.Generation() {
 		return b, nil
 	}
-	m.basisMu.Lock()
-	defer m.basisMu.Unlock()
-	if b := m.basis.Load(); b != nil && b.ValidFor(pin) {
-		return b, nil
-	}
-	vc := m.opts.Cache
-	if vc == nil {
-		vc = cache.New(m.eng, cache.Options{})
-	}
-	b, err := buildBasis(ctx, vc, pin, BasisTerms(pin, m.opts.BasisSize))
-	if err != nil {
-		return nil, err
-	}
+	b := &Basis{generation: pin.Generation(), terms: BasisTerms(pin, m.opts.BasisSize)}
 	m.basis.Store(b)
-	m.basisBuilds.Add(1)
 	return b, nil
 }
 
@@ -299,10 +278,10 @@ func answerKey(id string, rev, gen, rk uint64, k int, cq string) string {
 }
 
 // QueryCtx serves a personalized top-k answer for the profile under id:
-// answer-LRU hit, else basis combination r_p = (1−β)·r(Q) + β·Σ m̂_t·r_t
-// against a basis validated for the pin. The answer always carries the
-// PIN's generation — by construction, since both the query solve and
-// the basis are checked against the same pinned identity.
+// answer-LRU hit, else the Blend r_p = (1−β)·r(Q) + β·Σ m̂_t·r_t over the
+// profile's panel terms. The answer always carries the PIN's generation
+// — by construction, since the query solve and every term vector are
+// read under the same pinned identity.
 func (m *Manager) QueryCtx(ctx context.Context, pin *core.Pinned, id string, q *ir.Query, k int) (*Answer, Source, error) {
 	prof, err := m.Get(id)
 	if err != nil {
@@ -319,18 +298,22 @@ func (m *Manager) QueryCtx(ctx context.Context, pin *core.Pinned, id string, q *
 	}
 	m.answerMisses.Add(1)
 
-	basis, err := m.BasisFor(ctx, pin)
+	qres, err := m.opts.BaseRank(ctx, pin, q)
 	if err != nil {
 		return nil, "", err
 	}
-	qres, err := m.baseRank(ctx, pin, q)
+	eng := pin.Engine()
+	defer eng.Release(qres)
+	combined, err := m.Blend(ctx, pin, qres.Scores, prof.Mixture, m.beta(prof))
 	if err != nil {
 		return nil, "", err
 	}
-	beta := m.beta(prof)
-	personalized := beta > 0 && len(normalizedMixture(basis, prof.Mixture)) > 0
-	combined := basis.Combine(qres.Scores, prof.Mixture, beta)
-	ranked := rank.TopK(combined, k)
+	scores, src := qres.Scores, SourceGlobal
+	if combined != nil {
+		defer eng.Release(&core.RankResult{Scores: combined})
+		scores, src = combined, SourceCombined
+	}
+	ranked := rank.TopK(scores, k)
 	results := make([]cache.ResultItem, len(ranked))
 	for i, r := range ranked {
 		results[i] = cache.ResultItem{Node: r.Node, Score: r.Score, InBase: qres.InBase(r.Node)}
@@ -341,37 +324,55 @@ func (m *Manager) QueryCtx(ctx context.Context, pin *core.Pinned, id string, q *
 		RatesVersion: pin.Version(),
 		RatesKey:     rk,
 		Rev:          prof.Rev,
-		Personalized: personalized,
+		Personalized: combined != nil,
 		BaseSet:      len(qres.Base),
 		Iterations:   qres.Iterations,
 		Results:      results,
 	}
-	m.eng.Release(qres)
 	m.combines.Add(1)
 	m.answers.Put(key, a, int64(len(a.Results))*24+int64(len(key))+64)
-	src := SourceCombined
-	if !personalized {
-		src = SourceGlobal
-	}
 	return a, src, nil
 }
 
-func (m *Manager) baseRank(ctx context.Context, pin *core.Pinned, q *ir.Query) (*core.RankResult, error) {
-	if m.opts.BaseRank != nil {
-		return m.opts.BaseRank(ctx, pin, q)
+// Blend returns the personalized score vector
+// r_p = (1−β)·qscores + β·Σ_t m̂_t·r_t of a mixture over the pin's panel.
+// Each r_t is read through the manager's serving cache in ONE
+// TermVectorsPinnedCtx call: a resident vector is used as it is, and the
+// missing ones are solved in one Pinned.Solve and stay resident. The
+// blend runs in panel order into a vector drawn from the engine's
+// buffer pool; hand it back with Release (as a RankResult's Scores) once
+// read. Mixture terms outside the panel are dropped from the
+// normalization (the remaining terms absorb their share); when none
+// remains, or β <= 0, Blend returns nil and solves nothing — an
+// untrained profile IS the global ranking.
+func (m *Manager) Blend(ctx context.Context, pin *core.Pinned, qscores []float64, mixture map[string]float64, beta float64) ([]float64, error) {
+	if beta <= 0 || len(mixture) == 0 {
+		return nil, nil
 	}
-	rs, err := pin.Solve(ctx, core.SolveSpec{Queries: []*ir.Query{q}})
+	b, err := m.BasisFor(ctx, pin)
 	if err != nil {
 		return nil, err
 	}
-	return rs[0], nil
+	terms, weights := b.mixtureWeights(mixture)
+	if len(terms) == 0 {
+		return nil, nil
+	}
+	vecs, err := m.opts.Cache.TermVectorsPinnedCtx(ctx, pin, terms)
+	if err != nil {
+		return nil, err
+	}
+	w := []float64{1 - beta}
+	for _, x := range weights {
+		w = append(w, beta*x)
+	}
+	return pin.Combine(w, append([][]float64{qscores}, vecs...)), nil
 }
 
 // TrainCtx runs one relevance-feedback round against the caller's
 // profile instead of the global engine vector: the content half of
 // ReformulateWeightedCtx (Eq. 11–12, under the pinned rates) expands the
-// query, and the expansion terms plus the query's own terms that have
-// basis vectors move the profile's mixture (EWMA over basis members).
+// query, and the expansion terms plus the query's own terms that are in
+// the panel move the profile's mixture (EWMA over panel members).
 // The structure half (Eq. 13) is not run: every personalized answer is
 // solved under the published rates, so a profile has no rates to train,
 // and the returned reformulation carries the pinned rates unchanged.
@@ -401,8 +402,8 @@ func (m *Manager) TrainCtx(ctx context.Context, pin *core.Pinned, id string, q *
 		return nil, nil, err
 	}
 
-	// Feedback expansion terms (and the confirmed query terms) that have
-	// basis vectors move the mixture, EWMA-blended so recent feedback
+	// Feedback expansion terms (and the confirmed query terms) in the
+	// panel move the mixture, EWMA-blended so recent feedback
 	// dominates without erasing history.
 	next := prof.Clone()
 	contrib := make(map[string]float64)
@@ -491,16 +492,12 @@ func (m *Manager) Stats() Stats {
 		AnswerHits:   m.answerHits.Load(),
 		AnswerMisses: m.answerMisses.Load(),
 		AnswerBytes:  m.answers.Bytes(),
-		BasisBuilds:  m.basisBuilds.Load(),
 		Trains:       m.trains.Load(),
 		Combines:     m.combines.Load(),
 		Evictions:    uint64(m.evictions.Load()),
 	}
 	if b := m.basis.Load(); b != nil {
-		s.BasisTerms = b.Size()
-		s.BasisBytes = b.Bytes()
-		s.BasisGeneration = b.Generation()
-		s.BasisRatesVersion = b.RatesVersion()
+		s.BasisTerms, s.BasisGeneration = b.Size(), b.Generation()
 	}
 	return s
 }

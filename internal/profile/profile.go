@@ -10,7 +10,7 @@ import (
 )
 
 // Profile is one user's durable personalization state: a sparse topic
-// mixture over the basis terms and its blend factor. Every personalized
+// mixture over the panel terms and its blend factor. Every personalized
 // answer is solved under the published global rates, so a profile
 // carries no rates of its own. Profiles are treated as immutable values
 // on the serving path — training clones, mutates the clone, and
@@ -19,9 +19,10 @@ import (
 type Profile struct {
 	// ID names the profile; see ValidID for the accepted alphabet.
 	ID string
-	// Mixture holds non-negative topic weights over basis terms,
-	// normalized to sum to 1 at combine time. Terms that fall out of a
-	// rebuilt basis are dropped from the normalization, not the record.
+	// Mixture holds non-negative topic weights over panel terms,
+	// normalized to sum to 1 at blend time. Terms outside the current
+	// generation's panel are dropped from the normalization, not the
+	// record.
 	Mixture map[string]float64
 	// Beta is the blend factor of the personalized jump:
 	// s_p = (1−β)·ŝ(Q) + β·mixture. 0 disables personalization; the
@@ -33,8 +34,8 @@ type Profile struct {
 	// cached answers implicitly.
 	Rev uint64
 	// TrainedGeneration and TrainedRatesVersion record the pin the last
-	// training ran against (diagnostics only — validity is carried by
-	// the basis stamp, not the profile).
+	// training ran against (diagnostics only — every blend reads its
+	// vectors under the request's own pin).
 	TrainedGeneration   uint64
 	TrainedRatesVersion uint64
 }

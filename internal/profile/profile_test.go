@@ -15,6 +15,7 @@ import (
 	"authorityflow/internal/cache"
 	"authorityflow/internal/core"
 	"authorityflow/internal/datagen"
+	"authorityflow/internal/graph"
 	"authorityflow/internal/ir"
 	"authorityflow/internal/rank"
 )
@@ -181,29 +182,36 @@ func TestDiskStoreRoundtrip(t *testing.T) {
 }
 
 // TestCombineAgreesWithDirectSolve is the acceptance-criteria agreement
-// check: the basis-combined personalized vector must match a direct
-// power iteration over the SAME personalized jump distribution to
-// ≤1e-9 elementwise. Both sides run at threshold 1e-12, far below the
+// check: the blended personalized vector must match a direct power
+// iteration over the SAME personalized jump distribution to ≤1e-9
+// elementwise. Both sides run at threshold 1e-12, far below the
 // agreement bound, so the residual convergence slack cannot mask a
-// combination error.
+// blend error.
 func TestCombineAgreesWithDirectSolve(t *testing.T) {
 	opts := rank.Options{Threshold: 1e-12, MaxIters: 3000}
 	_, eng := testEngine(t, opts)
-	pin := eng.Pin()
-	basis, err := BuildBasis(context.Background(), pin, BasisTerms(pin, 32))
+	m, err := NewManager(eng, Options{Dir: t.TempDir(), BasisSize: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, pin := context.Background(), eng.Pin()
+	basis, err := m.BasisFor(ctx, pin)
 	if err != nil {
 		t.Fatal(err)
 	}
 	terms := basis.Terms()
 	if len(terms) < 3 {
-		t.Fatalf("basis too small: %d terms", len(terms))
+		t.Fatalf("panel too small: %d terms", len(terms))
 	}
 	mixture := map[string]float64{terms[0]: 0.5, terms[1]: 0.3, terms[2]: 0.2}
 	const beta = 0.35
 
 	q := ir.NewQuery(terms[0], terms[1])
 	qres := solveOne(t, pin, core.SolveSpec{Queries: []*ir.Query{q}})
-	combined := basis.Combine(qres.Scores, mixture, beta)
+	combined, err := m.Blend(ctx, pin, qres.Scores, mixture, beta)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	jump := basis.MixtureJump(pin, qres.Base, mixture, beta)
 	direct := solveOne(t, pin, core.SolveSpec{Jump: jump, Cold: true})
@@ -224,10 +232,10 @@ func TestCombineAgreesWithDirectSolve(t *testing.T) {
 	eng.Release(direct)
 }
 
-// TestBasisSharesCacheVectors: a manager over the serving cache builds
-// its basis from the cache's term vectors — the resident ones as they
-// are, the rest solved in ONE panel and kept — so it holds the cache's
-// arrays, not copies, and they equal BuildBasis's bit for bit.
+// TestBasisSharesCacheVectors: a blend reads its term vectors through
+// the manager's serving cache — the resident ones as they are, the rest
+// solved in ONE kernel execution and kept — so it equals a blend of the
+// cache's own arrays bit for bit, and a second blend solves nothing.
 func TestBasisSharesCacheVectors(t *testing.T) {
 	_, eng := testEngine(t, rank.Options{})
 	c := cache.New(eng, cache.Options{})
@@ -237,46 +245,61 @@ func TestBasisSharesCacheVectors(t *testing.T) {
 	}
 	ctx, pin := context.Background(), eng.Pin()
 	eng.GlobalRank() // take the warm-start solve out of the picture
-	const resident = 4
-	for _, term := range BasisTerms(pin, 16)[:resident] {
+	panel := BasisTerms(pin, 16)
+	mixture := make(map[string]float64)
+	for i, term := range panel[:6] {
+		mixture[term] = float64(i + 1)
+	}
+	const resident = 2
+	for _, term := range panel[:resident] {
 		res, err := c.RankPinnedCtx(ctx, pin, ir.NewQuery(term))
 		if err != nil {
 			t.Fatal(err)
 		}
 		eng.Release(res)
 	}
+	qres := solveOne(t, pin, core.SolveSpec{Queries: []*ir.Query{ir.NewQuery(panel[7])}})
+	defer eng.Release(qres)
+
 	var solves, columns int
 	eng.SetSolveHook(func(st core.SolveStats) { solves, columns = solves+1, columns+st.Columns })
-	b, err := m.BasisFor(ctx, pin)
+	blended, err := m.Blend(ctx, pin, qres.Scores, mixture, 0.4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if missing := len(mixture) - resident; solves != 1 || columns != missing {
+		t.Errorf("blend of %d terms, %d resident: %d kernel executions of %d columns, want 1 of %d", len(mixture), resident, solves, columns, missing)
+	}
+	again, err := m.Blend(ctx, pin, qres.Scores, mixture, 0.4)
 	eng.SetSolveHook(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One Pinned.Solve of the missing terms: ⌈N/DefaultBlockSize⌉ kernel
-	// executions, where a term at a time would be N.
-	missing := b.Size() - resident
-	if want := (missing + core.DefaultBlockSize - 1) / core.DefaultBlockSize; solves != want || columns != missing {
-		t.Errorf("basis of %d terms, %d resident: %d kernel executions of %d columns, want %d of %d", b.Size(), resident, solves, columns, want, missing)
+	if solves != 1 {
+		t.Errorf("a second blend of resident terms ran %d more kernel executions", solves-1)
 	}
-	panel, err := BuildBasis(ctx, pin, BasisTerms(pin, 16))
-	if err != nil {
-		t.Fatal(err)
+
+	// The reference blend: the cache's resident arrays themselves, in
+	// panel order, with the mixture normalized in that order.
+	w, vs := []float64{1 - 0.4}, [][]float64{qres.Scores}
+	sum := 0.0
+	for _, term := range panel[:6] {
+		sum += mixture[term]
 	}
-	if b.Size() != panel.Size() {
-		t.Fatalf("basis of %d terms, panel-solved basis of %d", b.Size(), panel.Size())
-	}
-	for i, term := range b.Terms() {
+	for _, term := range panel[:6] {
 		res, err := c.RankPinnedCtx(ctx, pin, ir.NewQuery(term))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res.Shared || &res.Scores[0] != &b.vecs[i][0] {
-			t.Errorf("%s: the basis holds its own copy of the cache's vector", term)
+		if !res.Shared {
+			t.Fatalf("%s: the cache did not hand out its resident vector", term)
 		}
-		for v, x := range panel.vecs[i] {
-			if math.Float64bits(x) != math.Float64bits(b.vecs[i][v]) {
-				t.Fatalf("%s: node %d: %v through the cache, %v panel-solved", term, v, b.vecs[i][v], x)
-			}
+		w, vs = append(w, 0.4*(mixture[term]/sum)), append(vs, res.Scores)
+	}
+	want := rank.Combine(make([]float64, len(qres.Scores)), w, vs)
+	for v, x := range want {
+		if math.Float64bits(x) != math.Float64bits(blended[v]) || math.Float64bits(x) != math.Float64bits(again[v]) {
+			t.Fatalf("node %d: blend %v, again %v, blend of the cache's vectors %v", v, blended[v], again[v], x)
 		}
 	}
 }
@@ -387,7 +410,7 @@ func TestManagerLifecycle(t *testing.T) {
 	}
 
 	st := m.Stats()
-	if st.Trains != 1 || st.Combines < 2 || st.AnswerHits != 1 || st.BasisBuilds != 1 {
+	if st.Trains != 1 || st.Combines < 2 || st.AnswerHits != 1 || st.BasisTerms != 48 || st.BasisGeneration != pin.Generation() {
 		t.Fatalf("stats %+v", st)
 	}
 
@@ -410,49 +433,109 @@ func TestManagerRequiresDir(t *testing.T) {
 	}
 }
 
-// TestBasisInvalidationOnPublish: a rates publish changes the pin's
-// RateVectorKey, so the next personalized query must rebuild the basis
-// rather than combine against vectors solved under the old rates.
-func TestBasisInvalidationOnPublish(t *testing.T) {
-	opts := rank.Options{Threshold: 1e-8, MaxIters: 300}
-	_, eng := testEngine(t, opts)
-	m, err := NewManager(eng, Options{Dir: t.TempDir(), BasisSize: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b1, err := m.BasisFor(context.Background(), eng.Pin())
-	if err != nil {
-		t.Fatal(err)
-	}
+// scaledRates returns eng's rates with the first positive rate scaled by
+// f: a publish that changes the rates fingerprint.
+func scaledRates(t testing.TB, eng *core.Engine, f float64) *graph.Rates {
+	t.Helper()
 	r := eng.Rates()
 	v := r.Vector()
 	for i, x := range v {
 		if x > 0 {
-			v[i] = x * 0.9
+			v[i] = x * f
 			break
 		}
 	}
 	if err := r.SetVector(v); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.SetRates(r); err != nil {
-		t.Fatal(err)
-	}
-	pin := eng.Pin()
-	if b1.ValidFor(pin) {
-		t.Fatal("stale basis claims validity for the new rates")
-	}
-	b2, err := m.BasisFor(context.Background(), pin)
+	return r
+}
+
+// TestProfileQueryAfterPublish: a rates publish changes the serving
+// cache's keys, and the first personalized query after it solves only
+// the vectors its answer reads — its query's and its mixture terms',
+// warm-started from the previous rates' — never the whole panel. Its
+// answer equals a fresh blend of vectors solved cold under the new
+// rates. After the next publish, an untrained profile's first query
+// solves its query alone.
+func TestProfileQueryAfterPublish(t *testing.T) {
+	opts := rank.Options{Threshold: 1e-12, MaxIters: 3000}
+	ds, eng := testEngine(t, opts)
+	c := cache.New(eng, cache.Options{})
+	m, err := NewManager(eng, Options{Dir: t.TempDir(), Cache: c})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b2 == b1 {
-		t.Fatal("basis not rebuilt after rates publish")
+	ctx := context.Background()
+	panel := BasisTerms(eng.Pin(), 0)
+	mixture := map[string]float64{panel[3]: 0.5, panel[9]: 0.3, panel[20]: 0.2}
+	trained := &Profile{ID: "trained", Mixture: mixture, Beta: 0.4}
+	for _, p := range []*Profile{trained, {ID: "blank"}} {
+		if _, err := m.Put(p); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if b2.RatesVersion() != pin.Version() || !b2.ValidFor(pin) {
-		t.Fatalf("rebuilt basis stamped %d, pin %d", b2.RatesVersion(), pin.Version())
+	q1, q2 := ir.NewQuery(panel[0]), ir.NewQuery(panel[1])
+	if _, _, err := m.QueryCtx(ctx, eng.Pin(), "trained", q1, 10); err != nil {
+		t.Fatal(err)
 	}
-	if m.Stats().BasisBuilds != 2 {
-		t.Fatalf("basis builds = %d, want 2", m.Stats().BasisBuilds)
+
+	published := scaledRates(t, eng, 0.9)
+	if err := eng.SetRates(published); err != nil {
+		t.Fatal(err)
+	}
+	var columns int
+	eng.SetSolveHook(func(st core.SolveStats) { columns += st.Columns })
+	defer eng.SetSolveHook(nil)
+	ask := func(id string, q *ir.Query, most int) *Answer {
+		t.Helper()
+		columns = 0
+		a, _, err := m.QueryCtx(ctx, eng.Pin(), id, q, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if columns > most {
+			t.Errorf("profile %s: the first query after a publish ran %d kernel columns, want at most %d", id, columns, most)
+		}
+		return a
+	}
+	warm := c.Stats().WarmStarts
+	got := ask("trained", q1, len(mixture)+q1.Len())
+	if !got.Personalized {
+		t.Fatal("a trained profile answered unpersonalized after a publish")
+	}
+	if n := c.Stats().WarmStarts - warm; n != int64(len(mixture)+q1.Len()) {
+		t.Errorf("%d of %d vectors warm-started from the previous rates'", n, len(mixture)+q1.Len())
+	}
+	if err := eng.SetRates(scaledRates(t, eng, 0.9)); err != nil {
+		t.Fatal(err)
+	}
+	if a := ask("blank", q2, q2.Len()); a.Personalized {
+		t.Error("an untrained profile answered personalized")
+	}
+
+	fresh, err := core.NewEngine(ds.Graph, published.Clone(), core.Config{Rank: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := NewManager(fresh, Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cold.Put(trained); err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := cold.QueryCtx(ctx, fresh.Pin(), "trained", q1, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Results) != len(want.Results) {
+		t.Fatalf("%d results, a fresh blend has %d", len(got.Results), len(want.Results))
+	}
+	for i, r := range want.Results {
+		if got.Results[i].Node != r.Node || math.Abs(got.Results[i].Score-r.Score) > 1e-9 {
+			t.Errorf("result %d: %d/%v after the publish, a fresh blend under the new rates gives %d/%v",
+				i, got.Results[i].Node, got.Results[i].Score, r.Node, r.Score)
+		}
 	}
 }

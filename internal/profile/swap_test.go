@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"authorityflow/internal/core"
 	"authorityflow/internal/datagen"
@@ -29,10 +30,12 @@ func secondCorpus(t testing.TB, opts rank.Options) (*core.Corpus, *graph.Rates) 
 
 // TestSwapProfileHammer is the cross-generation invalidation test of
 // the personalization tier (run with -race): personalized queries race
-// corpus swaps, and every answer must carry the generation of the pin
-// that produced it with every result node in range for that
-// generation's graph — i.e. a mixture is NEVER combined against another
-// generation's basis. This mirrors the serving cache's swap hammer.
+// corpus swaps and rates publishes, and every answer must carry the
+// generation and rates of the pin that produced it with every result
+// node in range for that generation's graph — i.e. a mixture is NEVER
+// blended from another generation's panel or vectors, and nothing
+// serializes the first queries after a publish. This mirrors the
+// serving cache's swap hammer.
 func TestSwapProfileHammer(t *testing.T) {
 	opts := rank.Options{Threshold: 1e-6, MaxIters: 200}
 	_, eng := testEngine(t, opts)
@@ -82,8 +85,8 @@ func TestSwapProfileHammer(t *testing.T) {
 					t.Errorf("query: %v", err)
 					return
 				}
-				if a.Generation != pin.Generation() {
-					t.Errorf("answer generation %d != pinned %d", a.Generation, pin.Generation())
+				if a.Generation != pin.Generation() || a.RatesKey != pin.RatesKey() {
+					t.Errorf("answer at generation %d rates %x, pinned %d %x", a.Generation, a.RatesKey, pin.Generation(), pin.RatesKey())
 					return
 				}
 				want, ok := nodesOf.Load(a.Generation)
@@ -98,6 +101,38 @@ func TestSwapProfileHammer(t *testing.T) {
 						return
 					}
 				}
+			}
+		}(w)
+	}
+
+	// Publishers: each rescales one rate of whatever is current, so the
+	// serving cache's keys move under the readers within a generation
+	// too. A publish that lost to a swap or another publish is dropped.
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				pin := eng.Pin()
+				r := pin.Rates()
+				v := r.Vector()
+				v[(w+i)%len(v)] *= 0.9
+				if err := r.SetVector(v); err != nil {
+					t.Errorf("rates: %v", err)
+					return
+				}
+				// A swap in between makes the rates another schema's: rejected.
+				_, err := eng.TrySetRates(r, pin.Version())
+				if err != nil && !errors.Is(err, core.ErrRatesConflict) && eng.Generation() == pin.Generation() {
+					t.Errorf("publish: %v", err)
+					return
+				}
+				time.Sleep(time.Millisecond)
 			}
 		}(w)
 	}
@@ -127,6 +162,7 @@ func TestSwapProfileHammer(t *testing.T) {
 				t.Errorf("swap: %v", err)
 				return
 			}
+			time.Sleep(time.Millisecond) // let publishes land within each generation
 		}
 		close(stop)
 	}()

@@ -47,8 +47,8 @@ type Options struct {
 	// warm start donated across a concurrent corpus swap — is DROPPED
 	// and the run degrades to a cold start with Result.InitDropped set,
 	// exactly the fallback core.Engine applies at its own boundary.
-	// (Earlier kernels panicked here, which let a swap race turn a basis
-	// rebuild into a serving-goroutine crash; a stale warm start is
+	// (Earlier kernels panicked here, which let a swap race turn a term
+	// solve into a serving-goroutine crash; a stale warm start is
 	// recoverable by construction — the fixpoint does not depend on the
 	// start vector.)
 	Init []float64
@@ -302,7 +302,8 @@ func TopK(scores []float64, k int) []Ranked {
 // Combine sets dst to the linear combination Σ_i w[i]·vs[i] of score
 // vectors and returns it: the one place the system blends converged
 // fixpoints (a multi-keyword query from its terms' vectors, a
-// personalized ranking from the query's vector and a profile basis).
+// personalized ranking from the query's vector and its profile's term
+// vectors).
 // The sum runs in argument order, dst[v] = w[0]·vs[0][v] first and then
 // + w[i]·vs[i][v] for i = 1, 2, …, so equal arguments give equal bits.
 // vs holds at least one vector, each at least len(dst) long.

@@ -17,6 +17,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"strconv"
@@ -466,7 +467,8 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 			if g.err == nil {
 				continue
 			}
-			if apiErr, isAPI := g.err.(*server.APIError); isAPI {
+			var apiErr *server.APIError
+			if errors.As(g.err, &apiErr) {
 				// A real replica answer (conflict, shed, deadline):
 				// forward it rather than guessing — but a replica names
 				// SUB-batch item indices, so remap them onto the client's
@@ -672,23 +674,21 @@ func (rt *Router) handleReformulate(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) propagateRates(owner *replica, tr *obs.Trace) {
 	ctx, cancel := rt.propagationContext()
 	defer cancel()
-	rates, err := owner.client.Rates(ctx)
+	var others []*replica
+	for _, rp := range rt.replicas {
+		if rp != owner && rp.up.Load() {
+			others = append(others, rp)
+		}
+	}
+	gen := owner.gen.Load()
+	version, err := rt.spreadRatesLocked(ctx, owner, gen, others)
 	if err != nil {
 		// Propagation is best-effort here: the health loop's resync
 		// finishes the job once the owner answers again.
 		tr.Eventf("propagate", "rates read failed: %v", err)
 		return
 	}
-	gen := owner.gen.Load()
-	owner.observe(gen, rates.Version)
-	rt.raiseFloor(gen, rates.Version)
-	for _, rp := range rt.replicas {
-		if rp == owner || !rp.up.Load() {
-			continue
-		}
-		rt.catchUpLocked(ctx, rp, rates.Vector, gen, rates.Version)
-	}
-	tr.Eventf("propagate", "gen=%d version=%d", gen, rates.Version)
+	tr.Eventf("propagate", "gen=%d version=%d", gen, version)
 }
 
 // ---- /v1/corpus/swap ----
@@ -759,7 +759,8 @@ func (rt *Router) handleSwap(w http.ResponseWriter, r *http.Request) {
 			}
 			continue
 		}
-		if apiErr, isAPI := res.err.(*server.APIError); isAPI {
+		var apiErr *server.APIError
+		if errors.As(res.err, &apiErr) {
 			res.rp.noteErr("swap rejected: " + apiErr.Error())
 			// A conflict means the replica is on a different generation
 			// than assumed — refresh its view so the floor gating is
@@ -834,7 +835,8 @@ func (rt *Router) handleRatesPublish(w http.ResponseWriter, r *http.Request) {
 	}
 	resp, err := owner.client.RatesPublish(r.Context(), req)
 	if err != nil {
-		if apiErr, isAPI := err.(*server.APIError); isAPI {
+		var apiErr *server.APIError
+		if errors.As(err, &apiErr) {
 			if apiErr.IsConflict() {
 				rt.robs.ratesConflicts.Inc()
 				if apiErr.Version > 0 {

@@ -351,27 +351,31 @@ func (rt *Router) resync(ctx context.Context) {
 	}
 	defer rt.writeMu.Unlock()
 	// Source of truth: any up replica already at the floor.
-	var vector []float64
 	for _, rp := range rt.replicas {
 		if rp.up.Load() && rp.gen.Load() >= floorGen && rp.rv.Load() >= floorRV {
-			rates, err := rp.client.Rates(ctx)
-			if err != nil {
-				continue
+			if _, err := rt.spreadRatesLocked(ctx, rp, floorGen, lagging); err == nil {
+				return
 			}
-			// The source may have moved past the floor between the sweep
-			// and this read; its version is the real target then.
-			rt.raiseFloor(floorGen, rates.Version)
-			floorRV = rt.floorRV.Load()
-			vector = rates.Vector
-			break
 		}
 	}
-	if vector == nil {
-		return
+}
+
+// spreadRatesLocked reads src's rates — src being up to date at
+// generation gen — raises the floor to their version and catches every
+// replica in targets up to it. The version is the one read, which may be
+// past the floor the caller saw: the source moved since. Callers hold
+// writeMu.
+func (rt *Router) spreadRatesLocked(ctx context.Context, src *replica, gen uint64, targets []*replica) (version uint64, err error) {
+	rates, err := src.client.Rates(ctx)
+	if err != nil {
+		return 0, err
 	}
-	for _, rp := range lagging {
-		rt.catchUpLocked(ctx, rp, vector, floorGen, floorRV)
+	src.observe(gen, rates.Version)
+	rt.raiseFloor(gen, rates.Version)
+	for _, rp := range targets {
+		rt.catchUpLocked(ctx, rp, rates.Vector, gen, rates.Version)
 	}
+	return rates.Version, nil
 }
 
 // catchUpLocked replays vector onto rp until its rates version reaches

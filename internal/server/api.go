@@ -144,9 +144,9 @@ type QueryResponse struct {
 	// (the request's profile parameter); absent on global answers.
 	Profile string `json:"profile,omitempty"`
 	// Personalized reports whether the profile's mixture actually moved
-	// the ranking (false when the profile is untrained or its topics
-	// fell out of the current basis — the answer then equals the global
-	// ranking).
+	// the ranking (false when the profile is untrained or none of its
+	// topics is in the corpus's term panel — the answer then equals the
+	// global ranking).
 	Personalized bool     `json:"personalized,omitempty"`
 	Results      []Result `json:"results"`
 }
@@ -317,11 +317,11 @@ type AuditResponse struct {
 
 // ProfileUpdateRequest is the PUT/POST /v1/profile/{id} body: replace
 // the profile's declared interests. Mixture weights are non-negative
-// topic weights over basis terms (unknown terms are kept in the record
-// and simply carry no weight until a basis contains them); Beta is the
-// personalization blend factor in [0,1) (0 = the server default). The
-// revision and the trained stamps are the server's: an update bumps the
-// one and keeps the others.
+// topic weights over the corpus's term panel (terms outside it are kept
+// in the record and simply carry no weight while they stay outside);
+// Beta is the personalization blend factor in [0,1) (0 = the server
+// default). The revision and the trained stamps are the server's: an
+// update bumps the one and keeps the others.
 type ProfileUpdateRequest struct {
 	Mixture map[string]float64 `json:"mixture"`
 	Beta    float64            `json:"beta,omitempty"`

@@ -242,8 +242,8 @@ func (c *Client) ProfileGet(ctx context.Context, id string) (*ProfileResponse, e
 }
 
 // ProfileUpdate runs PUT /v1/profile/{id}: create the profile or
-// replace its declared interest mixture (learned state — the trained
-// rates-delta and revision history — is preserved server-side).
+// replace its declared mixture and beta (the revision history and the
+// stamps of the last training round are preserved server-side).
 func (c *Client) ProfileUpdate(ctx context.Context, id string, req ProfileUpdateRequest) (*ProfileResponse, error) {
 	body, err := json.Marshal(req)
 	if err != nil {

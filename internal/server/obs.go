@@ -124,7 +124,7 @@ func newServerObs(o ObsOptions) *serverObs {
 		so.cacheOutcome.With(s) // pre-create so every outcome is visible at 0
 	}
 	so.profileOutcome = reg.NewCounterVec("afq_profile_query_outcome_total",
-		"Personalized answers by path: hit (answer LRU), combined (basis combination ran), global (profile carried no usable mixture).",
+		"Personalized answers by path: hit (answer LRU), combined (the blend ran), global (profile carried no usable mixture).",
 		"source")
 	for _, s := range []string{string(profile.SourceHit), string(profile.SourceCombined), string(profile.SourceGlobal)} {
 		so.profileOutcome.With(s)
@@ -290,10 +290,9 @@ func (so *serverObs) attachProfile(pm *profile.Manager) {
 		{"afq_profile_store_misses_total", "Profile reads that missed the LRU (durable store consulted).", func(st profile.Stats) float64 { return float64(st.StoreMisses) }},
 		{"afq_profile_disk_loads_total", "Profile records decoded from the durable store.", func(st profile.Stats) float64 { return float64(st.DiskLoads) }},
 		{"afq_profile_answer_hits_total", "Personalized answers served from the combined-answer LRU.", func(st profile.Stats) float64 { return float64(st.AnswerHits) }},
-		{"afq_profile_answer_misses_total", "Personalized answers that required a basis combination.", func(st profile.Stats) float64 { return float64(st.AnswerMisses) }},
-		{"afq_profile_basis_builds_total", "Topic-basis rebuilds (one per observed (generation, rates) identity).", func(st profile.Stats) float64 { return float64(st.BasisBuilds) }},
+		{"afq_profile_answer_misses_total", "Personalized answers that missed the answer LRU and were computed.", func(st profile.Stats) float64 { return float64(st.AnswerMisses) }},
 		{"afq_profile_trains_total", "Profile training rounds (profile-scoped reformulations).", func(st profile.Stats) float64 { return float64(st.Trains) }},
-		{"afq_profile_combines_total", "Basis combinations executed (the personalized fast path).", func(st profile.Stats) float64 { return float64(st.Combines) }},
+		{"afq_profile_combines_total", "Personalized answers computed (blended, or global for a profile with no usable mixture).", func(st profile.Stats) float64 { return float64(st.Combines) }},
 		{"afq_profile_evictions_total", "Entries evicted from the profile and answer LRUs.", func(st profile.Stats) float64 { return float64(st.Evictions) }},
 	}
 	for _, c := range counters {
@@ -304,10 +303,8 @@ func (so *serverObs) attachProfile(pm *profile.Manager) {
 		{"afq_profile_store_bytes", "Resident decoded-profile bytes in the LRU.", func(st profile.Stats) float64 { return float64(st.StoreBytes) }},
 		{"afq_profile_resident", "Decoded profiles resident in the LRU.", func(st profile.Stats) float64 { return float64(st.Resident) }},
 		{"afq_profile_answer_bytes", "Resident combined-answer bytes in the LRU.", func(st profile.Stats) float64 { return float64(st.AnswerBytes) }},
-		{"afq_profile_basis_terms", "Topic terms in the current basis.", func(st profile.Stats) float64 { return float64(st.BasisTerms) }},
-		{"afq_profile_basis_bytes", "Resident bytes of the current basis's fixpoint vectors.", func(st profile.Stats) float64 { return float64(st.BasisBytes) }},
-		{"afq_profile_basis_generation", "Corpus generation the current basis was built against.", func(st profile.Stats) float64 { return float64(st.BasisGeneration) }},
-		{"afq_profile_basis_rates_version", "Rates version the current basis was built against.", func(st profile.Stats) float64 { return float64(st.BasisRatesVersion) }},
+		{"afq_profile_basis_terms", "Topic terms in the current generation's panel.", func(st profile.Stats) float64 { return float64(st.BasisTerms) }},
+		{"afq_profile_basis_generation", "Corpus generation the current panel was selected from.", func(st profile.Stats) float64 { return float64(st.BasisGeneration) }},
 	}
 	for _, g := range gauges {
 		fn := g.fn

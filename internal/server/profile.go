@@ -5,14 +5,15 @@
 //	GET /v1/query?q=...&profile={id}       personalized ranking
 //	GET /v1/reformulate?...&profile={id}   profile-scoped training
 //
-// Personalized queries ride the basis-combination fast path: the
-// profile's topic mixture combines precomputed basis fixpoints with the
-// query's own (cached) fixpoint, so a personalized answer costs one
-// O(|mixture|·|V|) vector blend on top of whatever the global tier
-// already paid. Every vector in the blend is solved under the published
-// rates. Profile-scoped reformulation trains the CALLER's mixture and
-// publishes nothing globally — a user's feedback can never race (or
-// pollute) the fleet's shared rates.
+// Personalized queries ride the blend fast path: the profile's topic
+// mixture weights its terms' fixpoints, read through the serving cache
+// like any term vector, against the query's own (cached) fixpoint, so a
+// personalized answer costs one O(|mixture|·|V|) vector blend on top of
+// whatever the global tier already paid, plus a solve of the mixture
+// terms the cache does not hold. Every vector in the blend is solved
+// under the published rates. Profile-scoped reformulation trains the
+// CALLER's mixture and publishes nothing globally — a user's feedback
+// can never race (or pollute) the fleet's shared rates.
 //
 // CRUD runs outside the admission guard (like /v1/rates — byte-sized
 // record writes, no kernel work); the personalized query/reformulate
@@ -31,11 +32,11 @@ import (
 )
 
 // WithProfiles enables the personalization tier: profiles persist under
-// dir (one checksummed record per profile, atomic replace), and the
-// topic basis holds basisSize precomputed fixpoint vectors (0 =
-// profile.DefaultBasisSize). dir is required: New fails without it.
-// Personalized queries rank their base query through the serving cache,
-// sharing its term vectors and solve singleflight.
+// dir (one checksummed record per profile, atomic replace), and a
+// mixture may weight the basisSize most frequent terms of the corpus (0
+// = profile.DefaultBasisSize). dir is required: New fails without it.
+// Personalized queries read their base query and their mixture terms'
+// vectors through the serving cache, sharing its term vectors.
 func WithProfiles(dir string, basisSize int) Option {
 	return func(o *serverOptions) {
 		o.profileEnabled = true
@@ -68,8 +69,8 @@ func (s *Server) checkProfile(id string) error {
 }
 
 // resolveProfile reads ?profile=: absent is the global path. Profiles
-// personalize the authority flow system — the hub axis has no basis
-// behind it — so a profile-scoped read must be mode=authority.
+// personalize the authority flow system — a blend reads authority term
+// vectors — so a profile-scoped read must be mode=authority.
 func (s *Server) resolveProfile(rq *request) error {
 	id := rq.v.Get("profile")
 	if id == "" {
@@ -85,7 +86,7 @@ func (s *Server) resolveProfile(rq *request) error {
 	return nil
 }
 
-// personal answers q from the request's profile: the basis blend under
+// personal answers q from the request's profile: the blend under
 // the pin, in the serving cache's answer shape so it renders like a
 // global answer; the bool is whether the mixture moved the ranking. It
 // counts the provenance and emits the combine event.

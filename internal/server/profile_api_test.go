@@ -18,9 +18,9 @@ import (
 	"authorityflow/internal/rank"
 )
 
-// profileTestServer builds a personalization-enabled server (cache on,
-// so basis builds and base ranks share the serving cache's term
-// vectors) with profiles persisted under a test-scoped directory.
+// profileTestServer builds a personalization-enabled server (blends and
+// base ranks read the serving cache's term vectors) with profiles
+// persisted under a test-scoped directory.
 func profileTestServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
 	cfg := datagen.DBLPTopConfig().Scale(0.02)
@@ -157,8 +157,8 @@ func TestProfileDisabled(t *testing.T) {
 // LRU.
 func TestProfilePersonalizedQuery(t *testing.T) {
 	_, ts := profileTestServer(t)
-	// "streaming" is a basis member at this corpus scale (top-64 DF);
-	// a mixture term outside the basis would degrade to the global path.
+	// "streaming" is a panel member at this corpus scale (top-64 DF);
+	// a mixture term outside the panel would degrade to the global path.
 	putProfile(t, ts.URL, "xmlhead", ProfileUpdateRequest{
 		Mixture: map[string]float64{"streaming": 1},
 	})
@@ -223,12 +223,21 @@ func TestProfilePersonalizedQuery(t *testing.T) {
 	for _, family := range []string{
 		"afq_profile_query_outcome_total",
 		"afq_profile_combines_total",
-		"afq_profile_basis_builds_total",
 		"afq_profile_updates_total",
 		"afq_profile_store_bytes",
 	} {
 		if !strings.Contains(string(raw), family) {
 			t.Errorf("metrics exposition missing %s", family)
+		}
+	}
+	// The panel holds no vectors and is never rebuilt: nothing to count.
+	for _, family := range []string{
+		"afq_profile_basis_builds_total",
+		"afq_profile_basis_bytes",
+		"afq_profile_basis_rates_version",
+	} {
+		if strings.Contains(string(raw), family) {
+			t.Errorf("metrics exposition still carries %s", family)
 		}
 	}
 }
@@ -408,15 +417,15 @@ func TestProfileWritesHammer(t *testing.T) {
 		t.Fatalf("personalized query = %d", code)
 	}
 	ctx, pin := context.Background(), s.eng.Pin()
-	basis, err := s.Profiles().BasisFor(ctx, pin)
-	if err != nil {
-		t.Fatal(err)
-	}
 	res, err := s.cache.RankPinnedCtx(ctx, pin, ir.NewQuery("olap"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := rank.TopK(basis.Combine(res.Scores, stored.Mixture, profile.DefaultBeta), 5)
+	blend, err := s.Profiles().Blend(ctx, pin, res.Scores, stored.Mixture, profile.DefaultBeta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := rank.TopK(blend, 5)
 	s.eng.Release(res)
 	if len(got.Results) != len(want) {
 		t.Fatalf("%d results, want %d", len(got.Results), len(want))

@@ -144,7 +144,7 @@ func newServer(ds *datagen.Dataset, ix *ir.Index, cfg core.Config, opts []Option
 		// Personalized queries share the global tier's serving cache:
 		// the (1−β)·r(Q) component comes from the same term vectors,
 		// result collapse and solve singleflight as /v1/query, and the
-		// basis holds that cache's vectors.
+		// blend reads its mixture terms' vectors from it too.
 		po.Cache = s.cache
 		pm, err := profile.NewManager(eng, po)
 		if err != nil {
@@ -303,7 +303,7 @@ func (s *Server) handleRates(w http.ResponseWriter, r *http.Request) {
 }
 
 // queryEndpoint is /v1/query: the top k of q, from the serving cache or,
-// with ?profile=, from the profile's basis blend.
+// with ?profile=, from the profile's blend.
 var queryEndpoint = endpoint{query: true, contract: true, profile: true,
 	parse: func(rq *request, r *http.Request) (string, error) {
 		return "q=" + rq.spelled + " k=" + strconv.Itoa(rq.k) + " mode=" + string(rq.rp.Mode), nil
