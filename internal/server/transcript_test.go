@@ -17,6 +17,7 @@ import (
 	"authorityflow/internal/core"
 	"authorityflow/internal/datagen"
 	"authorityflow/internal/rank"
+	"authorityflow/internal/storage"
 )
 
 var updateTranscript = flag.Bool("update", false, "rewrite testdata/transcript.golden from this run")
@@ -32,10 +33,11 @@ type transcriptStep struct {
 	header             map[string]string
 }
 
-// TestTranscript drives one fresh profile-enabled server, and one with
-// profiles disabled, through a fixed single-goroutine script covering
-// every endpoint and every single-fault 4xx of the guarded handlers, the
-// rates publish and the profile surface. Each request carries a fixed
+// TestTranscript drives one fresh profile-enabled server, one with
+// profiles disabled and one with swapping enabled, through a fixed
+// single-goroutine script covering every endpoint and every single-fault
+// 4xx of the guarded handlers, the rates publish, the corpus swap and
+// the profile surface. Each request carries a fixed
 // X-Request-ID, so the ids echoed in error bodies are deterministic. The
 // status, Content-Type, Allow, the X-Afq-* headers and the body of every
 // response are compared with testdata/transcript.golden; -update
@@ -275,6 +277,44 @@ func TestTranscript(t *testing.T) {
 		{method: "GET", path: "/v1/rates"},
 	} {
 		do(hOff, "off", st)
+	}
+
+	// Swapping enabled: the one success, then every fault of the swap.
+	dir := t.TempDir()
+	next := datagen.DBLPTopConfig().Scale(0.015)
+	next.Seed = 9
+	nds, err := datagen.GenerateDBLP(next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	neng, err := core.NewEngine(nds.Graph, nds.Rates, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := storage.WriteSnapshotFile(filepath.Join(dir, "next.snap"), nds, neng.Index()); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "junk.snap"), []byte("not a snapshot"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	swap, err := New(ds, rc, WithSwapDir(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hSwap := swap.Handler()
+	for _, st := range []transcriptStep{
+		{method: "POST", path: "/v1/corpus/swap", body: `{"snapshot":"next.snap","ifGeneration":1}`},
+		{method: "GET", path: "/v1/query?q=olap&k=3"},
+		{method: "POST", path: "/v1/corpus/swap", body: `{"snapshot":"next.snap","ifGeneration":1}`},
+		{method: "POST", path: "/v1/corpus/swap", body: `{"snapshot":"../next.snap"}`},
+		{method: "POST", path: "/v1/corpus/swap", body: `{"snapshot":"/next.snap"}`},
+		{method: "POST", path: "/v1/corpus/swap", body: `{"snapshot":""}`},
+		{method: "POST", path: "/v1/corpus/swap", body: `{`},
+		{method: "POST", path: "/v1/corpus/swap", body: `{"snapshot":"junk.snap"}`},
+		{method: "GET", path: "/v1/corpus/swap"},
+		{method: "POST", path: "/v1/rates", body: `{"vector":[0.5,0,0.1,0.1,0.1,0.04,0.08,0.08],"ifGeneration":1}`},
+	} {
+		do(hSwap, "swap", st)
 	}
 
 	golden := filepath.Join("testdata", "transcript.golden")
