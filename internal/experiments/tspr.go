@@ -32,9 +32,9 @@ func BuildTopicSensitive(g *graph.Graph, rates *graph.Rates, topics []string, to
 func (ts *TopicSensitive) Topics() []string { return append([]string(nil), ts.topics...) }
 
 // Scores returns the score vector obtained by mixing the per-topic
-// vectors with the given weights (len(weights) must equal the topic
-// count; weights are normalized internally). A zero weight vector
-// yields zeros.
+// vectors with the given weights through rank.Combine (len(weights) must
+// equal the topic count; the positive weights are normalized
+// internally). A zero weight vector yields zeros.
 func (ts *TopicSensitive) Scores(weights []float64) []float64 {
 	if len(ts.vectors) == 0 {
 		return nil
@@ -53,17 +53,15 @@ func (ts *TopicSensitive) Scores(weights []float64) []float64 {
 	if total == 0 {
 		return out
 	}
+	var cs []float64
+	var vs [][]float64
 	for t, w := range weights {
-		if w <= 0 {
-			continue
-		}
-		c := w / total
-		vec := ts.vectors[t]
-		for v := range out {
-			out[v] += c * vec[v]
+		if w > 0 {
+			cs = append(cs, w/total)
+			vs = append(vs, ts.vectors[t])
 		}
 	}
-	return out
+	return rank.Combine(out, cs, vs)
 }
 
 // TopicWeightsByOverlap derives mixture weights for a query from the

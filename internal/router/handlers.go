@@ -7,14 +7,15 @@
 // body, error envelopes) pass through untouched, so a routed answer is
 // byte-identical to asking that replica directly. /v1/query/batch is
 // the one route the router reassembles: sub-batches decode into the
-// shared DTOs and re-encode with the same encoder configuration the
-// replicas use, which round-trips float64 scores exactly — the merged
-// body is byte-identical to a single replica's answer at the same
-// (generation, ratesVersion).
+// shared DTOs and re-encode through the replicas' own writer
+// (server.WriteJSON), which round-trips float64 scores exactly — the
+// merged body is byte-identical to a single replica's answer at the same
+// (generation, ratesVersion). Every error, the router's own and a
+// replica's it decoded, goes out through the replicas' one encoder,
+// server.Fail.
 package router
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -96,58 +97,27 @@ func (rt *Router) Handler() http.Handler {
 	return mux
 }
 
-// ---- rendering (always the v1 envelope shape) ----
+// ---- errors: *server.APIError values, written by server.Fail ----
+//
+// A router-raised error is an *server.APIError like a replica's, and a
+// replica's error the router decoded (a sub-batch's, a swap's, a
+// publish's) goes back out through server.Fail unchanged: the replica's
+// status, envelope, request ID, winning version or generation, and its
+// Allow or Retry-After header.
 
-// jsonBufs pools the buffers writeJSON encodes into.
-var jsonBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// errPostRequired is the 405 of a route that only takes POST, spelled as
+// the replicas spell it.
+var errPostRequired = &server.APIError{Status: http.StatusMethodNotAllowed, Code: server.CodeInvalidArgument,
+	Message: "POST required", Allow: http.MethodPost}
 
-// writeJSON is the replicas' writer (server/api.go's writeJSON), kept
-// identical to it — byte-identity of reassembled bodies and of routed
-// rejections depends on it: compact with one trailing newline, encoded
-// BEFORE the status is committed so a value encoding/json rejects is a
-// 500 internal envelope carrying this response's request ID, and always
-// with Content-Length.
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	buf := jsonBufs.Get().(*bytes.Buffer)
-	defer jsonBufs.Put(buf)
-	buf.Reset()
-	if err := json.NewEncoder(buf).Encode(v); err != nil {
-		code = http.StatusInternalServerError
-		buf.Reset()
-		// Three strings: this one cannot fail to encode.
-		_ = json.NewEncoder(buf).Encode(server.ErrorEnvelope{Error: server.ErrorInfo{
-			Code:      server.CodeInternal,
-			Message:   "encoding response: " + err.Error(),
-			RequestID: w.Header().Get(obs.RequestIDHeader),
-		}})
-	}
-	h := w.Header()
-	h.Set("Content-Type", "application/json")
-	h.Set("Content-Length", strconv.Itoa(buf.Len()))
-	w.WriteHeader(code)
-	_, _ = w.Write(buf.Bytes())
+// badRequest is a router-raised invalid_argument 400.
+func badRequest(msg string) *server.APIError {
+	return &server.APIError{Status: http.StatusBadRequest, Code: server.CodeInvalidArgument, Message: msg}
 }
 
-// writeError renders a router-originated error in the v1 envelope.
-func (rt *Router) writeError(w http.ResponseWriter, r *http.Request, status int, code, msg string) {
-	writeJSON(w, status, server.ErrorEnvelope{Error: server.ErrorInfo{
-		Code:      code,
-		Message:   msg,
-		RequestID: obs.RequestIDFrom(r.Context()),
-	}})
-}
-
-// forwardAPIError re-renders a replica's decoded *APIError for the
-// client, preserving status, code, message, the replica's request ID
-// (so the failure is traceable in the replica's logs) and — on a
-// version conflict — the winning version.
-func forwardAPIError(w http.ResponseWriter, e *server.APIError) {
-	info := server.ErrorInfo{Code: e.Code, Message: e.Message, RequestID: e.RequestID}
-	if e.IsConflict() && e.Version > 0 {
-		writeJSON(w, e.Status, server.ConflictEnvelope{Error: info, Version: e.Version})
-		return
-	}
-	writeJSON(w, e.Status, server.ErrorEnvelope{Error: info})
+// badGateway is the 502 of a replica that failed without an answer.
+func badGateway(msg string) *server.APIError {
+	return &server.APIError{Status: http.StatusBadGateway, Code: server.CodeInternal, Message: msg}
 }
 
 // hopByHop are the RFC 9110 connection-scoped headers a proxy must not
@@ -178,11 +148,11 @@ func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) (body []byte,
 	}
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxProxyBody+1))
 	if err != nil {
-		rt.writeError(w, r, http.StatusBadRequest, server.CodeInvalidArgument, "reading body: "+err.Error())
+		server.Fail(w, r, badRequest("reading body: "+err.Error()))
 		return nil, false
 	}
 	if len(body) > maxProxyBody {
-		rt.writeError(w, r, http.StatusBadRequest, server.CodeInvalidArgument, "body exceeds "+strconv.Itoa(maxProxyBody)+" bytes")
+		server.Fail(w, r, badRequest("body exceeds "+strconv.Itoa(maxProxyBody)+" bytes"))
 		return nil, false
 	}
 	if len(body) == 0 {
@@ -207,8 +177,7 @@ func (rt *Router) effectiveFloor(w http.ResponseWriter, r *http.Request) (gen, r
 		}
 		v, err := strconv.ParseUint(raw, 10, 64)
 		if err != nil {
-			rt.writeError(w, r, http.StatusBadRequest, server.CodeInvalidArgument,
-				h.name+" must be an unsigned integer")
+			server.Fail(w, r, badRequest(h.name+" must be an unsigned integer"))
 			return 0, 0, false
 		}
 		if v > *h.dst {
@@ -224,12 +193,12 @@ func (rt *Router) effectiveFloor(w http.ResponseWriter, r *http.Request) (gen, r
 // like any lost CAS race); no live replica at all is a shed.
 func (rt *Router) writeNoReplica(w http.ResponseWriter, r *http.Request, sawStale bool) {
 	if sawStale {
-		rt.writeError(w, r, http.StatusConflict, server.CodeVersionConflict,
-			"no healthy replica has reached the requested (generation, ratesVersion) floor; retry")
+		server.Fail(w, r, &server.APIError{Status: http.StatusConflict, Code: server.CodeVersionConflict,
+			Message: "no healthy replica has reached the requested (generation, ratesVersion) floor; retry"})
 		return
 	}
-	w.Header().Set("Retry-After", "1")
-	rt.writeError(w, r, http.StatusServiceUnavailable, server.CodeShed, "no healthy replica")
+	server.Fail(w, r, &server.APIError{Status: http.StatusServiceUnavailable, Code: server.CodeShed,
+		Message: "no healthy replica", RetryAfter: "1"})
 }
 
 // propagationContext builds the context for fleet-internal write
@@ -323,7 +292,7 @@ func (rt *Router) handleSingle(w http.ResponseWriter, r *http.Request) {
 	}
 	rp0, err := server.ValidateReadParams(v)
 	if err != nil {
-		rt.writeError(w, r, http.StatusBadRequest, server.CodeInvalidArgument, err.Error())
+		server.Fail(w, r, badRequest(err.Error()))
 		return
 	}
 	floorGen, floorRV, ok := rt.effectiveFloor(w, r)
@@ -412,8 +381,7 @@ type batchGroup struct {
 // (generation, ratesVersion).
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		rt.writeError(w, r, http.StatusMethodNotAllowed, server.CodeInvalidArgument, "POST required")
+		server.Fail(w, r, errPostRequired)
 		return
 	}
 	body, ok := rt.readBody(w, r)
@@ -425,7 +393,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// client's.
 	items, qs, _, modes, err := server.DecodeBatch(body)
 	if err != nil {
-		rt.writeError(w, r, http.StatusBadRequest, server.CodeInvalidArgument, err.Error())
+		server.Fail(w, r, badRequest(err.Error()))
 		return
 	}
 	keys := make([]string, len(qs))
@@ -475,7 +443,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 				// original panel first.
 				e := *apiErr
 				e.Message = remapBatchIndices(e.Message, g.idxs)
-				forwardAPIError(w, &e)
+				server.Fail(w, r, &e)
 				return
 			}
 			if r.Context().Err() != nil {
@@ -535,19 +503,19 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 			rt.robs.routed.With(g.rp.url).Inc()
 		}
 		rt.robs.batchGroups.Observe(float64(len(groups)))
-		writeJSON(w, http.StatusOK, resp)
+		server.WriteJSON(w, http.StatusOK, resp)
 		return
 	}
 	if sawStale {
-		rt.writeError(w, r, http.StatusConflict, server.CodeVersionConflict,
-			"fleet versions diverged across the batch fan-out; retry")
+		server.Fail(w, r, &server.APIError{Status: http.StatusConflict, Code: server.CodeVersionConflict,
+			Message: "fleet versions diverged across the batch fan-out; retry"})
 		return
 	}
 	if exhausted {
 		// All 3 attempts burned on mid-flight transport failures — healthy
 		// replicas may well remain, so don't claim "no healthy replica".
-		rt.writeError(w, r, http.StatusBadGateway, server.CodeInternal,
-			"batch fan-out failed after 3 attempts; replicas kept failing mid-flight — check /v1/router/healthz and retry")
+		server.Fail(w, r, badGateway(
+			"batch fan-out failed after 3 attempts; replicas kept failing mid-flight — check /v1/router/healthz and retry"))
 		return
 	}
 	rt.writeNoReplica(w, r, false)
@@ -642,8 +610,8 @@ func (rt *Router) handleReformulate(w http.ResponseWriter, r *http.Request) {
 	resp, err := rt.forward(r, owner, key, body, false)
 	if err != nil {
 		if r.Context().Err() == nil {
-			rt.writeError(w, r, http.StatusBadGateway, server.CodeInternal,
-				"replica failed mid-reformulation; its state is unknown — check /v1/router/healthz and retry")
+			server.Fail(w, r, badGateway(
+				"replica failed mid-reformulation; its state is unknown — check /v1/router/healthz and retry"))
 		}
 		return
 	}
@@ -700,8 +668,7 @@ func (rt *Router) propagateRates(owner *replica, tr *obs.Trace) {
 // visible in /v1/router/healthz.
 func (rt *Router) handleSwap(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		rt.writeError(w, r, http.StatusMethodNotAllowed, server.CodeInvalidArgument, "POST required")
+		server.Fail(w, r, errPostRequired)
 		return
 	}
 	body, ok := rt.readBody(w, r)
@@ -710,7 +677,7 @@ func (rt *Router) handleSwap(w http.ResponseWriter, r *http.Request) {
 	}
 	var req server.CorpusSwapRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		rt.writeError(w, r, http.StatusBadRequest, server.CodeInvalidArgument, "bad JSON body: "+err.Error())
+		server.Fail(w, r, badRequest("bad JSON body: "+err.Error()))
 		return
 	}
 
@@ -778,17 +745,16 @@ func (rt *Router) handleSwap(w http.ResponseWriter, r *http.Request) {
 	}
 	if first == nil {
 		if firstErr != nil {
-			forwardAPIError(w, firstErr)
+			server.Fail(w, r, firstErr)
 			return
 		}
-		rt.writeError(w, r, http.StatusBadGateway, server.CodeInternal,
-			"no replica completed the swap; check /v1/router/healthz")
+		server.Fail(w, r, badGateway("no replica completed the swap; check /v1/router/healthz"))
 		return
 	}
 	// The new generation is the fleet's floor now: replicas that missed
 	// the swap are ineligible until an operator realigns them.
 	rt.raiseFloor(first.Generation, first.RatesVersion)
-	writeJSON(w, http.StatusOK, *first)
+	server.WriteJSON(w, http.StatusOK, *first)
 }
 
 // ---- /v1/rates ----
@@ -814,11 +780,11 @@ func (rt *Router) handleRatesPublish(w http.ResponseWriter, r *http.Request) {
 	}
 	var req server.RatesPublishRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		rt.writeError(w, r, http.StatusBadRequest, server.CodeInvalidArgument, "bad JSON body: "+err.Error())
+		server.Fail(w, r, badRequest("bad JSON body: "+err.Error()))
 		return
 	}
 	if len(req.Vector) == 0 {
-		rt.writeError(w, r, http.StatusBadRequest, server.CodeInvalidArgument, "vector required")
+		server.Fail(w, r, badRequest("vector required"))
 		return
 	}
 
@@ -844,20 +810,20 @@ func (rt *Router) handleRatesPublish(w http.ResponseWriter, r *http.Request) {
 					rt.raiseFloor(owner.gen.Load(), apiErr.Version)
 				}
 			}
-			forwardAPIError(w, apiErr)
+			server.Fail(w, r, apiErr)
 			return
 		}
 		if r.Context().Err() != nil {
 			return
 		}
 		owner.setDown(err)
-		rt.writeError(w, r, http.StatusBadGateway, server.CodeInternal,
-			"replica failed mid-publish; its state is unknown — check /v1/router/healthz and retry")
+		server.Fail(w, r, badGateway(
+			"replica failed mid-publish; its state is unknown — check /v1/router/healthz and retry"))
 		return
 	}
 	rt.robs.ratesPublishes.Inc()
 	rt.propagateRates(owner, obs.TraceFrom(r.Context()))
-	writeJSON(w, http.StatusOK, *resp)
+	server.WriteJSON(w, http.StatusOK, *resp)
 }
 
 // ---- reads proxied to one replica (/v1/healthz, /v1/stats, GET /v1/rates) ----
@@ -883,7 +849,7 @@ func (rt *Router) handleReadProxy(w http.ResponseWriter, r *http.Request) {
 	resp, err := rt.forward(r, target, "", nil, true)
 	if err != nil {
 		if r.Context().Err() == nil {
-			rt.writeError(w, r, http.StatusBadGateway, server.CodeInternal, "replica unreachable: "+err.Error())
+			server.Fail(w, r, badGateway("replica unreachable: "+err.Error()))
 		}
 		return
 	}
@@ -914,5 +880,5 @@ func (rt *Router) handleRouterHealth(w http.ResponseWriter, r *http.Request) {
 		status = http.StatusServiceUnavailable
 		resp.Status = "down"
 	}
-	writeJSON(w, status, resp)
+	server.WriteJSON(w, status, resp)
 }

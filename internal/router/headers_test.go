@@ -138,12 +138,13 @@ func TestRoutedJSONCarriesContentLength(t *testing.T) {
 }
 
 // TestWriteJSONEncodeFailure is the replica-side test of the same name,
-// held to the router's copy of the writer: a value encoding/json rejects
-// is a whole 500 internal envelope with this response's request ID.
+// held to the router's middleware around the one writer: a value
+// encoding/json rejects is a whole 500 internal envelope with the
+// router's request ID for this response.
 func TestWriteJSONEncodeFailure(t *testing.T) {
 	rt, _, _ := stubReplica(t, true)
 	h := rt.robs.mw.Wrap("/nan", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, server.BatchQueryResponse{Answers: []server.QueryResponse{
+		server.WriteJSON(w, http.StatusOK, server.BatchQueryResponse{Answers: []server.QueryResponse{
 			{Results: []server.Result{{Score: math.Inf(1)}}}}})
 	}))
 	rec := httptest.NewRecorder()

@@ -24,9 +24,8 @@ func profileKey(id string) string { return "p\x00" + id }
 // writeOwnerDown renders the owner-unavailable shed: unlike the generic
 // no-replica shed it names the one replica that can serve this profile.
 func (rt *Router) writeOwnerDown(w http.ResponseWriter, r *http.Request, owner *replica) {
-	w.Header().Set("Retry-After", "1")
-	rt.writeError(w, r, http.StatusServiceUnavailable, server.CodeShed,
-		"profile owner "+owner.url+" is down; profile state is replica-local, so there is no failover — retry when it recovers")
+	server.Fail(w, r, &server.APIError{Status: http.StatusServiceUnavailable, Code: server.CodeShed, RetryAfter: "1",
+		Message: "profile owner " + owner.url + " is down; profile state is replica-local, so there is no failover — retry when it recovers"})
 }
 
 // handleProfile proxies /v1/profile/{id} CRUD to the id's owner,
@@ -36,7 +35,7 @@ func (rt *Router) writeOwnerDown(w http.ResponseWriter, r *http.Request, owner *
 func (rt *Router) handleProfile(w http.ResponseWriter, r *http.Request) {
 	id := r.URL.Path[len("/v1/profile/"):]
 	if id == "" {
-		rt.writeError(w, r, http.StatusBadRequest, server.CodeInvalidArgument, "profile id required")
+		server.Fail(w, r, badRequest("profile id required"))
 		return
 	}
 	rt.dispatchOwner(w, r, id, false, r.Method == http.MethodGet)
@@ -86,8 +85,8 @@ func (rt *Router) dispatchOwner(w http.ResponseWriter, r *http.Request, id strin
 	case r.URL.Path == "/v1/reformulate":
 		// Only training phrases a lost reply as unknown state; CRUD and
 		// reads answer the owner-down shed.
-		rt.writeError(w, r, http.StatusBadGateway, server.CodeInternal,
-			"profile owner failed mid-training; its state is unknown — check /v1/router/healthz and retry")
+		server.Fail(w, r, badGateway(
+			"profile owner failed mid-training; its state is unknown — check /v1/router/healthz and retry"))
 	default:
 		rt.writeOwnerDown(w, r, owner)
 	}

@@ -515,6 +515,39 @@ func TestSwapFanout(t *testing.T) {
 	}
 }
 
+// TestRoutedConflictIsTheReplicas: a stale ifGeneration on POST
+// /v1/rates and POST /v1/corpus/swap answers through the router with the
+// replica's own 409 body, the served generation included; only the
+// request ID differs.
+func TestRoutedConflictIsTheReplicas(t *testing.T) {
+	f := newFleet(t, 2)
+	requestID := regexp.MustCompile(`,"requestId":"[^"]*"`)
+	vector := f.servers[0].Engine().Pin().Rates().Vector()
+	for _, tc := range []struct {
+		path string
+		body any
+	}{
+		{"/v1/rates", server.RatesPublishRequest{Vector: vector, IfGeneration: 9}},
+		{"/v1/corpus/swap", server.CorpusSwapRequest{Snapshot: "next.snap", IfGeneration: 9}},
+	} {
+		code, direct := postJSON(t, f.urls[0]+tc.path, tc.body)
+		if code != http.StatusConflict {
+			t.Fatalf("direct %s = %d, want 409: %s", tc.path, code, direct)
+		}
+		code, routed := postJSON(t, f.front.URL+tc.path, tc.body)
+		if code != http.StatusConflict {
+			t.Fatalf("routed %s = %d, want 409: %s", tc.path, code, routed)
+		}
+		direct, routed = requestID.ReplaceAll(direct, nil), requestID.ReplaceAll(routed, nil)
+		if !bytes.Equal(routed, direct) {
+			t.Errorf("routed %s 409 differs from the replica's:\nrouted %s\ndirect %s", tc.path, routed, direct)
+		}
+		if !bytes.Contains(routed, []byte(`"generation":1`)) {
+			t.Errorf("routed %s 409 does not name the served generation: %s", tc.path, routed)
+		}
+	}
+}
+
 // TestMinVersionHeaders: asserting a future version the fleet cannot
 // satisfy answers the fleet-level 409, and a malformed header is a
 // 400 — while an assertion the fleet DOES satisfy passes through.

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"errors"
 	"net/http"
 	"strconv"
 	"time"
@@ -81,7 +80,7 @@ func effectiveTimeout(r *http.Request, cap time.Duration) (d time.Duration, ok b
 	if hs := r.Header.Get(timeoutHeader); hs != "" {
 		ms, perr := strconv.ParseInt(hs, 10, 64)
 		if perr != nil || ms <= 0 {
-			return 0, false, errors.New("bad " + timeoutHeader + " header: must be a positive integer of milliseconds")
+			return 0, false, badRequest("bad " + timeoutHeader + " header: must be a positive integer of milliseconds")
 		}
 		if hd := time.Duration(ms) * time.Millisecond; !ok || hd < d {
 			d, ok = hd, true // clients may only shorten the server cap
@@ -100,7 +99,7 @@ func (s *Server) guard(h http.HandlerFunc) http.HandlerFunc {
 		// Deadline first: queue wait burns request budget, not extra.
 		d, hasDeadline, err := effectiveTimeout(r, a.queryTimeout)
 		if err != nil {
-			writeError(w, r, http.StatusBadRequest, err.Error())
+			s.fail(w, r, "", err)
 			return
 		}
 		ctx := r.Context()
@@ -153,7 +152,7 @@ func (s *Server) waitForSlot(w http.ResponseWriter, r *http.Request, a *admissio
 		// The deadline (or the client) fired while still queued: the
 		// request dies without ever holding a slot.
 		tr.Eventf("admission", "abandoned queued=%s err=%v", time.Since(start), r.Context().Err())
-		s.writeCtxError(w, r, r.Context().Err())
+		s.fail(w, r, "", r.Context().Err())
 		return false
 	}
 }
@@ -162,34 +161,6 @@ func (s *Server) waitForSlot(w http.ResponseWriter, r *http.Request, a *admissio
 func (s *Server) shed(w http.ResponseWriter, r *http.Request, a *admission, waited time.Duration) {
 	s.obs.shedTotal.Inc()
 	obs.TraceFrom(r.Context()).Eventf("shed", "waited=%s", waited)
-	w.Header().Set("Retry-After", a.retryAfter)
-	writeError(w, r, http.StatusServiceUnavailable,
-		"server saturated: all "+strconv.Itoa(cap(a.sem))+" query slots busy; retry after Retry-After seconds")
-}
-
-// statusClientClosedRequest is the (nginx-originated, de-facto
-// standard) status for "the client went away before we could answer".
-// The client never sees it — its connection is gone — but the access
-// log and per-handler metrics need a code that distinguishes
-// client-abandoned work from server-side timeouts.
-const statusClientClosedRequest = 499
-
-// writeCtxError maps a context error that bubbled out of the engine or
-// the admission queue onto the HTTP status contract: DeadlineExceeded
-// → 504 (the server's or the client's requested budget elapsed;
-// afq_http_timeout_total), Canceled → 499 (client closed the request;
-// afq_http_cancelled_total). Any other error is a plain 500.
-func (s *Server) writeCtxError(w http.ResponseWriter, r *http.Request, err error) {
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		s.obs.timeoutTotal.Inc()
-		obs.TraceFrom(r.Context()).Event("deadline", "query deadline exceeded")
-		writeError(w, r, http.StatusGatewayTimeout, "query deadline exceeded; the solve was abandoned mid-iteration")
-	case errors.Is(err, context.Canceled):
-		s.obs.cancelledTotal.Inc()
-		obs.TraceFrom(r.Context()).Event("cancelled", "client closed request")
-		writeError(w, r, statusClientClosedRequest, "client closed request")
-	default:
-		writeError(w, r, http.StatusInternalServerError, err.Error())
-	}
+	Fail(w, r, &APIError{Status: http.StatusServiceUnavailable, Code: CodeShed, RetryAfter: a.retryAfter,
+		Message: "server saturated: all " + strconv.Itoa(cap(a.sem)) + " query slots busy; retry after Retry-After seconds"})
 }

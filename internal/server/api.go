@@ -28,8 +28,9 @@
 //
 // where code is one of the Code* constants below — stable,
 // machine-readable strings clients may switch on (messages may change;
-// codes may not). The 409 of /v1/reformulate adds the winning rates
-// version next to the envelope.
+// codes may not). A 409 adds the winning state next to the envelope:
+// the rates version, or the corpus generation of a generation race. An
+// error is an *APIError on both tiers and goes out through Fail.
 package server
 
 import (
@@ -101,9 +102,10 @@ type ErrorEnvelope struct {
 	Error ErrorInfo `json:"error"`
 }
 
-// ConflictEnvelope is the v1 409 payload of /v1/reformulate: the error
-// envelope plus the currently published rates version, so the client
-// can re-read and retry against it.
+// ConflictEnvelope is the v1 409 payload of a rates-version race
+// (/v1/reformulate, POST /v1/rates): the error envelope plus the
+// currently published rates version, so the client can re-read and
+// retry against it.
 type ConflictEnvelope struct {
 	Error   ErrorInfo `json:"error"`
 	Version uint64    `json:"version"`
@@ -224,10 +226,10 @@ type CorpusSwapResponse struct {
 	Edges        int    `json:"edges"`
 }
 
-// SwapConflictEnvelope is the 409 payload of /v1/corpus/swap: the v1
-// error envelope plus the currently served generation, so the operator
-// can re-read and retry against it (the generational twin of
-// ConflictEnvelope).
+// SwapConflictEnvelope is the 409 payload of a generation race
+// (/v1/corpus/swap, POST /v1/rates' ifGeneration): the v1 error envelope
+// plus the currently served generation, so the operator can re-read and
+// retry against it (the generational twin of ConflictEnvelope).
 type SwapConflictEnvelope struct {
 	Error      ErrorInfo `json:"error"`
 	Generation uint64    `json:"generation"`
@@ -434,20 +436,21 @@ type ExplainStats struct {
 	SubgraphArcs int64 `json:"subgraphArcs"`
 }
 
-// ---- shared JSON writers ----
+// ---- the one JSON writer and the one error encoder, both tiers ----
 
-// jsonBufs pools the buffers writeJSON encodes into.
+// jsonBufs pools the buffers WriteJSON encodes into.
 var jsonBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// writeJSON is the single JSON response writer: every JSON-producing
-// handler goes through it. The wire form is compact with one trailing
-// newline (`| jq .` is the pretty-printer). It encodes first and commits
-// the status only once there are bytes to send, so a value encoding/json
-// rejects (a NaN or ±Inf score) is a 500 internal envelope, not a 200
-// with a torn body. The envelope's request ID is read back off the
-// response header the middleware already set — the ID this very response
-// carries.
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON is the single JSON response writer of the server and the
+// router: every JSON body either tier produces goes through it, so a
+// body the router reassembles is byte-identical to a replica's. The
+// wire form is compact with one trailing newline (`| jq .` is the
+// pretty-printer). It encodes first and commits the status only once
+// there are bytes to send, so a value encoding/json rejects (a NaN or
+// ±Inf score) is a 500 internal envelope, not a 200 with a torn body.
+// The envelope's request ID is read back off the response header the
+// middleware already set — the ID this very response carries.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	buf := jsonBufs.Get().(*bytes.Buffer)
 	defer jsonBufs.Put(buf)
 	buf.Reset()
@@ -475,48 +478,33 @@ func writeBody(w http.ResponseWriter, code int, body []byte) {
 	_, _ = w.Write(body)
 }
 
-// codeForStatus maps an HTTP status onto the default machine-readable
-// error code; call sites with a more specific code use writeAPIError
-// directly.
-func codeForStatus(status int) string {
-	switch status {
-	case http.StatusBadRequest, http.StatusMethodNotAllowed, http.StatusNotFound:
-		return CodeInvalidArgument
-	case http.StatusConflict:
-		return CodeVersionConflict
-	case http.StatusServiceUnavailable:
-		return CodeShed
-	case http.StatusGatewayTimeout:
-		return CodeDeadline
-	case statusClientClosedRequest:
-		return CodeCancelled
-	default:
-		return CodeInternal
+// Fail is the one encoder of a v1 error, on both tiers: e's header,
+// then e.Status with the envelope e's fields select —
+// SwapConflictEnvelope when Generation is set, ConflictEnvelope when
+// Version is, ErrorEnvelope otherwise. An e without a request ID (one
+// this tier raised) takes r's; a replica's error decoded by the router
+// keeps the replica's, so the router answers with the replica's
+// envelope unchanged.
+func Fail(w http.ResponseWriter, r *http.Request, e *APIError) {
+	h := w.Header()
+	if e.Allow != "" {
+		h.Set("Allow", e.Allow)
 	}
-}
-
-// writeError renders the error envelope with the code derived from the
-// status; use writeAPIError to pin it explicitly.
-func writeError(w http.ResponseWriter, r *http.Request, status int, msg string) {
-	writeAPIError(w, r, status, codeForStatus(status), msg)
-}
-
-// writeAPIError is writeError with an explicit error code.
-func writeAPIError(w http.ResponseWriter, r *http.Request, status int, code, msg string) {
-	writeJSON(w, status, ErrorEnvelope{Error: ErrorInfo{Code: code, Message: msg, RequestID: obs.RequestIDFrom(r.Context())}})
-}
-
-// writeConflict renders the optimistic-concurrency 409: the envelope
-// plus the winning rates version.
-func writeConflict(w http.ResponseWriter, r *http.Request, msg string, version uint64) {
-	writeJSON(w, http.StatusConflict, ConflictEnvelope{
-		Error: ErrorInfo{
-			Code:      CodeVersionConflict,
-			Message:   msg,
-			RequestID: obs.RequestIDFrom(r.Context()),
-		},
-		Version: version,
-	})
+	if e.RetryAfter != "" {
+		h.Set("Retry-After", e.RetryAfter)
+	}
+	info := ErrorInfo{Code: e.Code, Message: e.Message, RequestID: e.RequestID}
+	if info.RequestID == "" {
+		info.RequestID = obs.RequestIDFrom(r.Context())
+	}
+	var v any = ErrorEnvelope{Error: info}
+	switch {
+	case e.Generation != 0:
+		v = SwapConflictEnvelope{Error: info, Generation: e.Generation}
+	case e.Version != 0:
+		v = ConflictEnvelope{Error: info, Version: e.Version}
+	}
+	WriteJSON(w, e.Status, v)
 }
 
 // ---- /v1/query/batch ----
@@ -530,14 +518,14 @@ const maxBatchBody = 1 << 20
 // pin (cache.QueryBatchModePinnedCtx: result cache → term-vector cache →
 // one panelled solve of the remaining misses). Each answer is identical
 // to what the corresponding single /v1/query would return.
-var batchEndpoint = endpoint{parse: parseBatch, run: (*Server).runBatch}
+var batchEndpoint = endpoint{pattern: "/v1/query/batch", guarded: true,
+	parse: (*Server).parseBatch, run: (*Server).runBatch}
 
 // parseBatch validates EVERY item before any kernel work: a batch either
 // runs whole or is rejected whole, and the 400 names the offending index.
-func parseBatch(rq *request, r *http.Request) (string, error) {
+func (s *Server) parseBatch(rq *request, r *http.Request) (string, error) {
 	if r.Method != http.MethodPost {
-		return "", &statusError{status: http.StatusMethodNotAllowed, code: CodeInvalidArgument,
-			msg: "POST required", allow: http.MethodPost}
+		return "", errPostRequired
 	}
 	body, err := readLimited(r, maxBatchBody, "body exceeds "+strconv.Itoa(maxBatchBody)+" bytes")
 	if err != nil {

@@ -47,8 +47,8 @@ func fetch(t *testing.T, method, url string, body io.Reader) (int, http.Header, 
 // the retired unversioned paths are the mux's plain 404, and a server
 // built with no options at all serves through the cache.
 func TestRouteTable(t *testing.T) {
-	s, ts := testServer(t) // server.New(ds, cfg), no options
-	for _, rt := range s.routes() {
+	_, ts := testServer(t) // server.New(ds, cfg), no options
+	for _, rt := range routes {
 		if !strings.HasPrefix(rt.pattern, "/v1/") {
 			t.Errorf("mounted pattern %q is not under /v1/", rt.pattern)
 		}
@@ -64,7 +64,7 @@ func TestRouteTable(t *testing.T) {
 			t.Errorf("GET %s still advertises the retired alias headers", path)
 		}
 	}
-	for _, rt := range s.routes() {
+	for _, rt := range routes {
 		if code, _, _ := fetch(t, http.MethodGet, ts.URL+rt.pattern, nil); code == http.StatusNotFound {
 			t.Errorf("GET %s = 404, want the route mounted", rt.pattern)
 		}
@@ -84,7 +84,7 @@ func TestRouteTable(t *testing.T) {
 // TestContentTypeAudit is the satellite-3 sweep: every JSON-producing
 // response — success and error — carries
 // application/json (set BEFORE the status line via the shared
-// writeJSON), the explain export formats carry their own types, and
+// WriteJSON), the explain export formats carry their own types, and
 // /metrics serves the Prometheus text exposition.
 func TestContentTypeAudit(t *testing.T) {
 	_, ts := testServer(t)

@@ -20,7 +20,8 @@ import (
 // ratesVersion) stamps name exactly the state everything ran under — and
 // at a pinned state repeated audits are byte-identical (the determinism
 // contract).
-var auditEndpoint = endpoint{query: true, contract: true, parse: parseTarget, run: (*Server).runAudit}
+var auditEndpoint = endpoint{pattern: "/v1/audit", guarded: true, query: true, contract: true,
+	parse: (*Server).parseTarget, run: (*Server).runAudit}
 
 func (s *Server) runAudit(rq *request) (reply, error) {
 	sg, err := s.explainTarget(rq, "audit")

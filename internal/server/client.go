@@ -16,10 +16,12 @@ import (
 	"time"
 )
 
-// APIError is a non-2xx v1 response decoded into Go. It carries the
-// HTTP status plus the envelope's stable code, human message and
-// request ID; Version is non-zero only for version_conflict errors,
-// where it names the winning rates version to retry against.
+// APIError is a v1 error on every side of the wire: the client decodes
+// every non-2xx response into it, and the server and the router answer
+// every error from one through Fail. It carries the HTTP status, the
+// envelope's stable code, human message and request ID, the winning
+// state of a version_conflict and the one response header an error can
+// carry.
 type APIError struct {
 	// Status is the HTTP status code of the response.
 	Status int
@@ -30,8 +32,14 @@ type APIError struct {
 	Message string
 	// RequestID is the server-assigned request ID for log correlation.
 	RequestID string
-	// Version is the winning rates version on a version_conflict.
+	// Version is the winning rates version of a version_conflict on the
+	// rates axis (/v1/reformulate, POST /v1/rates' ifVersion).
 	Version uint64
+	// Generation is the served corpus generation of a version_conflict on
+	// the generation axis (/v1/corpus/swap, POST /v1/rates' ifGeneration).
+	Generation uint64
+	// Allow is a 405's Allow header; RetryAfter a 503's Retry-After.
+	Allow, RetryAfter string
 }
 
 // Error renders "code: message (http STATUS)".
@@ -48,9 +56,9 @@ func (e *APIError) Error() string {
 	return b.String()
 }
 
-// IsConflict reports whether the error is the optimistic-concurrency
-// 409 of /v1/reformulate; when true, Version carries the winning rates
-// version to re-read and retry against.
+// IsConflict reports whether the error is an optimistic-concurrency
+// 409; when true, Version or Generation carries the winning state to
+// re-read and retry against.
 func (e *APIError) IsConflict() bool { return e.Code == CodeVersionConflict }
 
 // Client is a typed client of the /v1 API. The zero value is not
@@ -122,25 +130,6 @@ func (c *Client) Query(ctx context.Context, q string, k int) (*QueryResponse, er
 	return &out, nil
 }
 
-// Audit runs GET /v1/audit: the sensitivity ranking of one result node
-// under q — the top-budget explaining arcs/nodes ordered by the score's
-// response to rate perturbation. mode "" means authority; budget <= 0
-// uses the server default (core.DefaultAuditBudget).
-func (c *Client) Audit(ctx context.Context, q string, target int64, mode string, budget int) (*AuditResponse, error) {
-	v := url.Values{"q": {q}, "target": {strconv.FormatInt(target, 10)}}
-	if mode != "" {
-		v.Set("mode", mode)
-	}
-	if budget > 0 {
-		v.Set("budget", strconv.Itoa(budget))
-	}
-	var out AuditResponse
-	if err := c.get(ctx, "/v1/audit", v, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
 // QueryBatch runs POST /v1/query/batch: up to MaxBatchQueries queries
 // answered under ONE rates snapshot with at most ⌈unique/BlockSize⌉
 // kernel executions server-side. Answers come back in request order,
@@ -179,9 +168,9 @@ func (c *Client) Reformulate(ctx context.Context, q string, feedback []int64, mo
 
 // CorpusSwap runs POST /v1/corpus/swap: atomically replace the served
 // corpus with a snapshot from the server's swap directory. A lost
-// generation race returns an *APIError with IsConflict() true. The
-// endpoint is opt-in server-side (WithSwapDir); a server without it
-// answers 403.
+// generation race returns an *APIError with IsConflict() true and
+// Generation set to the served generation. The endpoint is opt-in
+// server-side (WithSwapDir); a server without it answers 403.
 func (c *Client) CorpusSwap(ctx context.Context, req CorpusSwapRequest) (*CorpusSwapResponse, error) {
 	var out CorpusSwapResponse
 	if err := c.post(ctx, "/v1/corpus/swap", req, &out); err != nil {
@@ -195,7 +184,8 @@ func (c *Client) CorpusSwap(ctx context.Context, req CorpusSwapRequest) (*Corpus
 // propagation primitive — after one replica reformulates, the router
 // replays the resulting vector onto every other replica. A lost race
 // returns an *APIError with IsConflict() true and Version set to the
-// winning rates version.
+// winning rates version; a stale IfGeneration sets Generation to the
+// served generation instead.
 func (c *Client) RatesPublish(ctx context.Context, req RatesPublishRequest) (*RatesResponse, error) {
 	var out RatesResponse
 	if err := c.post(ctx, "/v1/rates", req, &out); err != nil {
@@ -414,16 +404,23 @@ func (c *Client) attempt(ctx context.Context, method, url string, header http.He
 	return resp, nil
 }
 
-// decodeAPIError turns a non-2xx response into an *APIError.
+// decodeAPIError turns a non-2xx response into an *APIError: Fail's
+// inverse, so Fail re-encodes it to the same body and headers.
 func decodeAPIError(resp *http.Response) error {
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, maxErrorBody))
-	apiErr := &APIError{Status: resp.StatusCode}
-	var env ConflictEnvelope // superset of ErrorEnvelope (adds Version)
+	apiErr := &APIError{Status: resp.StatusCode,
+		Allow: resp.Header.Get("Allow"), RetryAfter: resp.Header.Get("Retry-After")}
+	var env struct { // every envelope Fail writes
+		Error      ErrorInfo `json:"error"`
+		Version    uint64    `json:"version"`
+		Generation uint64    `json:"generation"`
+	}
 	if err := json.Unmarshal(body, &env); err == nil && env.Error.Code != "" {
 		apiErr.Code = env.Error.Code
 		apiErr.Message = env.Error.Message
 		apiErr.RequestID = env.Error.RequestID
 		apiErr.Version = env.Version
+		apiErr.Generation = env.Generation
 		return apiErr
 	}
 	apiErr.Code = codeForStatus(resp.StatusCode)
@@ -432,4 +429,23 @@ func decodeAPIError(resp *http.Response) error {
 		apiErr.Message = http.StatusText(resp.StatusCode)
 	}
 	return apiErr
+}
+
+// codeForStatus maps an HTTP status onto the default machine-readable
+// error code: the code of a non-2xx answer that is not the envelope.
+func codeForStatus(status int) string {
+	switch status {
+	case http.StatusBadRequest, http.StatusMethodNotAllowed, http.StatusNotFound:
+		return CodeInvalidArgument
+	case http.StatusConflict:
+		return CodeVersionConflict
+	case http.StatusServiceUnavailable:
+		return CodeShed
+	case http.StatusGatewayTimeout:
+		return CodeDeadline
+	case statusClientClosedRequest:
+		return CodeCancelled
+	default:
+		return CodeInternal
+	}
 }

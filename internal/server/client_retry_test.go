@@ -114,10 +114,7 @@ func TestClientNeverRetriesHTTPErrors(t *testing.T) {
 	var hits atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		hits.Add(1)
-		writeJSON(w, http.StatusConflict, ConflictEnvelope{
-			Error:   ErrorInfo{Code: CodeVersionConflict, Message: "raced"},
-			Version: 7,
-		})
+		Fail(w, r, conflict("raced", 7, 0))
 	}))
 	defer ts.Close()
 

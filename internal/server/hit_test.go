@@ -86,7 +86,7 @@ func TestQueryHitAllocs(t *testing.T) {
 func TestWriteJSONEncodeFailure(t *testing.T) {
 	s, _ := testServer(t)
 	h := s.obs.mw.Wrap("/nan", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, QueryResponse{Results: []Result{{Node: 1, Score: math.NaN()}}})
+		WriteJSON(w, http.StatusOK, QueryResponse{Results: []Result{{Node: 1, Score: math.NaN()}}})
 	}))
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/nan", nil))

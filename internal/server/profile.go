@@ -52,9 +52,11 @@ const maxProfileBody = 256 << 10
 func (s *Server) Profiles() *profile.Manager { return s.profiles }
 
 var (
-	errProfilesDisabled = &statusError{status: http.StatusForbidden, code: CodeInvalidArgument,
-		msg: "personalization is disabled: the server was started without a profile store (-profile-dir)"}
-	errProfileID = badRequest("profile id must be 1..128 bytes of [A-Za-z0-9._-]")
+	errProfilesDisabled = &APIError{Status: http.StatusForbidden, Code: CodeInvalidArgument,
+		Message: "personalization is disabled: the server was started without a profile store (-profile-dir)"}
+	errProfileID     = badRequest("profile id must be 1..128 bytes of [A-Za-z0-9._-]")
+	errProfileMethod = &APIError{Status: http.StatusMethodNotAllowed, Code: CodeInvalidArgument,
+		Message: "GET, PUT, POST or DELETE required", Allow: "GET, PUT, POST, DELETE"}
 )
 
 // checkProfile says whether a request may address the profile id.
@@ -101,60 +103,57 @@ func (s *Server) personal(rq *request, q *ir.Query) (*cache.Answer, bool, error)
 		Version: a.RatesVersion, Generation: a.Generation, Source: string(src)}, a.Personalized, nil
 }
 
-// handleProfile is the /v1/profile/{id} CRUD surface.
-func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
-	id := strings.TrimPrefix(r.URL.Path, "/v1/profile/")
-	p, err := s.profileCRUD(r, id)
-	switch {
-	case err != nil:
-		s.fail(w, r, id, err)
-	case p == nil:
-		w.WriteHeader(http.StatusNoContent)
-	default:
-		writeJSON(w, http.StatusOK, profileDTO(p))
+// profileEndpoint is the /v1/profile/{id} CRUD surface.
+var profileEndpoint = endpoint{pattern: "/v1/profile/", parse: (*Server).parseProfileCRUD, run: (*Server).runProfileCRUD}
+
+// parseProfileCRUD reads the id, checks the server may address it, and
+// reads an update's body.
+func (s *Server) parseProfileCRUD(rq *request, r *http.Request) (string, error) {
+	rq.profile = strings.TrimPrefix(r.URL.Path, "/v1/profile/")
+	if err := s.checkProfile(rq.profile); err != nil {
+		return "", err
 	}
+	switch rq.method {
+	case http.MethodPut, http.MethodPost:
+		if err := readJSON(r, maxProfileBody, "profile body too large", &rq.update); err != nil {
+			return "", err
+		}
+	case http.MethodGet, http.MethodDelete:
+	default:
+		return "", errProfileMethod
+	}
+	return "profile=" + rq.profile + " method=" + rq.method, nil
 }
 
-// profileCRUD applies one CRUD request: the profile it leaves (nil after
-// a delete) or the error to answer.
-func (s *Server) profileCRUD(r *http.Request, id string) (*profile.Profile, error) {
-	if err := s.checkProfile(id); err != nil {
-		return nil, err
-	}
-	switch r.Method {
+// runProfileCRUD applies one CRUD request and answers the profile it
+// leaves, or the 204 after a delete.
+func (s *Server) runProfileCRUD(rq *request) (reply, error) {
+	var p *profile.Profile
+	var err error
+	switch rq.method {
+	case http.MethodDelete:
+		return reply{}, s.profiles.Delete(rq.profile)
 	case http.MethodGet:
-		return s.profiles.Get(id)
-	case http.MethodPut, http.MethodPost:
-		var req ProfileUpdateRequest
-		if err := readJSON(r, maxProfileBody, "profile body too large", &req); err != nil {
-			return nil, err
+		if p, err = s.profiles.Get(rq.profile); err != nil {
+			return reply{}, err
 		}
+	default:
 		// The manager keeps the revision and trained stamps.
-		p, err := s.profiles.Put(&profile.Profile{ID: id, Mixture: req.Mixture, Beta: req.Beta})
-		if err != nil {
-			return nil, badRequest(err.Error())
+		if p, err = s.profiles.Put(&profile.Profile{ID: rq.profile, Mixture: rq.update.Mixture, Beta: rq.update.Beta}); err != nil {
+			return reply{}, badRequest(err.Error())
 		}
 		s.obs.profileUpdates.Inc()
-		return p, nil
-	case http.MethodDelete:
-		return nil, s.profiles.Delete(id)
 	}
-	return nil, &statusError{status: http.StatusMethodNotAllowed, code: CodeInvalidArgument,
-		msg: "GET, PUT, POST or DELETE required", allow: "GET, PUT, POST, DELETE"}
-}
-
-// profileDTO renders a stored profile as the API shape.
-func profileDTO(p *profile.Profile) ProfileResponse {
 	mix := make(map[string]float64, len(p.Mixture))
 	for t, w := range p.Mixture {
 		mix[t] = w
 	}
-	return ProfileResponse{
+	return reply{what: "mixture", n: len(mix), json: ProfileResponse{
 		ID:                  p.ID,
 		Mixture:             mix,
 		Beta:                p.Beta,
 		Rev:                 p.Rev,
 		TrainedGeneration:   p.TrainedGeneration,
 		TrainedRatesVersion: p.TrainedRatesVersion,
-	}
+	}}, nil
 }

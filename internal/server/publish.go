@@ -1,8 +1,9 @@
-// publish.go implements POST /v1/rates: direct publication of an
-// already-trained rate vector through the engine's optimistic CAS.
+// publish.go implements /v1/rates: GET reads the published rates, and
+// POST publishes an already-trained rate vector through the engine's
+// optimistic CAS.
 //
 // /v1/reformulate LEARNS rates from feedback and publishes them as a
-// side effect; this endpoint publishes a vector somebody else already
+// side effect; POST /v1/rates publishes a vector somebody else already
 // learned. It exists for the scale-out tier: the afqrouter coordinator
 // applies a reformulation on one replica, reads back the resulting
 // vector, and replays it onto every other replica through this
@@ -21,77 +22,69 @@ package server
 import (
 	"errors"
 	"net/http"
+	"strconv"
 
 	"authorityflow/internal/core"
-	"authorityflow/internal/obs"
 )
 
 // maxRatesBody bounds the POST /v1/rates body; rate vectors have one
 // entry per schema transfer type (a handful), so 1 MiB is generous.
 const maxRatesBody = 1 << 20
 
-func (s *Server) handleRatesPublish(w http.ResponseWriter, r *http.Request) {
+// ratesEndpoint is /v1/rates: POST publishes, any other method reads.
+var ratesEndpoint = endpoint{pattern: "/v1/rates", parse: (*Server).parseRates, run: (*Server).runRates}
+
+// parseRates reads and validates a POST's vector against the pin: the
+// generation guard, the version token's default and the vector's
+// validation all read the pinned state.
+func (s *Server) parseRates(rq *request, r *http.Request) (string, error) {
+	if rq.method != http.MethodPost {
+		return "", nil
+	}
 	var req RatesPublishRequest
 	if err := readJSON(r, maxRatesBody, "body too large", &req); err != nil {
-		s.fail(w, r, "", err)
-		return
+		return "", err
 	}
 	if len(req.Vector) == 0 {
-		writeError(w, r, http.StatusBadRequest, "vector required")
-		return
+		return "", badRequest("vector required")
 	}
-
-	// Pin once: the generation guard, the version token default and the
-	// vector validation all read the same engine state.
-	pin := s.eng.Pin()
-	if req.IfGeneration != 0 && req.IfGeneration != pin.Generation() {
-		writeJSON(w, http.StatusConflict, SwapConflictEnvelope{
-			Error: ErrorInfo{
-				Code:      CodeVersionConflict,
-				Message:   "rates were trained on a different corpus generation",
-				RequestID: obs.RequestIDFrom(r.Context()),
-			},
-			Generation: pin.Generation(),
-		})
-		return
+	if req.IfGeneration != 0 && req.IfGeneration != rq.pin.Generation() {
+		return "", conflict("rates were trained on a different corpus generation", 0, rq.pin.Generation())
 	}
-	rates := pin.Rates()
+	rates := rq.pin.Rates()
 	if err := rates.SetVector(req.Vector); err != nil {
-		writeError(w, r, http.StatusBadRequest, err.Error())
-		return
+		return "", badRequest(err.Error())
 	}
 	if err := rates.Validate(); err != nil {
-		writeError(w, r, http.StatusBadRequest, err.Error())
-		return
+		return "", badRequest(err.Error())
 	}
-	ifVersion := req.IfVersion
-	if ifVersion == 0 {
-		ifVersion = pin.Version()
+	rq.rates, rq.ifVersion = rates, req.IfVersion
+	if rq.ifVersion == 0 {
+		rq.ifVersion = rq.pin.Version()
 	}
-	newVersion, err := s.eng.TrySetRates(rates, ifVersion)
-	if errors.Is(err, core.ErrRatesConflict) {
-		writeConflict(w, r, "rates were changed concurrently; re-read and retry", newVersion)
-		return
-	}
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, err.Error())
-		return
-	}
-	obs.TraceFrom(r.Context()).Eventf("publish", "version=%d", newVersion)
-	writeJSON(w, http.StatusOK, RatesResponse{
-		Rates:   rates.String(),
-		Vector:  rates.Vector(),
-		Version: newVersion,
-	})
+	return "vector=" + strconv.Itoa(len(req.Vector)) + " ifVersion=" + strconv.FormatUint(rq.ifVersion, 10), nil
 }
 
-// handleRatesDispatch routes /v1/rates by method: GET reads the
-// published rates, POST publishes a vector (the fleet-propagation
-// write).
-func (s *Server) handleRatesDispatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method == http.MethodPost {
-		s.handleRatesPublish(w, r)
-		return
+// runRates answers the pinned rates or publishes the parsed vector.
+func (s *Server) runRates(rq *request) (reply, error) {
+	rates, version := rq.rates, rq.pin.Version()
+	if rates == nil {
+		rates = rq.pin.Rates()
+	} else {
+		var err error
+		version, err = s.eng.TrySetRates(rates, rq.ifVersion)
+		if errors.Is(err, core.ErrRatesConflict) {
+			return reply{}, conflict("rates were changed concurrently; re-read and retry", version, 0)
+		}
+		if err != nil {
+			return reply{}, badRequest(err.Error())
+		}
+		rq.tr.Eventf("publish", "version=%d", version)
 	}
-	s.handleRates(w, r)
+	vector := rates.Vector()
+	return reply{what: "rates", n: len(vector), json: RatesResponse{
+		Rates:   rates.String(),
+		Vector:  vector,
+		Version: version,
+	}}, nil
 }

@@ -1,5 +1,4 @@
-// request.go is the one way through a guarded endpoint — /v1/query,
-// /v1/query/batch, /v1/explain, /v1/audit and /v1/reformulate:
+// request.go is the one way through every endpoint of the server:
 //
 //	pin → parse → run → render
 //
@@ -9,7 +8,8 @@
 // ?profile=) and emits the parse event; runs the endpoint over the pin,
 // each of its steps emitting its own stage event; and renders the reply
 // once, with the render event. An error from any step goes to fail, the
-// one error mapper; the error's type says what it answers.
+// one error mapper; the error's type says what it answers, and Fail
+// encodes the answer.
 package server
 
 import (
@@ -30,32 +30,38 @@ import (
 	"authorityflow/internal/profile"
 )
 
-// endpoint is what one guarded endpoint adds to the skeleton.
+// endpoint is what one route adds to the skeleton.
 type endpoint struct {
+	// pattern is the route the endpoint is mounted under; guarded puts it
+	// behind the admission guard (it may run a kernel solve).
+	pattern string
+	guarded bool
 	// query: the request carries q and k; contract: the read contract's
 	// mode, budget and format; profile: ?profile=.
 	query, contract, profile bool
-	// parse reads the endpoint's own parameters into rq, validating node
-	// ids against rq.g, and returns the parse event's detail.
-	parse func(rq *request, r *http.Request) (string, error)
+	// parse, when set, reads the endpoint's own parameters into rq,
+	// validating node ids against rq.g, and returns the parse event's
+	// detail.
+	parse func(s *Server, rq *request, r *http.Request) (string, error)
 	// run answers over rq.pin.
 	run func(s *Server, rq *request) (reply, error)
 }
 
-// request is a guarded request as the skeleton carries it: the pinned
-// engine state and everything parse read.
+// request is a request as the skeleton carries it: the pinned engine
+// state and everything parse read.
 type request struct {
-	ctx context.Context
-	tr  *obs.Trace
-	pin *core.Pinned
-	g   *graph.Graph // the pinned generation's: validation and rendering read it
+	ctx    context.Context
+	tr     *obs.Trace
+	pin    *core.Pinned
+	g      *graph.Graph // the pinned generation's: validation and rendering read it
+	method string
 
 	v       url.Values
 	q       *ir.Query
 	spelled string // q.String(), the query as answers spell it
 	k       int
 	rp      ReadParams
-	profile string // the ?profile= id; "" on the global path
+	profile string // the profile addressed (?profile= or /v1/profile/{id}); "" on the global path
 
 	target graph.NodeID // /v1/explain, /v1/audit
 
@@ -66,12 +72,20 @@ type request struct {
 	qs    []*ir.Query // /v1/query/batch
 	ks    []int
 	modes []core.Mode
+
+	rates     *graph.Rates // POST /v1/rates: the validated vector; nil on a read
+	ifVersion uint64
+
+	swap CorpusSwapRequest // /v1/corpus/swap
+
+	update ProfileUpdateRequest // PUT/POST /v1/profile/{id}
 }
 
 // reply is a run's answer, rendered once: an already-encoded JSON body
 // (a stored result hit), an export streamed under its own Content-Type,
-// or a JSON value. The render event reports what=n; a non-zero gen sets
-// the X-Afq-* state headers to (gen, version).
+// a JSON value, or — none of the three — the 204. The render event
+// reports what=n; a non-zero gen sets the X-Afq-* state headers to
+// (gen, version).
 type reply struct {
 	body         []byte
 	export       func(io.Writer) error
@@ -87,7 +101,7 @@ func (s *Server) serve(ep endpoint) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		pin := s.eng.Pin()
 		rq := &request{ctx: r.Context(), tr: obs.TraceFrom(r.Context()), pin: pin, g: pin.Corpus().Graph(),
-			rp: ReadParams{Mode: core.ModeAuthority}}
+			method: r.Method, rp: ReadParams{Mode: core.ModeAuthority}}
 		detail, err := s.parse(ep, rq, r)
 		if err == nil {
 			rq.tr.Event("parse", detail)
@@ -116,7 +130,10 @@ func (s *Server) parse(ep endpoint, rq *request, r *http.Request) (string, error
 			return "", badRequest(err.Error())
 		}
 	}
-	detail, err := ep.parse(rq, r)
+	var detail string
+	if ep.parse != nil {
+		detail, err = ep.parse(s, rq, r)
+	}
 	if err == nil && ep.profile {
 		err = s.resolveProfile(rq)
 	}
@@ -135,33 +152,28 @@ func (s *Server) render(w http.ResponseWriter, rq *request, rep reply) {
 	case rep.export != nil:
 		w.Header().Set("Content-Type", rep.contentType)
 		_ = rep.export(w)
+	case rep.json != nil:
+		WriteJSON(w, http.StatusOK, rep.json)
 	default:
-		writeJSON(w, http.StatusOK, rep.json)
+		w.WriteHeader(http.StatusNoContent)
 	}
 }
 
-// statusError is an error with a fixed answer: its status and envelope
-// code, plus the winning rates version of a 409 and the Allow header of
-// a 405.
-type statusError struct {
-	status  int
-	code    string
-	msg     string
-	version uint64
-	allow   string
-}
-
-func (e *statusError) Error() string { return e.msg }
-
 // badRequest is the invalid_argument 400.
-func badRequest(msg string) error {
-	return &statusError{status: http.StatusBadRequest, code: CodeInvalidArgument, msg: msg}
+func badRequest(msg string) *APIError {
+	return &APIError{Status: http.StatusBadRequest, Code: CodeInvalidArgument, Message: msg}
 }
 
-// conflict is the version_conflict 409 naming the winning version.
-func conflict(msg string, version uint64) error {
-	return &statusError{status: http.StatusConflict, code: CodeVersionConflict, msg: msg, version: version}
+// conflict is the version_conflict 409 naming the winning state: the
+// rates version, or the corpus generation of a generation race.
+func conflict(msg string, version, generation uint64) *APIError {
+	return &APIError{Status: http.StatusConflict, Code: CodeVersionConflict, Message: msg,
+		Version: version, Generation: generation}
 }
+
+// errPostRequired is the 405 of a route that only takes POST.
+var errPostRequired = &APIError{Status: http.StatusMethodNotAllowed, Code: CodeInvalidArgument,
+	Message: "POST required", Allow: http.MethodPost}
 
 // inputError is a core error the request's input caused: a 400 while the
 // request is alive, its context's answer once that has died.
@@ -169,30 +181,40 @@ type inputError struct{ error }
 
 func (e inputError) Unwrap() error { return e.error }
 
-// fail is the one error mapper: a statusError answers itself,
+// statusClientClosedRequest is the (nginx-originated, de-facto
+// standard) status for "the client went away before we could answer".
+// The client never sees it — its connection is gone — but the access
+// log and per-handler metrics need a code that distinguishes
+// client-abandoned work from server-side timeouts.
+const statusClientClosedRequest = 499
+
+// fail is the one error mapper: an *APIError answers itself,
 // profile.ErrNotFound is the 404 naming profileID, a live request's
-// inputError is a 400, and anything else goes through writeCtxError — a
-// deadline 504, a cancellation 499, otherwise 500.
+// inputError is a 400, a deadline is the 504 (afq_http_timeout_total)
+// and a cancellation the 499 (afq_http_cancelled_total), and anything
+// else is a 500. Fail encodes the answer.
 func (s *Server) fail(w http.ResponseWriter, r *http.Request, profileID string, err error) {
-	var se *statusError
+	var e *APIError
 	switch {
-	case errors.As(err, &se):
-		if se.allow != "" {
-			w.Header().Set("Allow", se.allow)
-		}
-		if se.status == http.StatusConflict {
-			writeConflict(w, r, se.msg, se.version)
-			return
-		}
-		writeAPIError(w, r, se.status, se.code, se.msg)
+	case errors.As(err, &e):
 	case errors.Is(err, profile.ErrNotFound):
-		writeAPIError(w, r, http.StatusNotFound, CodeProfileNotFound,
-			"no profile exists under id "+strconv.Quote(profileID)+"; create it with PUT /v1/profile/"+profileID)
+		e = &APIError{Status: http.StatusNotFound, Code: CodeProfileNotFound,
+			Message: "no profile exists under id " + strconv.Quote(profileID) + "; create it with PUT /v1/profile/" + profileID}
 	case errors.As(err, new(inputError)) && r.Context().Err() == nil:
-		writeError(w, r, http.StatusBadRequest, err.Error())
+		e = badRequest(err.Error())
+	case errors.Is(err, context.DeadlineExceeded):
+		s.obs.timeoutTotal.Inc()
+		obs.TraceFrom(r.Context()).Event("deadline", "query deadline exceeded")
+		e = &APIError{Status: http.StatusGatewayTimeout, Code: CodeDeadline,
+			Message: "query deadline exceeded; the solve was abandoned mid-iteration"}
+	case errors.Is(err, context.Canceled):
+		s.obs.cancelledTotal.Inc()
+		obs.TraceFrom(r.Context()).Event("cancelled", "client closed request")
+		e = &APIError{Status: statusClientClosedRequest, Code: CodeCancelled, Message: "client closed request"}
 	default:
-		s.writeCtxError(w, r, err)
+		e = &APIError{Status: http.StatusInternalServerError, Code: CodeInternal, Message: err.Error()}
 	}
+	Fail(w, r, e)
 }
 
 // parseQuery reads q and k.

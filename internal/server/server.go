@@ -16,10 +16,10 @@
 //	GET  /v1/healthz
 //	GET  /v1/stats
 //
-// Concurrency: the server holds no locks. Every guarded request goes
-// through one skeleton (request.go) that loads the engine's current
-// state once (Engine.Pin) and serves every step of the request from that
-// pinned view; concurrent reformulations
+// Concurrency: the server holds no locks. Every request goes through one
+// skeleton (request.go) that loads the engine's current state once
+// (Engine.Pin) and serves every step of the request from that pinned
+// view; concurrent reformulations
 // publish through the engine's compare-and-swap. /v1/reformulate is
 // optimistic: the response carries the rates version it ran under, an
 // optional version=N parameter asserts the client's expected version,
@@ -184,12 +184,12 @@ func (s *Server) Close() {}
 // 404.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	for _, rt := range s.routes() {
-		h := rt.handle
-		if rt.guarded {
+	for _, ep := range routes {
+		h := s.serve(ep)
+		if ep.guarded {
 			h = s.guard(h)
 		}
-		mux.Handle(rt.pattern, s.obs.mw.Wrap(rt.pattern, h))
+		mux.Handle(ep.pattern, s.obs.mw.Wrap(ep.pattern, h))
 	}
 	// /metrics stays unversioned by Prometheus convention.
 	mux.Handle("/metrics", s.obs.mw.Wrap("/metrics", s.obs.reg.Handler()))
@@ -199,33 +199,25 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// route is one mounted API endpoint.
-type route struct {
-	pattern string
-	guarded bool
-	handle  http.HandlerFunc
-}
-
-// routes is the whole API surface. Guarded endpoints (each may run a
+// routes is the whole API surface, one endpoint per route, each served
+// through the skeleton (request.go). Guarded endpoints (each may run a
 // kernel solve) go through the admission guard: bounded in-flight
 // slots, queue-wait shedding, and the per-request deadline. Operator
 // endpoints never do — an overloaded replica must stay inspectable and
 // swappable — and neither does profile CRUD (byte-sized record I/O, no
 // kernel work; the personalized query and training paths run through
 // the guarded /v1/query and /v1/reformulate).
-func (s *Server) routes() []route {
-	return []route{
-		{"/v1/query", true, s.serve(queryEndpoint)},
-		{"/v1/query/batch", true, s.serve(batchEndpoint)},
-		{"/v1/explain", true, s.serve(explainEndpoint)},
-		{"/v1/audit", true, s.serve(auditEndpoint)},
-		{"/v1/reformulate", true, s.serve(reformulateEndpoint)},
-		{"/v1/rates", false, s.handleRatesDispatch},
-		{"/v1/healthz", false, s.handleHealth},
-		{"/v1/stats", false, s.handleStats},
-		{"/v1/profile/", false, s.handleProfile},
-		{"/v1/corpus/swap", false, s.handleCorpusSwap},
-	}
+var routes = []endpoint{
+	queryEndpoint,
+	batchEndpoint,
+	explainEndpoint,
+	auditEndpoint,
+	reformulateEndpoint,
+	ratesEndpoint,
+	healthEndpoint,
+	statsEndpoint,
+	profileEndpoint,
+	swapEndpoint,
 }
 
 // Metrics exposes the server's metric registry (for embedding callers
@@ -235,21 +227,26 @@ func (s *Server) Metrics() *obs.Registry { return s.obs.reg }
 // The request/response DTOs of every endpoint live in api.go, the
 // single definition point of the public surface.
 
-func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	ds := s.ds.Load()
-	writeJSON(w, http.StatusOK, HealthResponse{
+// healthEndpoint is /v1/healthz: what the replica serves, under the pin.
+var healthEndpoint = endpoint{pattern: "/v1/healthz", run: (*Server).runHealth}
+
+func (s *Server) runHealth(rq *request) (reply, error) {
+	return reply{what: "nodes", n: rq.g.NumNodes(), json: HealthResponse{
 		Status:        "ok",
-		Name:          ds.Name,
-		Nodes:         ds.Graph.NumNodes(),
-		Edges:         ds.Graph.NumEdges(),
-		RatesVersion:  s.eng.RatesVersion(),
-		Generation:    s.eng.Generation(),
+		Name:          s.ds.Load().Name,
+		Nodes:         rq.g.NumNodes(),
+		Edges:         rq.g.NumEdges(),
+		RatesVersion:  rq.pin.Version(),
+		Generation:    rq.pin.Generation(),
 		CacheEnabled:  true,
 		UptimeSeconds: s.obs.uptimeSeconds(),
-	})
+	}}, nil
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+// statsEndpoint is /v1/stats: the counters /metrics exports, as JSON.
+var statsEndpoint = endpoint{pattern: "/v1/stats", run: (*Server).runStats}
+
+func (s *Server) runStats(rq *request) (reply, error) {
 	byHandler := make(map[string]int64)
 	s.obs.mw.Requests().Each(func(labels []string, n uint64) {
 		byHandler[labels[0]+" "+labels[1]] = int64(n)
@@ -261,8 +258,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	cacheStats := s.cache.Stats()
 	resp := StatsResponse{
 		CacheEnabled:  true,
-		RatesVersion:  s.eng.RatesVersion(),
-		Generation:    s.eng.Generation(),
+		RatesVersion:  rq.pin.Version(),
+		Generation:    rq.pin.Generation(),
 		CorpusSwaps:   int64(s.obs.swapsTotal.Count()),
 		UptimeSeconds: s.obs.uptimeSeconds(),
 		HTTP: HTTPStats{
@@ -289,23 +286,13 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		snap := s.profiles.Stats()
 		resp.Profile = &snap
 	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleRates(w http.ResponseWriter, r *http.Request) {
-	pin := s.eng.Pin()
-	rates := pin.Rates()
-	writeJSON(w, http.StatusOK, RatesResponse{
-		Rates:   rates.String(),
-		Vector:  rates.Vector(),
-		Version: pin.Version(),
-	})
+	return reply{what: "handlers", n: len(byHandler), json: resp}, nil
 }
 
 // queryEndpoint is /v1/query: the top k of q, from the serving cache or,
 // with ?profile=, from the profile's blend.
-var queryEndpoint = endpoint{query: true, contract: true, profile: true,
-	parse: func(rq *request, r *http.Request) (string, error) {
+var queryEndpoint = endpoint{pattern: "/v1/query", guarded: true, query: true, contract: true, profile: true,
+	parse: func(s *Server, rq *request, r *http.Request) (string, error) {
 		return "q=" + rq.spelled + " k=" + strconv.Itoa(rq.k) + " mode=" + string(rq.rp.Mode), nil
 	},
 	run: (*Server).runQuery,
@@ -338,7 +325,7 @@ func (s *Server) runQuery(rq *request) (reply, error) {
 		// the hit form, so it is kept with the entry (the first one is;
 		// see cache.AttachBody). A miss attaches nothing — most queries
 		// are never repeated, and theirs would be bodies nobody reads.
-		// The encoder is writeJSON's, so kept and fresh bytes are the same;
+		// The encoder is WriteJSON's, so kept and fresh bytes are the same;
 		// the buffer is not pooled, because the cache keeps its bytes.
 		var buf bytes.Buffer
 		if err := json.NewEncoder(&buf).Encode(resp); err == nil {
@@ -387,10 +374,11 @@ func modeField(m core.Mode) string {
 
 // explainEndpoint is /v1/explain: the target's explaining subgraph,
 // rendered as json, html or dot.
-var explainEndpoint = endpoint{query: true, contract: true, parse: parseTarget, run: (*Server).runExplain}
+var explainEndpoint = endpoint{pattern: "/v1/explain", guarded: true, query: true, contract: true,
+	parse: (*Server).parseTarget, run: (*Server).runExplain}
 
 // parseTarget reads the target of /v1/explain and /v1/audit.
-func parseTarget(rq *request, r *http.Request) (string, error) {
+func (s *Server) parseTarget(rq *request, r *http.Request) (string, error) {
 	var err error
 	if rq.target, err = parseNodeID(rq.g, rq.v.Get("target"), "target"); err != nil {
 		return "", err
@@ -458,12 +446,13 @@ func (s *Server) runExplain(rq *request) (reply, error) {
 
 // reformulateEndpoint is /v1/reformulate: feedback publishes new global
 // rates or, with ?profile=, trains the profile's mixture.
-var reformulateEndpoint = endpoint{query: true, profile: true, parse: parseFeedback, run: (*Server).runReformulate}
+var reformulateEndpoint = endpoint{pattern: "/v1/reformulate", guarded: true, query: true, profile: true,
+	parse: (*Server).parseFeedback, run: (*Server).runReformulate}
 
 // parseFeedback reads /v1/reformulate's strategy, feedback ids,
 // confidences and version token. The token is checked here, against the
 // pin: a stale one is the 409 before any work.
-func parseFeedback(rq *request, r *http.Request) (string, error) {
+func (s *Server) parseFeedback(rq *request, r *http.Request) (string, error) {
 	switch mode := rq.v.Get("mode"); mode {
 	case "", "structure":
 		rq.strategy = core.StructureOnly()
@@ -497,7 +486,7 @@ func parseFeedback(rq *request, r *http.Request) (string, error) {
 			return "", badRequest("bad version token " + vs)
 		}
 		if want != rq.pin.Version() {
-			return "", conflict("rates were changed since version "+vs, rq.pin.Version())
+			return "", conflict("rates were changed since version "+vs, rq.pin.Version(), 0)
 		}
 	}
 	return fmt.Sprintf("q=%s feedback=%d", rq.spelled, len(rq.feedback)), nil
@@ -548,7 +537,7 @@ func (s *Server) runReformulate(rq *request) (reply, error) {
 		rq.tr.Eventf("reformulate", "rates=%s expansion=%d", ref.Rates.String(), len(ref.Expansion))
 		version, err := s.eng.TrySetRates(ref.Rates, pin.Version())
 		if errors.Is(err, core.ErrRatesConflict) {
-			return reply{}, conflict("rates were changed concurrently; re-query and retry", version)
+			return reply{}, conflict("rates were changed concurrently; re-query and retry", version, 0)
 		}
 		if err != nil {
 			return reply{}, err

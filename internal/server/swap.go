@@ -21,10 +21,10 @@ import (
 	"errors"
 	"net/http"
 	"path/filepath"
+	"strconv"
 	"time"
 
 	"authorityflow/internal/core"
-	"authorityflow/internal/obs"
 	"authorityflow/internal/storage"
 )
 
@@ -40,81 +40,73 @@ func WithSwapDir(dir string) Option {
 // never large).
 const maxSwapBody = 64 << 10
 
-func (s *Server) handleCorpusSwap(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, r, http.StatusMethodNotAllowed, "POST required")
-		return
+// swapEndpoint is /v1/corpus/swap.
+var swapEndpoint = endpoint{pattern: "/v1/corpus/swap", parse: (*Server).parseSwap, run: (*Server).runSwap}
+
+var errSwapDisabled = &APIError{Status: http.StatusForbidden, Code: CodeInvalidArgument,
+	Message: "corpus swapping is disabled: the server was started without a swap directory"}
+
+// parseSwap reads the request: POST only, on a server with a swap
+// directory, naming a file inside it.
+func (s *Server) parseSwap(rq *request, r *http.Request) (string, error) {
+	if rq.method != http.MethodPost {
+		return "", errPostRequired
 	}
 	if s.swapDir == "" {
-		writeAPIError(w, r, http.StatusForbidden, CodeInvalidArgument,
-			"corpus swapping is disabled: the server was started without a swap directory")
-		return
+		return "", errSwapDisabled
 	}
-	var req CorpusSwapRequest
-	if err := readJSON(r, maxSwapBody, "body too large", &req); err != nil {
-		s.fail(w, r, "", err)
-		return
+	if err := readJSON(r, maxSwapBody, "body too large", &rq.swap); err != nil {
+		return "", err
 	}
-	if req.Snapshot == "" {
-		writeError(w, r, http.StatusBadRequest, "snapshot file name required")
-		return
+	if rq.swap.Snapshot == "" {
+		return "", badRequest("snapshot file name required")
 	}
 	// Containment: the request names a file (or subdirectory path)
 	// INSIDE the swap directory. filepath.IsLocal rejects absolute
 	// paths, "..", and anything else that could escape.
-	if !filepath.IsLocal(req.Snapshot) {
-		writeError(w, r, http.StatusBadRequest,
-			"snapshot must name a file inside the swap directory")
-		return
+	if !filepath.IsLocal(rq.swap.Snapshot) {
+		return "", badRequest("snapshot must name a file inside the swap directory")
 	}
-	tr := obs.TraceFrom(r.Context())
+	return "snapshot=" + rq.swap.Snapshot + " ifGeneration=" + strconv.FormatUint(rq.swap.IfGeneration, 10), nil
+}
 
+// runSwap loads the snapshot, builds its corpus and publishes it through
+// the generational CAS. A zero ifGeneration swaps whatever generation is
+// current when the corpus is ready, not the one the request pinned.
+func (s *Server) runSwap(rq *request) (reply, error) {
 	t0 := time.Now()
-	ds, ix, err := storage.ReadSnapshotFile(filepath.Join(s.swapDir, req.Snapshot))
+	ds, ix, err := storage.ReadSnapshotFile(filepath.Join(s.swapDir, rq.swap.Snapshot))
 	if err != nil {
-		writeError(w, r, http.StatusBadRequest, "loading snapshot: "+err.Error())
-		return
+		return reply{}, badRequest("loading snapshot: " + err.Error())
 	}
-	tr.Eventf("load", "snapshot=%s nodes=%d edges=%d dur=%s",
-		req.Snapshot, ds.Graph.NumNodes(), ds.Graph.NumEdges(), time.Since(t0))
+	rq.tr.Eventf("load", "snapshot=%s nodes=%d edges=%d dur=%s",
+		rq.swap.Snapshot, ds.Graph.NumNodes(), ds.Graph.NumEdges(), time.Since(t0))
 
 	t1 := time.Now()
 	corpus, err := core.NewCorpusWithIndex(ds.Graph, ix, s.cfg)
 	if err != nil {
-		writeAPIError(w, r, http.StatusInternalServerError, CodeInternal,
-			"building corpus: "+err.Error())
-		return
+		return reply{}, errors.New("building corpus: " + err.Error())
 	}
-	tr.Eventf("build", "dur=%s", time.Since(t1))
+	rq.tr.Eventf("build", "dur=%s", time.Since(t1))
 
-	ifGen := req.IfGeneration
+	ifGen := rq.swap.IfGeneration
 	if ifGen == 0 {
 		ifGen = s.eng.Generation()
 	}
 	gen, err := s.eng.SwapCorpus(corpus, ds.Rates, ifGen)
 	if errors.Is(err, core.ErrGenerationConflict) {
-		writeJSON(w, http.StatusConflict, SwapConflictEnvelope{
-			Error: ErrorInfo{
-				Code:      CodeVersionConflict,
-				Message:   "corpus generation changed concurrently; re-read and retry",
-				RequestID: obs.RequestIDFrom(r.Context()),
-			},
-			Generation: gen,
-		})
-		return
+		return reply{}, conflict("corpus generation changed concurrently; re-read and retry", 0, gen)
 	}
 	if err != nil {
-		writeError(w, r, http.StatusBadRequest, "swap rejected: "+err.Error())
-		return
+		return reply{}, badRequest("swap rejected: " + err.Error())
 	}
 	s.ds.Store(ds)
-	tr.Eventf("swap", "generation=%d->%d version=%d", ifGen, gen, s.eng.RatesVersion())
-	writeJSON(w, http.StatusOK, CorpusSwapResponse{
+	rq.tr.Eventf("swap", "generation=%d->%d version=%d", ifGen, gen, s.eng.RatesVersion())
+	return reply{what: "nodes", n: ds.Graph.NumNodes(), json: CorpusSwapResponse{
 		Generation:   gen,
 		RatesVersion: s.eng.RatesVersion(),
 		Name:         ds.Name,
 		Nodes:        ds.Graph.NumNodes(),
 		Edges:        ds.Graph.NumEdges(),
-	})
+	}}, nil
 }
