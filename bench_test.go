@@ -194,8 +194,9 @@ func dblptopExplain(b *testing.B) (*authorityflow.Pinned, *authorityflow.RankRes
 }
 
 // BenchmarkExplainDblptop measures core.explain at the benchmark's
-// corpus. Its allocations are O(|subgraph|) — Nodes, Arcs and the
-// per-node and per-arc arrays — and independent of |V|: the scratch is
+// corpus. Its allocations are O(|subgraph|) — Nodes, the per-node
+// arrays and Arcs, 8 bytes per arc — and independent of |V|: the
+// scratch, including the Equation 10 loop's dense per-arc arrays, is
 // pooled per corpus generation, and one untimed explain fills the pool
 // so the counts are the steady state.
 func BenchmarkExplainDblptop(b *testing.B) {

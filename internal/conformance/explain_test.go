@@ -247,7 +247,7 @@ func flattenSubgraph(sg *core.Subgraph) [][]float64 {
 		nodes = append(nodes, float64(v), n.H, float64(n.Dist), n.InFlow, n.OutFlow,
 			sg.H(v), float64(sg.Dist(v)), sg.InFlow(v), sg.OutFlow(v))
 	}
-	return [][]float64{nodes, flattenArcs(sg.Arcs), {float64(sg.Iterations), boolBit(sg.Converged)}}
+	return [][]float64{nodes, flattenArcs(sg.FlowArcs()), {float64(sg.Iterations), boolBit(sg.Converged)}}
 }
 
 func flattenRef(sg *refSubgraph) [][]float64 {
@@ -406,7 +406,7 @@ func explainRows(w *world) []path {
 					for _, c := range explainCases(t, w, m) {
 						sg := explainOne(t, context.Background(), w.pin, m, c)
 						flows := []float64{sg.ExplainedScore()}
-						for _, a := range sg.Arcs {
+						for _, a := range sg.FlowArcs() {
 							flows = append(flows, a.Flow)
 						}
 						out = append(out, flows)
@@ -418,7 +418,7 @@ func explainRows(w *world) []path {
 					for _, c := range explainCases(t, w, m) {
 						sg := explainOne(t, context.Background(), w.pin, m, c)
 						flows := []float64{0}
-						for _, a := range sg.Arcs {
+						for _, a := range sg.FlowArcs() {
 							flows = append(flows, sg.H(a.To)*a.Flow0)
 							if a.To == sg.Target {
 								flows[0] += a.Flow

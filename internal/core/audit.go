@@ -80,9 +80,14 @@ type Audit struct {
 	Score  float64
 	Budget int
 	// Arcs and Nodes are the top-Budget contributions, sensitivity
-	// descending; TotalArcs/TotalNodes count the subgraph before
-	// truncation so callers can tell a complete audit from a clipped
-	// one.
+	// descending. TotalArcs and TotalNodes count the candidates before
+	// truncation, so callers can tell a complete audit from a clipped
+	// one: TotalArcs is every subgraph arc, TotalNodes every subgraph
+	// node with at least one subgraph out-arc, the candidates for Nodes.
+	// That is every node but the target, plus the target when a subgraph
+	// arc leaves it (a cycle back to it, or its self-loops). /v1/audit's
+	// totalNodes is len(Subgraph.Nodes) instead, which always counts the
+	// target.
 	Arcs       []AuditArc
 	Nodes      []AuditNode
 	TotalArcs  int
@@ -123,10 +128,13 @@ func (p *Pinned) AuditCtx(ctx context.Context, m Mode, res *RankResult, target g
 // subgraph (budget <= 0 means DefaultAuditBudget), without the
 // pinned-state stamps AuditCtx adds. The /v1/explain envelope uses it
 // to attach a contributions[] block to a subgraph it has already paid
-// for. It is one walk of the arcs: sg.Arcs is grouped by ascending
-// source (CSR arc order within a source), so the per-source sums
-// accumulate in a deterministic order and complete when the source
-// changes.
+// for. It is one walk of the subgraph's rows: Nodes[i]'s out-arcs are
+// one row of Arcs, in CSR order. A source's node entry is the row's
+// sums the explain already made in that order: its sensitivity and its
+// Equation 6b flow O(v). Its arcs are derived only when the row's
+// sensitivity sum reaches the bar: sensitivities are non-negative, so
+// no partial sum rounds below one of its terms, and a row whose sum is
+// below the bar holds no arc that could be admitted.
 func AuditOf(sg *Subgraph, budget int) *Audit {
 	if budget <= 0 {
 		budget = DefaultAuditBudget
@@ -142,26 +150,29 @@ func AuditOf(sg *Subgraph, budget int) *Audit {
 	}
 	arcs := topBudget[AuditArc]{budget: budget, key: func(x AuditArc) float64 { return x.Sensitivity }, cmp: compareAuditArcs}
 	nodes := topBudget[AuditNode]{budget: budget, key: func(x AuditNode) float64 { return x.Sensitivity }, cmp: compareAuditNodes}
-	var cur AuditNode
-	for _, fa := range sg.Arcs {
-		// Rate > 0 by construction (zero-rate arcs never enter the
-		// subgraph), so the derivative Flow/Rate is always defined.
-		s := fa.Flow / fa.Rate
-		if arcs.admits(s) {
-			arcs.offer(AuditArc{From: fa.From, To: fa.To, Type: fa.Type, Rate: fa.Rate, Flow: fa.Flow, Sensitivity: s})
+	d, alpha, csr, h, refs := sg.damping, sg.alpha, sg.csr, sg.h, sg.Arcs
+	for i, r := range sg.score {
+		lo, hi := sg.rowStart[i], sg.rowStart[i+1]
+		if lo == hi {
+			continue
 		}
-		if a.TotalNodes == 0 || fa.From != cur.Node {
-			if a.TotalNodes > 0 && nodes.admits(cur.Sensitivity) {
-				nodes.offer(cur)
+		a.TotalNodes++
+		sens := sg.sens[i]
+		if nodes.admits(sens) {
+			nodes.offer(AuditNode{Node: sg.Nodes[i], Sensitivity: sens, Flow: sg.outFlow[i]})
+		}
+		if arcs.barred && sens < arcs.barKey {
+			continue
+		}
+		for k := lo; k < hi; k++ {
+			ref := refs[k]
+			rate := transferRate(alpha, &csr[ref.CSR])
+			_, flow := arcFlows(d, rate, r, h[ref.Head])
+			if s := flow / rate; arcs.admits(s) {
+				fa := sg.arc(i, k)
+				arcs.offer(AuditArc{From: fa.From, To: fa.To, Type: fa.Type, Rate: fa.Rate, Flow: fa.Flow, Sensitivity: s})
 			}
-			cur = AuditNode{Node: fa.From}
-			a.TotalNodes++
 		}
-		cur.Sensitivity += s
-		cur.Flow += fa.Flow
-	}
-	if a.TotalNodes > 0 && nodes.admits(cur.Sensitivity) {
-		nodes.offer(cur)
 	}
 	a.Arcs, a.Nodes = arcs.sorted(), nodes.sorted()
 	return a

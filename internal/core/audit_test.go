@@ -167,21 +167,45 @@ func TestAuditHubMode(t *testing.T) {
 	}
 }
 
-// tiedSubgraph builds a synthetic subgraph of n arcs, grouped by
-// ascending source as the explain kernel emits them, whose flows and
-// sensitivities are each drawn from three values: nearly every
-// comparison a selection makes is a tie on its primary key. Powers of
-// two keep Flow/Rate exact.
+// tiedSubgraph builds a synthetic subgraph of n arcs over nodes 0..n-1,
+// grouped by ascending source as the explain kernel emits them, whose
+// flows and sensitivities are each drawn from three values: nearly every
+// comparison a selection makes is a tie on its primary key. Arc k is CSR
+// arc k and every node is the head of one arc. Unit rates, damping and
+// scores make an arc's Rate its InvDeg f/s and its Flow h(To)·Rate with
+// h(To) = s. Powers of two keep every product and Flow/Rate exact.
 func tiedSubgraph(rng *rand.Rand, n int) *Subgraph {
 	flows, sens := []float64{1, 2, 4}, []float64{0.5, 1, 2}
-	sg := &Subgraph{}
-	from := graph.NodeID(0)
-	for i, to := range rng.Perm(n) {
-		if i > 0 && rng.Intn(3) == 0 {
+	sg := &Subgraph{
+		Nodes:    make([]graph.NodeID, n),
+		damping:  1,
+		alpha:    []float64{1, 1},
+		rowStart: make([]int32, n+1),
+		score:    make([]float64, n),
+		h:        make([]float64, n),
+		dist:     make([]int32, n),
+		inFlow:   make([]float64, n),
+		outFlow:  make([]float64, n),
+		sens:     make([]float64, n),
+	}
+	for v := range sg.Nodes {
+		sg.Nodes[v], sg.score[v] = graph.NodeID(v), 1
+	}
+	from := 0
+	for k, to := range rng.Perm(n) {
+		if k > 0 && rng.Intn(3) == 0 {
 			from++
 		}
 		f, s := flows[rng.Intn(3)], sens[rng.Intn(3)]
-		sg.Arcs = append(sg.Arcs, FlowArc{From: from, To: graph.NodeID(to), Type: graph.TransferTypeID(rng.Intn(2)), Rate: f / s, Flow: f})
+		sg.csr = append(sg.csr, graph.Arc{To: graph.NodeID(to), Type: graph.TransferTypeID(rng.Intn(2)), InvDeg: float32(f / s)})
+		sg.Arcs = append(sg.Arcs, ArcRef{CSR: int32(k), Head: int32(to)})
+		sg.h[to] = s
+		sg.outFlow[from] += f
+		sg.sens[from] += s
+		sg.rowStart[from+1] = int32(k + 1)
+	}
+	for v := 1; v <= n; v++ { // the nodes past the last source have empty rows
+		sg.rowStart[v] = max(sg.rowStart[v], sg.rowStart[v-1])
 	}
 	return sg
 }
@@ -190,7 +214,7 @@ func tiedSubgraph(rng *rand.Rand, n int) *Subgraph {
 // under CompareFlow, and the audit's arcs and per-source nodes under
 // the audit order.
 func fullOrders(sg *Subgraph) (flow []FlowArc, arcs []AuditArc, nodes []AuditNode) {
-	flow = slices.Clone(sg.Arcs)
+	flow = sg.FlowArcs()
 	slices.SortFunc(flow, CompareFlow)
 	arcs = auditArcs(sg)
 	for _, a := range arcs {
@@ -208,7 +232,7 @@ func fullOrders(sg *Subgraph) (flow []FlowArc, arcs []AuditArc, nodes []AuditNod
 // auditArcs materializes every arc's audit entry, in arc order.
 func auditArcs(sg *Subgraph) []AuditArc {
 	out := make([]AuditArc, len(sg.Arcs))
-	for i, fa := range sg.Arcs {
+	for i, fa := range sg.FlowArcs() {
 		out[i] = AuditArc{From: fa.From, To: fa.To, Type: fa.Type, Rate: fa.Rate, Flow: fa.Flow, Sensitivity: fa.Flow / fa.Rate}
 	}
 	return out
@@ -250,7 +274,7 @@ func TestTopBudgetTiesBite(t *testing.T) {
 		sg := tiedSubgraph(rng, 1+rng.Intn(80))
 		flow, arcs, _ := fullOrders(sg)
 		for budget := 1; budget <= len(sg.Arcs)+1; budget++ {
-			got := selectStrict(sg.Arcs, budget, func(a FlowArc) float64 { return a.Flow }, CompareFlow)
+			got := selectStrict(sg.FlowArcs(), budget, func(a FlowArc) float64 { return a.Flow }, CompareFlow)
 			flowBit = flowBit || !slices.Equal(got, prefix(flow, budget))
 			gotAudit := selectStrict(auditArcs(sg), budget, func(a AuditArc) float64 { return a.Sensitivity }, compareAuditArcs)
 			auditBit = auditBit || !slices.Equal(gotAudit, prefix(arcs, budget))

@@ -40,7 +40,8 @@ func (o ExplainOptions) withDefaults() ExplainOptions {
 func DefaultExplain() ExplainOptions { return ExplainOptions{Radius: 3} }
 
 // FlowArc is one edge of an explaining subgraph, annotated with the
-// authority it carries.
+// authority it carries. A Subgraph stores its arcs as ArcRefs and
+// derives FlowArcs on read (FlowArcs, TopArcs, TopPaths).
 type FlowArc struct {
 	From graph.NodeID
 	To   graph.NodeID
@@ -58,6 +59,18 @@ type FlowArc struct {
 	Flow float64
 }
 
+// ArcRef is how a Subgraph stores one of its arcs: a reference into the
+// forward CSR of the corpus view the subgraph was built on (the reversed
+// view for a hub-mode explain) plus the local index of the arc's head.
+// The arc's endpoints, type, rate and flows are derived from it on read
+// (FlowArcs), so an arc costs 8 bytes instead of a 40-byte FlowArc.
+type ArcRef struct {
+	// CSR is the arc's index in the view's forward CSR.
+	CSR int32
+	// Head is the position of the arc's head in Subgraph.Nodes.
+	Head int32
+}
+
 // Subgraph is the explaining subgraph G^Q_v of a target object v: every
 // path along which authority travels from the base set S(Q) to v, with
 // each arc annotated by the amount of authority that flows over it and
@@ -73,9 +86,10 @@ type Subgraph struct {
 	// read by ID through H/Dist/InFlow/OutFlow (a binary search) or by
 	// position through At.
 	Nodes []graph.NodeID
-	// Arcs lists the subgraph's arcs with original and adjusted flows,
-	// in ascending-source order (each source's arcs in CSR order).
-	Arcs []FlowArc
+	// Arcs lists the subgraph's arcs in ascending-source order (each
+	// source's arcs in CSR order), as CSR references; FlowArcs derives
+	// them with their rates and original and adjusted flows.
+	Arcs []ArcRef
 	// Iterations and Converged report the Equation 10 fixpoint run;
 	// Table 3 of the paper tracks these counts.
 	Iterations int
@@ -87,11 +101,61 @@ type Subgraph struct {
 	BuildDuration  time.Duration
 	AdjustDuration time.Duration
 
-	damping float64
+	// What the arcs are derived from: the damping factor and rate vector
+	// the explain ran under, the view's forward-CSR arcs, the row of
+	// each node in Arcs (Nodes[i]'s out-arcs are
+	// Arcs[rowStart[i]:rowStart[i+1]]) and each node's score r(u),
+	// copied out of the ranking so the subgraph outlives its buffer.
+	damping  float64
+	alpha    []float64
+	csr      []graph.Arc
+	rowStart []int32
+	score    []float64
+
 	h       []float64
 	dist    []int32
 	inFlow  []float64
 	outFlow []float64
+	// sens is each node's audit sensitivity (AuditNode.Sensitivity):
+	// the sum of Flow/Rate over its out-arcs, in arc order.
+	sens []float64
+}
+
+// transferRate is the Equation 1 transfer rate of CSR arc a under the
+// rate vector alpha: alpha(Type)/OutDeg(From, Type).
+func transferRate(alpha []float64, a *graph.Arc) float64 { return alpha[a.Type] * float64(a.InvDeg) }
+
+// arcFlows derives the flows of an arc of rate rate under damping d from
+// a node of score r to a node of reduction factor h: the original flow
+// d·Rate·r(From) of Equation 5 and the adjusted flow h(To)·Flow0 of
+// Equation 7. The explain's Equation 6 sums and every reader of a
+// subgraph go through it, so a flow is the same float64 wherever it is
+// read; the conversion keeps a caller's sum from fusing with the
+// product.
+func arcFlows(d, rate, r, h float64) (flow0, flow float64) {
+	flow0 = d * rate * r
+	return flow0, float64(h * flow0)
+}
+
+// arc derives Arcs[k], an out-arc of Nodes[i].
+func (sg *Subgraph) arc(i int, k int32) FlowArc {
+	ref := sg.Arcs[k]
+	a := &sg.csr[ref.CSR]
+	rate := transferRate(sg.alpha, a)
+	flow0, flow := arcFlows(sg.damping, rate, sg.score[i], sg.h[ref.Head])
+	return FlowArc{From: sg.Nodes[i], To: a.To, Type: a.Type, Rate: rate, Flow0: flow0, Flow: flow}
+}
+
+// FlowArcs derives every arc of the subgraph with its rate and flows,
+// in Arcs order: the materialized form for exports and tests.
+func (sg *Subgraph) FlowArcs() []FlowArc {
+	out := make([]FlowArc, 0, len(sg.Arcs))
+	for i := range sg.Nodes {
+		for k := sg.rowStart[i]; k < sg.rowStart[i+1]; k++ {
+			out = append(out, sg.arc(i, k))
+		}
+	}
+	return out
 }
 
 // NodeFlow is the per-node state of an explaining subgraph: the
@@ -195,15 +259,19 @@ func (p *Pinned) ExplainCtx(ctx context.Context, res *RankResult, target graph.N
 // reset walks. sel holds the forward-CSR indices of the subgraph's arcs,
 // grouped in rows by source in BFS order: row p, kept[p]'s arcs, is
 // sel[rows[p]:rows[p+1]]. order maps a position in Nodes back to its BFS
-// row. The scratch is pooled per corpus generation (both directions
-// share |V|) and handed back with every touched dist and local entry
-// reset to -1 and every mark word to 0, so one explain allocates
-// O(|subgraph|), not O(|V|).
+// row. rates and toLocal hold each subgraph arc's Rate and head's local
+// index, dense and in Arcs order, for the Equation 10 loop to stream.
+// The scratch is pooled per corpus generation (both directions share
+// |V|) and handed back with every touched dist and local entry reset to
+// -1, every mark word to 0 and every list empty, so one explain
+// allocates O(|subgraph|), not O(|V|).
 type explainScratch struct {
 	dist, local      []int32
 	mark             []uint64
 	back, kept       []graph.NodeID
 	sel, rows, order []int32
+	rates            []float64
+	toLocal          []int32
 }
 
 func (gn *generation) getExplainScratch(n int) *explainScratch {
@@ -227,6 +295,7 @@ func (gn *generation) putExplainScratch(sc *explainScratch) {
 	}
 	sc.back, sc.kept = sc.back[:0], sc.kept[:0]
 	sc.sel, sc.rows, sc.order = sc.sel[:0], sc.rows[:0], sc.order[:0]
+	sc.rates, sc.toLocal = sc.rates[:0], sc.toLocal[:0]
 	gn.explainScratch.Put(sc)
 }
 
@@ -334,49 +403,52 @@ func explainOn(ctx context.Context, st *engineState, c *Corpus, res *RankResult,
 	// by word; local[v] turns from v's BFS row into its index in Nodes.
 	n := len(sc.kept)
 	sg := &Subgraph{
-		Target:  target,
-		Query:   res.Query,
-		Nodes:   make([]graph.NodeID, 0, n),
-		damping: c.nopts.Damping,
-		h:       make([]float64, n),
-		dist:    make([]int32, n),
-		inFlow:  make([]float64, n),
-		outFlow: make([]float64, n),
+		Target:   target,
+		Query:    res.Query,
+		Nodes:    make([]graph.NodeID, 0, n),
+		damping:  c.nopts.Damping,
+		alpha:    alpha,
+		csr:      out,
+		rowStart: make([]int32, n+1),
+		score:    make([]float64, n),
+		h:        make([]float64, n),
+		dist:     make([]int32, n),
+		inFlow:   make([]float64, n),
+		outFlow:  make([]float64, n),
+		sens:     make([]float64, n),
 	}
 	for w, word := range sc.mark {
 		for ; word != 0; word &= word - 1 {
 			v := graph.NodeID(w<<6 | bits.TrailingZeros64(word))
 			sg.dist[len(sg.Nodes)] = dist[v]
+			sg.score[len(sg.Nodes)] = res.Scores[v]
 			sc.order = append(sc.order, local[v])
 			local[v] = int32(len(sg.Nodes))
 			sg.Nodes = append(sg.Nodes, v)
 		}
 	}
 
-	// Emit the subgraph arcs with their original flows (Equation 5) into
-	// a CSR over local indices: row i is Nodes[i]'s BFS row of sel,
-	// toLocal the local index of each arc's head and rates its Rate
-	// again, dense, for the Equation 10 loop to stream instead of
-	// striding the 48-byte FlowArcs. sel holds exactly the arcs, so no
-	// slice regrows.
-	numArcs := len(sc.sel)
-	rowStart := make([]int32, n+1)
-	arcs := make([]FlowArc, 0, numArcs)
-	toLocal := make([]int32, 0, numArcs)
-	rates := make([]float64, 0, numArcs)
-	d := sg.damping
-	for i, u := range sg.Nodes {
+	// Emit the subgraph arcs as CSR references in rows over local
+	// indices: row i is Nodes[i]'s BFS row of sel. The scratch's toLocal
+	// and rates repeat each arc's head and Rate, dense, for the Equation
+	// 10 loop to stream. sel holds exactly the arcs, so Arcs never
+	// regrows.
+	arcs := make([]ArcRef, 0, len(sc.sel))
+	toLocal, rates := sc.toLocal, sc.rates
+	for i := range sg.Nodes {
 		p := sc.order[i]
 		for _, k := range sc.sel[sc.rows[p]:sc.rows[p+1]] {
 			a := &out[k]
-			rate := alpha[a.Type] * float64(a.InvDeg)
-			arcs = append(arcs, FlowArc{From: u, To: a.To, Type: a.Type, Rate: rate, Flow0: d * rate * res.Scores[u]})
-			toLocal = append(toLocal, local[a.To])
-			rates = append(rates, rate)
+			head := local[a.To]
+			arcs = append(arcs, ArcRef{CSR: k, Head: head})
+			toLocal = append(toLocal, head)
+			rates = append(rates, transferRate(alpha, a))
 		}
-		rowStart[i+1] = int32(len(arcs))
+		sg.rowStart[i+1] = int32(len(arcs))
 	}
+	sc.toLocal, sc.rates = toLocal, rates
 	sg.Arcs = arcs
+	rowStart := sg.rowStart
 	sg.BuildDuration = time.Since(buildStart)
 
 	// Stage (ii): the Equation 10 fixpoint
@@ -424,15 +496,21 @@ func explainOn(ctx context.Context, st *engineState, c *Corpus, res *RankResult,
 		}
 	}
 
-	// Final flows (Equation 7) and per-node flow sums (Equation 6), in
-	// arc order.
-	for i := range sg.Nodes {
+	// Per-node sums (Equation 6) of the final flows (Equation 7), in arc
+	// order, and each source's audit sensitivity. Rate > 0 by
+	// construction (zero-rate arcs never enter the subgraph), so the
+	// derivative Flow/Rate is always defined.
+	d, inFlow := sg.damping, sg.inFlow
+	for i, r := range sg.score {
+		sum, sens := 0.0, 0.0
 		for k := rowStart[i]; k < rowStart[i+1]; k++ {
-			a := &sg.Arcs[k]
-			a.Flow = h[toLocal[k]] * a.Flow0
-			sg.outFlow[i] += a.Flow
-			sg.inFlow[toLocal[k]] += a.Flow
+			t := toLocal[k]
+			_, flow := arcFlows(d, rates[k], r, h[t])
+			sum += flow
+			sens += flow / rates[k]
+			inFlow[t] += flow
 		}
+		sg.outFlow[i], sg.sens[i] = sum, sens
 	}
 	sg.AdjustDuration = time.Since(adjustStart)
 	return sg, nil

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"runtime/debug"
 	"testing"
 
@@ -69,7 +70,7 @@ func TestExplainChainClosedForm(t *testing.T) {
 		}
 	}
 	if len(sg.Arcs) != 2 {
-		t.Fatalf("arcs = %v", sg.Arcs)
+		t.Fatalf("arcs = %v", sg.FlowArcs())
 	}
 
 	// Reduction factors (Equation 10).
@@ -88,7 +89,7 @@ func TestExplainChainClosedForm(t *testing.T) {
 	wantFlow0SA := 0.85 * 0.7 * rs
 	wantFlowSA := 0.35 * wantFlow0SA
 	wantFlowAT := 0.85 * 0.35 * ra // unchanged: enters the target
-	for _, a := range sg.Arcs {
+	for _, a := range sg.FlowArcs() {
 		switch {
 		case a.From == ids["s"] && a.To == ids["a"]:
 			if math.Abs(a.Flow0-wantFlow0SA) > 1e-9 {
@@ -158,7 +159,7 @@ func TestExample1DataCubeExcluded(t *testing.T) {
 		}
 	}
 	// Flows into the target are the original ones.
-	for _, a := range sg.Arcs {
+	for _, a := range sg.FlowArcs() {
 		if a.To == f.ids["v4"] && math.Abs(a.Flow-a.Flow0) > 1e-12 {
 			t.Errorf("incoming target flow adjusted: %+v", a)
 		}
@@ -374,7 +375,7 @@ func TestExplainInvariantsRandom(t *testing.T) {
 				t.Fatalf("trial %d: h(%d) = %v", trial, v, h)
 			}
 		}
-		for _, a := range sg.Arcs {
+		for _, a := range sg.FlowArcs() {
 			if a.Flow > a.Flow0+1e-12 {
 				t.Fatalf("trial %d: Flow > Flow0 on %+v", trial, a)
 			}
@@ -387,6 +388,107 @@ func TestExplainInvariantsRandom(t *testing.T) {
 			if out := sg.OutFlow(v); out > d*res.Scores[v]+1e-9 {
 				t.Fatalf("trial %d: OutFlow(%d) = %v exceeds d·r = %v", trial, v, out, d*res.Scores[v])
 			}
+		}
+	}
+}
+
+// citationWeb builds n papers joined by m random cites edges, every
+// third one titled "olap", under cites 0.6 forward and 0.2 backward: an
+// unbounded explain of a top result keeps most of the graph.
+func citationWeb(t *testing.T, rng *rand.Rand, n, m int) *Engine {
+	t.Helper()
+	s := graph.NewSchema()
+	paper := s.AddNodeType("Paper")
+	cites := s.MustAddEdgeType("cites", paper, paper)
+	b := graph.NewBuilder(s)
+	for i := 0; i < n; i++ {
+		title := "paper"
+		if i%3 == 0 {
+			title = "olap paper"
+		}
+		b.AddNode(paper, graph.Attr{Name: "Title", Value: title})
+	}
+	for i := 0; i < m; i++ {
+		if u, v := rng.Intn(n), rng.Intn(n); u != v {
+			b.AddEdge(graph.NodeID(u), graph.NodeID(v), cites)
+		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := graph.NewRates(s)
+	r.Set(cites, graph.Forward, 0.6)
+	r.Set(cites, graph.Backward, 0.2)
+	e, err := NewEngine(g, r, Config{Rank: rank.Options{Threshold: 1e-10, MaxIters: 2000}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// explainBytesCeiling: in steady state one explain allocates at most
+// 16 bytes per subgraph arc, 64 per node and 1 KiB besides, measured as
+// the TotalAlloc growth over 100 explains of a subgraph of thousands of
+// arcs. A 40-byte FlowArc per arc, or any per-arc array kept beside the
+// 8-byte references, breaks it.
+func explainBytesCeiling(t *testing.T) {
+	pin := citationWeb(t, rand.New(rand.NewSource(3)), 400, 2400).Pin()
+	res := rankPinned(pin, ir.NewQuery("olap"))
+	target, opts := res.TopK(1)[0].Node, ExplainOptions{Threshold: 1e-9}
+	sg, err := pin.ExplainCtx(context.Background(), res, target, opts) // fills the pool
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sg.Arcs) < 1000 {
+		t.Fatalf("subgraph of %d arcs measures too little", len(sg.Arcs))
+	}
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := pin.ExplainCtx(context.Background(), res, target, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / runs
+	if ceiling := uint64(16*len(sg.Arcs) + 64*len(sg.Nodes) + 1024); per > ceiling {
+		t.Errorf("one explain of %d arcs and %d nodes allocates %d bytes, want <= %d", len(sg.Arcs), len(sg.Nodes), per, ceiling)
+	}
+}
+
+// TestSubgraphOutlivesItsRanking: a subgraph derives its flows from its
+// own copy of the scores, not from the ranking's pooled buffer. After
+// the ranking is released, a solve of another query has drawn from the
+// pool and the released buffer is scribbled over, every derived arc
+// field is still the same float64.
+func TestSubgraphOutlivesItsRanking(t *testing.T) {
+	f := newFixture(t)
+	e := f.newEngine(t)
+	pin := e.Pin()
+	res := rankPinned(pin, ir.NewQuery("olap"))
+	sg, err := pin.ExplainCtx(context.Background(), res, f.ids["v7"], DefaultExplain())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sg.FlowArcs()
+	if len(want) < 3 {
+		t.Fatalf("subgraph of %d arcs exercises nothing", len(want))
+	}
+	scores := res.Scores
+	e.Release(res)
+	e.Release(rankPinned(pin, ir.NewQuery("agrawal")))
+	for i := range scores {
+		scores[i] = math.NaN()
+	}
+	bits := func(a FlowArc) [6]uint64 {
+		return [6]uint64{uint64(a.From), uint64(a.To), uint64(a.Type),
+			math.Float64bits(a.Rate), math.Float64bits(a.Flow0), math.Float64bits(a.Flow)}
+	}
+	for i, a := range sg.FlowArcs() {
+		if bits(a) != bits(want[i]) {
+			t.Errorf("arc %d is %+v after its ranking was released, was %+v", i, a, want[i])
 		}
 	}
 }
@@ -410,10 +512,10 @@ func (c *countdown) Err() error {
 }
 
 // TestExplainPooledScratch: one explain allocates at most 10 objects
-// (the Subgraph, Nodes, the four per-node slices and the four CSR
-// slices), and the pooled scratch neither grows across 100 explains of
-// one target nor comes back dirty, also after a cancellation at each of
-// the explain's polls.
+// (the Subgraph, Nodes, Arcs and the seven per-node slices) and at most
+// 16 bytes per arc, 64 per node and 1 KiB besides, and the pooled
+// scratch neither grows across 100 explains of one target nor comes back
+// dirty, also after a cancellation at each of the explain's polls.
 func TestExplainPooledScratch(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a GC empties the pool
 	f := newFixture(t)
@@ -433,12 +535,13 @@ func TestExplainPooledScratch(t *testing.T) {
 		if n := testing.AllocsPerRun(100, func() { _, _ = run(context.Background()) }); n > 10 {
 			t.Errorf("one explain allocates %v objects, want <= 10", n)
 		}
+		explainBytesCeiling(t)
 	}
 
 	gen, size := pin.st.gen, f.g.NumNodes()
 	// take borrows the scratch the last explain handed back and checks
 	// every entry is reset.
-	take := func(when string) (*explainScratch, [5]int) {
+	take := func(when string) (*explainScratch, [7]int) {
 		sc := gen.getExplainScratch(size)
 		defer gen.putExplainScratch(sc)
 		for v := 0; v < size; v++ {
@@ -451,10 +554,10 @@ func TestExplainPooledScratch(t *testing.T) {
 				t.Fatalf("%s: mark word %d handed back as %#x", when, w, word)
 			}
 		}
-		if len(sc.back)+len(sc.kept)+len(sc.sel)+len(sc.rows)+len(sc.order) != 0 {
+		if len(sc.back)+len(sc.kept)+len(sc.sel)+len(sc.rows)+len(sc.order)+len(sc.rates)+len(sc.toLocal) != 0 {
 			t.Fatalf("%s: queues handed back non-empty", when)
 		}
-		return sc, [5]int{cap(sc.back), cap(sc.kept), cap(sc.sel), cap(sc.rows), cap(sc.order)}
+		return sc, [7]int{cap(sc.back), cap(sc.kept), cap(sc.sel), cap(sc.rows), cap(sc.order), cap(sc.rates), cap(sc.toLocal)}
 	}
 	prev, caps := take("after the first explain")
 	same := 0
@@ -466,7 +569,7 @@ func TestExplainPooledScratch(t *testing.T) {
 		// puts), which its first explain grows; one that had served an
 		// explain already must not have grown.
 		sc, now := take(fmt.Sprintf("explain %d", i))
-		if sc == prev && caps != ([5]int{}) {
+		if sc == prev && caps != ([7]int{}) {
 			same++
 			if now != caps {
 				t.Fatalf("explain %d grew the pooled scratch: capacities %v -> %v", i, caps, now)

@@ -64,7 +64,7 @@ func TestExplainOnCyclicSubgraph(t *testing.T) {
 	// The v4 -> v6 -> v4 cycle means v4 has outgoing arcs inside its
 	// own explaining subgraph.
 	hasOut := false
-	for _, a := range sg.Arcs {
+	for _, a := range sg.FlowArcs() {
 		if a.From == f.ids["v4"] {
 			hasOut = true
 		}
@@ -156,7 +156,7 @@ func TestSelfLoopAndDuplicateEdges(t *testing.T) {
 	}
 	// Both parallel arcs appear in the subgraph.
 	count := 0
-	for _, arc := range sg.Arcs {
+	for _, arc := range sg.FlowArcs() {
 		if arc.From == a && arc.To == c {
 			count++
 		}

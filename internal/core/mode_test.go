@@ -163,7 +163,7 @@ func TestHubExplainFollowsReversedArcs(t *testing.T) {
 	if sg.ExplainedScore() <= 0 {
 		t.Fatalf("hub explanation of v4 carries no flow; score %v", sg.ExplainedScore())
 	}
-	for _, a := range sg.Arcs {
+	for _, a := range sg.FlowArcs() {
 		if a.From == f.ids["v4"] && a.To == f.ids["v7"] {
 			t.Error("subgraph contains the authority-direction arc v4->v7; hub explanations must use reversed arcs")
 		}

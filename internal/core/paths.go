@@ -20,14 +20,26 @@ func CompareFlow(a, b FlowArc) int {
 // TopArcs returns the budget arcs carrying the most adjusted flow, in
 // CompareFlow order — the paper displays the top flow paths, not the
 // whole radius-L subgraph. A budget <= 0 returns every arc.
+//
+// It walks the rows and derives an arc's FlowArc only when its flow is
+// admitted. A whole row is skipped when its sum O(v) is below the bar:
+// flows are non-negative, so no partial sum rounds below one of its
+// terms and no flow of the row can be admitted either.
 func (sg *Subgraph) TopArcs(budget int) []FlowArc {
 	if budget <= 0 {
 		budget = len(sg.Arcs)
 	}
 	top := topBudget[FlowArc]{budget: budget, key: func(a FlowArc) float64 { return a.Flow }, cmp: CompareFlow}
-	for i := range sg.Arcs {
-		if top.admits(sg.Arcs[i].Flow) {
-			top.offer(sg.Arcs[i])
+	d, alpha, csr, h, arcs := sg.damping, sg.alpha, sg.csr, sg.h, sg.Arcs
+	for i, r := range sg.score {
+		if top.barred && sg.outFlow[i] < top.barKey {
+			continue
+		}
+		for k := sg.rowStart[i]; k < sg.rowStart[i+1]; k++ {
+			ref := arcs[k]
+			if _, flow := arcFlows(d, transferRate(alpha, &csr[ref.CSR]), r, h[ref.Head]); top.admits(flow) {
+				top.offer(sg.arc(i, k))
+			}
 		}
 	}
 	return top.sorted()
@@ -64,7 +76,7 @@ func (sg *Subgraph) TopPaths(sources []graph.NodeID, k int) []Path {
 	// Adjacency over positive-flow arcs only, highest flow first so the
 	// exploration budget goes to the promising paths.
 	adj := make(map[graph.NodeID][]FlowArc, len(sg.Nodes))
-	for _, a := range sg.Arcs {
+	for _, a := range sg.FlowArcs() {
 		if a.Flow > 0 {
 			adj[a.From] = append(adj[a.From], a)
 		}

@@ -146,14 +146,27 @@ func (p *Pinned) ReformulateWeightedCtx(ctx context.Context, q *ir.Query, feedba
 	if opts.Cf > 0 {
 		flows := make([]float64, g.Schema().NumTransferTypes())
 		for i, sg := range feedback {
-			for _, a := range sg.Arcs { // Equation 15: weighted sum across objects
-				flows[a.Type] += weightOf(i) * a.Flow
-			}
+			sg.addFlowByType(flows, weightOf(i)) // Equation 15: weighted sum across objects
 		}
 		out.FlowByType = append([]float64(nil), flows...)
 		out.Rates = adjustRates(snap.rates, flows, opts.Cf)
 	}
 	return out, nil
+}
+
+// addFlowByType adds w times each arc's adjusted flow into acc at the
+// arc's transfer type, in arc order: one feedback object's term of the
+// Equation 15 sum. It walks the rows and derives only Type and Flow.
+func (sg *Subgraph) addFlowByType(acc []float64, w float64) {
+	d, alpha, csr, h, refs := sg.damping, sg.alpha, sg.csr, sg.h, sg.Arcs
+	for i, r := range sg.score {
+		for k := sg.rowStart[i]; k < sg.rowStart[i+1]; k++ {
+			ref := refs[k]
+			a := &csr[ref.CSR]
+			_, flow := arcFlows(d, transferRate(alpha, a), r, h[ref.Head])
+			acc[a.Type] += w * flow
+		}
+	}
 }
 
 // contentWeights accumulates the Equation 11 expansion-term weights for

@@ -52,7 +52,7 @@ func selectActive(pin *core.Pinned, res *core.RankResult, candidates []graph.Nod
 		}
 		flows := make([]float64, nTypes)
 		total := 0.0
-		for _, a := range sg.Arcs {
+		for _, a := range sg.FlowArcs() {
 			flows[a.Type] += a.Flow
 			total += a.Flow
 		}

@@ -113,13 +113,14 @@ func ExportDOT(w io.Writer, g *graph.Graph, sg *core.Subgraph) error {
 		}
 		fmt.Fprintf(&b, "  n%d [label=%q%s];\n", v, dotLabel(g, v), shape)
 	}
+	arcs := sg.FlowArcs()
 	maxFlow := 0.0
-	for _, a := range sg.Arcs {
+	for _, a := range arcs {
 		if a.Flow > maxFlow {
 			maxFlow = a.Flow
 		}
 	}
-	for _, a := range sg.Arcs {
+	for _, a := range arcs {
 		width := 1.0
 		if maxFlow > 0 {
 			width = 1 + 3*a.Flow/maxFlow

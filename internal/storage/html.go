@@ -55,8 +55,9 @@ func ExportHTML(w io.Writer, g *graph.Graph, sg *core.Subgraph) error {
 		}
 	}
 
+	arcs := sg.FlowArcs()
 	maxFlow := 0.0
-	for _, a := range sg.Arcs {
+	for _, a := range arcs {
 		if a.Flow > maxFlow {
 			maxFlow = a.Flow
 		}
@@ -93,7 +94,7 @@ body { font-family: sans-serif; margin: 16px; }
 		width, height, width, height)
 
 	// Arcs first so boxes draw over them.
-	for _, a := range sg.Arcs {
+	for _, a := range arcs {
 		p1, ok1 := pos[a.From]
 		p2, ok2 := pos[a.To]
 		if !ok1 || !ok2 {
