@@ -468,6 +468,65 @@ func BenchmarkQueryPathCacheHit(b *testing.B) {
 	}
 }
 
+// BenchmarkQueryAfterPublishes is the interactive loop's first read of a
+// term after rates it was not read under: each op queries olap, publishes
+// four perturbed rate vectors nobody reads, then queries olap again. The
+// second query is the serving cache's miss path, warm-started from the
+// vector the term's slot holds. sweeps/op counts the kernel's sweeps. The
+// engine is a private one over queryPathWorld's corpus, so its publishes
+// leave the shared engine's rates alone.
+func BenchmarkQueryAfterPublishes(b *testing.B) {
+	shared, _ := queryPathWorld(b)
+	eng, err := authorityflow.NewEngineWith(shared.Corpus(), shared.Rates())
+	if err != nil {
+		b.Fatal(err)
+	}
+	ce := cache.New(eng, cache.Options{})
+	var sweeps atomic.Int64
+	eng.SetSolveHook(func(st core.SolveStats) { sweeps.Add(int64(st.Iterations)) })
+	q := authorityflow.NewQuery("olap")
+	query := func() *cache.Answer {
+		ans, err := ce.QueryModePinnedCtx(context.Background(), eng.Pin(), q, 10, core.ModeAuthority)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return ans
+	}
+	// Publish n scales the first rate by 0.95 … 0.75 in turn, less a
+	// jitter that keeps every vector (and so every cache key) distinct.
+	base := eng.Rates().Vector()
+	publish := func(n int) {
+		v := append([]float64(nil), base...)
+		for j, x := range v {
+			if x > 0 {
+				v[j] = x * (1 - 0.05*float64(1+n%5) - 1e-9*float64(n))
+				break
+			}
+		}
+		r := eng.Rates()
+		if err := r.SetVector(v); err != nil {
+			b.Fatal(err)
+		}
+		if err := eng.SetRates(r); err != nil {
+			b.Fatal(err)
+		}
+	}
+	query() // op 0's first query is then a result hit, like every later op's
+	sweeps.Store(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		query()
+		for j := 0; j < 4; j++ {
+			publish(4*i + j)
+		}
+		if ans := query(); ans.Source != cache.SourceComputed {
+			b.Fatalf("query after the publishes answered from %q", ans.Source)
+		}
+	}
+	b.ReportMetric(float64(sweeps.Load())/float64(b.N), "sweeps/op")
+}
+
 // benchQueryHit drives GET /v1/query?q=olap&k=10 at h until the answer is
 // a warmed result hit (miss, first hit, repeat), then times the repeat —
 // the commonest request of the interactive loop, through every layer a

@@ -4,15 +4,17 @@
 // this system's form of the [BHP04] precomputation the paper names in
 // Section 6.2; nothing is solved ahead of a request or kept on disk.
 //
-// It holds two sharded, byte-budgeted LRU caches keyed by the full
-// identity of the engine state a computation ran under: the corpus
-// generation AND the rates identity (core.Pinned.RatesKey, the
-// fingerprint every rates snapshot carries), plus the ranking mode:
+// It holds two sharded, byte-budgeted LRU caches. Each answers only a
+// reader whose engine state matches the one its entry was computed
+// under: the corpus generation AND the rates identity
+// (core.Pinned.RatesKey, the fingerprint every rates snapshot carries),
+// plus the ranking mode:
 //
-//   - a term-vector cache: converged per-term ObjectRank2 score vectors
-//     under (generation, ratesKey, mode, term), populated on demand
-//     through a singleflight group so N concurrent misses on one term
-//     run exactly one power iteration;
+//   - a term-vector cache: ONE slot per (generation, mode, term), holding
+//     the term's latest converged ObjectRank2 score vector and the rates
+//     key it was solved under, populated on demand through a singleflight
+//     group so N concurrent misses on one term at one rates run exactly
+//     one power iteration;
 //   - a result cache: full top-k answers under
 //     (generation, ratesKey, mode, k, canonical query), so a repeated
 //     query is a hash lookup instead of a solve — and, once its first
@@ -20,15 +22,14 @@
 //     (AttachBody, Answer.Body), a lookup instead of a rendering too.
 //
 // Invalidation is implicit: publishing new rates changes the rates key,
-// and swapping in a new corpus generation changes the generation
-// component, making every old entry unreachable — a cached answer can
-// never cross generations. Old same-term vectors are not
-// wasted, though — the first solve of a term under the new rates pulls
-// the previous version's converged vector OUT of the cache and hands it
-// to rank.Options.Init (warm-start reuse, the paper's Section 6.2
-// optimization applied across rate updates). That happens on demand, on
-// the miss path: the cache runs no background work and remembers no
-// versions.
+// so a result is never found again and a slot's vector no longer hits;
+// swapping in a new corpus generation changes the generation, so no
+// entry of the old graph is reachable — a cached answer can never cross
+// generations. A slot's vector is not wasted, though: the next solve of
+// the term, under whatever rates, starts from it (rank.Options.Init,
+// the paper's Section 6.2 warm start applied across rate updates) and
+// replaces it. That happens on demand, on the miss path: the cache runs
+// no background work, and a publish leaves no superseded vector behind.
 //
 // There is one miss path. probe reads both LRUs and, finding nothing,
 // names the column that must be answered; solve answers pending columns
@@ -203,6 +204,7 @@ type cachedResult struct {
 // insertion and is never returned to the engine's buffer pool.
 type termVector struct {
 	vec   []float64
+	rk    uint64 // the rates key it was solved under: what a hit must match
 	iters int
 	baseN int
 	// mass is the term's base mass at query weight 1
@@ -211,7 +213,7 @@ type termVector struct {
 	mass      float64
 	converged bool
 	// warmStarted records whether this solve was initialized from the
-	// previous rates version's vector (telemetry only).
+	// vector its slot held before (telemetry only).
 	warmStarted bool
 }
 
@@ -243,11 +245,20 @@ func modeTag(m core.Mode) string {
 	return string(m)
 }
 
-// termKey is the term-vector cache key. All directions share ONE LRU —
-// hot authority terms can evict cold hub vectors and vice versa — and
-// the mode component keeps a key from aliasing across directions.
+// slotKey is the term-vector cache key: one slot per (generation, mode,
+// term), whatever rates its vector was solved under. All directions
+// share ONE LRU — hot authority terms can evict cold hub vectors and
+// vice versa — and the mode component keeps a key from aliasing across
+// directions.
+func slotKey(gen uint64, m core.Mode, term string) string {
+	return "t\x00" + modeTag(m) + "\x00" + strconv.FormatUint(gen, 16) + "\x00" + term
+}
+
+// termKey is a term column's identity: its slot plus the rates key it is
+// solved under. It keys the column's flight and its place in a batch, so
+// no two solves at different rates are ever merged.
 func termKey(sk stateKey, m core.Mode, term string) string {
-	return "t\x00" + modeTag(m) + "\x00" + strconv.FormatUint(sk.gen, 16) + "\x00" + strconv.FormatUint(sk.rk, 16) + "\x00" + term
+	return slotKey(sk.gen, m, term) + "\x00" + strconv.FormatUint(sk.rk, 16)
 }
 
 // resultKey is the result cache key; the mode component keeps the two
@@ -543,7 +554,7 @@ func (c *CachedEngine) TermVectorsPinnedCtx(ctx context.Context, pin *core.Pinne
 type column struct {
 	q    *ir.Query // what is ranked: the bare term for a single-keyword column
 	term string    // that keyword; "" for a multi-keyword column
-	tkey string    // its term-vector key
+	tkey string    // its termKey
 	init []float64 // start vector: the caller's, else the donation solve asks for
 
 	// Set by solve once the column is answered.
@@ -602,17 +613,16 @@ func (c *CachedEngine) probe(pin *core.Pinned, sk stateKey, q *ir.Query, k int, 
 		it.col = &column{q: q}
 		return it
 	}
-	tkey := termKey(sk, m, term)
-	if e, ok := c.vectors.Get(tkey); ok {
+	if tv := c.resident(sk, m, term); tv != nil {
 		c.stats.vectorHits.Add(n)
-		it.tv = e.(*termVector)
+		it.tv = tv
 		if k > 0 {
 			it.cr, it.src = c.rerank(pin, it.key, k, term, it.tv), SourceTerm
 		}
 		return it
 	}
 	c.stats.vectorMisses.Add(n)
-	it.col = &column{q: ir.NewQuery(term), term: term, tkey: tkey}
+	it.col = &column{q: ir.NewQuery(term), term: term, tkey: termKey(sk, m, term)}
 	return it
 }
 
@@ -623,8 +633,8 @@ func (c *CachedEngine) probe(pin *core.Pinned, sk stateKey, q *ir.Query, k int, 
 // too, after its missing terms — each once, shared with the batch's own
 // term columns — are solved beside the rest. Every other column runs
 // through the kernel in the package's one call to Pinned.Solve. A
-// single-keyword column that brought no start vector takes the donation
-// of the rates this snapshot replaced, and lands in the term-vector LRU.
+// single-keyword column starts from its slot's vector (donation) and
+// replaces it in the term-vector LRU.
 // A cancelled column — or an assembled one whose term column was — is
 // left unanswered (res nil) and the context's error returned.
 func (c *CachedEngine) solve(ctx context.Context, pin *core.Pinned, sk stateKey, m core.Mode, cols []*column, gather bool) error {
@@ -674,7 +684,7 @@ func (c *CachedEngine) solve(ctx context.Context, pin *core.Pinned, sk stateKey,
 		spec := core.SolveSpec{Mode: m, Queries: make([]*ir.Query, len(run)), Inits: make([][]float64, len(run))}
 		for i, col := range run {
 			if col.term != "" && col.init == nil {
-				col.init = c.donation(pin, sk, m, col.term)
+				col.init = c.donation(sk.gen, m, col.term)
 			}
 			spec.Queries[i], spec.Inits[i] = col.q, col.init
 		}
@@ -687,7 +697,7 @@ func (c *CachedEngine) solve(ctx context.Context, pin *core.Pinned, sk stateKey,
 			c.stats.computes.Add(1)
 			run[i].res = res
 			if run[i].term != "" {
-				run[i].tv = c.putTerm(run[i].tkey, res, run[i].init != nil)
+				run[i].tv = c.putTerm(sk, m, run[i].term, res, run[i].init != nil)
 			}
 		}
 	}
@@ -713,11 +723,7 @@ func (c *CachedEngine) parts(pin *core.Pinned, sk stateKey, m core.Mode, q *ir.Q
 		if weights[i] <= 0 || ix.DF(t) == 0 {
 			continue
 		}
-		p := part{term: t, w: weights[i]}
-		if e, ok := c.vectors.Get(termKey(sk, m, t)); ok {
-			p.tv = e.(*termVector)
-		}
-		out = append(out, p)
+		out = append(out, part{term: t, w: weights[i], tv: c.resident(sk, m, t)})
 	}
 	return out
 }
@@ -809,8 +815,8 @@ func (c *CachedEngine) fly(ctx context.Context, pin *core.Pinned, sk stateKey, m
 			cols := []*column{won.col}
 			if err := c.solve(dctx, pin, sk, m, cols, false); err != nil {
 				// Every waiter left and the solve was abandoned: nothing is
-				// cached, the next miss recomputes. A donated start vector is
-				// lost with it — it was already invalid under these rates.
+				// cached, the next miss recomputes — from the same donation,
+				// which stays in the term's slot.
 				return nil, err
 			}
 			c.harvest(pin, cols, []*item{&won})
@@ -878,39 +884,47 @@ func answerFrom(cr *cachedResult, q *ir.Query, source string) *Answer {
 	}
 }
 
-// donation removes and returns the converged vector term had, in
-// direction m, under the rates the pinned snapshot replaced — the warm
-// start of the first solve after a rates bump, which then refines an
-// already-close vector instead of starting from the global PageRank. It
-// returns nil when there is nothing to donate: no snapshot was replaced
-// in this generation (so a vector sized for another graph is never
-// donated), the publication left the rates value-identical (the previous
-// key IS the current one), or the vector is not resident.
-func (c *CachedEngine) donation(pin *core.Pinned, sk stateKey, m core.Mode, term string) []float64 {
-	prev, ok := pin.PreviousRatesKey()
-	if !ok || prev == sk.rk {
-		return nil
-	}
-	if old, ok := c.vectors.Remove(termKey(stateKey{gen: sk.gen, rk: prev}, m, term)); ok {
-		return old.(*termVector).vec
+// resident returns term's vector in direction m when its slot holds one
+// solved under exactly sk's rates, nil otherwise. It moves no counter.
+func (c *CachedEngine) resident(sk stateKey, m core.Mode, term string) *termVector {
+	if e, ok := c.vectors.Get(slotKey(sk.gen, m, term)); ok && e.(*termVector).rk == sk.rk {
+		return e.(*termVector)
 	}
 	return nil
 }
 
-// putTerm copies a solved single-term result into the term-vector cache
-// under key. warm records that the solve started from a donation.
-func (c *CachedEngine) putTerm(key string, res *core.RankResult, warm bool) *termVector {
+// donation returns the vector term's slot holds in direction m of
+// generation gen, whatever rates it was solved under — the warm start of
+// the term's next solve, which then refines an already-close vector
+// instead of starting from the global PageRank — or nil when the slot is
+// empty. The slot keeps the vector until the solve's putTerm replaces it:
+// the kernel only reads a start vector, so a caller still holding it
+// (a Rank result marked Shared) is unaffected. The generation in the
+// slot's key keeps a vector sized for another graph from being donated.
+func (c *CachedEngine) donation(gen uint64, m core.Mode, term string) []float64 {
+	if e, ok := c.vectors.Get(slotKey(gen, m, term)); ok {
+		return e.(*termVector).vec
+	}
+	return nil
+}
+
+// putTerm copies a single-term result solved under sk into term's slot,
+// replacing whatever vector the slot held. warm records that the solve
+// started from a donation.
+func (c *CachedEngine) putTerm(sk stateKey, m core.Mode, term string, res *core.RankResult, warm bool) *termVector {
 	if warm {
 		c.stats.warmStarts.Add(1)
 	}
 	tv := &termVector{
 		vec:         append([]float64(nil), res.Scores...),
+		rk:          sk.rk,
 		iters:       res.Iterations,
 		baseN:       len(res.Base),
 		mass:        res.BaseMass,
 		converged:   res.Converged,
 		warmStarted: warm,
 	}
+	key := slotKey(sk.gen, m, term)
 	c.vectors.Put(key, tv, termEntrySize(key, len(tv.vec)))
 	return tv
 }

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"context"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -108,9 +109,9 @@ func TestSingleflightDedup(t *testing.T) {
 
 // TestInvalidationAndWarmStart is the satellite invalidation test:
 // bumping the rates makes old-version entries unreachable, the next
-// solve warm-starts from the donated previous-version vector,
-// converges in no more iterations than a cold solve, and lands within
-// 1e-12 of the cold solve's scores.
+// solve warm-starts from the vector the term's slot held, converges in
+// no more iterations than a cold solve, lands within 1e-12 of the cold
+// solve's scores, and replaces the old vector in its slot.
 func TestInvalidationAndWarmStart(t *testing.T) {
 	// A tight threshold drives both solves essentially to the fixpoint,
 	// so warm and cold results must agree to ~1e-13 regardless of their
@@ -125,7 +126,8 @@ func TestInvalidationAndWarmStart(t *testing.T) {
 		t.Fatalf("first answer = %+v", ans1)
 	}
 	oldRK := keyOf(eng.Pin())
-	if _, ok := c.vectors.Get(termKey(oldRK, core.ModeAuthority, "olap")); !ok {
+	slot := slotKey(oldRK.gen, core.ModeAuthority, "olap")
+	if e, ok := c.vectors.Get(slot); !ok || e.(*termVector).rk != oldRK.rk {
 		t.Fatal("term vector not cached after first query")
 	}
 
@@ -144,19 +146,18 @@ func TestInvalidationAndWarmStart(t *testing.T) {
 	if w := c.stats.warmStarts.Load(); w != 1 {
 		t.Fatalf("warm starts = %d, want 1", w)
 	}
-	// The donated previous-version vector must be gone: handed over,
-	// not still resident under the old key.
-	if _, ok := c.vectors.Get(termKey(oldRK, core.ModeAuthority, "olap")); ok {
-		t.Error("previous-version vector still resident after warm-start hand-over")
-	}
-
+	// The previous-version vector must be gone: its slot now holds the
+	// new rates' vector, and nothing else is resident.
 	newRK := keyOf(eng.Pin())
 	if newRK == oldRK {
 		t.Fatal("rates key did not change after rates bump")
 	}
-	e, ok := c.vectors.Get(termKey(newRK, core.ModeAuthority, "olap"))
-	if !ok {
-		t.Fatal("no term vector at the new rates key")
+	e, ok := c.vectors.Get(slot)
+	if !ok || e.(*termVector).rk != newRK.rk {
+		t.Fatal("the term's slot does not hold the new rates' vector")
+	}
+	if n := c.vectors.Len(); n != 1 {
+		t.Errorf("%d vectors resident after the warm start, want 1", n)
 	}
 	warm := e.(*termVector)
 	if !warm.warmStarted || !warm.converged {
@@ -186,6 +187,107 @@ func TestInvalidationAndWarmStart(t *testing.T) {
 			t.Fatalf("node %d: warm %g vs cold %g differ by %g > 1e-12",
 				v, warm.vec[v], cold.Scores[v], d)
 		}
+	}
+}
+
+// TestWarmStartAfterUnreadPublishes: a term no query read across three
+// publishes still warm-starts from the vector its slot holds — solved
+// under rates three versions back — in fewer sweeps than the default
+// start, lands within 1e-12 of an uncached cold solve at the current
+// rates, and replaces that vector: one term, one resident vector.
+func TestWarmStartAfterUnreadPublishes(t *testing.T) {
+	tight := rank.Options{Threshold: 5e-14, MaxIters: 5000}
+	ds, eng := testEngine(t, tight)
+	c := New(eng, Options{})
+	q := ir.NewQuery("olap")
+	query(c, q, 10)
+
+	rates := ds.Rates
+	for i := 0; i < 3; i++ {
+		rates = perturb(t, rates)
+		if err := eng.SetRates(rates); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ans := query(c, q, 10)
+	if ans.Source != SourceComputed || ans.Version != 4 {
+		t.Fatalf("answer after three unread publishes: source %q, version %d", ans.Source, ans.Version)
+	}
+	if w := c.Stats().WarmStarts; w != 1 {
+		t.Fatalf("warm starts = %d, want 1", w)
+	}
+	if n := c.vectors.Len(); n != 1 {
+		t.Errorf("%d vectors resident for one term, want 1", n)
+	}
+
+	fresh, err := core.NewEngine(ds.Graph, rates, core.Config{Rank: tight})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := solveOne(fresh.Pin(), core.SolveSpec{Queries: []*ir.Query{q}, Cold: true})
+	// The miss path without a donation starts from the global PageRank
+	// the serving engine computed under version 1's rates.
+	unwarmed := solveOne(eng.Pin(), core.SolveSpec{Queries: []*ir.Query{q}})
+	if ans.Iterations >= cold.Iterations || ans.Iterations >= unwarmed.Iterations {
+		t.Errorf("warm solve took %d sweeps: a cold one %d, one from the global PageRank %d", ans.Iterations, cold.Iterations, unwarmed.Iterations)
+	}
+	tv := c.resident(keyOf(eng.Pin()), core.ModeAuthority, "olap")
+	if tv == nil {
+		t.Fatal("the term's slot does not hold the current rates' vector")
+	}
+	for v, want := range cold.Scores {
+		if d := math.Abs(tv.vec[v] - want); d > 1e-12 {
+			t.Fatalf("node %d: warm %g vs cold %g differ by %g > 1e-12", v, tv.vec[v], want, d)
+		}
+	}
+}
+
+// TestStalePinNeverReadsNewerRates: a reader pinned before a publish
+// misses on the slot the newer rates filled, solves its own rates (warm
+// from the newer vector) and answers under its own version; the next
+// current-rates reader pays one warm re-solve, never a wrong answer.
+func TestStalePinNeverReadsNewerRates(t *testing.T) {
+	tight := rank.Options{Threshold: 5e-14, MaxIters: 5000}
+	ds, eng := testEngine(t, tight)
+	c := New(eng, Options{})
+	q := ir.NewQuery("olap")
+	p1 := eng.Pin()
+	r2 := perturb(t, ds.Rates)
+	if err := eng.SetRates(r2); err != nil {
+		t.Fatal(err)
+	}
+	p2 := eng.Pin()
+	ask := func(pin *core.Pinned, k int) *Answer {
+		t.Helper()
+		a, err := c.QueryModePinnedCtx(context.Background(), pin, q, k, core.ModeAuthority)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	// matches checks a against an uncached cold solve at rates.
+	matches := func(name string, a *Answer, pin *core.Pinned, rates *graph.Rates) {
+		t.Helper()
+		fresh, err := core.NewEngine(ds.Graph, rates, core.Config{Rank: tight})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold := solveOne(fresh.Pin(), core.SolveSpec{Queries: []*ir.Query{q}, Cold: true})
+		for _, r := range a.Results {
+			if d := math.Abs(r.Score - cold.Scores[r.Node]); d > 1e-12 {
+				t.Fatalf("%s: node %d scored %g, a cold solve %g (differ by %g)", name, r.Node, r.Score, cold.Scores[r.Node], d)
+			}
+		}
+		if a.Source != SourceComputed || a.Version != pin.Version() {
+			t.Fatalf("%s: source %q, version %d, want computed at version %d", name, a.Source, a.Version, pin.Version())
+		}
+	}
+	matches("current pin", ask(p2, 10), p2, r2)
+	matches("stale pin", ask(p1, 10), p1, ds.Rates)
+	// Another k, so the result LRU cannot answer it: the vector must.
+	matches("current pin after the stale one", ask(eng.Pin(), 5), p2, r2)
+	if w := c.Stats().WarmStarts; w != 2 {
+		t.Errorf("warm starts = %d, want 2", w)
 	}
 }
 

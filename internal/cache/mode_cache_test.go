@@ -28,8 +28,11 @@ func TestModeKeysDisjoint(t *testing.T) {
 	if resultKey(sk, "", 10, q) != resultKey(sk, core.ModeAuthority, 10, q) {
 		t.Error("the empty mode must spell authority")
 	}
+	if slotKey(sk.gen, core.ModeAuthority, "olap") == slotKey(sk.gen, core.ModeHub, "olap") {
+		t.Error("authority and hub term vectors share a slot")
+	}
 	if termKey(sk, core.ModeAuthority, "olap") == termKey(sk, core.ModeHub, "olap") {
-		t.Error("authority and hub term vectors share a key")
+		t.Error("authority and hub term columns share a flight key")
 	}
 }
 

@@ -16,7 +16,7 @@ type stats struct {
 	// by the cache (term solves, full query solves).
 	computes atomic.Int64
 	// warmStarts counts term solves that were warm-started from the
-	// previous rates version's converged vector for the same term.
+	// vector their term's slot held, solved under other rates.
 	warmStarts atomic.Int64
 }
 

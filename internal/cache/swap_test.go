@@ -79,8 +79,9 @@ func TestSwapInvalidatesCache(t *testing.T) {
 }
 
 // TestSwapWarmStartStaysWithinGeneration checks the donation path:
-// after a swap, the previous-version term vector (sized for the old
-// graph) must NOT be donated as a warm start for the new generation.
+// after a swap, the term's slot in the old generation (a vector sized
+// for the old graph) must NOT be donated as a warm start for the new
+// generation.
 func TestSwapWarmStartStaysWithinGeneration(t *testing.T) {
 	opts := rank.Options{Threshold: 1e-8, MaxIters: 300}
 	_, eng := testEngine(t, opts)
@@ -94,7 +95,10 @@ func TestSwapWarmStartStaysWithinGeneration(t *testing.T) {
 		t.Fatal(err)
 	}
 	pin := eng.Pin()
-	if init := c.donation(pin, keyOf(pin), core.ModeAuthority, "mining"); init != nil {
+	if c.donation(pin.Generation()-1, core.ModeAuthority, "mining") == nil {
+		t.Fatal("generation 1's slot lost its vector in the swap")
+	}
+	if init := c.donation(pin.Generation(), core.ModeAuthority, "mining"); init != nil {
 		t.Fatal("donation offered a cross-generation vector")
 	}
 	// And the solve itself stays sized for the new graph.

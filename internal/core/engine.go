@@ -117,14 +117,8 @@ type ratesSnapshot struct {
 
 	// key is alpha's graph.RateVectorKey: the snapshot carries its own
 	// cache identity, so value-identical republished rates keep one key
-	// and no consumer hashes a rate vector again. prevKey is the key of
-	// the snapshot this one replaced in the SAME generation (hasPrev
-	// false for an engine's first snapshot and a corpus swap's) — where
-	// the previous version's converged vectors
-	// live, for §6.2 warm starts across a publish.
-	key     uint64
-	prevKey uint64
-	hasPrev bool
+	// and no consumer hashes a rate vector again.
+	key uint64
 
 	// plans are the snapshot's coefficient plans (rank.Plan), authority
 	// then hub: what multi-column solves sweep over. Each is built by the
@@ -139,15 +133,10 @@ type ratesSnapshot struct {
 }
 
 // newRatesSnapshot is the one constructor of a rates snapshot. It takes
-// ownership of rates (callers pass a clone); replaced is the snapshot a
-// same-generation publication supersedes, nil otherwise.
-func newRatesSnapshot(rates *graph.Rates, version uint64, replaced *ratesSnapshot) *ratesSnapshot {
+// ownership of rates (callers pass a clone).
+func newRatesSnapshot(rates *graph.Rates, version uint64) *ratesSnapshot {
 	alpha := rates.Vector()
-	s := &ratesSnapshot{rates: rates, alpha: alpha, version: version, key: graph.RateVectorKey(alpha)}
-	if replaced != nil {
-		s.prevKey, s.hasPrev = replaced.key, true
-	}
-	return s
+	return &ratesSnapshot{rates: rates, alpha: alpha, version: version, key: graph.RateVectorKey(alpha)}
 }
 
 // plan returns the snapshot's coefficient plan for direction dir of gn
@@ -365,7 +354,7 @@ func NewEngineWith(c *Corpus, rates *graph.Rates) (*Engine, error) {
 	e := &Engine{}
 	e.state.Store(&engineState{
 		gen:  &generation{corpus: c, num: 1},
-		snap: newRatesSnapshot(rates.Clone(), 1, nil),
+		snap: newRatesSnapshot(rates.Clone(), 1),
 	})
 	return e, nil
 }
@@ -421,7 +410,7 @@ func (e *Engine) SetRates(r *graph.Rates) error {
 		if err := validateRates(old.gen.corpus.g, clone); err != nil {
 			return err
 		}
-		next := &engineState{gen: old.gen, snap: newRatesSnapshot(clone, old.snap.version+1, old.snap)}
+		next := &engineState{gen: old.gen, snap: newRatesSnapshot(clone, old.snap.version+1)}
 		if e.state.CompareAndSwap(old, next) {
 			return nil
 		}
@@ -445,7 +434,7 @@ func (e *Engine) TrySetRates(r *graph.Rates, ifVersion uint64) (uint64, error) {
 	if old.snap.version != ifVersion {
 		return old.snap.version, ErrRatesConflict
 	}
-	next := &engineState{gen: old.gen, snap: newRatesSnapshot(r.Clone(), old.snap.version+1, old.snap)}
+	next := &engineState{gen: old.gen, snap: newRatesSnapshot(r.Clone(), old.snap.version+1)}
 	if !e.state.CompareAndSwap(old, next) {
 		return e.state.Load().snap.version, ErrRatesConflict
 	}
@@ -461,9 +450,8 @@ func (e *Engine) TrySetRates(r *graph.Rates, ifVersion uint64) (uint64, error) {
 // (monotonically — version tokens never repeat across generations), so
 // version-keyed caches and in-flight reformulation tokens invalidate
 // implicitly. In-flight queries and detached cache flights finish on
-// the generation they pinned; nothing blocks. The new snapshot records
-// no previous rates key, so no cache donates a vector sized for the old
-// graph. After the CAS the swap hook fires.
+// the generation they pinned; nothing blocks. After the CAS the swap
+// hook fires.
 func (e *Engine) SwapCorpus(c *Corpus, r *graph.Rates, ifGeneration uint64) (uint64, error) {
 	if err := validateRates(c.g, r); err != nil {
 		return e.Generation(), err
@@ -474,7 +462,7 @@ func (e *Engine) SwapCorpus(c *Corpus, r *graph.Rates, ifGeneration uint64) (uin
 	}
 	next := &engineState{
 		gen:  &generation{corpus: c, num: old.gen.num + 1},
-		snap: newRatesSnapshot(r.Clone(), old.snap.version+1, nil),
+		snap: newRatesSnapshot(r.Clone(), old.snap.version+1),
 	}
 	if !e.state.CompareAndSwap(old, next) {
 		return e.state.Load().gen.num, ErrGenerationConflict
@@ -670,15 +658,6 @@ func (p *Pinned) Rates() *graph.Rates { return p.st.snap.rates.Clone() }
 // equal (Generation, RatesKey) rank identically, whatever their version
 // tokens say.
 func (p *Pinned) RatesKey() uint64 { return p.st.snap.key }
-
-// PreviousRatesKey returns the RatesKey of the snapshot the pinned one
-// replaced by a SetRates/TrySetRates publication within the pinned
-// generation; ok is false when there is none (the engine's first
-// snapshot, the first after a corpus swap). It may equal RatesKey:
-// republishing a value-identical vector changes no key.
-func (p *Pinned) PreviousRatesKey() (key uint64, ok bool) {
-	return p.st.snap.prevKey, p.st.snap.hasPrev
-}
 
 // Engine returns the engine the view was pinned from.
 func (p *Pinned) Engine() *Engine { return p.e }

@@ -164,8 +164,8 @@ func (l *Sharded) Put(key string, value any, size int64) {
 }
 
 // Remove deletes key and returns the value it held, if any, handing
-// the value over to the caller (the serving cache donates a previous
-// rates version's vector as a warm start this way).
+// the value over to the caller (the profile tier drops a deleted
+// profile's record this way).
 func (l *Sharded) Remove(key string) (any, bool) {
 	s := l.shard(key)
 	s.mu.Lock()

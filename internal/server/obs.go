@@ -255,7 +255,7 @@ func (so *serverObs) attach(s *Server) {
 		{"afq_cache_result_evictions_total", "Result cache evictions.", func(st cache.StatsSnapshot) float64 { return float64(st.Result.Evictions) }},
 		{"afq_cache_singleflight_dedup_total", "Calls answered by joining another caller's in-flight solve.", func(st cache.StatsSnapshot) float64 { return float64(st.SingleflightDedup) }},
 		{"afq_cache_computes_total", "Kernel solves issued by the serving cache.", func(st cache.StatsSnapshot) float64 { return float64(st.Computes) }},
-		{"afq_cache_warm_starts_total", "Cache solves warm-started from the previous rates version's vector.", func(st cache.StatsSnapshot) float64 { return float64(st.WarmStarts) }},
+		{"afq_cache_warm_starts_total", "Cache term solves warm-started from the vector their term last had, under other rates.", func(st cache.StatsSnapshot) float64 { return float64(st.WarmStarts) }},
 	}
 	for _, c := range counters {
 		fn := c.fn
