@@ -194,27 +194,52 @@ func dblptopExplain(b *testing.B) (*authorityflow.Pinned, *authorityflow.RankRes
 }
 
 // BenchmarkExplainDblptop measures core.explain at the benchmark's
-// corpus. Its allocations are O(|subgraph|) — Nodes, the per-node
-// arrays and Arcs, 8 bytes per arc — and independent of |V|: the
-// scratch, including the Equation 10 loop's dense per-arc arrays, is
-// pooled per corpus generation, and one untimed explain fills the pool
-// so the counts are the steady state.
+// corpus, both ways an explain runs. /reuse explains one target over and
+// over: after one untimed explain every one reuses the generation's
+// topology of the subgraph and runs only the Equation 10 adjustment, so
+// it allocates the Subgraph and its per-node float arrays and nothing
+// per arc. /build rotates over the next 200 results of "olap", whose
+// subgraphs are many times what the topology memo holds, so every
+// explain builds: its allocations are O(|subgraph|) — Nodes, the
+// per-node arrays and Arcs, 8 bytes per arc — and independent of |V|.
+// In both the scratch, including the Equation 10 loop's dense per-arc
+// arrays, is pooled per corpus generation.
 func BenchmarkExplainDblptop(b *testing.B) {
 	pin, res, target := dblptopExplain(b)
-	if _, err := pin.ExplainCtx(context.Background(), res, target, authorityflow.DefaultExplain()); err != nil {
-		b.Fatal(err)
+	// next carries the rotation over the benchmark's rounds, so a round
+	// never starts on a target the last one left in the memo.
+	next := 0
+	run := func(b *testing.B, targets []authorityflow.NodeID, reused bool) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		arcs := 0
+		for i := 0; i < b.N; i++ {
+			v := targets[next%len(targets)]
+			next++
+			sg, err := pin.ExplainCtx(context.Background(), res, v, authorityflow.DefaultExplain())
+			if err != nil {
+				b.Fatal(err)
+			}
+			if sg.TopologyReused != reused {
+				b.Fatalf("explain of %d: TopologyReused = %v, want %v", v, sg.TopologyReused, reused)
+			}
+			arcs += len(sg.Arcs)
+		}
+		b.ReportMetric(float64(arcs)/float64(b.N), "arcs/op")
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	arcs := 0
-	for i := 0; i < b.N; i++ {
-		sg, err := pin.ExplainCtx(context.Background(), res, target, authorityflow.DefaultExplain())
-		if err != nil {
+	b.Run("reuse", func(b *testing.B) {
+		if _, err := pin.ExplainCtx(context.Background(), res, target, authorityflow.DefaultExplain()); err != nil {
 			b.Fatal(err)
 		}
-		arcs = len(sg.Arcs)
-	}
-	b.ReportMetric(float64(arcs), "arcs/op")
+		run(b, []authorityflow.NodeID{target}, true)
+	})
+	b.Run("build", func(b *testing.B) {
+		var targets []authorityflow.NodeID
+		for _, r := range res.TopK(201)[1:] { // all but /reuse's target
+			targets = append(targets, r.Node)
+		}
+		run(b, targets, false)
+	})
 }
 
 // BenchmarkAuditDblptop measures core.audit — the same explain plus the

@@ -160,6 +160,18 @@ func newWorld(t *testing.T, seed int64) *world {
 	return w
 }
 
+// fresh is a new engine over the world's graph under rates: a corpus
+// generation of its own, so nothing an explain of another engine kept
+// is visible to it.
+func (w *world) fresh(t *testing.T, rates *graph.Rates) *core.Engine {
+	t.Helper()
+	e, err := core.NewEngine(w.g, rates, core.Config{Rank: tight})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
 // build freezes the world's nodes and edges, all but edge skip (-1
 // keeps every edge), into a graph over schema s.
 func (w *world) build(t *testing.T, s *graph.Schema, skip int) *graph.Graph {
@@ -579,7 +591,7 @@ func table(w *world) []path {
 			}},
 	)
 	rows = append(append(append(rows, linearityRows(w)...), assembledRows(w)...), routedRows(w)...)
-	return append(append(rows, explainRows(w)...), columnRows(w)...)
+	return append(append(append(rows, explainRows(w)...), topologyRows(w)...), columnRows(w)...)
 }
 
 // TestConformance runs the table on several seeded worlds.

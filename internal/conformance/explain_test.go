@@ -337,7 +337,8 @@ func (w *world) reference(m core.Mode, c explainCase) *refSubgraph {
 
 // countdown is a context that reports cancellation from its n-th Err
 // poll on, which lands a cancellation on an exact phase boundary of the
-// explain (entry, after each BFS, once per Eq. 10 iteration).
+// explain (entry, after each BFS of a build, once per Eq. 10
+// iteration).
 type countdown struct {
 	context.Context
 	left int
@@ -371,19 +372,37 @@ func explainRows(w *world) []path {
 					}
 					return out
 				}, references},
-			// The guard on the pooled scratch: an explain abandoned at any
-			// poll hands back scratch the next explain can trust.
+			// The guard on the pooled scratch and on the topology memo: an
+			// explain abandoned at any poll hands back scratch the next
+			// explain can trust, and a build abandoned at any poll keeps no
+			// topology, so the next explain builds again. A build polls
+			// 3 + iterations times (entry, after each BFS, each Eq. 10
+			// iteration), each on an engine of its own; a reuse of the
+			// topology one engine built polls 1 + iterations times (entry,
+			// each iteration).
 			path{fmt.Sprintf("%s explain after a cancellation at each phase boundary ≡ reference", m), bitIdentical,
 				func(t *testing.T) [][]float64 {
 					var out [][]float64
+					cancelAt := func(pin *core.Pinned, c explainCase, n int, reused bool) {
+						ctx := &countdown{Context: context.Background(), left: n}
+						if sg, err := pin.ExplainModeCtx(ctx, m, c.res, c.target, c.opts); err != context.Canceled || sg != nil {
+							t.Fatalf("reused=%v: cancelled at poll %d: (%v, %v), want (nil, context.Canceled)", reused, n, sg, err)
+						}
+						sg := explainOne(t, context.Background(), pin, m, c)
+						if sg.TopologyReused != reused {
+							t.Fatalf("after a cancellation at poll %d: TopologyReused = %v, want %v", n, sg.TopologyReused, reused)
+						}
+						out = append(out, flattenSubgraph(sg)...)
+					}
 					for _, c := range explainCases(t, w, m)[:2] {
-						polls := 3 + w.reference(m, c).iterations
-						for n := 0; n < polls; n++ {
-							ctx := &countdown{Context: context.Background(), left: n}
-							if sg, err := w.pin.ExplainModeCtx(ctx, m, c.res, c.target, c.opts); err != context.Canceled || sg != nil {
-								t.Fatalf("cancelled at poll %d of %d: (%v, %v), want (nil, context.Canceled)", n, polls, sg, err)
-							}
-							out = append(out, flattenSubgraph(explainOne(t, context.Background(), w.pin, m, c))...)
+						iters := w.reference(m, c).iterations
+						for n := 0; n < 3+iters; n++ {
+							cancelAt(w.fresh(t, w.rates).Pin(), c, n, false)
+						}
+						pin := w.fresh(t, w.rates).Pin()
+						explainOne(t, context.Background(), pin, m, c)
+						for n := 0; n < 1+iters; n++ {
+							cancelAt(pin, c, n, true)
 						}
 					}
 					return out
@@ -392,7 +411,7 @@ func explainRows(w *world) []path {
 					var out [][]float64
 					for _, c := range explainCases(t, w, m)[:2] {
 						ref := w.reference(m, c)
-						for n := 0; n < 3+ref.iterations; n++ {
+						for n := 0; n < (3+ref.iterations)+(1+ref.iterations); n++ {
 							out = append(out, flattenRef(ref)...)
 						}
 					}

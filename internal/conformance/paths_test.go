@@ -106,6 +106,18 @@ func rankOne(t *testing.T, pin *core.Pinned, m core.Mode, q *ir.Query) *core.Ran
 	return res
 }
 
+// rankCold is one uncached ranking of q in direction m started from its
+// own jump distribution: the same bits on every engine over the same
+// graph and rates, whatever that engine solved before.
+func rankCold(t *testing.T, pin *core.Pinned, m core.Mode, q *ir.Query) *core.RankResult {
+	t.Helper()
+	results, err := pin.Solve(context.Background(), core.SolveSpec{Queries: []*ir.Query{q}, Mode: m, Cold: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return results[0]
+}
+
 // explainOne builds one explaining subgraph in direction m.
 func explainOne(t *testing.T, ctx context.Context, pin *core.Pinned, m core.Mode, c explainCase) *core.Subgraph {
 	t.Helper()

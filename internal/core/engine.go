@@ -16,6 +16,7 @@ import (
 
 	"authorityflow/internal/graph"
 	"authorityflow/internal/ir"
+	"authorityflow/internal/lru"
 	"authorityflow/internal/rank"
 )
 
@@ -120,6 +121,10 @@ type ratesSnapshot struct {
 	// and no consumer hashes a rate vector again.
 	key uint64
 
+	// zeros has bit t set iff alpha[t] is 0: the one thing an explaining
+	// subgraph's topology reads of the rates (topology.go).
+	zeros []uint64
+
 	// plans are the snapshot's coefficient plans (rank.Plan), authority
 	// then hub: what multi-column solves sweep over. Each is built by the
 	// first multi-column Solve that pins the snapshot in that direction —
@@ -136,7 +141,13 @@ type ratesSnapshot struct {
 // ownership of rates (callers pass a clone).
 func newRatesSnapshot(rates *graph.Rates, version uint64) *ratesSnapshot {
 	alpha := rates.Vector()
-	return &ratesSnapshot{rates: rates, alpha: alpha, version: version, key: graph.RateVectorKey(alpha)}
+	zeros := make([]uint64, (len(alpha)+63)/64)
+	for t, a := range alpha {
+		if a == 0 {
+			zeros[t>>6] |= 1 << (t & 63)
+		}
+	}
+	return &ratesSnapshot{rates: rates, alpha: alpha, version: version, key: graph.RateVectorKey(alpha), zeros: zeros}
 }
 
 // plan returns the snapshot's coefficient plan for direction dir of gn
@@ -180,8 +191,13 @@ type generation struct {
 	hubGlobal     []float64
 
 	// explainScratch pools the |V|-sized scratch of the explain kernel
-	// (explain.go).
+	// (explain.go). topologies keeps the explaining subgraphs'
+	// topologies for reuse under later rates (topology.go), and
+	// topologyBuilds counts the topologies explains built to completion,
+	// kept or not.
 	explainScratch sync.Pool
+	topologies     *lru.Sharded
+	topologyBuilds atomic.Int64
 
 	// planSources is the rate-independent column of the generation's
 	// coefficient plans per direction (authority, hub), shared by every
@@ -353,7 +369,7 @@ func NewEngineWith(c *Corpus, rates *graph.Rates) (*Engine, error) {
 	}
 	e := &Engine{}
 	e.state.Store(&engineState{
-		gen:  &generation{corpus: c, num: 1},
+		gen:  &generation{corpus: c, num: 1, topologies: newTopologyMemo(c)},
 		snap: newRatesSnapshot(rates.Clone(), 1),
 	})
 	return e, nil
@@ -461,7 +477,7 @@ func (e *Engine) SwapCorpus(c *Corpus, r *graph.Rates, ifGeneration uint64) (uin
 		return old.gen.num, ErrGenerationConflict
 	}
 	next := &engineState{
-		gen:  &generation{corpus: c, num: old.gen.num + 1},
+		gen:  &generation{corpus: c, num: old.gen.num + 1, topologies: newTopologyMemo(c)},
 		snap: newRatesSnapshot(r.Clone(), old.snap.version+1),
 	}
 	if !e.state.CompareAndSwap(old, next) {

@@ -84,20 +84,30 @@ type Subgraph struct {
 	// target is always present. A node's position in Nodes is its local
 	// index: the per-node quantities are dense slices parallel to Nodes,
 	// read by ID through H/Dist/InFlow/OutFlow (a binary search) or by
-	// position through At.
+	// position through At. Nodes is shared with every subgraph explained
+	// from the same topology (TopologyReused) and is read-only.
 	Nodes []graph.NodeID
 	// Arcs lists the subgraph's arcs in ascending-source order (each
 	// source's arcs in CSR order), as CSR references; FlowArcs derives
-	// them with their rates and original and adjusted flows.
+	// them with their rates and original and adjusted flows. Like Nodes,
+	// Arcs is shared and read-only.
 	Arcs []ArcRef
 	// Iterations and Converged report the Equation 10 fixpoint run;
 	// Table 3 of the paper tracks these counts.
 	Iterations int
 	Converged  bool
+	// TopologyReused reports that the construction stage was skipped:
+	// Nodes, Arcs and the distances are those of an earlier explain of
+	// the same corpus view, target, radius, base set and zero-rate
+	// transfer types, under the same corpus generation.
+	TopologyReused bool
 	// BuildDuration is the wall time of the construction stage and
 	// AdjustDuration of the flow-adjustment stage — the "Explaining
 	// Subgraph Creation" and "Explaining ObjectRank2 Execution" bars of
-	// Figures 14–17.
+	// Figures 14–17. BuildDuration ends once each arc's rate under the
+	// explain's rates is filled in; on a reuse it times only the topology
+	// lookup and the per-explain setup: the per-node arrays, the copy of
+	// r(u) and that fill.
 	BuildDuration  time.Duration
 	AdjustDuration time.Duration
 
@@ -242,13 +252,16 @@ func (sg *Subgraph) NodeAuthority(v graph.NodeID) float64 {
 // to discount authority that leaks out of the subgraph.
 //
 // It runs against the pinned state, so it cannot observe rates
-// published — or a corpus swapped in — after the view was taken. The
-// construction stage checks ctx at its phase boundaries (after each
-// BFS) and the Equation 10 fixpoint polls once per iteration, so a
-// cancelled or expired request abandons the build within one
-// phase/iteration and returns ctx.Err() instead of a subgraph.
+// published — or a corpus swapped in — after the view was taken. Stage
+// (i) does not read the non-zero rates, so the generation keeps its
+// result and a later explain of the same key, under any rates with the
+// same zero-rate types, runs stage (ii) alone (TopologyReused). ctx is
+// checked at entry, after each BFS of a build and once per Equation 10
+// iteration, so a cancelled or expired request abandons the explain
+// within one phase/iteration and returns ctx.Err() instead of a
+// subgraph; a build abandoned at any poll keeps nothing.
 func (p *Pinned) ExplainCtx(ctx context.Context, res *RankResult, target graph.NodeID, opts ExplainOptions) (*Subgraph, error) {
-	return explainOn(ctx, p.st, p.st.gen.corpus, res, target, opts)
+	return explainOn(ctx, p.st, 0, p.st.gen.corpus, res, target, opts)
 }
 
 // explainScratch is the pooled part of an explain. dist and local are
@@ -308,11 +321,13 @@ func (sc *explainScratch) keep(v graph.NodeID) {
 }
 
 // explainOn explains against an explicit corpus view of the pinned
-// state: the generation's authority corpus on the standard path, its
-// direction-reversed hub view when explaining a hub-mode ranking
-// (mode.go). res must have been solved on the SAME view — the flows of
-// Equation 5 read res.Scores through this corpus's arcs.
-func explainOn(ctx context.Context, st *engineState, c *Corpus, res *RankResult, target graph.NodeID, opts ExplainOptions) (*Subgraph, error) {
+// state: view 0, the generation's authority corpus, on the standard
+// path, view 1, its direction-reversed hub view, when explaining a
+// hub-mode ranking (mode.go). res must have been solved on the SAME view
+// — the flows of Equation 5 read res.Scores through this corpus's arcs.
+// The topology of stage (i) comes from the generation's memo when an
+// explain of the same key completed before; stage (ii) always runs.
+func explainOn(ctx context.Context, st *engineState, view int, c *Corpus, res *RankResult, target graph.NodeID, opts ExplainOptions) (*Subgraph, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -321,10 +336,34 @@ func explainOn(ctx context.Context, st *engineState, c *Corpus, res *RankResult,
 		return nil, fmt.Errorf("core: explain target %d out of range", target)
 	}
 	opts = opts.withDefaults()
-	alpha := st.snap.alpha
 	buildStart := time.Now()
 	sc := st.gen.getExplainScratch(g.NumNodes())
 	defer st.gen.putExplainScratch(sc)
+	key := topologyKey(view, target, opts.Radius, st.snap.zeros, res.Base)
+	v, reused := st.gen.topologies.Get(key)
+	topo, _ := v.(*topology)
+	if !reused {
+		var err error
+		if topo, err = buildTopology(ctx, sc, g, st.snap.alpha, res, target, opts.Radius); err != nil {
+			return nil, err
+		}
+	}
+	sg, err := adjust(ctx, sc, c, st.snap.alpha, topo, res, opts, buildStart)
+	if err != nil {
+		return nil, err
+	}
+	sg.TopologyReused = reused
+	if !reused {
+		st.gen.topologyBuilds.Add(1)
+		st.gen.topologies.Put(key, topo, topo.size(key))
+	}
+	return sg, nil
+}
+
+// buildTopology is stage (i) of Figure 8: the subgraph's nodes, their
+// distances to the target and its arcs, as rows of CSR references over
+// local indices. It reads the rates only through which of them are 0.
+func buildTopology(ctx context.Context, sc *explainScratch, g *graph.Graph, alpha []float64, res *RankResult, target graph.NodeID, radius int) (*topology, error) {
 	dist, local := sc.dist, sc.local
 
 	// Stage (i)a: backward breadth-first search from the target over
@@ -335,7 +374,7 @@ func explainOn(ctx context.Context, st *engineState, c *Corpus, res *RankResult,
 	for head := 0; head < len(sc.back); head++ {
 		v := sc.back[head]
 		dv := dist[v]
-		if opts.Radius > 0 && int(dv) >= opts.Radius {
+		if radius > 0 && int(dv) >= radius {
 			continue
 		}
 		for _, a := range g.InArcs(v) {
@@ -402,53 +441,75 @@ func explainOn(ctx context.Context, st *engineState, c *Corpus, res *RankResult,
 	// Nodes in ascending ID order are the set mark bits, enumerated word
 	// by word; local[v] turns from v's BFS row into its index in Nodes.
 	n := len(sc.kept)
-	sg := &Subgraph{
-		Target:   target,
-		Query:    res.Query,
-		Nodes:    make([]graph.NodeID, 0, n),
-		damping:  c.nopts.Damping,
-		alpha:    alpha,
-		csr:      out,
-		rowStart: make([]int32, n+1),
-		score:    make([]float64, n),
-		h:        make([]float64, n),
+	t := &topology{
+		nodes:    make([]graph.NodeID, 0, n),
 		dist:     make([]int32, n),
-		inFlow:   make([]float64, n),
-		outFlow:  make([]float64, n),
-		sens:     make([]float64, n),
+		rowStart: make([]int32, n+1),
 	}
 	for w, word := range sc.mark {
 		for ; word != 0; word &= word - 1 {
 			v := graph.NodeID(w<<6 | bits.TrailingZeros64(word))
-			sg.dist[len(sg.Nodes)] = dist[v]
-			sg.score[len(sg.Nodes)] = res.Scores[v]
+			t.dist[len(t.nodes)] = dist[v]
 			sc.order = append(sc.order, local[v])
-			local[v] = int32(len(sg.Nodes))
-			sg.Nodes = append(sg.Nodes, v)
+			local[v] = int32(len(t.nodes))
+			t.nodes = append(t.nodes, v)
 		}
 	}
+	t.tgt = int(local[target])
 
 	// Emit the subgraph arcs as CSR references in rows over local
-	// indices: row i is Nodes[i]'s BFS row of sel. The scratch's toLocal
-	// and rates repeat each arc's head and Rate, dense, for the Equation
-	// 10 loop to stream. sel holds exactly the arcs, so Arcs never
-	// regrows.
+	// indices: row i is Nodes[i]'s BFS row of sel. sel holds exactly the
+	// arcs, so Arcs never regrows.
 	arcs := make([]ArcRef, 0, len(sc.sel))
-	toLocal, rates := sc.toLocal, sc.rates
-	for i := range sg.Nodes {
+	for i := range t.nodes {
 		p := sc.order[i]
 		for _, k := range sc.sel[sc.rows[p]:sc.rows[p+1]] {
-			a := &out[k]
-			head := local[a.To]
-			arcs = append(arcs, ArcRef{CSR: k, Head: head})
-			toLocal = append(toLocal, head)
-			rates = append(rates, transferRate(alpha, a))
+			arcs = append(arcs, ArcRef{CSR: k, Head: local[out[k].To]})
 		}
-		sg.rowStart[i+1] = int32(len(arcs))
+		t.rowStart[i+1] = int32(len(arcs))
+	}
+	t.arcs = arcs
+	return t, nil
+}
+
+// adjust is stage (ii) of Figure 8 over a built or reused topology, the
+// one flow-adjustment path: it fills the scratch's rates and toLocal
+// with each arc's Rate under alpha and its head, copies r(u) per node,
+// runs the Equation 10 fixpoint and sums the Equation 6 flows. The
+// subgraph's per-node float arrays are its only allocation besides the
+// Subgraph itself.
+func adjust(ctx context.Context, sc *explainScratch, c *Corpus, alpha []float64, topo *topology, res *RankResult, opts ExplainOptions, buildStart time.Time) (*Subgraph, error) {
+	_, out := c.g.ForwardCSR()
+	n := len(topo.nodes)
+	f := make([]float64, 5*n)
+	sg := &Subgraph{
+		Target:   topo.nodes[topo.tgt],
+		Query:    res.Query,
+		Nodes:    topo.nodes,
+		Arcs:     topo.arcs,
+		damping:  c.nopts.Damping,
+		alpha:    alpha,
+		csr:      out,
+		rowStart: topo.rowStart,
+		dist:     topo.dist,
+		score:    f[0*n : 1*n : 1*n],
+		h:        f[1*n : 2*n : 2*n],
+		inFlow:   f[2*n : 3*n : 3*n],
+		outFlow:  f[3*n : 4*n : 4*n],
+		sens:     f[4*n : 5*n : 5*n],
+	}
+	for i, v := range topo.nodes {
+		sg.score[i] = res.Scores[v]
+	}
+	// The Equation 10 loop streams each arc's head and Rate, dense and in
+	// Arcs order.
+	toLocal, rates := sc.toLocal, sc.rates
+	for _, ref := range topo.arcs {
+		toLocal = append(toLocal, ref.Head)
+		rates = append(rates, transferRate(alpha, &out[ref.CSR]))
 	}
 	sc.toLocal, sc.rates = toLocal, rates
-	sg.Arcs = arcs
-	rowStart := sg.rowStart
+	rowStart := topo.rowStart
 	sg.BuildDuration = time.Since(buildStart)
 
 	// Stage (ii): the Equation 10 fixpoint
@@ -469,7 +530,7 @@ func explainOn(ctx context.Context, st *engineState, c *Corpus, res *RankResult,
 	for i := range h {
 		h[i] = 1
 	}
-	tgt := int(local[target])
+	tgt := topo.tgt
 	for it := 0; it < opts.MaxIters; it++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err

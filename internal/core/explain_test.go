@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"testing"
 
 	"authorityflow/internal/graph"
@@ -427,11 +428,23 @@ func citationWeb(t *testing.T, rng *rand.Rand, n, m int) *Engine {
 	return e
 }
 
-// explainBytesCeiling: in steady state one explain allocates at most
-// 16 bytes per subgraph arc, 64 per node and 1 KiB besides, measured as
-// the TotalAlloc growth over 100 explains of a subgraph of thousands of
-// arcs. A 40-byte FlowArc per arc, or any per-arc array kept beside the
-// 8-byte references, breaks it.
+// forgetter returns a function that drops the memoized topology of the
+// authority-mode explain of target under res at opts, so the next one
+// builds; it allocates nothing.
+func forgetter(p *Pinned, res *RankResult, target graph.NodeID, opts ExplainOptions) func() {
+	key := topologyKey(0, target, opts.Radius, p.st.snap.zeros, res.Base)
+	return func() { p.st.gen.topologies.Remove(key) }
+}
+
+// explainBytesCeiling: in steady state one explain that builds its
+// topology allocates at most 16 bytes per subgraph arc, 64 per node and
+// 1 KiB besides, and one that reuses it at most 40 bytes per node — its
+// five per-node float arrays — 4 per base-set node for its memo key and
+// 1 KiB besides, measured as the
+// TotalAlloc growth over 100 explains of a subgraph of thousands of
+// arcs. A 40-byte FlowArc per arc, any per-arc array kept beside the
+// 8-byte references, or a reuse that copies Nodes, Arcs, the rows or the
+// distances breaks it.
 func explainBytesCeiling(t *testing.T) {
 	pin := citationWeb(t, rand.New(rand.NewSource(3)), 400, 2400).Pin()
 	res := rankPinned(pin, ir.NewQuery("olap"))
@@ -443,18 +456,27 @@ func explainBytesCeiling(t *testing.T) {
 	if len(sg.Arcs) < 1000 {
 		t.Fatalf("subgraph of %d arcs measures too little", len(sg.Arcs))
 	}
-	const runs = 100
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		if _, err := pin.ExplainCtx(context.Background(), res, target, opts); err != nil {
-			t.Fatal(err)
+	for _, c := range []struct {
+		path    string
+		before  func()
+		ceiling int
+	}{
+		{"build", forgetter(pin, res, target, opts), 16*len(sg.Arcs) + 64*len(sg.Nodes) + 1024},
+		{"reuse", func() {}, 40*len(sg.Nodes) + 4*len(res.Base) + 1024},
+	} {
+		const runs = 100
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			c.before()
+			if sg, err := pin.ExplainCtx(context.Background(), res, target, opts); err != nil || sg.TopologyReused != (c.path == "reuse") {
+				t.Fatalf("%s: (%v, %v)", c.path, sg.TopologyReused, err)
+			}
 		}
-	}
-	runtime.ReadMemStats(&after)
-	per := (after.TotalAlloc - before.TotalAlloc) / runs
-	if ceiling := uint64(16*len(sg.Arcs) + 64*len(sg.Nodes) + 1024); per > ceiling {
-		t.Errorf("one explain of %d arcs and %d nodes allocates %d bytes, want <= %d", len(sg.Arcs), len(sg.Nodes), per, ceiling)
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > uint64(c.ceiling) {
+			t.Errorf("one %s explain of %d arcs and %d nodes allocates %d bytes, want <= %d", c.path, len(sg.Arcs), len(sg.Nodes), per, c.ceiling)
+		}
 	}
 }
 
@@ -511,11 +533,14 @@ func (c *countdown) Err() error {
 	return nil
 }
 
-// TestExplainPooledScratch: one explain allocates at most 10 objects
-// (the Subgraph, Nodes, Arcs and the seven per-node slices) and at most
-// 16 bytes per arc, 64 per node and 1 KiB besides, and the pooled
-// scratch neither grows across 100 explains of one target nor comes back
-// dirty, also after a cancellation at each of the explain's polls.
+// TestExplainPooledScratch: one explain that builds its topology
+// allocates at most 10 objects (the Subgraph, its per-node float arrays
+// in one, the topology, Nodes, the distances, the rows, Arcs, the memo
+// key and its entry) and one that reuses it at most 3 (the Subgraph,
+// its float arrays and the key), within explainBytesCeiling's byte ceilings; the
+// pooled scratch neither grows across 100 explains of one target nor
+// comes back dirty, also after a cancellation at each of a build's and
+// a reuse's polls; and a build cancelled at any poll keeps no topology.
 func TestExplainPooledScratch(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a GC empties the pool
 	f := newFixture(t)
@@ -524,6 +549,8 @@ func TestExplainPooledScratch(t *testing.T) {
 	run := func(ctx context.Context) (*Subgraph, error) {
 		return pin.ExplainCtx(ctx, res, f.ids["v7"], DefaultExplain())
 	}
+	gen, size := pin.st.gen, f.g.NumNodes()
+	forget := forgetter(pin, res, f.ids["v7"], DefaultExplain())
 	sg, err := run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -532,13 +559,15 @@ func TestExplainPooledScratch(t *testing.T) {
 		t.Fatalf("subgraph of %d arcs exercises nothing", len(sg.Arcs))
 	}
 	if !raceEnabled {
-		if n := testing.AllocsPerRun(100, func() { _, _ = run(context.Background()) }); n > 10 {
-			t.Errorf("one explain allocates %v objects, want <= 10", n)
+		if n := testing.AllocsPerRun(100, func() { forget(); _, _ = run(context.Background()) }); n > 10 {
+			t.Errorf("one explain that builds allocates %v objects, want <= 10", n)
+		}
+		if n := testing.AllocsPerRun(100, func() { _, _ = run(context.Background()) }); n > 3 {
+			t.Errorf("one explain that reuses its topology allocates %v objects, want <= 3", n)
 		}
 		explainBytesCeiling(t)
 	}
 
-	gen, size := pin.st.gen, f.g.NumNodes()
 	// take borrows the scratch the last explain handed back and checks
 	// every entry is reset.
 	take := func(when string) (*explainScratch, [7]int) {
@@ -559,33 +588,68 @@ func TestExplainPooledScratch(t *testing.T) {
 		}
 		return sc, [7]int{cap(sc.back), cap(sc.kept), cap(sc.sel), cap(sc.rows), cap(sc.order), cap(sc.rates), cap(sc.toLocal)}
 	}
-	prev, caps := take("after the first explain")
-	same := 0
-	for i := 0; i < 100; i++ {
-		if _, err := run(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		// The pool may hand out a fresh scratch (under -race it drops
-		// puts), which its first explain grows; one that had served an
-		// explain already must not have grown.
-		sc, now := take(fmt.Sprintf("explain %d", i))
-		if sc == prev && caps != ([7]int{}) {
-			same++
-			if now != caps {
-				t.Fatalf("explain %d grew the pooled scratch: capacities %v -> %v", i, caps, now)
+	for _, reuse := range []bool{false, true} {
+		prev, caps := take("after the first explain")
+		same := 0
+		for i := 0; i < 100; i++ {
+			if !reuse {
+				forget()
 			}
+			if sg, err := run(context.Background()); err != nil || sg.TopologyReused != reuse {
+				t.Fatalf("explain %d: (%v, %v), want reused=%v", i, sg, err, reuse)
+			}
+			// The pool may hand out a fresh scratch (under -race it drops
+			// puts), which its first explain grows; one that had served an
+			// explain already must not have grown.
+			sc, now := take(fmt.Sprintf("explain %d (reuse=%v)", i, reuse))
+			if sc == prev && caps != ([7]int{}) {
+				same++
+				if now != caps {
+					t.Fatalf("explain %d (reuse=%v) grew the pooled scratch: capacities %v -> %v", i, reuse, caps, now)
+				}
+			}
+			prev, caps = sc, now
 		}
-		prev, caps = sc, now
-	}
-	if same < 25 {
-		t.Errorf("the pool returned the same scratch %d times in 100", same)
+		if same < 25 {
+			t.Errorf("reuse=%v: the pool returned the same scratch %d times in 100", reuse, same)
+		}
 	}
 
-	polls := 3 + sg.Iterations // entry, after each BFS, each Eq. 10 iteration
-	for n := 0; n < polls; n++ {
-		if sg, err := run(&countdown{Context: context.Background(), left: n}); err != context.Canceled || sg != nil {
-			t.Fatalf("cancelled at poll %d of %d: (%v, %v), want (nil, context.Canceled)", n, polls, sg, err)
+	// A build polls at entry, after each BFS and at each Eq. 10
+	// iteration; a reuse at entry and at each iteration. A build
+	// cancelled at any of its polls keeps no topology: the next explain
+	// builds again.
+	for _, reuse := range []bool{false, true} {
+		polls := 1 + sg.Iterations
+		if !reuse {
+			polls += 2
 		}
-		take(fmt.Sprintf("a cancellation at poll %d", n))
+		for n := 0; n < polls; n++ {
+			if !reuse {
+				forget()
+			}
+			builds := gen.topologyBuilds.Load()
+			if sg, err := run(&countdown{Context: context.Background(), left: n}); err != context.Canceled || sg != nil {
+				t.Fatalf("reuse=%v: cancelled at poll %d of %d: (%v, %v), want (nil, context.Canceled)", reuse, n, polls, sg, err)
+			}
+			take(fmt.Sprintf("a cancellation at poll %d (reuse=%v)", n, reuse))
+			if gen.topologyBuilds.Load() != builds || (!reuse && gen.topologies.Len() != 0) {
+				t.Fatalf("reuse=%v: a cancellation at poll %d kept a topology", reuse, n)
+			}
+			next, err := run(context.Background())
+			if err != nil || next.TopologyReused != reuse {
+				t.Fatalf("reuse=%v: the explain after a cancellation at poll %d: (%v, %v)", reuse, n, next, err)
+			}
+			if !slices.Equal(next.h, sg.h) || !slices.Equal(next.Arcs, sg.Arcs) || next.Iterations != sg.Iterations {
+				t.Fatalf("reuse=%v: the explain after a cancellation at poll %d differs from the first", reuse, n)
+			}
+		}
+		// One poll more completes.
+		if !reuse {
+			forget()
+		}
+		if sg, err := run(&countdown{Context: context.Background(), left: polls}); err != nil || sg.TopologyReused != reuse {
+			t.Fatalf("reuse=%v: %d polls: (%v, %v), want a subgraph", reuse, polls, sg, err)
+		}
 	}
 }

@@ -74,7 +74,7 @@ func (p *Pinned) ExplainModeCtx(ctx context.Context, m Mode, res *RankResult, ta
 	case ModeAuthority, "":
 		return p.ExplainCtx(ctx, res, target, opts)
 	case ModeHub:
-		return explainOn(ctx, p.st, p.st.gen.hubCorpus(), res, target, opts)
+		return explainOn(ctx, p.st, 1, p.st.gen.hubCorpus(), res, target, opts)
 	}
 	return nil, fmt.Errorf("core: unknown ranking mode %q", m)
 }

@@ -1,5 +1,6 @@
-// Package lru is the byte-budgeted, sharded LRU the serving cache and
-// the personalization tier keep their entries in.
+// Package lru is the byte-budgeted, sharded LRU the serving cache, the
+// personalization tier and the explain kernel's per-generation topology
+// memo keep their entries in.
 package lru
 
 import (

@@ -479,21 +479,21 @@ func TestExplainObservability(t *testing.T) {
 	if !waitFor(t, 2*time.Second, func() bool { return strings.Contains(slow.String(), `"name":"explain"`) }) {
 		t.Fatal("no explain span in the slow log")
 	}
-	want := "nodes=" + strconv.Itoa(e.TotalNodes) + " arcs=" + strconv.Itoa(e.TotalArcs) + " iters=" + strconv.Itoa(e.Iterations) + " build_ms="
-	if log := slow.String(); !strings.Contains(log, want) || !strings.Contains(log, " adjust_ms=") {
-		t.Errorf("explain span detail missing %q / adjust_ms= in:\n%s", want, log)
+	want := "nodes=" + strconv.Itoa(e.TotalNodes) + " arcs=" + strconv.Itoa(e.TotalArcs) + " iters=" + strconv.Itoa(e.Iterations) + " topology="
+	if log := slow.String(); !strings.Contains(log, want+"built build_ms=") || !strings.Contains(log, " adjust_ms=") {
+		t.Errorf("explain span detail missing %q / adjust_ms= in:\n%s", want+"built build_ms=", log)
 	}
 
-	// The audit of the same target builds the same subgraph and says so
-	// in its own event.
+	// The audit of the same target explains the same subgraph, on the
+	// topology the first explain built, and says so in its own event.
 	mustGet(t, strings.Replace(url, "/v1/explain", "/v1/audit", 1), 200)
 	if !waitFor(t, 2*time.Second, func() bool { return strings.Contains(slow.String(), `"name":"audit"`) }) {
 		t.Fatal("no audit event in the slow log")
 	}
 	log := slow.String()
 	event := log[strings.Index(log, `"name":"audit"`):]
-	if event = event[:strings.Index(event, "}")]; !strings.Contains(event, want) || !strings.Contains(event, " adjust_ms=") {
-		t.Errorf("audit event missing %q / adjust_ms=: %s", want, event)
+	if event = event[:strings.Index(event, "}")]; !strings.Contains(event, want+"reused build_ms=") || !strings.Contains(event, " adjust_ms=") {
+		t.Errorf("audit event missing %q / adjust_ms=: %s", want+"reused build_ms=", event)
 	}
 }
 

@@ -390,7 +390,8 @@ func (s *Server) parseTarget(rq *request, r *http.Request) (string, error) {
 // score vector in the requested mode (single-keyword rankings are the
 // cache's shared term vectors), then the target's Section 4 explaining
 // subgraph at the paper's radius (core.DefaultExplain), with an event
-// named event saying what the kernel built and how long each stage took.
+// named event saying what the kernel built, whether it reused the
+// generation's topology of the subgraph, and how long each stage took.
 func (s *Server) explainTarget(rq *request, event string) (*core.Subgraph, error) {
 	res, err := s.cache.RankModePinnedCtx(rq.ctx, rq.pin, rq.q, rq.rp.Mode)
 	if err != nil {
@@ -402,8 +403,12 @@ func (s *Server) explainTarget(rq *request, event string) (*core.Subgraph, error
 	if err != nil {
 		return nil, inputError{err}
 	}
-	rq.tr.Eventf(event, "nodes=%d arcs=%d iters=%d build_ms=%.3f adjust_ms=%.3f", len(sg.Nodes), len(sg.Arcs),
-		sg.Iterations, sg.BuildDuration.Seconds()*1e3, sg.AdjustDuration.Seconds()*1e3)
+	topology := "built"
+	if sg.TopologyReused {
+		topology = "reused"
+	}
+	rq.tr.Eventf(event, "nodes=%d arcs=%d iters=%d topology=%s build_ms=%.3f adjust_ms=%.3f", len(sg.Nodes), len(sg.Arcs),
+		sg.Iterations, topology, sg.BuildDuration.Seconds()*1e3, sg.AdjustDuration.Seconds()*1e3)
 	return sg, nil
 }
 
