@@ -88,7 +88,7 @@ func TestAttachBodyStaysInsideTheBudget(t *testing.T) {
 	var resident, evicted int64
 	for _, term := range terms {
 		q := ir.NewQuery(term)
-		key := resultKey(keyOf(pin), core.ModeAuthority, 5, q)
+		key := resultKey(keyOf(pin), Scope{}, core.ModeAuthority, 5, q)
 		e, ok := c.results.Get(key)
 		if !ok {
 			evicted++
@@ -106,7 +106,7 @@ func TestAttachBodyStaysInsideTheBudget(t *testing.T) {
 	// An evicted entry comes back as a plain miss: no body outlived it.
 	for _, term := range terms {
 		q := ir.NewQuery(term)
-		if _, ok := c.results.Get(resultKey(keyOf(pin), core.ModeAuthority, 5, q)); ok {
+		if _, ok := c.results.Get(resultKey(keyOf(pin), Scope{}, core.ModeAuthority, 5, q)); ok {
 			continue
 		}
 		if ans := query(c, q, 5); ans.Source == SourceResult || ans.Body(q.String()) != nil {

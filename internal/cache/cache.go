@@ -6,30 +6,29 @@
 //
 // It holds two sharded, byte-budgeted LRU caches. Each answers only a
 // reader whose engine state matches the one its entry was computed
-// under: the corpus generation AND the rates identity
-// (core.Pinned.RatesKey, the fingerprint every rates snapshot carries),
-// plus the ranking mode:
+// under, plus the ranking mode:
 //
 //   - a term-vector cache: ONE slot per (generation, mode, term), holding
 //     the term's latest converged ObjectRank2 score vector and the rates
-//     key it was solved under, populated on demand through a singleflight
-//     group so N concurrent misses on one term at one rates run exactly
-//     one power iteration;
-//   - a result cache: full top-k answers under
-//     (generation, ratesKey, mode, k, canonical query), so a repeated
-//     query is a hash lookup instead of a solve — and, once its first
-//     repeat has attached the encoded response to the entry
-//     (AttachBody, Answer.Body), a lookup instead of a rendering too.
+//     key it was solved under (core.Pinned.RatesKey), populated on demand
+//     through a singleflight group so N concurrent misses on one term at
+//     one rates run exactly one power iteration;
+//   - the system's one answer cache: top-k answers under (scope,
+//     generation, rates version, mode, k, canonical query), global and
+//     personalized (Scope), so a repeated query is a hash lookup instead
+//     of a solve — and, once its first repeat has attached the encoded
+//     response to the entry (AttachBody, Answer.Body), a lookup instead of
+//     a rendering too.
 //
-// Invalidation is implicit: publishing new rates changes the rates key,
-// so a result is never found again and a slot's vector no longer hits;
-// swapping in a new corpus generation changes the generation, so no
-// entry of the old graph is reachable — a cached answer can never cross
-// generations. A slot's vector is not wasted, though: the next solve of
-// the term, under whatever rates, starts from it (rank.Options.Init,
-// the paper's Section 6.2 warm start applied across rate updates) and
-// replaces it. That happens on demand, on the miss path: the cache runs
-// no background work, and a publish leaves no superseded vector behind.
+// Invalidation is implicit: a publish changes the rates version, so a
+// result is never found again, and unless the rates are value-identical
+// the rates key, so a slot's vector no longer hits; a new corpus
+// generation makes no entry of the old graph reachable. A slot's vector
+// is not wasted, though: the next solve of the term, under whatever
+// rates, starts from it (rank.Options.Init, the paper's Section 6.2 warm
+// start applied across rate updates) and replaces it. That happens on
+// demand, on the miss path: the cache runs no background work, and a
+// publish leaves no superseded vector behind.
 //
 // There is one miss path. probe reads both LRUs and, finding nothing,
 // names the column that must be answered; solve answers pending columns
@@ -157,7 +156,7 @@ type Answer struct {
 	Iterations int
 	// BaseSet is the base-set size |S(Q)|.
 	BaseSet int
-	// Version is the rates-snapshot version the answer is valid for.
+	// Version is the rates-snapshot version the answer was served at.
 	Version uint64
 	// Generation is the corpus generation the answer was computed
 	// under; node IDs in Results are only meaningful against that
@@ -186,13 +185,12 @@ func (a *Answer) Body(query string) []byte {
 	return a.entry.body
 }
 
-// cachedResult is the result cache's stored value.
+// cachedResult is the result cache's stored value. Its generation and
+// rates version are its key's, so a reader takes them off its own pin.
 type cachedResult struct {
-	items   []ResultItem
-	iters   int
-	baseN   int
-	version uint64
-	gen     uint64
+	items []ResultItem
+	iters int
+	baseN int
 	// body is the entry's encoded hit-form response as rendered for the
 	// query spelled bodyFor; nil until the first hit attaches it.
 	body    []byte
@@ -219,21 +217,28 @@ type termVector struct {
 
 // ---- key derivation ----
 
-// stateKey is the cache-key identity of one pinned engine state: the
-// corpus generation plus the rate-vector fingerprint. Keying by value
-// fingerprint rather than by version means value-identical republished
-// rates keep cache entries valid WITHIN a generation; the generation
-// component guarantees no entry survives a corpus swap (even one that
-// republishes an identical rate vector over a new graph).
+// stateKey is the cache-key identity of one pinned engine state. A term
+// vector is keyed by the rate-vector fingerprint, so value-identical
+// republished rates keep it valid; a result by the rates version, which
+// it reports as the token /v1/reformulate checks (DESIGN.md §6). The
+// generation guarantees no entry survives a corpus swap.
 type stateKey struct {
 	gen uint64
 	rk  uint64
+	ver uint64
 }
 
 // keyOf reads the pinned state's identity off the snapshot, which
 // carries it.
 func keyOf(pin *core.Pinned) stateKey {
-	return stateKey{gen: pin.Generation(), rk: pin.RatesKey()}
+	return stateKey{gen: pin.Generation(), rk: pin.RatesKey(), ver: pin.Version()}
+}
+
+// Scope names whose ranking a result entry holds: the zero Scope the
+// global one, a profile's (ID, Rev) that revision's personalized one.
+type Scope struct {
+	ID  string // holds no NUL byte
+	Rev uint64
 }
 
 // modeTag spells a ranking mode inside a key; the empty mode is
@@ -261,18 +266,22 @@ func termKey(sk stateKey, m core.Mode, term string) string {
 	return slotKey(sk.gen, m, term) + "\x00" + strconv.FormatUint(sk.rk, 16)
 }
 
-// resultKey is the result cache key; the mode component keeps the two
-// directions' answers for one query apart.
-func resultKey(sk stateKey, m core.Mode, k int, q *ir.Query) string {
+// resultKey is the result cache key, the system's only spelling of an
+// answer's identity; mode and a scoped key's own tag keep it unaliased.
+func resultKey(sk stateKey, sc Scope, m core.Mode, k int, q *ir.Query) string {
 	cq := q.Canonical()
 	var b strings.Builder
-	b.Grow(len(cq) + 64) // tag, mode, two hex uint64s, k and separators fit in 64
-	b.WriteString("r\x00")
+	b.Grow(len(cq) + len(sc.ID) + 80) // tags, mode, three hex uint64s, k and separators fit in 80
+	if sc.ID == "" {
+		b.WriteString("r\x00")
+	} else {
+		b.WriteString("p\x00" + sc.ID + "\x00" + strconv.FormatUint(sc.Rev, 16) + "\x00")
+	}
 	b.WriteString(modeTag(m))
 	b.WriteString("\x00")
 	b.WriteString(strconv.FormatUint(sk.gen, 16))
 	b.WriteString("\x00")
-	b.WriteString(strconv.FormatUint(sk.rk, 16))
+	b.WriteString(strconv.FormatUint(sk.ver, 16))
 	b.WriteString("\x00")
 	b.WriteString(strconv.Itoa(k))
 	b.WriteString("\x00")
@@ -354,7 +363,7 @@ func (c *CachedEngine) queryAt(ctx context.Context, pin *core.Pinned, q *ir.Quer
 	sk := keyOf(pin)
 	it := c.probe(pin, sk, q, k, m, true)
 	if it.src == SourceResult {
-		a := answerFrom(it.cr, q, SourceResult)
+		a := answerFrom(pin, it.cr, q, SourceResult)
 		a.key, a.entry = it.key, it.cr
 		return a, nil
 	}
@@ -367,7 +376,7 @@ func (c *CachedEngine) queryAt(ctx context.Context, pin *core.Pinned, q *ir.Quer
 			return nil, err
 		}
 	}
-	return answerFrom(it.cr, q, it.src), nil
+	return answerFrom(pin, it.cr, q, it.src), nil
 }
 
 // QueryBatchModePinnedCtx answers a whole panel of queries under ONE
@@ -428,7 +437,7 @@ func (c *CachedEngine) QueryBatchModePinnedCtx(ctx context.Context, pin *core.Pi
 		// multi-keyword query the result key at k = 0, where no answer sits.
 		id := it.col.tkey
 		if id == "" {
-			id = resultKey(sk, d.m, 0, q)
+			id = resultKey(sk, Scope{}, d.m, 0, q)
 		}
 		if col, ok := colByID[id]; ok {
 			c.flights.dedup.Add(1) // in-batch dedup, same accounting as a joined flight
@@ -452,7 +461,7 @@ func (c *CachedEngine) QueryBatchModePinnedCtx(ctx context.Context, pin *core.Pi
 	answers := make([]*Answer, len(qs))
 	for i, it := range items {
 		if it.cr != nil {
-			answers[i] = answerFrom(it.cr, it.q, it.src)
+			answers[i] = answerFrom(pin, it.cr, it.q, it.src)
 		}
 	}
 	return answers, firstErr
@@ -600,7 +609,7 @@ func (c *CachedEngine) probe(pin *core.Pinned, sk stateKey, q *ir.Query, k int, 
 		n = 1
 	}
 	if k > 0 {
-		it.key = resultKey(sk, m, k, q)
+		it.key = resultKey(sk, Scope{}, m, k, q)
 		if e, ok := c.results.Get(it.key); ok {
 			c.stats.resultHits.Add(n)
 			it.cr, it.src = e.(*cachedResult), SourceResult
@@ -783,10 +792,10 @@ func (c *CachedEngine) harvest(pin *core.Pinned, cols []*column, pend []*item) {
 				terms[i] = p.term
 			}
 			ix := pin.Corpus().Index()
-			it.cr = c.storeTopK(pin, it.key, it.k, col.res.Scores, col.res.Iterations, ix.DocsWithAny(terms), containsAny(ix, terms))
+			it.cr = c.storeTopK(it.key, it.k, col.res.Scores, col.res.Iterations, ix.DocsWithAny(terms), containsAny(ix, terms))
 			it.src = SourceTerm
 		default:
-			it.cr = c.storeTopK(pin, it.key, it.k, col.res.Scores, col.res.Iterations, len(col.res.Base), col.res.InBase)
+			it.cr = c.storeTopK(it.key, it.k, col.res.Scores, col.res.Iterations, len(col.res.Base), col.res.InBase)
 		}
 	}
 	for _, col := range cols {
@@ -841,22 +850,38 @@ func (c *CachedEngine) fly(ctx context.Context, pin *core.Pinned, sk stateKey, m
 // storeTopK is the one vector→top-k function: it ranks the top k of a
 // converged score vector and stores the answer in the result cache, so
 // the next identical request skips even the top-k scan.
-func (c *CachedEngine) storeTopK(pin *core.Pinned, key string, k int, vec []float64, iters, baseN int, inBase func(graph.NodeID) bool) *cachedResult {
+func (c *CachedEngine) storeTopK(key string, k int, vec []float64, iters, baseN int, inBase func(graph.NodeID) bool) *cachedResult {
 	ranked := rank.TopK(vec, k)
 	items := make([]ResultItem, len(ranked))
 	for i, r := range ranked {
 		items[i] = ResultItem{Node: r.Node, Score: r.Score, InBase: inBase(r.Node)}
 	}
-	cr := &cachedResult{items: items, iters: iters, baseN: baseN, version: pin.Version(), gen: pin.Generation()}
+	cr := &cachedResult{items: items, iters: iters, baseN: baseN}
 	c.results.Put(key, cr, resultEntrySize(key, len(items)))
 	return cr
+}
+
+// LookupScoped returns the authority answer stored under sc for (q, k)
+// at pin's state, or nil. It moves no counter: the caller counts.
+func (c *CachedEngine) LookupScoped(pin *core.Pinned, sc Scope, q *ir.Query, k int) *Answer {
+	if e, ok := c.results.Get(resultKey(keyOf(pin), sc, core.ModeAuthority, k, q)); ok {
+		return answerFrom(pin, e.(*cachedResult), q, SourceResult)
+	}
+	return nil
+}
+
+// StoreScoped stores the top k of vec, an authority ranking of q computed
+// under pin, under sc (never the zero Scope); vec is only read.
+func (c *CachedEngine) StoreScoped(pin *core.Pinned, sc Scope, q *ir.Query, k int, vec []float64, iters, baseN int, inBase func(graph.NodeID) bool) *Answer {
+	cr := c.storeTopK(resultKey(keyOf(pin), sc, core.ModeAuthority, k, q), k, vec, iters, baseN, inBase)
+	return answerFrom(pin, cr, q, SourceComputed)
 }
 
 // rerank is storeTopK over a term vector: a node is in the base set of a
 // single-keyword query exactly when it contains the keyword.
 func (c *CachedEngine) rerank(pin *core.Pinned, key string, k int, term string, tv *termVector) *cachedResult {
 	ix := pin.Corpus().Index() // the generation the vector was solved on
-	return c.storeTopK(pin, key, k, tv.vec, tv.iters, tv.baseN, containsAny(ix, []string{term}))
+	return c.storeTopK(key, k, tv.vec, tv.iters, tv.baseN, containsAny(ix, []string{term}))
 }
 
 // containsAny is the base-set membership test of a query over terms: a
@@ -872,14 +897,14 @@ func containsAny(ix *ir.Index, terms []string) func(graph.NodeID) bool {
 	}
 }
 
-func answerFrom(cr *cachedResult, q *ir.Query, source string) *Answer {
+func answerFrom(pin *core.Pinned, cr *cachedResult, q *ir.Query, source string) *Answer {
 	return &Answer{
 		Query:      q,
 		Results:    cr.items,
 		Iterations: cr.iters,
 		BaseSet:    cr.baseN,
-		Version:    cr.version,
-		Generation: cr.gen,
+		Version:    pin.Version(),
+		Generation: pin.Generation(),
 		Source:     source,
 	}
 }

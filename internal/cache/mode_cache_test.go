@@ -2,6 +2,7 @@ package cache
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
@@ -12,21 +13,37 @@ import (
 
 var modeTestOpts = rank.Options{Damping: 0.85, Threshold: 1e-10, MaxIters: 500}
 
-// TestModeKeysDisjoint: the two modes' answers for one query live
-// under distinct keys and never alias each other's cache entries.
+// TestModeKeysDisjoint: the two modes' answers for one query, and the
+// global and personalized answers of one query, live under distinct
+// keys and never alias each other's cache entries.
 func TestModeKeysDisjoint(t *testing.T) {
-	sk := stateKey{gen: 1, rk: 0xabc}
+	sk := stateKey{gen: 1, rk: 0xabc, ver: 7}
 	q := ir.NewQuery("olap")
-	keys := map[string]core.Mode{}
-	for _, m := range []core.Mode{core.ModeAuthority, core.ModeHub} {
-		k := resultKey(sk, m, 10, q)
-		if prev, dup := keys[k]; dup {
-			t.Fatalf("modes %s and %s share result key %q", prev, m, k)
+	keys := map[string]string{}
+	for _, sc := range []Scope{{}, {ID: "u1", Rev: 1}, {ID: "u1", Rev: 2}, {ID: "u2", Rev: 1}} {
+		for _, m := range []core.Mode{core.ModeAuthority, core.ModeHub} {
+			k := resultKey(sk, sc, m, 10, q)
+			who := fmt.Sprintf("scope %+v mode %s", sc, m)
+			if prev, dup := keys[k]; dup {
+				t.Fatalf("%s and %s share result key %q", prev, who, k)
+			}
+			keys[k] = who
 		}
-		keys[k] = m
 	}
-	if resultKey(sk, "", 10, q) != resultKey(sk, core.ModeAuthority, 10, q) {
+	if resultKey(sk, Scope{}, "", 10, q) != resultKey(sk, Scope{}, core.ModeAuthority, 10, q) {
 		t.Error("the empty mode must spell authority")
+	}
+	if got, want := resultKey(sk, Scope{}, core.ModeAuthority, 10, q), "r\x00authority\x001\x007\x0010\x00"+q.Canonical(); got != want {
+		t.Errorf("the global key is %q, want %q", got, want)
+	}
+	// A result is keyed by the rates version, not the fingerprint: a
+	// value-identical publish moves the one and keeps the other.
+	republished := stateKey{gen: sk.gen, rk: sk.rk, ver: sk.ver + 1}
+	if resultKey(sk, Scope{}, core.ModeAuthority, 10, q) == resultKey(republished, Scope{}, core.ModeAuthority, 10, q) {
+		t.Error("a new rates version kept the result key")
+	}
+	if termKey(sk, core.ModeAuthority, "olap") != termKey(republished, core.ModeAuthority, "olap") {
+		t.Error("a value-identical publish moved the term key")
 	}
 	if slotKey(sk.gen, core.ModeAuthority, "olap") == slotKey(sk.gen, core.ModeHub, "olap") {
 		t.Error("authority and hub term vectors share a slot")

@@ -14,7 +14,6 @@ import (
 	"authorityflow/internal/core"
 	"authorityflow/internal/ir"
 	"authorityflow/internal/lru"
-	"authorityflow/internal/rank"
 )
 
 // DefaultBeta is the personalized-jump blend factor of a profile that
@@ -29,9 +28,9 @@ const (
 	learningRate = 0.5
 	// maxMixture caps the topic terms a profile's mixture retains.
 	maxMixture = 16
-	// cacheBytes is the byte budget of the in-memory tier, split evenly
-	// between decoded profiles and combined answers.
-	cacheBytes = 32 << 20
+	// cacheBytes is the byte budget of the decoded-profile LRU. Combined
+	// answers live in the serving cache's result LRU.
+	cacheBytes = 16 << 20
 )
 
 // Options configure a Manager.
@@ -49,10 +48,10 @@ type Options struct {
 	// read).
 	BaseRank func(ctx context.Context, pin *core.Pinned, q *ir.Query) (*core.RankResult, error)
 	// Cache is the serving cache every blend reads its term vectors
-	// through, and without a BaseRank the query's own fixpoint is its
-	// RankPinnedCtx. The server sets it to the global tier's cache, so a
-	// personalized answer shares its vectors. Nil: NewManager builds one
-	// for the manager alone.
+	// through and stores its answer in, and without a BaseRank the
+	// query's own fixpoint is its RankPinnedCtx. The server sets it to the
+	// global tier's cache, so personalized answers share its vectors and
+	// its result LRU. Nil: NewManager builds one for the manager alone.
 	Cache *cache.CachedEngine
 }
 
@@ -60,7 +59,8 @@ type Options struct {
 type Source string
 
 const (
-	// SourceHit: served from the combined-answer LRU.
+	// SourceHit: served from the serving cache's result LRU, where the
+	// answer sits under the profile's (id, rev) scope.
 	SourceHit Source = "hit"
 	// SourceCombined: the blend ran (the personalized fast path).
 	SourceCombined Source = "combined"
@@ -69,8 +69,8 @@ const (
 	SourceGlobal Source = "global"
 )
 
-// Answer is one personalized top-k result. Answers are immutable (they
-// are shared via the LRU).
+// Answer is one personalized top-k result. Its Results are shared with
+// the serving cache and read-only.
 type Answer struct {
 	ID           string
 	Generation   uint64
@@ -96,20 +96,21 @@ type Stats struct {
 	StoreBytes  int64  `json:"storeBytes"`  // resident decoded-profile bytes
 	Resident    int    `json:"resident"`    // resident decoded profiles
 
+	// AnswerHits and AnswerMisses count lookups of the profile-scoped
+	// entries of the serving cache's result LRU.
 	AnswerHits   uint64 `json:"answerHits"`
 	AnswerMisses uint64 `json:"answerMisses"`
-	AnswerBytes  int64  `json:"answerBytes"`
 
 	BasisTerms      int    `json:"basisTerms"`
 	BasisGeneration uint64 `json:"basisGeneration"`
 
 	Trains    uint64 `json:"trains"`
 	Combines  uint64 `json:"combines"`
-	Evictions uint64 `json:"evictions"`
+	Evictions uint64 `json:"evictions"` // decoded profiles evicted from the LRU
 }
 
 // Manager ties the term panel, the serving cache, the durable store and
-// the in-memory LRU tier into the personalization serving surface. All
+// the decoded-profile LRU into the personalization serving surface. All
 // methods are safe for concurrent use. A resident profile is read under
 // its LRU shard mutex alone; writes, and reads that go to the durable
 // store, serialize per id on a write stripe.
@@ -120,7 +121,6 @@ type Manager struct {
 	basis atomic.Pointer[Basis] // the panel of the last generation asked for
 
 	profiles *lru.Sharded
-	answers  *lru.Sharded
 
 	// writeMu stripes every read-modify-write of a profile record — Put,
 	// a training round, Delete — so two writers of one id can neither
@@ -157,8 +157,7 @@ func NewManager(eng *core.Engine, opts Options) (*Manager, error) {
 		return nil, err
 	}
 	m := &Manager{opts: opts, disk: disk}
-	m.profiles = lru.New(cacheBytes/2, 16, &m.evictions)
-	m.answers = lru.New(cacheBytes/2, 16, &m.evictions)
+	m.profiles = lru.New(cacheBytes, 16, &m.evictions)
 	return m, nil
 }
 
@@ -169,12 +168,17 @@ func NewManager(eng *core.Engine, opts Options) (*Manager, error) {
 // never be read against another generation's pin. The error is always
 // nil.
 func (m *Manager) BasisFor(_ context.Context, pin *core.Pinned) (*Basis, error) {
+	return m.panel(pin), nil
+}
+
+// panel is BasisFor without the error.
+func (m *Manager) panel(pin *core.Pinned) *Basis {
 	if b := m.basis.Load(); b != nil && b.generation == pin.Generation() {
-		return b, nil
+		return b
 	}
 	b := &Basis{generation: pin.Generation(), terms: BasisTerms(pin, m.opts.BasisSize)}
 	m.basis.Store(b)
-	return b, nil
+	return b
 }
 
 // Get returns the profile under id, consulting the LRU then the durable
@@ -273,31 +277,31 @@ func fnv1a(s string) uint64 {
 	return h.Sum64()
 }
 
-func answerKey(id string, rev, gen, rk uint64, k int, cq string) string {
-	return fmt.Sprintf("%s\x00%d\x00%d\x00%x\x00%d\x00%s", id, rev, gen, rk, k, cq)
-}
-
 // QueryCtx serves a personalized top-k answer for the profile under id:
-// answer-LRU hit, else the Blend r_p = (1−β)·r(Q) + β·Σ m̂_t·r_t over the
-// profile's panel terms. The answer always carries the PIN's generation
-// — by construction, since the query solve and every term vector are
-// read under the same pinned identity.
+// the serving cache's entry under the profile's (id, rev) scope, else
+// the Blend r_p = (1−β)·r(Q) + β·Σ m̂_t·r_t over its panel terms, stored
+// there. A profile with no usable mixture gets the global ranking
+// through the cache's global path, so a hit is personalized by
+// construction. The answer carries the pin's generation and version.
 func (m *Manager) QueryCtx(ctx context.Context, pin *core.Pinned, id string, q *ir.Query, k int) (*Answer, Source, error) {
 	prof, err := m.Get(id)
 	if err != nil {
 		return nil, "", err
 	}
-	rk := pin.RatesKey()
-	key := answerKey(id, prof.Rev, pin.Generation(), rk, k, q.Canonical())
-	if v, ok := m.answers.Get(key); ok {
-		a := v.(*Answer)
-		// The key embeds (generation, ratesKey), so a hit is valid for
-		// this pin by construction.
+	c, sc := m.opts.Cache, cache.Scope{ID: id, Rev: prof.Rev}
+	if ans := c.LookupScoped(pin, sc, q, k); ans != nil {
 		m.answerHits.Add(1)
-		return a, SourceHit, nil
+		return answerOf(pin, sc, ans, true), SourceHit, nil
 	}
 	m.answerMisses.Add(1)
-
+	if terms, _ := m.panel(pin).mixtureWeights(prof.Mixture); len(terms) == 0 {
+		ans, err := c.QueryModePinnedCtx(ctx, pin, q, k, core.ModeAuthority)
+		if err != nil {
+			return nil, "", err
+		}
+		m.combines.Add(1)
+		return answerOf(pin, sc, ans, false), SourceGlobal, nil
+	}
 	qres, err := m.opts.BaseRank(ctx, pin, q)
 	if err != nil {
 		return nil, "", err
@@ -308,30 +312,16 @@ func (m *Manager) QueryCtx(ctx context.Context, pin *core.Pinned, id string, q *
 	if err != nil {
 		return nil, "", err
 	}
-	scores, src := qres.Scores, SourceGlobal
-	if combined != nil {
-		defer eng.Release(&core.RankResult{Scores: combined})
-		scores, src = combined, SourceCombined
-	}
-	ranked := rank.TopK(scores, k)
-	results := make([]cache.ResultItem, len(ranked))
-	for i, r := range ranked {
-		results[i] = cache.ResultItem{Node: r.Node, Score: r.Score, InBase: qres.InBase(r.Node)}
-	}
-	a := &Answer{
-		ID:           id,
-		Generation:   pin.Generation(),
-		RatesVersion: pin.Version(),
-		RatesKey:     rk,
-		Rev:          prof.Rev,
-		Personalized: combined != nil,
-		BaseSet:      len(qres.Base),
-		Iterations:   qres.Iterations,
-		Results:      results,
-	}
+	defer eng.Release(&core.RankResult{Scores: combined})
+	ans := c.StoreScoped(pin, sc, q, k, combined, qres.Iterations, len(qres.Base), qres.InBase)
 	m.combines.Add(1)
-	m.answers.Put(key, a, int64(len(a.Results))*24+int64(len(key))+64)
-	return a, src, nil
+	return answerOf(pin, sc, ans, true), SourceCombined, nil
+}
+
+// answerOf labels a serving-cache answer as the profile's.
+func answerOf(pin *core.Pinned, sc cache.Scope, a *cache.Answer, personalized bool) *Answer {
+	return &Answer{ID: sc.ID, Generation: a.Generation, RatesVersion: a.Version, RatesKey: pin.RatesKey(), Rev: sc.Rev,
+		Personalized: personalized, BaseSet: a.BaseSet, Iterations: a.Iterations, Results: a.Results}
 }
 
 // Blend returns the personalized score vector
@@ -346,15 +336,8 @@ func (m *Manager) QueryCtx(ctx context.Context, pin *core.Pinned, id string, q *
 // remains, or β <= 0, Blend returns nil and solves nothing — an
 // untrained profile IS the global ranking.
 func (m *Manager) Blend(ctx context.Context, pin *core.Pinned, qscores []float64, mixture map[string]float64, beta float64) ([]float64, error) {
-	if beta <= 0 || len(mixture) == 0 {
-		return nil, nil
-	}
-	b, err := m.BasisFor(ctx, pin)
-	if err != nil {
-		return nil, err
-	}
-	terms, weights := b.mixtureWeights(mixture)
-	if len(terms) == 0 {
+	terms, weights := m.panel(pin).mixtureWeights(mixture)
+	if len(terms) == 0 || beta <= 0 {
 		return nil, nil
 	}
 	vecs, err := m.opts.Cache.TermVectorsPinnedCtx(ctx, pin, terms)
@@ -388,10 +371,7 @@ func (m *Manager) TrainCtx(ctx context.Context, pin *core.Pinned, id string, q *
 	if err != nil {
 		return nil, nil, err
 	}
-	basis, err := m.BasisFor(ctx, pin)
-	if err != nil {
-		return nil, nil, err
-	}
+	basis := m.panel(pin)
 	topts := core.ContentAndStructure()
 	if opts != nil {
 		topts = *opts
@@ -491,7 +471,6 @@ func (m *Manager) Stats() Stats {
 		Resident:     m.profiles.Len(),
 		AnswerHits:   m.answerHits.Load(),
 		AnswerMisses: m.answerMisses.Load(),
-		AnswerBytes:  m.answers.Bytes(),
 		Trains:       m.trains.Load(),
 		Combines:     m.combines.Load(),
 		Evictions:    uint64(m.evictions.Load()),

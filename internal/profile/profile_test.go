@@ -386,13 +386,15 @@ func TestManagerLifecycle(t *testing.T) {
 		t.Fatal("personalized answer identical to the global baseline after training")
 	}
 
-	// Second identical query: answer-LRU hit.
+	// Second identical query: a hit on the profile-scoped result entry,
+	// whose Results are the very items the blend stored.
 	a3, src3, err := m.QueryCtx(context.Background(), pin, "u1", q, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if src3 != SourceHit || a3 != a2 {
-		t.Fatalf("repeat query served %v (shared=%v), want LRU hit", src3, a3 == a2)
+	shared := len(a3.Results) > 0 && len(a3.Results) == len(a2.Results) && &a3.Results[0] == &a2.Results[0]
+	if src3 != SourceHit || !shared || !a3.Personalized {
+		t.Fatalf("repeat query served %v (shared=%v, personalized=%v), want LRU hit", src3, shared, a3.Personalized)
 	}
 
 	// Durability: a fresh manager over the same dir sees the trained

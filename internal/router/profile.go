@@ -1,12 +1,12 @@
 // profile.go routes the personalization tier across the fleet. Profile
 // records are REPLICA-LOCAL state (one durable record on the owning
-// replica's disk, plus its decoded/answer LRUs), so profile traffic is
-// rendezvous-routed by PROFILE ID — not by query term set — and is
-// strictly owner-dispatched: a profile's reads, writes, personalized
-// queries and training rounds all land on the one replica that holds
-// the record. There is NO failover — a "failover" replica has no record
-// (spurious 404) or a stale one (lost training), both worse than an
-// honest 503 while the owner is down.
+// replica's disk, its decoded copy and its cached answers), so profile
+// traffic is rendezvous-routed by PROFILE ID — not by query term set —
+// and is strictly owner-dispatched: a profile's reads, writes,
+// personalized queries and training rounds all land on the one replica
+// that holds the record. There is NO failover — a "failover" replica
+// has no record (spurious 404) or a stale one (lost training), both
+// worse than an honest 503 while the owner is down.
 package router
 
 import (

@@ -1,9 +1,11 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -155,6 +157,62 @@ func TestCachedReformulateBumpsVersion(t *testing.T) {
 	getJSON(t, ts.URL+"/v1/healthz", &h)
 	if h.RatesVersion != 2 {
 		t.Errorf("healthz ratesVersion = %d, want 2", h.RatesVersion)
+	}
+}
+
+// TestCachedAnswerReportsServedVersion: a content-only reformulation
+// publishes value-identical rates under a new version. A repeat query
+// and a repeat batch item must report that new version — in the body,
+// the header and every batch item — so a client that hands it back to
+// /v1/reformulate, as API.md tells it to, is never answered 409.
+func TestCachedAnswerReportsServedVersion(t *testing.T) {
+	_, ts := testCachedServer(t)
+	const batch = `{"queries":[{"q":"olap","k":5},{"q":"xml"}]}`
+	askBatch := func() BatchQueryResponse {
+		t.Helper()
+		code, _, raw := fetch(t, http.MethodPost, ts.URL+"/v1/query/batch", strings.NewReader(batch))
+		var br BatchQueryResponse
+		if err := json.Unmarshal(raw, &br); code != 200 || err != nil {
+			t.Fatalf("batch: status %d, %v: %s", code, err, raw)
+		}
+		for i, a := range br.Answers {
+			if a.Version != br.Version {
+				t.Errorf("batch item %d reports version %d inside a batch at version %d", i, a.Version, br.Version)
+			}
+		}
+		return br
+	}
+	var q QueryResponse
+	if code := getJSON(t, ts.URL+"/v1/query?q=olap&k=5", &q); code != 200 || len(q.Results) == 0 {
+		t.Fatalf("query: status %d, %d results", code, len(q.Results))
+	}
+	askBatch() // every item is now a result entry
+	for round := 0; round < 2; round++ {
+		// The client's token is the version its last answer reported.
+		token := q.Version
+		var ref ReformulateResponse
+		url := fmt.Sprintf("%s/v1/reformulate?q=olap&k=5&feedback=%d&mode=content&version=%d", ts.URL, q.Results[0].Node, token)
+		if code := getJSON(t, url, &ref); code != 200 {
+			t.Fatalf("round %d: reformulate with the served version %d answered %d", round, token, code)
+		}
+		if ref.Version == token {
+			t.Fatalf("round %d: a publish kept version %d", round, token)
+		}
+		version := ref.Version
+		code, hdr, raw := fetch(t, http.MethodGet, ts.URL+"/v1/query?q=olap&k=5", nil)
+		if err := json.Unmarshal(raw, &q); code != 200 || err != nil {
+			t.Fatalf("round %d: query: status %d, %v", round, code, err)
+		}
+		if q.Version != version || hdr.Get(HeaderRatesVersion) != strconv.FormatUint(version, 10) {
+			t.Errorf("round %d: repeat query served at version %d reports %d (header %s), source %q",
+				round, version, q.Version, hdr.Get(HeaderRatesVersion), q.Cache)
+		}
+		if q.Cache != "term" {
+			t.Errorf("round %d: repeat query after a value-identical publish is %q, want a re-rank (term)", round, q.Cache)
+		}
+		if br := askBatch(); br.Version != version {
+			t.Errorf("round %d: batch at version %d, want %d", round, br.Version, version)
+		}
 	}
 }
 

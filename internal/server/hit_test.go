@@ -18,6 +18,7 @@ import (
 	"authorityflow/internal/cache"
 	"authorityflow/internal/core"
 	"authorityflow/internal/ir"
+	"authorityflow/internal/profile"
 )
 
 // sinkWriter is a reusable ResponseWriter that keeps nothing but the
@@ -76,6 +77,51 @@ func TestQueryHitAllocs(t *testing.T) {
 	t.Logf("warmed /v1/query hit: %.0f allocs", allocs)
 	if allocs > queryHitAllocCeiling {
 		t.Errorf("a warmed result hit allocated %.0f times, ceiling %d", allocs, queryHitAllocCeiling)
+	}
+}
+
+// profileHitAllocCeiling is the most a warmed personalized hit may
+// allocate through Server.Handler(). It renders and encodes its body on
+// every hit (a profile-scoped entry carries no stored body), which is
+// most of the 123 allocations measured when personalized answers had
+// their own LRU; the ceiling keeps the fold into the serving cache's
+// result LRU from costing more.
+const profileHitAllocCeiling = 128
+
+// raceEnabled is set by race_test.go under -race.
+var raceEnabled bool
+
+// TestProfileHitAllocs pins the cost of a repeated personalized query:
+// one profile read and one lookup of its scoped result entry.
+func TestProfileHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("a personalized hit encodes through pooled buffers, and -race drops pool puts")
+	}
+	s, _ := profileTestServer(t)
+	if _, err := s.Profiles().Put(&profile.Profile{ID: "u1", Mixture: map[string]float64{"streaming": 1}}); err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	req := httptest.NewRequest(http.MethodGet, "/v1/query?q=olap&k=10&profile=u1", nil)
+	w := &sinkWriter{hdr: make(http.Header)}
+	for i := 0; i < 2; i++ { // the blend, then the first hit
+		w.reset()
+		h.ServeHTTP(w, req)
+		if w.code != http.StatusOK || w.n == 0 {
+			t.Fatalf("warm-up request %d: status %d, %d bytes", i, w.code, w.n)
+		}
+	}
+	hits := s.Profiles().Stats().AnswerHits
+	allocs := testing.AllocsPerRun(200, func() {
+		w.reset()
+		h.ServeHTTP(w, req)
+	})
+	if got := s.Profiles().Stats().AnswerHits - hits; got < 200 {
+		t.Fatalf("%d of 200+ measured requests were profile hits", got)
+	}
+	t.Logf("warmed personalized hit: %.0f allocs", allocs)
+	if allocs > profileHitAllocCeiling {
+		t.Errorf("a warmed personalized hit allocated %.0f times, ceiling %d", allocs, profileHitAllocCeiling)
 	}
 }
 

@@ -124,7 +124,7 @@ func newServerObs(o ObsOptions) *serverObs {
 		so.cacheOutcome.With(s) // pre-create so every outcome is visible at 0
 	}
 	so.profileOutcome = reg.NewCounterVec("afq_profile_query_outcome_total",
-		"Personalized answers by path: hit (answer LRU), combined (the blend ran), global (profile carried no usable mixture).",
+		"Personalized answers by path: hit (profile-scoped result entry), combined (the blend ran), global (profile carried no usable mixture).",
 		"source")
 	for _, s := range []string{string(profile.SourceHit), string(profile.SourceCombined), string(profile.SourceGlobal)} {
 		so.profileOutcome.With(s)
@@ -241,12 +241,7 @@ func (so *serverObs) attach(s *Server) {
 	if s.profiles != nil {
 		so.attachProfile(s.profiles)
 	}
-	snap := func() cache.StatsSnapshot { return s.cache.Stats() }
-	type cf struct {
-		name, help string
-		fn         func(st cache.StatsSnapshot) float64
-	}
-	counters := []cf{
+	counters := []snapMetric[cache.StatsSnapshot]{
 		{"afq_cache_vector_hits_total", "Term-vector cache hits.", func(st cache.StatsSnapshot) float64 { return float64(st.Vector.Hits) }},
 		{"afq_cache_vector_misses_total", "Term-vector cache misses.", func(st cache.StatsSnapshot) float64 { return float64(st.Vector.Misses) }},
 		{"afq_cache_vector_evictions_total", "Term-vector cache evictions.", func(st cache.StatsSnapshot) float64 { return float64(st.Vector.Evictions) }},
@@ -257,11 +252,7 @@ func (so *serverObs) attach(s *Server) {
 		{"afq_cache_computes_total", "Kernel solves issued by the serving cache.", func(st cache.StatsSnapshot) float64 { return float64(st.Computes) }},
 		{"afq_cache_warm_starts_total", "Cache term solves warm-started from the vector their term last had, under other rates.", func(st cache.StatsSnapshot) float64 { return float64(st.WarmStarts) }},
 	}
-	for _, c := range counters {
-		fn := c.fn
-		so.reg.NewCounterFunc(c.name, c.help, func() float64 { return fn(snap()) })
-	}
-	gauges := []cf{
+	gauges := []snapMetric[cache.StatsSnapshot]{
 		{"afq_cache_vector_bytes", "Term-vector cache resident bytes.", func(st cache.StatsSnapshot) float64 { return float64(st.Vector.Bytes) }},
 		{"afq_cache_vector_entries", "Term-vector cache entries.", func(st cache.StatsSnapshot) float64 { return float64(st.Vector.Entries) }},
 		{"afq_cache_vector_budget_bytes", "Term-vector cache byte budget.", func(st cache.StatsSnapshot) float64 { return float64(st.Vector.BudgetBytes) }},
@@ -269,47 +260,50 @@ func (so *serverObs) attach(s *Server) {
 		{"afq_cache_result_entries", "Result cache entries.", func(st cache.StatsSnapshot) float64 { return float64(st.Result.Entries) }},
 		{"afq_cache_result_budget_bytes", "Result cache byte budget.", func(st cache.StatsSnapshot) float64 { return float64(st.Result.BudgetBytes) }},
 	}
+	registerSnap(so.reg, s.cache.Stats, counters, gauges)
+}
+
+// snapMetric is one counter or gauge read off a stats snapshot.
+type snapMetric[S any] struct {
+	name, help string
+	fn         func(st S) float64
+}
+
+// registerSnap registers counter and gauge views that each read a fresh
+// snap() — the same snapshot /v1/stats serves, so /metrics and /stats
+// cannot drift.
+func registerSnap[S any](reg *obs.Registry, snap func() S, counters, gauges []snapMetric[S]) {
+	for _, c := range counters {
+		fn := c.fn
+		reg.NewCounterFunc(c.name, c.help, func() float64 { return fn(snap()) })
+	}
 	for _, g := range gauges {
 		fn := g.fn
-		so.reg.NewGaugeFunc(g.name, g.help, func() float64 { return fn(snap()) })
+		reg.NewGaugeFunc(g.name, g.help, func() float64 { return fn(snap()) })
 	}
 }
 
 // attachProfile registers counter/gauge views over the personalization
-// manager's atomic counters — the same Stats() snapshot /v1/stats
-// serves, so /metrics and /stats cannot drift (the cache pattern,
-// applied to the profile tier).
+// manager's atomic counters (the cache pattern, applied to the profile
+// tier).
 func (so *serverObs) attachProfile(pm *profile.Manager) {
-	snap := func() profile.Stats { return pm.Stats() }
-	type pf struct {
-		name, help string
-		fn         func(st profile.Stats) float64
-	}
-	counters := []pf{
+	counters := []snapMetric[profile.Stats]{
 		{"afq_profile_store_hits_total", "Profile reads served from the decoded-record LRU.", func(st profile.Stats) float64 { return float64(st.StoreHits) }},
 		{"afq_profile_store_misses_total", "Profile reads that missed the LRU (durable store consulted).", func(st profile.Stats) float64 { return float64(st.StoreMisses) }},
 		{"afq_profile_disk_loads_total", "Profile records decoded from the durable store.", func(st profile.Stats) float64 { return float64(st.DiskLoads) }},
-		{"afq_profile_answer_hits_total", "Personalized answers served from the combined-answer LRU.", func(st profile.Stats) float64 { return float64(st.AnswerHits) }},
-		{"afq_profile_answer_misses_total", "Personalized answers that missed the answer LRU and were computed.", func(st profile.Stats) float64 { return float64(st.AnswerMisses) }},
+		{"afq_profile_answer_hits_total", "Personalized answers served from their profile-scoped entry in the serving cache's result LRU.", func(st profile.Stats) float64 { return float64(st.AnswerHits) }},
+		{"afq_profile_answer_misses_total", "Personalized queries whose profile-scoped result entry was absent: blended, or read through the global path.", func(st profile.Stats) float64 { return float64(st.AnswerMisses) }},
 		{"afq_profile_trains_total", "Profile training rounds (profile-scoped reformulations).", func(st profile.Stats) float64 { return float64(st.Trains) }},
 		{"afq_profile_combines_total", "Personalized answers computed (blended, or global for a profile with no usable mixture).", func(st profile.Stats) float64 { return float64(st.Combines) }},
-		{"afq_profile_evictions_total", "Entries evicted from the profile and answer LRUs.", func(st profile.Stats) float64 { return float64(st.Evictions) }},
+		{"afq_profile_evictions_total", "Decoded profiles evicted from the profile LRU (answers are evicted by the serving cache's result LRU).", func(st profile.Stats) float64 { return float64(st.Evictions) }},
 	}
-	for _, c := range counters {
-		fn := c.fn
-		so.reg.NewCounterFunc(c.name, c.help, func() float64 { return fn(snap()) })
-	}
-	gauges := []pf{
+	gauges := []snapMetric[profile.Stats]{
 		{"afq_profile_store_bytes", "Resident decoded-profile bytes in the LRU.", func(st profile.Stats) float64 { return float64(st.StoreBytes) }},
 		{"afq_profile_resident", "Decoded profiles resident in the LRU.", func(st profile.Stats) float64 { return float64(st.Resident) }},
-		{"afq_profile_answer_bytes", "Resident combined-answer bytes in the LRU.", func(st profile.Stats) float64 { return float64(st.AnswerBytes) }},
 		{"afq_profile_basis_terms", "Topic terms in the current generation's panel.", func(st profile.Stats) float64 { return float64(st.BasisTerms) }},
 		{"afq_profile_basis_generation", "Corpus generation the current panel was selected from.", func(st profile.Stats) float64 { return float64(st.BasisGeneration) }},
 	}
-	for _, g := range gauges {
-		fn := g.fn
-		so.reg.NewGaugeFunc(g.name, g.help, func() float64 { return fn(snap()) })
-	}
+	registerSnap(so.reg, pm.Stats, counters, gauges)
 }
 
 // mountPprof wires the net/http/pprof handlers onto mux (behind the
