@@ -194,51 +194,79 @@ func dblptopExplain(b *testing.B) (*authorityflow.Pinned, *authorityflow.RankRes
 }
 
 // BenchmarkExplainDblptop measures core.explain at the benchmark's
-// corpus, both ways an explain runs. /reuse explains one target over and
-// over: after one untimed explain every one reuses the generation's
-// topology of the subgraph and runs only the Equation 10 adjustment, so
-// it allocates the Subgraph and its per-node float arrays and nothing
-// per arc. /build rotates over the next 200 results of "olap", whose
-// subgraphs are many times what the topology memo holds, so every
-// explain builds: its allocations are O(|subgraph|) — Nodes, the
-// per-node arrays and Arcs, 8 bytes per arc — and independent of |V|.
-// In both the scratch, including the Equation 10 loop's dense per-arc
-// arrays, is pooled per corpus generation.
+// corpus, all three ways an explain comes by its topology. /reuse
+// explains one target over and over: after one untimed explain every one
+// reuses the generation's decoded topology of the subgraph and runs only
+// the Equation 10 adjustment, so it allocates the Subgraph and its
+// per-node float arrays and nothing per arc. /unpack explains the same
+// target with the decoded tier evicted before each (untimed), so every
+// explain decodes the packed tier's copy and then adjusts: it allocates
+// the decoded topology, O(|subgraph|), beside what /reuse does. /build
+// rotates over the next 200 results of each of five queries, whose
+// subgraphs are many times what either tier holds, so every explain
+// builds: its allocations are O(|subgraph|) — Nodes, the per-node arrays,
+// Arcs at 8 bytes per arc and the packed copy — and independent of |V|.
+// In all three the scratch, including the Equation 10 loop's dense
+// per-arc arrays, is pooled per corpus generation.
 func BenchmarkExplainDblptop(b *testing.B) {
 	pin, res, target := dblptopExplain(b)
+	type explain struct {
+		res    *authorityflow.RankResult
+		target authorityflow.NodeID
+	}
 	// next carries the rotation over the benchmark's rounds, so a round
-	// never starts on a target the last one left in the memo.
+	// never starts on a target the last one left in a tier.
 	next := 0
-	run := func(b *testing.B, targets []authorityflow.NodeID, reused bool) {
+	run := func(b *testing.B, explains []explain, before func(), path string) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		arcs := 0
 		for i := 0; i < b.N; i++ {
-			v := targets[next%len(targets)]
+			x := explains[next%len(explains)]
 			next++
-			sg, err := pin.ExplainCtx(context.Background(), res, v, authorityflow.DefaultExplain())
+			if before != nil {
+				b.StopTimer()
+				before()
+				b.StartTimer()
+			}
+			sg, err := pin.ExplainCtx(context.Background(), x.res, x.target, authorityflow.DefaultExplain())
 			if err != nil {
 				b.Fatal(err)
 			}
-			if sg.TopologyReused != reused {
-				b.Fatalf("explain of %d: TopologyReused = %v, want %v", v, sg.TopologyReused, reused)
+			if sg.TopologyPath() != path {
+				b.Fatalf("explain of %d: topology %s, want %s", x.target, sg.TopologyPath(), path)
 			}
 			arcs += len(sg.Arcs)
 		}
 		b.ReportMetric(float64(arcs)/float64(b.N), "arcs/op")
 	}
+	one := []explain{{res, target}}
 	b.Run("reuse", func(b *testing.B) {
 		if _, err := pin.ExplainCtx(context.Background(), res, target, authorityflow.DefaultExplain()); err != nil {
 			b.Fatal(err)
 		}
-		run(b, []authorityflow.NodeID{target}, true)
+		run(b, one, nil, "reused")
+	})
+	b.Run("unpack", func(b *testing.B) {
+		if _, err := pin.ExplainCtx(context.Background(), res, target, authorityflow.DefaultExplain()); err != nil {
+			b.Fatal(err)
+		}
+		run(b, one, pin.EvictDecodedTopologies, "unpacked")
 	})
 	b.Run("build", func(b *testing.B) {
-		var targets []authorityflow.NodeID
-		for _, r := range res.TopK(201)[1:] { // all but /reuse's target
-			targets = append(targets, r.Node)
+		var explains []explain
+		for _, q := range []string{"olap", "mining", "xml", "web", "query"} {
+			r := res
+			if q != "olap" {
+				r = solve(b, pin, authorityflow.SolveSpec{Queries: []*authorityflow.Query{authorityflow.NewQuery(q)}})
+			}
+			for _, top := range r.TopK(201) {
+				if top.Node != target {
+					explains = append(explains, explain{r, top.Node})
+				}
+			}
 		}
-		run(b, targets, false)
+		run(b, explains, nil, "built")
 	})
 }
 

@@ -255,5 +255,342 @@ func topologyRows(w *world) []path {
 			}
 			return out
 		}})
+	return append(append(rows, unpackRows(w)...), inducedRows(w)...)
+}
+
+// explainPath explains c under pin and fails unless the explain came by
+// its topology the way path says (core.Subgraph.TopologyPath).
+func explainPath(t *testing.T, pin *core.Pinned, m core.Mode, c explainCase, path string) *core.Subgraph {
+	t.Helper()
+	sg := explainOne(t, context.Background(), pin, m, c)
+	if got := sg.TopologyPath(); got != path {
+		t.Fatalf("%s explain of %d (radius %d): topology %s, want %s", m, c.target, c.opts.Radius, got, path)
+	}
+	return sg
+}
+
+// unpackRows are the packed tier's rows. A generation keeps every
+// completed build's packed encoding beside its decoded topology, and
+// once the decoded tier no longer holds a key
+// (Pinned.EvictDecodedTopologies stands in for memory pressure) its
+// next explain unpacks it. Build, reuse and unpack owe each other every
+// bit; a key the packed tier must not serve builds; and an explain
+// abandoned during an unpack stores nothing, so the next one unpacks
+// again.
+func unpackRows(w *world) []path {
+	var rows []path
+	for _, m := range []core.Mode{core.ModeAuthority, core.ModeHub} {
+		m := m
+		// Every case built under the world's rates, then, after a publish
+		// that scales the non-zero rates and an eviction of the decoded
+		// tier, explained again: the first explain of a key unpacks it and
+		// a repeat reuses what the unpack decoded.
+		unpackedAfterPublish := func(t *testing.T) [][]float64 {
+			e := w.fresh(t, w.rates)
+			cases := explainCases(t, w, m)
+			seen := map[string]bool{}
+			for _, c := range cases {
+				explainExpect(t, e.Pin(), m, c, seen[caseKey(c)])
+				seen[caseKey(c)] = true
+			}
+			if err := e.SetRates(w.scaledRates(t)); err != nil {
+				t.Fatal(err)
+			}
+			pin := e.Pin()
+			pin.EvictDecodedTopologies()
+			unpacked := map[string]bool{}
+			var out [][]float64
+			for _, c := range cases {
+				c.res = rankCold(t, pin, m, c.res.Query)
+				path := "unpacked"
+				if unpacked[caseKey(c)] {
+					path = "reused"
+				}
+				unpacked[caseKey(c)] = true
+				out = append(out, flattenSubgraph(explainPath(t, pin, m, c, path))...)
+			}
+			return out
+		}
+		// The same cases under the scaled rates, ranked cold as the
+		// unpacked explains were, each built by a fresh engine or by the
+		// reference construction.
+		underScaled := func(t *testing.T, each func(pin *core.Pinned, c explainCase) [][]float64) [][]float64 {
+			pin := w.fresh(t, w.scaledRates(t)).Pin()
+			var out [][]float64
+			for _, c := range explainCases(t, w, m) {
+				c.res = rankCold(t, pin, m, c.res.Query)
+				out = append(out, each(pin, c)...)
+			}
+			return out
+		}
+		rows = append(rows,
+			path{fmt.Sprintf("%s explain unpacked across a publish of non-zero rates ≡ a fresh engine's build", m), bitIdentical,
+				unpackedAfterPublish,
+				func(t *testing.T) [][]float64 {
+					return underScaled(t, func(pin *core.Pinned, c explainCase) [][]float64 {
+						return flattenSubgraph(explainOne(t, context.Background(), pin, m, c))
+					})
+				}},
+			path{fmt.Sprintf("%s explain unpacked across a publish of non-zero rates ≡ reference", m), bitIdentical,
+				unpackedAfterPublish,
+				func(t *testing.T) [][]float64 {
+					alpha := w.scaledRates(t).Vector()
+					return underScaled(t, func(_ *core.Pinned, c explainCase) [][]float64 {
+						return flattenRef(refExplain(w.graphOf(m), alpha, tight.Damping, c.res, c.target, c.opts))
+					})
+				}},
+			// With the decoded tier evicted, only the packed tier could
+			// answer: after a publish that zeroes a transfer type and after
+			// a corpus swap the key misses both tiers and builds.
+			path{fmt.Sprintf("%s explain after a zeroed type or a corpus swap misses both tiers ≡ reference", m), bitIdentical,
+				func(t *testing.T) [][]float64 {
+					var out [][]float64
+					for _, c := range explainCases(t, w, m) {
+						e := w.fresh(t, w.rates)
+						explainPath(t, e.Pin(), m, c, "built")
+						if err := e.SetRates(w.zeroedRates(t, m, c)); err != nil {
+							t.Fatal(err)
+						}
+						pin := e.Pin()
+						pin.EvictDecodedTopologies()
+						zeroed := c
+						zeroed.res = rankCold(t, pin, m, c.res.Query)
+						out = append(out, flattenSubgraph(explainPath(t, pin, m, zeroed, "built"))...)
+						if _, err := e.SwapCorpus(core.NewCorpus(w.g, core.Config{Rank: tight}), w.rates, e.Generation()); err != nil {
+							t.Fatal(err)
+						}
+						out = append(out, flattenSubgraph(explainPath(t, e.Pin(), m, c, "built"))...)
+					}
+					return out
+				},
+				func(t *testing.T) [][]float64 {
+					var out [][]float64
+					for _, c := range explainCases(t, w, m) {
+						zeroed := w.zeroedRates(t, m, c)
+						res := rankCold(t, w.fresh(t, zeroed).Pin(), m, c.res.Query)
+						out = append(out, flattenRef(refExplain(w.graphOf(m), zeroed.Vector(), tight.Damping, res, c.target, c.opts))...)
+						out = append(out, flattenRef(w.reference(m, c))...)
+					}
+					return out
+				}},
+			// An unpack polls at entry and at each Eq. 10 iteration. An
+			// explain cancelled at any of them stores nothing in the decoded
+			// tier, so the next explain unpacks again.
+			path{fmt.Sprintf("%s explain after a cancellation at each unpack poll ≡ reference", m), bitIdentical,
+				func(t *testing.T) [][]float64 {
+					var out [][]float64
+					for _, c := range explainCases(t, w, m)[:2] {
+						pin := w.fresh(t, w.rates).Pin()
+						explainPath(t, pin, m, c, "built")
+						for n := 0; n < 1+w.reference(m, c).iterations; n++ {
+							pin.EvictDecodedTopologies()
+							ctx := &countdown{Context: context.Background(), left: n}
+							if sg, err := pin.ExplainModeCtx(ctx, m, c.res, c.target, c.opts); err != context.Canceled || sg != nil {
+								t.Fatalf("cancelled at unpack poll %d: (%v, %v), want (nil, context.Canceled)", n, sg, err)
+							}
+							out = append(out, flattenSubgraph(explainPath(t, pin, m, c, "unpacked"))...)
+						}
+					}
+					return out
+				},
+				func(t *testing.T) [][]float64 {
+					var out [][]float64
+					for _, c := range explainCases(t, w, m)[:2] {
+						ref := w.reference(m, c)
+						for n := 0; n < 1+ref.iterations; n++ {
+							out = append(out, flattenRef(ref)...)
+						}
+					}
+					return out
+				}},
+		)
+	}
+
+	// Six goroutines explain the same keys while a seventh evicts the
+	// decoded tier over and over: the explains race to build, unpack and
+	// reuse one key's topology, and every subgraph is read whole.
+	const racers, rounds = 6, 4
+	modes := []core.Mode{core.ModeAuthority, core.ModeHub}
+	rows = append(rows, path{"explains of one key from six goroutines while the decoded tier is evicted ≡ reference", bitIdentical,
+		func(t *testing.T) [][]float64 {
+			pin := w.fresh(t, w.rates).Pin()
+			cases := [][]explainCase{explainCases(t, w, modes[0])[:2], explainCases(t, w, modes[1])[:2]}
+			outs := make([][][]float64, racers)
+			done := make(chan struct{})
+			evicted := make(chan struct{})
+			go func() {
+				defer close(evicted)
+				for {
+					select {
+					case <-done:
+						return
+					default:
+						pin.EvictDecodedTopologies()
+					}
+				}
+			}()
+			var wg sync.WaitGroup
+			for r := range outs {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for range rounds {
+						for i, m := range modes {
+							for _, c := range cases[i] {
+								sg, err := pin.ExplainModeCtx(context.Background(), m, c.res, c.target, c.opts)
+								if err != nil {
+									t.Error(err)
+									return
+								}
+								outs[r] = append(outs[r], flattenSubgraph(sg)...)
+							}
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			close(done)
+			<-evicted
+			return slices.Concat(outs...)
+		},
+		func(t *testing.T) [][]float64 {
+			var once [][]float64
+			for _, m := range modes {
+				for _, c := range explainCases(t, w, m)[:2] {
+					once = append(once, flattenRef(w.reference(m, c))...)
+				}
+			}
+			var out [][]float64
+			for r := 0; r < racers*rounds; r++ {
+				out = append(out, once...)
+			}
+			return out
+		}})
 	return rows
+}
+
+// inducedArcs is Figure 8's invariant as a reference: the positive-rate
+// arcs of g under alpha whose tail and head both lie in nodes, tails
+// ascending and each tail's arcs in CSR order, flattened as (From, To,
+// Type) triples.
+func inducedArcs(g *graph.Graph, alpha []float64, nodes []graph.NodeID) []float64 {
+	var out []float64
+	for _, u := range nodes {
+		for _, a := range g.OutArcs(u) {
+			if _, in := slices.BinarySearch(nodes, a.To); in && alpha[a.Type] > 0 {
+				out = append(out, float64(u), float64(a.To), float64(a.Type))
+			}
+		}
+	}
+	return out
+}
+
+// arcTriples flattens a subgraph's arcs, in Arcs order, as (From, To,
+// Type) triples.
+func arcTriples(sg *core.Subgraph) []float64 {
+	var out []float64
+	for _, a := range sg.FlowArcs() {
+		out = append(out, float64(a.From), float64(a.To), float64(a.Type))
+	}
+	return out
+}
+
+// invariantRadii are the radii the invariant row explains every case at.
+var invariantRadii = []int{1, 2, 3, 4, 0}
+
+// inducedRows check Figure 8's invariant, which lets the packed tier
+// store one bit per CSR arc of a kept node's row and lose nothing: a
+// subgraph's arcs are exactly the positive-rate arcs of its view that
+// its node set induces, in row order. Every case of explainCases — the
+// target-alone cases among them — at radius 1–4 and unbounded, in both
+// directions.
+func inducedRows(w *world) []path {
+	var rows []path
+	for _, m := range []core.Mode{core.ModeAuthority, core.ModeHub} {
+		m := m
+		each := func(t *testing.T, f func(sg *core.Subgraph) []float64) [][]float64 {
+			var out [][]float64
+			for _, c := range explainCases(t, w, m) {
+				for _, r := range invariantRadii {
+					c.opts.Radius = r
+					out = append(out, f(explainOne(t, context.Background(), w.pin, m, c)))
+				}
+			}
+			return out
+		}
+		rows = append(rows, path{fmt.Sprintf("%s subgraph arcs, radius 1–4 and unbounded ≡ the positive-rate arcs its nodes induce", m), bitIdentical,
+			func(t *testing.T) [][]float64 { return each(t, arcTriples) },
+			func(t *testing.T) [][]float64 {
+				return each(t, func(sg *core.Subgraph) []float64 { return inducedArcs(w.graphOf(m), w.rates.Vector(), sg.Nodes) })
+			}})
+	}
+	return rows
+}
+
+// TestInducedArcsBites checks the invariant row can fail: with one arc
+// dropped from a subgraph, or one zero-rate arc between two of its nodes
+// added in its row, the arcs no longer equal the ones its nodes induce.
+// The zero-rate arc comes from a publish that zeroes the type of a
+// case's first arc, which leaves that type's arcs between the nodes
+// still kept.
+func TestInducedArcsBites(t *testing.T) {
+	dropped, added := 0, 0
+	for seed := int64(1); seed <= 5; seed++ {
+		w := newWorld(t, seed)
+		for _, m := range []core.Mode{core.ModeAuthority, core.ModeHub} {
+			g := w.graphOf(m)
+			for _, c := range explainCases(t, w, m) {
+				sg := explainOne(t, context.Background(), w.pin, m, c)
+				got, want := arcTriples(sg), inducedArcs(g, w.rates.Vector(), sg.Nodes)
+				if !slices.Equal(got, want) {
+					t.Fatalf("seed %d: %s explain of %d breaks the invariant", seed, m, c.target)
+				}
+				if len(got) > 0 {
+					mid := 3 * (len(got) / 6)
+					if slices.Equal(slices.Delete(slices.Clone(got), mid, mid+3), want) {
+						t.Errorf("seed %d: %s explain of %d with an arc dropped still induces its arcs", seed, m, c.target)
+					}
+					dropped++
+				}
+
+				zeroed := w.zeroedRates(t, m, c)
+				pin := w.fresh(t, zeroed).Pin()
+				c.res = rankCold(t, pin, m, c.res.Query)
+				sg = explainOne(t, context.Background(), pin, m, c)
+				alpha := zeroed.Vector()
+				want = inducedArcs(g, alpha, sg.Nodes)
+				// Each arc of the view between two of the subgraph's nodes,
+				// in row order, with the zero-rate ones kept: insert the
+				// first zero-rate one into the subgraph's arcs.
+				var extra []float64
+				at := 0
+				for _, u := range sg.Nodes {
+					for _, a := range g.OutArcs(u) {
+						if _, in := slices.BinarySearch(sg.Nodes, a.To); !in {
+							continue
+						}
+						if alpha[a.Type] > 0 {
+							at += 3
+						} else if extra == nil {
+							extra = []float64{float64(u), float64(a.To), float64(a.Type)}
+							break
+						}
+					}
+					if extra != nil {
+						break
+					}
+				}
+				if extra == nil {
+					continue
+				}
+				if slices.Equal(slices.Insert(arcTriples(sg), at, extra...), want) {
+					t.Errorf("seed %d: %s explain of %d with a zero-rate arc added still induces its arcs", seed, m, c.target)
+				}
+				added++
+			}
+		}
+	}
+	if dropped == 0 || added == 0 {
+		t.Fatalf("the bite twin dropped %d arcs and added %d zero-rate arcs; want both > 0", dropped, added)
+	}
 }

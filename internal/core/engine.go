@@ -192,11 +192,13 @@ type generation struct {
 
 	// explainScratch pools the |V|-sized scratch of the explain kernel
 	// (explain.go). topologies keeps the explaining subgraphs'
-	// topologies for reuse under later rates (topology.go), and
-	// topologyBuilds counts the topologies explains built to completion,
-	// kept or not.
+	// topologies, decoded, for reuse under later rates, and packed keeps
+	// every completed build's packed encoding, which outlives its decoded
+	// twin (topology.go); topologyBuilds counts the topologies explains
+	// built to completion, kept or not.
 	explainScratch sync.Pool
 	topologies     *lru.Sharded
+	packed         *lru.Sharded
 	topologyBuilds atomic.Int64
 
 	// planSources is the rate-independent column of the generation's
@@ -206,6 +208,12 @@ type generation struct {
 		once sync.Once
 		to   []int32
 	}
+}
+
+// newGeneration is generation num of corpus c, with empty topology
+// tiers.
+func newGeneration(c *Corpus, num uint64) *generation {
+	return &generation{corpus: c, num: num, topologies: newTopologyMemo(c), packed: newTopologyMemo(c)}
 }
 
 // globalScores returns the generation's warm-start vector, computing
@@ -369,7 +377,7 @@ func NewEngineWith(c *Corpus, rates *graph.Rates) (*Engine, error) {
 	}
 	e := &Engine{}
 	e.state.Store(&engineState{
-		gen:  &generation{corpus: c, num: 1, topologies: newTopologyMemo(c)},
+		gen:  newGeneration(c, 1),
 		snap: newRatesSnapshot(rates.Clone(), 1),
 	})
 	return e, nil
@@ -477,7 +485,7 @@ func (e *Engine) SwapCorpus(c *Corpus, r *graph.Rates, ifGeneration uint64) (uin
 		return old.gen.num, ErrGenerationConflict
 	}
 	next := &engineState{
-		gen:  &generation{corpus: c, num: old.gen.num + 1, topologies: newTopologyMemo(c)},
+		gen:  newGeneration(c, old.gen.num+1),
 		snap: newRatesSnapshot(r.Clone(), old.snap.version+1),
 	}
 	if !e.state.CompareAndSwap(old, next) {

@@ -85,12 +85,15 @@ type Subgraph struct {
 	// index: the per-node quantities are dense slices parallel to Nodes,
 	// read by ID through H/Dist/InFlow/OutFlow (a binary search) or by
 	// position through At. Nodes is shared with every subgraph explained
-	// from the same topology (TopologyReused) and is read-only.
+	// from the same decoded topology and is read-only: a build or an
+	// unpack allocates it and the generation's decoded tier keeps it, and
+	// a reuse (TopologyReused) aliases it.
 	Nodes []graph.NodeID
 	// Arcs lists the subgraph's arcs in ascending-source order (each
 	// source's arcs in CSR order), as CSR references; FlowArcs derives
 	// them with their rates and original and adjusted flows. Like Nodes,
-	// Arcs is shared and read-only.
+	// Arcs is shared and read-only, and an unpack decodes the same
+	// references a build emits.
 	Arcs []ArcRef
 	// Iterations and Converged report the Equation 10 fixpoint run;
 	// Table 3 of the paper tracks these counts.
@@ -99,15 +102,20 @@ type Subgraph struct {
 	// TopologyReused reports that the construction stage was skipped:
 	// Nodes, Arcs and the distances are those of an earlier explain of
 	// the same corpus view, target, radius, base set and zero-rate
-	// transfer types, under the same corpus generation.
-	TopologyReused bool
+	// transfer types, under the same corpus generation, aliased from the
+	// generation's decoded tier. TopologyUnpacked reports that it was
+	// skipped by decoding them from the packed tier instead. When
+	// neither is set the explain built its topology (TopologyPath).
+	TopologyReused   bool
+	TopologyUnpacked bool
 	// BuildDuration is the wall time of the construction stage and
 	// AdjustDuration of the flow-adjustment stage — the "Explaining
 	// Subgraph Creation" and "Explaining ObjectRank2 Execution" bars of
 	// Figures 14–17. BuildDuration ends once each arc's rate under the
 	// explain's rates is filled in; on a reuse it times only the topology
 	// lookup and the per-explain setup: the per-node arrays, the copy of
-	// r(u) and that fill.
+	// r(u) and that fill. On an unpack it times both tiers' lookups, the
+	// decode and that setup.
 	BuildDuration  time.Duration
 	AdjustDuration time.Duration
 
@@ -129,6 +137,19 @@ type Subgraph struct {
 	// sens is each node's audit sensitivity (AuditNode.Sensitivity):
 	// the sum of Flow/Rate over its out-arcs, in arc order.
 	sens []float64
+}
+
+// TopologyPath names how the explain came by its topology: "built"
+// (stage (i) ran), "reused" (TopologyReused) or "unpacked"
+// (TopologyUnpacked).
+func (sg *Subgraph) TopologyPath() string {
+	switch {
+	case sg.TopologyReused:
+		return "reused"
+	case sg.TopologyUnpacked:
+		return "unpacked"
+	}
+	return "built"
 }
 
 // transferRate is the Equation 1 transfer rate of CSR arc a under the
@@ -255,11 +276,12 @@ func (sg *Subgraph) NodeAuthority(v graph.NodeID) float64 {
 // published — or a corpus swapped in — after the view was taken. Stage
 // (i) does not read the non-zero rates, so the generation keeps its
 // result and a later explain of the same key, under any rates with the
-// same zero-rate types, runs stage (ii) alone (TopologyReused). ctx is
+// same zero-rate types, runs stage (ii) alone (TopologyReused, or
+// TopologyUnpacked when only the packed copy was still kept). ctx is
 // checked at entry, after each BFS of a build and once per Equation 10
 // iteration, so a cancelled or expired request abandons the explain
 // within one phase/iteration and returns ctx.Err() instead of a
-// subgraph; a build abandoned at any poll keeps nothing.
+// subgraph; an explain abandoned at any poll stores nothing.
 func (p *Pinned) ExplainCtx(ctx context.Context, res *RankResult, target graph.NodeID, opts ExplainOptions) (*Subgraph, error) {
 	return explainOn(ctx, p.st, 0, p.st.gen.corpus, res, target, opts)
 }
@@ -325,8 +347,11 @@ func (sc *explainScratch) keep(v graph.NodeID) {
 // path, view 1, its direction-reversed hub view, when explaining a
 // hub-mode ranking (mode.go). res must have been solved on the SAME view
 // — the flows of Equation 5 read res.Scores through this corpus's arcs.
-// The topology of stage (i) comes from the generation's memo when an
-// explain of the same key completed before; stage (ii) always runs.
+// The topology of stage (i) comes from the generation's decoded tier
+// when an explain of the same key completed before and is still
+// resident there; else from its packed tier, decoded, and once the
+// explain completes the decoded tier keeps it; else stage (i) builds it
+// and a completed explain stores it in both. Stage (ii) always runs.
 func explainOn(ctx context.Context, st *engineState, view int, c *Corpus, res *RankResult, target graph.NodeID, opts ExplainOptions) (*Subgraph, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -337,25 +362,37 @@ func explainOn(ctx context.Context, st *engineState, view int, c *Corpus, res *R
 	}
 	opts = opts.withDefaults()
 	buildStart := time.Now()
-	sc := st.gen.getExplainScratch(g.NumNodes())
-	defer st.gen.putExplainScratch(sc)
+	gn := st.gen
+	sc := gn.getExplainScratch(g.NumNodes())
+	defer gn.putExplainScratch(sc)
 	key := topologyKey(view, target, opts.Radius, st.snap.zeros, res.Base)
-	v, reused := st.gen.topologies.Get(key)
+	v, reused := gn.topologies.Get(key)
 	topo, _ := v.(*topology)
+	start, out := g.ForwardCSR()
+	unpacked := false
 	if !reused {
-		var err error
-		if topo, err = buildTopology(ctx, sc, g, st.snap.alpha, res, target, opts.Radius); err != nil {
-			return nil, err
+		if p, ok := gn.packed.Get(key); ok {
+			topo, unpacked = unpackTopology(sc, p.([]byte), start, out, target), true
+		} else {
+			var err error
+			if topo, err = buildTopology(ctx, sc, g, st.snap.alpha, res, target, opts.Radius); err != nil {
+				return nil, err
+			}
 		}
 	}
 	sg, err := adjust(ctx, sc, c, st.snap.alpha, topo, res, opts, buildStart)
 	if err != nil {
 		return nil, err
 	}
-	sg.TopologyReused = reused
+	sg.TopologyReused, sg.TopologyUnpacked = reused, unpacked
 	if !reused {
-		st.gen.topologyBuilds.Add(1)
-		st.gen.topologies.Put(key, topo, topo.size(key))
+		gn.topologies.Put(key, topo, topo.size(key))
+	}
+	if !reused && !unpacked {
+		gn.topologyBuilds.Add(1)
+		if p := packTopology(topo, start); p != nil {
+			gn.packed.Put(key, p, packedSize(key, p))
+		}
 	}
 	return sg, nil
 }
@@ -440,19 +477,15 @@ func buildTopology(ctx context.Context, sc *explainScratch, g *graph.Graph, alph
 
 	// Nodes in ascending ID order are the set mark bits, enumerated word
 	// by word; local[v] turns from v's BFS row into its index in Nodes.
-	n := len(sc.kept)
-	t := &topology{
-		nodes:    make([]graph.NodeID, 0, n),
-		dist:     make([]int32, n),
-		rowStart: make([]int32, n+1),
-	}
+	t := newTopology(len(sc.kept), len(sc.sel))
+	i := 0
 	for w, word := range sc.mark {
 		for ; word != 0; word &= word - 1 {
 			v := graph.NodeID(w<<6 | bits.TrailingZeros64(word))
-			t.dist[len(t.nodes)] = dist[v]
+			t.nodes[i], t.dist[i] = v, dist[v]
 			sc.order = append(sc.order, local[v])
-			local[v] = int32(len(t.nodes))
-			t.nodes = append(t.nodes, v)
+			local[v] = int32(i)
+			i++
 		}
 	}
 	t.tgt = int(local[target])
@@ -460,7 +493,7 @@ func buildTopology(ctx context.Context, sc *explainScratch, g *graph.Graph, alph
 	// Emit the subgraph arcs as CSR references in rows over local
 	// indices: row i is Nodes[i]'s BFS row of sel. sel holds exactly the
 	// arcs, so Arcs never regrows.
-	arcs := make([]ArcRef, 0, len(sc.sel))
+	arcs := t.arcs
 	for i := range t.nodes {
 		p := sc.order[i]
 		for _, k := range sc.sel[sc.rows[p]:sc.rows[p+1]] {

@@ -429,22 +429,29 @@ func citationWeb(t *testing.T, rng *rand.Rand, n, m int) *Engine {
 }
 
 // forgetter returns a function that drops the memoized topology of the
-// authority-mode explain of target under res at opts, so the next one
-// builds; it allocates nothing.
+// authority-mode explain of target under res at opts from both tiers,
+// so the next one builds; it allocates nothing.
 func forgetter(p *Pinned, res *RankResult, target graph.NodeID, opts ExplainOptions) func() {
+	key := topologyKey(0, target, opts.Radius, p.st.snap.zeros, res.Base)
+	return func() { p.st.gen.topologies.Remove(key); p.st.gen.packed.Remove(key) }
+}
+
+// decodedForgetter is forgetter for the decoded tier alone: the next
+// explain unpacks the topology from the packed tier.
+func decodedForgetter(p *Pinned, res *RankResult, target graph.NodeID, opts ExplainOptions) func() {
 	key := topologyKey(0, target, opts.Radius, p.st.snap.zeros, res.Base)
 	return func() { p.st.gen.topologies.Remove(key) }
 }
 
 // explainBytesCeiling: in steady state one explain that builds its
 // topology allocates at most 16 bytes per subgraph arc, 64 per node and
-// 1 KiB besides, and one that reuses it at most 40 bytes per node — its
-// five per-node float arrays — 4 per base-set node for its memo key and
-// 1 KiB besides, measured as the
+// 1 KiB besides, and so does one that unpacks it; one that reuses it at
+// most 40 bytes per node — its five per-node float arrays — 4 per
+// base-set node for its memo key and 1 KiB besides, measured as the
 // TotalAlloc growth over 100 explains of a subgraph of thousands of
 // arcs. A 40-byte FlowArc per arc, any per-arc array kept beside the
-// 8-byte references, or a reuse that copies Nodes, Arcs, the rows or the
-// distances breaks it.
+// 8-byte references, a packed form with an O(|V|) or O(|E|) term, or a
+// reuse that copies Nodes, Arcs, the rows or the distances breaks it.
 func explainBytesCeiling(t *testing.T) {
 	pin := citationWeb(t, rand.New(rand.NewSource(3)), 400, 2400).Pin()
 	res := rankPinned(pin, ir.NewQuery("olap"))
@@ -456,21 +463,23 @@ func explainBytesCeiling(t *testing.T) {
 	if len(sg.Arcs) < 1000 {
 		t.Fatalf("subgraph of %d arcs measures too little", len(sg.Arcs))
 	}
+	build := 16*len(sg.Arcs) + 64*len(sg.Nodes) + 1024
 	for _, c := range []struct {
 		path    string
 		before  func()
 		ceiling int
 	}{
-		{"build", forgetter(pin, res, target, opts), 16*len(sg.Arcs) + 64*len(sg.Nodes) + 1024},
-		{"reuse", func() {}, 40*len(sg.Nodes) + 4*len(res.Base) + 1024},
+		{"built", forgetter(pin, res, target, opts), build},
+		{"reused", func() {}, 40*len(sg.Nodes) + 4*len(res.Base) + 1024},
+		{"unpacked", decodedForgetter(pin, res, target, opts), build},
 	} {
 		const runs = 100
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for i := 0; i < runs; i++ {
 			c.before()
-			if sg, err := pin.ExplainCtx(context.Background(), res, target, opts); err != nil || sg.TopologyReused != (c.path == "reuse") {
-				t.Fatalf("%s: (%v, %v)", c.path, sg.TopologyReused, err)
+			if sg, err := pin.ExplainCtx(context.Background(), res, target, opts); err != nil || sg.TopologyPath() != c.path {
+				t.Fatalf("%s: (%v, %v)", c.path, sg.TopologyPath(), err)
 			}
 		}
 		runtime.ReadMemStats(&after)
@@ -535,12 +544,15 @@ func (c *countdown) Err() error {
 
 // TestExplainPooledScratch: one explain that builds its topology
 // allocates at most 10 objects (the Subgraph, its per-node float arrays
-// in one, the topology, Nodes, the distances, the rows, Arcs, the memo
-// key and its entry) and one that reuses it at most 3 (the Subgraph,
-// its float arrays and the key), within explainBytesCeiling's byte ceilings; the
-// pooled scratch neither grows across 100 explains of one target nor
-// comes back dirty, also after a cancellation at each of a build's and
-// a reuse's polls; and a build cancelled at any poll keeps no topology.
+// in one, the topology, one backing of Nodes, the distances and the
+// rows, Arcs, the memo key, its decoded-tier entry, the packed encoding,
+// its box and its packed-tier entry), one that unpacks it at most as
+// many, and one that reuses it at most 3 (the Subgraph, its float arrays
+// and the key), within explainBytesCeiling's byte ceilings; the pooled
+// scratch neither grows across 100 explains of one target nor comes back
+// dirty, also after a cancellation at each of a build's, an unpack's and
+// a reuse's polls; and an explain cancelled at any poll stores nothing
+// in either tier.
 func TestExplainPooledScratch(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a GC empties the pool
 	f := newFixture(t)
@@ -550,7 +562,6 @@ func TestExplainPooledScratch(t *testing.T) {
 		return pin.ExplainCtx(ctx, res, f.ids["v7"], DefaultExplain())
 	}
 	gen, size := pin.st.gen, f.g.NumNodes()
-	forget := forgetter(pin, res, f.ids["v7"], DefaultExplain())
 	sg, err := run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -558,12 +569,24 @@ func TestExplainPooledScratch(t *testing.T) {
 	if len(sg.Arcs) < 3 {
 		t.Fatalf("subgraph of %d arcs exercises nothing", len(sg.Arcs))
 	}
+	// Each path, what makes the next explain take it, its object ceiling
+	// and its polls: entry and each Eq. 10 iteration, and for a build
+	// after each BFS as well.
+	paths := []struct {
+		name    string
+		before  func()
+		objects float64
+		polls   int
+	}{
+		{"built", forgetter(pin, res, f.ids["v7"], DefaultExplain()), 10, 3 + sg.Iterations},
+		{"reused", func() {}, 3, 1 + sg.Iterations},
+		{"unpacked", decodedForgetter(pin, res, f.ids["v7"], DefaultExplain()), 10, 1 + sg.Iterations},
+	}
 	if !raceEnabled {
-		if n := testing.AllocsPerRun(100, func() { forget(); _, _ = run(context.Background()) }); n > 10 {
-			t.Errorf("one explain that builds allocates %v objects, want <= 10", n)
-		}
-		if n := testing.AllocsPerRun(100, func() { _, _ = run(context.Background()) }); n > 3 {
-			t.Errorf("one explain that reuses its topology allocates %v objects, want <= 3", n)
+		for _, p := range paths {
+			if n := testing.AllocsPerRun(100, func() { p.before(); _, _ = run(context.Background()) }); n > p.objects {
+				t.Errorf("one explain that is %s allocates %v objects, want <= %v", p.name, n, p.objects)
+			}
 		}
 		explainBytesCeiling(t)
 	}
@@ -588,68 +611,66 @@ func TestExplainPooledScratch(t *testing.T) {
 		}
 		return sc, [7]int{cap(sc.back), cap(sc.kept), cap(sc.sel), cap(sc.rows), cap(sc.order), cap(sc.rates), cap(sc.toLocal)}
 	}
-	for _, reuse := range []bool{false, true} {
-		prev, caps := take("after the first explain")
+	for _, p := range paths {
+		// A scratch that served only the other paths may grow once here.
+		p.before()
+		if _, err := run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		prev, caps := take(fmt.Sprintf("after the first %s explain", p.name))
 		same := 0
 		for i := 0; i < 100; i++ {
-			if !reuse {
-				forget()
-			}
-			if sg, err := run(context.Background()); err != nil || sg.TopologyReused != reuse {
-				t.Fatalf("explain %d: (%v, %v), want reused=%v", i, sg, err, reuse)
+			p.before()
+			if sg, err := run(context.Background()); err != nil || sg.TopologyPath() != p.name {
+				t.Fatalf("explain %d: (%v, %v), want %s", i, sg, err, p.name)
 			}
 			// The pool may hand out a fresh scratch (under -race it drops
 			// puts), which its first explain grows; one that had served an
 			// explain already must not have grown.
-			sc, now := take(fmt.Sprintf("explain %d (reuse=%v)", i, reuse))
+			sc, now := take(fmt.Sprintf("explain %d (%s)", i, p.name))
 			if sc == prev && caps != ([7]int{}) {
 				same++
 				if now != caps {
-					t.Fatalf("explain %d (reuse=%v) grew the pooled scratch: capacities %v -> %v", i, reuse, caps, now)
+					t.Fatalf("explain %d (%s) grew the pooled scratch: capacities %v -> %v", i, p.name, caps, now)
 				}
 			}
 			prev, caps = sc, now
 		}
 		if same < 25 {
-			t.Errorf("reuse=%v: the pool returned the same scratch %d times in 100", reuse, same)
+			t.Errorf("%s: the pool returned the same scratch %d times in 100", p.name, same)
 		}
 	}
 
-	// A build polls at entry, after each BFS and at each Eq. 10
-	// iteration; a reuse at entry and at each iteration. A build
-	// cancelled at any of its polls keeps no topology: the next explain
-	// builds again.
-	for _, reuse := range []bool{false, true} {
-		polls := 1 + sg.Iterations
-		if !reuse {
-			polls += 2
-		}
-		for n := 0; n < polls; n++ {
-			if !reuse {
-				forget()
-			}
-			builds := gen.topologyBuilds.Load()
+	// An explain cancelled at any of its polls stores nothing in either
+	// tier: after a build's cancellation both are empty, after an
+	// unpack's the decoded tier is, and the packed tier holds the bytes it
+	// held; the next explain takes the same path again.
+	for _, p := range paths {
+		for n := 0; n < p.polls; n++ {
+			p.before()
+			builds, decoded, packed := gen.topologyBuilds.Load(), gen.topologies.Bytes(), gen.packed.Bytes()
 			if sg, err := run(&countdown{Context: context.Background(), left: n}); err != context.Canceled || sg != nil {
-				t.Fatalf("reuse=%v: cancelled at poll %d of %d: (%v, %v), want (nil, context.Canceled)", reuse, n, polls, sg, err)
+				t.Fatalf("%s: cancelled at poll %d of %d: (%v, %v), want (nil, context.Canceled)", p.name, n, p.polls, sg, err)
 			}
-			take(fmt.Sprintf("a cancellation at poll %d (reuse=%v)", n, reuse))
-			if gen.topologyBuilds.Load() != builds || (!reuse && gen.topologies.Len() != 0) {
-				t.Fatalf("reuse=%v: a cancellation at poll %d kept a topology", reuse, n)
+			take(fmt.Sprintf("a cancellation at poll %d (%s)", n, p.name))
+			if gen.topologyBuilds.Load() != builds || gen.topologies.Bytes() != decoded || gen.packed.Bytes() != packed {
+				t.Fatalf("%s: a cancellation at poll %d stored a topology", p.name, n)
+			}
+			if p.name != "reused" && gen.topologies.Len() != 0 || p.name == "built" && gen.packed.Len() != 0 {
+				t.Fatalf("%s: a tier holds a topology after a cancellation at poll %d", p.name, n)
 			}
 			next, err := run(context.Background())
-			if err != nil || next.TopologyReused != reuse {
-				t.Fatalf("reuse=%v: the explain after a cancellation at poll %d: (%v, %v)", reuse, n, next, err)
+			if err != nil || next.TopologyPath() != p.name {
+				t.Fatalf("%s: the explain after a cancellation at poll %d: (%v, %v)", p.name, n, next, err)
 			}
 			if !slices.Equal(next.h, sg.h) || !slices.Equal(next.Arcs, sg.Arcs) || next.Iterations != sg.Iterations {
-				t.Fatalf("reuse=%v: the explain after a cancellation at poll %d differs from the first", reuse, n)
+				t.Fatalf("%s: the explain after a cancellation at poll %d differs from the first", p.name, n)
 			}
 		}
 		// One poll more completes.
-		if !reuse {
-			forget()
-		}
-		if sg, err := run(&countdown{Context: context.Background(), left: polls}); err != nil || sg.TopologyReused != reuse {
-			t.Fatalf("reuse=%v: %d polls: (%v, %v), want a subgraph", reuse, polls, sg, err)
+		p.before()
+		if sg, err := run(&countdown{Context: context.Background(), left: p.polls}); err != nil || sg.TopologyPath() != p.name {
+			t.Fatalf("%s: %d polls: (%v, %v), want a subgraph", p.name, p.polls, sg, err)
 		}
 	}
 }

@@ -185,6 +185,20 @@ func (l *Sharded) Remove(key string) (any, bool) {
 	return v, true
 }
 
+// Clear drops every entry, as eviction would, without counting
+// evictions.
+func (l *Sharded) Clear() {
+	for i := range l.shards {
+		s := &l.shards[i]
+		s.mu.Lock()
+		l.bytesUsed.Add(-s.bytes)
+		l.entries.Add(-int64(len(s.items)))
+		s.bytes, s.items = 0, make(map[string]*lruEntry)
+		s.head.next, s.tail.prev = &s.tail, &s.head
+		s.mu.Unlock()
+	}
+}
+
 // Bytes returns the total accounted bytes currently resident.
 func (l *Sharded) Bytes() int64 { return l.bytesUsed.Load() }
 

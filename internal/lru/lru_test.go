@@ -38,4 +38,18 @@ func TestLRUByteBudget(t *testing.T) {
 	if _, ok := l.Get(string(rune('a' + 15))); ok {
 		t.Error("removed entry still resident")
 	}
+	// Clear drops the rest without counting evictions, and the cache
+	// takes entries again.
+	evicted := ev.Load()
+	l.Clear()
+	if l.Len() != 0 || l.Bytes() != 0 || ev.Load() != evicted {
+		t.Errorf("after Clear: %d entries, %d bytes, %d evictions (was %d)", l.Len(), l.Bytes(), ev.Load(), evicted)
+	}
+	if _, ok := l.Get(string(rune('a' + 14))); ok {
+		t.Error("entry resident after Clear")
+	}
+	l.Put("a", 0, 128)
+	if _, ok := l.Get("a"); !ok || l.Len() != 1 || l.Bytes() != 128 {
+		t.Error("Put after Clear not resident")
+	}
 }

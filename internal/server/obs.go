@@ -98,7 +98,16 @@ type serverObs struct {
 	explainTotal     *obs.CounterVec
 	explainArcs      *obs.Histogram
 	explainTruncated *obs.Counter
+	// explainTopology counts the explains of /v1/explain, /v1/audit and
+	// /v1/reformulate's feedback by how each came by its topology
+	// (core.Subgraph.TopologyPath), every series resolved at
+	// construction so a count allocates nothing.
+	explainTopology map[topologySeries]*obs.Counter
 }
+
+// topologySeries is one series of afq_explain_topology_total: a route
+// and a topology path.
+type topologySeries struct{ route, path string }
 
 // newServerObs registers every metric family. Family names are
 // namespaced afq_*; see DESIGN.md §7 for the full table.
@@ -183,10 +192,25 @@ func newServerObs(o ObsOptions) *serverObs {
 		"Arcs in the whole explaining subgraph per explain (pre-budget).", obs.ExponentialBuckets(1, 4, 10))
 	so.explainTruncated = reg.NewCounter("afq_explain_truncated_total",
 		"JSON explains whose subgraph held more arcs than the budget (arcs, nodes and contributions were clipped).")
+	topology := reg.NewCounterVec("afq_explain_topology_total",
+		"Completed explaining subgraphs by route (explain, audit, reformulate's feedback) and how each came by its topology: built (stage (i) ran), reused (the decoded tier), unpacked (the packed tier).",
+		"route", "path")
+	so.explainTopology = make(map[topologySeries]*obs.Counter)
+	for _, route := range []string{"explain", "audit", "reformulate"} {
+		for _, path := range []string{"built", "reused", "unpacked"} {
+			so.explainTopology[topologySeries{route, path}] = topology.With(route, path)
+		}
+	}
 	reg.NewGaugeFunc("afq_uptime_seconds",
 		"Seconds since the server was constructed.",
 		func() float64 { return time.Since(so.start).Seconds() })
 	return so
+}
+
+// countTopology counts sg, explained for route, in
+// afq_explain_topology_total.
+func (so *serverObs) countTopology(route string, sg *core.Subgraph) {
+	so.explainTopology[topologySeries{route, sg.TopologyPath()}].Inc()
 }
 
 // uptimeSeconds reports how long the server has been up.

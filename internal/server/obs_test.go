@@ -434,10 +434,12 @@ func TestWarmSolvesCountDonatedStartsOnly(t *testing.T) {
 // families (by mode and format, whole-subgraph size, clipped JSON
 // bodies), /v1/stats mirrors them from the same metric objects, and
 // the trace's explain event, like the audit's, says what the kernel
-// built and how long each stage took.
+// built and how long each stage took. afq_explain_topology_total
+// counts every route's explains by topology path, the audit's event
+// says when it unpacked, and a count allocates nothing.
 func TestExplainObservability(t *testing.T) {
 	var slow syncBuffer
-	_, ts := obsTestServer(t, WithObservability(ObsOptions{SlowLog: &slow, SlowThreshold: time.Nanosecond}))
+	s, ts := obsTestServer(t, WithObservability(ObsOptions{SlowLog: &slow, SlowThreshold: time.Nanosecond}))
 	var q QueryResponse
 	if code := getJSON(t, ts.URL+"/v1/query?q=olap&k=1", &q); code != 200 || len(q.Results) == 0 {
 		t.Fatal("seed query failed")
@@ -494,6 +496,37 @@ func TestExplainObservability(t *testing.T) {
 	event := log[strings.Index(log, `"name":"audit"`):]
 	if event = event[:strings.Index(event, "}")]; !strings.Contains(event, want+"reused build_ms=") || !strings.Contains(event, " adjust_ms=") {
 		t.Errorf("audit event missing %q / adjust_ms=: %s", want+"reused build_ms=", event)
+	}
+
+	// With the decoded tier evicted the next audit unpacks the packed
+	// topology and says so; the feedback explain of a reformulate then
+	// reuses the topology the unpack put back.
+	s.eng.Pin().EvictDecodedTopologies()
+	mustGet(t, strings.Replace(url, "/v1/explain", "/v1/audit", 1), 200)
+	if !waitFor(t, 2*time.Second, func() bool { return strings.Count(slow.String(), `"name":"audit"`) == 2 }) {
+		t.Fatal("no second audit event in the slow log")
+	}
+	log = slow.String()
+	if event = log[strings.LastIndex(log, `"name":"audit"`):]; !strings.Contains(event[:strings.Index(event, "}")], want+"unpacked build_ms=") {
+		t.Errorf("audit event after an eviction missing %q: %s", want+"unpacked build_ms=", event[:strings.Index(event, "}")])
+	}
+	mustGet(t, ts.URL+"/v1/reformulate?q=olap&feedback="+strconv.FormatInt(q.Results[0].Node, 10), 200)
+	samples, _ = scrapeMetrics(t, ts.URL)
+	for _, route := range []string{"explain", "audit", "reformulate"} {
+		for path, want := range map[string]float64{
+			"built":    map[string]float64{"explain": 2}[route], // the authority and hub keys
+			"reused":   map[string]float64{"explain": 2, "audit": 1, "reformulate": 1}[route],
+			"unpacked": map[string]float64{"audit": 1}[route],
+		} {
+			name := `afq_explain_topology_total{route="` + route + `",path="` + path + `"}`
+			if got, ok := samples[name]; !ok || got != want {
+				t.Errorf("%s = %g (present=%t), want %g", name, got, ok, want)
+			}
+		}
+	}
+	var sg core.Subgraph
+	if allocs := testing.AllocsPerRun(100, func() { s.obs.countTopology("reformulate", &sg) }); allocs != 0 {
+		t.Errorf("counting an explain's topology path allocates %v", allocs)
 	}
 }
 

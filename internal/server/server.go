@@ -389,9 +389,10 @@ func (s *Server) parseTarget(rq *request, r *http.Request) (string, error) {
 // explainTarget is what /v1/explain and /v1/audit share: the query's
 // score vector in the requested mode (single-keyword rankings are the
 // cache's shared term vectors), then the target's Section 4 explaining
-// subgraph at the paper's radius (core.DefaultExplain), with an event
-// named event saying what the kernel built, whether it reused the
-// generation's topology of the subgraph, and how long each stage took.
+// subgraph at the paper's radius (core.DefaultExplain), counted in
+// afq_explain_topology_total under route event, with an event named
+// event saying what the kernel built, whether it built, reused or
+// unpacked the subgraph's topology, and how long each stage took.
 func (s *Server) explainTarget(rq *request, event string) (*core.Subgraph, error) {
 	res, err := s.cache.RankModePinnedCtx(rq.ctx, rq.pin, rq.q, rq.rp.Mode)
 	if err != nil {
@@ -403,12 +404,9 @@ func (s *Server) explainTarget(rq *request, event string) (*core.Subgraph, error
 	if err != nil {
 		return nil, inputError{err}
 	}
-	topology := "built"
-	if sg.TopologyReused {
-		topology = "reused"
-	}
+	s.obs.countTopology(event, sg)
 	rq.tr.Eventf(event, "nodes=%d arcs=%d iters=%d topology=%s build_ms=%.3f adjust_ms=%.3f", len(sg.Nodes), len(sg.Arcs),
-		sg.Iterations, topology, sg.BuildDuration.Seconds()*1e3, sg.AdjustDuration.Seconds()*1e3)
+		sg.Iterations, sg.TopologyPath(), sg.BuildDuration.Seconds()*1e3, sg.AdjustDuration.Seconds()*1e3)
 	return sg, nil
 }
 
@@ -517,6 +515,7 @@ func (s *Server) runReformulate(rq *request) (reply, error) {
 		if subs[i], err = pin.ExplainCtx(ctx, res, id, core.DefaultExplain()); err != nil {
 			return reply{}, inputError{err}
 		}
+		s.obs.countTopology("reformulate", subs[i])
 	}
 	rq.tr.Eventf("explain", "subgraphs=%d", len(subs))
 
