@@ -198,16 +198,18 @@ func dblptopExplain(b *testing.B) (*authorityflow.Pinned, *authorityflow.RankRes
 // explains one target over and over: after one untimed explain every one
 // reuses the generation's decoded topology of the subgraph and runs only
 // the Equation 10 adjustment, so it allocates the Subgraph and its
-// per-node float arrays and nothing per arc. /unpack explains the same
+// per-node float arrays and nothing per arc. /derive explains the same
 // target with the decoded tier evicted before each (untimed), so every
-// explain decodes the packed tier's copy and then adjusts: it allocates
-// the decoded topology, O(|subgraph|), beside what /reuse does. /build
-// rotates over the next 200 results of each of five queries, whose
-// subgraphs are many times what either tier holds, so every explain
-// builds: its allocations are O(|subgraph|) — Nodes, the per-node arrays,
-// Arcs at 8 bytes per arc and the packed copy — and independent of |V|.
-// In all three the scratch, including the Equation 10 loop's dense
-// per-arc arrays, is pooled per corpus generation.
+// explain restricts the target's ball, kept in the ball tier, to the
+// base set by a forward closure and then adjusts: it allocates the
+// derived topology, O(|subgraph|), beside what /reuse does. /build
+// rotates over the distinct targets among the top 200 results of each
+// of five queries, several times as many as the ball tier holds balls,
+// so every explain builds: the backward search, the ball and the
+// closure, O(|ball|) allocations — the ball, the derived topology, the
+// per-node arrays — independent of |V|. In all three the scratch,
+// including the Equation 10 loop's dense per-arc arrays, is pooled per
+// corpus generation.
 func BenchmarkExplainDblptop(b *testing.B) {
 	pin, res, target := dblptopExplain(b)
 	type explain struct {
@@ -247,21 +249,23 @@ func BenchmarkExplainDblptop(b *testing.B) {
 		}
 		run(b, one, nil, "reused")
 	})
-	b.Run("unpack", func(b *testing.B) {
+	b.Run("derive", func(b *testing.B) {
 		if _, err := pin.ExplainCtx(context.Background(), res, target, authorityflow.DefaultExplain()); err != nil {
 			b.Fatal(err)
 		}
-		run(b, one, pin.EvictDecodedTopologies, "unpacked")
+		run(b, one, pin.EvictDecodedTopologies, "derived")
 	})
 	b.Run("build", func(b *testing.B) {
 		var explains []explain
+		seen := map[authorityflow.NodeID]bool{target: true}
 		for _, q := range []string{"olap", "mining", "xml", "web", "query"} {
 			r := res
 			if q != "olap" {
 				r = solve(b, pin, authorityflow.SolveSpec{Queries: []*authorityflow.Query{authorityflow.NewQuery(q)}})
 			}
-			for _, top := range r.TopK(201) {
-				if top.Node != target {
+			for _, top := range r.TopK(200) {
+				if !seen[top.Node] {
+					seen[top.Node] = true
 					explains = append(explains, explain{r, top.Node})
 				}
 			}
@@ -403,6 +407,59 @@ func BenchmarkReformulate(b *testing.B) {
 		if _, err := eng.Pin().ReformulateWeightedCtx(context.Background(), q, []*authorityflow.Subgraph{sg}, nil, authorityflow.ContentAndStructure()); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkReformulateDblptop measures what one structure-mode
+// /v1/reformulate does at the benchmark's corpus, minus HTTP and the
+// serving cache: rank the query, explain its top two results — the
+// feedback, concurrently (Pinned.ExplainEachCtx) — compute Equations
+// 13–15, publish the rates and requery warm-started from the ranking.
+// The query rotates over five keywords, so a feedback explain builds
+// its target's ball, derives from a kept one or reuses a kept topology;
+// the benchmark reports ms/op and each path's explains per op.
+func BenchmarkReformulateDblptop(b *testing.B) {
+	ds, err := datagen.GenerateDBLP(datagen.DBLPTopConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng, err := authorityflow.NewEngine(ds.Graph, ds.Rates, authorityflow.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	var queries []*authorityflow.Query
+	for _, q := range []string{"olap", "mining", "xml", "web", "query"} {
+		queries = append(queries, authorityflow.NewQuery(q))
+	}
+	paths := map[string]int{}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pin, q := eng.Pin(), queries[i%len(queries)]
+		res := solve(b, pin, authorityflow.SolveSpec{Queries: []*authorityflow.Query{q}})
+		top := res.TopK(2)
+		subs, err := pin.ExplainEachCtx(ctx, res, []authorityflow.NodeID{top[0].Node, top[1].Node}, authorityflow.DefaultExplain())
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, sg := range subs {
+			paths[sg.TopologyPath()]++
+		}
+		ref, err := pin.ReformulateWeightedCtx(ctx, q, subs, nil, authorityflow.StructureOnly())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := eng.TrySetRates(ref.Rates, pin.Version()); err != nil {
+			b.Fatal(err)
+		}
+		requery := solve(b, eng.Pin(), authorityflow.SolveSpec{Queries: []*authorityflow.Query{ref.Query}, Inits: [][]float64{res.Scores}})
+		eng.Release(requery)
+		eng.Release(res)
+	}
+	b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/op")
+	for _, path := range []string{"built", "derived", "reused"} {
+		b.ReportMetric(float64(paths[path])/float64(b.N), path+"/op")
 	}
 }
 

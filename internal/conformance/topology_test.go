@@ -9,6 +9,7 @@ import (
 
 	"authorityflow/internal/core"
 	"authorityflow/internal/graph"
+	"authorityflow/internal/ir"
 )
 
 // This file is the topology memo's part of the table. A corpus
@@ -255,7 +256,7 @@ func topologyRows(w *world) []path {
 			}
 			return out
 		}})
-	return append(append(rows, unpackRows(w)...), inducedRows(w)...)
+	return slices.Concat(rows, deriveRows(w), ballRows(w), inducedRows(w))
 }
 
 // explainPath explains c under pin and fails unless the explain came by
@@ -269,23 +270,23 @@ func explainPath(t *testing.T, pin *core.Pinned, m core.Mode, c explainCase, pat
 	return sg
 }
 
-// unpackRows are the packed tier's rows. A generation keeps every
-// completed build's packed encoding beside its decoded topology, and
-// once the decoded tier no longer holds a key
-// (Pinned.EvictDecodedTopologies stands in for memory pressure) its
-// next explain unpacks it. Build, reuse and unpack owe each other every
-// bit; a key the packed tier must not serve builds; and an explain
-// abandoned during an unpack stores nothing, so the next one unpacks
-// again.
-func unpackRows(w *world) []path {
+// deriveRows are the ball tier's rows. A generation keeps each built
+// target's ball beside the decoded topologies, and once the decoded
+// tier no longer holds a key (Pinned.EvictDecodedTopologies stands in
+// for memory pressure) its next explain derives it from the ball. Build,
+// reuse and derive owe each other every bit; a key the ball tier must
+// not serve builds; and an explain abandoned during a derive stores
+// nothing, so the next one derives again. The rows kept the names they
+// had when the tier beside the decoded one held packed topologies.
+func deriveRows(w *world) []path {
 	var rows []path
 	for _, m := range []core.Mode{core.ModeAuthority, core.ModeHub} {
 		m := m
 		// Every case built under the world's rates, then, after a publish
 		// that scales the non-zero rates and an eviction of the decoded
-		// tier, explained again: the first explain of a key unpacks it and
-		// a repeat reuses what the unpack decoded.
-		unpackedAfterPublish := func(t *testing.T) [][]float64 {
+		// tier, explained again: the first explain of a key derives it and
+		// a repeat reuses what the derive kept.
+		derivedAfterPublish := func(t *testing.T) [][]float64 {
 			e := w.fresh(t, w.rates)
 			cases := explainCases(t, w, m)
 			seen := map[string]bool{}
@@ -298,21 +299,21 @@ func unpackRows(w *world) []path {
 			}
 			pin := e.Pin()
 			pin.EvictDecodedTopologies()
-			unpacked := map[string]bool{}
+			derived := map[string]bool{}
 			var out [][]float64
 			for _, c := range cases {
 				c.res = rankCold(t, pin, m, c.res.Query)
-				path := "unpacked"
-				if unpacked[caseKey(c)] {
+				path := "derived"
+				if derived[caseKey(c)] {
 					path = "reused"
 				}
-				unpacked[caseKey(c)] = true
+				derived[caseKey(c)] = true
 				out = append(out, flattenSubgraph(explainPath(t, pin, m, c, path))...)
 			}
 			return out
 		}
 		// The same cases under the scaled rates, ranked cold as the
-		// unpacked explains were, each built by a fresh engine or by the
+		// derived explains were, each built by a fresh engine or by the
 		// reference construction.
 		underScaled := func(t *testing.T, each func(pin *core.Pinned, c explainCase) [][]float64) [][]float64 {
 			pin := w.fresh(t, w.scaledRates(t)).Pin()
@@ -325,21 +326,21 @@ func unpackRows(w *world) []path {
 		}
 		rows = append(rows,
 			path{fmt.Sprintf("%s explain unpacked across a publish of non-zero rates ≡ a fresh engine's build", m), bitIdentical,
-				unpackedAfterPublish,
+				derivedAfterPublish,
 				func(t *testing.T) [][]float64 {
 					return underScaled(t, func(pin *core.Pinned, c explainCase) [][]float64 {
 						return flattenSubgraph(explainOne(t, context.Background(), pin, m, c))
 					})
 				}},
 			path{fmt.Sprintf("%s explain unpacked across a publish of non-zero rates ≡ reference", m), bitIdentical,
-				unpackedAfterPublish,
+				derivedAfterPublish,
 				func(t *testing.T) [][]float64 {
 					alpha := w.scaledRates(t).Vector()
 					return underScaled(t, func(_ *core.Pinned, c explainCase) [][]float64 {
 						return flattenRef(refExplain(w.graphOf(m), alpha, tight.Damping, c.res, c.target, c.opts))
 					})
 				}},
-			// With the decoded tier evicted, only the packed tier could
+			// With the decoded tier evicted, only the ball tier could
 			// answer: after a publish that zeroes a transfer type and after
 			// a corpus swap the key misses both tiers and builds.
 			path{fmt.Sprintf("%s explain after a zeroed type or a corpus swap misses both tiers ≡ reference", m), bitIdentical,
@@ -373,9 +374,9 @@ func unpackRows(w *world) []path {
 					}
 					return out
 				}},
-			// An unpack polls at entry and at each Eq. 10 iteration. An
-			// explain cancelled at any of them stores nothing in the decoded
-			// tier, so the next explain unpacks again.
+			// A derive polls at entry, after the forward closure and at each
+			// Eq. 10 iteration. An explain cancelled at any of them stores
+			// nothing in the decoded tier, so the next explain derives again.
 			path{fmt.Sprintf("%s explain after a cancellation at each unpack poll ≡ reference", m), bitIdentical,
 				func(t *testing.T) [][]float64 {
 					var out [][]float64
@@ -386,9 +387,9 @@ func unpackRows(w *world) []path {
 							pin.EvictDecodedTopologies()
 							ctx := &countdown{Context: context.Background(), left: n}
 							if sg, err := pin.ExplainModeCtx(ctx, m, c.res, c.target, c.opts); err != context.Canceled || sg != nil {
-								t.Fatalf("cancelled at unpack poll %d: (%v, %v), want (nil, context.Canceled)", n, sg, err)
+								t.Fatalf("cancelled at derive poll %d: (%v, %v), want (nil, context.Canceled)", n, sg, err)
 							}
-							out = append(out, flattenSubgraph(explainPath(t, pin, m, c, "unpacked"))...)
+							out = append(out, flattenSubgraph(explainPath(t, pin, m, c, "derived"))...)
 						}
 					}
 					return out
@@ -407,7 +408,7 @@ func unpackRows(w *world) []path {
 	}
 
 	// Six goroutines explain the same keys while a seventh evicts the
-	// decoded tier over and over: the explains race to build, unpack and
+	// decoded tier over and over: the explains race to build, derive and
 	// reuse one key's topology, and every subgraph is read whole.
 	const racers, rounds = 6, 4
 	modes := []core.Mode{core.ModeAuthority, core.ModeHub}
@@ -469,6 +470,95 @@ func unpackRows(w *world) []path {
 	return rows
 }
 
+// primed explains c under pin after an explain of its target under an
+// empty base set, which builds the target's ball or finds it in the
+// ball tier and keeps the target alone, with the decoded tier then
+// evicted: the explain restricts the ball to c's base set.
+func primed(t *testing.T, pin *core.Pinned, m core.Mode, c explainCase) *core.Subgraph {
+	t.Helper()
+	none := *c.res
+	none.Base = nil
+	explainOne(t, context.Background(), pin, m, explainCase{&none, c.target, c.opts})
+	pin.EvictDecodedTopologies()
+	return explainPath(t, pin, m, c, "derived")
+}
+
+// ballRows check the derive path case by case: every case of
+// explainCases — the target-alone cases among them — at radius 1–4 and
+// unbounded, in both directions, derived from its target's ball (primed)
+// owes a fresh engine's build and the reference every bit.
+func ballRows(w *world) []path {
+	var rows []path
+	for _, m := range []core.Mode{core.ModeAuthority, core.ModeHub} {
+		m := m
+		each := func(t *testing.T, f func(c explainCase) [][]float64) [][]float64 {
+			var out [][]float64
+			for _, c := range explainCases(t, w, m) {
+				for _, r := range invariantRadii {
+					c.opts.Radius = r
+					out = append(out, f(c)...)
+				}
+			}
+			return out
+		}
+		derived := func(t *testing.T) [][]float64 {
+			pin := w.fresh(t, w.rates).Pin()
+			return each(t, func(c explainCase) [][]float64 { return flattenSubgraph(primed(t, pin, m, c)) })
+		}
+		rows = append(rows,
+			path{fmt.Sprintf("%s explain derived from the target's ball, radius 1–4 and unbounded ≡ a fresh engine's build", m), bitIdentical,
+				derived,
+				func(t *testing.T) [][]float64 {
+					return each(t, func(c explainCase) [][]float64 {
+						return flattenSubgraph(explainPath(t, w.fresh(t, w.rates).Pin(), m, c, "built"))
+					})
+				}},
+			path{fmt.Sprintf("%s explain derived from the target's ball, radius 1–4 and unbounded ≡ reference", m), bitIdentical,
+				derived,
+				func(t *testing.T) [][]float64 {
+					return each(t, func(c explainCase) [][]float64 { return flattenRef(w.reference(m, c)) })
+				}})
+	}
+	return rows
+}
+
+// TestBallClosureBites checks the ball rows can fail: a derive that
+// skipped the forward closure would keep the target's whole ball, which
+// is what an explain whose base set is every node keeps. Among the
+// rows' cases there is one whose ball holds a node its base set cannot
+// reach, so that explain differs from the reference.
+func TestBallClosureBites(t *testing.T) {
+	bitten := 0
+	for seed := int64(1); seed <= 5; seed++ {
+		w := newWorld(t, seed)
+		for _, m := range []core.Mode{core.ModeAuthority, core.ModeHub} {
+			every := make([]ir.ScoredDoc, w.g.NumNodes())
+			for v := range every {
+				every[v] = ir.ScoredDoc{Doc: int32(v), Score: 1 / float64(len(every))}
+			}
+			for _, c := range explainCases(t, w, m) {
+				for _, r := range invariantRadii {
+					c.opts.Radius = r
+					ref := w.reference(m, c)
+					whole := *c.res
+					whole.Base = every
+					sg := explainOne(t, context.Background(), w.pin, m, explainCase{&whole, c.target, c.opts})
+					if len(sg.Nodes) == len(ref.nodes) {
+						continue
+					}
+					if slices.EqualFunc(flattenSubgraph(sg), flattenRef(ref), slices.Equal) {
+						t.Fatalf("seed %d: %s explain of %d (radius %d) keeps the whole ball and still ≡ reference", seed, m, c.target, r)
+					}
+					bitten++
+				}
+			}
+		}
+	}
+	if bitten == 0 {
+		t.Fatal("no case's ball holds a node its base set cannot reach: a derive that skips the closure passes every row")
+	}
+}
+
 // inducedArcs is Figure 8's invariant as a reference: the positive-rate
 // arcs of g under alpha whose tail and head both lie in nodes, tails
 // ascending and each tail's arcs in CSR order, flattened as (From, To,
@@ -498,10 +588,10 @@ func arcTriples(sg *core.Subgraph) []float64 {
 // invariantRadii are the radii the invariant row explains every case at.
 var invariantRadii = []int{1, 2, 3, 4, 0}
 
-// inducedRows check Figure 8's invariant, which lets the packed tier
-// store one bit per CSR arc of a kept node's row and lose nothing: a
-// subgraph's arcs are exactly the positive-rate arcs of its view that
-// its node set induces, in row order. Every case of explainCases — the
+// inducedRows check Figure 8's invariant, which lets a derive keep a
+// kept node's whole row of the ball and lose nothing: a subgraph's arcs
+// are exactly the positive-rate arcs of its view that its node set
+// induces, in row order. Every case of explainCases — the
 // target-alone cases among them — at radius 1–4 and unbounded, in both
 // directions.
 func inducedRows(w *world) []path {

@@ -192,13 +192,13 @@ type generation struct {
 
 	// explainScratch pools the |V|-sized scratch of the explain kernel
 	// (explain.go). topologies keeps the explaining subgraphs'
-	// topologies, decoded, for reuse under later rates, and packed keeps
-	// every completed build's packed encoding, which outlives its decoded
-	// twin (topology.go); topologyBuilds counts the topologies explains
-	// built to completion, kept or not.
+	// topologies for reuse under later rates, and balls the targets'
+	// balls every other base set's topology is derived from
+	// (topology.go); topologyBuilds counts the balls explains built to
+	// completion, kept or not.
 	explainScratch sync.Pool
 	topologies     *lru.Sharded
-	packed         *lru.Sharded
+	balls          *lru.Sharded
 	topologyBuilds atomic.Int64
 
 	// planSources is the rate-independent column of the generation's
@@ -213,7 +213,7 @@ type generation struct {
 // newGeneration is generation num of corpus c, with empty topology
 // tiers.
 func newGeneration(c *Corpus, num uint64) *generation {
-	return &generation{corpus: c, num: num, topologies: newTopologyMemo(c), packed: newTopologyMemo(c)}
+	return &generation{corpus: c, num: num, topologies: newTopologyMemo(c), balls: newTopologyMemo(c)}
 }
 
 // globalScores returns the generation's warm-start vector, computing
@@ -449,14 +449,16 @@ func (e *Engine) SetRates(r *graph.Rates) error {
 // should re-run its reformulation against fresh state (or surface 409).
 // A corpus swap also advances the rates version, so a token pinned
 // before a swap conflicts here — by design: a reformulation computed
-// against the old graph must not be published onto the new one.
+// against the old graph must not be published onto the new one, and
+// the conflict is reported before the rates are checked against the
+// new graph.
 func (e *Engine) TrySetRates(r *graph.Rates, ifVersion uint64) (uint64, error) {
 	old := e.state.Load()
-	if err := validateRates(old.gen.corpus.g, r); err != nil {
-		return old.snap.version, err
-	}
 	if old.snap.version != ifVersion {
 		return old.snap.version, ErrRatesConflict
+	}
+	if err := validateRates(old.gen.corpus.g, r); err != nil {
+		return old.snap.version, err
 	}
 	next := &engineState{gen: old.gen, snap: newRatesSnapshot(r.Clone(), old.snap.version+1)}
 	if !e.state.CompareAndSwap(old, next) {

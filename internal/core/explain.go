@@ -4,8 +4,11 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/bits"
+	"runtime"
 	"slices"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"authorityflow/internal/graph"
@@ -85,15 +88,16 @@ type Subgraph struct {
 	// index: the per-node quantities are dense slices parallel to Nodes,
 	// read by ID through H/Dist/InFlow/OutFlow (a binary search) or by
 	// position through At. Nodes is shared with every subgraph explained
-	// from the same decoded topology and is read-only: a build or an
-	// unpack allocates it and the generation's decoded tier keeps it, and
-	// a reuse (TopologyReused) aliases it.
+	// from the same decoded topology and is read-only: a build or a
+	// derive allocates it (or aliases the target's ball, when the
+	// subgraph is the whole ball), the generation's decoded tier keeps
+	// it, and a reuse (TopologyReused) aliases it.
 	Nodes []graph.NodeID
 	// Arcs lists the subgraph's arcs in ascending-source order (each
 	// source's arcs in CSR order), as CSR references; FlowArcs derives
 	// them with their rates and original and adjusted flows. Like Nodes,
-	// Arcs is shared and read-only, and an unpack decodes the same
-	// references a build emits.
+	// Arcs is shared and read-only, and a derive emits the same
+	// references a build does.
 	Arcs []ArcRef
 	// Iterations and Converged report the Equation 10 fixpoint run;
 	// Table 3 of the paper tracks these counts.
@@ -103,19 +107,20 @@ type Subgraph struct {
 	// Nodes, Arcs and the distances are those of an earlier explain of
 	// the same corpus view, target, radius, base set and zero-rate
 	// transfer types, under the same corpus generation, aliased from the
-	// generation's decoded tier. TopologyUnpacked reports that it was
-	// skipped by decoding them from the packed tier instead. When
-	// neither is set the explain built its topology (TopologyPath).
-	TopologyReused   bool
-	TopologyUnpacked bool
+	// generation's decoded tier. TopologyDerived reports that only the
+	// backward search was skipped: the topology was restricted to the
+	// base set from the target's ball, kept in the ball tier. When
+	// neither is set the explain built the ball (TopologyPath).
+	TopologyReused  bool
+	TopologyDerived bool
 	// BuildDuration is the wall time of the construction stage and
 	// AdjustDuration of the flow-adjustment stage — the "Explaining
 	// Subgraph Creation" and "Explaining ObjectRank2 Execution" bars of
 	// Figures 14–17. BuildDuration ends once each arc's rate under the
 	// explain's rates is filled in; on a reuse it times only the topology
 	// lookup and the per-explain setup: the per-node arrays, the copy of
-	// r(u) and that fill. On an unpack it times both tiers' lookups, the
-	// decode and that setup.
+	// r(u) and that fill. On a derive it times both tiers' lookups, the
+	// forward closure over the ball and that setup.
 	BuildDuration  time.Duration
 	AdjustDuration time.Duration
 
@@ -140,14 +145,14 @@ type Subgraph struct {
 }
 
 // TopologyPath names how the explain came by its topology: "built"
-// (stage (i) ran), "reused" (TopologyReused) or "unpacked"
-// (TopologyUnpacked).
+// (stage (i) ran whole), "reused" (TopologyReused) or "derived"
+// (TopologyDerived).
 func (sg *Subgraph) TopologyPath() string {
 	switch {
 	case sg.TopologyReused:
 		return "reused"
-	case sg.TopologyUnpacked:
-		return "unpacked"
+	case sg.TopologyDerived:
+		return "derived"
 	}
 	return "built"
 }
@@ -276,26 +281,66 @@ func (sg *Subgraph) NodeAuthority(v graph.NodeID) float64 {
 // published — or a corpus swapped in — after the view was taken. Stage
 // (i) does not read the non-zero rates, so the generation keeps its
 // result and a later explain of the same key, under any rates with the
-// same zero-rate types, runs stage (ii) alone (TopologyReused, or
-// TopologyUnpacked when only the packed copy was still kept). ctx is
-// checked at entry, after each BFS of a build and once per Equation 10
-// iteration, so a cancelled or expired request abandons the explain
-// within one phase/iteration and returns ctx.Err() instead of a
-// subgraph; an explain abandoned at any poll stores nothing.
+// same zero-rate types, runs stage (ii) alone (TopologyReused). The
+// backward search does not read the query either, so the generation
+// keeps the target's ball too, and an explain of another base set
+// derives its topology from it (TopologyDerived). ctx is checked at
+// entry, after the backward search of a build, after the forward
+// closure and once per Equation 10 iteration, so a cancelled or expired
+// request abandons the explain within one phase/iteration and returns
+// ctx.Err() instead of a subgraph; an explain abandoned at any poll
+// stores nothing.
 func (p *Pinned) ExplainCtx(ctx context.Context, res *RankResult, target graph.NodeID, opts ExplainOptions) (*Subgraph, error) {
-	return explainOn(ctx, p.st, 0, p.st.gen.corpus, res, target, opts)
+	sg, m, err := explainOn(ctx, p.st, 0, p.st.gen.corpus, res, target, opts)
+	m.keep()
+	return sg, err
 }
 
-// explainScratch is the pooled part of an explain. dist and local are
-// |V|-sized: per graph node, its backward-BFS distance to the target and
-// its position (in the forward BFS queue, then in Nodes), -1 where
-// unset; mark holds one bit per node, set for the kept ones. back and
-// kept are the two BFS queues, which double as the visited lists the
-// reset walks. sel holds the forward-CSR indices of the subgraph's arcs,
-// grouped in rows by source in BFS order: row p, kept[p]'s arcs, is
-// sel[rows[p]:rows[p+1]]. order maps a position in Nodes back to its BFS
-// row. rates and toLocal hold each subgraph arc's Rate and head's local
-// index, dense and in Arcs order, for the Equation 10 loop to stream.
+// ExplainEachCtx is ExplainCtx of each of targets under res at opts —
+// a reformulation's feedback objects — on min(len(targets), GOMAXPROCS)
+// goroutines. It returns once every explain has finished: the
+// subgraphs in targets' order, or the error of the first target in that
+// order whose explain failed. The tiers keep what the explains made
+// once all have finished, the first target's last: it is the user's
+// first pick and stays the decoded tier's most recently used.
+func (p *Pinned) ExplainEachCtx(ctx context.Context, res *RankResult, targets []graph.NodeID, opts ExplainOptions) ([]*Subgraph, error) {
+	subs, memos, errs := make([]*Subgraph, len(targets)), make([]memo, len(targets)), make([]error, len(targets))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(len(targets), runtime.GOMAXPROCS(0)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < len(targets); i = int(next.Add(1) - 1) {
+				subs[i], memos[i], errs[i] = explainOn(ctx, p.st, 0, p.st.gen.corpus, res, targets[i], opts)
+			}
+		}()
+	}
+	wg.Wait()
+	for i := len(memos) - 1; i >= 0; i-- {
+		memos[i].keep()
+	}
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return subs, nil
+}
+
+// explainScratch is the pooled part of an explain. dist is |V|-sized:
+// per graph node, its backward-BFS distance to the target, then its
+// index in the ball, -1 where unset. local and mark are indexed by ball
+// index: its position in the forward closure's queue, then in Nodes,
+// -1 where unset, and one bit per ball node, set for the kept ones (a
+// ball build sets and clears mark bits of graph nodes first). back and
+// kept are the backward BFS and closure queues, which double as the
+// visited lists the reset walks. A ball build stages its nodes in order
+// and the forward-CSR indices of its arcs in sel, in rows by source:
+// node p's row is sel[rows[p]:rows[p+1]]; a restrict maps each position
+// in Nodes back to its ball index in order. rates and toLocal hold each
+// subgraph arc's Rate and head's local index, dense and in Arcs order,
+// for the Equation 10 loop to stream.
 // The scratch is pooled per corpus generation (both directions share
 // |V|) and handed back with every touched dist and local entry reset to
 // -1, every mark word to 0 and every list empty, so one explain
@@ -334,8 +379,8 @@ func (gn *generation) putExplainScratch(sc *explainScratch) {
 	gn.explainScratch.Put(sc)
 }
 
-// keep adds v to the forward BFS queue: local[v] becomes its queue
-// position and its mark bit is set.
+// keep adds ball node v to the forward closure's queue: local[v]
+// becomes its queue position and its mark bit is set.
 func (sc *explainScratch) keep(v graph.NodeID) {
 	sc.local[v] = int32(len(sc.kept))
 	sc.mark[v>>6] |= 1 << (v & 63)
@@ -349,16 +394,18 @@ func (sc *explainScratch) keep(v graph.NodeID) {
 // — the flows of Equation 5 read res.Scores through this corpus's arcs.
 // The topology of stage (i) comes from the generation's decoded tier
 // when an explain of the same key completed before and is still
-// resident there; else from its packed tier, decoded, and once the
-// explain completes the decoded tier keeps it; else stage (i) builds it
-// and a completed explain stores it in both. Stage (ii) always runs.
-func explainOn(ctx context.Context, st *engineState, view int, c *Corpus, res *RankResult, target graph.NodeID, opts ExplainOptions) (*Subgraph, error) {
+// resident there; else it is restricted to res's base set from the
+// target's ball, which the ball tier keeps or stage (i)a builds. A
+// completed explain returns, for its caller to keep, the topology for
+// the decoded tier and a ball it built for the ball tier. Stage (ii)
+// always runs.
+func explainOn(ctx context.Context, st *engineState, view int, c *Corpus, res *RankResult, target graph.NodeID, opts ExplainOptions) (*Subgraph, memo, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, memo{}, err
 	}
 	g := c.g
 	if int(target) < 0 || int(target) >= g.NumNodes() {
-		return nil, fmt.Errorf("core: explain target %d out of range", target)
+		return nil, memo{}, fmt.Errorf("core: explain target %d out of range", target)
 	}
 	opts = opts.withDefaults()
 	buildStart := time.Now()
@@ -366,146 +413,57 @@ func explainOn(ctx context.Context, st *engineState, view int, c *Corpus, res *R
 	sc := gn.getExplainScratch(g.NumNodes())
 	defer gn.putExplainScratch(sc)
 	key := topologyKey(view, target, opts.Radius, st.snap.zeros, res.Base)
+	ballKey := key[:ballKeyLen(st.snap.zeros)]
 	v, reused := gn.topologies.Get(key)
 	topo, _ := v.(*topology)
-	start, out := g.ForwardCSR()
-	unpacked := false
+	m := memo{gn: gn, key: key, ballKey: ballKey}
 	if !reused {
-		if p, ok := gn.packed.Get(key); ok {
-			topo, unpacked = unpackTopology(sc, p.([]byte), start, out, target), true
-		} else {
+		v, ok := gn.balls.Get(ballKey)
+		ball, _ := v.(*topology)
+		if !ok {
 			var err error
-			if topo, err = buildTopology(ctx, sc, g, st.snap.alpha, res, target, opts.Radius); err != nil {
-				return nil, err
+			if ball, err = buildBall(ctx, sc, g, st.snap.alpha, target, opts.Radius); err != nil {
+				return nil, memo{}, err
 			}
+			m.ball = ball
 		}
+		topo = restrict(sc, ball, res.Base)
+		if err := ctx.Err(); err != nil {
+			return nil, memo{}, err
+		}
+		m.topo = topo
 	}
 	sg, err := adjust(ctx, sc, c, st.snap.alpha, topo, res, opts, buildStart)
 	if err != nil {
-		return nil, err
+		return nil, memo{}, err
 	}
-	sg.TopologyReused, sg.TopologyUnpacked = reused, unpacked
-	if !reused {
-		gn.topologies.Put(key, topo, topo.size(key))
-	}
-	if !reused && !unpacked {
-		gn.topologyBuilds.Add(1)
-		if p := packTopology(topo, start); p != nil {
-			gn.packed.Put(key, p, packedSize(key, p))
-		}
-	}
-	return sg, nil
+	sg.TopologyReused, sg.TopologyDerived = reused, !reused && m.ball == nil
+	return sg, m, nil
 }
 
-// buildTopology is stage (i) of Figure 8: the subgraph's nodes, their
-// distances to the target and its arcs, as rows of CSR references over
-// local indices. It reads the rates only through which of them are 0.
-func buildTopology(ctx context.Context, sc *explainScratch, g *graph.Graph, alpha []float64, res *RankResult, target graph.NodeID, radius int) (*topology, error) {
-	dist, local := sc.dist, sc.local
-
-	// Stage (i)a: backward breadth-first search from the target over
-	// arcs with non-zero transfer rates, bounded by the radius. dist
-	// holds each reached node's arc distance to the target (D(v_k)).
-	dist[target] = 0
-	sc.back = append(sc.back, target)
-	for head := 0; head < len(sc.back); head++ {
-		v := sc.back[head]
-		dv := dist[v]
-		if radius > 0 && int(dv) >= radius {
-			continue
-		}
-		for _, a := range g.InArcs(v) {
-			if alpha[a.Type] != 0 && dist[a.To] < 0 {
-				dist[a.To] = dv + 1
-				sc.back = append(sc.back, a.To)
-			}
-		}
-	}
-
-	// Phase boundary: the backward BFS can touch a Radius-bounded
-	// neighborhood of the whole graph; bail before starting the forward
-	// pass if the request died meanwhile.
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	// Stage (i)b: forward breadth-first search from the base-set nodes
-	// that survived the backward stage, restricted to backward-reached
-	// nodes. A node is kept iff it lies on a directed path from S(Q) to
-	// the target (within the radius). Every arc the search follows —
-	// positive rate, backward-reached head — is an arc of the subgraph,
-	// and together they are all of them, so the search records each one's
-	// forward-CSR index in its source's row of sel: the only walk over
-	// the kept nodes' out-arcs.
-	start, out := g.ForwardCSR()
-	for _, sd := range res.Base {
-		if v := graph.NodeID(sd.Doc); dist[v] >= 0 && local[v] < 0 {
-			sc.keep(v)
-		}
-	}
-	sc.rows = append(sc.rows, 0)
-	for head := 0; head < len(sc.kept); head++ {
-		u := sc.kept[head]
-		for k := start[u]; k < start[u+1]; k++ {
-			a := &out[k]
-			if alpha[a.Type] == 0 || dist[a.To] < 0 {
-				continue
-			}
-			sc.sel = append(sc.sel, k)
-			if local[a.To] < 0 {
-				sc.keep(a.To)
-			}
-		}
-		sc.rows = append(sc.rows, int32(len(sc.sel)))
-	}
-	// The target is always kept so an explanation exists even when no
-	// authority reaches it. Then it is kept alone, and its subgraph arcs
-	// are its self-loops: the arcs the search never followed.
-	if local[target] < 0 {
-		sc.keep(target)
-		for k := start[target]; k < start[target+1]; k++ {
-			if a := &out[k]; a.To == target && alpha[a.Type] != 0 {
-				sc.sel = append(sc.sel, k)
-			}
-		}
-		sc.rows = append(sc.rows, int32(len(sc.sel)))
-	}
-
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	// Nodes in ascending ID order are the set mark bits, enumerated word
-	// by word; local[v] turns from v's BFS row into its index in Nodes.
-	t := newTopology(len(sc.kept), len(sc.sel))
-	i := 0
-	for w, word := range sc.mark {
-		for ; word != 0; word &= word - 1 {
-			v := graph.NodeID(w<<6 | bits.TrailingZeros64(word))
-			t.nodes[i], t.dist[i] = v, dist[v]
-			sc.order = append(sc.order, local[v])
-			local[v] = int32(i)
-			i++
-		}
-	}
-	t.tgt = int(local[target])
-
-	// Emit the subgraph arcs as CSR references in rows over local
-	// indices: row i is Nodes[i]'s BFS row of sel. sel holds exactly the
-	// arcs, so Arcs never regrows.
-	arcs := t.arcs
-	for i := range t.nodes {
-		p := sc.order[i]
-		for _, k := range sc.sel[sc.rows[p]:sc.rows[p+1]] {
-			arcs = append(arcs, ArcRef{CSR: k, Head: local[out[k].To]})
-		}
-		t.rowStart[i+1] = int32(len(arcs))
-	}
-	t.arcs = arcs
-	return t, nil
+// memo is what one completed explain leaves its generation: the
+// topology it built or derived, for the decoded tier under key, and the
+// ball it built, for the ball tier under ballKey. A reuse leaves
+// nothing.
+type memo struct {
+	gn           *generation
+	key, ballKey string
+	topo, ball   *topology
 }
 
-// adjust is stage (ii) of Figure 8 over a built or reused topology, the
+// keep stores m in its tiers.
+func (m memo) keep() {
+	if m.topo != nil {
+		m.gn.topologies.Put(m.key, m.topo, m.topo.size(m.key))
+	}
+	if m.ball != nil {
+		m.gn.topologyBuilds.Add(1)
+		key := strings.Clone(m.ballKey)
+		m.gn.balls.Put(key, m.ball, m.ball.size(key))
+	}
+}
+
+// adjust is stage (ii) of Figure 8 over a derived or reused topology, the
 // one flow-adjustment path: it fills the scratch's rates and toLocal
 // with each arc's Rate under alpha and its head, copies r(u) per node,
 // runs the Equation 10 fixpoint and sums the Equation 6 flows. The

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"slices"
+	"strings"
 	"testing"
 
 	"authorityflow/internal/graph"
@@ -429,15 +430,16 @@ func citationWeb(t *testing.T, rng *rand.Rand, n, m int) *Engine {
 }
 
 // forgetter returns a function that drops the memoized topology of the
-// authority-mode explain of target under res at opts from both tiers,
-// so the next one builds; it allocates nothing.
+// authority-mode explain of target under res at opts from the decoded
+// tier and the target's ball from the ball tier, so the next one
+// builds; it allocates nothing.
 func forgetter(p *Pinned, res *RankResult, target graph.NodeID, opts ExplainOptions) func() {
 	key := topologyKey(0, target, opts.Radius, p.st.snap.zeros, res.Base)
-	return func() { p.st.gen.topologies.Remove(key); p.st.gen.packed.Remove(key) }
+	return func() { p.st.gen.topologies.Remove(key); p.st.gen.balls.Remove(key[:ballKeyLen(p.st.snap.zeros)]) }
 }
 
 // decodedForgetter is forgetter for the decoded tier alone: the next
-// explain unpacks the topology from the packed tier.
+// explain derives the topology from the target's ball.
 func decodedForgetter(p *Pinned, res *RankResult, target graph.NodeID, opts ExplainOptions) func() {
 	key := topologyKey(0, target, opts.Radius, p.st.snap.zeros, res.Base)
 	return func() { p.st.gen.topologies.Remove(key) }
@@ -445,13 +447,14 @@ func decodedForgetter(p *Pinned, res *RankResult, target graph.NodeID, opts Expl
 
 // explainBytesCeiling: in steady state one explain that builds its
 // topology allocates at most 16 bytes per subgraph arc, 64 per node and
-// 1 KiB besides, and so does one that unpacks it; one that reuses it at
-// most 40 bytes per node — its five per-node float arrays — 4 per
-// base-set node for its memo key and 1 KiB besides, measured as the
-// TotalAlloc growth over 100 explains of a subgraph of thousands of
-// arcs. A 40-byte FlowArc per arc, any per-arc array kept beside the
-// 8-byte references, a packed form with an O(|V|) or O(|E|) term, or a
-// reuse that copies Nodes, Arcs, the rows or the distances breaks it.
+// 1 KiB besides, and so does one that derives it from the target's
+// ball; one that reuses it at most 40 bytes per node — its five
+// per-node float arrays — 4 per base-set node for its memo key and 1 KiB
+// besides, measured as the TotalAlloc growth over 100 explains of a
+// subgraph of thousands of arcs. A 40-byte FlowArc per arc, any per-arc
+// array kept beside the 8-byte references, a derive with an O(|V|) or
+// O(|E|) term, or a reuse that copies Nodes, Arcs, the rows or the
+// distances breaks it.
 func explainBytesCeiling(t *testing.T) {
 	pin := citationWeb(t, rand.New(rand.NewSource(3)), 400, 2400).Pin()
 	res := rankPinned(pin, ir.NewQuery("olap"))
@@ -471,7 +474,7 @@ func explainBytesCeiling(t *testing.T) {
 	}{
 		{"built", forgetter(pin, res, target, opts), build},
 		{"reused", func() {}, 40*len(sg.Nodes) + 4*len(res.Base) + 1024},
-		{"unpacked", decodedForgetter(pin, res, target, opts), build},
+		{"derived", decodedForgetter(pin, res, target, opts), build},
 	} {
 		const runs = 100
 		var before, after runtime.MemStats
@@ -544,15 +547,16 @@ func (c *countdown) Err() error {
 
 // TestExplainPooledScratch: one explain that builds its topology
 // allocates at most 10 objects (the Subgraph, its per-node float arrays
-// in one, the topology, one backing of Nodes, the distances and the
-// rows, Arcs, the memo key, its decoded-tier entry, the packed encoding,
-// its box and its packed-tier entry), one that unpacks it at most as
-// many, and one that reuses it at most 3 (the Subgraph, its float arrays
-// and the key), within explainBytesCeiling's byte ceilings; the pooled
-// scratch neither grows across 100 explains of one target nor comes back
-// dirty, also after a cancellation at each of a build's, an unpack's and
-// a reuse's polls; and an explain cancelled at any poll stores nothing
-// in either tier.
+// in one, the memo key, its decoded-tier entry, the ball and the derived
+// topology, each a struct and one backing of Nodes, the distances, the
+// rows and Arcs, and the ball's key and ball-tier entry), one that
+// derives it from the ball at most 6 (the same less the ball's four),
+// and one that reuses it at most 3 (the Subgraph, its float arrays and
+// the key), within explainBytesCeiling's byte ceilings; the pooled
+// scratch neither grows across 100 explains of one target nor comes
+// back dirty, also after a cancellation at each of a build's, a
+// derive's and a reuse's polls; and an explain cancelled at any poll
+// stores nothing in either tier.
 func TestExplainPooledScratch(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a GC empties the pool
 	f := newFixture(t)
@@ -570,8 +574,9 @@ func TestExplainPooledScratch(t *testing.T) {
 		t.Fatalf("subgraph of %d arcs exercises nothing", len(sg.Arcs))
 	}
 	// Each path, what makes the next explain take it, its object ceiling
-	// and its polls: entry and each Eq. 10 iteration, and for a build
-	// after each BFS as well.
+	// and its polls: entry and each Eq. 10 iteration, for a derive after
+	// the forward closure as well, and for a build after the backward
+	// search too.
 	paths := []struct {
 		name    string
 		before  func()
@@ -580,7 +585,7 @@ func TestExplainPooledScratch(t *testing.T) {
 	}{
 		{"built", forgetter(pin, res, f.ids["v7"], DefaultExplain()), 10, 3 + sg.Iterations},
 		{"reused", func() {}, 3, 1 + sg.Iterations},
-		{"unpacked", decodedForgetter(pin, res, f.ids["v7"], DefaultExplain()), 10, 1 + sg.Iterations},
+		{"derived", decodedForgetter(pin, res, f.ids["v7"], DefaultExplain()), 6, 2 + sg.Iterations},
 	}
 	if !raceEnabled {
 		for _, p := range paths {
@@ -642,21 +647,21 @@ func TestExplainPooledScratch(t *testing.T) {
 	}
 
 	// An explain cancelled at any of its polls stores nothing in either
-	// tier: after a build's cancellation both are empty, after an
-	// unpack's the decoded tier is, and the packed tier holds the bytes it
+	// tier: after a build's cancellation both are empty, after a
+	// derive's the decoded tier is, and the ball tier holds the bytes it
 	// held; the next explain takes the same path again.
 	for _, p := range paths {
 		for n := 0; n < p.polls; n++ {
 			p.before()
-			builds, decoded, packed := gen.topologyBuilds.Load(), gen.topologies.Bytes(), gen.packed.Bytes()
+			builds, decoded, balls := gen.topologyBuilds.Load(), gen.topologies.Bytes(), gen.balls.Bytes()
 			if sg, err := run(&countdown{Context: context.Background(), left: n}); err != context.Canceled || sg != nil {
 				t.Fatalf("%s: cancelled at poll %d of %d: (%v, %v), want (nil, context.Canceled)", p.name, n, p.polls, sg, err)
 			}
 			take(fmt.Sprintf("a cancellation at poll %d (%s)", n, p.name))
-			if gen.topologyBuilds.Load() != builds || gen.topologies.Bytes() != decoded || gen.packed.Bytes() != packed {
+			if gen.topologyBuilds.Load() != builds || gen.topologies.Bytes() != decoded || gen.balls.Bytes() != balls {
 				t.Fatalf("%s: a cancellation at poll %d stored a topology", p.name, n)
 			}
-			if p.name != "reused" && gen.topologies.Len() != 0 || p.name == "built" && gen.packed.Len() != 0 {
+			if p.name != "reused" && gen.topologies.Len() != 0 || p.name == "built" && gen.balls.Len() != 0 {
 				t.Fatalf("%s: a tier holds a topology after a cancellation at poll %d", p.name, n)
 			}
 			next, err := run(context.Background())
@@ -672,5 +677,61 @@ func TestExplainPooledScratch(t *testing.T) {
 		if sg, err := run(&countdown{Context: context.Background(), left: p.polls}); err != nil || sg.TopologyPath() != p.name {
 			t.Fatalf("%s: %d polls: (%v, %v), want a subgraph", p.name, p.polls, sg, err)
 		}
+	}
+}
+
+// TestExplainEachCtx: explaining feedback objects concurrently owes the
+// one-by-one explains every bit, in targets' order, also when targets
+// repeat and outnumber the goroutines; a failing target reports the
+// first failure in targets' order, and a dead context its error.
+func TestExplainEachCtx(t *testing.T) {
+	pin := citationWeb(t, rand.New(rand.NewSource(5)), 300, 900).Pin()
+	res := rankPinned(pin, ir.NewQuery("olap"))
+	var targets []graph.NodeID
+	for _, r := range res.TopK(12) {
+		targets = append(targets, r.Node, r.Node)
+	}
+	subs, err := pin.ExplainEachCtx(context.Background(), res, targets, DefaultExplain())
+	if err != nil || len(subs) != len(targets) {
+		t.Fatalf("(%d subgraphs, %v), want %d", len(subs), err, len(targets))
+	}
+	for i, target := range targets {
+		want, err := pin.ExplainCtx(context.Background(), res, target, DefaultExplain())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if subs[i].Target != target || !slices.Equal(subgraphBits(subs[i]), subgraphBits(want)) {
+			t.Fatalf("subgraph %d differs from the explain of %d alone", i, target)
+		}
+	}
+
+	bad := slices.Clone(targets)
+	bad[3], bad[7] = 1000, -1
+	if subs, err := pin.ExplainEachCtx(context.Background(), res, bad, DefaultExplain()); subs != nil || err == nil || !strings.Contains(err.Error(), "target 1000 out of range") {
+		t.Fatalf("(%v, %v), want the error of target 1000", subs, err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if subs, err := pin.ExplainEachCtx(ctx, res, targets, DefaultExplain()); subs != nil || err != context.Canceled {
+		t.Fatalf("(%v, %v), want context.Canceled", subs, err)
+	}
+
+	// The first target's topology is kept last, so when the decoded tier
+	// must make room the others go first.
+	gen := pin.st.gen
+	gen.topologies.Clear()
+	first, second := targets[0], targets[2]
+	if _, err := pin.ExplainEachCtx(context.Background(), res, []graph.NodeID{first, second}, DefaultExplain()); err != nil {
+		t.Fatal(err)
+	}
+	gen.topologies.Put("room", nil, gen.topologies.Budget()-gen.topologies.Bytes()+1)
+	key := func(target graph.NodeID) string {
+		return topologyKey(0, target, DefaultExplain().Radius, pin.st.snap.zeros, res.Base)
+	}
+	if _, ok := gen.topologies.Get(key(first)); !ok {
+		t.Error("making room evicted the first target's topology")
+	}
+	if _, ok := gen.topologies.Get(key(second)); ok {
+		t.Error("making room kept the second target's topology, not the first's")
 	}
 }

@@ -74,7 +74,9 @@ func (p *Pinned) ExplainModeCtx(ctx context.Context, m Mode, res *RankResult, ta
 	case ModeAuthority, "":
 		return p.ExplainCtx(ctx, res, target, opts)
 	case ModeHub:
-		return explainOn(ctx, p.st, 1, p.st.gen.hubCorpus(), res, target, opts)
+		sg, m, err := explainOn(ctx, p.st, 1, p.st.gen.hubCorpus(), res, target, opts)
+		m.keep()
+		return sg, err
 	}
 	return nil, fmt.Errorf("core: unknown ranking mode %q", m)
 }

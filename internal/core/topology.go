@@ -1,9 +1,10 @@
 package core
 
 import (
+	"context"
 	"encoding/binary"
-	"math"
 	"math/bits"
+	"slices"
 	"strings"
 	"unsafe"
 
@@ -17,13 +18,13 @@ import (
 // builds. It depends on the corpus view, the target, the radius, the
 // base-set nodes and which transfer types have rate 0, never on the
 // non-zero rates, so a generation keeps it and every later explain of
-// the same key under any rates runs only stage (ii). A topology is
+// the same key under any rates runs only stage (ii). A target's ball
+// (buildBall) is a topology too, one with no base set. A topology is
 // immutable once built: every Subgraph explained from its key aliases
 // its slices.
 type topology struct {
 	// Subgraph.Nodes, its distances, rows and Arcs; tgt is the target's
-	// position in nodes. nodes, dist and rowStart share one backing
-	// array.
+	// position in nodes. All four share one backing array.
 	nodes    []graph.NodeID
 	dist     []int32
 	rowStart []int32
@@ -31,17 +32,21 @@ type topology struct {
 	tgt      int
 }
 
-// newTopology allocates a topology of n nodes with room for m arcs:
-// nodes, dist and rowStart (its rowStart[0] = 0) in one int32 backing
-// and an empty arcs of capacity m.
+// newTopology allocates a topology of n nodes with room for m arcs in
+// one int32 backing: nodes, dist, rowStart (its rowStart[0] = 0) and an
+// empty arcs of capacity m.
 func newTopology(n, m int) *topology {
-	buf := make([]int32, 3*n+1)
-	return &topology{
+	buf := make([]int32, 3*n+1+2*m)
+	t := &topology{
 		nodes:    unsafe.Slice((*graph.NodeID)(&buf[0]), n),
 		dist:     buf[n : 2*n : 2*n],
-		rowStart: buf[2*n:],
-		arcs:     make([]ArcRef, 0, m),
+		rowStart: buf[2*n : 3*n+1 : 3*n+1],
+		arcs:     []ArcRef{},
 	}
+	if m > 0 {
+		t.arcs = unsafe.Slice((*ArcRef)(unsafe.Pointer(&buf[3*n+1])), m)[:0]
+	}
+	return t
 }
 
 // newTopologyMemo is one tier of a generation's topology memo. Its
@@ -49,29 +54,30 @@ func newTopology(n, m int) *topology {
 // corpus's arc count; 1 MiB for a corpus smaller than that), and every
 // entry is charged its whole footprint, key included, so a tier holds
 // at most as much as one view's arc references would. A generation
-// has two tiers of that budget: topologies holds decoded topologies,
-// which explains alias, and packed their packed encodings
-// (packTopology). A corpus swap drops both with their generation.
+// has two tiers of that budget: topologies holds the topologies
+// explains alias, and balls the targets' balls they are derived from
+// (restrict). A corpus swap drops both with their generation.
 func newTopologyMemo(c *Corpus) *lru.Sharded {
 	return lru.New(max(8*int64(c.g.NumArcs()), 1<<20), 1, nil)
 }
 
 // EvictDecodedTopologies empties the decoded tier of the pinned
 // generation's topology memo, as memory pressure would, and keeps its
-// packed tier: the next explain of a key built before unpacks it. The
-// serving path never calls it; tests and benchmarks use it to reach the
-// unpack path.
+// ball tier: the next explain of a key built before derives it from its
+// target's ball. The serving path never calls it; tests and benchmarks
+// use it to reach the derive path.
 func (p *Pinned) EvictDecodedTopologies() { p.st.gen.topologies.Clear() }
 
 // topologyKey is an explain's memo key: view 0 (the authority corpus)
 // or 1 (its hub view), the target, the radius, the rates snapshot's
 // zero-rate set and res.Base's nodes in order, in one string the memo's
-// map compares whole. Every part but the base set has a fixed width
-// within a generation, so two keys share a string only if they are
-// equal.
+// map compares whole. Its first ballKeyLen(zeros) bytes, everything but
+// the base set, are the key of the target's ball. Every part but the
+// base set has a fixed width within a generation, so two keys share a
+// string only if they are equal.
 func topologyKey(view int, target graph.NodeID, radius int, zeros []uint64, base []ir.ScoredDoc) string {
 	var b strings.Builder
-	b.Grow(13 + 8*len(zeros) + 4*len(base))
+	b.Grow(ballKeyLen(zeros) + 4*len(base))
 	var w [8]byte
 	b.WriteByte(byte(view))
 	b.Write(binary.LittleEndian.AppendUint32(w[:0], uint32(target)))
@@ -85,125 +91,145 @@ func topologyKey(view int, target graph.NodeID, radius int, zeros []uint64, base
 	return b.String()
 }
 
-// size is what a decoded-tier entry of t under key holds, in bytes.
+// ballKeyLen is the length of a ball's key: a topologyKey's view,
+// target, radius and zero-rate set.
+func ballKeyLen(zeros []uint64) int { return 13 + 8*len(zeros) }
+
+// size is what a tier's entry of t under key holds, in bytes.
 func (t *topology) size(key string) int64 {
-	return int64(unsafe.Sizeof(*t)) + int64(len(key)) + 4*int64(3*len(t.nodes)+1) + 8*int64(len(t.arcs))
+	return int64(unsafe.Sizeof(*t)) + int64(len(key)) + 4*int64(3*len(t.nodes)+1) + 8*int64(cap(t.arcs))
 }
 
-// packedSize is what a packed-tier entry of p under key holds, in
-// bytes: the key, the encoding and the slice header boxing it.
-func packedSize(key string, p []byte) int64 {
-	return int64(len(key)+cap(p)) + int64(unsafe.Sizeof(p))
-}
+// buildBall is stage (i)a of Figure 8, the half that does not read the
+// query: the target's ball, every node within radius arcs of positive
+// rate of the target (all of them at radius 0), ascending, with its
+// distance D(v) to the target and, in rows over ball-local indices, the
+// positive-rate arcs the ball induces. Every ball node reaches the
+// target over those arcs.
+func buildBall(ctx context.Context, sc *explainScratch, g *graph.Graph, alpha []float64, target graph.NodeID, radius int) (*topology, error) {
+	dist := sc.dist
 
-// uvarintLen is the length of x as a uvarint.
-func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
-
-// packTopology encodes t, built over a view whose forward CSR rows
-// start at start, as one byte slice:
-//
-//	uvarint |Nodes| · uvarint |Arcs| · |Nodes| uvarint gaps between
-//	consecutive Nodes (the first from 0) · one byte of D(v) per node ·
-//	one bit per forward-CSR arc of each node's row, in little-endian
-//	64-bit words
-//
-// The rows follow Nodes' order back to back, each as long as its node's
-// CSR row, so a row's offset comes from the CSR and is not stored; an
-// arc's bit is set iff the arc is in the subgraph. The bits record the
-// head-in-Nodes tests a decode would otherwise repeat: by Figure 8 a
-// subgraph's arcs are exactly the positive-rate arcs its node set
-// induces (the conformance table checks it). The encoding has no
-// O(|V|) or O(|E|) term. A topology with a distance over 255 — only
-// possible at Radius 0 or above 255 — has no packed form: nil.
-func packTopology(t *topology, start []int32) []byte {
-	n, rowBits := len(t.nodes), 0
-	size := uvarintLen(uint64(n)) + uvarintLen(uint64(len(t.arcs))) + n
-	prev := graph.NodeID(0)
-	for i, v := range t.nodes {
-		if t.dist[i] > math.MaxUint8 {
-			return nil
+	// The backward breadth-first search from the target over arcs with
+	// non-zero transfer rates, bounded by the radius. dist holds each
+	// reached node's arc distance to the target.
+	dist[target] = 0
+	sc.back = append(sc.back, target)
+	for head := 0; head < len(sc.back); head++ {
+		v := sc.back[head]
+		dv := dist[v]
+		if radius > 0 && int(dv) >= radius {
+			continue
 		}
-		size += uvarintLen(uint64(v - prev))
-		rowBits += int(start[v+1] - start[v])
-		prev = v
-	}
-	p := make([]byte, 0, size+(rowBits+63)/64*8)
-	p = binary.AppendUvarint(p, uint64(n))
-	p = binary.AppendUvarint(p, uint64(len(t.arcs)))
-	prev = 0
-	for _, v := range t.nodes {
-		p = binary.AppendUvarint(p, uint64(v-prev))
-		prev = v
-	}
-	for _, d := range t.dist {
-		p = append(p, byte(d))
-	}
-	// The arcs' bits ascend, so each word is filled in a register and
-	// stored once.
-	row, off := p[len(p):cap(p)], int32(0)
-	var word uint64
-	w := int32(0)
-	for i, u := range t.nodes {
-		base := off - start[u]
-		for _, ref := range t.arcs[t.rowStart[i]:t.rowStart[i+1]] {
-			b := base + ref.CSR
-			if b>>6 != w {
-				binary.LittleEndian.PutUint64(row[8*w:], word)
-				word, w = 0, b>>6
+		for _, a := range g.InArcs(v) {
+			if alpha[a.Type] != 0 && dist[a.To] < 0 {
+				dist[a.To] = dv + 1
+				sc.back = append(sc.back, a.To)
 			}
-			word |= 1 << (b & 63)
 		}
-		off = base + start[u+1]
 	}
-	if len(row) > 0 {
-		binary.LittleEndian.PutUint64(row[8*w:], word)
+
+	// Phase boundary: the search can touch a Radius-bounded neighborhood
+	// of the whole graph; bail before emitting the ball if the request
+	// died meanwhile.
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	return p[:cap(p)]
+
+	// The ball in ascending ID order is the set mark bits, enumerated
+	// word by word into order; each node's row of positive-rate arcs
+	// into the ball is staged in sel as forward-CSR indices.
+	start, out := g.ForwardCSR()
+	for _, v := range sc.back {
+		sc.mark[v>>6] |= 1 << (v & 63)
+	}
+	sc.rows = append(sc.rows, 0)
+	for w, word := range sc.mark {
+		for ; word != 0; word &= word - 1 {
+			v := int32(w<<6 | bits.TrailingZeros64(word))
+			sc.order = append(sc.order, v)
+			for k := start[v]; k < start[v+1]; k++ {
+				if a := &out[k]; alpha[a.Type] != 0 && dist[a.To] >= 0 {
+					sc.sel = append(sc.sel, k)
+				}
+			}
+			sc.rows = append(sc.rows, int32(len(sc.sel)))
+		}
+	}
+	for _, v := range sc.back {
+		sc.mark[v>>6] = 0
+	}
+
+	// dist[v] turns from v's distance into its index in the ball, so it
+	// stays >= 0 exactly on the ball and resolves each arc's head.
+	t := newTopology(len(sc.order), len(sc.sel))
+	for i, v := range sc.order {
+		t.nodes[i], t.dist[i] = graph.NodeID(v), dist[v]
+		dist[v] = int32(i)
+	}
+	copy(t.rowStart, sc.rows)
+	for _, k := range sc.sel {
+		t.arcs = append(t.arcs, ArcRef{CSR: k, Head: dist[out[k].To]})
+	}
+	t.tgt = int(dist[target])
+	sc.order = sc.order[:0]
+	return t, nil
 }
 
-// unpackTopology decodes p, packTopology's encoding of target's
-// topology over the view whose forward CSR is (start, out), into the
-// topology buildTopology emits for the same key. It marks the nodes in
-// sc through keep, so the scratch's local maps each node to its index
-// while the arcs' heads are resolved, and putExplainScratch resets it.
-func unpackTopology(sc *explainScratch, p []byte, start []int32, out []graph.Arc, target graph.NodeID) *topology {
-	n, k := binary.Uvarint(p)
-	p = p[k:]
-	m, k := binary.Uvarint(p)
-	p = p[k:]
-	t := newTopology(int(n), int(m))
-	v := graph.NodeID(0)
-	for i := range t.nodes {
-		gap, k := binary.Uvarint(p)
-		p = p[k:]
-		v += graph.NodeID(gap)
-		t.nodes[i] = v
-		sc.keep(v)
-	}
-	for i, d := range p[:n] {
-		t.dist[i] = int32(d)
-	}
-	// Walk the set bits word by word; row i, Nodes[i]'s, holds bits
-	// [lo, hi), and a bit b in it is the arc start[u] + b - lo.
-	row, local, arcs := p[n:], sc.local, t.arcs
-	i, u := 0, t.nodes[0]
-	lo, hi := int32(0), start[u+1]-start[u]
-	for w := 0; w < len(row); w += 8 {
-		for word := binary.LittleEndian.Uint64(row[w:]); word != 0; word &= word - 1 {
-			b := int32(w*8 + bits.TrailingZeros64(word))
-			for b >= hi {
-				t.rowStart[i+1] = int32(len(arcs))
-				i++
-				u = t.nodes[i]
-				lo, hi = hi, hi+start[u+1]-start[u]
-			}
-			c := start[u] + b - lo
-			arcs = append(arcs, ArcRef{CSR: c, Head: local[out[c].To]})
+// restrict is stage (i)b of Figure 8 over a target's ball: the topology
+// of base set base is the forward closure of base ∩ ball over the
+// ball's arcs — a node is kept iff it lies on a path from S(Q) to the
+// target — with the kept rows compacted. By Figure 8 a subgraph's arcs
+// are exactly the positive-rate arcs its nodes induce, and a kept node's
+// whole ball row is such. When every ball node is kept the topology is
+// the ball itself, aliased. When no base node is in the ball the target
+// is kept alone, so an explanation exists even though no authority
+// reaches it, with its self-loops as its arcs. The closure runs over
+// ball-local indices in sc's local, mark and kept.
+func restrict(sc *explainScratch, ball *topology, base []ir.ScoredDoc) *topology {
+	for _, sd := range base {
+		if i, ok := slices.BinarySearch(ball.nodes, graph.NodeID(sd.Doc)); ok && sc.local[i] < 0 {
+			sc.keep(graph.NodeID(i))
 		}
 	}
-	for ; i < len(t.nodes); i++ {
-		t.rowStart[i+1] = int32(len(arcs))
+	m := 0
+	for head := 0; head < len(sc.kept); head++ {
+		i := sc.kept[head]
+		row := ball.arcs[ball.rowStart[i]:ball.rowStart[i+1]]
+		m += len(row)
+		for _, ref := range row {
+			if sc.local[ref.Head] < 0 {
+				sc.keep(graph.NodeID(ref.Head))
+			}
+		}
 	}
-	t.arcs, t.tgt = arcs, int(local[target])
+	if len(sc.kept) == 0 {
+		sc.keep(graph.NodeID(ball.tgt))
+		m = int(ball.rowStart[ball.tgt+1] - ball.rowStart[ball.tgt])
+	}
+	if len(sc.kept) == len(ball.nodes) {
+		return ball
+	}
+
+	// Nodes in ascending ID order are the set mark bits; local[i] turns
+	// from i's closure position into its index in Nodes, and order maps
+	// it back. A head outside the kept set is only the lone target's.
+	t := newTopology(len(sc.kept), m)
+	for w, word := range sc.mark[:(len(ball.nodes)+63)/64] {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 | bits.TrailingZeros64(word)
+			t.nodes[len(sc.order)], t.dist[len(sc.order)] = ball.nodes[i], ball.dist[i]
+			sc.local[i] = int32(len(sc.order))
+			sc.order = append(sc.order, int32(i))
+		}
+	}
+	for j, i := range sc.order {
+		for _, ref := range ball.arcs[ball.rowStart[i]:ball.rowStart[i+1]] {
+			if h := sc.local[ref.Head]; h >= 0 {
+				t.arcs = append(t.arcs, ArcRef{CSR: ref.CSR, Head: h})
+			}
+		}
+		t.rowStart[j+1] = int32(len(t.arcs))
+	}
+	t.tgt = int(sc.local[ball.tgt])
 	return t
 }

@@ -29,10 +29,10 @@ func subgraphBits(sg *Subgraph) []uint64 {
 // TestTopologyMemo counts builds through the generation's counter: a
 // repeat explain and one after a publish that changes only non-zero
 // rates reuse the topology, one after the decoded tier is evicted
-// unpacks it from the packed tier, and both owe a fresh engine's build
-// every bit; a publish that zeroes a type misses both tiers, and
-// another radius, another base set, the hub view and a corpus swap each
-// build.
+// derives it from the target's ball, and both owe a fresh engine's
+// build every bit; another base set for the same target derives too; a
+// publish that zeroes a type misses both tiers, and another radius, the
+// hub view and a corpus swap each build.
 func TestTopologyMemo(t *testing.T) {
 	f := newFixture(t)
 	e := f.newEngine(t)
@@ -69,8 +69,8 @@ func TestTopologyMemo(t *testing.T) {
 		t.Errorf("h(%d) = %v under both rates", reused.Nodes[0], reused.h[0])
 	}
 	e.Pin().EvictDecodedTopologies()
-	unpacked := step("decoded tier evicted", e.Pin(), ModeAuthority, olap, DefaultExplain(), 1, "unpacked")
-	step("repeat after an unpack", e.Pin(), ModeAuthority, olap, DefaultExplain(), 1, "reused")
+	derived := step("decoded tier evicted", e.Pin(), ModeAuthority, olap, DefaultExplain(), 1, "derived")
+	step("repeat after a derive", e.Pin(), ModeAuthority, olap, DefaultExplain(), 1, "reused")
 	fresh, err := NewEngine(f.g, scaled, Config{Rank: e.Corpus().opts})
 	if err != nil {
 		t.Fatal(err)
@@ -79,13 +79,13 @@ func TestTopologyMemo(t *testing.T) {
 	if !slices.Equal(subgraphBits(reused), subgraphBits(built)) {
 		t.Errorf("reused explain differs from a fresh engine's build")
 	}
-	if !slices.Equal(subgraphBits(unpacked), subgraphBits(built)) {
-		t.Errorf("unpacked explain differs from a fresh engine's build")
+	if !slices.Equal(subgraphBits(derived), subgraphBits(built)) {
+		t.Errorf("derived explain differs from a fresh engine's build")
 	}
 
 	step("other radius", e.Pin(), ModeAuthority, olap, ExplainOptions{Radius: 2}, 2, "built")
-	step("other base set", e.Pin(), ModeAuthority, ir.NewQuery("agrawal"), DefaultExplain(), 3, "built")
-	step("hub view", e.Pin(), ModeHub, olap, DefaultExplain(), 4, "built")
+	step("other base set", e.Pin(), ModeAuthority, ir.NewQuery("agrawal"), DefaultExplain(), 2, "derived")
+	step("hub view", e.Pin(), ModeHub, olap, DefaultExplain(), 3, "built")
 	zeroed := scaled.Clone()
 	if err := zeroed.Set(f.edges["cites"], graph.Forward, 0); err != nil {
 		t.Fatal(err)
@@ -93,25 +93,26 @@ func TestTopologyMemo(t *testing.T) {
 	if err := e.SetRates(zeroed); err != nil {
 		t.Fatal(err)
 	}
-	step("zeroed type", e.Pin(), ModeAuthority, olap, DefaultExplain(), 5, "built")
+	step("zeroed type", e.Pin(), ModeAuthority, olap, DefaultExplain(), 4, "built")
 	old := e.Pin().st.gen
 	if _, err := e.SwapCorpus(e.Corpus(), zeroed, e.Generation()); err != nil {
 		t.Fatal(err)
 	}
-	if gen := e.Pin().st.gen; gen.topologies.Len() != 0 || gen.packed.Len() != 0 {
-		t.Fatalf("a swapped-in generation holds %d decoded and %d packed topologies", gen.topologies.Len(), gen.packed.Len())
+	if gen := e.Pin().st.gen; gen.topologies.Len() != 0 || gen.balls.Len() != 0 {
+		t.Fatalf("a swapped-in generation holds %d decoded topologies and %d balls", gen.topologies.Len(), gen.balls.Len())
 	}
 	step("corpus swap", e.Pin(), ModeAuthority, olap, DefaultExplain(), 1, "built")
-	if old.topologyBuilds.Load() != 5 || old.packed.Len() != 5 {
-		t.Errorf("the swapped-out generation counts %d builds and %d packed topologies, want 5 and 5", old.topologyBuilds.Load(), old.packed.Len())
+	if old.topologyBuilds.Load() != 4 || old.balls.Len() != 4 {
+		t.Errorf("the swapped-out generation counts %d builds and %d balls, want 4 and 4", old.topologyBuilds.Load(), old.balls.Len())
 	}
 }
 
 // TestTopologyKeyIgnoringZerosBites is the bite twin of the zeroed-type
 // case: a memo key without the zero-rate set would hand the topology
-// built before a type was zeroed to the explain after it, from either
-// tier, which keeps arcs the zeroed type no longer carries — not the
-// subgraph a build under the new rates makes.
+// built before a type was zeroed to the explain after it, from the
+// decoded tier, or the ball built before it to be restricted, from the
+// ball tier; either keeps arcs the zeroed type no longer carries — not
+// the subgraph a build under the new rates makes.
 func TestTopologyKeyIgnoringZerosBites(t *testing.T) {
 	f := newFixture(t)
 	e := f.newEngine(t)
@@ -131,11 +132,11 @@ func TestTopologyKeyIgnoringZerosBites(t *testing.T) {
 	pin := e.Pin()
 	res = rankPinned(pin, olap)
 	want, err := pin.ExplainCtx(context.Background(), res, v7, DefaultExplain())
-	if err != nil || want.TopologyReused {
+	if err != nil || want.TopologyPath() != "built" {
 		t.Fatalf("explain after zeroing a type: (%v, %v), want a build", want, err)
 	}
 
-	// The key as it would be without the zero-rate set: the one the
+	// The keys as they would be without the zero-rate set: the ones the
 	// explain under the old rates stored, in both tiers.
 	st, c := pin.st, pin.st.gen.corpus
 	stale := topologyKey(0, v7, DefaultExplain().Radius, before.st.snap.zeros, res.Base)
@@ -144,16 +145,15 @@ func TestTopologyKeyIgnoringZerosBites(t *testing.T) {
 	if decoded == nil {
 		t.Fatal("the explain under the old rates kept no decoded topology")
 	}
-	p, _ := st.gen.packed.Get(stale)
-	packed, _ := p.([]byte)
-	if packed == nil {
-		t.Fatal("the explain under the old rates kept no packed topology")
+	b, _ := st.gen.balls.Get(stale[:ballKeyLen(before.st.snap.zeros)])
+	ball, _ := b.(*topology)
+	if ball == nil {
+		t.Fatal("the explain under the old rates kept no ball")
 	}
 	sc := st.gen.getExplainScratch(c.g.NumNodes())
-	start, out := c.g.ForwardCSR()
-	unpacked := unpackTopology(sc, packed, start, out, v7)
+	derived := restrict(sc, ball, res.Base)
 	st.gen.putExplainScratch(sc)
-	for tier, topo := range map[string]*topology{"decoded": decoded, "packed": unpacked} {
+	for tier, topo := range map[string]*topology{"decoded": decoded, "ball": derived} {
 		sc := st.gen.getExplainScratch(c.g.NumNodes())
 		got, err := adjust(context.Background(), sc, c, st.snap.alpha, topo, res, DefaultExplain().withDefaults(), time.Now())
 		st.gen.putExplainScratch(sc)
@@ -166,43 +166,155 @@ func TestTopologyKeyIgnoringZerosBites(t *testing.T) {
 	}
 }
 
-// TestPackedTopologyRoundTrip: on random citation webs at radius 1–4
-// and unbounded, every built topology unpacks to exactly the nodes,
-// distances, rows, arcs and target position it was packed from, in
-// fewer bytes than its decoded entry; and a topology with a distance
-// over 255 is kept decoded only, so once the decoded tier is evicted
-// its next explain builds again.
-func TestPackedTopologyRoundTrip(t *testing.T) {
+// naiveTopology is stage (i) of Figure 8 written out plainly over g,
+// without a ball: a backward search for the distances, a forward search
+// from the base-set nodes it reached over positive-rate arcs into the
+// reached set, the target alone when nothing is kept, and the
+// positive-rate arcs the kept nodes induce.
+func naiveTopology(g *graph.Graph, alpha []float64, base []ir.ScoredDoc, target graph.NodeID, radius int) *topology {
+	dist := map[graph.NodeID]int32{target: 0}
+	for queue := []graph.NodeID{target}; len(queue) > 0; queue = queue[1:] {
+		v := queue[0]
+		if radius > 0 && int(dist[v]) >= radius {
+			continue
+		}
+		for _, a := range g.InArcs(v) {
+			if _, seen := dist[a.To]; !seen && alpha[a.Type] != 0 {
+				dist[a.To] = dist[v] + 1
+				queue = append(queue, a.To)
+			}
+		}
+	}
+	kept := map[graph.NodeID]bool{}
+	var queue []graph.NodeID
+	for _, sd := range base {
+		if v := graph.NodeID(sd.Doc); !kept[v] {
+			if _, in := dist[v]; in {
+				kept[v] = true
+				queue = append(queue, v)
+			}
+		}
+	}
+	for ; len(queue) > 0; queue = queue[1:] {
+		for _, a := range g.OutArcs(queue[0]) {
+			if _, in := dist[a.To]; in && alpha[a.Type] != 0 && !kept[a.To] {
+				kept[a.To] = true
+				queue = append(queue, a.To)
+			}
+		}
+	}
+	if len(kept) == 0 {
+		kept[target] = true
+	}
+	t := &topology{rowStart: []int32{0}}
+	for v := range kept {
+		t.nodes = append(t.nodes, v)
+	}
+	slices.Sort(t.nodes)
+	start, out := g.ForwardCSR()
+	for _, u := range t.nodes {
+		t.dist = append(t.dist, dist[u])
+		for k := start[u]; k < start[u+1]; k++ {
+			if j, in := slices.BinarySearch(t.nodes, out[k].To); in && alpha[out[k].Type] != 0 {
+				t.arcs = append(t.arcs, ArcRef{CSR: k, Head: int32(j)})
+			}
+		}
+		t.rowStart = append(t.rowStart, int32(len(t.arcs)))
+	}
+	t.tgt, _ = slices.BinarySearch(t.nodes, target)
+	return t
+}
+
+// TestBallTopologyRoundTrip: on random citation webs at radius 1–4 and
+// unbounded, the first explain of a target builds its ball, and the
+// explains of four other base sets derive from it — "olap"'s nodes; the
+// target alone, which keeps only what the target reaches, less than the
+// ball in some cases; every node, which keeps the whole ball and
+// aliases it; and none, which keeps the target alone — each exactly the
+// nodes, distances, rows, arcs and target position naiveTopology builds
+// for its base set. Distances have no bound: the end of a chain of 300
+// papers derives D(first) = 299 once its decoded topology is evicted.
+func TestBallTopologyRoundTrip(t *testing.T) {
+	closed := 0
 	for seed := int64(1); seed <= 3; seed++ {
-		pin := citationWeb(t, rand.New(rand.NewSource(seed)), 300, 900).Pin()
-		res := rankPinned(pin, ir.NewQuery("olap"))
-		gen, g := pin.st.gen, pin.st.gen.corpus.g
-		start, out := g.ForwardCSR()
+		e := citationWeb(t, rand.New(rand.NewSource(seed)), 300, 900)
+		if seed == 3 {
+			// Citations flowing one way only: a ball node need not be
+			// reachable from the target.
+			cites, _ := e.Graph().Schema().EdgeTypeByRole("cites")
+			forward := e.Rates()
+			if err := forward.Set(cites, graph.Backward, 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.SetRates(forward); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pin := e.Pin()
+		olap := rankPinned(pin, ir.NewQuery("olap"))
+		every, alone := *olap, *olap
+		every.Base, alone.Base = rankPinned(pin, ir.NewQuery("paper")).Base, nil
+		if len(every.Base) != 300 {
+			t.Fatalf("seed %d: \"paper\" names %d nodes, want all 300", seed, len(every.Base))
+		}
+		gen, g, alpha := pin.st.gen, pin.st.gen.corpus.g, pin.st.snap.alpha
 		for _, radius := range []int{1, 2, 3, 4, 0} {
-			for _, r := range res.TopK(12) {
+			for _, r := range olap.TopK(12) {
 				opts := ExplainOptions{Radius: radius}
-				if _, err := pin.ExplainCtx(context.Background(), res, r.Node, opts); err != nil {
-					t.Fatal(err)
-				}
-				key := topologyKey(0, r.Node, radius, pin.st.snap.zeros, res.Base)
-				v, _ := gen.topologies.Get(key)
-				want := v.(*topology)
-				p, ok := gen.packed.Get(key)
-				if !ok {
-					t.Fatalf("seed %d, radius %d, target %d: no packed topology", seed, radius, r.Node)
-				}
-				sc := gen.getExplainScratch(g.NumNodes())
-				got := unpackTopology(sc, p.([]byte), start, out, r.Node)
-				gen.putExplainScratch(sc)
-				if !slices.Equal(got.nodes, want.nodes) || !slices.Equal(got.dist, want.dist) || !slices.Equal(got.rowStart, want.rowStart) ||
-					!slices.Equal(got.arcs, want.arcs) || got.tgt != want.tgt {
-					t.Fatalf("seed %d, radius %d, target %d: the unpacked topology differs from the built one", seed, radius, r.Node)
-				}
-				if n := packedSize(key, p.([]byte)); n >= want.size(key) {
-					t.Errorf("seed %d, radius %d, target %d: packed entry of %d bytes, decoded %d", seed, radius, r.Node, n, want.size(key))
+				self := *olap
+				self.Base = []ir.ScoredDoc{{Doc: int32(r.Node), Score: 1}}
+				var first *Subgraph
+				for i, res := range []*RankResult{olap, olap, &every, &alone, &self} {
+					if i == 1 {
+						pin.EvictDecodedTopologies()
+					}
+					sg, err := pin.ExplainCtx(context.Background(), res, r.Node, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if path := map[bool]string{true: "built", false: "derived"}[i == 0]; sg.TopologyPath() != path {
+						t.Fatalf("seed %d, radius %d, target %d, base set %d: topology %s, want %s", seed, radius, r.Node, i, sg.TopologyPath(), path)
+					}
+					key := topologyKey(0, r.Node, radius, pin.st.snap.zeros, res.Base)
+					v, _ := gen.topologies.Get(key)
+					b, _ := gen.balls.Get(key[:ballKeyLen(pin.st.snap.zeros)])
+					got, ball := v.(*topology), b.(*topology)
+					want := naiveTopology(g, alpha, res.Base, r.Node, radius)
+					if !slices.Equal(got.nodes, want.nodes) || !slices.Equal(got.dist, want.dist) || !slices.Equal(got.rowStart, want.rowStart) ||
+						!slices.Equal(got.arcs, want.arcs) || got.tgt != want.tgt {
+						t.Fatalf("seed %d, radius %d, target %d, base set %d: the topology differs from a plain stage (i)", seed, radius, r.Node, i)
+					}
+					if (got == ball) != (len(got.nodes) == len(ball.nodes)) {
+						t.Fatalf("seed %d, radius %d, target %d, base set %d: %d of the ball's %d nodes kept, aliased %v",
+							seed, radius, r.Node, i, len(got.nodes), len(ball.nodes), got == ball)
+					}
+					switch i {
+					case 0:
+						first = sg
+					case 1:
+						if !slices.Equal(subgraphBits(sg), subgraphBits(first)) {
+							t.Fatalf("seed %d, radius %d, target %d: the derived explain differs from the built one", seed, radius, r.Node)
+						}
+					case 2:
+						if got != ball {
+							t.Fatalf("seed %d, radius %d, target %d: every node is the base set, yet the ball is not aliased", seed, radius, r.Node)
+						}
+					case 3:
+						if len(got.nodes) != 1 {
+							t.Fatalf("seed %d, radius %d, target %d: an empty base set keeps %d nodes", seed, radius, r.Node, len(got.nodes))
+						}
+					case 4:
+						if got != ball {
+							closed++
+						}
+					}
 				}
 			}
 		}
+	}
+
+	if closed == 0 {
+		t.Fatal("the target alone reached its whole ball in every case: nothing checks the closure")
 	}
 
 	// A chain of 300 papers, each citing the next: an unbounded explain
@@ -234,7 +346,7 @@ func TestPackedTopologyRoundTrip(t *testing.T) {
 	}
 	pin := e.Pin()
 	res := rankPinned(pin, ir.NewQuery("olap"))
-	for i, path := range []string{"built", "reused", "built"} {
+	for i, path := range []string{"built", "reused", "derived"} {
 		if i == 2 {
 			pin.EvictDecodedTopologies()
 		}
@@ -244,9 +356,6 @@ func TestPackedTopologyRoundTrip(t *testing.T) {
 		}
 		if sg.Dist(0) != n-1 || sg.TopologyPath() != path {
 			t.Fatalf("explain %d of the chain's end: D(first) = %d, topology %s; want %d, %s", i, sg.Dist(0), sg.TopologyPath(), n-1, path)
-		}
-		if pin.st.gen.packed.Len() != 0 {
-			t.Fatalf("explain %d of the chain's end packed a distance of %d", i, n-1)
 		}
 	}
 }

@@ -175,6 +175,11 @@ type BatchQueryRequest struct {
 // MaxBatchQueries caps the number of queries one batch may carry.
 const MaxBatchQueries = 64
 
+// MaxFeedback caps the number of feedback ids one /v1/reformulate may
+// carry: each is explained, concurrently, into a subgraph that lives
+// until the reformulation is computed.
+const MaxFeedback = 64
+
 // BatchQueryResponse is the /v1/query/batch payload: one QueryResponse
 // per request item, in order, each identical to what the corresponding
 // single /v1/query call would have returned. Version is the single

@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -568,5 +569,31 @@ func TestBatchLimitAndBodyCap(t *testing.T) {
 	}
 	if env := decodeEnvelope(t, raw); !strings.Contains(env.Error.Message, "bytes") {
 		t.Errorf("message %q does not mention the byte cap", env.Error.Message)
+	}
+}
+
+// TestFeedbackLimit: a reformulate of MaxFeedback ids is answered; one
+// more id is the 400 naming the limit, before any kernel work.
+func TestFeedbackLimit(t *testing.T) {
+	s, ts := testServer(t)
+	ids := make([]string, MaxFeedback+1)
+	for i := range ids {
+		ids[i] = strconv.Itoa(i)
+	}
+	url := ts.URL + "/v1/reformulate?q=olap&feedback="
+	if code, _, raw := fetch(t, http.MethodGet, url+strings.Join(ids[:MaxFeedback], ","), nil); code != 200 {
+		t.Fatalf("reformulate of %d feedback ids: status %d (body %s)", MaxFeedback, code, raw)
+	}
+	version := s.Engine().RatesVersion()
+	code, _, raw := fetch(t, http.MethodGet, url+strings.Join(ids, ","), nil)
+	if code != 400 {
+		t.Fatalf("reformulate of %d feedback ids: status %d (body %s)", len(ids), code, raw)
+	}
+	want := strconv.Itoa(len(ids)) + " feedback ids exceeds the feedback limit of " + strconv.Itoa(MaxFeedback)
+	if env := decodeEnvelope(t, raw); env.Error.Code != CodeInvalidArgument || env.Error.Message != want {
+		t.Errorf("oversize feedback error = %+v, want %s %q", env.Error, CodeInvalidArgument, want)
+	}
+	if s.Engine().RatesVersion() != version {
+		t.Error("a rejected reformulate published rates")
 	}
 }

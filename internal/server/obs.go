@@ -193,11 +193,11 @@ func newServerObs(o ObsOptions) *serverObs {
 	so.explainTruncated = reg.NewCounter("afq_explain_truncated_total",
 		"JSON explains whose subgraph held more arcs than the budget (arcs, nodes and contributions were clipped).")
 	topology := reg.NewCounterVec("afq_explain_topology_total",
-		"Completed explaining subgraphs by route (explain, audit, reformulate's feedback) and how each came by its topology: built (stage (i) ran), reused (the decoded tier), unpacked (the packed tier).",
+		"Completed explaining subgraphs by route (explain, audit, reformulate's feedback) and how each came by its topology: built (stage (i) ran whole), reused (the decoded tier), derived (restricted from the ball tier's ball of the target).",
 		"route", "path")
 	so.explainTopology = make(map[topologySeries]*obs.Counter)
 	for _, route := range []string{"explain", "audit", "reformulate"} {
-		for _, path := range []string{"built", "reused", "unpacked"} {
+		for _, path := range []string{"built", "reused", "derived"} {
 			so.explainTopology[topologySeries{route, path}] = topology.With(route, path)
 		}
 	}

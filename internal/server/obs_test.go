@@ -436,7 +436,8 @@ func TestWarmSolvesCountDonatedStartsOnly(t *testing.T) {
 // the trace's explain event, like the audit's, says what the kernel
 // built and how long each stage took. afq_explain_topology_total
 // counts every route's explains by topology path, the audit's event
-// says when it unpacked, and a count allocates nothing.
+// says when it derived, a reformulate traces one event per feedback
+// explain and one for its requery, and a count allocates nothing.
 func TestExplainObservability(t *testing.T) {
 	var slow syncBuffer
 	s, ts := obsTestServer(t, WithObservability(ObsOptions{SlowLog: &slow, SlowThreshold: time.Nanosecond}))
@@ -498,25 +499,41 @@ func TestExplainObservability(t *testing.T) {
 		t.Errorf("audit event missing %q / adjust_ms=: %s", want+"reused build_ms=", event)
 	}
 
-	// With the decoded tier evicted the next audit unpacks the packed
-	// topology and says so; the feedback explain of a reformulate then
-	// reuses the topology the unpack put back.
+	// With the decoded tier evicted the next audit derives the topology
+	// from the target's ball and says so; the feedback explain of a
+	// reformulate then reuses the topology the derive put back, and its
+	// trace has one event for it, naming the target, and one for the
+	// requery after the publish.
 	s.eng.Pin().EvictDecodedTopologies()
 	mustGet(t, strings.Replace(url, "/v1/explain", "/v1/audit", 1), 200)
 	if !waitFor(t, 2*time.Second, func() bool { return strings.Count(slow.String(), `"name":"audit"`) == 2 }) {
 		t.Fatal("no second audit event in the slow log")
 	}
 	log = slow.String()
-	if event = log[strings.LastIndex(log, `"name":"audit"`):]; !strings.Contains(event[:strings.Index(event, "}")], want+"unpacked build_ms=") {
-		t.Errorf("audit event after an eviction missing %q: %s", want+"unpacked build_ms=", event[:strings.Index(event, "}")])
+	if event = log[strings.LastIndex(log, `"name":"audit"`):]; !strings.Contains(event[:strings.Index(event, "}")], want+"derived build_ms=") {
+		t.Errorf("audit event after an eviction missing %q: %s", want+"derived build_ms=", event[:strings.Index(event, "}")])
 	}
 	mustGet(t, ts.URL+"/v1/reformulate?q=olap&feedback="+strconv.FormatInt(q.Results[0].Node, 10), 200)
+	if !waitFor(t, 2*time.Second, func() bool { return strings.Contains(slow.String(), `"name":"requery"`) }) {
+		t.Fatal("no requery event in the slow log")
+	}
+	log = slow.String()
+	log = log[strings.LastIndex(log, `"name":"solve"`):]
+	if feedback := `"name":"explain","offsetMs":`; strings.Count(log, feedback) != 1 {
+		t.Errorf("reformulate of one feedback id traced %d explain events, want 1:\n%s", strings.Count(log, feedback), log)
+	}
+	if target := "target=" + strconv.FormatInt(q.Results[0].Node, 10) + " " + want + "reused build_ms="; !strings.Contains(log, target) {
+		t.Errorf("reformulate trace missing %q:\n%s", target, log)
+	}
+	if !strings.Contains(log, `"name":"requery","offsetMs":`) || !strings.Contains(log, `"detail":"source=`) {
+		t.Errorf("reformulate trace has no requery source= event:\n%s", log)
+	}
 	samples, _ = scrapeMetrics(t, ts.URL)
 	for _, route := range []string{"explain", "audit", "reformulate"} {
 		for path, want := range map[string]float64{
-			"built":    map[string]float64{"explain": 2}[route], // the authority and hub keys
-			"reused":   map[string]float64{"explain": 2, "audit": 1, "reformulate": 1}[route],
-			"unpacked": map[string]float64{"audit": 1}[route],
+			"built":   map[string]float64{"explain": 2}[route], // the authority and hub keys
+			"reused":  map[string]float64{"explain": 2, "audit": 1, "reformulate": 1}[route],
+			"derived": map[string]float64{"audit": 1}[route],
 		} {
 			name := `afq_explain_topology_total{route="` + route + `",path="` + path + `"}`
 			if got, ok := samples[name]; !ok || got != want {

@@ -391,8 +391,7 @@ func (s *Server) parseTarget(rq *request, r *http.Request) (string, error) {
 // cache's shared term vectors), then the target's Section 4 explaining
 // subgraph at the paper's radius (core.DefaultExplain), counted in
 // afq_explain_topology_total under route event, with an event named
-// event saying what the kernel built, whether it built, reused or
-// unpacked the subgraph's topology, and how long each stage took.
+// event (explainDetail).
 func (s *Server) explainTarget(rq *request, event string) (*core.Subgraph, error) {
 	res, err := s.cache.RankModePinnedCtx(rq.ctx, rq.pin, rq.q, rq.rp.Mode)
 	if err != nil {
@@ -405,9 +404,18 @@ func (s *Server) explainTarget(rq *request, event string) (*core.Subgraph, error
 		return nil, inputError{err}
 	}
 	s.obs.countTopology(event, sg)
-	rq.tr.Eventf(event, "nodes=%d arcs=%d iters=%d topology=%s build_ms=%.3f adjust_ms=%.3f", len(sg.Nodes), len(sg.Arcs),
-		sg.Iterations, sg.TopologyPath(), sg.BuildDuration.Seconds()*1e3, sg.AdjustDuration.Seconds()*1e3)
+	rq.tr.Eventf(event, explainDetail, explainArgs(sg)...)
 	return sg, nil
+}
+
+// explainDetail is the trace detail of an explain, filled by
+// explainArgs: what the kernel kept, whether it built, reused or
+// derived the subgraph's topology, and how long each stage took.
+const explainDetail = "nodes=%d arcs=%d iters=%d topology=%s build_ms=%.3f adjust_ms=%.3f"
+
+func explainArgs(sg *core.Subgraph) []any {
+	return []any{len(sg.Nodes), len(sg.Arcs), sg.Iterations, sg.TopologyPath(),
+		sg.BuildDuration.Seconds() * 1e3, sg.AdjustDuration.Seconds() * 1e3}
 }
 
 func (s *Server) runExplain(rq *request) (reply, error) {
@@ -452,9 +460,9 @@ func (s *Server) runExplain(rq *request) (reply, error) {
 var reformulateEndpoint = endpoint{pattern: "/v1/reformulate", guarded: true, query: true, profile: true,
 	parse: (*Server).parseFeedback, run: (*Server).runReformulate}
 
-// parseFeedback reads /v1/reformulate's strategy, feedback ids,
-// confidences and version token. The token is checked here, against the
-// pin: a stale one is the 409 before any work.
+// parseFeedback reads /v1/reformulate's strategy, feedback ids (at most
+// MaxFeedback), confidences and version token. The token is checked
+// here, against the pin: a stale one is the 409 before any work.
 func (s *Server) parseFeedback(rq *request, r *http.Request) (string, error) {
 	switch mode := rq.v.Get("mode"); mode {
 	case "", "structure":
@@ -479,6 +487,9 @@ func (s *Server) parseFeedback(rq *request, r *http.Request) (string, error) {
 	if len(rq.feedback) == 0 {
 		return "", badRequest("feedback ids required")
 	}
+	if len(rq.feedback) > MaxFeedback {
+		return "", badRequest(strconv.Itoa(len(rq.feedback)) + " feedback ids exceeds the feedback limit of " + strconv.Itoa(MaxFeedback))
+	}
 	var err error
 	if rq.confidences, err = parseConfidences(rq.v.Get("confidence"), len(rq.feedback)); err != nil {
 		return "", err
@@ -495,13 +506,14 @@ func (s *Server) parseFeedback(rq *request, r *http.Request) (string, error) {
 	return fmt.Sprintf("q=%s feedback=%d", rq.spelled, len(rq.feedback)), nil
 }
 
-// runReformulate ranks q, explains every feedback object, and then —
-// the one choice — either trains the request's profile and answers from
-// its blend under the same pin, or publishes the reformulated rates
-// through the engine's compare-and-swap (409 with the winning version on
-// a lost race; a corpus swap bumps the version too) and answers from the
-// serving cache under a re-pin, warm-started from the feedback ranking,
-// which also seeds the result cache at the published version.
+// runReformulate ranks q, explains every feedback object concurrently
+// (Pinned.ExplainEachCtx), and then — the one choice — either trains
+// the request's profile and answers from its blend under the same pin,
+// or publishes the reformulated rates through the engine's
+// compare-and-swap (409 with the winning version on a lost race; a
+// corpus swap bumps the version too) and answers from the serving cache
+// under a re-pin, warm-started from the feedback ranking, which also
+// seeds the result cache at the published version.
 func (s *Server) runReformulate(rq *request) (reply, error) {
 	ctx, pin := rq.ctx, rq.pin
 	res, err := s.cache.RankPinnedCtx(ctx, pin, rq.q)
@@ -510,14 +522,14 @@ func (s *Server) runReformulate(rq *request) (reply, error) {
 	}
 	defer s.eng.Release(res)
 	rq.tr.Eventf("solve", "iters=%d base=%d version=%d", res.Iterations, len(res.Base), pin.Version())
-	subs := make([]*core.Subgraph, len(rq.feedback))
-	for i, id := range rq.feedback {
-		if subs[i], err = pin.ExplainCtx(ctx, res, id, core.DefaultExplain()); err != nil {
-			return reply{}, inputError{err}
-		}
-		s.obs.countTopology("reformulate", subs[i])
+	subs, err := pin.ExplainEachCtx(ctx, res, rq.feedback, core.DefaultExplain())
+	if err != nil {
+		return reply{}, inputError{err}
 	}
-	rq.tr.Eventf("explain", "subgraphs=%d", len(subs))
+	for i, sg := range subs {
+		s.obs.countTopology("reformulate", sg)
+		rq.tr.Eventf("explain", "target=%d "+explainDetail, append([]any{rq.feedback[i]}, explainArgs(sg)...)...)
+	}
 
 	var resp ReformulateResponse
 	if rq.profile != "" {
@@ -552,6 +564,7 @@ func (s *Server) runReformulate(rq *request) (reply, error) {
 		if err != nil {
 			return reply{}, err
 		}
+		rq.tr.Eventf("requery", "source=%s", ans.Source)
 		resp = reformulateResponse(next.Corpus().Graph(), ref, version, ans.Results)
 	}
 	return reply{what: "results", n: len(resp.Results), json: resp}, nil

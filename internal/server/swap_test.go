@@ -2,11 +2,15 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -322,5 +326,99 @@ func TestCorpusSwapUnderLoad(t *testing.T) {
 	}
 	if st.Generation != uint64(st.CorpusSwaps)+1 {
 		t.Errorf("generation %d inconsistent with %d swaps", st.Generation, st.CorpusSwaps)
+	}
+}
+
+// TestReformulateFeedbackRacesPublishAndSwap: reformulates of
+// MaxFeedback feedback ids, whose explains run concurrently, race a
+// rates publication, a corpus swap or a cancellation landing a few
+// milliseconds in. Each answers a consistent body — a published version
+// and a ranked answer inside a served graph — or the 409 of a race it
+// lost, or the 499 of its cancellation, and one nothing races answers;
+// once all have returned, no goroutine they started is left.
+func TestReformulateFeedbackRacesPublishAndSwap(t *testing.T) {
+	dir := t.TempDir()
+	gen1 := writeTestSnapshot(t, dir, "a.snap", 0.02, 4)
+	gen2 := writeTestSnapshot(t, dir, "b.snap", 0.015, 9)
+	s, err := New(gen1, core.Config{Rank: rank.Options{Threshold: 1e-5, MaxIters: 120}}, WithSwapDir(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	serve := func(ctx context.Context, method, url, body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, url, strings.NewReader(body)).WithContext(ctx))
+		return rec
+	}
+	// Feedback ids spread over the nodes both generations have.
+	n := min(gen1.Graph.NumNodes(), gen2.Graph.NumNodes())
+	ids := make([]string, MaxFeedback)
+	for i := range ids {
+		ids[i] = strconv.Itoa(i * n / MaxFeedback)
+	}
+	url := "/v1/reformulate?q=mining&feedback=" + strings.Join(ids, ",")
+	before := runtime.NumGoroutine()
+
+	var racers sync.WaitGroup
+	race := func(after time.Duration, f func()) {
+		racers.Add(1)
+		time.AfterFunc(after, func() { defer racers.Done(); f() })
+	}
+	swaps := 0
+	codes := map[int]int{}
+	for i := 0; i < 16; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		after := time.Duration(1+i/4) * time.Millisecond
+		switch i % 4 {
+		case 1:
+			// A swap between the read and the publish makes the rates
+			// another schema's, and the publish is refused.
+			race(after, func() { _ = s.Engine().SetRates(s.Engine().Rates()) })
+		case 2:
+			swaps++
+			snap := []string{"b.snap", "a.snap"}[swaps%2]
+			race(after, func() {
+				if rec := serve(context.Background(), http.MethodPost, "/v1/corpus/swap", `{"snapshot":"`+snap+`"}`); rec.Code != 200 {
+					t.Errorf("swap to %s: status %d", snap, rec.Code)
+				}
+			})
+		case 3:
+			race(after, cancel)
+		}
+		rec := serve(ctx, http.MethodGet, url, "")
+		racers.Wait()
+		cancel()
+		codes[rec.Code]++
+		switch {
+		case rec.Code == 200:
+			var resp ReformulateResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+				t.Fatal(err)
+			}
+			if resp.Version < 2 || len(resp.Results) == 0 {
+				t.Errorf("reformulate %d: version %d, %d results", i, resp.Version, len(resp.Results))
+			}
+			for j, r := range resp.Results {
+				if int(r.Node) >= max(gen1.Graph.NumNodes(), gen2.Graph.NumNodes()) || r.Display == "" ||
+					j > 0 && r.Score > resp.Results[j-1].Score {
+					t.Errorf("reformulate %d: result %d is %+v", i, j, r)
+				}
+			}
+		case i%4 == 0:
+			t.Fatalf("reformulate %d, raced by nothing: status %d (body %s)", i, rec.Code, rec.Body)
+		case rec.Code == http.StatusConflict && i%4 != 3, rec.Code == statusClientClosedRequest && i%4 == 3:
+		default:
+			t.Fatalf("reformulate %d: status %d (body %s)", i, rec.Code, rec.Body)
+		}
+	}
+	t.Logf("statuses %v", codes)
+
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		buf := make([]byte, 1<<16)
+		t.Errorf("%d goroutines after the reformulates returned, %d before:\n%s", after, before, buf[:runtime.Stack(buf, true)])
 	}
 }
