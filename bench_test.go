@@ -410,20 +410,17 @@ func BenchmarkReformulate(b *testing.B) {
 	}
 }
 
-// BenchmarkReformulateDblptop measures what one structure-mode
-// /v1/reformulate does at the benchmark's corpus, minus HTTP and the
-// serving cache: rank the query, explain its top two results — the
-// feedback, concurrently (Pinned.ExplainEachCtx) — compute Equations
-// 13–15, publish the rates and requery warm-started from the ranking.
-// The query rotates over five keywords, so a feedback explain builds
-// its target's ball, derives from a kept one or reuses a kept topology;
-// the benchmark reports ms/op and each path's explains per op.
+// BenchmarkReformulateDblptop measures what one /v1/reformulate does
+// at the benchmark's corpus in each of the paper's three settings,
+// minus HTTP and the serving cache: rank the query, explain its top two
+// results — the feedback, concurrently (Pinned.ExplainEachCtx) —
+// compute Equations 13–15, publish the rates and requery the
+// reformulated query warm-started from the ranking. The query rotates
+// over five keywords, so a feedback explain builds its target's ball,
+// derives from a kept one or reuses a kept topology; each mode reports
+// ms/op, each path's explains per op and the requery's sweeps per op.
 func BenchmarkReformulateDblptop(b *testing.B) {
 	ds, err := datagen.GenerateDBLP(datagen.DBLPTopConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng, err := authorityflow.NewEngine(ds.Graph, ds.Rates, authorityflow.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -432,34 +429,52 @@ func BenchmarkReformulateDblptop(b *testing.B) {
 	for _, q := range []string{"olap", "mining", "xml", "web", "query"} {
 		queries = append(queries, authorityflow.NewQuery(q))
 	}
-	paths := map[string]int{}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pin, q := eng.Pin(), queries[i%len(queries)]
-		res := solve(b, pin, authorityflow.SolveSpec{Queries: []*authorityflow.Query{q}})
-		top := res.TopK(2)
-		subs, err := pin.ExplainEachCtx(ctx, res, []authorityflow.NodeID{top[0].Node, top[1].Node}, authorityflow.DefaultExplain())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, sg := range subs {
-			paths[sg.TopologyPath()]++
-		}
-		ref, err := pin.ReformulateWeightedCtx(ctx, q, subs, nil, authorityflow.StructureOnly())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := eng.TrySetRates(ref.Rates, pin.Version()); err != nil {
-			b.Fatal(err)
-		}
-		requery := solve(b, eng.Pin(), authorityflow.SolveSpec{Queries: []*authorityflow.Query{ref.Query}, Inits: [][]float64{res.Scores}})
-		eng.Release(requery)
-		eng.Release(res)
-	}
-	b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/op")
-	for _, path := range []string{"built", "derived", "reused"} {
-		b.ReportMetric(float64(paths[path])/float64(b.N), path+"/op")
+	for _, mode := range []struct {
+		name string
+		opts authorityflow.ReformulateOptions
+	}{
+		{"structure", authorityflow.StructureOnly()},
+		{"content", authorityflow.ContentOnly()},
+		{"both", authorityflow.ContentAndStructure()},
+	} {
+		b.Run(mode.name, func(b *testing.B) {
+			eng, err := authorityflow.NewEngine(ds.Graph, ds.Rates, authorityflow.Config{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			paths := map[string]int{}
+			sweeps := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pin, q := eng.Pin(), queries[i%len(queries)]
+				res := solve(b, pin, authorityflow.SolveSpec{Queries: []*authorityflow.Query{q}})
+				top := res.TopK(2)
+				subs, err := pin.ExplainEachCtx(ctx, res, []authorityflow.NodeID{top[0].Node, top[1].Node}, authorityflow.DefaultExplain())
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, sg := range subs {
+					paths[sg.TopologyPath()]++
+				}
+				ref, err := pin.ReformulateWeightedCtx(ctx, q, subs, nil, mode.opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := eng.TrySetRates(ref.Rates, pin.Version()); err != nil {
+					b.Fatal(err)
+				}
+				requery := solve(b, eng.Pin(), authorityflow.SolveSpec{Queries: []*authorityflow.Query{ref.Query}, Inits: [][]float64{res.Scores}})
+				sweeps += requery.Iterations
+				eng.Release(requery)
+				eng.Release(res)
+			}
+			b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/op")
+			for _, path := range []string{"built", "derived", "reused"} {
+				b.ReportMetric(float64(paths[path])/float64(b.N), path+"/op")
+			}
+			b.ReportMetric(float64(sweeps)/float64(b.N), "sweeps/op")
+		})
 	}
 }
 
@@ -468,10 +483,11 @@ func BenchmarkReformulateDblptop(b *testing.B) {
 func BenchmarkBaseSet(b *testing.B) {
 	_, eng := microWorld(b)
 	q := authorityflow.NewQuery("olap", "cube", "aggregation")
+	pin := eng.Pin()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng.BaseSet(q)
+		pin.BaseSet(q)
 	}
 }
 
@@ -587,7 +603,8 @@ func BenchmarkQueryPathCacheHit(b *testing.B) {
 // leave the shared engine's rates alone.
 func BenchmarkQueryAfterPublishes(b *testing.B) {
 	shared, _ := queryPathWorld(b)
-	eng, err := authorityflow.NewEngineWith(shared.Corpus(), shared.Rates())
+	pin := shared.Pin()
+	eng, err := authorityflow.NewEngineWith(pin.Corpus(), pin.Rates())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -604,7 +621,7 @@ func BenchmarkQueryAfterPublishes(b *testing.B) {
 	}
 	// Publish n scales the first rate by 0.95 … 0.75 in turn, less a
 	// jitter that keeps every vector (and so every cache key) distinct.
-	base := eng.Rates().Vector()
+	base := eng.Pin().Rates().Vector()
 	publish := func(n int) {
 		v := append([]float64(nil), base...)
 		for j, x := range v {
@@ -613,7 +630,7 @@ func BenchmarkQueryAfterPublishes(b *testing.B) {
 				break
 			}
 		}
-		r := eng.Rates()
+		r := eng.Pin().Rates()
 		if err := r.SetVector(v); err != nil {
 			b.Fatal(err)
 		}

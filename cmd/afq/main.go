@@ -117,7 +117,7 @@ func main() {
 
 	case "snapshot":
 		out := args[1]
-		if err := authorityflow.SaveCorpusSnapshotFile(out, ds, eng.Index()); err != nil {
+		if err := authorityflow.SaveCorpusSnapshotFile(out, ds, pin.Corpus().Index()); err != nil {
 			fail(err)
 		}
 		fi, err := os.Stat(out)

@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"io/fs"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -63,5 +64,118 @@ func TestFacadeFunctionsHaveCallers(t *testing.T) {
 	}
 	if funcs == 0 {
 		t.Fatal("found no exported function in authorityflow.go")
+	}
+}
+
+// testOracles are the exported internal functions that no production
+// file calls and that stay anyway, each for the role it plays in tests.
+// TestInternalFunctionsHaveCallers fails on an entry whose function is
+// gone or has gained a production caller, so the list cannot go stale.
+var testOracles = map[string]string{
+	"authorityflow/internal/rank.NormalizeDist": "builds the kernel tests' jump vectors",
+	"authorityflow/internal/eval.KendallTau":    "rank agreement of the audit evidence rows",
+	"authorityflow/internal/storage.ExportTSV":  "the round-trip and fuzz oracle for ImportTSV",
+	"authorityflow/internal/ir.IsStopword":      "pins the tokenizer's stopword list",
+}
+
+// TestInternalFunctionsHaveCallers is the caller rule made module-wide:
+// every exported package-level function declared in a non-test file
+// under internal/ is referenced from a non-test file of the module (the
+// commands and cmd/afqbench count) — as pkg.Name from another package or
+// as Name inside its own — or is one of testOracles. A function only the
+// tests reach is deleted. Methods are out of scope: matching them by
+// name alone cannot tell which type's method a call reaches.
+func TestInternalFunctionsHaveCallers(t *testing.T) {
+	type file struct {
+		pkg string // import path of the file's package
+		ast *ast.File
+	}
+	fset := token.NewFileSet()
+	var files []file
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if d.Name() == "testdata" || (strings.HasPrefix(d.Name(), ".") && path != ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		files = append(files, file{pkg: filepath.ToSlash(filepath.Join("authorityflow", filepath.Dir(path))), ast: f})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	declared := map[string]bool{}   // "import/path.Name" of every exported internal function
+	referenced := map[string]bool{} // "import/path.Name" of every reference outside a declaration's name
+	for _, f := range files {
+		imports := map[string]string{}
+		for _, imp := range f.ast.Imports {
+			path := strings.Trim(imp.Path.Value, `"`)
+			name := path[strings.LastIndex(path, "/")+1:]
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			imports[name] = path
+		}
+		skip := map[*ast.Ident]bool{}
+		for _, d := range f.ast.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			skip[fn.Name] = true
+			if fn.Recv == nil && fn.Name.IsExported() && strings.HasPrefix(f.pkg, "authorityflow/internal/") {
+				declared[f.pkg+"."+fn.Name.Name] = true
+			}
+		}
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				skip[n.Sel] = true
+				if x, ok := n.X.(*ast.Ident); ok {
+					if path, ok := imports[x.Name]; ok {
+						referenced[path+"."+n.Sel.Name] = true
+					}
+				}
+			case *ast.Ident:
+				if !skip[n] {
+					referenced[f.pkg+"."+n.Name] = true
+				}
+			}
+			return true
+		})
+	}
+
+	if len(declared) == 0 {
+		t.Fatal("found no exported function under internal/")
+	}
+	var uncalled []string
+	for name := range declared {
+		if !referenced[name] && testOracles[name] == "" {
+			uncalled = append(uncalled, name)
+		}
+	}
+	sort.Strings(uncalled)
+	for _, name := range uncalled {
+		t.Errorf("%s has no caller outside the tests: give it one, delete it, or name its test role in testOracles", strings.TrimPrefix(name, "authorityflow/internal/"))
+	}
+	for name, why := range testOracles {
+		switch {
+		case !declared[name]:
+			t.Errorf("testOracles names %s (%s), which no longer exists: drop the entry", name, why)
+		case referenced[name]:
+			t.Errorf("testOracles names %s (%s), which now has a production caller: drop the entry", name, why)
+		}
 	}
 }

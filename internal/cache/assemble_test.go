@@ -171,7 +171,7 @@ func TestAssembleAllocs(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	items := batches * len(qs)
-	vector := 8 * eng.Graph().NumNodes()
+	vector := 8 * eng.Pin().Corpus().Graph().NumNodes()
 	got := after.TotalAlloc - before.TotalAlloc
 	t.Logf("%d assembled items allocated %d B, %.3f of a %d-B vector each", items, got, float64(got)/float64(items*vector), vector)
 	if got >= uint64(items*vector) {

@@ -144,7 +144,7 @@ func TestQueryBatchSolveCount(t *testing.T) {
 		}
 		nz := 0
 		for _, tm := range unique[lo:hi] {
-			if len(eng.Index().BaseSet(ir.NewQuery(tm))) > 0 {
+			if len(eng.Pin().Corpus().Index().BaseSet(ir.NewQuery(tm))) > 0 {
 				nz++
 			}
 		}

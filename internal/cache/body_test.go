@@ -64,7 +64,7 @@ func TestAttachBodyStaysInsideTheBudget(t *testing.T) {
 	// The result side gets 1/8 of MaxBytes over lruShards shards: 3 kB a
 	// shard holds two ~1.3 kB entries-with-body, so 40 terms must evict.
 	c := New(eng, Options{MaxBytes: 3 << 10 * lruShards * 8})
-	terms := eng.Index().TermsWithDF(3)
+	terms := eng.Pin().Corpus().Index().TermsWithDF(3)
 	if len(terms) > 40 {
 		terms = terms[:40]
 	}

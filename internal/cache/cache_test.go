@@ -95,7 +95,7 @@ func TestSingleflightDedup(t *testing.T) {
 			t.Fatalf("goroutine %d received a different vector object", i)
 		}
 	}
-	if got[0] == nil || len(got[0].vec) != eng.Graph().NumNodes() {
+	if got[0] == nil || len(got[0].vec) != eng.Pin().Corpus().Graph().NumNodes() {
 		t.Fatalf("bad vector: %+v", got[0])
 	}
 	s := c.Stats()
@@ -371,13 +371,13 @@ func TestSingleTerm(t *testing.T) {
 // evictions while serving stays correct.
 func TestEvictionUnderPressure(t *testing.T) {
 	_, eng := testEngine(t, rank.Options{})
-	n := eng.Graph().NumNodes()
+	n := eng.Pin().Corpus().Graph().NumNodes()
 	// The vector side gets 7/8 of MaxBytes over lruShards shards: size it
 	// so each shard fits one vector. More distinct terms than shards must
 	// then evict, wherever their keys hash.
 	c := New(eng, Options{MaxBytes: int64(8*n+512) * lruShards * 8 / 7})
 
-	terms := eng.Index().TermsWithDF(3)
+	terms := eng.Pin().Corpus().Index().TermsWithDF(3)
 	if len(terms) > 2*lruShards {
 		terms = terms[:2*lruShards]
 	}
@@ -411,7 +411,7 @@ func TestConcurrentServeAndPublish(t *testing.T) {
 	ds, eng := testEngine(t, rank.Options{})
 	c := New(eng, Options{})
 
-	terms := eng.Index().TermsWithDF(3)
+	terms := eng.Pin().Corpus().Index().TermsWithDF(3)
 	if len(terms) > 4 {
 		terms = terms[:4]
 	}

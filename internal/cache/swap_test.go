@@ -116,12 +116,13 @@ func TestSwapCacheHammer(t *testing.T) {
 	opts := rank.Options{Threshold: 1e-6, MaxIters: 200}
 	_, eng := testEngine(t, opts)
 	c := New(eng, Options{})
-	cA, rA := eng.Corpus(), eng.Rates()
+	pinA := eng.Pin()
+	cA, rA := pinA.Corpus(), pinA.Rates()
 	cB, rB := secondCorpus(t, opts)
 
 	// Node count per generation, recorded by the single swapper.
 	var nodesOf sync.Map
-	nodesOf.Store(eng.Generation(), eng.Graph().NumNodes())
+	nodesOf.Store(eng.Generation(), eng.Pin().Corpus().Graph().NumNodes())
 
 	queries := []*ir.Query{
 		ir.NewQuery("mining"), ir.NewQuery("database"), ir.NewQuery("xml"),

@@ -221,7 +221,7 @@ func assembledRows(w *world) []path {
 		func(t *testing.T) [][]float64 {
 			out := make([][]float64, len(qs))
 			for i := range out {
-				out[i] = []float64{rank.Defaults().Threshold}
+				out[i] = []float64{rank.Options{}.Normalized().Threshold}
 			}
 			return out
 		}})

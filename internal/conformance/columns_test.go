@@ -290,7 +290,7 @@ func TestPlanLifecycleUnderPublishes(t *testing.T) {
 
 	const publishes = 25
 	for i := 0; i < publishes; i++ {
-		rates := eng.Rates()
+		rates := eng.Pin().Rates()
 		for tt := 0; tt < w.g.Schema().NumTransferTypes(); tt++ {
 			if r := rates.Rate(graph.TransferTypeID(tt)); r > 0 {
 				_ = rates.SetRate(graph.TransferTypeID(tt), r*(0.9+0.02*float64(i%10)))

@@ -125,12 +125,12 @@ type ratesSnapshot struct {
 	// subgraph's topology reads of the rates (topology.go).
 	zeros []uint64
 
-	// plans are the snapshot's coefficient plans (rank.Plan), authority
-	// then hub: what multi-column solves sweep over. Each is built by the
-	// first multi-column Solve that pins the snapshot in that direction —
-	// never at publish and never by a one-column solve, so a process that
-	// only answers single queries holds none — and is collected with the
-	// snapshot.
+	// plans are the snapshot's coefficient plans (rank.Plan), indexed
+	// by view (see viewOf): what multi-column solves sweep over. Each is
+	// built by the first multi-column Solve that pins the snapshot in
+	// that direction — never at publish and never by a one-column solve,
+	// so a process that only answers single queries holds none — and is
+	// collected with the snapshot.
 	plans [2]struct {
 		once sync.Once
 		plan *rank.Plan
@@ -150,16 +150,16 @@ func newRatesSnapshot(rates *graph.Rates, version uint64) *ratesSnapshot {
 	return &ratesSnapshot{rates: rates, alpha: alpha, version: version, key: graph.RateVectorKey(alpha), zeros: zeros}
 }
 
-// plan returns the snapshot's coefficient plan for direction dir of gn
-// (0 authority, 1 hub; c is that direction's corpus view), building it
-// if this is the first call; built reports that this call did, in took.
-func (s *ratesSnapshot) plan(gn *generation, c *Corpus, dir int) (plan *rank.Plan, built bool, took time.Duration) {
-	p := &s.plans[dir]
+// plan returns the snapshot's coefficient plan for view v of gn (see
+// viewOf), building it if this is the first call; built reports that
+// this call did, in took.
+func (s *ratesSnapshot) plan(gn *generation, v int) (plan *rank.Plan, built bool, took time.Duration) {
+	p := &s.plans[v]
 	p.once.Do(func() {
 		t0 := time.Now()
-		src := &gn.planSources[dir]
-		src.once.Do(func() { src.to = rank.PlanSources(c.g) })
-		p.plan = rank.NewPlan(c.g, s.alpha, c.nopts.Damping, src.to)
+		c, d := gn.view(v), &gn.views[v]
+		d.sourcesOnce.Do(func() { d.sources = rank.PlanSources(c.g) })
+		p.plan = rank.NewPlan(c.g, s.alpha, c.nopts.Damping, d.sources)
 		built, took = true, time.Since(t0)
 	})
 	return p.plan, built, took
@@ -167,28 +167,17 @@ func (s *ratesSnapshot) plan(gn *generation, c *Corpus, dir int) (plan *rank.Pla
 
 // generation is one immutable corpus identity inside an Engine: the
 // corpus itself, its monotonically increasing generation number, and
-// the per-generation cache of the global PageRank warm-start vector.
-// A generation is shared by every rates snapshot published while it is
-// current — SetRates keeps the generation, SwapCorpus replaces it.
+// the per-direction state derived from it. A generation is shared by
+// every rates snapshot published while it is current — SetRates keeps
+// the generation, SwapCorpus replaces it.
 type generation struct {
 	corpus *Corpus
 	num    uint64
 
-	// global caches the PageRank vector used to warm-start initial
-	// queries (Section 6.2), computed on first use under the rates in
-	// force at that moment and kept for the generation's lifetime.
-	globalOnce sync.Once
-	global     []float64
-
-	// hub caches the direction-reversed corpus view serving hub-mode
-	// (CheiRank) solves, built on first hub-mode touch and kept for the
-	// generation's lifetime; hubGlobal is the reversed-direction PageRank
-	// warm start, mirroring global's compute-once contract. See mode.go.
-	hubOnce sync.Once
-	hub     *Corpus
-
-	hubGlobalOnce sync.Once
-	hubGlobal     []float64
+	// views is the state of each ranking direction, indexed by view
+	// (see viewOf), each part computed on first use and kept for the
+	// generation's lifetime.
+	views [2]direction
 
 	// explainScratch pools the |V|-sized scratch of the explain kernel
 	// (explain.go). topologies keeps the explaining subgraphs'
@@ -200,14 +189,27 @@ type generation struct {
 	topologies     *lru.Sharded
 	balls          *lru.Sharded
 	topologyBuilds atomic.Int64
+}
 
-	// planSources is the rate-independent column of the generation's
-	// coefficient plans per direction (authority, hub), shared by every
-	// rates snapshot's plan; see ratesSnapshot.plan.
-	planSources [2]struct {
-		once sync.Once
-		to   []int32
-	}
+// direction is one ranking direction of a generation.
+type direction struct {
+	// corpus is the direction's corpus view: the generation's corpus for
+	// authority, its direction-reversed view for hub (see
+	// generation.view).
+	corpusOnce sync.Once
+	corpus     *Corpus
+
+	// global is the direction's PageRank vector used to warm-start
+	// initial queries (Section 6.2), computed on first use under the
+	// rates in force at that moment.
+	globalOnce sync.Once
+	global     []float64
+
+	// sources is the rate-independent column of the direction's
+	// coefficient plans, shared by every rates snapshot's plan; see
+	// ratesSnapshot.plan.
+	sourcesOnce sync.Once
+	sources     []int32
 }
 
 // newGeneration is generation num of corpus c, with empty topology
@@ -216,13 +218,36 @@ func newGeneration(c *Corpus, num uint64) *generation {
 	return &generation{corpus: c, num: num, topologies: newTopologyMemo(c), balls: newTopologyMemo(c)}
 }
 
-// globalScores returns the generation's warm-start vector, computing
-// it on first use under snap's rates.
-func (gn *generation) globalScores(snap *ratesSnapshot) []float64 {
-	gn.globalOnce.Do(func() {
-		gn.global = rank.PageRank(gn.corpus.g, snap.rates, gn.corpus.opts).Scores
+// view returns the corpus of view v (see viewOf). The hub view,
+// serving hub-mode (CheiRank) solves, is built on first use: it shares
+// the authority corpus's index, buffer pool and rank options; only the
+// graph (an O(1) CSR-role swap, graph.Reversed) differs.
+func (gn *generation) view(v int) *Corpus {
+	d := &gn.views[v]
+	d.corpusOnce.Do(func() {
+		d.corpus = gn.corpus
+		if v == 1 {
+			hub := *gn.corpus
+			hub.g = gn.corpus.g.Reversed()
+			d.corpus = &hub
+		}
 	})
-	return gn.global
+	return d.corpus
+}
+
+// globalScores returns view v's warm-start vector, computing it on first
+// use under snap's rates. The hub view's is exactly the vector the
+// authority view would hold if the corpus had been built pre-reversed,
+// which is what keeps hub-mode solves — the same kernel over the
+// reversed view — bit-identical to authority solves on a pre-reversed
+// corpus.
+func (gn *generation) globalScores(v int, snap *ratesSnapshot) []float64 {
+	d := &gn.views[v]
+	d.globalOnce.Do(func() {
+		c := gn.view(v)
+		d.global = rank.PageRank(c.g, snap.rates, c.opts).Scores
+	})
+	return d.global
 }
 
 // engineState is the one atomically published word of engine identity:
@@ -234,12 +259,6 @@ func (gn *generation) globalScores(snap *ratesSnapshot) []float64 {
 type engineState struct {
 	gen  *generation
 	snap *ratesSnapshot
-}
-
-// globalScores is the state-consistent warm-start vector: sized for
-// THIS state's graph, never a concurrently swapped-in one.
-func (st *engineState) globalScores() []float64 {
-	return st.gen.globalScores(st.snap)
 }
 
 // Engine ties an atomically swapped (corpus generation, rates
@@ -393,19 +412,6 @@ func validateRates(g *graph.Graph, r *graph.Rates) error {
 	return nil
 }
 
-// Corpus returns the engine's current immutable substrate. In a
-// multi-step flow, prefer Pin: two Corpus calls may straddle a swap.
-func (e *Engine) Corpus() *Corpus { return e.state.Load().gen.corpus }
-
-// Graph returns the engine's current data graph.
-func (e *Engine) Graph() *graph.Graph { return e.Corpus().g }
-
-// Index returns the engine's current inverted index.
-func (e *Engine) Index() *ir.Index { return e.Corpus().ix }
-
-// Rates returns a copy of the current authority transfer rates.
-func (e *Engine) Rates() *graph.Rates { return e.state.Load().snap.rates.Clone() }
-
 // RatesVersion returns the version of the currently published rates
 // snapshot. Versions start at 1 and increase by one per successful
 // SetRates/TrySetRates/SwapCorpus — monotonically across corpus swaps,
@@ -497,9 +503,6 @@ func (e *Engine) SwapCorpus(c *Corpus, r *graph.Rates, ifGeneration uint64) (uin
 	return next.gen.num, nil
 }
 
-// Options returns the rank options in effect (as configured).
-func (e *Engine) Options() rank.Options { return e.Corpus().opts }
-
 // baseSetOf computes the weighted query base set S(Q) over one corpus:
 // every node containing at least one query keyword, scored by
 // IRScore(v, Q) (Equation 2) and normalized to sum to 1 so the scores
@@ -517,13 +520,6 @@ func baseSetOf(c *Corpus, q *ir.Query) (base []ir.ScoredDoc, mass float64) {
 		}
 	}
 	return base, mass
-}
-
-// BaseSet computes the weighted query base set S(Q) over the current
-// corpus; see baseSetOf.
-func (e *Engine) BaseSet(q *ir.Query) []ir.ScoredDoc {
-	base, _ := baseSetOf(e.Corpus(), q)
-	return base
 }
 
 // RankResult is the outcome of one ObjectRank2 execution.
@@ -600,7 +596,7 @@ func (e *Engine) Release(res *RankResult) {
 		// Releasing into the CURRENT corpus's pool is safe even when the
 		// result came from an earlier generation: BufferPool.Get re-checks
 		// capacity and allocates fresh on a size mismatch.
-		e.Corpus().pool.Put(res.Scores)
+		e.state.Load().gen.corpus.pool.Put(res.Scores)
 	}
 	res.Scores = nil
 }
@@ -615,7 +611,8 @@ func (e *Engine) Release(res *RankResult) {
 // reset it: the new generation's graph has different nodes, so its
 // warm-start vector is recomputed on first use.
 func (e *Engine) GlobalRank() []float64 {
-	s := e.state.Load().globalScores()
+	st := e.state.Load()
+	s := st.gen.globalScores(0, st.snap)
 	out := make([]float64, len(s))
 	copy(out, s)
 	return out
@@ -689,7 +686,7 @@ func (p *Pinned) RatesKey() uint64 { return p.st.snap.key }
 func (p *Pinned) Engine() *Engine { return p.e }
 
 // BaseSet computes the weighted query base set S(Q) over the pinned
-// generation's index; see Engine.BaseSet.
+// generation's index; see baseSetOf.
 func (p *Pinned) BaseSet(q *ir.Query) []ir.ScoredDoc {
 	base, _ := baseSetOf(p.st.gen.corpus, q)
 	return base

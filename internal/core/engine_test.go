@@ -35,7 +35,7 @@ func TestBaseSetWeightedAndNormalized(t *testing.T) {
 	f := newFixture(t)
 	e := f.newEngine(t)
 	q := ir.NewQuery("olap")
-	base := e.BaseSet(q)
+	base := e.Pin().BaseSet(q)
 	// Exactly v1 and v4 contain "olap".
 	if len(base) != 2 {
 		t.Fatalf("base set = %v", base)
@@ -192,7 +192,7 @@ func TestSetRatesChangesRanking(t *testing.T) {
 	q := ir.NewQuery("olap")
 	before := rankQ(e, q).Scores[f.ids["v7"]]
 	// Kill citation authority; v7 should collapse.
-	r := e.Rates()
+	r := e.Pin().Rates()
 	r.Set(f.edges["cites"], graph.Forward, 0.0)
 	if err := e.SetRates(r); err != nil {
 		t.Fatal(err)
@@ -206,19 +206,20 @@ func TestSetRatesChangesRanking(t *testing.T) {
 func TestEngineAccessors(t *testing.T) {
 	f := newFixture(t)
 	e := f.newEngine(t)
-	if e.Graph() != f.g {
+	pin := e.Pin()
+	if pin.Corpus().Graph() != f.g {
 		t.Error("Graph accessor broken")
 	}
-	if e.Index() == nil || e.Index().NumDocs() != f.g.NumNodes() {
+	if ix := pin.Corpus().Index(); ix == nil || ix.NumDocs() != f.g.NumNodes() {
 		t.Error("Index not built over all nodes")
 	}
 	// Rates accessor returns a clone.
-	r := e.Rates()
+	r := pin.Rates()
 	r.Set(f.edges["cites"], graph.Forward, 0.0)
-	if e.Rates().Rate(graph.TransferType(f.edges["cites"], graph.Forward)) != 0.7 {
+	if pin.Rates().Rate(graph.TransferType(f.edges["cites"], graph.Forward)) != 0.7 {
 		t.Error("Rates leaked internal storage")
 	}
-	if e.Options().Damping != 0.85 {
+	if pin.Corpus().Options().Damping != 0.85 {
 		t.Error("Options lost")
 	}
 }

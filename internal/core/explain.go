@@ -291,7 +291,7 @@ func (sg *Subgraph) NodeAuthority(v graph.NodeID) float64 {
 // ctx.Err() instead of a subgraph; an explain abandoned at any poll
 // stores nothing.
 func (p *Pinned) ExplainCtx(ctx context.Context, res *RankResult, target graph.NodeID, opts ExplainOptions) (*Subgraph, error) {
-	sg, m, err := explainOn(ctx, p.st, 0, p.st.gen.corpus, res, target, opts)
+	sg, m, err := explainOn(ctx, p.st, 0, res, target, opts)
 	m.keep()
 	return sg, err
 }
@@ -312,7 +312,7 @@ func (p *Pinned) ExplainEachCtx(ctx context.Context, res *RankResult, targets []
 		go func() {
 			defer wg.Done()
 			for i := int(next.Add(1) - 1); i < len(targets); i = int(next.Add(1) - 1) {
-				subs[i], memos[i], errs[i] = explainOn(ctx, p.st, 0, p.st.gen.corpus, res, targets[i], opts)
+				subs[i], memos[i], errs[i] = explainOn(ctx, p.st, 0, res, targets[i], opts)
 			}
 		}()
 	}
@@ -387,10 +387,10 @@ func (sc *explainScratch) keep(v graph.NodeID) {
 	sc.kept = append(sc.kept, v)
 }
 
-// explainOn explains against an explicit corpus view of the pinned
-// state: view 0, the generation's authority corpus, on the standard
-// path, view 1, its direction-reversed hub view, when explaining a
-// hub-mode ranking (mode.go). res must have been solved on the SAME view
+// explainOn explains against a view of the pinned state (see viewOf):
+// view 0, the generation's authority corpus, on the standard path, view
+// 1, its direction-reversed hub view, when explaining a hub-mode
+// ranking (mode.go). res must have been solved on the SAME view
 // — the flows of Equation 5 read res.Scores through this corpus's arcs.
 // The topology of stage (i) comes from the generation's decoded tier
 // when an explain of the same key completed before and is still
@@ -399,10 +399,11 @@ func (sc *explainScratch) keep(v graph.NodeID) {
 // completed explain returns, for its caller to keep, the topology for
 // the decoded tier and a ball it built for the ball tier. Stage (ii)
 // always runs.
-func explainOn(ctx context.Context, st *engineState, view int, c *Corpus, res *RankResult, target graph.NodeID, opts ExplainOptions) (*Subgraph, memo, error) {
+func explainOn(ctx context.Context, st *engineState, view int, res *RankResult, target graph.NodeID, opts ExplainOptions) (*Subgraph, memo, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, memo{}, err
 	}
+	c := st.gen.view(view)
 	g := c.g
 	if int(target) < 0 || int(target) >= g.NumNodes() {
 		return nil, memo{}, fmt.Errorf("core: explain target %d out of range", target)

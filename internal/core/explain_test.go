@@ -185,7 +185,7 @@ func TestObservation1(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		alpha := e.Rates()
+		alpha := e.Pin().Rates()
 		for u := 0; u < f.g.NumNodes(); u++ {
 			if res.Scores[u] == 0 {
 				continue

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"authorityflow/internal/graph"
-	"authorityflow/internal/rank"
 )
 
 // Mode selects the ranking direction of a read query. Authority is the
@@ -36,32 +35,22 @@ func ParseMode(s string) (Mode, error) {
 	return "", fmt.Errorf("mode must be one of authority, hub")
 }
 
-// hubCorpus returns the generation's direction-reversed corpus view,
-// built on first use and kept for the generation's lifetime. The view
-// shares the authority corpus's index, buffer pool, rank options and
-// worker policy; only the graph (an O(1) CSR-role swap,
-// graph.Reversed) differs.
-func (gn *generation) hubCorpus() *Corpus {
-	gn.hubOnce.Do(func() {
-		hub := *gn.corpus
-		hub.g = gn.corpus.g.Reversed()
-		gn.hub = &hub
-	})
-	return gn.hub
-}
+// viewModes are the modes in view order: view 0 is the generation's
+// authority corpus, view 1 its direction-reversed hub view.
+var viewModes = [2]Mode{ModeAuthority, ModeHub}
 
-// hubGlobalScores returns the generation's reversed-direction PageRank
-// warm-start vector, computed on first use under snap's rates —
-// exactly the vector globalScores would hold if the corpus had been
-// built pre-reversed, which is what keeps hub-mode solves — the same
-// kernel over the reversed view — bit-identical to authority solves on
-// a pre-reversed corpus.
-func (gn *generation) hubGlobalScores(snap *ratesSnapshot) []float64 {
-	gn.hubGlobalOnce.Do(func() {
-		hc := gn.hubCorpus()
-		gn.hubGlobal = rank.PageRank(hc.g, snap.rates, hc.opts).Scores
-	})
-	return gn.hubGlobal
+// viewOf maps a mode onto its view, the index of every per-direction
+// state; the empty mode is ModeAuthority.
+func viewOf(m Mode) (int, error) {
+	if m == "" {
+		return 0, nil
+	}
+	for v, vm := range viewModes {
+		if m == vm {
+			return v, nil
+		}
+	}
+	return 0, fmt.Errorf("core: unknown ranking mode %q", m)
 }
 
 // ExplainModeCtx builds the explaining subgraph for a mode's ranking:
@@ -70,13 +59,11 @@ func (gn *generation) hubGlobalScores(snap *ratesSnapshot) []float64 {
 // From/To follow the hub direction). res must have been solved under
 // the same pinned state AND the same mode.
 func (p *Pinned) ExplainModeCtx(ctx context.Context, m Mode, res *RankResult, target graph.NodeID, opts ExplainOptions) (*Subgraph, error) {
-	switch m {
-	case ModeAuthority, "":
-		return p.ExplainCtx(ctx, res, target, opts)
-	case ModeHub:
-		sg, m, err := explainOn(ctx, p.st, 1, p.st.gen.hubCorpus(), res, target, opts)
-		m.keep()
-		return sg, err
+	v, err := viewOf(m)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("core: unknown ranking mode %q", m)
+	sg, kept, err := explainOn(ctx, p.st, v, res, target, opts)
+	kept.keep()
+	return sg, err
 }

@@ -185,7 +185,7 @@ func TestContentOnlyLeavesRatesUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldVec := e.Rates().Vector()
+	oldVec := e.Pin().Rates().Vector()
 	for i, a := range ref.Rates.Vector() {
 		if a != oldVec[i] {
 			t.Errorf("rate %d changed under content-only reformulation", i)
@@ -217,7 +217,7 @@ func TestStructureOnlyLeavesQueryUnchanged(t *testing.T) {
 	// Types that carried flow in the subgraph were boosted relative to
 	// types that carried none (before the common rescale): the ratio
 	// new/old must be strictly larger for a flow-carrying type.
-	oldVec := e.Rates().Vector()
+	oldVec := e.Pin().Rates().Vector()
 	newVec := ref.Rates.Vector()
 	var flowRatio, noFlowRatio float64
 	for i := range oldVec {

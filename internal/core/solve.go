@@ -60,19 +60,12 @@ type SolveSpec struct {
 // before the cutoff (and of columns that converged before it landed)
 // are filled, the rest are nil.
 func (p *Pinned) Solve(ctx context.Context, spec SolveSpec) ([]*RankResult, error) {
-	var c *Corpus
-	var global func() []float64
-	st := p.st
-	mode, dir := ModeAuthority, 0 // dir indexes the snapshot's plans
-	switch spec.Mode {
-	case ModeAuthority, "":
-		c, global = st.gen.corpus, st.globalScores
-	case ModeHub:
-		mode, dir = ModeHub, 1
-		c, global = st.gen.hubCorpus(), func() []float64 { return st.gen.hubGlobalScores(st.snap) }
-	default:
-		return nil, fmt.Errorf("core: unknown ranking mode %q", spec.Mode)
+	v, err := viewOf(spec.Mode)
+	if err != nil {
+		return nil, err
 	}
+	st := p.st
+	c := st.gen.view(v)
 	n := c.g.NumNodes()
 	count := len(spec.Queries)
 	if spec.Jump != nil {
@@ -99,7 +92,7 @@ func (p *Pinned) Solve(ctx context.Context, spec SolveSpec) ([]*RankResult, erro
 		if hi > count {
 			hi = count
 		}
-		stats := SolveStats{Converged: true, Mode: mode, Ctx: ctx}
+		stats := SolveStats{Converged: true, Mode: viewModes[v], Ctx: ctx}
 		var cols []*RankResult // the group's columns, published to out[at[j]] once solved
 		var at []int
 		var jumps [][]float64
@@ -139,7 +132,7 @@ func (p *Pinned) Solve(ctx context.Context, spec SolveSpec) ([]*RankResult, erro
 				o.Init = spec.Inits[i]
 				stats.WarmStarted = true
 			} else if !spec.Cold {
-				o.Init = global()
+				o.Init = st.gen.globalScores(v, st.snap)
 			}
 			stats.BaseSet += support
 			stats.BaseSetDur += res.BaseSetDur
@@ -155,7 +148,7 @@ func (p *Pinned) Solve(ctx context.Context, spec SolveSpec) ([]*RankResult, erro
 		t1 := time.Now()
 		var plan *rank.Plan
 		if len(cols) > 1 {
-			plan, stats.PlanBuilt, stats.PlanBuildDur = st.snap.plan(st.gen, c, dir)
+			plan, stats.PlanBuilt, stats.PlanBuildDur = st.snap.plan(st.gen, v)
 		}
 		results := rank.Iterate(c.g, st.snap.alpha, jumps, opts, c.pool, plan)
 		stats.SolveDur = time.Since(t1)

@@ -86,7 +86,7 @@ func TestPlanBelongsToMultiColumnSolves(t *testing.T) {
 	if a, h := plans(next); !a || !h || built != 3 {
 		t.Fatalf("after a batch in each direction on the next snapshot: authority=%v hub=%v, %d builds, want true/true/3", a, h, built)
 	}
-	if gn := next.st.gen; gn != pin.st.gen || gn.planSources[0].to == nil || gn.planSources[1].to == nil {
+	if gn := next.st.gen; gn != pin.st.gen || gn.views[0].sources == nil || gn.views[1].sources == nil {
 		t.Fatal("the generation's source columns were not kept across the publish")
 	}
 }

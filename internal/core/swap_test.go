@@ -86,7 +86,7 @@ func TestSwapCorpusCASAndPinnedIsolation(t *testing.T) {
 	if e.RatesVersion() != ver0+1 {
 		t.Fatalf("rates version = %d, want %d", e.RatesVersion(), ver0+1)
 	}
-	if n := e.Graph().NumNodes(); n != 8 {
+	if n := e.Pin().Corpus().Graph().NumNodes(); n != 8 {
 		t.Fatalf("swapped-in graph has %d nodes, want 8", n)
 	}
 
@@ -209,7 +209,7 @@ func TestSwapCorpusBatchWarmStartGuards(t *testing.T) {
 func TestSwapCorpusHammer(t *testing.T) {
 	f := newFixture(t)
 	e := f.newEngine(t)
-	cA := e.Corpus()
+	cA := e.Pin().Corpus()
 	rA := f.rates
 	cB, rB := newEightNodeCorpus(t)
 	q := ir.NewQuery("olap")
@@ -217,7 +217,7 @@ func TestSwapCorpusHammer(t *testing.T) {
 	// nodesOf records the node count of every published generation.
 	// Only the swapper goroutine publishes, so the map is complete.
 	var nodesOf sync.Map
-	nodesOf.Store(e.Generation(), e.Graph().NumNodes())
+	nodesOf.Store(e.Generation(), e.Pin().Corpus().Graph().NumNodes())
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -315,8 +315,8 @@ func TestSwapCorpusHammer(t *testing.T) {
 
 	// Whatever generation won, the engine still serves.
 	res := rankPinned(e.Pin(), q)
-	if len(res.Scores) != e.Graph().NumNodes() {
-		t.Fatalf("post-hammer rank sized %d for a %d-node graph", len(res.Scores), e.Graph().NumNodes())
+	if len(res.Scores) != e.Pin().Corpus().Graph().NumNodes() {
+		t.Fatalf("post-hammer rank sized %d for a %d-node graph", len(res.Scores), e.Pin().Corpus().Graph().NumNodes())
 	}
 	e.Release(res)
 }

@@ -71,7 +71,7 @@ func TestTopologyMemo(t *testing.T) {
 	e.Pin().EvictDecodedTopologies()
 	derived := step("decoded tier evicted", e.Pin(), ModeAuthority, olap, DefaultExplain(), 1, "derived")
 	step("repeat after a derive", e.Pin(), ModeAuthority, olap, DefaultExplain(), 1, "reused")
-	fresh, err := NewEngine(f.g, scaled, Config{Rank: e.Corpus().opts})
+	fresh, err := NewEngine(f.g, scaled, Config{Rank: e.Pin().Corpus().opts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestTopologyMemo(t *testing.T) {
 	}
 	step("zeroed type", e.Pin(), ModeAuthority, olap, DefaultExplain(), 4, "built")
 	old := e.Pin().st.gen
-	if _, err := e.SwapCorpus(e.Corpus(), zeroed, e.Generation()); err != nil {
+	if _, err := e.SwapCorpus(e.Pin().Corpus(), zeroed, e.Generation()); err != nil {
 		t.Fatal(err)
 	}
 	if gen := e.Pin().st.gen; gen.topologies.Len() != 0 || gen.balls.Len() != 0 {
@@ -241,8 +241,8 @@ func TestBallTopologyRoundTrip(t *testing.T) {
 		if seed == 3 {
 			// Citations flowing one way only: a ball node need not be
 			// reachable from the target.
-			cites, _ := e.Graph().Schema().EdgeTypeByRole("cites")
-			forward := e.Rates()
+			cites, _ := e.Pin().Corpus().Graph().Schema().EdgeTypeByRole("cites")
+			forward := e.Pin().Rates()
 			if err := forward.Set(cites, graph.Backward, 0); err != nil {
 				t.Fatal(err)
 			}

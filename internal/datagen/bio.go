@@ -306,18 +306,3 @@ func tournament(rng *rand.Rand, pool []int, cited []int) int {
 	}
 	return a
 }
-
-// NumBioTopics returns the number of biomedical topics.
-func NumBioTopics() int { return len(bioTopics) }
-
-// BioTopicQuery returns a representative keyword query for bio topic i.
-func BioTopicQuery(i int, terms int) []string {
-	if terms <= 0 {
-		terms = 1
-	}
-	w := bioTopics[i].Words
-	if terms > len(w) {
-		terms = len(w)
-	}
-	return append([]string(nil), w[:terms]...)
-}

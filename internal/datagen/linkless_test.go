@@ -34,7 +34,7 @@ func TestGenerateLinklessBasics(t *testing.T) {
 	if !ok {
 		t.Fatal("missing Document node type")
 	}
-	if got := g.CountByType()[docType]; got != g.NumNodes() {
+	if got := len(g.NodesOfType(docType)); got != g.NumNodes() {
 		t.Fatalf("linkless corpus should be all Document nodes: %d of %d", got, g.NumNodes())
 	}
 	for _, d := range g.NodesOfType(docType)[:10] {

@@ -139,9 +139,6 @@ func TopicByWord(w string) int {
 	return -1
 }
 
-// TopicName returns the name of topic i.
-func TopicName(i int) string { return dbTopics[i].Name }
-
 // TopicQuery returns a representative 1-2 keyword query for topic i
 // (its first pool words), used by the survey simulations.
 func TopicQuery(i int, terms int) []string {

@@ -1,8 +1,8 @@
 // Package eval implements the evaluation measures of the paper's user
-// surveys (Section 6.1): precision at k, average precision, the
-// residual-collection relevance-feedback protocol of [RL03, SB90], and
-// the cosine similarity used for the authority-transfer-rate training
-// curves (Figures 11 and 13).
+// surveys (Section 6.1): precision at k, the residual-collection
+// relevance-feedback protocol of [RL03, SB90], and the cosine
+// similarity used for the authority-transfer-rate training curves
+// (Figures 11 and 13).
 package eval
 
 import (
@@ -34,25 +34,6 @@ func PrecisionAtK(results []rank.Ranked, relevant map[graph.NodeID]bool, k int) 
 	return float64(hits) / float64(k)
 }
 
-// AveragePrecision returns the mean of the precision values at each
-// relevant result's position, the standard AP measure.
-func AveragePrecision(results []rank.Ranked, relevant map[graph.NodeID]bool) float64 {
-	if len(relevant) == 0 {
-		return 0
-	}
-	hits, sum := 0, 0.0
-	for i, r := range results {
-		if relevant[r.Node] {
-			hits++
-			sum += float64(hits) / float64(i+1)
-		}
-	}
-	if hits == 0 {
-		return 0
-	}
-	return sum / float64(hits)
-}
-
 // Residual implements the residual-collection method: objects already
 // seen by the user and marked relevant are removed from the collection
 // before both the initial and all reformulated queries are evaluated.
@@ -72,9 +53,6 @@ func (r *Residual) Remove(objs ...graph.NodeID) {
 		r.seen[o] = true
 	}
 }
-
-// Removed reports whether an object has been removed.
-func (r *Residual) Removed(o graph.NodeID) bool { return r.seen[o] }
 
 // Filter returns results with removed objects dropped, preserving order.
 func (r *Residual) Filter(results []rank.Ranked) []rank.Ranked {
@@ -175,45 +153,4 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// NDCG returns the normalized discounted cumulative gain at k for a
-// binary-relevance judgment: DCG over the first k results divided by
-// the ideal DCG achievable with |relevant| items.
-func NDCG(results []rank.Ranked, relevant map[graph.NodeID]bool, k int) float64 {
-	if k <= 0 || len(relevant) == 0 {
-		return 0
-	}
-	if k > len(results) {
-		k = len(results)
-	}
-	dcg := 0.0
-	for i := 0; i < k; i++ {
-		if relevant[results[i].Node] {
-			dcg += 1 / math.Log2(float64(i)+2)
-		}
-	}
-	ideal := 0.0
-	n := len(relevant)
-	if n > k {
-		n = k
-	}
-	for i := 0; i < n; i++ {
-		ideal += 1 / math.Log2(float64(i)+2)
-	}
-	if ideal == 0 {
-		return 0
-	}
-	return dcg / ideal
-}
-
-// MRR returns the reciprocal rank of the first relevant result (0 if
-// none appears).
-func MRR(results []rank.Ranked, relevant map[graph.NodeID]bool) float64 {
-	for i, r := range results {
-		if relevant[r.Node] {
-			return 1 / float64(i+1)
-		}
-	}
-	return 0
 }

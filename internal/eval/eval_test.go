@@ -49,25 +49,6 @@ func TestPrecisionAtK(t *testing.T) {
 	}
 }
 
-func TestAveragePrecision(t *testing.T) {
-	// Relevant at positions 1 and 3: AP = (1/1 + 2/3)/2 = 5/6.
-	res := ranked(1, 2, 3)
-	rel := relset(1, 3)
-	if got := AveragePrecision(res, rel); math.Abs(got-5.0/6) > 1e-12 {
-		t.Errorf("AP = %v", got)
-	}
-	if got := AveragePrecision(res, relset()); got != 0 {
-		t.Errorf("AP with no relevant = %v", got)
-	}
-	if got := AveragePrecision(res, relset(99)); got != 0 {
-		t.Errorf("AP with no hits = %v", got)
-	}
-	// Perfect ranking has AP 1.
-	if got := AveragePrecision(ranked(1, 2), relset(1, 2)); got != 1 {
-		t.Errorf("perfect AP = %v", got)
-	}
-}
-
 func TestResidualCollection(t *testing.T) {
 	r := NewResidual()
 	res := ranked(1, 2, 3, 4)
@@ -75,9 +56,6 @@ func TestResidualCollection(t *testing.T) {
 		t.Errorf("Filter before Remove = %v", got)
 	}
 	r.Remove(2, 4)
-	if !r.Removed(2) || r.Removed(3) {
-		t.Error("Removed tracking wrong")
-	}
 	got := r.Filter(res)
 	if len(got) != 2 || got[0].Node != 1 || got[1].Node != 3 {
 		t.Errorf("Filter = %v", got)
@@ -151,41 +129,5 @@ func TestMean(t *testing.T) {
 	}
 	if got := Mean([]float64{1, 2, 3}); got != 2 {
 		t.Errorf("Mean = %v", got)
-	}
-}
-
-func TestNDCG(t *testing.T) {
-	res := ranked(1, 2, 3, 4)
-	rel := relset(1, 3)
-	// DCG = 1/log2(2) + 1/log2(4) = 1 + 0.5; ideal = 1/log2(2)+1/log2(3).
-	want := (1 + 0.5) / (1 + 1/math.Log2(3))
-	if got := NDCG(res, rel, 4); math.Abs(got-want) > 1e-12 {
-		t.Errorf("NDCG = %v, want %v", got, want)
-	}
-	// Perfect ranking scores 1.
-	if got := NDCG(ranked(1, 3, 2, 4), rel, 2); math.Abs(got-1) > 1e-12 {
-		t.Errorf("perfect NDCG = %v", got)
-	}
-	if got := NDCG(res, relset(), 4); got != 0 {
-		t.Errorf("NDCG with no relevant = %v", got)
-	}
-	if got := NDCG(res, rel, 0); got != 0 {
-		t.Errorf("NDCG@0 = %v", got)
-	}
-	if got := NDCG(nil, rel, 5); got != 0 {
-		t.Errorf("NDCG of empty = %v", got)
-	}
-}
-
-func TestMRR(t *testing.T) {
-	res := ranked(9, 2, 3)
-	if got := MRR(res, relset(3)); math.Abs(got-1.0/3) > 1e-12 {
-		t.Errorf("MRR = %v", got)
-	}
-	if got := MRR(res, relset(9)); got != 1 {
-		t.Errorf("MRR first = %v", got)
-	}
-	if got := MRR(res, relset(77)); got != 0 {
-		t.Errorf("MRR none = %v", got)
 	}
 }

@@ -111,7 +111,7 @@ func linkFreePrecision(t *testing.T, worse degrade) []linkFreeCell {
 	for seed := int64(1); seed <= evidenceSeeds; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		e := evidenceEngine(t, "linkless", 0.2, seed)
-		g := e.Graph()
+		g := e.Pin().Corpus().Graph()
 		docType, _ := g.Schema().TypeByName("Document")
 		topics := plantedTopics(g, docType)
 		for topic := 0; topic < datagen.NumTopics(); topic++ {
@@ -183,7 +183,7 @@ func hubPrecision(t *testing.T, worse degrade) (auth, hub float64, n int) {
 	for seed := int64(1); seed <= evidenceSeeds; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		e := evidenceEngine(t, "dblptop", 0.05, seed)
-		g := e.Graph()
+		g := e.Pin().Corpus().Graph()
 		paper, _ := g.Schema().TypeByName("Paper")
 		topics := plantedTopics(g, paper)
 		for topic := 0; topic < datagen.NumTopics(); topic++ {

@@ -55,10 +55,8 @@ func ExtensionBaselines(cfg Config) (*BaselinesResult, error) {
 
 	// Topic-sensitive PageRank setup: one biased vector per generator
 	// topic, with topic node sets from the topical proxy.
-	var topicNames []string
 	var topicNodes [][]graph.NodeID
 	for ti := 0; ti < datagen.NumTopics(); ti++ {
-		topicNames = append(topicNames, datagen.TopicName(ti))
 		pool := map[string]bool{}
 		for _, tw := range datagen.TopicWords(ti) {
 			pool[tw] = true
@@ -77,7 +75,7 @@ func ExtensionBaselines(cfg Config) (*BaselinesResult, error) {
 		}
 		topicNodes = append(topicNodes, nodes)
 	}
-	tspr := BuildTopicSensitive(g, ds.Rates, topicNames, topicNodes, cfg.engineConfig().Rank)
+	tspr := BuildTopicSensitive(g, ds.Rates, topicNodes, cfg.engineConfig().Rank)
 
 	cfg.printf("Extension: baselines, relevant results in top-%d\n", k)
 	cfg.printf("%-22s %12s %12s %12s %12s\n", "query", "ObjectRank2", "ObjectRank", "HITS", "TSPR")
@@ -96,7 +94,7 @@ func ExtensionBaselines(cfg Config) (*BaselinesResult, error) {
 		ph := float64(countRelevant(rh.TopKOfType(g, w.resultType, k), relevant))
 
 		var baseNodes []graph.NodeID
-		for _, sd := range w.sys.BaseSet(q) {
+		for _, sd := range w.sys.Pin().BaseSet(q) {
 			baseNodes = append(baseNodes, graph.NodeID(sd.Doc))
 		}
 		weights := TopicWeightsByOverlap(baseNodes, topicNodes)

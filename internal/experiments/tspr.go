@@ -14,22 +14,18 @@ import (
 // topic inventory.
 type TopicSensitive struct {
 	vectors [][]float64
-	topics  []string
 }
 
 // BuildTopicSensitive precomputes one biased PageRank per topic.
 // topicNodes[i] lists the nodes of topic i (the biased jump set).
-func BuildTopicSensitive(g *graph.Graph, rates *graph.Rates, topics []string, topicNodes [][]graph.NodeID, opts rank.Options) *TopicSensitive {
-	ts := &TopicSensitive{topics: append([]string(nil), topics...)}
+func BuildTopicSensitive(g *graph.Graph, rates *graph.Rates, topicNodes [][]graph.NodeID, opts rank.Options) *TopicSensitive {
+	ts := &TopicSensitive{}
 	for _, nodes := range topicNodes {
 		res := rank.ObjectRank(g, rates, nodes, opts)
 		ts.vectors = append(ts.vectors, res.Scores)
 	}
 	return ts
 }
-
-// Topics returns the topic labels.
-func (ts *TopicSensitive) Topics() []string { return append([]string(nil), ts.topics...) }
 
 // Scores returns the score vector obtained by mixing the per-topic
 // vectors with the given weights through rank.Combine (len(weights) must

@@ -17,10 +17,7 @@ func tsprFixture(t *testing.T) (*graph.Graph, *graph.Rates, [][]graph.NodeID) {
 
 func TestTopicSensitiveSeparation(t *testing.T) {
 	g, r, topics := tsprFixture(t)
-	ts := BuildTopicSensitive(g, r, []string{"a", "b"}, topics, rank.Options{Threshold: 1e-10, MaxIters: 500})
-	if got := ts.Topics(); len(got) != 2 || got[0] != "a" {
-		t.Fatalf("Topics = %v", got)
-	}
+	ts := BuildTopicSensitive(g, r, topics, rank.Options{Threshold: 1e-10, MaxIters: 500})
 	// Pure topic-A weights score only cluster A.
 	sa := ts.Scores([]float64{1, 0})
 	if sa[0] <= 0 || sa[1] <= 0 {
@@ -38,7 +35,7 @@ func TestTopicSensitiveSeparation(t *testing.T) {
 
 func TestTopicSensitiveDegenerateWeights(t *testing.T) {
 	g, r, topics := tsprFixture(t)
-	ts := BuildTopicSensitive(g, r, []string{"a", "b"}, topics, rank.Options{Threshold: 1e-10, MaxIters: 500})
+	ts := BuildTopicSensitive(g, r, topics, rank.Options{Threshold: 1e-10, MaxIters: 500})
 	for _, w := range [][]float64{{0, 0}, {-1, -2}, {1}} {
 		got := ts.Scores(w)
 		for i, s := range got {

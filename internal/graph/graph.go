@@ -178,35 +178,6 @@ func (g *Graph) OutDeg(v NodeID, t TransferTypeID) int {
 	return n
 }
 
-// ArcWeight returns the authority transfer rate a(arc) of an arc under
-// the given rates: alpha(type)/OutDeg(source, type) per Equation 1.
-func (g *Graph) ArcWeight(a Arc, r *Rates) float64 {
-	return r.Rate(a.Type) * float64(a.InvDeg)
-}
-
-// FindNodes returns up to limit nodes whose attribute values contain
-// the given substring (case-insensitive). A linear scan intended for
-// CLI and demo lookups, not query processing.
-func (g *Graph) FindNodes(substr string, limit int) []NodeID {
-	if limit <= 0 {
-		limit = 10
-	}
-	needle := strings.ToLower(substr)
-	var out []NodeID
-	for v := 0; v < g.NumNodes(); v++ {
-		for _, a := range g.attrs[v] {
-			if strings.Contains(strings.ToLower(a.Value), needle) {
-				out = append(out, NodeID(v))
-				break
-			}
-		}
-		if len(out) >= limit {
-			break
-		}
-	}
-	return out
-}
-
 // NodesOfType returns all nodes with the given label, in ID order.
 func (g *Graph) NodesOfType(t TypeID) []NodeID {
 	var out []NodeID
@@ -216,16 +187,6 @@ func (g *Graph) NodesOfType(t TypeID) []NodeID {
 		}
 	}
 	return out
-}
-
-// CountByType returns the number of nodes per node type, indexed by
-// TypeID.
-func (g *Graph) CountByType() []int {
-	counts := make([]int, g.schema.NumNodeTypes())
-	for _, l := range g.labels {
-		counts[l]++
-	}
-	return counts
 }
 
 // SizeBytes estimates the in-memory size of the frozen graph (labels,

@@ -63,10 +63,6 @@ func (t TransferTypeID) EdgeType() EdgeTypeID { return EdgeTypeID(t >> 1) }
 // Dir returns the direction of the transfer type.
 func (t TransferTypeID) Dir() Direction { return Direction(t & 1) }
 
-// Reverse returns the transfer type of the opposite direction over the
-// same schema edge.
-func (t TransferTypeID) Reverse() TransferTypeID { return t ^ 1 }
-
 // EdgeType describes one schema-graph edge: a typed association from
 // one node type to another, labeled with a role such as "cites".
 type EdgeType struct {

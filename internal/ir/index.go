@@ -99,9 +99,6 @@ func BuildIndex(n int, text func(i int) string, params BM25Params) *Index {
 // NumDocs returns the number of indexed documents.
 func (ix *Index) NumDocs() int { return len(ix.docLen) }
 
-// AvgDocLen returns avdl, the average document length in characters.
-func (ix *Index) AvgDocLen() float64 { return ix.avdl }
-
 // DF returns the document frequency of term t.
 func (ix *Index) DF(term string) int { return len(ix.postings[term]) }
 
@@ -266,9 +263,6 @@ func (ix *Index) DocsWithAny(terms []string) int {
 	}
 	return n
 }
-
-// Vocabulary returns the number of distinct indexed terms.
-func (ix *Index) Vocabulary() int { return len(ix.postings) }
 
 // TermsWithDF returns every indexed term whose document frequency is at
 // least minDF, sorted lexicographically. Stopwords and single-character

@@ -119,11 +119,11 @@ func TestIndexStats(t *testing.T) {
 	if ix.TF(2, "olap") != 0 {
 		t.Errorf("TF(2, olap) = %d", ix.TF(2, "olap"))
 	}
-	if ix.AvgDocLen() <= 0 {
-		t.Error("AvgDocLen should be positive")
+	if ix.avdl <= 0 {
+		t.Error("avdl should be positive")
 	}
-	if ix.Vocabulary() == 0 {
-		t.Error("Vocabulary should be positive")
+	if len(ix.postings) == 0 {
+		t.Error("vocabulary should be non-empty")
 	}
 }
 
@@ -252,7 +252,7 @@ func TestAddAfterFinalizePanics(t *testing.T) {
 
 func TestEmptyIndex(t *testing.T) {
 	ix := BuildIndex(0, nil, DefaultBM25())
-	if ix.NumDocs() != 0 || ix.AvgDocLen() != 0 {
+	if ix.NumDocs() != 0 || ix.avdl != 0 {
 		t.Error("empty index stats wrong")
 	}
 	if got := ix.BaseSet(NewQuery("olap")); len(got) != 0 {

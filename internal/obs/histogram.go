@@ -175,15 +175,6 @@ func (f *histogramFamily) write(b *strings.Builder) {
 
 // ---- bucket layouts ----
 
-// LinearBuckets returns n buckets starting at start, each width apart.
-func LinearBuckets(start, width float64, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start + float64(i)*width
-	}
-	return out
-}
-
 // ExponentialBuckets returns n buckets starting at start, each factor
 // times the previous.
 func ExponentialBuckets(start, factor float64, n int) []float64 {

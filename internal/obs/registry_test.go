@@ -158,15 +158,8 @@ func TestHistogramAscendingPanic(t *testing.T) {
 	newHistogram([]float64{1, 1})
 }
 
-// TestBucketLayouts covers the two constructors and the canned layouts.
+// TestBucketLayouts covers the constructor and the canned layouts.
 func TestBucketLayouts(t *testing.T) {
-	lin := LinearBuckets(0.5, 0.25, 4)
-	wantLin := []float64{0.5, 0.75, 1.0, 1.25}
-	for i, w := range wantLin {
-		if lin[i] != w {
-			t.Errorf("LinearBuckets[%d] = %g, want %g", i, lin[i], w)
-		}
-	}
 	exp := ExponentialBuckets(1, 2, 5)
 	wantExp := []float64{1, 2, 4, 8, 16}
 	for i, w := range wantExp {

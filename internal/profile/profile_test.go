@@ -439,7 +439,7 @@ func TestManagerRequiresDir(t *testing.T) {
 // f: a publish that changes the rates fingerprint.
 func scaledRates(t testing.TB, eng *core.Engine, f float64) *graph.Rates {
 	t.Helper()
-	r := eng.Rates()
+	r := eng.Pin().Rates()
 	v := r.Vector()
 	for i, x := range v {
 		if x > 0 {

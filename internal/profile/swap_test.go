@@ -43,7 +43,8 @@ func TestSwapProfileHammer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cA, rA := eng.Corpus(), eng.Rates()
+	pinA := eng.Pin()
+	cA, rA := pinA.Corpus(), pinA.Rates()
 	cB, rB := secondCorpus(t, opts)
 
 	// Seed a few trained-looking profiles whose mixtures cover both
@@ -60,7 +61,7 @@ func TestSwapProfileHammer(t *testing.T) {
 
 	// Node count per generation, recorded by the single swapper.
 	var nodesOf sync.Map
-	nodesOf.Store(eng.Generation(), eng.Graph().NumNodes())
+	nodesOf.Store(eng.Generation(), eng.Pin().Corpus().Graph().NumNodes())
 
 	queries := []*ir.Query{
 		ir.NewQuery("mining"), ir.NewQuery("database"), ir.NewQuery("xml"),

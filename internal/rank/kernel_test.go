@@ -304,11 +304,9 @@ func TestOptionsNormalizedSentinels(t *testing.T) {
 	if z.Damping != 0 || z.Threshold != 0 || z.MaxIters != 0 {
 		t.Errorf("sentinels normalized to %+v, want literal zeros", z)
 	}
-	// Defaults() is already normalized.
-	d2 := Defaults().Normalized()
-	want := Defaults()
-	if d2.Damping != want.Damping || d2.Threshold != want.Threshold || d2.MaxIters != want.MaxIters {
-		t.Errorf("Defaults().Normalized() = %+v", d2)
+	// The paper defaults are already normalized.
+	if d2 := def.Normalized(); d2.Damping != def.Damping || d2.Threshold != def.Threshold || d2.MaxIters != def.MaxIters {
+		t.Errorf("Options{}.Normalized().Normalized() = %+v", d2)
 	}
 }
 

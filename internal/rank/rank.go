@@ -113,12 +113,6 @@ const (
 	ZeroIters int = -1
 )
 
-// Defaults returns the paper's standard options: d = 0.85, threshold
-// 0.002, at most 200 iterations.
-func Defaults() Options {
-	return Options{Damping: 0.85, Threshold: 0.002, MaxIters: 200}
-}
-
 // Normalized resolves the zero-value/sentinel convention into literal
 // field values: zero fields become the paper defaults, negative
 // (sentinel) fields become actual zeros. The result is idempotent under

@@ -94,7 +94,7 @@ func writeSnapshot(t testing.TB, dir, name string, scale float64, seed int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := storage.WriteSnapshotFile(filepath.Join(dir, name), ds, eng.Index()); err != nil {
+	if err := storage.WriteSnapshotFile(filepath.Join(dir, name), ds, eng.Pin().Corpus().Index()); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -143,7 +143,7 @@ func TestReformulateEndpoint(t *testing.T) {
 	if len(top) < 2 || top[1].Score == 0 {
 		t.Skip("not enough olap results at this scale")
 	}
-	before := s.Engine().Rates().Vector()
+	before := s.Engine().Pin().Rates().Vector()
 
 	var out ReformulateResponse
 	url := fmt.Sprintf("%s/v1/reformulate?q=olap&feedback=%d,%d&mode=structure", ts.URL, top[0].Node, top[1].Node)
@@ -157,7 +157,7 @@ func TestReformulateEndpoint(t *testing.T) {
 		t.Error("structure mode should not expand the query")
 	}
 	// The trained rates persist on the server.
-	after := s.Engine().Rates().Vector()
+	after := s.Engine().Pin().Rates().Vector()
 	changed := false
 	for i := range before {
 		if before[i] != after[i] {

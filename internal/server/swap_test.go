@@ -35,7 +35,7 @@ func writeTestSnapshot(t *testing.T, dir, name string, scale float64, seed int64
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := storage.WriteSnapshotFile(filepath.Join(dir, name), ds, eng.Index()); err != nil {
+	if err := storage.WriteSnapshotFile(filepath.Join(dir, name), ds, eng.Pin().Corpus().Index()); err != nil {
 		t.Fatal(err)
 	}
 	return ds
@@ -373,7 +373,7 @@ func TestReformulateFeedbackRacesPublishAndSwap(t *testing.T) {
 		case 1:
 			// A swap between the read and the publish makes the rates
 			// another schema's, and the publish is refused.
-			race(after, func() { _ = s.Engine().SetRates(s.Engine().Rates()) })
+			race(after, func() { _ = s.Engine().SetRates(s.Engine().Pin().Rates()) })
 		case 2:
 			swaps++
 			snap := []string{"b.snap", "a.snap"}[swaps%2]

@@ -291,7 +291,7 @@ func TestTranscript(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := storage.WriteSnapshotFile(filepath.Join(dir, "next.snap"), nds, neng.Index()); err != nil {
+	if err := storage.WriteSnapshotFile(filepath.Join(dir, "next.snap"), nds, neng.Pin().Corpus().Index()); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, "junk.snap"), []byte("not a snapshot"), 0o644); err != nil {

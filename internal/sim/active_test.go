@@ -17,7 +17,7 @@ func TestSelectActiveMechanics(t *testing.T) {
 		t.Fatal(err)
 	}
 	relevant := user.Relevant(q)
-	screen := res.TopKOfType(sys.Graph(), paperType, 15)
+	screen := res.TopKOfType(sys.Pin().Corpus().Graph(), paperType, 15)
 	candidates := user.Judge(screen, relevant, 0)
 	if len(candidates) < 3 {
 		t.Skip("not enough relevant candidates at this scale")

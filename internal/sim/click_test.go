@@ -86,7 +86,7 @@ func TestImplicitFeedbackTrains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	screen := res.TopKOfType(sys.Graph(), paperType, 15)
+	screen := res.TopKOfType(sys.Pin().Corpus().Graph(), paperType, 15)
 	clicks := clicker.Simulate(screen, relevant)
 	if len(clicks) == 0 {
 		t.Skip("no clicks at this scale")
@@ -99,7 +99,7 @@ func TestImplicitFeedbackTrains(t *testing.T) {
 		}
 		subs = append(subs, sg)
 	}
-	before := sys.Rates().Vector()
+	before := sys.Pin().Rates().Vector()
 	ref, err := pin.ReformulateWeightedCtx(context.Background(), q, subs, Confidences(clicks), core.StructureOnly())
 	if err != nil {
 		t.Fatal(err)

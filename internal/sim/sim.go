@@ -56,7 +56,7 @@ func NewUser(g *graph.Graph, truth *graph.Rates, cfg core.Config, topR int, resu
 
 // TruthRates returns the user's hidden ground-truth rate vector (the
 // ObjVector of Figures 11 and 13).
-func (u *User) TruthRates() []float64 { return u.truth.Rates().Vector() }
+func (u *User) TruthRates() []float64 { return u.truth.Pin().Rates().Vector() }
 
 // Relevant returns the set of objects the user considers relevant for
 // the original query: the ideal top-R under the ground-truth rates.
@@ -68,13 +68,14 @@ func (u *User) Relevant(q *ir.Query) map[graph.NodeID]bool {
 	if rel, ok := u.relevantCache[key]; ok {
 		return rel
 	}
-	res, err := solveOne(u.truth.Pin(), core.SolveSpec{Queries: []*ir.Query{q}})
+	pin := u.truth.Pin()
+	res, err := solveOne(pin, core.SolveSpec{Queries: []*ir.Query{q}})
 	if err != nil {
 		panic(err) // a solve only fails when its context does
 	}
 	var top []rank.Ranked
 	if u.ResultType >= 0 {
-		top = res.TopKOfType(u.truth.Graph(), u.ResultType, u.TopR)
+		top = res.TopKOfType(pin.Corpus().Graph(), u.ResultType, u.TopR)
 	} else {
 		top = res.TopK(u.TopR)
 	}

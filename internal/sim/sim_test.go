@@ -48,7 +48,7 @@ func TestUserRelevantStableAndTyped(t *testing.T) {
 		t.Fatal("no relevant objects for a topic query")
 	}
 	for v := range rel {
-		if sys.Graph().Label(v) != paperType {
+		if sys.Pin().Corpus().Graph().Label(v) != paperType {
 			t.Errorf("non-paper %d judged relevant", v)
 		}
 	}
@@ -94,7 +94,7 @@ func TestRunSessionStructureOnlyTrainsRates(t *testing.T) {
 	// some iteration (Figure 11's rising phase).
 	truth := user.TruthRates()
 	cosines := res.RateCosines(truth)
-	start := eval.CosineSimilarity(sys.Rates().Vector(), truth) // post-session rates
+	start := eval.CosineSimilarity(sys.Pin().Rates().Vector(), truth) // post-session rates
 	_ = start
 	initial := eval.CosineSimilarity(uniformVector(sys, 0.3), truth)
 	improved := false
@@ -120,21 +120,21 @@ func TestRunSessionStructureOnlyTrainsRates(t *testing.T) {
 }
 
 func uniformVector(sys *core.Engine, v float64) []float64 {
-	u := graph.UniformRates(sys.Graph().Schema(), v)
+	u := graph.UniformRates(sys.Pin().Corpus().Graph().Schema(), v)
 	u.NormalizeOutgoing()
 	return u.Vector()
 }
 
 func TestRunSessionContentOnlyKeepsRates(t *testing.T) {
 	sys, user, _ := testWorld(t)
-	before := sys.Rates().Vector()
+	before := sys.Pin().Rates().Vector()
 	cfg := DefaultSession(core.ContentOnly())
 	cfg.Iterations = 2
 	res, err := RunSession(sys, user, ir.NewQuery("xml"), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := sys.Rates().Vector()
+	after := sys.Pin().Rates().Vector()
 	for i := range before {
 		if before[i] != after[i] {
 			t.Fatalf("content-only session changed rates")

@@ -29,7 +29,7 @@ func BenchmarkColdStartBuild(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if eng.Index().NumDocs() == 0 {
+		if eng.Pin().Corpus().Index().NumDocs() == 0 {
 			b.Fatal("empty index")
 		}
 	}
@@ -48,7 +48,7 @@ func BenchmarkColdStartSnapshot(b *testing.B) {
 		b.Fatal(err)
 	}
 	path := filepath.Join(b.TempDir(), "corpus.snap")
-	if err := WriteSnapshotFile(path, ds, eng.Index()); err != nil {
+	if err := WriteSnapshotFile(path, ds, eng.Pin().Corpus().Index()); err != nil {
 		b.Fatal(err)
 	}
 	st, err := os.Stat(path)
@@ -70,7 +70,7 @@ func BenchmarkColdStartSnapshot(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if eng2.Index().NumDocs() != eng.Index().NumDocs() {
+		if eng2.Pin().Corpus().Index().NumDocs() != eng.Pin().Corpus().Index().NumDocs() {
 			b.Fatal("index mismatch")
 		}
 	}

@@ -30,7 +30,7 @@ func snapshotFixture(t testing.TB) (*datagen.Dataset, *core.Engine, []byte) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, ds, eng.Index()); err != nil {
+	if err := WriteSnapshot(&buf, ds, eng.Pin().Corpus().Index()); err != nil {
 		t.Fatal(err)
 	}
 	return ds, eng, buf.Bytes()
@@ -116,7 +116,7 @@ func TestBinSnapshotRoundTripLossless(t *testing.T) {
 			}
 		}
 		// Index: full vocabulary, postings, document lengths.
-		want := eng.Index()
+		want := eng.Pin().Corpus().Index()
 		if ix.NumDocs() != want.NumDocs() {
 			t.Fatalf("index docs = %d, want %d", ix.NumDocs(), want.NumDocs())
 		}
@@ -210,7 +210,7 @@ func TestBinSnapshotBitIdenticalResults(t *testing.T) {
 func TestBinSnapshotFileRoundTrip(t *testing.T) {
 	ds, eng, _ := snapshotFixture(t)
 	path := filepath.Join(t.TempDir(), "corpus.snap")
-	if err := WriteSnapshotFile(path, ds, eng.Index()); err != nil {
+	if err := WriteSnapshotFile(path, ds, eng.Pin().Corpus().Index()); err != nil {
 		t.Fatal(err)
 	}
 	got, ix, err := ReadSnapshotFile(path)
@@ -220,7 +220,7 @@ func TestBinSnapshotFileRoundTrip(t *testing.T) {
 	if got.Graph.Fingerprint() != ds.Graph.Fingerprint() {
 		t.Fatalf("fingerprint mismatch after file round trip")
 	}
-	if ix.NumDocs() != eng.Index().NumDocs() {
+	if ix.NumDocs() != eng.Pin().Corpus().Index().NumDocs() {
 		t.Fatalf("index docs mismatch after file round trip")
 	}
 	// No stray temp files left behind by the atomic write.
