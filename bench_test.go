@@ -296,7 +296,8 @@ func BenchmarkAuditDblptop(b *testing.B) {
 // BenchmarkSelectDblptop measures the two top-budget selections over
 // that explain's subgraph at the default budget: AuditOf, the
 // sensitivity ranking behind /v1/audit and /v1/explain's contributions,
-// and TopArcs, the flow ranking behind /v1/explain's arcs.
+// and TopArcs, the flow ranking behind /v1/explain's arcs. TopArcsAll is
+// TopArcs(0), the select-everything ranking of the JSON export.
 func BenchmarkSelectDblptop(b *testing.B) {
 	pin, res, target := dblptopExplain(b)
 	sg, err := pin.ExplainCtx(context.Background(), res, target, authorityflow.DefaultExplain())
@@ -311,6 +312,11 @@ func BenchmarkSelectDblptop(b *testing.B) {
 	b.Run("TopArcs", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			sg.TopArcs(core.DefaultAuditBudget)
+		}
+	})
+	b.Run("TopArcsAll", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sg.TopArcs(0)
 		}
 	})
 }

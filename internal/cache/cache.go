@@ -177,9 +177,11 @@ type Answer struct {
 // this answer was served from, provided it was rendered for a query
 // spelled exactly as query; nil otherwise (not a result hit, no body
 // attached yet, or a body rendered for another spelling of the same
-// canonical query). The bytes are shared with the cache and read-only.
+// canonical query). An answer whose Source another tier relabelled (a
+// profile's global answer) is not a result hit: its response is not the
+// entry's. The bytes are shared with the cache and read-only.
 func (a *Answer) Body(query string) []byte {
-	if a.entry == nil || a.entry.body == nil || a.entry.bodyFor != query {
+	if a.Source != SourceResult || a.entry == nil || a.entry.body == nil || a.entry.bodyFor != query {
 		return nil
 	}
 	return a.entry.body

@@ -3,10 +3,10 @@ package core
 import (
 	"cmp"
 	"context"
-	"slices"
 
 	"authorityflow/internal/graph"
 	"authorityflow/internal/ir"
+	"authorityflow/internal/rank"
 )
 
 // DefaultAuditBudget caps audit contributions when the caller does not
@@ -148,8 +148,8 @@ func AuditOf(sg *Subgraph, budget int) *Audit {
 		Iterations: sg.Iterations,
 		Converged:  sg.Converged,
 	}
-	arcs := topBudget[AuditArc]{budget: budget, key: func(x AuditArc) float64 { return x.Sensitivity }, cmp: compareAuditArcs}
-	nodes := topBudget[AuditNode]{budget: budget, key: func(x AuditNode) float64 { return x.Sensitivity }, cmp: compareAuditNodes}
+	arcs := rank.NewTop(min(budget, len(sg.Arcs)), func(x AuditArc) float64 { return x.Sensitivity }, compareAuditArcs)
+	nodes := rank.NewTop(min(budget, len(sg.Nodes)), func(x AuditNode) float64 { return x.Sensitivity }, compareAuditNodes)
 	d, alpha, csr, h, refs := sg.damping, sg.alpha, sg.csr, sg.h, sg.Arcs
 	for i, r := range sg.score {
 		lo, hi := sg.rowStart[i], sg.rowStart[i+1]
@@ -158,23 +158,23 @@ func AuditOf(sg *Subgraph, budget int) *Audit {
 		}
 		a.TotalNodes++
 		sens := sg.sens[i]
-		if nodes.admits(sens) {
-			nodes.offer(AuditNode{Node: sg.Nodes[i], Sensitivity: sens, Flow: sg.outFlow[i]})
+		if nodes.Admits(sens) {
+			nodes.Offer(AuditNode{Node: sg.Nodes[i], Sensitivity: sens, Flow: sg.outFlow[i]})
 		}
-		if arcs.barred && sens < arcs.barKey {
+		if sens < arcs.Bar() {
 			continue
 		}
 		for k := lo; k < hi; k++ {
 			ref := refs[k]
 			rate := transferRate(alpha, &csr[ref.CSR])
 			_, flow := arcFlows(d, rate, r, h[ref.Head])
-			if s := flow / rate; arcs.admits(s) {
+			if s := flow / rate; arcs.Admits(s) {
 				fa := sg.arc(i, k)
-				arcs.offer(AuditArc{From: fa.From, To: fa.To, Type: fa.Type, Rate: fa.Rate, Flow: fa.Flow, Sensitivity: s})
+				arcs.Offer(AuditArc{From: fa.From, To: fa.To, Type: fa.Type, Rate: fa.Rate, Flow: fa.Flow, Sensitivity: s})
 			}
 		}
 	}
-	a.Arcs, a.Nodes = arcs.sorted(), nodes.sorted()
+	a.Arcs, a.Nodes = arcs.Sorted(), nodes.Sorted()
 	return a
 }
 
@@ -189,53 +189,4 @@ func compareAuditArcs(x, y AuditArc) int {
 // then Node.
 func compareAuditNodes(x, y AuditNode) int {
 	return cmp.Or(cmp.Compare(y.Sensitivity, x.Sensitivity), cmp.Compare(x.Node, y.Node))
-}
-
-// topBudget keeps the budget first items, under the strict total order
-// cmp, of everything offered to it, in O(budget) space. cmp's primary
-// criterion is key, descending (in cmp.Compare's order, NaN last). An
-// offer that does not come before the current budget-th item (the bar)
-// is dropped, the rest are buffered, and a buffer of 2·budget is sorted
-// and cut back to budget. The result equals the budget-long prefix of a
-// full sort.
-//
-// Callers ask admits(key) before they build an item: once the bar is
-// set, almost every offer is dropped there, on one float comparison,
-// with neither the item built nor cmp called. A key equal to the bar's
-// is admitted, and offer settles it with the full cmp.
-type topBudget[T any] struct {
-	budget int
-	key    func(T) float64
-	cmp    func(a, b T) int
-	items  []T
-	barred bool
-	bar    T
-	barKey float64
-}
-
-// admits reports whether an item whose primary key is k can still come
-// before the bar. false is final: offer would drop the item too.
-func (t *topBudget[T]) admits(k float64) bool {
-	return !t.barred || !cmp.Less(k, t.barKey)
-}
-
-func (t *topBudget[T]) offer(x T) {
-	if t.barred && t.cmp(x, t.bar) >= 0 {
-		return
-	}
-	t.items = append(t.items, x)
-	if len(t.items) >= 2*t.budget {
-		t.sorted()
-	}
-}
-
-// sorted returns the kept items in cmp order.
-func (t *topBudget[T]) sorted() []T {
-	slices.SortFunc(t.items, t.cmp)
-	if t.budget > 0 && len(t.items) >= t.budget {
-		t.items = t.items[:t.budget]
-		t.barred, t.bar = true, t.items[t.budget-1]
-		t.barKey = t.key(t.bar)
-	}
-	return t.items
 }

@@ -240,10 +240,12 @@ func auditArcs(sg *Subgraph) []AuditArc {
 
 func prefix[T any](s []T, budget int) []T { return s[:min(budget, len(s))] }
 
-// TestTopBudgetTies: under ties on the primary key, TopArcs and AuditOf
-// still return the budget-long prefix of the full sort, for every
-// budget from 1 to one past the subgraph.
-func TestTopBudgetTies(t *testing.T) {
+// TestTopArcsAuditOfTies: under ties on the primary key, TopArcs and
+// AuditOf, whose row skips read the selection's bar, still return the
+// budget-long prefix of the full sort, for every budget from 1 to one
+// past the subgraph. rank's TestTopBudgetTies checks the selection
+// itself under every caller's order.
+func TestTopArcsAuditOfTies(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 20; trial++ {
 		sg := tiedSubgraph(rng, 1+rng.Intn(80))
@@ -261,39 +263,4 @@ func TestTopBudgetTies(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestTopBudgetTiesBite: the same selection rejecting an equal key on
-// the one float (> in place of >=) drops items that tie with the bar
-// and beat it on the rest of the order, and the property test's
-// subgraphs catch it in both orders.
-func TestTopBudgetTiesBite(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	flowBit, auditBit := false, false
-	for trial := 0; trial < 20; trial++ {
-		sg := tiedSubgraph(rng, 1+rng.Intn(80))
-		flow, arcs, _ := fullOrders(sg)
-		for budget := 1; budget <= len(sg.Arcs)+1; budget++ {
-			got := selectStrict(sg.FlowArcs(), budget, func(a FlowArc) float64 { return a.Flow }, CompareFlow)
-			flowBit = flowBit || !slices.Equal(got, prefix(flow, budget))
-			gotAudit := selectStrict(auditArcs(sg), budget, func(a AuditArc) float64 { return a.Sensitivity }, compareAuditArcs)
-			auditBit = auditBit || !slices.Equal(gotAudit, prefix(arcs, budget))
-		}
-	}
-	if !flowBit || !auditBit {
-		t.Errorf("a selection that rejects equal keys passed: flow order caught %t, audit order caught %t", flowBit, auditBit)
-	}
-}
-
-// selectStrict is topBudget's selection with the tie rule broken: once
-// the bar is set, an offer whose key does not exceed the bar's is
-// dropped without reaching cmp.
-func selectStrict[T any](items []T, budget int, key func(T) float64, cmp func(a, b T) int) []T {
-	top := topBudget[T]{budget: budget, key: key, cmp: cmp}
-	for _, x := range items {
-		if !top.barred || key(x) > top.barKey {
-			top.offer(x)
-		}
-	}
-	return top.sorted()
 }

@@ -278,10 +278,6 @@ type engineState struct {
 type Engine struct {
 	state atomic.Pointer[engineState]
 
-	// swapHook, when set, is invoked after every successful corpus swap
-	// with the replaced and new generation numbers; see SetSwapHook.
-	swapHook atomic.Pointer[func(oldGeneration, newGeneration uint64)]
-
 	// solveHook, when set, is invoked after every completed kernel
 	// execution on the ObjectRank2 path with that solve's SolveStats.
 	// The observability layer subscribes here to drive its kernel-solve
@@ -347,25 +343,6 @@ func (e *Engine) SetSolveHook(f func(SolveStats)) {
 func (e *Engine) notifySolve(st SolveStats) {
 	if h := e.solveHook.Load(); h != nil {
 		(*h)(st)
-	}
-}
-
-// SetSwapHook registers f to be called after every successful
-// SwapCorpus with the replaced and new generation numbers. At most one
-// hook is held; a nil f removes it. The hook runs synchronously on the
-// swapping goroutine AFTER the compare-and-swap (so it observes the
-// new generation through the engine's normal read paths).
-func (e *Engine) SetSwapHook(f func(oldGeneration, newGeneration uint64)) {
-	if f == nil {
-		e.swapHook.Store(nil)
-		return
-	}
-	e.swapHook.Store(&f)
-}
-
-func (e *Engine) notifySwap(oldGeneration, newGeneration uint64) {
-	if h := e.swapHook.Load(); h != nil {
-		(*h)(oldGeneration, newGeneration)
 	}
 }
 
@@ -499,7 +476,6 @@ func (e *Engine) SwapCorpus(c *Corpus, r *graph.Rates, ifGeneration uint64) (uin
 	if !e.state.CompareAndSwap(old, next) {
 		return e.state.Load().gen.num, ErrGenerationConflict
 	}
-	e.notifySwap(old.gen.num, next.gen.num)
 	return next.gen.num, nil
 }
 

@@ -322,6 +322,76 @@ func TestTopPathsOrdering(t *testing.T) {
 	}
 }
 
+// TestTopPathsMutualCitation: u and v cite each other, so u→v (and v→u)
+// is two parallel arcs, the forward arc of one citation and the
+// backward arc of the other, and paths through them tie on bottleneck,
+// length and node sequence. The arcs settle them in CompareFlow order,
+// the order the search finds them in: the full list is strictly
+// ordered and every k returns its k-long prefix.
+func TestTopPathsMutualCitation(t *testing.T) {
+	s := graph.NewSchema()
+	paper := s.AddNodeType("Paper")
+	cites := s.MustAddEdgeType("cites", paper, paper)
+	b := graph.NewBuilder(s)
+	ids := map[string]graph.NodeID{}
+	for _, name := range []string{"s", "u", "v", "t", "x1", "x2", "x3", "x4"} {
+		title := name + " paper"
+		if name == "s" {
+			title = "start paper"
+		}
+		ids[name] = b.AddNode(paper, graph.Attr{Name: "Title", Value: title})
+	}
+	// s also cites four papers off the way, so its one arc toward t is
+	// the bottleneck of every path.
+	for _, e := range [][2]string{{"s", "u"}, {"s", "x1"}, {"s", "x2"}, {"s", "x3"}, {"s", "x4"}, {"u", "v"}, {"v", "u"}, {"u", "t"}, {"v", "t"}} {
+		b.AddEdge(ids[e[0]], ids[e[1]], cites)
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Equal rates both ways give the parallel arcs equal flows, so two
+	// paths differ only in one arc's Type.
+	r := graph.NewRates(s)
+	r.Set(cites, graph.Forward, 0.5)
+	r.Set(cites, graph.Backward, 0.5)
+	e, err := NewEngine(g, r, Config{Rank: rank.Options{Damping: 0.85, Threshold: 1e-12, MaxIters: 1000}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := rankQ(e, ir.NewQuery("start"))
+	sg, err := explain(e, res, ids["t"], ExplainOptions{Threshold: 1e-12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sources := sg.BaseSources(res)
+	all := sg.TopPaths(sources, 100)
+	ties := 0
+	for i := 1; i < len(all); i++ {
+		p, q := all[i-1], all[i]
+		if comparePaths(p, q) >= 0 {
+			t.Fatalf("paths %d and %d are not strictly ordered: %v then %v", i-1, i, p, q)
+		}
+		if p.Flow == q.Flow && slices.Equal(p.Nodes, q.Nodes) {
+			ties++
+			if c := slices.CompareFunc(p.Arcs, q.Arcs, CompareFlow); c >= 0 {
+				t.Errorf("paths over %v: arcs %v before %v", p.Nodes, p.Arcs, q.Arcs)
+			}
+		}
+	}
+	if ties == 0 {
+		t.Fatalf("no two of the %d paths tie on flow and nodes: the fixture lost its parallel arcs", len(all))
+	}
+	for k := 1; k <= len(all)+1; k++ {
+		got := sg.TopPaths(sources, k)
+		if want := all[:min(k, len(all))]; !slices.EqualFunc(got, want, func(x, y Path) bool {
+			return x.Flow == y.Flow && slices.Equal(x.Nodes, y.Nodes) && slices.Equal(x.Arcs, y.Arcs)
+		}) {
+			t.Errorf("k=%d: %v, want the prefix %v", k, got, want)
+		}
+	}
+}
+
 // TestExplainInvariantsRandom checks the Section 4 invariants on random
 // graphs: h in [0,1] with h(target)=1, Flow <= Flow0, unadjusted target
 // inflows, and out-flow never exceeding d·r(v) (a node cannot forward

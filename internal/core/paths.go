@@ -3,9 +3,9 @@ package core
 import (
 	"cmp"
 	"slices"
-	"sort"
 
 	"authorityflow/internal/graph"
+	"authorityflow/internal/rank"
 )
 
 // CompareFlow is the one order wherever arcs are ranked by adjusted
@@ -29,21 +29,23 @@ func (sg *Subgraph) TopArcs(budget int) []FlowArc {
 	if budget <= 0 {
 		budget = len(sg.Arcs)
 	}
-	top := topBudget[FlowArc]{budget: budget, key: func(a FlowArc) float64 { return a.Flow }, cmp: CompareFlow}
+	top := rank.NewTop(min(budget, len(sg.Arcs)), arcFlow, CompareFlow)
 	d, alpha, csr, h, arcs := sg.damping, sg.alpha, sg.csr, sg.h, sg.Arcs
 	for i, r := range sg.score {
-		if top.barred && sg.outFlow[i] < top.barKey {
+		if sg.outFlow[i] < top.Bar() {
 			continue
 		}
 		for k := sg.rowStart[i]; k < sg.rowStart[i+1]; k++ {
 			ref := arcs[k]
-			if _, flow := arcFlows(d, transferRate(alpha, &csr[ref.CSR]), r, h[ref.Head]); top.admits(flow) {
-				top.offer(sg.arc(i, k))
+			if _, flow := arcFlows(d, transferRate(alpha, &csr[ref.CSR]), r, h[ref.Head]); top.Admits(flow) {
+				top.Offer(sg.arc(i, k))
 			}
 		}
 	}
-	return top.sorted()
+	return top.Sorted()
 }
+
+func arcFlow(a FlowArc) float64 { return a.Flow }
 
 // Path is one authority-flow path from a base-set node to the target
 // of an explaining subgraph, used when displaying an explanation: the
@@ -65,10 +67,11 @@ type Path struct {
 const topPathsExplored = 200000
 
 // TopPaths enumerates simple paths from base-set sources to the target
-// inside the subgraph and returns the k paths with the highest
-// bottleneck flow (ties broken by shorter length, then lexicographic
-// node order for determinism). sources are typically the subgraph's
-// base-set members; non-members are ignored.
+// inside the subgraph and returns the k paths first in comparePaths
+// order: highest bottleneck flow, ties broken by shorter length, then
+// lexicographic node order, then the arcs in CompareFlow order. sources
+// are typically the subgraph's base-set members; non-members are
+// ignored.
 func (sg *Subgraph) TopPaths(sources []graph.NodeID, k int) []Path {
 	if k <= 0 {
 		return nil
@@ -93,7 +96,7 @@ func (sg *Subgraph) TopPaths(sources []graph.NodeID, k int) []Path {
 		maxLen = len(sg.Nodes)
 	}
 
-	var out []Path
+	top := rank.NewTop(min(k, topPathsExplored), func(p Path) float64 { return p.Flow }, comparePaths)
 	explored := 0
 	onPath := make(map[graph.NodeID]bool)
 	var nodes []graph.NodeID
@@ -106,11 +109,9 @@ func (sg *Subgraph) TopPaths(sources []graph.NodeID, k int) []Path {
 		}
 		explored++
 		if v == sg.Target && len(nodes) > 1 {
-			out = append(out, Path{
-				Nodes: append([]graph.NodeID(nil), nodes...),
-				Arcs:  append([]FlowArc(nil), arcs...),
-				Flow:  bottleneck,
-			})
+			if top.Admits(bottleneck) {
+				top.Offer(Path{Nodes: slices.Clone(nodes), Arcs: slices.Clone(arcs), Flow: bottleneck})
+			}
 			return
 		}
 		if len(nodes) >= maxLen {
@@ -146,31 +147,20 @@ func (sg *Subgraph) TopPaths(sources []graph.NodeID, k int) []Path {
 		nodes = nodes[:0]
 		delete(onPath, s)
 	}
-
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Flow != out[j].Flow {
-			return out[i].Flow > out[j].Flow
-		}
-		if len(out[i].Nodes) != len(out[j].Nodes) {
-			return len(out[i].Nodes) < len(out[j].Nodes)
-		}
-		return lessNodeSeq(out[i].Nodes, out[j].Nodes)
-	})
-	if k > len(out) {
-		k = len(out)
-	}
-	return out[:k]
+	return top.Sorted()
 }
 
 const inf = 1e308
 
-func lessNodeSeq(a, b []graph.NodeID) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
+// comparePaths is TopPaths' order, a strict total order: bottleneck flow
+// descending, then fewer nodes, then the node sequence, then the arcs
+// pairwise in CompareFlow order. The last criterion separates two paths
+// over the same nodes that take parallel arcs of two transfer types (a
+// mutual citation u⇄v gives u→v a forward and a backward arc), in the
+// order the search finds them.
+func comparePaths(a, b Path) int {
+	return cmp.Or(cmp.Compare(b.Flow, a.Flow), cmp.Compare(len(a.Nodes), len(b.Nodes)),
+		slices.Compare(a.Nodes, b.Nodes), slices.CompareFunc(a.Arcs, b.Arcs, CompareFlow))
 }
 
 // BaseSources returns the subgraph nodes that belong to the rank

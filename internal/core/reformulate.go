@@ -1,13 +1,14 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"authorityflow/internal/graph"
 	"authorityflow/internal/ir"
+	"authorityflow/internal/rank"
 )
 
 // ReformulateOptions control query reformulation (Section 5).
@@ -203,21 +204,13 @@ func contentWeights(g *graph.Graph, sg *Subgraph, cd float64, acc map[string]flo
 // current query's average term weight a_q (Section 5.1 normalization),
 // and adds C_e times each normalized weight to the query vector.
 func expandQuery(q *ir.Query, weights map[string]float64, opts ReformulateOptions) []WeightedTerm {
-	candidates := make([]WeightedTerm, 0, len(weights))
+	top := rank.NewTop(min(opts.TopTerms, len(weights)), func(c WeightedTerm) float64 { return c.Weight }, compareWeightedTerms)
 	for t, w := range weights {
-		if w > 0 {
-			candidates = append(candidates, WeightedTerm{Term: t, Weight: w})
+		if w > 0 && top.Admits(w) {
+			top.Offer(WeightedTerm{Term: t, Weight: w})
 		}
 	}
-	sort.Slice(candidates, func(i, j int) bool {
-		if candidates[i].Weight != candidates[j].Weight {
-			return candidates[i].Weight > candidates[j].Weight
-		}
-		return candidates[i].Term < candidates[j].Term
-	})
-	if len(candidates) > opts.TopTerms {
-		candidates = candidates[:opts.TopTerms]
-	}
+	candidates := top.Sorted()
 	if len(candidates) == 0 {
 		return nil
 	}
@@ -235,6 +228,12 @@ func expandQuery(q *ir.Query, weights map[string]float64, opts ReformulateOption
 		q.Add(c.Term, opts.Ce*c.Weight)
 	}
 	return candidates
+}
+
+// compareWeightedTerms is the expansion terms' order: weight
+// descending, then term.
+func compareWeightedTerms(a, b WeightedTerm) int {
+	return cmp.Or(cmp.Compare(b.Weight, a.Weight), cmp.Compare(a.Term, b.Term))
 }
 
 // adjustRates performs the Equation 13 structure-based update with the

@@ -1,8 +1,10 @@
 package ir
 
 import (
+	"cmp"
 	"math"
-	"sort"
+
+	"authorityflow/internal/rank"
 )
 
 // This file implements the link-free authority construction: when a
@@ -123,7 +125,7 @@ func (ix *Index) ClusterGraph(o ClusterOptions) []ClusterEdge {
 	acc := make([]float64, n)
 	var touched []int32
 	var edges []ClusterEdge
-	cands := make([]ClusterEdge, 0, 64)
+	top := rank.NewTop(k, func(e ClusterEdge) float64 { return e.Sim }, compareNeighbours)
 	for d := 0; d < n; d++ {
 		if norm2[d] == 0 {
 			continue
@@ -141,31 +143,27 @@ func (ix *Index) ClusterGraph(o ClusterOptions) []ClusterEdge {
 				acc[p.Doc] += dt.w * term.w[i]
 			}
 		}
-		cands = cands[:0]
+		top.Reset()
 		nd := math.Sqrt(norm2[d])
 		for _, j := range touched {
 			if norm2[j] == 0 || acc[j] == 0 {
 				continue
 			}
 			sim := acc[j] / (nd * math.Sqrt(norm2[j]))
-			if sim <= 0 {
-				continue
+			if sim > 0 && top.Admits(sim) {
+				top.Offer(ClusterEdge{From: int32(d), To: j, Sim: sim})
 			}
-			cands = append(cands, ClusterEdge{From: int32(d), To: j, Sim: sim})
 		}
 		for _, j := range touched {
 			acc[j] = 0
 		}
-		sort.Slice(cands, func(a, b int) bool {
-			if cands[a].Sim != cands[b].Sim {
-				return cands[a].Sim > cands[b].Sim
-			}
-			return cands[a].To < cands[b].To
-		})
-		if len(cands) > k {
-			cands = cands[:k]
-		}
-		edges = append(edges, cands...)
+		edges = append(edges, top.Sorted()...)
 	}
 	return edges
+}
+
+// compareNeighbours is one document's neighbour order: similarity
+// descending, then ascending To.
+func compareNeighbours(a, b ClusterEdge) int {
+	return cmp.Or(cmp.Compare(b.Sim, a.Sim), cmp.Compare(a.To, b.To))
 }

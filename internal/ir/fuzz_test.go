@@ -64,7 +64,6 @@ func FuzzQuery(f *testing.F) {
 		}
 		_ = q.String()
 		_ = q.AverageWeight()
-		_ = q.TopTerms(3)
 		cp := q.Clone()
 		if cp.Len() != q.Len() {
 			t.Fatal("clone length mismatch")

@@ -63,9 +63,6 @@ func TestQueryBasics(t *testing.T) {
 	if got := q.AverageWeight(); math.Abs(got-(1+1+2)/3.0) > 1e-12 {
 		t.Errorf("AverageWeight = %v", got)
 	}
-	if top := q.TopTerms(1); len(top) != 1 || top[0] != "olap" {
-		t.Errorf("TopTerms = %v", top)
-	}
 	if s := q.String(); !strings.Contains(s, "olap:2.00") {
 		t.Errorf("String = %q", s)
 	}

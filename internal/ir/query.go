@@ -140,29 +140,6 @@ func (q *Query) Clone() *Query {
 	return cp
 }
 
-// TopTerms returns up to k terms with the highest weights, useful for
-// rendering reformulated queries.
-func (q *Query) TopTerms(k int) []string {
-	idx := make([]int, len(q.terms))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		if q.weights[idx[a]] != q.weights[idx[b]] {
-			return q.weights[idx[a]] > q.weights[idx[b]]
-		}
-		return idx[a] < idx[b]
-	})
-	if k > len(idx) {
-		k = len(idx)
-	}
-	out := make([]string, k)
-	for i := 0; i < k; i++ {
-		out[i] = q.terms[idx[i]]
-	}
-	return out
-}
-
 // String renders the query vector as "[olap:1.00 cubes:0.99]".
 func (q *Query) String() string {
 	var b strings.Builder

@@ -27,10 +27,12 @@
 package profile
 
 import (
+	"cmp"
 	"sort"
 
 	"authorityflow/internal/core"
 	"authorityflow/internal/ir"
+	"authorityflow/internal/rank"
 )
 
 // DefaultBasisSize is the number of topic terms the panel covers when
@@ -73,19 +75,34 @@ func BasisTerms(pin *core.Pinned, size int) []string {
 		size = DefaultBasisSize
 	}
 	ix := pin.Corpus().Index()
-	terms := ix.TermsWithDF(1)
-	sort.Slice(terms, func(i, j int) bool {
-		di, dj := ix.DF(terms[i]), ix.DF(terms[j])
-		if di != dj {
-			return di > dj
+	all := ix.TermsWithDF(1)
+	top := rank.NewTop(min(size, len(all)), weightOf, compareWeighted)
+	for _, t := range all {
+		if df := float64(ix.DF(t)); top.Admits(df) {
+			top.Offer(weighted{t, df})
 		}
-		return terms[i] < terms[j]
-	})
-	if len(terms) > size {
-		terms = terms[:size]
+	}
+	kept := top.Sorted()
+	terms := make([]string, len(kept))
+	for i, t := range kept {
+		terms[i] = t.t
 	}
 	sort.Strings(terms)
 	return terms
+}
+
+// weighted is one term with the weight a panel or mixture ranks it by.
+type weighted struct {
+	t string
+	w float64
+}
+
+func weightOf(t weighted) float64 { return t.w }
+
+// compareWeighted is the panel's and the mixture cap's order: weight
+// descending, then term.
+func compareWeighted(a, b weighted) int {
+	return cmp.Or(cmp.Compare(b.w, a.w), cmp.Compare(a.t, b.t))
 }
 
 // MixtureJump materializes the personalized jump distribution

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -14,6 +13,7 @@ import (
 	"authorityflow/internal/core"
 	"authorityflow/internal/ir"
 	"authorityflow/internal/lru"
+	"authorityflow/internal/rank"
 )
 
 // DefaultBeta is the personalized-jump blend factor of a profile that
@@ -55,7 +55,8 @@ type Options struct {
 	Cache *cache.CachedEngine
 }
 
-// Source labels which path produced a personalized answer.
+// Source labels which path produced a personalized answer; QueryCtx
+// also sets it as the answer's cache.Answer.Source.
 type Source string
 
 const (
@@ -68,24 +69,6 @@ const (
 	// global ranking.
 	SourceGlobal Source = "global"
 )
-
-// Answer is one personalized top-k result. Its Results are shared with
-// the serving cache and read-only.
-type Answer struct {
-	ID           string
-	Generation   uint64
-	RatesVersion uint64
-	RatesKey     uint64
-	Rev          uint64
-	Personalized bool
-	// BaseSet and Iterations describe the query's own solve (the
-	// (1−β)·r(Q) component); combining adds no iterations.
-	BaseSet    int
-	Iterations int
-	// Results is the top-k list in the serving cache's item shape, so
-	// global and personalized answers render through one path.
-	Results []cache.ResultItem
-}
 
 // Stats is a point-in-time snapshot of the manager's counters, the
 // substrate of the afq_profile_* metric families.
@@ -281,9 +264,11 @@ func fnv1a(s string) uint64 {
 // the serving cache's entry under the profile's (id, rev) scope, else
 // the Blend r_p = (1−β)·r(Q) + β·Σ m̂_t·r_t over its panel terms, stored
 // there. A profile with no usable mixture gets the global ranking
-// through the cache's global path, so a hit is personalized by
-// construction. The answer carries the pin's generation and version.
-func (m *Manager) QueryCtx(ctx context.Context, pin *core.Pinned, id string, q *ir.Query, k int) (*Answer, Source, error) {
+// through the cache's global path, so an answer is personalized exactly
+// when its Source is not SourceGlobal. The answer is the serving cache's,
+// carrying the pin's generation and version, with Source set to the
+// returned label; its Results are shared with the cache and read-only.
+func (m *Manager) QueryCtx(ctx context.Context, pin *core.Pinned, id string, q *ir.Query, k int) (*cache.Answer, Source, error) {
 	prof, err := m.Get(id)
 	if err != nil {
 		return nil, "", err
@@ -291,7 +276,7 @@ func (m *Manager) QueryCtx(ctx context.Context, pin *core.Pinned, id string, q *
 	c, sc := m.opts.Cache, cache.Scope{ID: id, Rev: prof.Rev}
 	if ans := c.LookupScoped(pin, sc, q, k); ans != nil {
 		m.answerHits.Add(1)
-		return answerOf(pin, sc, ans, true), SourceHit, nil
+		return labelled(ans, SourceHit)
 	}
 	m.answerMisses.Add(1)
 	if terms, _ := m.panel(pin).mixtureWeights(prof.Mixture); len(terms) == 0 {
@@ -300,7 +285,7 @@ func (m *Manager) QueryCtx(ctx context.Context, pin *core.Pinned, id string, q *
 			return nil, "", err
 		}
 		m.combines.Add(1)
-		return answerOf(pin, sc, ans, false), SourceGlobal, nil
+		return labelled(ans, SourceGlobal)
 	}
 	qres, err := m.opts.BaseRank(ctx, pin, q)
 	if err != nil {
@@ -315,13 +300,13 @@ func (m *Manager) QueryCtx(ctx context.Context, pin *core.Pinned, id string, q *
 	defer eng.Release(&core.RankResult{Scores: combined})
 	ans := c.StoreScoped(pin, sc, q, k, combined, qres.Iterations, len(qres.Base), qres.InBase)
 	m.combines.Add(1)
-	return answerOf(pin, sc, ans, true), SourceCombined, nil
+	return labelled(ans, SourceCombined)
 }
 
-// answerOf labels a serving-cache answer as the profile's.
-func answerOf(pin *core.Pinned, sc cache.Scope, a *cache.Answer, personalized bool) *Answer {
-	return &Answer{ID: sc.ID, Generation: a.Generation, RatesVersion: a.Version, RatesKey: pin.RatesKey(), Rev: sc.Rev,
-		Personalized: personalized, BaseSet: a.BaseSet, Iterations: a.Iterations, Results: a.Results}
+// labelled sets a's Source to the profile tier that served it.
+func labelled(a *cache.Answer, src Source) (*cache.Answer, Source, error) {
+	a.Source = string(src)
+	return a, src, nil
 }
 
 // Blend returns the personalized score vector
@@ -427,22 +412,16 @@ func capMixture(mix map[string]float64, n int) {
 	if len(mix) <= n {
 		return
 	}
-	type tw struct {
-		t string
-		w float64
-	}
-	all := make([]tw, 0, len(mix))
+	top := rank.NewTop(n, weightOf, compareWeighted)
 	for t, w := range mix {
-		all = append(all, tw{t, w})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].w != all[j].w {
-			return all[i].w > all[j].w
+		if top.Admits(w) {
+			top.Offer(weighted{t, w})
 		}
-		return all[i].t < all[j].t
-	})
-	for _, e := range all[n:] {
-		delete(mix, e.t)
+	}
+	kept := top.Sorted()
+	clear(mix)
+	for _, e := range kept {
+		mix[e.t] = e.w
 	}
 }
 

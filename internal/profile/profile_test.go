@@ -332,8 +332,8 @@ func TestManagerLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if src != SourceGlobal || a.Personalized {
-		t.Fatalf("untrained profile served %v/personalized=%v, want global", src, a.Personalized)
+	if src != SourceGlobal || a.Source != string(src) {
+		t.Fatalf("untrained profile served %v (answer source %q), want global", src, a.Source)
 	}
 	if a.Generation != pin.Generation() {
 		t.Fatalf("answer generation %d, want %d", a.Generation, pin.Generation())
@@ -370,8 +370,8 @@ func TestManagerLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if src2 != SourceCombined || !a2.Personalized {
-		t.Fatalf("trained profile served %v/personalized=%v, want combined", src2, a2.Personalized)
+	if src2 != SourceCombined || a2.Source != string(src2) {
+		t.Fatalf("trained profile served %v (answer source %q), want combined", src2, a2.Source)
 	}
 	same := len(a2.Results) == len(baseline)
 	if same {
@@ -393,8 +393,8 @@ func TestManagerLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	shared := len(a3.Results) > 0 && len(a3.Results) == len(a2.Results) && &a3.Results[0] == &a2.Results[0]
-	if src3 != SourceHit || !shared || !a3.Personalized {
-		t.Fatalf("repeat query served %v (shared=%v, personalized=%v), want LRU hit", src3, shared, a3.Personalized)
+	if src3 != SourceHit || !shared || a3.Source != string(src3) {
+		t.Fatalf("repeat query served %v (shared=%v, answer source %q), want LRU hit", src3, shared, a3.Source)
 	}
 
 	// Durability: a fresh manager over the same dir sees the trained
@@ -489,7 +489,7 @@ func TestProfileQueryAfterPublish(t *testing.T) {
 	var columns int
 	eng.SetSolveHook(func(st core.SolveStats) { columns += st.Columns })
 	defer eng.SetSolveHook(nil)
-	ask := func(id string, q *ir.Query, most int) *Answer {
+	ask := func(id string, q *ir.Query, most int) *cache.Answer {
 		t.Helper()
 		columns = 0
 		a, _, err := m.QueryCtx(ctx, eng.Pin(), id, q, 10)
@@ -503,7 +503,7 @@ func TestProfileQueryAfterPublish(t *testing.T) {
 	}
 	warm := c.Stats().WarmStarts
 	got := ask("trained", q1, len(mixture)+q1.Len())
-	if !got.Personalized {
+	if got.Source == string(SourceGlobal) {
 		t.Fatal("a trained profile answered unpersonalized after a publish")
 	}
 	if n := c.Stats().WarmStarts - warm; n != int64(len(mixture)+q1.Len()) {
@@ -512,7 +512,7 @@ func TestProfileQueryAfterPublish(t *testing.T) {
 	if err := eng.SetRates(scaledRates(t, eng, 0.9)); err != nil {
 		t.Fatal(err)
 	}
-	if a := ask("blank", q2, q2.Len()); a.Personalized {
+	if a := ask("blank", q2, q2.Len()); a.Source != string(SourceGlobal) {
 		t.Error("an untrained profile answered personalized")
 	}
 

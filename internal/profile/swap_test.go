@@ -86,8 +86,8 @@ func TestSwapProfileHammer(t *testing.T) {
 					t.Errorf("query: %v", err)
 					return
 				}
-				if a.Generation != pin.Generation() || a.RatesKey != pin.RatesKey() {
-					t.Errorf("answer at generation %d rates %x, pinned %d %x", a.Generation, a.RatesKey, pin.Generation(), pin.RatesKey())
+				if a.Generation != pin.Generation() || a.Version != pin.Version() {
+					t.Errorf("answer at generation %d version %d, pinned %d %d", a.Generation, a.Version, pin.Generation(), pin.Version())
 					return
 				}
 				want, ok := nodesOf.Load(a.Generation)

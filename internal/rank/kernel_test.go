@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"authorityflow/internal/datagen"
 	"authorityflow/internal/graph"
 )
 
@@ -161,20 +160,24 @@ func TestKernelParallelMatchesSerialFig1(t *testing.T) {
 // counts, ascending-order score sum, and spot-check score bits.
 func dblpFixture(t testing.TB) (*graph.Graph, *graph.Rates, []float64) {
 	t.Helper()
-	cfg := datagen.DBLPTopConfig().Scale(0.05)
-	cfg.Seed = 7
-	ds, err := datagen.GenerateDBLP(cfg)
+	g, r, err := DBLPCorpus()
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := ds.Graph.NumNodes()
+	n := g.NumNodes()
 	base := make([]float64, n)
 	for i := 0; i < n; i += 37 {
 		base[i] = 1
 	}
 	NormalizeDist(base)
-	return ds.Graph, ds.Rates, base
+	return g, r, base
 }
+
+// DBLPCorpus generates dblpFixture's corpus: datagen's DBLPtop at scale
+// 0.05, seed 7. This package's tests cannot import datagen, which
+// imports ir, which imports rank, so dblp_test.go sets it from the
+// external test package.
+var DBLPCorpus func() (*graph.Graph, *graph.Rates, error)
 
 func TestKernelSerialBitIdenticalToSeedDBLP(t *testing.T) {
 	g, r, base := dblpFixture(t)

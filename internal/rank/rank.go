@@ -7,9 +7,10 @@
 package rank
 
 import (
+	"cmp"
 	"context"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"authorityflow/internal/graph"
@@ -278,19 +279,21 @@ type Ranked struct {
 	Score float64
 }
 
-// TopK returns the k highest-scoring nodes in descending score order
-// (ties broken by ascending node ID, for determinism). Selection uses a
-// bounded min-heap, O(n log k), so top-10 screens stay cheap on
+// TopK returns the k highest-scoring nodes in compareRanked order:
+// score descending, then ascending node ID. It is one pass of a Top
+// over the scores, O(n log k), so top-10 screens stay cheap on
 // million-node graphs.
 func TopK(scores []float64, k int) []Ranked {
-	sel := newSelector(k)
-	if sel == nil {
+	if k <= 0 {
 		return nil
 	}
+	top := NewTop(min(k, len(scores)), rankedScore, compareRanked)
 	for i, s := range scores {
-		sel.offer(Ranked{Node: graph.NodeID(i), Score: s})
+		if top.Admits(s) {
+			top.Offer(Ranked{Node: graph.NodeID(i), Score: s})
+		}
 	}
-	return sel.sorted()
+	return top.Sorted()
 }
 
 // Combine sets dst to the linear combination Σ_i w[i]·vs[i] of score
@@ -318,86 +321,124 @@ func Combine(dst, w []float64, vs [][]float64) []float64 {
 // TopKOfType returns the k highest-scoring nodes of one node type,
 // which the paper's survey screens use to present only Paper results.
 func TopKOfType(g *graph.Graph, scores []float64, t graph.TypeID, k int) []Ranked {
-	sel := newSelector(k)
-	if sel == nil {
-		return nil
-	}
-	for i, s := range scores {
-		if g.Label(graph.NodeID(i)) == t {
-			sel.offer(Ranked{Node: graph.NodeID(i), Score: s})
-		}
-	}
-	return sel.sorted()
-}
-
-// selector is a bounded min-heap keeping the k best Ranked entries
-// under the (score desc, node asc) order.
-type selector struct {
-	k    int
-	heap []Ranked // min-heap: heap[0] is the WORST kept entry
-}
-
-func newSelector(k int) *selector {
 	if k <= 0 {
 		return nil
 	}
-	return &selector{k: k, heap: make([]Ranked, 0, k)}
-}
-
-// worse reports whether a ranks below b in the final order.
-func worse(a, b Ranked) bool {
-	if a.Score != b.Score {
-		return a.Score < b.Score
-	}
-	return a.Node > b.Node
-}
-
-func (s *selector) offer(r Ranked) {
-	if len(s.heap) < s.k {
-		s.heap = append(s.heap, r)
-		s.up(len(s.heap) - 1)
-		return
-	}
-	if worse(r, s.heap[0]) || r == s.heap[0] {
-		return
-	}
-	s.heap[0] = r
-	s.down(0)
-}
-
-func (s *selector) up(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !worse(s.heap[i], s.heap[p]) {
-			break
+	top := NewTop(min(k, len(scores)), rankedScore, compareRanked)
+	for i, s := range scores {
+		if top.Admits(s) && g.Label(graph.NodeID(i)) == t {
+			top.Offer(Ranked{Node: graph.NodeID(i), Score: s})
 		}
-		s.heap[i], s.heap[p] = s.heap[p], s.heap[i]
-		i = p
 	}
+	return top.Sorted()
 }
 
-func (s *selector) down(i int) {
-	n := len(s.heap)
+// compareRanked is the order of every ranked result list: score
+// descending (NaN last), then ascending node ID.
+func compareRanked(a, b Ranked) int {
+	return cmp.Or(cmp.Compare(b.Score, a.Score), cmp.Compare(a.Node, b.Node))
+}
+
+func rankedScore(r Ranked) float64 { return r.Score }
+
+// Top keeps the k first items, under the strict total order cmp, of
+// everything offered to it, in O(k) space: the one bounded selection
+// behind every list the system shows (top-k results, explain and audit
+// arcs, top paths, expansion terms, the profile panel and the cluster
+// graph's neighbours). cmp's first criterion is key, descending, in
+// cmp.Compare's order (NaN last); the rest of cmp breaks its ties. The
+// result equals the k-long prefix of a full sort under cmp.
+//
+// Callers ask Admits(key) before they build an item. Once the heap is
+// built, the bar is the key of the last kept item, cached as a float,
+// so a rejected candidate costs one float comparison, with neither the
+// item built nor cmp called. A key equal to the bar's is admitted, and Offer
+// settles it with cmp.
+//
+// Offered items are only appended until one past the k-th arrives; the
+// heap (the last kept item at its root) is built then, so a selection
+// that keeps every candidate is one sort.
+type Top[T any] struct {
+	k      int
+	key    func(T) float64
+	cmp    func(a, b T) int
+	items  []T     // once heaped, a heap ordered by cmp with the last item at the root
+	heaped bool    // k items are kept and one more was offered
+	bar    float64 // key(items[0]) once heaped, NaN before
+}
+
+// NewTop returns an empty selection of the k first items under cmp,
+// whose first criterion is key descending. A k <= 0 keeps nothing.
+func NewTop[T any](k int, key func(T) float64, cmp func(a, b T) int) *Top[T] {
+	k = max(k, 0)
+	return &Top[T]{k: k, key: key, cmp: cmp, items: make([]T, 0, k), bar: math.NaN()}
+}
+
+// Admits reports whether an item whose key is key can still be kept.
+// false is final for that key: Offer would drop the item too.
+func (t *Top[T]) Admits(key float64) bool { return !cmp.Less(key, t.bar) }
+
+// Bar returns the key below which nothing is admitted: the key of the
+// k-th kept item, or NaN, below which no key lies, until the heap is
+// built. A caller holding an upper bound on a group of keys skips the
+// group when the bound is below the bar.
+func (t *Top[T]) Bar() float64 { return t.bar }
+
+// Offer keeps x while fewer than k items are kept, and after that when
+// x comes before the last kept item, which it evicts.
+func (t *Top[T]) Offer(x T) {
+	if len(t.items) < t.k {
+		t.items = append(t.items, x)
+		return
+	}
+	if t.k == 0 {
+		return
+	}
+	if !t.heaped {
+		for i := t.k/2 - 1; i >= 0; i-- {
+			t.down(i)
+		}
+		t.heaped, t.bar = true, t.key(t.items[0])
+	}
+	if t.cmp(x, t.items[0]) >= 0 {
+		return
+	}
+	t.items[0] = x
+	t.down(0)
+	t.bar = t.key(t.items[0])
+}
+
+// down sifts items[i] toward the leaves until no child comes after it.
+func (t *Top[T]) down(i int) {
+	n := len(t.items)
 	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && worse(s.heap[l], s.heap[smallest]) {
-			smallest = l
+		last := i
+		if l := 2*i + 1; l < n && t.cmp(t.items[l], t.items[last]) > 0 {
+			last = l
 		}
-		if r < n && worse(s.heap[r], s.heap[smallest]) {
-			smallest = r
+		if r := 2*i + 2; r < n && t.cmp(t.items[r], t.items[last]) > 0 {
+			last = r
 		}
-		if smallest == i {
+		if last == i {
 			return
 		}
-		s.heap[i], s.heap[smallest] = s.heap[smallest], s.heap[i]
-		i = smallest
+		t.items[i], t.items[last] = t.items[last], t.items[i]
+		i = last
 	}
 }
 
-// sorted drains the selector into descending final order.
-func (s *selector) sorted() []Ranked {
-	out := append([]Ranked(nil), s.heap...)
-	sort.Slice(out, func(i, j int) bool { return worse(out[j], out[i]) })
-	return out
+// Sorted returns the kept items in cmp order, nil when there are none.
+// It ends the selection; Reset starts the next one in the same buffer.
+func (t *Top[T]) Sorted() []T {
+	if len(t.items) == 0 {
+		return nil
+	}
+	slices.SortFunc(t.items, t.cmp)
+	return t.items
+}
+
+// Reset empties the selection, keeping its buffer: the slice Sorted
+// returned is overwritten by the next selection.
+func (t *Top[T]) Reset() {
+	t.items, t.heaped, t.bar = t.items[:0], false, math.NaN()
 }

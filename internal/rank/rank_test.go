@@ -1,6 +1,7 @@
 package rank
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -347,15 +348,20 @@ func TestTopKMatchesNaiveSort(t *testing.T) {
 	}
 }
 
+// BenchmarkTopK measures one TopK over 500,000 random scores: k = 10 is
+// a result page, k = 1000 the largest k the server accepts.
 func BenchmarkTopK(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	scores := make([]float64, 500000)
 	for i := range scores {
 		scores[i] = rng.Float64()
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		TopK(scores, 10)
+	for _, k := range []int{10, 1000} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				TopK(scores, k)
+			}
+		})
 	}
 }

@@ -259,9 +259,6 @@ func (so *serverObs) attach(s *Server) {
 		so.ratesVersion.Set(float64(s.eng.RatesVersion()))
 		so.generation.Set(float64(s.eng.Generation()))
 	})
-	s.eng.SetSwapHook(func(oldGen, newGen uint64) {
-		so.swapsTotal.Inc()
-	})
 	if s.profiles != nil {
 		so.attachProfile(s.profiles)
 	}

@@ -97,10 +97,10 @@ func (s *Server) personal(rq *request, q *ir.Query) (*cache.Answer, bool, error)
 	if err != nil {
 		return nil, false, err
 	}
-	rq.tr.Eventf("combine", "profile=%s source=%s personalized=%t", rq.profile, src, a.Personalized)
+	personalized := src != profile.SourceGlobal
+	rq.tr.Eventf("combine", "profile=%s source=%s personalized=%t", rq.profile, src, personalized)
 	s.obs.profileOutcome.With(string(src)).Inc()
-	return &cache.Answer{Query: q, Results: a.Results, Iterations: a.Iterations, BaseSet: a.BaseSet,
-		Version: a.RatesVersion, Generation: a.Generation, Source: string(src)}, a.Personalized, nil
+	return a, personalized, nil
 }
 
 // profileEndpoint is the /v1/profile/{id} CRUD surface.

@@ -205,14 +205,20 @@ func TestProfilePersonalizedQuery(t *testing.T) {
 	}
 
 	// An empty profile carries no usable mixture: the answer falls back
-	// to the global path and says so.
+	// to the global path and says so. The global repeat before it is a
+	// result hit, which keeps its rendered body with the entry; the
+	// blank profile's answer comes from that entry but is rendered as
+	// the profile's, not answered with the global body.
+	if code := getJSON(t, ts.URL+"/v1/query?q=olap&k=10", &global); code != 200 || global.Cache != "result" {
+		t.Fatalf("global repeat = %d, source %q", code, global.Cache)
+	}
 	putProfile(t, ts.URL, "blank", ProfileUpdateRequest{})
 	var blank QueryResponse
 	if code := getJSON(t, ts.URL+"/v1/query?q=olap&k=10&profile=blank", &blank); code != 200 {
 		t.Fatalf("blank-profile query = %d", code)
 	}
-	if blank.Personalized || blank.Cache != "global" {
-		t.Fatalf("blank profile answer = source %q personalized %t", blank.Cache, blank.Personalized)
+	if blank.Personalized || blank.Cache != "global" || blank.Profile != "blank" {
+		t.Fatalf("blank profile answer = source %q personalized %t profile %q", blank.Cache, blank.Personalized, blank.Profile)
 	}
 
 	// Metrics carry the new families.

@@ -101,6 +101,7 @@ func (s *Server) runSwap(rq *request) (reply, error) {
 		return reply{}, badRequest("swap rejected: " + err.Error())
 	}
 	s.ds.Store(ds)
+	s.obs.swapsTotal.Inc()
 	rq.tr.Eventf("swap", "generation=%d->%d version=%d", ifGen, gen, s.eng.RatesVersion())
 	return reply{what: "nodes", n: ds.Graph.NumNodes(), json: CorpusSwapResponse{
 		Generation:   gen,
