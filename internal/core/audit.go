@@ -5,7 +5,6 @@ import (
 	"context"
 
 	"authorityflow/internal/graph"
-	"authorityflow/internal/ir"
 	"authorityflow/internal/rank"
 )
 
@@ -13,13 +12,8 @@ import (
 // choose a budget.
 const DefaultAuditBudget = 16
 
-// AuditOptions control an audit: the contribution budget and the
-// underlying explaining-subgraph construction.
+// AuditOptions control an audit's explaining-subgraph construction.
 type AuditOptions struct {
-	// Budget caps the number of arc and node contributions returned —
-	// the top-Budget of each by sensitivity. Zero means
-	// DefaultAuditBudget.
-	Budget int
 	// Explain configures the subgraph build (radius, Eq. 10 threshold).
 	// The zero value means DefaultExplain(): the paper's radius-3
 	// subgraph, the one /v1/explain shows for the same target.
@@ -74,7 +68,6 @@ type AuditNode struct {
 // byte-identical bodies.
 type Audit struct {
 	Target graph.NodeID
-	Query  *ir.Query
 	// Score is the explained score: the adjusted authority arriving at
 	// the target inside the subgraph.
 	Score  float64
@@ -95,17 +88,14 @@ type Audit struct {
 	// Iterations and Converged report the Equation 10 fixpoint run.
 	Iterations int
 	Converged  bool
-	// RatesVersion and Generation stamp the pinned state the audit ran
-	// under — the determinism key.
-	RatesVersion uint64
-	Generation   uint64
 }
 
 // AuditCtx ranks the explaining subgraph of target by score sensitivity
 // to rate perturbation, under the pinned state and the given ranking
 // mode. res must be a converged result for the same query, state, and
 // mode (the serving layer obtains it through the cache or RankModeCtx).
-// A zero opts.Explain audits the DefaultExplain() subgraph; an unbounded
+// It keeps the top DefaultAuditBudget contributions; AuditOf takes any
+// budget. A zero opts.Explain audits the DefaultExplain() subgraph; an unbounded
 // audit sets Radius 0 with another field, such as Threshold, non-zero.
 // Deadline-awareness is inherited from the explain stages: the BFS
 // phases and the Eq. 10 fixpoint poll ctx, and the final ranking pass
@@ -118,17 +108,13 @@ func (p *Pinned) AuditCtx(ctx context.Context, m Mode, res *RankResult, target g
 	if err != nil {
 		return nil, err
 	}
-	a := AuditOf(sg, opts.Budget)
-	a.RatesVersion = p.st.snap.version
-	a.Generation = p.st.gen.num
-	return a, nil
+	return AuditOf(sg, DefaultAuditBudget), nil
 }
 
 // AuditOf derives the sensitivity ranking from an already-built
-// subgraph (budget <= 0 means DefaultAuditBudget), without the
-// pinned-state stamps AuditCtx adds. The /v1/explain envelope uses it
-// to attach a contributions[] block to a subgraph it has already paid
-// for. It is one walk of the subgraph's rows: Nodes[i]'s out-arcs are
+// subgraph (budget <= 0 means DefaultAuditBudget). The /v1/explain
+// envelope uses it to attach a contributions[] block to a subgraph it
+// has already paid for. It is one walk of the subgraph's rows: Nodes[i]'s out-arcs are
 // one row of Arcs, in CSR order. A source's node entry is the row's
 // sums the explain already made in that order: its sensitivity and its
 // Equation 6b flow O(v). Its arcs are derived only when the row's
@@ -141,7 +127,6 @@ func AuditOf(sg *Subgraph, budget int) *Audit {
 	}
 	a := &Audit{
 		Target:     sg.Target,
-		Query:      sg.Query,
 		Score:      sg.ExplainedScore(),
 		Budget:     budget,
 		TotalArcs:  len(sg.Arcs),

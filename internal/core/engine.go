@@ -299,14 +299,9 @@ type SolveStats struct {
 	// PageRank default start does not count, and neither does a
 	// donation dropped for its length.
 	WarmStarted bool
-	// BaseSet is the size of the weighted base set |S(Q)|, summed over
-	// the execution's columns.
-	BaseSet int
-	// BaseSetDur and SolveDur are the wall-clock durations of the
-	// base-set/IR-scoring stage (summed over columns) and the kernel
-	// iteration stage.
-	BaseSetDur time.Duration
-	SolveDur   time.Duration
+	// SolveDur is the wall-clock duration of the kernel iteration
+	// stage.
+	SolveDur time.Duration
 	// Columns is the number of base sets the kernel execution advanced:
 	// 1 for a single query, up to DefaultBlockSize for one group of a
 	// batch. afq_kernel_solves_total counts EXECUTIONS (hook firings),

@@ -200,7 +200,6 @@ func (sg *Subgraph) FlowArcs() []FlowArc {
 // Equation 11), and the summed adjusted flows entering and leaving the
 // node inside the subgraph (Equation 6).
 type NodeFlow struct {
-	Node    graph.NodeID
 	H       float64
 	Dist    int
 	InFlow  float64
@@ -216,7 +215,7 @@ func (sg *Subgraph) Index(v graph.NodeID) (int, bool) {
 // At returns the per-node state of Nodes[i] — the positional accessor
 // for loops over the whole subgraph.
 func (sg *Subgraph) At(i int) NodeFlow {
-	return NodeFlow{Node: sg.Nodes[i], H: sg.h[i], Dist: int(sg.dist[i]), InFlow: sg.inFlow[i], OutFlow: sg.outFlow[i]}
+	return NodeFlow{H: sg.h[i], Dist: int(sg.dist[i]), InFlow: sg.inFlow[i], OutFlow: sg.outFlow[i]}
 }
 
 // node returns v's per-node state, or the zero NodeFlow when v is not

@@ -134,8 +134,6 @@ func (p *Pinned) Solve(ctx context.Context, spec SolveSpec) ([]*RankResult, erro
 			} else if !spec.Cold {
 				o.Init = st.gen.globalScores(v, st.snap)
 			}
-			stats.BaseSet += support
-			stats.BaseSetDur += res.BaseSetDur
 			cols = append(cols, res)
 			at = append(at, i)
 			jumps = append(jumps, jump)

@@ -18,7 +18,7 @@ func subgraphBits(sg *Subgraph) []uint64 {
 	out := []uint64{uint64(sg.Target), uint64(sg.Iterations), uint64(len(sg.Nodes)), uint64(len(sg.Arcs))}
 	for i := range sg.Nodes {
 		n := sg.At(i)
-		out = append(out, uint64(n.Node), math.Float64bits(n.H), uint64(n.Dist), math.Float64bits(n.InFlow), math.Float64bits(n.OutFlow))
+		out = append(out, uint64(sg.Nodes[i]), math.Float64bits(n.H), uint64(n.Dist), math.Float64bits(n.InFlow), math.Float64bits(n.OutFlow))
 	}
 	for _, a := range sg.FlowArcs() {
 		out = append(out, uint64(a.From), uint64(a.To), uint64(a.Type), math.Float64bits(a.Rate), math.Float64bits(a.Flow0), math.Float64bits(a.Flow))

@@ -207,7 +207,7 @@ func TestGenerateBioCancerOnly(t *testing.T) {
 		t.Fatal("no publications")
 	}
 	cancerWords := map[string]bool{}
-	for _, w := range bioTopics[0].Words {
+	for _, w := range bioTopics[0] {
 		cancerWords[w] = true
 	}
 	hits := 0
@@ -263,7 +263,7 @@ func TestTopicHelpers(t *testing.T) {
 	if got := TopicQuery(1, 0); len(got) != 1 {
 		t.Errorf("TopicQuery with 0 terms = %v", got)
 	}
-	if got := TopicQuery(1, 999); len(got) != len(dbTopics[1].Words) {
+	if got := TopicQuery(1, 999); len(got) != len(dbTopics[1]) {
 		t.Errorf("TopicQuery clamp = %v", got)
 	}
 }

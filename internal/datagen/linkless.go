@@ -51,9 +51,6 @@ type LinklessConfig struct {
 	// Neighbors is the knn fan-out of the cluster graph
 	// (ir.DefaultClusterK when <= 0).
 	Neighbors int
-	// MaxDFRatio is the cluster-graph document-frequency cutoff
-	// (ir.DefaultClusterMaxDFRatio when <= 0).
-	MaxDFRatio float64
 	// Seed makes generation deterministic.
 	Seed int64
 }
@@ -105,7 +102,7 @@ func GenerateLinkless(c LinklessConfig) (*Dataset, error) {
 	}
 
 	ix := ir.BuildIndex(c.Docs, func(i int) string { return titles[i] }, ir.DefaultBM25())
-	edges := ix.ClusterGraph(ir.ClusterOptions{K: c.Neighbors, MaxDFRatio: c.MaxDFRatio})
+	edges := ix.ClusterGraph(ir.ClusterOptions{K: c.Neighbors})
 	for _, e := range edges {
 		b.AddEdge(nodes[e.From], nodes[e.To], l.SimilarTo)
 	}

@@ -16,36 +16,30 @@ import (
 	"strings"
 )
 
-// Topic is one research area with a dedicated keyword pool. Paper
-// titles mix words from one or two topics, so topic keywords behave
-// like DBLP title terms: clustered, co-occurring, and connected through
-// citations.
-type Topic struct {
-	Name  string
-	Words []string
-}
-
 // dbTopics are the database-research topics used for bibliographic
-// titles. The first topics intentionally cover the paper's Table 2
-// query keywords: olap, query optimization, xml, mining, proximity
-// search, indexing, ranked search.
-var dbTopics = []Topic{
-	{"olap", []string{"olap", "cube", "cubes", "aggregation", "multidimensional", "warehouse", "rollup", "analytical", "dimensions", "measures"}},
-	{"optimization", []string{"query", "optimization", "plans", "cost", "join", "selectivity", "optimizer", "execution", "rewriting", "cardinality"}},
-	{"xml", []string{"xml", "xpath", "xquery", "semistructured", "documents", "elements", "twig", "schemas", "namespaces", "trees"}},
-	{"mining", []string{"mining", "patterns", "frequent", "itemsets", "clustering", "classification", "association", "rules", "outliers", "discovery"}},
-	{"search", []string{"search", "keyword", "ranked", "proximity", "retrieval", "relevance", "ranking", "results", "answers", "top"}},
-	{"indexing", []string{"index", "indexing", "btree", "hash", "access", "structures", "selection", "bitmap", "inverted", "partitioning"}},
-	{"streams", []string{"streams", "streaming", "continuous", "windows", "sensors", "online", "sliding", "approximation", "sketches", "load"}},
-	{"transactions", []string{"transactions", "concurrency", "locking", "recovery", "logging", "serializability", "isolation", "commit", "versions", "snapshots"}},
-	{"distributed", []string{"distributed", "parallel", "replication", "partitions", "consistency", "cluster", "scalable", "nodes", "fragmentation", "allocation"}},
-	{"spatial", []string{"spatial", "temporal", "moving", "objects", "trajectories", "nearest", "neighbor", "regions", "geographic", "maps"}},
-	{"graphs", []string{"graph", "graphs", "reachability", "paths", "subgraph", "isomorphism", "networks", "vertices", "edges", "traversal"}},
-	{"web", []string{"web", "pages", "links", "crawling", "hypertext", "sites", "services", "integration", "wrappers", "extraction"}},
-	{"views", []string{"views", "materialized", "maintenance", "rewriting", "caching", "refresh", "incremental", "definitions", "warehouses", "summary"}},
-	{"security", []string{"security", "privacy", "access", "control", "encryption", "anonymity", "authorization", "auditing", "policies", "disclosure"}},
-	{"storage", []string{"storage", "disk", "memory", "buffer", "compression", "layout", "pages", "blocks", "flash", "hierarchies"}},
-	{"learning", []string{"learning", "models", "estimation", "probabilistic", "statistics", "sampling", "histograms", "prediction", "training", "features"}},
+// titles, each a research area's keyword pool. Paper titles mix words
+// from one or two topics, so topic keywords behave like DBLP title
+// terms: clustered, co-occurring, and connected through citations. The
+// first topics intentionally cover the paper's Table 2 query keywords:
+// olap, query optimization, xml, mining, proximity search, indexing,
+// ranked search.
+var dbTopics = [][]string{
+	{"olap", "cube", "cubes", "aggregation", "multidimensional", "warehouse", "rollup", "analytical", "dimensions", "measures"},
+	{"query", "optimization", "plans", "cost", "join", "selectivity", "optimizer", "execution", "rewriting", "cardinality"},
+	{"xml", "xpath", "xquery", "semistructured", "documents", "elements", "twig", "schemas", "namespaces", "trees"},
+	{"mining", "patterns", "frequent", "itemsets", "clustering", "classification", "association", "rules", "outliers", "discovery"},
+	{"search", "keyword", "ranked", "proximity", "retrieval", "relevance", "ranking", "results", "answers", "top"},
+	{"index", "indexing", "btree", "hash", "access", "structures", "selection", "bitmap", "inverted", "partitioning"},
+	{"streams", "streaming", "continuous", "windows", "sensors", "online", "sliding", "approximation", "sketches", "load"},
+	{"transactions", "concurrency", "locking", "recovery", "logging", "serializability", "isolation", "commit", "versions", "snapshots"},
+	{"distributed", "parallel", "replication", "partitions", "consistency", "cluster", "scalable", "nodes", "fragmentation", "allocation"},
+	{"spatial", "temporal", "moving", "objects", "trajectories", "nearest", "neighbor", "regions", "geographic", "maps"},
+	{"graph", "graphs", "reachability", "paths", "subgraph", "isomorphism", "networks", "vertices", "edges", "traversal"},
+	{"web", "pages", "links", "crawling", "hypertext", "sites", "services", "integration", "wrappers", "extraction"},
+	{"views", "materialized", "maintenance", "rewriting", "caching", "refresh", "incremental", "definitions", "warehouses", "summary"},
+	{"security", "privacy", "access", "control", "encryption", "anonymity", "authorization", "auditing", "policies", "disclosure"},
+	{"storage", "disk", "memory", "buffer", "compression", "layout", "pages", "blocks", "flash", "hierarchies"},
+	{"learning", "models", "estimation", "probabilistic", "statistics", "sampling", "histograms", "prediction", "training", "features"},
 }
 
 // connectives pad generated titles with the glue words real titles
@@ -63,12 +57,12 @@ func titleFor(rng *rand.Rand, primary, secondary int) string {
 	var words []string
 	p := dbTopics[primary]
 	for i, n := 0, 3+rng.Intn(3); i < n; i++ {
-		words = append(words, p.Words[rng.Intn(len(p.Words))])
+		words = append(words, p[rng.Intn(len(p))])
 	}
 	if secondary >= 0 {
 		s := dbTopics[secondary]
 		for i, n := 0, 1+rng.Intn(2); i < n; i++ {
-			words = append(words, s.Words[rng.Intn(len(s.Words))])
+			words = append(words, s[rng.Intn(len(s))])
 		}
 	}
 	for i, n := 0, 1+rng.Intn(3); i < n; i++ {
@@ -123,14 +117,14 @@ func NumTopics() int { return len(dbTopics) }
 // as a generator-independent relevance proxy: a title about topic i
 // contains several of these words.
 func TopicWords(i int) []string {
-	return append([]string(nil), dbTopics[i].Words...)
+	return append([]string(nil), dbTopics[i]...)
 }
 
 // TopicByWord returns the index of the first topic whose pool contains
 // the (lowercase) word, or -1.
 func TopicByWord(w string) int {
 	for i, t := range dbTopics {
-		for _, tw := range t.Words {
+		for _, tw := range t {
 			if tw == w {
 				return i
 			}
@@ -145,7 +139,7 @@ func TopicQuery(i int, terms int) []string {
 	if terms <= 0 {
 		terms = 1
 	}
-	w := dbTopics[i].Words
+	w := dbTopics[i]
 	if terms > len(w) {
 		terms = len(w)
 	}

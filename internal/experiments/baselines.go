@@ -13,7 +13,6 @@ import (
 // related-work baseline: HITS authority ranking on the focused
 // subgraph of the base set ([Kle99]).
 type BaselinesResult struct {
-	Queries []string
 	OR2     []float64
 	OR      []float64
 	HITS    []float64
@@ -50,7 +49,7 @@ func ExtensionBaselines(cfg Config) (*BaselinesResult, error) {
 		"olap", "query optimization", "xml", "mining",
 		"proximity search", "xml indexing", "ranked search",
 	}
-	out := &BaselinesResult{Queries: queries}
+	out := &BaselinesResult{}
 	const k = 10
 
 	// Topic-sensitive PageRank setup: one biased vector per generator

@@ -37,8 +37,6 @@ type Config struct {
 	Seed int64
 	// Out receives the rendered table/figure (defaults to io.Discard).
 	Out io.Writer
-	// Threshold is the ObjectRank2 convergence threshold (paper: 0.002).
-	Threshold float64
 	// CSVDir, when non-empty, makes each experiment also write its data
 	// as <experiment>.csv into the directory (for plotting).
 	CSVDir string
@@ -55,11 +53,12 @@ func (c Config) withDefaults(defaultScale float64) Config {
 	if c.Out == nil {
 		c.Out = io.Discard
 	}
-	if c.Threshold == 0 {
-		c.Threshold = 0.002
-	}
 	return c
 }
+
+// objectRankThreshold is the ObjectRank2 convergence threshold of the
+// paper's performance experiments (§6.2).
+const objectRankThreshold = 0.002
 
 // Default scales per experiment family.
 const (
@@ -68,7 +67,7 @@ const (
 )
 
 func (c Config) engineConfig() core.Config {
-	return core.Config{Rank: rank.Options{Damping: 0.85, Threshold: c.Threshold, MaxIters: 500}}
+	return core.Config{Rank: rank.Options{Damping: 0.85, Threshold: objectRankThreshold, MaxIters: 500}}
 }
 
 func (c Config) printf(format string, args ...any) {

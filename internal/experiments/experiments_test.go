@@ -15,7 +15,8 @@ func testCfg(buf *bytes.Buffer) Config {
 
 func TestTable1(t *testing.T) {
 	var buf bytes.Buffer
-	res, err := Table1(testCfg(&buf))
+	cfg := testCfg(&buf)
+	res, err := Table1(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +35,7 @@ func TestTable1(t *testing.T) {
 		// At scale s the generated node count is within a factor of the
 		// scaled paper reference (the generator approximates, it does
 		// not copy).
-		scaled := float64(r.PaperNodes) * res.Scale
+		scaled := float64(r.PaperNodes) * cfg.Scale
 		if float64(r.Nodes) < scaled/3 || float64(r.Nodes) > scaled*3 {
 			t.Errorf("%s nodes %d too far from scaled reference %.0f", r.Name, r.Nodes, scaled)
 		}
@@ -298,9 +299,6 @@ func TestExtensionBaselines(t *testing.T) {
 	res, err := ExtensionBaselines(testCfg(&buf))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(res.Queries) != 7 {
-		t.Fatalf("queries = %v", res.Queries)
 	}
 	if len(res.OR2) != 7 || len(res.OR) != 7 || len(res.HITS) != 7 || len(res.TSPR) != 7 {
 		t.Fatal("misaligned result columns")

@@ -145,13 +145,9 @@ func runImplicitSession(w *world, q *ir.Query, protocol string, seed int64) ([][
 		if len(nodes) == 0 {
 			continue
 		}
-		var subs []*core.Subgraph
-		for _, n := range nodes {
-			sg, err := pin.ExplainCtx(context.Background(), res, n, core.DefaultExplain())
-			if err != nil {
-				return nil, err
-			}
-			subs = append(subs, sg)
+		subs, err := pin.ExplainEachCtx(context.Background(), res, nodes, core.DefaultExplain())
+		if err != nil {
+			return nil, err
 		}
 		ref, err := pin.ReformulateWeightedCtx(context.Background(), cur, subs, confidences, core.StructureOnly())
 		if err != nil {

@@ -18,7 +18,6 @@ type TimingIter struct {
 	ExplainRun      time.Duration // (a) explaining ObjectRank2 execution
 	ReformulateTime time.Duration // (a) query reformulation
 	RankIterations  int           // (b)
-	ExplainIters    float64       // Table 3 raw material
 }
 
 // TimingResult is one dataset's Figure 14/15/16/17 reproduction.
@@ -116,7 +115,6 @@ func timingFigure(cfg Config, which int, title string) (*TimingResult, error) {
 			ExplainRun:      it.ExplainRunTime,
 			ReformulateTime: it.ReformulateTime,
 			RankIterations:  it.RankIterations,
-			ExplainIters:    it.ExplainIterations,
 		})
 	}
 	printTiming(cfg, title, out)

@@ -25,15 +25,14 @@ type Table1Row struct {
 
 // Table1Result holds the Table 1 reproduction.
 type Table1Result struct {
-	Scale float64
-	Rows  []Table1Row
+	Rows []Table1Row
 }
 
 // Table1 regenerates Table 1: the four evaluation datasets with node,
 // edge and size statistics.
 func Table1(cfg Config) (*Table1Result, error) {
 	cfg = cfg.withDefaults(perfScale)
-	out := &Table1Result{Scale: cfg.Scale}
+	out := &Table1Result{}
 
 	type gen struct {
 		name       string

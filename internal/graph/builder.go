@@ -60,12 +60,6 @@ func (b *Builder) AddEdge(from, to NodeID, t EdgeTypeID) {
 	b.edges = append(b.edges, Edge{From: from, To: to, Type: t})
 }
 
-// NumNodes returns the number of nodes added so far.
-func (b *Builder) NumNodes() int { return len(b.labels) }
-
-// NumEdges returns the number of edges added so far.
-func (b *Builder) NumEdges() int { return len(b.edges) }
-
 // Build freezes the accumulated nodes and edges into a Graph, deriving
 // the authority transfer data graph: for every data edge u->v of schema
 // type e it creates a forward arc u->v of transfer type (e, Forward)
@@ -169,16 +163,6 @@ func (b *Builder) Build() (*Graph, error) {
 	}
 
 	return g, nil
-}
-
-// MustBuild is Build panicking on error; intended for statically known
-// graphs such as test fixtures.
-func (b *Builder) MustBuild() *Graph {
-	g, err := b.Build()
-	if err != nil {
-		panic(err)
-	}
-	return g
 }
 
 // prefixSum converts per-index counts (with one slot of slack at the

@@ -21,8 +21,8 @@ import (
 // when ClusterOptions.K is unset.
 const DefaultClusterK = 8
 
-// DefaultClusterMaxDFRatio is the default document-frequency cutoff:
-// terms occurring in more than this fraction of the collection carry
+// DefaultClusterMaxDFRatio is the document-frequency cutoff: terms
+// occurring in more than this fraction of the collection carry
 // almost no discriminative weight (their IDF is clamped near zero) but
 // dominate the pairwise accumulation cost, so they are excluded from
 // the similarity space entirely.
@@ -33,10 +33,6 @@ type ClusterOptions struct {
 	// K is the number of nearest neighbors kept per document
 	// (DefaultClusterK when <= 0).
 	K int
-	// MaxDFRatio excludes terms whose document frequency exceeds
-	// MaxDFRatio * NumDocs (DefaultClusterMaxDFRatio when <= 0).
-	// Stopwords and single-character tokens are always excluded.
-	MaxDFRatio float64
 }
 
 // ClusterEdge is one directed knn arc of the cluster graph: From's
@@ -59,13 +55,14 @@ type clusterTerm struct {
 
 // ClusterGraph builds the knn cluster graph over the indexed documents:
 // each document is a tf-idf vector over the eligible vocabulary (terms
-// with 2 <= DF <= MaxDFRatio*N, excluding stopwords), similarity is the
+// with 2 <= DF <= DefaultClusterMaxDFRatio*N, excluding stopwords and
+// single-character tokens), similarity is the
 // cosine of those vectors, and each document keeps its top-K neighbors.
 //
 // The accumulation is term-at-a-time over sorted posting lists, so the
 // result is fully deterministic — same index, same options, same edges,
 // bit-identical similarities. Cost is sum over eligible terms of DF^2,
-// which the MaxDFRatio cap keeps bounded.
+// which the DefaultClusterMaxDFRatio cap keeps bounded.
 func (ix *Index) ClusterGraph(o ClusterOptions) []ClusterEdge {
 	if !ix.finalized {
 		panic("ir: ClusterGraph before Finalize")
@@ -78,11 +75,7 @@ func (ix *Index) ClusterGraph(o ClusterOptions) []ClusterEdge {
 	if k <= 0 {
 		k = DefaultClusterK
 	}
-	ratio := o.MaxDFRatio
-	if ratio <= 0 {
-		ratio = DefaultClusterMaxDFRatio
-	}
-	maxDF := int(ratio * float64(n))
+	maxDF := int(DefaultClusterMaxDFRatio * float64(n))
 	if maxDF < 2 {
 		maxDF = 2
 	}

@@ -86,7 +86,7 @@ func TestClusterGraphMaxDFExcludesUbiquitousTerms(t *testing.T) {
 		"mining patterns shared frequent",
 	}
 	ix := buildClusterIndex(t, docs)
-	edges := ix.ClusterGraph(ClusterOptions{K: 3, MaxDFRatio: 0.9})
+	edges := ix.ClusterGraph(ClusterOptions{K: 3})
 	for _, e := range edges {
 		lo, hi := e.From, e.To
 		if lo > hi {

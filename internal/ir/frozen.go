@@ -8,11 +8,12 @@ import (
 // Params returns the index's BM25 parameters.
 func (ix *Index) Params() BM25Params { return ix.params }
 
-// DocLens returns the per-document lengths in characters. The slice
+// DocLens returns the per-document lengths in bytes (len of the text
+// Add was given, which BM25's length normalization reads). The slice
 // aliases internal storage and must not be modified.
 func (ix *Index) DocLens() []int32 { return ix.docLen }
 
-// TotalLen returns the summed document length in characters (avdl's
+// TotalLen returns the summed document length in bytes (avdl's
 // numerator, persisted so a reloaded index recomputes avdl with the
 // exact same division).
 func (ix *Index) TotalLen() int64 { return ix.totalLen }

@@ -59,14 +59,6 @@ func (q *Query) SetWeight(t string, w float64) {
 	q.weights = append(q.weights, w)
 }
 
-// Weight returns the weight of term t (0 if absent).
-func (q *Query) Weight(t string) float64 {
-	if i, ok := q.index[strings.ToLower(t)]; ok {
-		return q.weights[i]
-	}
-	return 0
-}
-
 // Has reports whether t is a query term.
 func (q *Query) Has(t string) bool {
 	_, ok := q.index[strings.ToLower(t)]

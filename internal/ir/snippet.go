@@ -3,10 +3,11 @@ package ir
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Snippet extracts a query-focused excerpt from text for result
-// display: the window of at most width characters containing the most
+// display: the window of at most width bytes containing the most
 // distinct query terms (earliest such window on ties), with ellipses
 // marking truncation. The deployed demo uses it to show WHY a result
 // matched, complementing the explaining subgraph that shows why it
@@ -92,7 +93,8 @@ func isBoundary(b byte) bool {
 	return b == ' ' || b == '\t' || b == '\n' || b == '.' || b == ',' || b == ';'
 }
 
-// clipWord clips text to at most width bytes at a word boundary.
+// clipWord clips text to at most width bytes at a word boundary, or at
+// the last rune start when its first width bytes hold none.
 func clipWord(text string, width int) string {
 	if len(text) <= width {
 		return text
@@ -102,7 +104,8 @@ func clipWord(text string, width int) string {
 		cut--
 	}
 	if cut == 0 {
-		cut = width
+		for cut = width; cut > 0 && !utf8.RuneStart(text[cut]); cut-- {
+		}
 	}
 	return strings.TrimSpace(text[:cut])
 }

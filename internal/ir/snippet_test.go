@@ -3,6 +3,7 @@ package ir
 import (
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 func TestSnippetShortTextUnchanged(t *testing.T) {
@@ -62,10 +63,15 @@ func TestSnippetDefaultsAndEdges(t *testing.T) {
 	}
 }
 
+// FuzzSnippet: a snippet never panics and is never longer than its
+// text plus the ellipses; of valid UTF-8 text it is valid UTF-8 and,
+// once its ellipses are removed, an excerpt of the text.
 func FuzzSnippet(f *testing.F) {
 	f.Add("the olap cube aggregation", "olap", 20)
 	f.Add("", "", 0)
 	f.Add(strings.Repeat("ü ", 100), "ü", 10)
+	f.Add(strings.Repeat("€", 60), "zzz", 160)
+	f.Add(strings.Repeat("日本語", 30)+" olap", "zzz", 160)
 	f.Fuzz(func(t *testing.T, text, term string, width int) {
 		if width > 1<<20 || width < -1<<20 {
 			return
@@ -75,5 +81,32 @@ func FuzzSnippet(f *testing.F) {
 		if len(got) > len(text)+6 {
 			t.Fatalf("snippet grew: %d > %d", len(got), len(text))
 		}
+		if !utf8.ValidString(text) {
+			return
+		}
+		if !utf8.ValidString(got) {
+			t.Fatalf("Snippet(%q, %q, %d) = %q: not valid UTF-8", text, term, width, got)
+		}
+		if !strings.Contains(text, strings.TrimSuffix(strings.TrimPrefix(got, "…"), "…")) {
+			t.Fatalf("Snippet(%q, %q, %d) = %q: not an excerpt of the text", text, term, width, got)
+		}
 	})
+}
+
+// TestSnippetKeepsRunesWhole: a text whose first width bytes hold no
+// word boundary is cut at a rune start, never inside a multi-byte rune.
+func TestSnippetKeepsRunesWhole(t *testing.T) {
+	for _, c := range []struct{ text, query string }{
+		{strings.Repeat("€", 60), "zzz"},
+		{strings.Repeat("日本語", 30) + " olap", "zzz"},
+		{strings.Repeat("日本語", 30) + " olap", "olap"},
+	} {
+		got := Snippet(c.text, NewQuery(c.query), 160)
+		if !utf8.ValidString(got) {
+			t.Errorf("Snippet(%q, %q) = %q: not valid UTF-8", c.text, c.query, got)
+		}
+		if !strings.Contains(c.text, strings.TrimSuffix(strings.TrimPrefix(got, "…"), "…")) {
+			t.Errorf("Snippet(%q, %q) = %q: not an excerpt of the text", c.text, c.query, got)
+		}
+	}
 }

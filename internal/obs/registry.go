@@ -195,9 +195,6 @@ type Counter struct {
 // Inc adds 1.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds n (which must be non-negative).
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
 // Count returns the current value as an integer.
 func (c *Counter) Count() uint64 { return c.v.Load() }
 
@@ -392,17 +389,6 @@ type GaugeVec struct {
 // first use. The number of values must match the label names.
 func (gv *GaugeVec) With(values ...string) *Gauge {
 	return gv.vec.child(values, func() any { return &Gauge{} }).(*Gauge)
-}
-
-// Each calls fn for every child with its label values and value, in
-// sorted label order.
-func (gv *GaugeVec) Each(fn func(labelValues []string, value float64)) {
-	for _, k := range gv.vec.sortedKeys() {
-		gv.vec.mu.RLock()
-		g := gv.vec.kids[k].(*Gauge)
-		gv.vec.mu.RUnlock()
-		fn(strings.Split(k, labelSep), g.Value())
-	}
 }
 
 func (gv *GaugeVec) writeSamples(b *strings.Builder) {

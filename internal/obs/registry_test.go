@@ -44,8 +44,9 @@ func TestExpositionParseBack(t *testing.T) {
 	reg.NewCounterFunc("test_derived_total", "Derived.", func() float64 { return 42 })
 	reg.NewGaugeFunc("test_level", "Level.", func() float64 { return -2.5 })
 
-	c.Inc()
-	c.Add(4)
+	for range 5 {
+		c.Inc()
+	}
 	g.Set(36.6)
 	cv.With("/query", "200").Inc()
 	cv.With("/query", "200").Inc()
@@ -226,8 +227,12 @@ func TestOnGatherRefreshesBeforeRender(t *testing.T) {
 func TestCounterVecAccessors(t *testing.T) {
 	reg := NewRegistry()
 	cv := reg.NewCounterVec("test_total", "t.", "handler", "code")
-	cv.With("/b", "200").Add(3)
-	cv.With("/a", "500").Add(2)
+	for range 3 {
+		cv.With("/b", "200").Inc()
+	}
+	for range 2 {
+		cv.With("/a", "500").Inc()
+	}
 	var got []string
 	var total uint64
 	cv.Each(func(labels []string, n uint64) {

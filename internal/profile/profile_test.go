@@ -399,7 +399,7 @@ func TestManagerLifecycle(t *testing.T) {
 
 	// Durability: a fresh manager over the same dir sees the trained
 	// profile without sharing any memory.
-	m2, err := NewManager(eng, Options{Dir: m.disk.Dir()})
+	m2, err := NewManager(eng, Options{Dir: m.disk.dir})
 	if err != nil {
 		t.Fatal(err)
 	}

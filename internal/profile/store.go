@@ -34,9 +34,6 @@ func NewDiskStore(dir string) (*DiskStore, error) {
 	return &DiskStore{dir: dir}, nil
 }
 
-// Dir returns the store's root directory.
-func (s *DiskStore) Dir() string { return s.dir }
-
 func (s *DiskStore) path(id string) string {
 	fan := fmt.Sprintf("%02x", byte(fnv1a(id)))
 	return filepath.Join(s.dir, fan, id+".afqp")

@@ -258,7 +258,10 @@ func TestKernelDegradesStaleInit(t *testing.T) {
 		ids = append(ids, b.AddNode(paper))
 	}
 	b.AddEdge(ids[0], ids[1], cites)
-	g2 := b.MustBuild()
+	g2, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
 	r2 := graph.NewRates(s)
 	r2.Set(cites, graph.Forward, 0.7)
 

@@ -252,7 +252,10 @@ func TestTopKOfType(t *testing.T) {
 	a0 := b.AddNode(author)
 	p1 := b.AddNode(paper)
 	b.AddEdge(p0, a0, by)
-	g := b.MustBuild()
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
 	scores := []float64{0.2, 0.9, 0.4}
 	top := TopKOfType(g, scores, paper, 10)
 	if len(top) != 2 || top[0].Node != p1 || top[1].Node != p0 {

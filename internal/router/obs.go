@@ -11,9 +11,6 @@ import (
 // server's: the zero value serves /metrics and request IDs and merely
 // disables the access log and slow-request log.
 type ObsOptions struct {
-	// Registry receives the router's metric families. Nil means a fresh
-	// private registry (exposed at /metrics either way).
-	Registry *obs.Registry
 	// AccessLog, when non-nil, receives one structured JSON line per
 	// routed request.
 	AccessLog io.Writer
@@ -66,10 +63,7 @@ type routerObs struct {
 // newRouterObs registers every afq_router_* family and wires the
 // fleet-view gauges to refresh from rt on gather.
 func newRouterObs(o ObsOptions, rt *Router) *routerObs {
-	reg := o.Registry
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
+	reg := obs.NewRegistry()
 	ro := &routerObs{reg: reg}
 	ro.mw = obs.NewMiddleware(reg, "afq_router")
 	ro.mw.AccessLog = obs.NewLogger(o.AccessLog)

@@ -62,7 +62,6 @@ import (
 
 	"authorityflow/internal/core"
 	"authorityflow/internal/ir"
-	"authorityflow/internal/obs"
 	"authorityflow/internal/server"
 )
 
@@ -268,9 +267,6 @@ func (rt *Router) Close() {
 	rt.stopOnce.Do(func() { close(rt.stop) })
 	<-rt.done
 }
-
-// Metrics exposes the router's metric registry.
-func (rt *Router) Metrics() *obs.Registry { return rt.robs.reg }
 
 // Floor returns the router's current coordinated floor.
 func (rt *Router) Floor() (generation, ratesVersion uint64) {

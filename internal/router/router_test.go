@@ -666,7 +666,7 @@ func TestReadProxiesAndMetrics(t *testing.T) {
 func metricValue(t testing.TB, rt *Router, name string) float64 {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := rt.Metrics().WritePrometheus(&buf); err != nil {
+	if err := rt.robs.reg.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	for _, line := range bytes.Split(buf.Bytes(), []byte("\n")) {

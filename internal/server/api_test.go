@@ -467,7 +467,7 @@ func TestClientV1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Status != "ok" || h.Nodes != s.Dataset().Graph.NumNodes() || !h.CacheEnabled {
+	if h.Status != "ok" || h.Nodes != s.ds.Load().Graph.NumNodes() || !h.CacheEnabled {
 		t.Errorf("health = %+v", h)
 	}
 
@@ -500,14 +500,6 @@ func TestClientV1(t *testing.T) {
 		t.Error("batched olap differs from single olap")
 	}
 
-	st, err := c.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.CacheEnabled || st.Cache == nil || st.HTTP.RequestsTotal == 0 {
-		t.Errorf("stats = %+v", st)
-	}
-
 	// Error decode: the envelope becomes a typed *APIError.
 	if _, err := c.Query(ctx, "  ", 5); err == nil {
 		t.Fatal("blank query should fail")
@@ -522,8 +514,7 @@ func TestClientV1(t *testing.T) {
 
 	// Conflict decode: stale version token → IsConflict with the winning
 	// version attached.
-	target := batch.Answers[0].Results[0].Node
-	if _, err := c.Reformulate(ctx, "olap", []int64{target}, "structure", 999999); err == nil {
+	if _, err := c.RatesPublish(ctx, RatesPublishRequest{Vector: rts.Vector, IfVersion: 999999}); err == nil {
 		t.Fatal("stale version should conflict")
 	} else if apiErr, ok := err.(*APIError); !ok || !apiErr.IsConflict() {
 		t.Fatalf("conflict error = %#v, want IsConflict", err)
@@ -531,17 +522,14 @@ func TestClientV1(t *testing.T) {
 		t.Errorf("conflict version = %d, want %d", apiErr.Version, s.Engine().RatesVersion())
 	}
 
-	// A real reformulation round-trips and bumps the version.
+	// A real publish round-trips and bumps the version.
 	before := s.Engine().RatesVersion()
-	ref, err := c.Reformulate(ctx, "olap", []int64{target}, "both", before)
+	pub, err := c.RatesPublish(ctx, RatesPublishRequest{Vector: rts.Vector, IfVersion: before})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ref.Version <= before {
-		t.Errorf("reformulate version = %d, want > %d", ref.Version, before)
-	}
-	if len(ref.Results) == 0 {
-		t.Error("reformulate returned no results")
+	if pub.Version <= before {
+		t.Errorf("publish version = %d, want > %d", pub.Version, before)
 	}
 }
 

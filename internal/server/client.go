@@ -142,30 +142,6 @@ func (c *Client) QueryBatch(ctx context.Context, req BatchQueryRequest) (*BatchQ
 	return &out, nil
 }
 
-// Reformulate runs GET /v1/reformulate. feedback lists the marked
-// relevant node IDs; mode is "structure", "content", "both" or ""
-// (structure). version, when non-zero, is the optimistic concurrency
-// token — a lost race returns an *APIError with IsConflict() true and
-// Version set to the winning rates version.
-func (c *Client) Reformulate(ctx context.Context, q string, feedback []int64, mode string, version uint64) (*ReformulateResponse, error) {
-	ids := make([]string, len(feedback))
-	for i, id := range feedback {
-		ids[i] = strconv.FormatInt(id, 10)
-	}
-	v := url.Values{"q": {q}, "feedback": {strings.Join(ids, ",")}}
-	if mode != "" {
-		v.Set("mode", mode)
-	}
-	if version != 0 {
-		v.Set("version", strconv.FormatUint(version, 10))
-	}
-	var out ReformulateResponse
-	if err := c.get(ctx, "/v1/reformulate", v, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
 // CorpusSwap runs POST /v1/corpus/swap: atomically replace the served
 // corpus with a snapshot from the server's swap directory. A lost
 // generation race returns an *APIError with IsConflict() true and
@@ -212,25 +188,6 @@ func (c *Client) Health(ctx context.Context) (*HealthResponse, error) {
 	return &out, nil
 }
 
-// Stats runs GET /v1/stats.
-func (c *Client) Stats(ctx context.Context) (*StatsResponse, error) {
-	var out StatsResponse
-	if err := c.get(ctx, "/v1/stats", nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// ProfileGet runs GET /v1/profile/{id}. An unknown id returns an
-// *APIError with Code == CodeProfileNotFound.
-func (c *Client) ProfileGet(ctx context.Context, id string) (*ProfileResponse, error) {
-	var out ProfileResponse
-	if err := c.do(ctx, http.MethodGet, c.base+"/v1/profile/"+url.PathEscape(id), nil, nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
 // ProfileUpdate runs PUT /v1/profile/{id}: create the profile or
 // replace its declared mixture and beta (the revision history and the
 // stamps of the last training round are preserved server-side).
@@ -245,12 +202,6 @@ func (c *Client) ProfileUpdate(ctx context.Context, id string, req ProfileUpdate
 		return nil, err
 	}
 	return &out, nil
-}
-
-// ProfileDelete runs DELETE /v1/profile/{id}. Deleting an id that does
-// not exist succeeds (the operation is idempotent server-side).
-func (c *Client) ProfileDelete(ctx context.Context, id string) error {
-	return c.do(ctx, http.MethodDelete, c.base+"/v1/profile/"+url.PathEscape(id), nil, nil, nil)
 }
 
 // QueryProfile runs GET /v1/query?profile={id}: the personalized twin

@@ -18,10 +18,6 @@ import (
 // value merely disables the access log, the slow-query log, and
 // /debug/pprof.
 type ObsOptions struct {
-	// Registry receives the server's metric families. Nil means a
-	// fresh private registry (exposed at /metrics either way); pass a
-	// shared registry to co-host several servers' metrics.
-	Registry *obs.Registry
 	// AccessLog, when non-nil, receives one structured JSON line per
 	// request.
 	AccessLog io.Writer
@@ -112,10 +108,7 @@ type topologySeries struct{ route, path string }
 // newServerObs registers every metric family. Family names are
 // namespaced afq_*; see DESIGN.md §7 for the full table.
 func newServerObs(o ObsOptions) *serverObs {
-	reg := o.Registry
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
+	reg := obs.NewRegistry()
 	so := &serverObs{reg: reg, start: time.Now(), pprof: o.Pprof}
 	so.mw = obs.NewMiddleware(reg, "afq")
 	so.mw.AccessLog = obs.NewLogger(o.AccessLog)

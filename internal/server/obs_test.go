@@ -356,23 +356,6 @@ func TestPprofGating(t *testing.T) {
 	}
 }
 
-// TestSharedRegistry: a caller-supplied registry receives the server's
-// families (co-hosted exposition).
-func TestSharedRegistry(t *testing.T) {
-	reg := obs.NewRegistry()
-	s, _ := obsTestServer(t, WithObservability(ObsOptions{Registry: reg}))
-	if s.Metrics() != reg {
-		t.Fatal("server did not adopt the shared registry")
-	}
-	var b strings.Builder
-	if err := reg.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), "afq_kernel_solves_total") {
-		t.Fatal("shared registry missing server families")
-	}
-}
-
 // ---- small helpers ----
 
 func mustGet(t *testing.T, url string, wantCode int) {

@@ -301,16 +301,16 @@ func TestProfileReformulate(t *testing.T) {
 	}
 }
 
-// TestClientProfileMethods covers the typed client surface: CRUD
-// round-trip, the personalized query twin, and profile_not_found
-// decoding into *APIError.
+// TestClientProfileMethods covers the typed client's profile legs: an
+// update, the personalized query twin, and profile_not_found decoding
+// into *APIError.
 func TestClientProfileMethods(t *testing.T) {
 	_, ts := profileTestServer(t)
 	c := NewClient(ts.URL, nil)
 	ctx := t.Context()
 
-	if _, err := c.ProfileGet(ctx, "nobody"); err == nil {
-		t.Fatal("ProfileGet on unknown id should fail")
+	if _, err := c.QueryProfile(ctx, "olap", 5, "nobody"); err == nil {
+		t.Fatal("QueryProfile on unknown id should fail")
 	} else {
 		var apiErr *APIError
 		if !errors.As(err, &apiErr) || apiErr.Status != 404 || apiErr.Code != CodeProfileNotFound {
@@ -328,31 +328,12 @@ func TestClientProfileMethods(t *testing.T) {
 		t.Fatalf("created = %+v", created)
 	}
 
-	got, err := c.ProfileGet(ctx, "carol")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.ID != "carol" {
-		t.Fatalf("got = %+v", got)
-	}
-
 	personal, err := c.QueryProfile(ctx, "olap", 5, "carol")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !personal.Personalized || personal.Profile != "carol" {
 		t.Fatalf("personalized answer = %+v", personal)
-	}
-
-	if err := c.ProfileDelete(ctx, "carol"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.ProfileGet(ctx, "carol"); err == nil {
-		t.Fatal("profile should be gone after delete")
-	}
-	// Idempotent delete.
-	if err := c.ProfileDelete(ctx, "carol"); err != nil {
-		t.Fatalf("second delete: %v", err)
 	}
 }
 

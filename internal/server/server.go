@@ -49,7 +49,6 @@ import (
 	"authorityflow/internal/datagen"
 	"authorityflow/internal/graph"
 	"authorityflow/internal/ir"
-	"authorityflow/internal/obs"
 	"authorityflow/internal/profile"
 	"authorityflow/internal/rank"
 	"authorityflow/internal/storage"
@@ -219,10 +218,6 @@ var routes = []endpoint{
 	profileEndpoint,
 	swapEndpoint,
 }
-
-// Metrics exposes the server's metric registry (for embedding callers
-// that co-host exposition or assert on metrics in tests).
-func (s *Server) Metrics() *obs.Registry { return s.obs.reg }
 
 // The request/response DTOs of every endpoint live in api.go, the
 // single definition point of the public surface.
@@ -603,10 +598,3 @@ func renderResults(g *graph.Graph, q *ir.Query, items []cache.ResultItem) []Resu
 
 // Engine exposes the underlying engine for tests and embedding.
 func (s *Server) Engine() *core.Engine { return s.eng }
-
-// Cache exposes the serving cache.
-func (s *Server) Cache() *cache.CachedEngine { return s.cache }
-
-// Dataset exposes the currently served dataset (republished by corpus
-// swaps).
-func (s *Server) Dataset() *datagen.Dataset { return s.ds.Load() }

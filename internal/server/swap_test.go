@@ -91,7 +91,7 @@ func TestCorpusSwapEndpoint(t *testing.T) {
 	if h.Generation != 1 {
 		t.Fatalf("initial generation = %d, want 1", h.Generation)
 	}
-	oldNodes := s.Dataset().Graph.NumNodes()
+	oldNodes := s.ds.Load().Graph.NumNodes()
 
 	var ok CorpusSwapResponse
 	if code := postSwap(t, ts.URL, CorpusSwapRequest{Snapshot: "next.snap"}, &ok); code != 200 {
@@ -132,7 +132,7 @@ func TestCorpusSwapEndpoint(t *testing.T) {
 	if st.Generation != 2 || st.CorpusSwaps != 1 {
 		t.Errorf("stats after swap: generation=%d swaps=%d", st.Generation, st.CorpusSwaps)
 	}
-	if s.Dataset().Graph.NumNodes() != next.Graph.NumNodes() {
+	if s.ds.Load().Graph.NumNodes() != next.Graph.NumNodes() {
 		t.Errorf("Dataset() still returns the old corpus")
 	}
 }

@@ -44,12 +44,13 @@ func selectActive(pin *core.Pinned, res *core.RankResult, candidates []graph.Nod
 		total float64
 	}
 	nTypes := pin.Corpus().Graph().Schema().NumTransferTypes()
+	subs, err := pin.ExplainEachCtx(context.TODO(), res, candidates, opts)
+	if err != nil {
+		return nil, nil, err
+	}
 	var cs []cand
-	for _, v := range candidates {
-		sg, err := pin.ExplainCtx(context.TODO(), res, v, opts)
-		if err != nil {
-			return nil, nil, err
-		}
+	for i, sg := range subs {
+		v := candidates[i]
 		flows := make([]float64, nTypes)
 		total := 0.0
 		for _, a := range sg.FlowArcs() {
@@ -87,10 +88,10 @@ func selectActive(pin *core.Pinned, res *core.RankResult, candidates []graph.Nod
 	}
 
 	nodes := make([]graph.NodeID, len(selected))
-	subs := make([]*core.Subgraph, len(selected))
+	picked := make([]*core.Subgraph, len(selected))
 	for i, c := range selected {
 		nodes[i] = c.node
-		subs[i] = c.sg
+		picked[i] = c.sg
 	}
-	return nodes, subs, nil
+	return nodes, picked, nil
 }

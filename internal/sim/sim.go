@@ -284,12 +284,8 @@ func RunSession(sys *core.Engine, user *User, q *ir.Query, cfg SessionConfig) (*
 		// Explain each feedback object (stages b and c). Active
 		// selection already explained its winners.
 		if subs == nil {
-			for _, f := range feedback {
-				sg, err := pin.ExplainCtx(context.TODO(), res, f, cfg.Explain)
-				if err != nil {
-					return nil, err
-				}
-				subs = append(subs, sg)
+			if subs, err = pin.ExplainEachCtx(context.TODO(), res, feedback, cfg.Explain); err != nil {
+				return nil, err
 			}
 		}
 		for _, sg := range subs {

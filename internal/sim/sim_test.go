@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"math"
+	"runtime"
+	"slices"
 	"testing"
 
 	"authorityflow/internal/core"
@@ -248,4 +251,47 @@ func TestNewUserValidation(t *testing.T) {
 	if len(rel) == 0 {
 		t.Error("untyped relevance empty")
 	}
+}
+
+// TestSessionIndependentOfParallelism: a session explains its feedback
+// objects (and an active session its candidates) concurrently, so one
+// run on a single P and one on the default GOMAXPROCS must give the
+// same precision curve and the same rates at every iteration, bit for
+// bit, under both feedback policies.
+func TestSessionIndependentOfParallelism(t *testing.T) {
+	run := func(policy FeedbackPolicy, procs int) *SessionResult {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		sys, user, _ := testWorld(t)
+		cfg := DefaultSession(core.ContentAndStructure())
+		cfg.Iterations = 3
+		cfg.Policy = policy
+		res, err := RunSession(sys, user, ir.NewQuery("olap"), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	for _, policy := range []FeedbackPolicy{PassiveFeedback, ActiveFeedback} {
+		serial, parallel := run(policy, 1), run(policy, runtime.GOMAXPROCS(0))
+		if len(serial.Iters) != len(parallel.Iters) {
+			t.Fatalf("policy %d: %d iterations on one P, %d on all", policy, len(serial.Iters), len(parallel.Iters))
+		}
+		if !bitsEqual(serial.Precisions(), parallel.Precisions()) {
+			t.Errorf("policy %d: precisions %v on one P, %v on all", policy, serial.Precisions(), parallel.Precisions())
+		}
+		fed := 0
+		for i := range serial.Iters {
+			fed += serial.Iters[i].Feedback
+			if !bitsEqual(serial.Iters[i].Rates, parallel.Iters[i].Rates) {
+				t.Errorf("policy %d iteration %d: rates differ between one P and all", policy, i)
+			}
+		}
+		if fed < 2 {
+			t.Fatalf("policy %d: %d feedback objects in the session, too few to explain concurrently", policy, fed)
+		}
+	}
+}
+
+func bitsEqual(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
