@@ -27,6 +27,7 @@ import (
 	"authorityflow/internal/core"
 	"authorityflow/internal/datagen"
 	"authorityflow/internal/experiments"
+	"authorityflow/internal/profile"
 	"authorityflow/internal/rank"
 	"authorityflow/internal/router"
 	"authorityflow/internal/server"
@@ -484,16 +485,35 @@ func BenchmarkReformulateDblptop(b *testing.B) {
 	}
 }
 
-// BenchmarkBaseSet measures the IR stage: BM25 base-set computation
-// with normalization.
+// BenchmarkBaseSet measures the IR stage — Eq. 2's BM25 base set,
+// normalized — at the benchmark's corpus (dblptop 1.0) over its head
+// terms, the highest-DF vocabulary terms: /single the top one, /pair
+// and /triple the top two and three. Each reports the base set's size
+// as docs/op; a warmed call allocates only the result.
 func BenchmarkBaseSet(b *testing.B) {
-	_, eng := microWorld(b)
-	q := authorityflow.NewQuery("olap", "cube", "aggregation")
+	ds, err := datagen.GenerateDBLP(datagen.DBLPTopConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng, err := authorityflow.NewEngine(ds.Graph, ds.Rates, authorityflow.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
 	pin := eng.Pin()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pin.BaseSet(q)
+	for _, c := range []struct {
+		name  string
+		terms int
+	}{{"single", 1}, {"pair", 2}, {"triple", 3}} {
+		b.Run(c.name, func(b *testing.B) {
+			q := authorityflow.NewQuery(profile.BasisTerms(pin, c.terms)...)
+			docs := len(pin.BaseSet(q))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pin.BaseSet(q)
+			}
+			b.ReportMetric(float64(docs), "docs/op")
+		})
 	}
 }
 

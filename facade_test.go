@@ -94,10 +94,11 @@ type oracle struct{ kind, role string }
 // TestInternalNamesHaveCallers fails on an entry whose name is gone or
 // is no longer flagged as its kind, so the list cannot go stale.
 var testOracles = map[string]oracle{
-	"authorityflow/internal/rank.NormalizeDist": {kindFunction, "builds the kernel tests' jump vectors"},
-	"authorityflow/internal/eval.KendallTau":    {kindFunction, "rank agreement of the audit evidence rows"},
-	"authorityflow/internal/storage.ExportTSV":  {kindFunction, "the round-trip and fuzz oracle for ImportTSV"},
-	"authorityflow/internal/ir.IsStopword":      {kindFunction, "pins the tokenizer's stopword list"},
+	"authorityflow/internal/rank.NormalizeDist":  {kindFunction, "builds the kernel tests' jump vectors"},
+	"authorityflow/internal/eval.KendallTau":     {kindFunction, "rank agreement of the audit evidence rows"},
+	"authorityflow/internal/storage.ExportTSV":   {kindFunction, "the round-trip and fuzz oracle for ImportTSV"},
+	"authorityflow/internal/ir.IsStopword":       {kindFunction, "pins the tokenizer's stopword list"},
+	"authorityflow/internal/ir.TokenizeFiltered": {kindFunction, "the oracle the forward table's conformance row holds every node's row to"},
 
 	"authorityflow/internal/rank.ZeroDamping":   {kindConstant, "the panel test's damping-0 column, whose fixpoint is its base distribution"},
 	"authorityflow/internal/rank.ZeroIters":     {kindConstant, "the observer test's run of no sweeps"},

@@ -180,12 +180,14 @@ type generation struct {
 	views [2]direction
 
 	// explainScratch pools the |V|-sized scratch of the explain kernel
-	// (explain.go). topologies keeps the explaining subgraphs'
+	// (explain.go), and termScratch the dictionary-sized scratch of
+	// Eq. 11 (reformulate.go). topologies keeps the explaining subgraphs'
 	// topologies for reuse under later rates, and balls the targets'
 	// balls every other base set's topology is derived from
 	// (topology.go); topologyBuilds counts the balls explains built to
 	// completion, kept or not.
 	explainScratch sync.Pool
+	termScratch    sync.Pool
 	topologies     *lru.Sharded
 	balls          *lru.Sharded
 	topologyBuilds atomic.Int64

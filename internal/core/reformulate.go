@@ -131,15 +131,14 @@ func (p *Pinned) ReformulateWeightedCtx(ctx context.Context, q *ir.Query, feedba
 	out := &Reformulation{Query: q.Clone(), Rates: snap.rates.Clone()}
 
 	if opts.Ce > 0 {
-		weights := make(map[string]float64)
+		ix := st.gen.corpus.ix
+		sc := st.gen.getTermScratch(ix.NumTerms())
 		for i, sg := range feedback {
-			per := make(map[string]float64)
-			contentWeights(g, sg, opts.Cd, per) // Equation 14: weighted sum across objects
-			for t, w := range per {
-				weights[t] += weightOf(i) * w
-			}
+			sc.contentWeights(ix, sg, opts.Cd)
+			sc.fold(weightOf(i)) // Equation 14: weighted sum across objects
 		}
-		out.Expansion = expandQuery(out.Query, weights, opts)
+		out.Expansion = expandQuery(out.Query, ix, sc, opts)
+		st.gen.putTermScratch(sc)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -170,17 +169,45 @@ func (sg *Subgraph) addFlowByType(acc []float64, w float64) {
 	}
 }
 
+// termScratch is Eq. 11's dense state over the dictionary's term ids:
+// one feedback object's weights (per) and their confidence-weighted sum
+// over the objects so far (total), each with the ids it holds in the
+// order they were first touched and a mark per id, so a reset walks
+// only those ids.
+type termScratch struct {
+	per, total       []float64
+	inPer, inTotal   []bool
+	perIDs, totalIDs []int32
+}
+
+func (gn *generation) getTermScratch(n int) *termScratch {
+	if sc, _ := gn.termScratch.Get().(*termScratch); sc != nil {
+		return sc
+	}
+	return &termScratch{per: make([]float64, n), total: make([]float64, n), inPer: make([]bool, n), inTotal: make([]bool, n)}
+}
+
+// putTermScratch resets the total and pools sc (fold has reset per).
+func (gn *generation) putTermScratch(sc *termScratch) {
+	for _, id := range sc.totalIDs {
+		sc.total[id], sc.inTotal[id] = 0, false
+	}
+	sc.totalIDs = sc.totalIDs[:0]
+	gn.termScratch.Put(sc)
+}
+
 // contentWeights accumulates the Equation 11 expansion-term weights for
-// one feedback object's explaining subgraph into acc:
+// one feedback object's explaining subgraph into sc.per:
 //
 //	w'(t) = sum over nodes v_k containing t of
 //	        C_d^D(v_k) · (authority v_k transfers toward the target)
 //
 // where the per-node authority is the node's adjusted out-flow in the
 // subgraph (d · in-flow for the target itself) and D(v_k) is the node's
-// distance from the target. Stopwords and single-character tokens are
-// excluded.
-func contentWeights(g *graph.Graph, sg *Subgraph, cd float64, acc map[string]float64) {
+// distance from the target. The terms of v_k are its forward-table row:
+// each distinct content term once, stopwords and single-character
+// tokens excluded. Each term's sum runs in node order.
+func (sc *termScratch) contentWeights(ix *ir.Index, sg *Subgraph, cd float64) {
 	for _, v := range sg.Nodes {
 		authority := sg.NodeAuthority(v)
 		if authority <= 0 {
@@ -188,30 +215,53 @@ func contentWeights(g *graph.Graph, sg *Subgraph, cd float64, acc map[string]flo
 		}
 		decay := math.Pow(cd, float64(sg.Dist(v)))
 		contribution := decay * authority
-		// Each distinct term of the node contributes once.
-		seen := make(map[string]bool)
-		for _, tok := range ir.TokenizeFiltered(g.Text(v)) {
-			if !seen[tok] {
-				seen[tok] = true
-				acc[tok] += contribution
+		for _, id := range ix.DocTerms(int32(v)) {
+			if !sc.inPer[id] {
+				sc.inPer[id] = true
+				sc.perIDs = append(sc.perIDs, id)
 			}
+			sc.per[id] += contribution
 		}
 	}
 }
 
+// fold adds w times the object's weights into the total and resets
+// per for the next object.
+func (sc *termScratch) fold(w float64) {
+	for _, id := range sc.perIDs {
+		if !sc.inTotal[id] {
+			sc.inTotal[id] = true
+			sc.totalIDs = append(sc.totalIDs, id)
+		}
+		sc.total[id] += w * sc.per[id]
+		sc.per[id], sc.inPer[id] = 0, false
+	}
+	sc.perIDs = sc.perIDs[:0]
+}
+
+// idWeight is one candidate of Eq. 12's top-Z: a term id and its
+// Eq. 11 weight.
+type idWeight struct {
+	id int32
+	w  float64
+}
+
 // expandQuery performs the Equation 12 update: it selects the top-Z
-// candidate terms, normalizes their weights so the maximum equals the
-// current query's average term weight a_q (Section 5.1 normalization),
-// and adds C_e times each normalized weight to the query vector.
-func expandQuery(q *ir.Query, weights map[string]float64, opts ReformulateOptions) []WeightedTerm {
-	top := rank.NewTop(min(opts.TopTerms, len(weights)), func(c WeightedTerm) float64 { return c.Weight }, compareWeightedTerms)
-	for t, w := range weights {
-		if w > 0 && top.Admits(w) {
-			top.Offer(WeightedTerm{Term: t, Weight: w})
+// candidate terms of sc.total, normalizes their weights so the maximum
+// equals the current query's average term weight a_q (Section 5.1
+// normalization), and adds C_e times each normalized weight to the
+// query vector. Ties break on the term id, which orders as the term
+// does (the dictionary is sorted); only the kept terms' strings are
+// looked up.
+func expandQuery(q *ir.Query, ix *ir.Index, sc *termScratch, opts ReformulateOptions) []WeightedTerm {
+	top := rank.NewTop(min(opts.TopTerms, len(sc.totalIDs)), func(c idWeight) float64 { return c.w }, compareIDWeights)
+	for _, id := range sc.totalIDs {
+		if w := sc.total[id]; w > 0 && top.Admits(w) {
+			top.Offer(idWeight{id, w})
 		}
 	}
-	candidates := top.Sorted()
-	if len(candidates) == 0 {
+	kept := top.Sorted()
+	if len(kept) == 0 {
 		return nil
 	}
 	// Normalize: the maximum selected weight becomes a_q, the average
@@ -220,9 +270,10 @@ func expandQuery(q *ir.Query, weights map[string]float64, opts ReformulateOption
 	if aq == 0 {
 		aq = 1
 	}
-	scale := aq / candidates[0].Weight
-	for i := range candidates {
-		candidates[i].Weight *= scale
+	scale := aq / kept[0].w
+	candidates := make([]WeightedTerm, len(kept))
+	for i, c := range kept {
+		candidates[i] = WeightedTerm{Term: ix.Term(c.id), Weight: c.w * scale}
 	}
 	for _, c := range candidates {
 		q.Add(c.Term, opts.Ce*c.Weight)
@@ -230,10 +281,10 @@ func expandQuery(q *ir.Query, weights map[string]float64, opts ReformulateOption
 	return candidates
 }
 
-// compareWeightedTerms is the expansion terms' order: weight
-// descending, then term.
-func compareWeightedTerms(a, b WeightedTerm) int {
-	return cmp.Or(cmp.Compare(b.Weight, a.Weight), cmp.Compare(a.Term, b.Term))
+// compareIDWeights is the expansion terms' order: weight descending,
+// then term.
+func compareIDWeights(a, b idWeight) int {
+	return cmp.Or(cmp.Compare(b.w, a.w), cmp.Compare(a.id, b.id))
 }
 
 // adjustRates performs the Equation 13 structure-based update with the

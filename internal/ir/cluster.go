@@ -46,20 +46,14 @@ type ClusterEdge struct {
 	Sim  float64
 }
 
-// clusterTerm is one eligible term's posting list with the tf-idf
-// weight of every posting precomputed (aligned by index).
-type clusterTerm struct {
-	ps []Posting
-	w  []float64
-}
-
 // ClusterGraph builds the knn cluster graph over the indexed documents:
-// each document is a tf-idf vector over the eligible vocabulary (terms
-// with 2 <= DF <= DefaultClusterMaxDFRatio*N, excluding stopwords and
-// single-character tokens), similarity is the
-// cosine of those vectors, and each document keeps its top-K neighbors.
+// each document is a tf-idf vector over the eligible vocabulary (content
+// terms, see TokenizeFiltered, with 2 <= DF <=
+// DefaultClusterMaxDFRatio*N), similarity is the cosine of those
+// vectors, and each document keeps its top-K neighbors.
 //
-// The accumulation is term-at-a-time over sorted posting lists, so the
+// The accumulation is term-at-a-time over sorted posting rows, each
+// document's terms read from the forward table in id order, so the
 // result is fully deterministic — same index, same options, same edges,
 // bit-identical similarities. Cost is sum over eligible terms of DF^2,
 // which the DefaultClusterMaxDFRatio cap keeps bounded.
@@ -79,37 +73,27 @@ func (ix *Index) ClusterGraph(o ClusterOptions) []ClusterEdge {
 	if maxDF < 2 {
 		maxDF = 2
 	}
-
-	// Eligible vocabulary in sorted order: iteration order fixes the
-	// floating-point accumulation order, which fixes the output bits.
-	var vocab []string
-	for _, t := range ix.TermsWithDF(2) {
-		if ix.DF(t) <= maxDF {
-			vocab = append(vocab, t)
-		}
+	eligible := func(id int32) bool {
+		df := int(ix.postStart[id+1] - ix.postStart[id])
+		return df >= 2 && df <= maxDF
 	}
 
-	// Precompute per-posting tf-idf weights, per-document norms over
-	// the eligible space, and the doc-major forward index (term
-	// ordinal + own weight per document).
-	terms := make([]clusterTerm, len(vocab))
+	// The tf-idf weight of every posting of an eligible term (aligned
+	// with ix.posts) and the per-document norms over the eligible
+	// space, both summed in term-id order.
+	w := make([]float64, len(ix.posts))
 	norm2 := make([]float64, n)
-	type docTerm struct {
-		term int32
-		w    float64
-	}
-	forward := make([][]docTerm, n)
-	for ti, t := range vocab {
-		ps := ix.postings[t]
-		idf := ix.IDF(t)
-		ws := make([]float64, len(ps))
-		for i, p := range ps {
-			w := idf * ix.weightTF(p.Doc, float64(p.TF))
-			ws[i] = w
-			norm2[p.Doc] += w * w
-			forward[p.Doc] = append(forward[p.Doc], docTerm{term: int32(ti), w: w})
+	for id, t := range ix.terms {
+		if !contentTerm(t) || !eligible(int32(id)) {
+			continue
 		}
-		terms[ti] = clusterTerm{ps: ps, w: ws}
+		lo, hi := ix.postStart[id], ix.postStart[id+1]
+		idf := ix.idf(int(hi - lo))
+		for k := lo; k < hi; k++ {
+			pw := idf * ix.tfw[k]
+			w[k] = pw
+			norm2[ix.posts[k].Doc] += pw * pw
+		}
 	}
 
 	// Term-at-a-time knn: for each document, accumulate dot products
@@ -124,16 +108,22 @@ func (ix *Index) ClusterGraph(o ClusterOptions) []ClusterEdge {
 			continue
 		}
 		touched = touched[:0]
-		for _, dt := range forward[d] {
-			term := terms[dt.term]
-			for i, p := range term.ps {
+		for _, id := range ix.DocTerms(int32(d)) {
+			if !eligible(id) {
+				continue
+			}
+			lo := int(ix.postStart[id])
+			ps := ix.row(id)
+			self, _ := findDoc(ps, int32(d))
+			dw := w[lo+self]
+			for i, p := range ps {
 				if int(p.Doc) == d {
 					continue
 				}
 				if acc[p.Doc] == 0 {
 					touched = append(touched, p.Doc)
 				}
-				acc[p.Doc] += dt.w * term.w[i]
+				acc[p.Doc] += dw * w[lo+i]
 			}
 		}
 		top.Reset()

@@ -119,7 +119,7 @@ func TestIndexStats(t *testing.T) {
 	if ix.avdl <= 0 {
 		t.Error("avdl should be positive")
 	}
-	if len(ix.postings) == 0 {
+	if ix.NumTerms() == 0 {
 		t.Error("vocabulary should be non-empty")
 	}
 }

@@ -8,11 +8,12 @@ import (
 
 // Snippet extracts a query-focused excerpt from text for result
 // display: the window of at most width bytes containing the most
-// distinct query terms (earliest such window on ties), with ellipses
-// marking truncation. The deployed demo uses it to show WHY a result
-// matched, complementing the explaining subgraph that shows why it
-// RANKED where it did. Returns a prefix of the text when no term
-// occurs.
+// query-term occurrences (earliest such window on ties), cut at word
+// boundaries where it can be, with ellipses marking truncation — at
+// most width bytes plus the ellipses. The deployed demo uses it to show
+// WHY a result matched, complementing the explaining subgraph that
+// shows why it RANKED where it did. Returns a prefix of the text when
+// no term occurs.
 func Snippet(text string, q *Query, width int) string {
 	if width <= 0 {
 		width = 160
@@ -62,22 +63,27 @@ func Snippet(text string, q *Query, width int) string {
 		}
 	}
 
-	// Center the window on the covered hits.
-	lo := hits[best].start
-	hi := lo + width
-	if hi > len(text) {
+	// Place a window of at most width bytes at the covered hits, then
+	// trim it to word boundaries: a window that runs into the end of
+	// the text is widened leftwards and starts after a boundary (or at a
+	// rune start when none is before the first hit); otherwise it starts
+	// at the first hit's word when the covered hits leave room for it,
+	// and ends at the last boundary after them (or at a rune start when
+	// there is none).
+	first := hits[best].start
+	last := first
+	if bestCount > 0 {
+		last = hits[best+bestCount-1].end
+	}
+	lo, hi := first, first+width
+	if hi >= len(text) {
 		hi = len(text)
-		lo = hi - width
-		if lo < 0 {
-			lo = 0
+		lo = startAfterBoundary(text, hi-width, first)
+	} else {
+		if b := wordStart(text, first); last-b <= width {
+			lo, hi = b, b+width
 		}
-	}
-	// Snap to rune and word boundaries.
-	for lo > 0 && !isBoundary(text[lo-1]) {
-		lo--
-	}
-	for hi < len(text) && !isBoundary(text[hi]) {
-		hi++
+		hi = endAtBoundary(text, last, hi)
 	}
 	out := strings.TrimSpace(text[lo:hi])
 	if lo > 0 {
@@ -87,6 +93,49 @@ func Snippet(text string, q *Query, width int) string {
 		out += "…"
 	}
 	return out
+}
+
+// wordStart returns the start of the word holding text[i]: the byte
+// after the nearest boundary before i, or 0.
+func wordStart(text string, i int) int {
+	for i > 0 && !isBoundary(text[i-1]) {
+		i--
+	}
+	return i
+}
+
+// startAfterBoundary returns where an excerpt starting near lo (and no
+// later than first, a rune start) begins: lo itself at the start of a
+// word, else after the first boundary in text[lo:first], else at the
+// first rune start from lo.
+func startAfterBoundary(text string, lo, first int) int {
+	if lo == 0 || isBoundary(text[lo-1]) {
+		return lo
+	}
+	for i := lo; i < first; i++ {
+		if isBoundary(text[i]) {
+			return i + 1
+		}
+	}
+	for lo < first && !utf8.RuneStart(text[lo]) {
+		lo++
+	}
+	return lo
+}
+
+// endAtBoundary returns where an excerpt ending near hi (and no earlier
+// than last, a rune start) ends: at the last boundary in
+// text[last:hi+1], else at the last rune start at or before hi.
+func endAtBoundary(text string, last, hi int) int {
+	for c := hi; c >= last; c-- {
+		if isBoundary(text[c]) {
+			return c
+		}
+	}
+	for hi > last && !utf8.RuneStart(text[hi]) {
+		hi--
+	}
+	return hi
 }
 
 func isBoundary(b byte) bool {

@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"cmp"
 	"strings"
 	"testing"
 	"unicode/utf8"
@@ -72,14 +73,20 @@ func FuzzSnippet(f *testing.F) {
 	f.Add(strings.Repeat("ü ", 100), "ü", 10)
 	f.Add(strings.Repeat("€", 60), "zzz", 160)
 	f.Add(strings.Repeat("日本語", 30)+" olap", "zzz", 160)
+	f.Add(strings.Repeat("日本語", 30)+" olap", "olap", 160)
+	f.Add(strings.Repeat("x", 1000)+" olap "+strings.Repeat("y", 1000), "olap", 60)
 	f.Fuzz(func(t *testing.T, text, term string, width int) {
 		if width > 1<<20 || width < -1<<20 {
 			return
 		}
 		got := Snippet(text, NewQuery(term), width)
-		// Never longer than the input plus ellipses markers.
-		if len(got) > len(text)+6 {
+		// Never longer than the input, nor than the width, plus the
+		// ellipses.
+		if len(got) > len(text)+2*len("…") {
 			t.Fatalf("snippet grew: %d > %d", len(got), len(text))
+		}
+		if w := cmp.Or(max(width, 0), 160); len(got) > w+2*len("…") {
+			t.Fatalf("Snippet(%q, %q, %d) = %d bytes, over the width %d plus the ellipses", text, term, width, len(got), w)
 		}
 		if !utf8.ValidString(text) {
 			return
@@ -107,6 +114,35 @@ func TestSnippetKeepsRunesWhole(t *testing.T) {
 		}
 		if !strings.Contains(c.text, strings.TrimSuffix(strings.TrimPrefix(got, "…"), "…")) {
 			t.Errorf("Snippet(%q, %q) = %q: not an excerpt of the text", c.text, c.query, got)
+		}
+	}
+}
+
+// TestSnippetBounded: a text with few boundary bytes around its hit
+// still yields at most width bytes plus the ellipses, cut at word
+// boundaries where there are some and at rune starts where there are
+// none.
+func TestSnippetBounded(t *testing.T) {
+	for _, c := range []struct {
+		text, query string
+		width       int
+		want        string
+	}{
+		{strings.Repeat("x", 1000) + " olap " + strings.Repeat("y", 1000), "olap", 60, "…olap…"},
+		{strings.Repeat("日本語", 30) + " olap", "olap", 160, "…olap"},
+		{"olap" + strings.Repeat("y", 1000), "olap", 60, ""},
+		{strings.Repeat("y", 1000) + "-olap", "olap", 60, ""},
+		{strings.Repeat("word ", 40) + "olap " + strings.Repeat("word ", 40), "olap", 60, "…olap word word word word word word word word word word word…"},
+	} {
+		got := Snippet(c.text, NewQuery(c.query), c.width)
+		if len(got) > c.width+2*len("…") {
+			t.Errorf("Snippet(%.20q…, %q, %d) = %d bytes, over the width", c.text, c.query, c.width, len(got))
+		}
+		if !strings.Contains(got, c.query) || !utf8.ValidString(got) {
+			t.Errorf("Snippet(%.20q…, %q, %d) = %q: lost the hit or a rune", c.text, c.query, c.width, got)
+		}
+		if c.want != "" && got != c.want {
+			t.Errorf("Snippet(%.20q…, %q, %d) = %q, want %q", c.text, c.query, c.width, got, c.want)
 		}
 	}
 }

@@ -54,15 +54,22 @@ var stopwords = map[string]bool{
 // IsStopword reports whether the (lowercase) token is a stopword.
 func IsStopword(tok string) bool { return stopwords[tok] }
 
-// TokenizeFiltered tokenizes text and drops stopwords and single-rune
-// tokens. Used when selecting query-expansion candidates.
+// TokenizeFiltered tokenizes text and keeps its content terms: it drops
+// stopwords and single-byte tokens. An index's forward table holds each
+// document's distinct content terms (Index.DocTerms), so the request
+// path reads them there instead of tokenizing.
 func TokenizeFiltered(text string) []string {
 	toks := Tokenize(text)
 	out := toks[:0]
 	for _, t := range toks {
-		if len(t) > 1 && !stopwords[t] {
+		if contentTerm(t) {
 			out = append(out, t)
 		}
 	}
 	return out
 }
+
+// contentTerm is the predicate of TokenizeFiltered and of the forward
+// table: longer than one byte, and not a stopword. Expansion terms
+// (Section 5.1) are drawn from content terms only.
+func contentTerm(t string) bool { return len(t) > 1 && !stopwords[t] }

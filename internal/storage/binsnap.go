@@ -379,14 +379,7 @@ func WriteSnapshot(w io.Writer, ds *datagen.Dataset, ix *ir.Index) error {
 	p := ix.Params()
 	idxMeta = appendF64s(idxMeta, []float64{p.K1, p.B, p.K3})
 
-	terms := ix.Terms()
-	postStart := make([]int32, len(terms)+1)
-	var postings []byte
-	for i, t := range terms {
-		ps := ix.Postings(t)
-		postStart[i+1] = postStart[i] + int32(len(ps))
-		postings = appendPostings(postings, ps)
-	}
+	postStart, posts := ix.Postings()
 
 	secs := []binSection{
 		{secMeta, meta},
@@ -403,9 +396,9 @@ func WriteSnapshot(w io.Writer, ds *datagen.Dataset, ix *ir.Index) error {
 		{secRevArcs, appendArcs(nil, f.Rarcs)},
 		{secDocLen, appendI32s(nil, ix.DocLens())},
 		{secIdxMeta, idxMeta},
-		{secTerms, appendStringTable(nil, terms)},
+		{secTerms, appendStringTable(nil, ix.Terms())},
 		{secPostStart, appendI32s(nil, postStart)},
-		{secPostings, postings},
+		{secPostings, appendPostings(nil, posts)},
 	}
 
 	// Lay out: header, table, 8-aligned payloads.
@@ -680,25 +673,11 @@ func ReadSnapshot(data []byte) (*datagen.Dataset, *ir.Index, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	flat, err := decodePostings(secs[secPostings])
+	posts, err := decodePostings(secs[secPostings])
 	if err != nil {
 		return nil, nil, err
 	}
-	if len(postStart) != len(terms)+1 {
-		return nil, nil, fmt.Errorf("%w: %d posting offsets for %d terms", ErrSnapshotCorrupt, len(postStart), len(terms))
-	}
-	postings := make([][]ir.Posting, len(terms))
-	for i := range terms {
-		lo, hi := postStart[i], postStart[i+1]
-		if lo < 0 || hi < lo || int(hi) > len(flat) {
-			return nil, nil, fmt.Errorf("%w: posting offsets %d:%d out of bounds for %d postings", ErrSnapshotCorrupt, lo, hi, len(flat))
-		}
-		postings[i] = flat[lo:hi]
-	}
-	if len(postStart) > 0 && int(postStart[len(postStart)-1]) != len(flat) {
-		return nil, nil, fmt.Errorf("%w: %d postings not covered by offsets", ErrSnapshotCorrupt, len(flat))
-	}
-	ix, err := ir.FromParts(params, docLen, totalLen, terms, postings)
+	ix, err := ir.FromParts(params, docLen, totalLen, terms, postStart, posts)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
 	}

@@ -9,6 +9,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"authorityflow/internal/core"
@@ -128,15 +129,11 @@ func TestBinSnapshotRoundTripLossless(t *testing.T) {
 			if term != wantTerms[i] {
 				t.Fatalf("term %d = %q, want %q", i, term, wantTerms[i])
 			}
-			p, wp := ix.Postings(term), want.Postings(term)
-			if len(p) != len(wp) {
-				t.Fatalf("postings for %q: %d, want %d", term, len(p), len(wp))
-			}
-			for j := range p {
-				if p[j] != wp[j] {
-					t.Fatalf("posting %d for %q = %+v, want %+v", j, term, p[j], wp[j])
-				}
-			}
+		}
+		start, posts := ix.Postings()
+		wantStart, wantPosts := want.Postings()
+		if !slices.Equal(start, wantStart) || !slices.Equal(posts, wantPosts) {
+			t.Fatalf("postings CSR differs: %d offsets/%d postings, want %d/%d", len(start), len(posts), len(wantStart), len(wantPosts))
 		}
 	})
 }
