@@ -78,20 +78,14 @@ func (b *Builder) Build() (*Graph, error) {
 		numEdges: len(b.edges),
 	}
 
-	// Count outgoing and incoming transfer arcs per node.
+	// Count the transfer arcs leaving each node.
 	outCount := make([]int32, n+1)
-	inCount := make([]int32, n+1)
 	for _, e := range b.edges {
 		outCount[e.From]++ // forward arc leaves From
 		outCount[e.To]++   // backward arc leaves To
-		inCount[e.To]++    // forward arc enters To
-		inCount[e.From]++  // backward arc enters From
 	}
-
 	g.arcStart = prefixSum(outCount)
-	g.rarcStart = prefixSum(inCount)
 	g.arcs = make([]Arc, 2*len(b.edges))
-	g.rarcs = make([]Arc, 2*len(b.edges))
 
 	// Fill forward arcs; use per-node cursors.
 	outCur := make([]int32, n)
@@ -103,8 +97,8 @@ func (b *Builder) Build() (*Graph, error) {
 		outCur[e.To]++
 	}
 
-	// Sort each node's arc run by type for cache-friendly per-type
-	// scans, then compute inverse per-type out-degrees.
+	// Sort each node's row by (type, target), the order derive reads
+	// Equation 1's per-type runs from.
 	for v := 0; v < n; v++ {
 		run := g.arcs[g.arcStart[v]:g.arcStart[v+1]]
 		sort.Slice(run, func(i, j int) bool {
@@ -113,55 +107,10 @@ func (b *Builder) Build() (*Graph, error) {
 			}
 			return run[i].To < run[j].To
 		})
-		for i := 0; i < len(run); {
-			j := i
-			for j < len(run) && run[j].Type == run[i].Type {
-				j++
-			}
-			inv := float32(1) / float32(j-i)
-			for k := i; k < j; k++ {
-				run[k].InvDeg = inv
-			}
-			i = j
-		}
 	}
-
-	// The reverse CSR stores, per incoming arc, the SOURCE's inverse
-	// out-degree for the arc's type, so InArcs callers can compute arc
-	// weights without touching the forward CSR. Every forward-CSR entry
-	// (u -> a.To) maps to exactly one reverse-CSR entry at a.To, with
-	// the same type and InvDeg, so the finished forward CSR fills the
-	// reverse CSR in one linear pass.
-	//
-	// Ordering invariant: each node's reverse run is sorted by (source,
-	// type) — the exact order in which a source-major scatter sweep
-	// (ascending source, out-arcs sorted by type) would deposit
-	// contributions onto the node. The rank kernel's gather formulation
-	// relies on this to accumulate floating-point sums in the same order
-	// as the scatter formulation, making serial results bit-identical
-	// across the two. The linear fill below already visits sources in
-	// ascending order and each source's out-arcs in (type, to) order, so
-	// the runs come out sorted without an extra pass; the sort is kept
-	// as a guard against future fill-order changes (it is O(arcs) on
-	// already-sorted input for the library's pdqsort).
-	inCur := make([]int32, n)
-	copy(inCur, g.rarcStart[:n])
-	for u := 0; u < n; u++ {
-		for _, a := range g.OutArcs(NodeID(u)) {
-			g.rarcs[inCur[a.To]] = Arc{To: NodeID(u), Type: a.Type, InvDeg: a.InvDeg}
-			inCur[a.To]++
-		}
+	if err := g.derive(true); err != nil {
+		return nil, err
 	}
-	for v := 0; v < n; v++ {
-		run := g.rarcs[g.rarcStart[v]:g.rarcStart[v+1]]
-		sort.Slice(run, func(i, j int) bool {
-			if run[i].To != run[j].To {
-				return run[i].To < run[j].To
-			}
-			return run[i].Type < run[j].Type
-		})
-	}
-
 	return g, nil
 }
 

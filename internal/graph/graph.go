@@ -52,9 +52,9 @@ type Graph struct {
 	arcStart []int32
 	arcs     []Arc
 
-	// Reverse CSR: arcs coming INTO node i, stored with To = source
-	// node (i.e. rarcs[k].To is the node the authority comes FROM) and
-	// InvDeg = the source's inverse out-degree for that arc type.
+	// Reverse CSR, derived from the forward one: arcs coming INTO node
+	// i, stored with To = source node (the node the authority comes
+	// FROM) and InvDeg = the source's inverse out-degree for the type.
 	rarcStart []int32
 	rarcs     []Arc
 
@@ -145,23 +145,24 @@ func (g *Graph) InArcs(v NodeID) []Arc {
 // ForwardCSR exposes the frozen forward adjacency as flat CSR arrays:
 // start offsets (length NumNodes+1) and the packed arc array. Arcs
 // leaving node v occupy arcs[start[v]:start[v+1]], sorted by (type,
-// target). Both slices alias internal storage and must be treated as
-// read-only; they are safe for unsynchronized concurrent reads.
+// target). It is the only adjacency built or stored. Both slices alias
+// internal storage and must be treated as read-only; they are safe for
+// unsynchronized concurrent reads.
 func (g *Graph) ForwardCSR() (start []int32, arcs []Arc) {
 	return g.arcStart, g.arcs
 }
 
-// ReverseCSR exposes the frozen reverse adjacency as flat CSR arrays:
-// start offsets (length NumNodes+1) and the packed {source, type,
-// inverse out-degree} arc array. Arcs entering node v occupy
-// arcs[start[v]:start[v+1]] with To holding the SOURCE node, sorted by
-// (source, type) — the same order in which a source-major scatter sweep
-// deposits contributions onto v, which is what lets the rank kernel's
-// gather loop reproduce scatter results bit-for-bit. Both slices alias
-// internal storage and must be treated as read-only; they are safe for
-// unsynchronized concurrent reads. This is the hot-loop interface of
-// the power-iteration kernel: index arithmetic over contiguous memory,
-// no per-node slice headers.
+// ReverseCSR exposes the reverse adjacency, derived from the forward
+// one, as flat CSR arrays: start offsets (length NumNodes+1) and the
+// packed {source, type, inverse out-degree} arc array. Arcs entering
+// node v occupy arcs[start[v]:start[v+1]] with To holding the SOURCE
+// node, sorted by (source, type) — the same order in which a
+// source-major scatter sweep deposits contributions onto v, which is
+// what lets the rank kernel's gather loop reproduce scatter results
+// bit-for-bit. Both slices alias internal storage and must be treated
+// as read-only; they are safe for unsynchronized concurrent reads. This
+// is the hot-loop interface of the power-iteration kernel: index
+// arithmetic over contiguous memory, no per-node slice headers.
 func (g *Graph) ReverseCSR() (start []int32, arcs []Arc) {
 	return g.rarcStart, g.rarcs
 }

@@ -8,13 +8,14 @@
 //
 // The binary snapshot is the cold-start and corpus-swap substrate of
 // the generational corpus store. It persists the final frozen forms —
-// both CSR halves, the node/type tables, and the inverted index — as
+// the forward CSR, the node/type tables, and the inverted index — as
 // flat little-endian sections, each offset-indexed and CRC-checksummed
 // in the header. Loading is a validate-then-slice pass: after checksums
 // and structural invariants are verified, the big arrays are
 // reinterpreted in place (zero-copy on little-endian hosts, with a
 // portable copying fallback), so cold start skips graph building and
-// tokenization entirely and runs at close to disk bandwidth.
+// tokenization entirely. The reverse CSR is not stored: FromFrozen
+// derives it, and checks every stored inverse out-degree.
 package storage
 
 import (
@@ -80,27 +81,29 @@ const (
 var binMagic = [8]byte{'A', 'F', 'Q', 'S', 'N', 'A', 'P', '1'}
 
 // Section IDs. Homogeneous arrays get their own section so the loader
-// can reinterpret each in place without an inner framing pass.
+// can reinterpret each in place without an inner framing pass. IDs 11
+// and 12 are retired: older files hold the reverse CSR there, which the
+// reader ignores, so they must not be given a new meaning.
 const (
-	secMeta       = 1  // name, node/edge counts
-	secNodeTypes  = 2  // string table of node type names
-	secEdgeTypes  = 3  // {from,to} pairs + string table of roles
-	secRates      = 4  // []float64, one rate per transfer type
-	secLabels     = 5  // []int32, node type per node
-	secAttrStart  = 6  // []int32, len n+1, prefix over attr entries
-	secAttrEntry  = 7  // []uint32, {nameOff,nameLen,valOff,valLen} per attr
-	secAttrBlob   = 8  // raw attribute name/value bytes
-	secFwdStart   = 9  // []int32, len n+1, forward CSR offsets
-	secFwdArcs    = 10 // []graph.Arc, 12 bytes each
-	secRevStart   = 11 // []int32, len n+1, reverse CSR offsets
-	secRevArcs    = 12 // []graph.Arc
-	secDocLen     = 13 // []int32, document length per node
-	secIdxMeta    = 14 // totalLen + BM25 params
-	secTerms      = 15 // string table of the full vocabulary (sorted)
-	secPostStart  = 16 // []int32, len terms+1, prefix over postings
-	secPostings   = 17 // []ir.Posting, 8 bytes each
-	numSectionIDs = 17
+	secMeta      = 1  // name, node/edge counts
+	secNodeTypes = 2  // string table of node type names
+	secEdgeTypes = 3  // {from,to} pairs + string table of roles
+	secRates     = 4  // []float64, one rate per transfer type
+	secLabels    = 5  // []int32, node type per node
+	secAttrStart = 6  // []int32, len n+1, prefix over attr entries
+	secAttrEntry = 7  // []uint32, {nameOff,nameLen,valOff,valLen} per attr
+	secAttrBlob  = 8  // raw attribute name/value bytes
+	secFwdStart  = 9  // []int32, len n+1, forward CSR offsets
+	secFwdArcs   = 10 // []graph.Arc, 12 bytes each
+	secDocLen    = 13 // []int32, document length per node
+	secIdxMeta   = 14 // totalLen + BM25 params
+	secTerms     = 15 // string table of the full vocabulary (sorted)
+	secPostStart = 16 // []int32, len terms+1, prefix over postings
+	secPostings  = 17 // []ir.Posting, 8 bytes each
 )
+
+// requiredSections are the IDs every snapshot carries.
+var requiredSections = [...]uint32{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 13, 14, 15, 16, 17}
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
@@ -392,16 +395,18 @@ func WriteSnapshot(w io.Writer, ds *datagen.Dataset, ix *ir.Index) error {
 		{secAttrBlob, attrBlob},
 		{secFwdStart, appendI32s(nil, f.ArcStart)},
 		{secFwdArcs, appendArcs(nil, f.Arcs)},
-		{secRevStart, appendI32s(nil, f.RarcStart)},
-		{secRevArcs, appendArcs(nil, f.Rarcs)},
 		{secDocLen, appendI32s(nil, ix.DocLens())},
 		{secIdxMeta, idxMeta},
 		{secTerms, appendStringTable(nil, ix.Terms())},
 		{secPostStart, appendI32s(nil, postStart)},
 		{secPostings, appendPostings(nil, posts)},
 	}
+	return writeSections(w, secs)
+}
 
-	// Lay out: header, table, 8-aligned payloads.
+// writeSections lays secs out as a snapshot file: header, section
+// table, 8-aligned payloads.
+func writeSections(w io.Writer, secs []binSection) error {
 	table := make([]byte, 0, len(secs)*sectionEntrySize)
 	off := align8(headerSize + len(secs)*sectionEntrySize)
 	for _, sec := range secs {
@@ -526,7 +531,7 @@ func ReadSnapshot(data []byte) (*datagen.Dataset, *ir.Index, error) {
 		}
 		secs[id] = payload
 	}
-	for id := uint32(1); id <= numSectionIDs; id++ {
+	for _, id := range requiredSections {
 		if _, ok := secs[id]; !ok {
 			return nil, nil, fmt.Errorf("%w: missing section %d", ErrSnapshotCorrupt, id)
 		}
@@ -606,7 +611,7 @@ func ReadSnapshot(data []byte) (*datagen.Dataset, *ir.Index, error) {
 		return nil, nil, err
 	}
 
-	// CSR halves.
+	// Forward CSR; FromFrozen derives the reverse one.
 	fwdStart, err := decodeI32s(secs[secFwdStart])
 	if err != nil {
 		return nil, nil, err
@@ -615,23 +620,13 @@ func ReadSnapshot(data []byte) (*datagen.Dataset, *ir.Index, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	revStart, err := decodeI32s(secs[secRevStart])
-	if err != nil {
-		return nil, nil, err
-	}
-	revArcs, err := decodeArcs(secs[secRevArcs])
-	if err != nil {
-		return nil, nil, err
-	}
 	g, err := graph.FromFrozen(graph.Frozen{
-		Schema:    schema,
-		Labels:    labels,
-		Attrs:     attrs,
-		NumEdges:  int(numEdges),
-		ArcStart:  fwdStart,
-		Arcs:      fwdArcs,
-		RarcStart: revStart,
-		Rarcs:     revArcs,
+		Schema:   schema,
+		Labels:   labels,
+		Attrs:    attrs,
+		NumEdges: int(numEdges),
+		ArcStart: fwdStart,
+		Arcs:     fwdArcs,
 	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)

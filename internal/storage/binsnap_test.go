@@ -233,7 +233,7 @@ func TestBinSnapshotFileRoundTrip(t *testing.T) {
 // --- hostile-file helpers -------------------------------------------------
 
 // sectionEntry returns the byte offset of section id's table entry.
-func sectionEntry(t *testing.T, data []byte, id uint32) int {
+func sectionEntry(t testing.TB, data []byte, id uint32) int {
 	t.Helper()
 	count := int(binary.LittleEndian.Uint32(data[12:]))
 	for i := 0; i < count; i++ {
@@ -257,7 +257,7 @@ func resealTable(data []byte) {
 
 // resealSection recomputes section id's payload CRC (and the table CRC)
 // after a deliberate payload mutation.
-func resealSection(t *testing.T, data []byte, id uint32) {
+func resealSection(t testing.TB, data []byte, id uint32) {
 	t.Helper()
 	e := sectionEntry(t, data, id)
 	off := binary.LittleEndian.Uint64(data[e+8:])
@@ -266,77 +266,166 @@ func resealSection(t *testing.T, data []byte, id uint32) {
 	resealTable(data)
 }
 
+// sectionsOf returns the sections of a well-formed snapshot in table
+// order.
+func sectionsOf(data []byte) []binSection {
+	count := int(binary.LittleEndian.Uint32(data[12:]))
+	secs := make([]binSection, count)
+	for i := range secs {
+		e := data[headerSize+i*sectionEntrySize:]
+		off := binary.LittleEndian.Uint64(e[8:])
+		secs[i] = binSection{binary.LittleEndian.Uint32(e), data[off : off+binary.LittleEndian.Uint64(e[16:])]}
+	}
+	return secs
+}
+
+// withReverseSections returns data laid out again with the two retired
+// reverse-CSR sections (IDs 11 and 12) appended, as an older writer
+// stored them: rstart and rarcs are written as they are, checksummed.
+func withReverseSections(t testing.TB, data []byte, rstart []int32, rarcs []graph.Arc) []byte {
+	t.Helper()
+	secs := append(sectionsOf(data),
+		binSection{11, appendI32s(nil, rstart)},
+		binSection{12, appendArcs(nil, rarcs)})
+	var buf bytes.Buffer
+	if err := writeSections(&buf, secs); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// inflatedReverse is g's reverse CSR with every inverse out-degree set
+// to 1 and the first arc's source moved to another node: a reverse half
+// that disagrees with the forward one both in weights and in structure.
+func inflatedReverse(g *graph.Graph) ([]int32, []graph.Arc) {
+	rstart, rarcs := g.ReverseCSR()
+	rarcs = slices.Clone(rarcs)
+	for i := range rarcs {
+		rarcs[i].InvDeg = 1
+	}
+	rarcs[0].To = (rarcs[0].To + 1) % graph.NodeID(g.NumNodes())
+	return rstart, rarcs
+}
+
+// arcRecord returns the byte offset of forward arc k's 12-byte record.
+func arcRecord(t testing.TB, data []byte, k int) int {
+	t.Helper()
+	e := sectionEntry(t, data, secFwdArcs)
+	return int(binary.LittleEndian.Uint64(data[e+8:])) + 12*k
+}
+
+// sameTypePair returns the index k of a forward arc whose successor
+// k+1 sits in the same row with the same type and another target.
+func sameTypePair(t *testing.T, g *graph.Graph) int {
+	t.Helper()
+	start, arcs := g.ForwardCSR()
+	for v := 0; v < g.NumNodes(); v++ {
+		for k := start[v]; k+1 < start[v+1]; k++ {
+			if arcs[k].Type == arcs[k+1].Type && arcs[k].To != arcs[k+1].To {
+				return int(k)
+			}
+		}
+	}
+	t.Fatal("no row has two arcs of one type")
+	return 0
+}
+
+// requireDerivedAdjacency fails t unless g's reverse CSR is exactly the
+// transpose of its forward CSR — sources ascending, each source's arcs
+// in forward order — and every forward arc's InvDeg is 1/OutDeg of its
+// source and type.
+func requireDerivedAdjacency(t testing.TB, g *graph.Graph) {
+	t.Helper()
+	want := make([][]graph.Arc, g.NumNodes())
+	for u := range want {
+		for _, a := range g.OutArcs(graph.NodeID(u)) {
+			inv := float32(1) / float32(g.OutDeg(graph.NodeID(u), a.Type))
+			if math.Float32bits(a.InvDeg) != math.Float32bits(inv) {
+				t.Fatalf("arc %d->%d of type %d has InvDeg %v, want %v", u, a.To, a.Type, a.InvDeg, inv)
+			}
+			want[a.To] = append(want[a.To], graph.Arc{To: graph.NodeID(u), Type: a.Type, InvDeg: a.InvDeg})
+		}
+	}
+	for v, w := range want {
+		if got := g.InArcs(graph.NodeID(v)); !slices.Equal(got, w) {
+			t.Fatalf("InArcs(%d) = %v, want the transpose %v", v, got, w)
+		}
+	}
+}
+
 func TestBinSnapshotHostileFiles(t *testing.T) {
-	_, _, pristine := snapshotFixture(t)
+	ds, _, pristine := snapshotFixture(t)
+	pair := sameTypePair(t, ds.Graph)
 
 	cases := []struct {
 		name    string
 		mutate  func(t *testing.T, data []byte) []byte
 		wantErr error // nil means "any error is acceptable"
+		loads   bool  // the file must load, with its adjacency derived
 	}{
 		{"empty file", func(t *testing.T, d []byte) []byte {
 			return nil
-		}, ErrSnapshotTruncated},
+		}, ErrSnapshotTruncated, false},
 		{"short header", func(t *testing.T, d []byte) []byte {
 			return d[:headerSize-1]
-		}, ErrSnapshotTruncated},
+		}, ErrSnapshotTruncated, false},
 		{"bad magic", func(t *testing.T, d []byte) []byte {
 			d[0] ^= 0xff
 			return d
-		}, ErrSnapshotMagic},
+		}, ErrSnapshotMagic, false},
 		{"gob snapshot bytes", func(t *testing.T, d []byte) []byte {
 			return []byte("\x1f\x8b\x08\x00 definitely not a binary snapshot, padded out")
-		}, ErrSnapshotMagic},
+		}, ErrSnapshotMagic, false},
 		{"future version", func(t *testing.T, d []byte) []byte {
 			binary.LittleEndian.PutUint32(d[8:], binSnapshotVersion+1)
 			return d
-		}, ErrSnapshotVersion},
+		}, ErrSnapshotVersion, false},
 		{"truncated body", func(t *testing.T, d []byte) []byte {
 			return d[:len(d)-1]
-		}, ErrSnapshotTruncated},
+		}, ErrSnapshotTruncated, false},
 		{"trailing garbage", func(t *testing.T, d []byte) []byte {
 			return append(d, 0xee)
-		}, ErrSnapshotCorrupt},
+		}, ErrSnapshotCorrupt, false},
 		{"zero section count", func(t *testing.T, d []byte) []byte {
 			binary.LittleEndian.PutUint32(d[12:], 0)
 			return d
-		}, ErrSnapshotCorrupt},
+		}, ErrSnapshotCorrupt, false},
 		{"implausible section count", func(t *testing.T, d []byte) []byte {
 			binary.LittleEndian.PutUint32(d[12:], maxSections+1)
 			return d
-		}, ErrSnapshotCorrupt},
+		}, ErrSnapshotCorrupt, false},
 		{"flipped table checksum", func(t *testing.T, d []byte) []byte {
 			d[16] ^= 0x01
 			return d
-		}, ErrSnapshotChecksum},
+		}, ErrSnapshotChecksum, false},
 		{"flipped table byte", func(t *testing.T, d []byte) []byte {
 			d[headerSize+1] ^= 0x40
 			return d
-		}, ErrSnapshotChecksum},
+		}, ErrSnapshotChecksum, false},
 		{"flipped payload byte", func(t *testing.T, d []byte) []byte {
 			e := sectionEntry(t, d, secFwdArcs)
 			off := binary.LittleEndian.Uint64(d[e+8:])
 			d[off] ^= 0x80
 			return d
-		}, ErrSnapshotChecksum},
+		}, ErrSnapshotChecksum, false},
 		{"section offset out of bounds", func(t *testing.T, d []byte) []byte {
 			e := sectionEntry(t, d, secRates)
 			binary.LittleEndian.PutUint64(d[e+8:], uint64(len(d)))
 			resealTable(d)
 			return d
-		}, ErrSnapshotCorrupt},
+		}, ErrSnapshotCorrupt, false},
 		{"section length out of bounds", func(t *testing.T, d []byte) []byte {
 			e := sectionEntry(t, d, secRates)
 			binary.LittleEndian.PutUint64(d[e+16:], uint64(len(d))+8)
 			resealTable(d)
 			return d
-		}, ErrSnapshotCorrupt},
+		}, ErrSnapshotCorrupt, false},
 		{"section overlapping table", func(t *testing.T, d []byte) []byte {
 			e := sectionEntry(t, d, secRates)
 			binary.LittleEndian.PutUint64(d[e+8:], 0)
 			resealTable(d)
 			return d
-		}, ErrSnapshotCorrupt},
+		}, ErrSnapshotCorrupt, false},
 		{"duplicate section id", func(t *testing.T, d []byte) []byte {
 			// Relabel secMeta's entry as secRates: either the duplicate
 			// or the then-missing meta section must be rejected.
@@ -346,13 +435,13 @@ func TestBinSnapshotHostileFiles(t *testing.T) {
 			// table digest needs resealing.
 			resealTable(d)
 			return d
-		}, ErrSnapshotCorrupt},
+		}, ErrSnapshotCorrupt, false},
 		{"missing section", func(t *testing.T, d []byte) []byte {
 			e := sectionEntry(t, d, secDocLen)
 			binary.LittleEndian.PutUint32(d[e:], 63) // unknown id
 			resealTable(d)
 			return d
-		}, ErrSnapshotCorrupt},
+		}, ErrSnapshotCorrupt, false},
 		{"lying node count", func(t *testing.T, d []byte) []byte {
 			// Bump numNodes in the meta payload and reseal every
 			// checksum: the loader must still notice the CSR arrays do
@@ -365,18 +454,47 @@ func TestBinSnapshotHostileFiles(t *testing.T) {
 			binary.LittleEndian.PutUint64(d[nodesOff:], n+1)
 			resealSection(t, d, secMeta)
 			return d
-		}, ErrSnapshotCorrupt},
+		}, ErrSnapshotCorrupt, false},
+		{"inverse out-degree one ulp off", func(t *testing.T, d []byte) []byte {
+			rec := arcRecord(t, d, pair) + 8
+			binary.LittleEndian.PutUint32(d[rec:], binary.LittleEndian.Uint32(d[rec:])+1)
+			resealSection(t, d, secFwdArcs)
+			return d
+		}, ErrSnapshotCorrupt, false},
+		{"forward run out of (type, target) order", func(t *testing.T, d []byte) []byte {
+			a, b := arcRecord(t, d, pair), arcRecord(t, d, pair+1)
+			var tmp [12]byte
+			copy(tmp[:], d[a:a+12])
+			copy(d[a:a+12], d[b:b+12])
+			copy(d[b:b+12], tmp[:])
+			resealSection(t, d, secFwdArcs)
+			return d
+		}, ErrSnapshotCorrupt, false},
+		{"stale reverse sections are ignored", func(t *testing.T, d []byte) []byte {
+			rstart, rarcs := inflatedReverse(ds.Graph)
+			return withReverseSections(t, d, rstart, rarcs)
+		}, nil, true},
 	}
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			data := tc.mutate(t, bytes.Clone(pristine))
 			withDecodeMode(t, func(t *testing.T) {
-				ds, ix, err := ReadSnapshot(data)
+				got, ix, err := ReadSnapshot(data)
+				if tc.loads {
+					if err != nil {
+						t.Fatal(err)
+					}
+					requireDerivedAdjacency(t, got.Graph)
+					if got.Graph.Fingerprint() != ds.Graph.Fingerprint() {
+						t.Fatalf("fingerprint %#x, want %#x", got.Graph.Fingerprint(), ds.Graph.Fingerprint())
+					}
+					return
+				}
 				if err == nil {
 					t.Fatal("hostile snapshot loaded without error")
 				}
-				if ds != nil || ix != nil {
+				if got != nil || ix != nil {
 					t.Fatal("hostile snapshot returned non-nil results alongside the error")
 				}
 				if tc.wantErr != nil && !errors.Is(err, tc.wantErr) {

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"strings"
 	"testing"
@@ -12,13 +13,26 @@ import (
 
 // FuzzLoad: arbitrary bytes never panic the snapshot reader — they
 // either load (if they happen to be a valid snapshot) or return an
-// error.
+// error. Whatever loads has the adjacency Equation 1 derives from its
+// forward CSR: InArcs is the exact transpose of OutArcs and every
+// InvDeg is 1/OutDeg of its source and type.
 func FuzzLoad(f *testing.F) {
 	// Seed with a real snapshot so the fuzzer mutates from valid input.
-	_, _, snap := snapshotFixture(f)
+	ds, _, snap := snapshotFixture(f)
 	f.Add(snap)
 	f.Add([]byte{})
 	f.Add([]byte("not a snapshot"))
+	// Checksum-valid files whose stored weights disagree with the
+	// forward CSR: every forward InvDeg set to 1, and a reverse half
+	// with every InvDeg set to 1 in the retired sections 11 and 12.
+	inflated := bytes.Clone(snap)
+	for k := 0; k < ds.Graph.NumArcs(); k++ {
+		binary.LittleEndian.PutUint32(inflated[arcRecord(f, inflated, k)+8:], math.Float32bits(1))
+	}
+	resealSection(f, inflated, secFwdArcs)
+	f.Add(inflated)
+	rstart, rarcs := inflatedReverse(ds.Graph)
+	f.Add(withReverseSections(f, snap, rstart, rarcs))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ds, ix, err := ReadSnapshot(data)
@@ -32,6 +46,7 @@ func FuzzLoad(f *testing.F) {
 		if ix.NumDocs() != ds.Graph.NumNodes() {
 			t.Fatalf("index covers %d documents, graph has %d nodes", ix.NumDocs(), ds.Graph.NumNodes())
 		}
+		requireDerivedAdjacency(t, ds.Graph)
 	})
 }
 
