@@ -1,7 +1,10 @@
 package graph
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
+	"math"
 	"strings"
 	"sync"
 )
@@ -16,7 +19,8 @@ type Attr struct {
 	Value string
 }
 
-// Edge is one typed data-graph edge as supplied to the Builder.
+// Edge is one typed data-graph edge, as supplied to the Builder and
+// FromEdges and as enumerated by Graph.Edges.
 type Edge struct {
 	From NodeID
 	To   NodeID
@@ -25,8 +29,8 @@ type Edge struct {
 
 // Arc is one edge of the authority transfer data graph D^A: a directed
 // typed connection that can carry authority. Every data edge yields two
-// arcs, one per direction. InvDeg is 1/OutDeg(from, Type) precomputed at
-// build time, so the authority transfer rate of the arc under a given
+// arcs, one per direction. InvDeg is 1/OutDeg(from, Type), derived by
+// FromEdges, so the authority transfer rate of the arc under a given
 // rate vector is Rates.Rate(Type) * InvDeg (Equation 1). The out-degree
 // never changes when rates are reformulated, which is why it can be
 // frozen while rates stay adjustable.
@@ -38,7 +42,8 @@ type Arc struct {
 
 // Graph is a frozen data graph together with its derived authority
 // transfer data graph in CSR (compressed sparse row) form. Build one
-// with a Builder. A Graph is immutable and safe for concurrent reads.
+// with a Builder or FromEdges. A Graph is immutable and safe for
+// concurrent reads.
 type Graph struct {
 	schema *Schema
 
@@ -55,6 +60,8 @@ type Graph struct {
 	// Reverse CSR, derived from the forward one: arcs coming INTO node
 	// i, stored with To = source node (the node the authority comes
 	// FROM) and InvDeg = the source's inverse out-degree for the type.
+	// rarcStart and arcStart are one array: a node has as many arcs in
+	// as out.
 	rarcStart []int32
 	rarcs     []Arc
 
@@ -145,8 +152,9 @@ func (g *Graph) InArcs(v NodeID) []Arc {
 // ForwardCSR exposes the frozen forward adjacency as flat CSR arrays:
 // start offsets (length NumNodes+1) and the packed arc array. Arcs
 // leaving node v occupy arcs[start[v]:start[v+1]], sorted by (type,
-// target). It is the only adjacency built or stored. Both slices alias
-// internal storage and must be treated as read-only; they are safe for
+// target). FromEdges builds it from the data edges, and the reverse
+// CSR and every InvDeg are derived from it. Both slices alias internal
+// storage and must be treated as read-only; they are safe for
 // unsynchronized concurrent reads.
 func (g *Graph) ForwardCSR() (start []int32, arcs []Arc) {
 	return g.arcStart, g.arcs
@@ -165,6 +173,22 @@ func (g *Graph) ForwardCSR() (start []int32, arcs []Arc) {
 // arithmetic over contiguous memory, no per-node slice headers.
 func (g *Graph) ReverseCSR() (start []int32, arcs []Arc) {
 	return g.rarcStart, g.rarcs
+}
+
+// Edges returns the data edges, one per forward-direction arc in
+// forward CSR order: sources ascending, then edge type, then target.
+// FromEdges over the graph's labels, attributes and these edges
+// rebuilds the graph.
+func (g *Graph) Edges() []Edge {
+	out := make([]Edge, 0, g.numEdges)
+	for u := range g.labels {
+		for _, a := range g.OutArcs(NodeID(u)) {
+			if a.Type.Dir() == Forward {
+				out = append(out, Edge{From: NodeID(u), To: a.To, Type: a.Type.EdgeType()})
+			}
+		}
+	}
+	return out
 }
 
 // OutDeg returns OutDeg(v, t): the number of transfer arcs of type t
@@ -191,11 +215,11 @@ func (g *Graph) NodesOfType(t TypeID) []NodeID {
 }
 
 // SizeBytes estimates the in-memory size of the frozen graph (labels,
-// attributes, both CSR halves), used for the Table 1 dataset-size
-// column.
+// attributes, both CSR halves and the offsets they share), used for the
+// Table 1 dataset-size column.
 func (g *Graph) SizeBytes() int64 {
 	size := int64(len(g.labels)) * 4
-	size += int64(len(g.arcStart)+len(g.rarcStart)) * 4
+	size += int64(len(g.arcStart)) * 4
 	size += int64(len(g.arcs)+len(g.rarcs)) * 12
 	for _, as := range g.attrs {
 		size += 24 // slice header
@@ -204,4 +228,56 @@ func (g *Graph) SizeBytes() int64 {
 		}
 	}
 	return size
+}
+
+// Fingerprint returns a 64-bit FNV-1a digest of the frozen graph —
+// schema type names, labels, attribute text, and the forward CSR's
+// offsets and arcs, from which the reverse CSR is derived —
+// computed once and cached. Two graphs with the same fingerprint are,
+// for ranking purposes, the same corpus: the snapshot round-trip tests
+// compare a reloaded graph to the one written by it.
+func (g *Graph) Fingerprint() uint64 {
+	g.fpOnce.Do(func() {
+		h := fnv.New64a()
+		var buf [12]byte
+		u32 := func(v uint32) {
+			binary.LittleEndian.PutUint32(buf[:4], v)
+			h.Write(buf[:4])
+		}
+		u32(uint32(len(g.labels)))
+		u32(uint32(g.numEdges))
+		for t := 0; t < g.schema.NumNodeTypes(); t++ {
+			h.Write([]byte(g.schema.TypeName(TypeID(t))))
+			h.Write([]byte{0})
+		}
+		for e := 0; e < g.schema.NumEdgeTypes(); e++ {
+			et := g.schema.EdgeTypeInfo(EdgeTypeID(e))
+			h.Write([]byte(et.Role))
+			u32(uint32(et.From))
+			u32(uint32(et.To))
+		}
+		for _, l := range g.labels {
+			u32(uint32(l))
+		}
+		for _, as := range g.attrs {
+			for _, a := range as {
+				h.Write([]byte(a.Name))
+				h.Write([]byte{1})
+				h.Write([]byte(a.Value))
+				h.Write([]byte{0})
+			}
+			h.Write([]byte{2})
+		}
+		for _, s := range g.arcStart {
+			u32(uint32(s))
+		}
+		for _, a := range g.arcs {
+			binary.LittleEndian.PutUint32(buf[0:4], uint32(a.To))
+			binary.LittleEndian.PutUint32(buf[4:8], uint32(a.Type))
+			binary.LittleEndian.PutUint32(buf[8:12], math.Float32bits(a.InvDeg))
+			h.Write(buf[:12])
+		}
+		g.fp = h.Sum64()
+	})
+	return g.fp
 }

@@ -7,15 +7,17 @@
 // user, the Section 4 motivation).
 //
 // The binary snapshot is the cold-start and corpus-swap substrate of
-// the generational corpus store. It persists the final frozen forms —
-// the forward CSR, the node/type tables, and the inverted index — as
-// flat little-endian sections, each offset-indexed and CRC-checksummed
-// in the header. Loading is a validate-then-slice pass: after checksums
-// and structural invariants are verified, the big arrays are
+// the generational corpus store. It persists the data graph as the
+// Builder is given it — the node/type tables and the data edges — and
+// the final frozen inverted index, as flat little-endian sections, each
+// offset-indexed and CRC-checksummed in the header. The loader builds
+// the graph with graph.FromEdges, the Builder's own construction path,
+// so a loaded graph passes the Builder's conformance checks and its
+// adjacency cannot differ from the built one. After checksums and
+// structural invariants are verified, the index's big arrays are
 // reinterpreted in place (zero-copy on little-endian hosts, with a
-// portable copying fallback), so cold start skips graph building and
-// tokenization entirely. The reverse CSR is not stored: FromFrozen
-// derives it, and checks every stored inverse out-degree.
+// portable copying fallback), so cold start skips tokenization and
+// indexing entirely.
 package storage
 
 import (
@@ -42,7 +44,8 @@ var (
 	// a snapshot at all).
 	ErrSnapshotMagic = errors.New("storage: not an afq binary snapshot (bad magic)")
 	// ErrSnapshotVersion means the format version is not supported by
-	// this release.
+	// this release: a version-1 file stores arcs instead of edges and
+	// must be regenerated (datagen -out, or afq snapshot).
 	ErrSnapshotVersion = errors.New("storage: unsupported binary snapshot version")
 	// ErrSnapshotTruncated means the file is shorter than its header
 	// claims.
@@ -72,7 +75,7 @@ var (
 //	  length uint64    payload length in bytes
 //	payloads, each padded to 8-byte alignment.
 const (
-	binSnapshotVersion = 1
+	binSnapshotVersion = 2
 	headerSize         = 32
 	sectionEntrySize   = 24
 	maxSections        = 64
@@ -81,9 +84,9 @@ const (
 var binMagic = [8]byte{'A', 'F', 'Q', 'S', 'N', 'A', 'P', '1'}
 
 // Section IDs. Homogeneous arrays get their own section so the loader
-// can reinterpret each in place without an inner framing pass. IDs 11
-// and 12 are retired: older files hold the reverse CSR there, which the
-// reader ignores, so they must not be given a new meaning.
+// can reinterpret each in place without an inner framing pass. IDs 9
+// to 12 are retired: version-1 files held the forward and reverse CSR
+// there, so they must not be given a new meaning.
 const (
 	secMeta      = 1  // name, node/edge counts
 	secNodeTypes = 2  // string table of node type names
@@ -93,28 +96,24 @@ const (
 	secAttrStart = 6  // []int32, len n+1, prefix over attr entries
 	secAttrEntry = 7  // []uint32, {nameOff,nameLen,valOff,valLen} per attr
 	secAttrBlob  = 8  // raw attribute name/value bytes
-	secFwdStart  = 9  // []int32, len n+1, forward CSR offsets
-	secFwdArcs   = 10 // []graph.Arc, 12 bytes each
 	secDocLen    = 13 // []int32, document length per node
 	secIdxMeta   = 14 // totalLen + BM25 params
 	secTerms     = 15 // string table of the full vocabulary (sorted)
 	secPostStart = 16 // []int32, len terms+1, prefix over postings
 	secPostings  = 17 // []ir.Posting, 8 bytes each
+	secEdges     = 18 // {from,to,type} uint32 triples, one per data edge
 )
 
 // requiredSections are the IDs every snapshot carries.
-var requiredSections = [...]uint32{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 13, 14, 15, 16, 17}
+var requiredSections = [...]uint32{1, 2, 3, 4, 5, 6, 7, 8, 13, 14, 15, 16, 17, 18}
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Zero-copy gating: reinterpreting file bytes as typed slices requires
-// a little-endian host and the exact struct layouts the format assumes.
+// a little-endian host and the exact struct layout the format assumes.
 // Anything else (or a misaligned buffer at load time) falls back to a
 // portable copying decode — same results, one extra pass.
-const (
-	arcSize     = int(unsafe.Sizeof(graph.Arc{}))
-	postingSize = int(unsafe.Sizeof(ir.Posting{}))
-)
+const postingSize = int(unsafe.Sizeof(ir.Posting{}))
 
 var hostLittleEndian = func() bool {
 	var x uint16 = 1
@@ -126,7 +125,7 @@ var hostLittleEndian = func() bool {
 var forceCopyDecode = false
 
 func zeroCopyOK() bool {
-	return hostLittleEndian && arcSize == 12 && postingSize == 8 && !forceCopyDecode
+	return hostLittleEndian && postingSize == 8 && !forceCopyDecode
 }
 
 func aligned(b []byte, align int) bool {
@@ -162,14 +161,11 @@ func appendF64s(b []byte, vs []float64) []byte {
 	return b
 }
 
-func appendArcs(b []byte, arcs []graph.Arc) []byte {
-	if zeroCopyOK() && len(arcs) > 0 {
-		return append(b, unsafe.Slice((*byte)(unsafe.Pointer(&arcs[0])), len(arcs)*arcSize)...)
-	}
-	for _, a := range arcs {
-		b = appendU32(b, uint32(a.To))
-		b = appendU32(b, uint32(a.Type))
-		b = appendU32(b, math.Float32bits(a.InvDeg))
+func appendEdges(b []byte, es []graph.Edge) []byte {
+	for _, e := range es {
+		b = appendU32(b, uint32(e.From))
+		b = appendU32(b, uint32(e.To))
+		b = appendU32(b, uint32(e.Type))
 	}
 	return b
 }
@@ -232,24 +228,17 @@ func decodeF64s(b []byte) ([]float64, error) {
 	return out, nil
 }
 
-func decodeArcs(b []byte) ([]graph.Arc, error) {
+func decodeEdges(b []byte) ([]graph.Edge, error) {
 	if len(b)%12 != 0 {
-		return nil, fmt.Errorf("%w: arc section length %d not a multiple of 12", ErrSnapshotCorrupt, len(b))
+		return nil, fmt.Errorf("%w: edge section length %d not a multiple of 12", ErrSnapshotCorrupt, len(b))
 	}
-	n := len(b) / 12
-	if n == 0 {
-		return nil, nil
-	}
-	if zeroCopyOK() && aligned(b, 4) {
-		return unsafe.Slice((*graph.Arc)(unsafe.Pointer(&b[0])), n), nil
-	}
-	out := make([]graph.Arc, n)
+	out := make([]graph.Edge, len(b)/12)
 	for i := range out {
 		rec := b[i*12:]
-		out[i] = graph.Arc{
-			To:     graph.NodeID(int32(binary.LittleEndian.Uint32(rec))),
-			Type:   graph.TransferTypeID(int32(binary.LittleEndian.Uint32(rec[4:]))),
-			InvDeg: math.Float32frombits(binary.LittleEndian.Uint32(rec[8:])),
+		out[i] = graph.Edge{
+			From: graph.NodeID(int32(binary.LittleEndian.Uint32(rec))),
+			To:   graph.NodeID(int32(binary.LittleEndian.Uint32(rec[4:]))),
+			Type: graph.EdgeTypeID(int32(binary.LittleEndian.Uint32(rec[8:]))),
 		}
 	}
 	return out, nil
@@ -297,14 +286,15 @@ func decodeStringTable(b []byte, what string) ([]string, error) {
 		return nil, fmt.Errorf("%w: %s table too short", ErrSnapshotCorrupt, what)
 	}
 	count := binary.LittleEndian.Uint32(b)
-	if uint64(len(b)) < 4+uint64(count+1)*4 {
+	if uint64(len(b)) < 4+(uint64(count)+1)*4 {
 		return nil, fmt.Errorf("%w: %s table claims %d entries but is %d bytes", ErrSnapshotCorrupt, what, count, len(b))
 	}
-	offs := b[4 : 4+(count+1)*4]
-	blob := b[4+(count+1)*4:]
-	out := make([]string, count)
+	n := int(count)
+	offs := b[4 : 4+(n+1)*4]
+	blob := b[4+(n+1)*4:]
+	out := make([]string, n)
 	prev := uint32(0)
-	for i := uint32(0); i <= count; i++ {
+	for i := 0; i <= n; i++ {
 		off := binary.LittleEndian.Uint32(offs[i*4:])
 		if off < prev || off > uint32(len(blob)) {
 			return nil, fmt.Errorf("%w: %s table offset %d out of order or out of bounds", ErrSnapshotCorrupt, what, off)
@@ -336,8 +326,7 @@ func WriteSnapshot(w io.Writer, ds *datagen.Dataset, ix *ir.Index) error {
 	if ix.NumDocs() != g.NumNodes() {
 		return fmt.Errorf("storage: index covers %d documents, graph has %d nodes", ix.NumDocs(), g.NumNodes())
 	}
-	f := g.Frozen()
-	s := f.Schema
+	s := g.Schema()
 
 	var meta []byte
 	meta = appendU32(meta, uint32(len(ds.Name)))
@@ -362,10 +351,14 @@ func WriteSnapshot(w io.Writer, ds *datagen.Dataset, ix *ir.Index) error {
 
 	// Attributes: prefix counts per node, one {nameOff,nameLen,valOff,
 	// valLen} quad per attribute, one shared byte blob.
-	attrStart := make([]int32, len(f.Attrs)+1)
+	n := g.NumNodes()
+	labels := make([]int32, n)
+	attrStart := make([]int32, n+1)
 	var attrEntry []byte
 	var attrBlob []byte
-	for v, as := range f.Attrs {
+	for v := 0; v < n; v++ {
+		labels[v] = int32(g.Label(graph.NodeID(v)))
+		as := g.Attrs(graph.NodeID(v))
 		attrStart[v+1] = attrStart[v] + int32(len(as))
 		for _, a := range as {
 			attrEntry = appendU32(attrEntry, uint32(len(attrBlob)))
@@ -389,17 +382,16 @@ func WriteSnapshot(w io.Writer, ds *datagen.Dataset, ix *ir.Index) error {
 		{secNodeTypes, appendStringTable(nil, nodeTypes)},
 		{secEdgeTypes, edgeTypes},
 		{secRates, appendF64s(nil, ds.Rates.Vector())},
-		{secLabels, appendI32s(nil, labelsToI32(f.Labels))},
+		{secLabels, appendI32s(nil, labels)},
 		{secAttrStart, appendI32s(nil, attrStart)},
 		{secAttrEntry, attrEntry},
 		{secAttrBlob, attrBlob},
-		{secFwdStart, appendI32s(nil, f.ArcStart)},
-		{secFwdArcs, appendArcs(nil, f.Arcs)},
 		{secDocLen, appendI32s(nil, ix.DocLens())},
 		{secIdxMeta, idxMeta},
 		{secTerms, appendStringTable(nil, ix.Terms())},
 		{secPostStart, appendI32s(nil, postStart)},
 		{secPostings, appendPostings(nil, posts)},
+		{secEdges, appendEdges(nil, g.Edges())},
 	}
 	return writeSections(w, secs)
 }
@@ -454,14 +446,6 @@ func writeSections(w io.Writer, secs []binSection) error {
 	return nil
 }
 
-func labelsToI32(ls []graph.TypeID) []int32 {
-	out := make([]int32, len(ls))
-	for i, l := range ls {
-		out[i] = int32(l)
-	}
-	return out
-}
-
 // WriteSnapshotFile writes a binary snapshot to path (atomically via a
 // temp file in the same directory, so a crash mid-write never leaves a
 // half-written snapshot under the final name).
@@ -488,7 +472,7 @@ func ReadSnapshot(data []byte) (*datagen.Dataset, *ir.Index, error) {
 	}
 	version := binary.LittleEndian.Uint32(data[8:])
 	if version != binSnapshotVersion {
-		return nil, nil, fmt.Errorf("%w: version %d, want %d", ErrSnapshotVersion, version, binSnapshotVersion)
+		return nil, nil, fmt.Errorf("%w: version %d, want %d; regenerate the file with datagen -out", ErrSnapshotVersion, version, binSnapshotVersion)
 	}
 	count := binary.LittleEndian.Uint32(data[12:])
 	tableCRC := binary.LittleEndian.Uint32(data[16:])
@@ -611,23 +595,15 @@ func ReadSnapshot(data []byte) (*datagen.Dataset, *ir.Index, error) {
 		return nil, nil, err
 	}
 
-	// Forward CSR; FromFrozen derives the reverse one.
-	fwdStart, err := decodeI32s(secs[secFwdStart])
+	// Data edges; FromEdges builds the graph as the Builder does.
+	edges, err := decodeEdges(secs[secEdges])
 	if err != nil {
 		return nil, nil, err
 	}
-	fwdArcs, err := decodeArcs(secs[secFwdArcs])
-	if err != nil {
-		return nil, nil, err
+	if uint64(len(edges)) != numEdges {
+		return nil, nil, fmt.Errorf("%w: %d edges, meta claims %d", ErrSnapshotCorrupt, len(edges), numEdges)
 	}
-	g, err := graph.FromFrozen(graph.Frozen{
-		Schema:   schema,
-		Labels:   labels,
-		Attrs:    attrs,
-		NumEdges: int(numEdges),
-		ArcStart: fwdStart,
-		Arcs:     fwdArcs,
-	})
+	g, err := graph.FromEdges(schema, labels, attrs, edges)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
 	}

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -36,10 +37,20 @@ func BenchmarkColdStartBuild(b *testing.B) {
 }
 
 // BenchmarkColdStartSnapshot is the snapshot path: read the file,
-// checksum-validate, slice the frozen arrays in place, and stand up
-// the engine — no graph building, no tokenizing, no indexing.
+// checksum-validate, build the graph from its edges, slice the index
+// in place, and stand up the engine — no tokenizing, no indexing. It
+// runs on the afqserver default corpus (scale 0.1) and on afqbench's
+// (scale 1.0).
 func BenchmarkColdStartSnapshot(b *testing.B) {
-	ds, err := datagen.GenerateDBLP(benchConfig())
+	for _, scale := range []float64{0.1, 1.0} {
+		b.Run(fmt.Sprintf("scale=%g", scale), func(b *testing.B) {
+			benchColdStartSnapshot(b, datagen.DBLPTopConfig().Scale(scale))
+		})
+	}
+}
+
+func benchColdStartSnapshot(b *testing.B, cfg datagen.DBLPConfig) {
+	ds, err := datagen.GenerateDBLP(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"authorityflow/internal/core"
@@ -23,7 +24,12 @@ import (
 // the inverted index), and the binary snapshot bytes for both.
 func snapshotFixture(t testing.TB) (*datagen.Dataset, *core.Engine, []byte) {
 	t.Helper()
-	ds := testDataset(t)
+	return snapshotOf(t, testDataset(t))
+}
+
+// snapshotOf is snapshotFixture over ds.
+func snapshotOf(t testing.TB, ds *datagen.Dataset) (*datagen.Dataset, *core.Engine, []byte) {
+	t.Helper()
 	eng, err := core.NewEngine(ds.Graph, ds.Rates, core.Config{
 		Rank: rank.Options{Threshold: 1e-8, MaxIters: 500},
 	})
@@ -134,6 +140,25 @@ func TestBinSnapshotRoundTripLossless(t *testing.T) {
 		wantStart, wantPosts := want.Postings()
 		if !slices.Equal(start, wantStart) || !slices.Equal(posts, wantPosts) {
 			t.Fatalf("postings CSR differs: %d offsets/%d postings, want %d/%d", len(start), len(posts), len(wantStart), len(wantPosts))
+		}
+	})
+}
+
+// TestBinSnapshotRewriteIdentical: a loaded snapshot written again is
+// the same file, byte for byte.
+func TestBinSnapshotRewriteIdentical(t *testing.T) {
+	_, _, data := snapshotFixture(t)
+	withDecodeMode(t, func(t *testing.T) {
+		ds, ix, err := ReadSnapshot(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var again bytes.Buffer
+		if err := WriteSnapshot(&again, ds, ix); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), data) {
+			t.Fatalf("rewritten snapshot differs: %d bytes, read %d", again.Len(), len(data))
 		}
 	})
 }
@@ -266,84 +291,87 @@ func resealSection(t testing.TB, data []byte, id uint32) {
 	resealTable(data)
 }
 
-// sectionsOf returns the sections of a well-formed snapshot in table
-// order.
-func sectionsOf(data []byte) []binSection {
-	count := int(binary.LittleEndian.Uint32(data[12:]))
-	secs := make([]binSection, count)
-	for i := range secs {
-		e := data[headerSize+i*sectionEntrySize:]
-		off := binary.LittleEndian.Uint64(e[8:])
-		secs[i] = binSection{binary.LittleEndian.Uint32(e), data[off : off+binary.LittleEndian.Uint64(e[16:])]}
-	}
-	return secs
-}
-
-// withReverseSections returns data laid out again with the two retired
-// reverse-CSR sections (IDs 11 and 12) appended, as an older writer
-// stored them: rstart and rarcs are written as they are, checksummed.
-func withReverseSections(t testing.TB, data []byte, rstart []int32, rarcs []graph.Arc) []byte {
+// edgeRecord returns the byte offset of data edge k's 12-byte record.
+func edgeRecord(t testing.TB, data []byte, k int) int {
 	t.Helper()
-	secs := append(sectionsOf(data),
-		binSection{11, appendI32s(nil, rstart)},
-		binSection{12, appendArcs(nil, rarcs)})
-	var buf bytes.Buffer
-	if err := writeSections(&buf, secs); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// inflatedReverse is g's reverse CSR with every inverse out-degree set
-// to 1 and the first arc's source moved to another node: a reverse half
-// that disagrees with the forward one both in weights and in structure.
-func inflatedReverse(g *graph.Graph) ([]int32, []graph.Arc) {
-	rstart, rarcs := g.ReverseCSR()
-	rarcs = slices.Clone(rarcs)
-	for i := range rarcs {
-		rarcs[i].InvDeg = 1
-	}
-	rarcs[0].To = (rarcs[0].To + 1) % graph.NodeID(g.NumNodes())
-	return rstart, rarcs
-}
-
-// arcRecord returns the byte offset of forward arc k's 12-byte record.
-func arcRecord(t testing.TB, data []byte, k int) int {
-	t.Helper()
-	e := sectionEntry(t, data, secFwdArcs)
+	e := sectionEntry(t, data, secEdges)
 	return int(binary.LittleEndian.Uint64(data[e+8:])) + 12*k
 }
 
-// sameTypePair returns the index k of a forward arc whose successor
-// k+1 sits in the same row with the same type and another target.
-func sameTypePair(t *testing.T, g *graph.Graph) int {
+// withEdge returns a copy of data whose edge k is e, resealed.
+func withEdge(t testing.TB, data []byte, k int, e graph.Edge) []byte {
 	t.Helper()
-	start, arcs := g.ForwardCSR()
-	for v := 0; v < g.NumNodes(); v++ {
-		for k := start[v]; k+1 < start[v+1]; k++ {
-			if arcs[k].Type == arcs[k+1].Type && arcs[k].To != arcs[k+1].To {
-				return int(k)
-			}
-		}
-	}
-	t.Fatal("no row has two arcs of one type")
-	return 0
+	data = bytes.Clone(data)
+	rec := edgeRecord(t, data, k)
+	binary.LittleEndian.PutUint32(data[rec:], uint32(e.From))
+	binary.LittleEndian.PutUint32(data[rec+4:], uint32(e.To))
+	binary.LittleEndian.PutUint32(data[rec+8:], uint32(e.Type))
+	resealSection(t, data, secEdges)
+	return data
 }
 
-// requireDerivedAdjacency fails t unless g's reverse CSR is exactly the
-// transpose of its forward CSR — sources ascending, each source's arcs
-// in forward order — and every forward arc's InvDeg is 1/OutDeg of its
-// source and type.
+// badEdges returns g's first hasInstance edge (Conference->Year) with
+// its index in Edges, that edge retargeted at a Paper, and that edge
+// given an edge type the schema lacks.
+func badEdges(t testing.TB, g *graph.Graph) (k int, retargeted, untyped graph.Edge) {
+	t.Helper()
+	s := g.Schema()
+	hasInstance, ok1 := s.EdgeTypeByRole("hasInstance")
+	paper, ok2 := s.TypeByName("Paper")
+	if !ok1 || !ok2 {
+		t.Fatal("not a DBLP schema")
+	}
+	papers := g.NodesOfType(paper)
+	for k, e := range g.Edges() {
+		if e.Type == hasInstance && len(papers) > 0 {
+			retargeted, untyped = e, e
+			retargeted.To = papers[0]
+			untyped.Type = graph.EdgeTypeID(s.NumEdgeTypes())
+			return k, retargeted, untyped
+		}
+	}
+	t.Fatal("no hasInstance edge, or no Paper")
+	return
+}
+
+// requireDerivedAdjacency fails t unless g is the authority transfer
+// graph of a schema-conforming data graph: every arc's endpoint labels
+// are the ones its edge type declares, every arc u->v of a type has as
+// many twins v->u of the other direction as it has copies, every
+// forward arc's InvDeg is 1/OutDeg of its source and type, and g's
+// reverse CSR is exactly the transpose of its forward CSR — sources
+// ascending, each source's arcs in forward order.
 func requireDerivedAdjacency(t testing.TB, g *graph.Graph) {
 	t.Helper()
+	s := g.Schema()
+	type key struct {
+		from, to graph.NodeID
+		t        graph.TransferTypeID
+	}
+	copies := map[key]int{}
 	want := make([][]graph.Arc, g.NumNodes())
 	for u := range want {
 		for _, a := range g.OutArcs(graph.NodeID(u)) {
+			et := s.EdgeTypeInfo(a.Type.EdgeType())
+			from, to := graph.NodeID(u), a.To
+			if a.Type.Dir() == graph.Backward {
+				from, to = to, from
+			}
+			if g.Label(from) != et.From || g.Label(to) != et.To {
+				t.Fatalf("arc %d->%d of type %s joins %s to %s", u, a.To, s.TransferTypeName(a.Type), g.LabelName(from), g.LabelName(to))
+			}
+			copies[key{graph.NodeID(u), a.To, a.Type}]++
+
 			inv := float32(1) / float32(g.OutDeg(graph.NodeID(u), a.Type))
 			if math.Float32bits(a.InvDeg) != math.Float32bits(inv) {
 				t.Fatalf("arc %d->%d of type %d has InvDeg %v, want %v", u, a.To, a.Type, a.InvDeg, inv)
 			}
 			want[a.To] = append(want[a.To], graph.Arc{To: graph.NodeID(u), Type: a.Type, InvDeg: a.InvDeg})
+		}
+	}
+	for k, n := range copies {
+		if twins := copies[key{k.to, k.from, k.t ^ 1}]; twins != n {
+			t.Fatalf("arc %d->%d of type %d has %d copies but %d twins", k.from, k.to, k.t, n, twins)
 		}
 	}
 	for v, w := range want {
@@ -355,77 +383,82 @@ func requireDerivedAdjacency(t testing.TB, g *graph.Graph) {
 
 func TestBinSnapshotHostileFiles(t *testing.T) {
 	ds, _, pristine := snapshotFixture(t)
-	pair := sameTypePair(t, ds.Graph)
+	bad, retargeted, untyped := badEdges(t, ds.Graph)
 
 	cases := []struct {
 		name    string
 		mutate  func(t *testing.T, data []byte) []byte
-		wantErr error // nil means "any error is acceptable"
-		loads   bool  // the file must load, with its adjacency derived
+		wantErr error  // nil means "any error is acceptable"
+		loads   bool   // the file must load, with its adjacency derived
+		msg     string // the error must contain this, when set
 	}{
 		{"empty file", func(t *testing.T, d []byte) []byte {
 			return nil
-		}, ErrSnapshotTruncated, false},
+		}, ErrSnapshotTruncated, false, ""},
 		{"short header", func(t *testing.T, d []byte) []byte {
 			return d[:headerSize-1]
-		}, ErrSnapshotTruncated, false},
+		}, ErrSnapshotTruncated, false, ""},
 		{"bad magic", func(t *testing.T, d []byte) []byte {
 			d[0] ^= 0xff
 			return d
-		}, ErrSnapshotMagic, false},
+		}, ErrSnapshotMagic, false, ""},
 		{"gob snapshot bytes", func(t *testing.T, d []byte) []byte {
 			return []byte("\x1f\x8b\x08\x00 definitely not a binary snapshot, padded out")
-		}, ErrSnapshotMagic, false},
+		}, ErrSnapshotMagic, false, ""},
 		{"future version", func(t *testing.T, d []byte) []byte {
 			binary.LittleEndian.PutUint32(d[8:], binSnapshotVersion+1)
 			return d
-		}, ErrSnapshotVersion, false},
+		}, ErrSnapshotVersion, false, ""},
+		{"version-1 header", func(t *testing.T, d []byte) []byte {
+			binary.LittleEndian.PutUint32(d[8:], 1)
+			return d
+		}, ErrSnapshotVersion, false, "datagen"},
 		{"truncated body", func(t *testing.T, d []byte) []byte {
 			return d[:len(d)-1]
-		}, ErrSnapshotTruncated, false},
+		}, ErrSnapshotTruncated, false, ""},
 		{"trailing garbage", func(t *testing.T, d []byte) []byte {
 			return append(d, 0xee)
-		}, ErrSnapshotCorrupt, false},
+		}, ErrSnapshotCorrupt, false, ""},
 		{"zero section count", func(t *testing.T, d []byte) []byte {
 			binary.LittleEndian.PutUint32(d[12:], 0)
 			return d
-		}, ErrSnapshotCorrupt, false},
+		}, ErrSnapshotCorrupt, false, ""},
 		{"implausible section count", func(t *testing.T, d []byte) []byte {
 			binary.LittleEndian.PutUint32(d[12:], maxSections+1)
 			return d
-		}, ErrSnapshotCorrupt, false},
+		}, ErrSnapshotCorrupt, false, ""},
 		{"flipped table checksum", func(t *testing.T, d []byte) []byte {
 			d[16] ^= 0x01
 			return d
-		}, ErrSnapshotChecksum, false},
+		}, ErrSnapshotChecksum, false, ""},
 		{"flipped table byte", func(t *testing.T, d []byte) []byte {
 			d[headerSize+1] ^= 0x40
 			return d
-		}, ErrSnapshotChecksum, false},
+		}, ErrSnapshotChecksum, false, ""},
 		{"flipped payload byte", func(t *testing.T, d []byte) []byte {
-			e := sectionEntry(t, d, secFwdArcs)
+			e := sectionEntry(t, d, secEdges)
 			off := binary.LittleEndian.Uint64(d[e+8:])
 			d[off] ^= 0x80
 			return d
-		}, ErrSnapshotChecksum, false},
+		}, ErrSnapshotChecksum, false, ""},
 		{"section offset out of bounds", func(t *testing.T, d []byte) []byte {
 			e := sectionEntry(t, d, secRates)
 			binary.LittleEndian.PutUint64(d[e+8:], uint64(len(d)))
 			resealTable(d)
 			return d
-		}, ErrSnapshotCorrupt, false},
+		}, ErrSnapshotCorrupt, false, ""},
 		{"section length out of bounds", func(t *testing.T, d []byte) []byte {
 			e := sectionEntry(t, d, secRates)
 			binary.LittleEndian.PutUint64(d[e+16:], uint64(len(d))+8)
 			resealTable(d)
 			return d
-		}, ErrSnapshotCorrupt, false},
+		}, ErrSnapshotCorrupt, false, ""},
 		{"section overlapping table", func(t *testing.T, d []byte) []byte {
 			e := sectionEntry(t, d, secRates)
 			binary.LittleEndian.PutUint64(d[e+8:], 0)
 			resealTable(d)
 			return d
-		}, ErrSnapshotCorrupt, false},
+		}, ErrSnapshotCorrupt, false, ""},
 		{"duplicate section id", func(t *testing.T, d []byte) []byte {
 			// Relabel secMeta's entry as secRates: either the duplicate
 			// or the then-missing meta section must be rejected.
@@ -435,13 +468,13 @@ func TestBinSnapshotHostileFiles(t *testing.T) {
 			// table digest needs resealing.
 			resealTable(d)
 			return d
-		}, ErrSnapshotCorrupt, false},
+		}, ErrSnapshotCorrupt, false, ""},
 		{"missing section", func(t *testing.T, d []byte) []byte {
 			e := sectionEntry(t, d, secDocLen)
 			binary.LittleEndian.PutUint32(d[e:], 63) // unknown id
 			resealTable(d)
 			return d
-		}, ErrSnapshotCorrupt, false},
+		}, ErrSnapshotCorrupt, false, ""},
 		{"lying node count", func(t *testing.T, d []byte) []byte {
 			// Bump numNodes in the meta payload and reseal every
 			// checksum: the loader must still notice the CSR arrays do
@@ -454,26 +487,50 @@ func TestBinSnapshotHostileFiles(t *testing.T) {
 			binary.LittleEndian.PutUint64(d[nodesOff:], n+1)
 			resealSection(t, d, secMeta)
 			return d
-		}, ErrSnapshotCorrupt, false},
-		{"inverse out-degree one ulp off", func(t *testing.T, d []byte) []byte {
-			rec := arcRecord(t, d, pair) + 8
-			binary.LittleEndian.PutUint32(d[rec:], binary.LittleEndian.Uint32(d[rec:])+1)
-			resealSection(t, d, secFwdArcs)
+		}, ErrSnapshotCorrupt, false, ""},
+		{"string table count of 2^32-1", func(t *testing.T, d []byte) []byte {
+			// count+1 wraps to 0 in 32 bits: the table must not pass
+			// as an empty one.
+			e := sectionEntry(t, d, secNodeTypes)
+			binary.LittleEndian.PutUint32(d[binary.LittleEndian.Uint64(d[e+8:]):], math.MaxUint32)
+			resealSection(t, d, secNodeTypes)
 			return d
-		}, ErrSnapshotCorrupt, false},
-		{"forward run out of (type, target) order", func(t *testing.T, d []byte) []byte {
-			a, b := arcRecord(t, d, pair), arcRecord(t, d, pair+1)
-			var tmp [12]byte
-			copy(tmp[:], d[a:a+12])
-			copy(d[a:a+12], d[b:b+12])
-			copy(d[b:b+12], tmp[:])
-			resealSection(t, d, secFwdArcs)
+		}, ErrSnapshotCorrupt, false, "claims 4294967295 entries"},
+		{"lying edge count", func(t *testing.T, d []byte) []byte {
+			e := sectionEntry(t, d, secMeta)
+			off := binary.LittleEndian.Uint64(d[e+8:])
+			nameLen := binary.LittleEndian.Uint32(d[off:])
+			edgesOff := off + 4 + uint64(nameLen) + 8
+			binary.LittleEndian.PutUint64(d[edgesOff:], binary.LittleEndian.Uint64(d[edgesOff:])-1)
+			resealSection(t, d, secMeta)
 			return d
-		}, ErrSnapshotCorrupt, false},
-		{"stale reverse sections are ignored", func(t *testing.T, d []byte) []byte {
-			rstart, rarcs := inflatedReverse(ds.Graph)
-			return withReverseSections(t, d, rstart, rarcs)
-		}, nil, true},
+		}, ErrSnapshotCorrupt, false, "meta claims"},
+		{"edge section length not a multiple of 12", func(t *testing.T, d []byte) []byte {
+			e := sectionEntry(t, d, secEdges)
+			binary.LittleEndian.PutUint64(d[e+16:], binary.LittleEndian.Uint64(d[e+16:])-4)
+			resealSection(t, d, secEdges)
+			return d
+		}, ErrSnapshotCorrupt, false, "not a multiple of 12"},
+		{"edge retargeted across its type's labels", func(t *testing.T, d []byte) []byte {
+			return withEdge(t, d, bad, retargeted)
+		}, ErrSnapshotCorrupt, false, "does not conform to type Conference-hasInstance->Year"},
+		{"edge type out of range", func(t *testing.T, d []byte) []byte {
+			return withEdge(t, d, bad, untyped)
+		}, ErrSnapshotCorrupt, false, "unknown edge type"},
+		{"edges in another order", func(t *testing.T, d []byte) []byte {
+			e := sectionEntry(t, d, secEdges)
+			off := int(binary.LittleEndian.Uint64(d[e+8:]))
+			payload := d[off : off+int(binary.LittleEndian.Uint64(d[e+16:]))]
+			recs := make([][12]byte, len(payload)/12)
+			for i := range recs {
+				recs[len(recs)-1-i] = [12]byte(payload[12*i:])
+			}
+			for i, r := range recs {
+				copy(payload[12*i:], r[:])
+			}
+			resealSection(t, d, secEdges)
+			return d
+		}, nil, true, ""},
 	}
 
 	for _, tc := range cases {
@@ -499,6 +556,9 @@ func TestBinSnapshotHostileFiles(t *testing.T) {
 				}
 				if tc.wantErr != nil && !errors.Is(err, tc.wantErr) {
 					t.Fatalf("err = %v, want errors.Is(%v)", err, tc.wantErr)
+				}
+				if !strings.Contains(err.Error(), tc.msg) {
+					t.Fatalf("err = %v, want one containing %q", err, tc.msg)
 				}
 			})
 		})

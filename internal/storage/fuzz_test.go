@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"strings"
 	"testing"
@@ -13,28 +14,30 @@ import (
 
 // FuzzLoad: arbitrary bytes never panic the snapshot reader — they
 // either load (if they happen to be a valid snapshot) or return an
-// error. Whatever loads has the adjacency Equation 1 derives from its
-// forward CSR: InArcs is the exact transpose of OutArcs and every
-// InvDeg is 1/OutDeg of its source and type.
+// error. Whatever loads is the authority transfer graph of a
+// schema-conforming data graph (requireDerivedAdjacency). Each input
+// is also read with its checksums resealed, so mutated payloads reach
+// the structural checks behind the CRCs.
+//
+// The seeds are snapshots of a corpus of a few dozen nodes, which keeps
+// each run of the target short. Go's minimizer spends up to
+// -fuzzminimizetime (60 s by default) on every input that finds new
+// coverage, with a number of runs quadratic in the input's length, and
+// the worker fuzzes nothing meanwhile: a 10-second run needs a shorter
+// bound to fuzz at all (CI passes -fuzzminimizetime 1s).
 func FuzzLoad(f *testing.F) {
-	// Seed with a real snapshot so the fuzzer mutates from valid input.
-	ds, _, snap := snapshotFixture(f)
+	ds, _, snap := snapshotOf(f, tinyDataset(f))
 	f.Add(snap)
 	f.Add([]byte{})
 	f.Add([]byte("not a snapshot"))
-	// Checksum-valid files whose stored weights disagree with the
-	// forward CSR: every forward InvDeg set to 1, and a reverse half
-	// with every InvDeg set to 1 in the retired sections 11 and 12.
-	inflated := bytes.Clone(snap)
-	for k := 0; k < ds.Graph.NumArcs(); k++ {
-		binary.LittleEndian.PutUint32(inflated[arcRecord(f, inflated, k)+8:], math.Float32bits(1))
-	}
-	resealSection(f, inflated, secFwdArcs)
-	f.Add(inflated)
-	rstart, rarcs := inflatedReverse(ds.Graph)
-	f.Add(withReverseSections(f, snap, rstart, rarcs))
+	// Checksum-valid files whose edges the Builder rejects: an edge
+	// whose endpoint labels break its type, and one whose type is out
+	// of range.
+	k, retargeted, untyped := badEdges(f, ds.Graph)
+	f.Add(withEdge(f, snap, k, retargeted))
+	f.Add(withEdge(f, snap, k, untyped))
 
-	f.Fuzz(func(t *testing.T, data []byte) {
+	load := func(t *testing.T, data []byte) {
 		ds, ix, err := ReadSnapshot(data)
 		if err != nil {
 			return // rejected, fine
@@ -47,7 +50,36 @@ func FuzzLoad(f *testing.F) {
 			t.Fatalf("index covers %d documents, graph has %d nodes", ix.NumDocs(), ds.Graph.NumNodes())
 		}
 		requireDerivedAdjacency(t, ds.Graph)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		load(t, data)
+		if sealed := resealed(data); sealed != nil {
+			load(t, sealed)
+		}
 	})
+}
+
+// resealed returns a copy of data with the CRC of every section inside
+// the file and of the section table recomputed, or nil when data has
+// no section table to reseal.
+func resealed(data []byte) []byte {
+	if len(data) < headerSize {
+		return nil
+	}
+	count := int(binary.LittleEndian.Uint32(data[12:]))
+	if count > maxSections || headerSize+count*sectionEntrySize > len(data) {
+		return nil
+	}
+	data = bytes.Clone(data)
+	for i := 0; i < count; i++ {
+		e := data[headerSize+i*sectionEntrySize:]
+		off, length := binary.LittleEndian.Uint64(e[8:]), binary.LittleEndian.Uint64(e[16:])
+		if length <= uint64(len(data)) && off <= uint64(len(data))-length {
+			binary.LittleEndian.PutUint32(e[4:], crc32.Checksum(data[off:off+length], crcTable))
+		}
+	}
+	resealTable(data)
+	return data
 }
 
 // FuzzLoadRates: arbitrary bytes never panic the rates reader over the

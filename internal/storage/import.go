@@ -241,13 +241,8 @@ func ExportTSV(ds *datagen.Dataset, schema io.Writer, nodes io.Writer, edges io.
 	}
 
 	ew := bufio.NewWriter(edges)
-	for v := 0; v < g.NumNodes(); v++ {
-		for _, a := range g.OutArcs(graph.NodeID(v)) {
-			if a.Type.Dir() == graph.Forward {
-				role := s.EdgeTypeInfo(a.Type.EdgeType()).Role
-				fmt.Fprintf(ew, "n%d\tn%d\t%s\n", v, a.To, role)
-			}
-		}
+	for _, e := range g.Edges() {
+		fmt.Fprintf(ew, "n%d\tn%d\t%s\n", e.From, e.To, s.EdgeTypeInfo(e.Type).Role)
 	}
 	return ew.Flush()
 }

@@ -16,8 +16,20 @@ import (
 
 func testDataset(t testing.TB) *datagen.Dataset {
 	t.Helper()
-	cfg := datagen.DBLPTopConfig().Scale(0.01)
-	ds, err := datagen.GenerateDBLP(cfg)
+	return dblpAt(t, 0.01)
+}
+
+// tinyDataset is the DBLP corpus at the smallest scale that keeps every
+// node and edge type: one conference, its 17 years, 14 papers and 7
+// authors.
+func tinyDataset(t testing.TB) *datagen.Dataset {
+	t.Helper()
+	return dblpAt(t, 0.001)
+}
+
+func dblpAt(t testing.TB, scale float64) *datagen.Dataset {
+	t.Helper()
+	ds, err := datagen.GenerateDBLP(datagen.DBLPTopConfig().Scale(scale))
 	if err != nil {
 		t.Fatal(err)
 	}
