@@ -10,16 +10,14 @@ import (
 // where it survives tiny scales, the rest is covered by the benches at
 // default scale.
 func testCfg(buf *bytes.Buffer) Config {
-	return Config{Scale: 0.04, Out: buf}
+	return Config{Scale: testScale, Out: buf}
 }
 
+// testScale is testCfg's dataset scale.
+const testScale = 0.04
+
 func TestTable1(t *testing.T) {
-	var buf bytes.Buffer
-	cfg := testCfg(&buf)
-	res, err := Table1(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, out := runShared(t, "table1", Table1)
 	if len(res.Rows) != 4 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
@@ -35,7 +33,7 @@ func TestTable1(t *testing.T) {
 		// At scale s the generated node count is within a factor of the
 		// scaled paper reference (the generator approximates, it does
 		// not copy).
-		scaled := float64(r.PaperNodes) * cfg.Scale
+		scaled := float64(r.PaperNodes) * testScale
 		if float64(r.Nodes) < scaled/3 || float64(r.Nodes) > scaled*3 {
 			t.Errorf("%s nodes %d too far from scaled reference %.0f", r.Name, r.Nodes, scaled)
 		}
@@ -45,17 +43,13 @@ func TestTable1(t *testing.T) {
 			t.Errorf("missing dataset %s", want)
 		}
 	}
-	if !strings.Contains(buf.String(), "Table 1") {
+	if !strings.Contains(out, "Table 1") {
 		t.Error("no rendered output")
 	}
 }
 
 func TestTable2(t *testing.T) {
-	var buf bytes.Buffer
-	res, err := Table2(testCfg(&buf))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, out := runShared(t, "table2", Table2)
 	if len(res.Queries) != 7 || len(res.OR2) != 7 || len(res.OR) != 7 {
 		t.Fatalf("wrong arity: %+v", res)
 	}
@@ -67,7 +61,7 @@ func TestTable2(t *testing.T) {
 	if res.AvgOR2 <= 0 {
 		t.Error("ObjectRank2 found nothing relevant")
 	}
-	if !strings.Contains(buf.String(), "average") {
+	if !strings.Contains(out, "average") {
 		t.Error("no rendered output")
 	}
 }
@@ -76,11 +70,7 @@ func TestFigure10Mechanics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("survey experiment")
 	}
-	var buf bytes.Buffer
-	res, err := Figure10(testCfg(&buf))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, _ := runShared(t, "figure10", Figure10)
 	if len(res.Labels) != 3 {
 		t.Fatalf("labels = %v", res.Labels)
 	}
@@ -117,12 +107,7 @@ func TestFigure11Mechanics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("survey experiment")
 	}
-	var buf bytes.Buffer
-	cfg := testCfg(&buf)
-	res, err := Figure11(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, _ := runShared(t, "figure11", Figure11)
 	if len(res.Labels) != 5 {
 		t.Fatalf("labels = %v", res.Labels)
 	}
@@ -174,32 +159,20 @@ func TestFigure12And13Mechanics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("survey experiment")
 	}
-	var buf bytes.Buffer
-	res, err := Figure12(testCfg(&buf))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, _ := runShared(t, "figure12", Figure12)
 	c := res.Curves["structure-only"]
 	if len(c) != 5 {
 		t.Fatalf("figure12 curve = %v", c)
 	}
-	res13, err := Figure13(testCfg(&buf))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res13, _ := runShared(t, "figure13", Figure13)
 	if len(res13.Labels) != 3 {
 		t.Fatalf("figure13 labels = %v", res13.Labels)
 	}
 }
 
 func TestTimingFigures(t *testing.T) {
-	var buf bytes.Buffer
-	cfg := testCfg(&buf)
-	for _, fig := range []func(Config) (*TimingResult, error){Figure14, Figure15, Figure16, Figure17} {
-		res, err := fig(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for i, name := range timingFigureNames {
+		res, _ := runShared(t, name, timingFigures[i])
 		if len(res.Iters) != 5 {
 			t.Fatalf("%s: %d iterations", res.Dataset, len(res.Iters))
 		}
@@ -223,11 +196,7 @@ func TestTimingFigures(t *testing.T) {
 }
 
 func TestTable3(t *testing.T) {
-	var buf bytes.Buffer
-	res, err := Table3(testCfg(&buf))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, out := runShared(t, "table3", Table3)
 	if len(res.Datasets) != 4 {
 		t.Fatalf("datasets = %v", res.Datasets)
 	}
@@ -236,7 +205,7 @@ func TestTable3(t *testing.T) {
 			t.Fatalf("%s has %d iterations", res.Datasets[d], len(row))
 		}
 	}
-	if !strings.Contains(buf.String(), "Table 3") {
+	if !strings.Contains(out, "Table 3") {
 		t.Error("no rendered output")
 	}
 }
@@ -270,11 +239,7 @@ func TestExtensionActiveFeedback(t *testing.T) {
 	if testing.Short() {
 		t.Skip("survey experiment")
 	}
-	var buf bytes.Buffer
-	res, err := ExtensionActiveFeedback(testCfg(&buf))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, out := runShared(t, "active", ExtensionActiveFeedback)
 	if len(res.Labels) != 2 {
 		t.Fatalf("labels = %v", res.Labels)
 	}
@@ -289,7 +254,7 @@ func TestExtensionActiveFeedback(t *testing.T) {
 		t.Errorf("initial cosines differ: %v vs %v",
 			res.Curves["passive"][0], res.Curves["active"][0])
 	}
-	if !strings.Contains(buf.String(), "active") {
+	if !strings.Contains(out, "active") {
 		t.Error("no rendered output")
 	}
 }
@@ -343,11 +308,7 @@ func TestExtensionImplicitFeedback(t *testing.T) {
 	if testing.Short() {
 		t.Skip("survey experiment")
 	}
-	var buf bytes.Buffer
-	res, err := ExtensionImplicitFeedback(testCfg(&buf))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, out := runShared(t, "implicit", ExtensionImplicitFeedback)
 	if len(res.Labels) != 2 {
 		t.Fatalf("labels = %v", res.Labels)
 	}
@@ -359,7 +320,7 @@ func TestExtensionImplicitFeedback(t *testing.T) {
 	if res.Curves["explicit"][0] != res.Curves["implicit"][0] {
 		t.Error("protocols start from different rates")
 	}
-	if !strings.Contains(buf.String(), "implicit") {
+	if !strings.Contains(out, "implicit") {
 		t.Error("no rendered output")
 	}
 }
