@@ -36,9 +36,12 @@
 //	res := rs[0]
 //	top := res.TopK(10)
 //	sg, _ := pin.ExplainCtx(ctx, res, top[0].Node, authorityflow.DefaultExplain())
-//	ref, _ := pin.ReformulateWeightedCtx(ctx, res.Query, []*authorityflow.Subgraph{sg},
+//	// Feedback on the top result: explain it, reformulate, publish the
+//	// learned rates, then requery warm under the state the round published.
+//	round, _ := pin.FeedbackCtx(ctx, res.Query, res, []authorityflow.NodeID{top[0].Node},
 //	    nil, authorityflow.StructureOnly())
-//	_, _ = eng.TrySetRates(ref.Rates, pin.Version()) // apply the learned rates
+//	rs, _ = round.Pin.Solve(ctx, authorityflow.SolveSpec{
+//	    Queries: []*authorityflow.Query{round.Reformulation.Query}, Inits: [][]float64{res.Scores}})
 package authorityflow
 
 import (
@@ -132,8 +135,8 @@ type (
 	Corpus = core.Corpus
 	// Pinned is a consistent engine view at one rates snapshot: every
 	// read — Solve, ExplainCtx, ReformulateWeightedCtx — goes through
-	// one, so multi-step flows (solve → explain → reformulate →
-	// publish) see one corpus and one rate assignment.
+	// one, so a feedback round (FeedbackCtx: explain → reformulate →
+	// publish) sees one corpus and one rate assignment.
 	Pinned = core.Pinned
 	// SolveSpec describes one ranking request for Pinned.Solve: the
 	// queries (or a jump vector), the ranking mode, and the start
@@ -172,11 +175,12 @@ func NewCorpusWithIndex(g *Graph, ix *Index, cfg Config) (*Corpus, error) {
 // threshold 0.002.
 func DefaultExplain() ExplainOptions { return core.DefaultExplain() }
 
-// ContentOnly, StructureOnly and ContentAndStructure are the paper's
-// three survey reformulation settings.
-func ContentOnly() ReformulateOptions         { return core.ContentOnly() }
-func StructureOnly() ReformulateOptions       { return core.StructureOnly() }
-func ContentAndStructure() ReformulateOptions { return core.ContentAndStructure() }
+// StructureOnly returns the paper's structure-only survey setting.
+func StructureOnly() ReformulateOptions { return core.StructureOnly() }
+
+// ParseStrategy names the paper's three survey reformulation settings:
+// "structure" (or ""), "content" and "both".
+func ParseStrategy(mode string) (ReformulateOptions, error) { return core.ParseStrategy(mode) }
 
 // Dataset is a corpus: graph, expert rates, name.
 type Dataset = datagen.Dataset

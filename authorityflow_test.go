@@ -116,15 +116,19 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Error("bad JSON output")
 	}
 
-	// Reformulate and re-rank.
-	ref, err := pin.ReformulateWeightedCtx(ctx, q, []*authorityflow.Subgraph{sg}, nil, authorityflow.ContentAndStructure())
+	// Reformulate, publish and re-rank under the published state.
+	both, err := authorityflow.ParseStrategy("both")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.SetRates(ref.Rates); err != nil {
+	round, err := pin.FeedbackCtx(ctx, q, res, []authorityflow.NodeID{ids["dataCube"]}, nil, both)
+	if err != nil {
 		t.Fatal(err)
 	}
-	res2 := solve(t, eng.Pin(), authorityflow.SolveSpec{Queries: []*authorityflow.Query{ref.Query}, Inits: [][]float64{res.Scores}})
+	if round.Pin.Version() != pin.Version()+1 || eng.RatesVersion() != round.Pin.Version() {
+		t.Fatalf("round published version %d, engine at %d", round.Pin.Version(), eng.RatesVersion())
+	}
+	res2 := solve(t, round.Pin, authorityflow.SolveSpec{Queries: []*authorityflow.Query{round.Reformulation.Query}, Inits: [][]float64{res.Scores}})
 	if res2.TopK(1)[0].Score <= 0 {
 		t.Fatal("re-ranking broken")
 	}
@@ -203,11 +207,18 @@ func TestFacadeQueryHelpers(t *testing.T) {
 	if authorityflow.DefaultExplain().Radius != 3 {
 		t.Error("DefaultExplain wrong")
 	}
-	if authorityflow.ContentOnly().Cf != 0 || authorityflow.StructureOnly().Ce != 0 {
-		t.Error("presets wrong")
+	for mode, want := range map[string]authorityflow.ReformulateOptions{
+		"":          authorityflow.StructureOnly(),
+		"structure": {Cf: 0.5, Cd: 0.5},
+		"content":   {Ce: 0.2, Cd: 0.5},
+		"both":      {Ce: 0.2, Cf: 0.5, Cd: 0.5},
+	} {
+		if got, err := authorityflow.ParseStrategy(mode); err != nil || got != want {
+			t.Errorf("ParseStrategy(%q) = %+v, %v; want %+v", mode, got, err, want)
+		}
 	}
-	if authorityflow.ContentAndStructure().Ce == 0 {
-		t.Error("combined preset wrong")
+	if _, err := authorityflow.ParseStrategy("bogus"); err == nil || err.Error() != "unknown mode bogus" {
+		t.Errorf("ParseStrategy(bogus) error = %v", err)
 	}
 	tt := authorityflow.TransferType(authorityflow.EdgeTypeID(3), authorityflow.Backward)
 	if tt.EdgeType() != 3 || tt.Dir() != authorityflow.Backward {

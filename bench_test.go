@@ -408,10 +408,14 @@ func BenchmarkReformulate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	both, err := authorityflow.ParseStrategy("both")
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.Pin().ReformulateWeightedCtx(context.Background(), q, []*authorityflow.Subgraph{sg}, nil, authorityflow.ContentAndStructure()); err != nil {
+		if _, err := eng.Pin().ReformulateWeightedCtx(context.Background(), q, []*authorityflow.Subgraph{sg}, nil, both); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -419,10 +423,11 @@ func BenchmarkReformulate(b *testing.B) {
 
 // BenchmarkReformulateDblptop measures what one /v1/reformulate does
 // at the benchmark's corpus in each of the paper's three settings,
-// minus HTTP and the serving cache: rank the query, explain its top two
-// results — the feedback, concurrently (Pinned.ExplainEachCtx) —
-// compute Equations 13–15, publish the rates and requery the
-// reformulated query warm-started from the ranking. The query rotates
+// minus HTTP and the serving cache: rank the query, run one feedback
+// round (Pinned.FeedbackCtx) on its top two results — explain them
+// concurrently, compute Equations 11–15, publish the rates — and
+// requery the reformulated query under the published state,
+// warm-started from the ranking. The query rotates
 // over five keywords, so a feedback explain builds its target's ball,
 // derives from a kept one or reuses a kept topology; each mode reports
 // ms/op, each path's explains per op and the requery's sweeps per op.
@@ -436,15 +441,12 @@ func BenchmarkReformulateDblptop(b *testing.B) {
 	for _, q := range []string{"olap", "mining", "xml", "web", "query"} {
 		queries = append(queries, authorityflow.NewQuery(q))
 	}
-	for _, mode := range []struct {
-		name string
-		opts authorityflow.ReformulateOptions
-	}{
-		{"structure", authorityflow.StructureOnly()},
-		{"content", authorityflow.ContentOnly()},
-		{"both", authorityflow.ContentAndStructure()},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
+	for _, mode := range []string{"structure", "content", "both"} {
+		b.Run(mode, func(b *testing.B) {
+			opts, err := authorityflow.ParseStrategy(mode)
+			if err != nil {
+				b.Fatal(err)
+			}
 			eng, err := authorityflow.NewEngine(ds.Graph, ds.Rates, authorityflow.Config{})
 			if err != nil {
 				b.Fatal(err)
@@ -457,21 +459,14 @@ func BenchmarkReformulateDblptop(b *testing.B) {
 				pin, q := eng.Pin(), queries[i%len(queries)]
 				res := solve(b, pin, authorityflow.SolveSpec{Queries: []*authorityflow.Query{q}})
 				top := res.TopK(2)
-				subs, err := pin.ExplainEachCtx(ctx, res, []authorityflow.NodeID{top[0].Node, top[1].Node}, authorityflow.DefaultExplain())
+				round, err := pin.FeedbackCtx(ctx, q, res, []authorityflow.NodeID{top[0].Node, top[1].Node}, nil, opts)
 				if err != nil {
 					b.Fatal(err)
 				}
-				for _, sg := range subs {
+				for _, sg := range round.Subgraphs {
 					paths[sg.TopologyPath()]++
 				}
-				ref, err := pin.ReformulateWeightedCtx(ctx, q, subs, nil, mode.opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := eng.TrySetRates(ref.Rates, pin.Version()); err != nil {
-					b.Fatal(err)
-				}
-				requery := solve(b, eng.Pin(), authorityflow.SolveSpec{Queries: []*authorityflow.Query{ref.Query}, Inits: [][]float64{res.Scores}})
+				requery := solve(b, round.Pin, authorityflow.SolveSpec{Queries: []*authorityflow.Query{round.Reformulation.Query}, Inits: [][]float64{res.Scores}})
 				sweeps += requery.Iterations
 				eng.Release(requery)
 				eng.Release(res)

@@ -180,34 +180,25 @@ func main() {
 		if len(args) < 3 {
 			fail(fmt.Errorf("feedback needs keywords and node ids"))
 		}
-		q := authorityflow.ParseQuery(args[1])
-		res := solve(pin, q, nil)
-		var subs []*authorityflow.Subgraph
+		opts, err := authorityflow.ParseStrategy(*mode)
+		if err != nil {
+			fail(err)
+		}
+		var ids []authorityflow.NodeID
 		for _, part := range strings.Split(args[2], ",") {
 			target, err := parseNode(part)
 			if err != nil {
 				fail(err)
 			}
-			sg, err := pin.ExplainCtx(context.Background(), res, target, authorityflow.DefaultExplain())
-			if err != nil {
-				fail(err)
-			}
-			subs = append(subs, sg)
+			ids = append(ids, target)
 		}
-		opts := authorityflow.StructureOnly()
-		switch *mode {
-		case "content":
-			opts = authorityflow.ContentOnly()
-		case "both":
-			opts = authorityflow.ContentAndStructure()
-		case "structure":
-		default:
-			fail(fmt.Errorf("unknown mode %q", *mode))
-		}
-		ref, err := pin.ReformulateWeightedCtx(context.Background(), q, subs, nil, opts)
+		q := authorityflow.ParseQuery(args[1])
+		res := solve(pin, q, nil)
+		round, err := pin.FeedbackCtx(context.Background(), q, res, ids, nil, opts)
 		if err != nil {
 			fail(err)
 		}
+		ref := round.Reformulation
 		fmt.Printf("reformulated query: %v\n", ref.Query)
 		if len(ref.Expansion) > 0 {
 			fmt.Printf("expansion terms:")
@@ -223,10 +214,7 @@ func main() {
 			}
 			fmt.Printf("wrote %s\n", *saveRates)
 		}
-		if err := eng.SetRates(ref.Rates); err != nil {
-			fail(err)
-		}
-		res2 := solve(eng.Pin(), ref.Query, res.Scores)
+		res2 := solve(round.Pin, ref.Query, res.Scores)
 		fmt.Println("re-ranked results:")
 		for i, r := range res2.TopK(*k) {
 			fmt.Printf("%2d. %.6f  %s\n", i+1, r.Score, ds.Graph.Display(r.Node))

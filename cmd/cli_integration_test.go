@@ -128,6 +128,17 @@ func TestCLIWorkflow(t *testing.T) {
 	if _, err := os.Stat(rates); err != nil {
 		t.Fatal("rates file not written")
 	}
+	// The other two reformulation modes expand the query and requery.
+	for _, mode := range []string{"content", "both"} {
+		out = run(t, "afq", "-snap", snapshot, "-mode", mode, "feedback", "olap", nodeID)
+		if !strings.Contains(out, "expansion terms:") || !strings.Contains(out, "re-ranked results:") {
+			t.Fatalf("feedback -mode %s output: %s", mode, out)
+		}
+	}
+	out = runExpectError(t, "afq", "-snap", snapshot, "-mode", "bogus", "feedback", "olap", nodeID)
+	if !strings.Contains(out, "unknown mode bogus") {
+		t.Fatalf("feedback -mode bogus output: %s", out)
+	}
 	// Reload the trained rates for a fresh query.
 	out = run(t, "afq", "-snap", snapshot, "-loadrates", rates, "-k", "2", "query", "olap")
 	if !strings.Contains(out, "base set") {

@@ -400,23 +400,18 @@ func (e *Engine) RatesVersion() uint64 { return e.state.Load().snap.version }
 func (e *Engine) Generation() uint64 { return e.state.Load().gen.num }
 
 // SetRates replaces the authority transfer rates (cloned) by publishing
-// a fresh snapshot, unconditionally (last writer wins). Used after a
-// structure-based reformulation. Safe under full concurrency with every
-// read path; in-flight operations keep the state they started with.
-// The corpus generation is preserved — rates are validated against the
-// generation current at each CAS attempt, so a SetRates racing a
-// SwapCorpus fails cleanly if the new generation has a different
-// schema rather than publishing rates the new graph cannot interpret.
+// a fresh snapshot, unconditionally (last writer wins). Safe under full
+// concurrency with every read path; in-flight operations keep the state
+// they started with. The corpus generation is preserved — rates are
+// validated against the generation current at each CAS attempt, so a
+// SetRates racing a SwapCorpus fails cleanly if the new generation has
+// a different schema rather than publishing rates the new graph cannot
+// interpret.
 func (e *Engine) SetRates(r *graph.Rates) error {
 	clone := r.Clone()
 	for {
-		old := e.state.Load()
-		if err := validateRates(old.gen.corpus.g, clone); err != nil {
+		if _, err := e.casRates(e.state.Load(), clone); err != ErrRatesConflict {
 			return err
-		}
-		next := &engineState{gen: old.gen, snap: newRatesSnapshot(clone, old.snap.version+1)}
-		if e.state.CompareAndSwap(old, next) {
-			return nil
 		}
 	}
 }
@@ -437,14 +432,23 @@ func (e *Engine) TrySetRates(r *graph.Rates, ifVersion uint64) (uint64, error) {
 	if old.snap.version != ifVersion {
 		return old.snap.version, ErrRatesConflict
 	}
+	st, err := e.casRates(old, r.Clone())
+	return st.snap.version, err
+}
+
+// casRates is the one rates publish: it swaps a snapshot of r (owned
+// from here on) in over old if r is valid on old's graph and old is
+// still current, and returns the state in force afterwards — the one
+// it published, old for invalid r, or the winner with ErrRatesConflict.
+func (e *Engine) casRates(old *engineState, r *graph.Rates) (*engineState, error) {
 	if err := validateRates(old.gen.corpus.g, r); err != nil {
-		return old.snap.version, err
+		return old, err
 	}
-	next := &engineState{gen: old.gen, snap: newRatesSnapshot(r.Clone(), old.snap.version+1)}
+	next := &engineState{gen: old.gen, snap: newRatesSnapshot(r, old.snap.version+1)}
 	if !e.state.CompareAndSwap(old, next) {
-		return e.state.Load().snap.version, ErrRatesConflict
+		return e.state.Load(), ErrRatesConflict
 	}
-	return next.snap.version, nil
+	return next, nil
 }
 
 // SwapCorpus publishes a whole new corpus generation — graph, index
@@ -623,8 +627,8 @@ func (e *Engine) ObjectRankBaseline(q *ir.Query) *RankResult {
 // Corpus — uses the corpus AND rates captured at Pin time, regardless
 // of concurrent SetRates or SwapCorpus calls, so multi-step flows
 // (rank → explain → reformulate → publish) compose without locks:
-// compute against the pin, then publish with TrySetRates(rates,
-// pin.Version()) and retry on conflict. A pin taken before a corpus
+// FeedbackCtx computes against the pin and publishes by compare-and-swap
+// at its version, failing on conflict. A pin taken before a corpus
 // swap keeps the old generation's graph and index alive until the pin
 // is dropped; nothing it returns can mix generations.
 type Pinned struct {

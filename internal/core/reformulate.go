@@ -3,8 +3,10 @@ package core
 import (
 	"cmp"
 	"context"
+	"errors"
 	"fmt"
 	"math"
+	"time"
 
 	"authorityflow/internal/graph"
 	"authorityflow/internal/ir"
@@ -51,6 +53,20 @@ func ContentAndStructure() ReformulateOptions {
 	return ReformulateOptions{Ce: 0.2, Cf: 0.5, Cd: 0.5}
 }
 
+// ParseStrategy names the survey settings: "structure" (or "") is
+// StructureOnly, "content" ContentOnly, "both" ContentAndStructure.
+func ParseStrategy(mode string) (ReformulateOptions, error) {
+	switch mode {
+	case "", "structure":
+		return StructureOnly(), nil
+	case "content":
+		return ContentOnly(), nil
+	case "both":
+		return ContentAndStructure(), nil
+	}
+	return ReformulateOptions{}, errors.New("unknown mode " + mode)
+}
+
 // WeightedTerm is one expansion-term candidate with its Equation 11
 // weight (after normalization).
 type WeightedTerm struct {
@@ -90,13 +106,8 @@ type Reformulation struct {
 // count must otherwise match the feedback count and weights must be
 // non-negative.
 //
-// The cloned-and-adjusted Rates in the result derive from the PINNED
-// snapshot's rates, not from whatever SetRates may have published since
-// the caller started its feedback round. Combined with
-// TrySetRates(result.Rates, pin.Version()) this gives callers an
-// optimistic-concurrency loop: the adjustment is computed off a stable
-// basis and publication fails (rather than silently clobbering) when
-// another writer got there first.
+// The adjusted Rates derive from the PINNED snapshot's rates, the
+// basis FeedbackCtx publishes them over by compare-and-swap.
 //
 // The reformulation itself is cheap (its cost is linear in the feedback
 // subgraphs, not the corpus), so ctx is checked at entry and between
@@ -152,6 +163,44 @@ func (p *Pinned) ReformulateWeightedCtx(ctx context.Context, q *ir.Query, feedba
 		out.Rates = adjustRates(snap.rates, flows, opts.Cf)
 	}
 	return out, nil
+}
+
+// Round is one feedback round of the paper's loop.
+type Round struct {
+	// Subgraphs explain the feedback objects (Figure 8, Eq. 10), in ids'
+	// order; Reformulation is what Eq. 11–15 make of them.
+	Subgraphs     []*Subgraph
+	Reformulation *Reformulation
+	// ReformulateDur is stage (d) of Figures 14–17: Eq. 11–15 alone.
+	ReformulateDur time.Duration
+	// Pin is the state in force after the round: the one it published,
+	// or, alongside ErrRatesConflict, the one that won the race.
+	Pin *Pinned
+}
+
+// FeedbackCtx is one feedback round against the pinned state: it
+// explains each of ids under res at DefaultExplain (ExplainEachCtx),
+// reformulates q from the subgraphs (ReformulateWeightedCtx) and
+// publishes the rates by compare-and-swap at the pin's version. A
+// caller requeries (warm from res.Scores, §6.2) under the returned
+// Pin, exactly the rates and generation it published. If another
+// writer published or swapped the corpus since the pin was taken,
+// nothing is published and the round comes back with ErrRatesConflict.
+// An explain or reformulation error returns no round.
+func (p *Pinned) FeedbackCtx(ctx context.Context, q *ir.Query, res *RankResult, ids []graph.NodeID, confidences []float64, opts ReformulateOptions) (*Round, error) {
+	subs, err := p.ExplainEachCtx(ctx, res, ids, DefaultExplain())
+	if err != nil {
+		return nil, err
+	}
+	t0 := time.Now()
+	ref, err := p.ReformulateWeightedCtx(ctx, q, subs, confidences, opts)
+	if err != nil {
+		return nil, err
+	}
+	r := &Round{Subgraphs: subs, Reformulation: ref, ReformulateDur: time.Since(t0)}
+	st, err := p.e.casRates(p.st, ref.Rates.Clone())
+	r.Pin = &Pinned{e: p.e, st: st}
+	return r, err
 }
 
 // addFlowByType adds w times each arc's adjusted flow into acc at the

@@ -23,6 +23,7 @@ import (
 	"authorityflow/internal/core"
 	"authorityflow/internal/datagen"
 	"authorityflow/internal/graph"
+	"authorityflow/internal/ir"
 	"authorityflow/internal/rank"
 	"authorityflow/internal/sim"
 )
@@ -166,6 +167,31 @@ func expertWorld(cfg Config, ds *datagen.Dataset, resultTypeName string, topR in
 	}
 	w.uniform = w.ds.Rates.Clone()
 	return w, nil
+}
+
+// surveyCurve runs one session per simulated user and query, each from
+// the untrained rates, and averages the curves run makes of them. User
+// ui < users is the DBLPtop world seeded cfg.Seed+ui+1 that judges by
+// its ideal top topR0+5·ui.
+func surveyCurve(cfg Config, users, topR0 int, queries []string, run func(w *world, ui, qi int, q *ir.Query) ([]float64, error)) ([]float64, error) {
+	var curves [][]float64
+	for ui := 0; ui < users; ui++ {
+		w, err := dblpWorld(cfg, cfg.Seed+int64(ui)+1, topR0+5*ui)
+		if err != nil {
+			return nil, err
+		}
+		for qi, raw := range queries {
+			if err := w.reset(); err != nil {
+				return nil, err
+			}
+			c, err := run(w, ui, qi, ir.ParseQuery(raw))
+			if err != nil {
+				return nil, err
+			}
+			curves = append(curves, c)
+		}
+	}
+	return meanCurves(curves), nil
 }
 
 // surveyQueries are representative topic queries used by the simulated

@@ -30,30 +30,22 @@ func ExtensionActiveFeedback(cfg Config) (*CurveResult, error) {
 	}
 	queries := surveyQueries(4, 1)
 	for _, p := range policies {
-		var curves [][]float64
-		for ui := 0; ui < 3; ui++ {
-			w, err := dblpWorld(cfg, cfg.Seed+int64(ui)+1, 20+5*ui)
+		sess := sim.DefaultSession(core.StructureOnly())
+		sess.Iterations = 5
+		sess.MaxFeedback = 2
+		sess.Policy = p.policy
+		curve, err := surveyCurve(cfg, 3, 20, queries, func(w *world, _, _ int, q *ir.Query) ([]float64, error) {
+			res, err := sim.RunSession(w.sys, w.user, q, sess)
 			if err != nil {
 				return nil, err
 			}
-			truth := w.user.TruthRates()
-			for _, raw := range queries {
-				if err := w.reset(); err != nil {
-					return nil, err
-				}
-				sess := sim.DefaultSession(core.StructureOnly())
-				sess.Iterations = 5
-				sess.MaxFeedback = 2
-				sess.Policy = p.policy
-				res, err := sim.RunSession(w.sys, w.user, ir.ParseQuery(raw), sess)
-				if err != nil {
-					return nil, err
-				}
-				curves = append(curves, res.RateCosines(truth))
-			}
+			return res.RateCosines(w.user.TruthRates()), nil
+		})
+		if err != nil {
+			return nil, err
 		}
 		out.Labels = append(out.Labels, p.label)
-		out.Curves[p.label] = meanCurves(curves)
+		out.Curves[p.label] = curve
 	}
 	cfg.printf("Extension: active vs passive feedback selection (cosine per iteration)\n")
 	for _, l := range out.Labels {
@@ -74,30 +66,14 @@ func ExtensionImplicitFeedback(cfg Config) (*CurveResult, error) {
 	out := &CurveResult{Curves: map[string][]float64{}}
 	queries := surveyQueries(4, 1)
 	for _, protocol := range []string{"explicit", "implicit"} {
-		var curves [][]float64
-		for ui := 0; ui < 3; ui++ {
-			w, err := dblpWorld(cfg, cfg.Seed+int64(ui)+1, 20+5*ui)
-			if err != nil {
-				return nil, err
-			}
-			truth := w.user.TruthRates()
-			for qi, raw := range queries {
-				if err := w.reset(); err != nil {
-					return nil, err
-				}
-				curve, err := runImplicitSession(w, ir.ParseQuery(raw), protocol, cfg.Seed+int64(ui*10+qi))
-				if err != nil {
-					return nil, err
-				}
-				cos := make([]float64, len(curve))
-				for i, v := range curve {
-					cos[i] = eval.CosineSimilarity(v, truth)
-				}
-				curves = append(curves, cos)
-			}
+		curve, err := surveyCurve(cfg, 3, 20, queries, func(w *world, ui, qi int, q *ir.Query) ([]float64, error) {
+			return runImplicitSession(w, q, protocol, cfg.Seed+int64(ui*10+qi))
+		})
+		if err != nil {
+			return nil, err
 		}
 		out.Labels = append(out.Labels, protocol)
-		out.Curves[protocol] = meanCurves(curves)
+		out.Curves[protocol] = curve
 	}
 	cfg.printf("Extension: explicit vs implicit (click-through) feedback, cosine per iteration\n")
 	for _, l := range out.Labels {
@@ -107,22 +83,23 @@ func ExtensionImplicitFeedback(cfg Config) (*CurveResult, error) {
 }
 
 // runImplicitSession runs 5 feedback iterations of one protocol and
-// returns the rate vector in force at each iteration.
-func runImplicitSession(w *world, q *ir.Query, protocol string, seed int64) ([][]float64, error) {
+// returns the cosine of the rates in force at each iteration to the
+// user's expert rates. Each iteration ranks under the state the
+// previous round published.
+func runImplicitSession(w *world, q *ir.Query, protocol string, seed int64) ([]float64, error) {
 	const iterations = 5
-	relevant := w.user.Relevant(q)
+	ctx := context.Background()
+	relevant, truth := w.user.Relevant(q), w.user.TruthRates()
 	clicker := sim.NewClickModel(seed, 0.85, 0.9)
-	var rateHistory [][]float64
-	var prev []float64
-	cur := q.Clone()
+	var cosines, prev []float64
+	cur, pin := q.Clone(), w.sys.Pin()
 	for it := 0; it <= iterations; it++ {
-		pin := w.sys.Pin()
-		rateHistory = append(rateHistory, pin.Rates().Vector())
+		cosines = append(cosines, eval.CosineSimilarity(pin.Rates().Vector(), truth))
 		spec := core.SolveSpec{Queries: []*ir.Query{cur}}
 		if prev != nil {
 			spec.Inits = [][]float64{prev}
 		}
-		rs, err := pin.Solve(context.Background(), spec)
+		rs, err := pin.Solve(ctx, spec)
 		if err != nil {
 			return nil, err
 		}
@@ -145,18 +122,11 @@ func runImplicitSession(w *world, q *ir.Query, protocol string, seed int64) ([][
 		if len(nodes) == 0 {
 			continue
 		}
-		subs, err := pin.ExplainEachCtx(context.Background(), res, nodes, core.DefaultExplain())
+		round, err := pin.FeedbackCtx(ctx, cur, res, nodes, confidences, core.StructureOnly())
 		if err != nil {
 			return nil, err
 		}
-		ref, err := pin.ReformulateWeightedCtx(context.Background(), cur, subs, confidences, core.StructureOnly())
-		if err != nil {
-			return nil, err
-		}
-		if err := w.sys.SetRates(ref.Rates); err != nil {
-			return nil, err
-		}
-		cur = ref.Query
+		pin, cur = round.Pin, round.Reformulation.Query
 	}
-	return rateHistory, nil
+	return cosines, nil
 }

@@ -80,35 +80,17 @@ func Figure16(cfg Config) (*TimingResult, error) { return timingFigure(cfg, 2, "
 // Figure17 regenerates the DS7cancer execution panel.
 func Figure17(cfg Config) (*TimingResult, error) { return timingFigure(cfg, 3, "Figure 17") }
 
-// timingFigure runs one relevance-feedback session (structure-based
-// reformulation, radius-3 explanations, the paper's 0.002 threshold)
-// on the chosen dataset under the expert rates, reporting the
-// per-stage times of panel (a) and the warm-start iteration counts of
-// panel (b).
+// timingFigure reports the per-stage times of panel (a) and the
+// warm-start iteration counts of panel (b) of one perfSession.
 func timingFigure(cfg Config, which int, title string) (*TimingResult, error) {
 	cfg = cfg.withDefaults(perfScale)
 	pd := perfDatasets[which]
-	ds, err := pd.build(cfg)
+	ds, iters, err := perfSession(cfg, pd)
 	if err != nil {
 		return nil, err
 	}
-	w, err := expertWorld(cfg, ds, resultTypeFor(ds), perfTopR)
-	if err != nil {
-		return nil, err
-	}
-	// Run one extra iteration so all five displayed points carry full
-	// explain/reformulate stage bars, as in the paper's stacked charts.
-	sess := sim.DefaultSession(core.StructureOnly())
-	sess.Iterations = 5
-	sess.K = 30 // wide screens keep feedback available at every iteration
-	sess.MaxFeedback = 2
-	res, err := sim.RunSession(w.sys, w.user, ir.ParseQuery(pd.query()), sess)
-	if err != nil {
-		return nil, err
-	}
-
 	out := &TimingResult{Dataset: pd.name, Nodes: ds.Graph.NumNodes(), Edges: ds.Graph.NumEdges()}
-	for _, it := range res.Iters[:len(res.Iters)-1] {
+	for _, it := range iters {
 		out.Iters = append(out.Iters, TimingIter{
 			RankTime:        it.RankTime,
 			ExplainBuild:    it.ExplainBuildTime,
@@ -120,6 +102,32 @@ func timingFigure(cfg Config, which int, title string) (*TimingResult, error) {
 	printTiming(cfg, title, out)
 	name := map[int]string{0: "figure14", 1: "figure15", 2: "figure16", 3: "figure17"}[which]
 	return out, cfg.saveCSV(name, out)
+}
+
+// perfSession runs the one relevance-feedback session of Figures 14–17
+// and Table 3 on dataset pd under the expert rates (structure-based
+// reformulation, radius-3 explanations, the paper's 0.002 threshold)
+// and returns the dataset and the five displayed iterations. It runs
+// one extra iteration, so all five carry full explain/reformulate stage
+// bars, as in the paper's stacked charts.
+func perfSession(cfg Config, pd perfDataset) (*datagen.Dataset, []sim.IterationStats, error) {
+	ds, err := pd.build(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	w, err := expertWorld(cfg, ds, resultTypeFor(ds), perfTopR)
+	if err != nil {
+		return nil, nil, err
+	}
+	sess := sim.DefaultSession(core.StructureOnly())
+	sess.Iterations = 5
+	sess.K = 30 // wide screens keep feedback available at every iteration
+	sess.MaxFeedback = 2
+	res, err := sim.RunSession(w.sys, w.user, ir.ParseQuery(pd.query()), sess)
+	if err != nil {
+		return nil, nil, err
+	}
+	return ds, res.Iters[:len(res.Iters)-1], nil
 }
 
 func resultTypeFor(ds *datagen.Dataset) string {
@@ -165,24 +173,12 @@ func Table3(cfg Config) (*Table3Result, error) {
 	cfg.printf("Table 3: average explaining-ObjectRank2 iterations per feedback iteration\n")
 	cfg.printf("%-14s %6s %6s %6s %6s %6s\n", "dataset", "1", "2", "3", "4", "5")
 	for _, pd := range perfDatasets {
-		ds, err := pd.build(cfg)
-		if err != nil {
-			return nil, err
-		}
-		w, err := expertWorld(cfg, ds, resultTypeFor(ds), perfTopR)
-		if err != nil {
-			return nil, err
-		}
-		sess := sim.DefaultSession(core.StructureOnly())
-		sess.Iterations = 5
-		sess.K = 30
-		sess.MaxFeedback = 2
-		res, err := sim.RunSession(w.sys, w.user, ir.ParseQuery(pd.query()), sess)
+		_, iters, err := perfSession(cfg, pd)
 		if err != nil {
 			return nil, err
 		}
 		var row []float64
-		for _, it := range res.Iters[:len(res.Iters)-1] {
+		for _, it := range iters {
 			row = append(row, it.ExplainIterations)
 		}
 		out.Datasets = append(out.Datasets, pd.name)

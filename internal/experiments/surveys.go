@@ -84,10 +84,6 @@ type CurveResult struct {
 	Curves map[string][]float64
 }
 
-// internalSurveyUsers mirrors the 5-subject internal survey: simulated
-// users differing in how deep their notion of relevance goes.
-var internalSurveyUsers = []int{15, 20, 25, 30, 35}
-
 // Figure10 regenerates the internal survey precision comparison:
 // average residual-collection precision across the initial and 4
 // reformulated queries for content-only, content & structure, and
@@ -109,26 +105,20 @@ func Figure10(cfg Config) (*CurveResult, error) {
 	queries := surveyQueries(5, 1)
 
 	for _, s := range settings {
-		var curves [][]float64
-		for ui, topR := range internalSurveyUsers {
-			w, err := dblpWorld(cfg, cfg.Seed+int64(ui)+1, topR)
+		// The 5-subject internal survey: users differing in how deep
+		// their notion of relevance goes (top 15 to top 35).
+		curve, err := surveyCurve(cfg, 5, 15, queries, func(w *world, _, _ int, q *ir.Query) ([]float64, error) {
+			res, err := sim.RunSession(w.sys, w.user, q, sim.DefaultSession(s.opts))
 			if err != nil {
 				return nil, err
 			}
-			for _, raw := range queries {
-				if err := w.reset(); err != nil {
-					return nil, err
-				}
-				sess := sim.DefaultSession(s.opts)
-				res, err := sim.RunSession(w.sys, w.user, ir.ParseQuery(raw), sess)
-				if err != nil {
-					return nil, err
-				}
-				curves = append(curves, res.Precisions())
-			}
+			return res.Precisions(), nil
+		})
+		if err != nil {
+			return nil, err
 		}
 		out.Labels = append(out.Labels, s.label)
-		out.Curves[s.label] = meanCurves(curves)
+		out.Curves[s.label] = curve
 	}
 
 	cfg.printf("Figure 10: internal survey, average precision per iteration\n")
@@ -155,29 +145,20 @@ func trainingCurves(cfg Config, cfs []float64, users, queriesPerUser int, title 
 	queries := surveyQueries(queriesPerUser, 1)
 	for _, cf := range cfs {
 		label := fmt.Sprintf("Cf=%.1f", cf)
-		var curves [][]float64
-		for ui := 0; ui < users; ui++ {
-			w, err := dblpWorld(cfg, cfg.Seed+int64(ui)+1, 20+5*ui)
+		sess := sim.DefaultSession(core.ReformulateOptions{Ce: 0, Cf: cf, Cd: 0.5})
+		sess.Iterations = 5
+		curve, err := surveyCurve(cfg, users, 20, queries, func(w *world, _, _ int, q *ir.Query) ([]float64, error) {
+			res, err := sim.RunSession(w.sys, w.user, q, sess)
 			if err != nil {
 				return nil, err
 			}
-			truth := w.user.TruthRates()
-			for _, raw := range queries {
-				if err := w.reset(); err != nil {
-					return nil, err
-				}
-				opts := core.ReformulateOptions{Ce: 0, Cf: cf, Cd: 0.5}
-				sess := sim.DefaultSession(opts)
-				sess.Iterations = 5
-				res, err := sim.RunSession(w.sys, w.user, ir.ParseQuery(raw), sess)
-				if err != nil {
-					return nil, err
-				}
-				curves = append(curves, res.RateCosines(truth))
-			}
+			return res.RateCosines(w.user.TruthRates()), nil
+		})
+		if err != nil {
+			return nil, err
 		}
 		out.Labels = append(out.Labels, label)
-		out.Curves[label] = meanCurves(curves)
+		out.Curves[label] = curve
 	}
 	cfg.printf("%s: cosine(UserVector, ObjVector) per iteration\n", title)
 	for _, l := range out.Labels {

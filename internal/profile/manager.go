@@ -347,7 +347,7 @@ func (m *Manager) Blend(ctx context.Context, pin *core.Pinned, qscores []float64
 // Nothing is published to the engine — training a profile can never
 // race a global reformulation. The returned profile is the persisted
 // post-training record.
-func (m *Manager) TrainCtx(ctx context.Context, pin *core.Pinned, id string, q *ir.Query, feedback []*core.Subgraph, confidences []float64, opts *core.ReformulateOptions) (*core.Reformulation, *Profile, error) {
+func (m *Manager) TrainCtx(ctx context.Context, pin *core.Pinned, id string, q *ir.Query, feedback []*core.Subgraph, confidences []float64, opts core.ReformulateOptions) (*core.Reformulation, *Profile, error) {
 	mu := m.writeLock(id)
 	mu.Lock()
 	defer mu.Unlock()
@@ -357,12 +357,8 @@ func (m *Manager) TrainCtx(ctx context.Context, pin *core.Pinned, id string, q *
 		return nil, nil, err
 	}
 	basis := m.panel(pin)
-	topts := core.ContentAndStructure()
-	if opts != nil {
-		topts = *opts
-	}
-	topts.Cf = 0
-	ref, err := pin.ReformulateWeightedCtx(ctx, q, feedback, confidences, topts)
+	opts.Cf = 0
+	ref, err := pin.ReformulateWeightedCtx(ctx, q, feedback, confidences, opts)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -351,7 +351,7 @@ func TestManagerLifecycle(t *testing.T) {
 		feedback = append(feedback, sg)
 	}
 	eng.Release(res)
-	ref, trained, err := m.TrainCtx(context.Background(), pin, "u1", q, feedback, nil, nil)
+	ref, trained, err := m.TrainCtx(context.Background(), pin, "u1", q, feedback, nil, core.ContentAndStructure())
 	if err != nil {
 		t.Fatal(err)
 	}

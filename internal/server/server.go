@@ -459,15 +459,9 @@ var reformulateEndpoint = endpoint{pattern: "/v1/reformulate", guarded: true, qu
 // MaxFeedback), confidences and version token. The token is checked
 // here, against the pin: a stale one is the 409 before any work.
 func (s *Server) parseFeedback(rq *request, r *http.Request) (string, error) {
-	switch mode := rq.v.Get("mode"); mode {
-	case "", "structure":
-		rq.strategy = core.StructureOnly()
-	case "content":
-		rq.strategy = core.ContentOnly()
-	case "both":
-		rq.strategy = core.ContentAndStructure()
-	default:
-		return "", badRequest("unknown mode " + mode)
+	var err error
+	if rq.strategy, err = core.ParseStrategy(rq.v.Get("mode")); err != nil {
+		return "", badRequest(err.Error())
 	}
 	for _, part := range strings.Split(rq.v.Get("feedback"), ",") {
 		if part = strings.TrimSpace(part); part == "" {
@@ -485,7 +479,6 @@ func (s *Server) parseFeedback(rq *request, r *http.Request) (string, error) {
 	if len(rq.feedback) > MaxFeedback {
 		return "", badRequest(strconv.Itoa(len(rq.feedback)) + " feedback ids exceeds the feedback limit of " + strconv.Itoa(MaxFeedback))
 	}
-	var err error
 	if rq.confidences, err = parseConfidences(rq.v.Get("confidence"), len(rq.feedback)); err != nil {
 		return "", err
 	}
@@ -501,14 +494,12 @@ func (s *Server) parseFeedback(rq *request, r *http.Request) (string, error) {
 	return fmt.Sprintf("q=%s feedback=%d", rq.spelled, len(rq.feedback)), nil
 }
 
-// runReformulate ranks q, explains every feedback object concurrently
-// (Pinned.ExplainEachCtx), and then — the one choice — either trains
-// the request's profile and answers from its blend under the same pin,
-// or publishes the reformulated rates through the engine's
-// compare-and-swap (409 with the winning version on a lost race; a
-// corpus swap bumps the version too) and answers from the serving cache
-// under a re-pin, warm-started from the feedback ranking, which also
-// seeds the result cache at the published version.
+// runReformulate ranks q and then — the one choice — either explains
+// the feedback, trains the request's profile and answers from its blend
+// under the same pin, or runs one feedback round (Pinned.FeedbackCtx;
+// 409 with the winning version on a lost publish) and answers from the
+// serving cache under the state the round published, warm-started from
+// the feedback ranking, which also seeds the result cache there.
 func (s *Server) runReformulate(rq *request) (reply, error) {
 	ctx, pin := rq.ctx, rq.pin
 	res, err := s.cache.RankPinnedCtx(ctx, pin, rq.q)
@@ -517,18 +508,14 @@ func (s *Server) runReformulate(rq *request) (reply, error) {
 	}
 	defer s.eng.Release(res)
 	rq.tr.Eventf("solve", "iters=%d base=%d version=%d", res.Iterations, len(res.Base), pin.Version())
-	subs, err := pin.ExplainEachCtx(ctx, res, rq.feedback, core.DefaultExplain())
-	if err != nil {
-		return reply{}, inputError{err}
-	}
-	for i, sg := range subs {
-		s.obs.countTopology("reformulate", sg)
-		rq.tr.Eventf("explain", "target=%d "+explainDetail, append([]any{rq.feedback[i]}, explainArgs(sg)...)...)
-	}
 
-	var resp ReformulateResponse
 	if rq.profile != "" {
-		ref, trained, err := s.profiles.TrainCtx(ctx, pin, rq.profile, rq.q, subs, rq.confidences, &rq.strategy)
+		subs, err := pin.ExplainEachCtx(ctx, res, rq.feedback, core.DefaultExplain())
+		if err != nil {
+			return reply{}, inputError{err}
+		}
+		s.traceFeedback(rq, subs)
+		ref, trained, err := s.profiles.TrainCtx(ctx, pin, rq.profile, rq.q, subs, rq.confidences, rq.strategy)
 		if err != nil {
 			return reply{}, inputError{err}
 		}
@@ -538,31 +525,40 @@ func (s *Server) runReformulate(rq *request) (reply, error) {
 		if err != nil {
 			return reply{}, err
 		}
-		resp = reformulateResponse(rq.g, ref, pin.Version(), ans.Results)
+		resp := reformulateResponse(rq.g, ref, pin.Version(), ans.Results)
 		resp.Profile, resp.ProfileRev = rq.profile, trained.Rev
-	} else {
-		ref, err := pin.ReformulateWeightedCtx(ctx, rq.q, subs, rq.confidences, rq.strategy)
-		if err != nil {
-			return reply{}, inputError{err}
-		}
-		rq.tr.Eventf("reformulate", "rates=%s expansion=%d", ref.Rates.String(), len(ref.Expansion))
-		version, err := s.eng.TrySetRates(ref.Rates, pin.Version())
-		if errors.Is(err, core.ErrRatesConflict) {
-			return reply{}, conflict("rates were changed concurrently; re-query and retry", version, 0)
-		}
-		if err != nil {
-			return reply{}, err
-		}
-		rq.tr.Eventf("publish", "version=%d", version)
-		next := s.eng.Pin()
-		ans, err := s.cache.QueryFromPinnedCtx(ctx, next, ref.Query, rq.k, res.Scores)
-		if err != nil {
-			return reply{}, err
-		}
-		rq.tr.Eventf("requery", "source=%s", ans.Source)
-		resp = reformulateResponse(next.Corpus().Graph(), ref, version, ans.Results)
+		return reply{what: "results", n: len(resp.Results), json: resp}, nil
 	}
+
+	round, err := pin.FeedbackCtx(ctx, rq.q, res, rq.feedback, rq.confidences, rq.strategy)
+	if round == nil {
+		return reply{}, inputError{err}
+	}
+	s.traceFeedback(rq, round.Subgraphs)
+	ref, next := round.Reformulation, round.Pin
+	if errors.Is(err, core.ErrRatesConflict) {
+		return reply{}, conflict("rates were changed concurrently; re-query and retry", next.Version(), 0)
+	}
+	if err != nil {
+		return reply{}, err
+	}
+	rq.tr.Eventf("publish", "version=%d rates=%s expansion=%d", next.Version(), ref.Rates.String(), len(ref.Expansion))
+	ans, err := s.cache.QueryFromPinnedCtx(ctx, next, ref.Query, rq.k, res.Scores)
+	if err != nil {
+		return reply{}, err
+	}
+	rq.tr.Eventf("requery", "source=%s", ans.Source)
+	resp := reformulateResponse(next.Corpus().Graph(), ref, next.Version(), ans.Results)
 	return reply{what: "results", n: len(resp.Results), json: resp}, nil
+}
+
+// traceFeedback counts and traces the explains of a reformulation's
+// feedback objects.
+func (s *Server) traceFeedback(rq *request, subs []*core.Subgraph) {
+	for i, sg := range subs {
+		s.obs.countTopology("reformulate", sg)
+		rq.tr.Eventf("explain", "target=%d "+explainDetail, append([]any{rq.feedback[i]}, explainArgs(sg)...)...)
+	}
 }
 
 // reformulateResponse is the one /v1/reformulate payload: the

@@ -31,22 +31,22 @@ const (
 // relevant candidates: the first is the one with the largest total
 // explained flow; each next pick minimizes the cosine similarity of its
 // per-type flow vector against the sum of the already-selected vectors.
-// The explaining subgraphs are computed here and returned so the
-// session does not explain the winners twice.
-func selectActive(pin *core.Pinned, res *core.RankResult, candidates []graph.NodeID, opts core.ExplainOptions, max int) ([]graph.NodeID, []*core.Subgraph, error) {
+// The candidates are explained at core.DefaultExplain, and the engine
+// keeps their topologies, so the session's round explains the winners
+// again by Eq. 10 alone.
+func selectActive(pin *core.Pinned, res *core.RankResult, candidates []graph.NodeID, max int) ([]graph.NodeID, error) {
 	if max <= 0 || max > len(candidates) {
 		max = len(candidates)
 	}
 	type cand struct {
 		node  graph.NodeID
-		sg    *core.Subgraph
 		flows []float64
 		total float64
 	}
 	nTypes := pin.Corpus().Graph().Schema().NumTransferTypes()
-	subs, err := pin.ExplainEachCtx(context.TODO(), res, candidates, opts)
+	subs, err := pin.ExplainEachCtx(context.TODO(), res, candidates, core.DefaultExplain())
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	var cs []cand
 	for i, sg := range subs {
@@ -57,7 +57,7 @@ func selectActive(pin *core.Pinned, res *core.RankResult, candidates []graph.Nod
 			flows[a.Type] += a.Flow
 			total += a.Flow
 		}
-		cs = append(cs, cand{node: v, sg: sg, flows: flows, total: total})
+		cs = append(cs, cand{node: v, flows: flows, total: total})
 	}
 	// Seed with the strongest-flow candidate (deterministic tiebreak by
 	// node ID via the stable pre-sort).
@@ -88,10 +88,8 @@ func selectActive(pin *core.Pinned, res *core.RankResult, candidates []graph.Nod
 	}
 
 	nodes := make([]graph.NodeID, len(selected))
-	picked := make([]*core.Subgraph, len(selected))
 	for i, c := range selected {
 		nodes[i] = c.node
-		picked[i] = c.sg
 	}
-	return nodes, picked, nil
+	return nodes, nil
 }

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"context"
+	"math"
 	"testing"
 
 	"authorityflow/internal/core"
@@ -23,21 +25,20 @@ func TestSelectActiveMechanics(t *testing.T) {
 		t.Skip("not enough relevant candidates at this scale")
 	}
 
-	nodes, subs, err := selectActive(pin, res, candidates, core.DefaultExplain(), 3)
+	nodes, err := selectActive(pin, res, candidates, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(nodes) != 3 || len(subs) != 3 {
-		t.Fatalf("selected %d nodes, %d subgraphs", len(nodes), len(subs))
+	if len(nodes) != 3 {
+		t.Fatalf("selected %d nodes", len(nodes))
 	}
-	// Selected nodes are distinct, drawn from the candidates, and each
-	// subgraph targets its node.
+	// Selected nodes are distinct and drawn from the candidates.
 	seen := map[graph.NodeID]bool{}
 	inCand := map[graph.NodeID]bool{}
 	for _, c := range candidates {
 		inCand[c] = true
 	}
-	for i, n := range nodes {
+	for _, n := range nodes {
 		if seen[n] {
 			t.Errorf("node %d selected twice", n)
 		}
@@ -45,13 +46,33 @@ func TestSelectActiveMechanics(t *testing.T) {
 		if !inCand[n] {
 			t.Errorf("node %d not a candidate", n)
 		}
-		if subs[i].Target != n {
-			t.Errorf("subgraph %d targets %d, want %d", i, subs[i].Target, n)
+	}
+
+	// The selection's explains kept the winners' topologies: the
+	// session's round explains them by Eq. 10 alone, into the subgraphs
+	// an explain that derives its topology afresh gives.
+	ctx := context.Background()
+	subs, err := pin.ExplainEachCtx(ctx, res, nodes, core.DefaultExplain())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pin.EvictDecodedTopologies()
+	fresh, err := pin.ExplainEachCtx(ctx, res, nodes, core.DefaultExplain())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, sg := range subs {
+		if !sg.TopologyReused || fresh[i].TopologyReused {
+			t.Errorf("node %d: reused %v after selection, %v after eviction", nodes[i], sg.TopologyReused, fresh[i].TopologyReused)
+		}
+		if sg.Target != nodes[i] || sg.Iterations != fresh[i].Iterations || len(sg.Arcs) != len(fresh[i].Arcs) ||
+			math.Float64bits(sg.ExplainedScore()) != math.Float64bits(fresh[i].ExplainedScore()) {
+			t.Errorf("node %d: the reused explain differs from a fresh one", nodes[i])
 		}
 	}
 
 	// Deterministic.
-	nodes2, _, err := selectActive(pin, res, candidates, core.DefaultExplain(), 3)
+	nodes2, err := selectActive(pin, res, candidates, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +83,7 @@ func TestSelectActiveMechanics(t *testing.T) {
 	}
 
 	// max larger than the candidate pool selects everything.
-	all, _, err := selectActive(pin, res, candidates, core.DefaultExplain(), 100)
+	all, err := selectActive(pin, res, candidates, 100)
 	if err != nil {
 		t.Fatal(err)
 	}

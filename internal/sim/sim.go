@@ -117,8 +117,6 @@ type SessionConfig struct {
 	// Reformulate selects content-only / structure-only / combined and
 	// the C_e, C_f, C_d factors.
 	Reformulate core.ReformulateOptions
-	// Explain controls the explaining subgraphs (radius L, threshold).
-	Explain core.ExplainOptions
 	// MaxFeedback bounds how many relevant results the user feeds back
 	// per iteration (0 = all relevant ones shown).
 	MaxFeedback int
@@ -137,7 +135,6 @@ func DefaultSession(opts core.ReformulateOptions) SessionConfig {
 		K:           10,
 		Iterations:  4,
 		Reformulate: opts,
-		Explain:     core.DefaultExplain(),
 		MaxFeedback: 3,
 		WarmStart:   true,
 	}
@@ -203,10 +200,12 @@ func (s *SessionResult) RateCosines(truth []float64) []float64 {
 // protocol against sys:
 //
 //	rank -> present top-k -> judge -> residual-precision -> explain
-//	feedback objects -> reformulate -> apply rates -> repeat.
+//	feedback objects -> reformulate -> publish rates -> repeat.
 //
-// sys's rates are mutated across iterations (that is the point of the
-// training); callers own resetting them. The user's relevance judgment
+// sys's rates are published anew by each feedback round
+// (Pinned.FeedbackCtx; that is the point of the training), and the next
+// iteration ranks under the state the round published; callers own
+// resetting the rates. The user's relevance judgment
 // is fixed by the INITIAL query — reformulations must serve the
 // original information need.
 func RunSession(sys *core.Engine, user *User, q *ir.Query, cfg SessionConfig) (*SessionResult, error) {
@@ -219,11 +218,12 @@ func RunSession(sys *core.Engine, user *User, q *ir.Query, cfg SessionConfig) (*
 	cur := q.Clone()
 	var prevScores []float64
 
+	// One pinned view per iteration — sys's state at first, then the
+	// state each round published: the solve, the explanations and the
+	// reformulation all read the same rates.
+	pin := sys.Pin()
 	for it := 0; it <= cfg.Iterations; it++ {
 		var stats IterationStats
-		// One pinned view per iteration: the solve, the explanations
-		// and the reformulation all read the same rates.
-		pin := sys.Pin()
 		stats.Rates = pin.Rates().Vector()
 
 		// The first query starts from the global PageRank; later ones
@@ -259,12 +259,10 @@ func RunSession(sys *core.Engine, user *User, q *ir.Query, cfg SessionConfig) (*
 		// the whole screen and picks the structurally most diverse
 		// subset; passive selection takes the first relevant results.
 		var feedback []graph.NodeID
-		var subs []*core.Subgraph
 		if cfg.Policy == ActiveFeedback {
 			candidates := user.Judge(screen, residualRelevant, 0)
 			if len(candidates) > 0 {
-				feedback, subs, err = selectActive(pin, res, candidates, cfg.Explain, cfg.MaxFeedback)
-				if err != nil {
+				if feedback, err = selectActive(pin, res, candidates, cfg.MaxFeedback); err != nil {
 					return nil, err
 				}
 			}
@@ -281,31 +279,22 @@ func RunSession(sys *core.Engine, user *User, q *ir.Query, cfg SessionConfig) (*
 			continue
 		}
 
-		// Explain each feedback object (stages b and c). Active
-		// selection already explained its winners.
-		if subs == nil {
-			if subs, err = pin.ExplainEachCtx(context.TODO(), res, feedback, cfg.Explain); err != nil {
-				return nil, err
-			}
+		// One feedback round: explain each feedback object (stages b and
+		// c), reformulate (stage d) and publish. Active selection's
+		// explains kept the winners' topologies, so theirs run Eq. 10
+		// alone.
+		round, err := pin.FeedbackCtx(context.TODO(), cur, res, feedback, nil, cfg.Reformulate)
+		if err != nil {
+			return nil, err
 		}
-		for _, sg := range subs {
+		for _, sg := range round.Subgraphs {
 			stats.ExplainBuildTime += sg.BuildDuration
 			stats.ExplainRunTime += sg.AdjustDuration
 			stats.ExplainIterations += float64(sg.Iterations)
 		}
-		stats.ExplainIterations /= float64(len(subs))
-
-		// Reformulate (stage d) and apply.
-		t3 := time.Now()
-		ref, err := pin.ReformulateWeightedCtx(context.TODO(), cur, subs, nil, cfg.Reformulate)
-		if err != nil {
-			return nil, err
-		}
-		stats.ReformulateTime = time.Since(t3)
-		if err := sys.SetRates(ref.Rates); err != nil {
-			return nil, err
-		}
-		cur = ref.Query
+		stats.ExplainIterations /= float64(len(round.Subgraphs))
+		stats.ReformulateTime = round.ReformulateDur
+		pin, cur = round.Pin, round.Reformulation.Query
 		out.Iters = append(out.Iters, stats)
 	}
 	out.FinalQuery = cur
