@@ -42,8 +42,8 @@ func TestSwapInvalidatesCache(t *testing.T) {
 	if a1.Source != SourceComputed {
 		t.Fatalf("first answer source = %q, want computed", a1.Source)
 	}
-	if a1.Generation != eng.Generation() {
-		t.Fatalf("answer generation = %d, engine at %d", a1.Generation, eng.Generation())
+	if a1.Generation != eng.Pin().Generation() {
+		t.Fatalf("answer generation = %d, engine at %d", a1.Generation, eng.Pin().Generation())
 	}
 	a2 := query(c, q, 10)
 	if a2.Source != SourceResult {
@@ -51,10 +51,11 @@ func TestSwapInvalidatesCache(t *testing.T) {
 	}
 
 	c2, r2 := secondCorpus(t, opts)
-	gen1, err := eng.SwapCorpus(c2, r2, eng.Generation())
+	pin1, err := eng.SwapCorpus(c2, r2, eng.Pin().Generation())
 	if err != nil {
 		t.Fatal(err)
 	}
+	gen1 := pin1.Generation()
 
 	a3 := query(c, q, 10)
 	if a3.Generation != gen1 {
@@ -91,7 +92,7 @@ func TestSwapWarmStartStaysWithinGeneration(t *testing.T) {
 	query(c, q, 10) // populate generation 1's term vector
 
 	c2, r2 := secondCorpus(t, opts)
-	if _, err := eng.SwapCorpus(c2, r2, eng.Generation()); err != nil {
+	if _, err := eng.SwapCorpus(c2, r2, eng.Pin().Generation()); err != nil {
 		t.Fatal(err)
 	}
 	pin := eng.Pin()
@@ -122,7 +123,7 @@ func TestSwapCacheHammer(t *testing.T) {
 
 	// Node count per generation, recorded by the single swapper.
 	var nodesOf sync.Map
-	nodesOf.Store(eng.Generation(), eng.Pin().Corpus().Graph().NumNodes())
+	nodesOf.Store(eng.Pin().Generation(), eng.Pin().Corpus().Graph().NumNodes())
 
 	queries := []*ir.Query{
 		ir.NewQuery("mining"), ir.NewQuery("database"), ir.NewQuery("xml"),
@@ -182,7 +183,7 @@ func TestSwapCacheHammer(t *testing.T) {
 			}
 			// Recorded BEFORE the swap publishes it, so no reader can
 			// answer under a generation the map does not know yet.
-			cur := eng.Generation()
+			cur := eng.Pin().Generation()
 			nodesOf.Store(cur+1, cc.Graph().NumNodes())
 			_, err := eng.SwapCorpus(cc, rr, cur)
 			if err == nil {

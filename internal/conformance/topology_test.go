@@ -178,7 +178,7 @@ func topologyRows(w *world) []path {
 						zeroed := c
 						zeroed.res = rankCold(t, e.Pin(), m, c.res.Query)
 						out = append(out, flattenSubgraph(explainExpect(t, e.Pin(), m, zeroed, false))...)
-						if _, err := e.SwapCorpus(core.NewCorpus(w.g, core.Config{Rank: tight}), w.rates, e.Generation()); err != nil {
+						if _, err := e.SwapCorpus(core.NewCorpus(w.g, core.Config{Rank: tight}), w.rates, e.Pin().Generation()); err != nil {
 							t.Fatal(err)
 						}
 						out = append(out, flattenSubgraph(explainExpect(t, e.Pin(), m, c, false))...)
@@ -357,7 +357,7 @@ func deriveRows(w *world) []path {
 						zeroed := c
 						zeroed.res = rankCold(t, pin, m, c.res.Query)
 						out = append(out, flattenSubgraph(explainPath(t, pin, m, zeroed, "built"))...)
-						if _, err := e.SwapCorpus(core.NewCorpus(w.g, core.Config{Rank: tight}), w.rates, e.Generation()); err != nil {
+						if _, err := e.SwapCorpus(core.NewCorpus(w.g, core.Config{Rank: tight}), w.rates, e.Pin().Generation()); err != nil {
 							t.Fatal(err)
 						}
 						out = append(out, flattenSubgraph(explainPath(t, e.Pin(), m, c, "built"))...)

@@ -37,6 +37,7 @@ type Corpus struct {
 	opts  rank.Options
 	nopts rank.Options
 	pool  *rank.BufferPool
+	name  string
 }
 
 // DefaultBlockSize is how many columns of a multi-column solve
@@ -63,6 +64,9 @@ type Config struct {
 	// take the paper defaults (0.85, 0.002, 200) and the rank package's
 	// explicit-zero sentinels are honored.
 	Rank rank.Options
+	// Name labels the corpus (a dataset name) for the states that pin
+	// it; nothing computed reads it.
+	Name string
 }
 
 // NewCorpus indexes the text of every node of g under the default BM25
@@ -91,6 +95,7 @@ func newCorpus(g *graph.Graph, ix *ir.Index, cfg Config) *Corpus {
 		opts:  cfg.Rank,
 		nopts: cfg.Rank.Normalized(),
 		pool:  rank.NewBufferPool(),
+		name:  cfg.Name,
 	}
 }
 
@@ -103,6 +108,9 @@ func (c *Corpus) Index() *ir.Index { return c.ix }
 // Options returns the rank options in effect (as configured; zero
 // fields mean the paper defaults).
 func (c *Corpus) Options() rank.Options { return c.opts }
+
+// Name returns the label the corpus was built with (Config.Name).
+func (c *Corpus) Name() string { return c.name }
 
 // ratesSnapshot is one immutable published state of the mutable half of
 // an Engine: a rate assignment, its flat vector (what the kernel
@@ -254,8 +262,9 @@ func (gn *generation) globalScores(v int, snap *ratesSnapshot) []float64 {
 
 // engineState is the one atomically published word of engine identity:
 // a (generation, rates snapshot) pair. Every read path loads it once
-// at entry; SetRates/TrySetRates publish a new state with the same
-// generation, SwapCorpus publishes one with a fresh generation. Pin
+// at entry; every write goes through Engine.publish: SetRates,
+// TrySetRates and a feedback round publish a new state with the same
+// generation, SwapCorpus one with a fresh generation. Pin
 // captures a whole state, so a pinned view is consistent across BOTH
 // axes — rates version and corpus generation.
 type engineState struct {
@@ -271,9 +280,9 @@ type engineState struct {
 // are safe under full concurrency with both
 // SetRates/TrySetRates (which publish a new rates snapshot under the
 // same generation) and SwapCorpus (which publishes a whole new corpus
-// generation). All publications go through compare-and-swap on one
-// pointer; there are no locks anywhere on the serving path. In-flight
-// operations — including detached cache flights — finish on the
+// generation). All publications go through one compare-and-swap loop
+// on one pointer (publish); there are no locks anywhere on the serving
+// path. In-flight operations — including detached cache flights — finish on the
 // generation they pinned. Hold one Pinned view across a multi-step
 // operation (solve → explain → reformulate) so all steps see the same
 // rates AND the same graph.
@@ -350,8 +359,9 @@ var ErrRatesConflict = errors.New("core: rates were changed concurrently (versio
 
 // ErrGenerationConflict is returned by SwapCorpus when the engine's
 // corpus was swapped concurrently: the caller's generation token no
-// longer names the current generation. HTTP layers map it to 409
-// Conflict, exactly like ErrRatesConflict.
+// longer names the current generation (a rates publish never causes
+// it). HTTP layers map it to 409 Conflict, exactly like
+// ErrRatesConflict.
 var ErrGenerationConflict = errors.New("core: corpus was swapped concurrently (generation conflict)")
 
 // NewEngine indexes the text of every node of g and returns an engine
@@ -387,17 +397,13 @@ func validateRates(g *graph.Graph, r *graph.Rates) error {
 }
 
 // RatesVersion returns the version of the currently published rates
-// snapshot. Versions start at 1 and increase by one per successful
-// SetRates/TrySetRates/SwapCorpus — monotonically across corpus swaps,
-// never resetting, so a version token uniquely names one published
-// rates identity for the engine's whole lifetime. They are the
-// optimistic-concurrency token of the reformulation API.
+// snapshot. Versions start at 1 and each publish — SetRates,
+// TrySetRates, a feedback round or SwapCorpus — sets it to the replaced
+// state's + 1, monotonically across corpus swaps, never resetting, so a
+// version token uniquely names one published state for the engine's
+// whole lifetime. They are the optimistic-concurrency token of the
+// reformulation API.
 func (e *Engine) RatesVersion() uint64 { return e.state.Load().snap.version }
-
-// Generation returns the current corpus generation number. Generations
-// start at 1 and increase by one per successful SwapCorpus; they are
-// the optimistic-concurrency token of the corpus-swap API.
-func (e *Engine) Generation() uint64 { return e.state.Load().gen.num }
 
 // SetRates replaces the authority transfer rates (cloned) by publishing
 // a fresh snapshot, unconditionally (last writer wins). Safe under full
@@ -408,12 +414,8 @@ func (e *Engine) Generation() uint64 { return e.state.Load().gen.num }
 // a different schema rather than publishing rates the new graph cannot
 // interpret.
 func (e *Engine) SetRates(r *graph.Rates) error {
-	clone := r.Clone()
-	for {
-		if _, err := e.casRates(e.state.Load(), clone); err != ErrRatesConflict {
-			return err
-		}
-	}
+	_, err := e.publish(nil, r.Clone(), 0, 0)
+	return err
 }
 
 // TrySetRates publishes new rates only if the current snapshot still
@@ -426,58 +428,59 @@ func (e *Engine) SetRates(r *graph.Rates) error {
 // before a swap conflicts here — by design: a reformulation computed
 // against the old graph must not be published onto the new one, and
 // the conflict is reported before the rates are checked against the
-// new graph.
+// new graph. A zero ifVersion asserts nothing, as in SetRates.
 func (e *Engine) TrySetRates(r *graph.Rates, ifVersion uint64) (uint64, error) {
-	old := e.state.Load()
-	if old.snap.version != ifVersion {
-		return old.snap.version, ErrRatesConflict
-	}
-	st, err := e.casRates(old, r.Clone())
+	st, err := e.publish(nil, r.Clone(), ifVersion, 0)
 	return st.snap.version, err
 }
 
-// casRates is the one rates publish: it swaps a snapshot of r (owned
-// from here on) in over old if r is valid on old's graph and old is
-// still current, and returns the state in force afterwards — the one
-// it published, old for invalid r, or the winner with ErrRatesConflict.
-func (e *Engine) casRates(old *engineState, r *graph.Rates) (*engineState, error) {
-	if err := validateRates(old.gen.corpus.g, r); err != nil {
-		return old, err
-	}
-	next := &engineState{gen: old.gen, snap: newRatesSnapshot(r, old.snap.version+1)}
-	if !e.state.CompareAndSwap(old, next) {
-		return e.state.Load(), ErrRatesConflict
-	}
-	return next, nil
-}
-
 // SwapCorpus publishes a whole new corpus generation — graph, index
-// and initial rates (cloned) — only if the current generation still
-// carries the given number: the CAS mirror of TrySetRates on the
-// generation axis. On success it returns the new generation number;
-// if another swapper got there first it returns the winning generation
-// alongside ErrGenerationConflict. The rates version advances by one
-// (monotonically — version tokens never repeat across generations), so
+// and initial rates (cloned) — while generation ifGeneration is
+// current, or over whatever is current for a zero ifGeneration. A rates
+// publish landing during the swap does not fail it; another swap does,
+// with ErrGenerationConflict. It returns the state it published, or the
+// current one with the error. The rates version advances by one, so
 // version-keyed caches and in-flight reformulation tokens invalidate
 // implicitly. In-flight queries and detached cache flights finish on
-// the generation they pinned; nothing blocks. After the CAS the swap
-// hook fires.
-func (e *Engine) SwapCorpus(c *Corpus, r *graph.Rates, ifGeneration uint64) (uint64, error) {
-	if err := validateRates(c.g, r); err != nil {
-		return e.Generation(), err
+// the generation they pinned; nothing blocks.
+func (e *Engine) SwapCorpus(c *Corpus, r *graph.Rates, ifGeneration uint64) (*Pinned, error) {
+	st, err := e.publish(c, r.Clone(), 0, ifGeneration)
+	return &Pinned{e: e, st: st}, err
+}
+
+// publish is the engine's one publish loop. Each pass loads the current
+// state, refuses it if a nonzero ifVersion or ifGeneration no longer
+// names it, and compare-and-swaps in its successor at version + 1: r
+// (owned from here on, validated on the graph it will rank) over the
+// current generation, or over generation + 1 of c when c is set. A lost
+// CAS goes round again, so the tokens are checked against the winner.
+func (e *Engine) publish(c *Corpus, r *graph.Rates, ifVersion, ifGeneration uint64) (*engineState, error) {
+	var fresh *generation
+	if c != nil {
+		if err := validateRates(c.g, r); err != nil {
+			return e.state.Load(), err
+		}
+		fresh = newGeneration(c, 0)
 	}
-	old := e.state.Load()
-	if old.gen.num != ifGeneration {
-		return old.gen.num, ErrGenerationConflict
+	for {
+		cur := e.state.Load()
+		switch {
+		case ifVersion != 0 && cur.snap.version != ifVersion:
+			return cur, ErrRatesConflict
+		case ifGeneration != 0 && cur.gen.num != ifGeneration:
+			return cur, ErrGenerationConflict
+		}
+		gen := cur.gen
+		if fresh != nil {
+			gen, fresh.num = fresh, cur.gen.num+1 // fresh is unpublished until the CAS wins
+		} else if err := validateRates(gen.corpus.g, r); err != nil {
+			return cur, err
+		}
+		next := &engineState{gen: gen, snap: newRatesSnapshot(r, cur.snap.version+1)}
+		if e.state.CompareAndSwap(cur, next) {
+			return next, nil
+		}
 	}
-	next := &engineState{
-		gen:  newGeneration(c, old.gen.num+1),
-		snap: newRatesSnapshot(r.Clone(), old.snap.version+1),
-	}
-	if !e.state.CompareAndSwap(old, next) {
-		return e.state.Load().gen.num, ErrGenerationConflict
-	}
-	return next.gen.num, nil
 }
 
 // baseSetOf computes the weighted query base set S(Q) over one corpus:
@@ -642,7 +645,9 @@ func (e *Engine) Pin() *Pinned { return &Pinned{e: e, st: e.state.Load()} }
 // Version returns the pinned snapshot's rates version token.
 func (p *Pinned) Version() uint64 { return p.st.snap.version }
 
-// Generation returns the pinned corpus generation number.
+// Generation returns the pinned corpus generation number. Generations
+// start at 1 and increase by one per SwapCorpus; they are the
+// optimistic-concurrency token of the corpus-swap API.
 func (p *Pinned) Generation() uint64 { return p.st.gen.num }
 
 // Corpus returns the pinned generation's corpus: the graph and index

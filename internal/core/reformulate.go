@@ -198,7 +198,7 @@ func (p *Pinned) FeedbackCtx(ctx context.Context, q *ir.Query, res *RankResult, 
 		return nil, err
 	}
 	r := &Round{Subgraphs: subs, Reformulation: ref, ReformulateDur: time.Since(t0)}
-	st, err := p.e.casRates(p.st, ref.Rates.Clone())
+	st, err := p.e.publish(nil, ref.Rates.Clone(), p.st.snap.version, 0)
 	r.Pin = &Pinned{e: p.e, st: st}
 	return r, err
 }

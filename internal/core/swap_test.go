@@ -54,34 +54,34 @@ func TestSwapCorpusCASAndPinnedIsolation(t *testing.T) {
 	c2, r2 := newEightNodeCorpus(t)
 	q := ir.NewQuery("olap")
 
-	gen0, ver0 := e.Generation(), e.RatesVersion()
+	gen0, ver0 := e.Pin().Generation(), e.RatesVersion()
 	pin := e.Pin()
 
 	// Wrong generation token: the CAS must refuse and report the winner.
-	if gen, err := e.SwapCorpus(c2, r2, gen0+5); !errors.Is(err, ErrGenerationConflict) {
-		t.Fatalf("stale-token swap: gen=%d err=%v, want ErrGenerationConflict", gen, err)
-	} else if gen != gen0 {
-		t.Fatalf("conflict reported generation %d, want current %d", gen, gen0)
+	if won, err := e.SwapCorpus(c2, r2, gen0+5); !errors.Is(err, ErrGenerationConflict) {
+		t.Fatalf("stale-token swap: gen=%d err=%v, want ErrGenerationConflict", won.Generation(), err)
+	} else if won.Generation() != gen0 || won.Version() != ver0 {
+		t.Fatalf("conflict reported (generation %d, version %d), want current (%d, %d)", won.Generation(), won.Version(), gen0, ver0)
 	}
-	if e.Generation() != gen0 {
-		t.Fatalf("failed swap moved the generation to %d", e.Generation())
+	if e.Pin().Generation() != gen0 {
+		t.Fatalf("failed swap moved the generation to %d", e.Pin().Generation())
 	}
 
 	// Rates over a foreign schema must be rejected without publishing.
 	if _, err := e.SwapCorpus(c2, f.rates, gen0); err == nil {
 		t.Fatal("swap accepted rates defined over a different schema")
 	}
-	if e.Generation() != gen0 {
-		t.Fatalf("rejected swap moved the generation to %d", e.Generation())
+	if e.Pin().Generation() != gen0 {
+		t.Fatalf("rejected swap moved the generation to %d", e.Pin().Generation())
 	}
 
 	// Correct token: generation and rates version both advance.
-	gen1, err := e.SwapCorpus(c2, r2, gen0)
+	pin1, err := e.SwapCorpus(c2, r2, gen0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gen1 != gen0+1 {
-		t.Fatalf("generation = %d, want %d", gen1, gen0+1)
+	if pin1.Generation() != gen0+1 || pin1.Version() != ver0+1 || pin1.Corpus() != c2 {
+		t.Fatalf("swap returned (generation %d, version %d), want (%d, %d) of the new corpus", pin1.Generation(), pin1.Version(), gen0+1, ver0+1)
 	}
 	if e.RatesVersion() != ver0+1 {
 		t.Fatalf("rates version = %d, want %d", e.RatesVersion(), ver0+1)
@@ -104,8 +104,8 @@ func TestSwapCorpusCASAndPinnedIsolation(t *testing.T) {
 
 	// A fresh pin sees the new generation end to end.
 	res2 := rankPinned(e.Pin(), q)
-	if res2.Generation != gen1 || len(res2.Scores) != 8 {
-		t.Fatalf("post-swap rank: generation=%d len=%d, want generation=%d len=8", res2.Generation, len(res2.Scores), gen1)
+	if res2.Generation != pin1.Generation() || len(res2.Scores) != 8 {
+		t.Fatalf("post-swap rank: generation=%d len=%d, want generation=%d len=8", res2.Generation, len(res2.Scores), pin1.Generation())
 	}
 
 	// A reformulation token minted before the swap loses its race:
@@ -118,6 +118,54 @@ func TestSwapCorpusCASAndPinnedIsolation(t *testing.T) {
 	e.Release(res2)
 }
 
+// TestSwapCorpusOutlastsRatesPublishes races a tight loop of rates
+// publishes against swaps at the current generation and at 0. A publish
+// landing between a swap's load and its CAS changes the version, not
+// the generation, so every swap must win and return the state it
+// published: the new corpus, the next generation and a version past
+// every publish the swap outlasted.
+func TestSwapCorpusOutlastsRatesPublishes(t *testing.T) {
+	f := newFixture(t)
+	e := f.newEngine(t)
+	corpora := []*Corpus{e.Pin().Corpus(), NewCorpus(f.g, Config{})}
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := e.SetRates(f.rates); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	overtaken := 0
+	for i := 0; i < 2000; i++ {
+		before := e.Pin()
+		ifGen := []uint64{before.Generation(), 0}[i%2]
+		pin, err := e.SwapCorpus(corpora[i%2], f.rates, ifGen)
+		if err != nil {
+			close(stop)
+			<-done
+			t.Fatalf("swap %d at generation %d (current %d): %v", i, ifGen, e.Pin().Generation(), err)
+		}
+		if pin.Generation() != before.Generation()+1 || pin.Corpus() != corpora[i%2] || pin.Version() <= before.Version() {
+			t.Fatalf("swap %d returned (generation %d, version %d), want generation %d past version %d",
+				i, pin.Generation(), pin.Version(), before.Generation()+1, before.Version())
+		}
+		if pin.Version() > before.Version()+1 {
+			overtaken++
+		}
+	}
+	close(stop)
+	<-done
+	t.Logf("%d of 2000 swaps outlasted a publish", overtaken)
+}
+
 // TestSwapCorpusWarmStartLengthGuard feeds a warm-start vector sized
 // for the old generation into the new one: the engine must silently
 // fall back to a cold start rather than index out of range.
@@ -128,7 +176,7 @@ func TestSwapCorpusWarmStartLengthGuard(t *testing.T) {
 	stale := rankQ(e, q) // 7-wide vector from generation 1
 
 	c2, r2 := newEightNodeCorpus(t)
-	if _, err := e.SwapCorpus(c2, r2, e.Generation()); err != nil {
+	if _, err := e.SwapCorpus(c2, r2, e.Pin().Generation()); err != nil {
 		t.Fatal(err)
 	}
 	res := rankFrom(e, q, stale.Scores) // would panic without the guard
@@ -159,7 +207,7 @@ func TestSwapCorpusBatchWarmStartGuards(t *testing.T) {
 	stale := [][]float64{pre[0].Scores, pre[1].Scores}
 
 	c2, r2 := newEightNodeCorpus(t)
-	if _, err := e.SwapCorpus(c2, r2, e.Generation()); err != nil {
+	if _, err := e.SwapCorpus(c2, r2, e.Pin().Generation()); err != nil {
 		t.Fatal(err)
 	}
 	pin := e.Pin()
@@ -217,7 +265,7 @@ func TestSwapCorpusHammer(t *testing.T) {
 	// nodesOf records the node count of every published generation.
 	// Only the swapper goroutine publishes, so the map is complete.
 	var nodesOf sync.Map
-	nodesOf.Store(e.Generation(), e.Pin().Corpus().Graph().NumNodes())
+	nodesOf.Store(e.Pin().Generation(), e.Pin().Corpus().Graph().NumNodes())
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -276,15 +324,13 @@ func TestSwapCorpusHammer(t *testing.T) {
 			}
 			// Recorded BEFORE the swap publishes it, so no reader can
 			// answer under a generation the map does not know yet.
-			cur := e.Generation()
+			cur := e.Pin().Generation()
 			nodesOf.Store(cur+1, c.Graph().NumNodes())
-			_, err := e.SwapCorpus(c, r, cur)
-			if err == nil {
-				useB = !useB
-			} else if !errors.Is(err, ErrGenerationConflict) {
-				t.Errorf("swap: %v", err)
+			if _, err := e.SwapCorpus(c, r, cur); err != nil {
+				t.Errorf("swap at the current generation %d: %v", cur, err)
 				return
 			}
+			useB = !useB
 		}
 	}()
 

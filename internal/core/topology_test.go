@@ -95,7 +95,7 @@ func TestTopologyMemo(t *testing.T) {
 	}
 	step("zeroed type", e.Pin(), ModeAuthority, olap, DefaultExplain(), 4, "built")
 	old := e.Pin().st.gen
-	if _, err := e.SwapCorpus(e.Pin().Corpus(), zeroed, e.Generation()); err != nil {
+	if _, err := e.SwapCorpus(e.Pin().Corpus(), zeroed, e.Pin().Generation()); err != nil {
 		t.Fatal(err)
 	}
 	if gen := e.Pin().st.gen; gen.topologies.Len() != 0 || gen.balls.Len() != 0 {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"sync"
 	"time"
 
 	"authorityflow/internal/core"
@@ -84,13 +85,12 @@ func Figure17(cfg Config) (*TimingResult, error) { return timingFigure(cfg, 3, "
 // warm-start iteration counts of panel (b) of one perfSession.
 func timingFigure(cfg Config, which int, title string) (*TimingResult, error) {
 	cfg = cfg.withDefaults(perfScale)
-	pd := perfDatasets[which]
-	ds, iters, err := perfSession(cfg, pd)
+	run, err := perfSession(cfg, which)
 	if err != nil {
 		return nil, err
 	}
-	out := &TimingResult{Dataset: pd.name, Nodes: ds.Graph.NumNodes(), Edges: ds.Graph.NumEdges()}
-	for _, it := range iters {
+	out := &TimingResult{Dataset: perfDatasets[which].name, Nodes: run.nodes, Edges: run.edges}
+	for _, it := range run.iters {
 		out.Iters = append(out.Iters, TimingIter{
 			RankTime:        it.RankTime,
 			ExplainBuild:    it.ExplainBuildTime,
@@ -104,20 +104,48 @@ func timingFigure(cfg Config, which int, title string) (*TimingResult, error) {
 	return out, cfg.saveCSV(name, out)
 }
 
+// perfRun is one perfSession's outcome: its dataset's size and the five
+// displayed iterations, which callers only read.
+type perfRun struct {
+	nodes, edges int
+	iters        []sim.IterationStats
+}
+
+// perfRuns keeps every perfSession run of the process by the settings
+// it depends on, so Table 3 and Figures 14–17 read one session per
+// dataset, whichever of them asks first.
+var (
+	perfMu   sync.Mutex
+	perfRuns = map[perfKey]*perfRun{}
+)
+
+type perfKey struct {
+	scale float64
+	seed  int64
+	which int
+}
+
 // perfSession runs the one relevance-feedback session of Figures 14–17
-// and Table 3 on dataset pd under the expert rates (structure-based
-// reformulation, radius-3 explanations, the paper's 0.002 threshold)
-// and returns the dataset and the five displayed iterations. It runs
-// one extra iteration, so all five carry full explain/reformulate stage
-// bars, as in the paper's stacked charts.
-func perfSession(cfg Config, pd perfDataset) (*datagen.Dataset, []sim.IterationStats, error) {
+// and Table 3 on perfDatasets[which] under the expert rates
+// (structure-based reformulation, radius-3 explanations, the paper's
+// 0.002 threshold), once per process for each scale and seed. It runs
+// one extra iteration, so all five displayed ones carry full
+// explain/reformulate stage bars, as in the paper's stacked charts.
+func perfSession(cfg Config, which int) (*perfRun, error) {
+	perfMu.Lock()
+	defer perfMu.Unlock()
+	key := perfKey{cfg.Scale, cfg.Seed, which}
+	if run, ok := perfRuns[key]; ok {
+		return run, nil
+	}
+	pd := perfDatasets[which]
 	ds, err := pd.build(cfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	w, err := expertWorld(cfg, ds, resultTypeFor(ds), perfTopR)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	sess := sim.DefaultSession(core.StructureOnly())
 	sess.Iterations = 5
@@ -125,9 +153,11 @@ func perfSession(cfg Config, pd perfDataset) (*datagen.Dataset, []sim.IterationS
 	sess.MaxFeedback = 2
 	res, err := sim.RunSession(w.sys, w.user, ir.ParseQuery(pd.query()), sess)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return ds, res.Iters[:len(res.Iters)-1], nil
+	run := &perfRun{nodes: ds.Graph.NumNodes(), edges: ds.Graph.NumEdges(), iters: res.Iters[:len(res.Iters)-1]}
+	perfRuns[key] = run
+	return run, nil
 }
 
 func resultTypeFor(ds *datagen.Dataset) string {
@@ -172,13 +202,13 @@ func Table3(cfg Config) (*Table3Result, error) {
 	out := &Table3Result{}
 	cfg.printf("Table 3: average explaining-ObjectRank2 iterations per feedback iteration\n")
 	cfg.printf("%-14s %6s %6s %6s %6s %6s\n", "dataset", "1", "2", "3", "4", "5")
-	for _, pd := range perfDatasets {
-		_, iters, err := perfSession(cfg, pd)
+	for which, pd := range perfDatasets {
+		run, err := perfSession(cfg, which)
 		if err != nil {
 			return nil, err
 		}
 		var row []float64
-		for _, it := range iters {
+		for _, it := range run.iters {
 			row = append(row, it.ExplainIterations)
 		}
 		out.Datasets = append(out.Datasets, pd.name)

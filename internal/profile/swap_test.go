@@ -61,7 +61,7 @@ func TestSwapProfileHammer(t *testing.T) {
 
 	// Node count per generation, recorded by the single swapper.
 	var nodesOf sync.Map
-	nodesOf.Store(eng.Generation(), eng.Pin().Corpus().Graph().NumNodes())
+	nodesOf.Store(eng.Pin().Generation(), eng.Pin().Corpus().Graph().NumNodes())
 
 	queries := []*ir.Query{
 		ir.NewQuery("mining"), ir.NewQuery("database"), ir.NewQuery("xml"),
@@ -129,7 +129,7 @@ func TestSwapProfileHammer(t *testing.T) {
 				}
 				// A swap in between makes the rates another schema's: rejected.
 				_, err := eng.TrySetRates(r, pin.Version())
-				if err != nil && !errors.Is(err, core.ErrRatesConflict) && eng.Generation() == pin.Generation() {
+				if err != nil && !errors.Is(err, core.ErrRatesConflict) && eng.Pin().Generation() == pin.Generation() {
 					t.Errorf("publish: %v", err)
 					return
 				}
@@ -154,7 +154,7 @@ func TestSwapProfileHammer(t *testing.T) {
 			}
 			// Recorded BEFORE the swap publishes it, so no reader can
 			// answer under a generation the map does not know yet.
-			cur := eng.Generation()
+			cur := eng.Pin().Generation()
 			nodesOf.Store(cur+1, cc.Graph().NumNodes())
 			_, err := eng.SwapCorpus(cc, rr, cur)
 			if err == nil {

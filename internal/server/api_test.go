@@ -467,7 +467,7 @@ func TestClientV1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Status != "ok" || h.Nodes != s.ds.Load().Graph.NumNodes() || !h.CacheEnabled {
+	if h.Status != "ok" || h.Nodes != s.eng.Pin().Corpus().Graph().NumNodes() || !h.CacheEnabled {
 		t.Errorf("health = %+v", h)
 	}
 

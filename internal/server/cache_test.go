@@ -85,7 +85,7 @@ func TestCachedQueryHitAndStats(t *testing.T) {
 // uncached reference.
 func TestCachedMatchesUncached(t *testing.T) {
 	s, ts := testCachedServer(t)
-	g := s.ds.Load().Graph
+	g := s.eng.Pin().Corpus().Graph()
 
 	for _, q := range []string{"olap", "olap+cube", "data+mining"} {
 		url := "/v1/query?q=" + q + "&k=10"
@@ -122,7 +122,7 @@ func TestHealthzReportsVersionAndCache(t *testing.T) {
 	if h.RatesVersion != 1 || !h.CacheEnabled {
 		t.Errorf("healthz = %+v, want ratesVersion 1, cacheEnabled true", h)
 	}
-	if h.Nodes != s.ds.Load().Graph.NumNodes() || h.Edges != s.ds.Load().Graph.NumEdges() {
+	if h.Nodes != s.eng.Pin().Corpus().Graph().NumNodes() || h.Edges != s.eng.Pin().Corpus().Graph().NumEdges() {
 		t.Errorf("healthz counts = %+v", h)
 	}
 }

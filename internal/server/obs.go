@@ -249,8 +249,9 @@ func (so *serverObs) solveHook(st core.SolveStats) {
 func (so *serverObs) attach(s *Server) {
 	s.eng.SetSolveHook(so.solveHook)
 	so.reg.OnGather(func() {
-		so.ratesVersion.Set(float64(s.eng.RatesVersion()))
-		so.generation.Set(float64(s.eng.Generation()))
+		pin := s.eng.Pin()
+		so.ratesVersion.Set(float64(pin.Version()))
+		so.generation.Set(float64(pin.Generation()))
 	})
 	if s.profiles != nil {
 		so.attachProfile(s.profiles)

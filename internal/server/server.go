@@ -42,7 +42,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync/atomic"
 
 	"authorityflow/internal/cache"
 	"authorityflow/internal/core"
@@ -59,11 +58,6 @@ import (
 // atomically versioned snapshots by the engine; handlers are lock-free
 // and safe under unbounded concurrency.
 type Server struct {
-	// ds is the dataset of the CURRENTLY served corpus generation,
-	// republished atomically by /v1/corpus/swap. Handlers that render
-	// nodes never read it — they use the graph of the engine state they
-	// pinned — so a swap mid-request cannot mismatch IDs and text.
-	ds       atomic.Pointer[datagen.Dataset]
 	eng      *core.Engine
 	cfg      core.Config         // post-chaining config, reused to build swapped-in corpora
 	swapDir  string              // "" = /v1/corpus/swap disabled
@@ -121,6 +115,7 @@ func newServer(ds *datagen.Dataset, ix *ir.Index, cfg core.Config, opts []Option
 	// solve. The nil path inside the kernel stays allocation-free; this
 	// closure is one atomic add per iteration.
 	cfg.Rank.Observe = chainIterObserver(cfg.Rank.Observe, sobs.observeIteration)
+	cfg.Name = ds.Name
 	var eng *core.Engine
 	var err error
 	if ix != nil {
@@ -137,7 +132,6 @@ func newServer(ds *datagen.Dataset, ix *ir.Index, cfg core.Config, opts []Option
 	}
 	s := &Server{eng: eng, cfg: cfg, swapDir: so.swapDir, cache: cache.New(eng, cache.Options{MaxBytes: so.cacheBytes}),
 		obs: sobs, adm: newAdmission(so.admission)}
-	s.ds.Store(ds)
 	if so.profileEnabled {
 		po := so.profileOpts
 		// Personalized queries share the global tier's serving cache:
@@ -228,7 +222,7 @@ var healthEndpoint = endpoint{pattern: "/v1/healthz", run: (*Server).runHealth}
 func (s *Server) runHealth(rq *request) (reply, error) {
 	return reply{what: "nodes", n: rq.g.NumNodes(), json: HealthResponse{
 		Status:        "ok",
-		Name:          s.ds.Load().Name,
+		Name:          rq.pin.Corpus().Name(),
 		Nodes:         rq.g.NumNodes(),
 		Edges:         rq.g.NumEdges(),
 		RatesVersion:  rq.pin.Version(),

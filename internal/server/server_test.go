@@ -68,7 +68,7 @@ func TestHealthz(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/v1/healthz", &h); code != 200 {
 		t.Fatalf("status = %d", code)
 	}
-	if h.Status != "ok" || h.Nodes != s.ds.Load().Graph.NumNodes() {
+	if h.Status != "ok" || h.Nodes != s.eng.Pin().Corpus().Graph().NumNodes() {
 		t.Errorf("health = %+v", h)
 	}
 }

@@ -72,7 +72,8 @@ func (s *Server) parseSwap(rq *request, r *http.Request) (string, error) {
 
 // runSwap loads the snapshot, builds its corpus and publishes it through
 // the generational CAS. A zero ifGeneration swaps whatever generation is
-// current when the corpus is ready, not the one the request pinned.
+// current when the corpus is ready, not the one the request pinned. The
+// response and trace report the state the swap published.
 func (s *Server) runSwap(rq *request) (reply, error) {
 	t0 := time.Now()
 	ds, ix, err := storage.ReadSnapshotFile(filepath.Join(s.swapDir, rq.swap.Snapshot))
@@ -83,29 +84,26 @@ func (s *Server) runSwap(rq *request) (reply, error) {
 		rq.swap.Snapshot, ds.Graph.NumNodes(), ds.Graph.NumEdges(), time.Since(t0))
 
 	t1 := time.Now()
-	corpus, err := core.NewCorpusWithIndex(ds.Graph, ix, s.cfg)
+	cfg := s.cfg
+	cfg.Name = ds.Name
+	corpus, err := core.NewCorpusWithIndex(ds.Graph, ix, cfg)
 	if err != nil {
 		return reply{}, errors.New("building corpus: " + err.Error())
 	}
 	rq.tr.Eventf("build", "dur=%s", time.Since(t1))
 
-	ifGen := rq.swap.IfGeneration
-	if ifGen == 0 {
-		ifGen = s.eng.Generation()
-	}
-	gen, err := s.eng.SwapCorpus(corpus, ds.Rates, ifGen)
+	pin, err := s.eng.SwapCorpus(corpus, ds.Rates, rq.swap.IfGeneration)
 	if errors.Is(err, core.ErrGenerationConflict) {
-		return reply{}, conflict("corpus generation changed concurrently; re-read and retry", 0, gen)
+		return reply{}, conflict("corpus generation changed concurrently; re-read and retry", 0, pin.Generation())
 	}
 	if err != nil {
 		return reply{}, badRequest("swap rejected: " + err.Error())
 	}
-	s.ds.Store(ds)
 	s.obs.swapsTotal.Inc()
-	rq.tr.Eventf("swap", "generation=%d->%d version=%d", ifGen, gen, s.eng.RatesVersion())
+	rq.tr.Eventf("swap", "generation=%d->%d version=%d", pin.Generation()-1, pin.Generation(), pin.Version())
 	return reply{what: "nodes", n: ds.Graph.NumNodes(), json: CorpusSwapResponse{
-		Generation:   gen,
-		RatesVersion: s.eng.RatesVersion(),
+		Generation:   pin.Generation(),
+		RatesVersion: pin.Version(),
 		Name:         ds.Name,
 		Nodes:        ds.Graph.NumNodes(),
 		Edges:        ds.Graph.NumEdges(),

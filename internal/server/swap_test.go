@@ -54,6 +54,7 @@ func swapServer(t *testing.T) (*Server, *httptest.Server, *datagen.Dataset) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ds.Name = "served" // next.snap keeps its generator's name
 	s, err := New(ds, core.Config{Rank: rank.Options{Threshold: 1e-6, MaxIters: 300}},
 		WithSwapDir(dir))
 	if err != nil {
@@ -88,10 +89,10 @@ func TestCorpusSwapEndpoint(t *testing.T) {
 
 	var h HealthResponse
 	getJSON(t, ts.URL+"/v1/healthz", &h)
-	if h.Generation != 1 {
-		t.Fatalf("initial generation = %d, want 1", h.Generation)
+	if h.Generation != 1 || h.Name != "served" {
+		t.Fatalf("initial health: generation %d, name %q; want 1, served", h.Generation, h.Name)
 	}
-	oldNodes := s.ds.Load().Graph.NumNodes()
+	oldNodes := s.eng.Pin().Corpus().Graph().NumNodes()
 
 	var ok CorpusSwapResponse
 	if code := postSwap(t, ts.URL, CorpusSwapRequest{Snapshot: "next.snap"}, &ok); code != 200 {
@@ -122,18 +123,61 @@ func TestCorpusSwapEndpoint(t *testing.T) {
 		}
 	}
 
-	// Health, stats and the Dataset accessor all track the new corpus.
+	// Health and stats track the new corpus, its name included.
 	getJSON(t, ts.URL+"/v1/healthz", &h)
-	if h.Generation != 2 || h.Nodes != next.Graph.NumNodes() {
-		t.Errorf("health after swap = %+v", h)
+	if h.Generation != 2 || h.Nodes != next.Graph.NumNodes() || h.Name != next.Name || ok.Name != next.Name {
+		t.Errorf("health after swap = %+v (swap named %q), want %q", h, ok.Name, next.Name)
 	}
 	var st StatsResponse
 	getJSON(t, ts.URL+"/v1/stats", &st)
 	if st.Generation != 2 || st.CorpusSwaps != 1 {
 		t.Errorf("stats after swap: generation=%d swaps=%d", st.Generation, st.CorpusSwaps)
 	}
-	if s.ds.Load().Graph.NumNodes() != next.Graph.NumNodes() {
-		t.Errorf("Dataset() still returns the old corpus")
+}
+
+// TestCorpusSwapReportsTheStateItPublished swaps with ifGeneration
+// omitted while a loop of rates publishes races every swap: each swap
+// must succeed and answer the generation and rates version it
+// published, never a version a racing publish made after it.
+func TestCorpusSwapReportsTheStateItPublished(t *testing.T) {
+	s, ts, _ := swapServer(t)
+	type state struct{ gen, version uint64 }
+	var mu sync.Mutex
+	published := map[state]bool{}
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			pin := s.eng.Pin()
+			if v, err := s.eng.TrySetRates(pin.Rates(), pin.Version()); err == nil {
+				mu.Lock()
+				published[state{pin.Generation(), v}] = true
+				mu.Unlock()
+			}
+		}
+	}()
+	var swaps []CorpusSwapResponse
+	for i := 0; i < 40; i++ {
+		var resp CorpusSwapResponse
+		if code := postSwap(t, ts.URL, CorpusSwapRequest{Snapshot: "next.snap"}, &resp); code != 200 {
+			close(stop)
+			<-done
+			t.Fatalf("swap %d: status %d", i, code)
+		}
+		swaps = append(swaps, resp)
+	}
+	close(stop)
+	<-done
+	for i, resp := range swaps {
+		if resp.Generation != uint64(i+2) || published[state{resp.Generation, resp.RatesVersion}] {
+			t.Errorf("swap %d answered generation %d, version %d: want generation %d and a version no rates publish made",
+				i, resp.Generation, resp.RatesVersion, i+2)
+		}
 	}
 }
 
