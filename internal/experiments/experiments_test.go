@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-// testCfg keeps experiment tests fast; shape quality is asserted only
-// where it survives tiny scales, the rest is covered by the benches at
-// default scale.
+// testCfg keeps experiment tests fast; the paper's shapes are asserted
+// at the survey family's default scale (TestPaperShapes), because most
+// of them do not survive this one.
 func testCfg(buf *bytes.Buffer) Config {
 	return Config{Scale: testScale, Out: buf}
 }
@@ -168,6 +168,37 @@ func TestFigure12And13Mechanics(t *testing.T) {
 	if len(res13.Labels) != 3 {
 		t.Fatalf("figure13 labels = %v", res13.Labels)
 	}
+}
+
+// TestPaperShapes asserts the shapes EXPERIMENTS.md reads off Table 2
+// and Figures 10 and 12, at surveyScale, the scale it prints them at:
+// at testScale Fig. 12 falls and Fig. 10's structural settings tie.
+func TestPaperShapes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("survey experiments at the default scale")
+	}
+	t.Run("table2", func(t *testing.T) {
+		res, _ := runSharedAt(t, surveyScale, "table2", Table2)
+		if res.AvgOR2 < res.AvgOR {
+			t.Errorf("ObjectRank2 averages %.2f relevant results, below ObjectRank's %.2f", res.AvgOR2, res.AvgOR)
+		}
+	})
+	t.Run("figure10", func(t *testing.T) {
+		res, _ := runSharedAt(t, surveyScale, "figure10", Figure10)
+		last := func(l string) float64 { return res.Curves[l][len(res.Curves[l])-1] }
+		for _, l := range []string{"content+structure", "structure-only"} {
+			if last("content-only") >= last(l) {
+				t.Errorf("content-only ends at %.3f, not below %s's %.3f", last("content-only"), l, last(l))
+			}
+		}
+	})
+	t.Run("figure12", func(t *testing.T) {
+		res, _ := runSharedAt(t, surveyScale, "figure12", Figure12)
+		c := res.Curves["structure-only"]
+		if c[len(c)-1] <= c[0] {
+			t.Errorf("Fig. 12 ends at %.3f, not above its start %.3f", c[len(c)-1], c[0])
+		}
+	})
 }
 
 func TestTimingFigures(t *testing.T) {

@@ -33,13 +33,20 @@ var (
 // running the experiment again.
 func runShared[T any](t *testing.T, name string, f func(Config) (T, error)) (T, string) {
 	t.Helper()
+	return runSharedAt(t, testScale, name, f)
+}
+
+// runSharedAt is runShared at the given dataset scale.
+func runSharedAt[T any](t *testing.T, scale float64, name string, f func(Config) (T, error)) (T, string) {
+	t.Helper()
+	key := fmt.Sprintf("%s@%g", name, scale)
 	sharedMu.Lock()
-	s, ok := sharedRuns[name]
+	s, ok := sharedRuns[key]
 	if !ok {
 		var buf bytes.Buffer
-		res, err := f(testCfg(&buf))
+		res, err := f(Config{Scale: scale, Out: &buf})
 		s = &shared{res: res, out: buf.String(), err: err}
-		sharedRuns[name] = s
+		sharedRuns[key] = s
 	}
 	sharedMu.Unlock()
 	if s.err != nil {
