@@ -157,6 +157,6 @@ func Example_training() {
 	// cosine(learned, expert) after 0 feedback rounds: 0.81
 	// cosine(learned, expert) after 1 feedback rounds: 0.82
 	// cosine(learned, expert) after 2 feedback rounds: 0.86
-	// cosine(learned, expert) after 3 feedback rounds: 0.89
+	// cosine(learned, expert) after 3 feedback rounds: 0.88
 	// cosine(learned, expert) after 4 feedback rounds: 0.90
 }

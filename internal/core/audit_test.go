@@ -59,10 +59,11 @@ func TestAuditDeterministic(t *testing.T) {
 // and per-node sensitivity sums the node's out-arcs.
 func TestAuditSensitivityIsFlowOverRate(t *testing.T) {
 	f, pin, res := auditFixture(t)
-	a, err := auditAt(pin, ModeAuthority, res, f.ids["v7"], 1000)
+	sg, err := pin.ExplainModeCtx(context.Background(), ModeAuthority, res, f.ids["v7"], DefaultExplain())
 	if err != nil {
 		t.Fatal(err)
 	}
+	a := AuditOf(sg, 1000)
 	if len(a.Arcs) == 0 || len(a.Nodes) == 0 {
 		t.Fatalf("audit of v7 is empty: %d arcs, %d nodes", len(a.Arcs), len(a.Nodes))
 	}
@@ -70,7 +71,6 @@ func TestAuditSensitivityIsFlowOverRate(t *testing.T) {
 		t.Errorf("totals (%d, %d) disagree with untruncated lists (%d, %d)",
 			a.TotalArcs, a.TotalNodes, len(a.Arcs), len(a.Nodes))
 	}
-	byNode := map[int]float64{}
 	for i, arc := range a.Arcs {
 		if arc.Rate <= 0 {
 			t.Fatalf("arc %d has non-positive rate %v", i, arc.Rate)
@@ -81,13 +81,16 @@ func TestAuditSensitivityIsFlowOverRate(t *testing.T) {
 		if i > 0 && a.Arcs[i-1].Sensitivity < arc.Sensitivity {
 			t.Fatalf("arcs not sensitivity-descending at %d", i)
 		}
-		byNode[int(arc.From)] += arc.Sensitivity
+	}
+	// The subgraph's arcs in row order, the order the explain pass sums
+	// each node's sensitivity in, so the sums match bit for bit.
+	byNode := map[graph.NodeID]float64{}
+	for _, arc := range sg.FlowArcs() {
+		byNode[arc.From] += arc.Flow / arc.Rate
 	}
 	for i, n := range a.Nodes {
-		// Sums accumulate in the same deterministic arc order as AuditOf,
-		// so they must match bit-for-bit.
-		if math.Float64bits(byNode[int(n.Node)]) != math.Float64bits(n.Sensitivity) {
-			t.Errorf("node %d sensitivity %v != sum of its arcs %v", n.Node, n.Sensitivity, byNode[int(n.Node)])
+		if math.Float64bits(byNode[n.Node]) != math.Float64bits(n.Sensitivity) {
+			t.Errorf("node %d sensitivity %v != sum of its arcs %v", n.Node, n.Sensitivity, byNode[n.Node])
 		}
 		if i > 0 && a.Nodes[i-1].Sensitivity < n.Sensitivity {
 			t.Fatalf("nodes not sensitivity-descending at %d", i)

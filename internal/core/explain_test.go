@@ -524,8 +524,11 @@ func decodedForgetter(p *Pinned, res *RankResult, target graph.NodeID, opts Expl
 // subgraph of thousands of arcs. A 40-byte FlowArc per arc, any per-arc
 // array kept beside the 8-byte references, a derive with an O(|V|) or
 // O(|E|) term, or a reuse that copies Nodes, Arcs, the rows or the
-// distances breaks it.
+// distances breaks it. It runs on one P: a sync.Pool Put lands in the
+// running P's private slot, so a goroutine that moves to another P
+// between explains misses the scratch and grows a new one.
 func explainBytesCeiling(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	pin := citationWeb(t, rand.New(rand.NewSource(3)), 400, 2400).Pin()
 	res := rankPinned(pin, ir.NewQuery("olap"))
 	target, opts := res.TopK(1)[0].Node, ExplainOptions{Threshold: 1e-9}

@@ -58,9 +58,6 @@ type ClusterEdge struct {
 // bit-identical similarities. Cost is sum over eligible terms of DF^2,
 // which the DefaultClusterMaxDFRatio cap keeps bounded.
 func (ix *Index) ClusterGraph(o ClusterOptions) []ClusterEdge {
-	if !ix.finalized {
-		panic("ir: ClusterGraph before Finalize")
-	}
 	n := ix.NumDocs()
 	if n == 0 {
 		return nil

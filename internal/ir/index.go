@@ -2,6 +2,7 @@ package ir
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"slices"
 )
@@ -29,22 +30,21 @@ type Posting struct {
 // per Section 2). It provides the Okapi BM25 weights W(v, t) of
 // Equation 3 and the base-set scores IRScore(v, Q) of Equation 2.
 //
-// A finalized index is one term representation: a dictionary sorted
+// An index is one term representation: a dictionary sorted
 // lexicographically, so a term's id is its rank in it; the postings in
 // one CSR, term id by term id, each row by ascending document; and the
 // forward table, each document's distinct content terms (those
 // TokenizeFiltered keeps) by ascending id, derived from the postings.
 //
-// Build an index with NewIndex + Add + Finalize, or BuildIndex. A
-// finalized Index is immutable and safe for concurrent reads.
+// FromParts is the only way an Index is made; BuildIndex tokenizes
+// text into its parts. An Index is immutable and safe for concurrent
+// reads.
 type Index struct {
 	params BM25Params
 	// terms is the dictionary and ids its inverse, which only turns a
-	// query's strings into ids. Before Finalize, ids number the terms
-	// in order of first occurrence and rows holds their postings.
+	// query's strings into ids.
 	terms []string
 	ids   map[string]int32
-	rows  [][]Posting
 	// postStart/posts: term id's postings are
 	// posts[postStart[id]:postStart[id+1]].
 	postStart []int32
@@ -54,92 +54,79 @@ type Index struct {
 	tfw []float64
 	// docStart/docTerms: document d's content term ids are
 	// docTerms[docStart[d]:docStart[d+1]].
-	docStart  []int32
-	docTerms  []int32
-	docLen    []int32
-	totalLen  int64
-	avdl      float64
-	finalized bool
+	docStart []int32
+	docTerms []int32
+	// docLen is each document's length in tokens, the sum of its
+	// postings' term frequencies, and avdl their mean.
+	docLen []int32
+	avdl   float64
 }
 
-// NewIndex returns an empty index with the given BM25 parameters.
-func NewIndex(params BM25Params) *Index {
-	return &Index{params: params, ids: make(map[string]int32)}
-}
-
-// Add indexes the text of document doc. Documents must be added in
-// ascending doc order (the data-graph node order); Add panics
-// otherwise, and after Finalize.
-func (ix *Index) Add(doc int32, text string) {
-	if ix.finalized {
-		panic("ir: Add after Finalize")
+// FromParts makes an Index over numDocs documents from its parts,
+// taking ownership of the slices (no copies). terms is the dictionary,
+// strictly ascending, and postStart/posts the postings CSR over it (see
+// Postings): every row non-empty, by strictly ascending document ID,
+// with positive term frequencies. Input that breaks any of these is an
+// error, never an index that misbehaves later. Everything else is
+// derived here: each document's length as the sum of its postings'
+// term frequencies (every token is indexed, so this is its token
+// count), avdl, the postings' BM25 factors and the forward table. The
+// parameters must keep every factor finite and positive.
+func FromParts(params BM25Params, numDocs int, terms []string, postStart []int32, posts []Posting) (*Index, error) {
+	if numDocs < 0 || numDocs > math.MaxInt32 {
+		return nil, fmt.Errorf("ir: %d documents", numDocs)
 	}
-	if int(doc) < len(ix.docLen) {
-		panic("ir: documents must be added in ascending order")
+	if k1, b, k3 := params.K1, params.B, params.K3; !(k1 >= 0 && b >= 0 && b <= 1 && k3 >= 0) || math.IsInf(k1, 0) || math.IsInf(k3, 0) {
+		return nil, fmt.Errorf("ir: BM25 parameters %+v outside finite k1 >= 0, 0 <= b <= 1, finite k3 >= 0", params)
 	}
-	for int(doc) > len(ix.docLen) { // fill holes with empty docs
-		ix.docLen = append(ix.docLen, 0)
+	if len(postStart) != len(terms)+1 {
+		return nil, fmt.Errorf("ir: %d posting offsets for %d terms", len(postStart), len(terms))
 	}
-	ix.docLen = append(ix.docLen, int32(len(text)))
-	ix.totalLen += int64(len(text))
-	// doc is the newest document, so a row that has it ends with it.
-	for _, t := range Tokenize(text) {
-		id, ok := ix.ids[t]
-		if !ok {
-			id = int32(len(ix.terms))
-			ix.ids[t] = id
-			ix.terms = append(ix.terms, t)
-			ix.rows = append(ix.rows, nil)
+	if postStart[0] != 0 || int(postStart[len(terms)]) != len(posts) {
+		return nil, fmt.Errorf("ir: posting offsets %d..%d do not cover %d postings", postStart[0], postStart[len(terms)], len(posts))
+	}
+	n := int32(numDocs)
+	ids := make(map[string]int32, len(terms))
+	docLen := make([]int32, n)
+	var totalLen int64
+	for i, t := range terms {
+		if t == "" {
+			return nil, fmt.Errorf("ir: empty term at position %d", i)
 		}
-		row := ix.rows[id]
-		if n := len(row); n > 0 && row[n-1].Doc == doc {
-			row[n-1].TF++
-		} else {
-			ix.rows[id] = append(row, Posting{Doc: doc, TF: 1})
+		if i > 0 && t <= terms[i-1] {
+			return nil, fmt.Errorf("ir: term %q at position %d does not follow %q", t, i, terms[i-1])
 		}
+		lo, hi := postStart[i], postStart[i+1]
+		if hi <= lo || int(hi) > len(posts) {
+			return nil, fmt.Errorf("ir: term %q has posting offsets %d:%d for %d postings", t, lo, hi, len(posts))
+		}
+		prev := int32(-1)
+		for _, p := range posts[lo:hi] {
+			if p.Doc <= prev || p.Doc >= n {
+				return nil, fmt.Errorf("ir: term %q has unsorted or out-of-range posting doc %d", t, p.Doc)
+			}
+			if p.TF <= 0 {
+				return nil, fmt.Errorf("ir: term %q has non-positive term frequency %d in doc %d", t, p.TF, p.Doc)
+			}
+			if docLen[p.Doc] > math.MaxInt32-p.TF {
+				return nil, fmt.Errorf("ir: doc %d has more than %d tokens", p.Doc, math.MaxInt32)
+			}
+			docLen[p.Doc] += p.TF
+			totalLen += int64(p.TF)
+			prev = p.Doc
+		}
+		ids[t] = int32(i)
 	}
-}
-
-// Finalize freezes the index: it sorts the dictionary, packs the
-// postings into the CSR, derives the forward table and computes avdl.
-func (ix *Index) Finalize() {
-	if ix.finalized {
-		return
-	}
-	order := make([]int32, len(ix.terms))
-	total := 0
-	for i := range order {
-		order[i] = int32(i)
-		total += len(ix.rows[i])
-	}
-	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(ix.terms[a], ix.terms[b]) })
-	terms := make([]string, len(order))
-	postStart := make([]int32, len(order)+1)
-	posts := make([]Posting, 0, total)
-	for id, old := range order {
-		terms[id] = ix.terms[old]
-		ix.ids[terms[id]] = int32(id)
-		posts = append(posts, ix.rows[old]...)
-		postStart[id+1] = int32(len(posts))
-	}
-	ix.rows = nil
-	ix.freeze(terms, postStart, posts)
-}
-
-// freeze installs the dictionary and the postings CSR (ix.ids already
-// maps terms to their ids), derives avdl, the postings' BM25 factors
-// and the forward table, and marks the index finalized.
-func (ix *Index) freeze(terms []string, postStart []int32, posts []Posting) {
-	ix.terms, ix.postStart, ix.posts = terms, postStart, posts
-	if n := len(ix.docLen); n > 0 {
-		ix.avdl = float64(ix.totalLen) / float64(n)
+	ix := &Index{params: params, terms: terms, ids: ids, postStart: postStart, posts: posts, docLen: docLen}
+	if n > 0 {
+		ix.avdl = float64(totalLen) / float64(n)
 	}
 	ix.tfw = make([]float64, len(posts))
 	for i, p := range posts {
 		ix.tfw[i] = ix.weightTF(p.Doc, float64(p.TF))
 	}
 	ix.transpose()
-	ix.finalized = true
+	return ix, nil
 }
 
 // transpose derives the forward table from the postings: one counting
@@ -171,14 +158,51 @@ func (ix *Index) transpose() {
 	ix.docStart, ix.docTerms = start, docTerms
 }
 
-// BuildIndex indexes n documents provided by text and finalizes the
-// result.
+// BuildIndex indexes n documents provided by text: it tokenizes them
+// into postings, sorts the dictionary and hands the parts to FromParts.
 func BuildIndex(n int, text func(i int) string, params BM25Params) *Index {
-	ix := NewIndex(params)
-	for i := 0; i < n; i++ {
-		ix.Add(int32(i), text(i))
+	// Terms are numbered in order of first occurrence until the sort;
+	// documents come in ascending order, so a row that has the current
+	// document ends with it.
+	ids := make(map[string]int32)
+	var first []string
+	var rows [][]Posting
+	for d := int32(0); int(d) < n; d++ {
+		for _, t := range Tokenize(text(int(d))) {
+			id, ok := ids[t]
+			if !ok {
+				id = int32(len(first))
+				ids[t] = id
+				first = append(first, t)
+				rows = append(rows, nil)
+			}
+			row := rows[id]
+			if k := len(row); k > 0 && row[k-1].Doc == d {
+				row[k-1].TF++
+			} else {
+				rows[id] = append(row, Posting{Doc: d, TF: 1})
+			}
+		}
 	}
-	ix.Finalize()
+	order := make([]int32, len(first))
+	total := 0
+	for i := range order {
+		order[i] = int32(i)
+		total += len(rows[i])
+	}
+	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(first[a], first[b]) })
+	terms := make([]string, len(order))
+	postStart := make([]int32, len(order)+1)
+	posts := make([]Posting, 0, total)
+	for id, old := range order {
+		terms[id] = first[old]
+		posts = append(posts, rows[old]...)
+		postStart[id+1] = int32(len(posts))
+	}
+	ix, err := FromParts(params, n, terms, postStart, posts)
+	if err != nil {
+		panic("ir: BuildIndex: " + err.Error())
+	}
 	return ix
 }
 

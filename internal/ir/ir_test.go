@@ -223,28 +223,22 @@ func TestQueryWeightScalesScore(t *testing.T) {
 	}
 }
 
-func TestAddOutOfOrderPanics(t *testing.T) {
-	ix := NewIndex(DefaultBM25())
-	ix.Add(1, "skip zero is fine") // hole-filling is allowed
-	defer func() {
-		if recover() == nil {
-			t.Error("Add out of order should panic")
+// TestDocLenCountsTokens: BM25's document length is the token count,
+// not the byte count, whatever the punctuation, spacing or script.
+func TestDocLenCountsTokens(t *testing.T) {
+	docs := []string{"Group-By, Cross-Tab, and Sub-Total.", "日本語 text   mixed ascii", "", "olap olap"}
+	ix := BuildIndex(len(docs), func(i int) string { return docs[i] }, DefaultBM25())
+	total := 0
+	for d, text := range docs {
+		want := len(Tokenize(text))
+		total += want
+		if got := ix.docLen[d]; int(got) != want {
+			t.Errorf("doc %d %q: length %d, want %d tokens", d, text, got, want)
 		}
-	}()
-	ix.Add(0, "going backwards is not")
-}
-
-func TestAddAfterFinalizePanics(t *testing.T) {
-	ix := NewIndex(DefaultBM25())
-	ix.Add(0, "a")
-	ix.Finalize()
-	ix.Finalize() // idempotent
-	defer func() {
-		if recover() == nil {
-			t.Error("Add after Finalize should panic")
-		}
-	}()
-	ix.Add(1, "b")
+	}
+	if want := float64(total) / float64(len(docs)); ix.avdl != want {
+		t.Errorf("avdl = %v, want %v", ix.avdl, want)
+	}
 }
 
 func TestEmptyIndex(t *testing.T) {

@@ -44,8 +44,9 @@ var (
 	// a snapshot at all).
 	ErrSnapshotMagic = errors.New("storage: not an afq binary snapshot (bad magic)")
 	// ErrSnapshotVersion means the format version is not supported by
-	// this release: a version-1 file stores arcs instead of edges and
-	// must be regenerated (datagen -out, or afq snapshot).
+	// this release: a version-1 file stores arcs instead of edges, a
+	// version-2 file stores document lengths in bytes, and either must
+	// be regenerated (datagen -out, or afq snapshot).
 	ErrSnapshotVersion = errors.New("storage: unsupported binary snapshot version")
 	// ErrSnapshotTruncated means the file is shorter than its header
 	// claims.
@@ -75,7 +76,7 @@ var (
 //	  length uint64    payload length in bytes
 //	payloads, each padded to 8-byte alignment.
 const (
-	binSnapshotVersion = 2
+	binSnapshotVersion = 3
 	headerSize         = 32
 	sectionEntrySize   = 24
 	maxSections        = 64
@@ -85,8 +86,9 @@ var binMagic = [8]byte{'A', 'F', 'Q', 'S', 'N', 'A', 'P', '1'}
 
 // Section IDs. Homogeneous arrays get their own section so the loader
 // can reinterpret each in place without an inner framing pass. IDs 9
-// to 12 are retired: version-1 files held the forward and reverse CSR
-// there, so they must not be given a new meaning.
+// to 13 are retired, so they must not be given a new meaning:
+// version-1 files held the forward and reverse CSR in 9 to 12, and
+// version-2 files the document lengths in 13.
 const (
 	secMeta      = 1  // name, node/edge counts
 	secNodeTypes = 2  // string table of node type names
@@ -96,8 +98,7 @@ const (
 	secAttrStart = 6  // []int32, len n+1, prefix over attr entries
 	secAttrEntry = 7  // []uint32, {nameOff,nameLen,valOff,valLen} per attr
 	secAttrBlob  = 8  // raw attribute name/value bytes
-	secDocLen    = 13 // []int32, document length per node
-	secIdxMeta   = 14 // totalLen + BM25 params
+	secIdxMeta   = 14 // BM25 params
 	secTerms     = 15 // string table of the full vocabulary (sorted)
 	secPostStart = 16 // []int32, len terms+1, prefix over postings
 	secPostings  = 17 // []ir.Posting, 8 bytes each
@@ -105,7 +106,7 @@ const (
 )
 
 // requiredSections are the IDs every snapshot carries.
-var requiredSections = [...]uint32{1, 2, 3, 4, 5, 6, 7, 8, 13, 14, 15, 16, 17, 18}
+var requiredSections = [...]uint32{1, 2, 3, 4, 5, 6, 7, 8, 14, 15, 16, 17, 18}
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
@@ -370,11 +371,7 @@ func WriteSnapshot(w io.Writer, ds *datagen.Dataset, ix *ir.Index) error {
 		}
 	}
 
-	var idxMeta []byte
-	idxMeta = appendU64(idxMeta, uint64(ix.TotalLen()))
 	p := ix.Params()
-	idxMeta = appendF64s(idxMeta, []float64{p.K1, p.B, p.K3})
-
 	postStart, posts := ix.Postings()
 
 	secs := []binSection{
@@ -386,8 +383,7 @@ func WriteSnapshot(w io.Writer, ds *datagen.Dataset, ix *ir.Index) error {
 		{secAttrStart, appendI32s(nil, attrStart)},
 		{secAttrEntry, attrEntry},
 		{secAttrBlob, attrBlob},
-		{secDocLen, appendI32s(nil, ix.DocLens())},
-		{secIdxMeta, idxMeta},
+		{secIdxMeta, appendF64s(nil, []float64{p.K1, p.B, p.K3})},
 		{secTerms, appendStringTable(nil, ix.Terms())},
 		{secPostStart, appendI32s(nil, postStart)},
 		{secPostings, appendPostings(nil, posts)},
@@ -620,21 +616,13 @@ func ReadSnapshot(data []byte) (*datagen.Dataset, *ir.Index, error) {
 
 	// Inverted index.
 	im := secs[secIdxMeta]
-	if len(im) != 32 {
-		return nil, nil, fmt.Errorf("%w: index meta section is %d bytes, want 32", ErrSnapshotCorrupt, len(im))
+	if len(im) != 24 {
+		return nil, nil, fmt.Errorf("%w: index meta section is %d bytes, want 24", ErrSnapshotCorrupt, len(im))
 	}
-	totalLen := int64(binary.LittleEndian.Uint64(im))
 	params := ir.BM25Params{
-		K1: math.Float64frombits(binary.LittleEndian.Uint64(im[8:])),
-		B:  math.Float64frombits(binary.LittleEndian.Uint64(im[16:])),
-		K3: math.Float64frombits(binary.LittleEndian.Uint64(im[24:])),
-	}
-	docLen, err := decodeI32s(secs[secDocLen])
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(docLen) != n {
-		return nil, nil, fmt.Errorf("%w: %d document lengths for %d nodes", ErrSnapshotCorrupt, len(docLen), n)
+		K1: math.Float64frombits(binary.LittleEndian.Uint64(im)),
+		B:  math.Float64frombits(binary.LittleEndian.Uint64(im[8:])),
+		K3: math.Float64frombits(binary.LittleEndian.Uint64(im[16:])),
 	}
 	terms, err := decodeStringTable(secs[secTerms], "term")
 	if err != nil {
@@ -648,7 +636,7 @@ func ReadSnapshot(data []byte) (*datagen.Dataset, *ir.Index, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	ix, err := ir.FromParts(params, docLen, totalLen, terms, postStart, posts)
+	ix, err := ir.FromParts(params, n, terms, postStart, posts)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
 	}

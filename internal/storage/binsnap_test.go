@@ -122,7 +122,7 @@ func TestBinSnapshotRoundTripLossless(t *testing.T) {
 				t.Fatalf("rate %d = %v, want bit-identical %v", i, gv[i], wv[i])
 			}
 		}
-		// Index: full vocabulary, postings, document lengths.
+		// Index: full vocabulary, postings, BM25 weights.
 		want := eng.Pin().Corpus().Index()
 		if ix.NumDocs() != want.NumDocs() {
 			t.Fatalf("index docs = %d, want %d", ix.NumDocs(), want.NumDocs())
@@ -140,6 +140,13 @@ func TestBinSnapshotRoundTripLossless(t *testing.T) {
 		wantStart, wantPosts := want.Postings()
 		if !slices.Equal(start, wantStart) || !slices.Equal(posts, wantPosts) {
 			t.Fatalf("postings CSR differs: %d offsets/%d postings, want %d/%d", len(start), len(posts), len(wantStart), len(wantPosts))
+		}
+		for id, term := range terms {
+			for _, p := range posts[start[id]:start[id+1]] {
+				if got, w := ix.Weight(p.Doc, term), want.Weight(p.Doc, term); math.Float64bits(got) != math.Float64bits(w) {
+					t.Fatalf("W(%d, %q) = %v, want bit-identical %v", p.Doc, term, got, w)
+				}
+			}
 		}
 	})
 }
@@ -413,6 +420,10 @@ func TestBinSnapshotHostileFiles(t *testing.T) {
 			binary.LittleEndian.PutUint32(d[8:], 1)
 			return d
 		}, ErrSnapshotVersion, false, "datagen"},
+		{"version-2 header", func(t *testing.T, d []byte) []byte {
+			binary.LittleEndian.PutUint32(d[8:], 2)
+			return d
+		}, ErrSnapshotVersion, false, "datagen"},
 		{"truncated body", func(t *testing.T, d []byte) []byte {
 			return d[:len(d)-1]
 		}, ErrSnapshotTruncated, false, ""},
@@ -470,7 +481,7 @@ func TestBinSnapshotHostileFiles(t *testing.T) {
 			return d
 		}, ErrSnapshotCorrupt, false, ""},
 		{"missing section", func(t *testing.T, d []byte) []byte {
-			e := sectionEntry(t, d, secDocLen)
+			e := sectionEntry(t, d, secIdxMeta)
 			binary.LittleEndian.PutUint32(d[e:], 63) // unknown id
 			resealTable(d)
 			return d
@@ -505,6 +516,20 @@ func TestBinSnapshotHostileFiles(t *testing.T) {
 			resealSection(t, d, secMeta)
 			return d
 		}, ErrSnapshotCorrupt, false, "meta claims"},
+		{"BM25 b outside [0, 1]", func(t *testing.T, d []byte) []byte {
+			e := sectionEntry(t, d, secIdxMeta)
+			off := binary.LittleEndian.Uint64(d[e+8:])
+			binary.LittleEndian.PutUint64(d[off+8:], math.Float64bits(2))
+			resealSection(t, d, secIdxMeta)
+			return d
+		}, ErrSnapshotCorrupt, false, "BM25 parameters"},
+		{"version-2 index meta", func(t *testing.T, d []byte) []byte {
+			// Section 14 of version 2 led with totalLen: 32 bytes.
+			e := sectionEntry(t, d, secIdxMeta)
+			binary.LittleEndian.PutUint64(d[e+16:], 32)
+			resealSection(t, d, secIdxMeta)
+			return d
+		}, ErrSnapshotCorrupt, false, "want 24"},
 		{"edge section length not a multiple of 12", func(t *testing.T, d []byte) []byte {
 			e := sectionEntry(t, d, secEdges)
 			binary.LittleEndian.PutUint64(d[e+16:], binary.LittleEndian.Uint64(d[e+16:])-4)

@@ -10,12 +10,15 @@ import (
 
 	"authorityflow/internal/datagen"
 	"authorityflow/internal/graph"
+	"authorityflow/internal/ir"
 )
 
 // FuzzLoad: arbitrary bytes never panic the snapshot reader — they
 // either load (if they happen to be a valid snapshot) or return an
 // error. Whatever loads is the authority transfer graph of a
-// schema-conforming data graph (requireDerivedAdjacency). Each input
+// schema-conforming data graph (requireDerivedAdjacency) with an index
+// whose BM25 weights are Eq. 3's over the lengths its postings sum to
+// (requireBM25). Each input
 // is also read with its checksums resealed, so mutated payloads reach
 // the structural checks behind the CRCs.
 //
@@ -50,6 +53,7 @@ func FuzzLoad(f *testing.F) {
 			t.Fatalf("index covers %d documents, graph has %d nodes", ix.NumDocs(), ds.Graph.NumNodes())
 		}
 		requireDerivedAdjacency(t, ds.Graph)
+		requireBM25(t, ix)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		load(t, data)
@@ -57,6 +61,39 @@ func FuzzLoad(f *testing.F) {
 			load(t, sealed)
 		}
 	})
+}
+
+// requireBM25 fails t unless every posting of ix has a finite,
+// positive weight W(v, t) equal, within 1e-12 relative, to Eq. 3's
+// with each document's length the sum of its postings' term
+// frequencies. The reference is recomputed here, so it is held to a
+// relative bound instead of bits; one token of length moves a weight
+// by orders of magnitude more.
+func requireBM25(t testing.TB, ix *ir.Index) {
+	t.Helper()
+	start, posts := ix.Postings()
+	dl := make([]int64, ix.NumDocs())
+	var total int64
+	for _, p := range posts {
+		dl[p.Doc] += int64(p.TF)
+		total += int64(p.TF)
+	}
+	avdl := 1.0
+	if total > 0 {
+		avdl = float64(total) / float64(len(dl))
+	}
+	k1, b := ix.Params().K1, ix.Params().B
+	for id, term := range ix.Terms() {
+		idf := ix.IDF(term)
+		for _, p := range posts[start[id]:start[id+1]] {
+			tf := float64(p.TF)
+			want := idf * ((k1 + 1) * tf / (k1*((1-b)+b*float64(dl[p.Doc])/avdl) + tf))
+			got := ix.Weight(p.Doc, term)
+			if !(got > 0) || math.IsInf(got, 0) || math.Abs(got-want) > 1e-12*want {
+				t.Fatalf("W(%d, %q) = %v, want %v from a length of %d tokens", p.Doc, term, got, want, dl[p.Doc])
+			}
+		}
+	}
 }
 
 // resealed returns a copy of data with the CRC of every section inside
