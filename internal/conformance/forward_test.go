@@ -55,7 +55,7 @@ func lengthMismatch(g *graph.Graph, ix *ir.Index) error {
 		for _, p := range posts[start[id]:start[id+1]] {
 			tf := float64(p.TF)
 			want := idf * ((k1 + 1) * tf / (k1*((1-b)+b*float64(dl[p.Doc])/avdl) + tf))
-			if got := ix.Weight(p.Doc, term); math.Abs(got-want) > 1e-12*want {
+			if got := ix.Weight(p.Doc, term); !(math.Abs(got-want) <= 1e-12*want) {
 				return fmt.Errorf("node %d: W(%q) = %v, want %v at %d tokens", p.Doc, term, got, want, dl[p.Doc])
 			}
 		}
