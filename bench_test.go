@@ -208,9 +208,11 @@ func dblptopExplain(b *testing.B) (*authorityflow.Pinned, *authorityflow.RankRes
 // of five queries, several times as many as the ball tier holds balls,
 // so every explain builds: the backward search, the ball and the
 // closure, O(|ball|) allocations — the ball, the derived topology, the
-// per-node arrays — independent of |V|. In all three the scratch,
-// including the Equation 10 loop's dense per-arc arrays, is pooled per
-// corpus generation.
+// per-node arrays — independent of |V|. A build's and a derive's
+// scratch is pooled per corpus generation; a reuse draws none. Each
+// explain is read through ExplainedScore, as every endpoint reads it, so
+// the Equation 6 pass, which runs on the first read of a sum, is timed
+// with it.
 func BenchmarkExplainDblptop(b *testing.B) {
 	pin, res, target := dblptopExplain(b)
 	type explain struct {
@@ -238,6 +240,9 @@ func BenchmarkExplainDblptop(b *testing.B) {
 			}
 			if sg.TopologyPath() != path {
 				b.Fatalf("explain of %d: topology %s, want %s", x.target, sg.TopologyPath(), path)
+			}
+			if sg.ExplainedScore() < 0 {
+				b.Fatalf("explain of %d: explained score %v", x.target, sg.ExplainedScore())
 			}
 			arcs += len(sg.Arcs)
 		}
@@ -430,7 +435,10 @@ func BenchmarkReformulate(b *testing.B) {
 // warm-started from the ranking. The query rotates
 // over five keywords, so a feedback explain builds its target's ball,
 // derives from a kept one or reuses a kept topology; each mode reports
-// ms/op, each path's explains per op and the requery's sweeps per op.
+// ms/op, round-ms/op (the wall time of FeedbackCtx alone: the explains,
+// Equations 11–15 and the publish, without the initial solve that
+// dominates ms/op), each path's explains per op and the requery's sweeps
+// per op.
 func BenchmarkReformulateDblptop(b *testing.B) {
 	ds, err := datagen.GenerateDBLP(datagen.DBLPTopConfig())
 	if err != nil {
@@ -453,25 +461,29 @@ func BenchmarkReformulateDblptop(b *testing.B) {
 			}
 			paths := map[string]int{}
 			sweeps := 0
+			var round time.Duration
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				pin, q := eng.Pin(), queries[i%len(queries)]
 				res := solve(b, pin, authorityflow.SolveSpec{Queries: []*authorityflow.Query{q}})
 				top := res.TopK(2)
-				round, err := pin.FeedbackCtx(ctx, q, res, []authorityflow.NodeID{top[0].Node, top[1].Node}, nil, opts)
+				t0 := time.Now()
+				r, err := pin.FeedbackCtx(ctx, q, res, []authorityflow.NodeID{top[0].Node, top[1].Node}, nil, opts)
+				round += time.Since(t0)
 				if err != nil {
 					b.Fatal(err)
 				}
-				for _, sg := range round.Subgraphs {
+				for _, sg := range r.Subgraphs {
 					paths[sg.TopologyPath()]++
 				}
-				requery := solve(b, round.Pin, authorityflow.SolveSpec{Queries: []*authorityflow.Query{round.Reformulation.Query}, Inits: [][]float64{res.Scores}})
+				requery := solve(b, r.Pin, authorityflow.SolveSpec{Queries: []*authorityflow.Query{r.Reformulation.Query}, Inits: [][]float64{res.Scores}})
 				sweeps += requery.Iterations
 				eng.Release(requery)
 				eng.Release(res)
 			}
 			b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/op")
+			b.ReportMetric(round.Seconds()*1e3/float64(b.N), "round-ms/op")
 			for _, path := range []string{"built", "derived", "reused"} {
 				b.ReportMetric(float64(paths[path])/float64(b.N), path+"/op")
 			}

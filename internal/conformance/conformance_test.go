@@ -591,7 +591,7 @@ func table(w *world) []path {
 			}},
 	)
 	rows = append(append(append(rows, linearityRows(w)...), assembledRows(w)...), routedRows(w)...)
-	return append(append(append(rows, explainRows(w)...), topologyRows(w)...), columnRows(w)...)
+	return append(append(append(append(rows, explainRows(w)...), lazyRows(w)...), topologyRows(w)...), columnRows(w)...)
 }
 
 // TestConformance runs the table on several seeded worlds.

@@ -116,8 +116,8 @@ func (p *Pinned) AuditCtx(ctx context.Context, m Mode, res *RankResult, target g
 // envelope uses it to attach a contributions[] block to a subgraph it
 // has already paid for. It is one walk of the subgraph's rows: Nodes[i]'s out-arcs are
 // one row of Arcs, in CSR order. A source's node entry is the row's
-// sums the explain already made in that order: its sensitivity and its
-// Equation 6b flow O(v). Its arcs are derived only when the row's
+// sums the Equation 6 pass made in that order (it runs here if no read
+// ran it before): its sensitivity and its Equation 6b flow O(v). Its arcs are derived only when the row's
 // sensitivity sum reaches the bar: sensitivities are non-negative, so
 // no partial sum rounds below one of its terms, and a row whose sum is
 // below the bar holds no arc that could be admitted.
@@ -133,9 +133,10 @@ func AuditOf(sg *Subgraph, budget int) *Audit {
 		Iterations: sg.Iterations,
 		Converged:  sg.Converged,
 	}
-	arcs := rank.NewTop(min(budget, len(sg.Arcs)), func(x AuditArc) float64 { return x.Sensitivity }, compareAuditArcs)
+	top := rank.NewTop(min(budget, len(sg.Arcs)), func(x AuditArc) float64 { return x.Sensitivity }, compareAuditArcs)
 	nodes := rank.NewTop(min(budget, len(sg.Nodes)), func(x AuditNode) float64 { return x.Sensitivity }, compareAuditNodes)
-	d, alpha, csr, h, refs := sg.damping, sg.alpha, sg.csr, sg.h, sg.Arcs
+	sg.sums()
+	d, alpha, h, arcs := sg.damping, sg.alpha, sg.h, sg.Arcs
 	for i, r := range sg.score {
 		lo, hi := sg.rowStart[i], sg.rowStart[i+1]
 		if lo == hi {
@@ -146,20 +147,20 @@ func AuditOf(sg *Subgraph, budget int) *Audit {
 		if nodes.Admits(sens) {
 			nodes.Offer(AuditNode{Node: sg.Nodes[i], Sensitivity: sens, Flow: sg.outFlow[i]})
 		}
-		if sens < arcs.Bar() {
+		if sens < top.Bar() {
 			continue
 		}
 		for k := lo; k < hi; k++ {
-			ref := refs[k]
-			rate := transferRate(alpha, &csr[ref.CSR])
-			_, flow := arcFlows(d, rate, r, h[ref.Head])
-			if s := flow / rate; arcs.Admits(s) {
+			a := arcs[k]
+			rate := a.rate(alpha)
+			_, flow := arcFlows(d, rate, r, h[a.Head])
+			if s := flow / rate; top.Admits(s) {
 				fa := sg.arc(i, k)
-				arcs.Offer(AuditArc{From: fa.From, To: fa.To, Type: fa.Type, Rate: fa.Rate, Flow: fa.Flow, Sensitivity: s})
+				top.Offer(AuditArc{From: fa.From, To: fa.To, Type: fa.Type, Rate: fa.Rate, Flow: fa.Flow, Sensitivity: s})
 			}
 		}
 	}
-	a.Arcs, a.Nodes = arcs.Sorted(), nodes.Sorted()
+	a.Arcs, a.Nodes = top.Sorted(), nodes.Sorted()
 	return a
 }
 

@@ -180,10 +180,11 @@ func TestAuditHubMode(t *testing.T) {
 // tiedSubgraph builds a synthetic subgraph of n arcs over nodes 0..n-1,
 // grouped by ascending source as the explain kernel emits them, whose
 // flows and sensitivities are each drawn from three values: nearly every
-// comparison a selection makes is a tie on its primary key. Arc k is CSR
-// arc k and every node is the head of one arc. Unit rates, damping and
-// scores make an arc's Rate its InvDeg f/s and its Flow h(To)·Rate with
-// h(To) = s. Powers of two keep every product and Flow/Rate exact.
+// comparison a selection makes is a tie on its primary key. Every node
+// is the head of one arc. Unit rates, damping and scores make an arc's
+// Rate its InvDeg f/s and its Flow h(To)·Rate with h(To) = s. Powers of
+// two keep every product, Flow/Rate and the sums the subgraph's own
+// Equation 6 pass makes exact.
 func tiedSubgraph(rng *rand.Rand, n int) *Subgraph {
 	flows, sens := []float64{1, 2, 4}, []float64{0.5, 1, 2}
 	sg := &Subgraph{
@@ -194,9 +195,6 @@ func tiedSubgraph(rng *rand.Rand, n int) *Subgraph {
 		score:    make([]float64, n),
 		h:        make([]float64, n),
 		dist:     make([]int32, n),
-		inFlow:   make([]float64, n),
-		outFlow:  make([]float64, n),
-		sens:     make([]float64, n),
 	}
 	for v := range sg.Nodes {
 		sg.Nodes[v], sg.score[v] = graph.NodeID(v), 1
@@ -207,11 +205,8 @@ func tiedSubgraph(rng *rand.Rand, n int) *Subgraph {
 			from++
 		}
 		f, s := flows[rng.Intn(3)], sens[rng.Intn(3)]
-		sg.csr = append(sg.csr, graph.Arc{To: graph.NodeID(to), Type: graph.TransferTypeID(rng.Intn(2)), InvDeg: float32(f / s)})
-		sg.Arcs = append(sg.Arcs, ArcRef{CSR: int32(k), Head: int32(to)})
+		sg.Arcs = append(sg.Arcs, ArcRef{Head: int32(to), Type: graph.TransferTypeID(rng.Intn(2)), InvDeg: float32(f / s)})
 		sg.h[to] = s
-		sg.outFlow[from] += f
-		sg.sens[from] += s
 		sg.rowStart[from+1] = int32(k + 1)
 	}
 	for v := 1; v <= n; v++ { // the nodes past the last source have empty rows

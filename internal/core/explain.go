@@ -62,17 +62,25 @@ type FlowArc struct {
 	Flow float64
 }
 
-// ArcRef is how a Subgraph stores one of its arcs: a reference into the
-// forward CSR of the corpus view the subgraph was built on (the reversed
-// view for a hub-mode explain) plus the local index of the arc's head.
-// The arc's endpoints, type, rate and flows are derived from it on read
-// (FlowArcs), so an arc costs 8 bytes instead of a 40-byte FlowArc.
+// ArcRef is how a Subgraph stores one of its arcs: the local index of
+// the arc's head and the two inputs of its Equation 1 rate that do not
+// depend on the rates, copied from the forward CSR of the corpus view
+// the subgraph was built on (the reversed view for a hub-mode explain).
+// The arc's endpoints, rate and flows are derived from it on read
+// (FlowArcs), so an arc costs 12 bytes instead of a 40-byte FlowArc, and
+// no reader of a subgraph goes back to the CSR.
 type ArcRef struct {
-	// CSR is the arc's index in the view's forward CSR.
-	CSR int32
 	// Head is the position of the arc's head in Subgraph.Nodes.
 	Head int32
+	// Type and InvDeg are the arc's transfer type and 1/OutDeg(From,
+	// Type), as in graph.Arc.
+	Type   graph.TransferTypeID
+	InvDeg float32
 }
+
+// rate is the arc's Equation 1 transfer rate under the rate vector
+// alpha: alpha(Type)/OutDeg(From, Type).
+func (a ArcRef) rate(alpha []float64) float64 { return alpha[a.Type] * float64(a.InvDeg) }
 
 // Subgraph is the explaining subgraph G^Q_v of a target object v: every
 // path along which authority travels from the base set S(Q) to v, with
@@ -94,10 +102,10 @@ type Subgraph struct {
 	// it, and a reuse (TopologyReused) aliases it.
 	Nodes []graph.NodeID
 	// Arcs lists the subgraph's arcs in ascending-source order (each
-	// source's arcs in CSR order), as CSR references; FlowArcs derives
-	// them with their rates and original and adjusted flows. Like Nodes,
-	// Arcs is shared and read-only, and a derive emits the same
-	// references a build does.
+	// source's arcs in CSR order), as ArcRefs; FlowArcs derives them with
+	// their endpoints, rates and original and adjusted flows. Like Nodes,
+	// Arcs is shared and read-only, and a derive emits the same arcs a
+	// build does.
 	Arcs []ArcRef
 	// Iterations and Converged report the Equation 10 fixpoint run;
 	// Table 3 of the paper tracks these counts.
@@ -116,32 +124,35 @@ type Subgraph struct {
 	// BuildDuration is the wall time of the construction stage and
 	// AdjustDuration of the flow-adjustment stage — the "Explaining
 	// Subgraph Creation" and "Explaining ObjectRank2 Execution" bars of
-	// Figures 14–17. BuildDuration ends once each arc's rate under the
-	// explain's rates is filled in; on a reuse it times only the topology
-	// lookup and the per-explain setup: the per-node arrays, the copy of
-	// r(u) and that fill. On a derive it times both tiers' lookups, the
-	// forward closure over the ball and that setup.
+	// Figures 14–17. BuildDuration ends once r(u) is copied per node; on
+	// a reuse it times only the topology lookup and that per-explain
+	// setup, on a derive also the ball lookup and the forward closure
+	// over the ball. AdjustDuration times the Equation 10 fixpoint alone:
+	// the Equation 6 sums run on the first read of one (sums), outside
+	// both.
 	BuildDuration  time.Duration
 	AdjustDuration time.Duration
 
 	// What the arcs are derived from: the damping factor and rate vector
-	// the explain ran under, the view's forward-CSR arcs, the row of
-	// each node in Arcs (Nodes[i]'s out-arcs are
-	// Arcs[rowStart[i]:rowStart[i+1]]) and each node's score r(u),
-	// copied out of the ranking so the subgraph outlives its buffer.
+	// the explain ran under, the row of each node in Arcs (Nodes[i]'s
+	// out-arcs are Arcs[rowStart[i]:rowStart[i+1]]) and each node's score
+	// r(u), copied out of the ranking so the subgraph outlives its buffer.
 	damping  float64
 	alpha    []float64
-	csr      []graph.Arc
 	rowStart []int32
 	score    []float64
 
-	h       []float64
-	dist    []int32
-	inFlow  []float64
-	outFlow []float64
-	// sens is each node's audit sensitivity (AuditNode.Sensitivity):
-	// the sum of Flow/Rate over its out-arcs, in arc order.
-	sens []float64
+	h    []float64
+	dist []int32
+
+	// The Equation 6 sums, which sums fills once, on the first read:
+	// each node's in- and out-flow and its audit sensitivity
+	// (AuditNode.Sensitivity), the sum of Flow/Rate over its out-arcs,
+	// in arc order.
+	sumsOnce sync.Once
+	inFlow   []float64
+	outFlow  []float64
+	sens     []float64
 }
 
 // TopologyPath names how the explain came by its topology: "built"
@@ -157,10 +168,6 @@ func (sg *Subgraph) TopologyPath() string {
 	return "built"
 }
 
-// transferRate is the Equation 1 transfer rate of CSR arc a under the
-// rate vector alpha: alpha(Type)/OutDeg(From, Type).
-func transferRate(alpha []float64, a *graph.Arc) float64 { return alpha[a.Type] * float64(a.InvDeg) }
-
 // arcFlows derives the flows of an arc of rate rate under damping d from
 // a node of score r to a node of reduction factor h: the original flow
 // d·Rate·r(From) of Equation 5 and the adjusted flow h(To)·Flow0 of
@@ -175,11 +182,10 @@ func arcFlows(d, rate, r, h float64) (flow0, flow float64) {
 
 // arc derives Arcs[k], an out-arc of Nodes[i].
 func (sg *Subgraph) arc(i int, k int32) FlowArc {
-	ref := sg.Arcs[k]
-	a := &sg.csr[ref.CSR]
-	rate := transferRate(sg.alpha, a)
-	flow0, flow := arcFlows(sg.damping, rate, sg.score[i], sg.h[ref.Head])
-	return FlowArc{From: sg.Nodes[i], To: a.To, Type: a.Type, Rate: rate, Flow0: flow0, Flow: flow}
+	a := sg.Arcs[k]
+	rate := a.rate(sg.alpha)
+	flow0, flow := arcFlows(sg.damping, rate, sg.score[i], sg.h[a.Head])
+	return FlowArc{From: sg.Nodes[i], To: sg.Nodes[a.Head], Type: a.Type, Rate: rate, Flow0: flow0, Flow: flow}
 }
 
 // FlowArcs derives every arc of the subgraph with its rate and flows,
@@ -215,6 +221,7 @@ func (sg *Subgraph) Index(v graph.NodeID) (int, bool) {
 // At returns the per-node state of Nodes[i] — the positional accessor
 // for loops over the whole subgraph.
 func (sg *Subgraph) At(i int) NodeFlow {
+	sg.sums()
 	return NodeFlow{H: sg.h[i], Dist: int(sg.dist[i]), InFlow: sg.inFlow[i], OutFlow: sg.outFlow[i]}
 }
 
@@ -235,11 +242,23 @@ func (sg *Subgraph) Has(v graph.NodeID) bool {
 
 // H returns v's converged flow-reduction factor h (Equation 10);
 // h(Target) = 1 by construction, and 0 for a node outside the subgraph.
-func (sg *Subgraph) H(v graph.NodeID) float64 { return sg.node(v).H }
+// Unlike the flow sums it runs no Equation 6 pass.
+func (sg *Subgraph) H(v graph.NodeID) float64 {
+	if i, ok := sg.Index(v); ok {
+		return sg.h[i]
+	}
+	return 0
+}
 
 // Dist returns v's distance (in arcs) from the target, the D(v_k) of
-// the content-based reformulation decay (Equation 11).
-func (sg *Subgraph) Dist(v graph.NodeID) int { return sg.node(v).Dist }
+// the content-based reformulation decay (Equation 11), and 0 for a node
+// outside the subgraph. Like H it runs no Equation 6 pass.
+func (sg *Subgraph) Dist(v graph.NodeID) int {
+	if i, ok := sg.Index(v); ok {
+		return int(sg.dist[i])
+	}
+	return 0
+}
 
 // InFlow returns I(v): the summed adjusted flow entering v inside the
 // subgraph (Equation 6a).
@@ -304,18 +323,7 @@ func (p *Pinned) ExplainCtx(ctx context.Context, res *RankResult, target graph.N
 // first pick and stays the decoded tier's most recently used.
 func (p *Pinned) ExplainEachCtx(ctx context.Context, res *RankResult, targets []graph.NodeID, opts ExplainOptions) ([]*Subgraph, error) {
 	subs, memos, errs := make([]*Subgraph, len(targets)), make([]memo, len(targets)), make([]error, len(targets))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for range min(len(targets), runtime.GOMAXPROCS(0)) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1) - 1); i < len(targets); i = int(next.Add(1) - 1) {
-				subs[i], memos[i], errs[i] = explainOn(ctx, p.st, 0, res, targets[i], opts)
-			}
-		}()
-	}
-	wg.Wait()
+	parallel(len(targets), func(i int) { subs[i], memos[i], errs[i] = explainOn(ctx, p.st, 0, res, targets[i], opts) })
 	for i := len(memos) - 1; i >= 0; i-- {
 		memos[i].keep()
 	}
@@ -327,30 +335,44 @@ func (p *Pinned) ExplainEachCtx(ctx context.Context, res *RankResult, targets []
 	return subs, nil
 }
 
-// explainScratch is the pooled part of an explain. dist is |V|-sized:
-// per graph node, its backward-BFS distance to the target, then its
-// index in the ball, -1 where unset. local and mark are indexed by ball
-// index: its position in the forward closure's queue, then in Nodes,
-// -1 where unset, and one bit per ball node, set for the kept ones (a
-// ball build sets and clears mark bits of graph nodes first). back and
-// kept are the backward BFS and closure queues, which double as the
-// visited lists the reset walks. A ball build stages its nodes in order
-// and the forward-CSR indices of its arcs in sel, in rows by source:
-// node p's row is sel[rows[p]:rows[p+1]]; a restrict maps each position
-// in Nodes back to its ball index in order. rates and toLocal hold each
-// subgraph arc's Rate and head's local index, dense and in Arcs order,
-// for the Equation 10 loop to stream.
+// parallel calls f(i) for each i < n on min(n, GOMAXPROCS) goroutines
+// and returns once every call has returned.
+func parallel(n int, f func(i int)) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(n, runtime.GOMAXPROCS(0)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				f(i)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// explainScratch is the pooled part of a topology's construction. dist
+// is |V|-sized: per graph node, its backward-BFS distance to the target,
+// then its index in the ball, -1 where unset. local and mark are indexed
+// by ball index: its position in the forward closure's queue, then in
+// Nodes, -1 where unset, and one bit per ball node, set for the kept
+// ones (a ball build sets and clears mark bits of graph nodes first).
+// back and kept are the backward BFS and closure queues, which double as
+// the visited lists the reset walks. A ball build stages its nodes in
+// order and the forward-CSR indices of its arcs in sel, in rows by
+// source: node p's row is sel[rows[p]:rows[p+1]]; a restrict maps each
+// position in Nodes back to its ball index in order.
 // The scratch is pooled per corpus generation (both directions share
 // |V|) and handed back with every touched dist and local entry reset to
 // -1, every mark word to 0 and every list empty, so one explain
-// allocates O(|subgraph|), not O(|V|).
+// allocates O(|subgraph|), not O(|V|). An explain that reuses a decoded
+// topology constructs nothing and draws none.
 type explainScratch struct {
 	dist, local      []int32
 	mark             []uint64
 	back, kept       []graph.NodeID
 	sel, rows, order []int32
-	rates            []float64
-	toLocal          []int32
 }
 
 func (gn *generation) getExplainScratch(n int) *explainScratch {
@@ -374,7 +396,6 @@ func (gn *generation) putExplainScratch(sc *explainScratch) {
 	}
 	sc.back, sc.kept = sc.back[:0], sc.kept[:0]
 	sc.sel, sc.rows, sc.order = sc.sel[:0], sc.rows[:0], sc.order[:0]
-	sc.rates, sc.toLocal = sc.rates[:0], sc.toLocal[:0]
 	gn.explainScratch.Put(sc)
 }
 
@@ -410,35 +431,44 @@ func explainOn(ctx context.Context, st *engineState, view int, res *RankResult, 
 	opts = opts.withDefaults()
 	buildStart := time.Now()
 	gn := st.gen
-	sc := gn.getExplainScratch(g.NumNodes())
-	defer gn.putExplainScratch(sc)
 	key := topologyKey(view, target, opts.Radius, st.snap.zeros, res.Base)
-	ballKey := key[:ballKeyLen(st.snap.zeros)]
+	m := memo{gn: gn, key: key, ballKey: key[:ballKeyLen(st.snap.zeros)]}
 	v, reused := gn.topologies.Get(key)
 	topo, _ := v.(*topology)
-	m := memo{gn: gn, key: key, ballKey: ballKey}
 	if !reused {
-		v, ok := gn.balls.Get(ballKey)
-		ball, _ := v.(*topology)
-		if !ok {
-			var err error
-			if ball, err = buildBall(ctx, sc, g, st.snap.alpha, target, opts.Radius); err != nil {
-				return nil, memo{}, err
-			}
-			m.ball = ball
-		}
-		topo = restrict(sc, ball, res.Base)
-		if err := ctx.Err(); err != nil {
+		var err error
+		if topo, m.ball, err = derive(ctx, gn, g, st.snap.alpha, target, opts.Radius, m.ballKey, res.Base); err != nil {
 			return nil, memo{}, err
 		}
 		m.topo = topo
 	}
-	sg, err := adjust(ctx, sc, c, st.snap.alpha, topo, res, opts, buildStart)
+	sg, err := adjust(ctx, c, st.snap.alpha, topo, res, opts, buildStart)
 	if err != nil {
 		return nil, memo{}, err
 	}
 	sg.TopologyReused, sg.TopologyDerived = reused, !reused && m.ball == nil
 	return sg, m, nil
+}
+
+// derive is stage (i) on a pooled scratch: the target's ball under
+// ballKey, from the ball tier or built (and then returned as built, for
+// the caller to keep), restricted to base.
+func derive(ctx context.Context, gn *generation, g *graph.Graph, alpha []float64, target graph.NodeID, radius int, ballKey string, base []ir.ScoredDoc) (topo, built *topology, err error) {
+	sc := gn.getExplainScratch(g.NumNodes())
+	defer gn.putExplainScratch(sc)
+	v, ok := gn.balls.Get(ballKey)
+	ball, _ := v.(*topology)
+	if !ok {
+		if ball, err = buildBall(ctx, sc, g, alpha, target, radius); err != nil {
+			return nil, nil, err
+		}
+		built = ball
+	}
+	topo = restrict(sc, ball, base)
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
+	return topo, built, nil
 }
 
 // memo is what one completed explain leaves its generation: the
@@ -464,15 +494,14 @@ func (m memo) keep() {
 }
 
 // adjust is stage (ii) of Figure 8 over a derived or reused topology, the
-// one flow-adjustment path: it fills the scratch's rates and toLocal
-// with each arc's Rate under alpha and its head, copies r(u) per node,
-// runs the Equation 10 fixpoint and sums the Equation 6 flows. The
-// subgraph's per-node float arrays are its only allocation besides the
-// Subgraph itself.
-func adjust(ctx context.Context, sc *explainScratch, c *Corpus, alpha []float64, topo *topology, res *RankResult, opts ExplainOptions, buildStart time.Time) (*Subgraph, error) {
-	_, out := c.g.ForwardCSR()
+// one flow-adjustment path: it copies r(u) per node and runs the
+// Equation 10 fixpoint, reading each arc's rate from its row. The
+// subgraph's per-node float array is its only allocation besides the
+// Subgraph itself; the Equation 6 sums are left to their first read
+// (sums).
+func adjust(ctx context.Context, c *Corpus, alpha []float64, topo *topology, res *RankResult, opts ExplainOptions, buildStart time.Time) (*Subgraph, error) {
 	n := len(topo.nodes)
-	f := make([]float64, 5*n)
+	f := make([]float64, 2*n)
 	sg := &Subgraph{
 		Target:   topo.nodes[topo.tgt],
 		Query:    res.Query,
@@ -480,27 +509,15 @@ func adjust(ctx context.Context, sc *explainScratch, c *Corpus, alpha []float64,
 		Arcs:     topo.arcs,
 		damping:  c.nopts.Damping,
 		alpha:    alpha,
-		csr:      out,
 		rowStart: topo.rowStart,
 		dist:     topo.dist,
 		score:    f[0*n : 1*n : 1*n],
 		h:        f[1*n : 2*n : 2*n],
-		inFlow:   f[2*n : 3*n : 3*n],
-		outFlow:  f[3*n : 4*n : 4*n],
-		sens:     f[4*n : 5*n : 5*n],
 	}
 	for i, v := range topo.nodes {
 		sg.score[i] = res.Scores[v]
 	}
-	// The Equation 10 loop streams each arc's head and Rate, dense and in
-	// Arcs order.
-	toLocal, rates := sc.toLocal, sc.rates
-	for _, ref := range topo.arcs {
-		toLocal = append(toLocal, ref.Head)
-		rates = append(rates, transferRate(alpha, &out[ref.CSR]))
-	}
-	sc.toLocal, sc.rates = toLocal, rates
-	rowStart := topo.rowStart
+	arcs, rowStart := topo.arcs, topo.rowStart
 	sg.BuildDuration = time.Since(buildStart)
 
 	// Stage (ii): the Equation 10 fixpoint
@@ -533,9 +550,8 @@ func adjust(ctx context.Context, sc *explainScratch, c *Corpus, alpha []float64,
 				continue
 			}
 			sum := 0.0
-			row := rates[rowStart[i]:rowStart[i+1]]
-			for k, t := range toLocal[rowStart[i]:rowStart[i+1]] {
-				sum += h[t] * row[k]
+			for _, a := range arcs[rowStart[i]:rowStart[i+1]] {
+				sum += h[a.Head] * a.rate(alpha)
 			}
 			if diff := math.Abs(sum - h[i]); diff > maxDiff {
 				maxDiff = diff
@@ -547,23 +563,36 @@ func adjust(ctx context.Context, sc *explainScratch, c *Corpus, alpha []float64,
 			break
 		}
 	}
-
-	// Per-node sums (Equation 6) of the final flows (Equation 7), in arc
-	// order, and each source's audit sensitivity. Rate > 0 by
-	// construction (zero-rate arcs never enter the subgraph), so the
-	// derivative Flow/Rate is always defined.
-	d, inFlow := sg.damping, sg.inFlow
-	for i, r := range sg.score {
-		sum, sens := 0.0, 0.0
-		for k := rowStart[i]; k < rowStart[i+1]; k++ {
-			t := toLocal[k]
-			_, flow := arcFlows(d, rates[k], r, h[t])
-			sum += flow
-			sens += flow / rates[k]
-			inFlow[t] += flow
-		}
-		sg.outFlow[i], sg.sens[i] = sum, sens
-	}
 	sg.AdjustDuration = time.Since(adjustStart)
 	return sg, nil
+}
+
+// sums runs the Equation 6 pass once, on the first read of a sum (At,
+// InFlow, OutFlow, ExplainedScore, NodeAuthority, TopArcs, AuditOf),
+// however many goroutines read at once: the per-node sums of the final
+// flows (Equation 7), in arc order, and each source's audit
+// sensitivity. H, Dist, FlowArcs and the Equation 15 sum read no sum, so
+// an explain read only through them never runs it.
+func (sg *Subgraph) sums() { sg.sumsOnce.Do(sg.sumFlows) }
+
+// sumFlows is the Equation 6 pass. Rate > 0 by construction (zero-rate
+// arcs never enter the subgraph), so the derivative Flow/Rate is always
+// defined.
+func (sg *Subgraph) sumFlows() {
+	n := len(sg.Nodes)
+	f := make([]float64, 3*n)
+	inFlow, outFlow, sens := f[0*n:1*n:1*n], f[1*n:2*n:2*n], f[2*n:3*n:3*n]
+	d, alpha, h, arcs := sg.damping, sg.alpha, sg.h, sg.Arcs
+	for i, r := range sg.score {
+		sum, sn := 0.0, 0.0
+		for _, a := range arcs[sg.rowStart[i]:sg.rowStart[i+1]] {
+			rate := a.rate(alpha)
+			_, flow := arcFlows(d, rate, r, h[a.Head])
+			sum += flow
+			sn += flow / rate
+			inFlow[a.Head] += flow
+		}
+		outFlow[i], sens[i] = sum, sn
+	}
+	sg.inFlow, sg.outFlow, sg.sens = inFlow, outFlow, sens
 }

@@ -516,17 +516,19 @@ func decodedForgetter(p *Pinned, res *RankResult, target graph.NodeID, opts Expl
 }
 
 // explainBytesCeiling: in steady state one explain that builds its
-// topology allocates at most 16 bytes per subgraph arc, 64 per node and
-// 1 KiB besides, and so does one that derives it from the target's
-// ball; one that reuses it at most 40 bytes per node — its five
-// per-node float arrays — 4 per base-set node for its memo key and 1 KiB
-// besides, measured as the TotalAlloc growth over 100 explains of a
-// subgraph of thousands of arcs. A 40-byte FlowArc per arc, any per-arc
-// array kept beside the 8-byte references, a derive with an O(|V|) or
-// O(|E|) term, or a reuse that copies Nodes, Arcs, the rows or the
-// distances breaks it. It runs on one P: a sync.Pool Put lands in the
-// running P's private slot, so a goroutine that moves to another P
-// between explains misses the scratch and grows a new one.
+// topology allocates at most 24 bytes per subgraph arc (a ball's and a
+// derived topology's 12-byte ArcRefs), 64 per node and 1 KiB besides,
+// and so does one that derives it from the target's ball; one that
+// reuses it at most 40 bytes per node — its five per-node float arrays —
+// 4 per base-set node for its memo key and 1 KiB besides, measured as
+// the TotalAlloc growth over 100 explains of a subgraph of thousands of
+// arcs, each read through ExplainedScore as an endpoint reads it, so
+// the Equation 6 pass runs. A 40-byte FlowArc per arc, any per-arc
+// array kept beside the ArcRefs, a derive with an O(|V|) or O(|E|)
+// term, or a reuse that copies Nodes, Arcs, the rows or the distances
+// breaks it. It runs on one P: a sync.Pool Put lands in the running P's
+// private slot, so a goroutine that moves to another P between explains
+// misses the scratch and grows a new one.
 func explainBytesCeiling(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	pin := citationWeb(t, rand.New(rand.NewSource(3)), 400, 2400).Pin()
@@ -539,7 +541,7 @@ func explainBytesCeiling(t *testing.T) {
 	if len(sg.Arcs) < 1000 {
 		t.Fatalf("subgraph of %d arcs measures too little", len(sg.Arcs))
 	}
-	build := 16*len(sg.Arcs) + 64*len(sg.Nodes) + 1024
+	build := 24*len(sg.Arcs) + 64*len(sg.Nodes) + 1024
 	for _, c := range []struct {
 		path    string
 		before  func()
@@ -554,8 +556,12 @@ func explainBytesCeiling(t *testing.T) {
 		runtime.ReadMemStats(&before)
 		for i := 0; i < runs; i++ {
 			c.before()
-			if sg, err := pin.ExplainCtx(context.Background(), res, target, opts); err != nil || sg.TopologyPath() != c.path {
+			sg, err := pin.ExplainCtx(context.Background(), res, target, opts)
+			if err != nil || sg.TopologyPath() != c.path {
 				t.Fatalf("%s: (%v, %v)", c.path, sg.TopologyPath(), err)
+			}
+			if sg.ExplainedScore() <= 0 {
+				t.Fatalf("%s: no authority reaches the target", c.path)
 			}
 		}
 		runtime.ReadMemStats(&after)
@@ -619,16 +625,17 @@ func (c *countdown) Err() error {
 }
 
 // TestExplainPooledScratch: one explain that builds its topology
-// allocates at most 10 objects (the Subgraph, its per-node float arrays
-// in one, the memo key, its decoded-tier entry, the ball and the derived
-// topology, each a struct and one backing of Nodes, the distances, the
-// rows and Arcs, and the ball's key and ball-tier entry), one that
-// derives it from the ball at most 6 (the same less the ball's four),
-// and one that reuses it at most 3 (the Subgraph, its float arrays and
-// the key), within explainBytesCeiling's byte ceilings; the pooled
+// allocates at most 10 objects (the Subgraph, its two per-node float
+// arrays in one, the memo key, its decoded-tier entry, the ball and the
+// derived topology, each a struct and one backing of Nodes, the
+// distances, the rows and Arcs, and the ball's key and ball-tier entry),
+// one that derives it from the ball at most 6 (the same less the ball's
+// four), and one that reuses it at most 3 (the Subgraph, its float
+// arrays and the key), none of which reads a sum, within
+// explainBytesCeiling's byte ceilings; a build's and a derive's pooled
 // scratch neither grows across 100 explains of one target nor comes
-// back dirty, also after a cancellation at each of a build's, a
-// derive's and a reuse's polls; and an explain cancelled at any poll
+// back dirty, also after a cancellation at each of their polls, and a
+// reuse draws no scratch at all; and an explain cancelled at any poll
 // stores nothing in either tier.
 func TestExplainPooledScratch(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a GC empties the pool
@@ -671,7 +678,7 @@ func TestExplainPooledScratch(t *testing.T) {
 
 	// take borrows the scratch the last explain handed back and checks
 	// every entry is reset.
-	take := func(when string) (*explainScratch, [7]int) {
+	take := func(when string) (*explainScratch, [5]int) {
 		sc := gen.getExplainScratch(size)
 		defer gen.putExplainScratch(sc)
 		for v := 0; v < size; v++ {
@@ -684,13 +691,39 @@ func TestExplainPooledScratch(t *testing.T) {
 				t.Fatalf("%s: mark word %d handed back as %#x", when, w, word)
 			}
 		}
-		if len(sc.back)+len(sc.kept)+len(sc.sel)+len(sc.rows)+len(sc.order)+len(sc.rates)+len(sc.toLocal) != 0 {
+		if len(sc.back)+len(sc.kept)+len(sc.sel)+len(sc.rows)+len(sc.order) != 0 {
 			t.Fatalf("%s: queues handed back non-empty", when)
 		}
-		return sc, [7]int{cap(sc.back), cap(sc.kept), cap(sc.sel), cap(sc.rows), cap(sc.order), cap(sc.rates), cap(sc.toLocal)}
+		return sc, [5]int{cap(sc.back), cap(sc.kept), cap(sc.sel), cap(sc.rows), cap(sc.order)}
+	}
+	// drain empties the pool and returns what it held.
+	drain := func() []*explainScratch {
+		var held []*explainScratch
+		for sc, _ := gen.explainScratch.Get().(*explainScratch); sc != nil; sc, _ = gen.explainScratch.Get().(*explainScratch) {
+			held = append(held, sc)
+		}
+		return held
 	}
 	for _, p := range paths {
-		// A scratch that served only the other paths may grow once here.
+		if p.name == "reused" {
+			// With the pool empty, an explain that drew a scratch would
+			// make one and hand it back (under -race the pool drops a
+			// quarter of the puts, so a hundred draws leave some).
+			held := drain()
+			for i := 0; i < 100; i++ {
+				if sg, err := run(context.Background()); err != nil || !sg.TopologyReused {
+					t.Fatalf("explain %d: (%v, %v), want a reuse", i, sg, err)
+				}
+				if drawn := drain(); len(drawn) != 0 {
+					t.Fatalf("reuse %d drew the pooled scratch", i)
+				}
+			}
+			for _, sc := range held {
+				gen.explainScratch.Put(sc)
+			}
+			continue
+		}
+		// A scratch that served only the other path may grow once here.
 		p.before()
 		if _, err := run(context.Background()); err != nil {
 			t.Fatal(err)
@@ -706,7 +739,7 @@ func TestExplainPooledScratch(t *testing.T) {
 			// puts), which its first explain grows; one that had served an
 			// explain already must not have grown.
 			sc, now := take(fmt.Sprintf("explain %d (%s)", i, p.name))
-			if sc == prev && caps != ([7]int{}) {
+			if sc == prev && caps != ([5]int{}) {
 				same++
 				if now != caps {
 					t.Fatalf("explain %d (%s) grew the pooled scratch: capacities %v -> %v", i, p.name, caps, now)

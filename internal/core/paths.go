@@ -30,14 +30,15 @@ func (sg *Subgraph) TopArcs(budget int) []FlowArc {
 		budget = len(sg.Arcs)
 	}
 	top := rank.NewTop(min(budget, len(sg.Arcs)), arcFlow, CompareFlow)
-	d, alpha, csr, h, arcs := sg.damping, sg.alpha, sg.csr, sg.h, sg.Arcs
+	sg.sums()
+	d, alpha, h, arcs := sg.damping, sg.alpha, sg.h, sg.Arcs
 	for i, r := range sg.score {
 		if sg.outFlow[i] < top.Bar() {
 			continue
 		}
 		for k := sg.rowStart[i]; k < sg.rowStart[i+1]; k++ {
-			ref := arcs[k]
-			if _, flow := arcFlows(d, transferRate(alpha, &csr[ref.CSR]), r, h[ref.Head]); top.Admits(flow) {
+			a := arcs[k]
+			if _, flow := arcFlows(d, a.rate(alpha), r, h[a.Head]); top.Admits(flow) {
 				top.Offer(sg.arc(i, k))
 			}
 		}

@@ -142,6 +142,9 @@ func (p *Pinned) ReformulateWeightedCtx(ctx context.Context, q *ir.Query, feedba
 	out := &Reformulation{Query: q.Clone(), Rates: snap.rates.Clone()}
 
 	if opts.Ce > 0 {
+		// Equation 11 reads every subgraph's sums: their passes run side by
+		// side, as the explains did, before the serial fold.
+		parallel(len(feedback), func(i int) { feedback[i].sums() })
 		ix := st.gen.corpus.ix
 		sc := st.gen.getTermScratch(ix.NumTerms())
 		for i, sg := range feedback {
@@ -207,12 +210,10 @@ func (p *Pinned) FeedbackCtx(ctx context.Context, q *ir.Query, res *RankResult, 
 // arc's transfer type, in arc order: one feedback object's term of the
 // Equation 15 sum. It walks the rows and derives only Type and Flow.
 func (sg *Subgraph) addFlowByType(acc []float64, w float64) {
-	d, alpha, csr, h, refs := sg.damping, sg.alpha, sg.csr, sg.h, sg.Arcs
+	d, alpha, h, arcs := sg.damping, sg.alpha, sg.h, sg.Arcs
 	for i, r := range sg.score {
-		for k := sg.rowStart[i]; k < sg.rowStart[i+1]; k++ {
-			ref := refs[k]
-			a := &csr[ref.CSR]
-			_, flow := arcFlows(d, transferRate(alpha, a), r, h[ref.Head])
+		for _, a := range arcs[sg.rowStart[i]:sg.rowStart[i+1]] {
+			_, flow := arcFlows(d, a.rate(alpha), r, h[a.Head])
 			acc[a.Type] += w * flow
 		}
 	}

@@ -32,11 +32,14 @@ type topology struct {
 	tgt      int
 }
 
+// arcWords is an ArcRef's size in int32 words.
+const arcWords = int(unsafe.Sizeof(ArcRef{}) / 4)
+
 // newTopology allocates a topology of n nodes with room for m arcs in
 // one int32 backing: nodes, dist, rowStart (its rowStart[0] = 0) and an
 // empty arcs of capacity m.
 func newTopology(n, m int) *topology {
-	buf := make([]int32, 3*n+1+2*m)
+	buf := make([]int32, 3*n+1+arcWords*m)
 	t := &topology{
 		nodes:    unsafe.Slice((*graph.NodeID)(&buf[0]), n),
 		dist:     buf[n : 2*n : 2*n],
@@ -50,15 +53,15 @@ func newTopology(n, m int) *topology {
 }
 
 // newTopologyMemo is one tier of a generation's topology memo. Its
-// byte budget is the size of |E| arc references (8·|E|, |E| the
-// corpus's arc count; 1 MiB for a corpus smaller than that), and every
-// entry is charged its whole footprint, key included, so a tier holds
-// at most as much as one view's arc references would. A generation
-// has two tiers of that budget: topologies holds the topologies
-// explains alias, and balls the targets' balls they are derived from
-// (restrict). A corpus swap drops both with their generation.
+// byte budget is the size of max(|E|, 2^17) subgraph arcs (12 bytes
+// each, |E| the corpus's arc count), and every entry is charged its
+// whole footprint, key included, so a tier holds at most as many arcs
+// as one view of a corpus of 2^17 arcs or more has. A generation has
+// two tiers of that budget: topologies holds the topologies explains
+// alias, and balls the targets' balls they are derived from (restrict).
+// A corpus swap drops both with their generation.
 func newTopologyMemo(c *Corpus) *lru.Sharded {
-	return lru.New(max(8*int64(c.g.NumArcs()), 1<<20), 1, nil)
+	return lru.New(int64(unsafe.Sizeof(ArcRef{}))*int64(max(c.g.NumArcs(), 1<<17)), 1, nil)
 }
 
 // EvictDecodedTopologies empties the decoded tier of the pinned
@@ -97,15 +100,16 @@ func ballKeyLen(zeros []uint64) int { return 13 + 8*len(zeros) }
 
 // size is what a tier's entry of t under key holds, in bytes.
 func (t *topology) size(key string) int64 {
-	return int64(unsafe.Sizeof(*t)) + int64(len(key)) + 4*int64(3*len(t.nodes)+1) + 8*int64(cap(t.arcs))
+	return int64(unsafe.Sizeof(*t)) + int64(len(key)) + 4*int64(3*len(t.nodes)+1+arcWords*cap(t.arcs))
 }
 
 // buildBall is stage (i)a of Figure 8, the half that does not read the
 // query: the target's ball, every node within radius arcs of positive
 // rate of the target (all of them at radius 0), ascending, with its
 // distance D(v) to the target and, in rows over ball-local indices, the
-// positive-rate arcs the ball induces. Every ball node reaches the
-// target over those arcs.
+// positive-rate arcs the ball induces, each with the type and InvDeg of
+// its forward-CSR arc. Every ball node reaches the target over those
+// arcs.
 func buildBall(ctx context.Context, sc *explainScratch, g *graph.Graph, alpha []float64, target graph.NodeID, radius int) (*topology, error) {
 	dist := sc.dist
 
@@ -168,7 +172,8 @@ func buildBall(ctx context.Context, sc *explainScratch, g *graph.Graph, alpha []
 	}
 	copy(t.rowStart, sc.rows)
 	for _, k := range sc.sel {
-		t.arcs = append(t.arcs, ArcRef{CSR: k, Head: dist[out[k].To]})
+		a := &out[k]
+		t.arcs = append(t.arcs, ArcRef{Head: dist[a.To], Type: a.Type, InvDeg: a.InvDeg})
 	}
 	t.tgt = int(dist[target])
 	sc.order = sc.order[:0]
@@ -223,9 +228,10 @@ func restrict(sc *explainScratch, ball *topology, base []ir.ScoredDoc) *topology
 		}
 	}
 	for j, i := range sc.order {
-		for _, ref := range ball.arcs[ball.rowStart[i]:ball.rowStart[i+1]] {
-			if h := sc.local[ref.Head]; h >= 0 {
-				t.arcs = append(t.arcs, ArcRef{CSR: ref.CSR, Head: h})
+		for _, a := range ball.arcs[ball.rowStart[i]:ball.rowStart[i+1]] {
+			if h := sc.local[a.Head]; h >= 0 {
+				a.Head = h
+				t.arcs = append(t.arcs, a)
 			}
 		}
 		t.rowStart[j+1] = int32(len(t.arcs))

@@ -154,9 +154,7 @@ func TestTopologyKeyIgnoringZerosBites(t *testing.T) {
 	derived := restrict(sc, ball, res.Base)
 	st.gen.putExplainScratch(sc)
 	for tier, topo := range map[string]*topology{"decoded": decoded, "ball": derived} {
-		sc := st.gen.getExplainScratch(c.g.NumNodes())
-		got, err := adjust(context.Background(), sc, c, st.snap.alpha, topo, res, DefaultExplain().withDefaults(), time.Now())
-		st.gen.putExplainScratch(sc)
+		got, err := adjust(context.Background(), c, st.snap.alpha, topo, res, DefaultExplain().withDefaults(), time.Now())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,7 +214,7 @@ func naiveTopology(g *graph.Graph, alpha []float64, base []ir.ScoredDoc, target 
 		t.dist = append(t.dist, dist[u])
 		for k := start[u]; k < start[u+1]; k++ {
 			if j, in := slices.BinarySearch(t.nodes, out[k].To); in && alpha[out[k].Type] != 0 {
-				t.arcs = append(t.arcs, ArcRef{CSR: k, Head: int32(j)})
+				t.arcs = append(t.arcs, ArcRef{Head: int32(j), Type: out[k].Type, InvDeg: out[k].InvDeg})
 			}
 		}
 		t.rowStart = append(t.rowStart, int32(len(t.arcs)))
