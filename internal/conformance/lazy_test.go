@@ -188,24 +188,18 @@ func sumsEqual(got, want [][]float64, nodes []graph.NodeID) bool {
 	if len(got) != len(want) {
 		return false
 	}
-	bits := func(x []float64) []uint64 {
-		out := make([]uint64, len(x))
-		for i, v := range x {
-			out[i] = math.Float64bits(v)
-		}
-		return out
-	}
+	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
 	// flattenSubgraph's node vector holds nine entries per node: the
 	// sums are entries 3, 4, 7 and 8.
 	for i := range nodes {
 		for _, k := range []int{3, 4, 7, 8} {
-			if math.Float64bits(got[0][9*i+k]) != math.Float64bits(want[0][9*i+k]) {
+			if !same(got[0][9*i+k], want[0][9*i+k]) {
 				return false
 			}
 		}
 	}
 	for i := 3; i < len(got); i++ {
-		if !slices.Equal(bits(got[i]), bits(want[i])) {
+		if !slices.EqualFunc(got[i], want[i], same) {
 			return false
 		}
 	}

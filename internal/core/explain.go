@@ -437,7 +437,7 @@ func explainOn(ctx context.Context, st *engineState, view int, res *RankResult, 
 	topo, _ := v.(*topology)
 	if !reused {
 		var err error
-		if topo, m.ball, err = derive(ctx, gn, g, st.snap.alpha, target, opts.Radius, m.ballKey, res.Base); err != nil {
+		if topo, m.ball, err = construct(ctx, gn, g, st.snap.alpha, target, opts.Radius, m.ballKey, res.Base); err != nil {
 			return nil, memo{}, err
 		}
 		m.topo = topo
@@ -450,10 +450,10 @@ func explainOn(ctx context.Context, st *engineState, view int, res *RankResult, 
 	return sg, m, nil
 }
 
-// derive is stage (i) on a pooled scratch: the target's ball under
+// construct is stage (i) on a pooled scratch: the target's ball under
 // ballKey, from the ball tier or built (and then returned as built, for
 // the caller to keep), restricted to base.
-func derive(ctx context.Context, gn *generation, g *graph.Graph, alpha []float64, target graph.NodeID, radius int, ballKey string, base []ir.ScoredDoc) (topo, built *topology, err error) {
+func construct(ctx context.Context, gn *generation, g *graph.Graph, alpha []float64, target graph.NodeID, radius int, ballKey string, base []ir.ScoredDoc) (topo, built *topology, err error) {
 	sc := gn.getExplainScratch(g.NumNodes())
 	defer gn.putExplainScratch(sc)
 	v, ok := gn.balls.Get(ballKey)
