@@ -167,7 +167,7 @@ func TestDocLengthBite(t *testing.T) {
 	start, posts := ix.Postings()
 	bumped := slices.Clone(posts)
 	bumped[0].TF++
-	bad, err := ir.FromParts(ix.Params(), ix.NumDocs(), ix.Terms(), nil, start, bumped)
+	bad, err := ir.FromParts(ix.Params(), ix.NumDocs(), ix.Terms(), start, bumped)
 	if err != nil {
 		t.Fatal(err)
 	}

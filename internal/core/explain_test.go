@@ -624,14 +624,15 @@ func (c *countdown) Err() error {
 	return nil
 }
 
-// TestExplainPooledScratch: one explain that builds its topology
-// allocates at most 10 objects (the Subgraph, its two per-node float
-// arrays in one, the memo key, its decoded-tier entry, the ball and the
-// derived topology, each a struct and one backing of Nodes, the
-// distances, the rows and Arcs, and the ball's key and ball-tier entry),
-// one that derives it from the ball at most 6 (the same less the ball's
-// four), and one that reuses it at most 3 (the Subgraph, its float
-// arrays and the key), none of which reads a sum, within
+// TestExplainPooledScratch: one explain that builds its topology and
+// reads its explained score, as every endpoint does, allocates at most
+// 11 objects (the Subgraph, its two per-node float arrays in one, the
+// memo key, its decoded-tier entry, the ball and the derived topology,
+// each a struct and one backing of Nodes, the distances, the rows and
+// Arcs, the ball's key and ball-tier entry, and the array behind the
+// three Eq. 6 slices), one that derives it from the ball at most 7 (the
+// same less the ball's four), and one that reuses it at most 4 (the
+// Subgraph, its float arrays, the key and the Eq. 6 array), within
 // explainBytesCeiling's byte ceilings; a build's and a derive's pooled
 // scratch neither grows across 100 explains of one target nor comes
 // back dirty, also after a cancellation at each of their polls, and a
@@ -663,13 +664,19 @@ func TestExplainPooledScratch(t *testing.T) {
 		objects float64
 		polls   int
 	}{
-		{"built", forgetter(pin, res, f.ids["v7"], DefaultExplain()), 10, 3 + sg.Iterations},
-		{"reused", func() {}, 3, 1 + sg.Iterations},
-		{"derived", decodedForgetter(pin, res, f.ids["v7"], DefaultExplain()), 6, 2 + sg.Iterations},
+		{"built", forgetter(pin, res, f.ids["v7"], DefaultExplain()), 11, 3 + sg.Iterations},
+		{"reused", func() {}, 4, 1 + sg.Iterations},
+		{"derived", decodedForgetter(pin, res, f.ids["v7"], DefaultExplain()), 7, 2 + sg.Iterations},
 	}
 	if !raceEnabled {
 		for _, p := range paths {
-			if n := testing.AllocsPerRun(100, func() { p.before(); _, _ = run(context.Background()) }); n > p.objects {
+			n := testing.AllocsPerRun(100, func() {
+				p.before()
+				if sg, err := run(context.Background()); err == nil {
+					sg.ExplainedScore()
+				}
+			})
+			if n > p.objects {
 				t.Errorf("one explain that is %s allocates %v objects, want <= %v", p.name, n, p.objects)
 			}
 		}

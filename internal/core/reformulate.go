@@ -174,7 +174,9 @@ type Round struct {
 	// order; Reformulation is what Eq. 11–15 make of them.
 	Subgraphs     []*Subgraph
 	Reformulation *Reformulation
-	// ReformulateDur is stage (d) of Figures 14–17: Eq. 11–15 alone.
+	// ReformulateDur is stage (d) of Figures 14–17: Eq. 11–15, and with
+	// Ce > 0 also the subgraphs' deferred Eq. 6 passes that Eq. 11's
+	// content weights read (no explain duration covers them).
 	ReformulateDur time.Duration
 	// Pin is the state in force after the round: the one it published,
 	// or, alongside ErrRatesConflict, the one that won the race.

@@ -71,13 +71,8 @@ type Index struct {
 // derived here: each document's length as the sum of its postings'
 // term frequencies (every token is indexed, so this is its token
 // count), avdl, the postings' BM25 factors and the forward table. The
-// parameters must keep every factor finite and positive. ids, the
-// dictionary's inverse (term → position), is derived too when nil; a
-// caller that numbered the terms through a map of its own hands that
-// map over instead, remapped to the positions in terms, and FromParts
-// keeps it after checking only its size, so the vocabulary is not
-// hashed twice.
-func FromParts(params BM25Params, numDocs int, terms []string, ids map[string]int32, postStart []int32, posts []Posting) (*Index, error) {
+// parameters must keep every factor finite and positive.
+func FromParts(params BM25Params, numDocs int, terms []string, postStart []int32, posts []Posting) (*Index, error) {
 	if numDocs < 0 || numDocs > math.MaxInt32 {
 		return nil, fmt.Errorf("ir: %d documents", numDocs)
 	}
@@ -90,14 +85,8 @@ func FromParts(params BM25Params, numDocs int, terms []string, ids map[string]in
 	if postStart[0] != 0 || int(postStart[len(terms)]) != len(posts) {
 		return nil, fmt.Errorf("ir: posting offsets %d..%d do not cover %d postings", postStart[0], postStart[len(terms)], len(posts))
 	}
-	if ids != nil && len(ids) != len(terms) {
-		return nil, fmt.Errorf("ir: %d term ids for %d terms", len(ids), len(terms))
-	}
-	derive := ids == nil
-	if derive {
-		ids = make(map[string]int32, len(terms))
-	}
 	n := int32(numDocs)
+	ids := make(map[string]int32, len(terms))
 	docLen := make([]int32, n)
 	var totalLen int64
 	for i, t := range terms {
@@ -126,9 +115,7 @@ func FromParts(params BM25Params, numDocs int, terms []string, ids map[string]in
 			totalLen += int64(p.TF)
 			prev = p.Doc
 		}
-		if derive {
-			ids[t] = int32(i)
-		}
+		ids[t] = int32(i)
 	}
 	ix := &Index{params: params, terms: terms, ids: ids, postStart: postStart, posts: posts, docLen: docLen}
 	if n > 0 {
@@ -172,9 +159,7 @@ func (ix *Index) transpose() {
 }
 
 // BuildIndex indexes n documents provided by text: it tokenizes them
-// into postings, sorts the dictionary and hands the parts to FromParts,
-// with the map that numbered the terms remapped in place to their
-// sorted positions.
+// into postings, sorts the dictionary and hands the parts to FromParts.
 func BuildIndex(n int, text func(i int) string, params BM25Params) *Index {
 	// Terms are numbered in order of first occurrence until the sort;
 	// documents come in ascending order, so a row that has the current
@@ -211,11 +196,10 @@ func BuildIndex(n int, text func(i int) string, params BM25Params) *Index {
 	posts := make([]Posting, 0, total)
 	for id, old := range order {
 		terms[id] = first[old]
-		ids[terms[id]] = int32(id)
 		posts = append(posts, rows[old]...)
 		postStart[id+1] = int32(len(posts))
 	}
-	ix, err := FromParts(params, n, terms, ids, postStart, posts)
+	ix, err := FromParts(params, n, terms, postStart, posts)
 	if err != nil {
 		panic("ir: BuildIndex: " + err.Error())
 	}

@@ -369,23 +369,3 @@ func termWeight(q *Query, t string) float64 {
 	}
 	return 0
 }
-
-// TestBuildIndexTermIDs: the map BuildIndex numbered its terms through,
-// remapped in place and handed to FromParts, is the sorted dictionary's
-// inverse, as FromParts derives it from the terms alone; FromParts
-// refuses a handed map of another size.
-func TestBuildIndexTermIDs(t *testing.T) {
-	ix := buildTestIndex()
-	start, posts := ix.Postings()
-	derived, err := FromParts(ix.Params(), ix.NumDocs(), ix.Terms(), nil, start, posts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ix.ids, derived.ids) {
-		t.Fatalf("BuildIndex's term ids %v, the dictionary's inverse %v", ix.ids, derived.ids)
-	}
-	short := map[string]int32{ix.Term(0): 0}
-	if _, err := FromParts(ix.Params(), ix.NumDocs(), ix.Terms(), short, start, posts); err == nil || !strings.Contains(err.Error(), "term ids") {
-		t.Fatalf("a map of 1 id for %d terms: %v, want an error", ix.NumTerms(), err)
-	}
-}

@@ -156,7 +156,9 @@ type IterationStats struct {
 	ExplainBuildTime  time.Duration
 	ExplainRunTime    time.Duration
 	ExplainIterations float64
-	// ReformulateTime is stage (d).
+	// ReformulateTime is stage (d); with Ce > 0 it also covers the
+	// subgraphs' Eq. 6 passes, which run on Eq. 11's first read of a
+	// sum, so ExplainRunTime is Eq. 10 alone.
 	ReformulateTime time.Duration
 	// Feedback counts the objects the user fed back.
 	Feedback int

@@ -636,7 +636,7 @@ func ReadSnapshot(data []byte) (*datagen.Dataset, *ir.Index, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	ix, err := ir.FromParts(params, n, terms, nil, postStart, posts)
+	ix, err := ir.FromParts(params, n, terms, postStart, posts)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
 	}
