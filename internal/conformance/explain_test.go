@@ -244,8 +244,9 @@ func flattenSubgraph(sg *core.Subgraph) [][]float64 {
 	for i, v := range sg.Nodes {
 		// Both accessors: by position and by the binary search on Nodes.
 		n := sg.At(i)
+		j, _ := sg.Index(v)
 		nodes = append(nodes, float64(v), n.H, float64(n.Dist), n.InFlow, n.OutFlow,
-			sg.H(v), float64(sg.Dist(v)), sg.InFlow(v), sg.OutFlow(v))
+			sg.H(v), float64(sg.At(j).Dist), sg.InFlow(v), sg.OutFlow(v))
 	}
 	return [][]float64{nodes, flattenArcs(sg.FlowArcs()), {float64(sg.Iterations), boolBit(sg.Converged)}}
 }

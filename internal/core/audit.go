@@ -12,13 +12,12 @@ import (
 // choose a budget.
 const DefaultAuditBudget = 16
 
-// AuditOptions control an audit's explaining-subgraph construction.
-type AuditOptions struct {
-	// Explain configures the subgraph build (radius, Eq. 10 threshold).
-	// The zero value means DefaultExplain(): the paper's radius-3
-	// subgraph, the one /v1/explain shows for the same target.
-	Explain ExplainOptions
-}
+// AuditOptions is empty: an audit always builds the DefaultExplain()
+// subgraph, the paper's radius-3 one that /v1/explain shows for the
+// same target. cmd/afqbench binds core.AuditOptions{} and its sources
+// are frozen, so the type stays as an inert compile-compatibility
+// parameter of AuditCtx.
+type AuditOptions struct{}
 
 // AuditArc is one explaining-subgraph arc ranked by how strongly the
 // target's explained score responds to perturbing the arc's authority
@@ -94,17 +93,13 @@ type Audit struct {
 // to rate perturbation, under the pinned state and the given ranking
 // mode. res must be a converged result for the same query, state, and
 // mode (the serving layer obtains it through the cache or RankModeCtx).
-// It keeps the top DefaultAuditBudget contributions; AuditOf takes any
-// budget. A zero opts.Explain audits the DefaultExplain() subgraph; an unbounded
-// audit sets Radius 0 with another field, such as Threshold, non-zero.
+// It audits the DefaultExplain() subgraph and keeps the top
+// DefaultAuditBudget contributions; AuditOf takes any budget.
 // Deadline-awareness is inherited from the explain stages: the BFS
 // phases and the Eq. 10 fixpoint poll ctx, and the final ranking pass
 // is linear in the subgraph.
-func (p *Pinned) AuditCtx(ctx context.Context, m Mode, res *RankResult, target graph.NodeID, opts AuditOptions) (*Audit, error) {
-	if opts.Explain == (ExplainOptions{}) {
-		opts.Explain = DefaultExplain()
-	}
-	sg, err := p.ExplainModeCtx(ctx, m, res, target, opts.Explain)
+func (p *Pinned) AuditCtx(ctx context.Context, m Mode, res *RankResult, target graph.NodeID, _ AuditOptions) (*Audit, error) {
+	sg, err := p.ExplainModeCtx(ctx, m, res, target, DefaultExplain())
 	if err != nil {
 		return nil, err
 	}

@@ -94,7 +94,7 @@ type Subgraph struct {
 	// Nodes lists the subgraph's nodes in ascending ID order; the
 	// target is always present. A node's position in Nodes is its local
 	// index: the per-node quantities are dense slices parallel to Nodes,
-	// read by ID through H/Dist/InFlow/OutFlow (a binary search) or by
+	// read by ID through H/InFlow/OutFlow (a binary search) or by
 	// position through At. Nodes is shared with every subgraph explained
 	// from the same decoded topology and is read-only: a build or a
 	// derive allocates it (or aliases the target's ball, when the
@@ -250,16 +250,6 @@ func (sg *Subgraph) H(v graph.NodeID) float64 {
 	return 0
 }
 
-// Dist returns v's distance (in arcs) from the target, the D(v_k) of
-// the content-based reformulation decay (Equation 11), and 0 for a node
-// outside the subgraph. Like H it runs no Equation 6 pass.
-func (sg *Subgraph) Dist(v graph.NodeID) int {
-	if i, ok := sg.Index(v); ok {
-		return int(sg.dist[i])
-	}
-	return 0
-}
-
 // InFlow returns I(v): the summed adjusted flow entering v inside the
 // subgraph (Equation 6a).
 func (sg *Subgraph) InFlow(v graph.NodeID) float64 { return sg.node(v).InFlow }
@@ -273,17 +263,17 @@ func (sg *Subgraph) OutFlow(v graph.NodeID) float64 { return sg.node(v).OutFlow 
 // ranked where it is".
 func (sg *Subgraph) ExplainedScore() float64 { return sg.InFlow(sg.Target) }
 
-// NodeAuthority returns the authority a node transfers toward the
+// nodeAuthority returns the authority Nodes[i] transfers toward the
 // target, the per-node factor of the content-based reformulation
 // weight (Equation 11): the node's adjusted out-flow, except for the
 // target itself which uses d times its in-flow because the target's
 // out-flow is not part of the subgraph.
-func (sg *Subgraph) NodeAuthority(v graph.NodeID) float64 {
-	n := sg.node(v)
-	if v == sg.Target {
-		return sg.damping * n.InFlow
+func (sg *Subgraph) nodeAuthority(i int) float64 {
+	sg.sums()
+	if sg.Nodes[i] == sg.Target {
+		return sg.damping * sg.inFlow[i]
 	}
-	return n.OutFlow
+	return sg.outFlow[i]
 }
 
 // ExplainCtx builds the explaining subgraph for target under the
@@ -568,10 +558,10 @@ func adjust(ctx context.Context, c *Corpus, alpha []float64, topo *topology, res
 }
 
 // sums runs the Equation 6 pass once, on the first read of a sum (At,
-// InFlow, OutFlow, ExplainedScore, NodeAuthority, TopArcs, AuditOf),
+// InFlow, OutFlow, ExplainedScore, nodeAuthority, TopArcs, AuditOf),
 // however many goroutines read at once: the per-node sums of the final
 // flows (Equation 7), in arc order, and each source's audit
-// sensitivity. H, Dist, FlowArcs and the Equation 15 sum read no sum, so
+// sensitivity. H, FlowArcs and the Equation 15 sum read no sum, so
 // an explain read only through them never runs it.
 func (sg *Subgraph) sums() { sg.sumsOnce.Do(sg.sumFlows) }
 

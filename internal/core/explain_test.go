@@ -115,7 +115,7 @@ func TestExplainChainClosedForm(t *testing.T) {
 		t.Errorf("ExplainedScore = %v, want %v", got, wantFlowAT)
 	}
 	// Distances from the target.
-	if sg.Dist(ids["t"]) != 0 || sg.Dist(ids["a"]) != 1 || sg.Dist(ids["s"]) != 2 {
+	if distOf(sg, ids["t"]) != 0 || distOf(sg, ids["a"]) != 1 || distOf(sg, ids["s"]) != 2 {
 		t.Errorf("distances = %v", sg.dist)
 	}
 	// In/out flow bookkeeping.
@@ -223,8 +223,8 @@ func TestExplainRadiusLimits(t *testing.T) {
 		}
 	}
 	for _, v := range sg.Nodes {
-		if sg.Dist(v) > 1 {
-			t.Errorf("node %d at distance %d despite radius 1", v, sg.Dist(v))
+		if distOf(sg, v) > 1 {
+			t.Errorf("node %d at distance %d despite radius 1", v, distOf(sg, v))
 		}
 	}
 	// Larger radius yields a superset.

@@ -161,6 +161,15 @@ func explain(e *Engine, res *RankResult, target graph.NodeID, opts ExplainOption
 	return e.Pin().ExplainCtx(context.Background(), res, target, opts)
 }
 
+// distOf returns v's distance from sg's target, the D(v_k) of
+// Equation 11, read through Index and At; 0 outside the subgraph.
+func distOf(sg *Subgraph, v graph.NodeID) int {
+	if i, ok := sg.Index(v); ok {
+		return sg.At(i).Dist
+	}
+	return 0
+}
+
 func reformulate(e *Engine, q *ir.Query, feedback []*Subgraph, confidences []float64, opts ReformulateOptions) (*Reformulation, error) {
 	return e.Pin().ReformulateWeightedCtx(context.Background(), q, feedback, confidences, opts)
 }

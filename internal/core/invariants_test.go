@@ -110,10 +110,17 @@ func TestSubgraphNodeAuthority(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := sg.NodeAuthority(ids["t"]), 0.85*sg.InFlow(ids["t"]); math.Abs(got-want) > 1e-12 {
+	authority := func(v graph.NodeID) float64 {
+		i, ok := sg.Index(v)
+		if !ok {
+			t.Fatalf("node %d is not in the subgraph", v)
+		}
+		return sg.nodeAuthority(i)
+	}
+	if got, want := authority(ids["t"]), 0.85*sg.InFlow(ids["t"]); math.Abs(got-want) > 1e-12 {
 		t.Errorf("target authority = %v, want %v", got, want)
 	}
-	if got, want := sg.NodeAuthority(ids["a"]), sg.OutFlow(ids["a"]); got != want {
+	if got, want := authority(ids["a"]), sg.OutFlow(ids["a"]); got != want {
 		t.Errorf("interior authority = %v, want %v", got, want)
 	}
 }

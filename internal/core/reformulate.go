@@ -260,12 +260,12 @@ func (gn *generation) putTermScratch(sc *termScratch) {
 // each distinct content term once, stopwords and single-character
 // tokens excluded. Each term's sum runs in node order.
 func (sc *termScratch) contentWeights(ix *ir.Index, sg *Subgraph, cd float64) {
-	for _, v := range sg.Nodes {
-		authority := sg.NodeAuthority(v)
+	for i, v := range sg.Nodes {
+		authority := sg.nodeAuthority(i)
 		if authority <= 0 {
 			continue
 		}
-		decay := math.Pow(cd, float64(sg.Dist(v)))
+		decay := math.Pow(cd, float64(sg.dist[i]))
 		contribution := decay * authority
 		for _, id := range ix.DocTerms(int32(v)) {
 			if !sc.inPer[id] {

@@ -352,8 +352,8 @@ func TestBallTopologyRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sg.Dist(0) != n-1 || sg.TopologyPath() != path {
-			t.Fatalf("explain %d of the chain's end: D(first) = %d, topology %s; want %d, %s", i, sg.Dist(0), sg.TopologyPath(), n-1, path)
+		if distOf(sg, 0) != n-1 || sg.TopologyPath() != path {
+			t.Fatalf("explain %d of the chain's end: D(first) = %d, topology %s; want %d, %s", i, distOf(sg, 0), sg.TopologyPath(), n-1, path)
 		}
 	}
 }

@@ -116,10 +116,12 @@ const (
 
 // Normalized resolves the zero-value/sentinel convention into literal
 // field values: zero fields become the paper defaults, negative
-// (sentinel) fields become actual zeros. The result is idempotent under
-// further Normalized calls and is what every kernel entry point applies
-// to its options before running. Init, Observe and Ctx pass through
-// untouched.
+// (sentinel) fields become actual zeros. It is what every kernel entry
+// point applies to its options before running. Normalize raw options
+// once: the result is not idempotent, since a sentinel's literal zero
+// (ZeroDamping → 0) reads as "unset" to a second call and becomes the
+// default (0.85). A caller that hands options on to a kernel keeps the
+// raw ones for it. Init, Observe and Ctx pass through untouched.
 func (o Options) Normalized() Options {
 	switch {
 	case o.Damping == 0:

@@ -14,10 +14,11 @@
 // the graph with graph.FromEdges, the Builder's own construction path,
 // so a loaded graph passes the Builder's conformance checks and its
 // adjacency cannot differ from the built one. After checksums and
-// structural invariants are verified, the index's big arrays are
-// reinterpreted in place (zero-copy on little-endian hosts, with a
-// portable copying fallback), so cold start skips tokenization and
-// indexing entirely.
+// structural invariants are verified, the stored postings go to
+// ir.FromParts as they are, so cold start skips tokenization and
+// indexing entirely. There is one codec: every number is encoded and
+// decoded byte by byte in little-endian order on any host, and a
+// loaded corpus copies what it keeps out of the file.
 package storage
 
 import (
@@ -28,7 +29,7 @@ import (
 	"io"
 	"math"
 	"os"
-	"unsafe"
+	"slices"
 
 	"authorityflow/internal/datagen"
 	"authorityflow/internal/graph"
@@ -85,10 +86,10 @@ const (
 var binMagic = [8]byte{'A', 'F', 'Q', 'S', 'N', 'A', 'P', '1'}
 
 // Section IDs. Homogeneous arrays get their own section so the loader
-// can reinterpret each in place without an inner framing pass. IDs 9
-// to 13 are retired, so they must not be given a new meaning:
-// version-1 files held the forward and reverse CSR in 9 to 12, and
-// version-2 files the document lengths in 13.
+// decodes each without an inner framing pass. IDs 9 to 13 are retired,
+// so they must not be given a new meaning: version-1 files held the
+// forward and reverse CSR in 9 to 12, and version-2 files the document
+// lengths in 13.
 const (
 	secMeta      = 1  // name, node/edge counts
 	secNodeTypes = 2  // string table of node type names
@@ -110,29 +111,6 @@ var requiredSections = [...]uint32{1, 2, 3, 4, 5, 6, 7, 8, 14, 15, 16, 17, 18}
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// Zero-copy gating: reinterpreting file bytes as typed slices requires
-// a little-endian host and the exact struct layout the format assumes.
-// Anything else (or a misaligned buffer at load time) falls back to a
-// portable copying decode — same results, one extra pass.
-const postingSize = int(unsafe.Sizeof(ir.Posting{}))
-
-var hostLittleEndian = func() bool {
-	var x uint16 = 1
-	return *(*byte)(unsafe.Pointer(&x)) == 1
-}()
-
-// forceCopyDecode disables the zero-copy fast path; tests flip it to
-// cover the portable decoder on any host.
-var forceCopyDecode = false
-
-func zeroCopyOK() bool {
-	return hostLittleEndian && postingSize == 8 && !forceCopyDecode
-}
-
-func aligned(b []byte, align int) bool {
-	return len(b) == 0 || uintptr(unsafe.Pointer(&b[0]))%uintptr(align) == 0
-}
-
 func align8(n int) int { return (n + 7) &^ 7 }
 
 // ---- encoding helpers ----
@@ -146,9 +124,7 @@ func appendU64(b []byte, v uint64) []byte {
 }
 
 func appendI32s(b []byte, vs []int32) []byte {
-	if zeroCopyOK() && len(vs) > 0 {
-		return append(b, unsafe.Slice((*byte)(unsafe.Pointer(&vs[0])), len(vs)*4)...)
-	}
+	b = slices.Grow(b, 4*len(vs))
 	for _, v := range vs {
 		b = appendU32(b, uint32(v))
 	}
@@ -156,6 +132,7 @@ func appendI32s(b []byte, vs []int32) []byte {
 }
 
 func appendF64s(b []byte, vs []float64) []byte {
+	b = slices.Grow(b, 8*len(vs))
 	for _, v := range vs {
 		b = appendU64(b, math.Float64bits(v))
 	}
@@ -163,6 +140,7 @@ func appendF64s(b []byte, vs []float64) []byte {
 }
 
 func appendEdges(b []byte, es []graph.Edge) []byte {
+	b = slices.Grow(b, 12*len(es))
 	for _, e := range es {
 		b = appendU32(b, uint32(e.From))
 		b = appendU32(b, uint32(e.To))
@@ -172,9 +150,7 @@ func appendEdges(b []byte, es []graph.Edge) []byte {
 }
 
 func appendPostings(b []byte, ps []ir.Posting) []byte {
-	if zeroCopyOK() && len(ps) > 0 {
-		return append(b, unsafe.Slice((*byte)(unsafe.Pointer(&ps[0])), len(ps)*postingSize)...)
-	}
+	b = slices.Grow(b, 8*len(ps))
 	for _, p := range ps {
 		b = appendU32(b, uint32(p.Doc))
 		b = appendU32(b, uint32(p.TF))
@@ -207,9 +183,6 @@ func decodeI32s(b []byte) ([]int32, error) {
 	n := len(b) / 4
 	if n == 0 {
 		return nil, nil
-	}
-	if zeroCopyOK() && aligned(b, 4) {
-		return unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), n), nil
 	}
 	out := make([]int32, n)
 	for i := range out {
@@ -253,9 +226,6 @@ func decodePostings(b []byte) ([]ir.Posting, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	if zeroCopyOK() && aligned(b, 4) {
-		return unsafe.Slice((*ir.Posting)(unsafe.Pointer(&b[0])), n), nil
-	}
 	out := make([]ir.Posting, n)
 	for i := range out {
 		rec := b[i*8:]
@@ -265,19 +235,6 @@ func decodePostings(b []byte) ([]ir.Posting, error) {
 		}
 	}
 	return out, nil
-}
-
-// blobString materializes blob[off:off+n] as a string — zero-copy when
-// allowed (the blob is immutable by the load contract), copied
-// otherwise.
-func blobString(blob []byte, off, n uint32) string {
-	if n == 0 {
-		return ""
-	}
-	if zeroCopyOK() {
-		return unsafe.String(&blob[off], int(n))
-	}
-	return string(blob[off : off+uint32(n)])
 }
 
 // decodeStringTable parses and bounds-checks an appendStringTable
@@ -292,7 +249,7 @@ func decodeStringTable(b []byte, what string) ([]string, error) {
 	}
 	n := int(count)
 	offs := b[4 : 4+(n+1)*4]
-	blob := b[4+(n+1)*4:]
+	blob := string(b[4+(n+1)*4:]) // one copy; the strings slice it
 	out := make([]string, n)
 	prev := uint32(0)
 	for i := 0; i <= n; i++ {
@@ -301,7 +258,7 @@ func decodeStringTable(b []byte, what string) ([]string, error) {
 			return nil, fmt.Errorf("%w: %s table offset %d out of order or out of bounds", ErrSnapshotCorrupt, what, off)
 		}
 		if i > 0 {
-			out[i-1] = blobString(blob, prev, off-prev)
+			out[i-1] = blob[prev:off]
 		}
 		prev = off
 	}
@@ -453,12 +410,12 @@ func WriteSnapshotFile(path string, ds *datagen.Dataset, ix *ir.Index) error {
 
 // ---- reader ----
 
-// ReadSnapshot parses a binary snapshot held in memory. On success the
-// returned dataset and index RETAIN data (the big arrays are
-// reinterpreted in place on little-endian hosts); the caller must not
-// modify it afterwards. Every section is bounds- and checksum-verified
-// and every structural invariant re-checked before any slice is
-// handed out, so hostile input returns a typed error and never panics.
+// ReadSnapshot parses a binary snapshot held in memory. The returned
+// dataset and index copy what they keep and do not alias data, so the
+// caller may reuse or drop it. Every section is bounds- and
+// checksum-verified and every structural invariant re-checked before
+// anything is handed out, so hostile input returns a typed error and
+// never panics.
 func ReadSnapshot(data []byte) (*datagen.Dataset, *ir.Index, error) {
 	if len(data) < headerSize {
 		return nil, nil, fmt.Errorf("%w: %d bytes is smaller than the header", ErrSnapshotTruncated, len(data))
@@ -644,7 +601,7 @@ func ReadSnapshot(data []byte) (*datagen.Dataset, *ir.Index, error) {
 	return &datagen.Dataset{Name: name, Graph: g, Rates: rates}, ix, nil
 }
 
-func decodeAttrs(n int, startSec, entrySec, blob []byte) ([][]graph.Attr, error) {
+func decodeAttrs(n int, startSec, entrySec, blobSec []byte) ([][]graph.Attr, error) {
 	start, err := decodeI32s(startSec)
 	if err != nil {
 		return nil, err
@@ -659,6 +616,7 @@ func decodeAttrs(n int, startSec, entrySec, blob []byte) ([][]graph.Attr, error)
 	if n > 0 && (start[0] != 0 || int(start[n]) != numAttrs) {
 		return nil, fmt.Errorf("%w: attribute offsets cover %d of %d entries", ErrSnapshotCorrupt, start[n], numAttrs)
 	}
+	blob := string(blobSec) // one copy; every name and value slices it
 	flat := make([]graph.Attr, numAttrs)
 	for i := 0; i < numAttrs; i++ {
 		rec := entrySec[i*16:]
@@ -670,8 +628,8 @@ func decodeAttrs(n int, startSec, entrySec, blob []byte) ([][]graph.Attr, error)
 			return nil, fmt.Errorf("%w: attribute %d references bytes outside the blob", ErrSnapshotCorrupt, i)
 		}
 		flat[i] = graph.Attr{
-			Name:  blobString(blob, nameOff, nameLen),
-			Value: blobString(blob, valOff, valLen),
+			Name:  blob[nameOff:][:nameLen],
+			Value: blob[valOff:][:valLen],
 		}
 	}
 	attrs := make([][]graph.Attr, n)
@@ -688,8 +646,7 @@ func decodeAttrs(n int, startSec, entrySec, blob []byte) ([][]graph.Attr, error)
 }
 
 // ReadSnapshotFile loads a binary snapshot from path. The whole file is
-// read in one pass and retained by the returned dataset and index (see
-// ReadSnapshot).
+// read in one pass and released once it is decoded (see ReadSnapshot).
 func ReadSnapshotFile(path string) (*datagen.Dataset, *ir.Index, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

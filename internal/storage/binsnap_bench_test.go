@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -37,10 +38,10 @@ func BenchmarkColdStartBuild(b *testing.B) {
 }
 
 // BenchmarkColdStartSnapshot is the snapshot path: read the file,
-// checksum-validate, build the graph from its edges, slice the index
-// in place, and stand up the engine — no tokenizing, no indexing. It
-// runs on the afqserver default corpus (scale 0.1) and on afqbench's
-// (scale 1.0).
+// checksum-validate, build the graph from its edges, decode the
+// index's postings, and stand up the engine — no tokenizing, no
+// indexing. It runs on the afqserver default corpus (scale 0.1) and on
+// afqbench's (scale 1.0).
 func BenchmarkColdStartSnapshot(b *testing.B) {
 	for _, scale := range []float64{0.1, 1.0} {
 		b.Run(fmt.Sprintf("scale=%g", scale), func(b *testing.B) {
@@ -49,7 +50,9 @@ func BenchmarkColdStartSnapshot(b *testing.B) {
 	}
 }
 
-func benchColdStartSnapshot(b *testing.B, cfg datagen.DBLPConfig) {
+// builtCorpus generates dblptop at cfg and builds its engine, whose
+// corpus owns the inverted index a snapshot stores.
+func builtCorpus(b *testing.B, cfg datagen.DBLPConfig) (*datagen.Dataset, *core.Engine) {
 	ds, err := datagen.GenerateDBLP(cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -58,6 +61,11 @@ func benchColdStartSnapshot(b *testing.B, cfg datagen.DBLPConfig) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return ds, eng
+}
+
+func benchColdStartSnapshot(b *testing.B, cfg datagen.DBLPConfig) {
+	ds, eng := builtCorpus(b, cfg)
 	path := filepath.Join(b.TempDir(), "corpus.snap")
 	if err := WriteSnapshotFile(path, ds, eng.Pin().Corpus().Index()); err != nil {
 		b.Fatal(err)
@@ -84,5 +92,23 @@ func benchColdStartSnapshot(b *testing.B, cfg datagen.DBLPConfig) {
 		if eng2.Pin().Corpus().Index().NumDocs() != eng.Pin().Corpus().Index().NumDocs() {
 			b.Fatal("index mismatch")
 		}
+	}
+}
+
+// BenchmarkSnapshotWrite is the encode half of the snapshot path:
+// WriteSnapshot of a built corpus to io.Discard, on the same two
+// corpora as BenchmarkColdStartSnapshot.
+func BenchmarkSnapshotWrite(b *testing.B) {
+	for _, scale := range []float64{0.1, 1.0} {
+		b.Run(fmt.Sprintf("scale=%g", scale), func(b *testing.B) {
+			ds, eng := builtCorpus(b, datagen.DBLPTopConfig().Scale(scale))
+			ix := eng.Pin().Corpus().Index()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := WriteSnapshot(io.Discard, ds, ix); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -18,7 +18,8 @@ import (
 // error. Whatever loads is the authority transfer graph of a
 // schema-conforming data graph (requireDerivedAdjacency) with an index
 // whose BM25 weights are Eq. 3's over the lengths its postings sum to
-// (requireBM25). Each input
+// (requireBM25), and it does not alias the input: overwriting every
+// input byte leaves its encoding unchanged (requireNoAlias). Each input
 // is also read with its checksums resealed, so mutated payloads reach
 // the structural checks behind the CRCs.
 //
@@ -41,6 +42,7 @@ func FuzzLoad(f *testing.F) {
 	f.Add(withEdge(f, snap, k, untyped))
 
 	load := func(t *testing.T, data []byte) {
+		data = bytes.Clone(data) // requireNoAlias overwrites it
 		ds, ix, err := ReadSnapshot(data)
 		if err != nil {
 			return // rejected, fine
@@ -54,6 +56,7 @@ func FuzzLoad(f *testing.F) {
 		}
 		requireDerivedAdjacency(t, ds.Graph)
 		requireBM25(t, ix)
+		requireNoAlias(t, ds, ix, data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		load(t, data)
@@ -61,6 +64,26 @@ func FuzzLoad(f *testing.F) {
 			load(t, sealed)
 		}
 	})
+}
+
+// requireNoAlias fails t unless the encoding of the corpus loaded from
+// data is the same before and after every byte of data is overwritten:
+// a loaded corpus that still read the input would change with it.
+func requireNoAlias(t testing.TB, ds *datagen.Dataset, ix *ir.Index, data []byte) {
+	t.Helper()
+	var before, after bytes.Buffer
+	if err := WriteSnapshot(&before, ds, ix); err != nil {
+		t.Fatal(err)
+	}
+	for i := range data {
+		data[i] = ^data[i]
+	}
+	if err := WriteSnapshot(&after, ds, ix); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before.Bytes(), after.Bytes()) {
+		t.Fatalf("the loaded corpus aliases its input: its %d-byte encoding changed when the input was overwritten", before.Len())
+	}
 }
 
 // requireBM25 fails t unless every posting of ix has a finite,
