@@ -61,92 +61,117 @@ func engineFrom(t testing.TB, ds *datagen.Dataset, ix *ir.Index) *core.Engine {
 	return eng
 }
 
+// withLoadMode runs f once for each way a caller may treat its buffer
+// after ReadSnapshot returns, and hands f the matching load. Under
+// "copy" the caller keeps its bytes as they are. Under "zerocopy" it
+// keeps no copy: load decodes a private clone and overwrites every byte
+// of it as soon as the decoder returns, so whatever f checks after the
+// load fails if the loaded corpus still reads from its input, as the
+// retired aliasing decoder's did.
+func withLoadMode(t *testing.T, f func(t *testing.T, load func([]byte) (*datagen.Dataset, *ir.Index, error))) {
+	t.Run("zerocopy", func(t *testing.T) {
+		f(t, func(data []byte) (*datagen.Dataset, *ir.Index, error) {
+			buf := bytes.Clone(data)
+			ds, ix, err := ReadSnapshot(buf)
+			for i := range buf {
+				buf[i] = 0xA5
+			}
+			return ds, ix, err
+		})
+	})
+	t.Run("copy", func(t *testing.T) { f(t, ReadSnapshot) })
+}
+
 func TestBinSnapshotRoundTripLossless(t *testing.T) {
 	ds, eng, data := snapshotFixture(t)
-	got, ix, err := ReadSnapshot(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Name != ds.Name {
-		t.Errorf("name = %q, want %q", got.Name, ds.Name)
-	}
-	if got.Graph.NumNodes() != ds.Graph.NumNodes() || got.Graph.NumEdges() != ds.Graph.NumEdges() {
-		t.Fatalf("graph shape = (%d,%d), want (%d,%d)",
-			got.Graph.NumNodes(), got.Graph.NumEdges(), ds.Graph.NumNodes(), ds.Graph.NumEdges())
-	}
-	if got.Graph.Fingerprint() != ds.Graph.Fingerprint() {
-		t.Fatalf("graph fingerprint = %#x, want %#x", got.Graph.Fingerprint(), ds.Graph.Fingerprint())
-	}
-	for v := 0; v < ds.Graph.NumNodes(); v++ {
-		id := graph.NodeID(v)
-		if got.Graph.Text(id) != ds.Graph.Text(id) {
-			t.Fatalf("text mismatch at node %d", v)
+	withLoadMode(t, func(t *testing.T, load func([]byte) (*datagen.Dataset, *ir.Index, error)) {
+		got, ix, err := load(data)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got.Graph.LabelName(id) != ds.Graph.LabelName(id) {
-			t.Fatalf("label mismatch at node %d", v)
+		if got.Name != ds.Name {
+			t.Errorf("name = %q, want %q", got.Name, ds.Name)
 		}
-		w, ww := got.Graph.OutArcs(id), ds.Graph.OutArcs(id)
-		if len(w) != len(ww) {
-			t.Fatalf("out-degree mismatch at node %d", v)
+		if got.Graph.NumNodes() != ds.Graph.NumNodes() || got.Graph.NumEdges() != ds.Graph.NumEdges() {
+			t.Fatalf("graph shape = (%d,%d), want (%d,%d)",
+				got.Graph.NumNodes(), got.Graph.NumEdges(), ds.Graph.NumNodes(), ds.Graph.NumEdges())
 		}
-		for i := range w {
-			if w[i] != ww[i] {
-				t.Fatalf("arc mismatch at node %d arc %d: %+v vs %+v", v, i, w[i], ww[i])
+		if got.Graph.Fingerprint() != ds.Graph.Fingerprint() {
+			t.Fatalf("graph fingerprint = %#x, want %#x", got.Graph.Fingerprint(), ds.Graph.Fingerprint())
+		}
+		for v := 0; v < ds.Graph.NumNodes(); v++ {
+			id := graph.NodeID(v)
+			if got.Graph.Text(id) != ds.Graph.Text(id) {
+				t.Fatalf("text mismatch at node %d", v)
+			}
+			if got.Graph.LabelName(id) != ds.Graph.LabelName(id) {
+				t.Fatalf("label mismatch at node %d", v)
+			}
+			w, ww := got.Graph.OutArcs(id), ds.Graph.OutArcs(id)
+			if len(w) != len(ww) {
+				t.Fatalf("out-degree mismatch at node %d", v)
+			}
+			for i := range w {
+				if w[i] != ww[i] {
+					t.Fatalf("arc mismatch at node %d arc %d: %+v vs %+v", v, i, w[i], ww[i])
+				}
 			}
 		}
-	}
-	gv, wv := got.Rates.Vector(), ds.Rates.Vector()
-	if len(gv) != len(wv) {
-		t.Fatalf("rates length = %d, want %d", len(gv), len(wv))
-	}
-	for i := range gv {
-		if math.Float64bits(gv[i]) != math.Float64bits(wv[i]) {
-			t.Fatalf("rate %d = %v, want bit-identical %v", i, gv[i], wv[i])
+		gv, wv := got.Rates.Vector(), ds.Rates.Vector()
+		if len(gv) != len(wv) {
+			t.Fatalf("rates length = %d, want %d", len(gv), len(wv))
 		}
-	}
-	// Index: full vocabulary, postings, BM25 weights.
-	want := eng.Pin().Corpus().Index()
-	if ix.NumDocs() != want.NumDocs() {
-		t.Fatalf("index docs = %d, want %d", ix.NumDocs(), want.NumDocs())
-	}
-	terms, wantTerms := ix.Terms(), want.Terms()
-	if len(terms) != len(wantTerms) {
-		t.Fatalf("vocabulary = %d terms, want %d", len(terms), len(wantTerms))
-	}
-	for i, term := range terms {
-		if term != wantTerms[i] {
-			t.Fatalf("term %d = %q, want %q", i, term, wantTerms[i])
-		}
-	}
-	start, posts := ix.Postings()
-	wantStart, wantPosts := want.Postings()
-	if !slices.Equal(start, wantStart) || !slices.Equal(posts, wantPosts) {
-		t.Fatalf("postings CSR differs: %d offsets/%d postings, want %d/%d", len(start), len(posts), len(wantStart), len(wantPosts))
-	}
-	for id, term := range terms {
-		for _, p := range posts[start[id]:start[id+1]] {
-			if got, w := ix.Weight(p.Doc, term), want.Weight(p.Doc, term); math.Float64bits(got) != math.Float64bits(w) {
-				t.Fatalf("W(%d, %q) = %v, want bit-identical %v", p.Doc, term, got, w)
+		for i := range gv {
+			if math.Float64bits(gv[i]) != math.Float64bits(wv[i]) {
+				t.Fatalf("rate %d = %v, want bit-identical %v", i, gv[i], wv[i])
 			}
 		}
-	}
+		// Index: full vocabulary, postings, BM25 weights.
+		want := eng.Pin().Corpus().Index()
+		if ix.NumDocs() != want.NumDocs() {
+			t.Fatalf("index docs = %d, want %d", ix.NumDocs(), want.NumDocs())
+		}
+		terms, wantTerms := ix.Terms(), want.Terms()
+		if len(terms) != len(wantTerms) {
+			t.Fatalf("vocabulary = %d terms, want %d", len(terms), len(wantTerms))
+		}
+		for i, term := range terms {
+			if term != wantTerms[i] {
+				t.Fatalf("term %d = %q, want %q", i, term, wantTerms[i])
+			}
+		}
+		start, posts := ix.Postings()
+		wantStart, wantPosts := want.Postings()
+		if !slices.Equal(start, wantStart) || !slices.Equal(posts, wantPosts) {
+			t.Fatalf("postings CSR differs: %d offsets/%d postings, want %d/%d", len(start), len(posts), len(wantStart), len(wantPosts))
+		}
+		for id, term := range terms {
+			for _, p := range posts[start[id]:start[id+1]] {
+				if got, w := ix.Weight(p.Doc, term), want.Weight(p.Doc, term); math.Float64bits(got) != math.Float64bits(w) {
+					t.Fatalf("W(%d, %q) = %v, want bit-identical %v", p.Doc, term, got, w)
+				}
+			}
+		}
+	})
 }
 
 // TestBinSnapshotRewriteIdentical: a loaded snapshot written again is
 // the same file, byte for byte.
 func TestBinSnapshotRewriteIdentical(t *testing.T) {
 	_, _, data := snapshotFixture(t)
-	ds, ix, err := ReadSnapshot(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var again bytes.Buffer
-	if err := WriteSnapshot(&again, ds, ix); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(again.Bytes(), data) {
-		t.Fatalf("rewritten snapshot differs: %d bytes, read %d", again.Len(), len(data))
-	}
+	withLoadMode(t, func(t *testing.T, load func([]byte) (*datagen.Dataset, *ir.Index, error)) {
+		ds, ix, err := load(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var again bytes.Buffer
+		if err := WriteSnapshot(&again, ds, ix); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), data) {
+			t.Fatalf("rewritten snapshot differs: %d bytes, read %d", again.Len(), len(data))
+		}
+	})
 }
 
 // TestBinSnapshotBitIdenticalResults is the acceptance bar for the
@@ -155,62 +180,64 @@ func TestBinSnapshotRewriteIdentical(t *testing.T) {
 // rates — not merely approximately equal ones.
 func TestBinSnapshotBitIdenticalResults(t *testing.T) {
 	_, eng, data := snapshotFixture(t)
-	got, ix, err := ReadSnapshot(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng2 := engineFrom(t, got, ix)
-	for _, raw := range []string{"mining", "xml data", "query optimization"} {
-		q := ir.ParseQuery(raw)
-		res1 := rankQ(t, eng, q)
-		res2 := rankQ(t, eng2, q)
-		if res1.Iterations != res2.Iterations || res1.Converged != res2.Converged {
-			t.Fatalf("q=%q solver behaviour diverged: (%d,%v) vs (%d,%v)",
-				raw, res1.Iterations, res1.Converged, res2.Iterations, res2.Converged)
+	withLoadMode(t, func(t *testing.T, load func([]byte) (*datagen.Dataset, *ir.Index, error)) {
+		got, ix, err := load(data)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if len(res1.Scores) != len(res2.Scores) {
-			t.Fatalf("q=%q score lengths differ", raw)
-		}
-		top := graph.NodeID(0)
-		for v := range res1.Scores {
-			if math.Float64bits(res1.Scores[v]) != math.Float64bits(res2.Scores[v]) {
-				t.Fatalf("q=%q score at node %d not bit-identical: %v vs %v",
-					raw, v, res1.Scores[v], res2.Scores[v])
+		eng2 := engineFrom(t, got, ix)
+		for _, raw := range []string{"mining", "xml data", "query optimization"} {
+			q := ir.ParseQuery(raw)
+			res1 := rankQ(t, eng, q)
+			res2 := rankQ(t, eng2, q)
+			if res1.Iterations != res2.Iterations || res1.Converged != res2.Converged {
+				t.Fatalf("q=%q solver behaviour diverged: (%d,%v) vs (%d,%v)",
+					raw, res1.Iterations, res1.Converged, res2.Iterations, res2.Converged)
 			}
-			if res1.Scores[v] > res1.Scores[top] {
-				top = graph.NodeID(v)
+			if len(res1.Scores) != len(res2.Scores) {
+				t.Fatalf("q=%q score lengths differ", raw)
 			}
-		}
-		// Explain the top result on both engines.
-		sg1, err1 := eng.Pin().ExplainCtx(context.Background(), res1, top, core.DefaultExplain())
-		sg2, err2 := eng2.Pin().ExplainCtx(context.Background(), res2, top, core.DefaultExplain())
-		if (err1 == nil) != (err2 == nil) {
-			t.Fatalf("q=%q explain errors diverged: %v vs %v", raw, err1, err2)
-		}
-		if err1 == nil {
-			if math.Float64bits(sg1.ExplainedScore()) != math.Float64bits(sg2.ExplainedScore()) {
-				t.Fatalf("q=%q explained score not bit-identical: %v vs %v",
-					raw, sg1.ExplainedScore(), sg2.ExplainedScore())
+			top := graph.NodeID(0)
+			for v := range res1.Scores {
+				if math.Float64bits(res1.Scores[v]) != math.Float64bits(res2.Scores[v]) {
+					t.Fatalf("q=%q score at node %d not bit-identical: %v vs %v",
+						raw, v, res1.Scores[v], res2.Scores[v])
+				}
+				if res1.Scores[v] > res1.Scores[top] {
+					top = graph.NodeID(v)
+				}
 			}
-			// Reformulate from the explaining subgraph on both.
-			rf1, err1 := eng.Pin().ReformulateWeightedCtx(context.Background(), q, []*core.Subgraph{sg1}, nil, core.ContentAndStructure())
-			rf2, err2 := eng2.Pin().ReformulateWeightedCtx(context.Background(), q, []*core.Subgraph{sg2}, nil, core.ContentAndStructure())
+			// Explain the top result on both engines.
+			sg1, err1 := eng.Pin().ExplainCtx(context.Background(), res1, top, core.DefaultExplain())
+			sg2, err2 := eng2.Pin().ExplainCtx(context.Background(), res2, top, core.DefaultExplain())
 			if (err1 == nil) != (err2 == nil) {
-				t.Fatalf("q=%q reformulate errors diverged: %v vs %v", raw, err1, err2)
+				t.Fatalf("q=%q explain errors diverged: %v vs %v", raw, err1, err2)
 			}
 			if err1 == nil {
-				v1, v2 := rf1.Rates.Vector(), rf2.Rates.Vector()
-				for i := range v1 {
-					if math.Float64bits(v1[i]) != math.Float64bits(v2[i]) {
-						t.Fatalf("q=%q reformulated rate %d not bit-identical: %v vs %v",
-							raw, i, v1[i], v2[i])
+				if math.Float64bits(sg1.ExplainedScore()) != math.Float64bits(sg2.ExplainedScore()) {
+					t.Fatalf("q=%q explained score not bit-identical: %v vs %v",
+						raw, sg1.ExplainedScore(), sg2.ExplainedScore())
+				}
+				// Reformulate from the explaining subgraph on both.
+				rf1, err1 := eng.Pin().ReformulateWeightedCtx(context.Background(), q, []*core.Subgraph{sg1}, nil, core.ContentAndStructure())
+				rf2, err2 := eng2.Pin().ReformulateWeightedCtx(context.Background(), q, []*core.Subgraph{sg2}, nil, core.ContentAndStructure())
+				if (err1 == nil) != (err2 == nil) {
+					t.Fatalf("q=%q reformulate errors diverged: %v vs %v", raw, err1, err2)
+				}
+				if err1 == nil {
+					v1, v2 := rf1.Rates.Vector(), rf2.Rates.Vector()
+					for i := range v1 {
+						if math.Float64bits(v1[i]) != math.Float64bits(v2[i]) {
+							t.Fatalf("q=%q reformulated rate %d not bit-identical: %v vs %v",
+								raw, i, v1[i], v2[i])
+						}
 					}
 				}
 			}
+			eng.Release(res1)
+			eng2.Release(res2)
 		}
-		eng.Release(res1)
-		eng2.Release(res2)
-	}
+	})
 }
 
 func TestBinSnapshotFileRoundTrip(t *testing.T) {
@@ -538,29 +565,31 @@ func TestBinSnapshotHostileFiles(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			data := tc.mutate(t, bytes.Clone(pristine))
-			got, ix, err := ReadSnapshot(data)
-			if tc.loads {
-				if err != nil {
-					t.Fatal(err)
+			withLoadMode(t, func(t *testing.T, load func([]byte) (*datagen.Dataset, *ir.Index, error)) {
+				got, ix, err := load(data)
+				if tc.loads {
+					if err != nil {
+						t.Fatal(err)
+					}
+					requireDerivedAdjacency(t, got.Graph)
+					if got.Graph.Fingerprint() != ds.Graph.Fingerprint() {
+						t.Fatalf("fingerprint %#x, want %#x", got.Graph.Fingerprint(), ds.Graph.Fingerprint())
+					}
+					return
 				}
-				requireDerivedAdjacency(t, got.Graph)
-				if got.Graph.Fingerprint() != ds.Graph.Fingerprint() {
-					t.Fatalf("fingerprint %#x, want %#x", got.Graph.Fingerprint(), ds.Graph.Fingerprint())
+				if err == nil {
+					t.Fatal("hostile snapshot loaded without error")
 				}
-				return
-			}
-			if err == nil {
-				t.Fatal("hostile snapshot loaded without error")
-			}
-			if got != nil || ix != nil {
-				t.Fatal("hostile snapshot returned non-nil results alongside the error")
-			}
-			if tc.wantErr != nil && !errors.Is(err, tc.wantErr) {
-				t.Fatalf("err = %v, want errors.Is(%v)", err, tc.wantErr)
-			}
-			if !strings.Contains(err.Error(), tc.msg) {
-				t.Fatalf("err = %v, want one containing %q", err, tc.msg)
-			}
+				if got != nil || ix != nil {
+					t.Fatal("hostile snapshot returned non-nil results alongside the error")
+				}
+				if tc.wantErr != nil && !errors.Is(err, tc.wantErr) {
+					t.Fatalf("err = %v, want errors.Is(%v)", err, tc.wantErr)
+				}
+				if !strings.Contains(err.Error(), tc.msg) {
+					t.Fatalf("err = %v, want one containing %q", err, tc.msg)
+				}
+			})
 		})
 	}
 }
@@ -570,16 +599,18 @@ func TestBinSnapshotHostileFiles(t *testing.T) {
 func TestBinSnapshotTruncationSweep(t *testing.T) {
 	_, _, data := snapshotFixture(t)
 	step := len(data)/61 + 1
-	for cut := 0; cut < len(data); cut += step {
-		prefix := data[:cut]
-		ds, ix, err := ReadSnapshot(prefix)
-		if err == nil {
-			t.Fatalf("truncation at %d/%d bytes loaded without error", cut, len(data))
+	withLoadMode(t, func(t *testing.T, load func([]byte) (*datagen.Dataset, *ir.Index, error)) {
+		for cut := 0; cut < len(data); cut += step {
+			prefix := data[:cut]
+			ds, ix, err := load(prefix)
+			if err == nil {
+				t.Fatalf("truncation at %d/%d bytes loaded without error", cut, len(data))
+			}
+			if ds != nil || ix != nil {
+				t.Fatalf("truncation at %d returned non-nil results", cut)
+			}
 		}
-		if ds != nil || ix != nil {
-			t.Fatalf("truncation at %d returned non-nil results", cut)
-		}
-	}
+	})
 }
 
 // rankQ is one uncached authority solve of q on eng's current state.
