@@ -100,7 +100,6 @@ var testOracles = map[string]oracle{
 	"authorityflow/internal/ir.IsStopword":       {kindFunction, "pins the tokenizer's stopword list"},
 	"authorityflow/internal/ir.TokenizeFiltered": {kindFunction, "the oracle the forward table's conformance row holds every node's row to"},
 
-	"authorityflow/internal/rank.ZeroDamping":   {kindConstant, "the panel test's damping-0 column, whose fixpoint is its base distribution"},
 	"authorityflow/internal/rank.ZeroIters":     {kindConstant, "the observer test's run of no sweeps"},
 	"authorityflow/internal/rank.ZeroThreshold": {kindConstant, "turns off early stopping so cancellation, cache and column tests run a fixed sweep count"},
 

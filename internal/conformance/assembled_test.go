@@ -137,7 +137,7 @@ func residualsAt(w *world, m core.Mode, pin *core.Pinned, rs []*core.RankResult,
 		o := pin.Corpus().Options()
 		o.Threshold, o.MaxIters, o.Init = rank.ZeroThreshold, 1, res.Scores
 		o.Observe = func(_ int, r float64) { residual = r }
-		rank.Iterate(g, w.rates.Vector(), [][]float64{jump}, []rank.Options{o}, nil, nil)
+		rank.Iterate(g, w.rates.Vector(), jump, o, nil, nil)
 		out[i] = []float64{math.Max(residual, threshold)}
 	}
 	return out
@@ -216,7 +216,7 @@ func assembledRows(w *world) []path {
 			}
 			pin := eng.Pin()
 			rs := assembledRanks(t, eng, pin, core.ModeAuthority, qs)
-			return residualsAt(w, core.ModeAuthority, pin, rs, pin.Corpus().Options().Normalized().Threshold)
+			return residualsAt(w, core.ModeAuthority, pin, rs, pin.Corpus().Options().Threshold)
 		},
 		func(t *testing.T) [][]float64 {
 			out := make([][]float64, len(qs))

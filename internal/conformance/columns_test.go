@@ -12,10 +12,13 @@ import (
 	"authorityflow/internal/rank"
 )
 
-// Multi-column rows: every column of a B-column rank.Iterate against
-// the same column solved alone, over the ways columns can differ from
-// each other, with one, two or three callers running the B-column solve
-// at once over the caller's plan and one buffer pool.
+// Plan-body rows: every column of a B-column group, solved the way
+// core.Pinned.Solve solves one — one rank.Iterate per column, each over
+// the coefficient plan of its damping (sweepPlan) — against the same
+// column solved alone with no plan (sweep, the arc-struct body), over
+// the ways columns can differ from each other, with one, two or three
+// callers solving the group at once over one set of plans and one
+// buffer pool.
 
 // columnCase configures column j of a solve over n-node graphs. cancel,
 // when non-nil, names the column whose context dies, and the row is run
@@ -94,6 +97,14 @@ func (w *world) nJumps(B int) [][]float64 {
 }
 
 func columnRows(w *world) []path {
+	return columnRowsOver(w, func(g *graph.Graph, alpha []float64, d float64) *rank.Plan {
+		return rank.NewPlan(g, alpha, d, nil)
+	})
+}
+
+// columnRowsOver builds the rows with plans(g, alpha, d) as the plan the
+// columns at damping d sweep.
+func columnRowsOver(w *world, plans func(g *graph.Graph, alpha []float64, d float64) *rank.Plan) []path {
 	var rows []path
 	alpha := w.rates.Vector()
 	for _, dir := range []struct {
@@ -101,61 +112,69 @@ func columnRows(w *world) []path {
 		g    *graph.Graph
 	}{{"authority", w.g}, {"hub", w.g.Reversed()}} {
 		g, n := dir.g, dir.g.NumNodes()
-		// The caller's cached plan, at the default damping: columns at
-		// another damping must get their own.
-		plan := rank.NewPlan(g, alpha, tight.Damping, nil)
+		// One plan per damping the cases use, shared by every caller.
+		byDamping := make(map[float64]*rank.Plan)
+		for _, d := range []float64{tight.Damping, 0.5, 0.7} {
+			byDamping[d] = plans(g, alpha, d)
+		}
 		for _, B := range []int{2, 3, 8, 9} {
 			for _, callers := range []int{1, 2, 3} {
 				for _, c := range columnCases {
 					B, callers, c := B, callers, c
 					jumps := w.nJumps(B)
 					cancelled := B / 2
-					opts := func(poll int) []rank.Options {
-						opts := make([]rank.Options, B)
-						for j := range opts {
-							opts[j] = c.opts(j, n)
+					opts := func(j, poll int) rank.Options {
+						o := c.opts(j, n)
+						if c.polls > 0 && j == cancelled {
+							o.Ctx = &countdown{Context: context.Background(), left: poll}
 						}
-						if c.polls > 0 {
-							opts[cancelled].Ctx = &countdown{Context: context.Background(), left: poll}
-						}
-						return opts
+						return o
 					}
-					// run solves the columns together, once per caller, or
-					// each alone, once per caller, the cancelled column's
-					// context dying at its poll-th poll.
-					run := func(together bool, poll int) [][]float64 {
-						if !together {
-							var alone [][]float64
-							o := opts(poll)
-							for j := range jumps {
-								alone = append(alone, encode(rank.Iterate(g, alpha, jumps[j:j+1], o[j:j+1], nil, nil)[0]))
+					// solve runs the columns one after another, over their
+					// plans or with none, the cancelled column's context
+					// dying at its poll-th poll.
+					solve := func(overPlan bool, poll int, pool *rank.BufferPool) [][]float64 {
+						var out [][]float64
+						for j, jump := range jumps {
+							o := opts(j, poll)
+							var plan *rank.Plan
+							if overPlan {
+								plan = byDamping[o.Normalized().Damping]
 							}
-							var out [][]float64
-							for i := 0; i < callers; i++ {
-								out = append(out, alone...)
-							}
-							return out
+							res := rank.Iterate(g, alpha, jump, o, pool, plan)
+							out = append(out, encode(res))
+							res.ReleaseTo(pool)
 						}
-						pool := rank.NewBufferPool()
+						return out
+					}
+					// run solves them over their plans once per caller, the
+					// callers at once over one pool, or with no plan once,
+					// repeated per caller.
+					run := func(overPlan bool, poll int) [][]float64 {
 						each := make([][][]float64, callers)
-						concurrently(callers, callers, func(i int) error {
-							for _, res := range rank.Iterate(g, alpha, jumps, opts(poll), pool, plan) {
-								each[i] = append(each[i], encode(res))
-								res.ReleaseTo(pool)
+						if overPlan {
+							pool := rank.NewBufferPool()
+							concurrently(callers, callers, func(i int) error {
+								each[i] = solve(true, poll, pool)
+								return nil
+							})
+						} else {
+							alone := solve(false, poll, nil)
+							for i := range each {
+								each[i] = alone
 							}
-							return nil
-						})
+						}
 						var out [][]float64
 						for _, e := range each {
 							out = append(out, e...)
 						}
 						return out
 					}
-					all := func(together bool) func(*testing.T) [][]float64 {
+					all := func(overPlan bool) func(*testing.T) [][]float64 {
 						return func(t *testing.T) [][]float64 {
 							var out [][]float64
 							for poll := 0; poll <= c.polls; poll++ {
-								out = append(out, run(together, poll)...)
+								out = append(out, run(overPlan, poll)...)
 							}
 							return out
 						}
@@ -171,14 +190,16 @@ func columnRows(w *world) []path {
 }
 
 // TestColumnCasesBite checks the cases above do what their names say on
-// the alone path, so a row cannot pass by both sides skipping the case.
+// the alone path, so a row cannot pass by both sides skipping the case,
+// and that the rows see the plan: the kernel refuses a plan built at
+// another damping, and rows over plans folded from other rates fail.
 func TestColumnCasesBite(t *testing.T) {
 	w := newWorld(t, 1)
 	alpha, n := w.rates.Vector(), w.g.NumNodes()
 	alone := func(c columnCase, j int, ctx context.Context) rank.Result {
 		o := c.opts(j, n)
 		o.Ctx = ctx
-		return rank.Iterate(w.g, alpha, w.nJumps(j + 1)[j:], []rank.Options{o}, nil, nil)[0]
+		return rank.Iterate(w.g, alpha, w.nJumps(j + 1)[j], o, nil, nil)
 	}
 	if res := alone(columnCases[2], 1, nil); !res.InitDropped || !res.Converged {
 		t.Errorf("stale Init: dropped=%v converged=%v", res.InitDropped, res.Converged)
@@ -191,6 +212,29 @@ func TestColumnCasesBite(t *testing.T) {
 		res := alone(cancel, 0, &countdown{Context: context.Background(), left: poll})
 		if wantErr := poll < cancel.polls; (res.Err != nil) != wantErr || res.Iterations != poll {
 			t.Errorf("cancelled at poll %d: err=%v after %d iterations", poll, res.Err, res.Iterations)
+		}
+	}
+
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("a plan at damping 0.5 was taken by a run at the rows' damping")
+			}
+		}()
+		rank.Iterate(w.g, alpha, w.jumps()[0], tight, nil, rank.NewPlan(w.g, alpha, 0.5, nil))
+	}()
+
+	otherRates := func(g *graph.Graph, alpha []float64, d float64) *rank.Plan {
+		other := append([]float64(nil), alpha...)
+		for i := range other {
+			other[i] *= 0.9
+		}
+		return rank.NewPlan(g, other, d, nil)
+	}
+	for _, row := range columnRowsOver(w, otherRates) {
+		got, want := row.got(t), row.want(t)
+		if agree(row.class, got, want) {
+			t.Errorf("%s: passes over plans of other rates", row.name)
 		}
 	}
 }
@@ -319,4 +363,22 @@ func TestPlanLifecycleUnderPublishes(t *testing.T) {
 			t.Errorf("version %d %s: plan built %d times", sd.version, sd.mode, n)
 		}
 	}
+}
+
+// agree reports whether every entry of got meets class c against want.
+func agree(c class, got, want [][]float64) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i := range got {
+		if len(got[i]) != len(want[i]) {
+			return false
+		}
+		for v := range got[i] {
+			if !c.agrees(got[i][v], want[i][v]) {
+				return false
+			}
+		}
+	}
+	return true
 }

@@ -15,20 +15,24 @@ import (
 // stack's entry points.
 
 // kernelColumns runs the worlds' base distributions through the kernel
-// in panels of the given width, the panels solved by that many callers
-// at once over one buffer pool, and returns one score vector per base
+// in panels of the given width, the way core.Pinned.Solve runs a group:
+// one rank.Iterate per column, every column of a panel of two or more
+// over one coefficient plan. That many callers solve the panels at once
+// over one plan and buffer pool; it returns one score vector per base
 // distribution.
 func kernelColumns(w *world, width, callers int) [][]float64 {
 	alpha := w.rates.Vector()
 	jumps := w.jumps()
-	pool := rank.NewBufferPool()
+	plan, pool := rank.NewPlan(w.g, alpha, tight.Damping, nil), rank.NewBufferPool()
 	panels := make([][][]float64, (len(jumps)+width-1)/width)
 	concurrently(callers, len(panels), func(p int) error {
-		lo, hi := p*width, (p+1)*width
-		if hi > len(jumps) {
-			hi = len(jumps)
+		panel := jumps[p*width : min((p+1)*width, len(jumps))]
+		var pl *rank.Plan
+		if len(panel) > 1 {
+			pl = plan
 		}
-		for _, res := range rank.Iterate(w.g, alpha, jumps[lo:hi], []rank.Options{tight}, pool, nil) {
+		for _, jump := range panel {
+			res := rank.Iterate(w.g, alpha, jump, tight, pool, pl)
 			panels[p] = append(panels[p], append([]float64(nil), res.Scores...))
 			res.ReleaseTo(pool)
 		}

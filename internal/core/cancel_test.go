@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"authorityflow/internal/ir"
@@ -202,6 +203,66 @@ func TestSolveMidBatchCancelGroupGranularity(t *testing.T) {
 		for v, x := range res.Scores {
 			if x != full[i].Scores[v] {
 				t.Fatalf("%q: score %d differs from the uncancelled solve: %v vs %v", terms[i], v, x, full[i].Scores[v])
+			}
+		}
+	}
+}
+
+// TestSolveGroupCancelAtEachPoll cancels a three-column group at each
+// of its context polls in turn — the group's own poll, then one per
+// sweep of each column, the columns solved one after another over the
+// snapshot's plan. Solve must return the context error, fill exactly
+// the columns that finished before the cancelled poll, each
+// Float64bits-equal to the uncancelled solve's, fill nothing for the
+// rest and fire no solve hook.
+func TestSolveGroupCancelAtEachPoll(t *testing.T) {
+	e := newFixture(t).newEngine(t)
+	spec := SolveSpec{Queries: []*ir.Query{ir.NewQuery("olap"), ir.NewQuery("cube"), ir.NewQuery("agrawal")}}
+	const never = 1 << 30
+	counting := &countdown{Context: context.Background(), left: never}
+	full, err := e.Pin().Solve(counting, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	polls := never - counting.left
+	finishedBy := make([]int, len(full)) // the polls a column has made when it finishes
+	for j, done := 0, 1; j < len(full); j++ {
+		done += full[j].Iterations
+		finishedBy[j] = done
+	}
+	if polls < 2*len(full) || finishedBy[len(full)-1] != polls {
+		t.Fatalf("%d polls for %d columns, want 1 + Σ iterations = %d, at least two a column", polls, len(full), finishedBy[len(full)-1])
+	}
+
+	hooks := 0
+	e.SetSolveHook(func(SolveStats) { hooks++ })
+	for poll := 0; poll <= polls; poll++ {
+		hooks = 0
+		rs, err := e.Pin().Solve(&countdown{Context: context.Background(), left: poll}, spec)
+		wantErr, wantHooks := error(context.Canceled), 0
+		if poll == polls {
+			wantErr, wantHooks = nil, 1
+		}
+		if err != wantErr || hooks != wantHooks {
+			t.Fatalf("cancelled at poll %d: err = %v after %d hook firings, want %v after %d", poll, err, hooks, wantErr, wantHooks)
+		}
+		for j, res := range rs {
+			if finishedBy[j] > poll {
+				if res != nil {
+					t.Errorf("cancelled at poll %d: column %d, unfinished, was filled", poll, j)
+				}
+				continue
+			}
+			if res == nil {
+				t.Fatalf("cancelled at poll %d: column %d finished at poll %d and was not filled", poll, j, finishedBy[j])
+			}
+			if res.Iterations != full[j].Iterations {
+				t.Errorf("cancelled at poll %d: column %d ran %d iterations, want %d", poll, j, res.Iterations, full[j].Iterations)
+			}
+			for v, x := range res.Scores {
+				if math.Float64bits(x) != math.Float64bits(full[j].Scores[v]) {
+					t.Fatalf("cancelled at poll %d: column %d score %d = %v, want %v", poll, j, v, x, full[j].Scores[v])
+				}
 			}
 		}
 	}

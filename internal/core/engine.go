@@ -28,16 +28,11 @@ import (
 // rate assignments over one dataset) can share a single Corpus without
 // duplicating the graph or index.
 type Corpus struct {
-	g  *graph.Graph
-	ix *ir.Index
-	// opts keeps the caller's raw options (zero fields and sentinels
-	// intact — the kernel normalizes per run); nopts caches the
-	// normalized view for components that need literal values, such as
-	// the explain stage's damping factor.
-	opts  rank.Options
-	nopts rank.Options
-	pool  *rank.BufferPool
-	name  string
+	g    *graph.Graph
+	ix   *ir.Index
+	opts rank.Options // normalized
+	pool *rank.BufferPool
+	name string
 }
 
 // DefaultBlockSize is how many columns of a multi-column solve
@@ -62,7 +57,7 @@ var ErrWarmStartMismatch = errors.New("core: warm-start init count does not matc
 type Config struct {
 	// Rank options (damping, threshold, max iterations); zero fields
 	// take the paper defaults (0.85, 0.002, 200) and the rank package's
-	// explicit-zero sentinels are honored.
+	// sentinels ZeroThreshold and ZeroIters are honored.
 	Rank rank.Options
 	// Name labels the corpus (a dataset name) for the states that pin
 	// it; nothing computed reads it.
@@ -90,12 +85,11 @@ func NewCorpusWithIndex(g *graph.Graph, ix *ir.Index, cfg Config) (*Corpus, erro
 
 func newCorpus(g *graph.Graph, ix *ir.Index, cfg Config) *Corpus {
 	return &Corpus{
-		g:     g,
-		ix:    ix,
-		opts:  cfg.Rank,
-		nopts: cfg.Rank.Normalized(),
-		pool:  rank.NewBufferPool(),
-		name:  cfg.Name,
+		g:    g,
+		ix:   ix,
+		opts: cfg.Rank.Normalized(),
+		pool: rank.NewBufferPool(),
+		name: cfg.Name,
 	}
 }
 
@@ -105,8 +99,8 @@ func (c *Corpus) Graph() *graph.Graph { return c.g }
 // Index returns the corpus's inverted index.
 func (c *Corpus) Index() *ir.Index { return c.ix }
 
-// Options returns the rank options in effect (as configured; zero
-// fields mean the paper defaults).
+// Options returns the rank options in effect: the configured ones with
+// zero fields set to the paper defaults (rank.Options.Normalized).
 func (c *Corpus) Options() rank.Options { return c.opts }
 
 // Name returns the label the corpus was built with (Config.Name).
@@ -167,7 +161,7 @@ func (s *ratesSnapshot) plan(gn *generation, v int) (plan *rank.Plan, built bool
 		t0 := time.Now()
 		c, d := gn.view(v), &gn.views[v]
 		d.sourcesOnce.Do(func() { d.sources = rank.PlanSources(c.g) })
-		p.plan = rank.NewPlan(c.g, s.alpha, c.nopts.Damping, d.sources)
+		p.plan = rank.NewPlan(c.g, s.alpha, c.opts.Damping, d.sources)
 		built, took = true, time.Since(t0)
 	})
 	return p.plan, built, took
@@ -298,6 +292,7 @@ type Engine struct {
 }
 
 // SolveStats describes one completed kernel execution of Pinned.Solve —
+// one group of its columns, each solved by one rank.Iterate call — for
 // every ranking in the system, including the solves the serving cache
 // and the profile tier issue.
 type SolveStats struct {

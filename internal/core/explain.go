@@ -497,7 +497,7 @@ func adjust(ctx context.Context, c *Corpus, alpha []float64, topo *topology, res
 		Query:    res.Query,
 		Nodes:    topo.nodes,
 		Arcs:     topo.arcs,
-		damping:  c.nopts.Damping,
+		damping:  c.opts.Damping,
 		alpha:    alpha,
 		rowStart: topo.rowStart,
 		dist:     topo.dist,

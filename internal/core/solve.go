@@ -41,23 +41,24 @@ type SolveSpec struct {
 }
 
 // Solve executes spec under the pinned state — the one way to ask for a
-// ranking. Columns run through the kernel in groups of DefaultBlockSize
-// (rank.Iterate), each column its own fixpoint and bit-identical to the
-// same request solved alone; a group of two or more sweeps over the
-// snapshot's coefficient plan, which the first such group builds (a
-// one-column solve neither builds nor reads it). A query whose base set
-// is empty short-circuits to the all-zero fixpoint without occupying a
-// column.
+// ranking — and the one place columns are grouped. It takes the columns
+// DefaultBlockSize at a time and solves each with one rank.Iterate call,
+// its own fixpoint and bit-identical to the same request solved alone.
+// Every column of a group of two or more sweeps over the snapshot's
+// coefficient plan, which the first such group builds; a lone column
+// gets no plan, so it neither builds nor reads one. A query whose base
+// set is empty short-circuits to the all-zero fixpoint without
+// occupying a column.
 //
-// The solve hook fires once per completed kernel execution (group) with
-// SolveStats.Columns set to its width, so a batch of N distinct queries
-// counts ⌈N/DefaultBlockSize⌉ solves.
+// The solve hook fires once per completed group with SolveStats.Columns
+// set to its width, so a batch of N distinct queries counts
+// ⌈N/DefaultBlockSize⌉ solves.
 //
 // Cancellation: the kernel polls ctx once per sweep per column. A
 // cancelled column publishes NOTHING — its partial vector goes back to
 // the buffer pool — and its group's solve hook does not fire; Solve
 // returns ctx's error with a PARTIAL slice: entries of groups completed
-// before the cutoff (and of columns that converged before it landed)
+// before the cutoff (and of columns that finished before it landed)
 // are filled, the rest are nil.
 func (p *Pinned) Solve(ctx context.Context, spec SolveSpec) ([]*RankResult, error) {
 	v, err := viewOf(spec.Mode)
@@ -84,19 +85,19 @@ func (p *Pinned) Solve(ctx context.Context, spec SolveSpec) ([]*RankResult, erro
 	}
 
 	out := make([]*RankResult, count)
+	type column struct {
+		res  *RankResult
+		at   int // the column's index in out
+		jump []float64
+		opts rank.Options
+	}
 	for lo := 0; lo < count; lo += DefaultBlockSize {
 		if err := ctx.Err(); err != nil {
 			return out, err
 		}
-		hi := lo + DefaultBlockSize
-		if hi > count {
-			hi = count
-		}
+		hi := min(lo+DefaultBlockSize, count)
 		stats := SolveStats{Converged: true, Mode: viewModes[v], Ctx: ctx}
-		var cols []*RankResult // the group's columns, published to out[at[j]] once solved
-		var at []int
-		var jumps [][]float64
-		var opts []rank.Options
+		var cols []column
 		for i := lo; i < hi; i++ {
 			t0 := time.Now()
 			res := &RankResult{RatesVersion: st.snap.version, Generation: st.gen.num}
@@ -134,10 +135,7 @@ func (p *Pinned) Solve(ctx context.Context, spec SolveSpec) ([]*RankResult, erro
 			} else if !spec.Cold {
 				o.Init = st.gen.globalScores(v, st.snap)
 			}
-			cols = append(cols, res)
-			at = append(at, i)
-			jumps = append(jumps, jump)
-			opts = append(opts, o)
+			cols = append(cols, column{res, i, jump, o})
 		}
 		if len(cols) == 0 {
 			continue
@@ -148,30 +146,27 @@ func (p *Pinned) Solve(ctx context.Context, spec SolveSpec) ([]*RankResult, erro
 		if len(cols) > 1 {
 			plan, stats.PlanBuilt, stats.PlanBuildDur = st.snap.plan(st.gen, v)
 		}
-		results := rank.Iterate(c.g, st.snap.alpha, jumps, opts, c.pool, plan)
-		stats.SolveDur = time.Since(t1)
-		stats.Columns = len(cols)
-
-		var panelErr error
-		for j, kr := range results {
-			c.pool.Put(jumps[j])
+		var groupErr error
+		for _, col := range cols {
+			kr := rank.Iterate(c.g, st.snap.alpha, col.jump, col.opts, c.pool, plan)
+			c.pool.Put(col.jump)
 			if kr.Err != nil {
 				// Cancelled: recycle the partial vector and publish
 				// nothing for this column.
 				kr.ReleaseTo(c.pool)
-				panelErr = kr.Err
+				groupErr = kr.Err
 				continue
 			}
-			res := cols[j]
+			res := col.res
 			res.Scores, res.Iterations, res.Converged, res.SolveDur = kr.Scores, kr.Iterations, kr.Converged, kr.Dur
-			out[at[j]] = res
-			if kr.Iterations > stats.Iterations {
-				stats.Iterations = kr.Iterations
-			}
+			out[col.at] = res
+			stats.Iterations = max(stats.Iterations, kr.Iterations)
 			stats.Converged = stats.Converged && kr.Converged
 		}
-		if panelErr != nil {
-			return out, panelErr
+		stats.SolveDur = time.Since(t1)
+		stats.Columns = len(cols)
+		if groupErr != nil {
+			return out, groupErr
 		}
 		p.e.notifySolve(stats)
 	}

@@ -168,7 +168,7 @@ func HITSBaseline(e *core.Engine, q *ir.Query, radius int) *core.RankResult {
 	for i, sd := range base {
 		nodes[i] = graph.NodeID(sd.Doc)
 	}
-	opts := pin.Corpus().Options().Normalized()
+	opts := pin.Corpus().Options()
 	res := HITS(g, FocusedSubgraph(g, nodes, radius), opts.Threshold, opts.MaxIters)
 	return &core.RankResult{
 		Query:      q,

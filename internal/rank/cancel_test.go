@@ -15,7 +15,7 @@ func TestIterateCancelBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	res := iterate1(g, r.Vector(), base, Options{Ctx: ctx}, nil)
+	res := Iterate(g, r.Vector(), base, Options{Ctx: ctx}, nil, nil)
 	if res.Err != context.Canceled {
 		t.Fatalf("Err=%v, want context.Canceled", res.Err)
 	}
@@ -43,7 +43,7 @@ func TestIterateCancelMidSolve(t *testing.T) {
 
 	// Reference: what a run truncated exactly at stopAt iterations
 	// produces (ZeroThreshold disables early convergence).
-	ref := iterate1(g, r.Vector(), base, Options{Threshold: ZeroThreshold, MaxIters: stopAt}, nil)
+	ref := Iterate(g, r.Vector(), base, Options{Threshold: ZeroThreshold, MaxIters: stopAt}, nil, nil)
 	if ref.Iterations != stopAt {
 		t.Fatalf("reference run executed %d iterations, want %d", ref.Iterations, stopAt)
 	}
@@ -60,7 +60,7 @@ func TestIterateCancelMidSolve(t *testing.T) {
 			}
 		},
 	}
-	res := iterate1(g, r.Vector(), base, opts, nil)
+	res := Iterate(g, r.Vector(), base, opts, nil, nil)
 	if res.Err != context.Canceled {
 		t.Fatalf("Err=%v, want context.Canceled", res.Err)
 	}
@@ -88,7 +88,7 @@ func TestIterateDeadlineExceeded(t *testing.T) {
 	base := fig1Base(g)
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Hour))
 	defer cancel()
-	res := iterate1(g, r.Vector(), base, Options{Ctx: ctx}, nil)
+	res := Iterate(g, r.Vector(), base, Options{Ctx: ctx}, nil, nil)
 	if res.Err != context.DeadlineExceeded {
 		t.Fatalf("Err=%v, want context.DeadlineExceeded", res.Err)
 	}
@@ -100,10 +100,10 @@ func TestIterateDeadlineExceeded(t *testing.T) {
 func TestIterateBackgroundCtxMatchesNil(t *testing.T) {
 	g, r := fig1Fixture(t)
 	base := fig1Base(g)
-	plain := iterate1(g, r.Vector(), base, Options{Threshold: 1e-10, MaxIters: 500}, nil)
+	plain := Iterate(g, r.Vector(), base, Options{Threshold: 1e-10, MaxIters: 500}, nil, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	withCtx := iterate1(g, r.Vector(), base, Options{Threshold: 1e-10, MaxIters: 500, Ctx: ctx}, nil)
+	withCtx := Iterate(g, r.Vector(), base, Options{Threshold: 1e-10, MaxIters: 500, Ctx: ctx}, nil, nil)
 	if withCtx.Err != nil {
 		t.Fatalf("live-ctx run reported Err=%v", withCtx.Err)
 	}
@@ -122,7 +122,7 @@ func TestIterateBackgroundCtxMatchesNil(t *testing.T) {
 // the per-sweep poll adds 0 allocs/op on the pooled serial path, BOTH
 // with Ctx nil (serving without deadlines) and with a live cancellable
 // context attached (serving with deadlines that do not fire).
-// kernelAllocsPerRun is the driver's per-run constant.
+// kernelAllocsPerRun is a pooled run's constant.
 func TestIterateContextZeroAlloc(t *testing.T) {
 	g, r := fig1Fixture(t)
 	base := fig1Base(g)
@@ -142,10 +142,10 @@ func TestIterateContextZeroAlloc(t *testing.T) {
 	for _, tc := range cases {
 		opts := Options{Threshold: 1e-10, MaxIters: 500, Ctx: tc.ctx}
 		// Warm the pool so steady state is measured.
-		res := iterate1(g, alpha, base, opts, pool)
+		res := Iterate(g, alpha, base, opts, pool, nil)
 		res.ReleaseTo(pool)
 		allocs := testing.AllocsPerRun(100, func() {
-			r := iterate1(g, alpha, base, opts, pool)
+			r := Iterate(g, alpha, base, opts, pool, nil)
 			r.ReleaseTo(pool)
 		})
 		if allocs > kernelAllocsPerRun {

@@ -56,15 +56,9 @@ func fig1Fixture(t testing.TB) (*graph.Graph, *graph.Rates) {
 	return g, r
 }
 
-// iterate1 runs one base set through the driver — the single-column
-// call, which takes the sweep body.
-func iterate1(g *graph.Graph, alpha, base []float64, opts Options, pool *BufferPool) Result {
-	return Iterate(g, alpha, [][]float64{base}, []Options{opts}, pool, nil)[0]
-}
-
-// run is iterate1 unpooled.
+// run is an unpooled Iterate of the arc-struct body.
 func run(g *graph.Graph, rates *graph.Rates, base []float64, opts Options) Result {
-	return iterate1(g, rates.Vector(), base, opts, nil)
+	return Iterate(g, rates.Vector(), base, opts, nil, nil)
 }
 
 // fig1Base is the Q=[olap] jump distribution of the golden fixture:
@@ -114,7 +108,7 @@ func TestKernelPooledBitIdenticalAndReusable(t *testing.T) {
 	pool := NewBufferPool()
 	opts := Options{Damping: 0.85, Threshold: 1e-10, MaxIters: 500}
 	for round := 0; round < 3; round++ {
-		res := iterate1(g, r.Vector(), fig1Base(g), opts, pool)
+		res := Iterate(g, r.Vector(), fig1Base(g), opts, pool, nil)
 		for i, want := range fig1GoldenBits {
 			if got := math.Float64bits(res.Scores[i]); got != want {
 				t.Fatalf("round %d: pooled score[v%d] bits = %#016x, want %#016x", round, i+1, got, want)
@@ -139,7 +133,7 @@ func TestKernelParallelMatchesSerialFig1(t *testing.T) {
 	for _, callers := range []int{2, 3, 7, 16} {
 		concurrently(callers, func(int) {
 			for round := 0; round < 4; round++ {
-				res := iterate1(g, alpha, fig1Base(g), opts, pool)
+				res := Iterate(g, alpha, fig1Base(g), opts, pool, nil)
 				if res.Iterations != fig1GoldenIters {
 					t.Errorf("callers=%d: Iterations = %d, want %d", callers, res.Iterations, fig1GoldenIters)
 				}
@@ -227,7 +221,7 @@ func TestKernelParallelMatchesSerialDBLP(t *testing.T) {
 	pool := NewBufferPool()
 	concurrently(4, func(c int) {
 		for round := 0; round < 2; round++ {
-			res := iterate1(g, r.Vector(), base, opts, pool)
+			res := Iterate(g, r.Vector(), base, opts, pool, nil)
 			if v := firstDiff(res.Scores, serial.Scores); v >= 0 || res.Iterations != serial.Iterations {
 				t.Errorf("caller %d: iterations %d vs %d, first differing node %d", c, res.Iterations, serial.Iterations, v)
 			}
@@ -301,31 +295,28 @@ func TestKernelPanicsOnBadBase(t *testing.T) {
 	run(g, r, make([]float64, g.NumNodes()+3), Options{})
 }
 
+// TestOptionsNormalizedSentinels: zero fields take the paper defaults,
+// the sentinels pass through to the kernel as they are, and Normalized
+// is idempotent on every combination of them.
 func TestOptionsNormalizedSentinels(t *testing.T) {
 	def := Options{}.Normalized()
 	if def.Damping != 0.85 || def.Threshold != 0.002 || def.MaxIters != 200 {
 		t.Errorf("zero value normalized to %+v, want paper defaults", def)
 	}
-	z := Options{Damping: ZeroDamping, Threshold: ZeroThreshold, MaxIters: ZeroIters}.Normalized()
-	if z.Damping != 0 || z.Threshold != 0 || z.MaxIters != 0 {
-		t.Errorf("sentinels normalized to %+v, want literal zeros", z)
+	z := Options{Threshold: ZeroThreshold, MaxIters: ZeroIters}.Normalized()
+	if z.Damping != 0.85 || z.Threshold != ZeroThreshold || z.MaxIters != ZeroIters {
+		t.Errorf("sentinels normalized to %+v, want them kept", z)
 	}
-	// The paper defaults are already normalized.
-	if d2 := def.Normalized(); d2.Damping != def.Damping || d2.Threshold != def.Threshold || d2.MaxIters != def.MaxIters {
-		t.Errorf("Options{}.Normalized().Normalized() = %+v", d2)
-	}
-}
-
-func TestZeroDampingYieldsBaseDistribution(t *testing.T) {
-	g, r := fig1Fixture(t)
-	base := fig1Base(g)
-	res := run(g, r, base, Options{Damping: ZeroDamping, Threshold: 1e-12})
-	if !res.Converged {
-		t.Fatal("did not converge")
-	}
-	for i := range base {
-		if res.Scores[i] != base[i] {
-			t.Errorf("score[%d] = %v, want base %v with zero damping", i, res.Scores[i], base[i])
+	for _, o := range []Options{
+		{},
+		{Threshold: ZeroThreshold},
+		{MaxIters: ZeroIters},
+		{Threshold: ZeroThreshold, MaxIters: ZeroIters},
+		{Damping: 0.5, Threshold: ZeroThreshold, MaxIters: 13},
+	} {
+		n, nn := o.Normalized(), o.Normalized().Normalized()
+		if nn.Damping != n.Damping || nn.Threshold != n.Threshold || nn.MaxIters != n.MaxIters {
+			t.Errorf("%+v: Normalized() = %+v, Normalized().Normalized() = %+v", o, n, nn)
 		}
 	}
 }
@@ -361,10 +352,10 @@ func TestKernelAllocsBounded(t *testing.T) {
 	pool := NewBufferPool()
 	opts := Options{Damping: 0.85, Threshold: 1e-10, MaxIters: 500}
 	// Warm the pool.
-	res := iterate1(g, alpha, base, opts, pool)
+	res := Iterate(g, alpha, base, opts, pool, nil)
 	res.ReleaseTo(pool)
 	allocs := testing.AllocsPerRun(20, func() {
-		r := iterate1(g, alpha, base, opts, pool)
+		r := Iterate(g, alpha, base, opts, pool, nil)
 		r.ReleaseTo(pool)
 	})
 	if allocs > kernelAllocsPerRun {
@@ -380,7 +371,7 @@ func BenchmarkKernelPooledSteadyState(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := iterate1(g, alpha, base, opts, pool)
+		res := Iterate(g, alpha, base, opts, pool, nil)
 		res.ReleaseTo(pool)
 	}
 }
@@ -392,6 +383,6 @@ func BenchmarkKernelUnpooled(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = iterate1(g, alpha, base, opts, nil)
+		_ = Iterate(g, alpha, base, opts, nil, nil)
 	}
 }

@@ -56,22 +56,22 @@ func randomWorld(t testing.TB, seed int64, n, m int) (*graph.Graph, *graph.Rates
 	return g, r, base
 }
 
-// solveShared is one caller's solve: base together with two more
-// columns, over the shared plan and pool. It returns base's column with
-// the scores copied out, and recycles every buffer.
+// solveShared is one caller's solve: base as the first column of a
+// three-column panel, each column over the shared plan and pool. It
+// returns base's column with the scores copied out, and recycles every
+// buffer.
 func solveShared(g *graph.Graph, alpha, base []float64, opts Options, plan *Plan, pool *BufferPool) Result {
-	bases := append([][]float64{base}, blockBases(g, 2)...)
-	res := Iterate(g, alpha, bases, []Options{opts}, pool, plan)
-	out := res[0]
+	out := Iterate(g, alpha, base, opts, pool, plan)
 	out.Scores = append([]float64(nil), out.Scores...)
-	for j := range res {
-		res[j].ReleaseTo(pool)
+	for _, b := range blockBases(g, 2) {
+		res := Iterate(g, alpha, b, opts, pool, plan)
+		res.ReleaseTo(pool)
 	}
 	return out
 }
 
-// TestParallelMatchesSerial: concurrent multi-column solves sharing one
-// plan and one pool each return the bits of the column solved alone.
+// TestParallelMatchesSerial: concurrent panels sharing one plan and
+// one pool each return the bits of the column solved alone.
 func TestParallelMatchesSerial(t *testing.T) {
 	for _, callers := range []int{2, 3, 4, 8} {
 		g, r, base := randomWorld(t, int64(callers), 500, 3000)
@@ -114,7 +114,7 @@ func TestParallelWarmStart(t *testing.T) {
 	}
 	pool := NewBufferPool()
 	concurrently(4, func(c int) {
-		got := iterate1(g, r.Vector(), base2, optsWarm, pool)
+		got := Iterate(g, r.Vector(), base2, optsWarm, pool, nil)
 		if v := firstDiff(got.Scores, want.Scores); v >= 0 || got.Iterations != want.Iterations {
 			t.Errorf("caller %d: iterations %d vs %d, first differing node %d", c, got.Iterations, want.Iterations, v)
 		}

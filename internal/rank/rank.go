@@ -1,6 +1,7 @@
 // Package rank implements the authority-flow fixpoint computations the
 // paper builds on: the damped power iteration shared by PageRank,
-// ObjectRank and ObjectRank2 (Equation 4), global PageRank, the
+// ObjectRank and ObjectRank2 (Equation 4), which Iterate runs for one
+// jump vector per call, global PageRank, the
 // original 0/1-base-set ObjectRank of [BHP04], and the modified
 // multi-keyword ObjectRank with normalizing exponents (Equation 16)
 // used as the Table 2 baseline.
@@ -20,17 +21,14 @@ import (
 //
 // Zero-value semantics: a zero Damping, Threshold or MaxIters means
 // "use the paper default" (0.85, 0.002, 200), applied by Normalized()
-// at every kernel entry. To request an ACTUAL zero — damping 0 (scores
-// equal the base distribution), threshold 0 (never stop early), or
-// zero iterations (scores equal the start vector) — use the explicit
-// sentinels ZeroDamping, ZeroThreshold and ZeroIters. Earlier versions
-// silently conflated "unset" with "zero", which made Damping: 0
-// impossible to express; the sentinels close that gap without breaking
-// the zero value's use-the-defaults convenience.
+// at every kernel entry. To turn early stopping off or run no
+// iterations at all, use the sentinels ZeroThreshold and ZeroIters,
+// which the kernel reads literally: no residual is below a negative
+// threshold, and no iteration index is at most a negative budget.
 type Options struct {
 	// Damping is the probability d of following an edge rather than
 	// jumping back to the base set. The paper uses 0.85. Zero means the
-	// default; ZeroDamping (any negative value) means an actual 0.
+	// default; the kernel panics on any value outside [0, 1).
 	Damping float64
 	// Threshold is the L1 convergence threshold on successive score
 	// vectors. The paper's performance experiments use 0.002. Zero
@@ -97,16 +95,12 @@ type Options struct {
 // allocation contract.
 type IterObserver func(iter int, residual float64)
 
-// Explicit-zero sentinels for Options fields whose natural zero value
-// is reserved for "use the paper default". Any negative value is
-// treated identically; these names exist so intent is grep-able.
+// Sentinels for Options fields whose natural zero value is reserved
+// for "use the paper default". Any negative value is treated
+// identically; these names exist so intent is grep-able.
 const (
-	// ZeroDamping requests damping factor 0: no authority propagates,
-	// the fixpoint equals the base distribution.
-	ZeroDamping float64 = -1
-	// ZeroThreshold requests convergence threshold 0: the L1 early-stop
-	// never fires and the run executes exactly MaxIters iterations
-	// (Converged stays false).
+	// ZeroThreshold turns the L1 early stop off: the run executes
+	// exactly MaxIters iterations (Converged stays false).
 	ZeroThreshold float64 = -1
 	// ZeroIters requests zero iterations: the result's scores are the
 	// start vector (Init if given, else the base distribution),
@@ -114,32 +108,19 @@ const (
 	ZeroIters int = -1
 )
 
-// Normalized resolves the zero-value/sentinel convention into literal
-// field values: zero fields become the paper defaults, negative
-// (sentinel) fields become actual zeros. It is what every kernel entry
-// point applies to its options before running. Normalize raw options
-// once: the result is not idempotent, since a sentinel's literal zero
-// (ZeroDamping → 0) reads as "unset" to a second call and becomes the
-// default (0.85). A caller that hands options on to a kernel keeps the
-// raw ones for it. Init, Observe and Ctx pass through untouched.
+// Normalized fills the zero fields with the paper defaults and leaves
+// every other field as it is, sentinels included, so it is idempotent:
+// o.Normalized().Normalized() equals o.Normalized(). It is what every
+// kernel entry point applies to its options before running.
 func (o Options) Normalized() Options {
-	switch {
-	case o.Damping == 0:
+	if o.Damping == 0 {
 		o.Damping = 0.85
-	case o.Damping < 0:
-		o.Damping = 0
 	}
-	switch {
-	case o.Threshold == 0:
+	if o.Threshold == 0 {
 		o.Threshold = 0.002
-	case o.Threshold < 0:
-		o.Threshold = 0
 	}
-	switch {
-	case o.MaxIters == 0:
+	if o.MaxIters == 0 {
 		o.MaxIters = 200
-	case o.MaxIters < 0:
-		o.MaxIters = 0
 	}
 	return o
 }
@@ -167,9 +148,7 @@ type Result struct {
 	// a complete, correct solve; the flag exists so callers can count
 	// how often donated warm starts go stale.
 	InitDropped bool
-	// Dur is the wall-clock time of this column's own run, start vector
-	// to exit — not of the Iterate call, which for a column solved with
-	// others also covers theirs.
+	// Dur is the wall-clock time of the run, start vector to exit.
 	Dur time.Duration
 }
 
@@ -205,7 +184,7 @@ func PageRank(g *graph.Graph, rates *graph.Rates, opts Options) Result {
 	for i := range base {
 		base[i] = u
 	}
-	return Iterate(g, rates.Vector(), [][]float64{base}, []Options{opts}, nil, nil)[0]
+	return Iterate(g, rates.Vector(), base, opts, nil, nil)
 }
 
 // ObjectRank computes the original [BHP04] ObjectRank for a base set
@@ -220,7 +199,7 @@ func ObjectRank(g *graph.Graph, rates *graph.Rates, baseSet []graph.NodeID, opts
 			base[v] = u
 		}
 	}
-	return Iterate(g, rates.Vector(), [][]float64{base}, []Options{opts}, nil, nil)[0]
+	return Iterate(g, rates.Vector(), base, opts, nil, nil)
 }
 
 // ObjectRankMulti computes the modified multi-keyword ObjectRank of
