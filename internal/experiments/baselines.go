@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"authorityflow/internal/core"
-	"authorityflow/internal/datagen"
 	"authorityflow/internal/eval"
 	"authorityflow/internal/graph"
 	"authorityflow/internal/ir"
@@ -33,52 +32,21 @@ type BaselinesResult struct {
 // under the same topical-relevance proxy.
 func ExtensionBaselines(cfg Config) (*BaselinesResult, error) {
 	cfg = cfg.withDefaults(surveyScale)
-	gen := datagen.DBLPTopConfig().Scale(cfg.Scale)
-	gen.Seed = cfg.Seed + 1
-	ds, err := datagen.GenerateDBLP(gen)
+	w, err := table2World(cfg)
 	if err != nil {
 		return nil, err
 	}
-	w, err := expertWorld(cfg, ds, "Paper", 20)
-	if err != nil {
-		return nil, err
-	}
-	g := ds.Graph
+	g := w.ds.Graph
 
-	queries := []string{
-		"olap", "query optimization", "xml", "mining",
-		"proximity search", "xml indexing", "ranked search",
-	}
 	out := &BaselinesResult{}
 	const k = 10
 
-	// Topic-sensitive PageRank setup: one biased vector per generator
-	// topic, with topic node sets from the topical proxy.
-	var topicNodes [][]graph.NodeID
-	for ti := 0; ti < datagen.NumTopics(); ti++ {
-		pool := map[string]bool{}
-		for _, tw := range datagen.TopicWords(ti) {
-			pool[tw] = true
-		}
-		var nodes []graph.NodeID
-		for _, p := range g.NodesOfType(w.resultType) {
-			distinct := map[string]bool{}
-			for _, tok := range ir.Tokenize(g.Attr(p, "Title")) {
-				if pool[tok] {
-					distinct[tok] = true
-				}
-			}
-			if len(distinct) >= 2 {
-				nodes = append(nodes, p)
-			}
-		}
-		topicNodes = append(topicNodes, nodes)
-	}
-	tspr := BuildTopicSensitive(g, ds.Rates, topicNodes, cfg.engineConfig().Rank)
+	topicNodes := topicNodeSets(g, w.resultType)
+	tspr := BuildTopicSensitive(g, w.ds.Rates, topicNodes, cfg.engineConfig().Rank)
 
 	cfg.printf("Extension: baselines, relevant results in top-%d\n", k)
 	cfg.printf("%-22s %12s %12s %12s %12s\n", "query", "ObjectRank2", "ObjectRank", "HITS", "TSPR")
-	for _, raw := range queries {
+	for _, raw := range table2Queries {
 		q := ir.ParseQuery(raw)
 		relevant := topicalRelevance(g, w.resultType, q)
 

@@ -2,14 +2,19 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/binary"
 	"flag"
 	"fmt"
+	"hash/fnv"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
+
+	"authorityflow/internal/ir"
 )
 
 var updatePaper = flag.Bool("update", false, "rewrite testdata/paper.golden from this run")
@@ -57,8 +62,9 @@ func runSharedAt[T any](t *testing.T, scale float64, name string, f func(Config)
 
 // TestPaperGolden renders the paper's evaluation at testCfg's scale —
 // Tables 1–3, Figures 10–13, the ObjectRank2 iteration counts of
-// Figures 14–17 and the active and implicit feedback extensions, each
-// at the precision the experiment prints — and compares it with
+// Figures 14–17, the active and implicit feedback extensions and the
+// baselines extension, each at the precision the experiment prints,
+// then the baselines' fixpoint digests (baselineDigests) — and compares it with
 // testdata/paper.golden; -update rewrites the file. Timings are left
 // out, iteration counts are in. The golden is pinned on amd64, because
 // other architectures may fuse multiply-adds and move the last digits.
@@ -96,6 +102,9 @@ func TestPaperGolden(t *testing.T) {
 	section(out)
 	_, out = runShared(t, "implicit", ExtensionImplicitFeedback)
 	section(out)
+	_, out = runShared(t, "baselines", ExtensionBaselines)
+	section(out)
+	section(baselineDigests(t))
 
 	golden := filepath.Join("testdata", "paper.golden")
 	if *updatePaper {
@@ -120,6 +129,43 @@ func TestPaperGolden(t *testing.T) {
 		}
 		t.Fatalf("paper evaluation has %d lines, %s has %d", len(gotLines), golden, len(wantLines))
 	}
+}
+
+// baselineDigests renders, for the Table 2 world at testScale, an
+// FNV-64a digest of the float64 bits of every fixpoint the baselines
+// solve besides ObjectRank2: each Table 2 query's Eq. 16 vector, each
+// topic's topic-sensitive PageRank vector and the global warm-start
+// vector. One flipped bit in a vector moves its digest.
+func baselineDigests(t *testing.T) string {
+	t.Helper()
+	cfg := Config{Scale: testScale}.withDefaults(surveyScale)
+	w, err := table2World(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	b.WriteString("Fixpoint digests (FNV-64a of the float64 bits)\n")
+	for _, raw := range table2Queries {
+		r := w.sys.ObjectRankBaseline(ir.ParseQuery(raw))
+		fmt.Fprintf(&b, "%-28s %016x\n", "eq16 ["+raw+"]", bitsDigest(r.Scores))
+	}
+	ts := BuildTopicSensitive(w.ds.Graph, w.ds.Rates, topicNodeSets(w.ds.Graph, w.resultType), cfg.engineConfig().Rank)
+	for i, v := range ts.vectors {
+		fmt.Fprintf(&b, "%-28s %016x\n", fmt.Sprintf("tspr topic %d", i), bitsDigest(v))
+	}
+	fmt.Fprintf(&b, "%-28s %016x\n", "global warm start", bitsDigest(w.sys.GlobalRank()))
+	return b.String()
+}
+
+// bitsDigest is the FNV-64a hash of v's float64 bits, little-endian.
+func bitsDigest(v []float64) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, x := range v {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(x))
+		h.Write(buf[:])
+	}
+	return h.Sum64()
 }
 
 // curveFigures are the survey figures by shared-run name.

@@ -189,27 +189,17 @@ type Table2Result struct {
 // 7.7 vs 7.5.
 func Table2(cfg Config) (*Table2Result, error) {
 	cfg = cfg.withDefaults(surveyScale)
-	gen := datagen.DBLPTopConfig().Scale(cfg.Scale)
-	gen.Seed = cfg.Seed + 1
-	ds, err := datagen.GenerateDBLP(gen)
+	w, err := table2World(cfg)
 	if err != nil {
 		return nil, err
 	}
-	w, err := expertWorld(cfg, ds, "Paper", 20)
-	if err != nil {
-		return nil, err
-	}
-	g := ds.Graph
+	g := w.ds.Graph
 
-	queries := []string{
-		"olap", "query optimization", "xml", "mining",
-		"proximity search", "xml indexing", "ranked search",
-	}
-	out := &Table2Result{Queries: queries}
+	out := &Table2Result{Queries: table2Queries}
 	const k = 10
 	cfg.printf("Table 2: relevant results in top-%d (topical relevance proxy)\n", k)
 	cfg.printf("%-22s %12s %12s\n", "query", "ObjectRank2", "ObjectRank")
-	for _, raw := range queries {
+	for _, raw := range table2Queries {
 		q := ir.ParseQuery(raw)
 		relevant := topicalRelevance(g, w.resultType, q)
 
@@ -232,6 +222,24 @@ func Table2(cfg Config) (*Table2Result, error) {
 	out.AvgOR = eval.Mean(out.OR)
 	cfg.printf("%-22s %12.2f %12.2f\n", "average", out.AvgOR2, out.AvgOR)
 	return out, cfg.saveCSV("table2", out)
+}
+
+// table2Queries are the paper's seven Table 2 DBLP queries.
+var table2Queries = []string{
+	"olap", "query optimization", "xml", "mining",
+	"proximity search", "xml indexing", "ranked search",
+}
+
+// table2World is the DBLPtop world of Table 2 and its baselines
+// extension: seeded cfg.Seed+1, with the system under the expert rates.
+func table2World(cfg Config) (*world, error) {
+	gen := datagen.DBLPTopConfig().Scale(cfg.Scale)
+	gen.Seed = cfg.Seed + 1
+	ds, err := datagen.GenerateDBLP(gen)
+	if err != nil {
+		return nil, err
+	}
+	return expertWorld(cfg, ds, "Paper", 20)
 }
 
 // topicalRelevance marks papers whose titles contain >= 2 distinct

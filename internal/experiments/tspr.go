@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"authorityflow/internal/datagen"
 	"authorityflow/internal/graph"
+	"authorityflow/internal/ir"
 	"authorityflow/internal/rank"
 )
 
@@ -78,4 +80,32 @@ func TopicWeightsByOverlap(base []graph.NodeID, topicNodes [][]graph.NodeID) []f
 		}
 	}
 	return weights
+}
+
+// topicNodeSets lists, per generator topic, the nodes of type
+// resultType whose titles hold at least two distinct words of the
+// topic's pool (the topical proxy of Table 2): the biased jump sets of
+// the baselines extension's topic-sensitive PageRank.
+func topicNodeSets(g *graph.Graph, resultType graph.TypeID) [][]graph.NodeID {
+	var topicNodes [][]graph.NodeID
+	for ti := 0; ti < datagen.NumTopics(); ti++ {
+		pool := map[string]bool{}
+		for _, tw := range datagen.TopicWords(ti) {
+			pool[tw] = true
+		}
+		var nodes []graph.NodeID
+		for _, p := range g.NodesOfType(resultType) {
+			distinct := map[string]bool{}
+			for _, tok := range ir.Tokenize(g.Attr(p, "Title")) {
+				if pool[tok] {
+					distinct[tok] = true
+				}
+			}
+			if len(distinct) >= 2 {
+				nodes = append(nodes, p)
+			}
+		}
+		topicNodes = append(topicNodes, nodes)
+	}
+	return topicNodes
 }
