@@ -9,8 +9,9 @@
 // Experiments: table1, table2, table3, figure10, figure11, figure12,
 // figure13, figure14, figure15, figure16, figure17, and the
 // extensions "active" (active vs passive feedback selection),
-// "baselines" (ObjectRank2 vs ObjectRank vs HITS vs TSPR) and
-// "scalability" (times vs graph scale). Scale 1.0 regenerates at the
+// "baselines" (ObjectRank2 vs ObjectRank vs HITS vs TSPR),
+// "scalability" (times vs graph scale) and "implicit" (explicit vs
+// click-through feedback). Scale 1.0 regenerates at the
 // paper's dataset sizes (slow); the default scale depends on the
 // experiment family.
 package main

@@ -176,6 +176,77 @@ func TestInternalNamesHaveCallers(t *testing.T) {
 	}
 }
 
+// TestIterateOnlyThroughCore holds rank.Iterate, the one fixpoint
+// solver, behind internal/core: production code references it only
+// from internal/core, and no exported function of internal/rank reaches
+// it, directly or through the package's other functions. Every other
+// ranking asks core.Pinned.Solve.
+func TestIterateOnlyThroughCore(t *testing.T) {
+	const rankPkg, corePkg = "authorityflow/internal/rank", "authorityflow/internal/core"
+	listed := goList(t, ".", "./...")
+	listed = append(listed, goList(t, "cmd/afqbench", "./...")...)
+	pkgs := typeCheck(t, listed)
+	var iterate types.Object
+	for _, c := range pkgs {
+		if c.pkg.Path() == rankPkg {
+			iterate = c.pkg.Scope().Lookup("Iterate")
+		}
+	}
+	if iterate == nil {
+		t.Fatal("found no rank.Iterate")
+	}
+	calls := map[types.Object][]types.Object{} // each function of rank → the names of rank it uses
+	for _, c := range pkgs {
+		path := c.pkg.Path()
+		for _, f := range c.files {
+			for _, d := range f.Decls {
+				where := path
+				var caller types.Object
+				if fd, ok := d.(*ast.FuncDecl); ok {
+					caller = c.info.Defs[fd.Name]
+					where += "." + fd.Name.Name
+				}
+				ast.Inspect(d, func(n ast.Node) bool {
+					id, ok := n.(*ast.Ident)
+					if !ok || c.info.Uses[id] == nil {
+						return true
+					}
+					switch obj := c.info.Uses[id]; {
+					case path == rankPkg && caller != nil:
+						calls[caller] = append(calls[caller], obj)
+					case obj == iterate && path != corePkg:
+						t.Errorf("%s references rank.Iterate: solve through core.Pinned.Solve", where)
+					}
+					return true
+				})
+			}
+		}
+	}
+	var reaches func(fn types.Object, seen map[types.Object]bool) bool
+	reaches = func(fn types.Object, seen map[types.Object]bool) bool {
+		if seen[fn] {
+			return false
+		}
+		seen[fn] = true
+		for _, callee := range calls[fn] {
+			if callee == iterate || reaches(callee, seen) {
+				return true
+			}
+		}
+		return false
+	}
+	var solvers []string
+	for fn := range calls {
+		if fn != iterate && fn.Exported() && reaches(fn, map[types.Object]bool{}) {
+			solvers = append(solvers, fn.Name())
+		}
+	}
+	sort.Strings(solvers)
+	for _, name := range solvers {
+		t.Errorf("rank.%s reaches Iterate: internal/rank exports no solver but Iterate", name)
+	}
+}
+
 // TestCallerRuleFlagsPlantedNames points the rule at a fixture package
 // that plants one name of each kind beside a method that satisfies
 // fmt.Stringer and one that satisfies the fixture's own interface: the

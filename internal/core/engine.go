@@ -240,7 +240,9 @@ func (gn *generation) view(v int) *Corpus {
 }
 
 // globalScores returns view v's warm-start vector, computing it on first
-// use under snap's rates. The hub view's is exactly the vector the
+// use under snap's rates: the global PageRank, one serial, unpooled
+// Iterate over the uniform jump. It is not a Solve, so no solve hook
+// fires for it. The hub view's is exactly the vector the
 // authority view would hold if the corpus had been built pre-reversed,
 // which is what keeps hub-mode solves — the same kernel over the
 // reversed view — bit-identical to authority solves on a pre-reversed
@@ -249,7 +251,12 @@ func (gn *generation) globalScores(v int, snap *ratesSnapshot) []float64 {
 	d := &gn.views[v]
 	d.globalOnce.Do(func() {
 		c := gn.view(v)
-		d.global = rank.PageRank(c.g, snap.rates, c.opts).Scores
+		uniform := make([]float64, c.g.NumNodes())
+		u := 1 / float64(len(uniform))
+		for i := range uniform {
+			uniform[i] = u
+		}
+		d.global = rank.Iterate(c.g, snap.alpha, uniform, c.opts, nil, nil).Scores
 	})
 	return d.global
 }
@@ -591,32 +598,6 @@ func (e *Engine) GlobalRank() []float64 {
 	out := make([]float64, len(s))
 	copy(out, s)
 	return out
-}
-
-// ObjectRankBaseline runs the modified original ObjectRank of
-// Equation 16 (0/1 per-keyword base sets combined with normalizing
-// exponents) for comparison surveys such as Table 2.
-func (e *Engine) ObjectRankBaseline(q *ir.Query) *RankResult {
-	st := e.state.Load()
-	c, snap := st.gen.corpus, st.snap
-	var baseSets [][]graph.NodeID
-	for _, t := range q.Terms() {
-		single := ir.NewQuery(t)
-		var bs []graph.NodeID
-		for _, sd := range c.ix.BaseSet(single) {
-			bs = append(bs, graph.NodeID(sd.Doc))
-		}
-		baseSets = append(baseSets, bs)
-	}
-	res := rank.ObjectRankMulti(c.g, snap.rates, baseSets, c.opts)
-	return &RankResult{
-		Query:        q,
-		Scores:       res.Scores,
-		Iterations:   res.Iterations,
-		Converged:    res.Converged,
-		RatesVersion: snap.version,
-		Generation:   st.gen.num,
-	}
 }
 
 // Pinned is a consistent read-only view of the engine at one

@@ -165,27 +165,6 @@ func TestGlobalRankCachedAndPositive(t *testing.T) {
 	}
 }
 
-func TestObjectRankBaselineMultiKeyword(t *testing.T) {
-	f := newFixture(t)
-	e := f.newEngine(t)
-	res := e.ObjectRankBaseline(ir.NewQuery("olap", "databases"))
-	// "olap" base = {v1,v4}; "databases" base = {v5}. Nodes reachable
-	// from both (v5, v6, v7, and the year/conf loop) score > 0.
-	if res.Scores[f.ids["v7"]] <= 0 {
-		t.Error("v7 should be reachable from both keywords")
-	}
-	if res.Iterations <= 0 {
-		t.Error("baseline iterations should accumulate")
-	}
-	// The weighted single-keyword run differs from the baseline: the
-	// baseline treats base-set entries uniformly.
-	or2 := rankQ(e, ir.NewQuery("olap"))
-	or1 := e.ObjectRankBaseline(ir.NewQuery("olap"))
-	if or1.Scores[f.ids["v7"]] <= 0 || or2.Scores[f.ids["v7"]] <= 0 {
-		t.Error("both semantics should rank v7 positively")
-	}
-}
-
 func TestSetRatesChangesRanking(t *testing.T) {
 	f := newFixture(t)
 	e := f.newEngine(t)

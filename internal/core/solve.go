@@ -14,7 +14,8 @@ import (
 // direction, from chosen start vectors. Every ranking the system
 // computes — an initial query, a reformulated query warm-started from
 // the previous scores (§6.2), a batch, a profile blend's mixture terms,
-// a personalized jump — is a SolveSpec.
+// a personalized jump, the 0/1 jumps of the original ObjectRank and
+// topic-sensitive PageRank baselines — is a SolveSpec.
 type SolveSpec struct {
 	// Queries are solved from their IR-weighted base sets (Equation 2),
 	// one result per query, in order. Exactly one of Queries and Jump is

@@ -145,10 +145,10 @@ func newWorld(cfg Config, ds *datagen.Dataset, resultTypeName string, topR int) 
 // sessions.
 func (w *world) reset() error { return w.sys.SetRates(w.uniform) }
 
-// solveOne runs a one-column spec on eng's current state. Experiments
-// run to completion, so there is no context to cancel it with.
-func solveOne(eng *core.Engine, spec core.SolveSpec) (*core.RankResult, error) {
-	rs, err := eng.Pin().Solve(context.Background(), spec)
+// solveOne runs a one-column spec under pin. Experiments run to
+// completion, so there is no context to cancel it with.
+func solveOne(pin *core.Pinned, spec core.SolveSpec) (*core.RankResult, error) {
+	rs, err := pin.Solve(context.Background(), spec)
 	if err != nil {
 		return nil, err
 	}

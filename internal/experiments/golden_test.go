@@ -64,8 +64,8 @@ func runSharedAt[T any](t *testing.T, scale float64, name string, f func(Config)
 // Tables 1–3, Figures 10–13, the ObjectRank2 iteration counts of
 // Figures 14–17, the active and implicit feedback extensions and the
 // baselines extension, each at the precision the experiment prints,
-// then the baselines' fixpoint digests (baselineDigests) — and compares it with
-// testdata/paper.golden; -update rewrites the file. Timings are left
+// then the baselines' fixpoint digests (baselineDigests) — and
+// compares it with testdata/paper.golden; -update rewrites the file. Timings are left
 // out, iteration counts are in. The golden is pinned on amd64, because
 // other architectures may fuse multiply-adds and move the last digits.
 func TestPaperGolden(t *testing.T) {
@@ -145,11 +145,18 @@ func baselineDigests(t *testing.T) string {
 	}
 	var b strings.Builder
 	b.WriteString("Fixpoint digests (FNV-64a of the float64 bits)\n")
+	pin := w.sys.Pin()
 	for _, raw := range table2Queries {
-		r := w.sys.ObjectRankBaseline(ir.ParseQuery(raw))
+		r, err := objectRankBaseline(pin, ir.ParseQuery(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
 		fmt.Fprintf(&b, "%-28s %016x\n", "eq16 ["+raw+"]", bitsDigest(r.Scores))
 	}
-	ts := BuildTopicSensitive(w.ds.Graph, w.ds.Rates, topicNodeSets(w.ds.Graph, w.resultType), cfg.engineConfig().Rank)
+	ts, err := BuildTopicSensitive(pin, topicNodeSets(w.ds.Graph, w.resultType))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, v := range ts.vectors {
 		fmt.Fprintf(&b, "%-28s %016x\n", fmt.Sprintf("tspr topic %d", i), bitsDigest(v))
 	}

@@ -135,9 +135,13 @@ func TestHITSBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := HITSBaseline(e, ir.NewQuery("olap"), 2)
+	pin := e.Pin()
+	res := HITSBaseline(pin, ir.NewQuery("olap"), 2)
 	if !res.Converged {
 		t.Fatal("HITS did not converge")
+	}
+	if res.RatesVersion != pin.Version() || res.Generation != pin.Generation() {
+		t.Errorf("result at version %d generation %d, pin at %d/%d", res.RatesVersion, res.Generation, pin.Version(), pin.Generation())
 	}
 	// The Data Cube paper is the citation sink of the focused subgraph
 	// and must be its top authority.
@@ -145,7 +149,7 @@ func TestHITSBaseline(t *testing.T) {
 		t.Errorf("HITS top authority = %v, want node 3", top[0])
 	}
 	// An empty base set yields all-zero scores.
-	empty := HITSBaseline(e, ir.NewQuery("zebra"), 2)
+	empty := HITSBaseline(pin, ir.NewQuery("zebra"), 2)
 	for i, s := range empty.Scores {
 		if s != 0 {
 			t.Errorf("score[%d] = %v for empty base", i, s)

@@ -58,7 +58,7 @@ func ExtensionScalability(cfg Config) (*ScalabilityResult, error) {
 
 		q := ir.NewQuery("olap")
 		t1 := time.Now()
-		res, err := solveOne(eng, core.SolveSpec{Queries: []*ir.Query{q}, Cold: true})
+		res, err := solveOne(eng.Pin(), core.SolveSpec{Queries: []*ir.Query{q}, Cold: true})
 		if err != nil {
 			return nil, err
 		}

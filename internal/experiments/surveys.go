@@ -193,27 +193,15 @@ func Table2(cfg Config) (*Table2Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := w.ds.Graph
-
 	out := &Table2Result{Queries: table2Queries}
-	const k = 10
-	cfg.printf("Table 2: relevant results in top-%d (topical relevance proxy)\n", k)
+	cfg.printf("Table 2: relevant results in top-%d (topical relevance proxy)\n", table2K)
 	cfg.printf("%-22s %12s %12s\n", "query", "ObjectRank2", "ObjectRank")
+	pin := w.sys.Pin()
 	for _, raw := range table2Queries {
-		q := ir.ParseQuery(raw)
-		relevant := topicalRelevance(g, w.resultType, q)
-
-		r2, err := solveOne(w.sys, core.SolveSpec{Queries: []*ir.Query{q}})
+		_, p2, p1, err := w.table2Row(pin, ir.ParseQuery(raw))
 		if err != nil {
 			return nil, err
 		}
-		top2 := r2.TopKOfType(g, w.resultType, k)
-		p2 := float64(countRelevant(top2, relevant))
-
-		r1 := w.sys.ObjectRankBaseline(q)
-		top1 := r1.TopKOfType(g, w.resultType, k)
-		p1 := float64(countRelevant(top1, relevant))
-
 		out.OR2 = append(out.OR2, p2)
 		out.OR = append(out.OR, p1)
 		cfg.printf("%-22s %12.0f %12.0f\n", "["+raw+"]", p2, p1)
@@ -224,11 +212,14 @@ func Table2(cfg Config) (*Table2Result, error) {
 	return out, cfg.saveCSV("table2", out)
 }
 
-// table2Queries are the paper's seven Table 2 DBLP queries.
+// table2Queries are the paper's seven Table 2 DBLP queries, judged by
+// their relevant results in the top table2K.
 var table2Queries = []string{
 	"olap", "query optimization", "xml", "mining",
 	"proximity search", "xml indexing", "ranked search",
 }
+
+const table2K = 10
 
 // table2World is the DBLPtop world of Table 2 and its baselines
 // extension: seeded cfg.Seed+1, with the system under the expert rates.
@@ -240,6 +231,34 @@ func table2World(cfg Config) (*world, error) {
 		return nil, err
 	}
 	return expertWorld(cfg, ds, "Paper", 20)
+}
+
+// table2Row judges q under pin: it returns q's relevant papers
+// (topicalRelevance) and how many of them are in the top table2K of
+// ObjectRank2 and of the Eq. 16 ObjectRank baseline.
+func (w *world) table2Row(pin *core.Pinned, q *ir.Query) (relevant map[graph.NodeID]bool, or2, or1 float64, err error) {
+	relevant = topicalRelevance(w.ds.Graph, w.resultType, q)
+	r2, err := solveOne(pin, core.SolveSpec{Queries: []*ir.Query{q}})
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	r1, err := objectRankBaseline(pin, q)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	return relevant, w.relevantInTop(r2.Scores, relevant), w.relevantInTop(r1.Scores, relevant), nil
+}
+
+// relevantInTop counts the relevant nodes among the top table2K of w's
+// result type by scores.
+func (w *world) relevantInTop(scores []float64, relevant map[graph.NodeID]bool) float64 {
+	n := 0
+	for _, r := range rank.TopKOfType(w.ds.Graph, scores, w.resultType, table2K) {
+		if relevant[r.Node] {
+			n++
+		}
+	}
+	return float64(n)
 }
 
 // topicalRelevance marks papers whose titles contain >= 2 distinct
@@ -256,6 +275,16 @@ func topicalRelevance(g *graph.Graph, paperType graph.TypeID, q *ir.Query) map[g
 		}
 	}
 	rel := map[graph.NodeID]bool{}
+	for _, p := range papersWithTwoOf(g, paperType, pool) {
+		rel[p] = true
+	}
+	return rel
+}
+
+// papersWithTwoOf lists the nodes of paperType whose titles hold at
+// least two distinct words of pool: the topical proxy of Table 2.
+func papersWithTwoOf(g *graph.Graph, paperType graph.TypeID, pool map[string]bool) []graph.NodeID {
+	var out []graph.NodeID
 	for _, p := range g.NodesOfType(paperType) {
 		distinct := map[string]bool{}
 		for _, tok := range ir.Tokenize(g.Attr(p, "Title")) {
@@ -264,20 +293,10 @@ func topicalRelevance(g *graph.Graph, paperType graph.TypeID, q *ir.Query) map[g
 			}
 		}
 		if len(distinct) >= 2 {
-			rel[p] = true
+			out = append(out, p)
 		}
 	}
-	return rel
-}
-
-func countRelevant(results []rank.Ranked, relevant map[graph.NodeID]bool) int {
-	n := 0
-	for _, r := range results {
-		if relevant[r.Node] {
-			n++
-		}
-	}
-	return n
+	return out
 }
 
 // Figure12 regenerates the external survey: structure-only

@@ -1,9 +1,9 @@
 package experiments
 
 import (
+	"authorityflow/internal/core"
 	"authorityflow/internal/datagen"
 	"authorityflow/internal/graph"
-	"authorityflow/internal/ir"
 	"authorityflow/internal/rank"
 )
 
@@ -18,15 +18,20 @@ type TopicSensitive struct {
 	vectors [][]float64
 }
 
-// BuildTopicSensitive precomputes one biased PageRank per topic.
-// topicNodes[i] lists the nodes of topic i (the biased jump set).
-func BuildTopicSensitive(g *graph.Graph, rates *graph.Rates, topicNodes [][]graph.NodeID, opts rank.Options) *TopicSensitive {
+// BuildTopicSensitive precomputes one biased PageRank per topic under
+// pin. topicNodes[i] lists the nodes of topic i (the biased jump set);
+// its vector is the cold Solve column whose jump spreads evenly over
+// them (solveOver).
+func BuildTopicSensitive(pin *core.Pinned, topicNodes [][]graph.NodeID) (*TopicSensitive, error) {
 	ts := &TopicSensitive{}
 	for _, nodes := range topicNodes {
-		res := rank.ObjectRank(g, rates, nodes, opts)
+		res, err := solveOver(pin, nodes)
+		if err != nil {
+			return nil, err
+		}
 		ts.vectors = append(ts.vectors, res.Scores)
 	}
-	return ts
+	return ts, nil
 }
 
 // Scores returns the score vector obtained by mixing the per-topic
@@ -83,9 +88,9 @@ func TopicWeightsByOverlap(base []graph.NodeID, topicNodes [][]graph.NodeID) []f
 }
 
 // topicNodeSets lists, per generator topic, the nodes of type
-// resultType whose titles hold at least two distinct words of the
-// topic's pool (the topical proxy of Table 2): the biased jump sets of
-// the baselines extension's topic-sensitive PageRank.
+// resultType the topical proxy of Table 2 puts in the topic
+// (papersWithTwoOf its pool): the biased jump sets of the baselines
+// extension's topic-sensitive PageRank.
 func topicNodeSets(g *graph.Graph, resultType graph.TypeID) [][]graph.NodeID {
 	var topicNodes [][]graph.NodeID
 	for ti := 0; ti < datagen.NumTopics(); ti++ {
@@ -93,19 +98,7 @@ func topicNodeSets(g *graph.Graph, resultType graph.TypeID) [][]graph.NodeID {
 		for _, tw := range datagen.TopicWords(ti) {
 			pool[tw] = true
 		}
-		var nodes []graph.NodeID
-		for _, p := range g.NodesOfType(resultType) {
-			distinct := map[string]bool{}
-			for _, tok := range ir.Tokenize(g.Attr(p, "Title")) {
-				if pool[tok] {
-					distinct[tok] = true
-				}
-			}
-			if len(distinct) >= 2 {
-				nodes = append(nodes, p)
-			}
-		}
-		topicNodes = append(topicNodes, nodes)
+		topicNodes = append(topicNodes, papersWithTwoOf(g, resultType, pool))
 	}
 	return topicNodes
 }

@@ -4,20 +4,29 @@ import (
 	"math"
 	"testing"
 
+	"authorityflow/internal/core"
 	"authorityflow/internal/graph"
 	"authorityflow/internal/rank"
 )
 
-func tsprFixture(t *testing.T) (*graph.Graph, *graph.Rates, [][]graph.NodeID) {
+// tsprFixture builds the topic-sensitive vectors of two disjoint
+// citation clusters: topic A = {0,1}, topic B = {2,3}.
+func tsprFixture(t *testing.T) *TopicSensitive {
 	t.Helper()
-	// Two disjoint citation clusters: topic A = {0,1}, topic B = {2,3}.
 	g, r := paperGraph(t, 4, [][2]int{{0, 1}, {2, 3}}, 0.7, 0.1)
-	return g, r, [][]graph.NodeID{{0, 1}, {2, 3}}
+	e, err := core.NewEngine(g, r, core.Config{Rank: rank.Options{Threshold: 1e-10, MaxIters: 500}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts, err := BuildTopicSensitive(e.Pin(), [][]graph.NodeID{{0, 1}, {2, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ts
 }
 
 func TestTopicSensitiveSeparation(t *testing.T) {
-	g, r, topics := tsprFixture(t)
-	ts := BuildTopicSensitive(g, r, topics, rank.Options{Threshold: 1e-10, MaxIters: 500})
+	ts := tsprFixture(t)
 	// Pure topic-A weights score only cluster A.
 	sa := ts.Scores([]float64{1, 0})
 	if sa[0] <= 0 || sa[1] <= 0 {
@@ -34,8 +43,7 @@ func TestTopicSensitiveSeparation(t *testing.T) {
 }
 
 func TestTopicSensitiveDegenerateWeights(t *testing.T) {
-	g, r, topics := tsprFixture(t)
-	ts := BuildTopicSensitive(g, r, topics, rank.Options{Threshold: 1e-10, MaxIters: 500})
+	ts := tsprFixture(t)
 	for _, w := range [][]float64{{0, 0}, {-1, -2}, {1}} {
 		got := ts.Scores(w)
 		for i, s := range got {

@@ -1,10 +1,12 @@
-// Package rank implements the authority-flow fixpoint computations the
-// paper builds on: the damped power iteration shared by PageRank,
-// ObjectRank and ObjectRank2 (Equation 4), which Iterate runs for one
-// jump vector per call, global PageRank, the
-// original 0/1-base-set ObjectRank of [BHP04], and the modified
-// multi-keyword ObjectRank with normalizing exponents (Equation 16)
-// used as the Table 2 baseline.
+// Package rank implements the authority-flow fixpoint the paper builds
+// on: the damped power iteration shared by PageRank, ObjectRank and
+// ObjectRank2 (Equation 4), which Iterate runs for one jump vector per
+// call, with the top-k selection and vector blend every ranking reads
+// its answer through. Iterate is its one solver and internal/core its
+// one caller: every ranking, the original ObjectRank and
+// topic-sensitive PageRank baselines included, is a core.Pinned.Solve
+// column, and the global PageRank warm-start vector is one Iterate over
+// a uniform jump.
 package rank
 
 import (
@@ -166,92 +168,6 @@ func NormalizeDist(v []float64) []float64 {
 		v[i] /= sum
 	}
 	return v
-}
-
-// PageRank computes the global PageRank of the graph: the fixpoint with
-// a uniform random-jump distribution over all nodes. The paper uses
-// global ObjectRank values (equivalently, PageRank over the authority
-// transfer data graph) to warm-start the first query (Section 6.2).
-// Like ObjectRank and ObjectRankMulti it runs the kernel serially and
-// unpooled, so its scores are bitwise deterministic.
-func PageRank(g *graph.Graph, rates *graph.Rates, opts Options) Result {
-	n := g.NumNodes()
-	base := make([]float64, n)
-	if n == 0 {
-		return Result{Scores: base, Converged: true}
-	}
-	u := 1 / float64(n)
-	for i := range base {
-		base[i] = u
-	}
-	return Iterate(g, rates.Vector(), base, opts, nil, nil)
-}
-
-// ObjectRank computes the original [BHP04] ObjectRank for a base set
-// with the 0/1 jump distribution: every base-set node receives jump
-// probability 1/|S(Q)|.
-func ObjectRank(g *graph.Graph, rates *graph.Rates, baseSet []graph.NodeID, opts Options) Result {
-	n := g.NumNodes()
-	base := make([]float64, n)
-	if len(baseSet) > 0 {
-		u := 1 / float64(len(baseSet))
-		for _, v := range baseSet {
-			base[v] = u
-		}
-	}
-	return Iterate(g, rates.Vector(), base, opts, nil, nil)
-}
-
-// ObjectRankMulti computes the modified multi-keyword ObjectRank of
-// Equation 16: per-keyword ObjectRank scores are combined as
-//
-//	r(v) = prod_i r_ti(v)^g(ti),  g(t) = 1/log(|S(t)|)
-//
-// so that popular keywords (large base sets, hence skewed scores) do
-// not dominate the conjunction. baseSets holds one 0/1 base set per
-// keyword. The returned Result's Iterations is the sum over keywords.
-func ObjectRankMulti(g *graph.Graph, rates *graph.Rates, baseSets [][]graph.NodeID, opts Options) Result {
-	n := g.NumNodes()
-	combined := make([]float64, n)
-	for i := range combined {
-		combined[i] = 1
-	}
-	total := Result{Scores: combined, Converged: true}
-	for _, bs := range baseSets {
-		r := ObjectRank(g, rates, bs, opts)
-		total.Iterations += r.Iterations
-		total.Converged = total.Converged && r.Converged
-		exp := normalizingExponent(len(bs))
-		for v := range combined {
-			combined[v] *= math.Pow(r.Scores[v], exp)
-		}
-	}
-	return total
-}
-
-// normalizingExponent returns g(t) = 1/log(|S(t)|), clamped to 1 for
-// base sets too small for the logarithm to exceed 1.
-//
-// This deliberately DEVIATES from a literal reading of Equation 16 for
-// |S(t)| <= 2 (and is undefined there in the paper): ln(0) and ln(1)
-// make g infinite or divide by zero, and ln(2) ≈ 0.693 would give an
-// exponent g ≈ 1.44 > 1, i.e. a rare keyword would have its (already
-// < 1) scores shrunk MORE than a common one — the opposite of the
-// normalization's stated purpose of damping popular keywords. Clamping
-// to exponent 1 (use the raw score) keeps g monotonically
-// non-increasing in base-set size and exactly matches the paper from
-// |S(t)| = 3 (the first size with ln > 1) upward. Golden values for
-// sizes 0..3 are pinned by TestNormalizingExponentGolden; the rationale
-// is recorded in DESIGN.md §2.
-func normalizingExponent(baseSize int) float64 {
-	if baseSize <= 0 {
-		return 1
-	}
-	l := math.Log(float64(baseSize))
-	if l <= 1 {
-		return 1
-	}
-	return 1 / l
 }
 
 // Ranked is one node with its authority score.

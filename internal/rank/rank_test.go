@@ -71,7 +71,7 @@ func TestRunEquation1Split(t *testing.T) {
 func TestPageRankCycleUniform(t *testing.T) {
 	// A 4-cycle with symmetric rates converges to uniform PageRank.
 	g, r := paperGraph(t, 4, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}}, 0.5, 0.5)
-	res := PageRank(g, r, Options{Threshold: 1e-12, MaxIters: 1000})
+	res := run(g, r, evenOver(4, 0, 1, 2, 3), Options{Threshold: 1e-12, MaxIters: 1000})
 	if !res.Converged {
 		t.Fatal("did not converge")
 	}
@@ -95,7 +95,7 @@ func TestScoresLeakWhenRatesBelowOne(t *testing.T) {
 	// total mass stays below 1 — matching the paper's example where the
 	// ObjectRank vector sums to ~0.29.
 	g, r := paperGraph(t, 4, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}}, 0.3, 0)
-	res := PageRank(g, r, Options{Threshold: 1e-12, MaxIters: 1000})
+	res := run(g, r, evenOver(4, 0, 1, 2, 3), Options{Threshold: 1e-12, MaxIters: 1000})
 	sum := 0.0
 	for _, s := range res.Scores {
 		sum += s
@@ -112,7 +112,7 @@ func TestObjectRankBaseSet(t *testing.T) {
 	// Chain 0 -> 1 -> 2. Base set {0}: authority reaches 2 even though
 	// it is not in the base set; node outside any path stays at 0.
 	g, r := paperGraph(t, 4, [][2]int{{0, 1}, {1, 2}}, 0.7, 0)
-	res := ObjectRank(g, r, []graph.NodeID{0}, Options{Threshold: 1e-12, MaxIters: 500})
+	res := run(g, r, evenOver(4, 0), Options{Threshold: 1e-12, MaxIters: 500})
 	if res.Scores[2] <= 0 {
 		t.Error("node 2 should receive flowing authority")
 	}
@@ -123,7 +123,7 @@ func TestObjectRankBaseSet(t *testing.T) {
 		t.Errorf("disconnected node score = %v, want 0", res.Scores[3])
 	}
 	// Empty base set: all zero.
-	res = ObjectRank(g, r, nil, Options{Threshold: 1e-12, MaxIters: 50})
+	res = run(g, r, evenOver(4), Options{Threshold: 1e-12, MaxIters: 50})
 	for i, s := range res.Scores {
 		if s != 0 {
 			t.Errorf("node %d = %v with empty base set", i, s)
@@ -188,40 +188,39 @@ func TestMaxItersStopsWithoutConvergence(t *testing.T) {
 }
 
 func TestObjectRankMulti(t *testing.T) {
-	// Two keywords with different base sets. The combined score must be
-	// positive exactly for nodes reachable from BOTH base sets (product
-	// semantics).
+	// Two keywords with different 0/1 base sets, one column each. Their
+	// product (Equation 16; the exponent is 1 for single-node base sets)
+	// must be positive exactly for nodes reachable from BOTH base sets.
 	g, r := paperGraph(t, 5, [][2]int{{0, 2}, {1, 2}, {2, 3}}, 0.7, 0)
-	bs1 := []graph.NodeID{0}
-	bs2 := []graph.NodeID{1}
-	res := ObjectRankMulti(g, r, [][]graph.NodeID{bs1, bs2}, Options{Threshold: 1e-12, MaxIters: 500})
-	if res.Scores[2] <= 0 || res.Scores[3] <= 0 {
+	opts := Options{Threshold: 1e-12, MaxIters: 500}
+	r1, r2 := run(g, r, evenOver(5, 0), opts), run(g, r, evenOver(5, 1), opts)
+	product := make([]float64, 5)
+	for v := range product {
+		product[v] = r1.Scores[v] * r2.Scores[v]
+	}
+	if product[2] <= 0 || product[3] <= 0 {
 		t.Error("nodes reachable from both base sets should score > 0")
 	}
-	if res.Scores[4] != 0 {
+	if product[4] != 0 {
 		t.Error("unreachable node should score 0")
 	}
-	// Node 0 is only in keyword 1's reach, so its product is 0.
-	if res.Scores[1] != 0 {
-		t.Errorf("node 1 = %v, want 0 (unreachable from base set 1)", res.Scores[1])
+	// Node 1 is only in keyword 2's reach, so its product is 0.
+	if product[1] != 0 {
+		t.Errorf("node 1 = %v, want 0 (unreachable from base set 1)", product[1])
 	}
-	if res.Iterations <= 0 {
-		t.Error("Iterations should accumulate across keywords")
+	if r1.Iterations <= 0 || r2.Iterations <= 0 {
+		t.Error("each keyword's column should iterate")
 	}
 }
 
-func TestNormalizingExponent(t *testing.T) {
-	if g := normalizingExponent(0); g != 1 {
-		t.Errorf("g(0) = %v", g)
+// evenOver is the 0/1 jump distribution of the original ObjectRank
+// [BHP04] over an n-node graph: 1/|nodes| on each of nodes, 0 elsewhere.
+func evenOver(n int, nodes ...graph.NodeID) []float64 {
+	base := make([]float64, n)
+	for _, v := range nodes {
+		base[v] = 1 / float64(len(nodes))
 	}
-	if g := normalizingExponent(2); g != 1 {
-		t.Errorf("g(2) = %v, want clamp to 1", g)
-	}
-	g1000 := normalizingExponent(1000)
-	g10 := normalizingExponent(10)
-	if !(g1000 < g10 && g10 < 1) {
-		t.Errorf("exponent not decreasing: g(10)=%v g(1000)=%v", g10, g1000)
-	}
+	return base
 }
 
 func TestTopK(t *testing.T) {
