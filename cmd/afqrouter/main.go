@@ -23,21 +23,18 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
-	"time"
 
 	"authorityflow/internal/router"
+	"authorityflow/internal/server"
 )
+
+// name prefixes the listen banner afqbench and CI parse.
+const name = "afqrouter"
 
 func main() {
 	var (
@@ -58,7 +55,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	obsOpts, logCloser, err := obsOptions(*accessLog, *slowMS)
+	logs, logCloser, err := server.LogOptions(*accessLog, *slowMS)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "afqrouter: %v\n", err)
 		os.Exit(1)
@@ -71,32 +68,17 @@ func main() {
 		Timeout:        *timeout,
 		Retries:        *retries,
 		HealthInterval: *health,
-		Obs:            obsOpts,
+		Obs:            router.ObsOptions{AccessLog: logs.AccessLog, SlowLog: logs.SlowLog, SlowThreshold: logs.SlowThreshold},
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "afqrouter: %v\n", err)
 		os.Exit(1)
 	}
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "afqrouter: %v\n", err)
-		os.Exit(1)
-	}
-	log.Println(listenBanner(ln.Addr()))
 	log.Printf("afqrouter: fronting %d replicas: %s", len(urls), strings.Join(urls, ", "))
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-	srv := &http.Server{
-		Handler:           rt.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-		IdleTimeout:       60 * time.Second,
-	}
-	if err := serve(ctx, srv, ln, rt.Close); err != nil {
+	if err := server.Run(context.Background(), name, *addr, rt.Handler(), rt.Close); err != nil {
 		log.Fatalf("afqrouter: %v", err)
 	}
-	log.Printf("afqrouter: shut down cleanly")
 }
 
 // splitURLs parses the -replicas flag: comma-separated, blanks ignored.
@@ -108,63 +90,4 @@ func splitURLs(s string) []string {
 		}
 	}
 	return out
-}
-
-// listenBanner is the machine-greppable startup line announcing the
-// EFFECTIVE listen address (with -addr :0 the kernel picks the port;
-// spawning harnesses parse this line from stderr to learn it).
-func listenBanner(addr net.Addr) string {
-	return "afqrouter: listening on " + addr.String()
-}
-
-// serve runs srv on ln until ctx is cancelled, then shuts down
-// gracefully: the listener closes immediately, in-flight requests get
-// up to 10 s to finish, and cleanup (stopping the health loop) runs
-// after the last request completes. Returns nil on a clean shutdown.
-func serve(ctx context.Context, srv *http.Server, ln net.Listener, cleanup func()) error {
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-
-	select {
-	case err := <-errc:
-		if cleanup != nil {
-			cleanup()
-		}
-		return err
-	case <-ctx.Done():
-	}
-
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	err := srv.Shutdown(shutdownCtx)
-	if serveErr := <-errc; serveErr != nil && !errors.Is(serveErr, http.ErrServerClosed) && err == nil {
-		err = serveErr
-	}
-	if cleanup != nil {
-		cleanup()
-	}
-	return err
-}
-
-// obsOptions translates the observability flags into router options.
-// The returned closer is non-nil when the access log went to a file.
-func obsOptions(accessLog string, slowMS int) (router.ObsOptions, io.Closer, error) {
-	o := router.ObsOptions{SlowThreshold: time.Duration(slowMS) * time.Millisecond}
-	var closer io.Closer
-	switch accessLog {
-	case "":
-	case "-":
-		o.AccessLog = os.Stderr
-	default:
-		f, err := os.OpenFile(accessLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return o, nil, fmt.Errorf("access log: %w", err)
-		}
-		o.AccessLog = f
-		closer = f
-	}
-	if slowMS > 0 && o.AccessLog == nil {
-		o.SlowLog = os.Stderr
-	}
-	return o, closer, nil
 }

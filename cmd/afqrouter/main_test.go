@@ -4,6 +4,8 @@ import (
 	"net"
 	"reflect"
 	"testing"
+
+	"authorityflow/internal/server"
 )
 
 func TestSplitURLs(t *testing.T) {
@@ -27,14 +29,8 @@ func TestSplitURLs(t *testing.T) {
 // TestListenBanner pins the startup line spawning harnesses grep for
 // (with -addr :0 it carries the kernel-assigned port).
 func TestListenBanner(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	defer ln.Close()
-	got := listenBanner(ln.Addr())
-	want := "afqrouter: listening on " + ln.Addr().String()
-	if got != want {
+	addr := &net.TCPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 8940}
+	if got, want := server.ListenBanner(name, addr), "afqrouter: listening on 127.0.0.1:8940"; got != want {
 		t.Errorf("banner = %q, want %q", got, want)
 	}
 }

@@ -59,17 +59,11 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"authorityflow/internal/core"
@@ -78,6 +72,9 @@ import (
 	"authorityflow/internal/server"
 	"authorityflow/internal/storage"
 )
+
+// name prefixes the listen banner afqbench and CI parse.
+const name = "afqserver"
 
 func main() {
 	var (
@@ -125,7 +122,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	obsOpts, logCloser, err := obsOptions(*accessLog, *slowMS, *pprofOn)
+	obsOpts, logCloser, err := server.LogOptions(*accessLog, *slowMS)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "afqserver: %v\n", err)
 		os.Exit(1)
@@ -133,6 +130,7 @@ func main() {
 	if logCloser != nil {
 		defer logCloser.Close()
 	}
+	obsOpts.Pprof = *pprofOn
 
 	opts := []server.Option{
 		server.WithCache(int64(*cacheMB)<<20, 0),
@@ -160,92 +158,9 @@ func main() {
 		os.Exit(1)
 	}
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "afqserver: %v\n", err)
-		os.Exit(1)
-	}
-	log.Println(listenBanner(ln.Addr()))
-	log.Printf("afqserver: %s (%d nodes, %d edges) on %s (cache %d MiB)",
-		ds.Name, ds.Graph.NumNodes(), ds.Graph.NumEdges(), ln.Addr(), *cacheMB)
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-	srv := newHTTPServer(s.Handler())
-	if err := serve(ctx, srv, ln); err != nil {
+	log.Printf("afqserver: %s (%d nodes, %d edges), cache %d MiB",
+		ds.Name, ds.Graph.NumNodes(), ds.Graph.NumEdges(), *cacheMB)
+	if err := server.Run(context.Background(), name, *addr, s.Handler(), nil); err != nil {
 		log.Fatalf("afqserver: %v", err)
 	}
-	log.Printf("afqserver: shut down cleanly")
-}
-
-// listenBanner is the machine-greppable startup line announcing the
-// EFFECTIVE listen address. With -addr :0 the kernel picks a free
-// port, so a spawning harness (test, CI script, the router's smoke
-// setup) cannot know the address up front — it parses this line from
-// stderr to learn where the server actually listens.
-func listenBanner(addr net.Addr) string {
-	return "afqserver: listening on " + addr.String()
-}
-
-// newHTTPServer builds the production http.Server configuration:
-// header-read and idle timeouts so slow-loris clients and dead
-// keep-alive connections cannot pin resources forever. No WriteTimeout:
-// large-k queries on big corpora legitimately stream for a while.
-func newHTTPServer(h http.Handler) *http.Server {
-	return &http.Server{
-		Handler:           h,
-		ReadHeaderTimeout: 5 * time.Second,
-		IdleTimeout:       60 * time.Second,
-	}
-}
-
-// serve runs srv on ln until ctx is cancelled, then shuts down
-// gracefully: the listener closes immediately and in-flight requests
-// get up to 10 s to finish. Returns nil on a clean shutdown.
-func serve(ctx context.Context, srv *http.Server, ln net.Listener) error {
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-
-	select {
-	case err := <-errc:
-		// Listener failed before any shutdown was requested.
-		return err
-	case <-ctx.Done():
-	}
-
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	err := srv.Shutdown(shutdownCtx)
-	if serveErr := <-errc; serveErr != nil && !errors.Is(serveErr, http.ErrServerClosed) && err == nil {
-		err = serveErr
-	}
-	return err
-}
-
-// obsOptions translates the observability flags into server options.
-// The returned closer is non-nil when the access log went to a file.
-func obsOptions(accessLog string, slowMS int, pprofOn bool) (server.ObsOptions, io.Closer, error) {
-	o := server.ObsOptions{
-		SlowThreshold: time.Duration(slowMS) * time.Millisecond,
-		Pprof:         pprofOn,
-	}
-	var closer io.Closer
-	switch accessLog {
-	case "":
-	case "-":
-		o.AccessLog = os.Stderr
-	default:
-		f, err := os.OpenFile(accessLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return o, nil, fmt.Errorf("access log: %w", err)
-		}
-		o.AccessLog = f
-		closer = f
-	}
-	if slowMS > 0 && o.AccessLog == nil {
-		// Slow-query logging with no access-log destination still needs
-		// somewhere to write; default to stderr.
-		o.SlowLog = os.Stderr
-	}
-	return o, closer, nil
 }

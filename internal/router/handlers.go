@@ -100,10 +100,10 @@ func (rt *Router) Handler() http.Handler {
 // ---- errors: *server.APIError values, written by server.Fail ----
 //
 // A router-raised error is an *server.APIError like a replica's, and a
-// replica's error the router decoded (a sub-batch's, a swap's, a
-// publish's) goes back out through server.Fail unchanged: the replica's
-// status, envelope, request ID, winning version or generation, and its
-// Allow or Retry-After header.
+// replica's error the router decoded (a sub-batch's, a swap's) goes
+// back out through server.Fail unchanged: the replica's status,
+// envelope, request ID, winning version or generation, and its Allow or
+// Retry-After header.
 
 // errPostRequired is the 405 of a route that only takes POST, spelled as
 // the replicas spell it.
@@ -573,16 +573,10 @@ func (rt *Router) planBatch(keys []string, floorGen, floorRV uint64) (groups []*
 	return groups, stale, true
 }
 
-// ---- /v1/reformulate ----
+// ---- the fleet writes: /v1/reformulate and POST /v1/rates ----
 
-// handleReformulate applies the reformulation on the query's rendezvous
-// owner, then — before answering — replays the resulting rate vector
-// onto every other live replica with CAS tokens, so the fleet advances
-// through the same version sequence in lockstep. The owner's response
-// is forwarded byte-identically. There is NO failover after dispatch
-// AND no transport-level retry (forward, not idempotent): a transport
-// failure leaves the owner's state unknown, and re-sending could apply
-// the feedback twice.
+// handleReformulate sends a profile-scoped reformulation to the
+// profile's owner and a global one down the write leg.
 func (rt *Router) handleReformulate(w http.ResponseWriter, r *http.Request) {
 	if pid := r.URL.Query().Get("profile"); pid != "" {
 		// Profile-scoped training mutates only the owner's local record —
@@ -590,6 +584,24 @@ func (rt *Router) handleReformulate(w http.ResponseWriter, r *http.Request) {
 		rt.dispatchOwner(w, r, pid, true, false)
 		return
 	}
+	rt.handleWrite(w, r)
+}
+
+// handleWrite is the one leg of a fleet write, a global reformulation
+// or a POST /v1/rates publish. It walks to the first eligible replica
+// (the rendezvous rank of the query's term set for a reformulation,
+// fleet order for a publish), forwards the request once and answers
+// with that replica's own bytes. Before answering it reads the
+// replica's version off its reply, a 200's new version or a 409's
+// winning one (someone published past the replica behind the router's
+// back), both spelled "version", and raises the floor to it; after a
+// 200 it replays the new rates onto every other live replica with CAS
+// tokens, so the fleet advances through the same version sequence in
+// lockstep, and after a 409 the next resync converges on the winner.
+// There is NO failover after dispatch and no transport-level retry
+// (forward, not idempotent): a lost reply leaves the replica's state
+// unknown, and re-sending could apply the write twice.
+func (rt *Router) handleWrite(w http.ResponseWriter, r *http.Request) {
 	rt.writeMu.Lock()
 	defer rt.writeMu.Unlock()
 
@@ -601,8 +613,12 @@ func (rt *Router) handleReformulate(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	key := routeKey(r.URL.Query().Get("q"))
-	owner, _, behind := rt.walk(rt.rendezvousRank(key), floorGen, floorRV)
+	key, order, what := "", rt.replicas, "publish"
+	if r.URL.Path == "/v1/reformulate" {
+		key, what = routeKey(r.URL.Query().Get("q")), "reformulation"
+		order = rt.rendezvousRank(key)
+	}
+	owner, _, behind := rt.walk(order, floorGen, floorRV)
 	if owner == nil {
 		rt.writeNoReplica(w, r, behind)
 		return
@@ -611,26 +627,19 @@ func (rt *Router) handleReformulate(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		if r.Context().Err() == nil {
 			server.Fail(w, r, badGateway(
-				"replica failed mid-reformulation; its state is unknown — check /v1/router/healthz and retry"))
+				"replica failed mid-"+what+"; its state is unknown — check /v1/router/healthz and retry"))
 		}
 		return
 	}
-
-	switch resp.Status {
-	case http.StatusOK:
-		var rr server.ReformulateResponse
-		if json.Unmarshal(resp.Body, &rr) == nil && rr.Version > 0 {
-			owner.observe(owner.gen.Load(), rr.Version)
+	var answer struct {
+		Version uint64 `json:"version"`
+	}
+	if (resp.Status == http.StatusOK || resp.Status == http.StatusConflict) &&
+		json.Unmarshal(resp.Body, &answer) == nil && answer.Version > 0 {
+		owner.observe(owner.gen.Load(), answer.Version)
+		rt.raiseFloor(owner.gen.Load(), answer.Version)
+		if resp.Status == http.StatusOK {
 			rt.propagateRates(owner, obs.TraceFrom(r.Context()))
-		}
-	case http.StatusConflict:
-		// Someone published past the owner (a direct write behind the
-		// router's back): harvest the winning version so the floor and
-		// the next resync converge on it.
-		var env server.ConflictEnvelope
-		if json.Unmarshal(resp.Body, &env) == nil && env.Version > 0 {
-			owner.observe(owner.gen.Load(), env.Version)
-			rt.raiseFloor(owner.gen.Load(), env.Version)
 		}
 	}
 	rt.reply(w, r, owner, resp)
@@ -760,70 +769,14 @@ func (rt *Router) handleSwap(w http.ResponseWriter, r *http.Request) {
 // ---- /v1/rates ----
 
 // handleRatesRoute dispatches /v1/rates by method, like the replicas
-// do: GET reads (proxied to one replica), POST publishes fleet-wide.
+// do: GET reads (proxied to one replica), POST publishes fleet-wide
+// down the write leg.
 func (rt *Router) handleRatesRoute(w http.ResponseWriter, r *http.Request) {
 	if r.Method == http.MethodPost {
-		rt.handleRatesPublish(w, r)
+		rt.handleWrite(w, r)
 		return
 	}
 	rt.handleReadProxy(w, r)
-}
-
-// handleRatesPublish applies a client-supplied rate vector to the
-// whole fleet: CAS-publish on one replica first (so a version conflict
-// is detected before anything propagates), then catch-up publish to
-// the rest — the same propagation path /v1/reformulate uses.
-func (rt *Router) handleRatesPublish(w http.ResponseWriter, r *http.Request) {
-	body, ok := rt.readBody(w, r)
-	if !ok {
-		return
-	}
-	var req server.RatesPublishRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		server.Fail(w, r, badRequest("bad JSON body: "+err.Error()))
-		return
-	}
-	if len(req.Vector) == 0 {
-		server.Fail(w, r, badRequest("vector required"))
-		return
-	}
-
-	rt.writeMu.Lock()
-	defer rt.writeMu.Unlock()
-	floorGen, floorRV, ok := rt.effectiveFloor(w, r)
-	if !ok {
-		return
-	}
-	owner, _, behind := rt.walk(rt.replicas, floorGen, floorRV)
-	if owner == nil {
-		rt.writeNoReplica(w, r, behind)
-		return
-	}
-	resp, err := owner.client.RatesPublish(r.Context(), req)
-	if err != nil {
-		var apiErr *server.APIError
-		if errors.As(err, &apiErr) {
-			if apiErr.IsConflict() {
-				rt.robs.ratesConflicts.Inc()
-				if apiErr.Version > 0 {
-					owner.observe(owner.gen.Load(), apiErr.Version)
-					rt.raiseFloor(owner.gen.Load(), apiErr.Version)
-				}
-			}
-			server.Fail(w, r, apiErr)
-			return
-		}
-		if r.Context().Err() != nil {
-			return
-		}
-		owner.setDown(err)
-		server.Fail(w, r, badGateway(
-			"replica failed mid-publish; its state is unknown — check /v1/router/healthz and retry"))
-		return
-	}
-	rt.robs.ratesPublishes.Inc()
-	rt.propagateRates(owner, obs.TraceFrom(r.Context()))
-	server.WriteJSON(w, http.StatusOK, *resp)
 }
 
 // ---- reads proxied to one replica (/v1/healthz, /v1/stats, GET /v1/rates) ----

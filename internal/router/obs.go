@@ -40,8 +40,10 @@ type routerObs struct {
 	staleSkips *obs.Counter
 	// healthChecks counts health-sweep probes by outcome (ok|error).
 	healthChecks *obs.CounterVec
-	// ratesPublishes / ratesConflicts count fleet-propagation POST
-	// /v1/rates calls and the CAS conflicts they hit.
+	// ratesPublishes / ratesConflicts count the router's own
+	// propagation POST /v1/rates calls (replays and resyncs, not a
+	// client's publish, which is routed like any write) and the CAS
+	// conflicts they hit.
 	ratesPublishes *obs.Counter
 	ratesConflicts *obs.Counter
 	// swaps counts replica corpus swaps the router fanned out
@@ -85,7 +87,7 @@ func newRouterObs(o ObsOptions, rt *Router) *routerObs {
 	ro.healthChecks.With("ok")
 	ro.healthChecks.With("error")
 	ro.ratesPublishes = reg.NewCounter("afq_router_rates_publishes_total",
-		"Fleet-propagation POST /v1/rates calls that landed (reformulate replay, fan-out and resync).")
+		"Fleet-propagation POST /v1/rates calls that landed (replay after a write, and resync).")
 	ro.ratesConflicts = reg.NewCounter("afq_router_rates_publish_conflicts_total",
 		"CAS conflicts hit while propagating rate vectors across the fleet.")
 	ro.swaps = reg.NewCounter("afq_router_corpus_swaps_total",

@@ -40,7 +40,9 @@
 //
 // A health-check loop probes /v1/healthz on every replica: transport
 // failures mark a replica down (its keys re-rendezvous onto the
-// remaining replicas) and recovery marks it up again. Replicas whose
+// remaining replicas) and recovery marks it up again. A probe's report
+// replaces the replica's known versions, so one restarted at the same
+// URL is seen at the state it restarted in. Replicas whose
 // rates version falls behind the floor are resynced by replaying the
 // current vector from an up-to-date replica; replicas behind on
 // GENERATION cannot be resynced from the router (it holds no
@@ -104,17 +106,17 @@ type replica struct {
 	client *server.Client
 
 	up  atomic.Bool
-	gen atomic.Uint64 // highest corpus generation observed
-	rv  atomic.Uint64 // highest rates version observed
+	gen atomic.Uint64 // known corpus generation
+	rv  atomic.Uint64 // known rates version
 
 	mu        sync.Mutex
 	lastErr   string
 	lastCheck time.Time
 }
 
-// observe raises the replica's known (generation, ratesVersion) —
-// monotonically, so a stale health probe can never roll newer
-// knowledge back.
+// observe raises the replica's known (generation, ratesVersion) from
+// an answer or a write it acknowledged. Only a health probe lowers it
+// (CheckNow).
 func (rp *replica) observe(gen, rv uint64) {
 	raiseMax(&rp.gen, gen)
 	raiseMax(&rp.rv, rv)
@@ -297,10 +299,10 @@ func (rt *Router) healthLoop(interval time.Duration) {
 }
 
 // CheckNow runs one health sweep: probe every replica's /v1/healthz in
-// parallel, update up/down and known versions, raise the floor to the
-// highest state observed, then (best effort) resync any replica whose
-// rates version lags the floor. Exposed so tests and operators can
-// force a sweep.
+// parallel, update up/down, replace known versions with the reported
+// ones, raise the floor to the highest state observed, then (best
+// effort) resync any replica whose rates version lags the floor.
+// Exposed so tests and operators can force a sweep.
 func (rt *Router) CheckNow(ctx context.Context) {
 	var wg sync.WaitGroup
 	for _, rp := range rt.replicas {
@@ -315,7 +317,14 @@ func (rt *Router) CheckNow(ctx context.Context) {
 			}
 			rt.robs.healthChecks.With("ok").Inc()
 			rp.setUp()
-			rp.observe(h.Generation, h.RatesVersion)
+			// The probe's report replaces what the router knew: a replica
+			// restarted at the same URL comes back at its snapshot's
+			// state, below what it served before. A probe that raced a
+			// write can only make a replica look behind, which keeps it
+			// ineligible until the resync below catches it up; never
+			// ahead.
+			rp.gen.Store(h.Generation)
+			rp.rv.Store(h.RatesVersion)
 			rt.raiseFloor(h.Generation, h.RatesVersion)
 		}(rp)
 	}

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -52,16 +53,7 @@ func newFleet(t testing.TB, n int) *fleet {
 
 	f := &fleet{swapDir: dir}
 	for i := 0; i < n; i++ {
-		cfg := datagen.DBLPTopConfig().Scale(0.02)
-		cfg.Seed = 4
-		ds, err := datagen.GenerateDBLP(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := server.New(ds, core.Config{Rank: rank.Options{Threshold: 1e-6, MaxIters: 300}}, server.WithSwapDir(dir))
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := f.newReplica(t)
 		ts := httptest.NewServer(s.Handler())
 		t.Cleanup(ts.Close)
 		f.servers = append(f.servers, s)
@@ -80,6 +72,23 @@ func newFleet(t testing.TB, n int) *fleet {
 	f.front = httptest.NewServer(rt.Handler())
 	t.Cleanup(f.front.Close)
 	return f
+}
+
+// newReplica builds one fleet replica as it boots: the shared corpus at
+// generation 1, rates version 1.
+func (f *fleet) newReplica(t testing.TB) *server.Server {
+	t.Helper()
+	cfg := datagen.DBLPTopConfig().Scale(0.02)
+	cfg.Seed = 4
+	ds, err := datagen.GenerateDBLP(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := server.New(ds, core.Config{Rank: rank.Options{Threshold: 1e-6, MaxIters: 300}}, server.WithSwapDir(f.swapDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 func writeSnapshot(t testing.TB, dir, name string, scale float64, seed int64) {
@@ -720,6 +729,140 @@ func TestReformulateDispatchNeverRetried(t *testing.T) {
 	}
 	if got := ft.dispatches.Load(); got != 1 {
 		t.Errorf("reformulate dispatched %d times, want exactly 1 — a retry could double-apply feedback", got)
+	}
+}
+
+// lostReplyTransport lets the first POST to path reach the replica and
+// then loses its reply, as a connection reset after the replica applied
+// the request would; it counts every POST to path.
+type lostReplyTransport struct {
+	path       string
+	dispatches atomic.Int64
+}
+
+func (lt *lostReplyTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if req.Method == http.MethodPost && req.URL.Path == lt.path && lt.dispatches.Add(1) == 1 && err == nil {
+		resp.Body.Close()
+		return nil, errors.New("connection reset after the reply (injected)")
+	}
+	return resp, err
+}
+
+// TestRatesPublishDispatchNeverRetried is the publish twin of
+// TestReformulateDispatchNeverRetried: an unguarded POST /v1/rates
+// whose reply is lost after the replica applied it answers the 502
+// "state unknown" after exactly one dispatch. Re-sending it would move
+// the replica a second version.
+func TestRatesPublishDispatchNeverRetried(t *testing.T) {
+	f := newFleet(t, 2)
+
+	lt := &lostReplyTransport{path: "/v1/rates"}
+	rt, err := New(f.urls, Options{
+		Timeout:        10 * time.Second,
+		HealthInterval: -1,
+		Retries:        2, // must not apply to the publish dispatch
+		HTTPClient:     &http.Client{Transport: lt},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+
+	vector := f.servers[0].Engine().Pin().Rates().Vector()
+	code, body := postJSON(t, front.URL+"/v1/rates", server.RatesPublishRequest{Vector: vector})
+	if code != 502 {
+		t.Fatalf("publish with a lost reply = %d, want 502: %s", code, body)
+	}
+	var env server.ErrorEnvelope
+	if err := json.Unmarshal(body, &env); err != nil {
+		t.Fatal(err)
+	}
+	if env.Error.Code != server.CodeInternal {
+		t.Errorf("code = %q, want %q", env.Error.Code, server.CodeInternal)
+	}
+	if got := lt.dispatches.Load(); got != 1 {
+		t.Errorf("publish dispatched %d times, want exactly 1 — a retry applies it twice", got)
+	}
+	if v := f.servers[0].Engine().Pin().Version(); v != 2 {
+		t.Errorf("the publish's replica is at rates version %d, want 2 (applied once)", v)
+	}
+}
+
+// TestRestartedReplicaIsCaughtUp: a replica restarted at the same URL
+// comes back at its snapshot's rates version, below the fleet's. The
+// next sweep must see it there and catch it up, so no read asserting
+// the fleet's version is answered below it.
+func TestRestartedReplicaIsCaughtUp(t *testing.T) {
+	f := newFleet(t, 2)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+
+	_, body := get(t, f.front.URL+"/v1/query?q=olap&k=3")
+	var qr server.QueryResponse
+	if err := json.Unmarshal(body, &qr); err != nil {
+		t.Fatal(err)
+	}
+	code, body := get(t, fmt.Sprintf("%s/v1/reformulate?q=olap&feedback=%d,%d&mode=structure&version=%d",
+		f.front.URL, qr.Results[0].Node, qr.Results[1].Node, qr.Version))
+	if code != 200 {
+		t.Fatalf("reformulate = %d: %s", code, body)
+	}
+	var rr server.ReformulateResponse
+	if err := json.Unmarshal(body, &rr); err != nil {
+		t.Fatal(err)
+	}
+	if rr.Version != 2 {
+		t.Fatalf("reformulate published version %d, want 2", rr.Version)
+	}
+
+	// Restart replica 1: a fresh process on the same address.
+	addr := f.backends[1].Listener.Addr().String()
+	f.backends[1].Close()
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewUnstartedServer(f.newReplica(t).Handler())
+	ts.Listener.Close()
+	ts.Listener = ln
+	ts.Start()
+	t.Cleanup(ts.Close)
+	var h server.HealthResponse
+	if _, raw := get(t, f.urls[1]+"/v1/healthz"); json.Unmarshal(raw, &h) != nil || h.RatesVersion != 1 {
+		t.Fatalf("restarted replica reports %s, want rates version 1", raw)
+	}
+
+	f.rt.CheckNow(ctx)
+	var fleetView RouterHealthResponse
+	if _, raw := get(t, f.front.URL+"/v1/router/healthz"); json.Unmarshal(raw, &fleetView) != nil {
+		t.Fatalf("router healthz: %s", raw)
+	}
+	if row := fleetView.Replicas[1]; !row.Healthy || row.RatesVersion != 2 {
+		t.Errorf("router's view of the restarted replica = %+v, want healthy at rates version 2", row)
+	}
+	if _, raw := get(t, f.urls[1]+"/v1/healthz"); json.Unmarshal(raw, &h) != nil || h.RatesVersion != 2 {
+		t.Errorf("restarted replica reports %s after the sweep, want it caught up to rates version 2", raw)
+	}
+
+	for _, term := range []string{"olap", "xml", "mining", "query", "web", "search",
+		"data", "database", "stream", "graph", "index", "learning"} {
+		req, err := http.NewRequest(http.MethodGet, f.front.URL+"/v1/query?k=3&q="+term, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(HeaderMinRatesVersion, "2")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, raw := readBody(t, resp)
+		var ans server.QueryResponse
+		if code != 200 || json.Unmarshal(raw, &ans) != nil || ans.Version != 2 {
+			t.Errorf("q=%s asserting version 2 = %d at version %d from %s", term, code, ans.Version, resp.Header.Get(HeaderServedBy))
+		}
 	}
 }
 

@@ -40,7 +40,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 
 	"authorityflow/internal/cache"
@@ -585,8 +584,8 @@ func DecodeBatch(body []byte) (items []BatchQueryItem, qs []*ir.Query, ks []int,
 }
 
 // parseBatchItems validates every batch item under EXACTLY /v1/query's
-// parameter rules (non-blank q, indexable terms, k in 1..1000 with 0
-// defaulting to 10, mode/budget via the uniform read contract) and
+// parameter rules and in its order (the q/k rule, parseQK, then
+// mode/budget via the uniform read contract) and
 // returns the parsed queries, effective ks and modes. The first
 // violation is returned as an error whose message names the offending
 // index.
@@ -598,15 +597,9 @@ func parseBatchItems(items []BatchQueryItem) ([]*ir.Query, []int, []core.Mode, e
 		return nil, nil, nil, errors.New("queries[" + strconv.Itoa(i) + "]: " + msg)
 	}
 	for i, it := range items {
-		if strings.TrimSpace(it.Q) == "" {
-			return fail(i, "q required")
-		}
-		k := it.K
-		if k == 0 {
-			k = 10
-		}
-		if k < 0 || k > 1000 {
-			return fail(i, "k must be in 1..1000")
+		q, k, err := parseQK(it.Q, it.K, "q required")
+		if err != nil {
+			return fail(i, err.Error())
 		}
 		m, err := core.ParseMode(it.Mode)
 		if err == nil {
@@ -614,10 +607,6 @@ func parseBatchItems(items []BatchQueryItem) ([]*ir.Query, []int, []core.Mode, e
 		}
 		if err != nil {
 			return fail(i, err.Error())
-		}
-		q := ir.ParseQuery(it.Q)
-		if len(q.Terms()) == 0 {
-			return fail(i, "q contains no indexable terms")
 		}
 		qs[i], ks[i], modes[i] = q, k, m
 	}

@@ -217,26 +217,43 @@ func (s *Server) fail(w http.ResponseWriter, r *http.Request, profileID string, 
 	Fail(w, r, e)
 }
 
-// parseQuery reads q and k.
+// parseQuery reads /v1/query's q and k under the q/k rule. A k that is
+// not a positive integer is out of the rule's range.
 func parseQuery(v url.Values) (*ir.Query, int, error) {
-	raw := v.Get("q")
-	if strings.TrimSpace(raw) == "" {
-		return nil, 0, badRequest("q parameter required")
-	}
-	k := 10
+	k := 0
 	if ks := v.Get("k"); ks != "" {
-		n, err := strconv.Atoi(ks)
-		if err != nil || n <= 0 || n > 1000 {
-			return nil, 0, badRequest("k must be in 1..1000")
+		var err error
+		if k, err = strconv.Atoi(ks); err != nil || k == 0 {
+			k = -1
 		}
-		k = n
+	}
+	q, k, err := parseQK(v.Get("q"), k, "q parameter required")
+	if err != nil {
+		return nil, 0, badRequest(err.Error())
+	}
+	return q, k, nil
+}
+
+// parseQK is the q/k rule /v1/query and every batch item share: q is
+// not blank (blank is the reader's own spelling of that 400) and
+// tokenizes to at least one indexable term, and k, 0 taking the default
+// 10, lies in 1..1000.
+func parseQK(raw string, k int, blank string) (*ir.Query, int, error) {
+	if strings.TrimSpace(raw) == "" {
+		return nil, 0, errors.New(blank)
+	}
+	if k == 0 {
+		k = 10
+	}
+	if k < 0 || k > 1000 {
+		return nil, 0, errors.New("k must be in 1..1000")
 	}
 	q := ir.ParseQuery(raw)
 	if len(q.Terms()) == 0 {
 		// Punctuation-/stopword-only input tokenizes to nothing; an
 		// empty query used to fall through to a meaningless all-zero
 		// base distribution. Reject it at the door.
-		return nil, 0, badRequest("q contains no indexable terms")
+		return nil, 0, errors.New("q contains no indexable terms")
 	}
 	return q, k, nil
 }
