@@ -41,8 +41,7 @@ func main() {
 		addr     = flag.String("addr", "localhost:8090", "listen address")
 		replicas = flag.String("replicas", "", "comma-separated replica base URLs (required), e.g. http://10.0.0.1:8080,http://10.0.0.2:8080")
 		health   = flag.Duration("health-interval", router.DefaultHealthInterval, "replica health-sweep period")
-		timeout  = flag.Duration("timeout", router.DefaultTimeout, "per-attempt timeout for proxied replica requests")
-		retries  = flag.Int("retries", 1, "extra attempts per replica after a connection-level failure, before failing over")
+		timeout  = flag.Duration("timeout", router.DefaultTimeout, "per-attempt timeout of every replica exchange")
 
 		accessLog = flag.String("access-log", "", `access log destination: "" off, "-" stderr, else a file path`)
 		slowMS    = flag.Int("slow-request-ms", 0, "log routed requests slower than this many milliseconds with their span events (0 disables)")
@@ -66,7 +65,6 @@ func main() {
 
 	rt, err := router.New(urls, router.Options{
 		Timeout:        *timeout,
-		Retries:        *retries,
 		HealthInterval: *health,
 		Obs:            router.ObsOptions{AccessLog: logs.AccessLog, SlowLog: logs.SlowLog, SlowThreshold: logs.SlowThreshold},
 	})

@@ -235,7 +235,7 @@ func TestFlagSurface(t *testing.T) {
 	for tool, want := range map[string]string{
 		"afq":       "dot edges gen html json k loadrates mode nodes paths saverates scale schema snap",
 		"afqserver": "access-log addr basis-size cache-mb gen max-inflight pprof profile-dir query-timeout queue-wait scale slow-query-ms snapshot swap-dir",
-		"afqrouter": "access-log addr health-interval replicas retries slow-request-ms timeout",
+		"afqrouter": "access-log addr health-interval replicas slow-request-ms timeout",
 	} {
 		// -h prints the defaults in lexical order and exits 0.
 		out, err := exec.Command(filepath.Join(binDir, tool), "-h").CombinedOutput()

@@ -115,9 +115,6 @@ var testOracles = map[string]oracle{
 	"authorityflow/internal/ir.Query.SetWeight":                 {kindMethod, "builds the weighted queries of the linearity and assembly rows"},
 	"authorityflow/internal/profile.Basis.MixtureJump":          {kindMethod, "the independent blend served personalized answers are checked against"},
 	"authorityflow/internal/profile.Basis.Terms":                {kindMethod, "the profile load harness draws its archetypes' mixtures from the panel"},
-	"authorityflow/internal/server.Client.ProfileUpdate":        {kindMethod, "the profile load harness drives a real server through it"},
-	"authorityflow/internal/server.Client.Query":                {kindMethod, "the profile load harness drives a real server through it"},
-	"authorityflow/internal/server.Client.QueryProfile":         {kindMethod, "the profile load harness drives a real server through it"},
 	"authorityflow/internal/server.Server.Profiles":             {kindMethod, "tests seed profiles and read hit counters on the server's manager"},
 
 	"authorityflow/internal/core.ExplainOptions.MaxIters":     {kindUnset, "raised with Threshold by the exact-threshold explain tests and conformance cases"},

@@ -2,7 +2,9 @@ package conformance
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -83,8 +85,17 @@ func routedBatch(t *testing.T, w *world, texts []string, m core.Mode) [][]float6
 	for _, text := range texts {
 		req.Queries = append(req.Queries, server.BatchQueryItem{Q: text, K: topK, Mode: string(m)})
 	}
-	resp, err := server.NewClient(front.URL, nil).QueryBatch(context.Background(), req)
+	body, err := json.Marshal(req)
 	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := server.NewClient(front.URL, nil, 0).Do(context.Background(), http.MethodPost, "/v1/query/batch",
+		http.Header{"Content-Type": {"application/json"}}, body, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resp server.BatchQueryResponse
+	if err := raw.Decode(&resp); err != nil {
 		t.Fatal(err)
 	}
 	if len(resp.Answers) != len(texts) {

@@ -146,8 +146,8 @@ func (w *world) reformulateOverHTTP(t *testing.T, text string, ids []graph.NodeI
 		feedback[i] = strconv.Itoa(int(id))
 	}
 	v := url.Values{"q": {text}, "k": {strconv.Itoa(topK)}, "mode": {mode}, "feedback": {strings.Join(feedback, ",")}}
-	c := server.NewClient(ts.URL, nil)
-	raw, err := c.DoRawOnce(context.Background(), http.MethodGet, "/v1/reformulate?"+v.Encode(), nil, nil)
+	c := server.NewClient(ts.URL, nil, 0)
+	raw, err := c.Do(context.Background(), http.MethodGet, "/v1/reformulate?"+v.Encode(), nil, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,8 +155,12 @@ func (w *world) reformulateOverHTTP(t *testing.T, text string, ids []graph.NodeI
 	if raw.Status != http.StatusOK || json.Unmarshal(raw.Body, &resp) != nil {
 		t.Fatalf("/v1/reformulate: %d %s", raw.Status, raw.Body)
 	}
-	rates, err := c.Rates(context.Background())
+	raw, err = c.Do(context.Background(), http.MethodGet, "/v1/rates", nil, nil, true)
 	if err != nil {
+		t.Fatal(err)
+	}
+	var rates server.RatesResponse
+	if err := raw.Decode(&rates); err != nil {
 		t.Fatal(err)
 	}
 	if rates.Version != resp.Version {

@@ -14,9 +14,11 @@ package profile_test
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"strconv"
 	"sync"
@@ -73,7 +75,7 @@ func TestProfileSimulatedUsers(t *testing.T) {
 	defer ts.Close()
 	client := server.NewClient(ts.URL, &http.Client{
 		Transport: &http.Transport{MaxIdleConnsPerHost: 64},
-	})
+	}, 0)
 	ctx := context.Background()
 
 	// Archetypes: disjoint 3-term mixtures over the basis panel, each
@@ -109,10 +111,10 @@ func TestProfileSimulatedUsers(t *testing.T) {
 	globalHits, personalizedRefs := 0, 0
 	for i, a := range archetypes {
 		refID := fmt.Sprintf("archetype-%02d", i)
-		if _, err := client.ProfileUpdate(ctx, refID, server.ProfileUpdateRequest{Mixture: a.mixture}); err != nil {
+		if err := putProfile(ctx, client, refID, a.mixture); err != nil {
 			t.Fatal(err)
 		}
-		ref, err := client.QueryProfile(ctx, a.query, k, refID)
+		ref, err := query(ctx, client, a.query, k, refID)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +125,7 @@ func TestProfileSimulatedUsers(t *testing.T) {
 		for _, res := range ref.Results {
 			a.truth[res.Node] = true
 		}
-		global, err := client.Query(ctx, a.query, k)
+		global, err := query(ctx, client, a.query, k, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,12 +162,12 @@ func TestProfileSimulatedUsers(t *testing.T) {
 			for u := range jobs {
 				a := archetypes[u%nArch]
 				id := fmt.Sprintf("user-%06d", u)
-				if _, err := client.ProfileUpdate(ctx, id, server.ProfileUpdateRequest{Mixture: a.mixture}); err != nil {
+				if err := putProfile(ctx, client, id, a.mixture); err != nil {
 					failures.Add(1)
 					firstErr.CompareAndSwap(nil, fmt.Errorf("%s update: %w", id, err))
 					continue
 				}
-				ans, err := client.QueryProfile(ctx, a.query, k, id)
+				ans, err := query(ctx, client, a.query, k, id)
 				if err != nil {
 					failures.Add(1)
 					firstErr.CompareAndSwap(nil, fmt.Errorf("%s query: %w", id, err))
@@ -213,4 +215,37 @@ func TestProfileSimulatedUsers(t *testing.T) {
 	}
 	t.Logf("manager: %d resident profiles, %d combines, %d answer hits, %d store bytes",
 		st.Resident, st.Combines, st.AnswerHits, st.StoreBytes)
+}
+
+// putProfile runs PUT /v1/profile/{id} through the client's executor,
+// sent once: an update bumps the profile revision.
+func putProfile(ctx context.Context, c *server.Client, id string, mixture map[string]float64) error {
+	body, err := json.Marshal(server.ProfileUpdateRequest{Mixture: mixture})
+	if err != nil {
+		return err
+	}
+	resp, err := c.Do(ctx, http.MethodPut, "/v1/profile/"+url.PathEscape(id),
+		http.Header{"Content-Type": {"application/json"}}, body, false)
+	if err != nil {
+		return err
+	}
+	return resp.Decode(nil)
+}
+
+// query runs GET /v1/query through the client's executor, personalized
+// by profile id unless id is empty.
+func query(ctx context.Context, c *server.Client, q string, k int, id string) (*server.QueryResponse, error) {
+	v := url.Values{"q": {q}, "k": {strconv.Itoa(k)}}
+	if id != "" {
+		v.Set("profile", id)
+	}
+	resp, err := c.Do(ctx, http.MethodGet, "/v1/query?"+v.Encode(), nil, nil, true)
+	if err != nil {
+		return nil, err
+	}
+	var out server.QueryResponse
+	if err := resp.Decode(&out); err != nil {
+		return nil, err
+	}
+	return &out, nil
 }

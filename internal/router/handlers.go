@@ -213,7 +213,52 @@ func (rt *Router) propagationContext() (context.Context, context.CancelFunc) {
 	return context.WithTimeout(context.Background(), budget)
 }
 
-// ---- the one way to a replica: walk, forward, reply ----
+// ---- the one way to a replica: exchange ----
+
+// The re-send rule every exchange names at its call site. A read or a
+// sub-batch may be sent a second time after a transport failure (an
+// error where no HTTP response arrived); a request that changes replica
+// state is sent once, because a transport failure can mean the replica
+// applied it and only the reply was lost.
+const (
+	mayResend = true
+	sendOnce  = false
+)
+
+// exchange is the router's one way to a replica: every request it sends
+// one — proxied, fanned out, probed or published — goes through here to
+// the replica client's executor and comes back verbatim. On a transport
+// failure rp is marked down unless ctx itself is done (the client left,
+// not the replica); the error comes back for the caller to phrase.
+func (rt *Router) exchange(ctx context.Context, rp *replica, method, pathAndQuery string, header http.Header, body []byte, resend bool) (*server.RawResponse, error) {
+	resp, err := rp.client.Do(ctx, method, pathAndQuery, header, body, resend)
+	if err != nil && ctx.Err() == nil {
+		rp.setDown(err)
+	}
+	return resp, err
+}
+
+// call is exchange over the v1 DTOs the router itself speaks: in goes
+// out as the JSON body (nil sends none) and the answer decodes into out,
+// or comes back as the replica's *server.APIError.
+func (rt *Router) call(ctx context.Context, rp *replica, method, path string, in, out any, resend bool) error {
+	var hdr http.Header
+	var body []byte
+	if in != nil {
+		b, err := json.Marshal(in)
+		if err != nil {
+			return err
+		}
+		hdr, body = http.Header{"Content-Type": {"application/json"}}, b
+	}
+	resp, err := rt.exchange(ctx, rp, method, path, hdr, body, resend)
+	if err != nil {
+		return err
+	}
+	return resp.Decode(out)
+}
+
+// ---- walk, forward, reply ----
 
 // walk returns the first replica of order that is live and at or above
 // the floor, with the replicas after it (where a failover resumes); nil
@@ -234,24 +279,11 @@ func (rt *Router) walk(order []*replica, floorGen, floorRV uint64) (hit *replica
 	return nil, nil, behind
 }
 
-// forward sends the inbound request, with its buffered body, to rp. An
-// idempotent request rides the replica client's retry budget; any other
-// is sent exactly once — a transport failure leaves the replica's state
-// unknown, and re-sending could apply a write twice. On a transport
-// failure rp is marked down unless the client itself is gone; the error
-// comes back for the caller to phrase (or, client gone, to drop).
-func (rt *Router) forward(r *http.Request, rp *replica, key string, body []byte, idempotent bool) (resp *server.RawResponse, err error) {
+// forward sends the inbound request, with its buffered body and its
+// headers minus the hop-by-hop set, to rp through exchange.
+func (rt *Router) forward(r *http.Request, rp *replica, key string, body []byte, resend bool) (*server.RawResponse, error) {
 	obs.TraceFrom(r.Context()).Eventf("route", "replica=%s key=%q", rp.url, key)
-	hdr := forwardHeaders(r.Header)
-	if idempotent {
-		resp, err = rp.client.DoRaw(r.Context(), r.Method, r.URL.RequestURI(), hdr, body)
-	} else {
-		resp, err = rp.client.DoRawOnce(r.Context(), r.Method, r.URL.RequestURI(), hdr, body)
-	}
-	if err != nil && r.Context().Err() == nil {
-		rp.setDown(err)
-	}
-	return resp, err
+	return rt.exchange(r.Context(), rp, r.Method, r.URL.RequestURI(), forwardHeaders(r.Header), body, resend)
 }
 
 // reply hands rp's raw answer to the client untouched, naming rp in
@@ -287,7 +319,7 @@ func (rt *Router) handleSingle(w http.ResponseWriter, r *http.Request) {
 	if pid := v.Get("profile"); pid != "" {
 		// Personalized traffic routes by PROFILE ID to the one replica
 		// holding the record — owner-only, no failover (profile.go).
-		rt.dispatchOwner(w, r, pid, true, true)
+		rt.dispatchOwner(w, r, pid, true, mayResend)
 		return
 	}
 	rp0, err := server.ValidateReadParams(v)
@@ -319,8 +351,12 @@ func (rt *Router) handleSingle(w http.ResponseWriter, r *http.Request) {
 		if attempts > 0 {
 			rt.robs.failovers.Inc()
 		}
-		resp, err := rt.forward(r, rp, key, body, true)
+		resp, err := rt.forward(r, rp, key, body, mayResend)
 		switch {
+		case err == nil && rt.staleAnswer(rp, r.URL.Path, resp, floorGen, floorRV):
+			// Never forwarded: the walk goes on past a replica found behind.
+			sawStale = true
+			tr.Eventf("stale", "replica=%s", rp.url)
 		case err == nil && resp.Status < 500:
 			rt.reply(w, r, rp, resp)
 			return
@@ -343,22 +379,49 @@ func (rt *Router) handleSingle(w http.ResponseWriter, r *http.Request) {
 	rt.writeNoReplica(w, r, sawStale)
 }
 
-// observeAnswer harvests fleet knowledge from a successful /v1/query
-// answer: the replica says which (generation, version) it served in
-// server.HeaderGeneration and server.HeaderRatesVersion, which also
-// raises the router's floor if a write happened behind its back. The
-// body is never parsed: an answer without both headers teaches nothing,
-// and the health poll still observes that replica.
-func (rt *Router) observeAnswer(rp *replica, path string, resp *server.RawResponse) {
+// answerState reads the (generation, ratesVersion) a successful
+// /v1/query answer says it was served at, from server.HeaderGeneration
+// and server.HeaderRatesVersion. The body is never parsed: an answer
+// without both headers says nothing (ok=false), and the health poll
+// still observes that replica.
+func answerState(path string, resp *server.RawResponse) (gen, rv uint64, ok bool) {
 	if resp.Status != http.StatusOK || path != "/v1/query" {
-		return
+		return 0, 0, false
 	}
 	gen, gerr := strconv.ParseUint(resp.Header.Get(server.HeaderGeneration), 10, 64)
 	rv, verr := strconv.ParseUint(resp.Header.Get(server.HeaderRatesVersion), 10, 64)
-	if gerr == nil && verr == nil && gen > 0 {
+	return gen, rv, gerr == nil && verr == nil && gen > 0
+}
+
+// observeAnswer harvests fleet knowledge from a forwarded answer: the
+// state it was served at, which also raises the router's floor if a
+// write happened behind its back.
+func (rt *Router) observeAnswer(rp *replica, path string, resp *server.RawResponse) {
+	if gen, rv, ok := answerState(path, resp); ok {
 		rp.observe(gen, rv)
 		rt.raiseFloor(gen, rv)
 	}
+}
+
+// staleAnswer reports whether a successful /v1/query answer from rp was
+// served below the walk's floor (servedBelow).
+func (rt *Router) staleAnswer(rp *replica, path string, resp *server.RawResponse, floorGen, floorRV uint64) bool {
+	gen, rv, ok := answerState(path, resp)
+	return ok && rt.servedBelow(rp, gen, rv, floorGen, floorRV)
+}
+
+// servedBelow reports whether rp answered at (gen, rv), below the
+// walk's floor: a replica restarted or rolled back behind the router's
+// back still looks current until the next probe. Such an answer is not
+// forwarded. rp's known state drops to what it served, so walks pass it
+// over until resync catches it up, and the skip is counted.
+func (rt *Router) servedBelow(rp *replica, gen, rv, floorGen, floorRV uint64) bool {
+	if gen >= floorGen && rv >= floorRV {
+		return false
+	}
+	rp.replace(gen, rv)
+	rt.robs.staleSkips.Inc()
+	return true
 }
 
 // ---- /v1/query/batch ----
@@ -368,7 +431,7 @@ func (rt *Router) observeAnswer(rp *replica, path string, resp *server.RawRespon
 type batchGroup struct {
 	rp   *replica
 	idxs []int
-	resp *server.BatchQueryResponse
+	resp server.BatchQueryResponse
 	err  error
 }
 
@@ -378,7 +441,8 @@ type batchGroup struct {
 // concurrent write lands mid-fan-out and the groups answer at
 // different versions, the router raises its floor, resyncs and retries
 // the whole panel — every answer in the merged response comes from ONE
-// (generation, ratesVersion).
+// (generation, ratesVersion). A group answered below the floor is never
+// merged: the panel is re-planned around the replica found behind.
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		server.Fail(w, r, errPostRequired)
@@ -425,7 +489,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 				for j, idx := range g.idxs {
 					sub.Queries[j] = items[idx]
 				}
-				g.resp, g.err = g.rp.client.QueryBatch(r.Context(), sub)
+				g.err = rt.call(r.Context(), g.rp, http.MethodPost, "/v1/query/batch", sub, &g.resp, mayResend)
 			}(g)
 		}
 		wg.Wait()
@@ -449,13 +513,20 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 			if r.Context().Err() != nil {
 				return
 			}
-			g.rp.setDown(g.err)
 			rt.robs.failovers.Inc()
 			tr.Eventf("failover", "replica=%s err=%v", g.rp.url, g.err)
 			retry = true
 		}
+		// A group answered below the floor is never merged: re-plan
+		// around the replica found behind.
+		for _, g := range groups {
+			if g.err == nil && rt.servedBelow(g.rp, g.resp.Generation, g.resp.Version, floorGen, floorRV) {
+				tr.Eventf("stale", "replica=%s", g.rp.url)
+				sawStale, retry = true, true
+			}
+		}
 		if retry {
-			continue // re-plan around the downed replicas
+			continue // re-plan around the downed and the behind replicas
 		}
 
 		// Version coherence: a write that landed mid-fan-out leaves
@@ -581,7 +652,7 @@ func (rt *Router) handleReformulate(w http.ResponseWriter, r *http.Request) {
 	if pid := r.URL.Query().Get("profile"); pid != "" {
 		// Profile-scoped training mutates only the owner's local record —
 		// no global version advance, so no writeMu and no propagation.
-		rt.dispatchOwner(w, r, pid, true, false)
+		rt.dispatchOwner(w, r, pid, true, sendOnce)
 		return
 	}
 	rt.handleWrite(w, r)
@@ -598,9 +669,9 @@ func (rt *Router) handleReformulate(w http.ResponseWriter, r *http.Request) {
 // 200 it replays the new rates onto every other live replica with CAS
 // tokens, so the fleet advances through the same version sequence in
 // lockstep, and after a 409 the next resync converges on the winner.
-// There is NO failover after dispatch and no transport-level retry
-// (forward, not idempotent): a lost reply leaves the replica's state
-// unknown, and re-sending could apply the write twice.
+// There is NO failover after dispatch and no re-send (sendOnce): a lost
+// reply leaves the replica's state unknown, and re-sending could apply
+// the write twice.
 func (rt *Router) handleWrite(w http.ResponseWriter, r *http.Request) {
 	rt.writeMu.Lock()
 	defer rt.writeMu.Unlock()
@@ -623,7 +694,7 @@ func (rt *Router) handleWrite(w http.ResponseWriter, r *http.Request) {
 		rt.writeNoReplica(w, r, behind)
 		return
 	}
-	resp, err := rt.forward(r, owner, key, body, false)
+	resp, err := rt.forward(r, owner, key, body, sendOnce)
 	if err != nil {
 		if r.Context().Err() == nil {
 			server.Fail(w, r, badGateway(
@@ -670,11 +741,13 @@ func (rt *Router) propagateRates(owner *replica, tr *obs.Trace) {
 
 // ---- /v1/corpus/swap ----
 
-// handleSwap fans the snapshot swap out to every live replica. All
-// replicas swapping is the happy path; a partial result still answers
-// 200 (the floor rises to the new generation, so the failed replicas
-// are excluded from serving until realigned) and the divergence is
-// visible in /v1/router/healthz.
+// handleSwap fans the snapshot swap out to every live replica, sent
+// once to each: a replica whose reply was lost may have swapped, so it
+// is marked down and never re-sent the swap (the next probe reads the
+// generation it is at). All replicas swapping is the happy path; a
+// partial result still answers 200 (the floor rises to the new
+// generation, so the failed replicas are excluded from serving until
+// realigned) and the divergence is visible in /v1/router/healthz.
 func (rt *Router) handleSwap(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		server.Fail(w, r, errPostRequired)
@@ -698,7 +771,7 @@ func (rt *Router) handleSwap(w http.ResponseWriter, r *http.Request) {
 
 	type swapResult struct {
 		rp   *replica
-		resp *server.CorpusSwapResponse
+		resp server.CorpusSwapResponse
 		err  error
 	}
 	var live []*replica
@@ -717,21 +790,22 @@ func (rt *Router) handleSwap(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(i int, rp *replica) {
 			defer wg.Done()
-			resp, err := rp.client.CorpusSwap(ctx, req)
-			results[i] = swapResult{rp: rp, resp: resp, err: err}
+			results[i].rp = rp
+			results[i].err = rt.call(ctx, rp, http.MethodPost, "/v1/corpus/swap", req, &results[i].resp, sendOnce)
 		}(i, rp)
 	}
 	wg.Wait()
 
 	var first *server.CorpusSwapResponse
 	var firstErr *server.APIError
-	for _, res := range results {
+	for i := range results {
+		res := &results[i]
 		if res.err == nil {
 			rt.robs.swaps.Inc()
 			res.rp.observe(res.resp.Generation, res.resp.RatesVersion)
 			tr.Eventf("swap", "replica=%s gen=%d", res.rp.url, res.resp.Generation)
 			if first == nil {
-				first = res.resp
+				first = &res.resp
 			}
 			continue
 		}
@@ -741,7 +815,8 @@ func (rt *Router) handleSwap(w http.ResponseWriter, r *http.Request) {
 			// A conflict means the replica is on a different generation
 			// than assumed — refresh its view so the floor gating is
 			// accurate.
-			if h, herr := res.rp.client.Health(ctx); herr == nil {
+			var h server.HealthResponse
+			if rt.call(ctx, res.rp, http.MethodGet, "/v1/healthz", nil, &h, mayResend) == nil {
 				res.rp.observe(h.Generation, h.RatesVersion)
 			}
 			if firstErr == nil {
@@ -749,7 +824,6 @@ func (rt *Router) handleSwap(w http.ResponseWriter, r *http.Request) {
 			}
 			continue
 		}
-		res.rp.setDown(res.err)
 		tr.Eventf("swap", "replica=%s err=%v", res.rp.url, res.err)
 	}
 	if first == nil {
@@ -799,7 +873,7 @@ func (rt *Router) handleReadProxy(w http.ResponseWriter, r *http.Request) {
 		rt.writeNoReplica(w, r, behind)
 		return
 	}
-	resp, err := rt.forward(r, target, "", nil, true)
+	resp, err := rt.forward(r, target, "", nil, mayResend)
 	if err != nil {
 		if r.Context().Err() == nil {
 			server.Fail(w, r, badGateway("replica unreachable: "+err.Error()))

@@ -29,9 +29,9 @@ func (rt *Router) writeOwnerDown(w http.ResponseWriter, r *http.Request, owner *
 }
 
 // handleProfile proxies /v1/profile/{id} CRUD to the id's owner,
-// whatever the floor: the record is the owner's alone. Only GET is
-// idempotent — an update bumps the profile revision, so a lost reply
-// must surface rather than silently re-send.
+// whatever the floor: the record is the owner's alone. Only GET may be
+// re-sent — an update bumps the profile revision, so a lost reply must
+// surface rather than silently re-send.
 func (rt *Router) handleProfile(w http.ResponseWriter, r *http.Request) {
 	id := r.URL.Path[len("/v1/profile/"):]
 	if id == "" {
@@ -53,8 +53,8 @@ func (rt *Router) handleProfile(w http.ResponseWriter, r *http.Request) {
 // NOTHING globally (no writeMu, no propagation, no version advance) but
 // mutates the record, so it is not idempotent and a lost reply leaves
 // the owner's state unknown, exactly like the global reformulation's
-// owner leg.
-func (rt *Router) dispatchOwner(w http.ResponseWriter, r *http.Request, id string, gated, idempotent bool) {
+// owner leg: resend is set for reads alone.
+func (rt *Router) dispatchOwner(w http.ResponseWriter, r *http.Request, id string, gated, resend bool) {
 	var floorGen, floorRV uint64
 	if gated {
 		var ok bool
@@ -77,7 +77,7 @@ func (rt *Router) dispatchOwner(w http.ResponseWriter, r *http.Request, id strin
 		rt.writeOwnerDown(w, r, order[0])
 		return
 	}
-	resp, err := rt.forward(r, owner, key, body, idempotent)
+	resp, err := rt.forward(r, owner, key, body, resend)
 	switch {
 	case err == nil:
 		rt.reply(w, r, owner, resp)

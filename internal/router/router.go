@@ -1,7 +1,8 @@
 // Package router implements the scale-out serving tier: a thin,
-// stdlib-only coordinator that fronts N replica afqserver processes
-// through the typed v1 client (internal/server.Client) and exposes the
-// SAME /v1 surface, so clients cannot tell a fleet from one replica.
+// stdlib-only coordinator that fronts N replica afqserver processes and
+// exposes the SAME /v1 surface, so clients cannot tell a fleet from one
+// replica. Every request it sends a replica goes through one function,
+// Router.exchange, which says whether the request may be re-sent.
 //
 // # Routing
 //
@@ -67,8 +68,8 @@ import (
 	"authorityflow/internal/server"
 )
 
-// DefaultTimeout bounds each proxied request attempt when Options
-// leaves Timeout zero.
+// DefaultTimeout bounds each attempt of a replica exchange when
+// Options leaves Timeout zero.
 const DefaultTimeout = 30 * time.Second
 
 // DefaultHealthInterval is the background health-sweep period when
@@ -77,13 +78,10 @@ const DefaultHealthInterval = 2 * time.Second
 
 // Options configure a Router.
 type Options struct {
-	// Timeout bounds every proxied request attempt (0 = DefaultTimeout;
-	// negative = no per-attempt timeout beyond the inbound request's own
-	// context).
+	// Timeout bounds every attempt of a replica exchange
+	// (0 = DefaultTimeout; negative = no per-attempt timeout beyond the
+	// inbound request's own context).
 	Timeout time.Duration
-	// Retries is how many extra attempts a replica client makes after a
-	// transport-level failure before the router fails over (default 1).
-	Retries int
 	// HealthInterval is the background health-sweep period
 	// (0 = DefaultHealthInterval; negative disables the loop — tests
 	// drive CheckNow explicitly).
@@ -97,10 +95,10 @@ type Options struct {
 	Obs ObsOptions
 }
 
-// replica is one afqserver behind the router: its typed client plus
-// the router's last knowledge of its state. Health and version fields
-// are atomics — the health loop, the write paths and every proxied
-// answer update them concurrently.
+// replica is one afqserver behind the router: the client exchange sends
+// through, plus the router's last knowledge of its state. Health and
+// version fields are atomics — the health loop, the write paths and
+// every proxied answer update them concurrently.
 type replica struct {
 	url    string
 	client *server.Client
@@ -115,11 +113,21 @@ type replica struct {
 }
 
 // observe raises the replica's known (generation, ratesVersion) from
-// an answer or a write it acknowledged. Only a health probe lowers it
-// (CheckNow).
+// an answer or a write it acknowledged. Only replace lowers it.
 func (rp *replica) observe(gen, rv uint64) {
 	raiseMax(&rp.gen, gen)
 	raiseMax(&rp.rv, rv)
+}
+
+// replace sets the replica's known (generation, ratesVersion) to what
+// it reported itself: a health probe, or an answer served below the
+// request's floor. A replica restarted at the same URL comes back at
+// its snapshot's state, below what it served before; a report that
+// raced a write can only make the replica look behind, which keeps it
+// ineligible until resync catches it up, never ahead.
+func (rp *replica) replace(gen, rv uint64) {
+	rp.gen.Store(gen)
+	rp.rv.Store(rv)
 }
 
 // raiseMax lifts an atomic to at least v.
@@ -214,10 +222,6 @@ func New(replicaURLs []string, o Options) (*Router, error) {
 	case timeout < 0:
 		timeout = 0
 	}
-	retries := o.Retries
-	if retries == 0 {
-		retries = 1
-	}
 	hc := o.HTTPClient
 	if hc == nil {
 		hc = &http.Client{}
@@ -229,9 +233,7 @@ func New(replicaURLs []string, o Options) (*Router, error) {
 	}
 	seen := make(map[string]struct{}, len(replicaURLs))
 	for _, u := range replicaURLs {
-		c := server.NewClient(u, hc,
-			server.WithRequestTimeout(timeout),
-			server.WithRetries(retries))
+		c := server.NewClient(u, hc, timeout)
 		if _, dup := seen[c.BaseURL()]; dup {
 			return nil, errors.New("router: duplicate replica URL " + c.BaseURL())
 		}
@@ -309,22 +311,15 @@ func (rt *Router) CheckNow(ctx context.Context) {
 		wg.Add(1)
 		go func(rp *replica) {
 			defer wg.Done()
-			h, err := rp.client.Health(ctx)
-			if err != nil {
+			var h server.HealthResponse
+			if err := rt.call(ctx, rp, http.MethodGet, "/v1/healthz", nil, &h, mayResend); err != nil {
 				rt.robs.healthChecks.With("error").Inc()
 				rp.setDown(err)
 				return
 			}
 			rt.robs.healthChecks.With("ok").Inc()
 			rp.setUp()
-			// The probe's report replaces what the router knew: a replica
-			// restarted at the same URL comes back at its snapshot's
-			// state, below what it served before. A probe that raced a
-			// write can only make a replica look behind, which keeps it
-			// ineligible until the resync below catches it up; never
-			// ahead.
-			rp.gen.Store(h.Generation)
-			rp.rv.Store(h.RatesVersion)
+			rp.replace(h.Generation, h.RatesVersion)
 			rt.raiseFloor(h.Generation, h.RatesVersion)
 		}(rp)
 	}
@@ -371,8 +366,8 @@ func (rt *Router) resync(ctx context.Context) {
 // past the floor the caller saw: the source moved since. Callers hold
 // writeMu.
 func (rt *Router) spreadRatesLocked(ctx context.Context, src *replica, gen uint64, targets []*replica) (version uint64, err error) {
-	rates, err := src.client.Rates(ctx)
-	if err != nil {
+	var rates server.RatesResponse
+	if err := rt.call(ctx, src, http.MethodGet, "/v1/rates", nil, &rates, mayResend); err != nil {
 		return 0, err
 	}
 	src.observe(gen, rates.Version)
@@ -387,18 +382,21 @@ func (rt *Router) spreadRatesLocked(ctx context.Context, src *replica, gen uint6
 // target. Each publish advances the version counter by one, so a
 // replica several versions behind converges in a few round trips; the
 // vector content is correct after the first successful publish and the
-// remaining publishes only align the counter. Callers hold writeMu.
+// remaining publishes only align the counter. Each publish is sent once:
+// a lost reply marks rp down, and the next sweep's probe reads where it
+// is. Callers hold writeMu.
 func (rt *Router) catchUpLocked(ctx context.Context, rp *replica, vector []float64, targetGen, targetRV uint64) {
 	if rp.gen.Load() != targetGen {
 		rp.noteErr("generation behind fleet floor; needs a corpus swap")
 		return
 	}
 	for i := 0; i < 64 && rp.rv.Load() < targetRV; i++ {
-		resp, err := rp.client.RatesPublish(ctx, server.RatesPublishRequest{
+		var resp server.RatesResponse
+		err := rt.call(ctx, rp, http.MethodPost, "/v1/rates", server.RatesPublishRequest{
 			Vector:       vector,
 			IfVersion:    rp.rv.Load(),
 			IfGeneration: targetGen,
-		})
+		}, &resp, sendOnce)
 		if err == nil {
 			rt.robs.ratesPublishes.Inc()
 			rp.observe(targetGen, resp.Version)
@@ -413,7 +411,8 @@ func (rt *Router) catchUpLocked(ctx context.Context, rp *replica, vector []float
 				continue
 			}
 			// Generation-axis conflict: refresh the whole view.
-			if h, herr := rp.client.Health(ctx); herr == nil {
+			var h server.HealthResponse
+			if rt.call(ctx, rp, http.MethodGet, "/v1/healthz", nil, &h, mayResend) == nil {
 				rp.observe(h.Generation, h.RatesVersion)
 			}
 			continue

@@ -12,8 +12,9 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
-	"sync/atomic"
+	"sync"
 	"testing"
 	"time"
 
@@ -680,126 +681,260 @@ func metricValue(t testing.TB, rt *Router, name string) float64 {
 	return 0
 }
 
-// reformulateFailTransport injects a connection-level failure (no HTTP
-// response) for every /v1/reformulate dispatch, counting them; all
-// other traffic passes through.
-type reformulateFailTransport struct {
-	dispatches atomic.Int64
-}
-
-func (ft *reformulateFailTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	if req.URL.Path == "/v1/reformulate" {
-		ft.dispatches.Add(1)
-		return nil, errors.New("connection reset (injected)")
-	}
-	return http.DefaultTransport.RoundTrip(req)
-}
-
-// TestReformulateDispatchNeverRetried: reformulation is not idempotent,
-// so a transport failure mid-dispatch must answer the 502 "state
-// unknown" — NEVER be silently re-sent by the replica client's retry
-// budget, which could apply the feedback twice.
-func TestReformulateDispatchNeverRetried(t *testing.T) {
-	f := newFleet(t, 2)
-
-	ft := &reformulateFailTransport{}
-	rt, err := New(f.urls, Options{
-		Timeout:        10 * time.Second,
-		HealthInterval: -1,
-		Retries:        2, // must not apply to the reformulate dispatch
-		HTTPClient:     &http.Client{Transport: ft},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-	front := httptest.NewServer(rt.Handler())
-	defer front.Close()
-
-	code, body := get(t, front.URL+"/v1/reformulate?q=olap&feedback=1")
-	if code != 502 {
-		t.Fatalf("reformulate with failing transport = %d, want 502: %s", code, body)
-	}
-	var env server.ErrorEnvelope
-	if err := json.Unmarshal(body, &env); err != nil {
-		t.Fatal(err)
-	}
-	if env.Error.Code != server.CodeInternal {
-		t.Errorf("code = %q, want %q", env.Error.Code, server.CodeInternal)
-	}
-	if got := ft.dispatches.Load(); got != 1 {
-		t.Errorf("reformulate dispatched %d times, want exactly 1 — a retry could double-apply feedback", got)
-	}
-}
-
-// lostReplyTransport lets the first POST to path reach the replica and
-// then loses its reply, as a connection reset after the replica applied
-// the request would; it counts every POST to path.
+// lostReplyTransport lets the first request of method to path reach its
+// replica and then loses the reply, as a connection reset after the
+// replica applied the request would; it counts every such request per
+// replica host.
 type lostReplyTransport struct {
-	path       string
-	dispatches atomic.Int64
+	method, path string
+
+	mu   sync.Mutex
+	sent map[string]int // matching requests per replica host
+	lost string         // the host whose reply was lost
 }
 
 func (lt *lostReplyTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	resp, err := http.DefaultTransport.RoundTrip(req)
-	if req.Method == http.MethodPost && req.URL.Path == lt.path && lt.dispatches.Add(1) == 1 && err == nil {
+	if req.Method != lt.method || req.URL.Path != lt.path {
+		return resp, err
+	}
+	lt.mu.Lock()
+	defer lt.mu.Unlock()
+	if lt.sent == nil {
+		lt.sent = make(map[string]int)
+	}
+	lt.sent[req.URL.Host]++
+	if lt.lost == "" && err == nil {
+		lt.lost = req.URL.Host
 		resp.Body.Close()
 		return nil, errors.New("connection reset after the reply (injected)")
 	}
 	return resp, err
 }
 
-// TestRatesPublishDispatchNeverRetried is the publish twin of
-// TestReformulateDispatchNeverRetried: an unguarded POST /v1/rates
-// whose reply is lost after the replica applied it answers the 502
-// "state unknown" after exactly one dispatch. Re-sending it would move
-// the replica a second version.
-func TestRatesPublishDispatchNeverRetried(t *testing.T) {
-	f := newFleet(t, 2)
+// dispatches returns the matching requests sent to each replica host and
+// the host whose reply was lost.
+func (lt *lostReplyTransport) dispatches() (sent map[string]int, lost string) {
+	lt.mu.Lock()
+	defer lt.mu.Unlock()
+	sent = make(map[string]int, len(lt.sent))
+	for h, n := range lt.sent {
+		sent[h] = n
+	}
+	return sent, lt.lost
+}
 
-	lt := &lostReplyTransport{path: "/v1/rates"}
+// via builds a second router over f's replicas whose every exchange goes
+// through tr.
+func (f *fleet) via(t testing.TB, tr http.RoundTripper) (*Router, *httptest.Server) {
+	t.Helper()
 	rt, err := New(f.urls, Options{
 		Timeout:        10 * time.Second,
 		HealthInterval: -1,
-		Retries:        2, // must not apply to the publish dispatch
-		HTTPClient:     &http.Client{Transport: lt},
+		HTTPClient:     &http.Client{Transport: tr},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rt.Close()
+	t.Cleanup(rt.Close)
 	front := httptest.NewServer(rt.Handler())
-	defer front.Close()
+	t.Cleanup(front.Close)
+	return rt, front
+}
 
-	vector := f.servers[0].Engine().Pin().Rates().Vector()
-	code, body := postJSON(t, front.URL+"/v1/rates", server.RatesPublishRequest{Vector: vector})
-	if code != 502 {
-		t.Fatalf("publish with a lost reply = %d, want 502: %s", code, body)
-	}
+// wantError checks a router answer's status and envelope code.
+func wantError(t *testing.T, code int, body []byte, wantStatus int, wantCode string) {
+	t.Helper()
 	var env server.ErrorEnvelope
-	if err := json.Unmarshal(body, &env); err != nil {
-		t.Fatal(err)
-	}
-	if env.Error.Code != server.CodeInternal {
-		t.Errorf("code = %q, want %q", env.Error.Code, server.CodeInternal)
-	}
-	if got := lt.dispatches.Load(); got != 1 {
-		t.Errorf("publish dispatched %d times, want exactly 1 — a retry applies it twice", got)
-	}
-	if v := f.servers[0].Engine().Pin().Version(); v != 2 {
-		t.Errorf("the publish's replica is at rates version %d, want 2 (applied once)", v)
+	if code != wantStatus || json.Unmarshal(body, &env) != nil || env.Error.Code != wantCode {
+		t.Fatalf("answer = %d %s, want %d %s", code, body, wantStatus, wantCode)
 	}
 }
 
-// TestRestartedReplicaIsCaughtUp: a replica restarted at the same URL
-// comes back at its snapshot's rates version, below the fleet's. The
-// next sweep must see it there and catch it up, so no read asserting
-// the fleet's version is answered below it.
-func TestRestartedReplicaIsCaughtUp(t *testing.T) {
-	f := newFleet(t, 2)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
+// feedbackTarget returns a node of a fleet query's answer, a valid
+// reformulation feedback id.
+func feedbackTarget(t *testing.T, front string) int64 {
+	t.Helper()
+	code, body := get(t, front+"/v1/query?q=olap&k=3")
+	var qr server.QueryResponse
+	if code != 200 || json.Unmarshal(body, &qr) != nil || len(qr.Results) == 0 {
+		t.Fatalf("seed query = %d: %s", code, body)
+	}
+	return qr.Results[0].Node
+}
 
+// TestExchangeResendRule holds every kind of router→replica exchange to
+// its re-send rule, with the reply of its first dispatch lost after the
+// replica acted. A request that changes replica state is sent exactly
+// once: re-sending a reformulation, a publish, a swap or a profile write
+// would apply it twice, so the router answers without knowing (502, or
+// the owner-down 503) or marks the replica down. A read, a sub-batch or
+// a health probe is sent once more to the same replica and answers.
+func TestExchangeResendRule(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	rows := []struct {
+		name         string
+		profiles     bool // the fleet runs the personalization tier
+		method, path string
+		resend       bool
+		run          func(t *testing.T, f *fleet, rt *Router, front string)
+	}{
+		{"global reformulate", false, http.MethodGet, "/v1/reformulate", sendOnce,
+			func(t *testing.T, f *fleet, rt *Router, front string) {
+				code, body := get(t, fmt.Sprintf("%s/v1/reformulate?q=olap&feedback=%d", front, feedbackTarget(t, front)))
+				wantError(t, code, body, http.StatusBadGateway, server.CodeInternal)
+			}},
+		{"POST /v1/rates", false, http.MethodPost, "/v1/rates", sendOnce,
+			func(t *testing.T, f *fleet, rt *Router, front string) {
+				vector := f.servers[0].Engine().Pin().Rates().Vector()
+				code, body := postJSON(t, front+"/v1/rates", server.RatesPublishRequest{Vector: vector})
+				wantError(t, code, body, http.StatusBadGateway, server.CodeInternal)
+				if v := f.servers[0].Engine().Pin().Version(); v != 2 {
+					t.Errorf("the publish's replica is at rates version %d, want 2 (applied once)", v)
+				}
+			}},
+		{"corpus swap", false, http.MethodPost, "/v1/corpus/swap", sendOnce,
+			func(t *testing.T, f *fleet, rt *Router, front string) {
+				if code, body := postJSON(t, front+"/v1/corpus/swap", server.CorpusSwapRequest{Snapshot: "next.snap"}); code != 200 {
+					t.Fatalf("swap = %d: %s", code, body)
+				}
+			}},
+		{"PUT /v1/profile/{id}", true, http.MethodPut, "/v1/profile/ada", sendOnce,
+			func(t *testing.T, f *fleet, rt *Router, front string) {
+				code, _, body := servedBy(t, http.MethodPut, front+"/v1/profile/ada", `{"mixture":{"streaming":1}}`)
+				wantError(t, code, body, http.StatusServiceUnavailable, server.CodeShed)
+				stored := 0
+				for _, u := range f.urls {
+					if code, _ := get(t, u+"/v1/profile/ada"); code == 200 {
+						stored++
+					}
+				}
+				if stored != 1 {
+					t.Errorf("the profile is stored on %d replicas, want 1 (its owner, once)", stored)
+				}
+			}},
+		{"profile reformulate", true, http.MethodGet, "/v1/reformulate", sendOnce,
+			func(t *testing.T, f *fleet, rt *Router, front string) {
+				if code, _, body := servedBy(t, http.MethodPut, front+"/v1/profile/ada", `{"mixture":{"streaming":1}}`); code != 200 {
+					t.Fatalf("PUT = %d: %s", code, body)
+				}
+				code, _, body := servedBy(t, http.MethodGet,
+					fmt.Sprintf("%s/v1/reformulate?q=olap&feedback=%d&profile=ada", front, feedbackTarget(t, front)), "")
+				wantError(t, code, body, http.StatusBadGateway, server.CodeInternal)
+			}},
+		{"catch-up publish", false, http.MethodPost, "/v1/rates", sendOnce,
+			func(t *testing.T, f *fleet, rt *Router, front string) {
+				// A publish lands on replica 0 behind the router's back; the
+				// sweep's resync replays it onto replica 1.
+				var rates server.RatesResponse
+				if _, raw := get(t, f.urls[0]+"/v1/rates"); json.Unmarshal(raw, &rates) != nil {
+					t.Fatalf("rates: %s", raw)
+				}
+				if code, raw := postJSON(t, f.urls[0]+"/v1/rates",
+					server.RatesPublishRequest{Vector: rates.Vector, IfVersion: rates.Version}); code != 200 {
+					t.Fatalf("direct publish = %d: %s", code, raw)
+				}
+				rt.CheckNow(ctx)
+				if v := f.servers[1].Engine().Pin().Version(); v != 2 {
+					t.Errorf("the caught-up replica is at rates version %d, want 2 (applied once)", v)
+				}
+				if rt.replicas[1].up.Load() {
+					t.Error("a replica whose catch-up reply was lost is still marked up")
+				}
+			}},
+		{"proxied read", false, http.MethodGet, "/v1/query", mayResend,
+			func(t *testing.T, f *fleet, rt *Router, front string) {
+				if code, body := get(t, front+"/v1/query?q=olap&k=3"); code != 200 {
+					t.Fatalf("query = %d: %s", code, body)
+				}
+			}},
+		{"sub-batch", false, http.MethodPost, "/v1/query/batch", mayResend,
+			func(t *testing.T, f *fleet, rt *Router, front string) {
+				if code, body := postJSON(t, front+"/v1/query/batch",
+					server.BatchQueryRequest{Queries: []server.BatchQueryItem{{Q: "olap", K: 3}}}); code != 200 {
+					t.Fatalf("batch = %d: %s", code, body)
+				}
+			}},
+		{"health probe", false, http.MethodGet, "/v1/healthz", mayResend,
+			func(t *testing.T, f *fleet, rt *Router, front string) {
+				// New's first sweep probed every replica.
+				for i, rp := range rt.replicas {
+					if !rp.up.Load() {
+						t.Errorf("replica %d is down after a probe whose first reply was lost", i)
+					}
+				}
+			}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			var f *fleet
+			if row.profiles {
+				f = newProfileFleet(t, 2)
+			} else {
+				f = newFleet(t, 2)
+			}
+			lt := &lostReplyTransport{method: row.method, path: row.path}
+			rt, front := f.via(t, lt)
+			row.run(t, f, rt, front.URL)
+			sent, lost := lt.dispatches()
+			if lost == "" {
+				t.Fatalf("no %s %s was dispatched", row.method, row.path)
+			}
+			want := 1
+			if row.resend {
+				want = 2
+			}
+			if sent[lost] != want {
+				t.Errorf("%s %s dispatched %d times to the replica whose reply was lost, want %d", row.method, row.path, sent[lost], want)
+			}
+			for host, n := range sent {
+				if host != lost && n > 1 {
+					t.Errorf("%s %s dispatched %d times to %s, whose reply arrived", row.method, row.path, n, host)
+				}
+			}
+		})
+	}
+}
+
+// TestSwapDispatchNeverRetried: the swap fan-out is sent once to each
+// live replica. The replica whose reply was lost swapped once and is
+// marked down, never re-sent the swap, so both replicas end at
+// generation 2 and so does the floor — no replica is shut out of
+// serving by a generation only the re-send reached.
+func TestSwapDispatchNeverRetried(t *testing.T) {
+	f := newFleet(t, 2)
+	lt := &lostReplyTransport{method: http.MethodPost, path: "/v1/corpus/swap"}
+	rt, front := f.via(t, lt)
+
+	code, body := postJSON(t, front.URL+"/v1/corpus/swap", server.CorpusSwapRequest{Snapshot: "next.snap"})
+	var sr server.CorpusSwapResponse
+	if code != 200 || json.Unmarshal(body, &sr) != nil || sr.Generation != 2 {
+		t.Fatalf("swap with a lost reply = %d: %s, want 200 at generation 2", code, body)
+	}
+	sent, lost := lt.dispatches()
+	for i, u := range f.urls {
+		if n := sent[strings.TrimPrefix(u, "http://")]; n != 1 {
+			t.Errorf("replica %d was sent the swap %d times, want 1", i, n)
+		}
+		if g := f.servers[i].Engine().Pin().Generation(); g != 2 {
+			t.Errorf("replica %d is at generation %d, want 2", i, g)
+		}
+		if rp := rt.replicas[i]; rp.up.Load() == (strings.TrimPrefix(rp.url, "http://") == lost) {
+			t.Errorf("replica %d up=%v; the one whose reply was lost (%s) must be down, the other up", i, rp.up.Load(), lost)
+		}
+	}
+	if gen, _ := rt.Floor(); gen != 2 {
+		t.Errorf("floor generation = %d, want 2", gen)
+	}
+}
+
+// restartBehind takes f to rates version 2 through a routed
+// reformulation, then restarts replica 1 at the same URL: a fresh
+// process at its boot state, rates version 1, while the router still
+// knows it at 2.
+func (f *fleet) restartBehind(t *testing.T) {
+	t.Helper()
 	_, body := get(t, f.front.URL+"/v1/query?q=olap&k=3")
 	var qr server.QueryResponse
 	if err := json.Unmarshal(body, &qr); err != nil {
@@ -818,7 +953,6 @@ func TestRestartedReplicaIsCaughtUp(t *testing.T) {
 		t.Fatalf("reformulate published version %d, want 2", rr.Version)
 	}
 
-	// Restart replica 1: a fresh process on the same address.
 	addr := f.backends[1].Listener.Addr().String()
 	f.backends[1].Close()
 	ln, err := net.Listen("tcp", addr)
@@ -834,6 +968,58 @@ func TestRestartedReplicaIsCaughtUp(t *testing.T) {
 	if _, raw := get(t, f.urls[1]+"/v1/healthz"); json.Unmarshal(raw, &h) != nil || h.RatesVersion != 1 {
 		t.Fatalf("restarted replica reports %s, want rates version 1", raw)
 	}
+	if rv := f.rt.replicas[1].rv.Load(); rv != 2 {
+		t.Fatalf("router knows the restarted replica at rates version %d before any sweep, want 2", rv)
+	}
+}
+
+// asserted sends method to url through the router asserting rates
+// version minRV, with body (nil sends none) as JSON.
+func asserted(t *testing.T, method, url string, body any, minRV uint64) (code int, raw []byte, served string) {
+	t.Helper()
+	var rd io.Reader
+	if body != nil {
+		b, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rd = bytes.NewReader(b)
+	}
+	req, err := http.NewRequest(method, url, rd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(HeaderMinRatesVersion, strconv.FormatUint(minRV, 10))
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, raw = readBody(t, resp)
+	return code, raw, resp.Header.Get(HeaderServedBy)
+}
+
+// ownedBy returns up to n vocabulary words whose rendezvous owner is rp.
+func (f *fleet) ownedBy(rp *replica, n int) []string {
+	var words []string
+	for topic := 0; topic < datagen.NumTopics(); topic++ {
+		for _, w := range datagen.TopicWords(topic) {
+			if len(words) < n && f.rt.rendezvousRank(routeKey(w))[0] == rp {
+				words = append(words, w)
+			}
+		}
+	}
+	return words
+}
+
+// TestRestartedReplicaIsCaughtUp: a replica restarted at the same URL
+// comes back at its snapshot's rates version, below the fleet's. The
+// next sweep must see it there and catch it up, so no read asserting
+// the fleet's version is answered below it.
+func TestRestartedReplicaIsCaughtUp(t *testing.T) {
+	f := newFleet(t, 2)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	f.restartBehind(t)
 
 	f.rt.CheckNow(ctx)
 	var fleetView RouterHealthResponse
@@ -843,27 +1029,64 @@ func TestRestartedReplicaIsCaughtUp(t *testing.T) {
 	if row := fleetView.Replicas[1]; !row.Healthy || row.RatesVersion != 2 {
 		t.Errorf("router's view of the restarted replica = %+v, want healthy at rates version 2", row)
 	}
+	var h server.HealthResponse
 	if _, raw := get(t, f.urls[1]+"/v1/healthz"); json.Unmarshal(raw, &h) != nil || h.RatesVersion != 2 {
 		t.Errorf("restarted replica reports %s after the sweep, want it caught up to rates version 2", raw)
 	}
 
 	for _, term := range []string{"olap", "xml", "mining", "query", "web", "search",
 		"data", "database", "stream", "graph", "index", "learning"} {
-		req, err := http.NewRequest(http.MethodGet, f.front.URL+"/v1/query?k=3&q="+term, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		req.Header.Set(HeaderMinRatesVersion, "2")
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		code, raw := readBody(t, resp)
+		code, raw, from := asserted(t, http.MethodGet, f.front.URL+"/v1/query?k=3&q="+term, nil, 2)
 		var ans server.QueryResponse
 		if code != 200 || json.Unmarshal(raw, &ans) != nil || ans.Version != 2 {
-			t.Errorf("q=%s asserting version 2 = %d at version %d from %s", term, code, ans.Version, resp.Header.Get(HeaderServedBy))
+			t.Errorf("q=%s asserting version 2 = %d at version %d from %s", term, code, ans.Version, from)
 		}
 	}
+}
+
+// TestAnswersBelowFloorNeverForwarded: before any sweep sees the
+// restarted replica, the router still routes to it, and its answers are
+// below the asserted version. None may be forwarded: every read
+// asserting version 2, single or batch, answers 200 at version 2 or
+// more or the 409, and the router's view of the replica drops to the
+// version it served.
+func TestAnswersBelowFloorNeverForwarded(t *testing.T) {
+	t.Run("single", func(t *testing.T) {
+		f := newFleet(t, 2)
+		terms := append(f.ownedBy(f.rt.replicas[1], 6), f.ownedBy(f.rt.replicas[0], 6)...)
+		f.restartBehind(t)
+		for _, term := range terms {
+			code, raw, from := asserted(t, http.MethodGet, f.front.URL+"/v1/query?k=3&q="+term, nil, 2)
+			var ans server.QueryResponse
+			if code != http.StatusConflict && (code != 200 || json.Unmarshal(raw, &ans) != nil || ans.Version < 2) {
+				t.Errorf("q=%s asserting version 2 = %d at version %d from %s", term, code, ans.Version, from)
+			}
+		}
+		if rv := f.rt.replicas[1].rv.Load(); rv != 1 {
+			t.Errorf("router knows the restarted replica at rates version %d, want 1 (what it served)", rv)
+		}
+	})
+	t.Run("batch", func(t *testing.T) {
+		f := newFleet(t, 2)
+		var req server.BatchQueryRequest
+		for _, w := range f.ownedBy(f.rt.replicas[1], 6) {
+			req.Queries = append(req.Queries, server.BatchQueryItem{Q: w, K: 3})
+		}
+		f.restartBehind(t)
+		code, raw, _ := asserted(t, http.MethodPost, f.front.URL+"/v1/query/batch", req, 2)
+		var ans server.BatchQueryResponse
+		if code != http.StatusConflict && (code != 200 || json.Unmarshal(raw, &ans) != nil || ans.Version < 2) {
+			t.Errorf("batch asserting version 2 = %d at version %d", code, ans.Version)
+		}
+		for i, a := range ans.Answers {
+			if a.Version < 2 {
+				t.Errorf("answer %d at version %d, below the asserted 2", i, a.Version)
+			}
+		}
+		if rv := f.rt.replicas[1].rv.Load(); rv != 1 {
+			t.Errorf("router knows the restarted replica at rates version %d, want 1 (what it served)", rv)
+		}
+	})
 }
 
 // TestRatesReadRespectsVersionAssertion: GET /v1/rates must honour the

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"io"
 	"math"
@@ -456,41 +455,41 @@ func TestQueryBatchUncached(t *testing.T) {
 	}
 }
 
-// TestClientV1 drives the typed client end-to-end against a live
-// server: every method, the error decode, and the conflict fast-path.
+// TestClientV1 drives the client's executor end-to-end against a live
+// server: the endpoints the router reaches, the error decode, and the
+// conflict fast-path.
 func TestClientV1(t *testing.T) {
 	s, ts := batchTestServer(t)
-	c := NewClient(ts.URL+"/", nil) // trailing slash must normalize
-	ctx := context.Background()
+	c := NewClient(ts.URL+"/", nil, 0) // trailing slash must normalize
 
-	h, err := c.Health(ctx)
-	if err != nil {
+	var h HealthResponse
+	if err := call(c, http.MethodGet, "/v1/healthz", nil, &h); err != nil {
 		t.Fatal(err)
 	}
 	if h.Status != "ok" || h.Nodes != s.eng.Pin().Corpus().Graph().NumNodes() || !h.CacheEnabled {
 		t.Errorf("health = %+v", h)
 	}
 
-	rts, err := c.Rates(ctx)
-	if err != nil {
+	var rts RatesResponse
+	if err := call(c, http.MethodGet, "/v1/rates", nil, &rts); err != nil {
 		t.Fatal(err)
 	}
 	if rts.Version != s.Engine().RatesVersion() || len(rts.Vector) == 0 {
 		t.Errorf("rates = %+v", rts)
 	}
 
-	q, err := c.Query(ctx, "olap", 5)
-	if err != nil {
+	var q QueryResponse
+	if err := call(c, http.MethodGet, "/v1/query?q=olap&k=5", nil, &q); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(q.Query, "olap") || len(q.Results) == 0 || len(q.Results) > 5 {
 		t.Errorf("query = %+v", q)
 	}
 
-	batch, err := c.QueryBatch(ctx, BatchQueryRequest{Queries: []BatchQueryItem{
+	var batch BatchQueryResponse
+	if err := call(c, http.MethodPost, "/v1/query/batch", BatchQueryRequest{Queries: []BatchQueryItem{
 		{Q: "olap", K: 5}, {Q: "xml"},
-	}})
-	if err != nil {
+	}}, &batch); err != nil {
 		t.Fatal(err)
 	}
 	if len(batch.Answers) != 2 || batch.Version != s.Engine().RatesVersion() {
@@ -501,7 +500,7 @@ func TestClientV1(t *testing.T) {
 	}
 
 	// Error decode: the envelope becomes a typed *APIError.
-	if _, err := c.Query(ctx, "  ", 5); err == nil {
+	if err := call(c, http.MethodGet, "/v1/query?q=++&k=5", nil, &q); err == nil {
 		t.Fatal("blank query should fail")
 	} else if apiErr, ok := err.(*APIError); !ok {
 		t.Fatalf("error type %T, want *APIError", err)
@@ -514,7 +513,8 @@ func TestClientV1(t *testing.T) {
 
 	// Conflict decode: stale version token → IsConflict with the winning
 	// version attached.
-	if _, err := c.RatesPublish(ctx, RatesPublishRequest{Vector: rts.Vector, IfVersion: 999999}); err == nil {
+	var pub RatesResponse
+	if err := call(c, http.MethodPost, "/v1/rates", RatesPublishRequest{Vector: rts.Vector, IfVersion: 999999}, &pub); err == nil {
 		t.Fatal("stale version should conflict")
 	} else if apiErr, ok := err.(*APIError); !ok || !apiErr.IsConflict() {
 		t.Fatalf("conflict error = %#v, want IsConflict", err)
@@ -524,8 +524,7 @@ func TestClientV1(t *testing.T) {
 
 	// A real publish round-trips and bumps the version.
 	before := s.Engine().RatesVersion()
-	pub, err := c.RatesPublish(ctx, RatesPublishRequest{Vector: rts.Vector, IfVersion: before})
-	if err != nil {
+	if err := call(c, http.MethodPost, "/v1/rates", RatesPublishRequest{Vector: rts.Vector, IfVersion: before}, &pub); err != nil {
 		t.Fatal(err)
 	}
 	if pub.Version <= before {

@@ -301,16 +301,16 @@ func TestProfileReformulate(t *testing.T) {
 	}
 }
 
-// TestClientProfileMethods covers the typed client's profile legs: an
-// update, the personalized query twin, and profile_not_found decoding
-// into *APIError.
+// TestClientProfileMethods covers the profile legs through the client's
+// executor: an update, the personalized query, and profile_not_found
+// decoding into *APIError.
 func TestClientProfileMethods(t *testing.T) {
 	_, ts := profileTestServer(t)
-	c := NewClient(ts.URL, nil)
-	ctx := t.Context()
+	c := NewClient(ts.URL, nil, 0)
 
-	if _, err := c.QueryProfile(ctx, "olap", 5, "nobody"); err == nil {
-		t.Fatal("QueryProfile on unknown id should fail")
+	var personal QueryResponse
+	if err := call(c, http.MethodGet, "/v1/query?q=olap&k=5&profile=nobody", nil, &personal); err == nil {
+		t.Fatal("a query of an unknown profile should fail")
 	} else {
 		var apiErr *APIError
 		if !errors.As(err, &apiErr) || apiErr.Status != 404 || apiErr.Code != CodeProfileNotFound {
@@ -318,18 +318,17 @@ func TestClientProfileMethods(t *testing.T) {
 		}
 	}
 
-	created, err := c.ProfileUpdate(ctx, "carol", ProfileUpdateRequest{
+	var created ProfileResponse
+	if err := call(c, http.MethodPut, "/v1/profile/carol", ProfileUpdateRequest{
 		Mixture: map[string]float64{"streaming": 1},
-	})
-	if err != nil {
+	}, &created); err != nil {
 		t.Fatal(err)
 	}
 	if created.ID != "carol" || created.Mixture["streaming"] != 1 {
 		t.Fatalf("created = %+v", created)
 	}
 
-	personal, err := c.QueryProfile(ctx, "olap", 5, "carol")
-	if err != nil {
+	if err := call(c, http.MethodGet, "/v1/query?q=olap&k=5&profile=carol", nil, &personal); err != nil {
 		t.Fatal(err)
 	}
 	if !personal.Personalized || personal.Profile != "carol" {

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -171,27 +170,25 @@ func mutateVector(t *testing.T, vector []float64, v float64) string {
 	return string(b)
 }
 
-// TestRatesPublishClient drives the same endpoint through the typed
-// client: success returns the published state, a lost race decodes
+// TestRatesPublishClient drives the same endpoint through the client's
+// executor: success returns the published state, a lost race decodes
 // into an *APIError with IsConflict and the winning version.
 func TestRatesPublishClient(t *testing.T) {
 	_, ts := testServer(t)
-	c := NewClient(ts.URL, nil)
-	ctx := context.Background()
+	c := NewClient(ts.URL, nil, 0)
 
-	cur, err := c.Rates(ctx)
-	if err != nil {
+	var cur, pub RatesResponse
+	if err := call(c, http.MethodGet, "/v1/rates", nil, &cur); err != nil {
 		t.Fatal(err)
 	}
-	pub, err := c.RatesPublish(ctx, RatesPublishRequest{Vector: cur.Vector, IfVersion: cur.Version})
-	if err != nil {
+	if err := call(c, http.MethodPost, "/v1/rates", RatesPublishRequest{Vector: cur.Vector, IfVersion: cur.Version}, &pub); err != nil {
 		t.Fatal(err)
 	}
 	if pub.Version != cur.Version+1 {
 		t.Errorf("version = %d, want %d", pub.Version, cur.Version+1)
 	}
 
-	_, err = c.RatesPublish(ctx, RatesPublishRequest{Vector: cur.Vector, IfVersion: cur.Version})
+	err := call(c, http.MethodPost, "/v1/rates", RatesPublishRequest{Vector: cur.Vector, IfVersion: cur.Version}, nil)
 	apiErr, ok := err.(*APIError)
 	if !ok || !apiErr.IsConflict() {
 		t.Fatalf("stale publish error = %v, want a conflict APIError", err)
