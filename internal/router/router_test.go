@@ -763,44 +763,100 @@ func feedbackTarget(t *testing.T, front string) int64 {
 	return qr.Results[0].Node
 }
 
-// TestExchangeResendRule holds every kind of router→replica exchange to
-// its re-send rule, with the reply of its first dispatch lost after the
-// replica acted. A request that changes replica state is sent exactly
-// once: re-sending a reformulation, a publish, a swap or a profile write
-// would apply it twice, so the router answers without knowing (502, or
-// the owner-down 503) or marks the replica down. A read, a sub-batch or
-// a health probe is sent once more to the same replica and answers.
+// exchangeCase is one kind of router→replica exchange: a fleet, the
+// request whose first reply is lost after the replica acted, its re-send
+// rule, and what the router must answer.
+type exchangeCase struct {
+	profiles     bool // the fleet runs the personalization tier
+	method, path string
+	resend       bool
+	run          func(t *testing.T, f *fleet, rt *Router, front string)
+}
+
+// check runs c on a fresh two-replica fleet and counts its dispatches:
+// one to the replica whose reply was lost for a request sent once, two
+// for one that may be re-sent, and never more than one to a replica
+// whose reply arrived.
+func (c exchangeCase) check(t *testing.T) {
+	t.Helper()
+	var f *fleet
+	if c.profiles {
+		f = newProfileFleet(t, 2)
+	} else {
+		f = newFleet(t, 2)
+	}
+	lt := &lostReplyTransport{method: c.method, path: c.path}
+	rt, front := f.via(t, lt)
+	c.run(t, f, rt, front.URL)
+	sent, lost := lt.dispatches()
+	if lost == "" {
+		t.Fatalf("no %s %s was dispatched", c.method, c.path)
+	}
+	want := 1
+	if c.resend {
+		want = 2
+	}
+	if sent[lost] != want {
+		t.Errorf("%s %s dispatched %d times to the replica whose reply was lost, want %d", c.method, c.path, sent[lost], want)
+	}
+	for host, n := range sent {
+		if host != lost && n > 1 {
+			t.Errorf("%s %s dispatched %d times to %s, whose reply arrived", c.method, c.path, n, host)
+		}
+	}
+}
+
+// TestReformulateDispatchNeverRetried: reformulation is not idempotent,
+// so a global /v1/reformulate whose reply is lost after the replica
+// applied it answers the 502 "state unknown" after exactly one dispatch.
+// Re-sending it could apply the feedback twice.
+func TestReformulateDispatchNeverRetried(t *testing.T) {
+	exchangeCase{false, http.MethodGet, "/v1/reformulate", sendOnce,
+		func(t *testing.T, f *fleet, rt *Router, front string) {
+			code, body := get(t, fmt.Sprintf("%s/v1/reformulate?q=olap&feedback=%d", front, feedbackTarget(t, front)))
+			wantError(t, code, body, http.StatusBadGateway, server.CodeInternal)
+		}}.check(t)
+}
+
+// TestRatesPublishDispatchNeverRetried is the publish twin of
+// TestReformulateDispatchNeverRetried: an unguarded POST /v1/rates
+// whose reply is lost after the replica applied it answers the 502
+// "state unknown" after exactly one dispatch. Re-sending it would move
+// the replica a second version.
+func TestRatesPublishDispatchNeverRetried(t *testing.T) {
+	exchangeCase{false, http.MethodPost, "/v1/rates", sendOnce,
+		func(t *testing.T, f *fleet, rt *Router, front string) {
+			vector := f.servers[0].Engine().Pin().Rates().Vector()
+			code, body := postJSON(t, front+"/v1/rates", server.RatesPublishRequest{Vector: vector})
+			wantError(t, code, body, http.StatusBadGateway, server.CodeInternal)
+			if v := f.servers[0].Engine().Pin().Version(); v != 2 {
+				t.Errorf("the publish's replica is at rates version %d, want 2 (applied once)", v)
+			}
+		}}.check(t)
+}
+
+// TestExchangeResendRule holds every other kind of router→replica
+// exchange to its re-send rule (the global reformulation and the publish
+// have the two tests above), with the reply of its first dispatch lost
+// after the replica acted. A request that changes replica state is sent
+// exactly once: re-sending a swap or a profile write would apply it
+// twice, so the router answers without knowing (502, or the owner-down
+// 503) or marks the replica down. A read, a sub-batch or a health probe
+// is sent once more to the same replica and answers.
 func TestExchangeResendRule(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	rows := []struct {
-		name         string
-		profiles     bool // the fleet runs the personalization tier
-		method, path string
-		resend       bool
-		run          func(t *testing.T, f *fleet, rt *Router, front string)
+		name string
+		exchangeCase
 	}{
-		{"global reformulate", false, http.MethodGet, "/v1/reformulate", sendOnce,
-			func(t *testing.T, f *fleet, rt *Router, front string) {
-				code, body := get(t, fmt.Sprintf("%s/v1/reformulate?q=olap&feedback=%d", front, feedbackTarget(t, front)))
-				wantError(t, code, body, http.StatusBadGateway, server.CodeInternal)
-			}},
-		{"POST /v1/rates", false, http.MethodPost, "/v1/rates", sendOnce,
-			func(t *testing.T, f *fleet, rt *Router, front string) {
-				vector := f.servers[0].Engine().Pin().Rates().Vector()
-				code, body := postJSON(t, front+"/v1/rates", server.RatesPublishRequest{Vector: vector})
-				wantError(t, code, body, http.StatusBadGateway, server.CodeInternal)
-				if v := f.servers[0].Engine().Pin().Version(); v != 2 {
-					t.Errorf("the publish's replica is at rates version %d, want 2 (applied once)", v)
-				}
-			}},
-		{"corpus swap", false, http.MethodPost, "/v1/corpus/swap", sendOnce,
+		{"corpus swap", exchangeCase{false, http.MethodPost, "/v1/corpus/swap", sendOnce,
 			func(t *testing.T, f *fleet, rt *Router, front string) {
 				if code, body := postJSON(t, front+"/v1/corpus/swap", server.CorpusSwapRequest{Snapshot: "next.snap"}); code != 200 {
 					t.Fatalf("swap = %d: %s", code, body)
 				}
-			}},
-		{"PUT /v1/profile/{id}", true, http.MethodPut, "/v1/profile/ada", sendOnce,
+			}}},
+		{"PUT /v1/profile/{id}", exchangeCase{true, http.MethodPut, "/v1/profile/ada", sendOnce,
 			func(t *testing.T, f *fleet, rt *Router, front string) {
 				code, _, body := servedBy(t, http.MethodPut, front+"/v1/profile/ada", `{"mixture":{"streaming":1}}`)
 				wantError(t, code, body, http.StatusServiceUnavailable, server.CodeShed)
@@ -813,8 +869,8 @@ func TestExchangeResendRule(t *testing.T) {
 				if stored != 1 {
 					t.Errorf("the profile is stored on %d replicas, want 1 (its owner, once)", stored)
 				}
-			}},
-		{"profile reformulate", true, http.MethodGet, "/v1/reformulate", sendOnce,
+			}}},
+		{"profile reformulate", exchangeCase{true, http.MethodGet, "/v1/reformulate", sendOnce,
 			func(t *testing.T, f *fleet, rt *Router, front string) {
 				if code, _, body := servedBy(t, http.MethodPut, front+"/v1/profile/ada", `{"mixture":{"streaming":1}}`); code != 200 {
 					t.Fatalf("PUT = %d: %s", code, body)
@@ -822,8 +878,8 @@ func TestExchangeResendRule(t *testing.T) {
 				code, _, body := servedBy(t, http.MethodGet,
 					fmt.Sprintf("%s/v1/reformulate?q=olap&feedback=%d&profile=ada", front, feedbackTarget(t, front)), "")
 				wantError(t, code, body, http.StatusBadGateway, server.CodeInternal)
-			}},
-		{"catch-up publish", false, http.MethodPost, "/v1/rates", sendOnce,
+			}}},
+		{"catch-up publish", exchangeCase{false, http.MethodPost, "/v1/rates", sendOnce,
 			func(t *testing.T, f *fleet, rt *Router, front string) {
 				// A publish lands on replica 0 behind the router's back; the
 				// sweep's resync replays it onto replica 1.
@@ -842,21 +898,21 @@ func TestExchangeResendRule(t *testing.T) {
 				if rt.replicas[1].up.Load() {
 					t.Error("a replica whose catch-up reply was lost is still marked up")
 				}
-			}},
-		{"proxied read", false, http.MethodGet, "/v1/query", mayResend,
+			}}},
+		{"proxied read", exchangeCase{false, http.MethodGet, "/v1/query", mayResend,
 			func(t *testing.T, f *fleet, rt *Router, front string) {
 				if code, body := get(t, front+"/v1/query?q=olap&k=3"); code != 200 {
 					t.Fatalf("query = %d: %s", code, body)
 				}
-			}},
-		{"sub-batch", false, http.MethodPost, "/v1/query/batch", mayResend,
+			}}},
+		{"sub-batch", exchangeCase{false, http.MethodPost, "/v1/query/batch", mayResend,
 			func(t *testing.T, f *fleet, rt *Router, front string) {
 				if code, body := postJSON(t, front+"/v1/query/batch",
 					server.BatchQueryRequest{Queries: []server.BatchQueryItem{{Q: "olap", K: 3}}}); code != 200 {
 					t.Fatalf("batch = %d: %s", code, body)
 				}
-			}},
-		{"health probe", false, http.MethodGet, "/v1/healthz", mayResend,
+			}}},
+		{"health probe", exchangeCase{false, http.MethodGet, "/v1/healthz", mayResend,
 			func(t *testing.T, f *fleet, rt *Router, front string) {
 				// New's first sweep probed every replica.
 				for i, rp := range rt.replicas {
@@ -864,36 +920,10 @@ func TestExchangeResendRule(t *testing.T) {
 						t.Errorf("replica %d is down after a probe whose first reply was lost", i)
 					}
 				}
-			}},
+			}}},
 	}
 	for _, row := range rows {
-		t.Run(row.name, func(t *testing.T) {
-			var f *fleet
-			if row.profiles {
-				f = newProfileFleet(t, 2)
-			} else {
-				f = newFleet(t, 2)
-			}
-			lt := &lostReplyTransport{method: row.method, path: row.path}
-			rt, front := f.via(t, lt)
-			row.run(t, f, rt, front.URL)
-			sent, lost := lt.dispatches()
-			if lost == "" {
-				t.Fatalf("no %s %s was dispatched", row.method, row.path)
-			}
-			want := 1
-			if row.resend {
-				want = 2
-			}
-			if sent[lost] != want {
-				t.Errorf("%s %s dispatched %d times to the replica whose reply was lost, want %d", row.method, row.path, sent[lost], want)
-			}
-			for host, n := range sent {
-				if host != lost && n > 1 {
-					t.Errorf("%s %s dispatched %d times to %s, whose reply arrived", row.method, row.path, n, host)
-				}
-			}
-		})
+		t.Run(row.name, row.check)
 	}
 }
 
