@@ -19,7 +19,7 @@
 //
 // Errors are the uniform {"error":{code,message,requestId}} envelope.
 // /v1/query/batch answers up to 64 queries under one rates snapshot
-// with at most ⌈unique/BlockSize⌉ blocked kernel executions.
+// with at most one kernel solve per ranking direction.
 //
 // The corpus comes from -snapshot (a binary corpus snapshot written by
 // datagen or afq snapshot: zero-build cold start) or, without one, is

@@ -108,10 +108,9 @@ func TestQueryBatchMatchesSingle(t *testing.T) {
 	}
 }
 
-// TestQueryBatchSolveCount: a cold batch of N unique queries runs
-// ⌈N/BlockSize⌉ kernel executions — the acceptance metric behind
-// afq_kernel_solves_total — with Columns summing to the unique-query
-// count.
+// TestQueryBatchSolveCount: a cold batch of N unique queries is one
+// Solve — the acceptance metric behind afq_kernel_solves_total — with
+// Columns equal to the unique queries that have a base set.
 func TestQueryBatchSolveCount(t *testing.T) {
 	_, eng := testEngine(t, rank.Options{})
 	c := New(eng, Options{})
@@ -124,41 +123,31 @@ func TestQueryBatchSolveCount(t *testing.T) {
 	})
 	defer eng.SetSolveHook(nil)
 
-	unique := []string{"olap", "xml", "mining", "query", "index", "search", "web", "join"}
-	terms := append(append([]string(nil), unique...), unique...) // 16 queries, 8 unique
+	unique := []string{"olap", "xml", "mining", "query", "index", "search", "web", "join", "processing"}
+	terms := append(append([]string(nil), unique...), unique...) // 18 queries, 9 unique
 	qs := make([]*ir.Query, len(terms))
 	ks := make([]int, len(terms))
 	for i, tm := range terms {
 		qs[i] = ir.NewQuery(tm)
 		ks[i] = 10
 	}
-	// Expected panel accounting, derived from the index: unique misses
-	// become columns in batch order, panelled at BlockSize; empty-base
-	// queries short-circuit inside the panel without a kernel column.
-	bs := core.DefaultBlockSize
-	wantSolves, wantColumns := 0, 0
-	for lo := 0; lo < len(unique); lo += bs {
-		hi := lo + bs
-		if hi > len(unique) {
-			hi = len(unique)
+	// Expected accounting, derived from the index: unique misses become
+	// columns of one Solve; empty-base queries short-circuit without a
+	// kernel column.
+	wantColumns := 0
+	for _, tm := range unique {
+		if len(eng.Pin().Corpus().Index().BaseSet(ir.NewQuery(tm))) > 0 {
+			wantColumns++
 		}
-		nz := 0
-		for _, tm := range unique[lo:hi] {
-			if len(eng.Pin().Corpus().Index().BaseSet(ir.NewQuery(tm))) > 0 {
-				nz++
-			}
-		}
-		if nz > 0 {
-			wantSolves++
-			wantColumns += nz
-		}
+	}
+	if wantColumns != len(unique) {
+		t.Fatalf("%d of the %d unique terms have a base set, want all", wantColumns, len(unique))
 	}
 	if _, err := c.QueryBatchModePinnedCtx(context.Background(), eng.Pin(), qs, ks, nil); err != nil {
 		t.Fatal(err)
 	}
-	if solves != wantSolves || columns != wantColumns {
-		t.Fatalf("solves = %d (want %d), columns = %d (want %d; BlockSize %d)",
-			solves, wantSolves, columns, wantColumns, bs)
+	if solves != 1 || columns != wantColumns {
+		t.Fatalf("solves = %d (want 1), columns = %d (want %d)", solves, columns, wantColumns)
 	}
 }
 

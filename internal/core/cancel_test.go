@@ -158,13 +158,14 @@ func TestSolveCancelSkipsHook(t *testing.T) {
 	}
 }
 
-// TestSolveMidBatchCancelGroupGranularity: the unit of completion of a
-// Solve wider than DefaultBlockSize is the group. Cancelling at the
-// first solve-hook firing returns the context error with exactly the
-// first group's results filled — they converged in the same kernel
-// execution, bit-equal to the uncancelled solve's — and none of the next
-// group's; a term with no base set occupies no kernel column.
-func TestSolveMidBatchCancelGroupGranularity(t *testing.T) {
+// TestSolveMidBatchCancelColumnGranularity: the unit of completion of a
+// Solve is the column, however many it has. Cancelling at the first
+// poll of the ninth kernel column returns the context error with
+// exactly the queries before it filled, each Float64bits-equal to the
+// uncancelled solve's — among them a term with no base set, which
+// occupies no kernel column — and none after it; the solve hook does
+// not fire.
+func TestSolveMidBatchCancelColumnGranularity(t *testing.T) {
 	e := newFixture(t).newEngine(t)
 	terms := []string{"olap", "index", "zebra", "range", "data", "cube", "modeling", "agrawal",
 		"multidimensional", "databases", "icde"}
@@ -172,36 +173,39 @@ func TestSolveMidBatchCancelGroupGranularity(t *testing.T) {
 	for _, tm := range terms {
 		spec.Queries = append(spec.Queries, ir.NewQuery(tm))
 	}
-	full, err := e.Pin().Solve(context.Background(), spec)
+	const never = 1 << 30
+	counting := &countdown{Context: context.Background(), left: never}
+	full, err := e.Pin().Solve(counting, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(full[2].Base) != 0 {
+		t.Fatal("zebra must have an empty base set")
+	}
+	const cut = 9 // the index of the ninth kernel column
+	polls := 1    // Solve's entry poll
+	for _, res := range full[:cut] {
+		polls += res.Iterations
+	}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	solves := 0
-	e.SetSolveHook(func(st SolveStats) {
-		solves++
-		if st.Columns != DefaultBlockSize-1 { // the group minus "zebra"
-			t.Errorf("solve %d: Columns = %d, want %d", solves, st.Columns, DefaultBlockSize-1)
-		}
-		cancel()
-	})
-	part, err := e.Pin().Solve(ctx, spec)
-	if err != context.Canceled || solves != 1 {
-		t.Fatalf("err = %v after %d kernel executions, want context.Canceled after 1", err, solves)
+	hooks := 0
+	e.SetSolveHook(func(SolveStats) { hooks++ })
+	part, err := e.Pin().Solve(&countdown{Context: context.Background(), left: polls}, spec)
+	if err != context.Canceled || hooks != 0 {
+		t.Fatalf("err = %v after %d hook firings, want context.Canceled after 0", err, hooks)
 	}
 	for i, res := range part {
-		if i >= DefaultBlockSize {
+		if i >= cut {
 			if res != nil {
-				t.Errorf("%q: a result from a group after the cutoff", terms[i])
+				t.Errorf("%q: a result from a column after the cutoff", terms[i])
 			}
 			continue
 		}
 		if res == nil {
-			t.Fatalf("%q: the group that completed before the cutoff lost a result", terms[i])
+			t.Fatalf("%q: a column that finished before the cutoff lost its result", terms[i])
 		}
 		for v, x := range res.Scores {
-			if x != full[i].Scores[v] {
+			if math.Float64bits(x) != math.Float64bits(full[i].Scores[v]) {
 				t.Fatalf("%q: score %d differs from the uncancelled solve: %v vs %v", terms[i], v, x, full[i].Scores[v])
 			}
 		}

@@ -35,12 +35,6 @@ type Corpus struct {
 	name string
 }
 
-// DefaultBlockSize is how many columns of a multi-column solve
-// (batches, a profile blend's mixture terms) go to one kernel
-// execution: the unit of SolveStats accounting and the bound on the jump
-// vectors a Solve holds at once.
-const DefaultBlockSize = 8
-
 // ErrWarmStartMismatch reports a warm-started batch whose init slice
 // does not pair up with its query slice. This is the one shape error
 // the engine cannot repair locally: a wrong-LENGTH init VECTOR is a
@@ -290,21 +284,21 @@ type engineState struct {
 type Engine struct {
 	state atomic.Pointer[engineState]
 
-	// solveHook, when set, is invoked after every completed kernel
-	// execution on the ObjectRank2 path with that solve's SolveStats.
+	// solveHook, when set, is invoked after every completed Solve
+	// that swept a column, with that call's SolveStats.
 	// The observability layer subscribes here to drive its kernel-solve
 	// counters and iterations-to-convergence histogram; see
 	// SetSolveHook.
 	solveHook atomic.Pointer[func(SolveStats)]
 }
 
-// SolveStats describes one completed kernel execution of Pinned.Solve —
-// one group of its columns, each solved by one rank.Iterate call — for
-// every ranking in the system, including the solves the serving cache
-// and the profile tier issue.
+// SolveStats describes one completed call of Pinned.Solve — all of its
+// columns, each solved by one rank.Iterate call — for every ranking in
+// the system, including the solves the serving cache and the profile
+// tier issue.
 type SolveStats struct {
-	// Iterations is the sweep count of the execution (the slowest
-	// column's); Converged reports that every column converged.
+	// Iterations is the sweep count of the call's slowest column;
+	// Converged reports that every column converged.
 	Iterations int
 	Converged  bool
 	// WarmStarted reports that a column began from a caller-donated
@@ -312,34 +306,33 @@ type SolveStats struct {
 	// PageRank default start does not count, and neither does a
 	// donation dropped for its length.
 	WarmStarted bool
-	// SolveDur is the wall-clock duration of the kernel iteration
-	// stage.
+	// SolveDur is the wall-clock duration of the call's kernel stage,
+	// every column's sweeps together.
 	SolveDur time.Duration
-	// Columns is the number of base sets the kernel execution advanced:
-	// 1 for a single query, up to DefaultBlockSize for one group of a
-	// batch. afq_kernel_solves_total counts EXECUTIONS (hook firings),
-	// so a 16-query batch contributes 2 solves / 16 columns.
+	// Columns is the number of base sets the call swept: 1 for a single
+	// query, N for a batch of N distinct queries with non-empty base
+	// sets. afq_kernel_solves_total counts CALLS (hook firings), so a
+	// 16-query batch contributes 1 solve / 16 columns.
 	Columns int
 	// Mode is the direction solved (ModeAuthority or ModeHub).
 	Mode Mode
-	// PlanBuilt reports that this execution built its snapshot's
-	// coefficient plan, in PlanBuildDur (inside SolveDur); a multi-column
-	// execution that found the plan built, and every one-column
-	// execution, leaves both zero.
+	// PlanBuilt reports that this call built its snapshot's coefficient
+	// plan, in PlanBuildDur (inside SolveDur); a multi-column call that
+	// found the plan built, and every one-column call, leaves both zero.
 	PlanBuilt    bool
 	PlanBuildDur time.Duration
 	// Ctx is the context the solve ran under, so a hook can attribute the
-	// execution to the request that asked for it.
+	// call to the request that asked for it.
 	Ctx context.Context
 }
 
-// SetSolveHook registers f to be called after every completed kernel
-// execution with that solve's statistics. At most one hook is held; a
+// SetSolveHook registers f to be called after every completed Solve
+// with that call's statistics. At most one hook is held; a
 // nil f removes it. The hook runs synchronously on the solving
 // goroutine, so concurrent solves invoke it concurrently — it must be
 // safe for concurrent use and should be cheap (a few atomic updates).
-// Degenerate executions that never enter the kernel (an empty base
-// set) do not fire the hook.
+// A call that never enters the kernel (every base set empty) does not
+// fire the hook.
 func (e *Engine) SetSolveHook(f func(SolveStats)) {
 	if f == nil {
 		e.solveHook.Store(nil)
@@ -540,7 +533,7 @@ type RankResult struct {
 	// BaseSetDur and SolveDur are the wall-clock stage timings of the
 	// execution (IR scoring vs kernel iteration) — the per-request
 	// trace's span durations. SolveDur is this column's own run, also
-	// when it was solved with others (their group's wall time is
+	// when it was solved with others (the call's kernel wall time is
 	// SolveStats.SolveDur). Zero for results that did not run the kernel
 	// (empty base set, cache hits reconstructed from stored vectors).
 	BaseSetDur time.Duration

@@ -42,25 +42,24 @@ type SolveSpec struct {
 }
 
 // Solve executes spec under the pinned state — the one way to ask for a
-// ranking — and the one place columns are grouped. It takes the columns
-// DefaultBlockSize at a time and solves each with one rank.Iterate call,
-// its own fixpoint and bit-identical to the same request solved alone.
-// Every column of a group of two or more sweeps over the snapshot's
-// coefficient plan, which the first such group builds; a lone column
-// gets no plan, so it neither builds nor reads one. A query whose base
-// set is empty short-circuits to the all-zero fixpoint without
-// occupying a column.
+// ranking. It solves the columns in order, each with one rank.Iterate
+// call, its own fixpoint and bit-identical to the same request solved
+// alone; a column's jump vector is drawn from the buffer pool just
+// before its sweep and returned just after it. A query whose base set
+// is empty short-circuits to the all-zero fixpoint without occupying a
+// column. When two or more columns remain, every one of them sweeps
+// over the snapshot's coefficient plan, which the first such call
+// builds; a lone column neither builds nor reads one.
 //
-// The solve hook fires once per completed group with SolveStats.Columns
-// set to its width, so a batch of N distinct queries counts
-// ⌈N/DefaultBlockSize⌉ solves.
+// The solve hook fires once per call that sweeps at least one column,
+// with SolveStats.Columns set to their count, so a batch of N distinct
+// queries counts one solve.
 //
-// Cancellation: the kernel polls ctx once per sweep per column. A
-// cancelled column publishes NOTHING — its partial vector goes back to
-// the buffer pool — and its group's solve hook does not fire; Solve
-// returns ctx's error with a PARTIAL slice: entries of groups completed
-// before the cutoff (and of columns that finished before it landed)
-// are filled, the rest are nil.
+// Cancellation: Solve polls ctx once on entry and the kernel once per
+// sweep. A cancelled column publishes NOTHING — its partial vector goes
+// back to the buffer pool — the solve hook does not fire, and Solve
+// returns ctx's error with a PARTIAL slice: the columns that finished
+// before the cutoff are filled, the rest are nil.
 func (p *Pinned) Solve(ctx context.Context, spec SolveSpec) ([]*RankResult, error) {
 	v, err := viewOf(spec.Mode)
 	if err != nil {
@@ -84,91 +83,79 @@ func (p *Pinned) Solve(ctx context.Context, spec SolveSpec) ([]*RankResult, erro
 		// vector: no per-column pairing exists, so no degrade is possible.
 		return nil, fmt.Errorf("%w: %d init vectors for %d columns", ErrWarmStartMismatch, len(spec.Inits), count)
 	}
-
 	out := make([]*RankResult, count)
-	type column struct {
-		res  *RankResult
-		at   int // the column's index in out
-		jump []float64
-		opts rank.Options
+	if err := ctx.Err(); err != nil {
+		return out, err
 	}
-	for lo := 0; lo < count; lo += DefaultBlockSize {
-		if err := ctx.Err(); err != nil {
-			return out, err
+
+	// The base sets come first: whether the columns read the plan
+	// depends on how many of them have a jump to sweep.
+	cols := 0
+	for i := range out {
+		t0 := time.Now()
+		res := &RankResult{RatesVersion: st.snap.version, Generation: st.gen.num}
+		if spec.Jump == nil {
+			res.Query = spec.Queries[i]
+			res.Base, res.BaseMass = baseSetOf(c, res.Query)
+			if len(res.Base) > 0 {
+				cols++
+			}
 		}
-		hi := min(lo+DefaultBlockSize, count)
-		stats := SolveStats{Converged: true, Mode: viewModes[v], Ctx: ctx}
-		var cols []column
-		for i := lo; i < hi; i++ {
-			t0 := time.Now()
-			res := &RankResult{RatesVersion: st.snap.version, Generation: st.gen.num}
-			jump := c.pool.GetZeroed(n)
-			support := 0
-			if spec.Jump != nil {
-				for v, x := range spec.Jump {
-					if x != 0 {
-						jump[v] = x
-						support++
-					}
+		res.BaseSetDur = time.Since(t0)
+		out[i] = res
+	}
+
+	stats := SolveStats{Converged: true, Mode: viewModes[v], Ctx: ctx}
+	t1 := time.Now()
+	var plan *rank.Plan
+	if cols > 1 {
+		plan, stats.PlanBuilt, stats.PlanBuildDur = st.snap.plan(st.gen, v)
+	}
+	for i, res := range out {
+		jump := c.pool.GetZeroed(n)
+		support := len(res.Base)
+		if spec.Jump != nil {
+			for u, x := range spec.Jump {
+				if x != 0 {
+					jump[u] = x
+					support++
 				}
-			} else {
-				res.Query = spec.Queries[i]
-				res.Base, res.BaseMass = baseSetOf(c, res.Query)
-				for _, sd := range res.Base {
-					jump[sd.Doc] = sd.Score
-				}
-				support = len(res.Base)
 			}
-			res.BaseSetDur = time.Since(t0)
-			if support == 0 {
-				// Nothing to jump to: the fixpoint is identically zero,
-				// so skip the iteration (a warm start would otherwise
-				// only decay toward zero).
-				res.Scores, res.Converged = jump, true
-				out[i] = res
-				continue
-			}
-			o := c.opts
-			o.Ctx = ctx
-			if spec.Inits != nil && len(spec.Inits[i]) == n {
-				o.Init = spec.Inits[i]
-				stats.WarmStarted = true
-			} else if !spec.Cold {
-				o.Init = st.gen.globalScores(v, st.snap)
-			}
-			cols = append(cols, column{res, i, jump, o})
 		}
-		if len(cols) == 0 {
+		for _, sd := range res.Base {
+			jump[sd.Doc] = sd.Score
+		}
+		if support == 0 {
+			// Nothing to jump to: the fixpoint is identically zero, so
+			// skip the iteration (a warm start would otherwise only
+			// decay toward zero).
+			res.Scores, res.Converged = jump, true
 			continue
 		}
-
-		t1 := time.Now()
-		var plan *rank.Plan
-		if len(cols) > 1 {
-			plan, stats.PlanBuilt, stats.PlanBuildDur = st.snap.plan(st.gen, v)
+		o := c.opts
+		o.Ctx = ctx
+		if spec.Inits != nil && len(spec.Inits[i]) == n {
+			o.Init = spec.Inits[i]
+			stats.WarmStarted = true
+		} else if !spec.Cold {
+			o.Init = st.gen.globalScores(v, st.snap)
 		}
-		var groupErr error
-		for _, col := range cols {
-			kr := rank.Iterate(c.g, st.snap.alpha, col.jump, col.opts, c.pool, plan)
-			c.pool.Put(col.jump)
-			if kr.Err != nil {
-				// Cancelled: recycle the partial vector and publish
-				// nothing for this column.
-				kr.ReleaseTo(c.pool)
-				groupErr = kr.Err
-				continue
-			}
-			res := col.res
-			res.Scores, res.Iterations, res.Converged, res.SolveDur = kr.Scores, kr.Iterations, kr.Converged, kr.Dur
-			out[col.at] = res
-			stats.Iterations = max(stats.Iterations, kr.Iterations)
-			stats.Converged = stats.Converged && kr.Converged
+		kr := rank.Iterate(c.g, st.snap.alpha, jump, o, c.pool, plan)
+		c.pool.Put(jump)
+		if kr.Err != nil {
+			// Cancelled: recycle the partial vector and publish nothing
+			// for this column or any after it.
+			kr.ReleaseTo(c.pool)
+			clear(out[i:])
+			return out, kr.Err
 		}
+		res.Scores, res.Iterations, res.Converged, res.SolveDur = kr.Scores, kr.Iterations, kr.Converged, kr.Dur
+		stats.Columns++
+		stats.Iterations = max(stats.Iterations, kr.Iterations)
+		stats.Converged = stats.Converged && kr.Converged
+	}
+	if stats.Columns > 0 {
 		stats.SolveDur = time.Since(t1)
-		stats.Columns = len(cols)
-		if groupErr != nil {
-			return out, groupErr
-		}
 		p.e.notifySolve(stats)
 	}
 	return out, nil

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"testing"
 	"time"
 
@@ -88,5 +89,49 @@ func TestPlanBelongsToMultiColumnSolves(t *testing.T) {
 	}
 	if gn := next.st.gen; gn != pin.st.gen || gn.views[0].sources == nil || gn.views[1].sources == nil {
 		t.Fatal("the generation's source columns were not kept across the publish")
+	}
+}
+
+// TestNineColumnsOneSolve: a Solve of nine distinct queries is one call
+// of the kernel stage — the hook fires once, with Columns = 9, and the
+// call builds the fresh snapshot's plan for every column to sweep — and
+// each column is Float64bits-equal to its query solved alone, which
+// reads no plan.
+func TestNineColumnsOneSolve(t *testing.T) {
+	e := newFixture(t).newEngine(t)
+	terms := []string{"olap", "index", "range", "data", "cube", "modeling", "agrawal", "multidimensional", "databases"}
+	var qs []*ir.Query
+	for _, tm := range terms {
+		qs = append(qs, ir.NewQuery(tm))
+	}
+	var stats []SolveStats
+	e.SetSolveHook(func(st SolveStats) { stats = append(stats, st) })
+	ctx := context.Background()
+	rs, err := e.Pin().Solve(ctx, SolveSpec{Queries: qs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(stats) != 1 || stats[0].Columns != len(terms) || !stats[0].PlanBuilt {
+		t.Fatalf("hook firings %+v, want one with Columns = %d and PlanBuilt", stats, len(terms))
+	}
+	for i, q := range qs {
+		if len(rs[i].Base) == 0 {
+			t.Fatalf("%q has an empty base set", terms[i])
+		}
+		alone, err := e.Pin().Solve(ctx, SolveSpec{Queries: []*ir.Query{q}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rs[i].Iterations != alone[0].Iterations {
+			t.Errorf("%q: %d iterations in the batch, %d alone", terms[i], rs[i].Iterations, alone[0].Iterations)
+		}
+		for v, x := range alone[0].Scores {
+			if math.Float64bits(rs[i].Scores[v]) != math.Float64bits(x) {
+				t.Fatalf("%q: score %d = %v in the batch, %v alone", terms[i], v, rs[i].Scores[v], x)
+			}
+		}
+	}
+	if len(stats) != 1+len(terms) || stats[1].PlanBuilt {
+		t.Fatalf("the one-column solves fired %d hooks, the first with PlanBuilt = %v", len(stats)-1, stats[1].PlanBuilt)
 	}
 }

@@ -22,7 +22,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -502,12 +501,9 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 			var apiErr *server.APIError
 			if errors.As(g.err, &apiErr) {
 				// A real replica answer (conflict, shed, deadline):
-				// forward it rather than guessing — but a replica names
-				// SUB-batch item indices, so remap them onto the client's
-				// original panel first.
-				e := *apiErr
-				e.Message = remapBatchIndices(e.Message, g.idxs)
-				server.Fail(w, r, &e)
+				// forward it rather than guessing. It names no item:
+				// the panel was validated whole before the split.
+				server.Fail(w, r, apiErr)
 				return
 			}
 			if r.Context().Err() != nil {
@@ -590,35 +586,6 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rt.writeNoReplica(w, r, false)
-}
-
-// remapBatchIndices rewrites "queries[N]" item references in a replica
-// sub-batch error message from sub-batch positions to the client's
-// original panel indices (idxs maps sub position → original index).
-// Unparseable or out-of-range references pass through untouched.
-func remapBatchIndices(msg string, idxs []int) string {
-	const marker = "queries["
-	var b strings.Builder
-	for {
-		i := strings.Index(msg, marker)
-		if i < 0 {
-			b.WriteString(msg)
-			return b.String()
-		}
-		b.WriteString(msg[:i+len(marker)])
-		msg = msg[i+len(marker):]
-		j := strings.IndexByte(msg, ']')
-		if j < 0 {
-			b.WriteString(msg)
-			return b.String()
-		}
-		if n, err := strconv.Atoi(msg[:j]); err == nil && n >= 0 && n < len(idxs) {
-			b.WriteString(strconv.Itoa(idxs[n]))
-		} else {
-			b.WriteString(msg[:j])
-		}
-		msg = msg[j:]
-	}
 }
 
 // planBatch assigns every item to the first eligible replica in its

@@ -24,8 +24,8 @@ type ObsOptions struct {
 }
 
 // routerObs bundles the router's metric families and HTTP middleware.
-// Families are namespaced afq_router_* so a shared registry can
-// co-host a replica's afq_* families without collision.
+// Families are namespaced afq_router_* so a scrape of the router never
+// collides with a replica's afq_* families.
 type routerObs struct {
 	reg *obs.Registry
 	mw  *obs.Middleware

@@ -53,7 +53,9 @@ func (rt *Router) handleProfile(w http.ResponseWriter, r *http.Request) {
 // NOTHING globally (no writeMu, no propagation, no version advance) but
 // mutates the record, so it is not idempotent and a lost reply leaves
 // the owner's state unknown, exactly like the global reformulation's
-// owner leg: resend is set for reads alone.
+// owner leg: resend is set for reads alone, and a write or training
+// round whose reply was lost answers 502 "state unknown", never the
+// owner-down 503 that invites a blind re-send.
 func (rt *Router) dispatchOwner(w http.ResponseWriter, r *http.Request, id string, gated, resend bool) {
 	var floorGen, floorRV uint64
 	if gated {
@@ -82,12 +84,13 @@ func (rt *Router) dispatchOwner(w http.ResponseWriter, r *http.Request, id strin
 	case err == nil:
 		rt.reply(w, r, owner, resp)
 	case r.Context().Err() != nil: // client gone; nothing to answer
-	case r.URL.Path == "/v1/reformulate":
-		// Only training phrases a lost reply as unknown state; CRUD and
-		// reads answer the owner-down shed.
+	case !resend:
+		// The owner was up and may have applied the write or the
+		// training round: its state is unknown, not down.
 		server.Fail(w, r, badGateway(
-			"profile owner failed mid-training; its state is unknown — check /v1/router/healthz and retry"))
+			"profile owner "+owner.url+" failed mid-write; its state is unknown — read the profile back before retrying"))
 	default:
+		// A read whose one re-send also failed.
 		rt.writeOwnerDown(w, r, owner)
 	}
 }

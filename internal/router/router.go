@@ -89,9 +89,9 @@ type Options struct {
 	// HTTPClient is the shared transport of every replica client; nil
 	// uses a fresh http.Client (connection pooling across replicas).
 	HTTPClient *http.Client
-	// Obs configures the router's observability (shared registry,
-	// access/slow logs, pprof). The zero value serves /metrics and
-	// request IDs from a private registry.
+	// Obs configures the router's access and slow-request logs. The
+	// router always builds its own registry and serves it at /metrics;
+	// the zero value serves /metrics and request IDs with no logs.
 	Obs ObsOptions
 }
 

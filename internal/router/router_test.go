@@ -859,7 +859,7 @@ func TestExchangeResendRule(t *testing.T) {
 		{"PUT /v1/profile/{id}", exchangeCase{true, http.MethodPut, "/v1/profile/ada", sendOnce,
 			func(t *testing.T, f *fleet, rt *Router, front string) {
 				code, _, body := servedBy(t, http.MethodPut, front+"/v1/profile/ada", `{"mixture":{"streaming":1}}`)
-				wantError(t, code, body, http.StatusServiceUnavailable, server.CodeShed)
+				wantError(t, code, body, http.StatusBadGateway, server.CodeInternal)
 				stored := 0
 				for _, u := range f.urls {
 					if code, _ := get(t, u+"/v1/profile/ada"); code == 200 {
@@ -868,6 +868,19 @@ func TestExchangeResendRule(t *testing.T) {
 				}
 				if stored != 1 {
 					t.Errorf("the profile is stored on %d replicas, want 1 (its owner, once)", stored)
+				}
+			}}},
+		{"DELETE /v1/profile/{id}", exchangeCase{true, http.MethodDelete, "/v1/profile/ada", sendOnce,
+			func(t *testing.T, f *fleet, rt *Router, front string) {
+				if code, _, body := servedBy(t, http.MethodPut, front+"/v1/profile/ada", `{"mixture":{"streaming":1}}`); code != 200 {
+					t.Fatalf("PUT = %d: %s", code, body)
+				}
+				code, _, body := servedBy(t, http.MethodDelete, front+"/v1/profile/ada", "")
+				wantError(t, code, body, http.StatusBadGateway, server.CodeInternal)
+				for _, u := range f.urls {
+					if code, _ := get(t, u+"/v1/profile/ada"); code != http.StatusNotFound {
+						t.Errorf("%s still answers %d for the deleted profile, want 404", u, code)
+					}
 				}
 			}}},
 		{"profile reformulate", exchangeCase{true, http.MethodGet, "/v1/reformulate", sendOnce,
@@ -1259,26 +1272,5 @@ func TestAnswerOfLastResortNamesReplica(t *testing.T) {
 	}
 	if got := resp.Header.Get(HeaderServedBy); got != ts.URL {
 		t.Errorf("%s = %q, want %q", HeaderServedBy, got, ts.URL)
-	}
-}
-
-// TestRemapBatchIndices: replica sub-batch error messages name
-// sub-batch item positions; the router must translate them back to the
-// client's original panel indices.
-func TestRemapBatchIndices(t *testing.T) {
-	idxs := []int{5, 7, 11}
-	cases := []struct{ in, want string }{
-		{"queries[0]: q required", "queries[5]: q required"},
-		{"queries[2]: k must be in 1..1000", "queries[11]: k must be in 1..1000"},
-		{"queries[1] and queries[2] clash", "queries[7] and queries[11] clash"},
-		{"queries[9]: out of range passes through", "queries[9]: out of range passes through"},
-		{"queries[abc] unparseable", "queries[abc] unparseable"},
-		{"queries[ unterminated", "queries[ unterminated"},
-		{"no index here", "no index here"},
-	}
-	for _, tc := range cases {
-		if got := remapBatchIndices(tc.in, idxs); got != tc.want {
-			t.Errorf("remapBatchIndices(%q) = %q, want %q", tc.in, got, tc.want)
-		}
 	}
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -64,11 +65,7 @@ func newAdmission(o AdmissionOptions) *admission {
 	}
 	// Retry-After: the queue wait rounded up to whole seconds, floor 1
 	// — "try again after roughly one shedding window".
-	secs := int(o.QueueWait.Seconds())
-	if secs < 1 {
-		secs = 1
-	}
-	a.retryAfter = strconv.Itoa(secs)
+	a.retryAfter = strconv.Itoa(max(1, int(math.Ceil(o.QueueWait.Seconds()))))
 	return a
 }
 
@@ -81,6 +78,10 @@ func effectiveTimeout(r *http.Request, cap time.Duration) (d time.Duration, ok b
 		ms, perr := strconv.ParseInt(hs, 10, 64)
 		if perr != nil || ms <= 0 {
 			return 0, false, badRequest("bad " + timeoutHeader + " header: must be a positive integer of milliseconds")
+		}
+		// A value too large to represent as a Duration shortens nothing.
+		if ms > math.MaxInt64/int64(time.Millisecond) {
+			return d, ok, nil
 		}
 		if hd := time.Duration(ms) * time.Millisecond; !ok || hd < d {
 			d, ok = hd, true // clients may only shorten the server cap

@@ -143,6 +143,9 @@ func TestEffectiveTimeout(t *testing.T) {
 		{name: "header cannot extend cap", header: "5000", cap: time.Second, want: time.Second, wantOK: true},
 		{name: "invalid header", header: "nope", cap: time.Second, wantErr: true},
 		{name: "zero header", header: "0", cap: time.Second, wantErr: true},
+		{name: "unrepresentable header, no cap", header: "10000000000000", cap: 0, wantOK: false},
+		{name: "unrepresentable header keeps cap", header: "10000000000000", cap: time.Second, want: time.Second, wantOK: true},
+		{name: "largest representable header", header: "9223372036854", cap: 0, want: 9223372036854 * time.Millisecond, wantOK: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -387,6 +390,33 @@ func TestClientDeadlineHeader504(t *testing.T) {
 	slow.Store(false)
 	if code, _ := doGet(t, ts.URL+"/v1/query?q=olap", nil); code != http.StatusOK {
 		t.Fatalf("status without header = %d, want 200", code)
+	}
+}
+
+// TestUnrepresentableDeadlineHeaderShortensNothing: an
+// X-Request-Timeout-Ms too large for a time.Duration must not wrap to a
+// deadline in the past. The header may only shorten a deadline, so with
+// no -query-timeout it imposes none and the query answers 200, not 504.
+func TestUnrepresentableDeadlineHeaderShortensNothing(t *testing.T) {
+	_, ts := admissionServer(t, AdmissionOptions{}, rank.Options{})
+	if code, body := doGet(t, ts.URL+"/v1/query?q=olap", map[string]string{timeoutHeader: "10000000000000"}); code != http.StatusOK {
+		t.Fatalf("status = %d, want 200 (body %v)", code, body)
+	}
+}
+
+// TestShedRetryAfterRoundsUp: a shed's Retry-After is the queue wait
+// rounded up to whole seconds, floor 1.
+func TestShedRetryAfterRoundsUp(t *testing.T) {
+	for _, tc := range []struct {
+		wait time.Duration
+		want string
+	}{{0, "1"}, {time.Second, "1"}, {1500 * time.Millisecond, "2"}, {2001 * time.Millisecond, "3"}} {
+		s, _ := admissionServer(t, AdmissionOptions{MaxInflight: 1, QueueWait: tc.wait}, rank.Options{})
+		w := httptest.NewRecorder()
+		s.shed(w, httptest.NewRequest(http.MethodGet, "/v1/query?q=olap", nil), s.adm, tc.wait)
+		if got := w.Header().Get("Retry-After"); w.Code != http.StatusServiceUnavailable || got != tc.want {
+			t.Errorf("queue wait %v: %d with Retry-After %q, want 503 with %q", tc.wait, w.Code, got, tc.want)
+		}
 	}
 }
 

@@ -517,11 +517,11 @@ func Fail(w http.ResponseWriter, r *http.Request, e *APIError) {
 // above any legitimate 64-item batch).
 const maxBatchBody = 1 << 20
 
-// batchEndpoint is /v1/query/batch: N queries answered with at most
-// ⌈unique/core.DefaultBlockSize⌉ kernel executions, all under the one
-// pin (cache.QueryBatchModePinnedCtx: result cache → term-vector cache →
-// one panelled solve of the remaining misses). Each answer is identical
-// to what the corresponding single /v1/query would return.
+// batchEndpoint is /v1/query/batch: N queries answered with at most one
+// Solve per ranking direction, all under the one pin
+// (cache.QueryBatchModePinnedCtx: result cache → term-vector cache →
+// one solve of the remaining misses). Each answer is identical to what
+// the corresponding single /v1/query would return.
 var batchEndpoint = endpoint{pattern: "/v1/query/batch", guarded: true,
 	parse: (*Server).parseBatch, run: (*Server).runBatch}
 

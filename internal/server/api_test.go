@@ -305,9 +305,34 @@ func batchTestServer(t *testing.T) (*Server, *httptest.Server) {
 	return s, ts
 }
 
-// TestQueryBatchV1 is the PR-5 acceptance scenario: a cold 16-query
-// batch (8 unique terms, each twice) against a cached server performs
-// at most ⌈16/BlockSize⌉ kernel executions — asserted via the
+// TestBatchOfNineIsOneSolve: a batch of nine distinct uncached terms in
+// one mode moves /v1/stats kernel.solves by exactly 1 and kernel.planBuilds
+// by one build of the authority plan: every column sweeps the plan in the
+// one Solve.
+func TestBatchOfNineIsOneSolve(t *testing.T) {
+	s, ts := batchTestServer(t)
+	s.Engine().GlobalRank()
+	var req BatchQueryRequest
+	for _, tm := range []string{"olap", "xml", "mining", "query", "index", "search", "web", "join", "processing"} {
+		req.Queries = append(req.Queries, BatchQueryItem{Q: tm, K: 5})
+	}
+	var before, after StatsResponse
+	getJSON(t, ts.URL+"/v1/stats", &before)
+	body, _ := json.Marshal(req)
+	if code, _, raw := fetch(t, http.MethodPost, ts.URL+"/v1/query/batch", bytes.NewReader(body)); code != 200 {
+		t.Fatalf("batch status = %d (body %s)", code, raw)
+	}
+	getJSON(t, ts.URL+"/v1/stats", &after)
+	if d := after.Kernel.Solves - before.Kernel.Solves; d != 1 {
+		t.Errorf("kernel.solves moved by %d for a batch of 9 distinct terms, want 1", d)
+	}
+	if d := after.Kernel.PlanBuilds["authority"] - before.Kernel.PlanBuilds["authority"]; d != 1 {
+		t.Errorf("kernel.planBuilds.authority moved by %d, want 1", d)
+	}
+}
+
+// TestQueryBatchV1: a cold 16-query batch (8 unique terms, each twice)
+// against a cached server is one Solve — asserted via the
 // afq_kernel_solves_total delta — and every answer is identical to
 // what the corresponding single /v1/query returns on an identically
 // seeded twin server.
@@ -344,11 +369,8 @@ func TestQueryBatchV1(t *testing.T) {
 
 	after, _ := scrapeMetrics(t, ts.URL)
 	delta := after["afq_kernel_solves_total"] - before["afq_kernel_solves_total"]
-	bs := core.DefaultBlockSize
-	maxSolves := float64((len(req.Queries) + bs - 1) / bs)
-	if delta <= 0 || delta > maxSolves {
-		t.Errorf("kernel solves for the batch = %g, want in (0, %g] (BlockSize %d)",
-			delta, maxSolves, bs)
+	if delta != 1 {
+		t.Errorf("kernel solves for the batch = %g, want 1", delta)
 	}
 
 	// Per-answer equality with the single /v1/query path, bit-for-bit on

@@ -23,8 +23,7 @@ var benchQueries = []string{
 // BenchmarkQueryBatchV1 measures the v1 batch endpoint against N
 // sequential /v1/query calls on an uncached server (so every query
 // runs kernel work): the batch path answers the same 16 queries with
-// ⌈16/BlockSize⌉ blocked kernel executions where the single path runs
-// 16. Reported: ns/query and kernel solves per benchmark op.
+// one kernel solve where the single path runs 16. Reported: ns/query and kernel solves per benchmark op.
 func BenchmarkQueryBatchV1(b *testing.B) {
 	cfg := datagen.DBLPTopConfig().Scale(0.02)
 	cfg.Seed = 4

@@ -15,6 +15,10 @@ import (
 // arbitrary input; what they accept re-validates, from its own parsed
 // values, to those same values; and what they reject is phrased without
 // control bytes (the message goes into a JSON envelope and a log line).
+// A sub-slice of an accepted panel — the even and the odd items, as a
+// router's split might send two replicas — decodes to those same items:
+// no sub-batch a router sends can be rejected, so no replica error
+// names a sub-batch position.
 // Seeds — an accepted input, a bad value per parameter, and the batch
 // envelope's three rejections — are checked in under testdata/fuzz.
 func FuzzReadContract(f *testing.F) {
@@ -59,6 +63,26 @@ func FuzzReadContract(f *testing.F) {
 		for i := range qs {
 			if qs[i].Canonical() != qs2[i].Canonical() {
 				t.Fatalf("queries[%d] parsed to %q, then to %q", i, qs[i].Canonical(), qs2[i].Canonical())
+			}
+		}
+		for first := 0; first < 2 && first < len(items); first++ {
+			var sub []BatchQueryItem
+			for i := first; i < len(items); i += 2 {
+				sub = append(sub, items[i])
+			}
+			enc, err := json.Marshal(BatchQueryRequest{Queries: sub})
+			if err != nil {
+				t.Fatal(err)
+			}
+			subItems, subQs, subKs, subModes, err := DecodeBatch(enc)
+			if err != nil {
+				t.Fatalf("a sub-batch of an accepted batch is rejected: %v\n%s", err, enc)
+			}
+			for j, i := 0, first; i < len(items); j, i = j+1, i+2 {
+				if !reflect.DeepEqual(subItems[j], items[i]) || subKs[j] != ks[i] || subModes[j] != modes[i] ||
+					subQs[j].Canonical() != qs[i].Canonical() {
+					t.Fatalf("queries[%d] of the panel decodes as %+v in a sub-batch, %+v alone", i, subItems[j], items[i])
+				}
 			}
 		}
 	})

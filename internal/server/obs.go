@@ -34,10 +34,11 @@ type ObsOptions struct {
 	Pprof bool
 }
 
-// WithObservability configures the observability subsystem (logs,
-// slow-query threshold, pprof, shared registry). Servers built without
-// this option still serve /metrics and request IDs from a default
-// configuration.
+// WithObservability configures the observability subsystem: the access
+// and slow-query logs, the slow-query threshold and pprof. The server
+// always builds its own registry and serves it at /metrics; servers
+// built without this option still serve /metrics and request IDs, with
+// no logs and no pprof.
 func WithObservability(o ObsOptions) Option {
 	return func(so *serverOptions) { so.obs = o }
 }
@@ -134,13 +135,13 @@ func newServerObs(o ObsOptions) *serverObs {
 	so.profileUpdates = reg.NewCounter("afq_profile_updates_total",
 		"Profile records written through PUT/POST /v1/profile/{id}.")
 	so.solves = reg.NewCounter("afq_kernel_solves_total",
-		"Completed power-iteration kernel executions (all entry points, including cache-internal solves).")
+		"Completed Solve calls that swept at least one column, however many (all entry points, including cache-internal solves).")
 	so.warmSolves = reg.NewCounter("afq_kernel_warm_solves_total",
-		"Kernel executions that were §6.2 warm-started from a previous score vector.")
+		"Solve calls with a column §6.2 warm-started from a previous score vector.")
 	so.kernelIterations = reg.NewHistogram("afq_kernel_iterations",
-		"Iterations to convergence per kernel execution.", obs.IterationBuckets())
+		"Iterations to convergence per Solve call: its slowest column's.", obs.IterationBuckets())
 	so.solveSeconds = reg.NewHistogram("afq_kernel_solve_seconds",
-		"Wall-clock duration of the kernel iteration stage per execution.", obs.DefaultLatencyBuckets())
+		"Wall-clock duration of the kernel iteration stage per Solve call.", obs.DefaultLatencyBuckets())
 	so.planBuilds = reg.NewCounterVec("afq_kernel_plan_builds_total",
 		"Coefficient plans built by multi-column solves: at most one per rates snapshot and direction, none by one-column solves.",
 		"direction")
@@ -148,7 +149,7 @@ func newServerObs(o ObsOptions) *serverObs {
 		so.planBuilds.With(string(m))
 	}
 	so.planBuildSeconds = reg.NewHistogram("afq_kernel_plan_build_seconds",
-		"Wall-clock duration of building one coefficient plan (part of that execution's afq_kernel_solve_seconds).", obs.DefaultLatencyBuckets())
+		"Wall-clock duration of building one coefficient plan (part of that call's afq_kernel_solve_seconds).", obs.DefaultLatencyBuckets())
 	so.iterTotal = reg.NewCounter("afq_kernel_iterations_total",
 		"Total power iterations executed across all kernel runs (fed by the per-iteration observer).")
 	so.ratesVersion = reg.NewGauge("afq_rates_version",
